@@ -13,6 +13,7 @@ fast CI regression check, or under pytest-benchmark for per-op statistics:
 
 import argparse
 import json
+import secrets
 import sys
 import time
 from pathlib import Path
@@ -143,6 +144,15 @@ def batch_report(
     t_crt = _best_of(lambda: sk.raw_decrypt(ct.raw), repeats)
     crt_speedup = t_classic / t_crt
 
+    # -- mask: raw pow(r, n, n^2) vs the fixed-base obfuscator -------------
+    # The raw-pow row is this run's yardstick (ROADMAP 1A): floors stated
+    # as ratios to it compare implementations, not CI runners.
+    r = secrets.randbelow(pk.n - 2) + 2
+    t_pow = _best_of(lambda: pow(r, pk.n, pk.n_squared), repeats)
+    pk.random_obfuscator()  # builds the table; a one-off per process
+    t_mask = _best_of(pk.random_obfuscator, repeats)
+    mask_speedup = t_pow / t_mask
+
     # -- Ce: serial vector encryption vs batched (warm obfuscator pool) ----
     values = [float(i) - vector / 2 for i in range(vector)]
     encoder = PaillierEncoder(pk)
@@ -169,6 +179,7 @@ def batch_report(
         ["operation", "serial (ms)", "batched (ms)", "speedup"],
         [
             ["raw_decrypt", t_classic * 1e3, t_crt * 1e3, f"{crt_speedup:.2f}x"],
+            ["pow(r,n,n^2) vs mask", t_pow * 1e3, t_mask * 1e3, f"{mask_speedup:.2f}x"],
             [
                 f"encrypt x{vector}",
                 t_serial * 1e3,
@@ -192,8 +203,15 @@ def batch_report(
         assert enc_speedup >= 1.5, (
             f"batched encryption speedup {enc_speedup:.2f}x below the 1.5x floor"
         )
-        print("SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, tallies equal")
-    return {"crt": crt_speedup, "encrypt": enc_speedup}
+        assert mask_speedup >= 4.0, (
+            f"mask generation only {mask_speedup:.2f}x faster than this run's "
+            "raw pow(r, n, n^2); the floor is 4x"
+        )
+        print(
+            "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
+            "pow, tallies equal"
+        )
+    return {"crt": crt_speedup, "encrypt": enc_speedup, "mask": mask_speedup}
 
 
 def threshold_report(

@@ -6,12 +6,18 @@ homomorphic dot products (Eq. 3/7/9) and threshold decryptions — and that
 its implementation parallelises exactly those steps.  This module is the
 single place where the reproduction batches them:
 
-* **Obfuscator pool** — probabilistic encryption spends essentially all of
-  its time computing the random mask r^n mod n^2; raw encryption itself is
-  one mulmod (g = n+1).  :class:`ObfuscatorPool` precomputes masks in bulk
-  (optionally on worker processes, or ahead of time during idle/setup
-  phases) so vector encryptions amortise the mask cost.  Every mask is
-  popped exactly once — reuse would link two ciphertexts.
+* **Obfuscator pool** — raw encryption is one mulmod (g = n+1); the rest
+  of a probabilistic encryption is its random mask, an encryption of
+  zero.  A mask is :meth:`PaillierPublicKey.random_obfuscator`: h_s^a mod
+  n^2 for the public base h_s that every holder of n derives from n, and
+  a fresh a of |n|/2 random bits, read off a fixed-base table in ~52
+  modular multiplications (~0.2 ms at 512 bits, where r^n for a random r
+  costs 2 ms; see :mod:`repro.crypto.paillier`).  :class:`ObfuscatorPool`
+  draws masks in bulk in the calling process.  They are not fanned out
+  over the worker pool: pickling a task and its 2|n|-bit result across a
+  process boundary costs about what the mask does, and each worker would
+  first have to build its own table from n (the table is never pickled).
+  Every mask is popped exactly once — reuse would link two ciphertexts.
 
 * **CRT decryption** — :class:`~repro.crypto.paillier.PaillierPrivateKey`
   retains p and q and decrypts mod p^2 / q^2 with Garner recombination
@@ -61,9 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ObfuscatorPool", "BatchCryptoEngine"]
 
-#: ``parallel_map(fn, items)``: the fan-out strategy plugged into the pool.
-ParallelMap = Callable[[Callable[[Any], Any], list[Any]], list[Any]]
-
 #: Below this batch size the process-pool dispatch overhead outweighs the
 #: parallel speedup; such batches always run serially.
 MIN_PARALLEL_BATCH = 8
@@ -74,14 +77,8 @@ def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _pow3(args: tuple[int, int, int]) -> int:
-    """pow(base, exp, mod) — top-level so ProcessPoolExecutor can pickle it."""
-    base, exp, mod = args
-    return pow(base, exp, mod)
-
-
 class ObfuscatorPool:
-    """A FIFO pool of precomputed obfuscators r^n mod n^2.
+    """A FIFO pool of precomputed obfuscators (encryptions of zero).
 
     ``take`` pops a mask (refilling in bulk when the pool runs dry), so no
     mask is ever handed out twice.  ``size=0`` disables pooling: every
@@ -89,18 +86,12 @@ class ObfuscatorPool:
     behaviour.
     """
 
-    def __init__(
-        self,
-        public_key: PaillierPublicKey,
-        size: int = 256,
-        parallel_map: ParallelMap | None = None,
-    ):
+    def __init__(self, public_key: PaillierPublicKey, size: int = 256):
         if size < 0:
             raise ValueError(f"pool size must be >= 0, got {size}")
         self.public_key = public_key
         self.size = size
         self._masks: deque[int] = deque()
-        self._parallel_map = parallel_map or (lambda fn, items: [fn(x) for x in items])
         self.generated = 0  # total masks ever produced (test/bench hook)
 
     def __len__(self) -> int:
@@ -112,10 +103,8 @@ class ObfuscatorPool:
             count = self.size - len(self._masks)
         if count <= 0:
             return
-        pk = self.public_key
-        bases = [pk.random_obfuscator_base() for _ in range(count)]
-        tasks = [(r, pk.n, pk.n_squared) for r in bases]
-        self._masks.extend(self._parallel_map(_pow3, tasks))
+        fresh_mask = self.public_key.random_obfuscator
+        self._masks.extend(fresh_mask() for _ in range(count))
         self.generated += count
 
     def take(self) -> int:
@@ -160,7 +149,7 @@ class BatchCryptoEngine:
         self.threshold = threshold
         self._executor: ProcessPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
-        self.pool = ObfuscatorPool(public_key, pool_size, parallel_map=self._map)
+        self.pool = ObfuscatorPool(public_key, pool_size)
 
     # -- parallel plumbing ------------------------------------------------
 

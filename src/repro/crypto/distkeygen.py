@@ -194,7 +194,14 @@ class KeygenParty:
             else random.Random()
         )
         self._sieve = sieve_primes()
-        aux_p, aux_q = primes.random_prime_pair(keysize + AUX_EXTRA_BITS, self._rng)
+        # The aux key only ever encrypts with caller-chosen r
+        # (_aux_encrypt), never with the DJN obfuscator, so it does not need
+        # random_prime_pair's p = q = 3 (mod 4); unconstrained draws keep
+        # the seeded stream, and every transcript pinned to it, in place.
+        aux_half = (keysize + AUX_EXTRA_BITS) // 2
+        aux_p = aux_q = primes.random_prime(aux_half, self._rng)
+        while aux_q == aux_p:
+            aux_q = primes.random_prime(aux_half, self._rng)
         self._aux_pk, self._aux_sk = generate_keypair(
             keysize + AUX_EXTRA_BITS, aux_p, aux_q
         )

@@ -177,8 +177,6 @@ class EncryptedNumber:
         return EncryptedNumber(self.encoder, -self.ciphertext, self.exponent)
 
     def __sub__(self, other: "EncryptedNumber | int | float") -> "EncryptedNumber":
-        if isinstance(other, EncryptedNumber):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other: int | float) -> "EncryptedNumber":

@@ -9,6 +9,7 @@ for small inputs, and generators for random primes of a given bit length.
 
 from __future__ import annotations
 
+import random
 import secrets
 
 __all__ = [
@@ -81,24 +82,33 @@ def random_prime(bits: int, rng=None) -> int:
     """
     if bits < 2:
         raise ValueError(f"bits must be >= 2, got {bits}")
+    return _random_prime(bits, rng, low_bits=1)
+
+
+def _random_prime(bits: int, rng: random.Random | None, low_bits: int) -> int:
     draw = rng.getrandbits if rng is not None else secrets.randbits
     while True:
-        # Force the top bit (exact length) and the bottom bit (odd).
-        candidate = draw(bits) | (1 << (bits - 1)) | 1
+        # Force the top bit (exact length) and the low bits (1: odd;
+        # 3: congruent to 3 mod 4).
+        candidate = draw(bits) | (1 << (bits - 1)) | low_bits
         if is_probable_prime(candidate):
             return candidate
 
 
 def random_prime_pair(bits: int, rng=None) -> tuple[int, int]:
-    """Return two distinct primes of ``bits // 2`` bits each.
+    """Return two distinct primes of ``bits // 2`` bits each, both
+    congruent to 3 mod 4.
 
     The pair is suitable for a Paillier modulus n = p * q of roughly
     ``bits`` bits: p != q guarantees gcd(pq, (p-1)(q-1)) = 1 for primes of
-    equal bit length, which standard Paillier requires.
+    equal bit length, which standard Paillier requires, and p = q = 3
+    (mod 4) is the key condition of the Damgard-Jurik-Nielsen obfuscator
+    (:meth:`repro.crypto.paillier.PaillierPublicKey.random_obfuscator`):
+    -1 is then a non-residue with Jacobi symbol +1 mod n.
     """
     half = bits // 2
-    p = random_prime(half, rng)
+    p = _random_prime(half, rng, low_bits=3)
     while True:
-        q = random_prime(half, rng)
+        q = _random_prime(half, rng, low_bits=3)
         if q != p:
             return p, q

@@ -19,7 +19,12 @@ Two key-generation paths produce the (d_i, theta) material:
   plays a trusted dealer: it chooses d with  d = 0 (mod lambda(n))  and
   d = 1 (mod n)  (CRT) and splits d additively modulo n * lambda(n).
   Here theta = 1 and the dealer retains the CRT private key, which the
-  ``"simulate"`` decrypt mode uses as a single-process shortcut.  This
+  ``"simulate"`` decrypt mode uses as a single-process shortcut.  The
+  dealer draws the factors from
+  :func:`repro.crypto.primes.random_prime_pair`: distinct, equal length,
+  p = q = 3 (mod 4) — the key condition of the obfuscator (see
+  :mod:`repro.crypto.paillier`) — and retries until gcd(lambda, n) = 1;
+  factors passed in by the caller are used as given.  This
   was the seed's only path — a stand-in for the paper's §3.4 "the m
   clients jointly generate the keys", which libhcs (the paper's
   implementation) also centralizes.
@@ -30,8 +35,12 @@ Two key-generation paths produce the (d_i, theta) material:
   biprimality test), and the decryption exponent d = phi(n) * beta is
   additively shared *by construction* — party i only ever knows
   (p_i, q_i, beta_i, d_i), so no process ever materializes lambda, mu, p
-  or q.  The public element theta = sum(d_i) mod n (a unit mod n,
-  Damgard–Jurik style) replaces the dealer path's implicit theta = 1:
+  or q.  Both factors are 3 mod 4 by construction (the lead share is
+  3 mod 4, every other share 0 mod 4, as the biprimality test needs),
+  so the joint key meets the same obfuscator condition; the parties'
+  auxiliary Paillier keys are unconstrained primes, used only with
+  caller-chosen randomness.  The public element theta = sum(d_i) mod n
+  (a unit mod n, Damgard–Jurik style) replaces the dealer path's implicit theta = 1:
   c^{sum d_i} = c^{phi(n) * beta} = 1 + m_plain * theta * n (mod n^2)
   because c^{phi(n)} = 1 + m_plain' * n with the beta masking folded into
   theta.  For these federations ``decrypt_mode="combine"`` is the only
@@ -57,7 +66,7 @@ from __future__ import annotations
 import os
 import secrets
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.analysis import opcount
 from repro.crypto import primes
@@ -160,6 +169,30 @@ class ThresholdKeyShare:
         return [PartialDecryption(self.party_index, v) for v in values]
 
 
+def _require_all_parties(indices: list[int], n_parties: int) -> None:
+    """The full threshold structure admits no decryption by fewer than m
+    clients: every party index 0..m-1 must appear exactly once."""
+    if sorted(indices) != list(range(n_parties)):
+        raise ValueError(
+            f"full-threshold decryption needs all {n_parties} shares, got "
+            f"indices {sorted(indices)}"
+        )
+
+
+def _combine_shares(
+    public_key: PaillierPublicKey,
+    values: Iterable[int],
+    theta_inverse: int,
+    signed: bool,
+) -> int:
+    """prod_i c^{d_i} = 1 + m * theta * n (mod n^2)  ->  m."""
+    acc = 1
+    for value in values:
+        acc = (acc * value) % public_key.n_squared
+    plaintext = ((acc - 1) // public_key.n) * theta_inverse % public_key.n
+    return public_key.to_signed(plaintext) if signed else plaintext
+
+
 def combine_partial_decryptions(
     public_key: PaillierPublicKey,
     partials: list[PartialDecryption],
@@ -176,20 +209,10 @@ def combine_partial_decryptions(
     Raises if any share is missing or duplicated — the full threshold
     structure admits no decryption by fewer than m clients.
     """
-    indices = sorted(p.party_index for p in partials)
-    if indices != list(range(n_parties)):
-        raise ValueError(
-            f"full-threshold decryption needs all {n_parties} shares, got "
-            f"indices {indices}"
-        )
+    _require_all_parties([p.party_index for p in partials], n_parties)
     opcount.GLOBAL.cd += 1
-    acc = 1
-    for partial in partials:
-        acc = (acc * partial.value) % public_key.n_squared
-    plaintext = ((acc - 1) // public_key.n) % public_key.n
-    if theta != 1:
-        plaintext = plaintext * pow(theta, -1, public_key.n) % public_key.n
-    return public_key.to_signed(plaintext) if signed else plaintext
+    values = (p.value for p in partials)
+    return _combine_shares(public_key, values, pow(theta, -1, public_key.n), signed)
 
 
 def combine_partial_vectors(
@@ -207,26 +230,24 @@ def combine_partial_vectors(
     Returns the plaintext batch; one Cd per element, identical to the
     per-ciphertext accounting of :func:`combine_partial_decryptions` and of
     the simulate path.  A missing or duplicated party vector — or ragged
-    batch lengths — raises.
+    batch lengths — raises.  The party indices are validated and ``theta``
+    inverted once for the batch, not per element.
     """
     if len(vectors) != n_parties:
         raise ValueError(
             f"full-threshold decryption needs all {n_parties} share vectors, "
             f"got {len(vectors)}"
         )
+    _require_all_parties([v.party_index for v in vectors], n_parties)
     lengths = {len(v.values) for v in vectors}
     if len(lengths) != 1:
         raise ValueError(f"share vectors disagree on batch length: {lengths}")
     (count,) = lengths
+    opcount.GLOBAL.cd += count
+    theta_inverse = pow(theta, -1, public_key.n)
     return [
-        combine_partial_decryptions(
-            public_key,
-            [PartialDecryption(v.party_index, v.values[k]) for v in vectors],
-            n_parties,
-            signed=signed,
-            theta=theta,
-        )
-        for k in range(count)
+        _combine_shares(public_key, column, theta_inverse, signed)
+        for column in zip(*(v.values for v in vectors))
     ]
 
 

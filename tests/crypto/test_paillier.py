@@ -59,7 +59,11 @@ def test_plaintext_addition_and_subtraction(keypair, x, k):
 
 def test_negation(keypair):
     pk, sk = keypair
-    assert sk.decrypt(-pk.encrypt(17)) == -17
+    for x in (0, 17, -17, 2**60, -(2**60)):
+        c = pk.encrypt(x)
+        assert sk.decrypt(-c) == -x
+        assert sk.decrypt(-(-c)) == x
+        assert sk.decrypt(c * -1) == -x
 
 
 def test_multiply_by_zero_and_one(keypair):

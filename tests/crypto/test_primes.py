@@ -50,3 +50,6 @@ def test_prime_pair_distinct(bits):
     assert p != q
     assert p.bit_length() == bits // 2
     assert q.bit_length() == bits // 2
+    # The DJN obfuscator's key condition (see repro.crypto.paillier).
+    assert p % 4 == q % 4 == 3
+    assert is_probable_prime(p) and is_probable_prime(q)

@@ -3,9 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.threshold import (
+    PartialDecryption,
     combine_partial_decryptions,
+    combine_partial_vectors,
     generate_threshold_keypair,
 )
+from repro.network.wire import PartialDecryptionVector
 
 VALUES = st.integers(min_value=-(2**60), max_value=2**60)
 
@@ -71,3 +74,31 @@ def test_cross_key_partial_decrypt_rejected(threshold3):
     ct = other.encrypt(9)
     with pytest.raises(ValueError):
         threshold3.shares[0].partial_decrypt(ct)
+
+
+def test_vector_combination_checks_parties_once_per_batch(threshold3):
+    """The party indices are a property of the batch, not of its elements:
+    an empty batch from the wrong parties is still refused."""
+    pk = threshold3.public_key
+    assert combine_partial_vectors(pk, [PartialDecryptionVector(i, ()) for i in range(3)], 3) == []
+    with pytest.raises(ValueError, match="needs all 3 shares"):
+        combine_partial_vectors(pk, [PartialDecryptionVector(i, ()) for i in (0, 1, 1)], 3)
+
+
+def test_vector_combination_with_theta_matches_per_element(threshold3):
+    """Shares d_i * t combine to 1 + x*t*n: the distributed-keygen shape
+    (theta = t != 1) on a dealer key."""
+    pk, theta = threshold3.public_key, 0xC0FFEE
+    plaintexts = [-5, 0, 123456]
+    cts = [threshold3.encrypt(x) for x in plaintexts]
+    vectors = [
+        PartialDecryptionVector(
+            share.party_index,
+            tuple(pow(ct.raw, share.d_share * theta, pk.n_squared) for ct in cts),
+        )
+        for share in threshold3.shares
+    ]
+    assert combine_partial_vectors(pk, vectors, 3, theta=theta) == plaintexts
+    for k, expected in enumerate(plaintexts):
+        partials = [PartialDecryption(v.party_index, v.values[k]) for v in vectors]
+        assert combine_partial_decryptions(pk, partials, 3, theta=theta) == expected
