@@ -46,6 +46,14 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     Basic:    O(n c d̄ b t)·Ce + O(c d b t)·(Cd + Cs) + O(d b t)·Cc
     Enhanced: adds O(n t)·Cd and O(n b t)·Ce for the private split
               selection + Eq. 10 mask update.
+
+    These are the paper's terms, one Cd per converted statistic.  The
+    *measured* basic-protocol Cd is that term over the slot count: the
+    trainer's conversions are slot-packed (:mod:`repro.crypto.packing`),
+    ⌊(|n| − 1) / (k + κ + bitlen(m))⌋ statistics per decrypted ciphertext
+    (6 at a 512-bit key), and likewise one Cd per ~12 predicted rows
+    instead of :func:`table2_prediction_counts`'s one per row.  The
+    enhanced protocol's measured Cd is unpacked and matches the term.
     """
     counts = {
         "ce": w.n * w.c * w.d_bar * w.b * w.t,

@@ -23,6 +23,7 @@ from repro.crypto.encoding import (
     encrypted_dot_product,
 )
 from repro.crypto.distkeygen import KeygenParty
+from repro.crypto.packing import slot_layout, whole_layout
 from repro.crypto.threshold import (
     ThresholdPaillier,
     combine_partial_vectors,
@@ -447,31 +448,65 @@ class PivotContext:
         return result
 
     def joint_decrypt_batch(
-        self, values: list[EncryptedNumber], tag: str
+        self,
+        values: list[EncryptedNumber],
+        tag: str,
+        bound_bits: int | None = None,
     ) -> list[float]:
         """Batched all-client decryption: one fan-out for the whole vector.
 
-        Exactly the per-value Ce/Cd op counts and revealed log of calling
-        :meth:`joint_decrypt` in a loop, but a single threshold-decryption
-        message flow (2 rounds instead of 2 per value) — the deployment
-        shape for n-row basic prediction.
+        The revealed log of calling :meth:`joint_decrypt` in a loop, but a
+        single threshold-decryption message flow (2 rounds instead of 2 per
+        value) — the deployment shape for n-row basic prediction.
+
+        ``bound_bits`` declares that every value's fixed-point integer has
+        magnitude below ``2**bound_bits``.  Declared values are slot-packed
+        (:mod:`repro.crypto.packing`, ``bound_bits + 1`` bits each: the
+        value plus its sign offset), so the flow moves and every party
+        exponentiates one ciphertext per ~|n| / (bound_bits + 1) values;
+        Cd counts those packed ciphertexts.  Undeclared values decrypt one
+        ciphertext each.
         """
         if not values:
             return []
-        raws = self.joint_decrypt_raw(values, tag="threshold-decrypt")
-        self.conversions.threshold_decryptions += len(values)
+        pk = self.threshold.public_key
+        magnitudes: list[int] = []
+        if bound_bits is None:
+            layout = whole_layout(len(values), pk.n.bit_length())
+            payload = values
+        else:
+            magnitudes = [bound_bits] * len(values)
+            layout = slot_layout(
+                [bound_bits + 1] * len(values), pk.n.bit_length()
+            )
+            payload = layout.pack_ciphertexts(
+                [v.ciphertext for v in values], magnitudes
+            )
+        plains = self.joint_decrypt_raw(
+            payload, tag="threshold-decrypt", signed=False
+        )
+        self.conversions.threshold_decryptions += layout.n_groups
+        raws = layout.unpack(plains, magnitudes, pk)
         results = [raw * 2.0**v.exponent for raw, v in zip(raws, values)]
         for result in results:
             self.revealed.append((tag, result))
         return results
 
-    def to_shares(self, values: list[EncryptedNumber]) -> list[SharedValue]:
+    def to_shares(
+        self, values: list[EncryptedNumber], bound_bits: int | None = None
+    ) -> list[SharedValue]:
         """Algorithm 2 over a batch; the conversion sends its real payloads
-        (mask ciphertexts, masked batch, partial decryptions) on the bus."""
+        (mask ciphertexts, masked batch, partial decryptions) on the bus.
+
+        ``bound_bits`` declares every value's magnitude at the MPC scale
+        (``|x| < 2**bound_bits``); only declared values are slot-packed
+        (:func:`~repro.mpc.conversion.ciphers_to_shares`).
+        """
         return ciphers_to_shares(
             values, self.threshold, self.fx, self.conversions,
             batch_engine=self.batch, bus=self.bus,
             services=self.decrypt_services, runtimes=self.runtimes,
+            bound_bits=bound_bits,
         )
 
     def to_cipher(self, value: SharedValue, exponent: int | None = None) -> EncryptedNumber:

@@ -160,15 +160,24 @@ def predict_basic_encrypted_slices(
             ctx.bus.round()
 
     # u_1: [k̄] = z ⊙ [η] (line 10).
-    if model.task == "classification":
-        coefficients = [int(leaf.prediction) for leaf in leaves]
-        exponent = 0
-    else:
-        encoded = [ctx.encoder.encode(float(leaf.prediction)) for leaf in leaves]
-        coefficients = [e.encoding for e in encoded]
-        exponent = -ctx.encoder.frac_bits
+    coefficients, exponent = _leaf_label_encodings(model, ctx)
     result = encrypted_dot_product(coefficients, eta)
     return ctx.encoder.wrap(result.ciphertext, exponent)
+
+
+def _leaf_label_encodings(
+    model: DecisionTreeModel, context: PivotContext
+) -> tuple[list[int], int]:
+    """The public leaf-label vector z as signed fixed-point integers, and
+    their exponent (class indices at 0, regression means at -frac_bits)."""
+    leaves = model.leaves()
+    if model.task == "classification":
+        return [int(leaf.prediction) for leaf in leaves], 0
+    encoder = context.encoder
+    return (
+        [encoder.encode(float(leaf.prediction)).encoding for leaf in leaves],
+        -encoder.frac_bits,
+    )
 
 
 def predict_basic_encrypted(
@@ -279,10 +288,10 @@ def run_predict_batch_slices(
 
     ``party_slices`` is the federation-native input: one ``n × d_i`` block
     per client, each holding only that party's columns.  Basic prediction
-    batches the per-row joint decryptions: the n encrypted outputs [k̄] go
-    through one threshold-decryption fan-out (``joint_decrypt_batch``)
-    instead of n serial ones — identical Ce/Cd op counts and results, one
-    message flow.
+    batches the per-row joint decryptions: the n encrypted outputs [k̄] are
+    slot-packed and go through one threshold-decryption fan-out
+    (``joint_decrypt_batch``) instead of n serial ones — identical results
+    and revealed log, one message flow, one Cd per packed ciphertext.
     """
     rows = _slices_per_row(context, party_slices)
     if protocol == "basic":
@@ -290,7 +299,15 @@ def run_predict_batch_slices(
             predict_basic_encrypted_slices(model, context, slices)
             for slices in rows
         ]
-        values = context.joint_decrypt_batch(encrypted, tag="prediction-output")
+        # [k̄] is one entry of the public z (η is one-hot), so its bound is
+        # known: fx.k bits, or what the widest leaf label needs.
+        labels, _ = _leaf_label_encodings(model, context)
+        bound_bits = max(
+            context.fx.k, *(abs(label).bit_length() for label in labels)
+        )
+        values = context.joint_decrypt_batch(
+            encrypted, tag="prediction-output", bound_bits=bound_bits
+        )
         if model.task == "classification":
             out = [int(round(v)) for v in values]
         else:

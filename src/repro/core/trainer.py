@@ -30,6 +30,7 @@ selection (Algorithm 6) and noisy leaf statistics.
 
 from __future__ import annotations
 
+import secrets
 import warnings
 
 import numpy as np
@@ -76,6 +77,18 @@ class TreeTrainer:
         self.provider = label_provider
         self.task = label_provider.task
         self.enhanced = self.cfg.protocol == "enhanced"
+        #: Declared magnitude of the node and split statistics at the MPC
+        #: scale, which lets their conversions slot-pack (see
+        #: repro.mpc.conversion).  True only for sums of 0/1 masks times
+        #: plaintext labels: the enhanced protocol's [α] and an encrypted
+        #: label vector carry share_to_cipher q-wraps, so those declare
+        #: nothing and convert one ciphertext per value.
+        self._stat_bound_bits = (
+            self.fx.k
+            if not self.enhanced
+            and isinstance(label_provider, PlaintextLabelProvider)
+            else None
+        )
         self._dp = None
         if self.cfg.dp is not None:
             from repro.core.dp import DPMechanisms
@@ -137,7 +150,9 @@ class TreeTrainer:
         # Node-level encrypted statistics: n on this node + per-vector sums.
         count_ct = ctx.batch.sum_ciphertexts(alpha)
         total_cts = [ctx.batch.sum_ciphertexts(g) for g in gammas]
-        shares = ctx.to_shares([count_ct] + total_cts)
+        shares = ctx.to_shares(
+            [count_ct] + total_cts, bound_bits=self._stat_bound_bits
+        )
         n_node, totals = shares[0], shares[1:]
         node_stats = NodeStats(n_node, totals)
 
@@ -172,7 +187,7 @@ class TreeTrainer:
         )
 
         # -- MPC computation: convert + secure gains + secure max -----------
-        stat_shares = ctx.to_shares(stat_cts)
+        stat_shares = ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
         splits = []
         stride = 2 + 2 * len(gammas)
         for index in range(len(identifiers)):
@@ -502,8 +517,6 @@ class TreeTrainer:
         combined [α'] (the children's mask vector every client needs for
         the next node's local statistics).
         """
-        import secrets
-
         ctx, fx = self.ctx, self.fx
         m = ctx.n_clients
         mask_lists = [

@@ -63,6 +63,7 @@ Decryption modes (:attr:`ThresholdPaillier.decrypt_mode`):
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -464,7 +465,7 @@ def generate_threshold_keypair(
         lam = _lcm(p_ - 1, q_ - 1)
         # CRT requires gcd(lambda, n) = 1; fails only if p | q-1 or q | p-1,
         # which is negligible for random primes but cheap to check.
-        if _coprime(lam, n):
+        if math.gcd(lam, n) == 1:
             break
         if p is not None:
             raise ValueError("supplied p, q give gcd(lambda, n) != 1")
@@ -483,9 +484,3 @@ def generate_threshold_keypair(
         ThresholdKeyShare(public_key, i, d_i) for i, d_i in enumerate(shares_int)
     ]
     return ThresholdPaillier(public_key, shares, private_key)
-
-
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1

@@ -28,6 +28,7 @@ import numpy as np
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext
 from repro.federation.locality import LocalView, as_party
+from repro.mpc.conversion import mask_layout
 from repro.network.wire import PartialDecryptionVector, Request, ShareVector
 
 __all__ = [
@@ -376,18 +377,36 @@ class PartyRuntime(PartyService):
     def _op_node_split(self, sender: int, body: list) -> None:
         self.store_split(body)
 
-    def _op_convert_masks(self, sender: int, body: list) -> None:
+    def _op_convert_masks(
+        self, sender: int, body: list, packed: bool = False
+    ) -> None:
         """Algorithm 2 lines 1-3, this party's side: sample one mask per
-        value, encrypt with her engine, reply with the mask ciphertexts and
-        her (-r mod q) share vector to the requesting client."""
+        value, pack them by the layout both sides derive from the widths
+        (:func:`repro.mpc.conversion.mask_layout`), encrypt with her
+        engine, and reply with the mask ciphertexts and her (-r mod q)
+        share vector to the requesting client.
+
+        This op is for values nobody declared a bound for: the layout
+        gives each a whole ciphertext, so one mask ciphertext per value.
+        The widths come off the wire: the layout rejects a non-positive
+        or over-capacity one before ``randbits`` sizes anything from it.
+        """
         if self.field_q is None:
             raise RuntimeError(
                 f"party {self.index}: runtime has no MPC field modulus"
             )
+        layout = mask_layout(
+            body, self.endpoint.bus.n_parties, self.engine.public_key, packed
+        )
         masks = [secrets.randbits(bits) for bits in body]
-        mask_cts = self.engine.encrypt_ciphertexts(masks)
+        mask_cts = self.engine.encrypt_ciphertexts(layout.pack_plaintexts(masks))
         negated = ShareVector(tuple((-r) % self.field_q for r in masks))
         self.endpoint.send(sender, [mask_cts, negated], tag="mpc-convert")
+
+    def _op_convert_masks_packed(self, sender: int, body: list) -> None:
+        """``convert-masks`` for values of declared bound: the masks share
+        slots, one mask ciphertext per *packed* ciphertext."""
+        self._op_convert_masks(sender, body, packed=True)
 
     def _op_lr_batch_sums(self, sender: int, body: list) -> None:
         rows, weights = body

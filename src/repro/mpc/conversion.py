@@ -17,25 +17,65 @@ Fixed-point handling: a ciphertext with exponent -S converts to a shared
 value at the MPC scale 2^F.  If S > F the converted value is securely
 truncated by S - F bits (probabilistic truncation); if S < F the ciphertext
 is first losslessly rescaled.
+
+**Slot packing** (:mod:`repro.crypto.packing`).  Algorithm 2 pays one
+threshold decryption — one ``c^{d_i} mod n²`` per party — per masked
+ciphertext, and a masked statistic fills a sixth of a 512-bit plaintext.
+When the caller declares a bound (``bound_bits``), value j with
+``|x_j| < 2^{β_j}`` (``β_j = bound_bits + S_j - F``) gets a slot of
+
+    width_j = β_j + κ + bitlen(m)   bits.
+
+Into it go the value shifted non-negative by the public offset
+``2^{β_j}`` and one ``(β_j + κ)``-bit mask from each of the m parties:
+
+    x_j + 2^{β_j} + Σ_i r_ij  <  2^{β_j + 1} + m · 2^{β_j + κ}
+                              <= (m + 1) · 2^{β_j + κ}  <=  2^{width_j},
+
+so no carry ever crosses into the next slot, the slot's content minus the
+offset is exactly the ``e_j = x_j + Σ_i r_ij`` every party sees in the
+value-at-a-time protocol, and the mask hides ``x_j`` with the same κ bits
+of statistical slack.  Client 1 packs the statistics homomorphically,
+every party packs her own masks into **one** mask encryption per packed
+ciphertext, and one decryption yields all of a ciphertext's ``e_j`` (6
+per 512-bit ciphertext at the defaults).  The layout is computed by
+:func:`mask_layout` from the mask widths, m and |n| on both sides.
+
+*Declare or don't pack.*  The inequality needs a true bound.  Callers
+whose values carry :func:`share_to_cipher` q-wraps (the enhanced trainer,
+encrypted-label GBDT rounds, forest votes, logistic regression: ~127
+bits per tree level on top of the value) declare nothing, and an
+undeclared value keeps a whole ciphertext — the same code with a slot as
+wide as the plaintext space.  Packing such a value would silently
+corrupt its neighbours; only overflow of a ciphertext's *top* slot is
+detectable after decryption (and raises).
 """
 
 from __future__ import annotations
 
 import secrets
+from typing import Sequence
 
 from repro.crypto.encoding import EncryptedNumber
+from repro.crypto.packing import SlotLayout, slot_layout
+from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.threshold import ThresholdPaillier, combine_partial_vectors
 from repro.mpc import comparison
 from repro.mpc.advanced import FixedPointOps
 from repro.mpc.sharing import SharedValue
 from repro.network.bus import MessageBus
-from repro.network.flows import record_threshold_decrypt
+from repro.network.flows import (
+    broadcast_request,
+    collect_replies,
+    record_threshold_decrypt,
+)
 
 __all__ = [
     "cipher_to_share",
     "ciphers_to_shares",
     "share_to_cipher",
     "decrypt_shared_cipher",
+    "mask_layout",
     "ConversionCounters",
 ]
 
@@ -77,6 +117,32 @@ def cipher_to_share(
     )[0]
 
 
+def mask_layout(
+    mask_bits: Sequence[int],
+    n_parties: int,
+    public_key: PaillierPublicKey,
+    packed: bool,
+) -> SlotLayout:
+    """The slot layout of one Algorithm 2 batch, from its mask widths.
+
+    The one function both sides of a ``convert-masks`` request call — the
+    requester to pack the statistics and her own masks, every responder
+    (:meth:`~repro.federation.party.PartyRuntime._op_convert_masks`) to
+    pack hers — so the layout is derived, never sent.  A mask of
+    ``mask_bits[j] = β_j + κ`` bits gets a slot of
+    ``β_j + κ + bitlen(m)`` bits (see the module docstring); widths that
+    are not positive or do not fit the plaintext space raise
+    :class:`~repro.crypto.packing.PackingError` before anything is sampled
+    from them.
+    """
+    return slot_layout(
+        mask_bits,
+        public_key.n.bit_length(),
+        carry_bits=n_parties.bit_length(),
+        packed=packed,
+    )
+
+
 def ciphers_to_shares(
     values: list[EncryptedNumber],
     threshold: ThresholdPaillier,
@@ -86,27 +152,39 @@ def ciphers_to_shares(
     bus: MessageBus | None = None,
     services: list | None = None,
     runtimes: list | None = None,
+    bound_bits: int | None = None,
 ) -> list[SharedValue]:
     """Batch Algorithm 2 (the m decryption rounds are batched in practice).
 
     All values are masked first, then the masked ciphertexts go through one
     batched threshold decryption; a
     :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so the
-    mask encryptions draw from its obfuscator pool.  Op counts and results
-    match the value-at-a-time loop exactly.
+    mask encryptions draw from its obfuscator pool.
+
+    ``bound_bits`` is the caller's declaration that every value, at the
+    MPC scale 2^F, has magnitude below ``2**bound_bits``.  Declared values
+    are slot-packed: several statistics, and each party's masks for them,
+    share one ciphertext, one mask encryption per party and one threshold
+    decryption (see the module docstring).  Without a declaration every
+    value keeps a ciphertext of its own and masks of ``fixed.k`` +
+    exponent-slack + κ bits.  Either way each party sees exactly the
+    per-value masked plaintexts e_j of the value-at-a-time loop, and the
+    shares built from them are the same.
 
     With ``runtimes`` (the per-party
     :class:`~repro.federation.party.PartyRuntime` list) the mask phase is
-    *reactive*: client 1 broadcasts a ``convert-masks`` request with the
-    per-value mask widths, and every other party samples her own masks,
-    encrypts them with *her* engine, and replies with the mask ciphertexts
-    plus her (-r mod q) share vector.  Her sampling and encryption run
-    wherever her runtime lives — in this process when she is local, in her
-    own standalone process otherwise.  (The share vectors travel to the
-    engine host because the MPC layer itself is centrally simulated — the
-    same boundary as :meth:`MPCEngine.input_many` everywhere else.)
-    Without runtimes the legacy central path samples all m masks here,
-    with the same op counts and bus rounds.
+    *reactive*: client 1 broadcasts a ``convert-masks`` request (op
+    ``convert-masks-packed`` for declared bounds) with the per-value mask
+    widths, and every other party samples her own masks, packs and
+    encrypts them with *her* engine, and replies with the mask
+    ciphertexts plus her (-r mod q) share vector.  Her sampling and
+    encryption run wherever her runtime lives — in this process when she
+    is local, in her own standalone process otherwise.  (The share
+    vectors travel to the engine host because the MPC layer itself is
+    centrally simulated — the same boundary as
+    :meth:`MPCEngine.input_many` everywhere else.)  Without runtimes the
+    legacy central path samples all m parties' masks here, with the same
+    op counts and bus rounds.
 
     With ``services`` (the per-party
     :class:`~repro.federation.party.PartyService` list) and
@@ -122,10 +200,10 @@ def ciphers_to_shares(
     q = engine.field.q
     m = threshold.n_parties
     pk = threshold.public_key
-    reactive = bus is not None and runtimes is not None
+    packed = bound_bits is not None
     adjusted: list[EncryptedNumber] = []
     extras: list[int] = []
-    bits_list: list[int] = []
+    magnitudes: list[int] = []
     for value in values:
         target_exponent = -fixed.f
         if value.exponent > target_exponent:
@@ -133,55 +211,61 @@ def ciphers_to_shares(
         adjusted.append(value)
         extra = target_exponent - value.exponent  # >= 0
         extras.append(extra)
-        bits_list.append(fixed.k + extra + engine.kappa)
-    masked_cts = []
-    if reactive:
-        from repro.network.flows import broadcast_request, collect_replies
+        magnitudes.append((bound_bits if packed else fixed.k) + extra)
+    bits_list = [beta + engine.kappa for beta in magnitudes]
+    layout = mask_layout(bits_list, m, pk, packed)
+    masked_cts = layout.pack_ciphertexts(
+        [value.ciphertext for value in adjusted], magnitudes
+    )
 
+    def encrypt_masks(masks: list[int]) -> list:
+        plaintexts = layout.pack_plaintexts(masks)
+        if batch_engine is not None:
+            return batch_engine.encrypt_ciphertexts(plaintexts)
+        return [pk.encrypt(r) for r in plaintexts]
+
+    # Algorithm 2 lines 1-3: every client picks a mask per value, encrypts
+    # them (one ciphertext per packed group) and sends them to client 1.
+    own_masks = [secrets.randbits(bits) for bits in bits_list]
+    if bus is not None and runtimes is not None:
         # Client 1 requests mask contributions; every other party reacts
         # with [her mask ciphertexts, her (-r mod q) share vector].
         broadcast_request(
-            bus, 0, "convert-masks", bits_list, tag="mpc-convert",
+            bus,
+            0,
+            "convert-masks-packed" if packed else "convert-masks",
+            bits_list,
+            tag="mpc-convert",
             runtimes=runtimes,
         )
-        own_masks = [secrets.randbits(bits) for bits in bits_list]
-        if batch_engine is not None:
-            own_cts = batch_engine.encrypt_ciphertexts(own_masks)
-        else:
-            own_cts = [pk.encrypt(r) for r in own_masks]
+        mask_cts = [encrypt_masks(own_masks)]
         replies = collect_replies(bus, 0, range(1, m))
-        for j, value in enumerate(adjusted):
-            masked_ct = value.ciphertext + own_cts[j]
-            for party in range(1, m):
-                masked_ct = masked_ct + replies[party][0][j]
-            masked_cts.append(masked_ct)
+        neg_shares = []
+        for party in range(1, m):
+            party_cts, party_shares = replies[party]
+            mask_cts.append(party_cts)
+            neg_shares.append([int(v) for v in party_shares.values])
         bus.round()
     else:
-        mask_lists: list[list[int]] = []
-        mask_cts_by_party: list[list] = [[] for _ in range(m)]
-        for value, mask_bits in zip(adjusted, bits_list):
-            # Every client picks a mask, encrypts it and sends it to
-            # client 1 (Algorithm 2 lines 1-3).
-            masks = [secrets.randbits(mask_bits) for _ in range(m)]
-            if batch_engine is not None:
-                mask_cts = batch_engine.encrypt_ciphertexts(masks)
-            else:
-                mask_cts = [pk.encrypt(r) for r in masks]
-            masked_ct = value.ciphertext
-            for mask_ct in mask_cts:
-                masked_ct = masked_ct + mask_ct
-            masked_cts.append(masked_ct)
-            mask_lists.append(masks)
-            for party, mask_ct in enumerate(mask_cts):
-                mask_cts_by_party[party].append(mask_ct)
+        peer_masks = [
+            [secrets.randbits(bits) for bits in bits_list] for _ in range(1, m)
+        ]
+        mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
+        neg_shares = [[(-r) % q for r in masks] for masks in peer_masks]
         if bus is not None:
-            # Clients 2..m send their batched mask ciphertexts to client 1
-            # (Algorithm 2 lines 1-3); client 1's own masks stay local.
+            # Client 1's own masks stay local.
             for party in range(1, m):
-                bus.send_payload(
-                    party, 0, mask_cts_by_party[party], tag="mpc-convert"
-                )
+                bus.send_payload(party, 0, mask_cts[party], tag="mpc-convert")
             bus.round()
+    for party_cts in mask_cts:
+        if len(party_cts) != layout.n_groups:
+            raise ValueError(
+                f"expected {layout.n_groups} mask ciphertexts per party, "
+                f"got {len(party_cts)}"
+            )
+        masked_cts = [
+            masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
+        ]
     combine = (
         bus is not None
         and services is not None
@@ -194,45 +278,35 @@ def ciphers_to_shares(
             )
         else:
             record_threshold_decrypt(bus, masked_cts, tag="mpc-convert")
-    # Joint decryption of the masked values (line 5): reconstructed from
-    # the m share vectors the flow moved, or — in simulate mode — batched
-    # through the engine's CRT shortcut (fanned out across its workers).
+    # Joint decryption of the masked (packed) values (line 5), unsigned:
+    # reconstructed from the m share vectors the flow moved, or — in
+    # simulate mode — batched through the engine's CRT shortcut (fanned
+    # out across its workers).  The layout restores each value's sign.
     if combine:
         masked_plains = combine_partial_vectors(
-            pk, vectors, m, signed=True, theta=threshold.theta
+            pk, vectors, m, signed=False, theta=threshold.theta
         )
     elif batch_engine is not None:
-        masked_plains = batch_engine.threshold_decrypt_batch(masked_cts, signed=True)
+        masked_plains = batch_engine.threshold_decrypt_batch(masked_cts, signed=False)
     else:
-        masked_plains = threshold.joint_decrypt_batch(masked_cts, signed=True)
+        masked_plains = threshold.joint_decrypt_batch(masked_cts, signed=False)
+    if counters is not None:
+        counters.threshold_decryptions += layout.n_groups
+        counters.to_shares += len(values)
     results: list[SharedValue] = []
-    for j, (masked_plain, extra) in enumerate(zip(masked_plains, extras)):
-        if counters is not None:
-            counters.threshold_decryptions += 1
-            counters.to_shares += 1
+    for j, masked_plain in enumerate(layout.unpack(masked_plains, magnitudes, pk)):
         # Client 1 sets e - r_1, the others -r_i (lines 6-8).
-        if reactive:
-            neg_shares = [int(replies[party][1].values[j]) for party in range(1, m)]
-            if engine.authenticated:
-                shared = engine._make_shared(
-                    (masked_plain - own_masks[j] + sum(neg_shares)) % q
-                )
-            else:
-                share_list = [(masked_plain - own_masks[j]) % q] + [
-                    v % q for v in neg_shares
-                ]
-                shared = SharedValue(engine, tuple(share_list))
+        own_share = masked_plain - own_masks[j]
+        others = [shares[j] for shares in neg_shares]
+        if engine.authenticated:
+            shared = engine._make_shared((own_share + sum(others)) % q)
         else:
-            masks = mask_lists[j]
-            plain = masked_plain - sum(masks)  # == the signed plaintext
-            if engine.authenticated:
-                shared = engine._make_shared(plain % q)
-            else:
-                share_list = [(-r) % q for r in masks]
-                share_list[0] = (masked_plain - masks[0]) % q
-                shared = SharedValue(engine, tuple(share_list))
+            shared = SharedValue(
+                engine, (own_share % q, *(v % q for v in others))
+            )
         # Account the mask broadcast + combine as one communication round.
         engine._record_round(messages=2 * (m - 1), values=m)
+        extra = extras[j]
         if extra:
             shared = comparison.trunc_pr(engine, shared, fixed.k + extra, extra)
         results.append(shared)

@@ -75,23 +75,33 @@ def test_unknown_protocol_rejected(trained):
 
 
 def test_predict_batch_single_decryption_fanout(trained):
-    """Basic n-row prediction does ONE threshold-decryption flow with
-    exact Ce/Cd op-count parity against the serial per-row path."""
+    """Basic n-row prediction does ONE threshold-decryption flow over the
+    slot-packed outputs: Cd = ceil(rows / slots) instead of one per row,
+    same predictions, same per-row revealed log."""
     from repro.analysis import opcount
 
     X, _, ctx, model = trained
-    rows = X[:4]
+    slots = (ctx.threshold.public_key.n.bit_length() - 1) // (ctx.fx.k + 1)
+    rows = X[: slots + 2]  # spills into a second packed ciphertext
+    packed = -(-len(rows) // slots)
+    assert packed == 2
     rounds_before, decs_before = ctx.bus.rounds, ctx.conversions.threshold_decryptions
+    revealed_before = len(ctx.revealed)
     with opcount.counting() as batch_ops:
         batched = run_predict_batch(model, ctx, rows)
     batch_rounds = ctx.bus.rounds - rounds_before
-    assert ctx.conversions.threshold_decryptions - decs_before == len(rows)
-    rounds_before = ctx.bus.rounds
+    batch_revealed = ctx.revealed[revealed_before:]
+    assert ctx.conversions.threshold_decryptions - decs_before == packed
+    rounds_before, revealed_before = ctx.bus.rounds, len(ctx.revealed)
     with opcount.counting() as serial_ops:
         serial = [run_predict_basic(model, ctx, row) for row in rows]
     serial_rounds = ctx.bus.rounds - rounds_before
     assert list(batched) == serial
-    assert dict(batch_ops) == dict(serial_ops)  # Ce/Cd parity
+    assert batch_revealed == ctx.revealed[revealed_before:]
+    assert batch_ops["cd"] == packed and serial_ops["cd"] == len(rows)
+    # Packing is homomorphic work: a shift and an add per row under each
+    # ciphertext's top slot, one offset add per packed ciphertext.
+    assert batch_ops["ce"] == serial_ops["ce"] + 2 * (len(rows) - packed) + packed
     # One decryption flow (2 rounds) instead of one per row.
     assert batch_rounds == serial_rounds - 2 * (len(rows) - 1)
 
