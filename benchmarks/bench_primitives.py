@@ -164,6 +164,18 @@ def batch_report(
     t_batched = _best_of(lambda: engine.encrypt_vector(values), repeats)
     enc_speedup = t_serial / t_batched
 
+    # -- Cs: five fractions over one denominator, singly vs one grouped div -
+    # (Norm, AppRcr and the squarings of x run once per denominator; a
+    # ratio inside this run, so it is not a JSON row either.)
+    fx = FixedPointOps(MPCEngine(3, seed=0))
+    denominator = fx.share(48.0)
+    numerators = [fx.share(float(i)) for i in range(5)]
+    t_div_singly = _best_of(
+        lambda: [fx.div(a, denominator) for a in numerators], repeats
+    )
+    t_div_grouped = _best_of(lambda: fx.div(numerators, denominator), repeats)
+    div_speedup = t_div_singly / t_div_grouped
+
     # -- op-count parity: identical Ce tallies in both modes ---------------
     with opcount.counting() as serial_ops:
         serial_cts = [encoder.encrypt(v) for v in values]
@@ -187,6 +199,12 @@ def batch_report(
                 t_batched * 1e3,
                 f"{enc_speedup:.2f}x",
             ],
+            [
+                "secure div, 5 over one denominator",
+                t_div_singly * 1e3,
+                t_div_grouped * 1e3,
+                f"{div_speedup:.2f}x",
+            ],
         ],
     )
     print(
@@ -208,11 +226,20 @@ def batch_report(
             f"mask generation only {mask_speedup:.2f}x faster than this run's "
             "raw pow(r, n, n^2); the floor is 4x"
         )
+        assert div_speedup >= 2.5, (
+            f"five numerators over one denominator are only {div_speedup:.2f}x "
+            "faster than five single divisions; the floor is 2.5x"
+        )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
-            "pow, tallies equal"
+            "pow, grouped division >= 2.5x, tallies equal"
         )
-    return {"crt": crt_speedup, "encrypt": enc_speedup, "mask": mask_speedup}
+    return {
+        "crt": crt_speedup,
+        "encrypt": enc_speedup,
+        "mask": mask_speedup,
+        "div": div_speedup,
+    }
 
 
 def threshold_report(

@@ -54,6 +54,14 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     (6 at a 512-bit key), and likewise one Cd per ~12 predicted rows
     instead of :func:`table2_prediction_counts`'s one per row.  The
     enhanced protocol's measured Cd is unpacked and matches the term.
+
+    The *measured* Cs of one internal node's gain step (paper mode, S = d·b
+    candidate splits, W-bit counts, θ = 4 Goldschmidt iterations at K = 40)
+    is (2S + 1)·(2W + 2 + θ) + (θ + 2)·(c + S + 2cS) + c + S·(2c + 2): one
+    normalisation per distinct denominator (:mod:`repro.core.gain`), θ + 2
+    multiplications per fraction, then the squares and weighted sums —
+    still O(c d b t) in total, at 54 + 6·(fractions per denominator)
+    multiplications per denominator instead of 92 per fraction (W = 24).
     """
     counts = {
         "ce": w.n * w.c * w.d_bar * w.b * w.t,

@@ -195,9 +195,9 @@ class SpdzDecisionTree:
         gains, leaf_threshold = secure_split_gains(
             fx, self.task, node_stats, splits, self.gain_mode, self.params.min_gain
         )
-        best_index, best_gain, _ = fx.argmax(gains)
-        from repro.core.trainer import SECURE_GAIN_EPS
+        from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 
+        best_index, best_gain, _ = fx.argmax(gains, slack=SECURE_ARGMAX_SLACK)
         no_gain = engine.open(
             engine.add_public(
                 -fx.gt(best_gain, leaf_threshold + fx.share(SECURE_GAIN_EPS)), 1

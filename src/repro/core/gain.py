@@ -13,6 +13,20 @@ Two modes (DESIGN.md §5):
 
 Both return values on a common scale such that (gain - leaf_threshold) > 0
 iff the plaintext CART gain exceeds ``min_gain``.
+
+**One normalisation per denominator.**  Eq. (5)/(8) name 2c + 1 fractions
+per split (c classes) and c for the parent, but only three distinct
+denominators per split — n, n_l, n_r — and n is the same for the whole
+node.  Most of a secure division depends on the denominator alone
+(:meth:`~repro.mpc.advanced.FixedPointOps.div`), so the fractions are
+grouped: one ``div`` over ⟨n⟩ for the parent's fractions *and every
+split's* w_l, one over each ⟨n_l⟩, one over each ⟨n_r⟩ — 2S + 1
+normalisations for S splits instead of (2c + 1)S + c.
+
+``count_bits`` is the caller's declaration that every count (n, n_l, n_r)
+is below 2^count_bits in raw fixed-point units; it is handed to ``div`` as
+``b_bits``, whose contract applies: a count can be bounded by the public
+number of samples, and by nothing that depends on the data.
 """
 
 from __future__ import annotations
@@ -50,109 +64,78 @@ def secure_split_gains(
     splits: list[SplitStats],
     gain_mode: str,
     min_gain: float,
+    count_bits: int | None = None,
 ) -> tuple[list[SharedValue], SharedValue]:
     """Shared gains for all splits plus the shared leaf threshold.
 
     The caller declares the node a leaf iff  max(gains) <= threshold,
     and otherwise picks argmax(gains); both comparisons happen on shares.
     """
-    if task == "classification":
-        if gain_mode == "paper":
-            return _classification_paper(fx, node, splits, min_gain)
-        return _classification_reduced(fx, node, splits, min_gain)
     if gain_mode == "paper":
-        return _regression_paper(fx, node, splits, min_gain)
-    return _regression_reduced(fx, node, splits, min_gain)
+        return _paper_gains(fx, task, node, splits, min_gain, count_bits)
+    return _reduced_gains(fx, task, node, splits, min_gain, count_bits)
 
 
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-
-def _classification_paper(
-    fx: FixedPointOps, node: NodeStats, splits: list[SplitStats], min_gain: float
+def _paper_gains(
+    fx: FixedPointOps,
+    task: str,
+    node: NodeStats,
+    splits: list[SplitStats],
+    min_gain: float,
+    count_bits: int | None,
 ) -> tuple[list[SharedValue], SharedValue]:
-    """Eq. (5): gain = w_l Σ p_{l,k}² + w_r Σ p_{r,k}² - Σ p_k²."""
-    parent_term = _sum_squared_fractions(fx, node.totals, node.n)
+    """gain = w_l P(D_l) + w_r P(D_r) - P(D) for the purity P of the task.
+
+    Classification (Eq. 5): P = Σ_k p_k².  Regression (Eq. 6): P = -IV =
+    (Σy/n)² - Σy²/n, so the same expression is IV(D) - w_l IV(D_l) -
+    w_r IV(D_r).
+    """
+    purity = _sum_of_squares if task == "classification" else _negated_variance
+    n_totals = len(node.totals)
+    over_n = fx.div(
+        node.totals + [split.n_left for split in splits], node.n, count_bits
+    )
+    parent = purity(fx, over_n[:n_totals])
+    one = fx.share(1.0)
     gains = []
-    for split in splits:
-        w_left = fx.div(split.n_left, node.n)
-        w_right = fx.share(1.0) - w_left
-        left_term = _sum_squared_fractions(fx, split.left, split.n_left)
-        right_term = _sum_squared_fractions(fx, split.right, split.n_right)
-        gain = fx.mul(w_left, left_term) + fx.mul(w_right, right_term) - parent_term
-        gains.append(gain)
+    for split, w_left in zip(splits, over_n[n_totals:]):
+        left = purity(fx, fx.div(split.left, split.n_left, count_bits))
+        right = purity(fx, fx.div(split.right, split.n_right, count_bits))
+        gains.append(fx.mul(w_left, left) + fx.mul(one - w_left, right) - parent)
     return gains, fx.share(min_gain)
 
 
-def _classification_reduced(
-    fx: FixedPointOps, node: NodeStats, splits: list[SplitStats], min_gain: float
+def _reduced_gains(
+    fx: FixedPointOps,
+    task: str,
+    node: NodeStats,
+    splits: list[SplitStats],
+    min_gain: float,
+    count_bits: int | None,
 ) -> tuple[list[SharedValue], SharedValue]:
     """Σ_k g_{l,k}²/n_l + Σ_k g_{r,k}²/n_r, compared against the parent's
-    Σ_k g_k²/n + n·min_gain (the n-scaled form of Eq. 5)."""
+    Σ_k g_k²/n + n·min_gain (the n-scaled form of Eq. 5); for regression
+    the one statistic is Σy: (Σ_l y)²/n_l + (Σ_r y)²/n_r vs (Σy)²/n."""
+    used = None if task == "classification" else 1
+
+    def statistic(values: list[SharedValue], n: SharedValue) -> SharedValue:
+        return fx.div(_sum_of_squares(fx, values[:used]), n, count_bits)
+
     gains = [
-        fx.div(_sum_of_squares(fx, split.left), split.n_left)
-        + fx.div(_sum_of_squares(fx, split.right), split.n_right)
+        statistic(split.left, split.n_left) + statistic(split.right, split.n_right)
         for split in splits
     ]
-    threshold = fx.div(_sum_of_squares(fx, node.totals), node.n)
+    threshold = statistic(node.totals, node.n)
     if min_gain:
         threshold = threshold + fx.mul_public(node.n, min_gain)
     return gains, threshold
-
-
-def _sum_squared_fractions(
-    fx: FixedPointOps, counts: list[SharedValue], denominator: SharedValue
-) -> SharedValue:
-    """Σ_k (g_k / n)² via Eq. (8) fractions."""
-    fractions = [fx.div(g, denominator) for g in counts]
-    squares = [fx.mul(p, p) for p in fractions]
-    return fx.engine.sum_values(squares)
 
 
 def _sum_of_squares(fx: FixedPointOps, values: list[SharedValue]) -> SharedValue:
     return fx.engine.sum_values([fx.mul(v, v) for v in values])
 
 
-# ---------------------------------------------------------------------------
-# regression
-# ---------------------------------------------------------------------------
-
-
-def _impurity(fx: FixedPointOps, stats: list[SharedValue], n: SharedValue) -> SharedValue:
-    """IV = Σy²/n - (Σy/n)²  (Eq. 6)."""
-    mean_sq = fx.div(stats[1], n)
-    mean = fx.div(stats[0], n)
-    return mean_sq - fx.mul(mean, mean)
-
-
-def _regression_paper(
-    fx: FixedPointOps, node: NodeStats, splits: list[SplitStats], min_gain: float
-) -> tuple[list[SharedValue], SharedValue]:
-    """gain = IV(D) - w_l IV(D_l) - w_r IV(D_r)."""
-    parent = _impurity(fx, node.totals, node.n)
-    gains = []
-    for split in splits:
-        w_left = fx.div(split.n_left, node.n)
-        w_right = fx.share(1.0) - w_left
-        iv_left = _impurity(fx, split.left, split.n_left)
-        iv_right = _impurity(fx, split.right, split.n_right)
-        gain = parent - fx.mul(w_left, iv_left) - fx.mul(w_right, iv_right)
-        gains.append(gain)
-    return gains, fx.share(min_gain)
-
-
-def _regression_reduced(
-    fx: FixedPointOps, node: NodeStats, splits: list[SplitStats], min_gain: float
-) -> tuple[list[SharedValue], SharedValue]:
-    """(Σ_l y)²/n_l + (Σ_r y)²/n_r vs the parent's (Σy)²/n (+ n·min_gain)."""
-    gains = []
-    for split in splits:
-        left = fx.div(fx.mul(split.left[0], split.left[0]), split.n_left)
-        right = fx.div(fx.mul(split.right[0], split.right[0]), split.n_right)
-        gains.append(left + right)
-    threshold = fx.div(fx.mul(node.totals[0], node.totals[0]), node.n)
-    if min_gain:
-        threshold = threshold + fx.mul_public(node.n, min_gain)
-    return gains, threshold
+def _negated_variance(fx: FixedPointOps, means: list[SharedValue]) -> SharedValue:
+    """-IV = (Σy/n)² - Σy²/n from the fractions [Σy/n, Σy²/n]  (Eq. 6)."""
+    mean, mean_sq = means
+    return fx.mul(mean, mean) - mean_sq

@@ -45,12 +45,30 @@ from repro.network.flows import broadcast_request, collect_replies, react_runtim
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
-__all__ = ["PivotDecisionTree", "TreeTrainer", "SECURE_GAIN_EPS"]
+__all__ = [
+    "PivotDecisionTree",
+    "TreeTrainer",
+    "SECURE_GAIN_EPS",
+    "SECURE_ARGMAX_SLACK",
+]
 
 #: Fixed-point slack added to the leaf threshold: a node becomes a leaf iff
 #: max gain <= min_gain + eps.  Protocol-equivalence with plaintext CART
 #: holds whenever no split's true gain lies within eps of min_gain.
 SECURE_GAIN_EPS = 2.0**-9
+
+#: Slack of the secure argmax over split gains, in raw fixed-point units
+#: (ulps of 2^-F): a later candidate replaces the running best only if its
+#: gain is more than this many ulps higher.  Two candidates that induce
+#: the same partition have equal true gains but shared gains a few ulps
+#: apart (every ``trunc_pr`` rounds up or down at random; at most 5 ulps
+#: between identical candidates over 300 generated nodes, both modes and
+#: tasks), so without slack the winner of an exact tie is a coin flip of
+#: the dealer stream.  Protocol-equivalence with plaintext CART (earliest
+#: index among the maxima) holds whenever any two candidates' true gains,
+#: on the scale of the gain mode, are either equal or more than 2·slack
+#: ulps apart — 2^-11 at F = 16, a quarter of SECURE_GAIN_EPS.
+SECURE_ARGMAX_SLACK = 16
 
 
 class TreeTrainer:
@@ -88,6 +106,13 @@ class TreeTrainer:
             if not self.enhanced
             and isinstance(label_provider, PlaintextLabelProvider)
             else None
+        )
+        #: Public width of a sample count at the MPC scale: n <= n_samples,
+        #: so n·2^F < 2^(bitlen(n_samples) + F).  Declared to the secure
+        #: divisions as ``b_bits`` (see FixedPointOps.div): a structural
+        #: bound, true for every node, mask and protocol.
+        self._count_bits = min(
+            self.fx.k, context.n_samples.bit_length() + self.fx.f
         )
         self._dp = None
         if self.cfg.dp is not None:
@@ -205,13 +230,16 @@ class TreeTrainer:
         if self.cfg.tree.min_samples_leaf > 1:
             self._mask_invalid_splits(splits)
         gains, leaf_threshold = secure_split_gains(
-            fx, self.task, node_stats, splits, self.cfg.gain_mode, self.cfg.tree.min_gain
+            fx, self.task, node_stats, splits, self.cfg.gain_mode,
+            self.cfg.tree.min_gain, count_bits=self._count_bits,
         )
 
         if self._dp is not None:
             best_index, onehot = self._dp.exponential_mechanism(gains)
         else:
-            best_index, best_gain, onehot = fx.argmax(gains)
+            best_index, best_gain, onehot = fx.argmax(
+                gains, slack=SECURE_ARGMAX_SLACK
+            )
             threshold = leaf_threshold + fx.share(SECURE_GAIN_EPS)
             no_gain = ctx.open_bit(
                 self.engine.add_public(
@@ -578,10 +606,12 @@ class TreeTrainer:
         else:
             sum_y = node_stats.totals[0]
             count = node_stats.n
+            count_bits: int | None = self._count_bits
             if self._dp is not None:
                 sum_y = sum_y + self._dp.laplace_noise(sensitivity=1.0)
                 count = count + self._dp.laplace_noise(sensitivity=1.0)
-            mean_share = fx.div(sum_y, count)
+                count_bits = None  # a noisy count has no structural bound
+            mean_share = fx.div(sum_y, count, count_bits)
             if self.enhanced:
                 leaf.prediction = None
                 leaf.hidden["label_share"] = mean_share

@@ -7,7 +7,12 @@ the way MP-SPDZ does:
 
 * ``FixedPointOps.div``  — Goldschmidt iteration with the AppRcr initial
   approximation and Norm (MSB normalisation via bit decomposition),
-  following Catrina–Saxena [18].
+  following Catrina–Saxena [18].  The work splits by operand: Norm,
+  AppRcr, ``x = 1 - b·w`` and the θ squarings of ``x`` depend on the
+  denominator alone (86 of a division's 92 Beaver multiplications at
+  K = 40), so ``div`` takes a list of numerators over one denominator and
+  runs them once; each numerator pays its own ``a·w`` and θ + 1
+  multiply-truncates.
 * ``FixedPointOps.exp``  — e^x via 2^(x·log2 e): the integer part is an
   oblivious power-of-two product over its bits, the fractional part a
   Taylor polynomial, the input clamped to a public range.
@@ -22,6 +27,7 @@ the total bit length.  Products (2K bits) stay below the field modulus with
 from __future__ import annotations
 
 import math
+from typing import overload
 
 from repro.mpc import comparison
 from repro.mpc.engine import MPCEngine
@@ -98,64 +104,105 @@ class FixedPointOps:
             self.engine, a * self.encode(scalar), 2 * self.k, self.f
         )
 
-    def square(self, a: SharedValue) -> SharedValue:
-        return self.mul(a, a)
-
     # ------------------------------------------------------------------
     # division (Goldschmidt, MP-SPDZ FPDiv)
     # ------------------------------------------------------------------
 
-    def norm(self, b: SharedValue) -> tuple[SharedValue, SharedValue]:
+    def norm(
+        self, b: SharedValue, b_bits: int | None = None
+    ) -> tuple[SharedValue, SharedValue]:
         """Normalise b in (0, 2^(K-1)) to c = b·v in [2^(K-1), 2^K).
 
         Returns (⟨c⟩, ⟨v⟩) with v the power of two 2^(K-1-msb(b)).
         For b = 0 both outputs are ⟨0⟩ (callers mask invalid divisions).
+        ``b_bits`` declares b < 2^b_bits: only that many bits are
+        decomposed and prefix-ORed (see :meth:`div` for the contract).
         """
         engine = self.engine
-        bits = comparison.bit_dec(engine, b, self.k)
+        width = self.k if b_bits is None else b_bits
+        if not 0 < width <= self.k:
+            raise ValueError(f"b_bits must be in 1..K={self.k}, got {b_bits}")
+        bits = comparison.bit_dec(engine, b, width)
         prefix = comparison.prefix_or_msb_first(engine, list(reversed(bits)))
         v = engine.share_public(0)
         previous = engine.share_public(0)
         for msb_index, p in enumerate(prefix):
             z = p - previous  # 1 exactly at the most significant set bit
             previous = p
-            i = self.k - 1 - msb_index  # bit position
-            v = v + z * (1 << (self.k - 1 - i))
+            v = v + z * (1 << (self.k - width + msb_index))
         c = engine.mul(b, v)
         return c, v
 
-    def app_rcr(self, b: SharedValue) -> SharedValue:
+    def app_rcr(self, b: SharedValue, b_bits: int | None = None) -> SharedValue:
         """Approximate reciprocal w ≈ 2^(2F)/b (relative error < 0.08)."""
         engine = self.engine
         alpha = int(2.9142 * (1 << self.k))
-        c, v = self.norm(b)
+        c, v = self.norm(b, b_bits)
         d = engine.add_public(c * (-2), alpha)
         w = engine.mul(d, v)
         return comparison.trunc_pr(engine, w, 2 * self.k, 2 * (self.k - self.f))
 
-    def div(self, a: SharedValue, b: SharedValue) -> SharedValue:
+    def _mul_rescale(
+        self, pairs: list[tuple[SharedValue, SharedValue]], shift: int
+    ) -> list[SharedValue]:
+        """Products of all pairs (one round), each truncated by ``shift``."""
+        return [
+            comparison.trunc_pr(self.engine, product, 2 * self.k, shift)
+            for product in self.engine.mul_many(pairs)
+        ]
+
+    @overload
+    def div(
+        self, a: SharedValue, b: SharedValue, b_bits: int | None = None
+    ) -> SharedValue: ...
+
+    @overload
+    def div(
+        self, a: list[SharedValue], b: SharedValue, b_bits: int | None = None
+    ) -> list[SharedValue]: ...
+
+    def div(
+        self,
+        a: SharedValue | list[SharedValue],
+        b: SharedValue,
+        b_bits: int | None = None,
+    ) -> SharedValue | list[SharedValue]:
         """⟨a / b⟩ for b > 0 (Goldschmidt with theta iterations).
 
-        b must be positive and nonzero for a meaningful result; b = 0
+        ``a`` is one numerator or a list of numerators over the same
+        denominator; the result has the same shape.  Everything that
+        depends on b alone — Norm, AppRcr, x = 1 - b·w and its θ
+        squarings — runs once per call, so t fractions over one
+        denominator cost one normalisation plus t·(θ + 2) multiplications
+        instead of t normalisations.
+
+        b must be positive and nonzero for a meaningful result, and below
+        2^(2F-1) raw so that w ≈ 2^(2F)/b does not truncate to 0; b = 0
         yields ⟨0⟩ (degenerate-split masking relies on this).
+
+        ``b_bits`` is the caller's declaration that b < 2^b_bits (raw
+        fixed-point units): Norm then bit-decomposes and prefix-ORs
+        b_bits bits instead of K.  A larger b mis-decomposes *silently* —
+        its high bits are simply not looked at and the quotient is wrong —
+        so declare only a public structural bound (a sample count cannot
+        exceed the number of samples), never a data-dependent guess.
+        Undeclared callers get the full K bits.
         """
         engine = self.engine
-        two_k = 2 * self.k
-        alpha = 1 << (2 * self.f)
-        w = self.app_rcr(b)
-        x = engine.add_public(-engine.mul(b, w), alpha)  # alpha*(1 - b*w/2^2F)
-        y = engine.mul(a, w)
-        y = comparison.trunc_pr(engine, y, two_k, self.f)
+        single = isinstance(a, SharedValue)
+        numerators = [a] if single else list(a)
+        two_f = 2 * self.f
+        alpha = 1 << two_f
+        w = self.app_rcr(b, b_bits)
+        bw, *raw = engine.mul_many([(b, w)] + [(num, w) for num in numerators])
+        x = engine.add_public(-bw, alpha)  # alpha*(1 - b*w/2^2F)
+        ys = [comparison.trunc_pr(engine, y, 2 * self.k, self.f) for y in raw]
         for _ in range(self.theta):
-            y = engine.mul(y, engine.add_public(x, alpha))
-            x = engine.mul(x, x)
-            y = comparison.trunc_pr(engine, y, two_k, 2 * self.f)
-            x = comparison.trunc_pr(engine, x, two_k, 2 * self.f)
-        y = engine.mul(y, engine.add_public(x, alpha))
-        return comparison.trunc_pr(engine, y, two_k, 2 * self.f)
-
-    def reciprocal(self, b: SharedValue) -> SharedValue:
-        return self.div(self.share(1), b)
+            factor = engine.add_public(x, alpha)
+            *ys, x = self._mul_rescale([(y, factor) for y in ys] + [(x, x)], two_f)
+        factor = engine.add_public(x, alpha)
+        ys = self._mul_rescale([(y, factor) for y in ys], two_f)
+        return ys[0] if single else ys
 
     # ------------------------------------------------------------------
     # exponential / softmax
@@ -196,8 +243,7 @@ class FixedPointOps:
     def softmax(self, scores: list[SharedValue]) -> list[SharedValue]:
         """Secure softmax over shared scores (§7.2 GBDT classification)."""
         exps = [self.exp(s) for s in scores]
-        denominator = self.engine.sum_values(exps)
-        return [self.div(e, denominator) for e in exps]
+        return self.div(exps, self.engine.sum_values(exps))
 
     # ------------------------------------------------------------------
     # logarithm (needed by the secure Laplace sampler, §9.2 Algorithm 5)
@@ -259,6 +305,8 @@ class FixedPointOps:
         return comparison.eqz(self.engine, a, self.k)
 
     def argmax(
-        self, values: list[SharedValue]
+        self, values: list[SharedValue], slack: int = 0
     ) -> tuple[SharedValue, SharedValue, list[SharedValue]]:
-        return comparison.argmax(self.engine, values, self.k)
+        """:func:`comparison.argmax` at this format's width; ``slack`` is
+        in raw units (ulps of 2^-F)."""
+        return comparison.argmax(self.engine, values, self.k, slack)

@@ -124,7 +124,7 @@ def trunc_pr(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
     """
     if m == 0:
         return a
-    tup = engine.dealer.prandm(k, m)
+    tup = engine.dealer.prandm(k, m, with_bits=False)
     masked = a + (tup.r2 * (1 << m)) + tup.r1
     masked = engine.add_public(masked, 1 << (k - 1))
     c = engine.open(masked)
@@ -171,7 +171,7 @@ def bit_dec(engine: MPCEngine, a: SharedValue, k: int) -> list[SharedValue]:
     the low k sum bits are exactly the bits of a.
     """
     kappa = engine.kappa
-    bw = engine.dealer.bitwise_random(k + kappa)
+    bw = engine.dealer.bitwise_random(k + kappa, low_bits=k)
     masked = engine.add_public(a - bw.r, 1 << (k + kappa))
     c = engine.open(masked)
     carry = engine.share_public(0)
@@ -198,14 +198,17 @@ def select(
 
 
 def argmax(
-    engine: MPCEngine, values: list[SharedValue], k: int
+    engine: MPCEngine, values: list[SharedValue], k: int, slack: int = 0
 ) -> tuple[SharedValue, SharedValue, list[SharedValue]]:
     """Secure maximum with secret index (paper §4.1).
 
     Returns (⟨index⟩, ⟨max⟩, one-hot ⟨λ⟩) where λ_t = 1 iff t is the argmax.
     The one-hot form is what the enhanced protocol's private split selection
-    consumes (§5.2); ties resolve to the earliest index, matching the
-    plaintext CART implementation.
+    consumes (§5.2).  A later value replaces the running maximum only if it
+    exceeds it by more than ``slack`` (raw field units), so ties resolve to
+    the earliest index, matching the plaintext CART implementation: exact
+    ties at ``slack = 0``, and values that are equal up to ``slack`` of
+    accumulated ``trunc_pr`` noise otherwise.
     """
     if not values:
         raise ValueError("argmax of an empty list")
@@ -214,7 +217,7 @@ def argmax(
         engine.share_public(0) for _ in values[1:]
     ]
     for i in range(1, len(values)):
-        is_greater = gt(engine, values[i], current_max, k)
+        is_greater = gt(engine, values[i] - slack, current_max, k)
         current_max = select(engine, is_greater, values[i], current_max)
         keep = engine.add_public(-is_greater, 1)  # 1 - b
         updates = engine.mul_many([(onehot[j], keep) for j in range(i)])

@@ -59,15 +59,15 @@ class PRandMTuple:
 
     r2: "SharedValue"
     r1: "SharedValue"
-    r1_bits: list["SharedValue"]  # little-endian
+    r1_bits: list["SharedValue"]  # little-endian; empty if not asked for
 
 
 @dataclass
 class BitwiseShared:
-    """⟨r⟩ together with the bitwise sharing of all its bits."""
+    """⟨r⟩ together with the bitwise sharing of its low bits."""
 
     r: "SharedValue"
-    bits: list["SharedValue"]  # little-endian
+    bits: list["SharedValue"]  # little-endian, as many as were asked for
 
 
 class TrustedDealer:
@@ -85,10 +85,20 @@ class TrustedDealer:
     # -- helpers -----------------------------------------------------------
 
     def _rand_field(self) -> int:
-        return self.rng.randrange(self.engine.field.q)
+        # rng.randrange(q)'s stream without its Python-level wrappers.
+        q, bits = self.engine.field.q, self.engine._q_bits
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        return r
 
     def _deal(self, value: int) -> "SharedValue":
         return self.engine._make_shared(value, rng=self.rng)
+
+    def _deal_bits(self, value: int, n_bits: int) -> list["SharedValue"]:
+        """Sharings of the low ``n_bits`` bits of ``value``, little-endian."""
+        return [self._deal((value >> i) & 1) for i in range(n_bits)]
 
     # -- products ------------------------------------------------------------
 
@@ -109,11 +119,12 @@ class TrustedDealer:
         r = self._rand_field()
         return self._deal(r), r
 
-    def prandm(self, k: int, m: int) -> PRandMTuple:
+    def prandm(self, k: int, m: int, with_bits: bool = True) -> PRandMTuple:
         """Randomness for Mod2m/TruncPr on k-bit values truncating m bits.
 
-        r1 is a uniform m-bit value shared bitwise; r2 is a uniform
-        (k + κ - m)-bit value providing the statistical mask.
+        r1 is a uniform m-bit value, shared bitwise too when ``with_bits``
+        (Mod2m compares against its bits; TruncPr never reads them); r2 is
+        a uniform (k + κ - m)-bit value providing the statistical mask.
         """
         kappa = self.engine.kappa
         if k + kappa + 1 >= self.engine.field.q.bit_length():
@@ -121,19 +132,18 @@ class TrustedDealer:
                 f"k={k} too large for field (needs k + kappa + 1 < "
                 f"{self.engine.field.q.bit_length()})"
             )
-        bits = [self.rng.randrange(2) for _ in range(m)]
-        r1 = sum(b << i for i, b in enumerate(bits))
-        r2 = self.rng.randrange(1 << (k + kappa - m)) if k + kappa > m else 0
+        r1 = self.rng.getrandbits(m)
+        r2 = self.rng.getrandbits(k + kappa - m) if k + kappa > m else 0
         self.usage.prandm += 1
         return PRandMTuple(
             r2=self._deal(r2),
             r1=self._deal(r1),
-            r1_bits=[self._deal(b) for b in bits],
+            r1_bits=self._deal_bits(r1, m if with_bits else 0),
         )
 
-    def bitwise_random(self, n_bits: int) -> BitwiseShared:
-        """A uniform n_bits-bit value shared both arithmetically and bitwise."""
-        bits = [self.rng.randrange(2) for _ in range(n_bits)]
-        r = sum(b << i for i, b in enumerate(bits))
+    def bitwise_random(self, n_bits: int, low_bits: int) -> BitwiseShared:
+        """A uniform n_bits-bit value shared arithmetically, and bitwise in
+        its low ``low_bits`` bits (BitDec reads only the k below its κ mask)."""
+        r = self.rng.getrandbits(n_bits)
         self.usage.bitwise += 1
-        return BitwiseShared(r=self._deal(r), bits=[self._deal(b) for b in bits])
+        return BitwiseShared(r=self._deal(r), bits=self._deal_bits(r, low_bits))

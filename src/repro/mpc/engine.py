@@ -88,26 +88,38 @@ class MPCEngine:
         self.mac_key = sum(self.mac_key_shares) % field.q
         self.dealer = TrustedDealer(self, seed=None if seed is None else seed + 1)
         self.stats = CommStats()
-        self._element_bytes = (field.q.bit_length() + 7) // 8
+        self._q_bits = field.q.bit_length()
+        self._element_bytes = (self._q_bits + 7) // 8
 
     # ------------------------------------------------------------------
     # sharing / opening
     # ------------------------------------------------------------------
+
+    def _split(self, value: int, rng: random.Random) -> tuple[int, ...]:
+        """``value`` as n_parties uniformly random summands mod q.
+
+        The summands are ``rng.randrange(q)``'s seeded stream: its
+        rejection loop over ``getrandbits``, inlined here because this is
+        the innermost loop of every MPC primitive.
+        """
+        q, bits, getrandbits = self.field.q, self._q_bits, rng.getrandbits
+        shares = []
+        for _ in range(self.n_parties - 1):
+            r = getrandbits(bits)
+            while r >= q:
+                r = getrandbits(bits)
+            shares.append(r)
+        shares.append((value - sum(shares)) % q)
+        return tuple(shares)
 
     def _make_shared(self, value: int, rng: random.Random | None = None) -> SharedValue:
         """Split ``value`` (field representative) into authenticated shares."""
         q = self.field.q
         value %= q
         rand = rng or self.rng
-        shares = [rand.randrange(q) for _ in range(self.n_parties - 1)]
-        shares.append((value - sum(shares)) % q)
-        macs = None
-        if self.authenticated:
-            mac_total = value * self.mac_key % q
-            mac_shares = [rand.randrange(q) for _ in range(self.n_parties - 1)]
-            mac_shares.append((mac_total - sum(mac_shares)) % q)
-            macs = tuple(mac_shares)
-        return SharedValue(self, tuple(shares), macs)
+        shares = self._split(value, rand)
+        macs = self._split(value * self.mac_key % q, rand) if self.authenticated else None
+        return SharedValue(self, shares, macs)
 
     def share_public(self, value: int) -> SharedValue:
         """⟨value⟩ for a publicly known value (no communication needed)."""

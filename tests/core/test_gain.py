@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import opcount
 from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.mpc import FixedPointOps, MPCEngine
 from repro.tree import metrics
@@ -122,3 +123,95 @@ def test_min_gain_moves_threshold_reduced_mode(fx):
         fx, "classification", node, [split], "reduced", 0.05
     )
     assert fx.open(thr_pos) > fx.open(thr_zero)
+
+
+# -- generated nodes: every mode and task, grouped by denominator -------------
+
+
+def _generated_node(fx, rng, task, n_splits):
+    """A node of 4-40 samples with ``n_splits`` random two-sided splits:
+    shared statistics plus the plaintext (left, right) statistics of each."""
+    n = int(rng.integers(4, 41))
+    if task == "classification":
+        labels = rng.integers(0, 3, size=n)
+        columns = [(labels == k).astype(float) for k in range(3)]
+    else:
+        labels = rng.uniform(-1.0, 1.0, size=n)
+        columns = [labels, labels**2]
+
+    def stats(mask):
+        return float(mask.sum()), [float(col[mask].sum()) for col in columns]
+
+    def shared(values):
+        return [fx.share(v) for v in values]
+
+    node = NodeStats(fx.share(float(n)), shared(stats(np.ones(n, bool))[1]))
+    splits, plain = [], []
+    for _ in range(n_splits):
+        goes_left = rng.permutation(n) < rng.integers(1, n)  # both sides non-empty
+        (n_l, left), (n_r, right) = stats(goes_left), stats(~goes_left)
+        splits.append(
+            SplitStats(fx.share(n_l), fx.share(n_r), shared(left), shared(right))
+        )
+        plain.append(((n_l, left), (n_r, right)))
+    return n, node, splits, plain
+
+
+def _plaintext_gain(task, gain_mode, left, right):
+    (n_l, stats_l), (n_r, stats_r) = left, right
+    if task == "classification":
+        metric = metrics.gini_gain if gain_mode == "paper" else metrics.reduced_gini_score
+        return metric(np.array(stats_l), np.array(stats_r))
+    metric = (
+        metrics.variance_gain if gain_mode == "paper" else metrics.reduced_variance_score
+    )
+    return metric((n_l, *stats_l), (n_r, *stats_r))
+
+
+def _gain_step_cs(fx, task, gain_mode, n_splits, width):
+    """Beaver multiplications of one node's gain step: 2S + 1 normalisations
+    (one per distinct denominator) plus the per-fraction work."""
+    normalisation = (2 * width - 1) + 3 + fx.theta  # Norm, AppRcr, x and its squarings
+    per_numerator = fx.theta + 2
+    classes = 3 if task == "classification" else 2  # statistics per side
+    squares = 3 if task == "classification" else 1  # fx.mul(v, v) per purity
+    groups = 2 * n_splits + 1
+    if gain_mode == "reduced":
+        return groups * (normalisation + per_numerator + squares)
+    numerators = classes + n_splits + 2 * classes * n_splits
+    products = squares + n_splits * (2 * squares + 2)  # purities, w_l·P_l, w_r·P_r
+    return groups * normalisation + numerators * per_numerator + products
+
+
+@settings(
+    deadline=None,
+    max_examples=16,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    task=st.sampled_from(["classification", "regression"]),
+    gain_mode=st.sampled_from(["paper", "reduced"]),
+    n_splits=st.integers(min_value=1, max_value=4),
+)
+def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_splits):
+    n, node, splits, plain = _generated_node(
+        fx, np.random.default_rng(seed), task, n_splits
+    )
+    width = n.bit_length() + fx.f  # the trainer's declaration for n samples
+    with opcount.counting() as ops:
+        gains, threshold = secure_split_gains(
+            fx, task, node, splits, gain_mode, 0.0, count_bits=width
+        )
+    assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits, width)
+    for gain, (left, right) in zip(gains, plain):
+        expected = _plaintext_gain(task, gain_mode, left, right)
+        assert fx.open(gain) == pytest.approx(expected, abs=5e-3)
+    undeclared, _ = secure_split_gains(fx, task, node, splits, gain_mode, 0.0)
+    for gain, wide in zip(gains, undeclared):
+        assert fx.open(gain) == pytest.approx(fx.open(wide), abs=1e-3)
+    if gain_mode == "reduced":
+        # The parent's statistic: an empty side against the whole node.
+        totals = [sum(pair) for pair in zip(plain[0][0][1], plain[0][1][1])]
+        expected = _plaintext_gain(task, gain_mode, (0.0, [0.0] * len(totals)), (n, totals))
+        assert fx.open(threshold) == pytest.approx(expected, abs=5e-3)

@@ -23,6 +23,33 @@ def test_super_client_need_not_be_client_zero():
     assert global_signature(model.root, vp) == global_signature(plain.root, vp)
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_exact_ties_resolve_to_the_earliest_candidate(seed):
+    """The dataset above, whatever the dealer stream: in the root's left
+    child two candidates (on features 1 and 3) have identical statistics,
+    so their shared gains differ only by truncation noise; plaintext CART
+    keeps the earlier one and so must the secure argmax (its slack)."""
+    X, y = make_classification(30, 4, n_classes=2, seed=30)
+    vp = vertical_partition(X, y, 3, task="classification", super_client=2)
+    params = TreeParams(max_depth=2, max_splits=2)
+    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=seed))
+    grid = global_split_grid(ctx)
+    plain = DecisionTree("classification", params).fit(X, y, split_candidates=grid)
+
+    root = plain.root
+    child = X[:, root.feature] <= root.threshold
+
+    def left_counts(feature, threshold):
+        return list(np.bincount(y[child][X[child, feature] <= threshold], minlength=2))
+
+    chosen = left_counts(root.left.feature, root.left.threshold)
+    tied = [f for f in range(4) for t in grid[f] if left_counts(f, t) == chosen]
+    assert tied == [1, 3] and root.left.feature == 1, "the premise: an exact tie"
+
+    model = TreeTrainer(ctx).fit()
+    assert global_signature(model.root, vp) == global_signature(plain.root, vp)
+
+
 def test_four_clients():
     X, y = make_classification(30, 4, n_classes=2, seed=31)
     vp = vertical_partition(X, y, 4, task="classification")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import opcount
 from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc.field import PrimeField
 
@@ -51,10 +52,6 @@ def test_mul_public(fx, x, k):
     assert math.isclose(got, x * k, rel_tol=1e-3, abs_tol=1e-2)
 
 
-def test_square(fx):
-    assert math.isclose(fx.open(fx.square(fx.share(-3.0))), 9.0, abs_tol=1e-3)
-
-
 # -- normalisation / reciprocal / division -----------------------------------
 
 
@@ -89,8 +86,88 @@ def test_division_by_zero_yields_zero(fx):
     assert fx.open(fx.div(fx.share(5.0), fx.share(0.0))) == 0.0
 
 
-def test_reciprocal(fx):
-    assert math.isclose(fx.open(fx.reciprocal(fx.share(4.0))), 0.25, abs_tol=1e-3)
+def _division_cs(fx, width, t):
+    """Beaver multiplications of one ``div`` of t numerators: BitDec and
+    prefix-OR over ``width`` bits, c = b·v, w = d·v, b·w and θ squarings
+    once; a·w and θ + 1 multiply-truncates per numerator."""
+    return (2 * width - 1) + 3 + fx.theta + t * (fx.theta + 2)
+
+
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_division_of_a_list_over_one_denominator(fx, auth_fx, data):
+    """div([a_1..a_t], b) is div(a_i, b) for every i, at one Norm's cost.
+
+    Raw operands: b anywhere in the declared width (its top value, 1 ulp
+    and 0 included), |a_i / b| <= 2^12.  Every result is the true quotient
+    up to the rounding of its own θ + 2 probabilistic truncations (a
+    relative 2^-12 on top covers Goldschmidt's convergence with margin),
+    whether it came from a list or alone, with the width declared or not.
+    """
+    ops = data.draw(st.sampled_from([fx, auth_fx]))
+    engine = ops.engine
+    b_bits = data.draw(st.integers(min_value=1, max_value=2 * ops.f - 1))
+    top = (1 << b_bits) - 1
+    b = data.draw(st.sampled_from([top, 1, 0]) | st.integers(0, top))
+    bound = min(1 << (ops.k - 2), max(b, 1) << 12)
+    numerators = data.draw(
+        st.lists(st.integers(-bound, bound), min_size=1, max_size=4)
+    )
+    shared_b = engine.share_public(b)
+    shared = [engine.share_public(a) for a in numerators]
+
+    with opcount.counting() as ops_declared:
+        declared = ops.div(shared, shared_b, b_bits)
+    with opcount.counting() as ops_undeclared:
+        undeclared = ops.div(shared, shared_b)
+    assert ops_declared["cs"] == _division_cs(ops, b_bits, len(numerators))
+    assert ops_undeclared["cs"] == _division_cs(ops, ops.k, len(numerators))
+    singles = [ops.div(a, shared_b, b_bits) for a in shared]
+
+    rounding = ops.theta + 3  # ulps: one per truncation, compounding < 1.1x
+    for a, *results in zip(numerators, declared, undeclared, singles):
+        opened = [engine.open_signed(r) for r in results]
+        if b == 0:
+            assert opened == [0, 0, 0]
+            continue
+        true = a * (1 << ops.f) / b
+        for got in opened:
+            assert abs(got - true) <= rounding + abs(true) * 2.0**-12
+
+
+def test_division_keeps_the_single_numerator_call(fx):
+    """One numerator in, one SharedValue out (what every existing caller
+    and the benchmark's ``mpc.div_ms`` probe pass)."""
+    with opcount.counting() as ops:
+        quotient = fx.div(fx.share(7.0), fx.share(3.0))
+    assert math.isclose(fx.open(quotient), 7 / 3, abs_tol=1e-4)
+    assert ops["cs"] == _division_cs(fx, fx.k, 1) == 92
+    (only,) = fx.div([fx.share(7.0)], fx.share(3.0))
+    assert math.isclose(fx.open(only), 7 / 3, abs_tol=1e-4)
+
+
+def test_declared_width_must_fit_the_format(fx):
+    for bad in (0, -3, fx.k + 1):
+        with pytest.raises(ValueError):
+            fx.div(fx.share(1.0), fx.share(2.0), b_bits=bad)
+
+
+def test_argmax_slack_keeps_the_earliest_of_near_ties(fx):
+    """Values within ``slack`` ulps of the running maximum do not replace
+    it; a value more than ``slack`` above does."""
+    engine = fx.engine
+    values = [engine.share_public(v) for v in (1000, 1003, 998, 1004)]
+    index, best, onehot = fx.argmax(values, slack=4)
+    assert engine.open(index) == 0 and engine.open(best) == 1000
+    assert [engine.open(bit) for bit in onehot] == [1, 0, 0, 0]
+    index, best, _ = fx.argmax(values + [engine.share_public(1005)], slack=4)
+    assert engine.open(index) == 4 and engine.open(best) == 1005
+    index, _, _ = fx.argmax(values)  # no slack: the strict maximum
+    assert engine.open(index) == 3
 
 
 # -- clamp / exp / softmax ------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -170,3 +172,38 @@ def test_comm_accounting(engine):
     assert engine.stats.rounds == 1
     assert engine.stats.opened_values == 2
     assert engine.stats.bytes > 0
+
+
+# -- dealer: only the sharings a protocol reads, and the seeded stream --------
+
+
+def test_sharing_randomness_is_the_randrange_stream():
+    """The inlined rejection loop draws what ``randrange(q)`` would."""
+    engine = MPCEngine(3, seed=11)
+    reference = random.Random(11)
+    q = engine.field.q
+    for value in range(200):
+        expected = [reference.randrange(q) for _ in range(2)]
+        assert list(engine._make_shared(value).shares[:2]) == expected
+    dealer_reference = random.Random(12)  # the dealer is seeded seed + 1
+    assert engine.dealer._rand_field() == dealer_reference.randrange(q)
+
+
+@pytest.mark.parametrize("authenticated", [False, True])
+def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
+    engine = MPCEngine(3, authenticated=authenticated, seed=5)
+    dealer = engine.dealer
+    for_trunc = dealer.prandm(80, 32, with_bits=False)
+    assert for_trunc.r1_bits == []
+    assert engine.open(for_trunc.r1) < 1 << 32
+    for_mod2m = dealer.prandm(40, 12)
+    opened = [engine.open(bit) for bit in for_mod2m.r1_bits]
+    assert sum(bit << i for i, bit in enumerate(opened)) == engine.open(for_mod2m.r1)
+    bitwise = dealer.bitwise_random(24 + engine.kappa, low_bits=24)
+    low = [engine.open(bit) for bit in bitwise.bits]
+    assert len(low) == 24
+    assert sum(bit << i for i, bit in enumerate(low)) == engine.open(bitwise.r) % (1 << 24)
+    # One tuple is one tuple, with or without its bitwise part.
+    assert dealer.usage.snapshot() == {
+        "triples": 0, "bits": 0, "prandm": 2, "bitwise": 1, "randoms": 0,
+    }
