@@ -20,16 +20,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import numpy as np
 import pytest
 
 from common import calibrated_costs, print_table
 from repro.analysis import opcount
+from repro.core import PivotConfig, PivotContext, TreeTrainer
 from repro.crypto import PaillierEncoder, generate_keypair
 from repro.crypto.batch import BatchCryptoEngine
 from repro.crypto.threshold import (
     combine_partial_vectors,
     generate_threshold_keypair,
 )
+from repro.data import vertical_partition
 from repro.mpc import FixedPointOps, MPCEngine, comparison
 from repro.mpc.conversion import ciphers_to_shares
 
@@ -324,6 +327,34 @@ def threshold_report(
     )
     pack_speedup = t_six_singly / t_six_packed
 
+    # Eq. 10 over a 24-element 0/1 mask vector, combine mode: a declared
+    # [α] packs eleven elements per decrypted ciphertext, an undeclared
+    # vector keeps one each.  Also a ratio inside this run, no JSON row.
+    rows = 24
+    partition = vertical_partition(
+        np.arange(rows * n_parties, dtype=float).reshape(rows, n_parties),
+        np.arange(rows) % 2,
+        n_parties,
+        task="classification",
+    )
+    config = PivotConfig(
+        keysize=keysize, protocol="enhanced", decrypt_mode="combine", seed=0
+    )
+    with PivotContext(partition, config) as ctx:
+        trainer = TreeTrainer(ctx)
+        alpha = ctx.encrypt_indicator(np.ones(rows, dtype=np.int64))
+        indicator = ctx.encrypt_indicator(np.arange(rows) % 3 == 0)
+        t_eq10_singly = _best_of(
+            lambda: trainer._masked_elementwise_product(alpha, indicator), repeats
+        )
+        t_eq10_packed = _best_of(
+            lambda: trainer._masked_elementwise_product(
+                alpha, indicator, bound_bits=1
+            ),
+            repeats,
+        )
+    eq10_speedup = t_eq10_singly / t_eq10_packed
+
     simulate_tput = vector / t_simulate
     combine_tput = vector / t_combine
     print_table(
@@ -357,6 +388,10 @@ def threshold_report(
         f"six bounded statistics to shares: {t_six_singly * 1e3:.1f} ms singly, "
         f"{t_six_packed * 1e3:.1f} ms slot-packed ({pack_speedup:.1f}x)"
     )
+    print(
+        f"Eq. 10 over {rows} mask elements: {t_eq10_singly * 1e3:.1f} ms singly, "
+        f"{t_eq10_packed * 1e3:.1f} ms slot-packed ({eq10_speedup:.1f}x)"
+    )
     results = {
         "keysize": keysize,
         "n_parties": n_parties,
@@ -386,9 +421,13 @@ def threshold_report(
             f"converting six bounded ciphertexts slot-packed is only "
             f"{pack_speedup:.2f}x faster than singly; the floor is 3x"
         )
+        assert eq10_speedup >= 4.0, (
+            f"Eq. 10 over {rows} declared mask elements is only "
+            f"{eq10_speedup:.2f}x faster than undeclared; the floor is 4x"
+        )
         print(
             "SMOKE OK: combine == simulate plaintexts, overhead bounded, "
-            "packed conversion >= 3x"
+            "packed conversion >= 3x, packed Eq. 10 >= 4x"
         )
     return results
 

@@ -62,7 +62,7 @@ def main() -> None:
     # --- enhanced protocol: thresholds + leaf labels hidden ----------------
     with Federation(
         parties(),
-        config=PivotConfig(keysize=640, tree=params, protocol="enhanced", seed=11),
+        config=PivotConfig(keysize=256, tree=params, protocol="enhanced", seed=11),
     ) as fed:
         enhanced = PivotClassifier(protocol="enhanced").fit(fed)
         attack2 = label_inference_attack(

@@ -48,12 +48,17 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
               selection + Eq. 10 mask update.
 
     These are the paper's terms, one Cd per converted statistic.  The
-    *measured* basic-protocol Cd is that term over the slot count: the
-    trainer's conversions are slot-packed (:mod:`repro.crypto.packing`),
+    *measured* Cd is that term over the slot count, under both protocols:
+    the trainer's conversions are slot-packed (:mod:`repro.crypto.packing`),
     ⌊(|n| − 1) / (k + κ + bitlen(m))⌋ statistics per decrypted ciphertext
     (6 at a 512-bit key), and likewise one Cd per ~12 predicted rows
     instead of :func:`table2_prediction_counts`'s one per row.  The
-    enhanced protocol's measured Cd is unpacked and matches the term.
+    enhanced protocol's O(n t)·Cd term is measured at ⌈n / slots⌉ per
+    internal node, not 2n: Eq. 10 runs for one child (the sibling is a
+    homomorphic subtraction) and packs ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋
+    elements of the 0/1 mask vector per decrypted ciphertext (11 at 512
+    bits); a riding encrypted-label [γ] (GBDT rounds >= 2) still pays n
+    per vector per node.
 
     The *measured* Cs of one internal node's gain step (paper mode, S = d·b
     candidate splits, W-bit counts, θ = 4 Goldschmidt iterations at K = 40)

@@ -10,9 +10,6 @@ from repro.tree.cart import TreeParams
 
 __all__ = ["PivotConfig", "DPConfig"]
 
-#: Field size of the default MPC prime (Mersenne 2^127 - 1).
-FIELD_BITS = 127
-
 
 @dataclass(frozen=True)
 class DPConfig:
@@ -34,12 +31,11 @@ class DPConfig:
 class PivotConfig:
     """End-to-end protocol parameters (paper §8.1 defaults, scaled).
 
-    ``keysize`` is the threshold-Paillier modulus size.  The enhanced
-    protocol multiplies q-wrapped ciphertexts once per tree level (Eq. 10 /
-    private split selection), so its plaintexts grow by roughly one factor
-    of the MPC field per level; :meth:`validate_enhanced_depth` enforces the
-    resulting key-size requirement (the paper's 1024-bit default supports
-    its full h <= 6 range).
+    ``keysize`` is the threshold-Paillier modulus size.  Both protocols
+    run at any depth under the same key: every plaintext either of them
+    produces stays within the fixed-point width plus a conversion mask
+    (``mpc_k`` + exponent slack + ``kappa`` + a few carry bits), whatever
+    the tree level.
     """
 
     keysize: int = 512
@@ -117,14 +113,3 @@ class PivotConfig:
                 "with; use decrypt_mode='combine' (or None)"
             )
         self.tree.validate()
-        if self.protocol == "enhanced":
-            self.validate_enhanced_depth()
-
-    def validate_enhanced_depth(self) -> None:
-        needed = (self.tree.max_depth + 1) * FIELD_BITS + 128
-        if self.keysize < needed:
-            raise ValueError(
-                f"enhanced protocol with max_depth={self.tree.max_depth} needs "
-                f"keysize >= {needed} bits (q-wrap growth through Eq. 10); "
-                f"got {self.keysize}"
-            )

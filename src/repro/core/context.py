@@ -426,24 +426,17 @@ class PivotContext:
         ]
         return self.batch.threshold_decrypt_batch(ciphertexts, signed=signed)
 
-    def joint_decrypt(self, value: EncryptedNumber, tag: str, wrapped: bool = False) -> float:
+    def joint_decrypt(self, value: EncryptedNumber, tag: str) -> float:
         """All-client decryption of a protocol output; logged as revealed.
 
         The flow moves the ciphertext broadcast *and* the m
         partial-decryption share vectors (the seed accounted only the
         former), all as real serialized payloads consumed by their
-        receivers.  ``wrapped`` strips the q-multiple a
-        :func:`~repro.mpc.conversion.share_to_cipher` ciphertext carries.
+        receivers.
         """
-        raws = self.joint_decrypt_raw(
-            [value], tag="threshold-decrypt", signed=not wrapped
-        )
+        raws = self.joint_decrypt_raw([value], tag="threshold-decrypt")
         self.conversions.threshold_decryptions += 1
-        if wrapped:
-            field = self.fx.engine.field
-            result = field.to_signed(raws[0] % field.q) * 2.0**value.exponent
-        else:
-            result = raws[0] * 2.0**value.exponent
+        result = raws[0] * 2.0**value.exponent
         self.revealed.append((tag, result))
         return result
 

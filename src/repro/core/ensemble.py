@@ -251,10 +251,8 @@ class GBDTTrainer:
 
         Basic: Algorithm 4's [k̄].  Enhanced: the §5.2 shared prediction,
         converted back to a ciphertext (§5.2's reverse conversion) so the
-        running estimate [Ŷ] updates homomorphically either way.  The
-        conversion's q-wrap is harmless: every downstream use is linear
-        with integer coefficients and ends in a shares conversion, which
-        reduces mod q.
+        running estimate [Ŷ] updates homomorphically either way; the
+        ciphertext holds the prediction itself, like the basic one.
         """
         ctx = self.ctx
         if not self.enhanced:

@@ -168,7 +168,8 @@ class LogisticTrainer:
         ]
 
     def _refresh_weights(self) -> None:
-        """Share round-trip keeping exponents at -2F and stripping q-wraps."""
+        """Share round-trip: the weights come back rounded to F fractional
+        bits, re-randomised, at exponent -2F."""
         ctx = self.ctx
         flat = [w for block in self.weights for w in block]
         shares = ctx.to_shares(flat)

@@ -14,9 +14,11 @@ Implements Algorithm 3 with the three steps of §4.1 per tree node:
    client i* broadcasts the encrypted child mask vectors [α_l], [α_r].
    *Enhanced protocol* (§5.2): only (i*, j*) is revealed; ⟨s*⟩ is turned
    into the encrypted selection vector [λ], client i* runs private split
-   selection (Theorem 2) and the encrypted mask update of Eq. (10); the
-   split threshold and leaf labels stay hidden (shared + encrypted forms
-   are attached to the node's ``hidden`` payload).
+   selection (Theorem 2) and the encrypted mask update of Eq. (10) for the
+   left child — slot-packed, since [α] is an exact 0/1 vector — and the
+   right child is the homomorphic difference [α] ⊖ [α_l]; the split
+   threshold and leaf labels stay hidden (shared + encrypted forms are
+   attached to the node's ``hidden`` payload).
 
 Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
@@ -40,6 +42,7 @@ from repro.core.context import PivotContext
 from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.mpc.conversion import check_masked_opening, mask_layout
 from repro.mpc.sharing import SharedValue
 from repro.network.flows import broadcast_request, collect_replies, react_runtimes
 from repro.network.wire import Request
@@ -97,16 +100,20 @@ class TreeTrainer:
         self.enhanced = self.cfg.protocol == "enhanced"
         #: Declared magnitude of the node and split statistics at the MPC
         #: scale, which lets their conversions slot-pack (see
-        #: repro.mpc.conversion).  True only for sums of 0/1 masks times
-        #: plaintext labels: the enhanced protocol's [α] and an encrypted
-        #: label vector carry share_to_cipher q-wraps, so those declare
-        #: nothing and convert one ciphertext per value.
+        #: repro.mpc.conversion).  True for sums of mask entries times
+        #: plaintext labels under either protocol (the enhanced [α] is as
+        #: exact a 0/1 vector as the basic one); a riding encrypted-label
+        #: [γ] has no written-down width, so it declares nothing and
+        #: converts one ciphertext per value.
         self._stat_bound_bits = (
             self.fx.k
-            if not self.enhanced
-            and isinstance(label_provider, PlaintextLabelProvider)
+            if isinstance(label_provider, PlaintextLabelProvider)
             else None
         )
+        #: Bit length of the largest entry of the initial mask vector, set
+        #: by fit(): every node's [α] is that vector times 0/1 indicators,
+        #: so it bounds each element Eq. 10 opens under a mask.
+        self._alpha_bits = 1
         #: Public width of a sample count at the MPC scale: n <= n_samples,
         #: so n·2^F < 2^(bitlen(n_samples) + F).  Declared to the secure
         #: divisions as ``b_bits`` (see FixedPointOps.div): a structural
@@ -132,6 +139,7 @@ class TreeTrainer:
             bits = np.asarray(initial_mask).astype(np.int64)
             if bits.shape[0] != ctx.n_samples:
                 raise ValueError("initial mask length mismatch")
+        self._alpha_bits = max(1, int(np.abs(bits).max()).bit_length())
         alpha = ctx.encrypt_indicator(bits)
         # Root node state: the super client *requests*, every other party
         # stores [α] (plus the riding [γ]s for encrypted-label rounds) on
@@ -450,7 +458,6 @@ class TreeTrainer:
         v_left_enc = ctx.batch.batch_dot_products(
             [(list(row.astype(np.int64)), lam_cipher) for row in matrix]
         )
-        v_right_enc = [(-v) + 1 for v in v_left_enc]
         ctx.bus.round()
 
         # Encrypted (and shared) split threshold.
@@ -463,16 +470,22 @@ class TreeTrainer:
             [lam * enc for lam, enc in zip(lam_shares, encoded_vals)]
         )
 
-        # Encrypted mask-vector update (Eq. 10) for both children.
-        alpha_left = self._masked_elementwise_product(alpha, v_left_enc)
-        alpha_right = self._masked_elementwise_product(alpha, v_right_enc)
+        # Encrypted mask-vector update (Eq. 10) for the left child; the
+        # right child is the sibling by subtraction, [α] ⊖ [α_l] — the
+        # plaintext of α·(1 − v), computed locally from two vectors every
+        # party already holds.
+        alpha_left = self._masked_elementwise_product(
+            alpha, v_left_enc, bound_bits=self._alpha_bits
+        )
+        alpha_right = [a - left for a, left in zip(alpha, alpha_left)]
         gam_left = gam_right = None
         if self.provider.rides_with_alpha:
             gam_left = [
                 self._masked_elementwise_product(g, v_left_enc) for g in gammas
             ]
             gam_right = [
-                self._masked_elementwise_product(g, v_right_enc) for g in gammas
+                [y - left for y, left in zip(g, g_left)]
+                for g, g_left in zip(gammas, gam_left)
             ]
 
         node = TreeNode(
@@ -528,15 +541,26 @@ class TreeTrainer:
         self,
         alpha: list[EncryptedNumber],
         v_enc: list[EncryptedNumber],
+        bound_bits: int | None = None,
     ) -> list[EncryptedNumber]:
         """Eq. (10): [α'_j] = [α_j · v_j] via MPC conversion.
 
         Each [α_j] is converted with Algorithm 2 kept over the integers
         (client 1 holds e - r_1, the others -r_i); every client multiplies
         her integer share into [v_j] homomorphically and the owner sums the
-        results.  One threshold decryption per element — the O(n)·Cd term
-        that dominates the enhanced protocol's cost (§6, §8.3.1) — so the
-        mask encryptions and decryptions run through the batch engine.
+        results.  This is the O(n)·Cd term of the enhanced protocol (§6,
+        §8.3.1).
+
+        ``bound_bits`` declares ``|α_j| < 2**bound_bits`` for every
+        element.  Declared elements are slot-packed exactly as in
+        :func:`~repro.mpc.conversion.ciphers_to_shares` — masks of
+        ``bound_bits + κ`` bits, one mask encryption per party and one
+        threshold decryption per *packed* ciphertext (11 elements of a 0/1
+        [α] at 512 bits).  An undeclared vector (a riding [γ]) keeps one
+        ciphertext per element and masks of ``fx.k`` + exponent slack + κ
+        bits, the width its fixed-point scale admits.  Either way an
+        opened e_j wider than its masks raises
+        :class:`~repro.mpc.conversion.MaskBoundError`.
 
         Bus flow (all real payloads, tag ``eq10``): clients 2..m send their
         mask-ciphertext vectors to client 1; the masked batch goes through
@@ -547,33 +571,50 @@ class TreeTrainer:
         """
         ctx, fx = self.ctx, self.fx
         m = ctx.n_clients
-        mask_lists = [
-            [secrets.randbits(fx.k + ctx.engine.kappa) for _ in range(m)]
-            for _ in alpha
+        pk = ctx.threshold.public_key
+        packed = bound_bits is not None
+        magnitudes = [
+            bound_bits if packed else fx.k + max(0, -fx.f - a_ct.exponent)
+            for a_ct in alpha
         ]
-        mask_cts = ctx.batch.encrypt_ciphertexts(
-            [r for masks in mask_lists for r in masks]
+        bits_list = [beta + ctx.engine.kappa for beta in magnitudes]
+        layout = mask_layout(bits_list, m, pk, packed)
+        masks_by_party = [
+            [secrets.randbits(bits) for bits in bits_list] for _ in range(m)
+        ]
+        mask_cts = [
+            ctx.batch.encrypt_ciphertexts(layout.pack_plaintexts(masks))
+            for masks in masks_by_party
+        ]
+        masked_cts = layout.pack_ciphertexts(
+            [a_ct.ciphertext for a_ct in alpha], magnitudes
         )
-        masked_cts = []
-        for j, a_ct in enumerate(alpha):
-            masked = a_ct.ciphertext
-            for mask_ct in mask_cts[j * m : (j + 1) * m]:
-                masked = masked + mask_ct
-            masked_cts.append(masked)
+        for party_cts in mask_cts:
+            masked_cts = [
+                masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
+            ]
         for party in range(1, m):
-            ctx.bus.send_payload(party, 0, mask_cts[party::m], tag="eq10")
+            ctx.bus.send_payload(party, 0, mask_cts[party], tag="eq10")
         ctx.bus.round()
-        decrypted = ctx.joint_decrypt_raw(masked_cts, tag="eq10")
-        ctx.conversions.threshold_decryptions += len(masked_cts)
+        plains = ctx.joint_decrypt_raw(masked_cts, tag="eq10", signed=False)
+        ctx.conversions.threshold_decryptions += layout.n_groups
+        opened = layout.unpack(plains, magnitudes, pk)
         result = []
         terms_by_party: list[list] = [[] for _ in range(m)]
-        for e, masks, a_ct, v_ct in zip(decrypted, mask_lists, alpha, v_enc):
-            int_shares = [e - masks[0]] + [-r for r in masks[1:]]
-            combined = None
-            for party, share in enumerate(int_shares):
-                term = v_ct.ciphertext * share
+        for e, beta, bits, masks, a_ct, v_ct in zip(
+            opened, magnitudes, bits_list, zip(*masks_by_party), alpha, v_enc
+        ):
+            check_masked_opening(e + (1 << beta), bits, m)
+            # Client 1's share is e - r_1, the others' -r_i: they raise
+            # [-v_j] (one modular inverse) to r_i rather than [v_j] to the
+            # full-size exponent n - r_i.
+            combined = v_ct.ciphertext * (e - masks[0])
+            terms_by_party[0].append(combined)
+            negated = -v_ct.ciphertext
+            for party in range(1, m):
+                term = negated * masks[party]
                 terms_by_party[party].append(term)
-                combined = term if combined is None else combined + term
+                combined = combined + term
             result.append(ctx.encoder.wrap(combined, a_ct.exponent + v_ct.exponent))
         for party in range(1, m):
             ctx.bus.send_payload(party, 0, terms_by_party[party], tag="eq10")

@@ -289,7 +289,7 @@ class Federation:
         if not overrides:
             return self.context
         view = copy.copy(self.context)
-        view.config = replace(cfg, **overrides)  # validates (e.g. key size)
+        view.config = replace(cfg, **overrides)  # re-validates the config
         return view
 
     # -- lifecycle / reporting ----------------------------------------------

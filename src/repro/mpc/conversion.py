@@ -6,12 +6,31 @@ decrypted, and each client keeps (the negation of) her mask as her share —
 client 1 additionally adds the decrypted masked value.  The result is an
 additively shared value in Z_q.
 
-``share_to_cipher`` implements the reverse conversion used by the enhanced
-protocol (§5.2): every client encrypts her share and the shares are summed
-homomorphically.  The resulting plaintext equals the shared value plus a
-multiple of q < m·q, which :func:`decrypt_shared_cipher` strips after joint
-decryption (the Paillier plaintext space is orders of magnitude larger than
-q, so the wrap never aliases).
+``share_to_cipher`` is the reverse conversion used by the enhanced protocol
+(§5.2), built as Algorithm 2 run backwards so that the plaintext of the
+result is the shared value itself.  (§5.2's own construction — every client
+encrypts her field share, the shares are summed homomorphically — leaves
+``x + t·q`` in the plaintext, a ~127-bit wrap that every later product
+multiplies and every later masked opening exposes.)  For a shared x with
+``|x| < 2^β``, β = ``fixed.k``, the fixed-point engine's own precondition:
+
+1. every client i inputs a fresh mask ``r_i < 2^{β+κ}`` to the MPC engine;
+2. the clients open ``e = x + 2^β + Σ_i r_i`` — an integer, never reduced
+   mod q, since ``e < 2^{β+κ+bitlen(m)} ≪ q``;
+3. every client encrypts her own ``r_i``, and
+   ``[x] = (e − 2^β) ⊖ Σ_i [r_i]`` — the public constant enters
+   unobfuscated, the m mask encryptions randomise the result.
+
+*What the opening shows.*  ``e`` is the only value anyone sees.  With one
+honest client, ``r_i`` is uniform on ``[0, 2^{β+κ})`` and independent of
+x, so ``e`` is within statistical distance ``2^{β+1} / 2^{β+κ} = 2^{1−κ}``
+of a value that does not depend on x: the κ-bit-wider statistical mask
+Algorithm 2 already relies on in the other direction, and nothing else.
+The argument needs the bound to be true, so an opened ``e`` that is wider
+than ``β + κ + bitlen(m) + 1`` bits raises :class:`MaskBoundError` (the
+same check guards Eq. 10's openings in :mod:`repro.core.trainer`).  Like
+Algorithm 2 it is a semi-honest construction: nothing ties the ``r_i`` a
+client encrypts to the ``r_i`` she input.
 
 Fixed-point handling: a ciphertext with exponent -S converts to a shared
 value at the MPC scale 2^F.  If S > F the converted value is securely
@@ -41,19 +60,24 @@ ciphertext, and one decryption yields all of a ciphertext's ``e_j`` (6
 per 512-bit ciphertext at the defaults).  The layout is computed by
 :func:`mask_layout` from the mask widths, m and |n| on both sides.
 
-*Declare or don't pack.*  The inequality needs a true bound.  Callers
-whose values carry :func:`share_to_cipher` q-wraps (the enhanced trainer,
-encrypted-label GBDT rounds, forest votes, logistic regression: ~127
-bits per tree level on top of the value) declare nothing, and an
+*Declare or don't pack.*  The inequality needs a true bound, and only
+the caller knows one.  The trainers' node and split statistics over
+plaintext labels declare ``fixed.k`` under both protocols (the enhanced
+protocol's [α] is an exact 0/1 vector: :func:`share_to_cipher` encrypts
+the selection bits themselves).  A riding encrypted-label [γ] (GBDT rounds >= 2), the
+forest's vote sums and logistic regression's partial sums are bounded too,
+but at a width nobody has written down, so they declare nothing, and an
 undeclared value keeps a whole ciphertext — the same code with a slot as
-wide as the plaintext space.  Packing such a value would silently
-corrupt its neighbours; only overflow of a ciphertext's *top* slot is
-detectable after decryption (and raises).
+wide as the plaintext space.  Packing a value wider than its declaration
+would silently corrupt its neighbours; only overflow of a ciphertext's
+*top* slot is detectable after decryption (and raises).
 """
 
 from __future__ import annotations
 
+import operator
 import secrets
+from functools import reduce
 from typing import Sequence
 
 from repro.crypto.encoding import EncryptedNumber
@@ -74,10 +98,15 @@ __all__ = [
     "cipher_to_share",
     "ciphers_to_shares",
     "share_to_cipher",
-    "decrypt_shared_cipher",
+    "check_masked_opening",
     "mask_layout",
     "ConversionCounters",
+    "MaskBoundError",
 ]
+
+
+class MaskBoundError(ValueError):
+    """A masked value opened wider than its masks: it broke its bound."""
 
 
 class ConversionCounters:
@@ -105,12 +134,7 @@ def cipher_to_share(
     services: list | None = None,
     runtimes: list | None = None,
 ) -> SharedValue:
-    """Algorithm 2: convert one ciphertext into a secretly shared value.
-
-    Ciphertexts produced by :func:`share_to_cipher` (whose plaintext may
-    exceed q by a multiple of q) are handled transparently: building the
-    shares mod q strips the wrap before any secure truncation runs.
-    """
+    """Algorithm 2: convert one ciphertext into a secretly shared value."""
     return ciphers_to_shares(
         [value], threshold, fixed, counters, bus=bus, services=services,
         runtimes=runtimes,
@@ -313,6 +337,24 @@ def ciphers_to_shares(
     return results
 
 
+def check_masked_opening(opened: int, mask_bits: int, n_parties: int) -> None:
+    """Refuse a masked opening wider than its masks admit.
+
+    ``opened = x + 2^β + Σ_i r_i`` over m masks of ``mask_bits = β + κ``
+    bits stays below ``(m + 1) · 2^{mask_bits}`` whenever ``|x| < 2^β``.
+    Anything above ``2^{mask_bits + bitlen(m) + 1}`` (or below zero)
+    means the value under the masks broke its bound: they no longer hide
+    it, and a share built from the opening would be wrong.
+    """
+    limit = mask_bits + n_parties.bit_length() + 1
+    if opened < 0 or opened >> limit:
+        raise MaskBoundError(
+            f"masked opening of {opened.bit_length()} bits"
+            f"{' (negative)' if opened < 0 else ''} under {n_parties} masks "
+            f"of {mask_bits} bits: the masked value is outside its bound"
+        )
+
+
 def share_to_cipher(
     value: SharedValue,
     threshold: ThresholdPaillier,
@@ -321,55 +363,47 @@ def share_to_cipher(
     exponent: int | None = None,
     bus: MessageBus | None = None,
 ) -> EncryptedNumber:
-    """Reverse conversion (§5.2): encrypt shares, sum homomorphically.
+    """Reverse conversion (§5.2): the ciphertext of a shared value.
 
-    The plaintext of the returned ciphertext is Σ⟨x⟩_i over the integers,
-    i.e. x + t·q with 0 <= t < m; callers must decrypt it through
-    :func:`decrypt_shared_cipher` (or convert it back with
-    ``cipher_to_share(..., wrapped=True)``, which reduces mod q for free).
+    The plaintext of the returned ciphertext is x itself (signed, no
+    multiple of q), for any shared x with ``|x| < 2**fixed.k``: the
+    clients open x under m fresh ``fixed.k + κ``-bit masks and subtract
+    the encrypted masks again (see the module docstring for the steps and
+    for what the opening shows).  A value outside the bound raises
+    :class:`MaskBoundError` at the opening.
 
     ``exponent`` declares the fixed-point scale of the shared value:
     -F (the default) for fixed-point values, 0 for raw integers/bits such
     as the enhanced protocol's selection vector [λ].
 
-    With a ``bus``, clients 2..m send their encrypted shares to client 1,
-    who broadcasts the homomorphic sum back — 2(m−1) ciphertext messages
-    over two rounds (the seed broadcast ``ciphertext_bytes * m``, i.e.
-    m(m−1) ciphertexts).
+    With a ``bus``, clients 2..m send their encrypted masks to client 1,
+    who broadcasts the result — 2(m−1) ciphertext messages over two
+    rounds.  The MPC engine accounts m inputs and one opening.
     """
     from repro.crypto.encoding import PaillierEncoder
 
+    engine = value.engine
+    m = value.n_parties
     pk = threshold.public_key
     encoder = PaillierEncoder(pk, frac_bits=fixed.f)
-    total = None
-    share_cts = []
-    for share in value.shares:
-        ct = pk.encrypt(share)
-        share_cts.append(ct)
-        total = ct if total is None else total + ct
+    offset = 1 << fixed.k
+    mask_bits = fixed.k + engine.kappa
+    masks = [secrets.randbits(mask_bits) for _ in range(m)]
+    mask_shares = [
+        engine.input_private(r, owner=party) for party, r in enumerate(masks)
+    ]
+    opened = engine.open(
+        engine.add_public(engine.sum_values([value, *mask_shares]), offset)
+    )
+    check_masked_opening(opened, mask_bits, m)
+    mask_cts = [pk.encrypt(r) for r in masks]
+    total = (opened - offset) - reduce(operator.add, mask_cts)
     if bus is not None:
-        for party in range(1, value.n_parties):
-            bus.send_payload(party, 0, share_cts[party], tag="mpc-convert")
+        for party in range(1, m):
+            bus.send_payload(party, 0, mask_cts[party], tag="mpc-convert")
         bus.broadcast_payload(0, total, tag="mpc-convert")
         bus.round(2)
     if counters is not None:
         counters.to_cipher += 1
-    value.engine._record_round(
-        messages=value.n_parties * (value.n_parties - 1), values=value.n_parties
-    )
+    engine._record_round(messages=m * (m - 1), values=m)
     return EncryptedNumber(encoder, total, -fixed.f if exponent is None else exponent)
-
-
-def decrypt_shared_cipher(
-    value: EncryptedNumber,
-    threshold: ThresholdPaillier,
-    fixed: FixedPointOps,
-    counters: ConversionCounters | None = None,
-) -> float:
-    """Jointly decrypt a share_to_cipher ciphertext and strip the q-wrap."""
-    raw = threshold.joint_decrypt(value.ciphertext, signed=False)
-    if counters is not None:
-        counters.threshold_decryptions += 1
-    q = fixed.engine.field.q
-    reduced = fixed.engine.field.to_signed(raw % q)
-    return reduced * 2.0**value.exponent

@@ -22,8 +22,7 @@ def released_models():
     basic_ctx = make_context(X, y, "classification", params=params, seed=5)
     basic = TreeTrainer(basic_ctx).fit()
     enhanced_ctx = make_context(
-        X, y, "classification", keysize=640, protocol="enhanced",
-        params=params, seed=5,
+        X, y, "classification", protocol="enhanced", params=params, seed=5,
     )
     enhanced = TreeTrainer(enhanced_ctx).fit()
     return X, y, basic_ctx, basic, enhanced_ctx, enhanced

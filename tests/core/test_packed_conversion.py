@@ -120,9 +120,10 @@ def test_hostile_mask_widths_are_refused_before_sampling(
 
 
 def test_trainer_declares_a_bound_only_where_it_is_true(small_regression):
-    """Basic protocol over plaintext labels: sums of 0/1 masks times labels,
-    fx.k bits.  Enhanced [α] and encrypted-label [γ] carry q-wraps: no
-    declaration, one ciphertext per value."""
+    """Plaintext labels under either protocol: sums of 0/1 masks times
+    labels, fx.k bits (the enhanced [α] is exact).  A riding
+    encrypted-label [γ] has no written-down width: no declaration, one
+    ciphertext per value."""
     from repro.core import TreeTrainer
     from repro.core.labels import EncryptedLabelProvider
     from repro.tree import TreeParams
@@ -134,10 +135,11 @@ def test_trainer_declares_a_bound_only_where_it_is_true(small_regression):
     riding = EncryptedLabelProvider(basic, gamma, gamma)
     assert TreeTrainer(basic, riding)._stat_bound_bits is None
     enhanced = make_context(
-        X, y, "regression", keysize=384, protocol="enhanced",
+        X, y, "regression", protocol="enhanced",
         params=TreeParams(max_depth=1, max_splits=2),
     )
-    assert TreeTrainer(enhanced)._stat_bound_bits is None
+    assert TreeTrainer(enhanced)._stat_bound_bits == enhanced.fx.k
+    assert TreeTrainer(enhanced, riding)._stat_bound_bits is None
     before = basic.conversions.snapshot()
     TreeTrainer(basic).fit()
     after = basic.conversions.snapshot()

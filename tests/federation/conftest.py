@@ -23,7 +23,6 @@ from repro.tree import TreeParams
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 TEST_KEYSIZE = 256
-ENHANCED_KEYSIZE = 512  # (max_depth+1) * 127 + 128 with max_depth = 2
 PARAMS = TreeParams(max_depth=2, max_splits=2)
 
 
@@ -43,14 +42,12 @@ def make_federation(
     y,
     task="classification",
     protocol="basic",
-    keysize=None,
+    keysize=TEST_KEYSIZE,
     seed=7,
     params=PARAMS,
     blocks=(2, 2),
     **config_kwargs,
 ):
-    if keysize is None:
-        keysize = ENHANCED_KEYSIZE if protocol == "enhanced" else TEST_KEYSIZE
     config = PivotConfig(
         keysize=keysize,
         tree=params,

@@ -62,7 +62,7 @@ def test_every_legacy_entry_point_warns(data, tiny_regression):
     Xr, yr = tiny_regression
     vpr = vertical_partition(Xr, yr, 2, task="regression")
     with PivotContext(
-        vpr, _config(protocol="enhanced", keysize=512)
+        vpr, _config(protocol="enhanced")
     ) as ctx_enh:
         with pytest.warns(DeprecationWarning):
             enh_model = PivotDecisionTree(ctx_enh).fit()
@@ -78,12 +78,11 @@ def test_legacy_and_facade_are_identical(data, protocol):
     """Same data, same seed: identical tree, identical predictions,
     identical Ce/Cd op counts, identical measured bus bytes."""
     X, y = data
-    keysize = 512 if protocol == "enhanced" else 256
     rows = X[:6]
 
     # Legacy path: context + deprecated entry points.
     vp = vertical_partition(X, y, 2, task="classification")
-    with PivotContext(vp, _config(protocol, keysize)) as ctx:
+    with PivotContext(vp, _config(protocol)) as ctx:
         with opcount.counting() as legacy_ops:
             with pytest.warns(DeprecationWarning):
                 legacy_model = PivotDecisionTree(ctx).fit()
@@ -94,7 +93,7 @@ def test_legacy_and_facade_are_identical(data, protocol):
     # Facade path: Federation + estimator, same config values.
     parties = split_parties(X, y)
     with Federation(
-        parties, config=_config(protocol, keysize)
+        parties, config=_config(protocol)
     ) as fed:
         clf = PivotClassifier(protocol=protocol)
         with opcount.counting() as facade_ops:

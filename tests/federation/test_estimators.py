@@ -288,10 +288,15 @@ def test_federation_validation(tiny_classification):
         Federation([Party(X[:10, :2], labels=y[:10]), Party(X[:, 2:])])
 
 
-def test_enhanced_keysize_still_validated(tiny_classification):
-    """context_for() re-runs config validation: a basic 256-bit federation
-    cannot silently run the enhanced protocol."""
+def test_enhanced_override_runs_at_the_federations_keysize(tiny_classification):
+    """The enhanced protocol needs no wider key than basic: a basic
+    256-bit federation runs it on the estimator's switch alone, and
+    predicts what its own basic fit predicts."""
     X, y = tiny_classification
     with make_federation(X, y, keysize=256, seed=1) as fed:
-        with pytest.raises(ValueError, match="keysize"):
-            PivotClassifier(protocol="enhanced").fit(fed)
+        basic = PivotClassifier().fit(fed)
+        enhanced = PivotClassifier(protocol="enhanced").fit(fed)
+        assert enhanced.protocol_ == "enhanced"
+        assert enhanced.model_.root.threshold is None
+        blocks = [X[:6, :2], X[:6, 2:]]
+        assert list(enhanced.predict(blocks)) == list(basic.predict(blocks))

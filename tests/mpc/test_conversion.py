@@ -10,7 +10,6 @@ from repro.mpc.conversion import (
     ConversionCounters,
     cipher_to_share,
     ciphers_to_shares,
-    decrypt_shared_cipher,
     share_to_cipher,
 )
 
@@ -54,15 +53,19 @@ def test_batch_conversion(threshold3, encoder, fx):
     assert [fx.open(s) for s in shares] == [1, -2, 3]
 
 
+def _decrypt(value, threshold) -> float:
+    """Plain signed joint decryption: a converted ciphertext needs no more."""
+    return threshold.joint_decrypt(value.ciphertext) * 2.0**value.exponent
+
+
 def test_counters(threshold3, encoder, fx):
     counters = ConversionCounters()
     cipher_to_share(encoder.encrypt(5), threshold3, fx, counters)
-    ct = share_to_cipher(fx.share(1.0), threshold3, fx, counters)
-    decrypt_shared_cipher(ct, threshold3, fx, counters)
+    share_to_cipher(fx.share(1.0), threshold3, fx, counters)
     assert counters.snapshot() == {
         "to_shares": 1,
         "to_cipher": 1,
-        "threshold_decryptions": 2,
+        "threshold_decryptions": 1,
     }
 
 
@@ -70,29 +73,27 @@ def test_counters(threshold3, encoder, fx):
 @given(v=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 def test_share_to_cipher_roundtrip(threshold3, fx, v):
     ct = share_to_cipher(fx.share(v), threshold3, fx)
-    assert math.isclose(
-        decrypt_shared_cipher(ct, threshold3, fx), v, abs_tol=1e-4
-    )
+    assert math.isclose(_decrypt(ct, threshold3), v, abs_tol=1e-4)
 
 
-def test_wrapped_cipher_back_to_share(threshold3, fx):
+def test_converted_cipher_back_to_share(threshold3, fx):
     ct = share_to_cipher(fx.share(-3.5), threshold3, fx)
     sv = cipher_to_share(ct, threshold3, fx)
     assert math.isclose(fx.open(sv), -3.5, abs_tol=1e-4)
 
 
-def test_homomorphic_sum_of_wrapped_ciphers(threshold3, fx):
+def test_homomorphic_sum_of_converted_ciphers(threshold3, fx):
     cts = [share_to_cipher(fx.share(v), threshold3, fx) for v in (1.5, 2.5, -1.0)]
     total = cts[0] + cts[1] + cts[2]
-    assert math.isclose(
-        decrypt_shared_cipher(total, threshold3, fx), 3.0, abs_tol=1e-3
-    )
+    assert math.isclose(_decrypt(total, threshold3), 3.0, abs_tol=1e-3)
 
 
-def test_wrapped_cipher_with_deeper_scale(threshold3, fx):
-    """A q-wrapped ciphertext at exponent -2F converts via mod-q + trunc."""
+def test_converted_cipher_with_deeper_scale(threshold3, fx):
+    """A converted ciphertext scaled to exponent -2F converts back through
+    the ordinary secure truncation."""
     ct = share_to_cipher(fx.share(2.5), threshold3, fx)
-    deeper = ct * 3.0  # exponent -2F, still wrapped
+    deeper = ct * 3.0  # exponent -2F
+    assert math.isclose(_decrypt(deeper, threshold3), 7.5, abs_tol=1e-3)
     sv = cipher_to_share(deeper, threshold3, fx)
     assert math.isclose(fx.open(sv), 7.5, abs_tol=1e-3)
 
