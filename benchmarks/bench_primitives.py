@@ -179,6 +179,16 @@ def batch_report(
     t_div_grouped = _best_of(lambda: fx.div(numerators, denominator), repeats)
     div_speedup = t_div_singly / t_div_grouped
 
+    # -- Cc: one secure comparison in units of this run's Beaver multiply --
+    # (Mod2m's bit-compare is six word-ANDs on packed XOR shares and one
+    # daBit; as 39 sequential field multiplications it was ~60 multiplies.
+    # A ratio inside this run, so it is not a JSON row either.)
+    a, b = fx.share(3.25), fx.share(7.5)
+    calls = 50
+    t_mul = _best_of(lambda: [fx.engine.mul(a, b) for _ in range(calls)], repeats)
+    t_lt = _best_of(lambda: [fx.lt(a, b) for _ in range(calls)], repeats)
+    lt_in_muls = t_lt / t_mul
+
     # -- op-count parity: identical Ce tallies in both modes ---------------
     with opcount.counting() as serial_ops:
         serial_cts = [encoder.encrypt(v) for v in values]
@@ -208,6 +218,12 @@ def batch_report(
                 t_div_grouped * 1e3,
                 f"{div_speedup:.2f}x",
             ],
+            [
+                "engine.mul vs FixedPointOps.lt",
+                t_mul / calls * 1e3,
+                t_lt / calls * 1e3,
+                f"{lt_in_muls:.1f} muls",
+            ],
         ],
     )
     print(
@@ -233,15 +249,20 @@ def batch_report(
             f"five numerators over one denominator are only {div_speedup:.2f}x "
             "faster than five single divisions; the floor is 2.5x"
         )
+        assert lt_in_muls <= 12.0, (
+            f"one FixedPointOps.lt costs {lt_in_muls:.1f} engine.mul of this "
+            "run; the ceiling is 12"
+        )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
-            "pow, grouped division >= 2.5x, tallies equal"
+            "pow, grouped division >= 2.5x, lt <= 12 mul, tallies equal"
         )
     return {
         "crt": crt_speedup,
         "encrypt": enc_speedup,
         "mask": mask_speedup,
         "div": div_speedup,
+        "lt_in_muls": lt_in_muls,
     }
 
 

@@ -67,6 +67,10 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     multiplications per fraction, then the squares and weighted sums —
     still O(c d b t) in total, at 54 + 6·(fractions per denominator)
     multiplications per denominator instead of 92 per fraction (W = 24).
+    The node's comparisons (S − 1 in the argmax, the prune checks) add
+    nothing to that formula: a comparison is a Cc, and its bit-compare
+    runs on XOR-shared words (:mod:`repro.mpc.comparison`), not as field
+    multiplications.
     """
     counts = {
         "ce": w.n * w.c * w.d_bar * w.b * w.t,
@@ -86,6 +90,10 @@ def table2_prediction_counts(w: Workload, protocol: str) -> dict[str, float]:
     """Per-sample prediction counts from Table 2.
 
     Basic:    O(m t)·Ce + O(1)·Cd;   Enhanced: O(t)·(Cs + Cc).
+
+    The *measured* enhanced prediction has exactly this shape: per row,
+    t Cc (one comparison per internal node) and 2t + 1 Cs (t marker
+    products and the (t + 1)-leaf inner product with the hidden labels).
     """
     if protocol == "basic":
         return {"ce": w.m * w.t, "cd": 1, "cs": 0, "cc": 0}

@@ -2,25 +2,53 @@
 
 Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 
-* ``bit_lt_public``  — compare a public value against a bitwise-shared one
+* ``bit_lt_public``  — compare a public value against an XOR-shared word
 * ``mod2m``          — ⟨a mod 2^m⟩ (exact)
 * ``trunc``          — ⟨⌊a / 2^m⌋⟩ (exact, floor for signed a)
-* ``trunc_pr``       — probabilistic truncation (±1 ulp, one round cheaper)
+* ``trunc_pr``       — probabilistic truncation (±1 ulp, no bit-compare)
 * ``ltz / lt / gt``  — sign extraction / comparisons, shared 0/1 result
 * ``eqz / eq``       — equality tests
 * ``bit_dec``        — bit decomposition of a non-negative shared value
 * ``argmax``         — secure maximum with one-hot index (used for the best
                        split, paper §4.1 "secure maximum computation")
 
+Mod2m's bit-compare runs in the binary domain (:mod:`repro.mpc.binary`), the
+way SPDZ implementations do it with edaBits/daBits: the dealer hands out
+the bits of the mask r1 as one packed XOR-shared word, the compare is
+⌈log₂ m⌉ word-wide ANDs, and one daBit lifts the result bit back to Z_q.
+Cost per call at m compared bits — rounds (= openings), field
+multiplications (Cs), binary material from the dealer:
+
+    =========  =====================  ==  ============================
+    primitive  rounds                 Cs  binary material
+    =========  =====================  ==  ============================
+    trunc_pr   1                      0   —
+    mod2m      2 + ⌈log₂ m⌉           0   ⌈log₂ m⌉ AND triples, 1 daBit
+    trunc      as mod2m               0   as mod2m
+    ltz        mod2m at m = k − 1     0   as mod2m; 1 Cc
+    lt/gt/le   ltz at k + 1 bits      0   as ltz; 1 Cc
+    eqz / eq   two ltz                0   two ltz; 2 Cc
+    bit_dec    1 + k                  k   — (arithmetic bits)
+    =========  =====================  ==  ============================
+
+so ``ltz`` at k = 40 is 2 openings (the masked value, the daBit-masked
+result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication.
+``bit_dec`` and the Norm built on it keep arithmetic bits: their callers
+consume every bit in Z_q.
+
 All protocols follow the paper's convention: inputs are secretly shared
 values in a k-bit signed range, outputs are secretly shared values; nothing
-is revealed except explicitly opened masked values whose distributions are
-statistically independent of the inputs (masking parameter κ).
+is revealed except explicitly opened masked values.  The arithmetic
+openings are masked by dealer randomness with κ bits of statistical
+slack.  Every opened binary word is XORed with a uniform dealer word of
+its width — an AND triple's a and b, a daBit's bit — drawn from the
+dealer's seeded stream and used once, so binary openings hide perfectly.
 """
 
 from __future__ import annotations
 
 from repro.analysis import opcount
+from repro.mpc.binary import BinaryWord
 from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 
@@ -42,39 +70,35 @@ __all__ = [
 ]
 
 
-def _public_bits(value: int, n_bits: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(n_bits)]
-
-
 def bit_lt_public(
-    engine: MPCEngine, public: int, shared_bits: list[SharedValue]
+    engine: MPCEngine, public: int, shared_bits: BinaryWord
 ) -> SharedValue:
-    """⟨1⟩ if ``public`` < r else ⟨0⟩, for bitwise-shared r (little-endian).
+    """⟨1⟩ if ``public`` < r else ⟨0⟩, for r's bits XOR-shared in one word.
 
-    Classic most-significant-difference scan: XOR with the public bits is
-    affine, the prefix-OR localises the first differing bit, and because the
-    public bits are known the final selection Σ f_i·r_i collapses to the
-    local sum Σ_{i: c_i=0} f_i.
+    Most-significant-difference scan on packed lanes (lane i = bit i; only
+    the low ``width`` bits of ``public`` are compared).  d = r ⊕ public is
+    local; a log-depth prefix-OR from the top lane down,
+    p ← p ∨ (p ≫ s) for s = 1, 2, 4, …, costs one word-AND per step
+    (x ∨ y = x ⊕ y ⊕ x∧y); p ⊕ (p ≫ 1) then marks the most significant
+    differing lane.  There r differs from ``public``, so r's bit is 1
+    exactly where ``public``'s is 0: the answer is the parity of the mark
+    over the lanes where ``public`` has a 0 — local again.  One daBit
+    carries that bit into Z_q: open v = bit ⊕ ρ, ⟨bit⟩ = v + ⟨ρ⟩ − 2v⟨ρ⟩.
     """
-    m = len(shared_bits)
-    if m == 0:
-        return engine.share_public(0)
-    c_bits = _public_bits(public, m)
-    # d_i = c_i XOR r_i, affine in the shared bit for public c_i.
-    diffs = []
-    for c_i, r_i in zip(c_bits, shared_bits):
-        diffs.append((1 - r_i) if c_i else r_i)
-    prefix = prefix_or_msb_first(engine, list(reversed(diffs)))  # MSB first
-    # f_i marks the most significant differing position.
-    result = engine.share_public(0)
-    previous = engine.share_public(0)
-    for msb_index, p in enumerate(prefix):
-        i = m - 1 - msb_index  # little-endian index
-        f_i = p - previous
-        previous = p
-        if c_bits[i] == 0:
-            result = result + f_i
-    return result
+    width = shared_bits.width
+    lanes = (1 << width) - 1
+    public &= lanes
+    prefix = shared_bits ^ public
+    step = 1
+    while step < width:
+        shifted = prefix >> step
+        prefix = prefix ^ shifted ^ engine.and_words(prefix, shifted)
+        step *= 2
+    first_difference = prefix ^ (prefix >> 1)
+    bit = (first_difference & (public ^ lanes)).parity()  # lanes where public is 0
+    mask_word, mask = engine.dealer.dabit()
+    (opened,) = engine.open_words([bit ^ mask_word])
+    return 1 - mask if opened else mask
 
 
 def prefix_or_msb_first(

@@ -5,7 +5,10 @@ Provides the secure computation primitives the paper builds on:
 * secure addition (local),
 * secure multiplication via Beaver triples (one round),
 * inner products (one round regardless of length),
-* opening (reconstruction) with optional MAC checking.
+* opening (reconstruction) with optional MAC checking,
+* the same two interactive steps for XOR-shared words
+  (:mod:`repro.mpc.binary`): ``and_words`` (one binary triple, one round)
+  and ``open_words``, MAC-checked under a GF(2) key.
 
 All m parties run in one process; communication is *accounted* rather than
 performed: every opening increments round/byte counters which the cost
@@ -20,8 +23,11 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from repro.analysis import opcount
+from repro.mpc.binary import BinaryWord, spread
 from repro.mpc.dealer import TrustedDealer
 from repro.mpc.field import MERSENNE_127, PrimeField
 from repro.mpc.sharing import MacCheckError, SharedValue
@@ -86,6 +92,9 @@ class MPCEngine:
         # Global MAC key Delta = sum of per-party key shares.
         self.mac_key_shares = tuple(field.random() for _ in range(n_parties))
         self.mac_key = sum(self.mac_key_shares) % field.q
+        # Its GF(2) counterpart Delta_2 (kappa bits, XOR-shared) for binary words.
+        self.binary_key_shares = tuple(secrets.randbits(kappa) for _ in range(n_parties))
+        self.binary_key = reduce(xor, self.binary_key_shares)
         self.dealer = TrustedDealer(self, seed=None if seed is None else seed + 1)
         self.stats = CommStats()
         self._q_bits = field.q.bit_length()
@@ -120,6 +129,31 @@ class MPCEngine:
         shares = self._split(value, rand)
         macs = self._split(value * self.mac_key % q, rand) if self.authenticated else None
         return SharedValue(self, shares, macs)
+
+    def _split_binary(self, word: int, bits: int, rng: random.Random) -> tuple[int, ...]:
+        """``word`` as n_parties uniformly random ``bits``-bit XOR summands."""
+        getrandbits = rng.getrandbits
+        shares = []
+        for _ in range(self.n_parties - 1):
+            r = getrandbits(bits)
+            word ^= r
+            shares.append(r)
+        shares.append(word)
+        return tuple(shares)
+
+    def _make_binary(
+        self, word: int, width: int, rng: random.Random | None = None
+    ) -> BinaryWord:
+        """XOR-share the ``width``-bit ``word`` (with lane MACs if authenticated)."""
+        if word >> width:
+            raise ValueError(f"word does not fit {width} lanes")
+        rand = rng or self.rng
+        shares = self._split_binary(word, width, rand)
+        macs = None
+        if self.authenticated:
+            lane_macs = spread(word, self.kappa) * self.binary_key
+            macs = self._split_binary(lane_macs, width * self.kappa, rand)
+        return BinaryWord(self, width, shares, macs)
 
     def share_public(self, value: int) -> SharedValue:
         """⟨value⟩ for a publicly known value (no communication needed)."""
@@ -168,6 +202,26 @@ class MPCEngine:
         )
         return results
 
+    def open_words(self, words: list[BinaryWord]) -> list[int]:
+        """Open XOR-shared words in one round, at their real size in bits."""
+        if not words:
+            return []
+        results = []
+        for word in words:
+            if word.engine is not self:
+                raise ValueError("binary word belongs to a different engine")
+            opened = reduce(xor, word.shares)
+            if self.authenticated:
+                self._check_word_mac(word, opened)
+            results.append(opened)
+        lanes = sum(word.width for word in words)
+        self._record_round(
+            messages=self.n_parties * (self.n_parties - 1),
+            values=len(words),
+            message_bytes=(lanes + 7) // 8,
+        )
+        return results
+
     def open_signed(self, value: SharedValue) -> int:
         return self.field.to_signed(self.open(value))
 
@@ -183,6 +237,17 @@ class MPCEngine:
         )
         if total % q != 0:
             raise MacCheckError("MAC check failed: shares were tampered with")
+
+    def _check_word_mac(self, word: BinaryWord, opened: int) -> None:
+        """:meth:`_check_mac` over GF(2): per lane, ⊕ᵢ (macᵢ ⊕ bit·Δ₂ᵢ) = 0."""
+        if word.macs is None:
+            raise MacCheckError("authenticated engine received unauthenticated word")
+        lanes = spread(opened, self.kappa)
+        total = 0
+        for mac, key in zip(word.macs, self.binary_key_shares):
+            total ^= mac ^ lanes * key
+        if total:
+            raise MacCheckError("MAC check failed: binary shares were tampered with")
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -224,6 +289,19 @@ class MPCEngine:
             results.append(z)
         return results
 
+    def and_words(self, x: BinaryWord, y: BinaryWord) -> BinaryWord:
+        """Lane-wise AND of two shared words: one binary triple, one round.
+
+        Beaver's trick mod 2: open e = x ⊕ a and f = y ⊕ b (uniform, since
+        the triple's a, b are), then x∧y = c ⊕ e∧y ⊕ f∧a.  Not a field
+        multiplication: it does not count towards Cs.
+        """
+        a, b, c = self.dealer.and_triple(x.width)
+        # Masking with this engine's triple also rejects a foreign or
+        # differently wide x or y.
+        e, f = self.open_words([x ^ a, y ^ b])
+        return c ^ (y & e) ^ (a & f)
+
     def inner_product(
         self, xs: list[SharedValue], ys: list[SharedValue]
     ) -> SharedValue:
@@ -250,10 +328,16 @@ class MPCEngine:
     # accounting
     # ------------------------------------------------------------------
 
-    def _record_round(self, messages: int, values: int) -> None:
+    def _record_round(
+        self, messages: int, values: int, message_bytes: int | None = None
+    ) -> None:
+        """One round of ``messages`` messages carrying ``values`` values each:
+        field elements unless ``message_bytes`` gives a message's real size."""
+        if message_bytes is None:
+            message_bytes = values * self._element_bytes
         self.stats.rounds += 1
         self.stats.messages += messages
-        self.stats.bytes += messages * values * self._element_bytes
+        self.stats.bytes += messages * message_bytes
         self.stats.opened_values += values
 
     def reset_stats(self) -> None:

@@ -4,6 +4,7 @@ pruning behaviour, privacy of the transcript, and cost accounting."""
 import numpy as np
 import pytest
 
+from repro.analysis import opcount
 from repro.core import PivotConfig, TreeTrainer, PivotContext
 from repro.data import vertical_partition
 from repro.tree import DecisionTree, TreeParams
@@ -172,12 +173,17 @@ def test_transcript_reveals_only_model_information(small_classification):
 def test_cost_accounting_nonzero(small_classification):
     X, y = small_classification
     ctx = make_context(X, y, "classification")
-    TreeTrainer(ctx).fit()
+    with opcount.counting() as ops:
+        TreeTrainer(ctx).fit()
     costs = ctx.cost_snapshot()
     assert costs["conversions"]["threshold_decryptions"] > 0
     assert costs["bus"]["bytes"] > 0
     assert costs["mpc"]["rounds"] > 0
-    assert costs["dealer"]["triples"] > 0
+    # `triples` are field Beaver triples, one per Cs; the comparisons' binary
+    # material is counted apart and is no field multiplication.
+    assert costs["dealer"]["triples"] == ops["cs"] > 0
+    assert costs["dealer"]["dabits"] == ops["cc"] > 0
+    assert costs["dealer"]["and_triples"] > 0
 
 
 def test_conversion_count_scales_with_splits(small_classification):

@@ -5,6 +5,7 @@ prediction."""
 import numpy as np
 import pytest
 
+from repro.analysis import opcount
 from repro.core import (
     PivotConfig,
     PivotContext,
@@ -76,6 +77,22 @@ def test_enhanced_prediction_matches_basic(enhanced_setup):
     secure = [run_predict_enhanced(model, ctx, row) for row in X[:8]]
     plain = list(run_predict_batch(basic_model, basic_ctx, X[:8]))
     assert secure == plain
+
+
+def test_enhanced_prediction_costs_table2_per_row(enhanced_setup):
+    """Table 2's O(t)·(Cs + Cc), exactly: t comparisons, and 2t + 1 field
+    multiplications (t markers, t + 1 leaves) — the comparisons' bit-compare
+    runs on XOR-shared words and is no Cs."""
+    X, _, ctx, model, _, _ = enhanced_setup
+    t = model.n_internal
+    dealer0 = ctx.cost_snapshot()["dealer"]
+    with opcount.counting() as ops:
+        run_predict_enhanced(model, ctx, X[0])
+    assert (ops["cs"], ops["cc"]) == (2 * t + 1, t)
+    dealer = ctx.cost_snapshot()["dealer"]
+    assert dealer["triples"] - dealer0["triples"] == ops["cs"]
+    assert dealer["dabits"] - dealer0["dabits"] == t
+    assert dealer["and_triples"] - dealer0["and_triples"] == 6 * t  # ⌈log₂ 40⌉ each
 
 
 def test_enhanced_model_rejects_plaintext_prediction(enhanced_setup):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.mpc import MPCEngine
 from repro.mpc import comparison as cmp
 
 K = 40
@@ -24,25 +25,46 @@ def shared(engine, x):
 @relaxed
 @given(c=st.integers(min_value=0, max_value=255), r=st.integers(min_value=0, max_value=255))
 def test_bit_lt_public(engine, c, r):
-    r_bits = [shared(engine, (r >> i) & 1) for i in range(8)]
+    r_bits = engine._make_binary(r, 8)
     got = engine.open(cmp.bit_lt_public(engine, c, r_bits))
     assert got == (1 if c < r else 0)
 
 
 def test_bit_lt_empty(engine):
-    assert engine.open(cmp.bit_lt_public(engine, 0, [])) == 0
+    assert engine.open(cmp.bit_lt_public(engine, 0, engine._make_binary(0, 0))) == 0
 
 
 def test_bit_lt_equal_values(engine):
-    r_bits = [shared(engine, b) for b in (1, 0, 1)]
+    r_bits = engine._make_binary(0b101, 3)
     assert engine.open(cmp.bit_lt_public(engine, 0b101, r_bits)) == 0
+
+
+def test_bit_lt_public_cost(engine):
+    """⌈log₂ m⌉ word-ANDs and one daBit: that many + 1 rounds, no field
+    multiplication, openings accounted at their width in bits."""
+    from repro.analysis import opcount
+
+    r_bits = engine._make_binary(0x5A5A5A5A5A, 40)
+    engine.reset_stats()
+    with opcount.counting() as ops:
+        cmp.bit_lt_public(engine, 0x123456789A, r_bits)
+    assert ops["cs"] == 0
+    usage = engine.dealer.usage
+    assert (usage.and_triples, usage.dabits, usage.triples) == (6, 1, 0)
+    messages = 3 * 2
+    assert engine.stats.snapshot() == {
+        "rounds": 7,
+        "messages": 7 * messages,
+        "bytes": messages * (6 * 10 + 1),  # 2·40 lanes per AND, 1 for the daBit
+        "opened_values": 6 * 2 + 1,
+    }
 
 
 # -- mod2m / trunc ------------------------------------------------------------
 
 
 @relaxed
-@given(a=SIGNED_K, m=st.integers(min_value=1, max_value=20))
+@given(a=SIGNED_K, m=st.integers(min_value=1, max_value=K - 1))
 def test_mod2m(engine, a, m):
     got = engine.open(cmp.mod2m(engine, shared(engine, a), K, m))
     assert got == a % (1 << m)
@@ -58,7 +80,7 @@ def test_mod2m_m_too_large(engine):
 
 
 @relaxed
-@given(a=SIGNED_K, m=st.integers(min_value=1, max_value=20))
+@given(a=SIGNED_K, m=st.integers(min_value=1, max_value=K - 1))
 def test_trunc_exact_floor(engine, a, m):
     got = engine.field.to_signed(engine.open(cmp.trunc(engine, shared(engine, a), K, m)))
     assert got == a >> m  # arithmetic shift == floor division
@@ -76,6 +98,52 @@ def test_trunc_pr_within_one_ulp(engine, a, m):
         engine.open(cmp.trunc_pr(engine, shared(engine, a), K, m))
     )
     assert got in (a >> m, (a >> m) + 1)
+
+
+# -- the widths production runs (every lt is m = 40), both models ---------------
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(2, False), (3, False), (2, True), (3, True)],
+    ids=["2-semi", "3-semi", "2-auth", "3-auth"],
+)
+def any_engine(request):
+    n_parties, authenticated = request.param
+    return MPCEngine(n_parties, authenticated=authenticated, seed=77)
+
+
+def _edge_operands(k):
+    top = 2 ** (k - 1) - 1
+    return sorted({0, 1, -1, top, -top, top - 1, -top + 1})
+
+
+@pytest.mark.parametrize("k", [8, 40, 41])
+def test_mod2m_trunc_at_edge_widths(any_engine, k):
+    engine = any_engine
+    widths = sorted({m for m in (1, 2, 3, 31, 32, 33, k - 1) if m < k})
+    for m in widths:
+        for a in _edge_operands(k):
+            sa = shared(engine, a)
+            assert engine.open(cmp.mod2m(engine, sa, k, m)) == a % (1 << m), (m, a)
+            got = engine.field.to_signed(engine.open(cmp.trunc(engine, sa, k, m)))
+            assert got == a >> m, (m, a)
+
+
+@pytest.mark.parametrize("k", [8, 40, 41])
+def test_sign_and_order_at_edge_operands(any_engine, k):
+    engine = any_engine
+    operands = _edge_operands(k)
+    for a in operands:
+        sa = shared(engine, a)
+        assert engine.open(cmp.ltz(engine, sa, k)) == int(a < 0), a
+        assert engine.open(cmp.eqz(engine, sa, k)) == int(a == 0), a
+        for b in {a, a + 1, a - 1, -a}:
+            if not operands[0] <= b <= operands[-1]:
+                continue
+            sb = shared(engine, b)
+            assert engine.open(cmp.lt(engine, sa, sb, k)) == int(a < b), (a, b)
+            assert engine.open(cmp.le(engine, sa, sb, k)) == int(a <= b), (a, b)
 
 
 # -- sign / comparison --------------------------------------------------------

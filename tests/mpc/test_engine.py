@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mpc import MacCheckError, MPCEngine, SharedValue
+from repro.mpc import comparison as cmp
+from repro.mpc.binary import BinaryWord
 
 SIGNED = st.integers(min_value=-(2**62), max_value=2**62)
 
@@ -174,6 +176,123 @@ def test_comm_accounting(engine):
     assert engine.stats.bytes > 0
 
 
+# -- the binary domain: XOR-shared words ---------------------------------------
+
+WORD = st.integers(min_value=0, max_value=2**40 - 1)
+
+
+@relaxed
+@given(x=WORD, y=WORD, mask=WORD, shift=st.integers(min_value=0, max_value=41))
+@pytest.mark.parametrize("which", ["engine", "auth_engine"])
+def test_binary_word_algebra(request, which, x, y, mask, shift):
+    """Local operations and the Beaver AND open to the plain bit operations,
+    MACs following along in the authenticated engine."""
+    eng = request.getfixturevalue(which)
+    wx, wy = eng._make_binary(x, 40), eng._make_binary(y, 40)
+    assert (wx.macs is not None) == eng.authenticated
+    opened = eng.open_words(
+        [wx ^ wy, wx ^ mask, wx >> shift, wx & mask, wx.parity(), eng.and_words(wx, wy)]
+    )
+    assert opened == [x ^ y, x ^ mask, x >> shift, x & mask, x.bit_count() & 1, x & y]
+
+
+def test_binary_words_reject_foreign_engines_and_widths(engine, engine2):
+    mine, theirs = engine._make_binary(5, 8), engine2._make_binary(5, 8)
+    with pytest.raises(ValueError):
+        _ = mine ^ theirs
+    with pytest.raises(ValueError):
+        engine.and_words(mine, theirs)
+    with pytest.raises(ValueError):
+        engine2.open_words([mine])
+    with pytest.raises(ValueError):
+        _ = mine ^ engine._make_binary(5, 9)
+    with pytest.raises(ValueError):
+        _ = mine ^ 0x100  # a public word wider than the lanes
+    with pytest.raises(ValueError):
+        _ = mine & -1
+    with pytest.raises(ValueError):
+        engine._make_binary(0x100, 8)
+
+
+def test_binary_opening_is_accounted_in_bits(engine):
+    engine.reset_stats()
+    engine.open_words([engine._make_binary(1, 40), engine._make_binary(1, 1)])
+    assert engine.stats.snapshot() == {
+        "rounds": 1, "messages": 6, "bytes": 6 * 6, "opened_values": 2,
+    }
+    assert engine.open_words([]) == []
+    assert engine.stats.rounds == 1
+
+
+def _flip_lane(word, party, lane):
+    shares = list(word.shares)
+    shares[party] ^= 1 << lane
+    return BinaryWord(word.engine, word.width, tuple(shares), word.macs)
+
+
+def test_tampered_binary_share_detected(auth_engine):
+    word = auth_engine._make_binary(0b1011, 40)
+    assert auth_engine.open_words([word]) == [0b1011]
+    with pytest.raises(MacCheckError):
+        auth_engine.open_words([_flip_lane(word, party=1, lane=17)])
+    # A tampered lane survives local operations up to the next opening.
+    with pytest.raises(MacCheckError):
+        auth_engine.open_words([(_flip_lane(word, party=2, lane=3) >> 2).parity()])
+    bad_macs = (word.macs[0] ^ 1,) + word.macs[1:]
+    with pytest.raises(MacCheckError):
+        auth_engine.open_words([BinaryWord(auth_engine, 40, word.shares, bad_macs)])
+    with pytest.raises(MacCheckError):
+        auth_engine.open_words([BinaryWord(auth_engine, 40, word.shares, None)])
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_tampered_and_triple_detected(auth_engine, monkeypatch, position):
+    deal = auth_engine.dealer.and_triple
+
+    def tampered(width):
+        triple = list(deal(width))
+        triple[position] = _flip_lane(triple[position], party=0, lane=width - 1)
+        return tuple(triple)
+
+    monkeypatch.setattr(auth_engine.dealer, "and_triple", tampered)
+    x, y = auth_engine._make_binary(0b1100, 4), auth_engine._make_binary(0b1010, 4)
+    with pytest.raises(MacCheckError):
+        # a, b are caught masking x, y; c at the opening of the product.
+        auth_engine.open_words([auth_engine.and_words(x, y)])
+
+
+def test_tampered_dabit_detected(auth_engine, monkeypatch):
+    deal = auth_engine.dealer.dabit
+
+    def tampered():
+        word, arithmetic = deal()
+        return _flip_lane(word, party=1, lane=0), arithmetic
+
+    monkeypatch.setattr(auth_engine.dealer, "dabit", tampered)
+    with pytest.raises(MacCheckError):
+        cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
+
+
+def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
+    deal = auth_engine.dealer.prandm
+
+    def tampered(k, m, with_bits=True):
+        tup = deal(k, m, with_bits)
+        tup.r1_bits = _flip_lane(tup.r1_bits, party=0, lane=m - 1)
+        return tup
+
+    monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
+    with pytest.raises(MacCheckError):
+        cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
+
+
+def test_semi_honest_binary_material_carries_no_macs(engine):
+    dealer = engine.dealer
+    words = [*dealer.and_triple(40), dealer.dabit()[0], dealer.prandm(40, 12).r1_bits]
+    assert all(word.macs is None for word in words)
+    assert engine._make_binary(3, 2).macs is None
+
+
 # -- dealer: only the sharings a protocol reads, and the seeded stream --------
 
 
@@ -194,11 +313,11 @@ def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     engine = MPCEngine(3, authenticated=authenticated, seed=5)
     dealer = engine.dealer
     for_trunc = dealer.prandm(80, 32, with_bits=False)
-    assert for_trunc.r1_bits == []
+    assert for_trunc.r1_bits is None
     assert engine.open(for_trunc.r1) < 1 << 32
     for_mod2m = dealer.prandm(40, 12)
-    opened = [engine.open(bit) for bit in for_mod2m.r1_bits]
-    assert sum(bit << i for i, bit in enumerate(opened)) == engine.open(for_mod2m.r1)
+    assert for_mod2m.r1_bits.width == 12
+    assert engine.open_words([for_mod2m.r1_bits]) == [engine.open(for_mod2m.r1)]
     bitwise = dealer.bitwise_random(24 + engine.kappa, low_bits=24)
     low = [engine.open(bit) for bit in bitwise.bits]
     assert len(low) == 24
@@ -206,4 +325,13 @@ def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     # One tuple is one tuple, with or without its bitwise part.
     assert dealer.usage.snapshot() == {
         "triples": 0, "bits": 0, "prandm": 2, "bitwise": 1, "randoms": 0,
+        "and_triples": 0, "dabits": 0,
     }
+    dealer.and_triple(40)
+    word, arithmetic = dealer.dabit()
+    assert engine.open_words([word]) == [engine.open(arithmetic)]
+    assert dealer.usage.snapshot() == {
+        "triples": 0, "bits": 0, "prandm": 2, "bitwise": 1, "randoms": 0,
+        "and_triples": 1, "dabits": 1,
+    }
+    assert dealer.usage.total() == 5
