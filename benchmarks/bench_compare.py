@@ -1,9 +1,8 @@
 """Compare a fresh benchmark record against its committed baseline.
 
-The perf trajectory lives in two JSON records CI regenerates on every run
-(``BENCH_training.json`` from :mod:`bench_fig4_training`,
-``BENCH_threshold.json`` from :mod:`bench_primitives`) and a committed
-snapshot of each under ``BENCH_baseline/``.  This script diffs the fresh
+The perf trajectory lives in a JSON record CI regenerates on every run
+(``BENCH_training.json`` from :mod:`bench_fig4_training`) and a committed
+snapshot of it under ``BENCH_baseline/``.  This script diffs the fresh
 record against the snapshot:
 
 * **integers are invariants** — bytes on the wire, synchronisation

@@ -48,13 +48,11 @@ def run_point(
     protocol: str,
     parameter: str,
     value: int,
-    batch_crypto: bool = True,
     transport: str | None = None,
 ):
     params = {**DEFAULTS, parameter: value}
     context = build_context(
         protocol=protocol,
-        batch_crypto=batch_crypto,
         transport=transport if transport is not None else TRANSPORT,
         **params,
     )
@@ -82,31 +80,6 @@ def run_transport_gap() -> list[list]:
             sockets.wall_seconds,
             sockets.wall_seconds - memory.wall_seconds,
             memory.modeled_seconds,
-        ])
-    return rows
-
-
-def run_batch_ablation() -> list[list]:
-    """Serial (seed) crypto path vs the batch engine, identical workloads.
-
-    The op counts must match exactly — the batch engine only changes wall
-    time (CRT decryption, pooled obfuscators, batched call structure).
-    """
-    rows = []
-    for protocol, parameter, value in [
-        ("basic", "n", 60),
-        ("basic", "n", 120),
-        ("enhanced", "n", 60),
-    ]:
-        serial = run_point(protocol, parameter, value, batch_crypto=False)
-        batched = run_point(protocol, parameter, value, batch_crypto=True)
-        ops_match = serial.ops == batched.ops
-        rows.append([
-            f"{protocol} {parameter}={value}",
-            serial.wall_seconds,
-            batched.wall_seconds,
-            f"{serial.wall_seconds / batched.wall_seconds:.2f}x",
-            "OK" if ops_match else "MISMATCH",
         ])
     return rows
 
@@ -142,9 +115,8 @@ def training_record(json_path: str | None = None) -> dict:
     One fit per (protocol, transport) point at the DEFAULTS workload,
     recording wall/modeled seconds, measured bytes, rounds and the
     Ce/Cd/Cs/Cc tallies.  ``json_path`` persists it (CI writes
-    ``BENCH_training.json`` and uploads it next to
-    ``BENCH_threshold.json``).  The record also double-checks the parity
-    invariants the test suite pins: byte and round counts are
+    ``BENCH_training.json`` and uploads it).  The record also
+    double-checks the parity invariants the test suite pins: byte and round counts are
     transport-invariant, and measured bytes reconcile with the codec's
     size formulas.
     """
@@ -297,14 +269,6 @@ def main() -> None:
         ["protocol", "tag", "bytes", "share"],
         run_tag_breakdown(),
     )
-    print_table(
-        "Batch crypto engine ablation — serial (seed) vs batched training",
-        ["workload", "serial wall(s)", "batched wall(s)", "speedup", "opcounts"],
-        run_batch_ablation(),
-    )
-    print("\nThe batch engine (§8 parallelisation: CRT decryption, obfuscator "
-          "pool, batched decrypt/dot-product fan-out) changes wall time only; "
-          "the Ce/Cd/Cs/Cc tallies are identical in both modes.")
     if TRANSPORT == "asyncio":
         print_table(
             "Modeled-LAN vs real-socket gap — identical protocol runs, "

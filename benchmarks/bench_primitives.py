@@ -12,7 +12,6 @@ fast CI regression check, or under pytest-benchmark for per-op statistics:
 """
 
 import argparse
-import json
 import secrets
 import sys
 import time
@@ -28,10 +27,7 @@ from repro.analysis import opcount
 from repro.core import PivotConfig, PivotContext, TreeTrainer
 from repro.crypto import PaillierEncoder, generate_keypair
 from repro.crypto.batch import BatchCryptoEngine
-from repro.crypto.threshold import (
-    combine_partial_vectors,
-    generate_threshold_keypair,
-)
+from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
 from repro.mpc import FixedPointOps, MPCEngine, comparison
 from repro.mpc.conversion import ciphers_to_shares
@@ -266,74 +262,17 @@ def batch_report(
     }
 
 
-def threshold_report(
-    keysize: int = 512,
-    vector: int = 32,
-    n_parties: int = 3,
-    repeats: int = 5,
-    workers: int = 2,
-    smoke: bool = False,
-    json_path: str | None = None,
+def packing_report(
+    keysize: int = 512, n_parties: int = 3, repeats: int = 5, smoke: bool = False
 ) -> dict[str, float]:
-    """Simulate vs combine threshold-decryption throughput (§2.1 realism).
+    """Slot packing: bounded values sharing a threshold decryption.
 
-    ``simulate`` recovers each plaintext with one dealer-key CRT
-    decryption; ``combine`` runs the real data flow — every party's
-    c^{d_i} share vector (:meth:`ThresholdKeyShare.partial_decrypt_batch`,
-    here routed through :meth:`BatchCryptoEngine.partial_decrypt_batch`
-    so the exponentiations can fan out over worker processes) plus the
-    element-wise share combination.  ``json_path`` persists the numbers
-    as ``BENCH_threshold.json`` so CI records the perf trajectory.
+    Two ratios inside this run — six bounded statistics through Algorithm 2
+    and Eq. 10 over a 24-element 0/1 mask vector, each declared (packed)
+    against undeclared (a ciphertext, and m share exponentiations, each).
     """
     tp = generate_threshold_keypair(n_parties, keysize)
     engine = BatchCryptoEngine(tp.public_key, threshold=tp)
-    cts = [tp.public_key.encrypt(i - vector // 2) for i in range(vector)]
-
-    tp.decrypt_mode = "simulate"
-    t_simulate = _best_of(lambda: engine.threshold_decrypt_batch(cts), repeats)
-
-    from repro.network.wire import PartialDecryptionVector
-
-    def run_combine():
-        vectors = [
-            PartialDecryptionVector(
-                share.party_index,
-                tuple(
-                    p.value for p in engine.partial_decrypt_batch(share, cts)
-                ),
-            )
-            for share in tp.shares
-        ]
-        return combine_partial_vectors(tp.public_key, vectors, n_parties)
-
-    t_share = _best_of(
-        lambda: engine.partial_decrypt_batch(tp.shares[0], cts), repeats
-    )
-    t_combine = _best_of(run_combine, repeats)
-
-    # The same share vector through the multiprocessing fan-out — the
-    # parallel path a deployment's hot loop rides on multi-core hosts.
-    with BatchCryptoEngine(
-        tp.public_key, threshold=tp, workers=workers
-    ) as fanout:
-        fanout.partial_decrypt_batch(tp.shares[0], cts)  # warm the pool
-        t_share_fanout = _best_of(
-            lambda: fanout.partial_decrypt_batch(tp.shares[0], cts), repeats
-        )
-        fanout_correct = [
-            p.value for p in fanout.partial_decrypt_batch(tp.shares[0], cts)
-        ] == [p.value for p in engine.partial_decrypt_batch(tp.shares[0], cts)]
-
-    tp.decrypt_mode = "combine"
-    expected = [i - vector // 2 for i in range(vector)]
-    correct = (
-        engine.threshold_decrypt_batch(cts) == expected
-        and run_combine() == expected
-    )
-
-    # Algorithm 2 over six bounded statistics, combine mode: a ciphertext
-    # (and m share exponentiations) each, against one slot-packed
-    # ciphertext.  A ratio inside this run, so it is not a JSON row.
     fx = FixedPointOps(MPCEngine(n_parties, seed=0))
     encoder = PaillierEncoder(tp.public_key)
     six = [encoder.encrypt(float(i) - 2.5) for i in range(6)]
@@ -348,9 +287,6 @@ def threshold_report(
     )
     pack_speedup = t_six_singly / t_six_packed
 
-    # Eq. 10 over a 24-element 0/1 mask vector, combine mode: a declared
-    # [α] packs eleven elements per decrypted ciphertext, an undeclared
-    # vector keeps one each.  Also a ratio inside this run, no JSON row.
     rows = 24
     partition = vertical_partition(
         np.arange(rows * n_parties, dtype=float).reshape(rows, n_parties),
@@ -358,9 +294,7 @@ def threshold_report(
         n_parties,
         task="classification",
     )
-    config = PivotConfig(
-        keysize=keysize, protocol="enhanced", decrypt_mode="combine", seed=0
-    )
+    config = PivotConfig(keysize=keysize, protocol="enhanced", seed=0)
     with PivotContext(partition, config) as ctx:
         trainer = TreeTrainer(ctx)
         alpha = ctx.encrypt_indicator(np.ones(rows, dtype=np.int64))
@@ -376,35 +310,6 @@ def threshold_report(
         )
     eq10_speedup = t_eq10_singly / t_eq10_packed
 
-    simulate_tput = vector / t_simulate
-    combine_tput = vector / t_combine
-    print_table(
-        f"Threshold decryption: simulate vs combine "
-        f"(keysize={keysize}, m={n_parties}, batch={vector})",
-        ["path", "ms / batch", "ciphertexts / s"],
-        [
-            ["simulate (dealer CRT)", t_simulate * 1e3, f"{simulate_tput:.0f}"],
-            [
-                f"one party's share vector x{vector}",
-                t_share * 1e3,
-                f"{vector / t_share:.0f}",
-            ],
-            [
-                f"share vector, {workers}-worker fan-out",
-                t_share_fanout * 1e3,
-                f"{vector / t_share_fanout:.0f}",
-            ],
-            [
-                f"combine ({n_parties} share vectors)",
-                t_combine * 1e3,
-                f"{combine_tput:.0f}",
-            ],
-        ],
-    )
-    print(
-        f"plaintext round-trip (both modes): {'OK' if correct else 'MISMATCH'}; "
-        f"fan-out shares match serial: {'OK' if fanout_correct else 'MISMATCH'}"
-    )
     print(
         f"six bounded statistics to shares: {t_six_singly * 1e3:.1f} ms singly, "
         f"{t_six_packed * 1e3:.1f} ms slot-packed ({pack_speedup:.1f}x)"
@@ -413,31 +318,7 @@ def threshold_report(
         f"Eq. 10 over {rows} mask elements: {t_eq10_singly * 1e3:.1f} ms singly, "
         f"{t_eq10_packed * 1e3:.1f} ms slot-packed ({eq10_speedup:.1f}x)"
     )
-    results = {
-        "keysize": keysize,
-        "n_parties": n_parties,
-        "batch": vector,
-        "workers": workers,
-        "simulate_ms_per_batch": t_simulate * 1e3,
-        "share_vector_ms_per_batch": t_share * 1e3,
-        "share_vector_fanout_ms_per_batch": t_share_fanout * 1e3,
-        "combine_ms_per_batch": t_combine * 1e3,
-        "simulate_ciphertexts_per_s": simulate_tput,
-        "combine_ciphertexts_per_s": combine_tput,
-        "combine_over_simulate": t_combine / t_simulate,
-    }
-    if json_path:
-        Path(json_path).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {json_path}")
     if smoke:
-        assert correct, "combine-mode plaintexts diverge from simulate"
-        assert fanout_correct, "fan-out share vector diverges from serial"
-        # Combine does m full-size pows per ciphertext where simulate does
-        # one CRT decryption; it must still land in the same decade.
-        assert results["combine_over_simulate"] < 50, (
-            f"combine path {results['combine_over_simulate']:.1f}x slower "
-            "than simulate — the share-combination hot loop regressed"
-        )
         assert pack_speedup >= 3.0, (
             f"converting six bounded ciphertexts slot-packed is only "
             f"{pack_speedup:.2f}x faster than singly; the floor is 3x"
@@ -446,11 +327,8 @@ def threshold_report(
             f"Eq. 10 over {rows} declared mask elements is only "
             f"{eq10_speedup:.2f}x faster than undeclared; the floor is 4x"
         )
-        print(
-            "SMOKE OK: combine == simulate plaintexts, overhead bounded, "
-            "packed conversion >= 3x, packed Eq. 10 >= 4x"
-        )
-    return results
+        print("SMOKE OK: packed conversion >= 3x, packed Eq. 10 >= 4x")
+    return {"pack": pack_speedup, "eq10": eq10_speedup}
 
 
 def main() -> None:
@@ -461,20 +339,11 @@ def main() -> None:
         help="fast CI check: assert the batch-engine speedup floors and "
         "op-count parity, skip the full calibration table",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the threshold simulate-vs-combine numbers to PATH "
-        "(e.g. BENCH_threshold.json)",
-    )
     args = parser.parse_args()
 
     if args.smoke:
         batch_report(keysize=512, vector=32, repeats=10, smoke=True)
-        threshold_report(
-            keysize=512, vector=16, repeats=3, smoke=True, json_path=args.json
-        )
+        packing_report(repeats=3, smoke=True)
         return
 
     rows = []
@@ -493,7 +362,7 @@ def main() -> None:
     print("\nShape check (paper §8.3): Cd and Cc dominate Ce and Cs — the "
           "protocols batch decryptions and avoid comparisons accordingly.")
     batch_report()
-    threshold_report(json_path=args.json)
+    packing_report()
 
 
 if __name__ == "__main__":

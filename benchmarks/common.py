@@ -60,8 +60,6 @@ def build_context(
     seed: int = 7,
     classes: int = DEFAULTS["classes"],
     gain_mode: str = "paper",
-    batch_crypto: bool = True,
-    crypto_workers: int = 0,
     transport=None,
 ) -> PivotContext:
     d = m * d_bar
@@ -81,8 +79,6 @@ def build_context(
         protocol=protocol,
         gain_mode=gain_mode,
         seed=seed,
-        batch_crypto=batch_crypto,
-        crypto_workers=crypto_workers,
     )
     return PivotContext(partition, config, transport=transport)
 

@@ -66,7 +66,7 @@ def main() -> None:
         #    was reconstructed from the 3 share vectors on the wire (the
         #    workers computed theirs with their own key shares).
         threshold = fed.context.threshold
-        print("decrypt mode:", fed.decrypt_mode)
+        print("dealer key scrubbed:", threshold.scrubbed)
         assert threshold._private_key is None
         assert [s is not None for s in threshold.shares] == [True, False, False]
         try:

@@ -33,8 +33,8 @@ def main() -> None:
 
     # 2. Federation setup: threshold-Paillier keys (every party receives a
     #    partial secret key), MPC engine, candidate splits.  Small key size
-    #    keeps the demo fast; see DESIGN.md.  The with-block releases the
-    #    crypto engine's workers on exit.
+    #    keeps the demo fast; see DESIGN.md.  The with-block closes the
+    #    message bus's transport on exit.
     config = PivotConfig(
         keysize=256,
         tree=TreeParams(max_depth=3, max_splits=4),

@@ -726,17 +726,16 @@ class DealerUseAfterScrub(Rule):
         "Inside DeployedFederation or RuntimeFederation (or a subclass), "
         "post-provisioning code reaches an operation that only works "
         "with dealer key material: dealer-key CRT decryption, reading "
-        "threshold .shares / ._private_key / .d_share, direct "
-        "threshold.joint_decrypt* (bypassing the service-routed combine "
-        "flow), or forcing decrypt_mode back to 'simulate'.  A "
-        "DeployedFederation scrubs the dealer key after provisioning; a "
-        "RuntimeFederation runs distributed keygen, so no dealer key "
-        "ever exists and the 'simulate' fallback is flat-out impossible."
+        "threshold .shares / ._private_key / .d_share, or direct "
+        "threshold.joint_decrypt* (bypassing the runtime-routed combine "
+        "flow).  A DeployedFederation scrubs the dealer key after "
+        "provisioning; a RuntimeFederation runs distributed keygen, so no "
+        "dealer key ever exists."
     )
     hint = (
         "only the share-combination flow can decrypt (post-scrub for "
         "DeployedFederation, always for RuntimeFederation): route through "
-        "context.joint_decrypt*/the decrypt services, and keep key-"
+        "context.joint_decrypt*/the party runtimes, and keep key-"
         "material access inside __init__/provisioning"
     )
 
@@ -819,40 +818,11 @@ class DealerUseAfterScrub(Rule):
                                     ctx,
                                     sub,
                                     f"direct `threshold.{attr}(...)` bypasses "
-                                    f"the service-routed combine flow and "
+                                    f"the runtime-routed combine flow and "
                                     f"needs locally-held shares (scrubbed)",
                                     qualname,
                                 )
                             )
-                    elif isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                        targets = (
-                            sub.targets
-                            if isinstance(sub, ast.Assign)
-                            else [sub.target]
-                        )
-                        value = sub.value
-                        for target in targets:
-                            if not isinstance(target, ast.Attribute):
-                                continue
-                            if (
-                                target.attr == "decrypt_mode"
-                                and isinstance(value, ast.Constant)
-                                and value.value == "simulate"
-                            ) or (
-                                target.attr == "fast_decrypt"
-                                and isinstance(value, ast.Constant)
-                                and value.value is True
-                            ):
-                                findings.append(
-                                    rule.finding(
-                                        ctx,
-                                        sub,
-                                        "re-enabling the dealer-key shortcut "
-                                        "after provisioning (the key no "
-                                        "longer exists)",
-                                        qualname,
-                                    )
-                                )
         return findings
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.threshold import DECRYPT_MODES, decrypt_mode_default
 from repro.federation.locality import strict_locality_default
 from repro.tree.cart import TreeParams
 
@@ -48,34 +47,13 @@ class PivotConfig:
     dp: DPConfig | None = None
     authenticated_mpc: bool = False  # SPDZ MACs + verified conversions (§9.1)
     seed: int | None = None
-    #: Batch crypto engine (repro.crypto.batch): False reproduces the seed's
-    #: fully serial behaviour (no obfuscator pool, no CRT fast decryption).
-    #: Op counts are identical either way; only wall time changes.
-    batch_crypto: bool = True
-    #: Worker processes for the batch engine's exponentiation fan-out
-    #: (0 = serial/deterministic, the test default).
-    crypto_workers: int = 0
-    #: Obfuscator pool refill chunk (0 disables mask precomputation).
-    crypto_pool_size: int = 256
-    #: How threshold decryptions recover plaintexts.  ``"combine"`` runs
-    #: the paper's real §2.1 data flow: every party's c^{d_i} share vector
-    #: travels on the bus and the plaintext is reconstructed only from the
-    #: m received vectors (the mode deployments are forced into once the
-    #: dealer key is scrubbed).  ``"simulate"`` shortcuts through the
-    #: dealer's retained CRT key — bit-identical results, byte counts and
-    #: Cd tallies, just faster single-process wall time.  Tri-state:
-    #: ``None`` (the default unless PIVOT_DECRYPT_MODE — the CI
-    #: threshold-realism leg — is set) resolves to ``"simulate"`` when
-    #: ``batch_crypto`` is on and ``"combine"`` otherwise.
-    decrypt_mode: str | None = field(default_factory=decrypt_mode_default)
     #: How the threshold-Paillier key material comes into existence.
     #: ``"dealer"`` is the legacy trusted setup: one process samples p, q
     #: and deals the d_i shares (then optionally scrubs itself).
     #: ``"distributed"`` runs the m-party keygen protocol
     #: (repro.crypto.distkeygen) as bus flows — every party samples her own
     #: p_i/q_i shares, the RSA modulus is biprimality-tested jointly, and
-    #: no process ever materializes lambda, mu, p or q.  Distributed keygen
-    #: has no dealer key, so ``decrypt_mode="simulate"`` is incompatible.
+    #: no process ever materializes lambda, mu, p or q.
     keygen: str = "dealer"
     #: Enforce the party boundary: every raw feature/label read must happen
     #: inside the owning party's scope (repro.federation.locality), so a
@@ -94,22 +72,8 @@ class PivotConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.keysize < 128:
             raise ValueError("keysize must be at least 128 bits")
-        if self.crypto_workers < 0:
-            raise ValueError("crypto_workers must be >= 0")
-        if self.crypto_pool_size < 0:
-            raise ValueError("crypto_pool_size must be >= 0")
-        if self.decrypt_mode not in (None, *DECRYPT_MODES):
-            raise ValueError(
-                f"decrypt_mode must be one of {DECRYPT_MODES} (or None), "
-                f"got {self.decrypt_mode!r}"
-            )
         if self.keygen not in ("dealer", "distributed"):
             raise ValueError(
                 f"keygen must be 'dealer' or 'distributed', got {self.keygen!r}"
-            )
-        if self.keygen == "distributed" and self.decrypt_mode == "simulate":
-            raise ValueError(
-                "keygen='distributed' produces no dealer key to simulate "
-                "with; use decrypt_mode='combine' (or None)"
             )
         self.tree.validate()

@@ -225,7 +225,6 @@ class PivotContext:
             self.threshold = ThresholdPaillier(
                 sample.public_key,
                 shares,
-                decrypt_mode=self.config.decrypt_mode or "combine",
                 theta=sample.theta,
                 distributed=True,
             )
@@ -236,14 +235,6 @@ class PivotContext:
         else:
             self.keygen_machines = None
             self.threshold = generate_threshold_keypair(m, self.config.keysize)
-            #: How plaintexts are recovered (see PivotConfig.decrypt_mode):
-            #: "combine" reconstructs from the m share vectors the
-            #: decryption flow moves; "simulate" shortcuts through the
-            #: dealer's retained CRT key.  An unset config resolves from
-            #: batch_crypto.
-            self.threshold.decrypt_mode = self.config.decrypt_mode or (
-                "simulate" if self.config.batch_crypto else "combine"
-            )
             self.encoder = PaillierEncoder(
                 self.threshold.public_key, frac_bits=self.config.frac_bits
             )
@@ -257,13 +248,11 @@ class PivotContext:
                 transport=make_transport(transport, m),
                 local_parties=self.local_parties,
             )
-        #: Batched, CRT-accelerated crypto engine shared by every hot path.
+        #: Batched crypto engine shared by every hot path.
         self.batch = BatchCryptoEngine(
             self.threshold.public_key,
             encoder=self.encoder,
             threshold=self.threshold,
-            workers=self.config.crypto_workers if self.config.batch_crypto else 0,
-            pool_size=self.config.crypto_pool_size if self.config.batch_crypto else 0,
         )
         self.conversions = ConversionCounters()
         #: Enforced party boundary: feature/label reads go through
@@ -312,32 +301,18 @@ class PivotContext:
             if i not in self.local_parties:
                 self.runtimes.append(None)
                 continue
-            endpoint = PartyEndpoint(self.bus, i)
             client = self.clients[i]
-            if i in remote_clients:
-                self.runtimes.append(
-                    PartyRuntime(
-                        endpoint,
-                        client=client,
-                        engine=self.batch,
-                        field_q=field_q,
-                        compute_shares=client.decryption_shares,
-                    )
+            remote = i in remote_clients
+            self.runtimes.append(
+                PartyRuntime(
+                    PartyEndpoint(self.bus, i),
+                    client=client,
+                    engine=self.batch,
+                    field_q=field_q,
+                    key_share=None if remote else self.threshold.shares[i],
+                    compute_shares=client.decryption_shares if remote else None,
                 )
-            else:
-                self.runtimes.append(
-                    PartyRuntime(
-                        endpoint,
-                        client=client,
-                        engine=self.batch,
-                        field_q=field_q,
-                        key_share=self.threshold.shares[i],
-                        parallel_map=self.batch._map,
-                    )
-                )
-        #: Legacy alias: the runtimes are the decrypt services (the decrypt
-        #: reaction is the PartyService half of the runtime).
-        self.decrypt_services = self.runtimes
+            )
         #: The labels, owned by the super client alone (§3.1).
         self.labels = LocalView(
             partition.labels,
@@ -397,34 +372,23 @@ class PivotContext:
         """One batched threshold decryption: canonical flow + plaintexts.
 
         ``payload`` is the batch as held by the caller (``EncryptedNumber``
-        or raw ``Ciphertext`` values — what travels on the wire).  In
-        ``decrypt_mode="combine"`` the per-party services answer the flow
-        with their real c^{d_i} share vectors and the plaintexts are
-        reconstructed *only* from the m received vectors — the dealer key
-        plays no part, so this path keeps working after a deployment
-        scrubs it.  In ``"simulate"`` the flow moves same-sized placeholder
-        vectors and the dealer-key CRT shortcut recovers the plaintexts
-        (bit-identical results, bytes, rounds and Cd counts).
+        or raw ``Ciphertext`` values — what travels on the wire).  The
+        per-party runtimes answer the flow with their c^{d_i} share vectors
+        and the plaintexts are reconstructed *only* from the m received
+        vectors.
         """
         if not payload:
             return []
-        if self.threshold.decrypt_mode == "combine":
-            vectors = record_threshold_decrypt(
-                self.bus, payload, tag=tag, services=self.decrypt_services
-            )
-            return combine_partial_vectors(
-                self.threshold.public_key,
-                vectors,
-                self.n_clients,
-                signed=signed,
-                theta=self.threshold.theta,
-            )
-        record_threshold_decrypt(self.bus, payload, tag=tag)
-        ciphertexts = [
-            p.ciphertext if isinstance(p, EncryptedNumber) else p
-            for p in payload
-        ]
-        return self.batch.threshold_decrypt_batch(ciphertexts, signed=signed)
+        vectors = record_threshold_decrypt(
+            self.bus, payload, tag=tag, runtimes=self.runtimes
+        )
+        return combine_partial_vectors(
+            self.threshold.public_key,
+            vectors,
+            self.n_clients,
+            signed=signed,
+            theta=self.threshold.theta,
+        )
 
     def joint_decrypt(self, value: EncryptedNumber, tag: str) -> float:
         """All-client decryption of a protocol output; logged as revealed.
@@ -497,8 +461,7 @@ class PivotContext:
         """
         return ciphers_to_shares(
             values, self.threshold, self.fx, self.conversions,
-            batch_engine=self.batch, bus=self.bus,
-            services=self.decrypt_services, runtimes=self.runtimes,
+            batch_engine=self.batch, bus=self.bus, runtimes=self.runtimes,
             bound_bits=bound_bits,
         )
 
@@ -525,14 +488,8 @@ class PivotContext:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the batch engine's workers and the bus's transport.
-
-        No-op for the serial in-memory defaults.  Contexts are also reaped
-        by a GC finalizer, but benchmarks that build many contexts with
-        ``crypto_workers > 0`` (or socket transports) should close (or use
-        ``with PivotContext(...) as ctx``) to bound live processes.
-        """
-        self.batch.close()
+        """Release the bus's transport (a no-op for the in-memory one;
+        socket transports own threads and ports)."""
         self.bus.close()
 
     def __enter__(self) -> "PivotContext":

@@ -1,4 +1,4 @@
-"""Batched, CRT-accelerated Paillier engine for the protocol hot paths.
+"""Batched Paillier engine for the protocol hot paths.
 
 The paper (§8) reports that Pivot's training/prediction time is dominated
 by homomorphic operations — encrypting the label/indicator vectors,
@@ -13,42 +13,26 @@ single place where the reproduction batches them:
   a fresh a of |n|/2 random bits, read off a fixed-base table in ~52
   modular multiplications (~0.2 ms at 512 bits, where r^n for a random r
   costs 2 ms; see :mod:`repro.crypto.paillier`).  :class:`ObfuscatorPool`
-  draws masks in bulk in the calling process.  They are not fanned out
-  over the worker pool: pickling a task and its 2|n|-bit result across a
-  process boundary costs about what the mask does, and each worker would
-  first have to build its own table from n (the table is never pickled).
-  Every mask is popped exactly once — reuse would link two ciphertexts.
+  draws masks in bulk, :data:`POOL_REFILL` at a time.  Every mask is
+  popped exactly once — reuse would link two ciphertexts.
 
-* **CRT decryption** — :class:`~repro.crypto.paillier.PaillierPrivateKey`
-  retains p and q and decrypts mod p^2 / q^2 with Garner recombination
-  (~3-4x over the textbook path); the threshold bundle's
-  ``joint_decrypt_batch`` routes batches through it (bit-identical to
-  combining partial decryptions, see :mod:`repro.crypto.threshold`).
-
-* **Vectorised APIs** — ``encrypt_vector``, ``decrypt_vector``,
+* **Vectorised APIs** — ``encrypt_vector``, ``encrypt_ciphertexts``,
   ``sum_ciphertexts``, ``batch_dot_products``, ``scale_vector`` and
-  ``mask_vector`` mirror the serial call sites one-to-one, keeping the
-  Ce/Cd op-count tallies (paper §6, Table 2) *identical* to the serial
-  loops they replace, so the cost-model benchmarks stay valid in either
-  mode.
+  ``mask_vector`` mirror the value-at-a-time operators one-to-one, with
+  *identical* Ce op-count tallies (paper §6, Table 2), so the cost-model
+  benchmarks read the same numbers from either.
 
-* **Optional multiprocessing fan-out** — ``workers > 1`` spreads the
-  modular exponentiations of a batch over a process pool (CPython big-int
-  pows release no GIL, so processes are the only way to real parallelism).
-  The default ``workers=0`` runs serially and deterministically, which is
-  what the tests use.
-
-Everything here is driven by :class:`~repro.core.config.PivotConfig`
-(``batch_crypto``, ``crypto_workers``, ``crypto_pool_size``) through
-:class:`~repro.core.context.PivotContext`.
+Everything runs in the calling process: pickling a full-size ``pow``'s
+operands to a worker and back costs about what the ``pow`` does.
+Decryption is not this module's job — a plaintext exists only once all m
+parties' c^{d_i} share vectors are combined
+(:mod:`repro.crypto.threshold`).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis import opcount
 from repro.crypto.encoding import (
@@ -56,39 +40,27 @@ from repro.crypto.encoding import (
     EncryptedNumber,
     PaillierEncoder,
 )
-from repro.crypto.paillier import Ciphertext, PaillierPrivateKey, PaillierPublicKey
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.crypto.threshold import (
-        PartialDecryption,
-        ThresholdKeyShare,
-        ThresholdPaillier,
-    )
+    from repro.crypto.threshold import ThresholdPaillier
 
 __all__ = ["ObfuscatorPool", "BatchCryptoEngine"]
 
-#: Below this batch size the process-pool dispatch overhead outweighs the
-#: parallel speedup; such batches always run serially.
-MIN_PARALLEL_BATCH = 8
-
-
-def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """weakref.finalize callback: must be module-level (no engine ref)."""
-    executor.shutdown(wait=False, cancel_futures=True)
+#: Masks generated per refill of a dry :class:`ObfuscatorPool`.
+POOL_REFILL = 256
 
 
 class ObfuscatorPool:
     """A FIFO pool of precomputed obfuscators (encryptions of zero).
 
-    ``take`` pops a mask (refilling in bulk when the pool runs dry), so no
-    mask is ever handed out twice.  ``size=0`` disables pooling: every
-    ``take`` computes a fresh mask, which is exactly the seed's serial
-    behaviour.
+    ``take`` pops a mask (refilling ``size`` at a time when the pool runs
+    dry), so no mask is ever handed out twice.
     """
 
-    def __init__(self, public_key: PaillierPublicKey, size: int = 256):
-        if size < 0:
-            raise ValueError(f"pool size must be >= 0, got {size}")
+    def __init__(self, public_key: PaillierPublicKey, size: int = POOL_REFILL):
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
         self.public_key = public_key
         self.size = size
         self._masks: deque[int] = deque()
@@ -110,9 +82,6 @@ class ObfuscatorPool:
     def take(self) -> int:
         """Pop one never-used mask, refilling the pool in bulk if dry."""
         if not self._masks:
-            if self.size == 0:
-                self.generated += 1
-                return self.public_key.random_obfuscator()
             self.precompute(self.size)
         return self._masks.popleft()
 
@@ -128,7 +97,7 @@ class BatchCryptoEngine:
     One engine per :class:`~repro.core.context.PivotContext`; standalone use
     (benchmarks, tests) only needs a public key::
 
-        engine = BatchCryptoEngine(public_key, workers=4)
+        engine = BatchCryptoEngine(public_key)
         cts = engine.encrypt_vector([1.5, -2.0, 3.25])
     """
 
@@ -136,51 +105,14 @@ class BatchCryptoEngine:
         self,
         public_key: PaillierPublicKey,
         frac_bits: int = 16,
-        workers: int = 0,
-        pool_size: int = 256,
+        pool_size: int = POOL_REFILL,
         encoder: PaillierEncoder | None = None,
         threshold: "ThresholdPaillier | None" = None,
     ):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.public_key = public_key
         self.encoder = encoder or PaillierEncoder(public_key, frac_bits=frac_bits)
-        self.workers = workers
         self.threshold = threshold
-        self._executor: ProcessPoolExecutor | None = None
-        self._finalizer: weakref.finalize | None = None
         self.pool = ObfuscatorPool(public_key, pool_size)
-
-    # -- parallel plumbing ------------------------------------------------
-
-    def _map(self, fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
-        """Map ``fn`` over ``items``, fanning out to worker processes when
-        configured and the batch is large enough to pay for dispatch."""
-        if self.workers <= 1 or len(items) < MIN_PARALLEL_BATCH:
-            return [fn(item) for item in items]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            # Reap the workers as soon as the engine is garbage collected,
-            # not at interpreter exit — benchmarks build many contexts.
-            self._finalizer = weakref.finalize(
-                self, _shutdown_executor, self._executor
-            )
-        chunksize = max(1, len(items) // (4 * self.workers))
-        return list(self._executor.map(fn, items, chunksize=chunksize))
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; abandoned engines are
-        also reaped by a GC finalizer)."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._executor = None
-
-    def __enter__(self) -> "BatchCryptoEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- encryption -------------------------------------------------------
 
@@ -223,68 +155,14 @@ class BatchCryptoEngine:
 
     # -- decryption -------------------------------------------------------
 
-    def decrypt_vector(
-        self, values: list[EncryptedNumber], private_key: PaillierPrivateKey
-    ) -> list[float]:
-        """Vectorised private-key decryption (CRT-accelerated, fanned out
-        across workers for large batches)."""
-        pk = self.public_key
-        if private_key.public_key != pk:
-            raise ValueError("private key for a different public key")
-        plains = self._map(private_key.raw_decrypt, [v.ciphertext.raw for v in values])
-        return [
-            pk.to_signed(m) * 2.0**v.exponent for m, v in zip(plains, values)
-        ]
-
-    def threshold_decrypt_batch(
-        self, ciphertexts: list[Ciphertext], signed: bool = True
-    ) -> list[int]:
-        """Batched threshold decryption with worker fan-out.
-
-        In ``decrypt_mode="simulate"`` this takes the same fast CRT path as
-        :meth:`~repro.crypto.threshold.ThresholdPaillier.joint_decrypt_batch`
-        (identical results and Cd accounting) but spreads the per-ciphertext
-        CRT exponentiations over the engine's worker pool — the O(n)·Cd
-        hot loop of the enhanced protocol.  In ``"combine"`` mode (or when
-        the dealer key is gone) it delegates to the bundle's real
-        share-combination path, fanning the per-share exponentiations out
-        over the same pool.
-        """
-        tp = self.threshold
-        if tp is None:
-            raise ValueError("engine was built without a threshold bundle")
-        private = tp._private_key if tp.decrypt_mode == "simulate" else None
-        if private is None:
-            return tp.joint_decrypt_batch(
-                ciphertexts, signed=signed, parallel_map=self._map
-            )
-        pk = tp.public_key
-        for ct in ciphertexts:
-            if ct.public_key != pk:
-                raise ValueError("ciphertext under a different public key")
-        opcount.GLOBAL.cd += len(ciphertexts)
-        plains = self._map(private.raw_decrypt, [ct.raw for ct in ciphertexts])
-        return [pk.to_signed(m) if signed else m for m in plains]
-
-    def partial_decrypt_batch(
-        self, key_share: "ThresholdKeyShare", ciphertexts: list[Ciphertext]
-    ) -> "list[PartialDecryption]":
-        """One party's decryption-share vector, exponentiations fanned out.
-
-        The serial hot loop of
-        :meth:`~repro.crypto.threshold.ThresholdKeyShare.partial_decrypt_batch`
-        is a full-size ``pow`` per ciphertext; routing it through the
-        engine's process pool parallelises the per-party half of a real
-        (``decrypt_mode="combine"``) threshold decryption.  Returns the
-        list of :class:`~repro.crypto.threshold.PartialDecryption` values.
-        """
-        return key_share.partial_decrypt_batch(ciphertexts, parallel_map=self._map)
-
     def joint_decrypt_vector(
         self, values: list[EncryptedNumber], signed: bool = True
     ) -> list[float]:
-        """Vectorised threshold decryption via the engine's batch path."""
-        raw = self.threshold_decrypt_batch(
+        """Vectorised threshold decryption: every share's c^{d_i} vector,
+        combined (the bundle must hold all m shares)."""
+        if self.threshold is None:
+            raise ValueError("engine was built without a threshold bundle")
+        raw = self.threshold.joint_decrypt_batch(
             [v.ciphertext for v in values], signed=signed
         )
         return [m * 2.0**v.exponent for m, v in zip(raw, values)]
@@ -328,9 +206,9 @@ class BatchCryptoEngine:
         """Many homomorphic dot products (Eq. 3/7/9) in one call.
 
         Each task is ``(coefficients, encrypted_vector)``; the vector must
-        share one exponent (as in :func:`encrypted_dot_product`).  Tasks
-        fan out across workers — dot products against 0/1 indicator
-        vectors are the single hottest operation in training.
+        share one exponent (as in :func:`encrypted_dot_product`).  Dot
+        products against 0/1 indicator vectors are the single hottest
+        operation in training.
         """
         pk = self.public_key
         prepared = []
@@ -353,13 +231,13 @@ class BatchCryptoEngine:
                     exponent,
                 )
             )
-        raws = self._map(
-            _dot_product_raw,
-            [(coeffs, cts, pk.n, pk.n_squared) for coeffs, cts, _ in prepared],
-        )
         return [
-            EncryptedNumber(self.encoder, Ciphertext(pk, raw), exponent)
-            for raw, (_, _, exponent) in zip(raws, prepared)
+            EncryptedNumber(
+                self.encoder,
+                Ciphertext(pk, _dot_product_raw(coeffs, cts, pk.n_squared)),
+                exponent,
+            )
+            for coeffs, cts, exponent in prepared
         ]
 
     def scale_vector(
@@ -368,7 +246,7 @@ class BatchCryptoEngine:
         scalars: list[int | float | EncodedNumber],
     ) -> list[EncryptedNumber]:
         """Element-wise homomorphic scalar multiplication (Eq. 2 over a
-        vector): one Ce per element, pows fanned out across workers."""
+        vector): one Ce per element."""
         if len(values) != len(scalars):
             raise ValueError(
                 f"length mismatch: {len(values)} ciphertexts vs "
@@ -382,14 +260,15 @@ class BatchCryptoEngine:
             else:
                 encoded.append(self.encoder.encode(s))
         opcount.GLOBAL.ce += len(values)
-        tasks = [
-            (v.ciphertext.raw, e.encoding % pk.n, pk.n, pk.n_squared)
-            for v, e in zip(values, encoded)
-        ]
-        raws = self._map(_scale_raw, tasks)
         return [
-            EncryptedNumber(self.encoder, Ciphertext(pk, raw), v.exponent + e.exponent)
-            for raw, v, e in zip(raws, values, encoded)
+            EncryptedNumber(
+                self.encoder,
+                Ciphertext(
+                    pk, _scale_raw(v.ciphertext.raw, e.encoding % pk.n, pk.n_squared)
+                ),
+                v.exponent + e.exponent,
+            )
+            for v, e in zip(values, encoded)
         ]
 
     def mask_vector(
@@ -416,13 +295,12 @@ class BatchCryptoEngine:
         return out
 
 
-def _dot_product_raw(args: tuple[list[int], list[int], int, int]) -> int:
-    """Raw-integer dot product kernel (pickle-friendly for workers).
+def _dot_product_raw(coefficients: list[int], raws: list[int], n_squared: int) -> int:
+    """Raw-integer dot product kernel.
 
     Mirrors :func:`repro.crypto.paillier.dot_product`: zero coefficients
     are skipped, unit coefficients use a single mulmod.
     """
-    coefficients, raws, n, n_squared = args
     acc = 1
     for x, raw in zip(coefficients, raws):
         if x == 0:
@@ -434,9 +312,8 @@ def _dot_product_raw(args: tuple[list[int], list[int], int, int]) -> int:
     return acc
 
 
-def _scale_raw(args: tuple[int, int, int, int]) -> int:
+def _scale_raw(raw: int, exponent: int, n_squared: int) -> int:
     """Raw scalar-multiplication kernel with the serial path's shortcuts."""
-    raw, exponent, n, n_squared = args
     if exponent == 0:
         return 1  # raw_encrypt(0) = (1 + n*0) mod n^2
     if exponent == 1:

@@ -37,10 +37,9 @@ the Damgård–Jurik θ trick for the shared decryption exponent):
    slipped past the biprimality rounds) restarts from step 1.
 
 No process ever materializes λ, µ, p or q: party i only ever knows
-(p_i, q_i, β_i, d_i) plus the public (N, θ).  ``decrypt_mode="combine"``
-is therefore the only possible mode, and
-:meth:`~repro.crypto.threshold.ThresholdPaillier.scrub_dealer` is a
-no-op for bundles built from this protocol.
+(p_i, q_i, β_i, d_i) plus the public (N, θ), so a bundle built from this
+protocol has no dealer key for
+:meth:`~repro.crypto.threshold.ThresholdPaillier.scrub_dealer` to drop.
 
 :class:`KeygenParty` is a *pure state machine*: feed it received
 messages, get back messages to send.  The network layer

@@ -15,12 +15,12 @@ by libhcs which the paper uses):
 
 Two key-generation paths produce the (d_i, theta) material:
 
-* **Dealer (legacy / simulate-mode)** — :func:`generate_threshold_keypair`
-  plays a trusted dealer: it chooses d with  d = 0 (mod lambda(n))  and
-  d = 1 (mod n)  (CRT) and splits d additively modulo n * lambda(n).
-  Here theta = 1 and the dealer retains the CRT private key, which the
-  ``"simulate"`` decrypt mode uses as a single-process shortcut.  The
-  dealer draws the factors from
+* **Dealer** — :func:`generate_threshold_keypair` plays a trusted dealer:
+  it chooses d with  d = 0 (mod lambda(n))  and  d = 1 (mod n)  (CRT) and
+  splits d additively modulo n * lambda(n).  Here theta = 1.  The bundle
+  keeps the dealer's CRT private key only as the tests' reference
+  decryption and as what :meth:`ThresholdPaillier.scrub_dealer` drops —
+  nothing in the package decrypts with it.  The dealer draws the factors from
   :func:`repro.crypto.primes.random_prime_pair`: distinct, equal length,
   p = q = 3 (mod 4) — the key condition of the obfuscator (see
   :mod:`repro.crypto.paillier`) — and retries until gcd(lambda, n) = 1;
@@ -43,31 +43,23 @@ Two key-generation paths produce the (d_i, theta) material:
   (a unit mod n, Damgard–Jurik style) replaces the dealer path's implicit theta = 1:
   c^{sum d_i} = c^{phi(n) * beta} = 1 + m_plain * theta * n (mod n^2)
   because c^{phi(n)} = 1 + m_plain' * n with the beta masking folded into
-  theta.  For these federations ``decrypt_mode="combine"`` is the only
-  real mode and :meth:`ThresholdPaillier.scrub_dealer` is a no-op legacy
-  hook — there is nothing to scrub.
+  theta.
 
-Decryption modes (:attr:`ThresholdPaillier.decrypt_mode`):
-
-* ``"combine"`` — the real protocol data flow: every share computes
-  c^{d_i} mod n² and the plaintext is reconstructed *only* from the m
-  share values (:func:`combine_partial_decryptions`).  The only mode a
-  distributed-keygen federation can run, and the mode a dealer-based
-  deployment runs after the dealer's withheld key has been scrubbed.
-* ``"simulate"`` — a single-process shortcut available only on the dealer
-  path: the dealer's retained CRT private key recovers each plaintext
-  with one accelerated decryption instead of m full-size
-  exponentiations.  Bit-identical results and Cd accounting (proof in
-  :meth:`ThresholdPaillier.joint_decrypt_batch`); only wall time differs.
+Either way there is one way to decrypt: every share computes
+c^{d_i} mod n² and the plaintext is reconstructed *only* from the m share
+values (:func:`combine_partial_decryptions` /
+:func:`combine_partial_vectors`).  An honest product is 1 (mod n); a
+product that is not — a corrupted share, or shares computed on different
+ciphertexts — raises :class:`ShareCombinationError` instead of yielding
+an integer that looks like a plaintext.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import secrets
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from repro.analysis import opcount
 from repro.crypto import primes
@@ -80,44 +72,17 @@ from repro.crypto.paillier import (
 
 __all__ = [
     "PartialDecryption",
+    "ShareCombinationError",
     "ThresholdKeyShare",
     "ThresholdPaillier",
     "combine_partial_decryptions",
     "combine_partial_vectors",
-    "decrypt_mode_default",
     "generate_threshold_keypair",
 ]
 
-DECRYPT_MODES = ("simulate", "combine")
-
-
-def decrypt_mode_default() -> str | None:
-    """Default for ``PivotConfig.decrypt_mode`` (env-overridable).
-
-    ``PIVOT_DECRYPT_MODE=combine`` forces real share combination for every
-    context built while it is set (the CI ``threshold-realism`` leg runs
-    the deployment tests that way); ``simulate`` forces the CRT shortcut.
-    Unset returns ``None``, which the context resolves from
-    ``batch_crypto`` (True -> simulate, False -> combine).
-    """
-    mode = os.environ.get("PIVOT_DECRYPT_MODE", "").strip().lower()
-    if mode in DECRYPT_MODES:
-        return mode
-    if mode:
-        raise ValueError(
-            f"PIVOT_DECRYPT_MODE must be one of {DECRYPT_MODES}, got {mode!r}"
-        )
-    return None
-
-
-def _serial_map(fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
-    return [fn(item) for item in items]
-
-
-def _pow_share(args: tuple[int, int, int]) -> int:
-    """pow(c, d_i, n²) — top-level so a process pool can pickle it."""
-    raw, d_share, n_squared = args
-    return pow(raw, d_share, n_squared)
+class ShareCombinationError(ValueError):
+    """The product of the decryption shares is not 1 (mod n): some share is
+    corrupt, or the shares were computed on different ciphertexts."""
 
 
 @dataclass(frozen=True)
@@ -145,29 +110,20 @@ class ThresholdKeyShare:
         )
 
     def partial_decrypt_batch(
-        self,
-        ciphertexts: list[Ciphertext],
-        parallel_map: Callable[..., list[Any]] | None = None,
+        self, ciphertexts: list[Ciphertext]
     ) -> list[PartialDecryption]:
         """Partial decryption of a whole batch (one message in a deployment:
-        the paper's protocols always decrypt vectors of statistics).
-
-        ``parallel_map`` fans the full-size exponentiations — the per-party
-        hot loop of ``decrypt_mode="combine"`` — out over a worker pool
-        (pass :meth:`repro.crypto.batch.BatchCryptoEngine._map`, or use
-        :meth:`~repro.crypto.batch.BatchCryptoEngine.partial_decrypt_batch`
-        which wires it up); the default is the serial list comprehension.
-        """
+        the paper's protocols always decrypt vectors of statistics)."""
         pk = self.public_key
         for ct in ciphertexts:
             if ct.public_key != pk:
                 raise ValueError("ciphertext under a different public key")
-        pmap = parallel_map or _serial_map
-        values = pmap(
-            _pow_share,
-            [(ct.raw, self.d_share, pk.n_squared) for ct in ciphertexts],
-        )
-        return [PartialDecryption(self.party_index, v) for v in values]
+        return [
+            PartialDecryption(
+                self.party_index, pow(ct.raw, self.d_share, pk.n_squared)
+            )
+            for ct in ciphertexts
+        ]
 
 
 def _require_all_parties(indices: list[int], n_parties: int) -> None:
@@ -190,7 +146,13 @@ def _combine_shares(
     acc = 1
     for value in values:
         acc = (acc * value) % public_key.n_squared
-    plaintext = ((acc - 1) // public_key.n) * theta_inverse % public_key.n
+    quotient, remainder = divmod(acc - 1, public_key.n)
+    if remainder:
+        raise ShareCombinationError(
+            "decryption shares do not combine to 1 (mod n): a share is "
+            "corrupt or was computed on a different ciphertext"
+        )
+    plaintext = quotient * theta_inverse % public_key.n
     return public_key.to_signed(plaintext) if signed else plaintext
 
 
@@ -208,7 +170,8 @@ def combine_partial_decryptions(
     exponent is phi(n)*beta rather than the CRT-normalized d).
 
     Raises if any share is missing or duplicated — the full threshold
-    structure admits no decryption by fewer than m clients.
+    structure admits no decryption by fewer than m clients — and
+    :class:`ShareCombinationError` if the shares' product is not 1 (mod n).
     """
     _require_all_parties([p.party_index for p in partials], n_parties)
     opcount.GLOBAL.cd += 1
@@ -229,10 +192,11 @@ def combine_partial_vectors(
     payloads a threshold-decryption flow moved (duck-typed: anything with
     ``party_index`` and ``values``), one per party, all of one batch length.
     Returns the plaintext batch; one Cd per element, identical to the
-    per-ciphertext accounting of :func:`combine_partial_decryptions` and of
-    the simulate path.  A missing or duplicated party vector — or ragged
-    batch lengths — raises.  The party indices are validated and ``theta``
-    inverted once for the batch, not per element.
+    per-ciphertext accounting of :func:`combine_partial_decryptions`.  A
+    missing or duplicated party vector — or ragged batch lengths — raises,
+    as does an element whose shares' product is not 1 (mod n)
+    (:class:`ShareCombinationError`).  The party indices are validated and
+    ``theta`` inverted once for the batch, not per element.
     """
     if len(vectors) != n_parties:
         raise ValueError(
@@ -273,90 +237,46 @@ class ThresholdPaillier:
         public_key: PaillierPublicKey,
         shares: list[ThresholdKeyShare | None],
         private_key: PaillierPrivateKey | None = None,
-        decrypt_mode: str = "simulate",
         theta: int = 1,
         distributed: bool = False,
     ):
         self.public_key = public_key
         self.shares = shares
         self.n_parties = len(shares)
-        # Retained for tests/debugging and for the simulate mode's CRT
-        # shortcut; scrubbed by deployments, and never part of the real
-        # protocols' message flow.  Always None on the distributed-keygen
-        # path: no such key ever exists anywhere.
+        # The dealer's key: the tests' reference decryption, dropped by
+        # scrub_dealer, never decrypted with by the package.  Always None on the
+        # distributed-keygen path: no such key ever exists anywhere.
         self._private_key = private_key
         #: Public combination element (1 for the dealer path; sum(d_i) mod
         #: n for distributed keygen).
         self.theta = theta
         #: True when the shares came from the dealer-free protocol — the
-        #: bundle then never held anything to scrub and cannot simulate.
+        #: bundle then never held anything to scrub.
         self.distributed = distributed
         if distributed and private_key is not None:
             raise ValueError("a distributed-keygen bundle has no private key")
-        self.decrypt_mode = decrypt_mode
-
-    @property
-    def decrypt_mode(self) -> str:
-        """``"simulate"`` (dealer-key CRT shortcut) or ``"combine"``
-        (plaintexts reconstructed only from the m decryption shares)."""
-        return self._decrypt_mode
-
-    @decrypt_mode.setter
-    def decrypt_mode(self, mode: str) -> None:
-        if mode not in DECRYPT_MODES:
-            raise ValueError(
-                f"decrypt_mode must be one of {DECRYPT_MODES}, got {mode!r}"
-            )
-        if mode == "simulate" and self.distributed:
-            raise ValueError(
-                "decrypt_mode='simulate' needs the dealer's private key; a "
-                "distributed-keygen federation has no such key anywhere — "
-                "'combine' is the only real mode"
-            )
-        self._decrypt_mode = mode
-
-    @property
-    def fast_decrypt(self) -> bool:
-        """Legacy boolean view of :attr:`decrypt_mode` (True = simulate)."""
-        return self._decrypt_mode == "simulate"
-
-    @fast_decrypt.setter
-    def fast_decrypt(self, enabled: bool) -> None:
-        self.decrypt_mode = "simulate" if enabled else "combine"
 
     def scrub_dealer(self, keep_shares: set[int] | frozenset[int] = frozenset()) -> None:
         """Drop the dealer's withheld key material after provisioning.
 
         ``keep_shares`` names the parties whose shares legitimately live in
         this process (the super client in a deployment); every other
-        party's ``d_share`` is dropped along with the private key, and
-        :attr:`decrypt_mode` is forced to ``"combine"`` — the only mode
-        that still works.  After the scrub this process provably cannot
-        decrypt alone: any decryption needs the m−1 remote share vectors.
+        party's ``d_share`` is dropped along with the private key.  After
+        the scrub this process provably cannot decrypt alone: any
+        decryption needs the m−1 remote share vectors.
 
-        On the distributed-keygen path this is a **legacy hook**: the
-        bundle never held a dealer key (there is none anywhere) and
-        ``decrypt_mode`` is already ``"combine"``.  Dropping the non-kept
-        shares still applies when one process hosted several parties'
-        keygen machines (the deployed topology runs all m state machines
-        orchestrator-side for transcript determinism, then provisions each
-        worker her share) — after the scrub those ``d_share`` values live
-        only with their owners.
+        A distributed-keygen bundle never held a dealer key; dropping the
+        non-kept shares still applies when one process hosted several
+        parties' keygen machines (the deployed topology runs all m state
+        machines orchestrator-side for transcript determinism, then
+        provisions each worker her share) — after the scrub those
+        ``d_share`` values live only with their owners.
         """
-        if self.distributed:
-            self.shares = [
-                share
-                if share is not None and share.party_index in keep_shares
-                else None
-                for share in self.shares
-            ]
-            return
         self._private_key = None
         self.shares = [
             share if share is not None and share.party_index in keep_shares else None
             for share in self.shares
         ]
-        self.decrypt_mode = "combine"
 
     @property
     def scrubbed(self) -> bool:
@@ -385,56 +305,32 @@ class ThresholdPaillier:
             theta=self.theta,
         )
 
+    def share_vectors(self, ciphertexts: list[Ciphertext]) -> list[_ShareValues]:
+        """Every party's c^{d_i} vector for the batch, computed in this
+        process (the bundle must hold all m shares)."""
+        return [
+            _ShareValues(
+                share.party_index,
+                tuple(p.value for p in share.partial_decrypt_batch(ciphertexts)),
+            )
+            for share in self._require_shares()
+        ]
+
     def joint_decrypt_batch(
-        self,
-        ciphertexts: list[Ciphertext],
-        signed: bool = True,
-        parallel_map: Callable[..., list[Any]] | None = None,
+        self, ciphertexts: list[Ciphertext], signed: bool = True
     ) -> list[int]:
-        """Threshold-decrypt a batch of ciphertexts (the hot path).
-
-        In ``"simulate"`` mode (dealer's private key retained), each
-        plaintext is recovered with one CRT-accelerated private-key
-        decryption instead of m full-size partial exponentiations.  The
-        results are identical: with d = 1 (mod n) and d = 0 (mod lambda),
-        c^d = (1+n)^m r^{nd} = 1 + m*n (mod n^2) for c = (1+n)^m r^n, so
-        combining the partials yields exactly the plaintext m that
-        L(c^lambda)*mu recovers.  One Cd is counted per ciphertext either
-        way, matching Table 2's accounting.
-
-        In ``"combine"`` mode each share computes her full partial vector
-        (optionally fanned out over ``parallel_map``) and the plaintexts
-        come from :func:`combine_partial_vectors` alone.
-        """
+        """Threshold-decrypt a batch: the plaintexts come from
+        :func:`combine_partial_vectors` over :meth:`share_vectors` alone
+        (one Cd per ciphertext, Table 2's accounting)."""
         if not ciphertexts:
             return []
-        private = self._private_key if self._decrypt_mode == "simulate" else None
-        if private is None:
-            vectors = [
-                _ShareValues(
-                    share.party_index,
-                    tuple(
-                        p.value
-                        for p in share.partial_decrypt_batch(
-                            ciphertexts, parallel_map
-                        )
-                    ),
-                )
-                for share in self._require_shares()
-            ]
-            return combine_partial_vectors(
-                self.public_key, vectors, self.n_parties, signed=signed,
-                theta=self.theta,
-            )
-        pk = self.public_key
-        results = []
-        for ct in ciphertexts:
-            if ct.public_key != pk:
-                raise ValueError("ciphertext under a different public key")
-            opcount.GLOBAL.cd += 1
-            plaintext = private.raw_decrypt(ct.raw)
-            results.append(pk.to_signed(plaintext) if signed else plaintext)
-        return results
+        return combine_partial_vectors(
+            self.public_key,
+            self.share_vectors(ciphertexts),
+            self.n_parties,
+            signed=signed,
+            theta=self.theta,
+        )
 
 
 @dataclass(frozen=True)

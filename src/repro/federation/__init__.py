@@ -64,7 +64,6 @@ __all__ = [
     "LocalView",
     "Party",
     "PartyEndpoint",
-    "PartyService",
     "PivotClassifier",
     "PivotForestClassifier",
     "PivotGBDTClassifier",
@@ -78,7 +77,6 @@ __all__ = [
 _LAZY = {
     "Party": "repro.federation.party",
     "PartyEndpoint": "repro.federation.party",
-    "PartyService": "repro.federation.party",
     "Federation": "repro.federation.federation",
     "DeployedFederation": "repro.federation.deployment",
     "PivotClassifier": "repro.federation.estimators",

@@ -23,17 +23,16 @@ What runs where:
   gradient folds (§7.3), and **her half of every threshold decryption**:
   the c^{d_i} exponentiations with her provisioned key share run here, on
   the real protocol path (her
-  :class:`~repro.federation.party.PartyService` answers each decrypt
+  :class:`~repro.federation.party.PartyRuntime` answers each decrypt
   request through the worker's ``partial_decrypt`` op).
 * **Orchestrator** (the super client's process): assembles the
   federation, runs key generation as the trusted dealer (§3.4; the
   simulation's centralized stand-in for distributed keygen), provisions
   each share to its owner and then **scrubs the dealer key material**
   (:meth:`~repro.crypto.threshold.ThresholdPaillier.scrub_dealer`): the
-  withheld private key and the remote ``d_share`` values are dropped, the
-  context's ``decrypt_mode`` is forced to ``"combine"``, and every
-  plaintext is reconstructed only from the m share vectors the decrypt
-  flow moves.  It still moves messages on the shared
+  withheld private key and the remote ``d_share`` values are dropped, so
+  every plaintext can only be reconstructed from the m share vectors the
+  decrypt flow moves.  It still moves messages on the shared
   :class:`~repro.network.bus.MessageBus` and drives each remote party
   through her command channel, but it cannot decrypt alone — kill one
   worker and decryption fails (``RemoteOpError``) instead of falling back
@@ -320,7 +319,7 @@ class RemotePivotClient:
     def decryption_shares(self, ciphertexts: list) -> list[int]:
         """This party's half of a threshold decryption, computed in her
         worker with the key share only that process holds.  Wired into the
-        context's :class:`~repro.federation.party.PartyService` so the
+        context's :class:`~repro.federation.party.PartyRuntime` so the
         decrypt flow's share vectors are real remote computations."""
         return self.worker.request("partial_decrypt", ciphertexts=ciphertexts)
 
@@ -469,11 +468,10 @@ class DeployedFederation(Federation):
             # The workers own their shares now: scrub the dealer.  The
             # withheld private key and the remote parties' d_share values
             # are dropped from this process (only the super client's own
-            # share stays — she *is* this process), and decrypt_mode is
-            # forced to "combine": every plaintext from here on is
-            # reconstructed from the m share vectors the decrypt flow
-            # moves, m−1 of which only the workers can produce.  The
-            # orchestrator provably cannot decrypt alone.
+            # share stays — she *is* this process): every plaintext from
+            # here on is reconstructed from the m share vectors the
+            # decrypt flow moves, m−1 of which only the workers can
+            # produce.  The orchestrator provably cannot decrypt alone.
             self.context.threshold.scrub_dealer(
                 keep_shares={partition.super_client}
             )

@@ -238,15 +238,6 @@ class Federation:
     def strict_locality(self) -> bool:
         return self.context.strict_locality
 
-    @property
-    def decrypt_mode(self) -> str:
-        """How threshold decryptions recover plaintexts: ``"combine"``
-        reconstructs from the m per-party share vectors the decrypt flow
-        moves (forced once a deployment scrubs the dealer key);
-        ``"simulate"`` shortcuts through the dealer's retained CRT key
-        with bit-identical results, bytes, rounds, and Cd counts."""
-        return self.context.threshold.decrypt_mode
-
     def slices(self, X: np.ndarray) -> list[np.ndarray]:
         """Split caller-held global rows into per-party column blocks.
 

@@ -8,11 +8,12 @@ party is constructed with raw local data and *bound* by the
 :class:`~repro.federation.federation.Federation` during assembly, which
 assigns the index, the global column ids, the key share, and the endpoint.
 
-:class:`PartyService` is the party's *reactive* protocol half: a loop over
-her endpoint that answers threshold-decryption share requests (paper §2.1
-— every one of the m clients must exponentiate with her own ``d_i`` for
-any plaintext to exist).  The per-party process deployment points the
-service's compute hook at the owning worker process, so the share
+:class:`PartyRuntime` is the party's *reactive* protocol half: a loop over
+her endpoint that answers every request flow she takes part in — among
+them threshold-decryption share requests (paper §2.1: every one of the m
+clients must exponentiate with her own ``d_i`` for any plaintext to
+exist).  The per-party process deployment points the runtime's
+``compute_shares`` hook at the owning worker process, so the share
 exponentiations run under the key owner's authority, not the
 orchestrator's.
 """
@@ -36,7 +37,6 @@ __all__ = [
     "Party",
     "PartyEndpoint",
     "PartyRuntime",
-    "PartyService",
 ]
 
 #: Tags whose ciphertext-batch broadcasts are threshold-decryption requests:
@@ -63,7 +63,7 @@ class PartyEndpoint:
         """Serialize and route ``payload`` to ``receiver``; returns bytes."""
         # pivotlint: disable=PL005 -- single-party transport primitive: the
         # round barrier belongs to the protocol flow driving all m parties
-        # (flows.py / the reactive services), not to one party's send.
+        # (flows.py / the reactive runtimes), not to one party's send.
         return self.bus.send_payload(self.index, receiver, payload, tag=tag)
 
     def broadcast(self, payload: Any, tag: str = "") -> int:
@@ -86,104 +86,27 @@ class PartyEndpoint:
         return self.bus.pending(self.index)
 
 
-class PartyService:
-    """One party's reactive protocol loop: answer decrypt-share requests.
+class PartyRuntime:
+    """A party's full reactive event loop: every protocol flow she takes
+    part in is a reaction to a message on her own endpoint.
 
-    Driven through :meth:`PartyEndpoint.receive`: when a threshold
-    decryption is in flight, :meth:`answer_decrypt` pops the ciphertext
-    batch broadcast to this party, computes her decryption-share vector
-    c^{d_i} mod n², and broadcasts the vector back so every client can
-    combine.  Two ways to compute the shares:
+    The super client *requests* — candidate-split statistics, split
+    application, MPC mask contributions, logistic batch sums and weight
+    updates, threshold-decryption shares — and each party *reacts* with
+    her own local computation over her own columns and key material.  The
+    orchestrator is not the protocol's scheduler; it is one party (the
+    super client) driving her side of request/response flows that the
+    other parties answer on their own event loops, and a plaintext only
+    exists once every party has answered a decryption with her real
+    c^{d_i} share vector.  Two ways to compute those shares:
 
     * ``key_share`` — the party's own :class:`ThresholdKeyShare`, for
       parties whose key material lives in this process (the super client,
-      and every party of an in-memory federation).  ``parallel_map``
-      optionally fans the full-size exponentiations out over a worker
-      pool (:meth:`repro.crypto.batch.BatchCryptoEngine._map`).
+      and every party of an in-memory federation).
     * ``compute_shares`` — a hook running the exponentiations elsewhere;
       :class:`~repro.federation.deployment.DeployedFederation` points it
       at the owning worker's ``partial_decrypt`` op, so a remote party's
       ``d_i`` is used only inside her own process.
-
-    The orchestrator therefore stops being the sole executor of the
-    protocol schedule: it can move messages, but plaintexts only exist
-    once every party's service has answered with her real share vector.
-    """
-
-    def __init__(
-        self,
-        endpoint: PartyEndpoint,
-        key_share: Any = None,
-        compute_shares: Callable[[list[int]], Any] | None = None,
-        parallel_map: Callable[..., Any] | None = None,
-    ) -> None:
-        if key_share is None and compute_shares is None:
-            raise ValueError(
-                "a PartyService needs a key share or a compute_shares hook"
-            )
-        self.endpoint = endpoint
-        self.index = endpoint.index
-        self._key_share = key_share
-        self._compute_shares = compute_shares
-        self._parallel_map = parallel_map
-
-    def decryption_shares(self, batch: list) -> PartialDecryptionVector:
-        """This party's share vector for a ciphertext batch (real values)."""
-        ciphertexts = [
-            c.ciphertext if isinstance(c, EncryptedNumber) else c for c in batch
-        ]
-        if self._compute_shares is not None:
-            values = tuple(int(v) for v in self._compute_shares(ciphertexts))
-            if len(values) != len(ciphertexts):
-                raise ValueError(
-                    f"party {self.index}'s compute hook returned "
-                    f"{len(values)} shares for {len(ciphertexts)} ciphertexts"
-                )
-        else:
-            values = tuple(
-                p.value
-                for p in self._key_share.partial_decrypt_batch(
-                    ciphertexts, parallel_map=self._parallel_map
-                )
-            )
-        return PartialDecryptionVector(self.index, values)
-
-    def answer_decrypt(self, tag: str, count: int) -> PartialDecryptionVector:
-        """React to one decrypt request: receive the batch, share, broadcast."""
-        batch = self.endpoint.receive(tag=tag)
-        if len(batch) != count:
-            raise ValueError(
-                f"party {self.index} received {len(batch)} ciphertexts, "
-                f"expected {count}"
-            )
-        vector = self.decryption_shares(batch)
-        # pivotlint: disable=PL005 -- reactive reply: the requesting
-        # flow (record_threshold_decrypt) owns the round barrier.
-        self.endpoint.broadcast(vector, tag=tag)
-        return vector
-
-    def publish_shares(self, batch: list, tag: str) -> PartialDecryptionVector:
-        """The request holder's half: she already has the batch in hand —
-        compute her own share vector and broadcast it like everyone else."""
-        vector = self.decryption_shares(batch)
-        # pivotlint: disable=PL005 -- reactive reply: the requesting
-        # flow (record_threshold_decrypt) owns the round barrier.
-        self.endpoint.broadcast(vector, tag=tag)
-        return vector
-
-
-class PartyRuntime(PartyService):
-    """A party's full reactive event loop: every protocol flow she takes
-    part in is a reaction to a message on her own endpoint.
-
-    Generalises :class:`PartyService` (decrypt shares only) to the whole
-    training protocol: the super client *requests* — candidate-split
-    statistics, split application, MPC mask contributions, logistic batch
-    sums and weight updates — and each party *reacts* with her own local
-    computation over her own columns and key material.  The orchestrator
-    stops being the protocol's scheduler; it is one party (the super
-    client) driving her side of request/response flows that the other
-    parties answer on their own event loops.
 
     The same object serves three deployment shapes:
 
@@ -214,14 +137,15 @@ class PartyRuntime(PartyService):
         field_q: int | None = None,
         key_share: Any = None,
         compute_shares: Callable[[list[int]], Any] | None = None,
-        parallel_map: Callable[..., Any] | None = None,
     ) -> None:
-        super().__init__(
-            endpoint,
-            key_share=key_share,
-            compute_shares=compute_shares,
-            parallel_map=parallel_map,
-        )
+        if key_share is None and compute_shares is None:
+            raise ValueError(
+                "a PartyRuntime needs a key share or a compute_shares hook"
+            )
+        self.endpoint = endpoint
+        self.index = endpoint.index
+        self._key_share = key_share
+        self._compute_shares = compute_shares
         #: The party's PivotClient (her columns + candidate splits); the
         #: deployed topology passes the RemotePivotClient proxy so feature
         #: reads keep executing inside the owning worker process.
@@ -232,6 +156,26 @@ class PartyRuntime(PartyService):
         self.field_q = field_q
         #: node key -> [alpha, gammas-or-None] (decoded ciphertext vectors).
         self.nodes: dict[int, list] = {}
+
+    # -- threshold-decryption shares ---------------------------------------
+
+    def decryption_shares(self, batch: list) -> PartialDecryptionVector:
+        """This party's share vector for a ciphertext batch (real values)."""
+        ciphertexts = [
+            c.ciphertext if isinstance(c, EncryptedNumber) else c for c in batch
+        ]
+        if self._compute_shares is not None:
+            values = tuple(int(v) for v in self._compute_shares(ciphertexts))
+            if len(values) != len(ciphertexts):
+                raise ValueError(
+                    f"party {self.index}'s compute hook returned "
+                    f"{len(values)} shares for {len(ciphertexts)} ciphertexts"
+                )
+        else:
+            values = tuple(
+                p.value for p in self._key_share.partial_decrypt_batch(ciphertexts)
+            )
+        return PartialDecryptionVector(self.index, values)
 
     # -- event loop --------------------------------------------------------
 
@@ -247,7 +191,7 @@ class PartyRuntime(PartyService):
         * a :class:`~repro.network.wire.Request` → the matching ``_op_*``
           handler (unknown ops raise — a protocol error, not data);
         * a ciphertext batch under a decryption tag → broadcast this
-          party's c^{d_i} share vector (the :class:`PartyService` react);
+          party's c^{d_i} share vector;
         * anything else → consumed without a reply ("sink"): other
           parties' reply broadcasts, partial-share vectors this party does
           not combine, prediction traffic.

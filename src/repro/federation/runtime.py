@@ -199,9 +199,6 @@ class RuntimeConfig:
             kappa=self.kappa,
             seed=self.seed,
             keygen="distributed",
-            # No dealer key exists to simulate with, whatever the
-            # PIVOT_DECRYPT_MODE env leg says: always really combine.
-            decrypt_mode="combine",
             protocol=self.protocol,
             tree=TreeParams(max_depth=self.max_depth, max_splits=self.max_splits),
         )
@@ -595,7 +592,6 @@ class StandalonePartyRuntime:
 
     def close(self) -> None:
         self.running = False
-        self.engine.close()
         self.bus.close()
 
 
@@ -786,6 +782,10 @@ class RuntimeFederation(Federation):
         self._party_ops: dict[int, tuple[int, list[int]]] = {}
         self._party_bus: dict[int, dict] = {}
         self._closed = False
+        #: Parties whose last control reply acknowledged ctl-shutdown: they
+        #: have exited, so asking again could only wait out the transport
+        #: timeout.  Any later reply (a restarted party) clears the mark.
+        self._shut_down: set[int] = set()
         for i in self._remote:
             self._pull_state(i)
 
@@ -807,6 +807,10 @@ class RuntimeFederation(Federation):
                 f"{tag!r} from party {sender} — protocol traffic is "
                 "leaking past its round barriers"
             )
+        if op == "ctl-shutdown":
+            self._shut_down.add(party)
+        else:
+            self._shut_down.discard(party)
         return list(payload.body)
 
     def _pull_state(self, party: int) -> dict:
@@ -927,8 +931,10 @@ class RuntimeFederation(Federation):
         return report
 
     def shutdown_parties(self) -> None:
-        """Best-effort ctl-shutdown to every standalone party."""
+        """Best-effort ctl-shutdown to every standalone party still up."""
         for i in self._remote:
+            if i in self._shut_down:
+                continue
             try:
                 self._control(i, "ctl-shutdown")
             except Exception:

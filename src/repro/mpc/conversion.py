@@ -131,13 +131,11 @@ def cipher_to_share(
     fixed: FixedPointOps,
     counters: ConversionCounters | None = None,
     bus: MessageBus | None = None,
-    services: list | None = None,
     runtimes: list | None = None,
 ) -> SharedValue:
     """Algorithm 2: convert one ciphertext into a secretly shared value."""
     return ciphers_to_shares(
-        [value], threshold, fixed, counters, bus=bus, services=services,
-        runtimes=runtimes,
+        [value], threshold, fixed, counters, bus=bus, runtimes=runtimes
     )[0]
 
 
@@ -174,7 +172,6 @@ def ciphers_to_shares(
     counters: ConversionCounters | None = None,
     batch_engine=None,
     bus: MessageBus | None = None,
-    services: list | None = None,
     runtimes: list | None = None,
     bound_bits: int | None = None,
 ) -> list[SharedValue]:
@@ -195,9 +192,9 @@ def ciphers_to_shares(
     per-value masked plaintexts e_j of the value-at-a-time loop, and the
     shares built from them are the same.
 
-    With ``runtimes`` (the per-party
-    :class:`~repro.federation.party.PartyRuntime` list) the mask phase is
-    *reactive*: client 1 broadcasts a ``convert-masks`` request (op
+    With a ``bus`` and ``runtimes`` (the per-party
+    :class:`~repro.federation.party.PartyRuntime` list) both phases are
+    *reactive*.  Client 1 broadcasts a ``convert-masks`` request (op
     ``convert-masks-packed`` for declared bounds) with the per-value mask
     widths, and every other party samples her own masks, packs and
     encrypts them with *her* engine, and replies with the mask
@@ -206,20 +203,20 @@ def ciphers_to_shares(
     is local, in her own standalone process otherwise.  (The share
     vectors travel to the engine host because the MPC layer itself is
     centrally simulated — the same boundary as
-    :meth:`MPCEngine.input_many` everywhere else.)  Without runtimes the
-    legacy central path samples all m parties' masks here, with the same
-    op counts and bus rounds.
+    :meth:`MPCEngine.input_many` everywhere else.)  The masked batch then
+    goes through the threshold-decryption flow, each party's c^{d_i}
+    exponentiations running under her own authority.
 
-    With ``services`` (the per-party
-    :class:`~repro.federation.party.PartyService` list) and
-    ``decrypt_mode="combine"``, the masked plaintexts are reconstructed
-    from the m real share vectors the flow moved — each party's c^{d_i}
-    exponentiations run under her own authority, and the conversion works
-    even after a deployment scrubbed the dealer key (or no dealer ever
-    existed, with distributed keygen).
+    Without a bus (the local form unit tests use as their reference) all
+    m parties' masks are sampled here and the share vectors come straight
+    from the bundle's key shares; the op counts are the same.  Either way
+    the masked plaintexts are reconstructed from the m share vectors by
+    :func:`~repro.crypto.threshold.combine_partial_vectors`.
     """
     if not values:
         return []
+    if bus is not None and runtimes is None:
+        raise ValueError("a conversion over a bus needs the party runtimes")
     engine = fixed.engine
     q = engine.field.q
     m = threshold.n_parties
@@ -251,7 +248,7 @@ def ciphers_to_shares(
     # Algorithm 2 lines 1-3: every client picks a mask per value, encrypts
     # them (one ciphertext per packed group) and sends them to client 1.
     own_masks = [secrets.randbits(bits) for bits in bits_list]
-    if bus is not None and runtimes is not None:
+    if bus is not None:
         # Client 1 requests mask contributions; every other party reacts
         # with [her mask ciphertexts, her (-r mod q) share vector].
         broadcast_request(
@@ -276,11 +273,6 @@ def ciphers_to_shares(
         ]
         mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
         neg_shares = [[(-r) % q for r in masks] for masks in peer_masks]
-        if bus is not None:
-            # Client 1's own masks stay local.
-            for party in range(1, m):
-                bus.send_payload(party, 0, mask_cts[party], tag="mpc-convert")
-            bus.round()
     for party_cts in mask_cts:
         if len(party_cts) != layout.n_groups:
             raise ValueError(
@@ -290,30 +282,18 @@ def ciphers_to_shares(
         masked_cts = [
             masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
         ]
-    combine = (
-        bus is not None
-        and services is not None
-        and threshold.decrypt_mode == "combine"
-    )
-    if bus is not None:
-        if combine:
-            vectors = record_threshold_decrypt(
-                bus, masked_cts, tag="mpc-convert", services=services
-            )
-        else:
-            record_threshold_decrypt(bus, masked_cts, tag="mpc-convert")
     # Joint decryption of the masked (packed) values (line 5), unsigned:
-    # reconstructed from the m share vectors the flow moved, or — in
-    # simulate mode — batched through the engine's CRT shortcut (fanned
-    # out across its workers).  The layout restores each value's sign.
-    if combine:
-        masked_plains = combine_partial_vectors(
-            pk, vectors, m, signed=False, theta=threshold.theta
+    # every party's c^{d_i} vector, combined.  The layout restores each
+    # value's sign.
+    if bus is not None:
+        vectors = record_threshold_decrypt(
+            bus, masked_cts, tag="mpc-convert", runtimes=runtimes
         )
-    elif batch_engine is not None:
-        masked_plains = batch_engine.threshold_decrypt_batch(masked_cts, signed=False)
     else:
-        masked_plains = threshold.joint_decrypt_batch(masked_cts, signed=False)
+        vectors = threshold.share_vectors(masked_cts)
+    masked_plains = combine_partial_vectors(
+        pk, vectors, m, signed=False, theta=threshold.theta
+    )
     if counters is not None:
         counters.threshold_decryptions += layout.n_groups
         counters.to_shares += len(values)

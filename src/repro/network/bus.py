@@ -17,9 +17,8 @@ explicitly.  End of training therefore implies empty inboxes
 (:meth:`MessageBus.assert_drained`), which the federation API and the
 network tests check after every run.
 
-Received payloads are *used*, not just discarded: in
-``decrypt_mode="combine"`` each party's
-:class:`~repro.federation.party.PartyService` reacts to the decrypt
+Received payloads are *used*, not just discarded: each party's
+:class:`~repro.federation.party.PartyRuntime` reacts to the decrypt
 flow's ciphertext broadcast by receiving it here, exponentiating with
 her own key share, and broadcasting her real
 :class:`~repro.network.wire.PartialDecryptionVector` back — the

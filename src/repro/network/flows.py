@@ -18,18 +18,12 @@ Per batch that moves (m−1) ciphertext-vector messages plus m·(m−1)
 partial-vector messages — the m partial-decryption shares the seed's
 ``joint_decrypt`` omitted entirely.
 
-Partial-decryption *values*: with ``services`` (one
-:class:`~repro.federation.party.PartyService` per party — the
-``decrypt_mode="combine"`` data path) each party *reacts* to the
-broadcast: she receives the batch from her inbox, computes her real
-c^{d_i} share vector (locally with her key share, or inside her worker
-process in a deployment), and broadcasts it; the flow returns the m
-vectors so the caller reconstructs the plaintexts from them — and from
-nothing else.  Callers that precomputed vectors can pass them via
-``partials``.  Only the ``decrypt_mode="simulate"`` shortcut (dealer-key
-CRT decryption, single-process runs) still serializes placeholder shares
-(value 0) with the correct party indices and batch shape; the wire format
-is fixed-width, so simulate and combine runs measure identical bytes.
+Partial-decryption *values* are always real: each party's
+:class:`~repro.federation.party.PartyRuntime` *reacts* to the broadcast —
+she receives the batch from her inbox, computes her c^{d_i} share vector
+(locally with her key share, or inside her worker process in a
+deployment), and broadcasts it; the flow returns the m vectors so the
+caller reconstructs the plaintexts from them — and from nothing else.
 """
 
 from __future__ import annotations
@@ -218,27 +212,21 @@ def record_threshold_decrypt(
     bus: MessageBus,
     ciphertexts: list,
     tag: str,
+    runtimes: list,
     holder: int = 0,
-    partials: list[PartialDecryptionVector] | None = None,
-    services: list | None = None,
-) -> list[PartialDecryptionVector] | None:
+) -> list[PartialDecryptionVector]:
     """Run one batched threshold decryption as real payload sends/receives.
 
     ``ciphertexts`` is the batch being decrypted (``Ciphertext`` or
-    ``EncryptedNumber`` payloads, as held by the caller).  Share vectors
-    come from exactly one of:
-
-    * ``services`` — the m per-party
-      :class:`~repro.federation.party.PartyService` objects.  Every party
-      other than the holder answers reactively (receives the broadcast
-      batch, computes her shares from the *received* ciphertexts,
-      broadcasts the vector); the holder computes hers from the batch in
-      hand.  Returns the m real vectors, ordered by party index.
-    * ``partials`` — precomputed per-party vectors (tests, custom flows).
-      Returned as-is after travelling the wire.
-    * neither — the simulate-mode stand-in: placeholder vectors (value 0)
-      of the same wire size travel instead, and ``None`` is returned (the
-      caller recovers plaintexts through the dealer-key shortcut).
+    ``EncryptedNumber`` payloads, as held by the caller); ``runtimes`` the
+    m per-party :class:`~repro.federation.party.PartyRuntime` objects.
+    The holder computes her share vector from the batch in hand; every
+    other local party computes hers from the ciphertexts she *received*,
+    and each broadcasts her vector.  Parties living in their own
+    standalone process have no runtime here (``None``) — their serve loops
+    react to the same ciphertext broadcast on their own clock and their
+    vectors arrive like everyone else's.  Returns the m vectors, ordered
+    by party index.
 
     Marks the flow's two rounds (ciphertext broadcast, share broadcast).
     Every receiver drains and decodes her copy of each message
@@ -253,64 +241,34 @@ def record_threshold_decrypt(
     """
     count = len(ciphertexts)
     if count == 0:
-        return [] if (partials is not None or services is not None) else None
+        return []
     m = bus.n_parties
     local = bus.local_parties
     if holder not in local:
         raise ValueError(
             f"decryption holder {holder} is not a local party of this bus"
         )
-    if partials is not None and services is not None:
-        raise ValueError("pass precomputed partials or services, not both")
-    if partials is not None and len(partials) != m:
-        raise ValueError(
-            f"expected {m} partial-share vectors, got {len(partials)}"
-        )
-    if services is not None and len(services) != m:
-        raise ValueError(f"expected {m} party services, got {len(services)}")
+    if len(runtimes) != m:
+        raise ValueError(f"expected {m} party runtimes, got {len(runtimes)}")
     bus.broadcast_payload(holder, list(ciphertexts), tag=tag)
-    collected: dict[int, PartialDecryptionVector] = {}
+    shares: dict[int, PartialDecryptionVector] = {}
     try:
-        if services is not None:
-            # Reactive data flow: each non-holder *local* party's service
-            # receives the batch from her own inbox, exponentiates with
-            # her d_i, and broadcasts the real share vector; the holder
-            # publishes hers from the batch in hand.  Parties living in
-            # their own standalone process have no service here (``None``)
-            # — their serve loops react to the same ciphertext broadcast
-            # on their own clock and their vectors arrive below like
-            # everyone else's.
-            for party in local:
-                if party == holder or services[party] is None:
-                    continue
-                services[party].answer_decrypt(tag, count)
-            collected[holder] = services[holder].publish_shares(
-                ciphertexts, tag
-            )
-        else:
-            # Drain-based delivery: every other client *receives* the
-            # batch — the wire bytes are decoded back into ciphertext
-            # objects, so the broadcast is data flow, not just accounting.
-            for party in local:
-                if party == holder:
-                    continue
+        for party in local:
+            if runtimes[party] is None:
+                continue
+            if party == holder:
+                received = ciphertexts
+            else:
                 received = bus.receive(party, tag=tag)
                 if len(received) != count:
                     raise ValueError(
                         f"party {party} received {len(received)} "
                         f"ciphertexts, expected {count}"
                     )
-            for party in local:
-                if partials is not None:
-                    vector = partials[party]
-                    if len(vector.values) != count:
-                        raise ValueError(
-                            "partial-share vector length mismatch"
-                        )
-                    collected[vector.party_index] = vector
-                else:
-                    vector = PartialDecryptionVector(party, (0,) * count)
-                bus.broadcast_payload(party, vector, tag=tag)
+            shares[party] = runtimes[party].decryption_shares(received)
+        for party, vector in shares.items():
+            bus.broadcast_payload(party, vector, tag=tag)
+        collected = {holder: shares[holder]}
         # Every local client receives the other m-1 partial-share vectors
         # and checks the batch shape before combining locally; the
         # holder's received set (plus her own vector) is what the caller
@@ -330,7 +288,7 @@ def record_threshold_decrypt(
                 if party == holder:
                     collected[vector.party_index] = vector
     except Exception:
-        # A mid-flow failure (shape mismatch, malformed vector, a service
+        # A mid-flow failure (shape mismatch, malformed vector, a compute
         # hook blowing up) must not strand the frames already broadcast
         # into peer inboxes: restore the drained invariant before
         # propagating, without charging rounds the protocol never
@@ -338,8 +296,6 @@ def record_threshold_decrypt(
         bus.drain()
         raise
     bus.round(2)
-    if partials is None and services is None:
-        return None
     if sorted(collected) != list(range(m)):
         raise ValueError(
             f"threshold decryption needs all {m} share vectors, got parties "

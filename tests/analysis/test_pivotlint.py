@@ -440,13 +440,13 @@ def test_pl004_flags_dealer_key_use_post_provisioning(tmp_path):
     assert "PL004" in rules_found(report)
 
 
-def test_pl004_flags_reenabling_simulate_mode(tmp_path):
+def test_pl004_flags_direct_threshold_joint_decrypt(tmp_path):
     report = lint(
         tmp_path,
         """
         class Sneaky(DeployedFederation):
-            def speed_up(self):
-                self.context.decrypt_mode = "simulate"
+            def speed_up(self, batch):
+                return self.context.threshold.joint_decrypt_batch(batch)
         """,
     )
     assert rules_found(report) == ["PL004"]
@@ -481,14 +481,14 @@ def test_pl004_ignores_non_deployed_classes(tmp_path):
 
 def test_pl004_covers_runtime_federation_no_dealer_world(tmp_path):
     # RuntimeFederation runs distributed keygen: no dealer key ever
-    # exists, so the 'simulate' fallback and dealer-key decryption are
+    # exists, so dealer-key decryption and a local joint decryption are
     # not merely scrubbed — they are impossible.  The rule flags both.
     report = lint(
         tmp_path,
         """
         class Hasty(RuntimeFederation):
             def shortcut(self, ciphertext):
-                self.context.decrypt_mode = "simulate"
+                self.context.threshold.joint_decrypt(ciphertext)
                 return self.context.threshold.decrypt(ciphertext)
         """,
     )

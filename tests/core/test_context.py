@@ -1,5 +1,7 @@
 """PivotContext / PivotConfig / label providers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ def test_config_validation():
         PivotConfig(keysize=64)
     with pytest.raises(ValueError):
         PivotConfig(tree=TreeParams(max_depth=0))
+
+
+def test_config_fields_are_these_twelve():
+    """Every field is a configuration the tests must cover: a new knob
+    has to show up as a diff here."""
+    assert {f.name for f in fields(PivotConfig)} == {
+        "keysize", "frac_bits", "mpc_k", "kappa", "tree", "gain_mode",
+        "protocol", "dp", "authenticated_mpc", "seed", "keygen",
+        "strict_locality",
+    }
 
 
 def test_context_setup(small_classification):

@@ -34,10 +34,7 @@ def test_declared_bounds_open_to_the_same_values(
     small_classification, authenticated
 ):
     X, y = small_classification
-    ctx = make_context(
-        X, y, "classification", authenticated_mpc=authenticated,
-        decrypt_mode="combine",
-    )
+    ctx = make_context(X, y, "classification", authenticated_mpc=authenticated)
     values = _statistics(ctx.encoder)
     slots = (ctx.threshold.public_key.n.bit_length() - 1) // (
         ctx.fx.k + ctx.engine.kappa + ctx.n_clients.bit_length()

@@ -58,7 +58,6 @@ def test_combined_shares_decrypt(keygen_run):
     threshold = ThresholdPaillier(
         sample.public_key,
         shares,
-        decrypt_mode="combine",
         theta=sample.theta,
         distributed=True,
     )
@@ -74,7 +73,6 @@ def test_each_share_is_useless_alone(keygen_run):
     threshold = ThresholdPaillier(
         sample.public_key,
         crippled,
-        decrypt_mode="combine",
         theta=sample.theta,
         distributed=True,
     )

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.threshold import (
     PartialDecryption,
+    ShareCombinationError,
     combine_partial_decryptions,
     combine_partial_vectors,
     generate_threshold_keypair,
@@ -102,3 +103,32 @@ def test_vector_combination_with_theta_matches_per_element(threshold3):
     for k, expected in enumerate(plaintexts):
         partials = [PartialDecryption(v.party_index, v.values[k]) for v in vectors]
         assert combine_partial_decryptions(pk, partials, 3, theta=theta) == expected
+
+
+def test_flipped_share_bit_is_refused_not_decrypted(threshold3):
+    """One flipped bit of one c^{d_i}: the product is no longer 1 (mod n),
+    which used to floor-divide into a ~|n|-bit integer."""
+    pk = threshold3.public_key
+    cts = [threshold3.encrypt(x) for x in (7, -3)]
+    vectors = threshold3.share_vectors(cts)
+    assert combine_partial_vectors(pk, vectors, 3) == [7, -3]
+    bad = vectors[1]
+    vectors[1] = PartialDecryptionVector(1, (bad.values[0], bad.values[1] ^ 4))
+    with pytest.raises(ShareCombinationError):
+        combine_partial_vectors(pk, vectors, 3)
+    partials = [PartialDecryption(v.party_index, v.values[1]) for v in vectors]
+    with pytest.raises(ShareCombinationError):
+        combine_partial_decryptions(pk, partials, 3)
+
+
+def test_share_of_another_ciphertext_is_refused(threshold3):
+    pk = threshold3.public_key
+    cts = [threshold3.encrypt(7), threshold3.encrypt(8)]
+    vectors = threshold3.share_vectors(cts)
+    vectors[2] = PartialDecryptionVector(2, vectors[2].values[::-1])
+    with pytest.raises(ShareCombinationError):
+        combine_partial_vectors(pk, vectors, 3)
+    partials = [share.partial_decrypt(cts[0]) for share in threshold3.shares[:2]]
+    partials.append(threshold3.shares[2].partial_decrypt(cts[1]))
+    with pytest.raises(ShareCombinationError):
+        combine_partial_decryptions(pk, partials, 3)

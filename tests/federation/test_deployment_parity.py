@@ -121,7 +121,7 @@ def distributed_baseline(data):
     """In-memory run with dealerless keygen: the byte-level reference for
     the runtime row (keygen traffic rides the same accounted bus)."""
     X, y = data
-    cfg = replace(CONFIG, keygen="distributed", decrypt_mode="combine")
+    cfg = replace(CONFIG, keygen="distributed")
     return _run(Federation(_parties(X, y), config=cfg), X[:6])
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core import PivotConfig, PivotContext, TreeTrainer, run_predict_batch
 from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
+from repro.federation.party import PartyEndpoint, PartyRuntime
 from repro.network.bus import MessageBus
 from repro.network.flows import record_threshold_decrypt
 from repro.network.wire import WireCodec
@@ -23,6 +24,13 @@ def payload_bus():
 
 def fresh_bus(codec) -> MessageBus:
     return MessageBus(3, codec=codec)
+
+
+def party_runtimes(bus, threshold) -> list[PartyRuntime]:
+    return [
+        PartyRuntime(PartyEndpoint(bus, share.party_index), key_share=share)
+        for share in threshold.shares
+    ]
 
 
 # -- receive() ----------------------------------------------------------------
@@ -86,7 +94,9 @@ def test_threshold_decrypt_flow_consumes_all_messages(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
     cts = [threshold.public_key.encrypt(v) for v in (1, 2, 3)]
-    record_threshold_decrypt(bus, cts, tag="threshold-decrypt")
+    record_threshold_decrypt(
+        bus, cts, tag="threshold-decrypt", runtimes=party_runtimes(bus, threshold)
+    )
     # (m-1) ciphertext broadcasts + m*(m-1) partial vectors, all consumed.
     assert bus.messages == 2 + 3 * 2
     assert bus.consumed == bus.messages
@@ -95,14 +105,19 @@ def test_threshold_decrypt_flow_consumes_all_messages(payload_bus):
 
 
 def test_threshold_decrypt_flow_validates_batch_shape(payload_bus):
+    """A party whose compute hook returns a short vector fails the flow,
+    and the ciphertext broadcast does not stay behind in peer inboxes."""
     threshold, codec = payload_bus
-    from repro.network.wire import PartialDecryptionVector
-
     bus = fresh_bus(codec)
-    cts = [threshold.public_key.encrypt(1)]
-    bad = [PartialDecryptionVector(i, (0, 0)) for i in range(3)]
-    with pytest.raises(ValueError, match="length mismatch"):
-        record_threshold_decrypt(bus, cts, tag="t", partials=bad)
+    cts = [threshold.public_key.encrypt(v) for v in (1, 2)]
+    runtimes = party_runtimes(bus, threshold)
+    runtimes[1] = PartyRuntime(
+        PartyEndpoint(bus, 1), compute_shares=lambda ciphertexts: [1]
+    )
+    with pytest.raises(ValueError, match="1 shares for 2 ciphertexts"):
+        record_threshold_decrypt(bus, cts, tag="t", runtimes=runtimes)
+    bus.assert_drained()
+    assert bus.rounds == 0
 
 
 # -- end-to-end invariants ----------------------------------------------------

@@ -8,8 +8,8 @@ its strongest deployment form:
   and the remote parties' ``d_share`` values after provisioning, and
   still trains/predicts bit-identically — every plaintext was
   reconstructed from the m share vectors the decrypt flow moved;
-* the wire carries *real* share vectors (no placeholder zeros) whenever
-  ``decrypt_mode="combine"``;
+* the wire carries *real* share vectors (no placeholder zeros), and an
+  in-memory federation never reads the dealer's key either;
 * a missing or duplicated share vector raises;
 * killing one worker makes decryption fail loudly (``RemoteOpError``) —
   there is no dealer key left to fall back on.
@@ -71,8 +71,6 @@ def test_deployment_scrubs_dealer_key_material(data):
     with DeployedFederation(_parties(X, y), config=CONFIG) as fed:
         tp = fed.context.threshold
         assert tp._private_key is None
-        assert tp.decrypt_mode == "combine"
-        assert fed.decrypt_mode == "combine"
         assert tp.scrubbed
         # Only the super client's own share remains in the orchestrator.
         assert tp.shares[0] is not None
@@ -101,19 +99,14 @@ def test_deployed_training_is_bit_identical_without_dealer_key(data):
 
 
 def test_combine_flow_carries_real_share_vectors(data):
-    """In combine mode the flow's vectors are the actual c^{d_i} values:
-    non-zero, and sufficient on their own to reconstruct the plaintext."""
+    """The flow's vectors are the actual c^{d_i} values: non-zero, and
+    sufficient on their own to reconstruct the plaintext."""
     X, y = data
     partition = vertical_partition(X, y, 2)
-    config = PivotConfig(
-        keysize=256, tree=TreeParams(max_depth=2, max_splits=2),
-        decrypt_mode="combine",
-    )
-    with PivotContext(partition, config) as ctx:
+    with PivotContext(partition, CONFIG) as ctx:
         ct = ctx.threshold.public_key.encrypt(41)
         vectors = record_threshold_decrypt(
-            ctx.bus, [ct], tag="threshold-decrypt",
-            services=ctx.decrypt_services,
+            ctx.bus, [ct], tag="threshold-decrypt", runtimes=ctx.runtimes
         )
         ctx.bus.assert_drained()
     assert [v.party_index for v in vectors] == [0, 1]
@@ -134,28 +127,15 @@ def test_deployed_decryption_reconstructs_from_worker_shares(data):
         fed.assert_drained()
 
 
-def test_simulate_and_combine_runs_are_bit_identical(data):
-    """decrypt_mode only changes *how* plaintexts are recovered, never the
-    results, bytes, rounds, or op counts."""
+def test_nothing_reads_the_dealer_key(data):
+    """An in-memory federation whose bundle loses the dealer's private key
+    straight after keygen fits and predicts bit-identically to an untouched
+    one: every plaintext comes from the m share vectors."""
     X, y = data
-    results = []
-    for mode in ("simulate", "combine"):
-        config = PivotConfig(
-            keysize=256, tree=TreeParams(max_depth=2, max_splits=2), seed=3,
-            decrypt_mode=mode,
-        )
-        results.append(_run(Federation(_parties(X, y), config=config), X[:6]))
-    assert results[0] == results[1]
-
-
-def test_decrypt_mode_env_override(monkeypatch):
-    monkeypatch.setenv("PIVOT_DECRYPT_MODE", "combine")
-    assert PivotConfig().decrypt_mode == "combine"
-    monkeypatch.setenv("PIVOT_DECRYPT_MODE", "bogus")
-    with pytest.raises(ValueError, match="PIVOT_DECRYPT_MODE"):
-        PivotConfig()
-    monkeypatch.delenv("PIVOT_DECRYPT_MODE")
-    assert PivotConfig().decrypt_mode is None
+    untouched = _run(Federation(_parties(X, y), config=CONFIG), X[:6])
+    keyless = Federation(_parties(X, y), config=CONFIG)
+    keyless.context.threshold._private_key = None
+    assert _run(keyless, X[:6]) == untouched
 
 
 # -- missing / duplicated shares ---------------------------------------------

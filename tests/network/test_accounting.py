@@ -59,7 +59,10 @@ def test_threshold_decrypt_flow_formula(ctx):
     for k in (1, 5):
         cts = [ctx.encoder.encrypt(float(i)) for i in range(k)]
         _, nbytes, rounds, messages = _delta(
-            ctx.bus, lambda: record_threshold_decrypt(ctx.bus, cts, tag="t")
+            ctx.bus,
+            lambda: record_threshold_decrypt(
+                ctx.bus, cts, tag="t", runtimes=ctx.runtimes
+            ),
         )
         assert nbytes == (m - 1) * vec(k, s_en) + m * (m - 1) * s_pdv(k)
         assert rounds == 2

@@ -59,15 +59,6 @@ def test_enhanced_training_and_prediction_reconcile(data):
     assert "eq10" in snap["by_tag"]
 
 
-def test_serial_crypto_path_reconciles(data):
-    """batch_crypto=False exercises the non-CRT decryption paths; the
-    payload accounting is identical."""
-    X, y = data
-    ctx = make_context(X, y, "classification", batch_crypto=False)
-    TreeTrainer(ctx).fit()
-    _assert_reconciled(ctx.bus)
-
-
 def test_regression_training_reconciles():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(12, 3))
