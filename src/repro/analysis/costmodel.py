@@ -47,18 +47,35 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     Enhanced: adds O(n t)·Cd and O(n b t)·Ce for the private split
               selection + Eq. 10 mask update.
 
-    These are the paper's terms, one Cd per converted statistic.  The
-    *measured* Cd is that term over the slot count, under both protocols:
-    the trainer's conversions are slot-packed (:mod:`repro.crypto.packing`),
-    ⌊(|n| − 1) / (k + κ + bitlen(m))⌋ statistics per decrypted ciphertext
-    (6 at a 512-bit key), and likewise one Cd per ~12 predicted rows
-    instead of :func:`table2_prediction_counts`'s one per row.  The
-    enhanced protocol's O(n t)·Cd term is measured at ⌈n / slots⌉ per
-    internal node, not 2n: Eq. 10 runs for one child (the sibling is a
-    homomorphic subtraction) and packs ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋
-    elements of the 0/1 mask vector per decrypted ciphertext (11 at 512
-    bits); a riding encrypted-label [γ] (GBDT rounds >= 2) still pays n
-    per vector per node.
+    These are the paper's terms: 2 + 2c converted statistics per candidate
+    split and 1 + c per node, one Cd each.  The trainer converts fewer, and
+    packs what it converts.  *Fewer*: every statistic crosses the
+    ciphertext→share boundary at most once — per split only the left
+    child's n_l and c − 1 class counts (c statistics; the last class and
+    the right child are share subtractions, :mod:`repro.core.gain`), per
+    node nothing but the root's own 1 + (c − 1) (a child inherits the
+    winning split's shares).  *Packed*: ⌊(|n| − 1) / (k + κ + bitlen(m))⌋
+    statistics per decrypted ciphertext (:mod:`repro.crypto.packing`; 6 at
+    a 512-bit key), and likewise one Cd per ~12 predicted rows instead of
+    :func:`table2_prediction_counts`'s one per row.  So the *measured* Cd
+    of a fit over S = d·b candidate splits per node is
+
+        ⌈c / slots⌉  +  t · ⌈S·c / slots⌉        (leaves: none)
+
+    under the basic protocol (regression: 3 in place of c), plus
+    t · ⌈n / slots'⌉ under the enhanced one: its O(n t)·Cd term runs Eq. 10
+    for one child (the sibling is a homomorphic subtraction) and packs
+    ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋ elements of the 0/1 mask vector per
+    decrypted ciphertext (11 at 512 bits); a riding encrypted-label [γ]
+    (GBDT rounds >= 2) declares no bound, so it pays 3 whole ciphertexts
+    per split and n per vector per node for Eq. 10.
+
+    The *measured* Ce of one internal node is n·c·S (the dot products of
+    Eq. 7, left child only) + n·(c − 1) (re-randomising the published
+    label vectors) + c·S (one pool mask per statistic before it leaves its
+    party) + 2n (the model update's two child mask vectors), plus
+    m·⌈S·c / slots⌉ conversion-mask encryptions and the packing folds; a
+    basic-protocol leaf costs no Ce at all.
 
     The *measured* Cs of one internal node's gain step (paper mode, S = d·b
     candidate splits, W-bit counts, θ = 4 Goldschmidt iterations at K = 40)
@@ -70,7 +87,10 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     The node's comparisons (S − 1 in the argmax, the prune checks) add
     nothing to that formula: a comparison is a Cc, and its bit-compare
     runs on XOR-shared words (:mod:`repro.mpc.comparison`), not as field
-    multiplications.
+    multiplications.  Completing the last class and the right child is
+    local share arithmetic (no Cs); the enhanced protocol adds S·c
+    multiplications per internal node to select the children's statistics
+    through the hidden one-hot vector.
     """
     counts = {
         "ce": w.n * w.c * w.d_bar * w.b * w.t,

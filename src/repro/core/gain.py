@@ -1,8 +1,19 @@
 """Secure impurity-gain computation over secret-shared statistics (§4.1-4.2).
 
-Given the converted split statistics ⟨n_l⟩, ⟨n_r⟩, ⟨g_{l,k}⟩, ⟨g_{r,k}⟩
+Given the shared split statistics ⟨n_l⟩, ⟨n_r⟩, ⟨g_{l,k}⟩, ⟨g_{r,k}⟩
 (classification) or ⟨n⟩, ⟨Σy⟩, ⟨Σy²⟩ per side (regression), computes the
 shared gain of every candidate split with the SPDZ primitives.
+
+**Which statistics are converted, which derived.**  Of the 2 + 2c
+statistics of a classification split only c ever cross the
+ciphertext→share boundary (Algorithm 2): ⟨n_l⟩ and ⟨g_{l,k}⟩ for the
+c − 1 published label vectors.  The rest are linear in those and in the
+node's own :class:`NodeStats`, so the trainer derives them by local share
+subtraction: ⟨g_{l,c−1}⟩ = ⟨n_l⟩ − Σ_{k<c−1} ⟨g_{l,k}⟩ (every sample has
+exactly one class) and the right child ``node − left``.  Regression
+converts ⟨n_l⟩, ⟨Σ_l y⟩, ⟨Σ_l y²⟩ and derives the right side the same
+way.  A node's own statistics are converted once, at the root; every
+other node inherits the winning split's child statistics from its parent.
 
 Two modes (DESIGN.md §5):
 
@@ -41,7 +52,11 @@ __all__ = ["SplitStats", "NodeStats", "secure_split_gains"]
 
 @dataclass
 class SplitStats:
-    """Shared statistics of one candidate split (left/right children)."""
+    """Shared statistics of one candidate split (left/right children).
+
+    The left side is converted (its last class count derived), the right
+    side is the node minus the left — see the module docstring.
+    """
 
     n_left: SharedValue
     n_right: SharedValue
@@ -51,10 +66,18 @@ class SplitStats:
 
 @dataclass
 class NodeStats:
-    """Shared statistics of the node being split."""
+    """Shared statistics of one node: converted at the root, inherited
+    from the parent's winning split everywhere else."""
 
     n: SharedValue
     totals: list[SharedValue]  # per class counts, or [Σy, Σy²]
+
+    def __sub__(self, other: "NodeStats") -> "NodeStats":
+        """The sibling by subtraction: this node minus one of its children."""
+        return NodeStats(
+            self.n - other.n,
+            [total - part for total, part in zip(self.totals, other.totals)],
+        )
 
 
 def secure_split_gains(

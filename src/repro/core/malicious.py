@@ -136,9 +136,12 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
     def __init__(self, context, labels, task, n_classes: int = 0):
         super().__init__(context, labels, task, n_classes)
         pk = context.threshold.public_key
+        #: Exponent a committed multiplier adds to [α]'s.
+        self._shift = 0
         if task == "classification":
             encoded = [[int(b) for b in beta] for beta in self.betas]
         else:
+            self._shift = -context.encoder.frac_bits
             encoded = [
                 [context.encoder.encode(float(b)).encoding for b in beta]
                 for beta in self.betas
@@ -147,18 +150,26 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
         for commitment in self.commitments:
             commitment.verify_commitment()
 
+    def totals(self, alpha):
+        """The root's label sums, POHDP-proven against the commitments."""
+        ctx = self.context
+        result = []
+        for commitment in self.commitments:
+            out, proof = commitment.prove_dot_product(alpha)
+            commitment.verify_dot_product(alpha, out, proof)
+            result.append(ctx.encoder.wrap(out, alpha[0].exponent + self._shift))
+        return result
+
     def gammas(self, alpha, node_gammas, node_key: int = 1):
         # Central verified flow (the malicious model is a research mode
         # driven in one process); node_key is accepted for interface
         # parity with the reactive provider but no runtime store is kept.
         ctx = self.context
         result = []
-        for index, commitment in enumerate(self.commitments):
+        for commitment in self.commitments:
             outputs, proofs = commitment.prove_elementwise_product(alpha)
             commitment.verify_elementwise_product(alpha, outputs, proofs)
-            exponent = alpha[0].exponent + (
-                0 if self.task == "classification" else -ctx.encoder.frac_bits
-            )
+            exponent = alpha[0].exponent + self._shift
             result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
             ctx.bus.broadcast(
                 ctx.super_client,
@@ -215,35 +226,29 @@ class MaliciousPivotDecisionTree(TreeTrainer):
         first = True
         for client_idx, feature, split in identifiers:
             committed = self.committed_indicators[(client_idx, feature, split)]
-            right_values = [1 - v for v in committed.values]
-            committed_right = CommittedVector(pk, right_values)
-            for vec, exponent_src in [(alpha, alpha)] + [(g, g) for g in gammas]:
+            for vec in [alpha, *gammas]:
                 out, proof = committed.prove_dot_product(vec)
                 if self.cheat == "stats" and first:
                     out = out + pk.encrypt(1)  # lie by +1
                     first = False
                 committed.verify_dot_product(vec, out, proof)
-                stat_cts.append(ctx.encoder.wrap(out, exponent_src[0].exponent))
-                out_r, proof_r = committed_right.prove_dot_product(vec)
-                committed_right.verify_dot_product(vec, out_r, proof_r)
-                stat_cts.append(ctx.encoder.wrap(out_r, exponent_src[0].exponent))
+                stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
             ctx.bus.broadcast(
                 client_idx,
-                ctx.ciphertext_bytes * 6 * (1 + len(gammas)),
+                ctx.ciphertext_bytes * 3 * (1 + len(gammas)),
                 tag="split-stats",
             )
         ctx.bus.round()
-        # Reorder to the layout the base class expects:
-        # [n_l, n_r, g_l^{(0)}, g_r^{(0)}, ...] per split.
         return stat_cts
 
     def _split_basic(
         self, alpha, gammas, available, depth, identifiers, best_index,
-        node_stats, node_key=1,
+        node_stats, rows, node_key,
     ):
         """Model update with per-element POPCM on [α_l], [α_r] (§9.1.2)."""
         ctx = self.ctx
         flat = int(ctx.engine.open(best_index))
+        left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
         owner = ctx.clients[owner_idx]
@@ -281,11 +286,11 @@ class MaliciousPivotDecisionTree(TreeTrainer):
         )
         node.left = self._build(
             alpha_left, None, child_available, depth + 1,
-            node_key=2 * node_key,
+            2 * node_key, left_stats,
         )
         node.right = self._build(
             alpha_right, None, child_available, depth + 1,
-            node_key=2 * node_key + 1,
+            2 * node_key + 1, node_stats - left_stats,
         )
         return node
 

@@ -2,14 +2,17 @@
 
 Implements Algorithm 3 with the three steps of §4.1 per tree node:
 
-1. **Local computation** — the super client broadcasts the encrypted label
-   vectors [γ] (via the label provider); every client computes encrypted
-   split statistics for her local splits with homomorphic dot products
-   (Eq. 7 / Eq. 9).
+1. **Local computation** — the super client broadcasts the encrypted,
+   re-randomised label vectors [γ] (via the label provider; one fewer than
+   there are classes); every client computes encrypted *left-child* split
+   statistics for her local splits with homomorphic dot products (Eq. 7 /
+   Eq. 9) and re-masks each before it leaves her.
 2. **MPC computation** — the encrypted statistics are converted to secret
-   shares (Algorithm 2); impurity gains are evaluated with secure division
-   and multiplication (Eq. 5/6/8); the best split is found with the secure
-   maximum, yielding the secretly shared identifier (⟨i*⟩, ⟨j*⟩, ⟨s*⟩).
+   shares (Algorithm 2); the last class and the right child are completed
+   by local share subtraction; impurity gains are evaluated with secure
+   division and multiplication (Eq. 5/6/8); the best split is found with
+   the secure maximum, yielding the secretly shared identifier (⟨i*⟩,
+   ⟨j*⟩, ⟨s*⟩).
 3. **Model update** — *basic protocol*: the identifier is reconstructed and
    client i* broadcasts the encrypted child mask vectors [α_l], [α_r].
    *Enhanced protocol* (§5.2): only (i*, j*) is revealed; ⟨s*⟩ is turned
@@ -20,10 +23,23 @@ Implements Algorithm 3 with the three steps of §4.1 per tree node:
    threshold and leaf labels stay hidden (shared + encrypted forms are
    attached to the node's ``hidden`` payload).
 
+**Every statistic crosses the ciphertext→share boundary at most once.**
+Only the root converts its own [Σα, Σγ_k].  A child's (n, g_k) *are* the
+winning split's (n_l, g_{l,k}) — or the node's minus those — so each node
+hands its children their :class:`~repro.core.gain.NodeStats`: picked by the
+opened index under the basic protocol, by Σ_i onehot_i · stat_i under the
+enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
+the selection is exact).  Threshold decryptions per node: 1 at the root,
+⌈S·(1 + V) / slots⌉ per internal node for S candidate splits over V
+published label vectors (plus ⌈n / 11⌉ for Eq. 10 under the enhanced
+protocol), none at a leaf.
+
 Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
 bit each, and the "no split with positive gain" check compares the shared
-maximum gain against the shared threshold.
+maximum gain against the shared threshold.  They need only the node's
+shared statistics, so a node that turns out a leaf never has label vectors
+built for it.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
@@ -160,7 +176,14 @@ class TreeTrainer:
         )
         ctx.bus.round()
         available = [list(range(c.n_features)) for c in ctx.clients]
-        root = self._build(alpha, None, available, depth=0, node_key=1)
+        # The one node whose own statistics are converted.
+        root_stats = self._node_stats(
+            ctx.to_shares(
+                [ctx.batch.sum_ciphertexts(alpha), *self.provider.totals(alpha)],
+                bound_bits=self._stat_bound_bits,
+            )
+        )
+        root = self._build(alpha, None, available, 0, 1, root_stats)
         n_classes = self.provider.n_classes if self.task == "classification" else 0
         self.model = DecisionTreeModel(root, self.task, n_classes)
         return self.model
@@ -169,25 +192,26 @@ class TreeTrainer:
     # recursive node construction
     # ------------------------------------------------------------------
 
+    def _node_stats(self, shares: list[SharedValue]) -> NodeStats:
+        """``[n, one sum per published label vector]`` as converted, plus
+        the class nobody publishes: every sample has exactly one class, so
+        its count is n minus the others' (for any mask vector [α])."""
+        n, totals = shares[0], list(shares[1:])
+        if self.task == "classification":
+            totals.append(n - self.engine.sum_values(totals))
+        return NodeStats(n, totals)
+
     def _build(
         self,
         alpha: list[EncryptedNumber],
         node_gammas: list[list[EncryptedNumber]] | None,
         available: list[list[int]],
         depth: int,
-        node_key: int = 1,
+        node_key: int,
+        node_stats: NodeStats,
     ) -> TreeNode:
         ctx, fx = self.ctx, self.fx
-        gammas = self.provider.gammas(alpha, node_gammas, node_key)
-
-        # Node-level encrypted statistics: n on this node + per-vector sums.
-        count_ct = ctx.batch.sum_ciphertexts(alpha)
-        total_cts = [ctx.batch.sum_ciphertexts(g) for g in gammas]
-        shares = ctx.to_shares(
-            [count_ct] + total_cts, bound_bits=self._stat_bound_bits
-        )
-        n_node, totals = shares[0], shares[1:]
-        node_stats = NodeStats(n_node, totals)
+        n_node, totals = node_stats.n, node_stats.totals
 
         # -- pruning conditions (Algorithm 3, lines 1-3) --------------------
         if depth >= self.cfg.tree.max_depth:
@@ -215,26 +239,26 @@ class TreeTrainer:
         identifiers = ctx.split_identifiers(available)
         if not identifiers:
             return self._make_leaf(node_stats, depth)
+        gammas = self.provider.gammas(alpha, node_gammas, node_key)
         stat_cts = self._compute_split_stats(
             identifiers, alpha, gammas, available, node_key
         )
 
         # -- MPC computation: convert + secure gains + secure max -----------
         stat_shares = ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
+        stride = 1 + len(gammas)
+        # One row of converted left-child shares per identifier; the
+        # winning row is what the children inherit, so it is kept as
+        # converted — _mask_invalid_splits only ever rebinds SplitStats.
+        rows = [
+            stat_shares[base : base + stride]
+            for base in range(0, len(stat_shares), stride)
+        ]
         splits = []
-        stride = 2 + 2 * len(gammas)
-        for index in range(len(identifiers)):
-            base = index * stride
-            left = [stat_shares[base + 2 + 2 * v] for v in range(len(gammas))]
-            right = [stat_shares[base + 3 + 2 * v] for v in range(len(gammas))]
-            splits.append(
-                SplitStats(
-                    n_left=stat_shares[base],
-                    n_right=stat_shares[base + 1],
-                    left=left,
-                    right=right,
-                )
-            )
+        for row in rows:
+            left = self._node_stats(row)
+            right = node_stats - left
+            splits.append(SplitStats(left.n, right.n, left.totals, right.totals))
         if self.cfg.tree.min_samples_leaf > 1:
             self._mask_invalid_splits(splits)
         gains, leaf_threshold = secure_split_gains(
@@ -261,12 +285,12 @@ class TreeTrainer:
         # -- model update ----------------------------------------------------
         if self.enhanced:
             return self._split_enhanced(
-                alpha, gammas, available, depth, identifiers, best_index, onehot,
-                node_stats, node_key,
+                alpha, gammas, available, depth, identifiers, onehot,
+                node_stats, rows, node_key,
             )
         return self._split_basic(
-            alpha, gammas, available, depth, identifiers, best_index, node_stats,
-            node_key,
+            alpha, gammas, available, depth, identifiers, best_index,
+            node_stats, rows, node_key,
         )
 
     def _compute_split_stats(
@@ -318,7 +342,7 @@ class TreeTrainer:
         for client in ctx.clients:
             chunk = own_stats if client.index == sup else replies[client.index]
             stats.extend(chunk)
-        expected = len(identifiers) * (2 + 2 * len(gammas))
+        expected = len(identifiers) * (1 + len(gammas))
         if len(stats) != expected:
             raise ValueError(
                 f"split statistics shape mismatch: expected {expected} "
@@ -340,6 +364,7 @@ class TreeTrainer:
         identifiers: list[tuple[int, int, int]],
         best_index: SharedValue,
         node_stats: NodeStats,
+        rows: list[list[SharedValue]],
         node_key: int,
     ) -> TreeNode:
         """Model update (§4.1): the split *owner* reacts on her own event
@@ -349,9 +374,14 @@ class TreeTrainer:
         either is the owner (she applies the split through her own runtime)
         or sends the owner a ``split-apply`` request and takes the children
         from the owner's reply like every other party.
+
+        The opened index also picks the children's statistics: the winning
+        row of ``rows`` is the left child's, the node's minus it the right
+        child's.
         """
         ctx = self.ctx
         flat = int(ctx.engine.open(best_index))
+        left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
         sup = ctx.super_client
@@ -404,11 +434,11 @@ class TreeTrainer:
         )
         node.left = self._build(
             list(alpha_left), gam_left, child_available, depth + 1,
-            node_key=2 * node_key,
+            2 * node_key, left_stats,
         )
         node.right = self._build(
             list(alpha_right), gam_right, child_available, depth + 1,
-            node_key=2 * node_key + 1,
+            2 * node_key + 1, node_stats - left_stats,
         )
         return node
 
@@ -423,12 +453,23 @@ class TreeTrainer:
         available: list[list[int]],
         depth: int,
         identifiers: list[tuple[int, int, int]],
-        best_index: SharedValue,
         onehot: list[SharedValue],
         node_stats: NodeStats,
+        rows: list[list[SharedValue]],
         node_key: int,
     ) -> TreeNode:
-        ctx, fx = self.ctx, self.fx
+        ctx = self.ctx
+        # The winning index stays hidden, so the left child's statistics
+        # are selected obliviously: Σ_i onehot_i · rows[i], one batch of
+        # Beaver multiplications (the one-hot entries are raw 0/1 — the
+        # products are the statistics themselves, no rescale).
+        width = len(rows[0])
+        products = self.engine.mul_many(
+            [(bit, stat) for bit, row in zip(onehot, rows) for stat in row]
+        )
+        left_stats = self._node_stats(
+            [self.engine.sum_values(products[s::width]) for s in range(width)]
+        )
         # Reveal only (i*, j*): per-feature sums of the one-hot vector open
         # to a single 1 at the winning feature; s* stays hidden.
         feature_groups: dict[tuple[int, int], list[int]] = {}
@@ -529,11 +570,11 @@ class TreeTrainer:
         )
         node.left = self._build(
             alpha_left, gam_left, child_available, depth + 1,
-            node_key=2 * node_key,
+            2 * node_key, left_stats,
         )
         node.right = self._build(
             alpha_right, gam_right, child_available, depth + 1,
-            node_key=2 * node_key + 1,
+            2 * node_key + 1, node_stats - left_stats,
         )
         return node
 

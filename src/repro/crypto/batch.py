@@ -22,6 +22,18 @@ single place where the reproduction batches them:
   *identical* Ce op-count tallies (paper §6, Table 2), so the cost-model
   benchmarks read the same numbers from either.
 
+* **Linkable and unlinkable outputs** — ``scale_vector``,
+  ``batch_dot_products`` and ``sum_ciphertexts`` are deterministic in
+  their inputs: whoever holds the input ciphertexts can confirm a guessed
+  scalar or 0/1 coefficient by recomputing (scalar 1 returns the input
+  bit for bit, scalar 0 the unit ciphertext).  Their outputs stay with the
+  party that computed them until she re-masks them; ``mask_vector`` is the
+  one operator whose output may leave a party as it is.  The callers that
+  publish: the label provider re-masks every [γ] element
+  (:mod:`repro.core.labels`), each party re-masks her split statistics
+  (:meth:`~repro.federation.party.PartyRuntime.split_statistics`), and
+  the model update goes through ``mask_vector`` directly.
+
 Everything runs in the calling process: pickling a full-size ``pow``'s
 operands to a worker and back costs about what the ``pow`` does.
 Decryption is not this module's job — a plaintext exists only once all m
@@ -246,7 +258,12 @@ class BatchCryptoEngine:
         scalars: list[int | float | EncodedNumber],
     ) -> list[EncryptedNumber]:
         """Element-wise homomorphic scalar multiplication (Eq. 2 over a
-        vector): one Ce per element."""
+        vector): one Ce per element.
+
+        The output is linkable to ``values`` (see the module docstring):
+        the caller re-masks it with :meth:`mask_vector` before any element
+        leaves her.
+        """
         if len(values) != len(scalars):
             raise ValueError(
                 f"length mismatch: {len(values)} ciphertexts vs "

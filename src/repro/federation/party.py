@@ -244,9 +244,19 @@ class PartyRuntime:
         """Encrypted split statistics (Eq. 7 / 9) for this party's available
         features on one node, as a single flat batched fan-out.
 
-        Layout per (feature asc, split asc) identifier:
-        ``[n_left, n_right, (left, right) per gamma vector]`` — the stride
-        contract :class:`~repro.core.gain.SplitStats` unpacks.
+        Layout contract, per (feature asc, split asc) identifier:
+        ``[n_left, g_left per stored gamma vector]`` — stride 1 + V, the
+        *left child only*.  The right child and, for classification, the
+        last class (whose [γ] is never published) are linear in these and
+        in the node's own statistics; the trainer derives them on shares
+        (:mod:`repro.core.gain`), so they are never computed, sent or
+        decrypted.
+
+        A dot product against a 0/1 indicator is the product of the chosen
+        [α_j] — a deterministic function of ciphertexts every receiver
+        holds, so a guessed indicator could be confirmed exactly.  Each
+        statistic is therefore multiplied by one pool mask before it is
+        returned (and broadcast).
         """
         alpha, gammas = self._await_node(node_key)
         if gammas is None:
@@ -257,14 +267,10 @@ class PartyRuntime:
         tasks: list[tuple[list[int], list]] = []
         for feature in features:
             for split in range(self.client.n_splits(feature)):
-                v_left = self.client.indicator(feature, split)
-                v_right = 1 - v_left
-                tasks.append((list(v_left), alpha))
-                tasks.append((list(v_right), alpha))
-                for gamma in gammas:
-                    tasks.append((list(v_left), gamma))
-                    tasks.append((list(v_right), gamma))
-        return self.engine.batch_dot_products(tasks)
+                v_left = list(self.client.indicator(feature, split))
+                tasks.extend((v_left, vector) for vector in (alpha, *gammas))
+        stats = self.engine.batch_dot_products(tasks)
+        return self.engine.mask_vector(stats, [1] * len(stats))
 
     def apply_split(
         self, node_key: int, feature: int, split: int, ride: int

@@ -106,10 +106,10 @@ def test_plaintext_provider_classification(small_classification):
     ctx = make_context(X, y, "classification")
     provider = PlaintextLabelProvider(ctx, y, "classification")
     assert provider.n_classes == 2
-    assert provider.n_vectors == 2
-    # beta_k are one-hot indicator rows summing to 1 per sample.
-    stacked = np.stack(provider.betas)
-    assert np.array_equal(stacked.sum(axis=0), np.ones(len(y)))
+    # One 0/1 indicator row per class but the last, whose statistics are
+    # the count minus the others' and whose vector is never built.
+    assert provider.n_vectors == 1
+    assert np.array_equal(provider.betas[0], (y == 0).astype(int))
 
 
 def test_plaintext_provider_regression_normalizes():

@@ -226,28 +226,38 @@ def test_riding_gammas_partition_with_the_mask():
             )
 
 
-def test_threshold_decryptions_per_node_by_formula():
-    """Cd of an enhanced fit at a 512-bit key, m = 3: six statistics or
-    eleven Eq. 10 elements per decrypted ciphertext, one child per node."""
+def _check_threshold_decryptions_by_formula(protocol):
+    """Cd of a fit at a 512-bit key, m = 3: six statistics or eleven Eq. 10
+    elements per decrypted ciphertext.  Only the root converts its own
+    statistics; an internal node converts the left child's n_l and c − 1
+    class counts per split (plus Eq. 10 for one child under the enhanced
+    protocol); a leaf converts nothing."""
     from repro.data import make_classification
 
     n, classes = 30, 2
     X, y = make_classification(n, 4, n_classes=classes, seed=1)
     params = TreeParams(max_depth=2, max_splits=2)
     ctx = make_context(
-        X, y, "classification", keysize=512, protocol="enhanced", params=params
+        X, y, "classification", keysize=512, protocol=protocol, params=params
     )
     model = TreeTrainer(ctx).fit()
     splits = len(ctx.split_identifiers([list(range(c.n_features)) for c in ctx.clients]))
     per_stat, per_alpha = 6, 11
-    node_stats = -(-(1 + classes) // per_stat)
-    split_stats = -(-splits * (2 + 2 * classes) // per_stat)
-    eq10 = -(-n // per_alpha)
-    internal, leaves = model.n_internal, len(model.leaves())
-    assert internal == 3
+    root_stats = -(-classes // per_stat)
+    split_stats = -(-splits * classes // per_stat)
+    eq10 = -(-n // per_alpha) if protocol == "enhanced" else 0
+    assert model.n_internal == 3
     assert ctx.conversions.threshold_decryptions == (
-        (internal + leaves) * node_stats + internal * (split_stats + eq10)
+        root_stats + model.n_internal * (split_stats + eq10)
     )
+
+
+def test_threshold_decryptions_per_node_by_formula():
+    _check_threshold_decryptions_by_formula("enhanced")
+
+
+def test_threshold_decryptions_per_node_by_formula_basic():
+    _check_threshold_decryptions_by_formula("basic")
 
 
 class _OpeningLog:
