@@ -16,7 +16,7 @@ Shapes to reproduce from the paper:
     pytest benchmarks/bench_fig4_training.py --benchmark-only
 
 ``--transport asyncio`` routes every protocol payload over real local TCP
-sockets (``AsyncioTransport``), so the gap between the *modeled* LAN time
+sockets (``SocketTransport``), so the gap between the *modeled* LAN time
 (rounds x latency + bytes / bandwidth) and the wall-clock cost of actually
 moving the bytes through a socket stack becomes measurable; byte and round
 counts are transport-invariant (the parity test pins this).
@@ -272,7 +272,7 @@ def main() -> None:
     if TRANSPORT == "asyncio":
         print_table(
             "Modeled-LAN vs real-socket gap — identical protocol runs, "
-            "in-memory queues vs AsyncioTransport (local TCP)",
+            "in-memory queues vs SocketTransport (local TCP)",
             ["protocol", "inmemory wall(s)", "socket wall(s)",
              "socket overhead(s)", "modeled LAN(s)"],
             run_transport_gap(),

@@ -5,7 +5,7 @@ example reproduces that topology on one host: every non-super party is
 launched in her **own worker process** holding her raw feature columns
 and her partial threshold-Paillier key share, the super client's process
 orchestrates, and every protocol payload crosses a real local TCP socket
-(``AsyncioTransport``) instead of an in-process queue.
+(``SocketTransport``) instead of an in-process queue.
 
 The point of the exercise: the physical deployment changes *nothing*
 observable about the protocol.  The model, the predictions, the measured
@@ -43,7 +43,7 @@ def main() -> None:
     #    the orchestrator's copies are replaced by NaN poison arrays.
     with DeployedFederation(make_parties(X, y), config=config) as fed:
         print("worker processes:", sorted(fed.workers))
-        print("socket ports:", fed.context.bus.transport.ports)
+        print("socket addresses:", fed.context.bus.transport.addresses)
 
         model = PivotClassifier(protocol="basic").fit(fed)
         predictions = model.predict(fed.slices(X[:20]))

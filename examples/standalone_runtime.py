@@ -67,7 +67,7 @@ def main() -> None:
 
         # Parties first (they block in keygen until everyone is up), then
         # the super client's orchestrator process; start order actually
-        # does not matter — the peer transport re-dials until its
+        # does not matter — the socket transport re-dials until its
         # connect_timeout.
         processes = [launch(p) for p in paths[1:]]
         orchestrator = launch(paths[0])

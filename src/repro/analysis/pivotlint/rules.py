@@ -566,6 +566,8 @@ WIRE_TYPES: set[str] = {
     "Request",
     "ShareVector",
     "bytes",
+    "float",
+    "int",
     "list",
     "tuple",
 }
@@ -585,7 +587,7 @@ class UnregisteredPayload(Rule):
     summary = (
         "An argument of send_payload/broadcast_payload whose type is "
         "statically known and is not a registered WireCodec wire type "
-        "(str/dict/set/float literals, f-strings, numpy arrays, ...)."
+        "(str/dict/set/bool literals, f-strings, numpy arrays, ...)."
     )
     hint = (
         "define a wire type in repro/network/wire.py (codec + exact size "
@@ -602,13 +604,12 @@ class UnregisteredPayload(Rule):
         def literal_type(node: ast.expr, assigns: dict[str, ast.expr]) -> str | None:
             """The provable non-wire type of an expression, if any."""
             if isinstance(node, ast.Constant):
-                if isinstance(node.value, bool):
-                    return "bool"
-                if isinstance(node.value, bytes):
-                    return None  # bytes are a wire type
                 if node.value is None:
                     return "None"
-                return type(node.value).__name__
+                # bytes, int and float travel; bool does not (the codec
+                # refuses it as ambiguous), nor does str.
+                name = type(node.value).__name__
+                return None if name in WIRE_TYPES else name
             if isinstance(node, ast.Dict):
                 return "dict"
             if isinstance(node, ast.Set) or isinstance(node, ast.SetComp):
@@ -628,7 +629,7 @@ class UnregisteredPayload(Rule):
                 )
                 if name in ("array", "asarray", "ascontiguousarray", "zeros", "ones", "full"):
                     return "numpy.ndarray"
-                if name in ("str", "dict", "set", "float", "int", "bool"):
+                if name in ("str", "dict", "set", "bool"):
                     return name
                 if name and name[0].isupper() and name not in WIRE_TYPES:
                     # A constructor call of a known-named class that is not

@@ -15,7 +15,7 @@ story:
   count the flow automaton derives for the path reaching the barrier —
   the rounds analogue of PL009's width-parity.
 * **PL012 cross-thread-shared-state** — in classes that run an event loop
-  on a background thread (the socket transports), attributes mutated on
+  on a background thread (the socket transport), attributes mutated on
   one thread and touched on the other must be accessed under the class's
   lock/condition on every path; ``await`` while holding such a lock is
   flagged too (it parks the event loop with the caller thread locked

@@ -378,7 +378,7 @@ class UnboundedWait(Rule):
     )
     hint = (
         "compute a deadline before the loop and pass/check it each "
-        "iteration (see PeerTransport._connect), wrap the wait in "
+        "iteration (see SocketTransport._connect), wrap the wait in "
         "asyncio.wait_for, or catch the transport's EOF exceptions so a "
         "dead peer ends the loop"
     )

@@ -169,21 +169,11 @@ class PivotContext:
         *,
         transport=None,
         remote_clients: dict[int, object] | None = None,
-        local_parties: tuple[int, ...] | None = None,
     ):
         self.partition = partition
         self.config = config or PivotConfig()
         remote_clients = remote_clients or {}
         m = partition.n_clients
-        #: Parties whose inboxes (and, with distributed keygen, keygen
-        #: state machines and key shares) live in this process.  All m for
-        #: the in-memory / asyncio / deployed topologies; just the super
-        #: client for a standalone-runtime orchestrator; exactly one for a
-        #: standalone party process.
-        self.local_parties = (
-            tuple(range(m)) if local_parties is None
-            else tuple(sorted(local_parties))
-        )
         self.engine = MPCEngine(
             m,
             kappa=self.config.kappa,
@@ -205,7 +195,6 @@ class PivotContext:
                 m,
                 codec=codec,
                 transport=make_transport(transport, m),
-                local_parties=self.local_parties,
             )
             self.keygen_machines = {
                 i: KeygenParty(
@@ -246,7 +235,6 @@ class PivotContext:
                     encoder=self.encoder,
                 ),
                 transport=make_transport(transport, m),
-                local_parties=self.local_parties,
             )
         #: Batched crypto engine shared by every hot path.
         self.batch = BatchCryptoEngine(
@@ -325,6 +313,14 @@ class PivotContext:
         self.revealed: list[tuple[str, object]] = []
 
     # -- basic facts -----------------------------------------------------------
+
+    @property
+    def local_parties(self) -> tuple[int, ...]:
+        """Parties whose inboxes (and, with distributed keygen, keygen
+        state machines and key shares) live in this process — whoever the
+        bus's transport hosts: all m unless this is the standalone-runtime
+        orchestrator, which hosts just the super client."""
+        return self.bus.local_parties
 
     @property
     def n_clients(self) -> int:

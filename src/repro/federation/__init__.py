@@ -15,7 +15,8 @@ data:
   parties, runs threshold key generation and MPC setup, and owns the
   shared runtime (the :class:`~repro.core.context.PivotContext`).
   ``transport="asyncio"`` routes every protocol payload over real local
-  sockets; :class:`~repro.federation.deployment.DeployedFederation`
+  sockets (:class:`~repro.network.transport.SocketTransport`, the class
+  the standalone runtime's mesh is made of too); :class:`~repro.federation.deployment.DeployedFederation`
   additionally launches each non-super party in her own worker process
   (columns and key share physically local), with bit-identical results.
 * sklearn-style estimators (:mod:`repro.federation.estimators`):

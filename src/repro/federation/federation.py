@@ -60,7 +60,7 @@ class Federation:
     ``"inmemory"`` (the default) routes serialized payloads through
     per-receiver queues in this process; ``"asyncio"`` moves the same
     bytes over real local TCP sockets
-    (:class:`~repro.network.transport.AsyncioTransport`); a prepared
+    (:class:`~repro.network.transport.SocketTransport`); a prepared
     :class:`~repro.network.transport.Transport` instance passes through.
     Protocol behaviour, measured bytes, and round counts are identical
     across transports — only the physical path of the bytes changes.
@@ -139,14 +139,13 @@ class Federation:
         strict_locality: bool | None,
         transport: Any,
         remote_clients: dict[int, object] | None = None,
-        local_parties: tuple[int, ...] | None = None,
     ) -> None:
         """Joint setup (§3.4): config, keys, MPC engine, bus, binding.
 
-        ``local_parties`` restricts which parties' inboxes (and, with
-        distributed keygen, key shares) live in this process — the
-        standalone-runtime orchestrator passes only the super client;
-        everything else defaults to all m parties.
+        Which parties' inboxes (and, with distributed keygen, key shares)
+        live in this process is the transport's ``hosted`` — all m parties
+        unless the caller hands over a transport that hosts fewer (the
+        standalone-runtime orchestrator's hosts only the super client).
         """
         self.config = _resolve_config(config, strict_locality)
         self.parties = list(parties)
@@ -156,7 +155,6 @@ class Federation:
             self.config,
             transport=transport,
             remote_clients=remote_clients,
-            local_parties=local_parties,
         )
         self._bind_parties()
 

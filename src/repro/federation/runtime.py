@@ -9,8 +9,8 @@ style of production FL stacks: every party runs
 as her own long-lived process.  Each process
 
 * binds **only her own** listening port
-  (:class:`~repro.network.transport.PeerTransport` — a full TCP mesh,
-  lazily connected, start-order independent);
+  (a :class:`~repro.network.transport.SocketTransport` hosting one party —
+  a full TCP mesh, lazily connected, start-order independent);
 * takes part in **distributed Paillier keygen**
   (:mod:`repro.crypto.distkeygen`): her ``d_i`` share is *generated* inside
   her process; no dealer, no provisioning step, and the full private key
@@ -23,7 +23,7 @@ as her own long-lived process.  Each process
 
 The super client's process is the :class:`RuntimeFederation` — an ordinary
 :class:`~repro.federation.federation.Federation` whose context holds *only*
-her party (``local_parties=(0,)``).  The other parties appear as
+her party (its transport hosts party 0 alone).  The other parties appear as
 :class:`StandalonePartyClient` stubs that expose exactly the public facts
 the protocol needs (feature/split *counts*, fetched over the control
 plane); their columns, candidate thresholds and key shares exist only in
@@ -77,7 +77,7 @@ from repro.federation.party import Party, PartyEndpoint, PartyRuntime
 from repro.mpc.field import MERSENNE_127
 from repro.network.bus import CONTROL_TAG_PREFIX, MessageBus
 from repro.network.flows import run_distributed_keygen
-from repro.network.transport import PeerTransport
+from repro.network.transport import SocketTransport
 from repro.network.wire import Request, WireCodec
 from repro.tree.cart import TreeParams
 from repro.tree.splits import candidate_splits_matrix
@@ -203,11 +203,11 @@ class RuntimeConfig:
             tree=TreeParams(max_depth=self.max_depth, max_splits=self.max_splits),
         )
 
-    def make_transport(self) -> PeerTransport:
-        return PeerTransport(
+    def make_transport(self) -> SocketTransport:
+        return SocketTransport(
             self.n_parties,
-            self.index,
-            list(self.addresses),
+            hosted=(self.index,),
+            addresses=self.addresses,
             timeout=self.timeout,
             connect_timeout=self.connect_timeout,
         )
@@ -401,7 +401,6 @@ class StandalonePartyRuntime:
             config.n_parties,
             codec=self.codec,
             transport=config.make_transport(),
-            local_parties=(self.index,),
         )
         try:
             self.keygen_machine: KeygenParty | None = None
@@ -714,14 +713,14 @@ class RuntimeFederation(Federation):
     An ordinary :class:`~repro.federation.federation.Federation` — same
     estimator API, same parity guarantees — except physically minimal:
     the context hosts only party 0's inbox, key-material and columns
-    (``local_parties=(0,)``); distributed keygen runs her machine against
-    the remote parties' over the socket mesh; the other parties are
-    :class:`StandalonePartyClient` stubs.  Cost snapshots and the
+    (her transport hosts no one else); distributed keygen runs her
+    machine against the remote parties' over the socket mesh; the other
+    parties are :class:`StandalonePartyClient` stubs.  Cost snapshots and the
     end-of-run drain check merge the remote parties' control-plane
     reports, so accounting stays comparable with the single-process rows.
 
     The standalone party processes must already be running (or starting —
-    the peer transport retries connections) when this constructor runs:
+    the transport retries refused connections) when this constructor runs:
     keygen blocks until all m machines participate.
     """
 
@@ -771,7 +770,6 @@ class RuntimeFederation(Federation):
             None,
             config.make_transport(),
             remote_clients=dict(stubs),
-            local_parties=(sup,),
         )
         for stub in stubs.values():
             stub._fetch = self._control

@@ -101,25 +101,12 @@ class MessageBus:
         model: NetworkModel | None = None,
         codec: WireCodec | None = None,
         transport: Transport | None = None,
-        local_parties: tuple[int, ...] | None = None,
     ):
         if n_parties < 1:
             raise ValueError("bus needs at least one party")
         self.n_parties = n_parties
         self.model = model or NetworkModel()
         self.codec = codec
-        #: Parties whose inboxes live on *this* bus.  All of them for the
-        #: in-memory / asyncio / deployed topologies (one process hosts
-        #: every inbox); exactly one for a standalone party runtime, whose
-        #: peer transport only binds her own port.  Flows that loop over
-        #: receivers must loop over these, not range(n_parties).
-        self.local_parties: tuple[int, ...] = (
-            tuple(local_parties)
-            if local_parties is not None
-            else tuple(range(n_parties))
-        )
-        for index in self.local_parties:
-            self._check_party(index)
         # Delivery is drain-based: receivers consume their inboxes — either
         # explicitly (receive) or at the next synchronisation round — so the
         # default transport no longer needs a retention cap.
@@ -131,6 +118,17 @@ class MessageBus:
         self.bytes_estimated = 0
         self.rounds = 0
         self.by_tag: dict[str, int] = defaultdict(int)
+
+    @property
+    def local_parties(self) -> tuple[int, ...]:
+        """Parties whose inboxes live on *this* bus: ``transport.hosted``.
+
+        All of them when one process hosts every inbox; exactly one for a
+        standalone party runtime, whose transport only binds her own port.
+        Flows that loop over receivers must loop over these, not
+        ``range(n_parties)``.
+        """
+        return self.transport.hosted
 
     def _check_party(self, index: int) -> None:
         if not 0 <= index < self.n_parties:
@@ -215,6 +213,19 @@ class MessageBus:
         Counterpart of :meth:`send_control`; also used by a runtime's serve
         loop when the popped message turns out to be control-plane.
         """
+        envelope, payload = self._pop(party, counted=False)
+        return envelope.sender, envelope.tag, payload
+
+    # -- drain-based receiving ----------------------------------------------
+
+    def _pop(
+        self, party: int, tag: str | None = None, counted: bool = True
+    ) -> tuple[Envelope, Any]:
+        """Await, validate, decode, *then* consume ``party``'s oldest message.
+
+        Validation comes before the pop so a rejected message stays queued
+        (and visible to :meth:`assert_drained`) instead of being lost.
+        """
         if self.codec is None:
             raise ValueError(
                 "bus was built without a WireCodec; cannot decode payloads"
@@ -222,12 +233,21 @@ class MessageBus:
         self.transport.wait_pending(party, 1)
         envelope = self.transport.peek(party)
         if envelope is None:
-            raise LookupError(f"no pending message for party {party}")
+            expected = "a message" if tag is None else f"a {tag!r} message"
+            raise LookupError(
+                f"party {party} expected {expected} but her inbox was still "
+                f"empty after the transport's {self.transport.timeout:g}s "
+                f"timeout"
+            )
+        if tag is not None and envelope.tag != tag:
+            raise ValueError(
+                f"party {party} expected a {tag!r} message but the oldest "
+                f"pending one is tagged {envelope.tag!r}"
+            )
         payload = self.codec.deserialize(envelope.data)
         self.transport.poll(party)
-        return envelope.sender, envelope.tag, payload
-
-    # -- drain-based receiving ----------------------------------------------
+        self.consumed += counted
+        return envelope, payload
 
     def receive(self, party: int, tag: str | None = None) -> Any:
         """Pop ``party``'s oldest pending message and decode it.
@@ -246,25 +266,7 @@ class MessageBus:
         absence of mail — this is the await-delivery seam that lets the
         same protocol flows run over non-instantaneous transports.
         """
-        if self.codec is None:
-            raise ValueError(
-                "bus was built without a WireCodec; cannot decode payloads"
-            )
-        self.transport.wait_pending(party, 1)
-        # Validate before consuming: a rejected message stays queued (and
-        # visible to assert_drained) instead of being silently lost.
-        envelope = self.transport.peek(party)
-        if envelope is None:
-            raise LookupError(f"no pending message for party {party}")
-        if tag is not None and envelope.tag != tag:
-            raise ValueError(
-                f"party {party} expected a {tag!r} message but the oldest "
-                f"pending one is tagged {envelope.tag!r}"
-            )
-        payload = self.codec.deserialize(envelope.data)
-        self.transport.poll(party)
-        self.consumed += 1
-        return payload
+        return self._pop(party, tag)[1]
 
     def receive_any(self, party: int, tag: str | None = None) -> tuple[int, Any]:
         """Like :meth:`receive`, but also return who sent the message.
@@ -274,22 +276,7 @@ class MessageBus:
         result by the envelope's sender lets the collector reassemble
         party order without requiring global delivery order.
         """
-        if self.codec is None:
-            raise ValueError(
-                "bus was built without a WireCodec; cannot decode payloads"
-            )
-        self.transport.wait_pending(party, 1)
-        envelope = self.transport.peek(party)
-        if envelope is None:
-            raise LookupError(f"no pending message for party {party}")
-        if tag is not None and envelope.tag != tag:
-            raise ValueError(
-                f"party {party} expected a {tag!r} message but the oldest "
-                f"pending one is tagged {envelope.tag!r}"
-            )
-        payload = self.codec.deserialize(envelope.data)
-        self.transport.poll(party)
-        self.consumed += 1
+        envelope, payload = self._pop(party, tag)
         return envelope.sender, payload
 
     def receive_tagged(self, party: int) -> tuple[int, str, Any]:
@@ -300,17 +287,7 @@ class MessageBus:
         dispatches on the envelope's tag and the payload's shape.  No tag
         validation is performed; the caller owns the dispatch.
         """
-        if self.codec is None:
-            raise ValueError(
-                "bus was built without a WireCodec; cannot decode payloads"
-            )
-        self.transport.wait_pending(party, 1)
-        envelope = self.transport.peek(party)
-        if envelope is None:
-            raise LookupError(f"no pending message for party {party}")
-        payload = self.codec.deserialize(envelope.data)
-        self.transport.poll(party)
-        self.consumed += 1
+        envelope, payload = self._pop(party)
         return envelope.sender, envelope.tag, payload
 
     def receive_raw(self, party: int):

@@ -236,7 +236,7 @@ def record_threshold_decrypt(
     The flow never assumes same-process synchrony: each ``receive`` awaits
     delivery through the transport's ``wait_pending`` seam, and the final
     ``round`` flushes in-flight frames before draining — over an
-    :class:`~repro.network.transport.AsyncioTransport` the broadcast bytes
+    :class:`~repro.network.transport.SocketTransport` the broadcast bytes
     genuinely cross a socket before the receivers decode them.
     """
     count = len(ciphertexts)

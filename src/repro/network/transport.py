@@ -1,4 +1,4 @@
-"""Pluggable message transport between the m simulated clients.
+"""Pluggable message transport between the m clients.
 
 The :class:`~repro.network.bus.MessageBus` serializes every protocol
 payload through its :class:`~repro.network.wire.WireCodec` and hands the
@@ -6,27 +6,33 @@ resulting bytes to a :class:`Transport`, which routes them to per-receiver
 inboxes.  The interface is deliberately minimal — ``deliver`` / ``poll`` /
 ``peek`` / ``pending`` — plus an explicit **await-delivery seam**
 (``wait_pending`` / ``flush``) so the same protocol code runs over a
-transport whose delivery is not instantaneous:
+transport whose delivery is not instantaneous, and one fact about the
+deployment: ``hosted``, the parties whose inboxes live in this process.
+The bus reads who is local from there and nowhere else.
 
-* :class:`InMemoryTransport` is the synchronous single-process
-  implementation.  Delivery is drain-based: the bus's receivers consume
+There are two implementations:
+
+* :class:`InMemoryTransport` is the synchronous single-process one; it
+  hosts everyone.  Delivery is drain-based: the bus's receivers consume
   their inboxes (``MessageBus.receive`` decodes explicitly; every
   synchronisation round drains the rest), so the default transport is
   unbounded and inboxes stay empty between protocol phases.  A bounded
   ``capacity`` remains available for deployments that want an explicit
-  backpressure bound — and a full inbox now **refuses** the message with
-  :class:`TransportOverflowError` instead of silently evicting the oldest
-  one (the seed behaviour, which let a run continue with protocol flows
-  mis-sequenced).
+  backpressure bound — a full inbox **refuses** the message with
+  :class:`TransportOverflowError` instead of evicting the oldest one
+  (which would let a run continue with protocol flows mis-sequenced).
 
-* :class:`AsyncioTransport` moves the same :class:`Envelope` bytes over
-  real local TCP sockets: every party gets a listening socket on an
-  asyncio event loop (run on a background thread), ``deliver`` writes a
-  length-prefixed frame to the receiver's socket, and the receiver's
-  server task appends the decoded envelope to her inbox.  Because arrival
-  is asynchronous, callers synchronise through the seam: ``wait_pending``
-  blocks until a receiver has mail, ``flush`` blocks until every frame
-  handed to ``deliver`` has physically arrived.
+* :class:`SocketTransport` moves the same :class:`Envelope` bytes over
+  real TCP sockets: one listening socket per *hosted* party on an asyncio
+  event loop (run on a background thread), one lazily dialed connection
+  per receiver.  Hosting all m parties on ephemeral localhost ports is the
+  single-process ``transport="asyncio"``; hosting one party out of a
+  shared address book is one node of the multi-process mesh
+  (:mod:`repro.federation.runtime`).  Because arrival is asynchronous,
+  callers synchronise through the seam: ``wait_pending`` blocks until a
+  receiver has mail, ``flush`` until every frame sent to a hosted receiver
+  has physically arrived.  Bytes that do not parse as a frame, or a frame
+  on the wrong party's port, fail the run (:class:`FrameError`).
 
 Byte accounting is done by the bus at delivery time, so the transport
 never affects the measured totals; ``snapshot()`` exposes the transport's
@@ -40,16 +46,18 @@ import asyncio
 import struct
 import threading
 from collections import deque
+from collections.abc import Coroutine, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Coroutine
+from functools import partial
+from typing import Any
 
 __all__ = [
     "Envelope",
     "Transport",
     "TransportOverflowError",
+    "FrameError",
     "InMemoryTransport",
-    "AsyncioTransport",
-    "PeerTransport",
+    "SocketTransport",
     "encode_frame",
     "decode_frame",
     "make_transport",
@@ -60,19 +68,19 @@ def make_transport(spec: "Transport | str | None", n_parties: int) -> "Transport
     """Resolve a transport spec: None/name/instance → :class:`Transport`.
 
     ``None`` and ``"inmemory"`` build the synchronous default;
-    ``"asyncio"`` builds a socket-backed :class:`AsyncioTransport`; an
-    existing :class:`Transport` instance passes through (its party count
-    must match).
+    ``"asyncio"`` builds a :class:`SocketTransport` hosting all the
+    parties on local sockets; an existing :class:`Transport` instance
+    passes through (its party count must match).
     """
     if spec is None or spec == "inmemory":
         return InMemoryTransport(n_parties)
     if spec == "asyncio":
-        return AsyncioTransport(n_parties)
+        return SocketTransport(n_parties)
     if isinstance(spec, Transport):
-        declared = getattr(spec, "n_parties", n_parties)
-        if declared != n_parties:
+        if spec.n_parties != n_parties:
             raise ValueError(
-                f"transport is wired for {declared} parties, need {n_parties}"
+                f"transport is wired for {spec.n_parties} parties, "
+                f"need {n_parties}"
             )
         return spec
     raise ValueError(
@@ -83,6 +91,10 @@ def make_transport(spec: "Transport | str | None", n_parties: int) -> "Transport
 
 class TransportOverflowError(RuntimeError):
     """A bounded inbox refused a message (delivery would have lost data)."""
+
+
+class FrameError(ValueError):
+    """Bytes off a socket that are not a frame this port may accept."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,8 @@ class Envelope:
 _HEADER = struct.Struct("!IIH")
 #: Length prefix (u32) covering the whole frame body.
 _LENGTH = struct.Struct("!I")
+#: An address book: one ``(host, port)`` per party, in party order.
+_Book = list[tuple[str, int]]
 
 
 def encode_frame(envelope: Envelope) -> bytes:
@@ -123,20 +137,80 @@ def encode_frame(envelope: Envelope) -> bytes:
 
 
 def decode_frame(body: bytes) -> Envelope:
-    """Rebuild an :class:`Envelope` from a frame body (prefix stripped)."""
+    """Rebuild an :class:`Envelope` from a frame body (prefix stripped).
+
+    Raises :class:`FrameError` — and nothing else — on a body that is not
+    one: the bytes come off a socket anyone can write to.
+    """
     if len(body) < _HEADER.size:
-        raise ValueError(f"truncated frame of {len(body)} bytes")
+        raise FrameError(f"truncated frame of {len(body)} bytes")
     sender, receiver, tag_length = _HEADER.unpack_from(body)
     offset = _HEADER.size
     if len(body) < offset + tag_length:
-        raise ValueError("truncated frame tag")
-    tag = body[offset : offset + tag_length].decode("utf-8")
+        raise FrameError("truncated frame tag")
+    try:
+        tag = body[offset : offset + tag_length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"frame tag is not utf-8: {exc}") from exc
     data = bytes(body[offset + tag_length :])
     return Envelope(sender=sender, receiver=receiver, tag=tag, data=data)
 
 
 class Transport:
-    """Interface every transport implements (sync or socket-backed)."""
+    """Interface every transport implements (sync or socket-backed), and
+    the inbox bookkeeping the implementations here share."""
+
+    n_parties: int
+    #: The parties whose inboxes live in this transport (sorted).  Only
+    #: they can be polled here; the bus and the flows loop over these.
+    hosted: tuple[int, ...]
+    #: Seconds ``wait_pending`` / ``flush`` block by default; zero for a
+    #: transport that delivers instantaneously.
+    timeout: float = 0.0
+
+    def _open_inboxes(
+        self, n_parties: int, hosted: Iterable[int] | None, capacity: int | None
+    ) -> None:
+        """Validate the shape; one empty FIFO inbox per hosted party."""
+        if n_parties < 1:
+            raise ValueError("transport needs at least one party")
+        if capacity is not None and capacity < 1:
+            raise ValueError("inbox capacity must be positive (or None)")
+        self.n_parties = n_parties
+        self.hosted = tuple(sorted(range(n_parties) if hosted is None else hosted))
+        for party in self.hosted:
+            self._check_party(party)
+        self.capacity = capacity
+        self._inboxes: dict[int, deque[Envelope]] = {p: deque() for p in self.hosted}
+        self.delivered = 0  # total messages ever routed
+        self.dropped = 0  # messages refused by a bounded inbox
+
+    def _check_party(self, index: int) -> None:
+        if not 0 <= index < self.n_parties:
+            raise ValueError(f"party index {index} out of range")
+
+    def _inbox(self, receiver: int) -> deque[Envelope]:
+        try:
+            return self._inboxes[receiver]
+        except KeyError:
+            raise ValueError(
+                f"party {receiver}'s inbox is not hosted here (hosted: {self.hosted})"
+            ) from None
+
+    def _admit(self, envelope: Envelope) -> None:
+        """Queue an envelope for its receiver — or refuse it, loudly, if her
+        bounded inbox is full: evicting the oldest message instead (the
+        seed did) silently mis-sequences every later receive."""
+        inbox = self._inbox(envelope.receiver)
+        if self.capacity is not None and len(inbox) >= self.capacity:
+            self.dropped += 1
+            raise TransportOverflowError(
+                f"inbox of party {envelope.receiver} is full "
+                f"(capacity={self.capacity}); delivering would lose a "
+                f"protocol message"
+            )
+        inbox.append(envelope)
+        self.delivered += 1
 
     def deliver(self, envelope: Envelope) -> None:
         """Route one serialized message to its receiver's inbox.
@@ -183,8 +257,8 @@ class Transport:
         """Block until ``receiver`` has ``count`` pending messages.
 
         The synchronous transports deliver instantaneously, so the default
-        implementation just reports the current state; socket transports
-        override it to actually wait for in-flight frames.
+        implementation just reports the current state; the socket
+        transport overrides it to actually wait for in-flight frames.
         """
         return self.pending(receiver) >= count
 
@@ -212,114 +286,122 @@ class InMemoryTransport(Transport):
     """Synchronous in-process transport with per-receiver FIFO inboxes."""
 
     def __init__(self, n_parties: int, capacity: int | None = None):
-        if n_parties < 1:
-            raise ValueError("transport needs at least one party")
-        if capacity is not None and capacity < 1:
-            raise ValueError("inbox capacity must be positive (or None)")
-        self.n_parties = n_parties
-        self.capacity = capacity
-        self._inboxes: list[deque[Envelope]] = [deque() for _ in range(n_parties)]
-        self.delivered = 0  # total messages ever routed
-        self.dropped = 0  # messages refused by a bounded inbox
-
-    def _check_party(self, index: int) -> None:
-        if not 0 <= index < self.n_parties:
-            raise ValueError(f"party index {index} out of range")
+        self._open_inboxes(n_parties, None, capacity)
 
     def deliver(self, envelope: Envelope) -> None:
         self._check_party(envelope.sender)
         self._check_party(envelope.receiver)
-        inbox = self._inboxes[envelope.receiver]
-        if self.capacity is not None and len(inbox) >= self.capacity:
-            # Refuse loudly.  The seed evicted the oldest queued message
-            # here, which silently mis-sequenced every later receive.
-            self.dropped += 1
-            raise TransportOverflowError(
-                f"inbox of party {envelope.receiver} is full "
-                f"(capacity={self.capacity}); delivering would lose a "
-                f"protocol message"
-            )
-        inbox.append(envelope)
-        self.delivered += 1
+        self._admit(envelope)
 
     def poll(self, receiver: int) -> Envelope | None:
-        self._check_party(receiver)
-        inbox = self._inboxes[receiver]
+        inbox = self._inbox(receiver)
         return inbox.popleft() if inbox else None
 
     def peek(self, receiver: int) -> Envelope | None:
-        self._check_party(receiver)
-        inbox = self._inboxes[receiver]
+        inbox = self._inbox(receiver)
         return inbox[0] if inbox else None
 
     def pending(self, receiver: int) -> int:
-        self._check_party(receiver)
-        return len(self._inboxes[receiver])
+        return len(self._inbox(receiver))
 
     def requeue(self, envelope: Envelope) -> None:
-        self._check_party(envelope.receiver)
-        self._inboxes[envelope.receiver].append(envelope)
+        self._inbox(envelope.receiver).append(envelope)
 
     def clear(self) -> None:
-        for inbox in self._inboxes:
+        for inbox in self._inboxes.values():
             inbox.clear()
 
 
-class AsyncioTransport(Transport):
-    """The same inbox semantics over real local TCP sockets.
+class SocketTransport(Transport):
+    """The same inbox semantics over real TCP sockets, for any hosting shape.
 
-    One listening socket per party (ephemeral ports on ``host``), all
-    served by a single asyncio event loop on a background daemon thread.
-    ``deliver`` frames the envelope (:func:`encode_frame`) and writes it to
-    the receiver's socket over a lazily opened, persistent connection; the
-    receiver's server task decodes arriving frames into her inbox and
-    wakes anyone blocked in :meth:`wait_pending` / :meth:`flush`.
+    The transport binds one listening socket per *hosted* party and keeps
+    one inbox per hosted party; everything is served by a single asyncio
+    event loop on a background daemon thread.  ``hosted=None`` hosts all m
+    parties on ephemeral localhost ports (``transport="asyncio"``: one
+    process, real sockets); ``hosted=(index,)`` with the deployment's
+    shared ``addresses`` book is one party of a multi-process full mesh
+    (:mod:`repro.federation.runtime`).  Nothing else distinguishes the two:
+    the frames are the same :func:`encode_frame` bytes, so a peer cannot
+    tell how many parties the other end hosts.
 
-    The synchronous ``deliver``/``poll``/``peek``/``pending`` interface is
-    unchanged — protocol code cannot tell the transports apart except
-    through timing — but arrival is genuinely asynchronous, so the bus
-    synchronises through the await-delivery seam before it drains or
-    asserts empties.
+    The behaviour, whatever the shape:
 
-    Per-receiver FIFO order is preserved: all frames for one receiver
-    travel over one TCP connection, and ``deliver`` returns only after the
-    frame is handed to the socket, so delivery order equals call order.
+    * **One send path.**  ``deliver`` writes the frame to the receiver's
+      listening socket over a lazily dialed, persistent connection —
+      loopback (a hosted receiver, the sender herself included) or remote
+      alike.  A refused dial is retried until ``connect_timeout`` (peers
+      start on their own schedule); the connection is watched for EOF and
+      re-dialed once per send, so a peer restarted on the same address
+      resumes receiving.  ``deliver`` returns once the frame is written
+      and drained.
+    * **FIFO.**  All of this transport's frames for one receiver travel
+      over one connection, so she sees them in call order (per sending
+      transport; arrivals from different peers interleave).
+    * **flush** returns once every frame *this transport* sent to a hosted
+      receiver is in her inbox.  The accept side recognises its own
+      outgoing sockets, so an arrival from a remote peer never counts
+      toward it.  Frames to a non-hosted receiver are flushed once
+      written: whether a peer processed her mail is unknowable here.
+    * **wait_pending** returns ``False`` once the timeout elapses with no
+      frame; the bus turns that into a :class:`LookupError`, so a killed
+      peer is a loud error at the next barrier, never a hang.  ``timeout``
+      and ``connect_timeout`` are read per call.
+    * **Failures are stored, then raised.**  A full bounded inbox
+      (:class:`TransportOverflowError`), a frame that does not parse, and a
+      frame addressed to another party or from a sender outside
+      ``range(n_parties)`` (:class:`FrameError`) are detected on the loop
+      thread, off the wire; the next ``deliver`` / ``poll`` / ``peek`` /
+      ``wait_pending`` / ``flush`` raises them.
+    * **close** is idempotent and reaps the reader tasks.
     """
 
     def __init__(
         self,
         n_parties: int,
-        host: str = "127.0.0.1",
+        hosted: Sequence[int] | None = None,
+        addresses: Sequence[tuple[str, int]] | None = None,
         capacity: int | None = None,
         timeout: float = 30.0,
+        connect_timeout: float = 30.0,
     ):
-        if n_parties < 1:
-            raise ValueError("transport needs at least one party")
-        if capacity is not None and capacity < 1:
-            raise ValueError("inbox capacity must be positive (or None)")
-        self.n_parties = n_parties
-        self.host = host
-        self.capacity = capacity
+        self._open_inboxes(n_parties, hosted, capacity)
+        book = (
+            [("127.0.0.1", 0)] * n_parties
+            if addresses is None
+            else [(str(host), int(port)) for host, port in addresses]
+        )
+        if len(book) != n_parties:
+            raise ValueError(
+                f"address book has {len(book)} entries for {n_parties} parties"
+            )
+        if any(port == 0 and p not in self.hosted for p, (_, port) in enumerate(book)):
+            raise ValueError("the address book has no port for a party not hosted here")
         self.timeout = timeout
-        self.delivered = 0
-        self.dropped = 0
-        self._inboxes: list[deque[Envelope]] = [deque() for _ in range(n_parties)]
+        self.connect_timeout = connect_timeout
         self._cond = threading.Condition()
-        self._sent = 0  # frames handed to deliver()
-        self._arrived = 0  # frames enqueued at an inbox
+        self._sent = 0  # frames handed to deliver() for a hosted receiver
+        self._arrived = 0  # of those, frames that reached her inbox
         self._failure: Exception | None = None
         self._closed = False
         self._servers: list[asyncio.AbstractServer] = []
         self._writers: dict[int, asyncio.StreamWriter] = {}
+        #: Local ends of this transport's connections to its own ports —
+        #: how the accept side tells a loopback frame from a peer's.
+        self._loopback: set[Any] = set()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._run_loop, name="asyncio-transport", daemon=True
+            target=self._run_loop, name="socket-transport", daemon=True
         )
         self._thread.start()
-        #: Per-party listening ports — the deployment's "address book".
-        self.ports: tuple[int, ...] = self._call(self._start_servers())
+        try:
+            #: The address book, hosted entries carrying the port bound.
+            self.addresses: _Book = self._call(self._start_servers(book))
+        except BaseException:
+            self.close()  # e.g. port taken: do not leak the loop thread
+            raise
 
-    # -- event loop plumbing ------------------------------------------------
+    # -- event loop side ----------------------------------------------------
 
     def _run_loop(self) -> None:
         asyncio.set_event_loop(self._loop)
@@ -328,76 +410,136 @@ class AsyncioTransport(Transport):
     def _call(self, coroutine: Coroutine[Any, Any, Any]) -> Any:
         """Run a coroutine on the transport loop, blocking the caller."""
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(self.timeout)
+        return future.result(self.timeout + self.connect_timeout)
 
-    async def _start_servers(self) -> tuple[int, ...]:
-        ports = []
-        for party in range(self.n_parties):
+    async def _start_servers(self, book: _Book) -> _Book:
+        for party in self.hosted:
+            host, port = book[party]
             server = await asyncio.start_server(
-                self._make_handler(party), self.host, 0
+                partial(self._read_frames, party), host, port
             )
             self._servers.append(server)
-            ports.append(server.sockets[0].getsockname()[1])
-        return tuple(ports)
+            book[party] = (host, server.sockets[0].getsockname()[1])
+        return book
 
-    def _make_handler(
-        self, party: int
-    ) -> Callable[
-        [asyncio.StreamReader, asyncio.StreamWriter], Coroutine[Any, Any, None]
-    ]:
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            try:
-                while True:
-                    prefix = await reader.readexactly(_LENGTH.size)
-                    (length,) = _LENGTH.unpack(prefix)
-                    body = await reader.readexactly(length)
-                    self._enqueue(party, decode_frame(body))
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                pass  # sender closed the connection
-            except asyncio.CancelledError:
-                pass  # transport shutdown reaps the handler; end cleanly
-            finally:
-                writer.close()
+    async def _read_frames(
+        self,
+        party: int,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Serve one connection accepted on ``party``'s port."""
+        peer = writer.get_extra_info("peername")
+        try:
+            while True:
+                (length,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
+                envelope = decode_frame(await reader.readexactly(length))
+                if envelope.receiver != party or envelope.sender >= self.n_parties:
+                    raise FrameError(
+                        f"a frame from party {envelope.sender} to party "
+                        f"{envelope.receiver} arrived on party {party}'s port"
+                    )
+                # Looked up per frame: the dialing side records its socket
+                # before it writes, not before this task is scheduled.
+                self._enqueue(envelope, peer in self._loopback)
+        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+            pass  # she closed (or died), or shutdown is reaping this task
+        except FrameError as exc:
+            # Nothing after a bad frame on this connection can be trusted:
+            # fail the run at the next synchronisation point.
+            self._fail(exc)
+        finally:
+            writer.close()
 
-        return handle
-
-    def _enqueue(self, party: int, envelope: Envelope) -> None:
+    def _fail(self, failure: Exception) -> None:
         with self._cond:
-            if (
-                self.capacity is not None
-                and len(self._inboxes[party]) >= self.capacity
-            ):
-                # The frame is already off the wire; refusing it here must
-                # still fail the run, so the error is raised at the next
-                # synchronisation point (deliver/flush/wait_pending).
-                self.dropped += 1
-                self._failure = TransportOverflowError(
-                    f"inbox of party {party} is full (capacity="
-                    f"{self.capacity}); a protocol message was refused"
-                )
-            else:
-                self._inboxes[party].append(envelope)
-                self.delivered += 1
-            self._arrived += 1
+            self._failure = self._failure or failure
             self._cond.notify_all()
 
+    def _enqueue(self, envelope: Envelope, loopback: bool) -> None:
+        with self._cond:
+            try:
+                self._admit(envelope)
+            except TransportOverflowError as refusal:
+                # The frame is already off the wire; refusing it must still
+                # fail the run, at the next synchronisation point.
+                self._fail(refusal)
+            self._arrived += loopback
+            self._cond.notify_all()
+
+    async def _connect(self, peer: int) -> asyncio.StreamWriter:
+        """Dial a party's port, retrying refused connections until the
+        deadline: a refusal usually means "not up yet", and the run must
+        not depend on process start order."""
+        host, port = self.addresses[peer]
+        deadline = self._loop.time() + self.connect_timeout
+        while True:
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+            except OSError as exc:
+                if self._loop.time() >= deadline:
+                    raise TimeoutError(
+                        f"could not reach party {peer} at {host}:{port} "
+                        f"within {self.connect_timeout:.1f}s"
+                    ) from exc
+                await asyncio.sleep(0.1)
+                continue
+            if peer in self.hosted:
+                self._loopback.add(writer.get_extra_info("sockname"))
+            # Connections are one-way: the far end never writes back, so a
+            # completed read can only mean EOF (she exited or restarted).
+            # Watching for it drops the dead writer *before* the next send
+            # would write into a half-closed socket and silently lose the
+            # frame — the next deliver re-dials.
+            asyncio.ensure_future(self._watch(peer, reader, writer))
+            return writer
+
+    async def _watch(
+        self,
+        peer: int,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        try:
+            await reader.read(1)
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass
+        if self._writers.get(peer) is writer:
+            del self._writers[peer]
+        self._loopback.discard(writer.get_extra_info("sockname"))
+        writer.close()
+
     async def _send(self, envelope: Envelope) -> None:
-        writer = self._writers.get(envelope.receiver)
-        if writer is None:
-            _, writer = await asyncio.open_connection(
-                self.host, self.ports[envelope.receiver]
-            )
-            self._writers[envelope.receiver] = writer
-        writer.write(encode_frame(envelope))
+        peer = envelope.receiver
+        frame = encode_frame(envelope)
+        writer = self._writers.get(peer)
+        if writer is not None:
+            try:
+                writer.write(frame)
+                await writer.drain()
+                return
+            except (ConnectionError, OSError):
+                # She went away since the last send; drop the dead
+                # connection and re-dial (she may have restarted).
+                writer.close()
+                self._writers.pop(peer, None)
+        writer = self._writers[peer] = await self._connect(peer)
+        writer.write(frame)
         await writer.drain()
 
-    # -- Transport interface ------------------------------------------------
+    async def _shutdown(self) -> None:
+        for server in self._servers:
+            server.close()
+        # Every connection belongs to a task — its reader, or the watcher of
+        # an outgoing socket — that closes it when cancelled.  Reap them all
+        # so nothing runs (or logs "task was destroyed") after the loop stops.
+        current = asyncio.current_task()
+        stale = [t for t in asyncio.all_tasks() if t is not current]
+        for task in stale:
+            task.cancel()
+        await asyncio.gather(*stale, return_exceptions=True)
 
-    def _check_party(self, index: int) -> None:
-        if not 0 <= index < self.n_parties:
-            raise ValueError(f"party index {index} out of range")
+    # -- Transport interface (caller side) ----------------------------------
 
     def _check_failure(self) -> None:
         if self._failure is not None:
@@ -408,53 +550,51 @@ class AsyncioTransport(Transport):
         self._check_party(envelope.receiver)
         if self._closed:
             raise RuntimeError("transport is closed")
+        awaited = envelope.receiver in self.hosted  # flush waits for it
         with self._cond:
             # _failure is written from the daemon loop thread; read it
             # under the same lock that guards the in-flight counter.
             self._check_failure()
-            self._sent += 1
+            self._sent += awaited
         try:
             self._call(self._send(envelope))
         except Exception:
             with self._cond:
-                self._sent -= 1
+                self._sent -= awaited
                 self._cond.notify_all()
             raise
 
     def poll(self, receiver: int) -> Envelope | None:
-        self._check_party(receiver)
+        inbox = self._inbox(receiver)
         with self._cond:
             self._check_failure()
-            inbox = self._inboxes[receiver]
             return inbox.popleft() if inbox else None
 
     def peek(self, receiver: int) -> Envelope | None:
-        self._check_party(receiver)
+        inbox = self._inbox(receiver)
         with self._cond:
             self._check_failure()
-            inbox = self._inboxes[receiver]
             return inbox[0] if inbox else None
 
     def pending(self, receiver: int) -> int:
-        self._check_party(receiver)
+        inbox = self._inbox(receiver)
         with self._cond:
-            return len(self._inboxes[receiver])
+            return len(inbox)
 
     def requeue(self, envelope: Envelope) -> None:
-        self._check_party(envelope.receiver)
+        inbox = self._inbox(envelope.receiver)
         with self._cond:
-            self._inboxes[envelope.receiver].append(envelope)
+            inbox.append(envelope)
             self._cond.notify_all()
 
     def wait_pending(
         self, receiver: int, count: int = 1, timeout: float | None = None
     ) -> bool:
-        self._check_party(receiver)
+        inbox = self._inbox(receiver)
         deadline = self.timeout if timeout is None else timeout
         with self._cond:
             satisfied = self._cond.wait_for(
-                lambda: self._failure is not None
-                or len(self._inboxes[receiver]) >= count,
+                lambda: self._failure is not None or len(inbox) >= count,
                 timeout=deadline,
             )
             self._check_failure()
@@ -474,12 +614,6 @@ class AsyncioTransport(Transport):
                     f"after {deadline:.1f}s"
                 )
 
-    def clear(self) -> None:
-        self.flush()
-        with self._cond:
-            for inbox in self._inboxes:
-                inbox.clear()
-
     def close(self) -> None:
         if self._closed:
             return
@@ -491,308 +625,6 @@ class AsyncioTransport(Transport):
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(self.timeout)
         self._loop.close()
-
-    async def _shutdown(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
-        # Reap the per-connection handler tasks so nothing runs (or logs
-        # "task was destroyed") after the loop stops.
-        current = asyncio.current_task()
-        stale = [t for t in asyncio.all_tasks() if t is not current]
-        for task in stale:
-            task.cancel()
-        await asyncio.gather(*stale, return_exceptions=True)
-
-    def __del__(self) -> None:
-        try:
-            if not self._closed and self._loop.is_running():
-                self.close()
-        except Exception:
-            pass
-
-
-class PeerTransport(Transport):
-    """One party's transport in a multi-process full-mesh deployment.
-
-    Where :class:`AsyncioTransport` hosts all m inboxes in one process,
-    a :class:`PeerTransport` is what one *standalone* party runs: it binds
-    **only her own** listening port (``addresses[index]``) and opens one
-    outgoing TCP connection per peer, lazily, from the shared address
-    book.  Frames use the exact :func:`encode_frame` layout, so a peer
-    cannot tell whether the other end is an AsyncioTransport hosting
-    everyone or another PeerTransport hosting one party.
-
-    Start-order independence: peers come up whenever their processes do,
-    so ``deliver`` retries a refused connection until ``connect_timeout``
-    elapses before giving up.  A connection that later breaks (peer
-    crashed, or was restarted) is dropped and re-dialed once per send —
-    a restarted peer listening on the same address resumes receiving
-    without any orchestrator-side plumbing.
-
-    Failure semantics at the synchronisation seam: ``wait_pending``
-    returns ``False`` once ``timeout`` elapses with no frame, and the
-    bus's receive turns that into a :class:`LookupError` — a killed peer
-    therefore surfaces as a clear error at the next protocol barrier,
-    never a silent hang.  ``flush`` only covers the outgoing half (every
-    ``deliver`` has been written and drained to the socket); whether a
-    *peer* processed her mail is unknowable here, which is exactly the
-    deployment reality the in-process transports paper over.
-    """
-
-    def __init__(
-        self,
-        n_parties: int,
-        index: int,
-        addresses: list[tuple[str, int]],
-        capacity: int | None = None,
-        timeout: float = 60.0,
-        connect_timeout: float = 30.0,
-    ):
-        if n_parties < 2:
-            raise ValueError("a peer transport needs at least two parties")
-        if not 0 <= index < n_parties:
-            raise ValueError(f"party index {index} out of range")
-        if len(addresses) != n_parties:
-            raise ValueError(
-                f"address book has {len(addresses)} entries for "
-                f"{n_parties} parties"
-            )
-        self.n_parties = n_parties
-        self.index = index
-        self.addresses = [(str(h), int(p)) for h, p in addresses]
-        self.capacity = capacity
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.delivered = 0
-        self.dropped = 0
-        self._inbox: deque[Envelope] = deque()
-        self._cond = threading.Condition()
-        self._failure: Exception | None = None
-        self._closed = False
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name=f"peer-transport-{index}", daemon=True
-        )
-        self._thread.start()
-        self.port: int = self._call(self._start_server())
-
-    # -- event loop plumbing ------------------------------------------------
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def _call(self, coroutine: Coroutine[Any, Any, Any]) -> Any:
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(self.timeout + self.connect_timeout)
-
-    async def _start_server(self) -> int:
-        host, port = self.addresses[self.index]
-        self._server = await asyncio.start_server(self._handle_peer, host, port)
-        return self._server.sockets[0].getsockname()[1]
-
-    async def _handle_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                prefix = await reader.readexactly(_LENGTH.size)
-                (length,) = _LENGTH.unpack(prefix)
-                body = await reader.readexactly(length)
-                self._enqueue(decode_frame(body))
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # peer closed (or died); her next connection gets a fresh task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-
-    def _enqueue(self, envelope: Envelope) -> None:
-        with self._cond:
-            if self.capacity is not None and len(self._inbox) >= self.capacity:
-                self.dropped += 1
-                self._failure = TransportOverflowError(
-                    f"inbox of party {self.index} is full "
-                    f"(capacity={self.capacity}); a protocol message was "
-                    f"refused"
-                )
-            else:
-                self._inbox.append(envelope)
-                self.delivered += 1
-            self._cond.notify_all()
-
-    async def _connect(self, peer: int) -> asyncio.StreamWriter:
-        """Dial a peer, retrying refused connections until the deadline.
-
-        Peers start on their own schedule; a refused connection usually
-        means "not up yet", so keep knocking instead of failing the run
-        on process start order.
-        """
-        host, port = self.addresses[peer]
-        deadline = self._loop.time() + self.connect_timeout
-        while True:
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-                # Outgoing connections are one-way: the peer never writes
-                # back on them, so a completed read can only mean EOF (the
-                # peer exited or was restarted).  Watching for it drops the
-                # dead writer *before* the next send would write into a
-                # half-closed socket and silently lose the frame — the
-                # next deliver re-dials and reaches the restarted peer.
-                asyncio.ensure_future(self._watch_peer(peer, reader, writer))
-                return writer
-            except OSError as exc:
-                if self._loop.time() >= deadline:
-                    raise TimeoutError(
-                        f"party {self.index} could not reach peer {peer} at "
-                        f"{host}:{port} within {self.connect_timeout:.1f}s"
-                    ) from exc
-                await asyncio.sleep(0.1)
-
-    async def _watch_peer(
-        self,
-        peer: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            await reader.read(1)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        if self._writers.get(peer) is writer:
-            del self._writers[peer]
-        writer.close()
-
-    async def _send(self, envelope: Envelope) -> None:
-        peer = envelope.receiver
-        frame = encode_frame(envelope)
-        writer = self._writers.get(peer)
-        if writer is not None:
-            try:
-                writer.write(frame)
-                await writer.drain()
-                return
-            except (ConnectionError, OSError):
-                # Peer went away since the last send; drop the dead
-                # connection and re-dial below (she may have restarted).
-                writer.close()
-                del self._writers[peer]
-        writer = await self._connect(peer)
-        self._writers[peer] = writer
-        writer.write(frame)
-        await writer.drain()
-
-    # -- Transport interface ------------------------------------------------
-
-    def _check_receiver(self, receiver: int) -> None:
-        if receiver != self.index:
-            raise ValueError(
-                f"party {receiver}'s inbox is not hosted here (this is "
-                f"party {self.index}'s peer transport)"
-            )
-
-    def _check_failure(self) -> None:
-        if self._failure is not None:
-            raise self._failure
-
-    def deliver(self, envelope: Envelope) -> None:
-        if not 0 <= envelope.receiver < self.n_parties:
-            raise ValueError(f"party index {envelope.receiver} out of range")
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        with self._cond:
-            # _failure is set from the daemon loop thread under _cond;
-            # read it under the same lock.
-            self._check_failure()
-        if envelope.receiver == self.index:
-            # A flow impersonating another sender toward this party (the
-            # prediction round-robin does this orchestrator-side) loops
-            # straight into the local inbox; no socket is involved.
-            self._enqueue(envelope)
-            return
-        self._call(self._send(envelope))
-
-    def poll(self, receiver: int) -> Envelope | None:
-        self._check_receiver(receiver)
-        with self._cond:
-            self._check_failure()
-            return self._inbox.popleft() if self._inbox else None
-
-    def peek(self, receiver: int) -> Envelope | None:
-        self._check_receiver(receiver)
-        with self._cond:
-            self._check_failure()
-            return self._inbox[0] if self._inbox else None
-
-    def pending(self, receiver: int) -> int:
-        self._check_receiver(receiver)
-        with self._cond:
-            return len(self._inbox)
-
-    def requeue(self, envelope: Envelope) -> None:
-        self._check_receiver(envelope.receiver)
-        with self._cond:
-            self._inbox.append(envelope)
-            self._cond.notify_all()
-
-    def wait_pending(
-        self, receiver: int, count: int = 1, timeout: float | None = None
-    ) -> bool:
-        self._check_receiver(receiver)
-        deadline = self.timeout if timeout is None else timeout
-        with self._cond:
-            satisfied = self._cond.wait_for(
-                lambda: self._failure is not None or len(self._inbox) >= count,
-                timeout=deadline,
-            )
-            self._check_failure()
-            return satisfied
-
-    def flush(self, timeout: float | None = None) -> None:
-        # Outgoing frames are written and drained synchronously inside
-        # deliver(); incoming arrival at *peers* is not observable from
-        # this process, so there is nothing further to wait on.
-        with self._cond:
-            self._check_failure()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._call(self._shutdown())
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(self.timeout)
-        self._loop.close()
-
-    async def _shutdown(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        current = asyncio.current_task()
-        stale = [t for t in asyncio.all_tasks() if t is not current]
-        for task in stale:
-            task.cancel()
-        await asyncio.gather(*stale, return_exceptions=True)
-
-    def snapshot(self) -> dict[str, object]:
-        base = super().snapshot()
-        base["party"] = self.index
-        base["port"] = self.port
-        return base
 
     def __del__(self) -> None:
         try:

@@ -86,6 +86,12 @@ SIGN_BYTES = 1
 OP_LEN_BYTES = 1
 FLOAT_BYTES = 8
 
+#: Deepest nesting of vectors and requests a payload may have, on either
+#: side of the wire.  The protocols' deepest message nests five levels (a
+#: ``node-split`` request's per-party γ lists); the bound keeps a few
+#: kilobytes of nested vector headers from exhausting the parser's stack.
+MAX_DEPTH = 16
+
 
 class WireFormatError(ValueError):
     """A payload cannot be serialized, or a byte stream cannot be parsed."""
@@ -217,10 +223,12 @@ class WireCodec:
 
     def serialize(self, payload: object) -> bytes:
         out = bytearray()
-        self._write(out, payload)
+        self._write(out, payload, 0)
         return bytes(out)
 
-    def _write(self, out: bytearray, payload: object) -> None:
+    def _write(self, out: bytearray, payload: object, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            raise WireFormatError(f"payload nests deeper than {MAX_DEPTH}")
         if isinstance(payload, Ciphertext):
             w = self._cipher_width()
             if payload.public_key != self.public_key:
@@ -252,7 +260,7 @@ class WireCodec:
             out.append(_TAG_REQUEST)
             out.append(len(op))
             out += op
-            self._write(out, payload.body)
+            self._write(out, payload.body, depth + 1)
         elif isinstance(payload, bool):
             raise WireFormatError("bool payloads are ambiguous on the wire")
         elif isinstance(payload, int):
@@ -274,7 +282,7 @@ class WireCodec:
             out.append(_TAG_VECTOR)
             out += len(payload).to_bytes(COUNT_BYTES, "big")
             for item in payload:
-                self._write(out, item)
+                self._write(out, item, depth + 1)
         elif isinstance(payload, bytes):
             out.append(_TAG_BYTES)
             out += len(payload).to_bytes(LENGTH_BYTES, "big")
@@ -287,14 +295,18 @@ class WireCodec:
     # -- deserialization ---------------------------------------------------
 
     def deserialize(self, data: bytes) -> Any:
-        payload, offset = self._read(memoryview(data), 0)
+        payload, offset = self._read(memoryview(data), 0, 0)
         if offset != len(data):
             raise WireFormatError(
                 f"{len(data) - offset} trailing bytes after payload"
             )
         return payload
 
-    def _read(self, view: memoryview, offset: int) -> tuple[Any, int]:
+    def _read(
+        self, view: memoryview, offset: int, depth: int
+    ) -> tuple[Any, int]:
+        if depth > MAX_DEPTH:
+            raise WireFormatError(f"payload nests deeper than {MAX_DEPTH}")
         tag = self._take_int(view, offset, TAG_BYTES)
         offset += TAG_BYTES
         if tag == _TAG_CIPHERTEXT:
@@ -341,9 +353,12 @@ class WireCodec:
             offset += OP_LEN_BYTES
             if offset + op_len > len(view):
                 raise WireFormatError("truncated request op")
-            op = bytes(view[offset : offset + op_len]).decode("utf-8")
+            try:
+                op = bytes(view[offset : offset + op_len]).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise WireFormatError(f"request op is not utf-8: {exc}") from exc
             offset += op_len
-            body, offset = self._read(view, offset)
+            body, offset = self._read(view, offset, depth + 1)
             return Request(op, body), offset
         if tag == _TAG_FLOAT:
             if offset + FLOAT_BYTES > len(view):
@@ -366,7 +381,7 @@ class WireCodec:
             offset += COUNT_BYTES
             items = []
             for _ in range(count):
-                item, offset = self._read(view, offset)
+                item, offset = self._read(view, offset, depth + 1)
                 items.append(item)
             return items, offset
         if tag == _TAG_BYTES:

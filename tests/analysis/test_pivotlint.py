@@ -406,6 +406,32 @@ def test_pl003_accepts_registered_wire_types(tmp_path):
     assert report.findings == []
 
 
+def test_pl003_accepts_key_independent_scalars(tmp_path):
+    """int (0x08) and float (0x0A) are wire types; bool is refused by the
+    codec and so by the rule."""
+    report = lint(
+        tmp_path,
+        """
+        def scalars(bus, x):
+            bus.send_payload(0, 1, 7, tag="i")
+            bus.send_payload(0, 1, 2.5, tag="f")
+            bus.send_payload(0, 1, int(x), tag="ci")
+            bus.broadcast_payload(0, float(x), tag="cf")
+            bus.round(1)
+
+        def flags(bus, x):
+            bus.send_payload(0, 1, True, tag="b")
+            bus.send_payload(0, 1, bool(x), tag="cb")
+            bus.round(1)
+
+        def pump(bus):
+            return bus.receive_tagged(0)
+        """,
+    )
+    assert rules_found(report) == ["PL003", "PL003"]
+    assert all(f.scope.endswith("flags") for f in report.findings)
+
+
 def test_pl003_registry_is_extensible(tmp_path):
     source = """
     def custom(bus, x):
@@ -1413,21 +1439,21 @@ def test_mutation_drifted_round_constant_trips_pl011(_mkdirs):
 
 
 def test_mutation_dropped_lock_trips_pl012(_mkdirs):
-    # Revert the deliver() lock fix: read the loop-thread-written failure
-    # slot outside the condition that guards it.
+    # Revert the lock fix in SocketTransport.deliver(): read the
+    # loop-thread-written failure slot outside the condition that guards it.
     def mutate(source: str) -> str:
         locked = (
             "        with self._cond:\n"
             "            # _failure is written from the daemon loop thread; read it\n"
             "            # under the same lock that guards the in-flight counter.\n"
             "            self._check_failure()\n"
-            "            self._sent += 1\n"
+            "            self._sent += awaited\n"
         )
         assert locked in source
         unlocked = (
             "        self._check_failure()\n"
             "        with self._cond:\n"
-            "            self._sent += 1\n"
+            "            self._sent += awaited\n"
         )
         return source.replace(locked, unlocked, 1)
 

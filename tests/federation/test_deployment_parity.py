@@ -96,7 +96,7 @@ def test_asyncio_transport_parity(data, baseline):
     result = _run(
         Federation(_parties(X, y), config=CONFIG, transport="asyncio"), X[:6]
     )
-    assert result["cost"]["bus"]["transport"]["kind"] == "AsyncioTransport"
+    assert result["cost"]["bus"]["transport"]["kind"] == "SocketTransport"
     assert result["cost"]["bus"]["transport"]["dropped"] == 0
     _assert_parity(result, baseline)
 
@@ -104,7 +104,7 @@ def test_asyncio_transport_parity(data, baseline):
 def test_per_party_process_parity(data, baseline):
     X, y = data
     result = _run(DeployedFederation(_parties(X, y), config=CONFIG), X[:6])
-    assert result["cost"]["bus"]["transport"]["kind"] == "AsyncioTransport"
+    assert result["cost"]["bus"]["transport"]["kind"] == "SocketTransport"
     _assert_parity(result, baseline)
 
 
@@ -159,7 +159,7 @@ def runtime_run(data, tmp_path_factory):
 
 def test_standalone_runtime_parity(runtime_run, distributed_baseline):
     result = runtime_run["result"]
-    assert result["cost"]["bus"]["transport"]["kind"] == "PeerTransport"
+    assert result["cost"]["bus"]["transport"]["kind"] == "SocketTransport"
     _assert_parity(result, distributed_baseline)
     # The whole deployment drained and every party exited cleanly on the
     # orchestrator's ctl-shutdown.
@@ -307,7 +307,7 @@ def test_from_partition_and_from_global_really_deploy(data):
     with DeployedFederation.from_global(X, y, 2, config=CONFIG) as fed:
         assert isinstance(fed, DeployedFederation)
         assert sorted(fed.workers) == [1]
-        assert fed.context.bus.transport.snapshot()["kind"] == "AsyncioTransport"
+        assert fed.context.bus.transport.snapshot()["kind"] == "SocketTransport"
         assert np.isnan(fed.parties[1]._raw_features).all()
 
 

@@ -116,7 +116,7 @@ def test_killed_party_fails_the_next_barrier_loudly(tmp_path):
         # Boot (subprocess spawn + distributed keygen + state pull) gets the
         # generous bounds above; the loud-failure property under test only
         # concerns the *post-kill* barrier, so tighten the orchestrator's
-        # transport bounds now — PeerTransport reads them per call.
+        # transport bounds now — SocketTransport reads them per call.
         transport = fed.context.bus.transport
         transport.timeout = 3.0
         transport.connect_timeout = 5.0

@@ -171,3 +171,28 @@ def test_payload_validation(payload_bus):
         payload_bus.send_payload(0, 0, b"self-send")
     with pytest.raises(ValueError):
         payload_bus.send_payload(0, 9, b"bad receiver")
+
+
+def test_four_receives_one_pop(payload_bus, threshold3):
+    """receive / receive_any / receive_tagged / receive_control share one
+    await-validate-decode-consume path; only what they return and whether
+    they count differs."""
+    for _ in range(3):
+        payload_bus.send_payload(1, 0, Request("op", 7), tag="stats")
+    payload_bus.send_control(2, 0, Request("ctl-info", []), tag="ctl-info")
+    with pytest.raises(ValueError, match="expected a 'other' message"):
+        payload_bus.receive(0, tag="other")  # rejected before the pop
+    assert payload_bus.pending(0) == 4
+    assert payload_bus.receive(0, tag="stats") == Request("op", 7)
+    assert payload_bus.receive_any(0, tag="stats") == (1, Request("op", 7))
+    assert payload_bus.receive_tagged(0) == (1, "stats", Request("op", 7))
+    assert payload_bus.consumed == 3
+    assert payload_bus.receive_control(0) == (2, "ctl-info", Request("ctl-info", []))
+    assert payload_bus.consumed == 3  # control plane is not counted
+    with pytest.raises(LookupError, match="party 0 expected a 'stats' message"):
+        payload_bus.receive(0, tag="stats")
+
+
+def test_local_parties_is_the_transports_fact(payload_bus):
+    assert payload_bus.local_parties is payload_bus.transport.hosted
+    assert payload_bus.local_parties == (0, 1, 2)

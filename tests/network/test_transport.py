@@ -3,9 +3,10 @@
 import pytest
 
 from repro.network.transport import (
-    AsyncioTransport,
     Envelope,
+    FrameError,
     InMemoryTransport,
+    SocketTransport,
     Transport,
     TransportOverflowError,
     decode_frame,
@@ -102,6 +103,16 @@ def test_frame_rejects_truncation():
     frame = encode_frame(_env(0, 1, b"payload"))
     with pytest.raises(ValueError):
         decode_frame(frame[4:9])
+    # One typed error for every way a body can fail to be a frame.
+    for body in (b"abc", frame[4:14], frame[4:14] + b"\xff"):
+        with pytest.raises(FrameError):
+            decode_frame(body)
+
+
+def test_every_transport_says_whom_it_hosts():
+    assert InMemoryTransport(3).hosted == (0, 1, 2)
+    with pytest.raises(ValueError, match="not hosted here"):
+        InMemoryTransport(3).poll(3)
 
 
 def test_make_transport_resolution():
@@ -115,6 +126,6 @@ def test_make_transport_resolution():
         make_transport("carrier-pigeon", 2)
     socket_transport = make_transport("asyncio", 2)
     try:
-        assert isinstance(socket_transport, AsyncioTransport)
+        assert isinstance(socket_transport, SocketTransport)
     finally:
         socket_transport.close()

@@ -8,7 +8,9 @@ from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext
 from repro.crypto.threshold import PartialDecryption, combine_partial_decryptions
 from repro.network.wire import (
+    MAX_DEPTH,
     PartialDecryptionVector,
+    Request,
     ShareVector,
     WireCodec,
     WireFormatError,
@@ -154,3 +156,46 @@ def test_malformed_streams_rejected(codec, threshold3):
         codec.deserialize(data + b"\x00")  # trailing garbage
     with pytest.raises(WireFormatError):
         codec.deserialize(b"\xff" + data[1:])  # unknown tag
+    # Hostile bytes raise WireFormatError and nothing else: 10 kB of nested
+    # vector headers (was RecursionError), a request whose op is not UTF-8
+    # (was UnicodeDecodeError).
+    bare = WireCodec(None)
+    with pytest.raises(WireFormatError, match="nests deeper"):
+        bare.deserialize(b"\x06\x00\x00\x00\x01" * 2000 + b"\x0a" + bytes(8))
+    with pytest.raises(WireFormatError, match="not utf-8"):
+        bare.deserialize(b"\x09\x02\xff\xfe" + b"\x0a" + bytes(8))
+    # Truncation sweep: every strict prefix of a valid encoding of each
+    # wire type is rejected, and with the typed error.
+    ct = threshold3.encrypt(5)
+    partial = threshold3.shares[0].partial_decrypt(ct)
+    one_of_each = [
+        ct,
+        codec.encoder.encrypt(-3.25),
+        partial,
+        PartialDecryptionVector(1, (partial.value, partial.value)),
+        ShareVector((1, Q - 1)),
+        [ct, [7, b"ab"]],
+        b"blob",
+        -(2**70),
+        Request("split-stats", [1, 2.5]),
+        2.5,
+    ]
+    for payload in one_of_each:
+        data = codec.serialize(payload)
+        for cut in range(len(data)):
+            with pytest.raises(WireFormatError):
+                codec.deserialize(data[:cut])
+
+
+def test_nesting_is_bounded_on_both_sides(codec):
+    payload = 7
+    for _ in range(MAX_DEPTH):
+        payload = [payload]
+    assert codec.deserialize(codec.serialize(payload)) == payload
+    with pytest.raises(WireFormatError, match="nests deeper"):
+        codec.serialize([payload])
+    # The deepest message the protocols send has five levels (a node-split
+    # request: op, body, label vectors, one vector, its elements).
+    node_split = Request("node-split", [3, [[1, 2], [3, 4]]])
+    assert codec.deserialize(codec.serialize(node_split)) == node_split
+
