@@ -24,13 +24,21 @@ import pytest
 
 from common import calibrated_costs, print_table
 from repro.analysis import opcount
-from repro.core import PivotConfig, PivotContext, TreeTrainer
+from repro.core import (
+    PivotConfig,
+    PivotContext,
+    TreeTrainer,
+    run_predict_basic,
+    run_predict_batch,
+)
 from repro.crypto import PaillierEncoder, generate_keypair
 from repro.crypto.batch import BatchCryptoEngine
 from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
 from repro.mpc import FixedPointOps, MPCEngine, comparison
 from repro.mpc.conversion import ciphers_to_shares
+from repro.tree import DecisionTreeModel
+from repro.tree.model import TreeNode
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +69,7 @@ def test_ce_encryption(benchmark, bundle):
 
 def test_ce_batched_vector_encryption(benchmark, bundle):
     """Vector encryption against a warm obfuscator pool."""
-    engine = BatchCryptoEngine(bundle.public_key, pool_size=4096)
+    engine = BatchCryptoEngine(bundle.public_key)
     values = list(range(64))
     engine.pool.precompute(4096)
 
@@ -156,12 +164,23 @@ def batch_report(
     # -- Ce: serial vector encryption vs batched (warm obfuscator pool) ----
     values = [float(i) - vector / 2 for i in range(vector)]
     encoder = PaillierEncoder(pk)
-    engine = BatchCryptoEngine(pk, pool_size=vector * (repeats + 1))
+    engine = BatchCryptoEngine(pk)
     engine.pool.precompute(vector * (repeats + 1))  # idle-time precompute
 
     t_serial = _best_of(lambda: [encoder.encrypt(v) for v in values], repeats)
     t_batched = _best_of(lambda: engine.encrypt_vector(values), repeats)
     enc_speedup = t_serial / t_batched
+
+    # -- Eq. 2: a negative scalar is an inverse and a short power ----------
+    # (not the |n|-bit exponent n - x; a ratio inside this run.)
+    scaled = engine.encrypt_vector(values)
+    t_scale_pos = _best_of(
+        lambda: engine.scale_vector(scaled, [0.37] * vector), repeats
+    )
+    t_scale_neg = _best_of(
+        lambda: engine.scale_vector(scaled, [-0.37] * vector), repeats
+    )
+    negative_ratio = t_scale_neg / t_scale_pos
 
     # -- Cs: five fractions over one denominator, singly vs one grouped div -
     # (Norm, AppRcr and the squarings of x run once per denominator; a
@@ -209,6 +228,12 @@ def batch_report(
                 f"{enc_speedup:.2f}x",
             ],
             [
+                f"scale x{vector} by +0.37 vs -0.37",
+                t_scale_pos * 1e3,
+                t_scale_neg * 1e3,
+                f"{negative_ratio:.2f}x slower",
+            ],
+            [
                 "secure div, 5 over one denominator",
                 t_div_singly * 1e3,
                 t_div_grouped * 1e3,
@@ -241,6 +266,10 @@ def batch_report(
             f"mask generation only {mask_speedup:.2f}x faster than this run's "
             "raw pow(r, n, n^2); the floor is 4x"
         )
+        assert negative_ratio <= 3.0, (
+            f"scale_vector by negative scalars takes {negative_ratio:.2f}x the "
+            "same vector by positive ones; the ceiling is 3x"
+        )
         assert div_speedup >= 2.5, (
             f"five numerators over one denominator are only {div_speedup:.2f}x "
             "faster than five single divisions; the floor is 2.5x"
@@ -251,12 +280,14 @@ def batch_report(
         )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
-            "pow, grouped division >= 2.5x, lt <= 12 mul, tallies equal"
+            "pow, negative scalars <= 3x positive, grouped division >= 2.5x, "
+            "lt <= 12 mul, tallies equal"
         )
     return {
         "crt": crt_speedup,
         "encrypt": enc_speedup,
         "mask": mask_speedup,
+        "negative_scalar": negative_ratio,
         "div": div_speedup,
         "lt_in_muls": lt_in_muls,
     }
@@ -331,6 +362,58 @@ def packing_report(
     return {"pack": pack_speedup, "eq10": eq10_speedup}
 
 
+def prediction_report(
+    keysize: int = 512, n_parties: int = 3, rows: int = 48, repeats: int = 3,
+    smoke: bool = False,
+) -> dict[str, float]:
+    """Algorithm 4 once per batch against once per row, on a full 8-leaf
+    tree with alternating labels (4 leaves travel): the batch pays the
+    same (m - 1)·L masks per row but one barrier per hop and one packed
+    threshold decryption per call.  A ratio inside this run."""
+    rng = np.random.default_rng(0)
+    partition = vertical_partition(
+        rng.normal(size=(8, n_parties)),
+        np.arange(8) % 2,
+        n_parties,
+        task="classification",
+    )
+    leaves = iter(range(8))
+
+    def grow(depth: int) -> TreeNode:
+        if depth == 3:
+            return TreeNode(is_leaf=True, depth=depth, prediction=next(leaves) % 2)
+        owner = depth % n_parties
+        return TreeNode(
+            is_leaf=False, depth=depth, owner=owner, feature=0,
+            global_feature=owner, threshold=0.0,
+            left=grow(depth + 1), right=grow(depth + 1),
+        )
+
+    model = DecisionTreeModel(grow(0), "classification", n_classes=2)
+    held_out = rng.normal(size=(rows, n_parties))
+    with PivotContext(partition, PivotConfig(keysize=keysize, seed=0)) as ctx:
+        t_single = _best_of(
+            lambda: [run_predict_basic(model, ctx, row) for row in held_out], repeats
+        )
+        t_batch = _best_of(lambda: run_predict_batch(model, ctx, held_out), repeats)
+        assert list(run_predict_batch(model, ctx, held_out)) == list(
+            model.predict(held_out)
+        )
+    ratio = t_batch / t_single
+    print(
+        f"{rows} rows through an 8-leaf tree: {t_single * 1e3 / rows:.2f} ms/row "
+        f"as single-row calls, {t_batch * 1e3 / rows:.2f} ms/row as one batch "
+        f"({ratio:.2f}x)"
+    )
+    if smoke:
+        assert ratio <= 0.7, (
+            f"one {rows}-row run_predict_batch takes {ratio:.2f}x the same rows "
+            "as single-row calls; the ceiling is 0.7x"
+        )
+        print("SMOKE OK: batched prediction <= 0.7x row-by-row")
+    return {"predict_batch": ratio}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -344,6 +427,7 @@ def main() -> None:
     if args.smoke:
         batch_report(keysize=512, vector=32, repeats=10, smoke=True)
         packing_report(repeats=3, smoke=True)
+        prediction_report(smoke=True)
         return
 
     rows = []
@@ -363,6 +447,7 @@ def main() -> None:
           "protocols batch decryptions and avoid comparisons accordingly.")
     batch_report()
     packing_report()
+    prediction_report()
 
 
 if __name__ == "__main__":

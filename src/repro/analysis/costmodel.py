@@ -56,8 +56,8 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     node nothing but the root's own 1 + (c − 1) (a child inherits the
     winning split's shares).  *Packed*: ⌊(|n| − 1) / (k + κ + bitlen(m))⌋
     statistics per decrypted ciphertext (:mod:`repro.crypto.packing`; 6 at
-    a 512-bit key), and likewise one Cd per ~12 predicted rows instead of
-    :func:`table2_prediction_counts`'s one per row.  So the *measured* Cd
+    a 512-bit key); predicted rows pack too, at label width (see
+    :func:`table2_prediction_counts`).  So the *measured* Cd
     of a fit over S = d·b candidate splits per node is
 
         ⌈c / slots⌉  +  t · ⌈S·c / slots⌉        (leaves: none)
@@ -111,8 +111,19 @@ def table2_prediction_counts(w: Workload, protocol: str) -> dict[str, float]:
 
     Basic:    O(m t)·Ce + O(1)·Cd;   Enhanced: O(t)·(Cs + Cc).
 
-    The *measured* enhanced prediction has exactly this shape: per row,
-    t Cc (one comparison per internal node) and 2t + 1 Cs (t marker
+    The *measured* basic prediction (:mod:`repro.core.prediction`) runs
+    Algorithm 4 once per call.  Per row it costs (m − 1)·L pool-mask Ce —
+    u_m's encryption and one re-mask per middle party of each of the L
+    leaves that can change the answer (L ≤ (t + 1) / 2 for binary labels;
+    t + 1 when a forest asks for every leaf) — plus L cheap dot-product
+    terms at u_1, and 1 / ⌊(|n| − 1) / (β + 1)⌋ Cd for β-bit leaf labels
+    (255 binary-labelled rows share a decrypted ciphertext at 512 bits).
+    Per call it takes m + 1 bus rounds (m − 1 hops, two for the
+    decryption flow) and one more mask per packed ciphertext.  Still
+    linear in m and t, with Table 2's O(1)·Cd amortised over the batch.
+
+    The *measured* enhanced prediction has exactly Table 2's shape: per
+    row, t Cc (one comparison per internal node) and 2t + 1 Cs (t marker
     products and the (t + 1)-leaf inner product with the hidden labels).
     """
     if protocol == "basic":

@@ -392,9 +392,11 @@ class PivotContext:
         The flow moves the ciphertext broadcast *and* the m
         partial-decryption share vectors (the seed accounted only the
         former), all as real serialized payloads consumed by their
-        receivers.
+        receivers.  The holder multiplies one pool mask of hers into the
+        ciphertext first (see :meth:`joint_decrypt_batch`).
         """
-        raws = self.joint_decrypt_raw([value], tag="threshold-decrypt")
+        masked = self.batch.mask_vector([value], [1])
+        raws = self.joint_decrypt_raw(masked, tag="threshold-decrypt")
         self.conversions.threshold_decryptions += 1
         result = raws[0] * 2.0**value.exponent
         self.revealed.append((tag, result))
@@ -412,13 +414,25 @@ class PivotContext:
         single threshold-decryption message flow (2 rounds instead of 2 per
         value) — the deployment shape for n-row basic prediction.
 
-        ``bound_bits`` declares that every value's fixed-point integer has
-        magnitude below ``2**bound_bits``.  Declared values are slot-packed
+        *What is packed, at what width.*  ``bound_bits`` declares that
+        every value's fixed-point integer has magnitude below
+        ``2**bound_bits``.  Declared values are slot-packed
         (:mod:`repro.crypto.packing`, ``bound_bits + 1`` bits each: the
         value plus its sign offset), so the flow moves and every party
-        exponentiates one ciphertext per ~|n| / (bound_bits + 1) values;
-        Cd counts those packed ciphertexts.  Undeclared values decrypt one
-        ciphertext each.
+        exponentiates one ciphertext per ⌊(|n| − 1) / (bound_bits + 1)⌋
+        values; Cd counts those packed ciphertexts.  A single tree's
+        prediction outputs declare the width of the widest leaf label
+        (255 binary-labelled rows per 512-bit ciphertext); undeclared
+        values (the ensembles' aggregated outputs) decrypt one ciphertext
+        each.
+
+        *Who re-masks.*  These two methods serve prediction outputs only,
+        and a prediction output is a deterministic function of ciphertexts
+        the previous party of the round-robin holds
+        (:func:`repro.core.prediction.encrypted_leaf_sums`).  So the
+        holder multiplies one pool mask of her own into every ciphertext
+        *after* packing — one mask per packed ciphertext, not per value —
+        and only then broadcasts.
         """
         if not values:
             return []
@@ -426,15 +440,20 @@ class PivotContext:
         magnitudes: list[int] = []
         if bound_bits is None:
             layout = whole_layout(len(values), pk.n.bit_length())
-            payload = values
         else:
             magnitudes = [bound_bits] * len(values)
             layout = slot_layout(
                 [bound_bits + 1] * len(values), pk.n.bit_length()
             )
-            payload = layout.pack_ciphertexts(
+        packed = [
+            self.encoder.wrap(ciphertext)
+            for ciphertext in layout.pack_ciphertexts(
                 [v.ciphertext for v in values], magnitudes
             )
+        ]
+        payload = [
+            v.ciphertext for v in self.batch.mask_vector(packed, [1] * len(packed))
+        ]
         plains = self.joint_decrypt_raw(
             payload, tag="threshold-decrypt", signed=False
         )

@@ -18,8 +18,9 @@ of round w+1 are the encrypted residuals [Y^{w+1}] = [Y] - [Ŷ^w], which no
 client ever sees.  Each round:
 
 * the clients jointly predict every training sample through the new tree,
-  keeping the outputs encrypted (basic: Algorithm 4's [k̄]; enhanced: the
-  shared §5.2 prediction converted back to a ciphertext),
+  keeping the outputs encrypted (basic: Algorithm 4's [k̄], one round-robin
+  for all n samples; enhanced: the shared §5.2 prediction converted back
+  to a ciphertext),
 * the encrypted running estimate [Ŷ] and residuals are updated
   homomorphically,
 * for the next round's regression-tree statistics the clients compute the
@@ -51,23 +52,28 @@ from repro.core._deprecation import warn_deprecated as _warn_deprecated
 from repro.core.context import PivotContext
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.core.prediction import (
+    _slices_per_row,
+    encrypted_leaf_sums,
     enhanced_prediction_share,
+    global_rows_to_party_slices,
     local_slices_for_sample,
-    predict_basic_encrypted_slices,
+    predict_basic_encrypted_batch,
 )
 from repro.core.trainer import TreeTrainer
-from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.crypto.encoding import EncryptedNumber
 from repro.tree.forest import forest_subsets
 from repro.tree.model import DecisionTreeModel
 
 __all__ = ["ForestTrainer", "GBDTTrainer", "PivotRandomForest", "PivotGBDT"]
 
 
-def _per_row_slices(context: PivotContext, rows: np.ndarray) -> list[list[np.ndarray]]:
-    """Split caller-held global rows into per-sample, per-party slices."""
-    from repro.core.prediction import _local_slices
-
-    return [_local_slices(context, np.asarray(row)) for row in np.atleast_2d(rows)]
+def _add_rows(
+    total: list[EncryptedNumber] | None, terms: list[EncryptedNumber]
+) -> list[EncryptedNumber]:
+    """Element-wise running sum of per-row ciphertext vectors."""
+    if total is None:
+        return terms
+    return [t + term for t, term in zip(total, terms)]
 
 
 class ForestTrainer:
@@ -111,49 +117,56 @@ class ForestTrainer:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Predict caller-held global rows (simulation convenience)."""
-        return self._predict_rows(_per_row_slices(self.ctx, rows))
+        return self.predict_slices(global_rows_to_party_slices(self.ctx, rows))
 
     def predict_slices(self, party_slices: list[np.ndarray]) -> np.ndarray:
         """Predict from per-party feature blocks (federation-native)."""
-        from repro.core.prediction import _slices_per_row
-
-        return self._predict_rows(_slices_per_row(self.ctx, party_slices))
-
-    def _predict_rows(self, rows: list[list[np.ndarray]]) -> np.ndarray:
         if not self.models:
             raise RuntimeError("fit() must be called before predict()")
-        out = [self._predict_row(slices) for slices in rows]
+        if self.enhanced:
+            out = [
+                self._predict_row_enhanced(slices)
+                for slices in _slices_per_row(self.ctx, party_slices)
+            ]
+        else:
+            out = self._predict_basic(party_slices)
         dtype = np.int64 if self.task == "classification" else np.float64
         return np.asarray(out, dtype=dtype)
 
-    def _predict_row(self, slices: list[np.ndarray]) -> float | int:
-        if self.enhanced:
-            return self._predict_row_enhanced(slices)
-        return self._predict_row_basic(slices)
-
-    def _predict_row_basic(self, slices: list[np.ndarray]) -> float | int:
+    def _predict_basic(self, party_slices: list[np.ndarray]) -> list[float | int]:
+        """One Algorithm 4 round-robin per tree for all rows; the per-tree
+        outputs are aggregated encrypted and only the aggregate leaves the
+        ciphertext domain (votes through Algorithm 2, means decrypted)."""
         ctx = self.ctx
         if self.task == "classification":
-            votes: list[EncryptedNumber | None] = [None] * self.n_classes
+            votes: list[list[EncryptedNumber]] | None = None  # [row][class]
             for model in self.models:
-                encrypted_eta = _encrypted_eta(model, ctx, slices)
-                for k in range(self.n_classes):
-                    coeff = [
-                        1 if int(leaf.prediction) == k else 0
-                        for leaf in model.leaves()
-                    ]
-                    vote = encrypted_dot_product(coeff, encrypted_eta)
-                    wrapped = ctx.encoder.wrap(vote.ciphertext, 0)
-                    votes[k] = wrapped if votes[k] is None else votes[k] + wrapped
-            shares = ctx.to_shares([v for v in votes if v is not None])
-            index, _, _ = ctx.fx.argmax(shares)
-            return int(ctx.engine.open(index))
-        total: EncryptedNumber | None = None
+                leaves = model.leaves()
+                # Per-class votes need every leaf: coefficient k is 1 on
+                # the leaves labelled k.
+                per_class = [
+                    [int(int(leaf.prediction) == k) for leaf in leaves]
+                    for k in range(self.n_classes)
+                ]
+                sums = encrypted_leaf_sums(
+                    model, ctx, party_slices, list(range(len(leaves))), per_class
+                )
+                if votes is None:
+                    votes = sums
+                else:
+                    votes = [_add_rows(row, terms) for row, terms in zip(votes, sums)]
+            out: list[float | int] = []
+            for row in votes or []:
+                index, _, _ = ctx.fx.argmax(ctx.to_shares(row))
+                out.append(int(ctx.engine.open(index)))
+            return out
+        total: list[EncryptedNumber] | None = None
         for model in self.models:
-            pred = predict_basic_encrypted_slices(model, ctx, slices)
-            total = pred if total is None else total + pred
-        mean = total * (1.0 / self.n_trees)
-        return float(ctx.joint_decrypt(mean, tag="rf-prediction"))
+            total = _add_rows(
+                total, predict_basic_encrypted_batch(model, ctx, party_slices)
+            )
+        means = [t * (1.0 / self.n_trees) for t in total or []]
+        return ctx.joint_decrypt_batch(means, tag="rf-prediction")
 
     def _predict_row_enhanced(self, slices: list[np.ndarray]) -> float | int:
         """Share-level aggregation: per-tree predictions stay hidden (§5.2).
@@ -185,31 +198,6 @@ class ForestTrainer:
         mean = fx.mul_public(ctx.engine.sum_values(shares), 1.0 / self.n_trees)
         value = ctx.open_value(mean, tag="rf-prediction")
         return float(value * next(iter(scales)))
-
-
-def _encrypted_eta(
-    model: DecisionTreeModel, context: PivotContext, slices: list[np.ndarray]
-) -> list[EncryptedNumber]:
-    """Algorithm 4's round-robin [η] update, returning the leaf vector."""
-    ctx = context
-    paths = model.leaf_paths()
-    eta = ctx.batch.encrypt_vector([1] * len(paths), exponent=0)
-    for client_index in reversed(range(ctx.n_clients)):
-        local = slices[client_index]
-        for leaf_pos, path in enumerate(paths):
-            factor = 1
-            for node, direction in path:
-                if node.owner != client_index:
-                    continue
-                goes_left = local[node.feature] <= node.threshold
-                factor &= int((direction == 0) == goes_left)
-            eta[leaf_pos] = eta[leaf_pos] * factor
-        if client_index > 0:
-            ctx.bus.send_payload(
-                client_index, client_index - 1, eta, tag="prediction-vector"
-            )
-    ctx.bus.round()
-    return eta
 
 
 class GBDTTrainer:
@@ -244,32 +232,61 @@ class GBDTTrainer:
             return self._fit_regression()
         return self._fit_classification()
 
-    def _tree_prediction_ct(
-        self, model: DecisionTreeModel, slices: list[np.ndarray]
-    ) -> EncryptedNumber:
-        """One tree's encrypted prediction for one sample.
+    def _tree_predictions(
+        self, model: DecisionTreeModel, party_slices: list[np.ndarray]
+    ) -> list[EncryptedNumber]:
+        """One tree's encrypted prediction for every row.
 
-        Basic: Algorithm 4's [k̄].  Enhanced: the §5.2 shared prediction,
-        converted back to a ciphertext (§5.2's reverse conversion) so the
-        running estimate [Ŷ] updates homomorphically either way; the
-        ciphertext holds the prediction itself, like the basic one.
+        Basic: Algorithm 4's [k̄], one round-robin for all rows.  Enhanced:
+        per row, the §5.2 shared prediction converted back to a ciphertext
+        (§5.2's reverse conversion) so the running estimate [Ŷ] updates
+        homomorphically either way; the ciphertext holds the prediction
+        itself, like the basic one.
         """
         ctx = self.ctx
         if not self.enhanced:
-            return predict_basic_encrypted_slices(model, ctx, slices)
-        share, scale = enhanced_prediction_share(model, ctx, slices)
-        if scale != 1.0:
-            # Boosting providers keep residuals in score units (scale 1);
-            # a scaled tree would need a public rescale after conversion.
-            share = ctx.fx.mul_public(share, scale)
-        return ctx.to_cipher(share)
+            return predict_basic_encrypted_batch(model, ctx, party_slices)
+        out = []
+        for slices in _slices_per_row(ctx, party_slices):
+            share, scale = enhanced_prediction_share(model, ctx, slices)
+            if scale != 1.0:
+                # Boosting providers keep residuals in score units (scale
+                # 1); a scaled tree would need a public rescale after
+                # conversion.
+                share = ctx.fx.mul_public(share, scale)
+            out.append(ctx.to_cipher(share))
+        return out
+
+    def _training_slices(self) -> list[np.ndarray]:
+        """Per-party blocks of all n training samples, each client's read
+        inside her own scope."""
+        ctx = self.ctx
+        per_sample = [local_slices_for_sample(ctx, t) for t in range(ctx.n_samples)]
+        return [np.stack(rows) for rows in zip(*per_sample)]
+
+    def _training_steps(
+        self, model: DecisionTreeModel, party_slices: list[np.ndarray]
+    ) -> list[EncryptedNumber]:
+        """learning_rate · [the tree's prediction] per training sample: what
+        one round adds to the running estimate.
+
+        The estimate is published, as the next round's residual [γ]s.  A
+        basic [k̄] is a product of ciphertexts u_2 sent, and the quotient of
+        two consecutive rounds' residuals would hand it to her, so the
+        super client re-masks each one first.  (An enhanced one is masked
+        by every party's encryption in ``share_to_cipher``.)
+        """
+        preds = self._tree_predictions(model, party_slices)
+        if not self.enhanced:
+            preds = self.ctx.batch.mask_vector(preds, [1] * len(preds))
+        return [pred * self.learning_rate for pred in preds]
 
     def _fit_regression(self) -> "GBDTTrainer":
         ctx = self.ctx
         labels = np.asarray(ctx.read_labels(), dtype=np.float64)
         self.label_scale = float(np.max(np.abs(labels))) or 1.0
         normalized = labels / self.label_scale
-        n = ctx.n_samples
+        train_slices = self._training_slices()
         # [Y]: the encrypted (normalised) ground-truth labels, batched.
         label_cts = ctx.batch.encrypt_vector([float(y) for y in normalized])
         estimate: list[EncryptedNumber] | None = None
@@ -292,22 +309,14 @@ class GBDTTrainer:
                 break
             # Joint prediction of all training samples, kept encrypted;
             # each client contributes her own columns of every row.
-            preds = [
-                self._tree_prediction_ct(model, local_slices_for_sample(ctx, t))
-                * self.learning_rate
-                for t in range(n)
-            ]
-            if estimate is None:
-                estimate = preds
-            else:
-                estimate = [e + p for e, p in zip(estimate, preds)]
+            estimate = _add_rows(estimate, self._training_steps(model, train_slices))
         return self
 
     def _fit_classification(self) -> "GBDTTrainer":
         ctx = self.ctx
         labels = np.asarray(ctx.read_labels(), dtype=np.int64)
         self.n_classes = max(2, int(labels.max()) + 1)
-        n = ctx.n_samples
+        train_slices = self._training_slices()
         onehot = np.eye(self.n_classes)[labels]
         onehot_cts = [
             ctx.batch.encrypt_vector([float(onehot[t, k]) for t in range(len(labels))])
@@ -337,20 +346,13 @@ class GBDTTrainer:
             if round_index == self.n_rounds - 1:
                 break
             # Update encrypted scores and residuals via secure softmax.
-            new_scores = []
-            for k in range(self.n_classes):
-                preds = [
-                    self._tree_prediction_ct(
-                        round_models[k], local_slices_for_sample(ctx, t)
-                    )
-                    * self.learning_rate
-                    for t in range(n)
-                ]
-                if scores is None:
-                    new_scores.append(preds)
-                else:
-                    new_scores.append([s + p for s, p in zip(scores[k], preds)])
-            scores = new_scores
+            scores = [
+                _add_rows(
+                    None if scores is None else scores[k],
+                    self._training_steps(round_models[k], train_slices),
+                )
+                for k in range(self.n_classes)
+            ]
             residual_cts = self._softmax_residuals(scores, onehot_cts)
         return self
 
@@ -386,74 +388,90 @@ class GBDTTrainer:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Predict caller-held global rows (simulation convenience)."""
-        return self._predict_rows(_per_row_slices(self.ctx, rows))
+        return self.predict_slices(global_rows_to_party_slices(self.ctx, rows))
 
     def predict_slices(self, party_slices: list[np.ndarray]) -> np.ndarray:
-        """Predict from per-party feature blocks (federation-native)."""
-        from repro.core.prediction import _slices_per_row
+        """Predict from per-party feature blocks (federation-native).
 
-        return self._predict_rows(_slices_per_row(self.ctx, party_slices))
-
-    def _predict_rows(self, rows: list[list[np.ndarray]]) -> np.ndarray:
-        if self.task == "regression":
-            out = [self._predict_regression(slices) for slices in rows]
-            return np.asarray(out, dtype=np.float64)
-        out = [self._predict_classification(slices) for slices in rows]
-        return np.asarray(out, dtype=np.int64)
-
-    def _predict_regression(self, slices: list[np.ndarray]) -> float:
-        if not self.models:
-            raise RuntimeError("fit() must be called before predict()")
+        Basic: every tree predicts all rows in one round-robin and the
+        per-row sums of the encrypted tree outputs are what is decrypted
+        (regression) or converted to shares (classification).  Enhanced:
+        row by row at the share level.
+        """
         ctx = self.ctx
-        if self.enhanced:
-            # Aggregate at the share level; one opening for the sum.  The
-            # per-tree label scale is 1.0 for boosting-trained trees (the
-            # providers keep residuals in score units) but is applied
-            # anyway so hand-assembled models cannot silently mispredict.
-            terms = []
-            for model in self.models:
-                share, scale = enhanced_prediction_share(model, ctx, slices)
-                terms.append(
-                    ctx.fx.mul_public(share, self.learning_rate * scale)
+        if self.task == "regression":
+            if not self.models:
+                raise RuntimeError("fit() must be called before predict()")
+            if self.enhanced:
+                values = [
+                    self._predict_regression_enhanced(slices)
+                    for slices in _slices_per_row(ctx, party_slices)
+                ]
+            else:
+                values = ctx.joint_decrypt_batch(
+                    self._score_sums(self.models, party_slices),
+                    tag="gbdt-prediction",
                 )
-            value = ctx.open_value(
-                ctx.engine.sum_values(terms), tag="gbdt-prediction"
-            )
-            return float(value * self.label_scale)
-        total: EncryptedNumber | None = None
-        for model in self.models:
-            pred = predict_basic_encrypted_slices(model, ctx, slices)
-            pred = pred * self.learning_rate
-            total = pred if total is None else total + pred
-        value = ctx.joint_decrypt(total, tag="gbdt-prediction")
-        return float(value * self.label_scale)
-
-    def _predict_classification(self, slices: list[np.ndarray]) -> int:
+            return np.asarray(values, dtype=np.float64) * self.label_scale
         if not self.class_models:
             raise RuntimeError("fit() must be called before predict()")
-        ctx = self.ctx
+        # Generators: each row's scores are shared, soft-maxed and opened
+        # before the next row's touch the MPC engine.
         if self.enhanced:
-            score_shares = [None] * self.n_classes
-            for round_models in self.class_models:
-                for k, model in enumerate(round_models):
-                    share, scale = enhanced_prediction_share(model, ctx, slices)
-                    term = ctx.fx.mul_public(share, self.learning_rate * scale)
-                    score_shares[k] = (
-                        term if score_shares[k] is None else score_shares[k] + term
-                    )
-            shares = [s for s in score_shares if s is not None]
+            rows = (
+                self._class_scores_enhanced(slices)
+                for slices in _slices_per_row(ctx, party_slices)
+            )
         else:
-            score_cts: list[EncryptedNumber | None] = [None] * self.n_classes
-            for round_models in self.class_models:
-                for k, model in enumerate(round_models):
-                    pred = predict_basic_encrypted_slices(model, ctx, slices)
-                    pred = pred * self.learning_rate
-                    score_cts[k] = pred if score_cts[k] is None else score_cts[k] + pred
-            shares = ctx.to_shares([s for s in score_cts if s is not None])
-        if self.use_softmax:
-            shares = ctx.fx.softmax(shares)
-        index, _, _ = ctx.fx.argmax(shares)
-        return int(ctx.engine.open(index))
+            per_class = [
+                self._score_sums(
+                    [round_models[k] for round_models in self.class_models],
+                    party_slices,
+                )
+                for k in range(self.n_classes)
+            ]
+            rows = (ctx.to_shares(list(scores)) for scores in zip(*per_class))
+        out = []
+        for shares in rows:
+            if self.use_softmax:
+                shares = ctx.fx.softmax(shares)
+            index, _, _ = ctx.fx.argmax(shares)
+            out.append(int(ctx.engine.open(index)))
+        return np.asarray(out, dtype=np.int64)
+
+    def _score_sums(
+        self, models: list[DecisionTreeModel], party_slices: list[np.ndarray]
+    ) -> list[EncryptedNumber]:
+        """Per row, [Σ_w learning_rate · tree_w's prediction] (basic)."""
+        total: list[EncryptedNumber] | None = None
+        for model in models:
+            preds = predict_basic_encrypted_batch(model, self.ctx, party_slices)
+            total = _add_rows(total, [p * self.learning_rate for p in preds])
+        return total or []
+
+    def _predict_regression_enhanced(self, slices: list[np.ndarray]) -> float:
+        """Aggregate at the share level; one opening for the sum.  The
+        per-tree label scale is 1.0 for boosting-trained trees (the
+        providers keep residuals in score units) but is applied anyway so
+        hand-assembled models cannot silently mispredict."""
+        ctx = self.ctx
+        terms = []
+        for model in self.models:
+            share, scale = enhanced_prediction_share(model, ctx, slices)
+            terms.append(ctx.fx.mul_public(share, self.learning_rate * scale))
+        return ctx.open_value(ctx.engine.sum_values(terms), tag="gbdt-prediction")
+
+    def _class_scores_enhanced(self, slices: list[np.ndarray]) -> list:
+        ctx = self.ctx
+        score_shares = [None] * self.n_classes
+        for round_models in self.class_models:
+            for k, model in enumerate(round_models):
+                share, scale = enhanced_prediction_share(model, ctx, slices)
+                term = ctx.fx.mul_public(share, self.learning_rate * scale)
+                score_shares[k] = (
+                    term if score_shares[k] is None else score_shares[k] + term
+                )
+        return [s for s in score_shares if s is not None]
 
 
 # ---------------------------------------------------------------------------

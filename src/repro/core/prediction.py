@@ -1,12 +1,39 @@
 """Distributed model prediction (Algorithm 4 and §5.2).
 
 **Basic protocol** (plaintext tree, Algorithm 4): the clients update an
-encrypted prediction vector [η] of size t+1 in a round-robin manner; each
-client multiplies in, for every leaf, a 0/1 factor obtained by comparing
-her own feature values against the thresholds of the internal nodes she
-owns.  After all m updates exactly one [1] survives, and client u_1
-computes [k̄] = z ⊙ [η] with the public leaf-label vector z; the clients
-jointly decrypt [k̄].
+encrypted prediction vector [η] in a round-robin manner, each applying,
+for every leaf, the 0/1 result of comparing her own feature values
+against the thresholds of the internal nodes she owns.  After all m
+updates exactly one [1] survives, client u_1 computes [k̄] = z ⊙ [η] with
+the public leaf-label vector z, and the clients jointly decrypt [k̄].
+
+The round-robin runs **once per call, for all R rows**
+(:func:`encrypted_leaf_sums`, the one place it exists): u_m encrypts her
+own R × L 0/1 matrix under fresh masks, every middle party applies hers
+with ``mask_vector`` — a fresh [0] where she rules a leaf out, a
+re-masked ciphertext where she does not — so a hop is one message of R·L
+ciphertexts none of which is linkable to what its sender received, and
+one barrier; u_1 folds her own bits into the label coefficients of the
+final dot product instead of sending anything.  What her dot products
+return is a deterministic function of the vector u_2 sent, so it stays
+with her until re-masked: :meth:`PivotContext.joint_decrypt_batch` packs
+the R outputs and multiplies one pool mask of hers into each *packed*
+ciphertext before the decryption broadcast.
+
+L is the number of leaves that can change the answer.  Exactly one leaf
+survives, so for any public z₀
+
+    [k̄] = z₀ + Σ_{j : z_j ≠ z₀} (z_j − z₀) · [η_j],
+
+and with z₀ the most frequent leaf label (the model is public; ties go to
+the first leaf) at most half the leaves of a binary-labelled tree travel.
+A tree whose leaves all carry one label sends and decrypts nothing.  The
+outputs are packed at the width of the widest leaf label — 2-bit slots,
+255 rows per 512-bit ciphertext, for binary classification.  Per row that
+is (m − 1)·L pool masks and 1/⌊(|n| − 1)/(β + 1)⌋ threshold decryptions;
+per call m − 1 hop rounds and the decryption flow's two.  The forest asks
+for every leaf (its per-class votes need them) and the GBDT trainer
+predicts all n training samples of a round in one call.
 
 **Enhanced protocol** (§5.2 "Secret sharing based model prediction"): split
 thresholds and leaf labels exist only in secretly shared form; feature
@@ -14,8 +41,8 @@ values are secret-shared by their owners, a marker is propagated from the
 root with one secure comparison per internal node, and the prediction is
 the inner product ⟨z⟩·⟨η⟩, revealed alone.
 
-Party locality: every entry point takes the sample as *per-party slices* —
-each client's own columns of the row, exactly what a real deployment's
+Party locality: every entry point takes the samples as *per-party slices* —
+each client's own columns of the rows, exactly what a real deployment's
 parties would hold.  ``party_slices`` (one ``n × d_i`` block per client)
 is the federation API's native input; the ``row``-based wrappers split a
 caller-supplied global row for single-process convenience (the caller owns
@@ -32,20 +59,23 @@ internals these shims forward to).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.core._deprecation import warn_deprecated as _warn_deprecated
 from repro.core.context import PivotContext
-from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.crypto.encoding import EncryptedNumber
 from repro.mpc import comparison
 from repro.tree.model import DecisionTreeModel, TreeNode
 
 __all__ = [
+    "encrypted_leaf_sums",
     "enhanced_prediction_share",
     "global_rows_to_party_slices",
     "local_slices_for_sample",
     "predict_basic",
-    "predict_basic_encrypted",
+    "predict_basic_encrypted_batch",
     "predict_batch",
     "predict_enhanced",
     "run_predict_basic",
@@ -94,10 +124,10 @@ def local_slices_for_sample(context: PivotContext, t: int) -> list[np.ndarray]:
     return [client.local_row(t) for client in context.clients]
 
 
-def _slices_per_row(
+def _party_blocks(
     context: PivotContext, party_slices: list[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """Transpose per-party blocks (m arrays of n × d_i) into per-row slices."""
+) -> list[np.ndarray]:
+    """The m per-party blocks (n × d_i each), shape-checked."""
     blocks = [np.atleast_2d(np.asarray(block, dtype=np.float64)) for block in party_slices]
     if len(blocks) != context.n_clients:
         raise ValueError(
@@ -113,7 +143,15 @@ def _slices_per_row(
                 f"party {client.index} block has {block.shape[1]} columns, "
                 f"she owns {client.n_features}"
             )
-    return [[block[t] for block in blocks] for t in range(n)]
+    return blocks
+
+
+def _slices_per_row(
+    context: PivotContext, party_slices: list[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """Transpose per-party blocks (m arrays of n × d_i) into per-row slices."""
+    blocks = _party_blocks(context, party_slices)
+    return [[block[t] for block in blocks] for t in range(blocks[0].shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -121,48 +159,84 @@ def _slices_per_row(
 # ---------------------------------------------------------------------------
 
 
-def predict_basic_encrypted_slices(
-    model: DecisionTreeModel, context: PivotContext, slices: list[np.ndarray]
-) -> EncryptedNumber:
-    """Algorithm 4 up to (excluding) the final joint decryption.
+_NEEDS_PLAINTEXT_TREE = (
+    "basic prediction needs a plaintext tree; use the enhanced prediction "
+    "for hidden models"
+)
 
-    Returns [k̄] — used directly by the ensembles, which aggregate encrypted
-    per-tree predictions before anything is revealed (§7).
+
+def _leaf_bits(
+    model: DecisionTreeModel, blocks: list[np.ndarray], positions: list[int]
+) -> list[np.ndarray]:
+    """Per party, her R × L 0/1 matrix over the leaves at ``positions``:
+    entry (r, j) is 0 iff one of her own comparisons on row r rules leaf j
+    out (a leaf whose path crosses none of her nodes keeps a column of
+    ones)."""
+    paths = model.leaf_paths()
+    n_rows = blocks[0].shape[0]
+    bits = [np.ones((n_rows, len(positions)), dtype=np.int64) for _ in blocks]
+    for column, position in enumerate(positions):
+        for node, direction in paths[position]:
+            if node.threshold is None or node.feature is None:
+                raise ValueError(_NEEDS_PLAINTEXT_TREE)
+            if not 0 <= node.owner < len(blocks):
+                raise ValueError(
+                    f"node owner {node.owner} is not one of the "
+                    f"{len(blocks)} parties"
+                )
+            goes_left = blocks[node.owner][:, node.feature] <= node.threshold
+            bits[node.owner][:, column] &= goes_left == (direction == 0)
+    return bits
+
+
+def encrypted_leaf_sums(
+    model: DecisionTreeModel,
+    context: PivotContext,
+    party_slices: list[np.ndarray],
+    positions: list[int],
+    coefficients: list[list[int]],
+) -> list[list[EncryptedNumber]]:
+    """Algorithm 4's round-robin, once for all R rows of ``party_slices``.
+
+    ``positions`` are the canonical positions of the L leaves that travel,
+    ``coefficients`` K integer vectors over them.  Returns, per row r, the
+    K ciphertexts [Σ_j c_kj · η_rj] at exponent 0, where η_rj is 1 iff row
+    r reaches leaf ``positions[j]``.
+
+    u_m encrypts her own R × L bits (row-major) under fresh masks; every
+    middle party applies hers with ``mask_vector``; each hop is one
+    ``prediction-vector`` message and one barrier.  u_1 sends nothing: her
+    bits go into the coefficients of her dot products.  Those outputs are
+    deterministic in the vector she received (u_2 could confirm a guess at
+    her bits from them), so the caller re-masks whatever it lets leave
+    her: the decryption entry points of :class:`PivotContext` do,
+    Algorithm 2 adds her fresh mask encryption, the GBDT trainer re-masks
+    what enters its published residuals.
     """
     ctx = context
-    leaves = model.leaves()
-    paths = model.leaf_paths()
-
-    # u_m initialises [η] = ([1], ..., [1]) (Algorithm 4 line 3), batched.
-    eta = ctx.batch.encrypt_vector([1] * len(leaves), exponent=0)
-    for client_index in reversed(range(ctx.n_clients)):
-        local = slices[client_index]
-        for leaf_pos, path in enumerate(paths):
-            factor = 1
-            for node, direction in path:
-                if node.owner != client_index:
-                    continue
-                if node.threshold is None or node.feature is None:
-                    raise ValueError(
-                        "basic prediction needs a plaintext tree; use "
-                        "the enhanced prediction for hidden models"
-                    )
-                goes_left = local[node.feature] <= node.threshold
-                matches = (direction == 0) == goes_left
-                factor &= int(matches)
-            # Possible paths keep their value (x1); impossible ones are
-            # zeroed (x0).  Both are homomorphic multiplications (§4.3).
-            eta[leaf_pos] = eta[leaf_pos] * factor
-        if client_index > 0:
-            ctx.bus.send_payload(
-                client_index, client_index - 1, eta, tag="prediction-vector"
-            )
-            ctx.bus.round()
-
-    # u_1: [k̄] = z ⊙ [η] (line 10).
-    coefficients, exponent = _leaf_label_encodings(model, ctx)
-    result = encrypted_dot_product(coefficients, eta)
-    return ctx.encoder.wrap(result.ciphertext, exponent)
+    blocks = _party_blocks(ctx, party_slices)
+    n_rows, width = blocks[0].shape[0], len(positions)
+    if not n_rows or not width:  # nobody to ask, or nothing to ask about
+        return [[ctx.encoder.zero() for _ in coefficients] for _ in range(n_rows)]
+    bits = _leaf_bits(model, blocks, positions)
+    last = ctx.n_clients - 1
+    vector = ctx.batch.encrypt_vector(bits[last].ravel().tolist(), exponent=0)
+    for sender in range(last, 0, -1):
+        if sender < last:
+            vector = ctx.batch.mask_vector(vector, bits[sender].ravel())
+        ctx.bus.send_payload(sender, sender - 1, vector, tag="prediction-vector")
+        ctx.bus.round()
+    tasks = [
+        (
+            [c * b for c, b in zip(vector_k, own)],
+            vector[r * width : (r + 1) * width],
+        )
+        for r, own in enumerate(bits[0].tolist())
+        for vector_k in coefficients
+    ]
+    sums = ctx.batch.batch_dot_products(tasks)
+    k = len(coefficients)
+    return [sums[r * k : (r + 1) * k] for r in range(n_rows)]
 
 
 def _leaf_label_encodings(
@@ -171,6 +245,8 @@ def _leaf_label_encodings(
     """The public leaf-label vector z as signed fixed-point integers, and
     their exponent (class indices at 0, regression means at -frac_bits)."""
     leaves = model.leaves()
+    if any(leaf.prediction is None for leaf in leaves):
+        raise ValueError(_NEEDS_PLAINTEXT_TREE)
     if model.task == "classification":
         return [int(leaf.prediction) for leaf in leaves], 0
     encoder = context.encoder
@@ -180,22 +256,37 @@ def _leaf_label_encodings(
     )
 
 
-def predict_basic_encrypted(
-    model: DecisionTreeModel, context: PivotContext, row: np.ndarray
-) -> EncryptedNumber:
-    """`predict_basic_encrypted_slices` over a caller-held global row."""
-    return predict_basic_encrypted_slices(model, context, _local_slices(context, row))
+def predict_basic_encrypted_batch(
+    model: DecisionTreeModel, context: PivotContext, party_slices: list[np.ndarray]
+) -> list[EncryptedNumber]:
+    """Algorithm 4 up to (excluding) the final joint decryption: [k̄] per
+    row — used directly by the ensembles, which aggregate encrypted
+    per-tree predictions before anything is revealed (§7).
+
+    Only the leaves whose label differs from the most frequent one, z₀,
+    travel: [k̄] = z₀ + Σ (z_j − z₀)·[η_j] (see the module docstring).
+    Linkable to what u_1 received, like :func:`encrypted_leaf_sums`'s
+    outputs.
+    """
+    labels, exponent = _leaf_label_encodings(model, context)
+    counts = Counter(labels)
+    base = max(labels, key=counts.__getitem__)  # ties: the first leaf's
+    positions = [j for j, label in enumerate(labels) if label != base]
+    sums = encrypted_leaf_sums(
+        model, context, party_slices, positions,
+        [[labels[j] - base for j in positions]],
+    )
+    return [
+        context.encoder.wrap(row[0].ciphertext + base, exponent) for row in sums
+    ]
 
 
 def run_predict_basic(
     model: DecisionTreeModel, context: PivotContext, row: np.ndarray
 ) -> float | int:
-    """Full Algorithm 4: encrypted round-robin + joint decryption."""
-    encrypted = predict_basic_encrypted(model, context, row)
-    value = context.joint_decrypt(encrypted, tag="prediction-output")
-    if model.task == "classification":
-        return int(round(value))
-    return float(value)
+    """Full Algorithm 4 for one caller-held global row (a batch of one)."""
+    value = run_predict_batch(model, context, np.asarray(row))[0]
+    return int(value) if model.task == "classification" else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +379,33 @@ def run_predict_batch_slices(
 
     ``party_slices`` is the federation-native input: one ``n × d_i`` block
     per client, each holding only that party's columns.  Basic prediction
-    batches the per-row joint decryptions: the n encrypted outputs [k̄] are
-    slot-packed and go through one threshold-decryption fan-out
-    (``joint_decrypt_batch``) instead of n serial ones — identical results
-    and revealed log, one message flow, one Cd per packed ciphertext.
+    is one Algorithm 4 round-robin for all n rows and one threshold
+    decryption flow over the slot-packed outputs (see the module
+    docstring); the revealed log has one entry per row either way.
     """
-    rows = _slices_per_row(context, party_slices)
     if protocol == "basic":
-        encrypted = [
-            predict_basic_encrypted_slices(model, context, slices)
-            for slices in rows
-        ]
-        # [k̄] is one entry of the public z (η is one-hot), so its bound is
-        # known: fx.k bits, or what the widest leaf label needs.
-        labels, _ = _leaf_label_encodings(model, context)
-        bound_bits = max(
-            context.fx.k, *(abs(label).bit_length() for label in labels)
-        )
-        values = context.joint_decrypt_batch(
-            encrypted, tag="prediction-output", bound_bits=bound_bits
-        )
+        labels, exponent = _leaf_label_encodings(model, context)
+        if len(set(labels)) == 1:
+            # Every leaf says the same: nobody is asked, nothing decrypted.
+            n_rows = _party_blocks(context, party_slices)[0].shape[0]
+            values = [labels[0] * 2.0**exponent] * n_rows
+            context.revealed.extend(("prediction-output", v) for v in values)
+        else:
+            # [k̄] is one entry of the public z, so its bound is the widest
+            # leaf label's.
+            values = context.joint_decrypt_batch(
+                predict_basic_encrypted_batch(model, context, party_slices),
+                tag="prediction-output",
+                bound_bits=max(abs(label).bit_length() for label in labels),
+            )
         if model.task == "classification":
             out = [int(round(v)) for v in values]
         else:
             out = [float(v) for v in values]
     elif protocol == "enhanced":
         out = [
-            run_predict_enhanced(model, context, slices=slices) for slices in rows
+            run_predict_enhanced(model, context, slices=slices)
+            for slices in _slices_per_row(context, party_slices)
         ]
     else:
         raise ValueError(f"unknown protocol {protocol!r}")

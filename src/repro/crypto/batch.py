@@ -13,8 +13,9 @@ single place where the reproduction batches them:
   a fresh a of |n|/2 random bits, read off a fixed-base table in ~52
   modular multiplications (~0.2 ms at 512 bits, where r^n for a random r
   costs 2 ms; see :mod:`repro.crypto.paillier`).  :class:`ObfuscatorPool`
-  draws masks in bulk, :data:`POOL_REFILL` at a time.  Every mask is
-  popped exactly once — reuse would link two ciphertexts.
+  makes exactly the masks a vector operation takes (or a warm-up asks
+  for).  Every mask is popped exactly once — reuse would link two
+  ciphertexts.
 
 * **Vectorised APIs** — ``encrypt_vector``, ``encrypt_ciphertexts``,
   ``sum_ciphertexts``, ``batch_dot_products``, ``scale_vector`` and
@@ -31,8 +32,13 @@ single place where the reproduction batches them:
   one operator whose output may leave a party as it is.  The callers that
   publish: the label provider re-masks every [γ] element
   (:mod:`repro.core.labels`), each party re-masks her split statistics
-  (:meth:`~repro.federation.party.PartyRuntime.split_statistics`), and
-  the model update goes through ``mask_vector`` directly.
+  (:meth:`~repro.federation.party.PartyRuntime.split_statistics`), the
+  model update goes through ``mask_vector`` directly, and so does every
+  hop of Algorithm 4's round-robin after u_m's fresh encryption
+  (:func:`repro.core.prediction.encrypted_leaf_sums`) — whose last
+  party's dot products are re-masked once packed, by the decryption entry
+  points of :class:`~repro.core.context.PivotContext`, and by the GBDT
+  trainer before they enter a published residual.
 
 Everything runs in the calling process: pickling a full-size ``pow``'s
 operands to a worker and back costs about what the ``pow`` does.
@@ -52,39 +58,34 @@ from repro.crypto.encoding import (
     EncryptedNumber,
     PaillierEncoder,
 )
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey, power_product
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.threshold import ThresholdPaillier
 
 __all__ = ["ObfuscatorPool", "BatchCryptoEngine"]
 
-#: Masks generated per refill of a dry :class:`ObfuscatorPool`.
-POOL_REFILL = 256
-
 
 class ObfuscatorPool:
     """A FIFO pool of precomputed obfuscators (encryptions of zero).
 
-    ``take`` pops a mask (refilling ``size`` at a time when the pool runs
-    dry), so no mask is ever handed out twice.
+    :meth:`precompute` is the one place a mask is made.  ``take`` /
+    ``take_many`` pop masks and first generate exactly what the pool is
+    short of, so nothing is made that nobody takes and no mask is ever
+    handed out twice.
     """
 
-    def __init__(self, public_key: PaillierPublicKey, size: int = POOL_REFILL):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
+    def __init__(self, public_key: PaillierPublicKey):
         self.public_key = public_key
-        self.size = size
         self._masks: deque[int] = deque()
         self.generated = 0  # total masks ever produced (test/bench hook)
 
     def __len__(self) -> int:
         return len(self._masks)
 
-    def precompute(self, count: int | None = None) -> None:
-        """Fill the pool with ``count`` fresh masks (default: up to size)."""
-        if count is None:
-            count = self.size - len(self._masks)
+    def precompute(self, count: int) -> None:
+        """Add ``count`` fresh masks to the pool (idle-time warm-up; the
+        takers call it with their shortfall)."""
         if count <= 0:
             return
         fresh_mask = self.public_key.random_obfuscator
@@ -92,14 +93,11 @@ class ObfuscatorPool:
         self.generated += count
 
     def take(self) -> int:
-        """Pop one never-used mask, refilling the pool in bulk if dry."""
-        if not self._masks:
-            self.precompute(self.size)
-        return self._masks.popleft()
+        """Pop one never-used mask."""
+        return self.take_many(1)[0]
 
     def take_many(self, count: int) -> list[int]:
-        if count > len(self._masks):
-            self.precompute(max(count - len(self._masks), self.size))
+        self.precompute(count - len(self._masks))
         return [self._masks.popleft() for _ in range(count)]
 
 
@@ -117,14 +115,13 @@ class BatchCryptoEngine:
         self,
         public_key: PaillierPublicKey,
         frac_bits: int = 16,
-        pool_size: int = POOL_REFILL,
         encoder: PaillierEncoder | None = None,
         threshold: "ThresholdPaillier | None" = None,
     ):
         self.public_key = public_key
         self.encoder = encoder or PaillierEncoder(public_key, frac_bits=frac_bits)
         self.threshold = threshold
-        self.pool = ObfuscatorPool(public_key, pool_size)
+        self.pool = ObfuscatorPool(public_key)
 
     # -- encryption -------------------------------------------------------
 
@@ -237,19 +234,15 @@ class BatchCryptoEngine:
                 raise ValueError("encrypted vector has mixed exponents; align first")
             opcount.GLOBAL.ce += len(values)  # parity with dot_product()
             prepared.append(
-                (
-                    [int(x) % pk.n for x in coefficients],
-                    [v.ciphertext.raw for v in values],
-                    exponent,
-                )
+                (coefficients, [v.ciphertext.raw for v in values], exponent)
             )
         return [
             EncryptedNumber(
                 self.encoder,
-                Ciphertext(pk, _dot_product_raw(coeffs, cts, pk.n_squared)),
+                Ciphertext(pk, power_product(coefficients, raws, pk)),
                 exponent,
             )
-            for coeffs, cts, exponent in prepared
+            for coefficients, raws, exponent in prepared
         ]
 
     def scale_vector(
@@ -281,7 +274,7 @@ class BatchCryptoEngine:
             EncryptedNumber(
                 self.encoder,
                 Ciphertext(
-                    pk, _scale_raw(v.ciphertext.raw, e.encoding % pk.n, pk.n_squared)
+                    pk, power_product((e.encoding,), (v.ciphertext.raw,), pk)
                 ),
                 v.exponent + e.exponent,
             )
@@ -310,29 +303,3 @@ class BatchCryptoEngine:
                 EncryptedNumber(self.encoder, Ciphertext(pk, raw), v.exponent)
             )
         return out
-
-
-def _dot_product_raw(coefficients: list[int], raws: list[int], n_squared: int) -> int:
-    """Raw-integer dot product kernel.
-
-    Mirrors :func:`repro.crypto.paillier.dot_product`: zero coefficients
-    are skipped, unit coefficients use a single mulmod.
-    """
-    acc = 1
-    for x, raw in zip(coefficients, raws):
-        if x == 0:
-            continue
-        if x == 1:
-            acc = acc * raw % n_squared
-        else:
-            acc = acc * pow(raw, x, n_squared) % n_squared
-    return acc
-
-
-def _scale_raw(raw: int, exponent: int, n_squared: int) -> int:
-    """Raw scalar-multiplication kernel with the serial path's shortcuts."""
-    if exponent == 0:
-        return 1  # raw_encrypt(0) = (1 + n*0) mod n^2
-    if exponent == 1:
-        return raw
-    return pow(raw, exponent, n_squared)

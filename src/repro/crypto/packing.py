@@ -3,8 +3,8 @@
 A threshold decryption costs every party one full-size exponentiation
 ``c^{d_i} mod n²`` per *ciphertext*, whatever the plaintext inside it.
 The values the basic protocol decrypts are small — an 80-bit masked
-statistic, a 40-bit prediction — inside a plaintext space of |n| bits, so
-most of every decrypted ciphertext is zeros.  Packing puts several values
+statistic, a prediction as wide as a leaf label — inside a plaintext
+space of |n| bits, so most of every decrypted ciphertext is zeros.  Packing puts several values
 side by side in one plaintext,
 
     P = Σ_j (x_j + 2^{β_j}) · 2^{shift_j},

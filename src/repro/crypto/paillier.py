@@ -63,6 +63,7 @@ import math
 import secrets
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from repro.analysis import opcount
 from repro.crypto import primes
@@ -71,7 +72,10 @@ __all__ = [
     "PaillierPublicKey",
     "PaillierPrivateKey",
     "Ciphertext",
+    "centred",
+    "dot_product",
     "generate_keypair",
+    "power_product",
 ]
 
 
@@ -176,6 +180,13 @@ class PaillierPublicKey:
         """A fresh encryption of zero: h_s^a mod n^2, a of mask_bits
         random bits (see the module docstring)."""
         return self._mask_power(secrets.randbits(self.mask_bits))
+
+    def invert(self, raw: int) -> int:
+        """raw^-1 mod n^2, i.e. [x] -> [-x]: the inverse mod n (an extended
+        Euclid at half the width, ~2.4x cheaper than one mod n^2) lifted by
+        one Newton step, y(2 - raw*y) = raw^-1 (1 - (1 - raw*y)^2)."""
+        y = pow(raw, -1, self.n)
+        return y * (2 - raw * y) % self.n_squared
 
     def encrypt(self, plaintext: int, obfuscate: bool = True) -> "Ciphertext":
         """Encrypt a (signed) integer plaintext."""
@@ -301,10 +312,11 @@ class Ciphertext:
     * ``c - d``, ``c - k``, ``-c``
     * ``k * c``, ``c * k``  -> [k x]   (Eq. 2)
 
-    Dot products (Eq. 3) are provided by :func:`dot_product` which skips
-    zero coefficients and turns +-1 coefficients into multiplications
-    rather than exponentiations — the dominant case in Pivot, where the
-    plaintext vectors are 0/1 indicator vectors.
+    Dot products (Eq. 3) are provided by :func:`dot_product`.  Both it and
+    ``*`` evaluate through :func:`power_product`, which skips zero
+    coefficients, turns unit ones into a multiplication — the dominant
+    case in Pivot, where the plaintext vectors are 0/1 indicators — and
+    raises a negative one to its short magnitude before one inversion.
     """
 
     __slots__ = ("public_key", "raw")
@@ -337,10 +349,9 @@ class Ciphertext:
     __radd__ = __add__
 
     def __neg__(self) -> "Ciphertext":
-        # [x]^-1 = [-x]: one modular inverse (~15x cheaper than the
-        # equivalent exponentiation by n - 1).
+        # [x]^-1 = [-x]: one modular inverse, not the |n|-bit power n - 1.
         pk = self.public_key
-        return Ciphertext(pk, pow(self.raw, -1, pk.n_squared))
+        return Ciphertext(pk, pk.invert(self.raw))
 
     def __sub__(self, other: "Ciphertext | int") -> "Ciphertext":
         return self + (-other)
@@ -351,27 +362,20 @@ class Ciphertext:
     def __mul__(self, scalar: int) -> "Ciphertext":
         """Homomorphic scalar multiplication [k * x] (Eq. 2).
 
-        Scalars 0 and 1 take shortcuts: ``c * 0`` is the *deterministic*
-        encryption of zero (raw 1, no random mask) and ``c * 1`` returns a
-        ciphertext with the same raw value as ``c``.  Like
-        :meth:`PaillierPublicKey.raw_encrypt`, these shortcut ciphertexts
-        are deterministic/linkable and MUST be re-randomised with
-        :meth:`obfuscate` before leaving a party; inside a party they are
-        safe and save an exponentiation (the dominant case in Pivot, whose
-        coefficient vectors are 0/1 indicators).
+        Scalars 0 and 1 take :func:`power_product`'s shortcuts: ``c * 0`` is
+        the *deterministic* encryption of zero (raw 1, no random mask) and
+        ``c * 1`` returns a ciphertext with the same raw value as ``c``.
+        Like :meth:`PaillierPublicKey.raw_encrypt`, these shortcut
+        ciphertexts are deterministic/linkable and MUST be re-randomised
+        with :meth:`obfuscate` before leaving a party; inside a party they
+        are safe and save an exponentiation (the dominant case in Pivot,
+        whose coefficient vectors are 0/1 indicators).
         """
         if not isinstance(scalar, int):
             return NotImplemented
         opcount.GLOBAL.ce += 1
         pk = self.public_key
-        exponent = scalar % pk.n
-        if exponent == 0:
-            return Ciphertext(pk, pk.raw_encrypt(0))
-        if exponent == 1:
-            return Ciphertext(pk, self.raw)
-        if exponent == pk.n - 1:  # scalar == -1: modular inverse is cheaper
-            return -self
-        return Ciphertext(pk, pow(self.raw, exponent, pk.n_squared))
+        return Ciphertext(pk, power_product((scalar,), (self.raw,), pk))
 
     __rmul__ = __mul__
 
@@ -379,13 +383,58 @@ class Ciphertext:
         return f"Ciphertext({hex(self.raw)[:12]}...)"
 
 
+def centred(x: int, n: int) -> int:
+    """``x mod n`` as its representative in (-n/2, n/2].
+
+    How every homomorphic power reads a scalar (:func:`power_product`), and
+    therefore the integer the proofs of :mod:`repro.crypto.zkp` are about.
+    """
+    x %= n
+    return x - n if x > n >> 1 else x
+
+
+def power_product(
+    coefficients: Iterable[int], raws: Iterable[int], public_key: PaillierPublicKey
+) -> int:
+    """prod_j raws_j^(x_j) mod n^2: the raw kernel of Eq. 2 and Eq. 3.
+
+    Every coefficient is read as :func:`centred` reads it.  Zero ones are
+    skipped and unit ones are a single mulmod.  One in the upper half of
+    Z_n is a negative number: its factor is raised to the short magnitude
+    n - x, and the product of all such factors is inverted once — where
+    the exponent x itself has |n| bits (-1 is n - 1: 200 such terms took
+    400 ms at 512 bits against 0.8 ms for +1).  The result encrypts the
+    same plaintext as the long power would but is not the same ciphertext
+    (c^n is an n-th residue, not 1).
+
+    Deterministic in its inputs, shortcuts included: the output stays with
+    the party that computed it until she re-masks it.
+    """
+    n, n_squared = public_key.n, public_key.n_squared
+    half = n >> 1
+    kept = inverted = 1
+    for x, raw in zip(coefficients, raws):
+        x = int(x) % n  # int() guards against numpy scalar overflow
+        if x == 0:
+            continue
+        if x == 1:
+            kept = kept * raw % n_squared
+        elif x <= half:
+            kept = kept * pow(raw, x, n_squared) % n_squared
+        elif x == n - 1:
+            inverted = inverted * raw % n_squared
+        else:
+            inverted = inverted * pow(raw, n - x, n_squared) % n_squared
+    if inverted != 1:
+        kept = kept * public_key.invert(inverted) % n_squared
+    return kept
+
+
 def dot_product(coefficients: list[int], ciphertexts: list[Ciphertext]) -> Ciphertext:
     """Homomorphic dot product x (.) [v] = [x . v] (paper Eq. 3).
 
     ``coefficients`` are plaintext integers, ``ciphertexts`` the encrypted
-    vector.  Zero coefficients are skipped and unit coefficients use a
-    single modular multiplication; this matches Pivot's dominant workload
-    (0/1 indicator vectors) without changing the result.
+    vector; one Ce per element, evaluated by :func:`power_product`.
     """
     if len(coefficients) != len(ciphertexts):
         raise ValueError(
@@ -396,17 +445,7 @@ def dot_product(coefficients: list[int], ciphertexts: list[Ciphertext]) -> Ciphe
         raise ValueError("dot product of empty vectors")
     opcount.GLOBAL.ce += len(ciphertexts)
     pk = ciphertexts[0].public_key
-    acc = 1
-    n_squared = pk.n_squared
-    for x, c in zip(coefficients, ciphertexts):
-        x = int(x) % pk.n  # int() guards against numpy scalar overflow
-        if x == 0:
-            continue
-        if x == 1:
-            acc = (acc * c.raw) % n_squared
-        else:
-            acc = (acc * pow(c.raw, x, n_squared)) % n_squared
-    return Ciphertext(pk, acc)
+    return Ciphertext(pk, power_product(coefficients, (c.raw for c in ciphertexts), pk))
 
 
 def _lcm(a: int, b: int) -> int:

@@ -20,6 +20,11 @@ All arithmetic facts used:
   mod n.
 * c^(z + kn) = c^z * (c^k)^n, so the carry k from reducing an exponent of
   an arbitrary ciphertext mod n can be folded into the randomness response.
+
+The power in "c_out = c_b^a * s^n" is the one the homomorphic operators
+compute (:func:`repro.crypto.paillier.power_product`): a coefficient is
+read as its centred representative, so a negative one is an inverse and a
+short power, and the carry k above may be -1.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey, centred
 
 __all__ = [
     "ProofError",
@@ -145,7 +150,7 @@ def prove_multiplication(
     commitment_a = pk.encrypt_with_r(x, u).raw
     commitment_b = (pow(c_b.raw, x, n2) * pow(v, n, n2)) % n2
     e = _fiat_shamir(pk, c_a.raw, c_b.raw, c_out.raw, commitment_a, commitment_b)
-    full = x + e * (a % n)
+    full = x + e * centred(a, n)
     z, k = full % n, full // n
     w = (u * pow(r_a, e, n)) % n
     gamma = (v * pow(s, e, n2) * pow(c_b.raw, k, n2)) % n2
@@ -224,7 +229,7 @@ def prove_dot_product(
     )
     zs, ks = [], []
     for x, a in zip(xs, coefficients):
-        full = x + e * (a % n)
+        full = x + e * centred(a, n)
         zs.append(full % n)
         ks.append(full // n)
     ws = [(u * pow(r, e, n)) % n for u, r in zip(us, randomness)]

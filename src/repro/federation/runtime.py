@@ -40,8 +40,10 @@ has reacted to every protocol frame sent before it.
 Restart/resume: with ``[party] key_state`` set, a party persists her own
 ``(n, i, d_i, θ)`` to her own disk after keygen and resumes from it when
 relaunched — basic-protocol prediction needs nothing else from her
-(decryption shares + prediction-vector sinks), so a party killed after
-training can be restarted and serve predictions without rerunning keygen.
+(decryption shares + prediction-vector sinks: one R·L-ciphertext frame per
+hop of a predict call, which her loop consumes without a reply), so a
+party killed after training can be restarted and serve predictions
+without rerunning keygen.
 
 Data: the quickstart derives each party's columns deterministically from
 the shared ``[data]`` spec (synthetic generators are seeded), standing in

@@ -13,15 +13,24 @@ Two families:
 * **Leak regression.**  No ``label-vectors`` or ``split-stats`` payload
   carries a ciphertext that is the unit, or bit-equal to one its receiver
   already holds; the raw-equality attack that read every label off the
-  parent commit's ``node-gammas`` matches nothing.
+  parent commit's ``node-gammas`` matches nothing.  Likewise prediction:
+  no ``prediction-vector`` element is the unit or one its sender received,
+  and nothing a prediction sends out for decryption is a deterministic
+  function of the vector u_1 received — the attack that read every
+  sender's comparisons off the per-row round-robin, replayed.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
 
-from repro.core import DPConfig, TreeTrainer, trainer as trainer_module
-from repro.core.ensemble import GBDTTrainer
+from repro.core import DPConfig, TreeTrainer, run_predict_batch
+from repro.core import trainer as trainer_module
+from repro.core.ensemble import ForestTrainer, GBDTTrainer
 from repro.crypto.encoding import EncryptedNumber
+from repro.crypto.paillier import Ciphertext
+from repro.federation.party import DECRYPT_TAGS
 from repro.network.wire import Request
 from repro.tree import TreeParams
 
@@ -205,29 +214,39 @@ def _raws(payload) -> list[int]:
         return _raws(list(payload.body))
     if isinstance(payload, EncryptedNumber):
         return [payload.ciphertext.raw]
+    if isinstance(payload, Ciphertext):
+        return [payload.raw]
     if isinstance(payload, (list, tuple)):
         return [raw for item in payload for raw in _raws(item)]
     return []
 
 
-def _spy_on_party(monkeypatch, bus, index: int) -> list[tuple[str, object]]:
-    """Every (tag, payload) the bus delivers to party ``index``, in order."""
-    seen: list[tuple[str, object]] = []
+def _spy_on_bus(monkeypatch, bus) -> list[tuple[int, int | None, str, object]]:
+    """Every (sender, receiver, tag, payload) the bus carries, in order;
+    a broadcast has receiver ``None``."""
+    seen: list[tuple[int, int | None, str, object]] = []
     real_send, real_broadcast = bus.send_payload, bus.broadcast_payload
 
     def send_payload(sender, receiver, payload, tag=""):
-        if receiver == index:
-            seen.append((tag, payload))
+        seen.append((sender, receiver, tag, payload))
         return real_send(sender, receiver, payload, tag=tag)
 
     def broadcast_payload(sender, payload, tag=""):
-        if sender != index:
-            seen.append((tag, payload))
+        seen.append((sender, None, tag, payload))
         return real_broadcast(sender, payload, tag=tag)
 
     monkeypatch.setattr(bus, "send_payload", send_payload)
     monkeypatch.setattr(bus, "broadcast_payload", broadcast_payload)
     return seen
+
+
+def _delivered_to(spy, index: int) -> list[tuple[str, object]]:
+    """Every (tag, payload) of a spied bus that reached party ``index``."""
+    return [
+        (tag, payload)
+        for sender, receiver, tag, payload in spy
+        if receiver == index or (receiver is None and sender != index)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -241,10 +260,11 @@ def test_published_vectors_and_statistics_are_unlinkable(
     X, y = small_classification if task == "classification" else small_regression
     X, y = X[:30], y[:30]
     ctx = make_context(X, y, task, protocol=protocol)
-    seen = _spy_on_party(monkeypatch, ctx.bus, 1)
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
     trainer = TreeTrainer(ctx)
     model = trainer.fit()
     assert model.n_internal >= 1
+    seen = _delivered_to(spy, 1)
 
     held: set[int] = set()  # every [α_j] party 1 was ever sent
     alphas: dict[int, list[int]] = {}  # node key -> raw [α]
@@ -285,3 +305,162 @@ def test_published_vectors_and_statistics_are_unlinkable(
                     guess = pow(a_raw, power, public_key.n_squared)
                 recovered += g.ciphertext.raw == guess
     assert recovered == 0
+
+
+# -- prediction ---------------------------------------------------------------
+
+
+def _round_robins(spy, m: int) -> list[list[list[int]]]:
+    """The ``prediction-vector`` hops of a spied bus, one list of m - 1
+    raw vectors per Algorithm 4 call, each hop checked for its route."""
+    hops = [entry for entry in spy if entry[2] == "prediction-vector"]
+    assert len(hops) % (m - 1) == 0
+    calls = []
+    for start in range(0, len(hops), m - 1):
+        call = hops[start : start + m - 1]
+        assert [(s, r) for s, r, _, _ in call] == [
+            (sender, sender - 1) for sender in range(m - 1, 0, -1)
+        ]
+        calls.append([_raws(payload) for _, _, _, payload in call])
+    return calls
+
+
+def _assert_hops_carry_fresh_masks(call: list[list[int]], rows: int, width: int):
+    """No hop shows its receiver what the sender computed: the length is
+    rows × travelling leaves whatever the rows' paths, no element is the
+    unit (a leaf ruled out), none repeats, and none is an element the
+    sender received on the previous hop (a leaf kept)."""
+    received: set[int] = set()
+    for raws in call:
+        assert len(raws) == rows * width
+        assert 1 not in raws
+        assert len(set(raws)) == len(raws)
+        assert received.isdisjoint(raws)
+        received = set(raws)
+
+
+def _decryption_broadcasts(spy) -> list[int]:
+    """Raw ciphertexts the super client sent out to be decrypted."""
+    return [
+        raw
+        for sender, receiver, tag, payload in spy
+        if sender == 0 and receiver is None and tag in DECRYPT_TAGS
+        for raw in _raws(payload)
+    ]
+
+
+def _assert_no_guess_explains(public_key, sent_out: list[int], received: list[int]):
+    """The attack: whoever sent u_1 ``received`` guesses u_1's bits and
+    recomputes her output.  Public constants (z₀, the packing offset) are
+    deterministic encryptions, ≡ 1 (mod n), so a guess is right iff the
+    output over the guessed product of received elements is ≡ 1 (mod n).
+    Every combination of exponents in {-1, 0, 1} — the label differences
+    of a class-labelled tree — is tried against every output."""
+    n = public_key.n
+    assert sent_out and 0 < len(received) <= 8
+    residues = [(pow(raw, -1, n), 1, raw % n) for raw in received]
+    outputs = {raw % n for raw in sent_out}
+    for choice in product(range(3), repeat=len(received)):
+        guess = 1
+        for options, pick in zip(residues, choice):
+            guess = guess * options[pick] % n
+        assert guess not in outputs
+
+
+def _travelling(model) -> int:
+    labels = model.leaf_label_vector()
+    return len(labels) - max(labels.count(z) for z in set(labels))
+
+
+def test_single_tree_prediction_shows_nobody_the_comparisons(
+    monkeypatch, small_classification
+):
+    X, y = small_classification
+    ctx = make_context(X, y, "classification")
+    model = TreeTrainer(ctx).fit()
+    width = _travelling(model)
+    assert 0 < width < len(model.leaves())
+    rows = X[:12]
+    assert len(set(model.predict(rows))) == 2  # rows on different paths
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    run_predict_batch(model, ctx, rows)
+    (call,) = _round_robins(spy, ctx.n_clients)
+    _assert_hops_carry_fresh_masks(call, len(rows), width)
+    assert len(_decryption_broadcasts(spy)) == 1  # 12 outputs, one slot each
+    for row in rows[:4]:
+        del spy[:]
+        run_predict_batch(model, ctx, row)
+        (call,) = _round_robins(spy, ctx.n_clients)
+        _assert_hops_carry_fresh_masks(call, 1, width)
+        _assert_no_guess_explains(
+            ctx.threshold.public_key, _decryption_broadcasts(spy), call[-1]
+        )
+
+
+def test_forest_prediction_shows_nobody_the_comparisons(
+    monkeypatch, small_classification
+):
+    X, y = small_classification
+    ctx = make_context(X, y, "classification", params=TreeParams(max_depth=1, max_splits=2))
+    forest = ForestTrainer(ctx, n_trees=2, seed=3).fit()
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    forest.predict(X[:3])
+    calls = _round_robins(spy, ctx.n_clients)
+    assert len(calls) == len(forest.models)
+    for model, call in zip(forest.models, calls):
+        # Per-class votes need every leaf.
+        _assert_hops_carry_fresh_masks(call, 3, len(model.leaves()))
+    del spy[:]
+    forest.predict(X[:1])
+    calls = _round_robins(spy, ctx.n_clients)
+    received = [raw for call in calls for raw in call[-1]]
+    _assert_no_guess_explains(
+        ctx.threshold.public_key, _decryption_broadcasts(spy), received
+    )
+
+
+def test_gbdt_round_shows_nobody_the_comparisons(monkeypatch, small_regression):
+    """One boosting round predicts all n training samples in one
+    round-robin; what it adds to the estimate is re-masked, because the
+    estimate is published as the next round's residuals: the quotient of
+    two consecutive rounds' residual vectors is that addition, and must
+    not be a function of what u_1 received."""
+    X, y = small_regression
+    X, y = X[:12], y[:12]
+    ctx = make_context(X, y, "regression", params=TreeParams(max_depth=1, max_splits=2))
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    trainer = GBDTTrainer(ctx, n_rounds=3).fit()
+    calls = _round_robins(spy, ctx.n_clients)
+    assert len(calls) == 2  # the last round's tree predicts nothing
+    for model, call in zip(trainer.models, calls):
+        _assert_hops_carry_fresh_masks(call, len(y), _travelling(model))
+    assert 1 not in _decryption_broadcasts(spy)
+    # Rounds 2 and 3 announce their residuals as the root's riding [γ_1].
+    residuals = [
+        _raws(payload.body[2][0])
+        for _, _, tag, payload in spy
+        if tag == "mask-vector"
+        and isinstance(payload, Request)
+        and payload.op == "node-state"
+        and payload.body[0] == 1
+        and payload.body[2]
+    ]
+    assert len(residuals) == 2 and len(residuals[0]) == len(y)
+    public_key = ctx.threshold.public_key
+    n = public_key.n
+    rate = ctx.encoder.encode(trainer.learning_rate).encoding
+    labels = [
+        ctx.encoder.encode(float(z)).encoding
+        for z in trainer.models[1].leaf_label_vector()
+    ]
+    base = max(labels, key=labels.count)
+    differences = [z - base for z in labels if z != base]
+    width = len(differences)
+    for t, (before, after) in enumerate(zip(*residuals)):
+        step = before * pow(after, -1, n) % n  # [rate · k̄_t] of round 2's tree
+        received = calls[1][-1][t * width : (t + 1) * width]
+        for bits in product((0, 1), repeat=width):
+            guess = 1
+            for raw, difference, bit in zip(received, differences, bits):
+                guess = guess * pow(raw, difference * rate * bit, n) % n
+            assert guess != step

@@ -22,9 +22,7 @@ VALUES = st.integers(min_value=-(2**60), max_value=2**60)
 
 @pytest.fixture(scope="module")
 def engine3(threshold3):
-    return BatchCryptoEngine(
-        threshold3.public_key, threshold=threshold3, pool_size=32
-    )
+    return BatchCryptoEngine(threshold3.public_key, threshold=threshold3)
 
 
 # -- CRT decryption ------------------------------------------------------
@@ -78,7 +76,7 @@ def test_mismatched_factors_rejected(keypair):
 
 def test_vector_roundtrip_private_key():
     pk, sk = generate_keypair(256)
-    engine = BatchCryptoEngine(pk, pool_size=16)
+    engine = BatchCryptoEngine(pk)
     values = [0, 1, -1, 3.25, -12345.5, 2**30]
     numbers = engine.encrypt_vector(values)
     decrypted = [sk.decrypt(n.ciphertext) * 2.0**n.exponent for n in numbers]
@@ -145,7 +143,7 @@ def test_batch_dot_products_equal_serial(keypair, xs, data):
             max_size=len(xs),
         )
     )
-    engine = BatchCryptoEngine(pk, pool_size=16)
+    engine = BatchCryptoEngine(pk)
     numbers = engine.encrypt_vector(xs, exponent=0)
     serial_ct = dot_product(coeffs, [v.ciphertext for v in numbers])
     (batched,) = engine.batch_dot_products([(coeffs, numbers)])
@@ -220,25 +218,36 @@ def test_partial_decrypt_batch(threshold3):
 
 def test_pool_never_reuses_a_mask(keypair):
     pk, _ = keypair
-    pool = ObfuscatorPool(pk, size=16)
+    pool = ObfuscatorPool(pk)
     masks = [pool.take() for _ in range(50)]
     assert len(set(masks)) == len(masks)
 
 
 def test_pool_take_many_drains_and_refills(keypair):
     pk, _ = keypair
-    pool = ObfuscatorPool(pk, size=8)
+    pool = ObfuscatorPool(pk)
+    pool.precompute(8)
     first = pool.take_many(20)
     second = pool.take_many(5)
     assert len(set(first + second)) == 25
 
 
-def test_pool_rejects_negative_size(keypair):
+def test_pool_makes_exactly_what_is_taken(keypair):
+    """A take generates its shortfall and nothing more: the pool is empty
+    after it, whatever the count and whatever a warm-up left behind."""
     pk, _ = keypair
-    with pytest.raises(ValueError):
-        ObfuscatorPool(pk, size=-1)
-    with pytest.raises(ValueError):
-        ObfuscatorPool(pk, size=0)  # an unpooled pool is not served
+    pool = ObfuscatorPool(pk)
+    pool.take_many(7)
+    pool.take()
+    assert (pool.generated, len(pool)) == (8, 0)
+    pool.precompute(5)
+    pool.take_many(3)
+    assert (pool.generated, len(pool)) == (13, 2)
+    pool.take_many(6)
+    assert (pool.generated, len(pool)) == (17, 0)
+    pool.precompute(0)
+    pool.precompute(-4)
+    assert pool.take_many(0) == [] and pool.generated == 17
 
 
 # -- op-count parity ------------------------------------------------------
@@ -259,7 +268,7 @@ def _serial_workload(pk, threshold):
 
 
 def _batched_workload(pk, threshold):
-    engine = BatchCryptoEngine(pk, threshold=threshold, pool_size=16)
+    engine = BatchCryptoEngine(pk, threshold=threshold)
     numbers = engine.encrypt_vector([1, 0, 1, 1])
     total = engine.sum_ciphertexts(numbers)
     (dot,) = engine.batch_dot_products([([1, 2, 3, 4], numbers)])

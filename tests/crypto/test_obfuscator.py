@@ -59,7 +59,7 @@ def test_every_mask_encrypts_zero(keypair):
 
 def test_masked_encryptions_round_trip(threshold3):
     pk = threshold3.public_key
-    engine = BatchCryptoEngine(pk, threshold=threshold3, pool_size=8)
+    engine = BatchCryptoEngine(pk, threshold=threshold3)
     values = [-(2**40), -1, 0, 1, 12345]
     assert threshold3.joint_decrypt_batch([pk.encrypt(v) for v in values]) == values
     assert threshold3.joint_decrypt_batch(engine.encrypt_ciphertexts(values)) == values

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.paillier import dot_product, generate_keypair
+from repro.analysis import opcount
+from repro.crypto.paillier import (
+    centred,
+    dot_product,
+    generate_keypair,
+    power_product,
+)
 
 # Bound chosen so sums/products in the property tests stay inside the
 # signed plaintext range of a 256-bit key.
@@ -91,6 +97,32 @@ def test_dot_product_matches_plaintext(keypair, xs, data):
     cts = [pk.encrypt(x) for x in xs]
     expected = sum(a * x for a, x in zip(coeffs, xs))
     assert sk.decrypt(dot_product(coeffs, cts)) == expected
+
+
+def test_negative_scalars_are_an_inverse_and_a_short_power(keypair):
+    """A coefficient in the upper half of Z_n is a negative number: the
+    kernel raises to its magnitude and inverts once.  Same plaintext as
+    the |n|-bit power, same Ce, a different (equally valid) ciphertext."""
+    pk, sk = keypair
+    cts = [pk.encrypt(x) for x in (9, -4, 100, 3)]
+    raws = [c.raw for c in cts]
+    coeffs = [-1, 2, -(2**20) - 5, 0]
+    product = power_product(coeffs, raws, pk)
+    long_form = 1
+    for a, raw in zip(coeffs, raws):
+        long_form = long_form * pow(raw, a % pk.n, pk.n_squared) % pk.n_squared
+    assert product != long_form
+    assert sk.raw_decrypt(product) == sk.raw_decrypt(long_form)
+    assert pk.to_signed(sk.raw_decrypt(product)) == -9 - 8 - 100 * (2**20 + 5)
+    # The same kernel behind every spelling, n - x read as -x.
+    assert power_product([pk.n - 1], raws[:1], pk) == pk.invert(raws[0])
+    assert (cts[0] * -7).raw == dot_product([-7], cts[:1]).raw
+    assert (cts[0] * -7).raw == pk.invert(pow(raws[0], 7, pk.n_squared))
+    assert [centred(x, 15) for x in (0, 7, 8, 14, -1, 22)] == [0, 7, -7, -1, -1, 7]
+    with opcount.counting() as ops:
+        dot_product(coeffs, cts)
+        _ = cts[1] * -3
+    assert ops["ce"] == len(cts) + 1
 
 
 def test_dot_product_rejects_mismatched_lengths(keypair):

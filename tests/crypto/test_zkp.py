@@ -90,6 +90,18 @@ def test_popcm_large_coefficient(pk):
     zkp.verify_multiplication(pk, c_a, c_b, c_out, proof)
 
 
+def test_popcm_negative_coefficients(pk, keypair):
+    """The proven power is the one ``*`` computes: a negative coefficient
+    is an inverse and a short power (-1 included, which ``*`` has always
+    inverted), and the proof's carry is then -1."""
+    _, sk = keypair
+    for a in (-1, -(2**16) - 9):
+        c_a, c_b, c_out, r_a, s = _mult_instance(pk, a, 11)
+        assert sk.decrypt(c_out) == 11 * a
+        proof = zkp.prove_multiplication(pk, a, r_a, c_a, c_b, s, c_out)
+        zkp.verify_multiplication(pk, c_a, c_b, c_out, proof)
+
+
 def test_popcm_wrong_product_rejected(pk):
     a, b = 7, 11
     c_a, c_b, c_out, r_a, s = _mult_instance(pk, a, b)
