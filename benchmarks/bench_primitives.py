@@ -37,6 +37,7 @@ from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
 from repro.mpc import FixedPointOps, MPCEngine, comparison
 from repro.mpc.conversion import ciphers_to_shares
+from repro.network.wire import WireCodec
 from repro.tree import DecisionTreeModel
 from repro.tree.model import TreeNode
 
@@ -414,6 +415,45 @@ def prediction_report(
     return {"predict_batch": ratio}
 
 
+def codec_report(
+    keysize: int = 512, vector: int = 256, repeats: int = 20, smoke: bool = False
+) -> dict[str, float]:
+    """The wire codec against the int conversion it cannot avoid: serialize
+    / deserialize of a ciphertext vector over a bare ``to_bytes`` /
+    ``from_bytes`` loop on the same ints.  A ratio inside this run — the
+    price of interpreting the layout table per element."""
+    pk, _ = generate_keypair(keysize)
+    codec = WireCodec(pk)
+    cts = [pk.encrypt(k, obfuscate=False) for k in range(vector)]
+    raws, width = [ct.raw for ct in cts], codec.ciphertext_width
+    data = codec.serialize(cts)
+    blob = b"".join(raw.to_bytes(width, "big") for raw in raws)
+    offsets = range(0, len(blob), width)
+    t_to_bytes = _best_of(lambda: b"".join([r.to_bytes(width, "big") for r in raws]), repeats)
+    t_serialize = _best_of(lambda: codec.serialize(cts), repeats)
+    t_from_bytes = _best_of(
+        lambda: [int.from_bytes(blob[o : o + width], "big") for o in offsets], repeats
+    )
+    t_deserialize = _best_of(lambda: codec.deserialize(data), repeats)
+    ratios = {
+        "serialize": t_serialize / t_to_bytes,
+        "deserialize": t_deserialize / t_from_bytes,
+    }
+    print(
+        f"{vector} ciphertexts through the codec: serialize {t_serialize * 1e6:.0f} us "
+        f"({ratios['serialize']:.1f}x to_bytes), deserialize "
+        f"{t_deserialize * 1e6:.0f} us ({ratios['deserialize']:.1f}x from_bytes)"
+    )
+    if smoke:
+        for name, ratio in ratios.items():
+            assert ratio <= 6.0, (
+                f"codec {name} of {vector} ciphertexts takes {ratio:.1f}x the bare "
+                "int conversion; the ceiling is 6x"
+            )
+        print("SMOKE OK: codec <= 6x bare int conversion both ways")
+    return ratios
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -428,6 +468,7 @@ def main() -> None:
         batch_report(keysize=512, vector=32, repeats=10, smoke=True)
         packing_report(repeats=3, smoke=True)
         prediction_report(smoke=True)
+        codec_report(smoke=True)
         return
 
     rows = []
@@ -448,6 +489,7 @@ def main() -> None:
     batch_report()
     packing_report()
     prediction_report()
+    codec_report()
 
 
 if __name__ == "__main__":

@@ -29,8 +29,6 @@ PL007  unbounded-wait            while-True receive loops with no timeout,
                                  deadline, or EOF-class exception handling
 PL008  blocking-in-event-loop    synchronous sleep/socket/bigint-pow calls
                                  inside ``async def`` bodies
-PL009  width-parity              WireCodec ``estimate`` arithmetic that
-                                 disagrees with what ``_write`` emits
 PL010  choreography-deadlock     a role's blocking receive whose matching
                                  send is ordered after that role's own
                                  pending sends on a composed flow path
@@ -56,12 +54,7 @@ interprocedural semantics, the suppression policy, and how to add a rule.
 from repro.analysis.pivotlint.baseline import Baseline, BaselineEntry
 from repro.analysis.pivotlint.engine import Analyzer, FileContext, Report
 from repro.analysis.pivotlint.findings import Finding
-from repro.analysis.pivotlint.rules import (
-    REGISTRY,
-    Rule,
-    register,
-    register_wire_type,
-)
+from repro.analysis.pivotlint.rules import REGISTRY, Rule, register
 
 __all__ = [
     "Analyzer",
@@ -73,5 +66,4 @@ __all__ = [
     "Report",
     "Rule",
     "register",
-    "register_wire_type",
 ]

@@ -29,7 +29,7 @@ from repro.analysis.pivotlint.callgraph import ProjectIndex
 from repro.analysis.pivotlint.dataflow import build_parent_map, enclosing_stmt
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import REGISTRY, Rule
-from repro.analysis.pivotlint import rules_protocol  # noqa: F401  (registers PL006-PL009)
+from repro.analysis.pivotlint import rules_protocol  # noqa: F401  (registers PL006-PL008)
 from repro.analysis.pivotlint import rules_concurrency  # noqa: F401  (registers PL010-PL013)
 from repro.analysis.pivotlint.suppress import Suppression, parse_suppressions
 
@@ -253,7 +253,7 @@ class Analyzer:
                             line=sup.line,
                             col=0,
                             message=f"suppression names unknown rule {code!r}",
-                            hint="rule ids are PL001..PL013",
+                            hint=f"rule ids are {', '.join(sorted(REGISTRY))}",
                         )
                     )
             if not sup.reason:

@@ -1,6 +1,6 @@
 """The pivotlint privacy-rule catalogue: PL001–PL005.
 
-(The runtime-protocol pack PL006–PL009 lives in
+(The runtime-protocol pack PL006–PL008 lives in
 :mod:`repro.analysis.pivotlint.rules_protocol`; the engine imports both
 modules so :data:`REGISTRY` always holds the full catalogue.)
 
@@ -37,6 +37,7 @@ from repro.analysis.pivotlint.dataflow import (
     stmt_span,
 )
 from repro.analysis.pivotlint.findings import Finding
+from repro.network.wire import LAYOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.pivotlint.engine import FileContext
@@ -556,26 +557,8 @@ def _field_repr_disabled(value: ast.expr | None) -> bool:
 # PL003 — unregistered-payload
 # ---------------------------------------------------------------------------
 
-#: Types the WireCodec can serialize.  Tests extend this via
-#: ``register_wire_type`` to prove the registry is open.
-WIRE_TYPES: set[str] = {
-    "Ciphertext",
-    "EncryptedNumber",
-    "PartialDecryption",
-    "PartialDecryptionVector",
-    "Request",
-    "ShareVector",
-    "bytes",
-    "float",
-    "int",
-    "list",
-    "tuple",
-}
-
-
-def register_wire_type(name: str) -> None:
-    """Teach PL003 about a newly registered wire type."""
-    WIRE_TYPES.add(name)
+#: Names of the classes the WireCodec serializes: its layout table's rows.
+_WIRE_TYPE_NAMES = frozenset(cls.__name__ for row in LAYOUT for cls in row.types)
 
 
 @register
@@ -590,8 +573,9 @@ class UnregisteredPayload(Rule):
         "(str/dict/set/bool literals, f-strings, numpy arrays, ...)."
     )
     hint = (
-        "define a wire type in repro/network/wire.py (codec + exact size "
-        "formula) and send that; ad-hoc objects cannot travel the bus"
+        "add a row for the type to the layout table in "
+        "repro/network/wire.py (LAYOUT) and send that; ad-hoc objects "
+        "cannot travel the bus"
     )
 
     #: payload argument position per sink (positional calling convention).
@@ -609,7 +593,7 @@ class UnregisteredPayload(Rule):
                 # bytes, int and float travel; bool does not (the codec
                 # refuses it as ambiguous), nor does str.
                 name = type(node.value).__name__
-                return None if name in WIRE_TYPES else name
+                return None if name in _WIRE_TYPE_NAMES else name
             if isinstance(node, ast.Dict):
                 return "dict"
             if isinstance(node, ast.Set) or isinstance(node, ast.SetComp):
@@ -631,7 +615,7 @@ class UnregisteredPayload(Rule):
                     return "numpy.ndarray"
                 if name in ("str", "dict", "set", "bool"):
                     return name
-                if name and name[0].isupper() and name not in WIRE_TYPES:
+                if name and name[0].isupper() and name not in _WIRE_TYPE_NAMES:
                     # A constructor call of a known-named class that is not
                     # a registered wire type.
                     return name

@@ -12,8 +12,7 @@ story:
   parked at the receive and the unblocking send is unreachable.
 * **PL011 round-parity** — the round constants charged to
   ``snapshot()["rounds"]`` (``bus.round(K)``) must equal the send-phase
-  count the flow automaton derives for the path reaching the barrier —
-  the rounds analogue of PL009's width-parity.
+  count the flow automaton derives for the path reaching the barrier.
 * **PL012 cross-thread-shared-state** — in classes that run an event loop
   on a background thread (the socket transport), attributes mutated on
   one thread and touched on the other must be accessed under the class's
@@ -37,7 +36,6 @@ from repro.analysis.pivotlint.choreography import extract_flow
 from repro.analysis.pivotlint.dataflow import FunctionWalker
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import Rule, register
-from repro.analysis.pivotlint.rules_protocol import _module_int_constants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
@@ -46,6 +44,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
 _BARRIER_CALLS = frozenset({"round", "assert_drained", "drain"})
+
+
+def _module_int_constants(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``NAME = <int>`` constants (round counts such as
+    ``bus.round(ROUNDS)`` resolve through them)."""
+    consts: dict[str, int] = {}
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, int)
+            and not isinstance(stmt.value.value, bool)
+        ):
+            consts[stmt.targets[0].id] = stmt.value.value
+    return consts
 
 
 def _make_classifier(
@@ -155,8 +170,7 @@ class RoundParity(Rule):
     )
     hint = (
         "recount the flow's phases: one round per send-phase between "
-        "barriers; update the constant or restructure the flow "
-        "(rounds analogue of PL009's width-parity)"
+        "barriers; update the constant or restructure the flow"
     )
 
     def check(self, ctx: "FileContext") -> list[Finding]:

@@ -1,12 +1,10 @@
-"""Runtime-protocol rules: PL006–PL009.
+"""Runtime-protocol rules: PL006–PL008.
 
 PR 7's autonomous party runtime turned several correctness properties
 into *distributed liveness* properties — a typo'd message tag is no
 longer a KeyError but a hang, an unbounded socket wait is a stuck
-deployment, a blocking call on the event loop stalls every peer at once,
-and an ``estimate``/encoder width drift silently corrupts the
-communication accounting the paper's Table 6/7 claims rest on.  These
-rules prove the invariants at lint time:
+deployment, and a blocking call on the event loop stalls every peer at
+once.  These rules prove the invariants at lint time:
 
 ======  ======================  ==========================================
 PL006   unhandled-protocol-tag  every constant tag/op that reaches a send
@@ -18,9 +16,6 @@ PL007   unbounded-wait          ``while True:`` loops around blocking
                                 deadline, or EOF-exception bound
 PL008   blocking-in-event-loop  no ``time.sleep``/sync socket ops/3-arg
                                 ``pow`` inside ``async def`` bodies
-PL009   width-parity            each ``estimate`` size formula matches the
-                                encoder's actual fixed-width writes,
-                                branch by branch
 ======  ======================  ==========================================
 
 PL006 is cross-file: producers and consumers are inventoried over the
@@ -32,8 +27,6 @@ canonical flows) make their call sites count as producers/consumers too.
 from __future__ import annotations
 
 import ast
-import copy
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -548,367 +541,4 @@ class BlockingInEventLoop(Rule):
                     scan_async(node, self.qualname)
 
         Visitor().visit(ctx.tree)
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# PL009 — width-parity
-# ---------------------------------------------------------------------------
-
-
-def _isinstance_types(test: ast.expr) -> tuple[str, ...] | None:
-    if not (
-        isinstance(test, ast.Call)
-        and isinstance(test.func, ast.Name)
-        and test.func.id == "isinstance"
-        and len(test.args) == 2
-    ):
-        return None
-    spec = test.args[1]
-    nodes = spec.elts if isinstance(spec, ast.Tuple) else [spec]
-    names = []
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-        else:
-            return None
-    return tuple(sorted(names))
-
-
-def _resolve(node: ast.expr, env: dict[str, ast.expr], loopvars: frozenset[str]) -> ast.expr:
-    """Substitute branch-local assignments and normalize loop variables."""
-
-    class Substitute(ast.NodeTransformer):
-        def visit_Name(self, name: ast.Name) -> ast.expr:
-            if name.id in loopvars:
-                return ast.Name(id="_ITEM_", ctx=ast.Load())
-            if name.id in env:
-                return copy.deepcopy(env[name.id])
-            return name
-
-    return Substitute().visit(copy.deepcopy(node))
-
-
-def _fp(node: ast.expr) -> str:
-    return ast.dump(node, annotate_fields=False)
-
-
-def _merge(terms: dict[str, int], key: str, count: int = 1) -> None:
-    terms[key] = terms.get(key, 0) + count
-
-
-def _module_int_constants(tree: ast.Module) -> dict[str, int]:
-    consts: dict[str, int] = {}
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, int)
-            and not isinstance(stmt.value.value, bool)
-        ):
-            consts[stmt.targets[0].id] = stmt.value.value
-    return consts
-
-
-def _const_of(node: ast.expr, consts: dict[str, int]) -> int | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    if isinstance(node, ast.Name):
-        return consts.get(node.id)
-    return None
-
-
-def _estimate_addend(
-    node: ast.expr,
-    env: dict[str, ast.expr],
-    consts: dict[str, int],
-    terms: dict[str, int],
-    loopvars: frozenset[str] = frozenset(),
-) -> None:
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        _estimate_addend(node.left, env, consts, terms, loopvars)
-        _estimate_addend(node.right, env, consts, terms, loopvars)
-        return
-    value = _const_of(node, consts)
-    if value is not None:
-        _merge(terms, "#const", value)
-        return
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        for count_side, width_side in ((node.left, node.right), (node.right, node.left)):
-            if (
-                isinstance(count_side, ast.Call)
-                and isinstance(count_side.func, ast.Name)
-                and count_side.func.id == "len"
-                and count_side.args
-            ):
-                iter_fp = _fp(_resolve(count_side.args[0], env, loopvars))
-                inner: dict[str, int] = {}
-                _estimate_addend(width_side, env, consts, inner, loopvars)
-                for key, count in inner.items():
-                    _merge(terms, f"per:{iter_fp}:{key}", count)
-                return
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "len" and node.args:
-            _merge(terms, f"len:{_fp(_resolve(node.args[0], env, loopvars))}")
-            return
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "estimate"
-            and node.args
-        ):
-            _merge(terms, f"size:{_fp(_resolve(node.args[0], env, loopvars))}")
-            return
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "sum"
-            and node.args
-            and isinstance(node.args[0], ast.GeneratorExp)
-            and len(node.args[0].generators) == 1
-        ):
-            gen = node.args[0].generators[0]
-            target = gen.target
-            loop_names = {
-                n.id for n in ast.walk(target) if isinstance(n, ast.Name)
-            }
-            iter_fp = _fp(_resolve(gen.iter, env, loopvars))
-            inner = {}
-            _estimate_addend(
-                node.args[0].elt, env, consts, inner, loopvars | loop_names
-            )
-            for key, count in inner.items():
-                _merge(terms, f"per:{iter_fp}:{key}", count)
-            return
-    _merge(terms, f"expr:{_fp(_resolve(node, env, loopvars))}")
-
-
-def _writer_value_term(
-    node: ast.expr,
-    env: dict[str, ast.expr],
-    consts: dict[str, int],
-    terms: dict[str, int],
-    loopvars: frozenset[str],
-) -> None:
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        attr = node.func.attr
-        if attr == "to_bytes" and node.args:
-            width = _resolve(node.args[0], env, loopvars)
-            value = _const_of(width, consts)
-            if value is not None:
-                _merge(terms, "#const", value)
-            else:
-                _merge(terms, f"expr:{_fp(width)}")
-            return
-        if attr == "_big" and len(node.args) >= 2:
-            width = _resolve(node.args[1], env, loopvars)
-            value = _const_of(width, consts)
-            if value is not None:
-                _merge(terms, "#const", value)
-            else:
-                _merge(terms, f"expr:{_fp(width)}")
-            return
-        if attr == "pack" and node.args:
-            fmt = node.args[0]
-            if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
-                _merge(terms, "#const", struct.calcsize(fmt.value))
-                return
-    _merge(terms, f"len:{_fp(_resolve(node, env, loopvars))}")
-
-
-def _scan_writer_stmts(
-    body: list[ast.stmt],
-    env: dict[str, ast.expr],
-    consts: dict[str, int],
-    terms: dict[str, int],
-    loopvars: frozenset[str],
-) -> bool:
-    """Collect emitted-byte terms; returns True if the branch only raises."""
-    raised = False
-    for stmt in body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                env[target.id] = _resolve(stmt.value, env, loopvars)
-        elif isinstance(stmt, ast.Raise):
-            raised = True
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-            func = call.func
-            if isinstance(func, ast.Attribute):
-                if func.attr == "append":
-                    _merge(terms, "#const", 1)
-                elif func.attr == "_write" and len(call.args) >= 2:
-                    _merge(
-                        terms,
-                        f"size:{_fp(_resolve(call.args[1], env, loopvars))}",
-                    )
-        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add):
-            _writer_value_term(stmt.value, env, consts, terms, loopvars)
-        elif isinstance(stmt, ast.For):
-            loop_names = {
-                n.id for n in ast.walk(stmt.target) if isinstance(n, ast.Name)
-            }
-            iter_fp = _fp(_resolve(stmt.iter, env, loopvars))
-            inner: dict[str, int] = {}
-            _scan_writer_stmts(
-                stmt.body, env, consts, inner, loopvars | loop_names
-            )
-            for key, count in inner.items():
-                _merge(terms, f"per:{iter_fp}:{key}", count)
-        elif isinstance(stmt, ast.If):
-            body_raises_only = all(isinstance(s, ast.Raise) for s in stmt.body)
-            if not body_raises_only:
-                _scan_writer_stmts(stmt.body, env, consts, terms, loopvars)
-            _scan_writer_stmts(stmt.orelse, env, consts, terms, loopvars)
-    return raised and not terms
-
-
-def _branches(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> list[tuple[tuple[str, ...], list[ast.stmt]]]:
-    """``isinstance``-dispatched branches, in order, if/elif or if/return."""
-    out: list[tuple[tuple[str, ...], list[ast.stmt]]] = []
-
-    def walk(body: list[ast.stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                types = _isinstance_types(stmt.test)
-                if types is not None:
-                    out.append((types, stmt.body))
-                    walk(stmt.orelse)
-                else:
-                    walk(stmt.body)
-                    walk(stmt.orelse)
-
-    walk(func.body)
-    return out
-
-
-def _estimate_terms(
-    body: list[ast.stmt], consts: dict[str, int]
-) -> dict[str, int] | None:
-    env: dict[str, ast.expr] = {}
-    for stmt in body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                env[target.id] = _resolve(stmt.value, env, frozenset())
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            terms: dict[str, int] = {}
-            _estimate_addend(stmt.value, env, consts, terms)
-            return terms
-        elif isinstance(stmt, ast.Raise):
-            return None
-    return None
-
-
-def _writer_terms(
-    body: list[ast.stmt], consts: dict[str, int]
-) -> dict[str, int] | None:
-    terms: dict[str, int] = {}
-    raises_only = _scan_writer_stmts(body, {}, consts, terms, frozenset())
-    if raises_only:
-        return None
-    return terms
-
-
-def _describe(terms: dict[str, int]) -> str:
-    const = terms.get("#const", 0)
-    symbolic = sorted(k for k in terms if k != "#const")
-    parts = [f"{const} fixed bytes"]
-    for key in symbolic:
-        kind = key.split(":", 1)[0]
-        count = terms[key]
-        parts.append(f"{count}x {kind} term" if count != 1 else f"1 {kind} term")
-    return " + ".join(parts)
-
-
-@register
-class WidthParity(Rule):
-    """PL009: an ``estimate`` size formula that drifts from the encoder."""
-
-    rule_id = "PL009"
-    name = "width-parity"
-    summary = (
-        "In a codec class defining both `estimate` and `_write`: a "
-        "payload-type branch whose estimated size (framing constants, "
-        "fixed widths, per-element terms) does not match the bytes the "
-        "encoder actually emits, or a type present in only one of the "
-        "two — `bytes_measured == bytes_estimated` must hold for every "
-        "wire type, not just the tested ones."
-    )
-    hint = (
-        "keep the estimate arithmetic next to the writer branch and "
-        "change both together; every append() is one byte, every "
-        "to_bytes(W)/_big(v, W) is W bytes, every recursive _write is "
-        "one estimate(...) term"
-    )
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-        consts = _module_int_constants(ctx.tree)
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {
-                m.name: m
-                for m in node.body
-                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            estimate = methods.get("estimate")
-            writer = methods.get("_write")
-            if estimate is None or writer is None:
-                continue
-            estimated: dict[tuple[str, ...], dict[str, int] | None] = {}
-            for types, body in _branches(estimate):
-                estimated[types] = _estimate_terms(body, consts)
-            written: dict[tuple[str, ...], dict[str, int] | None] = {}
-            for types, body in _branches(writer):
-                written[types] = _writer_terms(body, consts)
-            qualname = f"{node.name}"
-            for types in sorted(set(estimated) | set(written)):
-                e_terms = estimated.get(types)
-                w_terms = written.get(types)
-                label = "/".join(types)
-                if e_terms is None and w_terms is None:
-                    continue  # both branches raise (e.g. bool): consistent
-                if e_terms is None or types not in estimated:
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            writer,
-                            f"`_write` encodes `{label}` but `estimate` has "
-                            f"no size formula for it",
-                            f"{qualname}._write",
-                        )
-                    )
-                    continue
-                if w_terms is None or types not in written:
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            estimate,
-                            f"`estimate` sizes `{label}` but `_write` has no "
-                            f"encoder branch for it",
-                            f"{qualname}.estimate",
-                        )
-                    )
-                    continue
-                if e_terms != w_terms:
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            estimate,
-                            f"width mismatch for `{label}`: estimate says "
-                            f"{_describe(e_terms)}, encoder emits "
-                            f"{_describe(w_terms)}",
-                            f"{qualname}.estimate",
-                        )
-                    )
         return findings

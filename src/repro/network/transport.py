@@ -31,8 +31,9 @@ There are two implementations:
   (:mod:`repro.federation.runtime`).  Because arrival is asynchronous,
   callers synchronise through the seam: ``wait_pending`` blocks until a
   receiver has mail, ``flush`` until every frame sent to a hosted receiver
-  has physically arrived.  Bytes that do not parse as a frame, or a frame
-  on the wrong party's port, fail the run (:class:`FrameError`).
+  has physically arrived.  Bytes that do not parse as a frame, a length
+  prefix over :data:`MAX_FRAME`, or a frame on the wrong party's port fail
+  the run (:class:`FrameError`).
 
 Byte accounting is done by the bus at delivery time, so the transport
 never affects the measured totals; ``snapshot()`` exposes the transport's
@@ -56,6 +57,7 @@ __all__ = [
     "Transport",
     "TransportOverflowError",
     "FrameError",
+    "MAX_FRAME",
     "InMemoryTransport",
     "SocketTransport",
     "encode_frame",
@@ -114,8 +116,18 @@ class Envelope:
 
 #: Frame body header: sender (u32), receiver (u32), tag length (u16).
 _HEADER = struct.Struct("!IIH")
-#: Length prefix (u32) covering the whole frame body.
+#: Length prefix (u32) of one chunk of a frame body.
 _LENGTH = struct.Struct("!I")
+#: Set in a length prefix when more chunks of the same body follow.
+_MORE = 1 << 31
+#: Most bytes one length prefix may announce (64 MiB): a reader commits to
+#: no more than this on a peer's word, and a larger announcement is refused
+#: before anything is read.  It bounds a chunk, not a message — protocol
+#: messages outgrow any fixed cap (at the paper's Table 4 defaults, n = 50k
+#: and h = 4 with 1024-bit keys, a GBDT round's ``prediction-vector`` is
+#: n · 15 EncryptedNumbers, ~196 MB, and a batch prediction's grows with
+#: its rows), so a longer body is sent as several chunks.
+MAX_FRAME = 1 << 26
 #: An address book: one ``(host, port)`` per party, in party order.
 _Book = list[tuple[str, int]]
 
@@ -123,21 +135,30 @@ _Book = list[tuple[str, int]]
 def encode_frame(envelope: Envelope) -> bytes:
     """Length-prefixed socket framing of one :class:`Envelope`.
 
-    Layout: ``u32 body_length | u32 sender | u32 receiver | u16 tag_length
-    | tag (utf-8) | wire bytes``.  The payload bytes are exactly the
-    codec's serialization — the frame adds addressing, not encoding.
+    Body layout: ``u32 sender | u32 receiver | u16 tag_length | tag
+    (utf-8) | wire bytes``.  The payload bytes are exactly the codec's
+    serialization — the frame adds addressing, not encoding.  The body goes
+    out in chunks of at most :data:`MAX_FRAME` bytes, each after a u32
+    length whose top bit says more follow; a body that fits is one chunk,
+    ``u32 body_length | body``.
     """
     tag = envelope.tag.encode("utf-8")
-    body = (
+    body = memoryview(
         _HEADER.pack(envelope.sender, envelope.receiver, len(tag))
         + tag
         + envelope.data
     )
-    return _LENGTH.pack(len(body)) + body
+    parts: list[bytes | memoryview] = []
+    for start in range(0, len(body), MAX_FRAME):
+        chunk = body[start : start + MAX_FRAME]
+        more = _MORE if start + MAX_FRAME < len(body) else 0
+        parts += (_LENGTH.pack(len(chunk) | more), chunk)
+    return b"".join(parts)
 
 
 def decode_frame(body: bytes) -> Envelope:
-    """Rebuild an :class:`Envelope` from a frame body (prefix stripped).
+    """Rebuild an :class:`Envelope` from a frame body (its chunks joined,
+    length prefixes stripped).
 
     Raises :class:`FrameError` — and nothing else — on a body that is not
     one: the bytes come off a socket anyone can write to.
@@ -430,10 +451,21 @@ class SocketTransport(Transport):
     ) -> None:
         """Serve one connection accepted on ``party``'s port."""
         peer = writer.get_extra_info("peername")
+        chunks: list[bytes] = []
         try:
             while True:
-                (length,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
-                envelope = decode_frame(await reader.readexactly(length))
+                (prefix,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
+                length = prefix & ~_MORE
+                if length > MAX_FRAME:
+                    raise FrameError(
+                        f"a frame chunk of {length} bytes exceeds MAX_FRAME "
+                        f"({MAX_FRAME})"
+                    )
+                chunks.append(await reader.readexactly(length))
+                if prefix & _MORE:
+                    continue
+                envelope = decode_frame(b"".join(chunks))
+                chunks.clear()
                 if envelope.receiver != party or envelope.sender >= self.n_parties:
                     raise FrameError(
                         f"a frame from party {envelope.sender} to party "

@@ -14,14 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.pivotlint import (
-    Analyzer,
-    Baseline,
-    BaselineEntry,
-    register_wire_type,
-)
+from repro.analysis.pivotlint import Analyzer, Baseline, BaselineEntry
 from repro.analysis.pivotlint.__main__ import main as pivotlint_main
-from repro.analysis.pivotlint.rules import WIRE_TYPES
+from repro.network.wire import LAYOUT
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -432,21 +427,28 @@ def test_pl003_accepts_key_independent_scalars(tmp_path):
     assert all(f.scope.endswith("flags") for f in report.findings)
 
 
-def test_pl003_registry_is_extensible(tmp_path):
-    source = """
-    def custom(bus, x):
-        bus.send_payload(0, 1, EncryptedHistogram(x), tag="h")
-        bus.round(1)
-
-    def pump(bus):
-        return bus.receive_tagged(0)
-    """
-    assert rules_found(lint(tmp_path, source)) == ["PL003"]
-    register_wire_type("EncryptedHistogram")
-    try:
-        assert lint(tmp_path, source).findings == []
-    finally:
-        WIRE_TYPES.discard("EncryptedHistogram")
+def test_pl003_reads_wire_types_from_codec_table(tmp_path):
+    """The registry is the codec's layout table: every row's class is
+    accepted, and a class with no row — a single PartialDecryption, whose
+    row was retired for the vector — is flagged."""
+    classes = sorted(
+        cls.__name__ for row in LAYOUT for cls in row.types if cls.__name__[0].isupper()
+    )
+    assert "PartialDecryptionVector" in classes and "PartialDecryption" not in classes
+    sends = "".join(
+        f"    bus.send_payload(0, 1, {name}(x), tag='t')\n" for name in classes
+    )
+    report = lint(
+        tmp_path,
+        "def fine(bus, x):\n" + sends + "    bus.round(1)\n\n"
+        "def retired(bus, x):\n"
+        "    bus.send_payload(0, 1, PartialDecryption(0, x), tag='t')\n"
+        "    bus.round(1)\n\n"
+        "def pump(bus):\n"
+        "    return bus.receive_tagged(0)\n",
+    )
+    assert rules_found(report) == ["PL003"]
+    assert report.findings[0].scope.endswith("retired")
 
 
 # ---------------------------------------------------------------------------
@@ -820,67 +822,6 @@ def test_pl008_accepts_awaited_and_sync_context(tmp_path):
         def sync_path(sock):
             time.sleep(0.1)
             return sock.recv(10)
-        """,
-    )
-    assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
-# PL009 — width-parity between estimate() and _write()
-# ---------------------------------------------------------------------------
-
-def test_pl009_flags_estimate_writer_drift(tmp_path):
-    # The writer emits a 2-byte marker, the estimate only budgets TAG=1:
-    # every framed message under-reserves by one byte.
-    report = lint(
-        tmp_path,
-        """
-        TAG = 1
-        WIDTH = 8
-
-        class MiniCodec:
-            def estimate(self, payload):
-                if isinstance(payload, int):
-                    return TAG + WIDTH
-                raise ValueError("unsupported")
-
-            def _write(self, out, payload):
-                if isinstance(payload, int):
-                    out.append(7)
-                    out.append(7)
-                    out += payload.to_bytes(WIDTH, "big")
-                else:
-                    raise ValueError("unsupported")
-        """,
-    )
-    assert rules_found(report) == ["PL009"]
-    assert "int" in report.findings[0].message
-
-
-def test_pl009_accepts_matching_widths(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        TAG = 1
-        WIDTH = 8
-
-        class MiniCodec:
-            def estimate(self, payload):
-                if isinstance(payload, int):
-                    return TAG + WIDTH
-                if isinstance(payload, float):
-                    return TAG + 8
-                raise ValueError("unsupported")
-
-            def _write(self, out, payload):
-                if isinstance(payload, int):
-                    out.append(7)
-                    out += payload.to_bytes(WIDTH, "big")
-                elif isinstance(payload, float):
-                    out.append(8)
-                    out += struct.pack(">d", payload)
-                else:
-                    raise ValueError("unsupported")
         """,
     )
     assert report.findings == []

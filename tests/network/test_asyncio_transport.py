@@ -24,13 +24,18 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.crypto.encoding import EncryptedNumber, PaillierEncoder
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.federation.runtime import free_addresses
+from repro.network import transport as transport_module
 from repro.network.bus import MessageBus
 from repro.network.transport import (
+    MAX_FRAME,
     Envelope,
     FrameError,
     SocketTransport,
     TransportOverflowError,
+    decode_frame,
     encode_frame,
 )
 from repro.network.wire import WireCodec
@@ -357,6 +362,8 @@ BAD_FRAMES = {
         "to party 0 arrived on party 1's port",
     ),
     "unknown-sender": (encode_frame(_env(77, 1)), "from party 77"),
+    # A 4 GiB announcement is refused at the prefix, not waited for.
+    "oversized-prefix": (struct.pack("!I", 0xFFFFFFFF), "exceeds MAX_FRAME"),
 }
 
 
@@ -381,6 +388,49 @@ def test_malformed_frame_fails_the_run(shape, defect):
         with pytest.raises(FrameError, match=message):
             seam()
     assert transport.delivered == 1  # the well-formed frame before it
+
+
+# -- messages longer than one frame chunk -------------------------------------
+
+
+def test_table4_prediction_vector_outgrows_one_chunk():
+    """At the paper's Table 4 defaults (n = 50k, h = 4, 1024-bit keys) a
+    GBDT round predicts all n training rows over up to 15 leaves: one
+    ``prediction-vector`` of n · 15 EncryptedNumbers.  No length prefix may
+    announce that much, so it must cross as several chunks."""
+    pk = PaillierPublicKey((1 << 1023) + 1)  # any odd 1024-bit modulus
+    codec = WireCodec(pk)
+    element = EncryptedNumber(PaillierEncoder(pk), Ciphertext(pk, 1), 0)
+    assert codec.estimate(element) == 261
+    tag = "prediction-vector"
+    body = struct.calcsize("!IIH") + len(tag) + codec.estimate([element] * 50_000 * 15)
+    assert body == 195_750_032
+    assert -(-body // MAX_FRAME) == 3  # chunks of at most MAX_FRAME bytes
+
+
+@pytest.mark.parametrize("build", [_one_for_all, _one_each])
+def test_message_over_max_frame_crosses_in_chunks(build, monkeypatch):
+    monkeypatch.setattr(transport_module, "MAX_FRAME", 64)
+    envelope = _env(0, 1, bytes(range(256)) * 4, tag="prediction-vector")
+    frame, chunks = memoryview(encode_frame(envelope)), []
+    while frame:
+        (prefix,) = struct.unpack_from("!I", frame)
+        length = prefix & 0x7FFFFFFF
+        assert length <= 64
+        chunks.append((prefix >> 31, bytes(frame[4 : 4 + length])))
+        frame = frame[4 + length :]
+    assert [more for more, _ in chunks] == [1] * (len(chunks) - 1) + [0]
+    assert decode_frame(b"".join(data for _, data in chunks)) == envelope
+    transports = build(2)
+    try:
+        transports[0].deliver(envelope)
+        receiver = transports[-1]
+        assert receiver.wait_pending(1, timeout=5.0)
+        assert receiver.poll(1) == envelope
+        assert receiver.delivered == 1
+    finally:
+        for transport in transports:
+            transport.close()
 
 
 # -- bus over sockets ---------------------------------------------------------
