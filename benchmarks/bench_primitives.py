@@ -183,6 +183,18 @@ def batch_report(
     )
     negative_ratio = t_scale_neg / t_scale_pos
 
+    # -- [a] ⊖ [b] over 200 ciphertexts: one batch inversion vs a - b each --
+    # (the model update's derived sibling; a ratio inside this run.)
+    minuends = engine.encrypt_vector([float(i) for i in range(200)])
+    subtrahends = engine.encrypt_vector([float(i % 7) for i in range(200)])
+    t_sub_serial = _best_of(
+        lambda: [a - b for a, b in zip(minuends, subtrahends)], repeats
+    )
+    t_sub_batched = _best_of(
+        lambda: engine.subtract_vectors(minuends, subtrahends), repeats
+    )
+    subtract_ratio = t_sub_batched / t_sub_serial
+
     # -- Cs: five fractions over one denominator, singly vs one grouped div -
     # (Norm, AppRcr and the squarings of x run once per denominator; a
     # ratio inside this run, so it is not a JSON row either.)
@@ -235,6 +247,12 @@ def batch_report(
                 f"{negative_ratio:.2f}x slower",
             ],
             [
+                "[a] - [b] x200, subtract_vectors",
+                t_sub_serial * 1e3,
+                t_sub_batched * 1e3,
+                f"{subtract_ratio:.2f}x the time",
+            ],
+            [
                 "secure div, 5 over one denominator",
                 t_div_singly * 1e3,
                 t_div_grouped * 1e3,
@@ -271,6 +289,10 @@ def batch_report(
             f"scale_vector by negative scalars takes {negative_ratio:.2f}x the "
             "same vector by positive ones; the ceiling is 3x"
         )
+        assert subtract_ratio <= 0.5, (
+            f"subtract_vectors over 200 ciphertexts takes {subtract_ratio:.2f}x "
+            "the per-element a - b loop; the ceiling is 0.5x"
+        )
         assert div_speedup >= 2.5, (
             f"five numerators over one denominator are only {div_speedup:.2f}x "
             "faster than five single divisions; the floor is 2.5x"
@@ -281,14 +303,15 @@ def batch_report(
         )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
-            "pow, negative scalars <= 3x positive, grouped division >= 2.5x, "
-            "lt <= 12 mul, tallies equal"
+            "pow, negative scalars <= 3x positive, subtract_vectors <= 0.5x "
+            "a - b, grouped division >= 2.5x, lt <= 12 mul, tallies equal"
         )
     return {
         "crt": crt_speedup,
         "encrypt": enc_speedup,
         "mask": mask_speedup,
         "negative_scalar": negative_ratio,
+        "subtract": subtract_ratio,
         "div": div_speedup,
         "lt_in_muls": lt_in_muls,
     }

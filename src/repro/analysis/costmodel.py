@@ -63,19 +63,25 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
         ⌈c / slots⌉  +  t · ⌈S·c / slots⌉        (leaves: none)
 
     under the basic protocol (regression: 3 in place of c), plus
-    t · ⌈n / slots'⌉ under the enhanced one: its O(n t)·Cd term runs Eq. 10
-    for one child (the sibling is a homomorphic subtraction) and packs
-    ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋ elements of the 0/1 mask vector per
-    decrypted ciphertext (11 at 512 bits); a riding encrypted-label [γ]
-    (GBDT rounds >= 2) declares no bound, so it pays 3 whole ciphertexts
-    per split and n per vector per node for Eq. 10.
+    t' · ⌈n / slots'⌉ under the enhanced one: its O(n t)·Cd term runs
+    Eq. 10 for one child (the sibling is a homomorphic subtraction) and
+    packs ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋ elements of the 0/1 mask
+    vector per decrypted ciphertext (11 at 512 bits); a riding
+    encrypted-label [γ] (GBDT rounds >= 2) declares no bound, so it pays 3
+    whole ciphertexts per split and n per vector per node for Eq. 10.
+    t' ≤ t counts the splits whose children are *built*: below the depth
+    limit, with a candidate split left.  A split above leaves at the depth
+    limit builds no child mask vector, since those leaves take their
+    labels from inherited statistics — in a full tree t' = (t − 1) / 2.
 
     The *measured* Ce of one internal node is n·c·S (the dot products of
     Eq. 7, left child only) + n·(c − 1) (re-randomising the published
     label vectors) + c·S (one pool mask per statistic before it leaves its
-    party) + 2n (the model update's two child mask vectors), plus
-    m·⌈S·c / slots⌉ conversion-mask encryptions and the packing folds; a
-    basic-protocol leaf costs no Ce at all.
+    party), plus m·⌈S·c / slots⌉ conversion-mask encryptions and the
+    packing folds; a basic split whose children are built adds n (the
+    left child's pool-masked vector) + m·n (each party's own
+    [α] ⊖ [α_l], one Ce per element).  A basic-protocol leaf costs no Ce
+    at all.
 
     The *measured* Cs of one internal node's gain step (paper mode, S = d·b
     candidate splits, W-bit counts, θ = 4 Goldschmidt iterations at K = 40)

@@ -14,7 +14,9 @@ data she committed to before training:
   information-theoretic MACs (``authenticated_mpc=True``), so tampered
   shares abort at opening time.
 * **Model update**: the chosen client proves [α_l] = v_l ∘ [α] with
-  per-element POPCM against her committed indicators.
+  per-element POPCM against her committed indicators; [α_r] = [α] ⊖ [α_l]
+  needs no proof.  Children that will not read a mask vector (leaves at
+  the depth limit) get none, and nothing is proven for them.
 
 A :class:`CheatingClient` adversary deviates at a chosen step; the honest
 verifiers detect it and abort with :class:`~repro.crypto.zkp.ProofError`
@@ -29,10 +31,11 @@ import numpy as np
 
 from repro.core.context import PivotContext
 from repro.core.labels import PlaintextLabelProvider
-from repro.core.trainer import TreeTrainer
+from repro.core.trainer import TreeTrainer, _child_available
 from repro.crypto import zkp
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext, dot_product
+from repro.tree.model import TreeNode
 
 __all__ = ["MaliciousPivotDecisionTree", "CheatingClient", "CommittedVector"]
 
@@ -245,32 +248,36 @@ class MaliciousPivotDecisionTree(TreeTrainer):
         self, alpha, gammas, available, depth, identifiers, best_index,
         node_stats, rows, node_key,
     ):
-        """Model update with per-element POPCM on [α_l], [α_r] (§9.1.2)."""
+        """Model update with per-element POPCM on [α_l] (§9.1.2); the right
+        child is [α] ⊖ [α_l], which every verifier computes herself.  A
+        split whose children will not read a mask vector proves nothing."""
         ctx = self.ctx
         flat = int(ctx.engine.open(best_index))
         left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
         owner = ctx.clients[owner_idx]
-        committed = self.committed_indicators[(owner_idx, feature, split)]
-        pk = ctx.threshold.public_key
-
-        outputs_l, proofs_l = committed.prove_elementwise_product(alpha)
-        if self.cheat == "update":
-            outputs_l[0] = outputs_l[0] + pk.encrypt(1)
-        committed.verify_elementwise_product(alpha, outputs_l, proofs_l)
-        committed_right = CommittedVector(pk, [1 - v for v in committed.values])
-        outputs_r, proofs_r = committed_right.prove_elementwise_product(alpha)
-        committed_right.verify_elementwise_product(alpha, outputs_r, proofs_r)
-        ctx.bus.broadcast(
-            owner_idx, 4 * ctx.ciphertext_bytes * len(alpha), tag="mask-vector"
+        child_available = _child_available(
+            available, owner_idx, feature, self.cfg.tree.remove_used_feature
+        )
+        alpha_left = alpha_right = None
+        if self._children_read(depth, child_available):
+            committed = self.committed_indicators[(owner_idx, feature, split)]
+            outputs_l, proofs_l = committed.prove_elementwise_product(alpha)
+            if self.cheat == "update":
+                outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
+            committed.verify_elementwise_product(alpha, outputs_l, proofs_l)
+            alpha_left = [
+                ctx.encoder.wrap(o, a.exponent) for o, a in zip(outputs_l, alpha)
+            ]
+            alpha_right = ctx.batch.subtract_vectors(alpha, alpha_left)
+        ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
+            owner_idx,
+            2 * ctx.ciphertext_bytes * len(alpha_left or ()),
+            tag="mask-vector",
         )
         ctx.bus.round()
 
-        from repro.tree.model import TreeNode
-
-        alpha_left = [ctx.encoder.wrap(o, a.exponent) for o, a in zip(outputs_l, alpha)]
-        alpha_right = [ctx.encoder.wrap(o, a.exponent) for o, a in zip(outputs_r, alpha)]
         node = TreeNode(
             is_leaf=False,
             depth=depth,
@@ -278,11 +285,6 @@ class MaliciousPivotDecisionTree(TreeTrainer):
             feature=feature,
             global_feature=ctx.partition.global_feature_of(owner_idx, feature),
             threshold=owner.split_values[feature][split],
-        )
-        from repro.core.trainer import _child_available
-
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
         )
         node.left = self._build(
             alpha_left, None, child_available, depth + 1,

@@ -14,14 +14,22 @@ Implements Algorithm 3 with the three steps of §4.1 per tree node:
    the secure maximum, yielding the secretly shared identifier (⟨i*⟩,
    ⟨j*⟩, ⟨s*⟩).
 3. **Model update** — *basic protocol*: the identifier is reconstructed and
-   client i* broadcasts the encrypted child mask vectors [α_l], [α_r].
+   client i* broadcasts the threshold and the encrypted left-child mask
+   vector [α_l]; every party derives the right child as the homomorphic
+   difference [α] ⊖ [α_l] from vectors she already holds.
    *Enhanced protocol* (§5.2): only (i*, j*) is revealed; ⟨s*⟩ is turned
    into the encrypted selection vector [λ], client i* runs private split
    selection (Theorem 2) and the encrypted mask update of Eq. (10) for the
    left child — slot-packed, since [α] is an exact 0/1 vector — and the
-   right child is the homomorphic difference [α] ⊖ [α_l]; the split
-   threshold and leaf labels stay hidden (shared + encrypted forms are
-   attached to the node's ``hidden`` payload).
+   right child is again [α] ⊖ [α_l]; the split threshold and leaf labels
+   stay hidden (shared + encrypted forms are attached to the node's
+   ``hidden`` payload).
+   Either way the children's mask vectors are built only when the
+   children will read them: below ``max_depth`` and with a candidate split
+   left, both public.  In a full tree half of the internal nodes split
+   into leaves at the depth limit; their basic ``node-split`` carries the
+   threshold and empty vectors, and their enhanced split stops after [λ]
+   and the hidden threshold (no [v], no Eq. 10).
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own [Σα, Σγ_k].  A child's (n, g_k) *are* the
@@ -32,7 +40,7 @@ enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
 the selection is exact).  Threshold decryptions per node: 1 at the root,
 ⌈S·(1 + V) / slots⌉ per internal node for S candidate splits over V
 published label vectors (plus ⌈n / 11⌉ for Eq. 10 under the enhanced
-protocol), none at a leaf.
+protocol, at an internal node whose children are built), none at a leaf.
 
 Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
@@ -203,7 +211,7 @@ class TreeTrainer:
 
     def _build(
         self,
-        alpha: list[EncryptedNumber],
+        alpha: list[EncryptedNumber] | None,
         node_gammas: list[list[EncryptedNumber]] | None,
         available: list[list[int]],
         depth: int,
@@ -368,12 +376,16 @@ class TreeTrainer:
         node_key: int,
     ) -> TreeNode:
         """Model update (§4.1): the split *owner* reacts on her own event
-        loop — masks [α] (and the riding [γ]s) by her plaintext indicator,
-        re-randomised (pooled masks, batched), and broadcasts both children
-        plus the revealed threshold as a ``node-split``.  The super client
-        either is the owner (she applies the split through her own runtime)
-        or sends the owner a ``split-apply`` request and takes the children
-        from the owner's reply like every other party.
+        loop — masks [α] (and the riding [γ]s) by her plaintext left
+        indicator, re-randomised (pooled masks, batched), and broadcasts
+        the left child plus the revealed threshold as a ``node-split``;
+        every party derives the right child as [α] ⊖ [α_l].  The super
+        client either is the owner (she applies the split through her own
+        runtime) or sends the owner a ``split-apply`` request and takes the
+        children from the owner's reply like every other party.  The
+        request carries :meth:`_children_read`'s public bit: for children
+        that will not read a mask vector the ``node-split`` still goes out
+        (the threshold), with empty vectors.
 
         The opened index also picks the children's statistics: the winning
         row of ``rows`` is the left child's, the node's minus it the right
@@ -384,16 +396,22 @@ class TreeTrainer:
         left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
+        child_available = _child_available(
+            available, owner_idx, feature, self.cfg.tree.remove_used_feature
+        )
         sup = ctx.super_client
         ride = 1 if self.provider.rides_with_alpha else 0
+        build = 1 if self._children_read(depth, child_available) else 0
         if owner_idx == sup:
-            body = ctx.runtimes[sup].apply_split(node_key, feature, split, ride)
+            body = ctx.runtimes[sup].apply_split(
+                node_key, feature, split, ride, build
+            )
             react_runtimes(ctx.runtimes, exclude=(sup,))
         else:
             ctx.bus.send_payload(
                 sup,
                 owner_idx,
-                Request("split-apply", [node_key, feature, split, ride]),
+                Request("split-apply", [node_key, feature, split, ride, build]),
                 tag="mask-vector",
             )
             try:
@@ -416,10 +434,12 @@ class TreeTrainer:
             ctx.runtimes[sup].store_split(body)
             react_runtimes(ctx.runtimes, exclude=(sup, owner_idx))
         ctx.bus.round()
-        _key, threshold, alpha_left, alpha_right, gam_left, gam_right = body
-        gam_left = [list(g) for g in gam_left] or None
-        gam_right = [list(g) for g in gam_right] or None
-
+        # The super client's store now holds what the children read: the
+        # left child as broadcast, the right one derived, or neither.
+        store = ctx.runtimes[sup].nodes
+        left, right = (
+            store.get(key, (None, None)) for key in (2 * node_key, 2 * node_key + 1)
+        )
         node = TreeNode(
             is_leaf=False,
             depth=depth,
@@ -427,18 +447,14 @@ class TreeTrainer:
             owner=owner_idx,
             feature=feature,
             global_feature=ctx.partition.global_feature_of(owner_idx, feature),
-            threshold=threshold,
-        )
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
+            threshold=body[1],
         )
         node.left = self._build(
-            list(alpha_left), gam_left, child_available, depth + 1,
-            2 * node_key, left_stats,
+            *left, child_available, depth + 1, 2 * node_key, left_stats,
         )
         node.right = self._build(
-            list(alpha_right), gam_right, child_available, depth + 1,
-            2 * node_key + 1, node_stats - left_stats,
+            *right, child_available, depth + 1, 2 * node_key + 1,
+            node_stats - left_stats,
         )
         return node
 
@@ -493,14 +509,6 @@ class TreeTrainer:
         # 0/1 vector, so it is encrypted at exponent 0.
         lam_cipher = [ctx.to_cipher(lam, exponent=0) for lam in lam_shares]
 
-        # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
-        # fan-out over the n rows of the indicator matrix.
-        matrix = owner.indicator_matrix(feature)  # n x n'
-        v_left_enc = ctx.batch.batch_dot_products(
-            [(list(row.astype(np.int64)), lam_cipher) for row in matrix]
-        )
-        ctx.bus.round()
-
         # Encrypted (and shared) split threshold.
         encoded_vals = [
             ctx.encoder.encode(float(t)).encoding
@@ -510,24 +518,6 @@ class TreeTrainer:
         threshold_share = ctx.engine.sum_values(
             [lam * enc for lam, enc in zip(lam_shares, encoded_vals)]
         )
-
-        # Encrypted mask-vector update (Eq. 10) for the left child; the
-        # right child is the sibling by subtraction, [α] ⊖ [α_l] — the
-        # plaintext of α·(1 − v), computed locally from two vectors every
-        # party already holds.
-        alpha_left = self._masked_elementwise_product(
-            alpha, v_left_enc, bound_bits=self._alpha_bits
-        )
-        alpha_right = [a - left for a, left in zip(alpha, alpha_left)]
-        gam_left = gam_right = None
-        if self.provider.rides_with_alpha:
-            gam_left = [
-                self._masked_elementwise_product(g, v_left_enc) for g in gammas
-            ]
-            gam_right = [
-                [y - left for y, left in zip(g, g_left)]
-                for g, g_left in zip(gammas, gam_left)
-            ]
 
         node = TreeNode(
             is_leaf=False,
@@ -540,21 +530,67 @@ class TreeTrainer:
         )
         node.hidden["threshold_share"] = threshold_share
         node.hidden["threshold_cipher"] = threshold_cipher
+        child_available = _child_available(
+            available, owner_idx, feature, self.cfg.tree.remove_used_feature
+        )
+        left = right = (None, None)
+        if self._children_read(depth, child_available):
+            left, right = self._children_masks(
+                alpha, gammas, owner.indicator_matrix(feature), lam_cipher,
+                node_key,
+            )
+        node.left = self._build(
+            *left, child_available, depth + 1, 2 * node_key, left_stats,
+        )
+        node.right = self._build(
+            *right, child_available, depth + 1, 2 * node_key + 1,
+            node_stats - left_stats,
+        )
+        return node
+
+    def _children_masks(
+        self,
+        alpha: list[EncryptedNumber],
+        gammas: list[list[EncryptedNumber]],
+        matrix: np.ndarray,
+        lam_cipher: list[EncryptedNumber],
+        node_key: int,
+    ) -> tuple[tuple, tuple]:
+        """The enhanced model update's children, ``(alpha, gammas-or-None)``
+        each, published to every party's node store."""
+        ctx = self.ctx
+        # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
+        # fan-out over the n rows of the owner's n x n' indicator matrix.
+        v_left_enc = ctx.batch.batch_dot_products(
+            [(list(row.astype(np.int64)), lam_cipher) for row in matrix]
+        )
+        ctx.bus.round()
+
+        # Encrypted mask-vector update (Eq. 10) for the left child; the
+        # right child is the sibling by subtraction, [α] ⊖ [α_l] — the
+        # plaintext of α·(1 − v), computed locally from two vectors every
+        # party already holds.
+        subtract = ctx.batch.subtract_vectors
+        alpha_left = self._masked_elementwise_product(
+            alpha, v_left_enc, bound_bits=self._alpha_bits
+        )
+        alpha_right = subtract(alpha, alpha_left)
+        gam_left = gam_right = None
+        if self.provider.rides_with_alpha:
+            gam_left = [
+                self._masked_elementwise_product(g, v_left_enc) for g in gammas
+            ]
+            gam_right = [subtract(g, g_left) for g, g_left in zip(gammas, gam_left)]
+
         # The Eq. 10 flow is driven centrally (it already broadcasts the
         # combined [α'] under the eq10 tag), so the per-party event loops
         # have not stored the children — publish their node state
         # explicitly to keep the runtimes' stores coherent for the next
         # level's split-stats requests.
         sup = ctx.super_client
-        for key, child_alpha, child_gammas in (
-            (2 * node_key, alpha_left, gam_left),
-            (2 * node_key + 1, alpha_right, gam_right),
-        ):
-            payload_gammas = (
-                [list(g) for g in child_gammas]
-                if child_gammas is not None
-                else []
-            )
+        children = ((alpha_left, gam_left), (alpha_right, gam_right))
+        for key, (child_alpha, child_gammas) in enumerate(children, 2 * node_key):
+            payload_gammas = child_gammas or []
             ctx.runtimes[sup].store_node(key, child_alpha, payload_gammas)
             broadcast_request(
                 ctx.bus,
@@ -565,18 +601,7 @@ class TreeTrainer:
                 runtimes=ctx.runtimes,
             )
         ctx.bus.round()
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
-        )
-        node.left = self._build(
-            alpha_left, gam_left, child_available, depth + 1,
-            2 * node_key, left_stats,
-        )
-        node.right = self._build(
-            alpha_right, gam_right, child_available, depth + 1,
-            2 * node_key + 1, node_stats - left_stats,
-        )
-        return node
+        return children
 
     def _masked_elementwise_product(
         self,
@@ -707,6 +732,16 @@ class TreeTrainer:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+
+    def _children_read(self, depth: int, child_available: list[list[int]]) -> bool:
+        """Whether a split's children will read their mask vectors: their
+        depth is below ``max_depth`` and they still have a candidate split.
+        Both facts are public; without either, each child is a leaf whose
+        label comes from the inherited statistics, and its [α] is never
+        built (``_build`` gets ``None``)."""
+        return depth + 1 < self.cfg.tree.max_depth and bool(
+            self.ctx.split_identifiers(child_available)
+        )
 
     def _mask_invalid_splits(self, splits: list[SplitStats]) -> None:
         """Force gains of splits violating min_samples_leaf to lose."""

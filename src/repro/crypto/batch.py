@@ -245,6 +245,47 @@ class BatchCryptoEngine:
             for coefficients, raws, exponent in prepared
         ]
 
+    def subtract_vectors(
+        self, minuends: list[EncryptedNumber], subtrahends: list[EncryptedNumber]
+    ) -> list[EncryptedNumber]:
+        """[a_j] ⊖ [b_j] element by element: one Ce per element, and the
+        same raw ciphertexts as the serial ``a - b``.
+
+        ``a - b`` inverts each [b_j] on its own.  Here one
+        :meth:`~repro.crypto.paillier.PaillierPublicKey.invert` of the
+        product of all of them is unwound into every single inverse with
+        three multiplications each (Montgomery's batch inversion); an
+        inverse mod n^2 is unique, so the results are bit-identical.  Each
+        pair must share one exponent: nothing is aligned.  Deterministic in
+        its inputs, like ``sum_ciphertexts``.
+        """
+        if len(minuends) != len(subtrahends):
+            raise ValueError(
+                f"length mismatch: {len(minuends)} minuends vs "
+                f"{len(subtrahends)} subtrahends"
+            )
+        if any(a.exponent != b.exponent for a, b in zip(minuends, subtrahends)):
+            raise ValueError("subtraction of mixed exponents; align first")
+        if not minuends:
+            return []
+        pk = self.public_key
+        n_squared = pk.n_squared
+        raws = [b.ciphertext.raw for b in subtrahends]
+        prefixes = []  # prefixes[j] = raws[0] · … · raws[j - 1]
+        product = 1
+        for raw in raws:
+            prefixes.append(product)
+            product = product * raw % n_squared
+        inverse = pk.invert(product)  # of raws[0] · … · raws[j] below
+        out: list[EncryptedNumber] = []
+        for a, raw, prefix in zip(reversed(minuends), reversed(raws), reversed(prefixes)):
+            difference = a.ciphertext.raw * (inverse * prefix % n_squared) % n_squared
+            inverse = inverse * raw % n_squared
+            out.append(EncryptedNumber(self.encoder, Ciphertext(pk, difference), a.exponent))
+        opcount.GLOBAL.ce += len(out)  # parity: one Ce per Ciphertext.__add__
+        out.reverse()
+        return out
+
     def scale_vector(
         self,
         values: list[EncryptedNumber],

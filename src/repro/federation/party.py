@@ -119,9 +119,13 @@ class PartyRuntime:
       orchestrator process involved in her computation.
 
     State: a store of tree-node payloads keyed by heap position (root = 1,
-    children of k at 2k / 2k+1).  ``node-split`` reactions store both
-    children and pop the parent; leaf entries are retained (the store is
-    bounded by the tree's leaf count).  Cross-sender socket ordering is
+    children of k at 2k / 2k+1), each ``[alpha, gammas-or-None]``.  Only
+    nodes whose mask vector someone will read are stored: a ``node-split``
+    reaction pops the parent and stores both children — the left as
+    received, the right derived locally — unless they are leaves at the
+    depth limit (or without a candidate split), which store nothing.  A
+    leaf pruned higher up keeps its entry, so the store is bounded by the
+    tree's leaf count.  Cross-sender socket ordering is
     absorbed by :meth:`_await_node`: a handler that needs a node not yet
     stored keeps reacting to queued messages until it arrives (in-process
     delivery is FIFO per inbox, so the loop only ever spins over real
@@ -232,10 +236,25 @@ class PartyRuntime:
         self.nodes[key] = [list(alpha), gammas if gammas else None]
 
     def store_split(self, body: list) -> None:
-        """Record a node-split body: store both children, pop the parent."""
-        key, _threshold, alpha_left, alpha_right, gam_left, gam_right = body
-        self.store_node(2 * key, alpha_left, [list(g) for g in gam_left])
-        self.store_node(2 * key + 1, alpha_right, [list(g) for g in gam_right])
+        """Record a node-split body ``[key, threshold, alpha_l, gam_l]``
+        and pop the parent.
+
+        The right child is derived here, by every party from vectors she
+        already holds: [α_r] = [α] ⊖ [α_l], and [γ_r] = [γ] ⊖ [γ_l] for
+        each riding vector.  Empty vectors mean the children are leaves
+        nobody reads a mask vector of: nothing is stored for them.
+        """
+        key, _threshold, alpha_left, gam_left = body
+        if alpha_left:
+            alpha, gammas = self._await_node(key)
+            subtract = self.engine.subtract_vectors
+            gam_left = [list(g) for g in gam_left]
+            self.store_node(2 * key, alpha_left, gam_left)
+            self.store_node(
+                2 * key + 1,
+                subtract(alpha, list(alpha_left)),
+                [subtract(g, g_left) for g, g_left in zip(gammas, gam_left)],
+            )
         self.nodes.pop(key, None)
 
     # -- local computations (also called directly by the super client) -----
@@ -273,27 +292,32 @@ class PartyRuntime:
         return self.engine.mask_vector(stats, [1] * len(stats))
 
     def apply_split(
-        self, node_key: int, feature: int, split: int, ride: int
+        self, node_key: int, feature: int, split: int, ride: int, build: int
     ) -> list:
-        """Model update at the split owner (§4.1): mask [α] (and, when the
-        label vectors ride with alpha, the [γ]s) by the plaintext indicator,
-        broadcast both children, and store them locally.
+        """Model update at the split owner (§4.1): broadcast the revealed
+        threshold and the left child, and store both children locally.
 
-        Returns the broadcast body ``[key, threshold, alpha_l, alpha_r,
-        gam_l, gam_r]`` — the owner-is-super path uses it directly.
+        With ``build`` set she masks [α] (and, when the label vectors ride
+        with alpha, the [γ]s) by her plaintext left indicator, re-randomised
+        from the pool; every party derives the right child in
+        :meth:`store_split`, so it never goes on the bus.  ``build`` is the
+        trainer's public verdict that the children will read their mask
+        vectors; without it they are leaves at the depth limit (or without
+        a candidate split) and the two lists go empty.
+
+        Returns the broadcast body ``[key, threshold, alpha_l, gam_l]`` —
+        the owner-is-super path uses it directly.
         """
-        alpha, gammas = self._await_node(node_key)
         threshold = float(self.client.split_values[feature][split])
-        v_left = self.client.indicator(feature, split)
-        v_right = 1 - v_left
-        alpha_left = self.engine.mask_vector(alpha, v_left)
-        alpha_right = self.engine.mask_vector(alpha, v_right)
+        alpha_left: list = []
         gam_left: list = []
-        gam_right: list = []
-        if ride:
-            gam_left = [self.engine.mask_vector(g, v_left) for g in gammas]
-            gam_right = [self.engine.mask_vector(g, v_right) for g in gammas]
-        body = [node_key, threshold, alpha_left, alpha_right, gam_left, gam_right]
+        if build:
+            alpha, gammas = self._await_node(node_key)
+            v_left = self.client.indicator(feature, split)
+            alpha_left = self.engine.mask_vector(alpha, v_left)
+            if ride:
+                gam_left = [self.engine.mask_vector(g, v_left) for g in gammas]
+        body = [node_key, threshold, alpha_left, gam_left]
         # pivotlint: disable=PL005 -- reactive reply: the split-apply
         # request came from the trainer's flow, which owns the barrier.
         self.endpoint.broadcast(Request("node-split", body), tag="mask-vector")
@@ -321,8 +345,8 @@ class PartyRuntime:
         self.endpoint.broadcast(stats, tag="split-stats")
 
     def _op_split_apply(self, sender: int, body: list) -> None:
-        key, feature, split, ride = body
-        self.apply_split(key, feature, split, ride)
+        key, feature, split, ride, build = body
+        self.apply_split(key, feature, split, ride, build)
 
     def _op_node_split(self, sender: int, body: list) -> None:
         self.store_split(body)

@@ -1,7 +1,7 @@
 """Every statistic crosses the ciphertext→share boundary at most once —
 and nothing that crosses a party boundary on the way is linkable.
 
-Two families:
+Three families:
 
 * **Derived statistics are exact.**  The trainer converts only the left
   child's count and the published label vectors' sums; the last class, the
@@ -9,7 +9,11 @@ Two families:
   subtractions or inherited.  Each must open to exactly what converting the
   dropped ciphertext would have given — recomputed here from the decrypted
   mask vector, the plaintext labels (or the decrypted riding [γ]) and the
-  owners' indicators.
+  owners' indicators.  A leaf at the depth limit has no mask vector: it is
+  recomputed from its parent's.
+* **Children are built only where they are read.**  The basic model
+  update sends one child's mask vector, never the derived sibling's, and
+  neither protocol builds one for a leaf at the depth limit.
 * **Leak regression.**  No ``label-vectors`` or ``split-stats`` payload
   carries a ciphertext that is the unit, or bit-equal to one its receiver
   already holds; the raw-equality attack that read every label off the
@@ -41,23 +45,34 @@ from tests.core.conftest import make_context
 
 class _StatisticsAudit:
     """Checks every NodeStats a ``_build`` receives and every SplitStats the
-    gain step receives against the plaintext recomputation."""
+    gain step receives against the plaintext recomputation.
+
+    A child whose [α] was never built (a leaf at the depth limit) is checked
+    through its parent: the parent's plaintext terms times the winning
+    indicator, or its complement for the right child.  The winning split is
+    the opened identifier under the basic protocol and the opened one-hot
+    under the enhanced one."""
 
     def __init__(self, monkeypatch, ctx, labels, tolerance=0, check_splits=True):
         self.ctx = ctx
         self.labels = labels
         self.tolerance = tolerance  # ulps of 2^-F (riding [γ]s are truncated)
         self.nodes = 0
+        self.inherited = 0  # of them, children checked through their parent
         self.candidates = 0
-        self._frames: list = []
+        self._frames: list = []  # [terms, available, winning split] per level
         real_build = TreeTrainer._build
         real_gains = trainer_module.secure_split_gains
+        real_enhanced = TreeTrainer._split_enhanced
 
         def build(trainer, alpha, node_gammas, available, depth, key, stats):
-            terms = self._terms(trainer, alpha, node_gammas)
+            if alpha is None:
+                terms = self._inherited(key)
+            else:
+                terms = self._terms(trainer, alpha, node_gammas)
             self._check(stats.n, stats.totals, terms)
             self.nodes += 1
-            self._frames.append((terms, available))
+            self._frames.append([terms, available, None])
             try:
                 return real_build(
                     trainer, alpha, node_gammas, available, depth, key, stats
@@ -65,8 +80,16 @@ class _StatisticsAudit:
             finally:
                 self._frames.pop()
 
+        def split_enhanced(trainer, alpha, gammas, available, depth, identifiers,
+                           onehot, *rest):
+            bits = ctx.engine.open_many(onehot)
+            self._frames[-1][2] = identifiers[bits.index(1)]
+            return real_enhanced(
+                trainer, alpha, gammas, available, depth, identifiers, onehot, *rest
+            )
+
         def gains(fx, task, node, splits, *args, **kwargs):
-            terms, available = self._frames[-1]
+            terms, available, _ = self._frames[-1]
             identifiers = ctx.split_identifiers(available)
             assert len(identifiers) == len(splits)
             for (owner, feature, s), split in zip(identifiers, splits):
@@ -77,8 +100,21 @@ class _StatisticsAudit:
             return real_gains(fx, task, node, splits, *args, **kwargs)
 
         monkeypatch.setattr(TreeTrainer, "_build", build)
+        monkeypatch.setattr(TreeTrainer, "_split_enhanced", split_enhanced)
         if check_splits:
             monkeypatch.setattr(trainer_module, "secure_split_gains", gains)
+
+    def _inherited(self, key: int) -> np.ndarray:
+        parent_terms, _, split = self._frames[-1]
+        if split is None:  # basic: the parent's identifier was opened
+            split = next(
+                value for tag, value in reversed(self.ctx.revealed)
+                if tag.startswith("best-split")
+            )
+        owner, feature, s = split
+        v = self.ctx.clients[owner].indicator(feature, s)
+        self.inherited += 1
+        return parent_terms * (v if key % 2 == 0 else 1 - v)
 
     def _decrypt(self, vector: list[EncryptedNumber]) -> np.ndarray:
         raws = self.ctx.threshold.joint_decrypt_batch(
@@ -130,12 +166,18 @@ def _fit_audited(monkeypatch, X, y, task, fit=None, tolerance=0, **context_kwarg
     return ctx, model, audit
 
 
+def _leaves_at(model, depth: int) -> int:
+    """Leaves at the depth limit: the ones checked through their parent."""
+    return sum(leaf.depth == depth for leaf in model.leaves())
+
+
 def test_three_classes_last_class_and_right_child_by_subtraction(
     monkeypatch, small_multiclass
 ):
     X, y = small_multiclass
     _, model, audit = _fit_audited(monkeypatch, X, y, "classification", seed=3)
     assert audit.nodes == model.n_internal + len(model.leaves()) > 1
+    assert audit.inherited == _leaves_at(model, 2) > 0
     assert audit.candidates >= 8
 
 
@@ -143,6 +185,7 @@ def test_regression_right_child_by_subtraction(monkeypatch, small_regression):
     X, y = small_regression
     _, model, audit = _fit_audited(monkeypatch, X, y, "regression")
     assert audit.nodes > 1 and audit.candidates >= 8
+    assert audit.inherited == _leaves_at(model, 2) > 0
 
 
 def test_bagged_mask_with_entries_above_one(monkeypatch, small_classification):
@@ -154,6 +197,7 @@ def test_bagged_mask_with_entries_above_one(monkeypatch, small_classification):
         fit=lambda ctx: TreeTrainer(ctx).fit(initial_mask=mask),
     )
     assert audit.nodes > 1
+    assert audit.inherited == _leaves_at(model, 2) > 0
 
 
 @pytest.mark.parametrize("classes", ["small_classification", "small_multiclass"])
@@ -165,6 +209,7 @@ def test_enhanced_children_inherit_through_the_hidden_onehot(
         monkeypatch, X, y, "classification", protocol="enhanced", seed=3
     )
     assert audit.nodes == model.n_internal + len(model.leaves()) > 1
+    assert audit.inherited == _leaves_at(model, 2) > 0
     # The winning split index was never opened.
     assert not any(tag.startswith("best-split") for tag, _ in ctx.revealed)
 
@@ -183,7 +228,7 @@ def test_dp_children_inherit_the_unmasked_statistics(
         dp=DPConfig(epsilon=5.0), seed=13,
     )
     assert not model.root.is_leaf
-    assert audit.nodes == 3
+    assert audit.nodes == 3 and audit.inherited == 2
 
 
 def test_riding_gammas_of_a_gbdt_round(monkeypatch, small_regression):
@@ -202,7 +247,7 @@ def test_riding_gammas_of_a_gbdt_round(monkeypatch, small_regression):
         monkeypatch, X[:16], y[:16], "regression", fit=fit, tolerance=4,
         params=params,
     )
-    assert audit.nodes > 2
+    assert audit.nodes > 2 and audit.inherited > 0
 
 
 # -- leak regression ----------------------------------------------------------
@@ -266,7 +311,8 @@ def test_published_vectors_and_statistics_are_unlinkable(
     assert model.n_internal >= 1
     seen = _delivered_to(spy, 1)
 
-    held: set[int] = set()  # every [α_j] party 1 was ever sent
+    n_squared = ctx.threshold.public_key.n_squared
+    held: set[int] = set()  # every [α_j] party 1 was sent or derived
     alphas: dict[int, list[int]] = {}  # node key -> raw [α]
     published = []
     for tag, payload in seen:
@@ -275,9 +321,14 @@ def test_published_vectors_and_statistics_are_unlinkable(
             if isinstance(payload, Request) and payload.op == "node-state":
                 alphas[payload.body[0]] = _raws(payload.body[1])
             elif isinstance(payload, Request) and payload.op == "node-split":
-                key = payload.body[0]
-                alphas[2 * key] = _raws(payload.body[2])
-                alphas[2 * key + 1] = _raws(payload.body[3])
+                key, left = payload.body[0], _raws(payload.body[2])
+                alphas[2 * key] = left
+                # [α_r] = [α] ⊖ [α_l], as she derives it herself.
+                alphas[2 * key + 1] = [
+                    a * pow(b, -1, n_squared) % n_squared
+                    for a, b in zip(alphas[key], left)
+                ]
+                held.update(alphas[2 * key + 1])
         elif tag in ("label-vectors", "split-stats"):
             published.append((tag, payload))
     carried = {tag: 0 for tag in ("label-vectors", "split-stats")}
@@ -305,6 +356,130 @@ def test_published_vectors_and_statistics_are_unlinkable(
                     guess = pow(a_raw, power, public_key.n_squared)
                 recovered += g.ciphertext.raw == guess
     assert recovered == 0
+
+
+# -- model update -------------------------------------------------------------
+
+
+def _internal_keys(model) -> dict[int, int]:
+    """Heap key -> depth of every internal node; the root is key 1."""
+    pending, keyed = [(1, model.root)], {}
+    while pending:
+        key, node = pending.pop()
+        if not node.is_leaf:
+            keyed[key] = node.depth
+            pending += [(2 * key, node.left), (2 * key + 1, node.right)]
+    return keyed
+
+
+@pytest.mark.parametrize(
+    "protocol, rounds", [("basic", 1), ("enhanced", 1), ("basic", 2)]
+)
+def test_children_get_a_mask_vector_only_where_it_is_read(
+    monkeypatch, small_classification, small_regression, protocol, rounds
+):
+    """A split builds its children's [α] only below the depth limit; the
+    leaves under a last-level split inherit their statistics and never read
+    one.  Basic: the owner masks [α_l] (and a riding [γ_l]) and nothing
+    else — n pool masks per vector per split whose children are built —
+    and no ciphertext of [α_r] or [γ_r] is ever sent, because every party
+    derives them.  A last-level ``node-split`` carries the threshold and
+    empty vectors; a last-level enhanced split sends no ``eq10`` traffic
+    and no ``node-state``.  ``rounds`` 2 is a GBDT fit whose second tree
+    carries riding [γ]s."""
+    from repro.federation.party import PartyRuntime
+
+    if rounds == 1:
+        X, y = small_classification
+        X, y, task = X[:30], y[:30], "classification"
+    else:
+        X, y = small_regression
+        X, y, task = X[:16], y[:16], "regression"
+    max_depth = 2
+    ctx = make_context(
+        X, y, task, protocol=protocol,
+        params=TreeParams(max_depth=max_depth, max_splits=2),
+    )
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    riding: list[int] = []  # per fitted tree: [γ] vectors riding with [α]
+    starts: list[tuple[int, int, int]] = []  # (tree, key, spy position)
+    masks = [0]  # pool masks drawn inside apply_split
+    derived: set[int] = set()  # raws of every right child a party stored
+    real_fit = TreeTrainer.fit
+    real_build = TreeTrainer._build
+    real_apply = PartyRuntime.apply_split
+    real_store = PartyRuntime.store_split
+
+    def fit(trainer, *args, **kwargs):
+        provider = trainer.provider
+        riding.append(provider.n_vectors if provider.rides_with_alpha else 0)
+        return real_fit(trainer, *args, **kwargs)
+
+    def build(trainer, alpha, node_gammas, available, depth, key, stats):
+        starts.append((len(riding) - 1, key, len(spy)))
+        return real_build(trainer, alpha, node_gammas, available, depth, key, stats)
+
+    def apply_split(runtime, *args):
+        before = runtime.engine.pool.generated
+        try:
+            return real_apply(runtime, *args)
+        finally:
+            masks[0] += runtime.engine.pool.generated - before
+
+    def store_split(runtime, body):
+        real_store(runtime, body)
+        right = runtime.nodes.get(2 * body[0] + 1)
+        if right is not None:
+            derived.update(_raws([right[0], right[1] or []]))
+
+    monkeypatch.setattr(TreeTrainer, "fit", fit)
+    monkeypatch.setattr(TreeTrainer, "_build", build)
+    monkeypatch.setattr(PartyRuntime, "apply_split", apply_split)
+    monkeypatch.setattr(PartyRuntime, "store_split", store_split)
+    if rounds == 1:
+        models = [TreeTrainer(ctx).fit()]
+    else:
+        models = GBDTTrainer(ctx, n_rounds=rounds).fit().models
+    assert len(models) == len(riding) == rounds
+
+    # A node's own traffic runs from its _build call to the next one (its
+    # left child's, if it splits).
+    ends = [position for _, _, position in starts[1:]] + [len(spy)]
+    traffic = {
+        (tree, key): spy[start:end] for (tree, key, start), end in zip(starts, ends)
+    }
+    n = len(y)
+    built_vectors = last = 0
+    for tree, model in enumerate(models):
+        for key, depth in _internal_keys(model).items():
+            children_built = depth + 1 < max_depth
+            split = traffic[(tree, key)]
+            requests = [
+                (payload.op, list(payload.body)) for *_, payload in split
+                if isinstance(payload, Request)
+            ]
+            if protocol == "basic":
+                (body,) = [body for op, body in requests if op == "node-split"]
+                assert len(body) == 4 and body[0] == key
+                lengths = [len(body[2])] + [len(g) for g in body[3]]
+                assert lengths == ([n] * (1 + riding[tree]) if children_built else [0])
+            else:
+                eq10 = [entry for entry in split if entry[2] == "eq10"]
+                states = [body[0] for op, body in requests if op == "node-state"]
+                assert bool(eq10) == children_built
+                assert states == ([2 * key, 2 * key + 1] if children_built else [])
+            if children_built:
+                built_vectors += 1 + riding[tree]
+            else:
+                last += 1
+    assert built_vectors and last
+    if protocol == "basic":
+        assert masks[0] == n * built_vectors
+        assert derived  # both children of the root, at least
+        on_the_wire = {raw for *_, payload in spy for raw in _raws(payload)}
+        assert derived.isdisjoint(on_the_wire)
+    else:
+        assert masks[0] == 0  # the enhanced update never calls apply_split
 
 
 # -- prediction ---------------------------------------------------------------

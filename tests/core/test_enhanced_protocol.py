@@ -174,14 +174,26 @@ def _raw(ctx, vector):
     return ctx.threshold.joint_decrypt_batch([v.ciphertext for v in vector])
 
 
+def _split_by_children(model, store, max_depth):
+    """Internal nodes' heap keys: those whose children got mask vectors,
+    after checking that the others' children (leaves at the depth limit)
+    store none."""
+    keyed = _node_keys(model)
+    built = [key for key, node in keyed if node.depth + 1 < max_depth]
+    last = [key for key, _ in keyed if key not in built]
+    assert built and last, "the fixture splits above and at the last level"
+    for key in last:
+        assert 2 * key not in store and 2 * key + 1 not in store
+    return built
+
+
 def test_children_masks_partition_the_parent(enhanced_setup):
     """Eq. 10 builds [α_l]; [α_r] = [α] ⊖ [α_l].  Both children are exact
-    0/1 vectors that add up to the parent's, element by element."""
+    0/1 vectors that add up to the parent's, element by element — where
+    the children read them; leaves at the depth limit get none."""
     _, _, ctx, model, _, _ = enhanced_setup
     store = ctx.runtimes[ctx.super_client].nodes
-    keyed = _node_keys(model)
-    assert keyed, "the fixture grows at least one internal node"
-    for key, _node in keyed:
+    for key in _split_by_children(model, store, max_depth=2):
         parent, left, right = (
             _raw(ctx, store[k][0]) for k in (key, 2 * key, 2 * key + 1)
         )
@@ -203,9 +215,7 @@ def test_riding_gammas_partition_with_the_mask():
     )
     gbdt = GBDTTrainer(ctx, n_rounds=2, learning_rate=0.8).fit()
     store = ctx.runtimes[ctx.super_client].nodes
-    keyed = _node_keys(gbdt.models[-1])
-    assert keyed, "round 2 grows at least one internal node"
-    for key, _node in keyed:
+    for key in _split_by_children(gbdt.models[-1], store, max_depth=2):
         alphas = [_raw(ctx, store[k][0]) for k in (key, 2 * key, 2 * key + 1)]
         assert set().union(*alphas) <= {0, 1}
         assert [a + b for a, b in zip(alphas[1], alphas[2])] == alphas[0]
@@ -230,8 +240,9 @@ def _check_threshold_decryptions_by_formula(protocol):
     """Cd of a fit at a 512-bit key, m = 3: six statistics or eleven Eq. 10
     elements per decrypted ciphertext.  Only the root converts its own
     statistics; an internal node converts the left child's n_l and c − 1
-    class counts per split (plus Eq. 10 for one child under the enhanced
-    protocol); a leaf converts nothing."""
+    class counts per split (plus, under the enhanced protocol, Eq. 10 for
+    one child where the children are built: not at the last level); a
+    leaf converts nothing."""
     from repro.data import make_classification
 
     n, classes = 30, 2
@@ -246,9 +257,12 @@ def _check_threshold_decryptions_by_formula(protocol):
     root_stats = -(-classes // per_stat)
     split_stats = -(-splits * classes // per_stat)
     eq10 = -(-n // per_alpha) if protocol == "enhanced" else 0
-    assert model.n_internal == 3
+    built = sum(
+        node.depth + 1 < params.max_depth for node in model.internal_nodes()
+    )
+    assert model.n_internal == 3 and built == 1
     assert ctx.conversions.threshold_decryptions == (
-        root_stats + model.n_internal * (split_stats + eq10)
+        root_stats + model.n_internal * split_stats + built * eq10
     )
 
 

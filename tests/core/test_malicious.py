@@ -50,12 +50,26 @@ def test_cheating_in_stats_detected(tiny_data):
 
 
 def test_cheating_in_model_update_detected(tiny_data):
+    """The cheat lands on the first [α_l] proven: the root's, whose
+    children are built at max_depth >= 2.  At max_depth 1 the root's
+    children are leaves at the depth limit — nothing is built or proven,
+    so there is nothing to cheat on."""
     X, y = tiny_data
+    assert PARAMS.max_depth >= 2
     ctx = make_context(
         X, y, "classification", params=PARAMS, seed=4, authenticated_mpc=True
     )
     with pytest.raises(ProofError):
         CheatingClient("update").train(ctx)
+    assert [tag for tag, _ in ctx.revealed if tag.startswith("best-split")] == [
+        "best-split-d0"
+    ]
+    shallow = make_context(
+        X, y, "classification", params=TreeParams(max_depth=1, max_splits=2),
+        seed=4, authenticated_mpc=True,
+    )
+    model = CheatingClient("update").train(shallow)
+    assert not model.root.is_leaf
 
 
 def test_unknown_cheat_step_rejected():

@@ -176,6 +176,28 @@ def test_scale_vector_matches_serial(threshold3, engine3):
         )
 
 
+def test_subtract_vectors_equals_serial(threshold3, engine3):
+    """One batch inversion gives the same raws as per-element ``a - b``,
+    at one Ce per element, and refuses what ``a - b`` would align."""
+    minuends = engine3.encrypt_vector([1.5, -2.0, 0.0, 7.25, 3.0])
+    subtrahends = engine3.encrypt_vector([0.5, 4.0, -1.0, 7.25, 0.0])
+    with opcount.counting() as serial_ops:
+        serial = [a - b for a, b in zip(minuends, subtrahends)]
+    with opcount.counting() as batched_ops:
+        batched = engine3.subtract_vectors(minuends, subtrahends)
+    assert [v.ciphertext.raw for v in batched] == [v.ciphertext.raw for v in serial]
+    assert [v.exponent for v in batched] == [v.exponent for v in serial]
+    assert serial_ops == batched_ops and batched_ops["ce"] == len(minuends)
+    decrypted = engine3.joint_decrypt_vector(batched)
+    assert decrypted == [1.0, -6.0, 1.0, 0.0, 3.0]
+    assert engine3.subtract_vectors([], []) == []
+    with pytest.raises(ValueError, match="length"):
+        engine3.subtract_vectors(minuends, subtrahends[:-1])
+    integers = engine3.encrypt_vector([1, 2, 3, 4, 5], exponent=0)
+    with pytest.raises(ValueError, match="exponent"):
+        engine3.subtract_vectors(minuends, integers)
+
+
 def test_mask_vector_masks_and_rerandomises(threshold3, engine3):
     numbers = engine3.encrypt_vector([4, 5, 6], exponent=0)
     masked = engine3.mask_vector(numbers, [1, 0, 1])
