@@ -207,6 +207,15 @@ def batch_report(
     t_div_grouped = _best_of(lambda: fx.div(numerators, denominator), repeats)
     div_speedup = t_div_singly / t_div_grouped
 
+    # -- Norm: 25 denominators (a 12-split node's 2S + 1) in one packed word
+    # against one denominator; every bit of each is decomposed, so lanes,
+    # not rounds, grow with the batch.  A ratio inside this run.
+    one = [fx.share(48.0)]
+    node = [fx.share(float(7 * i + 1)) for i in range(25)]
+    t_norm_one = _best_of(lambda: fx.norm(one), repeats)
+    t_norm_node = _best_of(lambda: fx.norm(node), repeats)
+    norm_ratio = t_norm_node / t_norm_one
+
     # -- Cc: one secure comparison in units of this run's Beaver multiply --
     # (Mod2m's bit-compare is six word-ANDs on packed XOR shares and one
     # daBit; as 39 sequential field multiplications it was ~60 multiplies.
@@ -216,6 +225,10 @@ def batch_report(
     t_mul = _best_of(lambda: [fx.engine.mul(a, b) for _ in range(calls)], repeats)
     t_lt = _best_of(lambda: [fx.lt(a, b) for _ in range(calls)], repeats)
     lt_in_muls = t_lt / t_mul
+    # One division, all K bits of its denominator decomposed in the binary
+    # domain (as 2K - 1 sequential field multiplications it was ~143).
+    t_div = _best_of(lambda: [fx.div(a, b) for _ in range(calls)], repeats)
+    div_in_muls = t_div / t_mul
 
     # -- op-count parity: identical Ce tallies in both modes ---------------
     with opcount.counting() as serial_ops:
@@ -259,10 +272,22 @@ def batch_report(
                 f"{div_speedup:.2f}x",
             ],
             [
+                "Norm, 1 vs 25 denominators",
+                t_norm_one * 1e3,
+                t_norm_node * 1e3,
+                f"{norm_ratio:.2f}x the time",
+            ],
+            [
                 "engine.mul vs FixedPointOps.lt",
                 t_mul / calls * 1e3,
                 t_lt / calls * 1e3,
                 f"{lt_in_muls:.1f} muls",
+            ],
+            [
+                "engine.mul vs FixedPointOps.div",
+                t_mul / calls * 1e3,
+                t_div / calls * 1e3,
+                f"{div_in_muls:.1f} muls",
             ],
         ],
     )
@@ -297,14 +322,23 @@ def batch_report(
             f"five numerators over one denominator are only {div_speedup:.2f}x "
             "faster than five single divisions; the floor is 2.5x"
         )
+        assert norm_ratio <= 5.0, (
+            f"one Norm over 25 denominators takes {norm_ratio:.2f}x one over a "
+            "single denominator; the ceiling is 5x"
+        )
         assert lt_in_muls <= 12.0, (
             f"one FixedPointOps.lt costs {lt_in_muls:.1f} engine.mul of this "
             "run; the ceiling is 12"
         )
+        assert div_in_muls <= 70.0, (
+            f"one FixedPointOps.div costs {div_in_muls:.1f} engine.mul of this "
+            "run; the ceiling is 70"
+        )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
             "pow, negative scalars <= 3x positive, subtract_vectors <= 0.5x "
-            "a - b, grouped division >= 2.5x, lt <= 12 mul, tallies equal"
+            "a - b, grouped division >= 2.5x, Norm of 25 <= 5x Norm of 1, "
+            "lt <= 12 mul, div <= 70 mul, tallies equal"
         )
     return {
         "crt": crt_speedup,
@@ -313,7 +347,9 @@ def batch_report(
         "negative_scalar": negative_ratio,
         "subtract": subtract_ratio,
         "div": div_speedup,
+        "norm_batch": norm_ratio,
         "lt_in_muls": lt_in_muls,
+        "div_in_muls": div_in_muls,
     }
 
 

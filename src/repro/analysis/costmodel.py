@@ -84,12 +84,15 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     at all.
 
     The *measured* Cs of one internal node's gain step (paper mode, S = d·b
-    candidate splits, W-bit counts, θ = 4 Goldschmidt iterations at K = 40)
-    is (2S + 1)·(2W + 2 + θ) + (θ + 2)·(c + S + 2cS) + c + S·(2c + 2): one
-    normalisation per distinct denominator (:mod:`repro.core.gain`), θ + 2
-    multiplications per fraction, then the squares and weighted sums —
-    still O(c d b t) in total, at 54 + 6·(fractions per denominator)
-    multiplications per denominator instead of 92 per fraction (W = 24).
+    candidate splits, θ = 4 Goldschmidt iterations at K = 40) is
+    (2S + 1)·(3 + θ) + (θ + 2)·(c + S + 2cS) + c + S·(2c + 2): one
+    ``div`` call over the node's 2S + 1 distinct denominators
+    (:mod:`repro.core.gain`), whose Norm bit-decomposes them all in the
+    binary domain and costs one multiplication each (c = b·v), then
+    AppRcr, b·w and θ squarings per denominator, θ + 2 multiplications
+    per fraction, then the squares and weighted sums — still O(c d b t)
+    in total, at 7 + 6·(fractions per denominator) multiplications per
+    denominator instead of 13 per fraction.
     The node's comparisons (S − 1 in the argmax, the prune checks) add
     nothing to that formula: a comparison is a Cc, and its bit-compare
     runs on XOR-shared words (:mod:`repro.mpc.comparison`), not as field

@@ -25,19 +25,15 @@ Two modes (DESIGN.md §5):
 Both return values on a common scale such that (gain - leaf_threshold) > 0
 iff the plaintext CART gain exceeds ``min_gain``.
 
-**One normalisation per denominator.**  Eq. (5)/(8) name 2c + 1 fractions
-per split (c classes) and c for the parent, but only three distinct
-denominators per split — n, n_l, n_r — and n is the same for the whole
-node.  Most of a secure division depends on the denominator alone
+**One division per node.**  Eq. (5)/(8) name 2c + 1 fractions per split
+(c classes) and c for the parent, but only three distinct denominators per
+split — n, n_l, n_r — and n is the same for the whole node.  Most of a
+secure division depends on the denominator alone
 (:meth:`~repro.mpc.advanced.FixedPointOps.div`), so the fractions are
-grouped: one ``div`` over ⟨n⟩ for the parent's fractions *and every
-split's* w_l, one over each ⟨n_l⟩, one over each ⟨n_r⟩ — 2S + 1
-normalisations for S splits instead of (2c + 1)S + c.
-
-``count_bits`` is the caller's declaration that every count (n, n_l, n_r)
-is below 2^count_bits in raw fixed-point units; it is handed to ``div`` as
-``b_bits``, whose contract applies: a count can be bounded by the public
-number of samples, and by nothing that depends on the data.
+grouped by denominator — the parent's fractions *and every split's* w_l
+over ⟨n⟩, the left fractions over each ⟨n_l⟩, the right over each ⟨n_r⟩
+— and the 2S + 1 groups go to ``div`` in one call, which normalises all
+of their denominators together.
 """
 
 from __future__ import annotations
@@ -87,7 +83,6 @@ def secure_split_gains(
     splits: list[SplitStats],
     gain_mode: str,
     min_gain: float,
-    count_bits: int | None = None,
 ) -> tuple[list[SharedValue], SharedValue]:
     """Shared gains for all splits plus the shared leaf threshold.
 
@@ -95,8 +90,8 @@ def secure_split_gains(
     and otherwise picks argmax(gains); both comparisons happen on shares.
     """
     if gain_mode == "paper":
-        return _paper_gains(fx, task, node, splits, min_gain, count_bits)
-    return _reduced_gains(fx, task, node, splits, min_gain, count_bits)
+        return _paper_gains(fx, task, node, splits, min_gain)
+    return _reduced_gains(fx, task, node, splits, min_gain)
 
 
 def _paper_gains(
@@ -105,7 +100,6 @@ def _paper_gains(
     node: NodeStats,
     splits: list[SplitStats],
     min_gain: float,
-    count_bits: int | None,
 ) -> tuple[list[SharedValue], SharedValue]:
     """gain = w_l P(D_l) + w_r P(D_r) - P(D) for the purity P of the task.
 
@@ -115,15 +109,19 @@ def _paper_gains(
     """
     purity = _sum_of_squares if task == "classification" else _negated_variance
     n_totals = len(node.totals)
-    over_n = fx.div(
-        node.totals + [split.n_left for split in splits], node.n, count_bits
+    over_n, *over_children = fx.div(
+        [node.totals + [split.n_left for split in splits]]
+        + [side for split in splits for side in (split.left, split.right)],
+        [node.n] + [n for split in splits for n in (split.n_left, split.n_right)],
     )
     parent = purity(fx, over_n[:n_totals])
     one = fx.share(1.0)
     gains = []
-    for split, w_left in zip(splits, over_n[n_totals:]):
-        left = purity(fx, fx.div(split.left, split.n_left, count_bits))
-        right = purity(fx, fx.div(split.right, split.n_right, count_bits))
+    for w_left, left_fractions, right_fractions in zip(
+        over_n[n_totals:], over_children[0::2], over_children[1::2]
+    ):
+        left = purity(fx, left_fractions)
+        right = purity(fx, right_fractions)
         gains.append(fx.mul(w_left, left) + fx.mul(one - w_left, right) - parent)
     return gains, fx.share(min_gain)
 
@@ -134,21 +132,27 @@ def _reduced_gains(
     node: NodeStats,
     splits: list[SplitStats],
     min_gain: float,
-    count_bits: int | None,
 ) -> tuple[list[SharedValue], SharedValue]:
     """Σ_k g_{l,k}²/n_l + Σ_k g_{r,k}²/n_r, compared against the parent's
     Σ_k g_k²/n + n·min_gain (the n-scaled form of Eq. 5); for regression
     the one statistic is Σy: (Σ_l y)²/n_l + (Σ_r y)²/n_r vs (Σy)²/n."""
     used = None if task == "classification" else 1
-
-    def statistic(values: list[SharedValue], n: SharedValue) -> SharedValue:
-        return fx.div(_sum_of_squares(fx, values[:used]), n, count_bits)
-
-    gains = [
-        statistic(split.left, split.n_left) + statistic(split.right, split.n_right)
-        for split in splits
+    sides = [(split.left, split.n_left) for split in splits]
+    sides += [(split.right, split.n_right) for split in splits]
+    sides.append((node.totals, node.n))
+    statistics = [
+        quotient
+        for (quotient,) in fx.div(
+            [[_sum_of_squares(fx, values[:used])] for values, _ in sides],
+            [n for _, n in sides],
+        )
     ]
-    threshold = statistic(node.totals, node.n)
+    count = len(splits)
+    gains = [
+        left + right
+        for left, right in zip(statistics[:count], statistics[count : 2 * count])
+    ]
+    threshold = statistics[-1]
     if min_gain:
         threshold = threshold + fx.mul_public(node.n, min_gain)
     return gains, threshold

@@ -114,6 +114,15 @@ class TreeTrainer:
         self.ctx = context
         self.cfg: PivotConfig = context.config
         self.fx = context.fx
+        # A count of n samples is n·2^F raw, and secure division needs its
+        # denominators below 2^(2F-1): past that AppRcr's w truncates to
+        # 0 and a gain or leaf mean opens wrong without any error.
+        if context.n_samples >= 1 << (self.fx.f - 1):
+            raise ValueError(
+                f"{context.n_samples} samples: secure division at F = "
+                f"{self.fx.f} fractional bits needs fewer than 2^(F-1) = "
+                f"{1 << (self.fx.f - 1)}"
+            )
         self.engine = context.engine
         if label_provider is None:
             label_provider = PlaintextLabelProvider(
@@ -138,13 +147,6 @@ class TreeTrainer:
         #: by fit(): every node's [α] is that vector times 0/1 indicators,
         #: so it bounds each element Eq. 10 opens under a mask.
         self._alpha_bits = 1
-        #: Public width of a sample count at the MPC scale: n <= n_samples,
-        #: so n·2^F < 2^(bitlen(n_samples) + F).  Declared to the secure
-        #: divisions as ``b_bits`` (see FixedPointOps.div): a structural
-        #: bound, true for every node, mask and protocol.
-        self._count_bits = min(
-            self.fx.k, context.n_samples.bit_length() + self.fx.f
-        )
         self._dp = None
         if self.cfg.dp is not None:
             from repro.core.dp import DPMechanisms
@@ -271,7 +273,7 @@ class TreeTrainer:
             self._mask_invalid_splits(splits)
         gains, leaf_threshold = secure_split_gains(
             fx, self.task, node_stats, splits, self.cfg.gain_mode,
-            self.cfg.tree.min_gain, count_bits=self._count_bits,
+            self.cfg.tree.min_gain,
         )
 
         if self._dp is not None:
@@ -713,12 +715,10 @@ class TreeTrainer:
         else:
             sum_y = node_stats.totals[0]
             count = node_stats.n
-            count_bits: int | None = self._count_bits
             if self._dp is not None:
                 sum_y = sum_y + self._dp.laplace_noise(sensitivity=1.0)
                 count = count + self._dp.laplace_noise(sensitivity=1.0)
-                count_bits = None  # a noisy count has no structural bound
-            mean_share = fx.div(sum_y, count, count_bits)
+            mean_share = fx.div(sum_y, count)
             if self.enhanced:
                 leaf.prediction = None
                 leaf.hidden["label_share"] = mean_share

@@ -6,30 +6,45 @@ supported in SPDZ [18, 28, 5]".  This module implements those primitives
 the way MP-SPDZ does:
 
 * ``FixedPointOps.div``  — Goldschmidt iteration with the AppRcr initial
-  approximation and Norm (MSB normalisation via bit decomposition),
-  following Catrina–Saxena [18].  The work splits by operand: Norm,
-  AppRcr, ``x = 1 - b·w`` and the θ squarings of ``x`` depend on the
-  denominator alone (86 of a division's 92 Beaver multiplications at
-  K = 40), so ``div`` takes a list of numerators over one denominator and
-  runs them once; each numerator pays its own ``a·w`` and θ + 1
-  multiply-truncates.
+  approximation and Norm (MSB normalisation), following Catrina–Saxena
+  [18].  Norm works in the binary domain on every denominator of the call
+  at once: all of them are bit-decomposed into one packed XOR-shared word
+  (K lanes each), a blockwise prefix-OR finds each top bit, reversing each
+  block's lanes turns that mark into v = 2^(K-1-msb), and one edaBit per
+  denominator brings v back to Z_q (:mod:`repro.mpc.comparison`; 23
+  rounds at K = 40 however many denominators, no field multiplication
+  but c = b·v).  The rest splits by operand: AppRcr, ``x = 1 - b·w``
+  and the θ squarings of ``x`` depend on the denominator alone, each a
+  single multiplication round across all denominators; each numerator
+  pays its own ``a·w`` and θ + 1 multiply-truncates.  A node's whole gain
+  step is one ``div`` call.
 * ``FixedPointOps.exp``  — e^x via 2^(x·log2 e): the integer part is an
   oblivious power-of-two product over its bits, the fractional part a
   Taylor polynomial, the input clamped to a public range.
 * ``FixedPointOps.softmax`` — secure softmax (secure exp + division), used
   by GBDT classification (§7.2).
+* ``FixedPointOps.log2`` — Norm's normalisation plus the msb itself,
+  whose bits are local parities of the one-hot word, lifted by daBits
+  (the secure Laplace sampler, §9.2).
 
 Values are field elements representing v·2^F in two's-complement; K bounds
 the total bit length.  Products (2K bits) stay below the field modulus with
 κ bits of statistical masking headroom.
+
+What a division opens: Beaver's d = x − a and e = y − b (uniform triple
+masks); each ``trunc_pr``'s a + r (κ bits of statistical slack); Norm's
+c = b − r + 2^(K+κ) (an edaBit's r, κ bits of slack), its word-ANDs'
+x ⊕ a, y ⊕ b (AND-triple masks), s = v + r' mod 2^K (an edaBit's r',
+uniform) and each carry XOR a daBit's bit (uniform).  Nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from typing import overload
+from typing import cast, overload
 
 from repro.mpc import comparison
+from repro.mpc.binary import BinaryWord, concat
 from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 
@@ -108,101 +123,112 @@ class FixedPointOps:
     # division (Goldschmidt, MP-SPDZ FPDiv)
     # ------------------------------------------------------------------
 
-    def norm(
-        self, b: SharedValue, b_bits: int | None = None
-    ) -> tuple[SharedValue, SharedValue]:
-        """Normalise b in (0, 2^(K-1)) to c = b·v in [2^(K-1), 2^K).
+    def _normalise(self, bs: list[SharedValue]) -> tuple[BinaryWord, list[SharedValue]]:
+        """(one-hot msb word, ⟨v_j⟩ = 2^(K-1-msb(b_j))) for every b_j, in
+        one packed word of len(bs)·K lanes; v_j = 0 for b_j = 0."""
+        engine, k = self.engine, self.k
+        top = comparison.top_bits(engine, comparison.decompose(engine, bs, k), k)
+        # Reversing each block's lanes (local) turns the mark at msb into
+        # one at K-1-msb: the block, read as an integer, is v.
+        return top, comparison.to_arithmetic(engine, top.reverse_blocks(k), k)
 
-        Returns (⟨c⟩, ⟨v⟩) with v the power of two 2^(K-1-msb(b)).
+    def norm(self, bs: list[SharedValue]) -> tuple[list[SharedValue], list[SharedValue]]:
+        """Normalise every b in [0, 2^K) to c = b·v in [2^(K-1), 2^K).
+
+        Returns (⟨c_j⟩, ⟨v_j⟩) with v the power of two 2^(K-1-msb(b)).
         For b = 0 both outputs are ⟨0⟩ (callers mask invalid divisions).
-        ``b_bits`` declares b < 2^b_bits: only that many bits are
-        decomposed and prefix-ORed (see :meth:`div` for the contract).
+        All K bits of every denominator are decomposed, and the
+        denominators share one packed word, so a batch costs the rounds
+        of one (see :mod:`repro.mpc.comparison`) and one multiplication
+        per denominator.
         """
-        engine = self.engine
-        width = self.k if b_bits is None else b_bits
-        if not 0 < width <= self.k:
-            raise ValueError(f"b_bits must be in 1..K={self.k}, got {b_bits}")
-        bits = comparison.bit_dec(engine, b, width)
-        prefix = comparison.prefix_or_msb_first(engine, list(reversed(bits)))
-        v = engine.share_public(0)
-        previous = engine.share_public(0)
-        for msb_index, p in enumerate(prefix):
-            z = p - previous  # 1 exactly at the most significant set bit
-            previous = p
-            v = v + z * (1 << (self.k - width + msb_index))
-        c = engine.mul(b, v)
-        return c, v
+        _, vs = self._normalise(bs)
+        return self.engine.mul_many(list(zip(bs, vs))), vs
 
-    def app_rcr(self, b: SharedValue, b_bits: int | None = None) -> SharedValue:
-        """Approximate reciprocal w ≈ 2^(2F)/b (relative error < 0.08)."""
+    def app_rcr(self, bs: list[SharedValue]) -> list[SharedValue]:
+        """Approximate reciprocals w ≈ 2^(2F)/b (relative error < 0.08)."""
         engine = self.engine
         alpha = int(2.9142 * (1 << self.k))
-        c, v = self.norm(b, b_bits)
-        d = engine.add_public(c * (-2), alpha)
-        w = engine.mul(d, v)
-        return comparison.trunc_pr(engine, w, 2 * self.k, 2 * (self.k - self.f))
+        cs, vs = self.norm(bs)
+        ds = [engine.add_public(c * (-2), alpha) for c in cs]
+        return self._mul_rescale(list(zip(ds, vs)), 2 * (self.k - self.f))
 
     def _mul_rescale(
         self, pairs: list[tuple[SharedValue, SharedValue]], shift: int
     ) -> list[SharedValue]:
-        """Products of all pairs (one round), each truncated by ``shift``."""
-        return [
-            comparison.trunc_pr(self.engine, product, 2 * self.k, shift)
-            for product in self.engine.mul_many(pairs)
-        ]
+        """Products of all pairs, each truncated by ``shift`` (two rounds)."""
+        return comparison.trunc_pr_many(
+            self.engine, self.engine.mul_many(pairs), 2 * self.k, shift
+        )
+
+    @overload
+    def div(self, a: SharedValue, b: SharedValue) -> SharedValue: ...
+
+    @overload
+    def div(self, a: list[SharedValue], b: SharedValue) -> list[SharedValue]: ...
 
     @overload
     def div(
-        self, a: SharedValue, b: SharedValue, b_bits: int | None = None
-    ) -> SharedValue: ...
-
-    @overload
-    def div(
-        self, a: list[SharedValue], b: SharedValue, b_bits: int | None = None
-    ) -> list[SharedValue]: ...
+        self, a: list[list[SharedValue]], b: list[SharedValue]
+    ) -> list[list[SharedValue]]: ...
 
     def div(
         self,
-        a: SharedValue | list[SharedValue],
-        b: SharedValue,
-        b_bits: int | None = None,
-    ) -> SharedValue | list[SharedValue]:
+        a: SharedValue | list[SharedValue] | list[list[SharedValue]],
+        b: SharedValue | list[SharedValue],
+    ) -> SharedValue | list[SharedValue] | list[list[SharedValue]]:
         """⟨a / b⟩ for b > 0 (Goldschmidt with theta iterations).
 
-        ``a`` is one numerator or a list of numerators over the same
-        denominator; the result has the same shape.  Everything that
-        depends on b alone — Norm, AppRcr, x = 1 - b·w and its θ
-        squarings — runs once per call, so t fractions over one
-        denominator cost one normalisation plus t·(θ + 2) multiplications
-        instead of t normalisations.
+        Three shapes: one numerator over one denominator; a list of
+        numerators over one denominator; or a list of numerator lists, one
+        per denominator in the list ``b``.  The result has the shape of
+        ``a``.  Norm runs once for every denominator of the call, and
+        AppRcr, x = 1 - b·w and each of its θ squarings are one
+        multiplication round across all of them, so a node's whole gain
+        step is one normalisation plus, per denominator, 3 + θ
+        multiplications and, per numerator, θ + 2.
 
         b must be positive and nonzero for a meaningful result, and below
-        2^(2F-1) raw so that w ≈ 2^(2F)/b does not truncate to 0; b = 0
-        yields ⟨0⟩ (degenerate-split masking relies on this).
-
-        ``b_bits`` is the caller's declaration that b < 2^b_bits (raw
-        fixed-point units): Norm then bit-decomposes and prefix-ORs
-        b_bits bits instead of K.  A larger b mis-decomposes *silently* —
-        its high bits are simply not looked at and the quotient is wrong —
-        so declare only a public structural bound (a sample count cannot
-        exceed the number of samples), never a data-dependent guess.
-        Undeclared callers get the full K bits.
+        2^(2F-1) raw so that w ≈ 2^(2F)/b does not truncate to 0 (a count
+        of n samples is n·2^F raw: n < 2^(F-1), which ``TreeTrainer``
+        checks); b = 0 yields ⟨0⟩ (degenerate-split masking relies on
+        this).  Every one of b's K bits is decomposed: there is no width
+        to declare and none to get wrong.
         """
+        if isinstance(b, SharedValue):
+            if isinstance(a, SharedValue):
+                return self._divide([[a]], [b])[0][0]
+            return self._divide([cast(list[SharedValue], a)], [b])[0]
+        return self._divide(cast(list[list[SharedValue]], a), b)
+
+    def _divide(
+        self, groups: list[list[SharedValue]], bs: list[SharedValue]
+    ) -> list[list[SharedValue]]:
+        """Numerator group j over denominator j, for every j at once."""
         engine = self.engine
-        single = isinstance(a, SharedValue)
-        numerators = [a] if single else list(a)
         two_f = 2 * self.f
         alpha = 1 << two_f
-        w = self.app_rcr(b, b_bits)
-        bw, *raw = engine.mul_many([(b, w)] + [(num, w) for num in numerators])
-        x = engine.add_public(-bw, alpha)  # alpha*(1 - b*w/2^2F)
-        ys = [comparison.trunc_pr(engine, y, 2 * self.k, self.f) for y in raw]
+        ws = self.app_rcr(bs)
+        owner = [j for j, group in enumerate(groups) for _ in group]
+        numerators = [num for group in groups for num in group]
+        products = engine.mul_many(
+            list(zip(bs, ws)) + [(num, ws[j]) for num, j in zip(numerators, owner)]
+        )
+        # x = alpha*(1 - b*w/2^2F) per denominator
+        xs = [engine.add_public(-bw, alpha) for bw in products[: len(bs)]]
+        ys = comparison.trunc_pr_many(engine, products[len(bs) :], 2 * self.k, self.f)
         for _ in range(self.theta):
-            factor = engine.add_public(x, alpha)
-            *ys, x = self._mul_rescale([(y, factor) for y in ys] + [(x, x)], two_f)
-        factor = engine.add_public(x, alpha)
-        ys = self._mul_rescale([(y, factor) for y in ys], two_f)
-        return ys[0] if single else ys
+            factors = [engine.add_public(x, alpha) for x in xs]
+            rescaled = self._mul_rescale(
+                [(y, factors[j]) for y, j in zip(ys, owner)] + [(x, x) for x in xs],
+                two_f,
+            )
+            ys, xs = rescaled[: len(ys)], rescaled[len(ys) :]
+        factors = [engine.add_public(x, alpha) for x in xs]
+        quotients = iter(
+            self._mul_rescale([(y, factors[j]) for y, j in zip(ys, owner)], two_f)
+        )
+        return [[next(quotients) for _ in group] for group in groups]
 
     # ------------------------------------------------------------------
     # exponential / softmax
@@ -227,7 +253,7 @@ class FixedPointOps:
         integer = comparison.trunc(engine, y, self.k, self.f)
         fraction = y - integer * (1 << self.f)
         # 2^integer: oblivious product over the 5 bits of the integer part.
-        bits = comparison.bit_dec(engine, integer, 5)
+        bits = comparison.lift(engine, comparison.decompose(engine, [integer], 5))
         power = engine.share_public(1)
         for j, bit in enumerate(bits):
             factor = engine.add_public(bit * ((1 << (1 << j)) - 1), 1)
@@ -252,22 +278,23 @@ class FixedPointOps:
     def log2(self, a: SharedValue) -> SharedValue:
         """⟨log2 a⟩ for a > 0: normalise to [0.5, 1), polynomial, re-shift.
 
-        Uses the same bit-decomposition machinery as Norm: with p = msb(a)
-        (of the raw fixed-point integer), a = c_norm · 2^(p+1-F) for
-        c_norm in [0.5, 1), so log2 a = log2(c_norm) + p + 1 - F.
+        Norm's machinery: with p = msb(a) (of the raw fixed-point integer),
+        a = c_norm · 2^(p+1-F) for c_norm in [0.5, 1), so
+        log2 a = log2(c_norm) + p + 1 - F.  Bit i of p is the parity of the
+        one-hot msb word over the lanes whose index has bit i set — local —
+        and one daBit per bit lifts p into Z_q.
         """
-        engine = self.engine
-        bits = comparison.bit_dec(engine, a, self.k)
-        prefix = comparison.prefix_or_msb_first(engine, list(reversed(bits)))
-        v = engine.share_public(0)
+        engine, k = self.engine, self.k
+        top, (v,) = self._normalise([a])
+        position_bits = concat(
+            [
+                (top & sum(1 << lane for lane in range(k) if lane >> i & 1)).parity()
+                for i in range((k - 1).bit_length())
+            ]
+        )
         msb = engine.share_public(0)
-        previous = engine.share_public(0)
-        for msb_index, pref in enumerate(prefix):
-            z = pref - previous
-            previous = pref
-            position = self.k - 1 - msb_index
-            v = v + z * (1 << (self.k - 1 - position))
-            msb = msb + z * position
+        for i, bit in enumerate(comparison.lift(engine, position_bits)):
+            msb = msb + bit * (1 << i)
         c = engine.mul(a, v)  # in [2^(K-1), 2^K)
         c_norm = comparison.trunc_pr(engine, c, self.k + 1, self.k - self.f)
         acc = self.share(_LOG2_COEFFS[-1])

@@ -2,18 +2,23 @@
 
 A :class:`BinaryWord` holds ``width`` secret bits shared mod 2, packed into
 one Python int per party (lane i = bit i); the secret word is the XOR of
-the parties' words.  It exists for the one protocol step that only ever
-needs bits — the bit-compare inside ``comparison.mod2m`` — where a word-wide
-AND replaces ``width`` field multiplications (edaBits/daBits, Escudero et
-al., CRYPTO 2020).
+the parties' words.  It carries every protocol step that works on bits
+(edaBits/daBits, Escudero et al., CRYPTO 2020), where a word-wide AND
+replaces ``width`` field multiplications: the bit-compare inside
+``comparison.mod2m``, and the bit decomposition and most-significant-bit
+search of ``FixedPointOps.norm`` / ``log2`` / ``exp``.  Those pack several
+values into one word, one *block* of lanes each (value j at lanes
+[j·block, (j + 1)·block)); public masks keep shifts from crossing blocks.
 
-XOR, lane shifts, AND with a *public* mask and the parity over lanes are
-local and implemented here.  Anything interactive (AND of two shared words,
+XOR, lane shifts, AND with a *public* mask, the parity over lanes,
+narrowing, concatenation and reversing the lanes of each block are local
+and implemented here.  Anything interactive (AND of two shared words,
 opening) lives on :class:`repro.mpc.engine.MPCEngine`, which also accounts
 an opening at its real size: ⌈lanes / 8⌉ bytes per message.  Protocols
 open a word only XORed with a fresh uniform dealer word of its width (an
-AND triple's a or b, a daBit), so what is opened is uniform whatever the
-secret: perfect hiding, no statistical slack to budget.
+AND triple's a or b, a daBit, an edaBit's low bits), so what is opened is
+uniform whatever the secret: perfect hiding, no statistical slack to
+budget.
 
 In an authenticated engine every lane carries a κ-bit MAC under the
 engine's XOR-shared GF(2) key Δ₂ (mac = Δ₂ if the bit is set, else 0; the
@@ -31,7 +36,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mpc.engine import MPCEngine
 
-__all__ = ["BinaryWord", "spread"]
+__all__ = ["BinaryWord", "spread", "concat", "block_mask"]
 
 
 def spread(word: int, stride: int) -> int:
@@ -40,14 +45,48 @@ def spread(word: int, stride: int) -> int:
     ``spread(w, κ) * x`` for a κ-bit x is then "x in every set lane", with
     no carries between lanes.
     """
-    out = 0
-    position = 0
-    while word:
-        if word & 1:
-            out |= 1 << position
-        word >>= 1
-        position += stride
-    return out
+    # stride - 1 zeros between consecutive bits of the binary text.
+    return int(("0" * (stride - 1)).join(format(word, "b")), 2)
+
+
+def block_mask(width: int, block: int, lanes: int) -> int:
+    """The public mask with ``lanes`` (a ``block``-bit pattern) set in every
+    block of a ``width``-lane word."""
+    return lanes * (((1 << width) - 1) // ((1 << block) - 1))
+
+
+def _reverse_lanes(value: int, lanes: int, block: int, lane_bits: int) -> int:
+    """``value`` read as ``lanes`` lanes of ``lane_bits`` bits, with the
+    lanes of every ``block``-lane block in reverse order."""
+    text = format(value, f"0{lanes * lane_bits}b")  # top lane first
+    units: str | list[str] = text
+    if lane_bits > 1:
+        units = [text[i : i + lane_bits] for i in range(0, len(text), lane_bits)]
+    return int(
+        "".join("".join(units[start : start + block][::-1]) for start in range(0, lanes, block)),
+        2,
+    )
+
+
+def concat(words: list["BinaryWord"]) -> "BinaryWord":
+    """One word holding ``words`` side by side, the first at the low lanes."""
+    first = words[0]
+    kappa = first.engine.kappa
+    shares = [0] * len(first.shares)
+    # As under ^: one word without MACs leaves the result without them,
+    # which an authenticated opening then refuses.
+    macs = None if any(w.macs is None for w in words) else [0] * len(first.shares)
+    offset = 0
+    for word in words:
+        if word.engine is not first.engine:
+            raise ValueError("binary words belong to different MPC engines")
+        shares = [acc | s << offset for acc, s in zip(shares, word.shares)]
+        if macs is not None and word.macs is not None:
+            macs = [acc | m << offset * kappa for acc, m in zip(macs, word.macs)]
+        offset += word.width
+    return BinaryWord(
+        first.engine, offset, tuple(shares), None if macs is None else tuple(macs)
+    )
 
 
 class BinaryWord:
@@ -57,9 +96,12 @@ class BinaryWord:
 
     * ``x ^ y`` for a BinaryWord or a public int,
     * ``x >> s`` — lane i takes lane i + s; the top s lanes become 0,
+    * ``x << s`` — lane i takes lane i − s; the bottom s lanes become 0,
     * ``x & mask`` for a **public** int mask (shared ∧ shared is
       :meth:`MPCEngine.and_words`: one triple, one opening),
-    * ``x.parity()`` — the XOR of all lanes, as a 1-lane word.
+    * ``x.parity()`` — the XOR of all lanes, as a 1-lane word,
+    * ``x.narrow(w)`` — the low w lanes, as a w-lane word,
+    * ``x.reverse_blocks(b)`` — the lanes of every b-lane block reversed.
     """
 
     __slots__ = ("engine", "width", "shares", "macs")
@@ -110,6 +152,33 @@ class BinaryWord:
         if self.macs is not None:
             shift = lanes * self.engine.kappa
             macs = tuple(m >> shift for m in self.macs)
+        return BinaryWord(self.engine, self.width, shares, macs)
+
+    def __lshift__(self, lanes: int) -> "BinaryWord":
+        keep = (1 << self.width) - 1
+        shares = tuple(s << lanes & keep for s in self.shares)
+        macs = None
+        if self.macs is not None:
+            kappa = self.engine.kappa
+            keep_macs = (1 << self.width * kappa) - 1
+            macs = tuple(m << lanes * kappa & keep_macs for m in self.macs)
+        return BinaryWord(self.engine, self.width, shares, macs)
+
+    def narrow(self, width: int) -> "BinaryWord":
+        keep = (1 << width) - 1
+        shares = tuple(s & keep for s in self.shares)
+        macs = None
+        if self.macs is not None:
+            keep_macs = (1 << width * self.engine.kappa) - 1
+            macs = tuple(m & keep_macs for m in self.macs)
+        return BinaryWord(self.engine, width, shares, macs)
+
+    def reverse_blocks(self, block: int) -> "BinaryWord":
+        shares = tuple(_reverse_lanes(s, self.width, block, 1) for s in self.shares)
+        macs = None
+        if self.macs is not None:
+            kappa = self.engine.kappa
+            macs = tuple(_reverse_lanes(m, self.width, block, kappa) for m in self.macs)
         return BinaryWord(self.engine, self.width, shares, macs)
 
     def __and__(self, mask: int) -> "BinaryWord":

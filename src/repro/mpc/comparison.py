@@ -8,47 +8,65 @@ Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 * ``trunc_pr``       — probabilistic truncation (±1 ulp, no bit-compare)
 * ``ltz / lt / gt``  — sign extraction / comparisons, shared 0/1 result
 * ``eqz / eq``       — equality tests
-* ``bit_dec``        — bit decomposition of a non-negative shared value
+* ``decompose``      — the bits of many non-negative shared values, as one
+                       packed XOR-shared word
+* ``top_bits``       — one-hot of each packed value's most significant bit
+* ``to_arithmetic``  — packed values back to Z_q (one edaBit each)
+* ``lift``           — the lanes of a word as shared bits in Z_q (daBits)
 * ``argmax``         — secure maximum with one-hot index (used for the best
                        split, paper §4.1 "secure maximum computation")
 
-Mod2m's bit-compare runs in the binary domain (:mod:`repro.mpc.binary`), the
-way SPDZ implementations do it with edaBits/daBits: the dealer hands out
-the bits of the mask r1 as one packed XOR-shared word, the compare is
-⌈log₂ m⌉ word-wide ANDs, and one daBit lifts the result bit back to Z_q.
-Cost per call at m compared bits — rounds (= openings), field
-multiplications (Cs), binary material from the dealer:
+Every bit-level step runs in the binary domain (:mod:`repro.mpc.binary`),
+the way SPDZ implementations do it with edaBits/daBits: the dealer hands
+out the bits of a mask as packed XOR-shared words, a carry chain or
+prefix-OR is ⌈log₂ m⌉ word-wide ANDs however many values share the word,
+and daBits lift result bits back to Z_q.  Cost per call at m bits per
+value — rounds (= openings), field multiplications (Cs), binary material
+from the dealer:
 
-    =========  =====================  ==  ============================
-    primitive  rounds                 Cs  binary material
-    =========  =====================  ==  ============================
-    trunc_pr   1                      0   —
-    mod2m      2 + ⌈log₂ m⌉           0   ⌈log₂ m⌉ AND triples, 1 daBit
-    trunc      as mod2m               0   as mod2m
-    ltz        mod2m at m = k − 1     0   as mod2m; 1 Cc
-    lt/gt/le   ltz at k + 1 bits      0   as ltz; 1 Cc
-    eqz / eq   two ltz                0   two ltz; 2 Cc
-    bit_dec    1 + k                  k   — (arithmetic bits)
-    =========  =====================  ==  ============================
+    =============  ================  ==  =================================
+    primitive      rounds            Cs  binary material
+    =============  ================  ==  =================================
+    trunc_pr       1                 0   —
+    mod2m          2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples, 1 daBit
+    trunc          as mod2m          0   as mod2m
+    ltz            mod2m at k − 1    0   as mod2m; 1 Cc
+    lt/gt/le       ltz at k + 1      0   as ltz; 1 Cc
+    eqz / eq       two ltz           0   two ltz; 2 Cc
+    decompose      1 + ⌈log₂ m⌉      0   1 edaBit per value,
+                                         ⌈log₂ m⌉ AND triples per word
+    top_bits       ⌈log₂ m⌉          0   ⌈log₂ m⌉ AND triples per word
+    to_arithmetic  3 + ⌈log₂ m⌉      0   1 edaBit + 1 daBit per value,
+                                         1 + ⌈log₂ m⌉ AND triples per word
+    lift           1                 0   1 daBit per lane
+    =============  ================  ==  =================================
 
 so ``ltz`` at k = 40 is 2 openings (the masked value, the daBit-masked
-result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication.
-``bit_dec`` and the Norm built on it keep arithmetic bits: their callers
-consume every bit in Z_q.
+result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication,
+and the Norm of any number of 40-bit denominators
+(:meth:`repro.mpc.advanced.FixedPointOps.norm`) is 23 rounds and one field
+multiplication per denominator.
 
+What each opening shows, and under which mask:
+
+* an arithmetic opening (``mod2m``, ``trunc_pr``, ``decompose``) shows
+  a + r for a dealer r with κ bits more than a: statistically hidden,
+  distance 2^-κ;
+* a word-AND opens x ⊕ a and y ⊕ b for the AND triple's uniform a, b;
+* ``to_arithmetic`` opens each value plus an edaBit's r mod 2^m, and
+  ``lift`` / ``bit_lt_public`` each bit XOR a daBit's bit: uniform
+  whatever the secret, perfect hiding.
+
+Every mask is drawn from the dealer's seeded stream and used once.
 All protocols follow the paper's convention: inputs are secretly shared
 values in a k-bit signed range, outputs are secretly shared values; nothing
-is revealed except explicitly opened masked values.  The arithmetic
-openings are masked by dealer randomness with κ bits of statistical
-slack.  Every opened binary word is XORed with a uniform dealer word of
-its width — an AND triple's a and b, a daBit's bit — drawn from the
-dealer's seeded stream and used once, so binary openings hide perfectly.
+is revealed except these masked openings.
 """
 
 from __future__ import annotations
 
 from repro.analysis import opcount
-from repro.mpc.binary import BinaryWord
+from repro.mpc.binary import BinaryWord, block_mask, concat
 from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 
@@ -57,14 +75,17 @@ __all__ = [
     "mod2m",
     "trunc",
     "trunc_pr",
+    "trunc_pr_many",
     "ltz",
     "lt",
     "gt",
     "le",
     "eqz",
     "eq",
-    "bit_dec",
-    "prefix_or_msb_first",
+    "decompose",
+    "top_bits",
+    "to_arithmetic",
+    "lift",
     "argmax",
     "select",
 ]
@@ -77,44 +98,135 @@ def bit_lt_public(
 
     Most-significant-difference scan on packed lanes (lane i = bit i; only
     the low ``width`` bits of ``public`` are compared).  d = r ⊕ public is
-    local; a log-depth prefix-OR from the top lane down,
-    p ← p ∨ (p ≫ s) for s = 1, 2, 4, …, costs one word-AND per step
-    (x ∨ y = x ⊕ y ⊕ x∧y); p ⊕ (p ≫ 1) then marks the most significant
-    differing lane.  There r differs from ``public``, so r's bit is 1
-    exactly where ``public``'s is 0: the answer is the parity of the mark
-    over the lanes where ``public`` has a 0 — local again.  One daBit
-    carries that bit into Z_q: open v = bit ⊕ ρ, ⟨bit⟩ = v + ⟨ρ⟩ − 2v⟨ρ⟩.
+    local; :func:`top_bits` marks its most significant set lane.  There r
+    differs from ``public``, so r's bit is 1 exactly where ``public``'s is
+    0: the answer is the parity of the mark over the lanes where
+    ``public`` has a 0 — local again — lifted into Z_q by one daBit.
     """
     width = shared_bits.width
+    if not width:
+        return engine.share_public(0)  # no lane of r can exceed public
     lanes = (1 << width) - 1
     public &= lanes
-    prefix = shared_bits ^ public
+    first_difference = top_bits(engine, shared_bits ^ public, width)
+    bit = (first_difference & (public ^ lanes)).parity()  # lanes where public is 0
+    return lift(engine, bit)[0]
+
+
+def lift(engine: MPCEngine, word: BinaryWord) -> list[SharedValue]:
+    """Every lane of ``word`` as a shared bit in Z_q, lane 0 first.
+
+    One daBit per lane: open e = x ⊕ ρ (uniform), then
+    ⟨x⟩ = e + ⟨ρ⟩ − 2e⟨ρ⟩ — ⟨ρ⟩ or 1 − ⟨ρ⟩, local for public e.
+    """
+    mask_word, masks = engine.dealer.dabits(word.width)
+    (opened,) = engine.open_words([word ^ mask_word])
+    return [1 - mask if opened >> i & 1 else mask for i, mask in enumerate(masks)]
+
+
+def _carries(
+    engine: MPCEngine, generate: BinaryWord, propagate: BinaryWord, block: int
+) -> BinaryWord:
+    """Lane i: the carry out of lane i of a blockwise addition, given each
+    lane's generate (x ∧ y) and propagate (x ⊕ y) bits.
+
+    Kogge–Stone: at shift s every lane combines its group with the one s
+    lanes below, G ← G ⊕ P∧(G ≪ s) and P ← P∧(P ≪ s) (G and P∧G' never
+    overlap, so ⊕ is ∨).  G and P travel side by side in one word of twice
+    the lanes, so both ANDs are one word-AND: [P | P] ∧ ([G | P] ≪ s).  The
+    public mask of each shift zeroes the lanes that would read across a
+    block boundary (P's half starts on one), so no carry enters a block.
+    ⌈log₂ block⌉ rounds.
+    """
+    width = generate.width
+    low = (1 << width) - 1
+    both = concat([generate, propagate])
     step = 1
-    while step < width:
-        shifted = prefix >> step
+    while step < block:
+        above = block_mask(2 * width, block, ((1 << block) - 1) ^ ((1 << step) - 1))
+        doubled = (both >> width) ^ (both & (low << width))  # [P | P]
+        both = (both & low) ^ engine.and_words(doubled, (both << step) & above)
+        step *= 2
+    return both.narrow(width)
+
+
+def _add(
+    engine: MPCEngine, generate: BinaryWord, propagate: BinaryWord, block: int
+) -> tuple[BinaryWord, BinaryWord]:
+    """(x + y mod 2^block per block, the carry out of every lane)."""
+    carries = _carries(engine, generate, propagate, block)
+    above_bottom = block_mask(carries.width, block, (1 << block) - 2)
+    return propagate ^ ((carries << 1) & above_bottom), carries
+
+
+def decompose(engine: MPCEngine, values: list[SharedValue], width: int) -> BinaryWord:
+    """The bits of each value in [0, 2^width), value j in lanes
+    [j·width, (j + 1)·width) of one XOR-shared word.
+
+    One edaBit per value: open every c_j = a_j − r_j + 2^(width+κ) in one
+    round (r_j has κ bits of slack above a_j), then add the public c_j to
+    r_j's shared low bits; the low ``width`` sum bits are a_j's.
+    """
+    kappa = engine.kappa
+    masks, mask_bits = engine.dealer.edabits(len(values), width, kappa)
+    offset = 1 << (width + kappa)
+    opened = engine.open_many(
+        [engine.add_public(a - r, offset) for a, r in zip(values, masks)]
+    )
+    low = (1 << width) - 1
+    public = 0
+    for j, c in enumerate(opened):
+        public |= (c & low) << (j * width)
+    total, _ = _add(engine, mask_bits & public, mask_bits ^ public, width)
+    return total
+
+
+def top_bits(engine: MPCEngine, word: BinaryWord, block: int) -> BinaryWord:
+    """One-hot of the most significant set lane of every ``block``-lane
+    block (an all-zero block stays zero).
+
+    Log-depth prefix-OR from each block's top lane down,
+    p ← p ∨ (p ≫ s) for s = 1, 2, 4, … (x ∨ y = x ⊕ y ⊕ x∧y, one word-AND
+    per step, masked so no lane reads the block above — a word of one block
+    needs no mask: ≫ already empties its top lanes); then p ⊕ (p ≫ 1).
+    """
+    width = word.width
+
+    def down(value: BinaryWord, step: int) -> BinaryWord:
+        shifted = value >> step
+        if width == block:
+            return shifted
+        return shifted & block_mask(width, block, (1 << (block - step)) - 1)
+
+    prefix = word
+    step = 1
+    while step < block:
+        shifted = down(prefix, step)
         prefix = prefix ^ shifted ^ engine.and_words(prefix, shifted)
         step *= 2
-    first_difference = prefix ^ (prefix >> 1)
-    bit = (first_difference & (public ^ lanes)).parity()  # lanes where public is 0
-    mask_word, mask = engine.dealer.dabit()
-    (opened,) = engine.open_words([bit ^ mask_word])
-    return 1 - mask if opened else mask
+    return prefix ^ down(prefix, 1)
 
 
-def prefix_or_msb_first(
-    engine: MPCEngine, bits_msb_first: list[SharedValue]
-) -> list[SharedValue]:
-    """Running OR over shared bits, given and returned MSB-first."""
-    prefix: list[SharedValue] = []
-    acc: SharedValue | None = None
-    for bit in bits_msb_first:
-        if acc is None:
-            acc = bit
-        else:
-            # OR(a, b) = a + b - a*b
-            acc = acc + bit - engine.mul(acc, bit)
-        prefix.append(acc)
-    return prefix
+def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[SharedValue]:
+    """Every ``block``-lane block of ``word`` as a shared value in Z_q.
+
+    One edaBit per block: add r's shared bits to the block in binary,
+    open s = x + r mod 2^block (uniform), lift the carry out of the block
+    with one daBit, and ⟨x⟩ = s − ⟨r⟩ + 2^block·⟨carry⟩.
+    """
+    count = word.width // block
+    masks, mask_bits = engine.dealer.edabits(count, block)
+    total, carries = _add(engine, engine.and_words(word, mask_bits), word ^ mask_bits, block)
+    (opened,) = engine.open_words([total])
+    lifted = lift(
+        engine,
+        concat([(carries >> (j * block + block - 1)).narrow(1) for j in range(count)]),
+    )
+    low = (1 << block) - 1
+    return [
+        engine.add_public(carry * (1 << block) - r, opened >> (j * block) & low)
+        for j, (r, carry) in enumerate(zip(masks, lifted))
+    ]
 
 
 def mod2m(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
@@ -146,15 +258,32 @@ def trunc_pr(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
     One round and no bit-comparison; the ±1-ulp error is the standard SPDZ
     trade-off for fixed-point multiplication rescaling.
     """
+    return trunc_pr_many(engine, [a], k, m)[0]
+
+
+def trunc_pr_many(
+    engine: MPCEngine, values: list[SharedValue], k: int, m: int
+) -> list[SharedValue]:
+    """:func:`trunc_pr` of every value, their masked openings in one round.
+
+    With PRandM's r1 < 2^m and r2: open c = a + r1 + 2^m·r2 + 2^(k-1);
+    then a + r1 − (c mod 2^m) is a multiple of 2^m, divided out exactly.
+    """
     if m == 0:
-        return a
-    tup = engine.dealer.prandm(k, m, with_bits=False)
-    masked = a + (tup.r2 * (1 << m)) + tup.r1
-    masked = engine.add_public(masked, 1 << (k - 1))
-    c = engine.open(masked)
-    c_prime = c % (1 << m)
-    remainder = engine.add_public(-tup.r1, c_prime)  # a mod 2^m - u*2^m
-    return (a - remainder) * engine.field.pow2_inv(m)
+        return list(values)
+    tuples = [engine.dealer.prandm(k, m, with_bits=False) for _ in values]
+    low = [a + tup.r1 for a, tup in zip(values, tuples)]
+    opened = engine.open_many(
+        [
+            engine.add_public(shifted + tup.r2 * (1 << m), 1 << (k - 1))
+            for shifted, tup in zip(low, tuples)
+        ]
+    )
+    inverse = engine.field.pow2_inv(m)
+    return [
+        engine.add_public(shifted, -(c % (1 << m))) * inverse
+        for shifted, c in zip(low, opened)
+    ]
 
 
 def ltz(engine: MPCEngine, a: SharedValue, k: int) -> SharedValue:
@@ -185,33 +314,6 @@ def eqz(engine: MPCEngine, a: SharedValue, k: int) -> SharedValue:
 
 def eq(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:
     return eqz(engine, a - b, k + 1)
-
-
-def bit_dec(engine: MPCEngine, a: SharedValue, k: int) -> list[SharedValue]:
-    """Bits (little-endian, k shared bits) of a, for a in [0, 2^k).
-
-    Opens c = 2^(k+κ) + a - r for a bitwise-shared random r, then runs a
-    binary ripple-carry addition of the public c with the shared bits of r;
-    the low k sum bits are exactly the bits of a.
-    """
-    kappa = engine.kappa
-    bw = engine.dealer.bitwise_random(k + kappa, low_bits=k)
-    masked = engine.add_public(a - bw.r, 1 << (k + kappa))
-    c = engine.open(masked)
-    carry = engine.share_public(0)
-    bits: list[SharedValue] = []
-    for i in range(k):
-        r_i = bw.bits[i]
-        c_i = (c >> i) & 1
-        t = engine.mul(r_i, carry)
-        xor = r_i + carry - t * 2  # r_i XOR carry
-        if c_i == 0:
-            bits.append(xor)
-            carry = t
-        else:
-            bits.append(engine.add_public(-xor, 1))  # 1 XOR (r_i XOR carry)
-            carry = r_i + carry - t  # OR when the public bit is 1
-    return bits
 
 
 def select(

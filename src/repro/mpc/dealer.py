@@ -17,16 +17,27 @@ Supplied material, arithmetic (additive shares over Z_q):
 * Beaver multiplication triples (a, b, ab)           — for `mul`
 * random shared bits                                  — for DP sampling
 * PRandM tuples (r2, r1)                              — for Mod2m / TruncPr
-* bitwise-shared random values                        — for BitDec
 * random shared field elements                        — for masking
 
 Binary (XOR-shared packed words, :mod:`repro.mpc.binary`):
 
 * the bits of a PRandM tuple's r1, as one m-lane word — for Mod2m's compare
 * AND triples (a, b, a∧b) of a given lane width       — for `and_words`
-* daBits: one random bit shared both mod 2 and in Z_q — to lift a result bit
+* daBits: random bits shared both mod 2 and in Z_q    — to lift result bits
+* edaBits: a random r shared in Z_q, and its low bits
+  XOR-shared, many packed into one word block by block — for the bit
+  decomposition (r masks the opened value) and the binary-to-arithmetic
+  conversion (r's bits mask the opened word) of Norm
 
-Every item is drawn fresh from the dealer's stream and handed out once.
+Every item is drawn fresh from the dealer's stream and handed out once,
+and each exists to mask one kind of opening: a Beaver triple's a, b hide
+the d, e a multiplication opens; a PRandM tuple's r2·2^m + r1 and an
+edaBit's r hide an arithmetic value opened with κ bits of statistical
+slack (Mod2m / TruncPr / Norm's decomposition); an AND triple's a, b hide
+the two words an ``and_words`` opens; a daBit's bit hides a result bit
+before it is lifted to Z_q, and a slack-free edaBit's low bits hide the
+word added to it before the sum is opened (Norm's v back in Z_q) — both
+uniform, so those openings hide perfectly.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ class DealerUsage:
     triples: int = 0  # field Beaver triples only: one per Cs
     bits: int = 0
     prandm: int = 0
-    bitwise: int = 0
+    edabits: int = 0
     randoms: int = 0
     and_triples: int = 0
     dabits: int = 0
@@ -69,14 +80,6 @@ class PRandMTuple:
     r2: "SharedValue"
     r1: "SharedValue"
     r1_bits: "BinaryWord | None"  # lane i = bit i of r1; None if not asked for
-
-
-@dataclass
-class BitwiseShared:
-    """⟨r⟩ together with the bitwise sharing of its low bits."""
-
-    r: "SharedValue"
-    bits: list["SharedValue"]  # little-endian, as many as were asked for
 
 
 class TrustedDealer:
@@ -105,10 +108,6 @@ class TrustedDealer:
     def _deal(self, value: int) -> "SharedValue":
         return self.engine._make_shared(value, rng=self.rng)
 
-    def _deal_bits(self, value: int, n_bits: int) -> list["SharedValue"]:
-        """Sharings of the low ``n_bits`` bits of ``value``, little-endian."""
-        return [self._deal((value >> i) & 1) for i in range(n_bits)]
-
     def _deal_word(self, word: int, width: int) -> "BinaryWord":
         return self.engine._make_binary(word, width, rng=self.rng)
 
@@ -134,11 +133,14 @@ class TrustedDealer:
             self._deal_word(a & b, width),
         )
 
-    def dabit(self) -> tuple["BinaryWord", "SharedValue"]:
-        """One uniform bit, XOR-shared (a 1-lane word) and shared in Z_q."""
-        bit = self.rng.getrandbits(1)
-        self.usage.dabits += 1
-        return self._deal_word(bit, 1), self._deal(bit)
+    def dabits(self, count: int) -> tuple["BinaryWord", list["SharedValue"]]:
+        """``count`` uniform bits, XOR-shared as one word (bit i in lane i)
+        and each shared in Z_q."""
+        bits = self.rng.getrandbits(count)
+        self.usage.dabits += count
+        return self._deal_word(bits, count), [
+            self._deal((bits >> i) & 1) for i in range(count)
+        ]
 
     def random_bit(self) -> "SharedValue":
         self.usage.bits += 1
@@ -173,9 +175,17 @@ class TrustedDealer:
             r1_bits=self._deal_word(r1, m) if with_bits else None,
         )
 
-    def bitwise_random(self, n_bits: int, low_bits: int) -> BitwiseShared:
-        """A uniform n_bits-bit value shared arithmetically, and bitwise in
-        its low ``low_bits`` bits (BitDec reads only the k below its κ mask)."""
-        r = self.rng.getrandbits(n_bits)
-        self.usage.bitwise += 1
-        return BitwiseShared(r=self._deal(r), bits=self._deal_bits(r, low_bits))
+    def edabits(
+        self, count: int, lanes: int, mask_bits: int = 0
+    ) -> tuple[list["SharedValue"], "BinaryWord"]:
+        """``count`` uniform (lanes + mask_bits)-bit values r_j, each shared
+        in Z_q, with their low ``lanes`` bits XOR-shared as one word: r_j's
+        bit i in lane j·lanes + i.  The ``mask_bits`` above the word are
+        the statistical slack of an arithmetic opening masked by r_j."""
+        values = [self.rng.getrandbits(lanes + mask_bits) for _ in range(count)]
+        self.usage.edabits += count
+        low = (1 << lanes) - 1
+        packed = 0
+        for j, r in enumerate(values):
+            packed |= (r & low) << (j * lanes)
+        return [self._deal(r) for r in values], self._deal_word(packed, count * lanes)

@@ -280,13 +280,26 @@ class MPCEngine:
             masked.append(x - ta)
             masked.append(y - tb)
         opened = self.open_many(masked)
+        q = self.field.q
         results = []
-        for idx, ((_, _), (ta, tb, tc)) in enumerate(zip(pairs, triples)):
+        for idx, (ta, tb, tc) in enumerate(triples):
             e = opened[2 * idx]
             f = opened[2 * idx + 1]
-            z = tc + e * tb + f * ta
-            z = self.add_public(z, e * f % self.field.q)
-            results.append(z)
+            # z = c + e·b + f·a + e·f, the public e·f added by party 0 (and
+            # by every party into her MAC share, times her key share).
+            shares = [
+                (c + e * b + f * a) % q
+                for a, b, c in zip(ta.shares, tb.shares, tc.shares)
+            ]
+            shares[0] = (shares[0] + e * f) % q
+            macs = None
+            if ta.macs is not None and tb.macs is not None and tc.macs is not None:
+                ef = e * f % q
+                macs = tuple(
+                    (c + e * b + f * a + ef * dk) % q
+                    for a, b, c, dk in zip(ta.macs, tb.macs, tc.macs, self.mac_key_shares)
+                )
+            results.append(SharedValue(self, tuple(shares), macs))
         return results
 
     def and_words(self, x: BinaryWord, y: BinaryWord) -> BinaryWord:
@@ -300,7 +313,18 @@ class MPCEngine:
         # Masking with this engine's triple also rejects a foreign or
         # differently wide x or y.
         e, f = self.open_words([x ^ a, y ^ b])
-        return c ^ (y & e) ^ (a & f)
+        shares = tuple(
+            sc ^ (sy & e) ^ (sa & f) for sa, sy, sc in zip(a.shares, y.shares, c.shares)
+        )
+        macs = None
+        if a.macs is not None and y.macs is not None and c.macs is not None:
+            lane = (1 << self.kappa) - 1
+            keep_e, keep_f = spread(e, self.kappa) * lane, spread(f, self.kappa) * lane
+            macs = tuple(
+                mc ^ (my & keep_e) ^ (ma & keep_f)
+                for ma, my, mc in zip(a.macs, y.macs, c.macs)
+            )
+        return BinaryWord(self, x.width, shares, macs)
 
     def inner_product(
         self, xs: list[SharedValue], ys: list[SharedValue]

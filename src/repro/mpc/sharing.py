@@ -86,7 +86,13 @@ class SharedValue:
 
     def __sub__(self, other: "SharedValue | int") -> "SharedValue":
         if isinstance(other, SharedValue):
-            return self + (-other)
+            self._require_compatible(other)
+            q = self.engine.field.q
+            shares = tuple((a - b) % q for a, b in zip(self.shares, other.shares))
+            macs = None
+            if self.macs is not None and other.macs is not None:
+                macs = tuple((a - b) % q for a, b in zip(self.macs, other.macs))
+            return SharedValue(self.engine, shares, macs)
         if isinstance(other, int):
             return self.engine.add_public(self, -other)
         return NotImplemented

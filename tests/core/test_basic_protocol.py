@@ -173,16 +173,28 @@ def test_transcript_reveals_only_model_information(small_classification):
 def test_cost_accounting_nonzero(small_classification):
     X, y = small_classification
     ctx = make_context(X, y, "classification")
+    denominators = []
+    norm = ctx.fx.norm
+
+    def counting_norm(bs):
+        denominators.append(len(bs))
+        return norm(bs)
+
+    ctx.fx.norm = counting_norm
     with opcount.counting() as ops:
         TreeTrainer(ctx).fit()
     costs = ctx.cost_snapshot()
     assert costs["conversions"]["threshold_decryptions"] > 0
     assert costs["bus"]["bytes"] > 0
     assert costs["mpc"]["rounds"] > 0
-    # `triples` are field Beaver triples, one per Cs; the comparisons' binary
-    # material is counted apart and is no field multiplication.
+    # `triples` are field Beaver triples, one per Cs; the binary material of
+    # comparisons and Norm is counted apart and is no field multiplication:
+    # one daBit per comparison, and per normalised denominator one daBit
+    # (the carry lift) and two edaBits (decompose, back to Z_q).
+    normalised = sum(denominators)
     assert costs["dealer"]["triples"] == ops["cs"] > 0
-    assert costs["dealer"]["dabits"] == ops["cc"] > 0
+    assert costs["dealer"]["dabits"] == ops["cc"] + normalised
+    assert costs["dealer"]["edabits"] == 2 * normalised > 0
     assert costs["dealer"]["and_triples"] > 0
 
 

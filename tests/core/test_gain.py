@@ -1,5 +1,7 @@
 """Secure gain computation (§4.1-4.2, Eq. 5/6/8) against plaintext metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -168,10 +170,11 @@ def _plaintext_gain(task, gain_mode, left, right):
     return metric((n_l, *stats_l), (n_r, *stats_r))
 
 
-def _gain_step_cs(fx, task, gain_mode, n_splits, width):
-    """Beaver multiplications of one node's gain step: 2S + 1 normalisations
-    (one per distinct denominator) plus the per-fraction work."""
-    normalisation = (2 * width - 1) + 3 + fx.theta  # Norm, AppRcr, x and its squarings
+def _gain_step_cs(fx, task, gain_mode, n_splits):
+    """Beaver multiplications of one node's gain step: per distinct
+    denominator (2S + 1 of them, one ``div`` call) Norm's c = b·v, AppRcr,
+    x and its squarings, plus the per-fraction work."""
+    normalisation = 3 + fx.theta
     per_numerator = fx.theta + 2
     classes = 3 if task == "classification" else 2  # statistics per side
     squares = 3 if task == "classification" else 1  # fx.mul(v, v) per purity
@@ -198,18 +201,13 @@ def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_sp
     n, node, splits, plain = _generated_node(
         fx, np.random.default_rng(seed), task, n_splits
     )
-    width = n.bit_length() + fx.f  # the trainer's declaration for n samples
-    with opcount.counting() as ops:
-        gains, threshold = secure_split_gains(
-            fx, task, node, splits, gain_mode, 0.0, count_bits=width
-        )
-    assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits, width)
+    with opcount.counting() as ops, mock.patch.object(fx, "div", wraps=fx.div) as div:
+        gains, threshold = secure_split_gains(fx, task, node, splits, gain_mode, 0.0)
+    assert div.call_count == 1  # one Norm for the node's 2S + 1 denominators
+    assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits)
     for gain, (left, right) in zip(gains, plain):
         expected = _plaintext_gain(task, gain_mode, left, right)
         assert fx.open(gain) == pytest.approx(expected, abs=5e-3)
-    undeclared, _ = secure_split_gains(fx, task, node, splits, gain_mode, 0.0)
-    for gain, wide in zip(gains, undeclared):
-        assert fx.open(gain) == pytest.approx(fx.open(wide), abs=1e-3)
     if gain_mode == "reduced":
         # The parent's statistic: an empty side against the whole node.
         totals = [sum(pair) for pair in zip(plain[0][0][1], plain[0][1][1])]

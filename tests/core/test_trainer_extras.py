@@ -132,3 +132,25 @@ def test_revealed_log_grows_monotonically():
     first = len(ctx.revealed)
     TreeTrainer(ctx).fit()
     assert len(ctx.revealed) > first  # contexts accumulate across runs
+
+
+def test_refuses_a_fit_whose_counts_break_division():
+    """A count of n samples is n·2^F raw and secure division needs it below
+    2^(2F-1): at 2^(F-1) samples the trainer refuses, naming F, before a
+    single ciphertext exists.  (F = 8 keeps the table to 128 rows.)"""
+    from repro.analysis import opcount
+
+    frac_bits = 8
+    limit = 1 << (frac_bits - 1)
+    X = np.arange(limit * 3, dtype=float).reshape(limit, 3)
+    y = np.arange(limit) % 2
+    for rows, refused in ((limit - 1, False), (limit, True)):
+        vp = vertical_partition(X[:rows], y[:rows], 3, task="classification")
+        ctx = PivotContext(vp, PivotConfig(keysize=256, frac_bits=frac_bits, seed=1))
+        with opcount.counting() as ops:
+            if refused:
+                with pytest.raises(ValueError, match="F = 8"):
+                    TreeTrainer(ctx)
+            else:
+                TreeTrainer(ctx)
+        assert ops["ce"] == 0

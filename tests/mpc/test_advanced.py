@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import opcount
 from repro.mpc import FixedPointOps, MPCEngine
+from repro.mpc.binary import BinaryWord
 from repro.mpc.field import PrimeField
+from repro.mpc.sharing import MacCheckError
 
 REALS = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
 POSITIVES = st.floats(min_value=0.01, max_value=1000, allow_nan=False)
@@ -58,16 +60,116 @@ def test_mul_public(fx, x, k):
 @relaxed
 @given(b=POSITIVES)
 def test_norm_scales_into_top_interval(fx, b):
-    c, v = fx.norm(fx.share(b))
+    (c,), _ = fx.norm([fx.share(b)])
     c_open = fx.engine.open(c)
     assert (1 << (fx.k - 1)) <= c_open < (1 << fx.k)
+
+
+def _plain_norm(k, b):
+    v = 0 if b == 0 else 1 << (k - b.bit_length())
+    return b * v, v
+
+
+@settings(
+    deadline=None,
+    max_examples=12,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_batched_norm_is_the_plaintext_normalisation(fx, auth_fx, data):
+    """For D denominators anywhere in [0, 2^K) — 0, 1, 2^K - 1 and every
+    power of two among them — c and v are exactly b·v and 2^(K-1-msb(b)),
+    on both engines, and a batch of D opens to what D batches of one do."""
+    ops = data.draw(st.sampled_from([fx, auth_fx]))
+    engine, k = ops.engine, ops.k
+    special = [0, 1, (1 << k) - 1] + [1 << i for i in range(k)]
+    count = data.draw(st.sampled_from([1, 2, 25]))
+    bs = data.draw(
+        st.lists(
+            st.sampled_from(special) | st.integers(0, (1 << k) - 1),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    shared = [engine.share_public(b) for b in bs]
+    cs, vs = ops.norm(shared)
+    batch = [(engine.open(c), engine.open(v)) for c, v in zip(cs, vs)]
+    assert batch == [_plain_norm(k, b) for b in bs]
+    singles = []
+    for b in shared:
+        (c,), (v,) = ops.norm([b])
+        singles.append((engine.open(c), engine.open(v)))
+    assert singles == batch
+
+
+@pytest.mark.parametrize("b", [1, 2**40 - 1], ids=["one", "all-ones"])
+def test_norm_openings_are_uniform_lane_by_lane(b):
+    """Everything Norm opens is uniform in every lane, whatever b: over 200
+    dealer seeds each lane of each binary word, and each of the low K bits
+    of each field element (c = b - r + 2^(K+κ), Beaver's d and e), is set
+    100 ± 35 times (five standard deviations) for b = 1 and b = 2^K - 1."""
+    counts: list[list[int]] | None = None
+    for seed in range(200):
+        engine = MPCEngine(3, seed=seed)
+        ops = FixedPointOps(engine)
+        opened: list[tuple[int, int]] = []
+        real_open_words, real_open_many = engine.open_words, engine.open_many
+
+        def words(values, real=real_open_words, log=opened):
+            result = real(values)
+            log.extend((w.width, v) for w, v in zip(values, result))
+            return result
+
+        def elements(values, real=real_open_many, log=opened, k=ops.k):
+            result = real(values)
+            log.extend((k, v & ((1 << k) - 1)) for v in result)
+            return result
+
+        engine.open_words, engine.open_many = words, elements
+        ops.norm([engine.share_public(b)])
+        lanes = [[value >> i & 1 for i in range(width)] for width, value in opened]
+        if counts is None:
+            counts = lanes
+        else:
+            assert [len(word) for word in lanes] == [len(word) for word in counts]
+            counts = [
+                [total + bit for total, bit in zip(acc, word)]
+                for acc, word in zip(counts, lanes)
+            ]
+    assert counts and sum(len(word) for word in counts) > 1000
+    for word in counts:
+        for total in word:
+            assert 65 <= total <= 135
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["decompose", "to-arithmetic"])
+def test_tampered_packed_share_detected(auth_fx, monkeypatch, call):
+    """Flipping one lane of one party's packed edaBit share — in the word
+    that decomposes b, or in the one that brings v back to Z_q — fails the
+    next MAC check."""
+    dealer = auth_fx.engine.dealer
+    deal = dealer.edabits
+    calls = []
+
+    def tampered(count, lanes, mask_bits=0):
+        masks, word = deal(count, lanes, mask_bits)
+        if len(calls) == call:
+            shares = list(word.shares)
+            shares[1] ^= 1 << (lanes + 3)  # the second denominator's block
+            word = BinaryWord(word.engine, word.width, tuple(shares), word.macs)
+        calls.append(count)
+        return masks, word
+
+    monkeypatch.setattr(dealer, "edabits", tampered)
+    with pytest.raises(MacCheckError):
+        auth_fx.norm([auth_fx.share(3.0), auth_fx.share(40.0)])
 
 
 @relaxed
 @given(b=st.floats(min_value=0.1, max_value=500, allow_nan=False))
 def test_app_rcr_error_bound(fx, b):
-    w = fx.open(fx.app_rcr(fx.share(b)))
-    assert math.isclose(w, 1 / b, rel_tol=0.09, abs_tol=1e-3)
+    (w,) = fx.app_rcr([fx.share(b)])
+    assert math.isclose(fx.open(w), 1 / b, rel_tol=0.09, abs_tol=1e-3)
 
 
 @relaxed
@@ -86,11 +188,11 @@ def test_division_by_zero_yields_zero(fx):
     assert fx.open(fx.div(fx.share(5.0), fx.share(0.0))) == 0.0
 
 
-def _division_cs(fx, width, t):
-    """Beaver multiplications of one ``div`` of t numerators: BitDec and
-    prefix-OR over ``width`` bits, c = b·v, w = d·v, b·w and θ squarings
-    once; a·w and θ + 1 multiply-truncates per numerator."""
-    return (2 * width - 1) + 3 + fx.theta + t * (fx.theta + 2)
+def _division_cs(fx, group_sizes):
+    """Beaver multiplications of one ``div`` call: c = b·v, w = d·v, b·w
+    and θ squarings per denominator; a·w and θ + 1 multiply-truncates per
+    numerator.  Norm's bit work is on XOR-shared words, no Cs."""
+    return sum(3 + fx.theta + t * (fx.theta + 2) for t in group_sizes)
 
 
 @settings(
@@ -100,43 +202,54 @@ def _division_cs(fx, width, t):
 )
 @given(data=st.data())
 def test_division_of_a_list_over_one_denominator(fx, auth_fx, data):
-    """div([a_1..a_t], b) is div(a_i, b) for every i, at one Norm's cost.
+    """div(groups, bs) is div(a_i, b_j) for every numerator of every group,
+    at one Norm's cost.
 
-    Raw operands: b anywhere in the declared width (its top value, 1 ulp
-    and 0 included), |a_i / b| <= 2^12.  Every result is the true quotient
-    up to the rounding of its own θ + 2 probabilistic truncations (a
-    relative 2^-12 on top covers Goldschmidt's convergence with margin),
-    whether it came from a list or alone, with the width declared or not.
+    Raw operands: each b anywhere below div's bound 2^(2F-1) (its top
+    value, 1 ulp and 0 included), |a_i / b| <= 2^12.  Every result is the
+    true quotient up to the rounding of its own θ + 2 probabilistic
+    truncations (a relative 2^-12 on top covers Goldschmidt's convergence
+    with margin), whether it came from a node's groups, one group or alone.
     """
     ops = data.draw(st.sampled_from([fx, auth_fx]))
     engine = ops.engine
-    b_bits = data.draw(st.integers(min_value=1, max_value=2 * ops.f - 1))
-    top = (1 << b_bits) - 1
-    b = data.draw(st.sampled_from([top, 1, 0]) | st.integers(0, top))
-    bound = min(1 << (ops.k - 2), max(b, 1) << 12)
-    numerators = data.draw(
-        st.lists(st.integers(-bound, bound), min_size=1, max_size=4)
+    top = (1 << (2 * ops.f - 1)) - 1
+    denominators = data.draw(
+        st.lists(st.sampled_from([top, 1, 0]) | st.integers(0, top), min_size=1, max_size=3)
     )
-    shared_b = engine.share_public(b)
-    shared = [engine.share_public(a) for a in numerators]
+    groups = [
+        data.draw(
+            st.lists(
+                st.integers(
+                    -min(1 << (ops.k - 2), max(b, 1) << 12),
+                    min(1 << (ops.k - 2), max(b, 1) << 12),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for b in denominators
+    ]
+    shared_bs = [engine.share_public(b) for b in denominators]
+    shared = [[engine.share_public(a) for a in group] for group in groups]
 
-    with opcount.counting() as ops_declared:
-        declared = ops.div(shared, shared_b, b_bits)
-    with opcount.counting() as ops_undeclared:
-        undeclared = ops.div(shared, shared_b)
-    assert ops_declared["cs"] == _division_cs(ops, b_bits, len(numerators))
-    assert ops_undeclared["cs"] == _division_cs(ops, ops.k, len(numerators))
-    singles = [ops.div(a, shared_b, b_bits) for a in shared]
-
+    with opcount.counting() as node_ops:
+        together = ops.div(shared, shared_bs)
+    assert node_ops["cs"] == _division_cs(ops, [len(group) for group in groups])
     rounding = ops.theta + 3  # ulps: one per truncation, compounding < 1.1x
-    for a, *results in zip(numerators, declared, undeclared, singles):
-        opened = [engine.open_signed(r) for r in results]
-        if b == 0:
-            assert opened == [0, 0, 0]
-            continue
-        true = a * (1 << ops.f) / b
-        for got in opened:
-            assert abs(got - true) <= rounding + abs(true) * 2.0**-12
+    for b, group, shared_group, group_result in zip(
+        denominators, groups, shared, together
+    ):
+        listed = ops.div(shared_group, engine.share_public(b))
+        singles = [ops.div(a, engine.share_public(b)) for a in shared_group]
+        for a, *results in zip(group, group_result, listed, singles):
+            opened = [engine.open_signed(r) for r in results]
+            if b == 0:
+                assert opened == [0, 0, 0]
+                continue
+            true = a * (1 << ops.f) / b
+            for got in opened:
+                assert abs(got - true) <= rounding + abs(true) * 2.0**-12
 
 
 def test_division_keeps_the_single_numerator_call(fx):
@@ -145,15 +258,30 @@ def test_division_keeps_the_single_numerator_call(fx):
     with opcount.counting() as ops:
         quotient = fx.div(fx.share(7.0), fx.share(3.0))
     assert math.isclose(fx.open(quotient), 7 / 3, abs_tol=1e-4)
-    assert ops["cs"] == _division_cs(fx, fx.k, 1) == 92
+    assert ops["cs"] == _division_cs(fx, [1]) == 13
     (only,) = fx.div([fx.share(7.0)], fx.share(3.0))
     assert math.isclose(fx.open(only), 7 / 3, abs_tol=1e-4)
 
 
-def test_declared_width_must_fit_the_format(fx):
-    for bad in (0, -3, fx.k + 1):
-        with pytest.raises(ValueError):
-            fx.div(fx.share(1.0), fx.share(2.0), b_bits=bad)
+def test_denominator_wider_than_a_declared_count_divides(fx, auth_fx):
+    """Every denominator is decomposed at the full K: raw 2^23 (128
+    samples), past the 22-bit width a 60-sample fit used to declare,
+    divides correctly (a declared-width Norm read none of its top bits
+    and returned a wrong quotient without an error)."""
+    for ops in (fx, auth_fx):
+        quotient = ops.div(ops.share(1000.0), ops.engine.share_public(1 << 23))
+        assert math.isclose(ops.open(quotient), 1000 / 128, abs_tol=1e-4)
+
+
+def test_division_holds_up_to_the_largest_admitted_count(fx):
+    """div's bound, b < 2^(2F-1) raw, is n < 2^(F-1) samples: at the
+    largest such n, w ≈ 2^(2F)/b stays above 1 after truncation and
+    every call opens the right fraction (TreeTrainer refuses a fit with
+    more samples, see test_trainer_extras)."""
+    n = (1 << (fx.f - 1)) - 1
+    for _ in range(5):
+        got = fx.open(fx.div(fx.share(0.4 * n), fx.share(float(n))))
+        assert math.isclose(got, 0.4, abs_tol=1e-3)
 
 
 def test_argmax_slack_keeps_the_earliest_of_near_ties(fx):

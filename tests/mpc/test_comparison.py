@@ -184,30 +184,50 @@ def test_select(engine):
     assert engine.open(cmp.select(engine, zero, yes, no)) == 222
 
 
-# -- bit decomposition ---------------------------------------------------------
+# -- bit decomposition, top bits, back to Z_q ----------------------------------
 
 
 @relaxed
-@given(a=st.integers(min_value=0, max_value=2**16 - 1))
-def test_bit_dec(engine, a):
-    bits = cmp.bit_dec(engine, shared(engine, a), 16)
-    got = sum(engine.open(b) << i for i, b in enumerate(bits))
-    assert got == a
+@given(values=st.lists(st.integers(min_value=0, max_value=2**16 - 1), min_size=1, max_size=5))
+def test_bit_dec(engine, values):
+    """Packed decomposition: value j's bits in block j of one word."""
+    word = cmp.decompose(engine, [shared(engine, a) for a in values], 16)
+    assert word.width == 16 * len(values)
+    (opened,) = engine.open_words([word])
+    assert [opened >> (16 * j) & 0xFFFF for j in range(len(values))] == values
 
 
-def test_bit_dec_zero_and_max(engine):
-    for a in (0, 2**10 - 1):
-        bits = cmp.bit_dec(engine, shared(engine, a), 10)
-        assert sum(engine.open(b) << i for i, b in enumerate(bits)) == a
+def test_bit_dec_zero_and_max(engine, auth_engine):
+    values = [0, 2**10 - 1, 1, 2**9]
+    for eng in (engine, auth_engine):
+        word = cmp.decompose(eng, [shared(eng, a) for a in values], 10)
+        (opened,) = eng.open_words([word])
+        assert [opened >> (10 * j) & 0x3FF for j in range(4)] == values
+        assert [eng.open(b) for b in cmp.lift(eng, word)] == [
+            opened >> i & 1 for i in range(40)
+        ]
 
 
-# -- prefix OR / argmax ---------------------------------------------------------
+def test_top_bits(engine):
+    """One-hot of each block's most significant set lane; carries and
+    prefixes never cross a block, and an all-zero block stays zero."""
+    blocks = [0b00101, 0, 0b11111, 0b10000, 0b00001]
+    packed = sum(b << (5 * j) for j, b in enumerate(blocks))
+    top = cmp.top_bits(engine, engine._make_binary(packed, 25), 5)
+    (opened,) = engine.open_words([top])
+    expected = [0 if b == 0 else 1 << (b.bit_length() - 1) for b in blocks]
+    assert [opened >> (5 * j) & 0x1F for j in range(5)] == expected
 
 
-def test_prefix_or(engine):
-    bits = [shared(engine, b) for b in (0, 0, 1, 0, 1)]
-    prefix = cmp.prefix_or_msb_first(engine, bits)
-    assert [engine.open(p) for p in prefix] == [0, 0, 1, 1, 1]
+@relaxed
+@given(values=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=4))
+def test_to_arithmetic(engine, values):
+    packed = sum(v << (8 * j) for j, v in enumerate(values))
+    word = engine._make_binary(packed, 8 * len(values))
+    assert [engine.open(v) for v in cmp.to_arithmetic(engine, word, 8)] == values
+
+
+# -- argmax -----------------------------------------------------------------------
 
 
 @relaxed

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.mpc import MacCheckError, MPCEngine, SharedValue
 from repro.mpc import comparison as cmp
-from repro.mpc.binary import BinaryWord
+from repro.mpc.binary import BinaryWord, concat
 
 SIGNED = st.integers(min_value=-(2**62), max_value=2**62)
 
@@ -191,9 +191,16 @@ def test_binary_word_algebra(request, which, x, y, mask, shift):
     wx, wy = eng._make_binary(x, 40), eng._make_binary(y, 40)
     assert (wx.macs is not None) == eng.authenticated
     opened = eng.open_words(
-        [wx ^ wy, wx ^ mask, wx >> shift, wx & mask, wx.parity(), eng.and_words(wx, wy)]
+        [wx ^ wy, wx ^ mask, wx >> shift, wx & mask, wx.parity(), eng.and_words(wx, wy),
+         wx << shift, wx.narrow(17), wx.reverse_blocks(8), concat([wx, wy])]
     )
-    assert opened == [x ^ y, x ^ mask, x >> shift, x & mask, x.bit_count() & 1, x & y]
+    reversed_blocks = sum(
+        int(format(x >> (8 * j) & 0xFF, "08b")[::-1], 2) << (8 * j) for j in range(5)
+    )
+    assert opened == [
+        x ^ y, x ^ mask, x >> shift, x & mask, x.bit_count() & 1, x & y,
+        x << shift & (2**40 - 1), x & (2**17 - 1), reversed_blocks, x | y << 40,
+    ]
 
 
 def test_binary_words_reject_foreign_engines_and_widths(engine, engine2):
@@ -262,13 +269,13 @@ def test_tampered_and_triple_detected(auth_engine, monkeypatch, position):
 
 
 def test_tampered_dabit_detected(auth_engine, monkeypatch):
-    deal = auth_engine.dealer.dabit
+    deal = auth_engine.dealer.dabits
 
-    def tampered():
-        word, arithmetic = deal()
+    def tampered(count):
+        word, arithmetic = deal(count)
         return _flip_lane(word, party=1, lane=0), arithmetic
 
-    monkeypatch.setattr(auth_engine.dealer, "dabit", tampered)
+    monkeypatch.setattr(auth_engine.dealer, "dabits", tampered)
     with pytest.raises(MacCheckError):
         cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
 
@@ -288,7 +295,12 @@ def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
 
 def test_semi_honest_binary_material_carries_no_macs(engine):
     dealer = engine.dealer
-    words = [*dealer.and_triple(40), dealer.dabit()[0], dealer.prandm(40, 12).r1_bits]
+    words = [
+        *dealer.and_triple(40),
+        dealer.dabits(3)[0],
+        dealer.prandm(40, 12).r1_bits,
+        dealer.edabits(2, 24, engine.kappa)[1],
+    ]
     assert all(word.macs is None for word in words)
     assert engine._make_binary(3, 2).macs is None
 
@@ -318,20 +330,24 @@ def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     for_mod2m = dealer.prandm(40, 12)
     assert for_mod2m.r1_bits.width == 12
     assert engine.open_words([for_mod2m.r1_bits]) == [engine.open(for_mod2m.r1)]
-    bitwise = dealer.bitwise_random(24 + engine.kappa, low_bits=24)
-    low = [engine.open(bit) for bit in bitwise.bits]
-    assert len(low) == 24
-    assert sum(bit << i for i, bit in enumerate(low)) == engine.open(bitwise.r) % (1 << 24)
-    # One tuple is one tuple, with or without its bitwise part.
+    # edaBits: r_j below 2^(24+κ) in Z_q, its low 24 bits in block j.
+    masks, packed = dealer.edabits(3, 24, engine.kappa)
+    assert packed.width == 3 * 24
+    (word,) = engine.open_words([packed])
+    for j, r in enumerate(engine.open(r) for r in masks):
+        assert r < 1 << (24 + engine.kappa)
+        assert word >> (24 * j) & ((1 << 24) - 1) == r % (1 << 24)
+    # One tuple is one tuple, with or without its bits; one edaBit per value.
     assert dealer.usage.snapshot() == {
-        "triples": 0, "bits": 0, "prandm": 2, "bitwise": 1, "randoms": 0,
+        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3, "randoms": 0,
         "and_triples": 0, "dabits": 0,
     }
     dealer.and_triple(40)
-    word, arithmetic = dealer.dabit()
-    assert engine.open_words([word]) == [engine.open(arithmetic)]
+    word, arithmetic = dealer.dabits(5)
+    (opened,) = engine.open_words([word])
+    assert [opened >> i & 1 for i in range(5)] == [engine.open(a) for a in arithmetic]
     assert dealer.usage.snapshot() == {
-        "triples": 0, "bits": 0, "prandm": 2, "bitwise": 1, "randoms": 0,
-        "and_triples": 1, "dabits": 1,
+        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3, "randoms": 0,
+        "and_triples": 1, "dabits": 5,
     }
-    assert dealer.usage.total() == 5
+    assert dealer.usage.total() == 11
