@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 import pytest
 
-from common import calibrated_costs, print_table
+from common import build_context, calibrated_costs, print_table
 from repro.analysis import opcount
 from repro.core import (
     PivotConfig,
@@ -513,6 +513,43 @@ def codec_report(
     return ratios
 
 
+def mask_count_report(smoke: bool = False) -> dict[str, int]:
+    """Pool masks of one basic fit against their formula — a count, not a
+    time.  At n = 60, h = 2, c = 2, m = 3 and S candidate splits per node:
+
+        (c − 1)·n  +  t·S·c  +  m·Cd  +  built·c·n
+
+    the root's [γ] (encrypted once; the labels ride with [α] from there),
+    each party's re-masked split statistics at the t internal nodes, every
+    party's mask ciphertext per packed conversion, and the owner's [α_l]
+    and [γ_l] at each split whose children are built.  The root's [α]
+    is the public encryption of the root weights and takes no mask."""
+    h = 2
+    with build_context(keysize=512, h=h) as ctx:
+        everything = [list(range(client.n_features)) for client in ctx.clients]
+        candidates = len(ctx.split_identifiers(everything))
+        masks_before = ctx.batch.pool.generated
+        cd_before = ctx.conversions.threshold_decryptions
+        model = TreeTrainer(ctx).fit()
+        masks = ctx.batch.pool.generated - masks_before
+        cd = ctx.conversions.threshold_decryptions - cd_before
+        n, m, c = ctx.n_samples, ctx.n_clients, model.n_classes
+    internal = model.internal_nodes()
+    built = sum(node.depth + 1 < h for node in internal)
+    expected = (c - 1) * n + len(internal) * candidates * c + m * cd + built * c * n
+    print(
+        f"basic fit, n={n} h={h} c={c} m={m}: {masks} pool masks "
+        f"(formula {expected}: t={len(internal)}, S={candidates}, Cd={cd}, "
+        f"built={built})"
+    )
+    if smoke:
+        assert masks == expected, (
+            f"a basic fit took {masks} pool masks; the formula gives {expected}"
+        )
+        print("SMOKE OK: pool masks per basic fit == (c-1)n + tSc + m·Cd + built·cn")
+    return {"masks": masks, "expected": expected}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -528,6 +565,7 @@ def main() -> None:
         packing_report(repeats=3, smoke=True)
         prediction_report(smoke=True)
         codec_report(smoke=True)
+        mask_count_report(smoke=True)
         return
 
     rows = []
@@ -549,6 +587,7 @@ def main() -> None:
     packing_report()
     prediction_report()
     codec_report()
+    mask_count_report()
 
 
 if __name__ == "__main__":

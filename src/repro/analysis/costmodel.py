@@ -75,13 +75,24 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     labels from inherited statistics — in a full tree t' = (t − 1) / 2.
 
     The *measured* Ce of one internal node is n·c·S (the dot products of
-    Eq. 7, left child only) + n·(c − 1) (re-randomising the published
-    label vectors) + c·S (one pool mask per statistic before it leaves its
-    party), plus m·⌈S·c / slots⌉ conversion-mask encryptions and the
-    packing folds; a basic split whose children are built adds n (the
-    left child's pool-masked vector) + m·n (each party's own
-    [α] ⊖ [α_l], one Ce per element).  A basic-protocol leaf costs no Ce
-    at all.
+    Eq. 7, left child only) + c·S (one pool mask per statistic before it
+    leaves its party), plus m·⌈S·c / slots⌉ conversion-mask encryptions
+    and the packing folds.  The root's [α] takes no pool mask under either
+    protocol: it is the deterministic encryption of the public root
+    weights, n Ce at each of the m parties.  The label vectors depend on
+    the protocol.  Under the basic one they ride with [α] (§7.2's
+    optimisation, applied to plaintext labels): the super client encrypts
+    (c − 1)·n once at the root, and a split whose children are built adds
+    c·n (the owner's pool-masked [α_l] and [γ_l]) + m·c·n (each party's
+    own [α] ⊖ [α_l] and [γ] ⊖ [γ_l], one Ce per element).  The enhanced
+    owner cannot mask [γ_l] in plaintext, so that
+    protocol still re-randomises (c − 1)·n label elements per internal
+    node.  A basic-protocol leaf costs no Ce at all.  Of those Ce, a basic
+    fit's *pool masks* — the expensive ones — number
+
+        (c − 1)·n  +  t·S·c  +  m·Cd  +  t'·c·n
+
+    (``bench_primitives.py --smoke`` holds a fit at n = 60, h = 2 to it).
 
     The *measured* Cs of one internal node's gain step (paper mode, S = d·b
     candidate splits, θ = 4 Goldschmidt iterations at K = 40) is

@@ -1,16 +1,25 @@
 """Label providers: how the per-node encrypted label vectors [γ] arise.
 
-Two regimes from the paper:
+Three regimes, one per way a node's [γ] can reach the parties:
 
-* **Plaintext labels at the super client** (§4.1–4.2): for every node
-  that is going to be split the super client builds the auxiliary vectors
-  β (one per class *but the last* for classification; β1 = y, β2 = y² for
-  regression), multiplies them element-wise into the node's encrypted mask
-  vector [α] and broadcasts the resulting [γ] vectors.  The last class is
-  never built, sent or stored: every sample has exactly one class, so its
-  statistics are the count minus the other classes' (derived on shares by
-  the trainer).  A leaf publishes nothing — the trainer asks for a node's
-  [γ] only once the node has passed the pruning checks.
+* **Plaintext labels, basic protocol** (§4.1–4.2): the super client
+  builds the auxiliary vectors β (one per class *but the last* for
+  classification; β1 = y, β2 = y² for regression) and encrypts the root's
+  [γ_k] = encode(β_k) · w once, pool-masked, over the public root weights
+  w (:meth:`PlaintextLabelProvider.root_vectors`).  From there the vectors
+  ride with [α] (§7.2's optimisation): the split owner masks [γ_l] next to
+  [α_l] in the model update and every party derives [γ_r] = [γ] ⊖ [γ_l].
+  So the labels are published once per fit and once per split whose
+  children are built, never per node.  The last class is never built,
+  sent or stored: every sample has exactly one class, so its statistics
+  are the count minus the other classes' (derived on shares by the
+  trainer).
+* **Plaintext labels the owner cannot mask** — the enhanced protocol
+  (§5.2: the split stays hidden, so masking [γ] would cost Eq. 10's
+  decryptions per vector) and the malicious model's POPCM-proven
+  provider: for every node that passed the pruning checks the super
+  client multiplies β into the node's [α] and publishes the products as
+  one ``node-gammas`` request per node (:meth:`PlaintextLabelProvider.gammas`).
 
   β ∘ [α] by scalar powers is a deterministic function of the public [α]:
   β = 1 returns [α_j] unchanged, β = 0 the unit ciphertext, and a
@@ -21,10 +30,8 @@ Two regimes from the paper:
   — the root's label sums, folded by the super client herself.
 * **Encrypted labels** (GBDT rounds >= 2, §7.2): nobody holds the labels in
   plaintext.  The [γ] vectors are computed once per round from the
-  encrypted residual vector and thereafter ride along with [α]: the client
-  owning each chosen split masks them with her indicator vector during the
-  model-update step — the paper's optimisation avoiding per-node ciphertext
-  multiplications.
+  encrypted residual vector and ride with [α] exactly like the first
+  regime's.
 
 Regression labels are normalised to [-1, 1] (fixed-point range hygiene);
 ``label_scale`` converts leaf predictions back to label units.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.encoding import EncryptedNumber
+from repro.crypto.encoding import EncodedNumber, EncryptedNumber
 
 __all__ = ["PlaintextLabelProvider", "EncryptedLabelProvider"]
 
@@ -58,11 +65,20 @@ class PlaintextLabelProvider:
             self.label_scale = float(np.max(np.abs(labels))) or 1.0
             normalized = labels / self.label_scale
             self.betas = [normalized, normalized**2]
-        self.rides_with_alpha = False
+        #: Under the basic protocol the split owner masks [γ_l] in
+        #: plaintext like [α_l], so the root's [γ]s ride (module docstring).
+        self.rides_with_alpha = context.config.protocol == "basic"
 
     @property
     def n_vectors(self) -> int:
         return len(self.betas)
+
+    def _encoded(self) -> list[list[EncodedNumber]]:
+        """encode(β_k) per vector: integers at exponent 0 for class
+        indicators, 2^-F fixed point for regression."""
+        encode = self.context.encoder.encode
+        cast = int if self.task == "classification" else float
+        return [[encode(cast(b)) for b in beta] for beta in self.betas]
 
     def _scaled(
         self, alpha: list[EncryptedNumber]
@@ -72,36 +88,46 @@ class PlaintextLabelProvider:
         Linkable to [α] element by element (see the module docstring): for
         the super client's own folding, never for the wire.
         """
+        scale = self.context.batch.scale_vector
+        return [scale(alpha, encoded) for encoded in self._encoded()]
+
+    def root_vectors(self, weights: list[int]) -> list[list[EncryptedNumber]]:
+        """The root's riding [γ_k]: fresh pool-masked encryptions of
+        encode(β_kj) · w_j — the plaintexts β ∘ [α] has at the root — or
+        nothing where the vectors do not ride."""
+        if not self.rides_with_alpha:
+            return []
         ctx = self.context
-        result = []
-        for beta in self.betas:
-            if self.task == "classification":
-                scalars = [int(b) for b in beta]
-            else:
-                scalars = [ctx.encoder.encode(float(b)) for b in beta]
-            result.append(ctx.batch.scale_vector(alpha, scalars))
-        return result
+        vectors = []
+        for encoded in self._encoded():
+            cts = ctx.batch.encrypt_ciphertexts(
+                [e.encoding * w for e, w in zip(encoded, weights)]
+            )
+            vectors.append(
+                [ctx.encoder.wrap(ct, e.exponent) for ct, e in zip(cts, encoded)]
+            )
+        return vectors
 
     def totals(self, alpha: list[EncryptedNumber]) -> list[EncryptedNumber]:
         """[Σ_j β_kj α_j] per published vector: the root's label sums, which
         the super client folds locally and hands to Algorithm 2 (every other
-        node inherits its statistics from the parent's winning split)."""
+        node inherits its statistics from the parent's winning split).
+        Riding vectors are summed by the trainer instead."""
         return [
             self.context.batch.sum_ciphertexts(gamma)
             for gamma in self._scaled(alpha)
         ]
 
     def gammas(
-        self, alpha: list[EncryptedNumber], node_gammas, node_key: int = 1
+        self, alpha: list[EncryptedNumber], node_key: int = 1
     ) -> list[list[EncryptedNumber]]:
         """[γ] = β ∘ [α], re-randomised element by element, computed by the
         super client and published to the other parties' event loops as one
-        ``node-gammas`` request (§4.1).
+        ``node-gammas`` request — for a node whose vectors do not ride.
 
         Classification goes straight through ``mask_vector`` (a fresh [0]
         where β = 0, a re-masked [α_j] where β = 1); regression re-masks
-        every element after the scalar power.  ``node_gammas`` is ignored
-        in this regime (recomputed per node).  Every receiving runtime
+        every element after the scalar power.  Every receiving runtime
         attaches the vectors to her stored node state, so the node's
         subsequent split-stats request finds them.
         """
@@ -151,19 +177,7 @@ class EncryptedLabelProvider:
     def n_vectors(self) -> int:
         return 2
 
-    def totals(self, alpha) -> list[EncryptedNumber]:
-        """The root's encrypted label sums [Σγ_k], one per riding vector."""
-        return [self.context.batch.sum_ciphertexts(g) for g in self.root_gammas]
-
-    def gammas(
-        self, alpha, node_gammas, node_key: int = 1
-    ) -> list[list[EncryptedNumber]]:
-        """Return the node's [γ] vectors, maintained alongside [α].
-
-        No request flow: the vectors ride with [α] through every
-        ``node-state`` / ``node-split`` message, so each party's event
-        loop already holds them (§7.2's optimisation, now per-runtime).
-        """
-        if node_gammas is None:  # root node
-            return self.root_gammas
-        return node_gammas
+    def root_vectors(self, weights: list[int]) -> list[list[EncryptedNumber]]:
+        """The root's riding [γ]s: the round's encrypted residuals, as
+        given (a boosting round trains on every sample)."""
+        return self.root_gammas

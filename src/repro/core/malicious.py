@@ -138,6 +138,9 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
 
     def __init__(self, context, labels, task, n_classes: int = 0):
         super().__init__(context, labels, task, n_classes)
+        # Each node's [γ] is proven against the commitments from [α], so
+        # the vectors are published per node, not carried by the update.
+        self.rides_with_alpha = False
         pk = context.threshold.public_key
         #: Exponent a committed multiplier adds to [α]'s.
         self._shift = 0
@@ -163,7 +166,7 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
             result.append(ctx.encoder.wrap(out, alpha[0].exponent + self._shift))
         return result
 
-    def gammas(self, alpha, node_gammas, node_key: int = 1):
+    def gammas(self, alpha, node_key: int = 1):
         # Central verified flow (the malicious model is a research mode
         # driven in one process); node_key is accepted for interface
         # parity with the reactive provider but no runtime store is kept.

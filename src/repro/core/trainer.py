@@ -2,11 +2,15 @@
 
 Implements Algorithm 3 with the three steps of §4.1 per tree node:
 
-1. **Local computation** — the super client broadcasts the encrypted,
-   re-randomised label vectors [γ] (via the label provider; one fewer than
-   there are classes); every client computes encrypted *left-child* split
-   statistics for her local splits with homomorphic dot products (Eq. 7 /
-   Eq. 9) and re-masks each before it leaves her.
+1. **Local computation** — every party holds the node's encrypted label
+   vectors [γ] (one fewer than there are classes): under the basic
+   protocol they ride with [α] from the root, where the super client
+   encrypts them once; otherwise she publishes the node's re-randomised
+   β ∘ [α] (see :mod:`repro.core.labels`).  Every client computes
+   encrypted *left-child* split statistics for her local splits with
+   homomorphic dot products (Eq. 7 / Eq. 9) and re-masks each before it
+   leaves her.  The root's [α] is public: the deterministic encryption of
+   the root weights, which every party forms herself.
 2. **MPC computation** — the encrypted statistics are converted to secret
    shares (Algorithm 2); the last class and the right child are completed
    by local share subtraction; impurity gains are evaluated with secure
@@ -15,8 +19,9 @@ Implements Algorithm 3 with the three steps of §4.1 per tree node:
    ⟨j*⟩, ⟨s*⟩).
 3. **Model update** — *basic protocol*: the identifier is reconstructed and
    client i* broadcasts the threshold and the encrypted left-child mask
-   vector [α_l]; every party derives the right child as the homomorphic
-   difference [α] ⊖ [α_l] from vectors she already holds.
+   vector [α_l] with its label vectors [γ_l]; every party derives the
+   right child as the homomorphic differences [α] ⊖ [α_l] and
+   [γ] ⊖ [γ_l] from vectors she already holds.
    *Enhanced protocol* (§5.2): only (i*, j*) is revealed; ⟨s*⟩ is turned
    into the encrypted selection vector [λ], client i* runs private split
    selection (Theorem 2) and the encrypted mask update of Eq. (10) for the
@@ -47,7 +52,8 @@ maximum depth is public, the sample-count and purity checks open a single
 bit each, and the "no split with positive gain" check compares the shared
 maximum gain against the shared threshold.  They need only the node's
 shared statistics, so a node that turns out a leaf never has label vectors
-built for it.
+published for it: none at all under the basic protocol, where they ride,
+and no ``node-gammas`` under the others.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
@@ -157,43 +163,47 @@ class TreeTrainer:
     # ------------------------------------------------------------------
 
     def fit(self, initial_mask: np.ndarray | None = None) -> DecisionTreeModel:
-        """Train one tree; ``initial_mask`` supports RF bagging (§7.1)."""
+        """Train one tree; ``initial_mask`` supports RF bagging (§7.1).
+
+        The root weights — all ones, or the bagging mask — are public
+        (:func:`~repro.tree.forest.forest_subsets`) and travel in
+        plaintext: every party encrypts them deterministically herself, so
+        the root's [α] takes no pool mask and never goes on the wire.  They
+        must be non-negative integers; anything else raises ``ValueError``.
+        """
         ctx = self.ctx
-        if initial_mask is None:
-            bits = np.ones(ctx.n_samples, dtype=np.int64)
-        else:
-            bits = np.asarray(initial_mask).astype(np.int64)
-            if bits.shape[0] != ctx.n_samples:
-                raise ValueError("initial mask length mismatch")
-        self._alpha_bits = max(1, int(np.abs(bits).max()).bit_length())
-        alpha = ctx.encrypt_indicator(bits)
-        # Root node state: the super client *requests*, every other party
-        # stores [α] (plus the riding [γ]s for encrypted-label rounds) on
+        weights = _root_weights(initial_mask, ctx.n_samples)
+        self._alpha_bits = max(1, max(weights).bit_length())
+        # Root node state: the super client *requests*, every party (she
+        # included) stores the public weights' [α] plus the riding [γ]s on
         # her own event loop, keyed by heap position (root = 1).
-        root_gammas = (
-            [list(g) for g in self.provider.root_gammas]
-            if self.provider.rides_with_alpha
-            else []
-        )
-        ctx.runtimes[ctx.super_client].store_node(1, alpha, root_gammas)
+        root_gammas = [list(g) for g in self.provider.root_vectors(weights)]
+        sup = ctx.super_client
+        ctx.runtimes[sup].store_root(weights, root_gammas)
         broadcast_request(
             ctx.bus,
-            ctx.super_client,
+            sup,
             "node-state",
-            [1, alpha, root_gammas],
+            [1, weights, root_gammas],
             tag="mask-vector",
             runtimes=ctx.runtimes,
         )
         ctx.bus.round()
+        alpha, gammas = ctx.runtimes[sup].nodes[1]
         available = [list(range(c.n_features)) for c in ctx.clients]
         # The one node whose own statistics are converted.
+        totals = (
+            [ctx.batch.sum_ciphertexts(g) for g in gammas]
+            if gammas
+            else self.provider.totals(alpha)
+        )
         root_stats = self._node_stats(
             ctx.to_shares(
-                [ctx.batch.sum_ciphertexts(alpha), *self.provider.totals(alpha)],
+                [ctx.batch.sum_ciphertexts(alpha), *totals],
                 bound_bits=self._stat_bound_bits,
             )
         )
-        root = self._build(alpha, None, available, 0, 1, root_stats)
+        root = self._build(alpha, gammas, available, 0, 1, root_stats)
         n_classes = self.provider.n_classes if self.task == "classification" else 0
         self.model = DecisionTreeModel(root, self.task, n_classes)
         return self.model
@@ -249,7 +259,11 @@ class TreeTrainer:
         identifiers = ctx.split_identifiers(available)
         if not identifiers:
             return self._make_leaf(node_stats, depth)
-        gammas = self.provider.gammas(alpha, node_gammas, node_key)
+        gammas = (
+            node_gammas
+            if self.provider.rides_with_alpha
+            else self.provider.gammas(alpha, node_key)
+        )
         stat_cts = self._compute_split_stats(
             identifiers, alpha, gammas, available, node_key
         )
@@ -779,6 +793,22 @@ class PivotDecisionTree(TreeTrainer):
             stacklevel=2,
         )
         super().__init__(context, label_provider)
+
+
+def _root_weights(initial_mask: np.ndarray | None, n_samples: int) -> list[int]:
+    """The root's public per-sample weights as wire-ready ints: all ones,
+    or ``initial_mask`` if every entry is a non-negative integer.  (A cast
+    would truncate 0.5 to 0 and train on nobody.)"""
+    if initial_mask is None:
+        return [1] * n_samples
+    given = np.asarray(initial_mask)
+    if given.shape != (n_samples,):
+        raise ValueError(
+            f"initial mask length mismatch: {given.shape} for {n_samples} samples"
+        )
+    if not np.all(np.isfinite(given) & (given >= 0) & (given == np.floor(given))):
+        raise ValueError("initial mask weights must be non-negative integers")
+    return [int(w) for w in given]
 
 
 def _child_available(

@@ -30,11 +30,12 @@ single place where the reproduction batches them:
   bit for bit, scalar 0 the unit ciphertext).  Their outputs stay with the
   party that computed them until she re-masks them; ``mask_vector`` is the
   one operator whose output may leave a party as it is.  The callers that
-  publish: the label provider re-masks every [γ] element
-  (:mod:`repro.core.labels`), each party re-masks her split statistics
+  publish: the label provider encrypts the root's riding [γ] afresh and
+  re-masks every per-node [γ] element (:mod:`repro.core.labels`), each
+  party re-masks her split statistics
   (:meth:`~repro.federation.party.PartyRuntime.split_statistics`), the
-  model update goes through ``mask_vector`` directly, and so does every
-  hop of Algorithm 4's round-robin after u_m's fresh encryption
+  model update masks [α_l] and [γ_l] through ``mask_vector``, and so
+  does every hop of Algorithm 4's round-robin after u_m's fresh encryption
   (:func:`repro.core.prediction.encrypted_leaf_sums`) — whose last
   party's dot products are re-masked once packed, by the decryption entry
   points of :class:`~repro.core.context.PivotContext`, and by the GBDT

@@ -235,6 +235,15 @@ class PartyRuntime:
     def store_node(self, key: int, alpha: list, gammas: list | None) -> None:
         self.nodes[key] = [list(alpha), gammas if gammas else None]
 
+    def store_root(self, weights: list, gammas: list) -> None:
+        """Store the root: [α] is the deterministic encryption of the
+        public root weights, which she forms herself — a mask would hide
+        nothing every party does not already know."""
+        alpha = self.engine.encrypt_vector(
+            list(weights), exponent=0, obfuscate=False
+        )
+        self.store_node(1, alpha, gammas)
+
     def store_split(self, body: list) -> None:
         """Record a node-split body ``[key, threshold, alpha_l, gam_l]``
         and pop the parent.
@@ -327,14 +336,20 @@ class PartyRuntime:
     # -- request handlers --------------------------------------------------
 
     def _op_node_state(self, sender: int, body: list) -> None:
+        # The root's body carries the public weights, not ciphertexts.
         key, alpha, gammas = body
-        self.store_node(key, alpha, [list(g) for g in gammas])
+        gammas = [list(g) for g in gammas]
+        if key == 1:
+            self.store_root(alpha, gammas)
+        else:
+            self.store_node(key, alpha, gammas)
 
     def _op_node_gammas(self, sender: int, body: list) -> None:
-        # The trainer announces node-state before node-gammas (per-sender
-        # FIFO), but a provider driven directly (label-provider API, tests)
-        # may publish gammas for a node never announced — store them under
-        # a placeholder so the flow stays non-blocking either way.
+        # Label vectors that do not ride (enhanced protocol).  The trainer
+        # announces node-state before node-gammas (per-sender FIFO), but a
+        # provider driven directly (label-provider API, tests) may publish
+        # gammas for a node never announced — store them under a
+        # placeholder so the flow stays non-blocking either way.
         key, gammas = body
         node = self.nodes.setdefault(key, [None, None])
         node[1] = [list(g) for g in gammas]

@@ -407,6 +407,9 @@ class SocketTransport(Transport):
         self._closed = False
         self._servers: list[asyncio.AbstractServer] = []
         self._writers: dict[int, asyncio.StreamWriter] = {}
+        #: EOF watchers of outgoing connections, held until done: the loop
+        #: keeps only weak references to its tasks.
+        self._watchers: set[asyncio.Task[None]] = set()
         #: Local ends of this transport's connections to its own ports —
         #: how the accept side tells a loopback frame from a peer's.
         self._loopback: set[Any] = set()
@@ -523,7 +526,9 @@ class SocketTransport(Transport):
             # Watching for it drops the dead writer *before* the next send
             # would write into a half-closed socket and silently lose the
             # frame — the next deliver re-dials.
-            asyncio.ensure_future(self._watch(peer, reader, writer))
+            watcher = asyncio.ensure_future(self._watch(peer, reader, writer))
+            self._watchers.add(watcher)
+            watcher.add_done_callback(self._watchers.discard)
             return writer
 
     async def _watch(
@@ -566,7 +571,8 @@ class SocketTransport(Transport):
         # an outgoing socket — that closes it when cancelled.  Reap them all
         # so nothing runs (or logs "task was destroyed") after the loop stops.
         current = asyncio.current_task()
-        stale = [t for t in asyncio.all_tasks() if t is not current]
+        stale = {t for t in asyncio.all_tasks() if t is not current}
+        stale.update(self._watchers)
         for task in stale:
             task.cancel()
         await asyncio.gather(*stale, return_exceptions=True)

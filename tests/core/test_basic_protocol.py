@@ -152,6 +152,19 @@ def test_initial_mask_length_validated(small_classification):
         TreeTrainer(ctx).fit(initial_mask=np.ones(3, dtype=bool))
 
 
+@pytest.mark.parametrize("weight", [0.5, -1, np.nan, np.inf])
+def test_initial_mask_weights_must_be_non_negative_integers(
+    small_classification, weight
+):
+    """The root weights travel as plain integers: a cast would truncate
+    all-0.5 weights to 0 and train one leaf on nobody."""
+    X, y = small_classification
+    ctx = make_context(X, y, "classification")
+    with pytest.raises(ValueError, match="non-negative integers"):
+        TreeTrainer(ctx).fit(initial_mask=np.full(len(y), weight))
+    ctx.bus.assert_drained()
+
+
 def test_transcript_reveals_only_model_information(small_classification):
     """Empirical §4.4 check: everything opened during basic training is
     either a pruning bit, a best-split identifier, or a leaf label."""

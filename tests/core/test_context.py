@@ -124,16 +124,24 @@ def test_plaintext_provider_regression_normalizes():
 
 
 def test_plaintext_provider_gammas_decrypt_to_masked_labels(small_classification):
+    """Basic protocol: the root's [γ] rides, encrypted once over the public
+    weights.  Enhanced: nothing rides, and each node's [γ] is β ∘ [α]."""
     X, y = small_classification
+    weights = [int(w) for w in np.arange(len(y)) % 3]
+    expected = list(np.asarray(weights) * (y == 0))
     ctx = make_context(X, y, "classification")
     provider = PlaintextLabelProvider(ctx, y, "classification")
-    mask = np.zeros(len(y), dtype=np.int64)
-    mask[:5] = 1
-    alpha = ctx.encrypt_indicator(mask)
-    gammas = provider.gammas(alpha, None)
-    gamma0 = [ctx.threshold.joint_decrypt(g.ciphertext) for g in gammas[0]]
-    expected = (mask * (y == 0)).astype(int)
-    assert gamma0 == list(expected)
+    assert provider.rides_with_alpha
+    (gamma0,) = provider.root_vectors(weights)
+    assert [ctx.threshold.joint_decrypt(g.ciphertext) for g in gamma0] == expected
+
+    ctx = make_context(X, y, "classification", protocol="enhanced")
+    provider = PlaintextLabelProvider(ctx, y, "classification")
+    assert not provider.rides_with_alpha
+    assert provider.root_vectors(weights) == []
+    (gamma0,) = provider.gammas(ctx.encrypt_indicator(np.asarray(weights)))
+    assert [ctx.threshold.joint_decrypt(g.ciphertext) for g in gamma0] == expected
+    ctx.bus.assert_drained()
 
 
 def test_encrypted_provider_passthrough(small_classification):
@@ -142,9 +150,7 @@ def test_encrypted_provider_passthrough(small_classification):
     g1 = [ctx.encoder.encrypt(0.5)]
     g2 = [ctx.encoder.encrypt(0.25)]
     provider = EncryptedLabelProvider(ctx, g1, g2)
-    assert provider.gammas(None, None) == [g1, g2]  # root
-    node_state = [[ctx.encoder.encrypt(1.0)], [ctx.encoder.encrypt(1.0)]]
-    assert provider.gammas(None, node_state) == node_state
+    assert provider.root_vectors([1]) == [g1, g2]
     assert provider.rides_with_alpha
 
 

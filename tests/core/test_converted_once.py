@@ -14,16 +14,20 @@ Three families:
 * **Children are built only where they are read.**  The basic model
   update sends one child's mask vector, never the derived sibling's, and
   neither protocol builds one for a leaf at the depth limit.
-* **Leak regression.**  No ``label-vectors`` or ``split-stats`` payload
-  carries a ciphertext that is the unit, or bit-equal to one its receiver
-  already holds; the raw-equality attack that read every label off the
-  parent commit's ``node-gammas`` matches nothing.  Likewise prediction:
+* **Leak regression.**  No published label vector — riding in a
+  ``node-state`` or ``node-split``, or a ``node-gammas`` under the
+  enhanced protocol — and no ``split-stats`` payload carries a ciphertext
+  that is the unit, or bit-equal to one its receiver already holds; the
+  raw-equality attack that once read every label off ``node-gammas``
+  matches nothing.  The root's [α] never goes on the wire: its weights
+  are public.  Likewise prediction:
   no ``prediction-vector`` element is the unit or one its sender received,
   and nothing a prediction sends out for decryption is a deterministic
   function of the vector u_1 received — the attack that read every
   sender's comparisons off the per-row round-robin, replayed.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -32,6 +36,7 @@ import pytest
 from repro.core import DPConfig, TreeTrainer, run_predict_batch
 from repro.core import trainer as trainer_module
 from repro.core.ensemble import ForestTrainer, GBDTTrainer
+from repro.core.labels import PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext
 from repro.federation.party import DECRYPT_TAGS
@@ -129,9 +134,12 @@ class _StatisticsAudit:
         provider = trainer.provider
         weights = self._decrypt(alpha)
         if provider.rides_with_alpha:
-            # Riding [γ]s carry the mask already.
-            vectors = provider.root_gammas if node_gammas is None else node_gammas
-            return np.stack([weights, *(self._decrypt(g) for g in vectors)])
+            # Riding [γ]s carry the mask already; the class nobody
+            # publishes is the count minus the others.
+            vectors = [self._decrypt(g) for g in node_gammas]
+            if trainer.task == "classification":
+                vectors.append(weights - sum(vectors))
+            return np.stack([weights, *vectors])
         if trainer.task == "classification":
             multipliers = [self.labels == k for k in range(provider.n_classes)]
         else:
@@ -285,13 +293,97 @@ def _spy_on_bus(monkeypatch, bus) -> list[tuple[int, int | None, str, object]]:
     return seen
 
 
-def _delivered_to(spy, index: int) -> list[tuple[str, object]]:
-    """Every (tag, payload) of a spied bus that reached party ``index``."""
-    return [
-        (tag, payload)
-        for sender, receiver, tag, payload in spy
-        if receiver == index or (receiver is None and sender != index)
-    ]
+def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
+    """Replay what party ``index`` sent and received, in order, holding
+    what she would hold.
+
+    Every ciphertext she receives as a published vector — a riding or
+    ``node-gammas`` [γ], a ``node-split``'s [α_l], a split statistic — is
+    checked: not the unit (c mod n² == 1, no mask at all) and not
+    raw-equal to anything she already holds (sent, received or derived:
+    [α_r] = [α] ⊖ [α_l] and [γ_r] likewise).  The root's ``node-state``
+    must carry its weights as plain ints; she forms [α] herself.  An
+    enhanced child's ``node-state`` repeats the ``eq10`` broadcast of
+    [α_l] by design and is only held.
+
+    Returns every published label-vector set as ``([α] raws of its node,
+    [γ_k] vectors)``, and the published ciphertexts per tag."""
+    public_key = ctx.threshold.public_key
+    n_squared = public_key.n_squared
+    held: set[int] = set()
+    nodes: dict[int, tuple[list[int], list[list[int]]]] = {}  # key -> ([α], [γ]s)
+    published = []
+    carried: Counter = Counter()
+
+    def receive(tag, payload) -> list[int]:
+        raws = _raws(payload)
+        assert 1 not in raws
+        assert held.isdisjoint(raws)
+        held.update(raws)
+        carried[tag] += len(raws)
+        return raws
+
+    def minus(a, b):
+        return [x * pow(y, -1, n_squared) % n_squared for x, y in zip(a, b)]
+
+    for sender, receiver, tag, payload in spy:
+        if sender == index:
+            held.update(_raws(payload))
+            continue
+        if receiver not in (index, None):
+            continue
+        op = payload.op if isinstance(payload, Request) else None
+        body = list(payload.body) if op else []
+        if op == "node-state" and body[0] == 1:
+            weights = body[1]
+            assert all(type(w) is int for w in weights)  # no root ciphertext
+            alpha = [public_key.raw_encrypt(w) for w in weights]
+            held.update(alpha)
+            gammas = [receive(tag, g) for g in body[2]]
+            nodes[1] = (alpha, gammas)
+            if gammas:
+                published.append((alpha, body[2]))
+        elif op == "node-state":  # an enhanced child
+            held.update(_raws(body))
+            nodes[body[0]] = (_raws(body[1]), [_raws(g) for g in body[2]])
+        elif op == "node-split" and body[2]:
+            key, _, alpha_left, gam_left = body
+            alpha, gammas = nodes.pop(key)
+            left = (receive(tag, alpha_left), [receive(tag, g) for g in gam_left])
+            right = (
+                minus(alpha, left[0]),
+                [minus(g, g_left) for g, g_left in zip(gammas, left[1])],
+            )
+            held.update(right[0], *right[1])
+            nodes[2 * key], nodes[2 * key + 1] = left, right
+            if gam_left:
+                published.append((left[0], gam_left))
+        elif op == "node-gammas":
+            key, gammas = body
+            for g in gammas:
+                receive(tag, g)
+            published.append((nodes[key][0], gammas))
+        elif tag == "split-stats":
+            receive(tag, payload)  # nothing in the request itself
+    return published, carried
+
+
+def _labels_recovered(ctx, betas, task, published) -> int:
+    """The attack the label column was once lost to: γ_kj == α_j iff
+    β_kj = 1 (and, for regression, a dictionary test on the known power),
+    tried on every published [γ] against its node's [α]."""
+    public_key = ctx.threshold.public_key
+    recovered = 0
+    for alpha, gammas in published:
+        for beta, gamma in zip(betas, gammas):
+            for a_raw, g, b in zip(alpha, gamma, beta):
+                if task == "classification":
+                    guess = a_raw
+                else:
+                    power = ctx.encoder.encode(float(b)).encoding % public_key.n
+                    guess = pow(a_raw, power, public_key.n_squared)
+                recovered += g.ciphertext.raw == guess
+    return recovered
 
 
 @pytest.mark.parametrize(
@@ -309,53 +401,57 @@ def test_published_vectors_and_statistics_are_unlinkable(
     trainer = TreeTrainer(ctx)
     model = trainer.fit()
     assert model.n_internal >= 1
-    seen = _delivered_to(spy, 1)
+    published, carried = _received_by(ctx, spy)
+    assert published and carried["split-stats"]
+    # Basic labels ride with [α]; the enhanced ones are published per node.
+    assert bool(carried["label-vectors"]) == (protocol == "enhanced")
+    assert _labels_recovered(ctx, trainer.provider.betas, task, published) == 0
 
-    n_squared = ctx.threshold.public_key.n_squared
-    held: set[int] = set()  # every [α_j] party 1 was sent or derived
-    alphas: dict[int, list[int]] = {}  # node key -> raw [α]
-    published = []
-    for tag, payload in seen:
-        if tag == "mask-vector":
-            held.update(_raws(payload))
-            if isinstance(payload, Request) and payload.op == "node-state":
-                alphas[payload.body[0]] = _raws(payload.body[1])
-            elif isinstance(payload, Request) and payload.op == "node-split":
-                key, left = payload.body[0], _raws(payload.body[2])
-                alphas[2 * key] = left
-                # [α_r] = [α] ⊖ [α_l], as she derives it herself.
-                alphas[2 * key + 1] = [
-                    a * pow(b, -1, n_squared) % n_squared
-                    for a, b in zip(alphas[key], left)
-                ]
-                held.update(alphas[2 * key + 1])
-        elif tag in ("label-vectors", "split-stats"):
-            published.append((tag, payload))
-    carried = {tag: 0 for tag in ("label-vectors", "split-stats")}
-    for tag, payload in published:
-        raws = _raws(payload)  # none in the split-stats *request*
-        carried[tag] += len(raws)
-        assert 1 not in raws
-        assert held.isdisjoint(raws)
-    assert all(carried.values())
 
-    # The attack the parent commit lost every label to: γ_kj == α_j iff
-    # β_kj = 1 (and, for regression, a dictionary test on the known power).
+@pytest.mark.parametrize(
+    "estimator, pool_masks", [("tree", 195), ("forest", 390), ("gbdt", 327)]
+)
+def test_basic_labels_ride_once_per_built_split(
+    monkeypatch, small_classification, small_regression, estimator, pool_masks
+):
+    """Basic protocol: the super client encrypts the root's [γ] once, in
+    the root ``node-state`` next to the public weights; from there each
+    split owner masks [γ_l] with [α_l].  No ``node-gammas``, no
+    ``label-vectors`` bytes, no root ciphertext; every [γ_l] is fresh.
+    The pool masks per fit are pinned (n = 30, m = 3, S = 8 candidate
+    splits per node): (c − 1)·n at each root, S·c split statistics at each
+    internal node, m per packed conversion, c·n per built split (c = 3
+    for regression: n, y, y²), and for GBDT n more for its encrypted
+    labels.  The tree: 30 + 3·16 + 3·19 + 60 = 195."""
+    task = "regression" if estimator == "gbdt" else "classification"
+    X, y = small_regression if estimator == "gbdt" else small_classification
+    X, y = X[:30], y[:30]
+    ctx = make_context(X, y, task, seed=3)
+    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    before = ctx.batch.pool.generated
+    if estimator == "tree":
+        trees = 1
+        TreeTrainer(ctx).fit()
+    elif estimator == "forest":
+        trees = 2
+        ForestTrainer(ctx, n_trees=trees, seed=3).fit()
+    else:
+        trees = 1
+        GBDTTrainer(ctx, n_rounds=1).fit()
+    assert ctx.batch.pool.generated - before == pool_masks
+    requests = [p for *_, p in spy if isinstance(p, Request)]
+    assert not any(r.op == "node-gammas" for r in requests)
+    assert "label-vectors" not in ctx.bus.snapshot()["by_tag"]
+    roots = [r.body for r in requests if r.op == "node-state"]
+    assert [body[0] for body in roots] == [1] * trees
     public_key = ctx.threshold.public_key
-    recovered = 0
-    for tag, payload in published:
-        if tag != "label-vectors":
-            continue
-        key, gammas = payload.body
-        for beta, gamma in zip(trainer.provider.betas, gammas):
-            for a_raw, g, b in zip(alphas[key], gamma, beta):
-                if task == "classification":
-                    guess = a_raw
-                else:
-                    power = ctx.encoder.encode(float(b)).encoding % public_key.n
-                    guess = pow(a_raw, power, public_key.n_squared)
-                recovered += g.ciphertext.raw == guess
-    assert recovered == 0
+    on_the_wire = {raw for *_, payload in spy for raw in _raws(payload)}
+    assert on_the_wire.isdisjoint(public_key.raw_encrypt(w) for w in (0, 1))
+    published, carried = _received_by(ctx, spy)
+    splits = [r for r in requests if r.op == "node-split" and r.body[3]]
+    assert splits and len(published) == trees + len(splits)
+    betas = PlaintextLabelProvider(ctx, y, task).betas
+    assert _labels_recovered(ctx, betas, task, published) == 0
 
 
 # -- model update -------------------------------------------------------------
@@ -610,7 +706,8 @@ def test_gbdt_round_shows_nobody_the_comparisons(monkeypatch, small_regression):
     for model, call in zip(trainer.models, calls):
         _assert_hops_carry_fresh_masks(call, len(y), _travelling(model))
     assert 1 not in _decryption_broadcasts(spy)
-    # Rounds 2 and 3 announce their residuals as the root's riding [γ_1].
+    # Every round's root announces its riding [γ_1]; rounds 2 and 3's are
+    # the residuals.
     residuals = [
         _raws(payload.body[2][0])
         for _, _, tag, payload in spy
@@ -618,8 +715,7 @@ def test_gbdt_round_shows_nobody_the_comparisons(monkeypatch, small_regression):
         and isinstance(payload, Request)
         and payload.op == "node-state"
         and payload.body[0] == 1
-        and payload.body[2]
-    ]
+    ][1:]
     assert len(residuals) == 2 and len(residuals[0]) == len(y)
     public_key = ctx.threshold.public_key
     n = public_key.n

@@ -299,6 +299,21 @@ def test_peer_rebuilt_on_the_same_address_receives_the_next_frame(mesh):
     assert reborn.poll(1).data == b"after"
 
 
+def test_eof_watcher_survives_a_collection(mesh):
+    """The loop holds its tasks weakly; the transport holds each watcher
+    until it is done, so a collection cannot silence a dead peer."""
+    net = mesh(2)
+    sender, receiver = net.at(0), net.at(1)
+    sender.deliver(_env(0, 1))
+    assert receiver.wait_pending(1, timeout=5.0)
+    (watcher,) = sender._watchers
+    gc.collect()
+    assert not watcher.done()
+    receiver.close()
+    _until(lambda: 1 not in sender._writers)
+    _until(lambda: not sender._watchers)
+
+
 def test_per_sender_fifo_across_the_mesh(mesh):
     net = mesh()
     for i in range(10):

@@ -43,10 +43,12 @@ def test_basic_training_and_prediction_reconcile(data):
     run_predict_batch(model, ctx, X[:3])
     snap = _assert_reconciled(ctx.bus)
     expected_tags = {
-        "mask-vector", "label-vectors", "split-stats",
+        "mask-vector", "split-stats",
         "mpc-convert", "threshold-decrypt", "prediction-vector",
     }
     assert expected_tags <= set(snap["by_tag"])
+    # The label vectors ride with the mask vectors.
+    assert "label-vectors" not in snap["by_tag"]
 
 
 def test_enhanced_training_and_prediction_reconcile(data):
@@ -55,8 +57,9 @@ def test_enhanced_training_and_prediction_reconcile(data):
     model = TreeTrainer(ctx).fit()
     run_predict_batch(model, ctx, X[:2], protocol="enhanced")
     snap = _assert_reconciled(ctx.bus)
-    # Eq. 10's per-sample conversions dominate the enhanced protocol (§6).
-    assert "eq10" in snap["by_tag"]
+    # Eq. 10's per-sample conversions dominate the enhanced protocol (§6);
+    # its label vectors are published per node.
+    assert {"eq10", "label-vectors"} <= set(snap["by_tag"])
 
 
 def test_regression_training_reconciles():
