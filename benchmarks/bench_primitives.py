@@ -26,7 +26,6 @@ from common import build_context, calibrated_costs, print_table
 from repro.analysis import opcount
 from repro.core import (
     PivotConfig,
-    PivotContext,
     TreeTrainer,
     run_predict_basic,
     run_predict_batch,
@@ -35,6 +34,7 @@ from repro.crypto import PaillierEncoder, generate_keypair
 from repro.crypto.batch import BatchCryptoEngine
 from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
+from repro.federation import Federation
 from repro.mpc import FixedPointOps, MPCEngine, comparison
 from repro.mpc.conversion import ciphers_to_shares
 from repro.network.wire import WireCodec
@@ -386,7 +386,7 @@ def packing_report(
         task="classification",
     )
     config = PivotConfig(keysize=keysize, protocol="enhanced", seed=0)
-    with PivotContext(partition, config) as ctx:
+    with Federation.from_partition(partition, config) as ctx:
         trainer = TreeTrainer(ctx)
         alpha = ctx.encrypt_indicator(np.ones(rows, dtype=np.int64))
         indicator = ctx.encrypt_indicator(np.arange(rows) % 3 == 0)
@@ -451,7 +451,7 @@ def prediction_report(
 
     model = DecisionTreeModel(grow(0), "classification", n_classes=2)
     held_out = rng.normal(size=(rows, n_parties))
-    with PivotContext(partition, PivotConfig(keysize=keysize, seed=0)) as ctx:
+    with Federation.from_partition(partition, PivotConfig(keysize=keysize, seed=0)) as ctx:
         t_single = _best_of(
             lambda: [run_predict_basic(model, ctx, row) for row in held_out], repeats
         )

@@ -26,13 +26,13 @@ import numpy as np
 from common import print_table
 from repro.core import (
     PivotConfig,
-    PivotContext,
     TreeTrainer,
     GBDTTrainer,
     ForestTrainer,
     run_predict_batch,
 )
 from repro.data import PAPER_DATASETS, vertical_partition
+from repro.federation import Federation
 from repro.tree import (
     DecisionTree,
     GBDTClassifier,
@@ -60,7 +60,7 @@ def evaluate_dataset(name: str, seed: int) -> dict[str, float]:
     task = dataset.task
     partition = vertical_partition(train.features, train.labels, 3, task=task)
     config = PivotConfig(keysize=256, tree=PARAMS, seed=seed)
-    context = PivotContext(partition, config)
+    context = Federation.from_partition(partition, config)
 
     out: dict[str, float] = {}
     # -- single trees ------------------------------------------------------

@@ -18,8 +18,9 @@ import numpy as np
 from repro.analysis import opcount
 from repro.analysis.calibration import PrimitiveCosts, calibrate
 from repro.analysis.costmodel import modeled_time
-from repro.core import PivotConfig, PivotContext
+from repro.core import PivotConfig
 from repro.data import make_classification, make_regression, vertical_partition
+from repro.federation import Federation
 from repro.network.bus import NetworkModel
 from repro.tree import TreeParams
 
@@ -61,7 +62,7 @@ def build_context(
     classes: int = DEFAULTS["classes"],
     gain_mode: str = "paper",
     transport=None,
-) -> PivotContext:
+) -> Federation:
     d = m * d_bar
     if task == "classification":
         X, y = make_classification(n, d, n_classes=classes, seed=seed)
@@ -80,10 +81,10 @@ def build_context(
         gain_mode=gain_mode,
         seed=seed,
     )
-    return PivotContext(partition, config, transport=transport)
+    return Federation.from_partition(partition, config, transport=transport)
 
 
-def timed_run(fn, context: PivotContext | None = None, costs: PrimitiveCosts | None = None) -> RunResult:
+def timed_run(fn, context: Federation | None = None, costs: PrimitiveCosts | None = None) -> RunResult:
     """Run fn() once, capturing wall time, op counts and modeled time."""
     with opcount.counting() as ops:
         start = time.perf_counter()

@@ -54,7 +54,7 @@ def main() -> None:
             ),
         ) as cheat_fed:
             try:
-                CheatingClient(step).train(cheat_fed.context)
+                CheatingClient(step).train(cheat_fed)
                 print("  !!! deviation went UNDETECTED (this must never print)")
             except ProofError as error:
                 print(f"  detected and aborted: {error}")

@@ -43,7 +43,7 @@ def main() -> None:
     #    the orchestrator's copies are replaced by NaN poison arrays.
     with DeployedFederation(make_parties(X, y), config=config) as fed:
         print("worker processes:", sorted(fed.workers))
-        print("socket addresses:", fed.context.bus.transport.addresses)
+        print("socket addresses:", fed.bus.transport.addresses)
 
         model = PivotClassifier(protocol="basic").fit(fed)
         predictions = model.predict(fed.slices(X[:20]))
@@ -55,7 +55,7 @@ def main() -> None:
         try:
             # pivotlint: disable=PL001 -- deliberate: demonstrates the
             # cross-process guard raising on a foreign party's columns.
-            fed.context.clients[1].features.read()
+            fed.clients[1].features.read()
         except RemoteOpError as error:
             print("cross-process read impossible:", str(error).split(";")[0])
         assert np.isnan(fed.parties[1]._raw_features).all()
@@ -65,7 +65,7 @@ def main() -> None:
         #    scrubbed from this process.  Every plaintext in the run above
         #    was reconstructed from the 3 share vectors on the wire (the
         #    workers computed theirs with their own key shares).
-        threshold = fed.context.threshold
+        threshold = fed.threshold
         print("dealer key scrubbed:", threshold.scrubbed)
         assert threshold._private_key is None
         assert [s is not None for s in threshold.shares] == [True, False, False]

@@ -64,9 +64,9 @@ def main() -> None:
 
         # 6. Sanity: the same tree a non-private CART would have built.
         grid: list[list[float]] = [[] for _ in range(X.shape[1])]
-        for ci, cols in enumerate(fed.context.partition.columns_per_client):
+        for ci, cols in enumerate(fed.partition.columns_per_client):
             for local, global_col in enumerate(cols):
-                grid[global_col] = fed.context.clients[ci].split_values[local]
+                grid[global_col] = fed.clients[ci].split_values[local]
         reference = DecisionTree(
             "classification", TreeParams(max_depth=3, max_splits=4)
         ).fit(X, y, split_candidates=grid)

@@ -1,12 +1,13 @@
 """repro — a from-scratch reproduction of *Pivot: Privacy Preserving
 Vertical Federated Learning for Tree-based Models* (VLDB 2020).
 
-Primary API — the party-scoped federation facade (:mod:`repro.federation`):
+The API — the party-scoped federation (:mod:`repro.federation`):
 
 * :class:`repro.Party` / :class:`repro.Federation` — one object per
   organisation (her columns, her partial secret key, her bus endpoint; the
-  super client additionally holds the labels) and the orchestrator that
-  runs the joint setup.
+  super client additionally holds the labels) and the one object that
+  runs the joint setup and then holds the run's config, keys, MPC engine,
+  bus, clients and accounting.
 * sklearn-style estimators: :class:`repro.PivotClassifier`,
   :class:`repro.PivotRegressor`, :class:`repro.PivotForestClassifier`,
   :class:`repro.PivotGBDTClassifier`, :class:`repro.PivotGBDTRegressor`,
@@ -14,28 +15,13 @@ Primary API — the party-scoped federation facade (:mod:`repro.federation`):
   ``predict(party_slices)`` / ``score``, a ``protocol=`` switch
   (``basic``/``enhanced``) and uniform ``dp=``/``malicious=`` hooks.
 
-Deprecated flat API (kept as warning shims): ``PivotDecisionTree``,
-``PivotRandomForest``, ``PivotGBDT``, ``PivotLogisticRegression``,
-``predict_basic`` / ``predict_enhanced`` / ``predict_batch``.
-
-Lower layers: :class:`repro.PivotContext` / :class:`repro.PivotConfig`
-(shared runtime), :mod:`repro.tree` (plaintext CART/RF/GBDT baselines),
+Lower layers: :class:`repro.PivotConfig` and the trainers in
+:mod:`repro.core`, :mod:`repro.tree` (plaintext CART/RF/GBDT baselines),
 :mod:`repro.baselines` (SPDZ-DT, NPD-DT), :mod:`repro.data` (synthetic
 generators and simulated paper datasets).
 """
 
-from repro.core import (
-    DPConfig,
-    PivotConfig,
-    PivotContext,
-    PivotDecisionTree,
-    PivotGBDT,
-    PivotLogisticRegression,
-    PivotRandomForest,
-    predict_basic,
-    predict_batch,
-    predict_enhanced,
-)
+from repro.core import DPConfig, PivotConfig
 from repro.federation import (
     Federation,
     LocalityError,
@@ -60,19 +46,11 @@ __all__ = [
     "Party",
     "PivotClassifier",
     "PivotConfig",
-    "PivotContext",
-    "PivotDecisionTree",
     "PivotForestClassifier",
-    "PivotGBDT",
     "PivotGBDTClassifier",
     "PivotGBDTRegressor",
     "PivotLogisticClassifier",
-    "PivotLogisticRegression",
-    "PivotRandomForest",
     "PivotRegressor",
     "as_party",
-    "predict_basic",
-    "predict_batch",
-    "predict_enhanced",
     "__version__",
 ]

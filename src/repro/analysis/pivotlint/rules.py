@@ -720,7 +720,7 @@ class DealerUseAfterScrub(Rule):
     hint = (
         "only the share-combination flow can decrypt (post-scrub for "
         "DeployedFederation, always for RuntimeFederation): route through "
-        "context.joint_decrypt*/the party runtimes, and keep key-"
+        "the federation's joint_decrypt*/the party runtimes, and keep key-"
         "material access inside __init__/provisioning"
     )
 

@@ -6,39 +6,31 @@ regression, differential privacy, leakage attacks, and the malicious-model
 hardening.
 
 The implementation classes (:class:`TreeTrainer`, :class:`ForestTrainer`,
-:class:`GBDTTrainer`, :class:`LogisticTrainer`, ``run_predict_*``) are
-driven by the party-scoped federation API (:mod:`repro.federation`); the
-``Pivot*`` flat-API names and ``predict_*`` free functions remain as
-deprecation shims that forward to them.
+:class:`GBDTTrainer`, :class:`LogisticTrainer`,
+:class:`MaliciousTreeTrainer`, ``run_predict_*``) run over a
+:class:`repro.federation.Federation` — the one object holding a run's
+keys, engine, bus, clients and accounting — and are driven by the
+federation's estimators (:mod:`repro.federation.estimators`).
 """
 
 from repro.core.config import DPConfig, PivotConfig
-from repro.core.context import PivotClient, PivotContext
-from repro.core.ensemble import (
-    ForestTrainer,
-    GBDTTrainer,
-    PivotGBDT,
-    PivotRandomForest,
-)
+from repro.core.ensemble import ForestTrainer, GBDTTrainer
 from repro.core.leakage import (
     AttackResult,
     feature_inference_attack,
     label_inference_attack,
 )
-from repro.core.logistic import LogisticTrainer, PivotLogisticRegression
-from repro.core.malicious import CheatingClient, MaliciousPivotDecisionTree
+from repro.core.logistic import LogisticTrainer
+from repro.core.malicious import CheatingClient, MaliciousTreeTrainer
 from repro.core.prediction import (
     enhanced_prediction_share,
     local_slices_for_sample,
-    predict_basic,
-    predict_batch,
-    predict_enhanced,
     run_predict_basic,
     run_predict_batch,
     run_predict_batch_slices,
     run_predict_enhanced,
 )
-from repro.core.trainer import PivotDecisionTree, TreeTrainer
+from repro.core.trainer import TreeTrainer
 
 __all__ = [
     "AttackResult",
@@ -47,22 +39,13 @@ __all__ = [
     "ForestTrainer",
     "GBDTTrainer",
     "LogisticTrainer",
-    "MaliciousPivotDecisionTree",
-    "PivotClient",
+    "MaliciousTreeTrainer",
     "PivotConfig",
-    "PivotContext",
-    "PivotDecisionTree",
-    "PivotGBDT",
-    "PivotLogisticRegression",
-    "PivotRandomForest",
     "TreeTrainer",
     "enhanced_prediction_share",
     "feature_inference_attack",
     "label_inference_attack",
     "local_slices_for_sample",
-    "predict_basic",
-    "predict_batch",
-    "predict_enhanced",
     "run_predict_basic",
     "run_predict_batch",
     "run_predict_batch_slices",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.federation.locality import strict_locality_default
 from repro.tree.cart import TreeParams
 
 __all__ = ["PivotConfig", "DPConfig"]
@@ -55,15 +54,6 @@ class PivotConfig:
     #: p_i/q_i shares, the RSA modulus is biprimality-tested jointly, and
     #: no process ever materializes lambda, mu, p or q.
     keygen: str = "dealer"
-    #: Enforce the party boundary: every raw feature/label read must happen
-    #: inside the owning party's scope (repro.federation.locality), so a
-    #: cross-party array read that doesn't travel on the bus raises a
-    #: LocalityError.  Tri-state: ``None`` (the default unless the
-    #: PIVOT_STRICT_LOCALITY environment variable — the CI locality leg —
-    #: is set) means *unset*, which the Federation API resolves to True
-    #: and a bare PivotContext resolves to the legacy unguarded behaviour.
-    #: Only an explicit False turns enforcement off for a federation.
-    strict_locality: bool | None = field(default_factory=strict_locality_default)
 
     def __post_init__(self) -> None:
         if self.gain_mode not in ("paper", "reduced"):

@@ -37,19 +37,18 @@ matrix.  Joint prediction over training rows reads each client's columns
 inside her own party scope (:func:`~repro.core.prediction.local_slices_for_sample`);
 labels are read as the super client.
 
-:class:`PivotRandomForest` / :class:`PivotGBDT` are the deprecated
-flat-API names; new code uses :class:`repro.federation.PivotForestClassifier`
-/ :class:`~repro.federation.PivotGBDTClassifier` /
-:class:`~repro.federation.PivotGBDTRegressor`, which dispatch to
+:class:`repro.federation.PivotForestClassifier` /
+:class:`~repro.federation.PivotGBDTClassifier` /
+:class:`~repro.federation.PivotGBDTRegressor` dispatch to
 :class:`ForestTrainer` / :class:`GBDTTrainer` here.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core._deprecation import warn_deprecated as _warn_deprecated
-from repro.core.context import PivotContext
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.core.prediction import (
     _slices_per_row,
@@ -64,7 +63,10 @@ from repro.crypto.encoding import EncryptedNumber
 from repro.tree.forest import forest_subsets
 from repro.tree.model import DecisionTreeModel
 
-__all__ = ["ForestTrainer", "GBDTTrainer", "PivotRandomForest", "PivotGBDT"]
+if TYPE_CHECKING:
+    from repro.federation.federation import Federation
+
+__all__ = ["ForestTrainer", "GBDTTrainer"]
 
 
 def _add_rows(
@@ -81,7 +83,7 @@ class ForestTrainer:
 
     def __init__(
         self,
-        context: PivotContext,
+        context: Federation,
         n_trees: int = 4,
         sample_fraction: float = 0.8,
         seed: int | None = None,
@@ -205,7 +207,7 @@ class GBDTTrainer:
 
     def __init__(
         self,
-        context: PivotContext,
+        context: Federation,
         n_rounds: int = 4,
         learning_rate: float = 0.3,
         use_softmax: bool = True,
@@ -472,42 +474,3 @@ class GBDTTrainer:
                     term if score_shares[k] is None else score_shares[k] + term
                 )
         return [s for s in score_shares if s is not None]
-
-
-# ---------------------------------------------------------------------------
-# deprecated flat-API entry points
-# ---------------------------------------------------------------------------
-
-
-class PivotRandomForest(ForestTrainer):
-    """Deprecated flat-API name; basic protocol only (its documented scope).
-
-    New code uses :class:`repro.federation.PivotForestClassifier`, which
-    also supports the enhanced protocol via share-level vote aggregation.
-    """
-
-    def __init__(self, context, n_trees=4, sample_fraction=0.8, seed=None):
-        _warn_deprecated("PivotRandomForest", "PivotForestClassifier")
-        if context.config.protocol != "basic":
-            raise ValueError(
-                "PivotRandomForest releases trees in plaintext (§7): use basic "
-                "(PivotForestClassifier supports protocol='enhanced')"
-            )
-        super().__init__(context, n_trees, sample_fraction, seed)
-
-
-class PivotGBDT(GBDTTrainer):
-    """Deprecated flat-API name; basic protocol only (its documented scope).
-
-    New code uses :class:`repro.federation.PivotGBDTClassifier` /
-    :class:`~repro.federation.PivotGBDTRegressor`.
-    """
-
-    def __init__(self, context, n_rounds=4, learning_rate=0.3, use_softmax=True):
-        _warn_deprecated("PivotGBDT", "PivotGBDTClassifier / PivotGBDTRegressor")
-        if context.config.protocol != "basic":
-            raise ValueError(
-                "PivotGBDT releases trees in plaintext (§7): use basic "
-                "(PivotGBDTClassifier/Regressor support protocol='enhanced')"
-            )
-        super().__init__(context, n_rounds, learning_rate, use_softmax)

@@ -20,31 +20,32 @@ exponent stays bounded.
 
 from __future__ import annotations
 
-import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.context import PivotContext
 from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
 from repro.network.flows import collect_replies, react_runtimes
 from repro.network.wire import Request
 
-__all__ = ["LogisticTrainer", "PivotLogisticRegression"]
+if TYPE_CHECKING:
+    from repro.federation.federation import Federation
+
+__all__ = ["LogisticTrainer"]
 
 
 class LogisticTrainer:
     """Binary logistic regression over a vertical partition.
 
     The implementation behind
-    :class:`repro.federation.PivotLogisticClassifier` (and the deprecated
-    :class:`PivotLogisticRegression` flat-API shim).  Unlike the trees there
+    :class:`repro.federation.PivotLogisticClassifier`.  Unlike the trees there
     is no released model to protect, so the basic/enhanced distinction does
     not arise: weights and losses are hidden end to end either way.
     """
 
     def __init__(
         self,
-        context: PivotContext,
+        context: Federation,
         learning_rate: float = 0.5,
         n_epochs: int = 3,
         batch_size: int = 16,
@@ -225,16 +226,3 @@ class LogisticTrainer:
 
     def predict_slices(self, party_slices: list[np.ndarray]) -> np.ndarray:
         return (self.predict_proba_slices(party_slices) >= 0.5).astype(np.int64)
-
-
-class PivotLogisticRegression(LogisticTrainer):
-    """Deprecated flat-API name for :class:`LogisticTrainer`."""
-
-    def __init__(self, context, learning_rate=0.5, n_epochs=3, batch_size=16):
-        warnings.warn(
-            "PivotLogisticRegression is deprecated; use repro.federation."
-            "PivotLogisticClassifier (or LogisticTrainer directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(context, learning_rate, n_epochs, batch_size)

@@ -26,10 +26,10 @@ verifiers detect it and abort with :class:`~repro.crypto.zkp.ProofError`
 from __future__ import annotations
 
 import secrets
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.context import PivotContext
 from repro.core.labels import PlaintextLabelProvider
 from repro.core.trainer import TreeTrainer, _child_available
 from repro.crypto import zkp
@@ -37,7 +37,10 @@ from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext, dot_product
 from repro.tree.model import TreeNode
 
-__all__ = ["MaliciousPivotDecisionTree", "CheatingClient", "CommittedVector"]
+if TYPE_CHECKING:
+    from repro.federation.federation import Federation
+
+__all__ = ["MaliciousTreeTrainer", "CheatingClient", "CommittedVector"]
 
 
 class CommittedVector:
@@ -186,14 +189,14 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
         return result
 
 
-class MaliciousPivotDecisionTree(TreeTrainer):
+class MaliciousTreeTrainer(TreeTrainer):
     """Basic-protocol training hardened per §9.1.2.
 
     Requires ``PivotConfig(authenticated_mpc=True)`` so the SPDZ layer
     carries MACs; conversions verify POPK on every mask ciphertext.
     """
 
-    def __init__(self, context: PivotContext, label_provider=None, cheat: str | None = None):
+    def __init__(self, context: Federation, label_provider=None, cheat: str | None = None):
         if not context.config.authenticated_mpc:
             raise ValueError(
                 "malicious model requires PivotConfig(authenticated_mpc=True)"
@@ -311,5 +314,5 @@ class CheatingClient:
             raise ValueError(f"unknown cheating step {step!r}")
         self.step = step
 
-    def train(self, context: PivotContext):
-        return MaliciousPivotDecisionTree(context, cheat=self.step).fit()
+    def train(self, context: Federation):
+        return MaliciousTreeTrainer(context, cheat=self.step).fit()

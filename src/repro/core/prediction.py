@@ -16,7 +16,7 @@ ciphertexts none of which is linkable to what its sender received, and
 one barrier; u_1 folds her own bits into the label coefficients of the
 final dot product instead of sending anything.  What her dot products
 return is a deterministic function of the vector u_2 sent, so it stays
-with her until re-masked: :meth:`PivotContext.joint_decrypt_batch` packs
+with her until re-masked: :meth:`Federation.joint_decrypt_batch` packs
 the R outputs and multiplies one pool mask of hers into each *packed*
 ciphertext before the decryption broadcast.
 
@@ -49,35 +49,28 @@ caller-supplied global row for single-process convenience (the caller owns
 that row — splitting it reads no party's stored columns).  Training rows
 are sliced with :func:`local_slices_for_sample`, which reads each client's
 columns inside her own party scope.
-
-The public ``predict_basic`` / ``predict_enhanced`` / ``predict_batch``
-names are deprecation shims for the pre-federation flat API; new code goes
-through :class:`repro.federation.PivotClassifier` /
-:class:`~repro.federation.PivotRegressor` (or the ``run_predict_*``
-internals these shims forward to).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core._deprecation import warn_deprecated as _warn_deprecated
-from repro.core.context import PivotContext
 from repro.crypto.encoding import EncryptedNumber
 from repro.mpc import comparison
 from repro.tree.model import DecisionTreeModel, TreeNode
+
+if TYPE_CHECKING:
+    from repro.federation.federation import Federation
 
 __all__ = [
     "encrypted_leaf_sums",
     "enhanced_prediction_share",
     "global_rows_to_party_slices",
     "local_slices_for_sample",
-    "predict_basic",
     "predict_basic_encrypted_batch",
-    "predict_batch",
-    "predict_enhanced",
     "run_predict_basic",
     "run_predict_batch",
     "run_predict_batch_slices",
@@ -90,7 +83,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _local_slices(context: PivotContext, row: np.ndarray) -> list[np.ndarray]:
+def _local_slices(context: Federation, row: np.ndarray) -> list[np.ndarray]:
     """Split a caller-supplied global feature row into per-party slices."""
     return [
         np.asarray([row[c] for c in cols], dtype=np.float64)
@@ -99,7 +92,7 @@ def _local_slices(context: PivotContext, row: np.ndarray) -> list[np.ndarray]:
 
 
 def global_rows_to_party_slices(
-    context: PivotContext, rows: np.ndarray
+    context: Federation, rows: np.ndarray
 ) -> list[np.ndarray]:
     """Split caller-held global rows into per-party column blocks.
 
@@ -114,7 +107,7 @@ def global_rows_to_party_slices(
     ]
 
 
-def local_slices_for_sample(context: PivotContext, t: int) -> list[np.ndarray]:
+def local_slices_for_sample(context: Federation, t: int) -> list[np.ndarray]:
     """Per-party slices of *training* sample ``t``.
 
     Each client reads her own columns inside her party scope — the
@@ -125,7 +118,7 @@ def local_slices_for_sample(context: PivotContext, t: int) -> list[np.ndarray]:
 
 
 def _party_blocks(
-    context: PivotContext, party_slices: list[np.ndarray]
+    context: Federation, party_slices: list[np.ndarray]
 ) -> list[np.ndarray]:
     """The m per-party blocks (n × d_i each), shape-checked."""
     blocks = [np.atleast_2d(np.asarray(block, dtype=np.float64)) for block in party_slices]
@@ -147,7 +140,7 @@ def _party_blocks(
 
 
 def _slices_per_row(
-    context: PivotContext, party_slices: list[np.ndarray]
+    context: Federation, party_slices: list[np.ndarray]
 ) -> list[list[np.ndarray]]:
     """Transpose per-party blocks (m arrays of n × d_i) into per-row slices."""
     blocks = _party_blocks(context, party_slices)
@@ -191,7 +184,7 @@ def _leaf_bits(
 
 def encrypted_leaf_sums(
     model: DecisionTreeModel,
-    context: PivotContext,
+    context: Federation,
     party_slices: list[np.ndarray],
     positions: list[int],
     coefficients: list[list[int]],
@@ -209,7 +202,7 @@ def encrypted_leaf_sums(
     bits go into the coefficients of her dot products.  Those outputs are
     deterministic in the vector she received (u_2 could confirm a guess at
     her bits from them), so the caller re-masks whatever it lets leave
-    her: the decryption entry points of :class:`PivotContext` do,
+    her: the decryption entry points of :class:`Federation` do,
     Algorithm 2 adds her fresh mask encryption, the GBDT trainer re-masks
     what enters its published residuals.
     """
@@ -240,7 +233,7 @@ def encrypted_leaf_sums(
 
 
 def _leaf_label_encodings(
-    model: DecisionTreeModel, context: PivotContext
+    model: DecisionTreeModel, context: Federation
 ) -> tuple[list[int], int]:
     """The public leaf-label vector z as signed fixed-point integers, and
     their exponent (class indices at 0, regression means at -frac_bits)."""
@@ -257,7 +250,7 @@ def _leaf_label_encodings(
 
 
 def predict_basic_encrypted_batch(
-    model: DecisionTreeModel, context: PivotContext, party_slices: list[np.ndarray]
+    model: DecisionTreeModel, context: Federation, party_slices: list[np.ndarray]
 ) -> list[EncryptedNumber]:
     """Algorithm 4 up to (excluding) the final joint decryption: [k̄] per
     row — used directly by the ensembles, which aggregate encrypted
@@ -282,7 +275,7 @@ def predict_basic_encrypted_batch(
 
 
 def run_predict_basic(
-    model: DecisionTreeModel, context: PivotContext, row: np.ndarray
+    model: DecisionTreeModel, context: Federation, row: np.ndarray
 ) -> float | int:
     """Full Algorithm 4 for one caller-held global row (a batch of one)."""
     value = run_predict_batch(model, context, np.asarray(row))[0]
@@ -295,7 +288,7 @@ def run_predict_basic(
 
 
 def enhanced_prediction_share(
-    model: DecisionTreeModel, context: PivotContext, slices: list[np.ndarray]
+    model: DecisionTreeModel, context: Federation, slices: list[np.ndarray]
 ):
     """§5.2 prediction kept in shared form: returns (⟨k̄⟩, label_scale).
 
@@ -348,7 +341,7 @@ def enhanced_prediction_share(
 
 def run_predict_enhanced(
     model: DecisionTreeModel,
-    context: PivotContext,
+    context: Federation,
     row: np.ndarray | None = None,
     slices: list[np.ndarray] | None = None,
 ) -> float | int:
@@ -371,7 +364,7 @@ def run_predict_enhanced(
 
 def run_predict_batch_slices(
     model: DecisionTreeModel,
-    context: PivotContext,
+    context: Federation,
     party_slices: list[np.ndarray],
     protocol: str = "basic",
 ) -> np.ndarray:
@@ -416,44 +409,10 @@ def run_predict_batch_slices(
 
 def run_predict_batch(
     model: DecisionTreeModel,
-    context: PivotContext,
+    context: Federation,
     rows: np.ndarray,
     protocol: str = "basic",
 ) -> np.ndarray:
     """`run_predict_batch_slices` over caller-held global rows."""
     party_slices = global_rows_to_party_slices(context, rows)
     return run_predict_batch_slices(model, context, party_slices, protocol)
-
-
-# ---------------------------------------------------------------------------
-# deprecated flat-API entry points
-# ---------------------------------------------------------------------------
-
-
-def predict_basic(
-    model: DecisionTreeModel, context: PivotContext, row: np.ndarray
-) -> float | int:
-    """Deprecated: use the federation estimators (or run_predict_basic)."""
-    _warn_deprecated("predict_basic", "PivotClassifier/PivotRegressor.predict")
-    return run_predict_basic(model, context, row)
-
-
-def predict_enhanced(
-    model: DecisionTreeModel, context: PivotContext, row: np.ndarray
-) -> float | int:
-    """Deprecated: use the federation estimators (or run_predict_enhanced)."""
-    _warn_deprecated(
-        "predict_enhanced", "PivotClassifier(protocol='enhanced').predict"
-    )
-    return run_predict_enhanced(model, context, row)
-
-
-def predict_batch(
-    model: DecisionTreeModel,
-    context: PivotContext,
-    rows: np.ndarray,
-    protocol: str = "basic",
-) -> np.ndarray:
-    """Deprecated: use the federation estimators (or run_predict_batch)."""
-    _warn_deprecated("predict_batch", "PivotClassifier/PivotRegressor.predict")
-    return run_predict_batch(model, context, rows, protocol)

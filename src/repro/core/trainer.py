@@ -63,12 +63,11 @@ selection (Algorithm 6) and noisy leaf statistics.
 from __future__ import annotations
 
 import secrets
-import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import PivotConfig
-from repro.core.context import PivotContext
 from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
@@ -78,8 +77,10 @@ from repro.network.flows import broadcast_request, collect_replies, react_runtim
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
+if TYPE_CHECKING:
+    from repro.federation.federation import Federation
+
 __all__ = [
-    "PivotDecisionTree",
     "TreeTrainer",
     "SECURE_GAIN_EPS",
     "SECURE_ARGMAX_SLACK",
@@ -105,16 +106,15 @@ SECURE_ARGMAX_SLACK = 16
 
 
 class TreeTrainer:
-    """One privacy-preserving CART training run over a PivotContext.
+    """One privacy-preserving CART training run over a Federation.
 
     The implementation behind :class:`repro.federation.PivotClassifier` /
-    :class:`~repro.federation.PivotRegressor` (and the deprecated
-    :class:`PivotDecisionTree` flat-API shim).
+    :class:`~repro.federation.PivotRegressor`.
     """
 
     def __init__(
         self,
-        context: PivotContext,
+        context: Federation,
         label_provider: PlaintextLabelProvider | EncryptedLabelProvider | None = None,
     ):
         self.ctx = context
@@ -335,7 +335,7 @@ class TreeTrainer:
         broadcasting the flat ciphertext vector.  The super client
         computes and broadcasts her own the same way, then reassembles
         global identifier order (clients ascending, the
-        :meth:`~repro.core.context.PivotContext.split_identifiers` order)
+        :meth:`~repro.federation.federation.Federation.split_identifiers` order)
         from the per-party chunks.
 
         The malicious-model extension overrides this to attach and verify
@@ -775,24 +775,6 @@ class TreeTrainer:
             count = len(split.left)
             split.left = masked[2 : 2 + count]
             split.right = masked[2 + count :]
-
-
-class PivotDecisionTree(TreeTrainer):
-    """Deprecated flat-API name for :class:`TreeTrainer`.
-
-    Forwards unchanged (bit-identical models); new code uses the
-    federation estimators, which add the party boundary and the
-    protocol/dp/malicious switches in one place.
-    """
-
-    def __init__(self, context, label_provider=None):
-        warnings.warn(
-            "PivotDecisionTree is deprecated; use repro.federation."
-            "PivotClassifier / PivotRegressor (or TreeTrainer directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(context, label_provider)
 
 
 def _root_weights(initial_mask: np.ndarray | None, n_samples: int) -> list[int]:

@@ -38,7 +38,7 @@ single place where the reproduction batches them:
   does every hop of Algorithm 4's round-robin after u_m's fresh encryption
   (:func:`repro.core.prediction.encrypted_leaf_sums`) — whose last
   party's dot products are re-masked once packed, by the decryption entry
-  points of :class:`~repro.core.context.PivotContext`, and by the GBDT
+  points of :class:`~repro.federation.federation.Federation`, and by the GBDT
   trainer before they enter a published residual.
 
 Everything runs in the calling process: pickling a full-size ``pow``'s
@@ -105,7 +105,7 @@ class ObfuscatorPool:
 class BatchCryptoEngine:
     """Vectorised Paillier operations with op-count parity to the serial path.
 
-    One engine per :class:`~repro.core.context.PivotContext`; standalone use
+    One engine per :class:`~repro.federation.federation.Federation`; standalone use
     (benchmarks, tests) only needs a public key::
 
         engine = BatchCryptoEngine(public_key)

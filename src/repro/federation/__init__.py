@@ -12,8 +12,9 @@ data:
   :class:`~repro.federation.party.PartyEndpoint` on the message bus.  The
   super client's party additionally owns the labels.
 * :class:`~repro.federation.federation.Federation` — assembles the
-  parties, runs threshold key generation and MPC setup, and owns the
-  shared runtime (the :class:`~repro.core.context.PivotContext`).
+  parties, runs threshold key generation and MPC setup, and is then the
+  one object a run reads: config, keys, MPC engine, bus, clients, party
+  runtimes, labels and accounting.
   ``transport="asyncio"`` routes every protocol payload over real local
   sockets (:class:`~repro.network.transport.SocketTransport`, the class
   the standalone runtime's mesh is made of too); :class:`~repro.federation.deployment.DeployedFederation`
@@ -37,12 +38,11 @@ Quick start::
         clf = PivotClassifier(protocol="basic", max_depth=3).fit(fed)
         predictions = clf.predict([X0_test, X1_test, X2_test])
 
-The locality guarantee: inside a Federation every raw feature/label read
-must execute in the owning party's scope (``strict_locality=True`` by
-default for federations); a cross-party read raises
-:class:`~repro.federation.locality.LocalityError`.  The legacy flat API
-(``PivotContext`` + ``PivotDecisionTree`` + free prediction functions)
-remains available as deprecation shims that forward here.
+The locality guarantee: inside every Federation, however it was built
+(party list, ``from_partition``, ``from_global``), every raw feature/label
+read must execute in the owning party's scope; a cross-party read raises
+:class:`~repro.federation.locality.LocalityError`.  There is no setting
+that turns the guard off.
 
 Submodules import lazily (PEP 562) because :mod:`repro.core` imports
 :mod:`repro.federation.locality` while the estimators import

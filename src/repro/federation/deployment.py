@@ -6,17 +6,17 @@ each non-super :class:`~repro.federation.party.Party` is launched in her
 own **worker process** holding her raw feature columns (and, after
 provisioning, her partial threshold-Paillier key share), while the super
 client's process — the orchestrator — owns the labels and drives the
-protocol.  The :class:`~repro.federation.locality.LocalView` /
-``strict_locality`` guarantee that PR 3 enforced cooperatively becomes
-physically true: a non-super party's raw columns exist **only** in her
-worker process (the orchestrator's copies are replaced by NaN poison
-arrays the moment the worker owns the data), so no orchestrator-side code
-path can read them, scoped or not.
+protocol.  The :class:`~repro.federation.locality.LocalView` guarantee
+that a single process enforces cooperatively becomes physically true: a
+non-super party's raw columns exist **only** in her worker process (the
+orchestrator's copies are replaced by NaN poison arrays the moment the
+worker owns the data), so no orchestrator-side code path can read them,
+scoped or not.
 
 What runs where:
 
 * **Worker process** (one per non-super party): stores the party's
-  columns behind a strict ``LocalView``, computes her sanctioned local
+  columns behind a ``LocalView``, computes her sanctioned local
   protocol steps *inside her own scope* — candidate splits (§3.4 setup),
   split-indicator vectors/matrices (§4.1/§5.2), per-sample feature slices
   (§5.2 residual rounds), the logistic trainer's per-epoch batch sums and
@@ -61,17 +61,16 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from dataclasses import replace
-from typing import Any, NoReturn
+from typing import Any
 
 import numpy as np
 
 from repro.analysis import opcount
 from repro.core.config import PivotConfig
-from repro.core.context import PivotClient
-from repro.federation.federation import Federation, _resolve_config
+from repro.data.partition import VerticalPartition
+from repro.federation.federation import Federation
 from repro.federation.locality import LocalView, as_party
-from repro.federation.party import Party
+from repro.federation.party import Party, PivotClient, RemoteColumns
 from repro.tree.splits import candidate_splits
 
 __all__ = [
@@ -92,19 +91,17 @@ class RemoteOpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _party_worker(
-    conn: Any, index: int, features: np.ndarray, strict: bool
-) -> None:
+def _party_worker(conn: Any, index: int, features: np.ndarray) -> None:
     """One party's process: her columns, her key share, her local compute.
 
     Runs a command loop over the process pipe.  Every feature read happens
-    through this party's own strict :class:`LocalView` inside her
+    through this party's own :class:`LocalView` inside her
     ``as_party`` scope — in this process there is nobody else's scope to
     leak into, which is the point.  Ops that perform homomorphic work
     (``batch_sums``, ``weight_update``) return their Ce/Cd op-count delta
     alongside the result so the orchestrator's Table-2 tallies stay exact.
     """
-    view = LocalView(features, index, name="features", strict=strict)
+    view = LocalView(features, index, name="features")
     # The sanctioned local-computation surface over this party's columns;
     # split_values stay empty (the logistic ops don't use them).
     local_client = PivotClient(index=index, features=view, split_values=[])
@@ -208,7 +205,6 @@ class PartyProcess:
         index: int,
         features: np.ndarray,
         *,
-        strict: bool = True,
         start_method: str = "spawn",
         timeout: float = 120.0,
     ) -> None:
@@ -218,7 +214,7 @@ class PartyProcess:
         self._conn, child = ctx.Pipe()
         self._proc: Any = ctx.Process(
             target=_party_worker,
-            args=(child, index, np.ascontiguousarray(features), strict),
+            args=(child, index, np.ascontiguousarray(features)),
             name=f"pivot-party-{index}",
             daemon=True,
         )
@@ -275,7 +271,7 @@ class PartyProcess:
 
 
 class RemotePivotClient:
-    """Duck-type of :class:`~repro.core.context.PivotClient` whose feature
+    """Duck-type of :class:`~repro.federation.party.PivotClient` whose feature
     reads execute in the owning party's process.
 
     Exposes the same sanctioned local-computation surface (``indicator``,
@@ -295,7 +291,12 @@ class RemotePivotClient:
         self.index = index
         self.worker = worker
         self.split_values = split_values
-        self.features = _RemoteColumns(index, (n_samples, n_features))
+        self.features = RemoteColumns(
+            index,
+            (n_samples, n_features),
+            error=RemoteOpError,
+            where="worker process",
+        )
 
     @property
     def n_features(self) -> int:
@@ -319,7 +320,7 @@ class RemotePivotClient:
     def decryption_shares(self, ciphertexts: list) -> list[int]:
         """This party's half of a threshold decryption, computed in her
         worker with the key share only that process holds.  Wired into the
-        context's :class:`~repro.federation.party.PartyRuntime` so the
+        federation's :class:`~repro.federation.party.PartyRuntime` so the
         decrypt flow's share vectors are real remote computations."""
         return self.worker.request("partial_decrypt", ciphertexts=ciphertexts)
 
@@ -349,42 +350,6 @@ class RemotePivotClient:
         )
 
 
-class _RemoteColumns:
-    """Shape metadata of a remote party's columns; data access raises."""
-
-    __slots__ = ("owner", "shape")
-
-    def __init__(self, owner: int, shape: tuple[int, int]) -> None:
-        self.owner = owner
-        self.shape = shape
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def _refuse(self) -> NoReturn:
-        raise RemoteOpError(
-            f"party {self.owner}'s raw columns live in her worker process; "
-            f"this process holds no such array (only protocol-level outputs "
-            f"travel back over the command channel)"
-        )
-
-    def read(self) -> np.ndarray:
-        self._refuse()
-
-    def __getitem__(self, key: Any) -> Any:
-        self._refuse()
-
-    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
-        self._refuse()
-
-    def __repr__(self) -> str:
-        return f"RemoteColumns(party {self.owner}, shape={self.shape})"
-
-
 class DeployedFederation(Federation):
     """A federation whose non-super parties run in their own processes.
 
@@ -396,64 +361,23 @@ class DeployedFederation(Federation):
     code path that would read them locally either fails loudly
     (:class:`RemotePivotClient` raises) or poisons the parity-checked
     output — the locality guarantee no longer depends on cooperation.
+    A :class:`~repro.data.partition.VerticalPartition` deploys with its own
+    column assignment, exactly as it federates in one process.
     """
 
     def __init__(
         self,
-        parties: list[Party],
+        parties: list[Party] | VerticalPartition,
         *,
         task: str = "classification",
         config: PivotConfig | None = None,
-        strict_locality: bool | None = None,
         transport: Any = "asyncio",
         start_method: str = "spawn",
     ) -> None:
-        super_client = self._validate_parties(parties)
-        resolved = _resolve_config(config, strict_locality)
-        partition = self._partition_of(parties, task, super_client)
         self.workers: dict[int, PartyProcess] = {}
-        remote_clients: dict[int, object] = {}
-        masked: list[np.ndarray] = []
+        self._start_method = start_method
         try:
-            for i, party in enumerate(parties):
-                # pivotlint: disable=PL001 -- provisioning: handing party i's
-                # own block to party i's worker process (then poisoning the
-                # orchestrator copy below); nothing is computed on it here.
-                block = partition.local_features[i]
-                if i == partition.super_client:
-                    masked.append(block)
-                    continue
-                worker = PartyProcess(
-                    i,
-                    block,
-                    strict=bool(resolved.strict_locality),
-                    start_method=start_method,
-                )
-                self.workers[i] = worker
-                splits = worker.request(
-                    "candidate_splits", max_splits=resolved.tree.max_splits
-                )
-                remote_clients[i] = RemotePivotClient(
-                    i, worker, splits, block.shape[0], block.shape[1]
-                )
-                # The worker owns the columns now; poison the
-                # orchestrator's copy so a cross-process read cannot
-                # silently succeed.  The flag makes re-federating this
-                # Party object fail validation instead of training on the
-                # poison.
-                poison = np.full_like(block, np.nan)
-                masked.append(poison)
-                party._raw_features = poison
-                party._columns_remote = True
-            partition = replace(partition, local_features=tuple(masked))
-            self._assemble(
-                parties,
-                partition,
-                resolved,
-                None,
-                transport,
-                remote_clients=remote_clients,
-            )
+            super().__init__(parties, task=task, config=config, transport=transport)
             # Provision each remote party's partial key share to its owner
             # and drop the orchestrator-side Party handle's copy.
             for i, worker in self.workers.items():
@@ -461,10 +385,8 @@ class DeployedFederation(Federation):
                 # the dealer hands share i to its owner over the private
                 # process pipe (not the party-visible bus), then scrubs
                 # every orchestrator-side copy below.
-                worker.request(
-                    "provision", key_share=self.context.threshold.shares[i]
-                )
-                parties[i].key_share = None
+                worker.request("provision", key_share=self.threshold.shares[i])
+                self.parties[i].key_share = None
             # The workers own their shares now: scrub the dealer.  The
             # withheld private key and the remote parties' d_share values
             # are dropped from this process (only the super client's own
@@ -472,49 +394,31 @@ class DeployedFederation(Federation):
             # here on is reconstructed from the m share vectors the
             # decrypt flow moves, m−1 of which only the workers can
             # produce.  The orchestrator provably cannot decrypt alone.
-            self.context.threshold.scrub_dealer(
-                keep_shares={partition.super_client}
-            )
+            self.threshold.scrub_dealer(keep_shares={self.super_client})
         except BaseException:
             self._shutdown_workers()
             raise
 
-    @classmethod
-    def from_partition(
-        cls,
-        partition: Any,
-        config: PivotConfig | None = None,
-        strict_locality: bool | None = None,
-        transport: Any = "asyncio",
-    ) -> "DeployedFederation":
-        """Deploy from a legacy partition object.
-
-        Unlike the base class this cannot share the ``cls.__new__``
-        assembly path — worker processes must be launched — so the
-        partition is unpacked into parties and routed through the real
-        constructor (``from_global`` inherits and lands here too).
-        """
-        # from_global passes transport=None through; the deployed default
-        # stays the socket transport.
-        transport = "asyncio" if transport is None else transport
-        parties = [
-            Party(
-                block,
-                labels=(
-                    partition.labels
-                    if i == partition.super_client
-                    else None
-                ),
+    def _remote_clients(self, partition: VerticalPartition) -> dict[int, Any]:
+        """Launch one worker process per non-super party and hand her her
+        own columns; her candidate splits are computed there."""
+        remote: dict[int, Any] = {}
+        for i in range(partition.n_clients):
+            if i == partition.super_client:
+                continue
+            # pivotlint: disable=PL001 -- provisioning: handing party i's
+            # own block to party i's worker process (the orchestrator copy
+            # is poisoned next); nothing is computed on it here.
+            block = partition.local_features[i]
+            worker = PartyProcess(i, block, start_method=self._start_method)
+            self.workers[i] = worker
+            splits = worker.request(
+                "candidate_splits", max_splits=self.config.tree.max_splits
             )
-            for i, block in enumerate(partition.local_features)
-        ]
-        return cls(
-            parties,
-            task=partition.task,
-            config=config,
-            strict_locality=strict_locality,
-            transport=transport,
-        )
+            remote[i] = RemotePivotClient(
+                i, worker, splits, block.shape[0], block.shape[1]
+            )
+        return remote
 
     def _shutdown_workers(self) -> None:
         for worker in self.workers.values():

@@ -7,7 +7,7 @@ ensemble / prediction internals:
 estimator                      implementation
 =============================  ============================================
 :class:`PivotClassifier`       :class:`~repro.core.trainer.TreeTrainer` /
-                               :class:`~repro.core.malicious.MaliciousPivotDecisionTree`
+                               :class:`~repro.core.malicious.MaliciousTreeTrainer`
 :class:`PivotRegressor`        :class:`~repro.core.trainer.TreeTrainer`
 :class:`PivotForestClassifier` :class:`~repro.core.ensemble.ForestTrainer`
 :class:`PivotGBDTClassifier`   :class:`~repro.core.ensemble.GBDTTrainer`
@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.config import DPConfig, PivotConfig
 from repro.core.ensemble import ForestTrainer, GBDTTrainer
 from repro.core.logistic import LogisticTrainer
-from repro.core.malicious import MaliciousPivotDecisionTree
+from repro.core.malicious import MaliciousTreeTrainer
 from repro.core.prediction import run_predict_batch_slices
 from repro.core.trainer import TreeTrainer
 from repro.federation.federation import Federation
@@ -265,7 +265,7 @@ class _TreeEstimator(_FederatedEstimator):
 
     def _fit(self, ctx: Any) -> None:
         trainer: Any = (
-            MaliciousPivotDecisionTree(ctx) if self.malicious else TreeTrainer(ctx)
+            MaliciousTreeTrainer(ctx) if self.malicious else TreeTrainer(ctx)
         )
         self.model_ = trainer.fit()
         if self._task == "classification":
@@ -314,7 +314,7 @@ class PivotForestClassifier(_FederatedEstimator):
         self.sample_seed = sample_seed
 
     def _fit(self, ctx: Any) -> None:
-        factory = MaliciousPivotDecisionTree if self.malicious else TreeTrainer
+        factory = MaliciousTreeTrainer if self.malicious else TreeTrainer
         self.trainer_ = ForestTrainer(
             ctx,
             n_trees=self.n_trees,

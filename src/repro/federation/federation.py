@@ -1,19 +1,21 @@
-"""The Federation orchestrator: assemble parties, run the joint setup.
+"""The Federation: one object for a run's setup, keys, engine and accounting.
 
 A :class:`Federation` is the initialization stage of the protocol (§3.4)
 with the party boundary made explicit: it takes the m
 :class:`~repro.federation.party.Party` objects (exactly one holding
 labels — the super client), builds the
 :class:`~repro.data.partition.VerticalPartition`, runs threshold-Paillier
-key generation and MPC setup through the existing
-:class:`~repro.core.context.PivotContext` runtime, and binds each party to
-her runtime identity: index, global column ids, partial secret key, and
-bus endpoint.
+key generation and MPC setup, binds each party to her runtime identity
+(index, global column ids, partial secret key, bus endpoint), and then *is*
+the shared runtime every protocol reads: config, keys, MPC engine, bus,
+clients, party runtimes, labels, and the cost accounting every experiment
+reads (HE/decryption op counts, MPC rounds, bus bytes, and the log of every
+value the protocol reveals in plaintext, used by the privacy tests).
 
-Locality is enforced by default (``strict_locality=True`` unless an
-explicit :class:`~repro.core.config.PivotConfig` says otherwise): raw
-feature/label reads outside the owner's scope raise
-:class:`~repro.federation.locality.LocalityError`.
+Locality holds by construction: every raw feature/label read goes through a
+:class:`~repro.federation.locality.LocalView`, which raises
+:class:`~repro.federation.locality.LocalityError` outside the owner's
+scope.  There is no setting that turns the guard off.
 
 Estimators (:mod:`repro.federation.estimators`) either receive a prepared
 federation (``fit(fed)``) — sharing its keys across estimators — or a bare
@@ -30,31 +32,42 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import PivotConfig
-from repro.core.context import PivotContext
+from repro.crypto.batch import BatchCryptoEngine
+from repro.crypto.distkeygen import KeygenParty
+from repro.crypto.encoding import EncryptedNumber, PaillierEncoder
+from repro.crypto.packing import slot_layout, whole_layout
+from repro.crypto.threshold import (
+    ThresholdPaillier,
+    combine_partial_vectors,
+    generate_threshold_keypair,
+)
 from repro.data.partition import VerticalPartition, vertical_partition
-from repro.federation.party import Party, PartyEndpoint
+from repro.federation.locality import LocalView, as_party
+from repro.federation.party import Party, PartyEndpoint, PartyRuntime, PivotClient
+from repro.mpc.advanced import FixedPointOps
+from repro.mpc.conversion import (
+    ConversionCounters,
+    ciphers_to_shares,
+    share_to_cipher,
+)
+from repro.mpc.engine import MPCEngine
+from repro.mpc.sharing import SharedValue
+from repro.network.bus import MessageBus
+from repro.network.flows import record_threshold_decrypt, run_distributed_keygen
+from repro.network.transport import make_transport
+from repro.network.wire import WireCodec
+from repro.tree.splits import candidate_splits
 
 __all__ = ["Federation"]
 
 
-def _resolve_config(
-    config: PivotConfig | None, strict_locality: bool | None
-) -> PivotConfig:
-    """The federation enforces the party boundary unless explicitly told
-    not to: an *unset* ``strict_locality`` (None — the PivotConfig default
-    when the PIVOT_STRICT_LOCALITY env var is absent) resolves to True
-    here, so passing a custom config does not silently drop enforcement.
-    """
-    config = config or PivotConfig()
-    if strict_locality is not None:
-        return replace(config, strict_locality=strict_locality)
-    if config.strict_locality is None:
-        return replace(config, strict_locality=True)
-    return config
-
-
 class Federation:
     """m parties, jointly keyed and wired, ready to train estimators.
+
+    ``parties`` is the list of :class:`~repro.federation.party.Party`
+    objects, or a :class:`~repro.data.partition.VerticalPartition`, which
+    brings its own task and global column ids (a shuffled partition keeps
+    its column assignment).
 
     ``transport`` picks the message transport for the whole run:
     ``"inmemory"`` (the default) routes serialized payloads through
@@ -68,32 +81,45 @@ class Federation:
 
     def __init__(
         self,
-        parties: list[Party],
+        parties: list[Party] | VerticalPartition,
         *,
         task: str = "classification",
         config: PivotConfig | None = None,
-        strict_locality: bool | None = None,
         transport: Any = None,
     ) -> None:
-        super_client = self._validate_parties(parties)
-        partition = self._partition_of(parties, task, super_client)
-        self._assemble(parties, partition, config, strict_locality, transport)
+        if isinstance(parties, VerticalPartition):
+            partition = parties
+            parties = [
+                Party(
+                    block,
+                    labels=(
+                        partition.labels
+                        if i == partition.super_client
+                        else None
+                    ),
+                )
+                for i, block in enumerate(partition.local_features)
+            ]
+            self._validate_parties(parties)
+        else:
+            super_client = self._validate_parties(parties)
+            partition = self._partition_of(parties, task, super_client)
+        self.config = config or PivotConfig()
+        self.parties = list(parties)
+        remote_clients = self._remote_clients(partition)
+        partition = self._poison_remote(partition, remote_clients)
+        self._assemble(partition, transport, remote_clients)
+        self._bind_parties()
 
-    # -- shared validation / assembly ---------------------------------------
+    # -- validation ----------------------------------------------------------
 
     @staticmethod
     def _validate_parties(parties: list[Party]) -> int:
-        """The federation invariants, shared by every constructor.
-
-        Returns the super client's index.  ``from_partition`` used to
-        bypass these checks via ``cls.__new__``, so a 1-party or
-        label-less partition could build a "federation" violating the
-        exactly-one-super-client invariant.
-        """
+        """The federation invariants; returns the super client's index."""
         if len(parties) < 2:
             raise ValueError("a federation needs at least 2 parties")
         for party in parties:
-            if getattr(party, "_columns_remote", False):
+            if party._columns_remote:
                 raise ValueError(
                     f"{party!r} shipped her columns to a worker process in a "
                     "previous DeployedFederation (the local copy is poisoned); "
@@ -131,55 +157,185 @@ class Federation:
             task=task,
         )
 
+    # -- assembly (§3.4) -----------------------------------------------------
+
+    def _remote_clients(self, partition: VerticalPartition) -> dict[int, Any]:
+        """Client objects for the parties whose columns live in another
+        process, by index.  In-process federations have none; the process
+        and standalone topologies override this to launch or stub them."""
+        return {}
+
+    def _poison_remote(
+        self, partition: VerticalPartition, remote: dict[int, Any]
+    ) -> VerticalPartition:
+        """Replace this process's copy of every remote party's columns by
+        NaN poison, so a read that should have gone to her process either
+        fails or visibly poisons parity-checked output.  The flag makes
+        re-federating such a Party object fail validation instead of
+        training on the poison."""
+        if not remote:
+            return partition
+        blocks = list(partition.local_features)
+        for i in remote:
+            blocks[i] = np.full_like(blocks[i], np.nan)
+            self.parties[i]._raw_features = blocks[i]
+            self.parties[i]._columns_remote = True
+        return replace(partition, local_features=tuple(blocks))
+
     def _assemble(
         self,
-        parties: list[Party],
         partition: VerticalPartition,
-        config: PivotConfig | None,
-        strict_locality: bool | None,
         transport: Any,
-        remote_clients: dict[int, object] | None = None,
+        remote_clients: dict[int, Any],
     ) -> None:
-        """Joint setup (§3.4): config, keys, MPC engine, bus, binding.
+        """Joint setup (§3.4): keys, MPC engine, bus, clients, runtimes.
 
         Which parties' inboxes (and, with distributed keygen, key shares)
         live in this process is the transport's ``hosted`` — all m parties
         unless the caller hands over a transport that hosts fewer (the
         standalone-runtime orchestrator's hosts only the super client).
+        ``remote_clients`` maps party indices to client objects whose
+        feature reads execute elsewhere; those indices get no
+        :class:`~repro.federation.locality.LocalView` here because this
+        process holds no columns of theirs to guard.
         """
-        self.config = _resolve_config(config, strict_locality)
-        self.parties = list(parties)
-        #: Shared runtime: keys, MPC engine, bus, accounting (§3.4 setup).
-        self.context = PivotContext(
-            partition,
-            self.config,
-            transport=transport,
-            remote_clients=remote_clients,
+        self.partition = partition
+        config = self.config
+        m = partition.n_clients
+        self.engine = MPCEngine(
+            m,
+            kappa=config.kappa,
+            authenticated=config.authenticated_mpc,
+            seed=config.seed,
         )
-        self._bind_parties()
+        self.fx = FixedPointOps(self.engine, k=config.mpc_k, f=config.frac_bits)
+        if config.keygen == "distributed":
+            # §3.4 without the dealer: the m clients run the distributed
+            # keygen protocol as real bus flows *before* any key exists —
+            # the codec starts key-less (keygen payloads are plain
+            # integers/bytes) and is bound to the public key it produces.
+            # Only this process's parties' machines run here; their d_i
+            # shares are the only key material this process ever holds.
+            codec = WireCodec(None, share_modulus=self.engine.field.q)
+            self.bus = MessageBus(
+                m, codec=codec, transport=make_transport(transport, m)
+            )
+            self.keygen_machines = {
+                i: KeygenParty(
+                    i, m, config.keysize, seed=config.seed, kappa=config.kappa
+                )
+                for i in self.local_parties
+            }
+            results = run_distributed_keygen(self.bus, self.keygen_machines)
+            sample = results[self.local_parties[0]]
+            shares: list[Any] = [None] * m
+            for i, result in results.items():
+                shares[i] = result.share
+            self.threshold = ThresholdPaillier(
+                sample.public_key, shares, theta=sample.theta, distributed=True
+            )
+            self.encoder = PaillierEncoder(
+                sample.public_key, frac_bits=config.frac_bits
+            )
+            codec.bind(sample.public_key, encoder=self.encoder)
+        else:
+            self.keygen_machines = {}
+            self.threshold = generate_threshold_keypair(m, config.keysize)
+            self.encoder = PaillierEncoder(
+                self.threshold.public_key, frac_bits=config.frac_bits
+            )
+            self.bus = MessageBus(
+                m,
+                codec=WireCodec(
+                    self.threshold.public_key,
+                    share_modulus=self.engine.field.q,
+                    encoder=self.encoder,
+                ),
+                transport=make_transport(transport, m),
+            )
+        #: Batched crypto engine shared by every hot path.
+        self.batch = BatchCryptoEngine(
+            self.threshold.public_key,
+            encoder=self.encoder,
+            threshold=self.threshold,
+        )
+        self.conversions = ConversionCounters()
+        self.clients: list[Any] = []
+        for i in range(m):
+            if i in remote_clients:
+                # The party's columns live in her own process; her client
+                # object proxies the sanctioned local computations there.
+                self.clients.append(remote_clients[i])
+                continue
+            # pivotlint: disable=PL001 -- assembly: wrapping party i's block
+            # in its LocalView guard is the act that *creates* the scope
+            # regime; no data is computed on here.
+            view = LocalView(partition.local_features[i], i, name="features")
+            with as_party(i):  # candidate splits are client-local analysis
+                split_values = [
+                    candidate_splits(view.read()[:, j], config.tree.max_splits)
+                    for j in range(view.shape[1])
+                ]
+            self.clients.append(
+                PivotClient(index=i, features=view, split_values=split_values)
+            )
+        #: One reactive event loop per *local* party: every protocol flow
+        #: she takes part in — threshold-decryption shares, candidate-split
+        #: statistics, split application, MPC mask contributions, logistic
+        #: batch flows — runs as a reaction on her own endpoint
+        #: (:class:`~repro.federation.party.PartyRuntime`).  Remote-process
+        #: parties (deployment workers) get a runtime whose key and feature
+        #: computations proxy into their worker; standalone-runtime parties
+        #: get ``None`` — their event loops run in their own processes
+        #: against the same bytes.
+        self.runtimes: list[PartyRuntime | None] = []
+        for i in range(m):
+            if i not in self.local_parties:
+                self.runtimes.append(None)
+                continue
+            client = self.clients[i]
+            remote = i in remote_clients
+            self.runtimes.append(
+                PartyRuntime(
+                    PartyEndpoint(self.bus, i),
+                    client=client,
+                    engine=self.batch,
+                    field_q=self.engine.field.q,
+                    key_share=None if remote else self.threshold.shares[i],
+                    compute_shares=client.decryption_shares if remote else None,
+                )
+            )
+        #: The labels, owned by the super client alone (§3.1).
+        self.labels = LocalView(
+            partition.labels, partition.super_client, name="labels"
+        )
+        #: Everything any protocol run reveals in plaintext, as (tag, value)
+        #: pairs; privacy tests assert nothing else leaks.
+        self.revealed: list[tuple[str, object]] = []
+
+    def _bind_parties(self) -> None:
+        for i, party in enumerate(self.parties):
+            party._bind(
+                index=i,
+                columns=self.partition.columns_per_client[i],
+                features_view=self.clients[i].features,
+                labels_view=self.labels if i == self.super_client else None,
+                key_share=self.threshold.shares[i],
+                endpoint=PartyEndpoint(self.bus, i),
+            )
 
     @classmethod
     def from_partition(
         cls,
         partition: VerticalPartition,
         config: PivotConfig | None = None,
-        strict_locality: bool | None = None,
-        transport: Any = None,
+        **kwargs: Any,
     ) -> "Federation":
-        """Bridge from the legacy partition object (simulation datasets).
-
-        Runs the same invariant checks as the party-list constructor: a
-        partition with fewer than 2 clients, without labels, or with
-        ragged sample counts is rejected, not silently federated.
-        """
-        parties = []
-        for i, block in enumerate(partition.local_features):
-            labels = partition.labels if i == partition.super_client else None
-            parties.append(Party(block, labels=labels))
-        fed = cls.__new__(cls)
-        fed._validate_parties(parties)
-        fed._assemble(parties, partition, config, strict_locality, transport)
-        return fed
+        """Federate a partition object (simulation datasets), keeping its
+        task and column assignment.  Runs the same invariant checks as the
+        party-list constructor: a partition with fewer than 2 clients,
+        without labels, or with ragged sample counts is rejected."""
+        return cls(partition, config=config, **kwargs)
 
     @classmethod
     def from_global(
@@ -191,50 +347,66 @@ class Federation:
         task: str = "classification",
         super_client: int = 0,
         config: PivotConfig | None = None,
-        strict_locality: bool | None = None,
-        transport: Any = None,
+        **kwargs: Any,
     ) -> "Federation":
         """Split a caller-held global matrix evenly over ``n_parties``."""
         partition = vertical_partition(
             X, y, n_parties, task=task, super_client=super_client
         )
-        return cls.from_partition(
-            partition,
-            config=config,
-            strict_locality=strict_locality,
-            transport=transport,
-        )
-
-    def _bind_parties(self) -> None:
-        ctx = self.context
-        for i, party in enumerate(self.parties):
-            labels_view = ctx.labels if i == ctx.super_client else None
-            party._bind(
-                index=i,
-                columns=ctx.partition.columns_per_client[i],
-                features_view=ctx.clients[i].features,
-                labels_view=labels_view,
-                key_share=ctx.threshold.shares[i],
-                endpoint=PartyEndpoint(ctx.bus, i),
-            )
+        return cls.from_partition(partition, config=config, **kwargs)
 
     # -- basic facts --------------------------------------------------------
+
+    @property
+    def local_parties(self) -> tuple[int, ...]:
+        """Parties whose inboxes (and, with distributed keygen, keygen
+        state machines and key shares) live in this process — whoever the
+        bus's transport hosts: all m unless this is the standalone-runtime
+        orchestrator, which hosts just the super client."""
+        return self.bus.local_parties
 
     @property
     def n_parties(self) -> int:
         return len(self.parties)
 
     @property
+    def n_clients(self) -> int:
+        return self.partition.n_clients
+
+    @property
+    def n_samples(self) -> int:
+        return self.partition.n_samples
+
+    @property
     def task(self) -> str:
-        return self.context.partition.task
+        return self.partition.task
 
     @property
     def super_client(self) -> int:
-        return self.context.super_client
+        return self.partition.super_client
+
+    def read_labels(self) -> np.ndarray:
+        """The label vector, read as the super client (her own data)."""
+        with as_party(self.super_client):
+            return self.labels.read()
 
     @property
-    def strict_locality(self) -> bool:
-        return self.context.strict_locality
+    def ciphertext_bytes(self) -> int:
+        """Width of one serialized ciphertext (single-sourced in the codec)."""
+        return self.bus.codec.ciphertext_width
+
+    def split_identifiers(self, available: list[list[int]]) -> list[tuple[int, int, int]]:
+        """Flat enumeration (i, j, s) of all splits of the available features.
+
+        Order: clients ascending, client-local features ascending, split
+        values ascending — the tie-break order shared with plaintext CART.
+        """
+        identifiers = []
+        for client in self.clients:
+            for j in available[client.index]:
+                for s in range(client.n_splits(j)):
+                    identifiers.append((client.index, j, s))
+        return identifiers
 
     def slices(self, X: np.ndarray) -> list[np.ndarray]:
         """Split caller-held global rows into per-party column blocks.
@@ -244,7 +416,7 @@ class Federation:
         """
         from repro.core.prediction import global_rows_to_party_slices
 
-        return global_rows_to_party_slices(self.context, X)
+        return global_rows_to_party_slices(self, X)
 
     # -- estimator support ---------------------------------------------------
 
@@ -253,14 +425,14 @@ class Federation:
         protocol: str | None = None,
         dp: Any = None,
         malicious: bool | None = None,
-    ) -> PivotContext:
-        """A context view with estimator-level switches applied.
+    ) -> "Federation":
+        """A view of this federation with estimator-level switches applied.
 
-        Key material, engine, bus and accounting are shared with
-        :attr:`context`; only the config differs (the trainers read
-        ``protocol`` / ``dp`` at fit time).  ``malicious`` requires the
-        federation to have been built with authenticated MPC — MACs exist
-        from preprocessing onward and cannot be retrofitted.
+        Key material, engine, bus and accounting are shared; only the
+        config differs (the trainers read ``protocol`` / ``dp`` at fit
+        time).  ``malicious`` requires the federation to have been built
+        with authenticated MPC — MACs exist from preprocessing onward and
+        cannot be retrofitted.
         """
         cfg = self.config
         overrides: dict[str, Any] = {}
@@ -269,29 +441,178 @@ class Federation:
         if dp is not cfg.dp:
             overrides["dp"] = dp
         if malicious is not None and malicious != cfg.authenticated_mpc:
-            if malicious and not self.context.engine.authenticated:
+            if malicious and not self.engine.authenticated:
                 raise ValueError(
                     "malicious=True needs authenticated MPC from setup: build "
                     "the Federation with PivotConfig(authenticated_mpc=True)"
                 )
             overrides["authenticated_mpc"] = malicious
         if not overrides:
-            return self.context
-        view = copy.copy(self.context)
+            return self
+        view = copy.copy(self)
         view.config = replace(cfg, **overrides)  # re-validates the config
         return view
+
+    # -- crypto helpers with accounting ------------------------------------------
+
+    def encrypt_indicator(self, bits: np.ndarray) -> list[EncryptedNumber]:
+        return self.batch.encrypt_vector([int(b) for b in bits], exponent=0)
+
+    def joint_decrypt_raw(
+        self, payload: list, tag: str, signed: bool = True
+    ) -> list[int]:
+        """One batched threshold decryption: canonical flow + plaintexts.
+
+        ``payload`` is the batch as held by the caller (``EncryptedNumber``
+        or raw ``Ciphertext`` values — what travels on the wire).  The
+        per-party runtimes answer the flow with their c^{d_i} share vectors
+        and the plaintexts are reconstructed *only* from the m received
+        vectors.
+        """
+        if not payload:
+            return []
+        vectors = record_threshold_decrypt(
+            self.bus, payload, tag=tag, runtimes=self.runtimes
+        )
+        return combine_partial_vectors(
+            self.threshold.public_key,
+            vectors,
+            self.n_clients,
+            signed=signed,
+            theta=self.threshold.theta,
+        )
+
+    def joint_decrypt(self, value: EncryptedNumber, tag: str) -> float:
+        """All-client decryption of a protocol output; logged as revealed.
+
+        The flow moves the ciphertext broadcast *and* the m
+        partial-decryption share vectors, all as real serialized payloads
+        consumed by their receivers.  The holder multiplies one pool mask
+        of hers into the ciphertext first (see :meth:`joint_decrypt_batch`).
+        """
+        masked = self.batch.mask_vector([value], [1])
+        raws = self.joint_decrypt_raw(masked, tag="threshold-decrypt")
+        self.conversions.threshold_decryptions += 1
+        result = raws[0] * 2.0**value.exponent
+        self.revealed.append((tag, result))
+        return result
+
+    def joint_decrypt_batch(
+        self,
+        values: list[EncryptedNumber],
+        tag: str,
+        bound_bits: int | None = None,
+    ) -> list[float]:
+        """Batched all-client decryption: one fan-out for the whole vector.
+
+        The revealed log of calling :meth:`joint_decrypt` in a loop, but a
+        single threshold-decryption message flow (2 rounds instead of 2 per
+        value) — the deployment shape for n-row basic prediction.
+
+        *What is packed, at what width.*  ``bound_bits`` declares that
+        every value's fixed-point integer has magnitude below
+        ``2**bound_bits``.  Declared values are slot-packed
+        (:mod:`repro.crypto.packing`, ``bound_bits + 1`` bits each: the
+        value plus its sign offset), so the flow moves and every party
+        exponentiates one ciphertext per ⌊(|n| − 1) / (bound_bits + 1)⌋
+        values; Cd counts those packed ciphertexts.  A single tree's
+        prediction outputs declare the width of the widest leaf label
+        (255 binary-labelled rows per 512-bit ciphertext); undeclared
+        values (the ensembles' aggregated outputs) decrypt one ciphertext
+        each.
+
+        *Who re-masks.*  These two methods serve prediction outputs only,
+        and a prediction output is a deterministic function of ciphertexts
+        the previous party of the round-robin holds
+        (:func:`repro.core.prediction.encrypted_leaf_sums`).  So the
+        holder multiplies one pool mask of her own into every ciphertext
+        *after* packing — one mask per packed ciphertext, not per value —
+        and only then broadcasts.
+        """
+        if not values:
+            return []
+        pk = self.threshold.public_key
+        magnitudes: list[int] = []
+        if bound_bits is None:
+            layout = whole_layout(len(values), pk.n.bit_length())
+        else:
+            magnitudes = [bound_bits] * len(values)
+            layout = slot_layout(
+                [bound_bits + 1] * len(values), pk.n.bit_length()
+            )
+        packed = [
+            self.encoder.wrap(ciphertext)
+            for ciphertext in layout.pack_ciphertexts(
+                [v.ciphertext for v in values], magnitudes
+            )
+        ]
+        payload = [
+            v.ciphertext for v in self.batch.mask_vector(packed, [1] * len(packed))
+        ]
+        plains = self.joint_decrypt_raw(
+            payload, tag="threshold-decrypt", signed=False
+        )
+        self.conversions.threshold_decryptions += layout.n_groups
+        raws = layout.unpack(plains, magnitudes, pk)
+        results = [raw * 2.0**v.exponent for raw, v in zip(raws, values)]
+        for result in results:
+            self.revealed.append((tag, result))
+        return results
+
+    def to_shares(
+        self, values: list[EncryptedNumber], bound_bits: int | None = None
+    ) -> list[SharedValue]:
+        """Algorithm 2 over a batch; the conversion sends its real payloads
+        (mask ciphertexts, masked batch, partial decryptions) on the bus.
+
+        ``bound_bits`` declares every value's magnitude at the MPC scale
+        (``|x| < 2**bound_bits``); only declared values are slot-packed
+        (:func:`~repro.mpc.conversion.ciphers_to_shares`).
+        """
+        return ciphers_to_shares(
+            values, self.threshold, self.fx, self.conversions,
+            batch_engine=self.batch, bus=self.bus, runtimes=self.runtimes,
+            bound_bits=bound_bits,
+        )
+
+    def to_cipher(self, value: SharedValue, exponent: int | None = None) -> EncryptedNumber:
+        """Reverse conversion (§5.2); encrypted shares travel on the bus."""
+        return share_to_cipher(
+            value, self.threshold, self.fx, self.conversions, exponent=exponent,
+            bus=self.bus,
+        )
+
+    def open_bit(self, bit: SharedValue, tag: str) -> int:
+        """Open a shared 0/1 decision (pruning conditions etc.); logged."""
+        value = self.engine.open(bit)
+        if value not in (0, 1):
+            raise ValueError(f"expected a shared bit, opened {value}")
+        self.revealed.append((tag, value))
+        return value
+
+    def open_value(self, value: SharedValue, tag: str, fixed_point: bool = True) -> float:
+        opened = self.fx.open(value) if fixed_point else self.engine.open(value)
+        self.revealed.append((tag, opened))
+        return opened
 
     # -- lifecycle / reporting ----------------------------------------------
 
     def assert_drained(self) -> None:
         """End-of-run invariant: every party consumed her whole inbox."""
-        self.context.bus.assert_drained()
+        self.bus.assert_drained()
 
     def cost_snapshot(self) -> dict[str, object]:
-        return self.context.cost_snapshot()
+        return {
+            "bus": self.bus.snapshot(),
+            "mpc": self.engine.stats.snapshot(),
+            "conversions": self.conversions.snapshot(),
+            "dealer": self.engine.dealer.usage.snapshot(),
+        }
 
     def close(self) -> None:
-        self.context.close()
+        """Release the bus's transport (a no-op for the in-memory one;
+        socket transports own threads and ports)."""
+        self.bus.close()
 
     def __enter__(self) -> "Federation":
         return self
@@ -302,6 +623,5 @@ class Federation:
     def __repr__(self) -> str:
         return (
             f"Federation(m={self.n_parties}, task={self.task!r}, "
-            f"super_client={self.super_client}, "
-            f"strict_locality={self.strict_locality})"
+            f"super_client={self.super_client})"
         )

@@ -12,24 +12,21 @@ them *fail loudly* instead:
   logistic partial sums, per-sample prediction slices — runs inside the
   owning party's scope.
 * :class:`LocalView` wraps one party's backing array (features or labels).
-  When built with ``strict=True`` every data access checks that the
-  current scope belongs to the owner and raises :class:`LocalityError`
-  otherwise.  Shape/dtype metadata stays readable (feature *counts* are
-  public protocol parameters; values are not).
+  Every data access checks that the current scope belongs to the owner
+  and raises :class:`LocalityError` otherwise.  Shape/dtype metadata stays
+  readable (feature *counts* are public protocol parameters; values are
+  not).
 
-``PivotConfig(strict_locality=True)`` (or the ``PIVOT_STRICT_LOCALITY``
-environment variable, which the CI locality leg sets for the whole test
-suite) turns the checks on; the default leaves legacy code paths working
-unchanged during migration.  The enforcement is cooperative — a scope is a
+There is no switch that turns the checks off: every view any federation
+builds guards its data.  The enforcement is cooperative — a scope is a
 claim that the enclosed computation belongs to that party — but it is not
-cosmetic: the locality tests prove that *no* core training/prediction path
-reads another party's columns outside the owner's scope, and that an
-unscoped cross-party read raises.
+cosmetic: the whole test suite runs against guarded views, so *no* core
+training/prediction path reads another party's columns outside the
+owner's scope, and an unscoped cross-party read raises.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -41,7 +38,6 @@ __all__ = [
     "LocalView",
     "as_party",
     "current_party",
-    "strict_locality_default",
 ]
 
 
@@ -80,48 +76,25 @@ def as_party(index: int) -> Iterator[None]:
         _SCOPE.stack.pop()
 
 
-def strict_locality_default() -> bool | None:
-    """Default for ``PivotConfig.strict_locality`` (env-overridable).
-
-    Tri-state: ``True`` when the ``PIVOT_STRICT_LOCALITY`` environment
-    variable is set (the CI locality leg runs the whole suite that way, so
-    any regression that reads another party's columns outside the owner's
-    scope fails the build), otherwise ``None`` — *unset*.  Unset resolves
-    to enforcing for :class:`~repro.federation.federation.Federation`
-    deployments and to the legacy unguarded behaviour for bare
-    ``PivotContext`` construction; only an explicit ``False`` turns
-    enforcement off for a federation.
-    """
-    if os.environ.get("PIVOT_STRICT_LOCALITY", "").lower() in ("1", "true", "yes"):
-        return True
-    return None
-
-
 class LocalView:
     """Read guard over one party's backing array (features or labels).
 
     The view exposes shape metadata freely but gates every *data* access
     (``read``, ``__getitem__``, ``__array__``) behind the owner's party
-    scope when ``strict`` is set.  The backing array is never copied; the
-    guard is an API boundary, not an isolation mechanism — the
+    scope.  The backing array is never copied; the guard is an API
+    boundary, not an isolation mechanism — the
     :class:`~repro.data.partition.VerticalPartition` keeps the raw arrays
     for out-of-protocol tooling (leakage attacks, plaintext baselines).
     """
 
-    __slots__ = ("_array", "owner", "name", "strict")
+    __slots__ = ("_array", "owner", "name")
 
     def __init__(
-        self,
-        array: np.ndarray,
-        owner: int,
-        *,
-        name: str = "features",
-        strict: bool = False,
+        self, array: np.ndarray, owner: int, *, name: str = "features"
     ) -> None:
         self._array = np.asarray(array)
         self.owner = owner
         self.name = name
-        self.strict = strict
 
     # -- metadata (public protocol parameters) -----------------------------
 
@@ -141,17 +114,11 @@ class LocalView:
         return len(self._array)
 
     def __repr__(self) -> str:
-        mode = "strict" if self.strict else "open"
-        return (
-            f"LocalView({self.name} of party {self.owner}, "
-            f"shape={self.shape}, {mode})"
-        )
+        return f"LocalView({self.name} of party {self.owner}, shape={self.shape})"
 
     # -- guarded data access ----------------------------------------------
 
     def _check(self) -> None:
-        if not self.strict:
-            return
         scope = current_party()
         if scope != self.owner:
             where = "outside any party scope" if scope is None else f"at party {scope}"

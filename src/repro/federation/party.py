@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
-from repro.crypto.encoding import EncryptedNumber
+from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
 from repro.crypto.paillier import Ciphertext
 from repro.federation.locality import LocalView, as_party
 from repro.mpc.conversion import mask_layout
@@ -37,6 +37,8 @@ __all__ = [
     "Party",
     "PartyEndpoint",
     "PartyRuntime",
+    "PivotClient",
+    "RemoteColumns",
 ]
 
 #: Tags whose ciphertext-batch broadcasts are threshold-decryption requests:
@@ -45,6 +47,154 @@ __all__ = [
 #: statistics, prediction vectors — carries its own tags and is consumed
 #: without a reply.)
 DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert"})
+
+
+@dataclass
+class PivotClient:
+    """One client u_i: her local features and candidate splits (§3.1).
+
+    ``features`` is a :class:`~repro.federation.locality.LocalView`: the
+    columns are readable only inside this client's party scope.  The
+    indicator helpers — the client's own local computations whose
+    *outputs* enter the protocol — run inside :meth:`local` themselves.
+    ``split_values`` are derived local data too, but the basic protocol
+    reveals the chosen threshold at every split, so they stay unguarded
+    plaintext.
+    """
+
+    index: int
+    features: LocalView  # n x d_i, client-local columns (read-guarded)
+    split_values: list[list[float]]  # per local feature, <= b thresholds
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+    def local(self) -> Any:
+        """Scope marking a block as this client's own computation."""
+        return as_party(self.index)
+
+    def n_splits(self, feature: int) -> int:
+        return len(self.split_values[feature])
+
+    def indicator(self, feature: int, split: int) -> np.ndarray:
+        """v_l for the split: 1 where sample's value <= threshold (§4.1)."""
+        threshold = self.split_values[feature][split]
+        with self.local():
+            column = self.features.read()[:, feature]
+        return (column <= threshold).astype(np.int64)
+
+    def indicator_matrix(self, feature: int) -> np.ndarray:
+        """V (n x n'): columns are the v_l vectors of one feature (§5.2)."""
+        return np.column_stack(
+            [self.indicator(feature, s) for s in range(self.n_splits(feature))]
+        )
+
+    def local_row(self, t: int) -> np.ndarray:
+        """This client's feature slice of training sample ``t``.
+
+        Used by joint prediction over *training* rows (GBDT residual
+        updates): each client contributes her own columns, read inside her
+        scope — the replacement for reassembling a global matrix.
+        """
+        with self.local():
+            return np.asarray(self.features.read()[t], dtype=np.float64)
+
+    def batch_sums(
+        self, rows: list[int], weights: list[EncryptedNumber]
+    ) -> list[EncryptedNumber]:
+        """Per-sample encrypted partial sums [ξ_i] = x_t,i ⊙ [θ_i] (§7.3).
+
+        The logistic trainer's per-batch local computation: for each
+        training row ``t`` the client reads *her own* columns in scope and
+        folds them into the encrypted weight block homomorphically.  Only
+        the ciphertext outputs leave the client; in the process deployment
+        the whole computation runs in the owning worker.
+        """
+        encoder = weights[0].encoder
+        with self.local():
+            local = self.features.read()
+            row_data = [np.asarray(local[t], dtype=np.float64) for t in rows]
+        out = []
+        for row in row_data:
+            coefficients = [encoder.encode(float(v)).encoding for v in row]
+            out.append(encrypted_dot_product(coefficients, weights))
+        return out
+
+    def weight_update(
+        self,
+        rows: list[int],
+        weights: list[EncryptedNumber],
+        loss_cts: list[EncryptedNumber],
+        scale: float,
+    ) -> list[EncryptedNumber]:
+        """Homomorphic gradient step on this client's weight block (§7.3):
+        [θ_ij] -= scale · Σ_t x_tij ⊗ [loss_t], reading x only in scope."""
+        encoder = weights[0].encoder
+        with self.local():
+            local = self.features.read()
+            row_data = [np.asarray(local[t], dtype=np.float64) for t in rows]
+        updated = []
+        for j, weight in enumerate(weights):
+            gradient = None
+            for row, loss_ct in zip(row_data, loss_cts):
+                coefficient = encoder.encode(-scale * float(row[j]))
+                term = loss_ct * coefficient
+                gradient = term if gradient is None else gradient + term
+            updated.append(weight + gradient)
+        return updated
+
+
+class RemoteColumns:
+    """Stand-in for a party's columns that live in another process.
+
+    Shape metadata stays readable (feature counts are public); every data
+    access raises ``error``: this process holds no such array, and the
+    party's columns are reachable only through her sanctioned local
+    computations in ``where`` (her worker process, her standalone runtime
+    process).
+    """
+
+    __slots__ = ("owner", "shape", "_error", "_where")
+
+    def __init__(
+        self,
+        owner: int,
+        shape: tuple[int, int],
+        *,
+        error: type[Exception],
+        where: str,
+    ) -> None:
+        self.owner = owner
+        self.shape = shape
+        self._error = error
+        self._where = where
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def _refuse(self) -> NoReturn:
+        raise self._error(
+            f"party {self.owner}'s raw columns live in her {self._where}; "
+            "this process holds no copy to read (only protocol-level "
+            "outputs travel back)"
+        )
+
+    def read(self) -> np.ndarray:
+        self._refuse()
+
+    def __getitem__(self, key: Any) -> Any:
+        self._refuse()
+
+    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
+        self._refuse()
+
+    def __repr__(self) -> str:
+        return f"RemoteColumns(party {self.owner}, shape={self.shape})"
 
 
 @dataclass
@@ -421,11 +571,10 @@ class Party:
     and hand the list to :class:`~repro.federation.federation.Federation`,
     which performs the joint setup (key generation, MPC preprocessing,
     candidate splits) and binds each party to her runtime identity.  After
-    binding, :attr:`features` / :attr:`labels` are strict
+    binding, :attr:`features` / :attr:`labels` are
     :class:`~repro.federation.locality.LocalView` guards — reading them
     outside this party's scope raises
-    :class:`~repro.federation.locality.LocalityError` when the federation
-    enforces locality.
+    :class:`~repro.federation.locality.LocalityError`.
     """
 
     def __init__(
@@ -443,9 +592,9 @@ class Party:
         if self._raw_labels is not None and len(self._raw_labels) != len(features):
             raise ValueError("features and labels disagree on sample count")
         self.name = name
-        # Set by DeployedFederation when the columns are shipped to a
-        # worker process and the local copy is poisoned; a flagged party
-        # cannot be federated again (build a fresh one from source data).
+        # Set when a federation hands the columns to another process and
+        # poisons the local copy; a flagged party cannot be federated
+        # again (build a fresh one from source data).
         self._columns_remote = False
         # Assigned by Federation._bind():
         self.index: int | None = None

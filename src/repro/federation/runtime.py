@@ -22,8 +22,8 @@ as her own long-lived process.  Each process
   socket.
 
 The super client's process is the :class:`RuntimeFederation` — an ordinary
-:class:`~repro.federation.federation.Federation` whose context holds *only*
-her party (its transport hosts party 0 alone).  The other parties appear as
+:class:`~repro.federation.federation.Federation` that hosts *only* her
+party (its transport hosts party 0 alone).  The other parties appear as
 :class:`StandalonePartyClient` stubs that expose exactly the public facts
 the protocol needs (feature/split *counts*, fetched over the control
 plane); their columns, candidate thresholds and key shares exist only in
@@ -65,17 +65,21 @@ import numpy as np
 
 from repro.analysis import opcount
 from repro.core.config import PivotConfig
-from repro.core.context import PivotClient
 from repro.crypto.batch import BatchCryptoEngine
 from repro.crypto.distkeygen import KeygenParty
 from repro.crypto.encoding import PaillierEncoder
 from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.threshold import ThresholdKeyShare
-from repro.data.partition import vertical_partition
+from repro.data.partition import VerticalPartition, vertical_partition
 from repro.data.synthetic import make_classification, make_regression
 from repro.federation.federation import Federation
 from repro.federation.locality import LocalView, as_party
-from repro.federation.party import Party, PartyEndpoint, PartyRuntime
+from repro.federation.party import (
+    PartyEndpoint,
+    PartyRuntime,
+    PivotClient,
+    RemoteColumns,
+)
 from repro.mpc.field import MERSENNE_127
 from repro.network.bus import CONTROL_TAG_PREFIX, MessageBus
 from repro.network.flows import run_distributed_keygen
@@ -357,7 +361,7 @@ def write_party_configs(
 class StandalonePartyRuntime:
     """One non-super party's whole process: socket, keys, event loop.
 
-    Deliberately *not* a :class:`~repro.core.context.PivotContext`: a
+    Deliberately *not* a :class:`~repro.federation.federation.Federation`: a
     standalone party runs no MPC, owns no labels, and drives no flows —
     she needs her columns, her codec/bus on her own socket, her keygen
     state machine (or a resumed ``d_i``), her crypto engine and her
@@ -429,9 +433,7 @@ class StandalonePartyRuntime:
             )
             client = PivotClient(
                 index=self.index,
-                features=LocalView(
-                    block, self.index, name="features", strict=True
-                ),
+                features=LocalView(block, self.index, name="features"),
                 split_values=split_values,
             )
             self.runtime = PartyRuntime(
@@ -601,44 +603,6 @@ class StandalonePartyRuntime:
 # ---------------------------------------------------------------------------
 
 
-class _StandaloneColumns:
-    """Shape-only stand-in for a standalone party's columns.
-
-    Mirrors the deployed topology's ``_RemoteColumns``: anything beyond
-    shape/len fails loudly — the columns exist only in the party's own
-    process, reachable solely through her sanctioned protocol reactions.
-    """
-
-    def __init__(self, owner: int, shape: tuple[int, int]) -> None:
-        self.owner = owner
-        self.shape = shape
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def _refuse(self) -> NoReturn:
-        raise RuntimeError(
-            f"party {self.owner}'s columns live in her standalone runtime "
-            "process; the orchestrator holds no copy to read"
-        )
-
-    def read(self) -> np.ndarray:
-        self._refuse()
-
-    def __getitem__(self, key: Any) -> Any:
-        self._refuse()
-
-    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
-        self._refuse()
-
-    def __repr__(self) -> str:
-        return f"_StandaloneColumns(owner={self.owner}, shape={self.shape})"
-
-
 class StandalonePartyClient:
     """Client stub for a party living in her own standalone process.
 
@@ -654,7 +618,9 @@ class StandalonePartyClient:
 
     def __init__(self, index: int, shape: tuple[int, int]) -> None:
         self.index = index
-        self.features = _StandaloneColumns(index, shape)
+        self.features = RemoteColumns(
+            index, shape, error=RuntimeError, where="standalone runtime process"
+        )
         self._shape = shape
         self._split_counts: list[int] | None = None
         #: bound to RuntimeFederation._control
@@ -714,7 +680,7 @@ class RuntimeFederation(Federation):
 
     An ordinary :class:`~repro.federation.federation.Federation` — same
     estimator API, same parity guarantees — except physically minimal:
-    the context hosts only party 0's inbox, key-material and columns
+    it hosts only party 0's inbox, key-material and columns
     (her transport hosts no one else); distributed keygen runs her
     machine against the remote parties' over the socket mesh; the other
     parties are :class:`StandalonePartyClient` stubs.  Cost snapshots and the
@@ -741,39 +707,20 @@ class RuntimeFederation(Federation):
             task=config.task,
             super_client=config.super_client,
         )
-        sup = config.super_client
         self._remote = tuple(
-            i for i in range(config.n_parties) if i != sup
+            i for i in range(config.n_parties) if i != config.super_client
         )
-        # Orchestrator-side Party handles: hers is real, every remote block
-        # is NaN poison of the right shape — reading one fails or visibly
-        # poisons parity-checked output (the DeployedFederation guarantee).
-        parties, masked, stubs = [], [], {}
-        for i, block in enumerate(partition.local_features):
-            if i == sup:
-                parties.append(Party(block, labels=y, name="super"))
-                masked.append(block)
-                continue
-            poison = np.full_like(block, np.nan)
-            parties.append(Party(poison, name=f"party{i}"))
-            masked.append(poison)
-            stubs[i] = StandalonePartyClient(i, block.shape)
-        from dataclasses import replace as _replace
-
-        partition = _replace(partition, local_features=tuple(masked))
-        self.stubs = stubs
-        # Assembly runs distributed keygen over the socket mesh before the
-        # codec is bound — the constructor returns with pk shared and only
-        # d_0 in this process.
-        self._assemble(
-            parties,
+        # Every block but hers lives in its party's own process: assembly
+        # poisons the copies derived here from the shared data spec, and
+        # runs distributed keygen over the socket mesh before the codec is
+        # bound — the constructor returns with pk shared and only d_0 in
+        # this process.
+        super().__init__(
             partition,
-            config.pivot_config(),
-            None,
-            config.make_transport(),
-            remote_clients=dict(stubs),
+            config=config.pivot_config(),
+            transport=config.make_transport(),
         )
-        for stub in stubs.values():
+        for stub in self.stubs.values():
             stub._fetch = self._control
         #: Last merged per-party state: (boot, [ce, cd, cs, cc]) so op
         #: deltas merge exactly once, and cached bus counters for
@@ -789,6 +736,16 @@ class RuntimeFederation(Federation):
         for i in self._remote:
             self._pull_state(i)
 
+    def _remote_clients(self, partition: VerticalPartition) -> dict[int, Any]:
+        """Every other party is a stub of public facts; her columns, split
+        thresholds and key share live only in her own process."""
+        self.stubs: dict[int, StandalonePartyClient] = {
+            i: StandalonePartyClient(i, block.shape)
+            for i, block in enumerate(partition.local_features)
+            if i != partition.super_client
+        }
+        return dict(self.stubs)
+
     # -- control plane -----------------------------------------------------
 
     def _control(self, party: int, op: str, body: list | None = None) -> list:
@@ -797,7 +754,7 @@ class RuntimeFederation(Federation):
         Per-party FIFO makes this a barrier: the reply proves the party
         has reacted to every protocol frame that preceded the request.
         """
-        bus = self.context.bus
+        bus = self.bus
         sup = self.super_client
         bus.send_control(sup, party, Request(op, list(body or [])), tag=op)
         sender, tag, payload = bus.receive_control(sup)
@@ -880,7 +837,7 @@ class RuntimeFederation(Federation):
         with leftover protocol mail; each party's report then doubles as
         the barrier that she has reacted to everything sent before it.
         """
-        self.context.bus.assert_drained()
+        self.bus.assert_drained()
         for i in self._remote:
             state = self._pull_state(i)
             if state["pending"]:
@@ -896,7 +853,7 @@ class RuntimeFederation(Federation):
         they are reported once, not summed)."""
         for i in self._remote:
             self._pull_state(i)
-        snap = self.context.cost_snapshot()
+        snap = super().cost_snapshot()
         bus = dict(snap["bus"])
         by_tag = dict(bus["by_tag"])
         for state in self._party_bus.values():
@@ -912,7 +869,7 @@ class RuntimeFederation(Federation):
             for tag, n in state["by_tag"].items():
                 by_tag[tag] = by_tag.get(tag, 0) + n
         bus["by_tag"] = by_tag
-        bus["simulated_seconds"] = self.context.bus.model.time(
+        bus["simulated_seconds"] = self.bus.model.time(
             bus["rounds"], bus["bytes"]
         )
         snap["bus"] = bus
@@ -921,7 +878,7 @@ class RuntimeFederation(Federation):
     def key_report(self) -> dict[int, dict[str, bool]]:
         """Every process's key-material audit: no full private key anywhere."""
         report = {
-            self.super_client: self.context.keygen_machines[
+            self.super_client: self.keygen_machines[
                 self.super_client
             ].secret_summary()
         }

@@ -462,7 +462,7 @@ def test_pl004_flags_dealer_key_use_post_provisioning(tmp_path):
         """
         class Broken(DeployedFederation):
             def fit(self, ciphertext):
-                return self.context.threshold._private_key.decrypt(ciphertext)
+                return self.threshold._private_key.decrypt(ciphertext)
         """,
     )
     assert "PL004" in rules_found(report)
@@ -474,7 +474,7 @@ def test_pl004_flags_direct_threshold_joint_decrypt(tmp_path):
         """
         class Sneaky(DeployedFederation):
             def speed_up(self, batch):
-                return self.context.threshold.joint_decrypt_batch(batch)
+                return self.threshold.joint_decrypt_batch(batch)
         """,
     )
     assert rules_found(report) == ["PL004"]
@@ -516,8 +516,8 @@ def test_pl004_covers_runtime_federation_no_dealer_world(tmp_path):
         """
         class Hasty(RuntimeFederation):
             def shortcut(self, ciphertext):
-                self.context.threshold.joint_decrypt(ciphertext)
-                return self.context.threshold.decrypt(ciphertext)
+                self.threshold.joint_decrypt(ciphertext)
+                return self.threshold.decrypt(ciphertext)
         """,
     )
     assert rules_found(report) == ["PL004", "PL004"]
@@ -532,7 +532,7 @@ def test_pl004_runtime_federation_subclass_inherits_the_ban(tmp_path):
 
         class Derived(Base):
             def peek(self):
-                return self.context.threshold.shares[0]
+                return self.threshold.shares[0]
         """,
     )
     # PL004 (deployed-class share read) plus PL002: the same expression

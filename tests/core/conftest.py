@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PivotConfig, PivotContext
+from repro.core import PivotConfig
 from repro.data import make_classification, make_regression, vertical_partition
+from repro.federation import Federation
 from repro.tree import TreeParams
 
 TEST_KEYSIZE = 256
@@ -40,7 +41,7 @@ def make_context(
         gain_mode=gain_mode,
         **config_kwargs,
     )
-    return PivotContext(vp, cfg)
+    return Federation.from_partition(vp, cfg)
 
 
 def global_split_grid(context) -> list[list[float]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import opcount
-from repro.core import PivotConfig, TreeTrainer, PivotContext
+from repro.core import PivotConfig, TreeTrainer
 from repro.data import vertical_partition
 from repro.tree import DecisionTree, TreeParams
 

@@ -1,11 +1,11 @@
-"""PivotContext / PivotConfig / label providers."""
+"""Federation setup / PivotConfig / label providers."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.core import PivotConfig, PivotContext
+from repro.core import PivotConfig
 from repro.core.config import DPConfig
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.data import make_classification, vertical_partition
@@ -25,13 +25,12 @@ def test_config_validation():
         PivotConfig(tree=TreeParams(max_depth=0))
 
 
-def test_config_fields_are_these_twelve():
+def test_config_fields_are_these_eleven():
     """Every field is a configuration the tests must cover: a new knob
     has to show up as a diff here."""
     assert {f.name for f in fields(PivotConfig)} == {
         "keysize", "frac_bits", "mpc_k", "kappa", "tree", "gain_mode",
         "protocol", "dp", "authenticated_mpc", "seed", "keygen",
-        "strict_locality",
     }
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import opcount
 from repro.core import (
     PivotConfig,
-    PivotContext,
     TreeTrainer,
     run_predict_batch,
     run_predict_enhanced,
@@ -281,13 +280,13 @@ class _OpeningLog:
     ``share_to_cipher``'s opening, each with the β it was masked for."""
 
     def __init__(self, monkeypatch, ctx):
-        from repro.core import context as context_module
+        from repro.federation import federation as federation_module
         from repro.crypto.packing import SlotLayout
 
         self.ctx = ctx
         self.entries: list[tuple[str, int, int]] = []  # (flow, e + 2^β, β)
         real_unpack = SlotLayout.unpack
-        real_to_cipher = context_module.share_to_cipher
+        real_to_cipher = federation_module.share_to_cipher
         real_open_many = ctx.engine.open_many
         converting = []
 
@@ -312,7 +311,7 @@ class _OpeningLog:
 
         monkeypatch.setattr(SlotLayout, "unpack", unpack)
         monkeypatch.setattr(ctx.engine, "open_many", open_many)
-        monkeypatch.setattr(context_module, "share_to_cipher", to_cipher)
+        monkeypatch.setattr(federation_module, "share_to_cipher", to_cipher)
 
     def assert_all_below_their_mask_bound(self):
         ctx = self.ctx

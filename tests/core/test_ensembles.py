@@ -65,27 +65,6 @@ def test_rf_validation(rf_setup):
         ForestTrainer(ctx, n_trees=1).predict(np.zeros((1, 4)))
 
 
-def test_legacy_ensembles_require_basic_protocol():
-    """The deprecated flat-API classes keep their documented basic-only
-    scope; the trainers behind the federation API accept enhanced."""
-    from repro.core import PivotGBDT, PivotRandomForest
-    from repro.data import make_classification
-
-    X, y = make_classification(20, 4, n_classes=2, seed=7)
-    ctx = make_context(
-        X, y, "classification", keysize=512, protocol="enhanced", params=PARAMS
-    )
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError):
-            PivotRandomForest(ctx)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError):
-            PivotGBDT(ctx)
-    # The new trainers take the enhanced context (share-level aggregation).
-    assert ForestTrainer(ctx).enhanced
-    assert GBDTTrainer(ctx).enhanced
-
-
 # -- GBDT ---------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ semi-honest protocol; deviations are detected and abort."""
 import numpy as np
 import pytest
 
-from repro.core import CheatingClient, MaliciousPivotDecisionTree, TreeTrainer
+from repro.core import CheatingClient, MaliciousTreeTrainer, TreeTrainer
 from repro.core.malicious import CommittedVector
 from repro.crypto.zkp import ProofError
 from repro.mpc.sharing import MacCheckError
@@ -26,7 +26,7 @@ def test_requires_authenticated_engine(tiny_data):
     X, y = tiny_data
     ctx = make_context(X, y, "classification", params=PARAMS)
     with pytest.raises(ValueError):
-        MaliciousPivotDecisionTree(ctx)
+        MaliciousTreeTrainer(ctx)
 
 
 def test_honest_run_matches_semi_honest(tiny_data):
@@ -34,7 +34,7 @@ def test_honest_run_matches_semi_honest(tiny_data):
     mal_ctx = make_context(
         X, y, "classification", params=PARAMS, seed=2, authenticated_mpc=True
     )
-    honest = MaliciousPivotDecisionTree(mal_ctx).fit()
+    honest = MaliciousTreeTrainer(mal_ctx).fit()
     basic_ctx = make_context(X, y, "classification", params=PARAMS, seed=2)
     basic = TreeTrainer(basic_ctx).fit()
     assert honest.structure_signature() == basic.structure_signature()

@@ -32,9 +32,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core import PivotConfig, PivotContext, TreeTrainer
+from repro.core import PivotConfig, TreeTrainer
 from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 from repro.data import vertical_partition
+from repro.federation import Federation
 from repro.tree import DecisionTree, TreeParams
 
 from tests.core.conftest import global_split_grid
@@ -140,7 +141,7 @@ def fit_root(splits, protocol: str, seed: int, n: int = N, pos: int = POSITIVES)
     X, y = node_dataset(splits, n, pos)
     vp = vertical_partition(X, y, 2, task="classification")
     config = PivotConfig(keysize=256, tree=PARAMS, seed=seed, protocol=protocol)
-    with PivotContext(vp, config) as ctx:
+    with Federation.from_partition(vp, config) as ctx:
         grid = global_split_grid(ctx)
         assert grid == [[0.5], [0.5]]
         secure = TreeTrainer(ctx).fit().root

@@ -4,8 +4,9 @@ feature removal, four clients, imbalanced masks."""
 import numpy as np
 import pytest
 
-from repro.core import PivotConfig, PivotContext, TreeTrainer, run_predict_batch
+from repro.core import PivotConfig, TreeTrainer, run_predict_batch
 from repro.data import make_classification, vertical_partition
+from repro.federation import Federation
 from repro.tree import DecisionTree, TreeParams
 
 from tests.core.conftest import global_signature, global_split_grid
@@ -15,7 +16,7 @@ def test_super_client_need_not_be_client_zero():
     X, y = make_classification(30, 4, n_classes=2, seed=30)
     vp = vertical_partition(X, y, 3, task="classification", super_client=2)
     params = TreeParams(max_depth=2, max_splits=2)
-    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=1))
+    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=1))
     model = TreeTrainer(ctx).fit()
     plain = DecisionTree("classification", params).fit(
         X, y, split_candidates=global_split_grid(ctx)
@@ -32,7 +33,7 @@ def test_exact_ties_resolve_to_the_earliest_candidate(seed):
     X, y = make_classification(30, 4, n_classes=2, seed=30)
     vp = vertical_partition(X, y, 3, task="classification", super_client=2)
     params = TreeParams(max_depth=2, max_splits=2)
-    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=seed))
+    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=seed))
     grid = global_split_grid(ctx)
     plain = DecisionTree("classification", params).fit(X, y, split_candidates=grid)
 
@@ -54,7 +55,7 @@ def test_four_clients():
     X, y = make_classification(30, 4, n_classes=2, seed=31)
     vp = vertical_partition(X, y, 4, task="classification")
     params = TreeParams(max_depth=2, max_splits=2)
-    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=2))
+    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=2))
     model = TreeTrainer(ctx).fit()
     plain = DecisionTree("classification", params).fit(
         X, y, split_candidates=global_split_grid(ctx)
@@ -67,7 +68,7 @@ def test_remove_used_feature_matches_plaintext():
     X, y = make_classification(40, 4, n_classes=2, seed=32)
     vp = vertical_partition(X, y, 2, task="classification")
     params = TreeParams(max_depth=3, max_splits=2, remove_used_feature=True)
-    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=3))
+    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=3))
     model = TreeTrainer(ctx).fit()
     for path in model.leaf_paths():
         used = [(node.owner, node.feature) for node, _ in path]
@@ -85,7 +86,7 @@ def test_shuffled_column_assignment():
         X, y, 3, task="classification", shuffle_columns=True, seed=9
     )
     params = TreeParams(max_depth=2, max_splits=2)
-    ctx = PivotContext(vp, PivotConfig(keysize=256, tree=params, seed=4))
+    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=4))
     model = TreeTrainer(ctx).fit()
     # Local prediction through global_feature equals the secure protocol.
     secure = run_predict_batch(model, ctx, X[:8])
@@ -97,7 +98,7 @@ def test_single_feature_per_client():
     X, y = make_classification(24, 3, n_classes=2, seed=34)
     vp = vertical_partition(X, y, 3, task="classification")
     assert all(len(c) == 1 for c in vp.columns_per_client)
-    ctx = PivotContext(
+    ctx = Federation.from_partition(
         vp, PivotConfig(keysize=256, tree=TreeParams(max_depth=2, max_splits=2), seed=5)
     )
     model = TreeTrainer(ctx).fit()
@@ -107,7 +108,7 @@ def test_single_feature_per_client():
 def test_tiny_mask_becomes_leaf():
     X, y = make_classification(30, 4, n_classes=2, seed=35)
     vp = vertical_partition(X, y, 3, task="classification")
-    ctx = PivotContext(
+    ctx = Federation.from_partition(
         vp,
         PivotConfig(
             keysize=256,
@@ -125,7 +126,7 @@ def test_tiny_mask_becomes_leaf():
 def test_revealed_log_grows_monotonically():
     X, y = make_classification(24, 4, n_classes=2, seed=36)
     vp = vertical_partition(X, y, 3, task="classification")
-    ctx = PivotContext(
+    ctx = Federation.from_partition(
         vp, PivotConfig(keysize=256, tree=TreeParams(max_depth=1, max_splits=2), seed=7)
     )
     TreeTrainer(ctx).fit()
@@ -146,7 +147,7 @@ def test_refuses_a_fit_whose_counts_break_division():
     y = np.arange(limit) % 2
     for rows, refused in ((limit - 1, False), (limit, True)):
         vp = vertical_partition(X[:rows], y[:rows], 3, task="classification")
-        ctx = PivotContext(vp, PivotConfig(keysize=256, frac_bits=frac_bits, seed=1))
+        ctx = Federation.from_partition(vp, PivotConfig(keysize=256, frac_bits=frac_bits, seed=1))
         with opcount.counting() as ops:
             if refused:
                 with pytest.raises(ValueError, match="F = 8"):

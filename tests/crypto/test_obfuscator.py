@@ -93,7 +93,7 @@ def test_federation_setup_builds_no_table():
     X = np.random.default_rng(0).normal(size=(12, 4))
     parties = [Party(X[:, :2], labels=(X[:, 0] > 0).astype(int)), Party(X[:, 2:])]
     with Federation(parties, config=PivotConfig(keysize=256)) as fed:
-        public_key = fed.context.threshold.public_key
+        public_key = fed.threshold.public_key
         assert not {"mask_base", "_mask_table"} & vars(public_key).keys()
 
 

@@ -53,7 +53,6 @@ def make_federation(
         tree=params,
         seed=seed,
         protocol=protocol,
-        strict_locality=True,
         **config_kwargs,
     )
     return Federation(split_parties(X, y, blocks), task=task, config=config)

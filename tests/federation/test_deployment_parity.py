@@ -29,7 +29,7 @@ import pytest
 from repro.analysis import opcount
 from repro.core import PivotConfig
 from repro.crypto.threshold import PartialDecryption, combine_partial_decryptions
-from repro.data import make_classification
+from repro.data import make_classification, vertical_partition
 from repro.federation import Federation, Party, PivotClassifier
 from repro.federation.deployment import DeployedFederation, RemoteOpError
 from repro.federation.runtime import (
@@ -141,7 +141,7 @@ def runtime_run(data, tmp_path_factory):
     try:
         fed = RuntimeFederation(load_runtime_config(paths[0]))
         facts["key_report"] = fed.key_report()
-        facts["stub"] = fed.context.clients[1]
+        facts["stub"] = fed.clients[1]
         facts["remote_poisoned"] = bool(
             np.isnan(fed.parties[1]._raw_features).all()
         )
@@ -226,7 +226,7 @@ def deployed(data):
 
 
 def test_remote_columns_do_not_exist_in_orchestrator(deployed):
-    remote = deployed.context.clients[1]
+    remote = deployed.clients[1]
     with pytest.raises(RemoteOpError, match="worker process"):
         remote.features.read()
     with pytest.raises(RemoteOpError, match="worker process"):
@@ -234,14 +234,14 @@ def test_remote_columns_do_not_exist_in_orchestrator(deployed):
     # The orchestrator-side Party handle holds only NaN poison.
     assert np.isnan(deployed.parties[1]._raw_features).all()
     # ... as does the context's partition slot for the remote party.
-    assert np.isnan(deployed.context.partition.local_features[1]).all()
+    assert np.isnan(deployed.partition.local_features[1]).all()
     # The super client's own data stays local and real.
-    assert not np.isnan(deployed.context.partition.local_features[0]).any()
+    assert not np.isnan(deployed.partition.local_features[0]).any()
 
 
 def test_remote_party_local_ops_match_local_computation(data, deployed):
     X, y = data
-    remote = deployed.context.clients[1]
+    remote = deployed.clients[1]
     block = X[:, 2:]
     for feature in range(block.shape[1]):
         for split, threshold in enumerate(remote.split_values[feature]):
@@ -255,7 +255,7 @@ def test_remote_party_local_ops_match_local_computation(data, deployed):
 def test_worker_holds_a_working_key_share(deployed):
     """The provisioned share really decrypts: the worker's partial
     decryption combines with the super client's into the plaintext."""
-    threshold = deployed.context.threshold
+    threshold = deployed.threshold
     ct = threshold.public_key.encrypt(123)
     worker_values = deployed.workers[1].request(
         "partial_decrypt", ciphertexts=[ct]
@@ -307,8 +307,32 @@ def test_from_partition_and_from_global_really_deploy(data):
     with DeployedFederation.from_global(X, y, 2, config=CONFIG) as fed:
         assert isinstance(fed, DeployedFederation)
         assert sorted(fed.workers) == [1]
-        assert fed.context.bus.transport.snapshot()["kind"] == "SocketTransport"
+        assert fed.bus.transport.snapshot()["kind"] == "SocketTransport"
         assert np.isnan(fed.parties[1]._raw_features).all()
+
+
+def test_shuffled_partition_deploys_with_its_columns():
+    """A shuffled partition keeps its column assignment when deployed:
+    the same ``columns_per_client``, the same per-party slices of global
+    rows, and the same model and predictions as in memory."""
+    X, y = make_classification(24, 6, n_classes=2, seed=11)
+    vp = vertical_partition(X, y, 3, shuffle_columns=True, seed=1)
+    assert vp.columns_per_client == ((4, 0), (2, 1), (5, 3))
+    rows = X[:8]
+    runs = []
+    for cls in (Federation, DeployedFederation):
+        with cls.from_partition(vp, CONFIG) as fed:
+            clf = PivotClassifier().fit(fed)
+            predictions = list(clf.predict(rows))
+            assert predictions == list(clf.model_.predict(rows))
+            runs.append((
+                fed.partition.columns_per_client,
+                [block.tolist() for block in fed.slices(rows)],
+                clf.model_.structure_signature(),
+                predictions,
+            ))
+    assert runs[0][0] == vp.columns_per_client
+    assert runs[1] == runs[0]
 
 
 def test_logistic_trains_over_process_deployment(data):

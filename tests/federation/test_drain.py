@@ -4,9 +4,10 @@ every inbox empty at the end of training."""
 import numpy as np
 import pytest
 
-from repro.core import PivotConfig, PivotContext, TreeTrainer, run_predict_batch
+from repro.core import PivotConfig, TreeTrainer, run_predict_batch
 from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
+from repro.federation import Federation
 from repro.federation.party import PartyEndpoint, PartyRuntime
 from repro.network.bus import MessageBus
 from repro.network.flows import record_threshold_decrypt
@@ -127,10 +128,10 @@ def test_threshold_decrypt_flow_validates_batch_shape(payload_bus):
 def test_training_drains_inboxes(tiny_classification, protocol):
     X, y = tiny_classification
     with make_federation(X, y, protocol=protocol, seed=21) as fed:
-        model = TreeTrainer(fed.context).fit()
-        run_predict_batch(model, fed.context, X[:3], protocol)
+        model = TreeTrainer(fed).fit()
+        run_predict_batch(model, fed, X[:3], protocol)
         fed.assert_drained()
-        snapshot = fed.context.bus.snapshot()
+        snapshot = fed.bus.snapshot()
         assert snapshot["pending"] == 0
         # Semi-honest training uses payload sends exclusively, and every
         # payload message is consumed by its receiver.
@@ -138,11 +139,12 @@ def test_training_drains_inboxes(tiny_classification, protocol):
 
 
 def test_legacy_context_training_drains_too(tiny_classification):
-    """The invariant holds for the flat API as well — drain-based delivery
-    lives in the bus, not in the facade."""
+    """The invariant holds for a federation built from a partition and
+    driven by the trainer directly — drain-based delivery lives in the
+    bus, not in the estimators."""
     X, y = tiny_classification
     vp = vertical_partition(X, y, 2, task="classification")
-    with PivotContext(
+    with Federation.from_partition(
         vp, PivotConfig(keysize=256, tree=PARAMS, seed=2)
     ) as ctx:
         TreeTrainer(ctx).fit()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import DPConfig, PivotConfig
+from repro.analysis import opcount
+from repro.core import DPConfig, PivotConfig, TreeTrainer, run_predict_batch
 from repro.federation import (
     Federation,
+    LocalityError,
     PivotClassifier,
     PivotForestClassifier,
     PivotGBDTClassifier,
@@ -145,8 +147,40 @@ def test_fit_from_bare_party_list(tiny_classification):
     with clf:
         clf.fit(split_parties(X, y))
         assert clf._owns_federation
-        assert clf.federation_.strict_locality  # default for owned federations
+        with pytest.raises(LocalityError):  # owned federations guard too
+            clf.federation_.parties[1].features[0]
         assert clf.score(X[:8], y[:8]) >= 0.0
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_facade_and_trainer_are_identical(tiny_classification, protocol):
+    """Same data, same seed: ``PivotClassifier().fit(fed)`` and
+    ``TreeTrainer(fed).fit()`` give the same tree and predictions, with
+    identical Ce/Cd/Cs/Cc op counts, measured bus bytes (total and per
+    tag), rounds and threshold decryptions."""
+    X, y = tiny_classification
+    rows = X[:6]
+    runs = []
+    for facade in (True, False):
+        with make_federation(X, y, protocol=protocol, seed=3) as fed:
+            with opcount.counting() as ops:
+                if facade:
+                    clf = PivotClassifier(protocol=protocol).fit(fed)
+                    model, predictions = clf.model_, clf.predict(rows)
+                else:
+                    model = TreeTrainer(fed).fit()
+                    predictions = run_predict_batch(model, fed, rows, protocol)
+            cost = fed.cost_snapshot()
+            runs.append((
+                model.structure_signature(),
+                list(predictions),
+                dict(ops),
+                cost["bus"]["bytes_measured"],
+                cost["bus"]["by_tag"],
+                cost["bus"]["rounds"],
+                cost["conversions"]["threshold_decryptions"],
+            ))
+    assert runs[0] == runs[1]
 
 
 def test_multiclass_forest(tiny_multiclass):

@@ -92,7 +92,7 @@ def test_endpoint_pending_goes_through_bus_api(data):
     try:
         a, b = (p.endpoint for p in fed.parties)
         assert a.pending() == b.pending() == 0
-        a.send(1, fed.context.threshold.public_key.encrypt(1), tag="stats")
+        a.send(1, fed.threshold.public_key.encrypt(1), tag="stats")
         assert b.pending() == 1
         assert a.pending() == 0
         b.receive(tag="stats")

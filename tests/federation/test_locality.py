@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import PivotConfig, TreeTrainer
-from repro.federation import LocalityError, LocalView, as_party, current_party
-from repro.federation.locality import strict_locality_default
+from repro.data import vertical_partition
+from repro.federation import (
+    Federation,
+    LocalityError,
+    LocalView,
+    as_party,
+    current_party,
+)
 
 from tests.federation.conftest import PARAMS, make_federation
 
@@ -31,14 +37,8 @@ def test_scope_rejects_negative_index():
             pass
 
 
-def test_local_view_open_mode_allows_everything():
-    view = LocalView(np.arange(6).reshape(2, 3), owner=1, strict=False)
-    assert view[0, 2] == 2
-    assert np.asarray(view).sum() == 15
-
-
 def test_local_view_strict_blocks_unscoped_and_cross_party_reads():
-    view = LocalView(np.arange(6).reshape(2, 3), owner=1, strict=True)
+    view = LocalView(np.arange(6).reshape(2, 3), owner=1)
     # Metadata stays public.
     assert view.shape == (2, 3)
     assert len(view) == 2
@@ -58,53 +58,42 @@ def test_local_view_array_protocol_copies_by_default():
     """np.array/np.asarray on a view must not alias the backing store —
     a caller-side mutation would corrupt the party's training columns."""
     backing = np.arange(6, dtype=np.float64).reshape(2, 3)
-    view = LocalView(backing, owner=0, strict=False)
-    copied = np.array(view)
-    copied[0, 0] = 999.0
-    assert backing[0, 0] == 0.0
-    # An explicit no-copy request aliases (the read() contract)...
-    aliased = np.asarray(view, copy=False)
-    assert aliased is backing
-    # ...but cannot be combined with a dtype conversion.
-    with pytest.raises(ValueError, match="copy=False"):
-        view.__array__(dtype=np.int64, copy=False)
-
-
-def test_env_default(monkeypatch):
-    monkeypatch.delenv("PIVOT_STRICT_LOCALITY", raising=False)
-    assert strict_locality_default() is None  # unset: Federation resolves to True
-    monkeypatch.setenv("PIVOT_STRICT_LOCALITY", "1")
-    assert strict_locality_default() is True
+    view = LocalView(backing, owner=0)
+    with as_party(0):
+        copied = np.array(view)
+        copied[0, 0] = 999.0
+        assert backing[0, 0] == 0.0
+        # An explicit no-copy request aliases (the read() contract)...
+        aliased = np.asarray(view, copy=False)
+        assert aliased is backing
+        # ...but cannot be combined with a dtype conversion.
+        with pytest.raises(ValueError, match="copy=False"):
+            view.__array__(dtype=np.int64, copy=False)
 
 
 def test_explicit_config_still_enforces(tiny_classification):
-    """Passing a custom PivotConfig must not silently drop enforcement:
-    an *unset* strict_locality resolves to True inside a Federation (the
-    quickstart scenario), and only an explicit False turns it off."""
-    import os
-
-    from repro.federation import Federation
+    """Every federation guards raw reads, however it was built: a party
+    list with a custom PivotConfig, and a partition through
+    ``from_partition``.  An unscoped read of another party's features or
+    of the labels raises."""
     from tests.federation.conftest import split_parties
 
     X, y = tiny_classification
-    env_forced = bool(os.environ.get("PIVOT_STRICT_LOCALITY"))
-    config = PivotConfig(keysize=256, tree=PARAMS, seed=7)  # flag untouched
-    with Federation(split_parties(X, y), config=config) as fed:
-        assert fed.strict_locality
-        with pytest.raises(LocalityError):
-            fed.parties[1].features[0]
-    if not env_forced:  # explicit opt-out is respected (unless CI forces it)
-        off = PivotConfig(keysize=256, tree=PARAMS, seed=7, strict_locality=False)
-        with Federation(split_parties(X, y), config=off) as fed:
-            assert not fed.strict_locality
-            fed.parties[1].features[0]  # unguarded legacy behaviour
-    # A bare PivotContext keeps the legacy default: unset means unguarded.
-    from repro.core import PivotContext
-    from repro.data import vertical_partition
-
+    config = PivotConfig(keysize=256, tree=PARAMS, seed=7)
     vp = vertical_partition(X, y, 2, task="classification")
-    with PivotContext(vp, config) as ctx:
-        assert ctx.strict_locality is env_forced
+    for fed in (
+        Federation(split_parties(X, y), config=config),
+        Federation.from_partition(vp, config),
+    ):
+        with fed:
+            with pytest.raises(LocalityError):
+                fed.parties[1].features[0]
+            with pytest.raises(LocalityError):
+                fed.clients[1].features.read()
+            with pytest.raises(LocalityError):
+                fed.labels[0]
+            with pytest.raises(LocalityError):
+                np.asarray(fed.labels)
 
 
 # -- the federation guarantee -------------------------------------------------
@@ -134,7 +123,7 @@ def test_party_cannot_read_another_partys_columns(strict_fed):
 
 def test_labels_are_super_client_only(strict_fed):
     fed = strict_fed
-    ctx = fed.context
+    ctx = fed
     with pytest.raises(LocalityError):
         ctx.labels[0]
     with pytest.raises(LocalityError):
@@ -148,38 +137,31 @@ def test_labels_are_super_client_only(strict_fed):
 
 def test_training_succeeds_under_strict_locality(strict_fed, tiny_classification):
     """Every core path is properly scoped: full training + prediction run
-    with enforcement on, and the result matches the unguarded run."""
+    with enforcement on, and the result matches the same partition
+    federated through ``from_partition`` and the plaintext walk."""
     X, y = tiny_classification
     fed = strict_fed
-    assert fed.strict_locality
-    model = TreeTrainer(fed.context).fit()
+    model = TreeTrainer(fed).fit()
     from repro.core import run_predict_batch
 
-    strict_preds = list(run_predict_batch(model, fed.context, X[:8]))
-
-    from repro.data import vertical_partition
-    from repro.core import PivotContext
+    preds = list(run_predict_batch(model, fed, X[:8]))
+    assert preds == list(model.predict(X[:8]))
 
     vp = vertical_partition(X, y, 2, task="classification")
-    loose_ctx = PivotContext(
-        vp,
-        PivotConfig(
-            keysize=256, tree=PARAMS, seed=3, strict_locality=False
-        ),
-    )
-    loose_model = TreeTrainer(loose_ctx).fit()
-    assert model.structure_signature() == loose_model.structure_signature()
-    assert strict_preds == list(run_predict_batch(loose_model, loose_ctx, X[:8]))
-    loose_ctx.close()
+    config = PivotConfig(keysize=256, tree=PARAMS, seed=3)
+    with Federation.from_partition(vp, config) as other:
+        other_model = TreeTrainer(other).fit()
+        assert model.structure_signature() == other_model.structure_signature()
+        assert preds == list(run_predict_batch(other_model, other, X[:8]))
 
 
 def test_enhanced_training_succeeds_under_strict_locality(tiny_classification):
     X, y = tiny_classification
     with make_federation(X, y, protocol="enhanced", seed=5) as fed:
-        model = TreeTrainer(fed.context).fit()
+        model = TreeTrainer(fed).fit()
         from repro.core import run_predict_enhanced
 
-        pred = run_predict_enhanced(model, fed.context, X[0])
+        pred = run_predict_enhanced(model, fed, X[0])
         assert pred in set(int(v) for v in y)
         fed.assert_drained()
 
@@ -188,8 +170,8 @@ def test_party_binding(strict_fed):
     fed = strict_fed
     for i, party in enumerate(fed.parties):
         assert party.index == i
-        assert party.columns == fed.context.partition.columns_per_client[i]
-        assert party.key_share is fed.context.threshold.shares[i]
+        assert party.columns == fed.partition.columns_per_client[i]
+        assert party.key_share is fed.threshold.shares[i]
         assert party.endpoint.index == i
     assert fed.parties[fed.super_client].is_super
     assert sum(p.holds_labels for p in fed.parties) == 1

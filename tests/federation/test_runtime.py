@@ -117,7 +117,7 @@ def test_killed_party_fails_the_next_barrier_loudly(tmp_path):
         # generous bounds above; the loud-failure property under test only
         # concerns the *post-kill* barrier, so tighten the orchestrator's
         # transport bounds now — SocketTransport reads them per call.
-        transport = fed.context.bus.transport
+        transport = fed.bus.transport
         transport.timeout = 3.0
         transport.connect_timeout = 5.0
         party.kill()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import opcount
-from repro.core import PivotConfig, PivotContext
+from repro.core import PivotConfig
 from repro.crypto.threshold import (
     combine_partial_vectors,
     generate_threshold_keypair,
@@ -69,7 +69,7 @@ def _run(federation, rows):
 def test_deployment_scrubs_dealer_key_material(data):
     X, y = data
     with DeployedFederation(_parties(X, y), config=CONFIG) as fed:
-        tp = fed.context.threshold
+        tp = fed.threshold
         assert tp._private_key is None
         assert tp.scrubbed
         # Only the super client's own share remains in the orchestrator.
@@ -103,7 +103,7 @@ def test_combine_flow_carries_real_share_vectors(data):
     sufficient on their own to reconstruct the plaintext."""
     X, y = data
     partition = vertical_partition(X, y, 2)
-    with PivotContext(partition, CONFIG) as ctx:
+    with Federation.from_partition(partition, CONFIG) as ctx:
         ct = ctx.threshold.public_key.encrypt(41)
         vectors = record_threshold_decrypt(
             ctx.bus, [ct], tag="threshold-decrypt", runtimes=ctx.runtimes
@@ -121,7 +121,7 @@ def test_deployed_decryption_reconstructs_from_worker_shares(data):
     the plaintext can appear is via the worker's share vector."""
     X, y = data
     with DeployedFederation(_parties(X, y), config=CONFIG) as fed:
-        ctx = fed.context
+        ctx = fed
         value = ctx.encoder.encrypt(6.25)
         assert ctx.joint_decrypt(value, tag="test") == pytest.approx(6.25)
         fed.assert_drained()
@@ -134,7 +134,7 @@ def test_nothing_reads_the_dealer_key(data):
     X, y = data
     untouched = _run(Federation(_parties(X, y), config=CONFIG), X[:6])
     keyless = Federation(_parties(X, y), config=CONFIG)
-    keyless.context.threshold._private_key = None
+    keyless.threshold._private_key = None
     assert _run(keyless, X[:6]) == untouched
 
 
@@ -184,7 +184,7 @@ def test_ragged_share_vectors_raise():
 def test_dead_worker_fails_decryption_not_silent_fallback(data):
     X, y = data
     with DeployedFederation(_parties(X, y), config=CONFIG) as fed:
-        ctx = fed.context
+        ctx = fed
         worker = fed.workers[1]
         worker._proc.terminate()
         worker._proc.join(5.0)

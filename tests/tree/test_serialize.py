@@ -44,12 +44,13 @@ def test_regression_roundtrip(tmp_path):
 def test_federated_model_roundtrip(tmp_path):
     """Pivot basic-protocol models (owner + local + global feature ids)
     survive serialization and still predict through global columns."""
-    from repro.core import PivotConfig, PivotContext, TreeTrainer
+    from repro.core import PivotConfig, TreeTrainer
     from repro.data import vertical_partition
+    from repro.federation import Federation
 
     X, y = make_classification(24, 4, n_classes=2, seed=47)
     vp = vertical_partition(X, y, 3, task="classification")
-    ctx = PivotContext(
+    ctx = Federation.from_partition(
         vp, PivotConfig(keysize=256, tree=TreeParams(max_depth=2, max_splits=2), seed=8)
     )
     model = TreeTrainer(ctx).fit()
@@ -63,12 +64,13 @@ def test_federated_model_roundtrip(tmp_path):
 
 
 def test_enhanced_model_rejected(tmp_path):
-    from repro.core import PivotConfig, PivotContext, TreeTrainer
+    from repro.core import PivotConfig, TreeTrainer
     from repro.data import vertical_partition
+    from repro.federation import Federation
 
     X, y = make_classification(20, 4, n_classes=2, seed=48)
     vp = vertical_partition(X, y, 3, task="classification")
-    ctx = PivotContext(
+    ctx = Federation.from_partition(
         vp,
         PivotConfig(
             keysize=512,
