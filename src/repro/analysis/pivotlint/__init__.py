@@ -19,7 +19,7 @@ PL002  secret-escape             key secrets (d_i, dealer key, primes)
 PL003  unregistered-payload      bus payloads that are not registered
                                  WireCodec wire types
 PL004  dealer-use-after-scrub    dealer-key-only operations reachable from
-                                 DeployedFederation post-provisioning code
+                                 multi-process federation code
 PL005  drain-discipline          bus sends with no round()/assert_drained
                                  barrier on some path (callee barriers
                                  count via summaries)

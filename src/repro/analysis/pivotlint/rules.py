@@ -18,8 +18,8 @@ The rules encode the paper's two static invariants:
   dealer's λ/µ and prime factors) never reaches a wire, a log, an
   exception message, or a public return — PL002; nothing leaves on the bus
   except registered wire types — PL003; and nothing that only works with
-  the (scrubbed) dealer key is reachable from deployed-federation code —
-  PL004.
+  a dealer key (which no multi-process row has) is reachable from
+  deployed-federation code — PL004.
 """
 
 from __future__ import annotations
@@ -681,17 +681,15 @@ class UnregisteredPayload(Rule):
 # PL004 — dealer-use-after-scrub
 # ---------------------------------------------------------------------------
 
-#: Classes whose post-provisioning methods must never reach dealer-key
-#: material.  DeployedFederation scrubs the dealer key after provisioning;
-#: RuntimeFederation (the standalone runtime, distributed keygen) never
-#: has one — there the same operations are not merely scrubbed but
-#: *impossible*, so flagging them is even more clear-cut.
+#: Classes whose post-assembly methods must never reach dealer-key
+#: material.  RuntimeFederation (the standalone runtime, distributed
+#: keygen) and DeployedFederation (its subclass that spawns the party
+#: processes) never have one: the operations are *impossible* there.
 _DEPLOYED_ROOTS = frozenset({"DeployedFederation", "RuntimeFederation"})
 
 #: Methods of a deployed-federation class that legitimately touch dealer
-#: key material: assembly and provisioning run *before* the scrub.  (For
-#: RuntimeFederation these phases hold no dealer key either — keygen is
-#: distributed — but they are still the only place key material may move.)
+#: key material: assembly, where distributed keygen runs — the only place
+#: key material may move.
 _PRE_SCRUB_METHODS = frozenset(
     {"__init__", "from_partition", "from_global", "_assemble", "_provision"}
 )
@@ -713,13 +711,11 @@ class DealerUseAfterScrub(Rule):
         "with dealer key material: dealer-key CRT decryption, reading "
         "threshold .shares / ._private_key / .d_share, or direct "
         "threshold.joint_decrypt* (bypassing the runtime-routed combine "
-        "flow).  A DeployedFederation scrubs the dealer key after "
-        "provisioning; a RuntimeFederation runs distributed keygen, so no "
-        "dealer key ever exists."
+        "flow).  Both run distributed keygen, so no dealer key ever "
+        "exists."
     )
     hint = (
-        "only the share-combination flow can decrypt (post-scrub for "
-        "DeployedFederation, always for RuntimeFederation): route through "
+        "only the share-combination flow can decrypt: route through "
         "the federation's joint_decrypt*/the party runtimes, and keep key-"
         "material access inside __init__/provisioning"
     )
@@ -758,7 +754,7 @@ class DealerUseAfterScrub(Rule):
                             rule.finding(
                                 ctx,
                                 sub,
-                                f"post-provisioning access to scrubbed key "
+                                f"post-assembly access to dealer key "
                                 f"material `.{sub.attr}`",
                                 qualname,
                             )
@@ -773,8 +769,8 @@ class DealerUseAfterScrub(Rule):
                             rule.finding(
                                 ctx,
                                 sub,
-                                "post-provisioning read of threshold .shares "
-                                "(remote shares are scrubbed to None)",
+                                "post-assembly read of threshold .shares "
+                                "(remote shares are None in this process)",
                                 qualname,
                             )
                         )
@@ -793,7 +789,7 @@ class DealerUseAfterScrub(Rule):
                                     ctx,
                                     sub,
                                     f"dealer-key-only call `.{attr}(...)` "
-                                    f"reachable after the dealer scrub",
+                                    f"reachable where no dealer key exists",
                                     qualname,
                                 )
                             )
@@ -804,7 +800,7 @@ class DealerUseAfterScrub(Rule):
                                     sub,
                                     f"direct `threshold.{attr}(...)` bypasses "
                                     f"the runtime-routed combine flow and "
-                                    f"needs locally-held shares (scrubbed)",
+                                    f"needs every share in this process",
                                     qualname,
                                 )
                             )

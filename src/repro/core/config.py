@@ -48,7 +48,8 @@ class PivotConfig:
     seed: int | None = None
     #: How the threshold-Paillier key material comes into existence.
     #: ``"dealer"`` is the legacy trusted setup: one process samples p, q
-    #: and deals the d_i shares (then optionally scrubs itself).
+    #: and deals the d_i shares.  ``DeployedFederation`` does not read this
+    #: field: a multi-process row always runs ``"distributed"``.
     #: ``"distributed"`` runs the m-party keygen protocol
     #: (repro.crypto.distkeygen) as bus flows — every party samples her own
     #: p_i/q_i shares, the RSA modulus is biprimality-tested jointly, and

@@ -38,15 +38,14 @@ the Damgård–Jurik θ trick for the shared decryption exponent):
 
 No process ever materializes λ, µ, p or q: party i only ever knows
 (p_i, q_i, β_i, d_i) plus the public (N, θ), so a bundle built from this
-protocol has no dealer key for
-:meth:`~repro.crypto.threshold.ThresholdPaillier.scrub_dealer` to drop.
+protocol has no dealer key at all.
 
 :class:`KeygenParty` is a *pure state machine*: feed it received
 messages, get back messages to send.  The network layer
 (:func:`repro.network.flows.run_distributed_keygen` and the per-party
 runtimes) moves the messages; the machine itself never touches a bus,
-which is what lets the same code run in-process, behind a worker pipe,
-or in a standalone party process.  All randomness is drawn from a
+which is what lets the same code run in-process or in a standalone
+party process.  All randomness is drawn from a
 deterministic per-party stream seeded from ``(seed, index)`` so that
 every deployment topology replays the identical transcript — the
 deployment-parity matrix depends on this.  Crypto operations here use

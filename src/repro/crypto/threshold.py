@@ -19,8 +19,10 @@ Two key-generation paths produce the (d_i, theta) material:
   it chooses d with  d = 0 (mod lambda(n))  and  d = 1 (mod n)  (CRT) and
   splits d additively modulo n * lambda(n).  Here theta = 1.  The bundle
   keeps the dealer's CRT private key only as the tests' reference
-  decryption and as what :meth:`ThresholdPaillier.scrub_dealer` drops —
-  nothing in the package decrypts with it.  The dealer draws the factors from
+  decryption — nothing in the package decrypts with it.  Only
+  single-process federations use the dealer: the multi-process rows run
+  the distributed path, so no process of theirs ever holds a dealer key.
+  The dealer draws the factors from
   :func:`repro.crypto.primes.random_prime_pair`: distinct, equal length,
   p = q = 3 (mod 4) — the key condition of the obfuscator (see
   :mod:`repro.crypto.paillier`) — and retries until gcd(lambda, n) = 1;
@@ -219,17 +221,15 @@ def combine_partial_vectors(
 class ThresholdPaillier:
     """Bundle of (pk, key shares) for an m-client deployment.
 
-    In the simulated deployment each :class:`~repro.core.client` object owns
-    exactly one :class:`ThresholdKeyShare`; this bundle exists so tests and
-    the trusted-setup phase can hand the shares out and so single-process
-    code can run a "joint decryption" in one call.
+    In the simulated deployment each party owns exactly one
+    :class:`ThresholdKeyShare`; this bundle exists so tests and the
+    setup phase can hand the shares out and so single-process code can
+    run a "joint decryption" in one call.
 
-    After a process deployment provisions the shares to their owners the
-    bundle is *scrubbed* (:meth:`scrub_dealer`): the dealer's withheld
-    private key and the remote parties' ``d_share`` values are dropped, so
-    the process holding the bundle cannot decrypt without the m−1 other
-    parties — decryption then only works through the share-combination
-    message flow.
+    In a multi-process deployment the bundle holds only this process's
+    own share; every other party's slot is ``None`` (her ``d_share``
+    lives in her own process), so decryption only works through the
+    share-combination message flow.
     """
 
     def __init__(
@@ -243,44 +243,17 @@ class ThresholdPaillier:
         self.public_key = public_key
         self.shares = shares
         self.n_parties = len(shares)
-        # The dealer's key: the tests' reference decryption, dropped by
-        # scrub_dealer, never decrypted with by the package.  Always None on the
+        # The dealer's key: the tests' reference decryption, never
+        # decrypted with by the package.  Always None on the
         # distributed-keygen path: no such key ever exists anywhere.
         self._private_key = private_key
         #: Public combination element (1 for the dealer path; sum(d_i) mod
         #: n for distributed keygen).
         self.theta = theta
-        #: True when the shares came from the dealer-free protocol — the
-        #: bundle then never held anything to scrub.
+        #: True when the shares came from the dealer-free protocol.
         self.distributed = distributed
         if distributed and private_key is not None:
             raise ValueError("a distributed-keygen bundle has no private key")
-
-    def scrub_dealer(self, keep_shares: set[int] | frozenset[int] = frozenset()) -> None:
-        """Drop the dealer's withheld key material after provisioning.
-
-        ``keep_shares`` names the parties whose shares legitimately live in
-        this process (the super client in a deployment); every other
-        party's ``d_share`` is dropped along with the private key.  After
-        the scrub this process provably cannot decrypt alone: any
-        decryption needs the m−1 remote share vectors.
-
-        A distributed-keygen bundle never held a dealer key; dropping the
-        non-kept shares still applies when one process hosted several
-        parties' keygen machines (the deployed topology runs all m state
-        machines orchestrator-side for transcript determinism, then
-        provisions each worker her share) — after the scrub those
-        ``d_share`` values live only with their owners.
-        """
-        self._private_key = None
-        self.shares = [
-            share if share is not None and share.party_index in keep_shares else None
-            for share in self.shares
-        ]
-
-    @property
-    def scrubbed(self) -> bool:
-        return self._private_key is None and any(s is None for s in self.shares)
 
     def encrypt(self, plaintext: int) -> Ciphertext:
         return self.public_key.encrypt(plaintext)
@@ -290,8 +263,8 @@ class ThresholdPaillier:
             missing = [i for i, s in enumerate(self.shares) if s is None]
             raise RuntimeError(
                 f"cannot decrypt locally: the d_share values of parties "
-                f"{missing} were scrubbed from this process (they live with "
-                f"their owners); run the share-combination flow instead"
+                f"{missing} live in their owners' processes; run the "
+                f"share-combination flow instead"
             )
         return self.shares
 

@@ -17,9 +17,11 @@ data:
   runtimes, labels and accounting.
   ``transport="asyncio"`` routes every protocol payload over real local
   sockets (:class:`~repro.network.transport.SocketTransport`, the class
-  the standalone runtime's mesh is made of too); :class:`~repro.federation.deployment.DeployedFederation`
-  additionally launches each non-super party in her own worker process
-  (columns and key share physically local), with bit-identical results.
+  the standalone runtime's mesh is made of too).
+  :class:`~repro.federation.deployment.DeployedFederation` spawns each
+  non-super party as a standalone runtime process holding her own columns
+  and key share, and runs the super client's side in this process
+  (distributed keygen; basic trees, forests and logistic regression).
 * sklearn-style estimators (:mod:`repro.federation.estimators`):
   :class:`PivotClassifier`, :class:`PivotRegressor`,
   :class:`PivotForestClassifier`, :class:`PivotGBDTClassifier`,

@@ -121,8 +121,8 @@ class Federation:
         for party in parties:
             if party._columns_remote:
                 raise ValueError(
-                    f"{party!r} shipped her columns to a worker process in a "
-                    "previous DeployedFederation (the local copy is poisoned); "
+                    f"{party!r} shipped her columns to her own process in a "
+                    "previous deployment (the local copy is poisoned); "
                     "build fresh Party objects from the source data"
                 )
         supers = [i for i, p in enumerate(parties) if p.holds_labels]
@@ -161,8 +161,8 @@ class Federation:
 
     def _remote_clients(self, partition: VerticalPartition) -> dict[int, Any]:
         """Client objects for the parties whose columns live in another
-        process, by index.  In-process federations have none; the process
-        and standalone topologies override this to launch or stub them."""
+        process, by index.  In-process federations have none; the
+        multi-process rows override this to stub (and launch) them."""
         return {}
 
     def _poison_remote(
@@ -192,12 +192,12 @@ class Federation:
 
         Which parties' inboxes (and, with distributed keygen, key shares)
         live in this process is the transport's ``hosted`` — all m parties
-        unless the caller hands over a transport that hosts fewer (the
-        standalone-runtime orchestrator's hosts only the super client).
-        ``remote_clients`` maps party indices to client objects whose
-        feature reads execute elsewhere; those indices get no
-        :class:`~repro.federation.locality.LocalView` here because this
-        process holds no columns of theirs to guard.
+        unless the caller hands over a transport that hosts fewer (a
+        multi-process row's hosts only the super client).
+        ``remote_clients`` maps the other parties' indices to stubs; those
+        indices get no :class:`~repro.federation.locality.LocalView` and
+        no runtime here, because this process holds no columns or key
+        share of theirs.
         """
         self.partition = partition
         config = self.config
@@ -263,8 +263,8 @@ class Federation:
         self.clients: list[Any] = []
         for i in range(m):
             if i in remote_clients:
-                # The party's columns live in her own process; her client
-                # object proxies the sanctioned local computations there.
+                # The party's columns live in her own process; her stub
+                # holds public counts only.
                 self.clients.append(remote_clients[i])
                 continue
             # pivotlint: disable=PL001 -- assembly: wrapping party i's block
@@ -283,28 +283,21 @@ class Federation:
         #: she takes part in — threshold-decryption shares, candidate-split
         #: statistics, split application, MPC mask contributions, logistic
         #: batch flows — runs as a reaction on her own endpoint
-        #: (:class:`~repro.federation.party.PartyRuntime`).  Remote-process
-        #: parties (deployment workers) get a runtime whose key and feature
-        #: computations proxy into their worker; standalone-runtime parties
-        #: get ``None`` — their event loops run in their own processes
+        #: (:class:`~repro.federation.party.PartyRuntime`).  A party hosted
+        #: elsewhere gets ``None``: her event loop runs in her own process
         #: against the same bytes.
-        self.runtimes: list[PartyRuntime | None] = []
-        for i in range(m):
-            if i not in self.local_parties:
-                self.runtimes.append(None)
-                continue
-            client = self.clients[i]
-            remote = i in remote_clients
-            self.runtimes.append(
-                PartyRuntime(
-                    PartyEndpoint(self.bus, i),
-                    client=client,
-                    engine=self.batch,
-                    field_q=self.engine.field.q,
-                    key_share=None if remote else self.threshold.shares[i],
-                    compute_shares=client.decryption_shares if remote else None,
-                )
+        self.runtimes: list[PartyRuntime | None] = [
+            PartyRuntime(
+                PartyEndpoint(self.bus, i),
+                key_share=self.threshold.shares[i],
+                client=self.clients[i],
+                engine=self.batch,
+                field_q=self.engine.field.q,
             )
+            if i in self.local_parties
+            else None
+            for i in range(m)
+        ]
         #: The labels, owned by the super client alone (§3.1).
         self.labels = LocalView(
             partition.labels, partition.super_client, name="labels"
@@ -361,8 +354,9 @@ class Federation:
     def local_parties(self) -> tuple[int, ...]:
         """Parties whose inboxes (and, with distributed keygen, keygen
         state machines and key shares) live in this process — whoever the
-        bus's transport hosts: all m unless this is the standalone-runtime
-        orchestrator, which hosts just the super client."""
+        bus's transport hosts: all m unless this is a multi-process row's
+        :class:`~repro.federation.runtime.RuntimeFederation`, which hosts
+        just the super client."""
         return self.bus.local_parties
 
     @property

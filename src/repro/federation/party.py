@@ -12,17 +12,16 @@ assigns the index, the global column ids, the key share, and the endpoint.
 her endpoint that answers every request flow she takes part in — among
 them threshold-decryption share requests (paper §2.1: every one of the m
 clients must exponentiate with her own ``d_i`` for any plaintext to
-exist).  The per-party process deployment points the runtime's
-``compute_shares`` hook at the owning worker process, so the share
-exponentiations run under the key owner's authority, not the
-orchestrator's.
+exist).  A party's runtime lives in the process that hosts her inbox and
+holds her key share: the share exponentiations run under the key owner's
+authority, wherever she is hosted.
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Any, Callable, NoReturn
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -108,8 +107,8 @@ class PivotClient:
         The logistic trainer's per-batch local computation: for each
         training row ``t`` the client reads *her own* columns in scope and
         folds them into the encrypted weight block homomorphically.  Only
-        the ciphertext outputs leave the client; in the process deployment
-        the whole computation runs in the owning worker.
+        the ciphertext outputs leave the client; in the multi-process rows
+        the whole computation runs in her own process (``lr-batch-sums``).
         """
         encoder = weights[0].encoder
         with self.local():
@@ -149,26 +148,16 @@ class RemoteColumns:
     """Stand-in for a party's columns that live in another process.
 
     Shape metadata stays readable (feature counts are public); every data
-    access raises ``error``: this process holds no such array, and the
-    party's columns are reachable only through her sanctioned local
-    computations in ``where`` (her worker process, her standalone runtime
-    process).
+    access raises ``RuntimeError``: this process holds no such array, and
+    the party's columns are reachable only through her sanctioned local
+    computations in her own standalone runtime process.
     """
 
-    __slots__ = ("owner", "shape", "_error", "_where")
+    __slots__ = ("owner", "shape")
 
-    def __init__(
-        self,
-        owner: int,
-        shape: tuple[int, int],
-        *,
-        error: type[Exception],
-        where: str,
-    ) -> None:
+    def __init__(self, owner: int, shape: tuple[int, int]) -> None:
         self.owner = owner
         self.shape = shape
-        self._error = error
-        self._where = where
 
     @property
     def ndim(self) -> int:
@@ -178,8 +167,9 @@ class RemoteColumns:
         return self.shape[0]
 
     def _refuse(self) -> NoReturn:
-        raise self._error(
-            f"party {self.owner}'s raw columns live in her {self._where}; "
+        raise RuntimeError(
+            f"party {self.owner}'s raw columns live in her standalone "
+            "runtime process; "
             "this process holds no copy to read (only protocol-level "
             "outputs travel back)"
         )
@@ -248,23 +238,19 @@ class PartyRuntime:
     super client) driving her side of request/response flows that the
     other parties answer on their own event loops, and a plaintext only
     exists once every party has answered a decryption with her real
-    c^{d_i} share vector.  Two ways to compute those shares:
+    c^{d_i} share vector, computed with her own ``key_share``.  A runtime
+    exists only in the process that hosts the party's inbox, so that
+    share is always local.
 
-    * ``key_share`` — the party's own :class:`ThresholdKeyShare`, for
-      parties whose key material lives in this process (the super client,
-      and every party of an in-memory federation).
-    * ``compute_shares`` — a hook running the exponentiations elsewhere;
-      :class:`~repro.federation.deployment.DeployedFederation` points it
-      at the owning worker's ``partial_decrypt`` op, so a remote party's
-      ``d_i`` is used only inside her own process.
+    The same object serves two deployment shapes:
 
-    The same object serves three deployment shapes:
-
-    * **in-memory / asyncio / process rows** — the flows *pump* each local
-      runtime (:meth:`react` once per pending request) between a request
+    * **in-memory / asyncio rows** — the flows *pump* each local runtime
+      (:meth:`react` once per pending request) between a request
       broadcast and the round barrier;
-    * **standalone-runtime row** — ``python -m repro.federation.runtime``
-      runs :meth:`react` in a blocking serve loop against a socket
+    * **multi-process rows** (``python -m repro.federation.runtime``, and
+      the processes :class:`~repro.federation.deployment.DeployedFederation`
+      spawns) — a :class:`~repro.federation.runtime.StandalonePartyRuntime`
+      runs :meth:`handle` in a blocking serve loop against a socket
       transport; the party answers whenever a frame arrives, with no
       orchestrator process involved in her computation.
 
@@ -286,23 +272,15 @@ class PartyRuntime:
         self,
         endpoint: PartyEndpoint,
         *,
+        key_share: Any,
         client: Any = None,
         engine: Any = None,
         field_q: int | None = None,
-        key_share: Any = None,
-        compute_shares: Callable[[list[int]], Any] | None = None,
     ) -> None:
-        if key_share is None and compute_shares is None:
-            raise ValueError(
-                "a PartyRuntime needs a key share or a compute_shares hook"
-            )
         self.endpoint = endpoint
         self.index = endpoint.index
         self._key_share = key_share
-        self._compute_shares = compute_shares
-        #: The party's PivotClient (her columns + candidate splits); the
-        #: deployed topology passes the RemotePivotClient proxy so feature
-        #: reads keep executing inside the owning worker process.
+        #: The party's PivotClient (her columns + candidate splits).
         self.client = client
         #: Her BatchCryptoEngine (shared in-process; her own in standalone).
         self.engine = engine
@@ -318,17 +296,9 @@ class PartyRuntime:
         ciphertexts = [
             c.ciphertext if isinstance(c, EncryptedNumber) else c for c in batch
         ]
-        if self._compute_shares is not None:
-            values = tuple(int(v) for v in self._compute_shares(ciphertexts))
-            if len(values) != len(ciphertexts):
-                raise ValueError(
-                    f"party {self.index}'s compute hook returned "
-                    f"{len(values)} shares for {len(ciphertexts)} ciphertexts"
-                )
-        else:
-            values = tuple(
-                p.value for p in self._key_share.partial_decrypt_batch(ciphertexts)
-            )
+        values = tuple(
+            p.value for p in self._key_share.partial_decrypt_batch(ciphertexts)
+        )
         return PartialDecryptionVector(self.index, values)
 
     # -- event loop --------------------------------------------------------

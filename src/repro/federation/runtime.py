@@ -45,9 +45,12 @@ hop of a predict call, which her loop consumes without a reply), so a
 party killed after training can be restarted and serve predictions
 without rerunning keygen.
 
-Data: the quickstart derives each party's columns deterministically from
-the shared ``[data]`` spec (synthetic generators are seeded), standing in
-for each organisation loading her own table in a real deployment.
+Data: a :class:`StandalonePartyRuntime` is handed her own column block.
+The TOML entrypoint derives it deterministically from the shared
+``[data]`` spec (synthetic generators are seeded), standing in for each
+organisation loading her own table in a real deployment;
+:class:`~repro.federation.deployment.DeployedFederation` spawns the same
+party processes from a party list, passing each her block.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from repro.data.synthetic import make_classification, make_regression
 from repro.federation.federation import Federation
 from repro.federation.locality import LocalView, as_party
 from repro.federation.party import (
+    Party,
     PartyEndpoint,
     PartyRuntime,
     PivotClient,
@@ -102,6 +106,9 @@ __all__ = [
 
 #: Control-plane operations a standalone party answers (tag == op).
 CONTROL_OPS = ("ctl-info", "ctl-snapshot", "ctl-keyreport", "ctl-shutdown")
+
+#: Per-party bus counters that sum across processes.
+_SUMMED = ("messages", "consumed", "bytes", "bytes_measured", "bytes_estimated")
 
 #: secret_summary key order on the wire (dicts are not a wire type).
 _KEYREPORT_FIELDS = (
@@ -196,6 +203,13 @@ class RuntimeConfig:
             )
         return make_regression(
             self.n_samples, self.n_features, seed=self.data_seed
+        )
+
+    def partition(self) -> VerticalPartition:
+        """The shared dataset split over the deployment's parties."""
+        X, y = self.make_dataset()
+        return vertical_partition(
+            X, y, self.n_parties, task=self.task, super_client=self.super_client
         )
 
     def pivot_config(self) -> PivotConfig:
@@ -369,7 +383,7 @@ class StandalonePartyRuntime:
     does is a reaction in :meth:`serve`.
     """
 
-    def __init__(self, config: RuntimeConfig) -> None:
+    def __init__(self, config: RuntimeConfig, block: np.ndarray) -> None:
         if config.is_orchestrator:
             raise ValueError(
                 "the super client's process is the RuntimeFederation "
@@ -381,22 +395,10 @@ class StandalonePartyRuntime:
         #: Fresh per-launch marker so the orchestrator can tell a restart
         #: (reset counters) from a continuation when merging snapshots.
         self.boot = secrets.randbits(63)
-        self._ops_reported = {"ce": 0, "cd": 0, "cs": 0, "cc": 0}
 
-        # Her columns: the shared deterministic dataset, restricted to her
-        # vertical slice (stands in for loading her own table).
-        X, y = config.make_dataset()
-        partition = vertical_partition(
-            X,
-            y,
-            config.n_parties,
-            task=config.task,
-            super_client=config.super_client,
-        )
+        # Her columns: her block only, handed over by whoever launched her.
         with as_party(self.index):  # her own columns, in her own process
-            block = partition.local_features[self.index]
             split_values = candidate_splits_matrix(block, config.max_splits)
-        del X, y, partition  # she keeps only her own columns
         self.n_samples = int(block.shape[0])
 
         # Transport + key-less codec + bus: the codec is bound to the
@@ -568,15 +570,11 @@ class StandalonePartyRuntime:
             ops = opcount.snapshot()
             body = [
                 self.boot,
-                self.bus.messages,
-                self.bus.consumed,
                 self.bus.pending(self.index),
-                self.bus.bytes,
-                self.bus.bytes_measured,
-                self.bus.bytes_estimated,
                 self.bus.rounds,
                 [[key.encode(), n] for key, n in sorted(self.bus.by_tag.items())],
                 [ops["ce"], ops["cd"], ops["cs"], ops["cc"]],
+                *(getattr(self.bus, key) for key in _SUMMED),
             ]
         elif tag == "ctl-keyreport":
             summary = self.secret_summary()
@@ -618,9 +616,7 @@ class StandalonePartyClient:
 
     def __init__(self, index: int, shape: tuple[int, int]) -> None:
         self.index = index
-        self.features = RemoteColumns(
-            index, shape, error=RuntimeError, where="standalone runtime process"
-        )
+        self.features = RemoteColumns(index, shape)
         self._shape = shape
         self._split_counts: list[int] | None = None
         #: bound to RuntimeFederation._control
@@ -685,41 +681,51 @@ class RuntimeFederation(Federation):
     machine against the remote parties' over the socket mesh; the other
     parties are :class:`StandalonePartyClient` stubs.  Cost snapshots and the
     end-of-run drain check merge the remote parties' control-plane
-    reports, so accounting stays comparable with the single-process rows.
+    reports (the only way remote op counts reach this process).  What
+    would need a party's plaintext here — the enhanced protocol, the
+    malicious model, GBDT's training rows — raises ``NotImplementedError``
+    before any protocol message is sent.
 
-    The standalone party processes must already be running (or starting —
-    the transport retries refused connections) when this constructor runs:
-    keygen blocks until all m machines participate.
+    Built from a partition (or party list), a ``keygen="distributed"``
+    :class:`~repro.core.config.PivotConfig` and a transport hosting party
+    0 alone (the TOML entrypoint derives all three from a
+    :class:`RuntimeConfig`), which is closed if construction fails.  The
+    party processes must already be running (or starting): keygen blocks
+    until all m machines participate.
     """
 
-    def __init__(self, config: RuntimeConfig) -> None:
-        if not config.is_orchestrator:
-            raise ValueError(
-                f"RuntimeFederation is the super client's process; this "
-                f"config is for party {config.index}"
+    def __init__(
+        self,
+        parties: list[Party] | VerticalPartition,
+        config: PivotConfig,
+        transport: SocketTransport,
+        *,
+        task: str = "classification",
+    ) -> None:
+        try:
+            if tuple(transport.hosted) != (0,):
+                raise ValueError(
+                    "RuntimeFederation is the super client's process (party "
+                    "0); this transport hosts "
+                    + ", ".join(f"party {i}" for i in transport.hosted)
+                )
+            if config.keygen != "distributed":
+                raise ValueError(
+                    "RuntimeFederation needs keygen='distributed': no "
+                    "process of a multi-process deployment holds a dealer"
+                )
+            # Every block but hers lives in its party's own process:
+            # assembly poisons this process's copies, and runs distributed
+            # keygen over the socket mesh before the codec is bound — the
+            # constructor returns with pk shared and only d_0 in this
+            # process.
+            super().__init__(
+                parties, task=task, config=config, transport=transport
             )
-        self.runtime_config = config
-        X, y = config.make_dataset()
-        partition = vertical_partition(
-            X,
-            y,
-            config.n_parties,
-            task=config.task,
-            super_client=config.super_client,
-        )
-        self._remote = tuple(
-            i for i in range(config.n_parties) if i != config.super_client
-        )
-        # Every block but hers lives in its party's own process: assembly
-        # poisons the copies derived here from the shared data spec, and
-        # runs distributed keygen over the socket mesh before the codec is
-        # bound — the constructor returns with pk shared and only d_0 in
-        # this process.
-        super().__init__(
-            partition,
-            config=config.pivot_config(),
-            transport=config.make_transport(),
-        )
+        except BaseException:
+            transport.close()
+            raise
+        self._remote = tuple(self.stubs)
         for stub in self.stubs.values():
             stub._fetch = self._control
         #: Last merged per-party state: (boot, [ce, cd, cs, cc]) so op
@@ -728,6 +734,8 @@ class RuntimeFederation(Federation):
         #: stays out of later counting windows, like every other row).
         self._party_ops: dict[int, tuple[int, list[int]]] = {}
         self._party_bus: dict[int, dict] = {}
+        #: A restarted party's last state before her restart.
+        self._retired: dict[int, dict] = {}
         self._closed = False
         #: Parties whose last control reply acknowledged ctl-shutdown: they
         #: have exited, so asking again could only wait out the transport
@@ -736,9 +744,16 @@ class RuntimeFederation(Federation):
         for i in self._remote:
             self._pull_state(i)
 
-    def _remote_clients(self, partition: VerticalPartition) -> dict[int, Any]:
+    def _remote_clients(
+        self, partition: VerticalPartition
+    ) -> dict[int, StandalonePartyClient]:
         """Every other party is a stub of public facts; her columns, split
         thresholds and key share live only in her own process."""
+        if partition.super_client != 0:
+            raise ValueError(
+                "a multi-process deployment requires the super client to be "
+                "party 0 (the protocol's request flows anchor at client 1)"
+            )
         self.stubs: dict[int, StandalonePartyClient] = {
             i: StandalonePartyClient(i, block.shape)
             for i, block in enumerate(partition.local_features)
@@ -774,22 +789,12 @@ class RuntimeFederation(Federation):
         """Fetch one party's counters; merge her op-count delta exactly once.
 
         A changed boot marker means the party restarted (fresh counters):
-        her tallies restart as a new baseline rather than merging a
-        negative delta.
+        her op tallies restart as a new baseline rather than merging a
+        negative delta, and her bus counters carry on from the last ones
+        her previous launch reported.
         """
         body = self._control(party, "ctl-snapshot")
-        (
-            boot,
-            messages,
-            consumed,
-            pending,
-            nbytes,
-            measured,
-            estimated,
-            rounds,
-            tag_pairs,
-            ops,
-        ) = body
+        boot, pending, rounds, tag_pairs, ops, *counters = body
         ops = [int(v) for v in ops]
         previous = self._party_ops.get(party)
         if previous is not None and previous[0] == boot:
@@ -798,18 +803,24 @@ class RuntimeFederation(Federation):
             opcount.GLOBAL.cd += delta[1]
             opcount.GLOBAL.cs += delta[2]
             opcount.GLOBAL.cc += delta[3]
+        elif previous is not None:
+            self._retired[party] = self._party_bus[party]
         self._party_ops[party] = (boot, ops)
-        state = {
-            "boot": int(boot),
-            "messages": int(messages),
-            "consumed": int(consumed),
-            "pending": int(pending),
-            "bytes": int(nbytes),
-            "bytes_measured": int(measured),
-            "bytes_estimated": int(estimated),
-            "rounds": int(rounds),
-            "by_tag": {key.decode(): int(n) for key, n in tag_pairs},
+        state: dict[str, Any] = {
+            key: int(value) for key, value in zip(_SUMMED, counters)
         }
+        state.update(
+            boot=int(boot),
+            pending=int(pending),
+            rounds=int(rounds),
+            by_tag={key.decode(): int(n) for key, n in tag_pairs},
+        )
+        retired = self._retired.get(party)
+        if retired is not None:
+            for key in _SUMMED:
+                state[key] += retired[key]
+            for tag, n in retired["by_tag"].items():
+                state["by_tag"][tag] = state["by_tag"].get(tag, 0) + n
         self._party_bus[party] = state
         return state
 
@@ -821,30 +832,55 @@ class RuntimeFederation(Federation):
         dp: Any = None,
         malicious: bool | None = None,
     ) -> Any:
-        resolved = protocol or self.config.protocol
-        if resolved == "enhanced":
+        if (protocol or self.config.protocol) == "enhanced":
             raise NotImplementedError(
                 "the enhanced protocol's model update (Eq. 10) and hidden "
                 "split selection are centrally driven; the standalone "
                 "runtime topology supports the basic protocol"
             )
+        if malicious or (malicious is None and self.config.authenticated_mpc):
+            raise NotImplementedError(
+                "the malicious model's verified conversions are centrally "
+                "driven; the standalone runtime topology runs semi-honest"
+            )
         return super().context_for(protocol=protocol, dp=dp, malicious=malicious)
 
     def assert_drained(self) -> None:
-        """Every inbox empty — the orchestrator's *and* every party's.
+        """Summed over every process, protocol messages sent equal those
+        consumed and nothing is pending.
 
-        The local check runs first so a control reply cannot interleave
-        with leftover protocol mail; each party's report then doubles as
-        the barrier that she has reacted to everything sent before it.
+        A party's reply proves only that she has reacted to this
+        process's frames; a peer's frame to her may still be in flight, so
+        the parties are re-pulled until the sums agree or the transport
+        timeout passes.  The local check runs first so a control reply
+        cannot interleave with leftover protocol mail.
         """
         self.bus.assert_drained()
-        for i in self._remote:
-            state = self._pull_state(i)
-            if state["pending"]:
-                raise AssertionError(
-                    f"party {i} still has {state['pending']} undelivered "
-                    "protocol messages"
+        deadline = time.monotonic() + self.bus.transport.timeout
+        while True:
+            counts = {
+                self.super_client: (self.bus.messages, self.bus.consumed, 0)
+            }
+            for i in self._remote:
+                state = self._pull_state(i)
+                counts[i] = (
+                    state["messages"], state["consumed"], state["pending"]
                 )
+            sent, consumed, pending = (sum(c) for c in zip(*counts.values()))
+            if sent == consumed and not pending:
+                return
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        raise AssertionError(
+            f"not drained: {sent} protocol messages sent, {consumed} "
+            f"consumed, {pending} pending; "
+            + ", ".join(
+                f"party {i} sent {s} consumed {c} pending {p}"
+                for i, (s, c, p) in counts.items()
+                if s != c or p
+            )
+        )
 
     def cost_snapshot(self) -> dict[str, object]:
         """Deployment-wide accounting: every send counted once, at its
@@ -857,14 +893,7 @@ class RuntimeFederation(Federation):
         bus = dict(snap["bus"])
         by_tag = dict(bus["by_tag"])
         for state in self._party_bus.values():
-            for key in (
-                "messages",
-                "consumed",
-                "pending",
-                "bytes",
-                "bytes_measured",
-                "bytes_estimated",
-            ):
+            for key in (*_SUMMED, "pending"):
                 bus[key] += state[key]
             for tag, n in state["by_tag"].items():
                 by_tag[tag] = by_tag.get(tag, 0) + n
@@ -914,6 +943,11 @@ def run_orchestrator(config: RuntimeConfig) -> dict:
     """The quickstart: federate, fit, predict; returns a JSON-able summary."""
     from repro.federation.estimators import PivotClassifier, PivotRegressor
 
+    if not config.is_orchestrator:
+        raise ValueError(
+            f"the orchestrator is the super client's process; this config "
+            f"is for party {config.index}"
+        )
     X, y = config.make_dataset()
     summary: dict[str, object] = {
         "parties": config.n_parties,
@@ -921,7 +955,9 @@ def run_orchestrator(config: RuntimeConfig) -> dict:
         "task": config.task,
         "protocol": config.protocol,
     }
-    with RuntimeFederation(config) as fed:
+    with RuntimeFederation(
+        config.partition(), config.pivot_config(), config.make_transport()
+    ) as fed:
         summary["key_report"] = {
             str(i): report for i, report in fed.key_report().items()
         }
@@ -966,7 +1002,10 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(summary, sys.stdout)
         sys.stdout.write("\n")
         return 0
-    party = StandalonePartyRuntime(config)
+    partition = config.partition()
+    with as_party(config.index):  # her own columns, in her own process
+        block = partition.local_features[config.index]
+    party = StandalonePartyRuntime(config, block)
     host, port = config.addresses[config.index]
     print(
         f"party {config.index} serving on {host}:{port} "

@@ -193,9 +193,9 @@ class MessageBus:
     ) -> None:
         """Ship a control-plane message without touching the protocol books.
 
-        The standalone runtime topology needs out-of-band administration —
-        counter snapshots, key-material audits, shutdown — that the other
-        topologies perform over worker pipes or plain method calls.  Those
+        The multi-process rows need out-of-band administration — counter
+        snapshots, key-material audits, shutdown — that the single-process
+        rows perform with plain method calls.  Those
         messages are orchestration, not protocol: counting them would make
         the measured byte/message totals differ across deployment rows for
         identical protocol runs, which the parity suite pins.  They still
@@ -289,21 +289,6 @@ class MessageBus:
         """
         envelope, payload = self._pop(party)
         return envelope.sender, envelope.tag, payload
-
-    def receive_raw(self, party: int):
-        """Pop ``party``'s oldest envelope *undecoded* (or None).
-
-        Used by the deployed topology's runtime bridge: the orchestrator
-        ships the raw envelope over the worker pipe and the worker-side
-        runtime deserializes it with *her own* codec — the bytes cross
-        into the party's authority exactly as they left the wire.
-        """
-        self._check_party(party)
-        self.transport.flush()
-        envelope = self.transport.poll(party)
-        if envelope is not None:
-            self.consumed += 1
-        return envelope
 
     def drain(self, party: int | None = None) -> int:
         """Pop all pending *protocol* messages (one party, or everyone).

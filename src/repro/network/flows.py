@@ -21,9 +21,9 @@ partial-vector messages — the m partial-decryption shares the seed's
 Partial-decryption *values* are always real: each party's
 :class:`~repro.federation.party.PartyRuntime` *reacts* to the broadcast —
 she receives the batch from her inbox, computes her c^{d_i} share vector
-(locally with her key share, or inside her worker process in a
-deployment), and broadcasts it; the flow returns the m vectors so the
-caller reconstructs the plaintexts from them — and from nothing else.
+with her own key share (in whichever process hosts her), and broadcasts
+it; the flow returns the m vectors so the caller reconstructs the
+plaintexts from them — and from nothing else.
 """
 
 from __future__ import annotations

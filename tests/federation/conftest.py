@@ -73,7 +73,7 @@ def tiny_regression():
     return make_regression(20, 4, noise=0.05, seed=13)
 
 
-class StandalonePartyProcess:
+class PartySubprocess:
     """A real ``python -m repro.federation.runtime`` party subprocess."""
 
     def __init__(self, config_path: Path):

@@ -11,7 +11,7 @@ from repro.federation import Federation
 from repro.federation.party import PartyEndpoint, PartyRuntime
 from repro.network.bus import MessageBus
 from repro.network.flows import record_threshold_decrypt
-from repro.network.wire import WireCodec
+from repro.network.wire import PartialDecryptionVector, WireCodec
 
 from tests.federation.conftest import PARAMS, make_federation
 
@@ -106,16 +106,22 @@ def test_threshold_decrypt_flow_consumes_all_messages(payload_bus):
 
 
 def test_threshold_decrypt_flow_validates_batch_shape(payload_bus):
-    """A party whose compute hook returns a short vector fails the flow,
-    and the ciphertext broadcast does not stay behind in peer inboxes."""
+    """A party whose share vector is short fails the flow, and neither the
+    ciphertext broadcast nor any share vector stays behind in an inbox."""
+
+    class ShortRuntime(PartyRuntime):
+        def decryption_shares(self, batch):
+            vector = super().decryption_shares(batch)
+            return PartialDecryptionVector(vector.party_index, vector.values[:1])
+
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
     cts = [threshold.public_key.encrypt(v) for v in (1, 2)]
     runtimes = party_runtimes(bus, threshold)
-    runtimes[1] = PartyRuntime(
-        PartyEndpoint(bus, 1), compute_shares=lambda ciphertexts: [1]
+    runtimes[1] = ShortRuntime(
+        PartyEndpoint(bus, 1), key_share=threshold.shares[1]
     )
-    with pytest.raises(ValueError, match="1 shares for 2 ciphertexts"):
+    with pytest.raises(ValueError, match="malformed partial-share vector"):
         record_threshold_decrypt(bus, cts, tag="t", runtimes=runtimes)
     bus.assert_drained()
     assert bus.rounds == 0

@@ -10,6 +10,7 @@ restart-and-resume path through the persisted per-party key state.
 import json
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +23,14 @@ from repro.federation.runtime import (
     StandalonePartyRuntime,
     free_addresses,
     load_runtime_config,
+    run_orchestrator,
     write_party_configs,
 )
+from repro.mpc.field import MERSENNE_127
+from repro.network.bus import MessageBus
+from repro.network.wire import WireCodec
 
-from tests.federation.conftest import StandalonePartyProcess
+from tests.federation.conftest import PartySubprocess
 
 ADDRESSES = (("127.0.0.1", 9500), ("127.0.0.1", 9501))
 
@@ -72,10 +77,61 @@ def test_pivot_config_is_dealerless_and_really_combines():
 
 
 def test_role_constructors_enforce_the_index():
+    config = RuntimeConfig(index=0, addresses=ADDRESSES)
     with pytest.raises(ValueError, match="RuntimeFederation"):
-        StandalonePartyRuntime(RuntimeConfig(index=0, addresses=ADDRESSES))
+        StandalonePartyRuntime(config, config.make_dataset()[0][:, 3:])
     with pytest.raises(ValueError, match="party 1"):
-        RuntimeFederation(RuntimeConfig(index=1, addresses=ADDRESSES))
+        run_orchestrator(RuntimeConfig(index=1, addresses=ADDRESSES))
+    # A transport that hosts anyone but party 0 is refused.
+    addresses = tuple(free_addresses(2))
+    config = RuntimeConfig(index=1, addresses=addresses)
+    with pytest.raises(ValueError, match="hosts party 1"):
+        RuntimeFederation(
+            config.partition(), config.pivot_config(), config.make_transport()
+        )
+
+
+def _bare_orchestrator(states):
+    """A RuntimeFederation's drain check over an in-memory bus, with party
+    1's control-plane reports replayed from ``states`` (the last repeats)."""
+    fed = RuntimeFederation.__new__(RuntimeFederation)
+    fed.partition = SimpleNamespace(super_client=0)
+    fed.bus = MessageBus(2, codec=WireCodec(None, share_modulus=MERSENNE_127.q))
+    fed._remote = (1,)
+    replies = iter(states)
+    last = {}
+
+    def pull(party):
+        last.update(next(replies, last))
+        return dict(last)
+
+    fed._pull_state = pull
+    return fed
+
+
+def test_drain_needs_every_sent_message_consumed():
+    """A party's reply proves only that she has reacted to this process's
+    frames: 0 pending but fewer messages consumed than sent deployment-wide
+    is a frame still in flight (or lost), not a drained deployment."""
+    in_flight = {"messages": 3, "consumed": 2, "pending": 0}
+    with pytest.raises(AssertionError, match="party 1 sent 3 consumed 2"):
+        _bare_orchestrator([in_flight]).assert_drained()
+    with pytest.raises(AssertionError, match="pending 1"):
+        _bare_orchestrator(
+            [{"messages": 3, "consumed": 2, "pending": 1}]
+        ).assert_drained()
+    _bare_orchestrator(
+        [{"messages": 3, "consumed": 3, "pending": 0}]
+    ).assert_drained()
+
+
+def test_drain_repulls_until_the_in_flight_frame_lands():
+    fed = _bare_orchestrator([
+        {"messages": 3, "consumed": 2, "pending": 0},
+        {"messages": 3, "consumed": 3, "pending": 0},
+    ])
+    fed.bus.transport.timeout = 5.0
+    fed.assert_drained()
 
 
 def test_free_addresses_are_distinct():
@@ -98,9 +154,12 @@ def _deploy(directory, **overrides):
         predict_rows=4,
         **overrides,
     )
-    party = StandalonePartyProcess(paths[1])
+    party = PartySubprocess(paths[1])
     try:
-        fed = RuntimeFederation(load_runtime_config(paths[0]))
+        config = load_runtime_config(paths[0])
+        fed = RuntimeFederation(
+            config.partition(), config.pivot_config(), config.make_transport()
+        )
     except BaseException:
         party.ensure_dead()
         raise
@@ -146,7 +205,7 @@ def test_party_restart_resumes_prediction(tmp_path):
         state = json.loads((tmp_path / "party1.key.json").read_text())
         assert state["party_index"] == 1 and state["n_parties"] == 2
 
-        party = StandalonePartyProcess(paths[1])  # resumes, no keygen peer
+        party = PartySubprocess(paths[1])  # resumes, no keygen peer
         after = list(clf.predict(X[:4]))
         assert after == before
         # The restarted party's fresh counters were re-baselined (boot
@@ -178,4 +237,4 @@ def test_key_state_refuses_a_foreign_party(tmp_path):
     state_path.write_text(json.dumps(state))
     config = load_runtime_config(paths[1])
     with pytest.raises(ValueError, match="belongs to party 0"):
-        StandalonePartyRuntime(config)
+        StandalonePartyRuntime(config, config.make_dataset()[0][:, 2:])
