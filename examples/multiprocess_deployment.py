@@ -10,15 +10,15 @@ protocol, and every protocol payload crosses a real local TCP socket
 (``SocketTransport``) instead of an in-process queue.
 
 The point of the exercise: the physical deployment changes *nothing*
-observable about the protocol.  The model, the predictions, the measured
-wire bytes, and the round count are bit-identical to the single-process
-in-memory run with the same (distributed) keygen — which this script
-verifies at the end.
+observable about the protocol.  Keys follow the topology — the
+single-process in-memory run hosts every party and takes a trusted
+dealer's key, so only the deployment spends traffic on keygen — but over
+the fit/predict window the model, the predictions, the measured wire
+bytes (total and per tag), and the round count are bit-identical, which
+this script verifies at the end.
 
 Run:  python examples/multiprocess_deployment.py
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,6 +35,19 @@ def make_parties(X, y):
         Party(X[:, 2:4], name="fintech"),  # her own process
         Party(X[:, 4:], name="insurer"),  # her own process
     ]
+
+
+def window(before: dict, after: dict) -> dict:
+    """Bus traffic between two ``cost_snapshot()["bus"]`` readings."""
+    by_tag = {
+        tag: n - before["by_tag"].get(tag, 0)
+        for tag, n in after["by_tag"].items()
+    }
+    return {
+        "bytes_measured": after["bytes_measured"] - before["bytes_measured"],
+        "rounds": after["rounds"] - before["rounds"],
+        "by_tag": {tag: n for tag, n in by_tag.items() if n},
+    }
 
 
 def main() -> None:
@@ -57,6 +70,9 @@ def main() -> None:
                   f"full_private_key={report['full_private_key']}")
             assert report["full_private_key"] is False
 
+        keygen = fed.cost_snapshot()["bus"]
+        print(f"distributed keygen: {keygen['bytes_measured']} bytes in "
+              f"{keygen['rounds']} rounds")
         model = PivotClassifier(protocol="basic").fit(fed)
         predictions = model.predict(fed.slices(X[:20]))
         print("deployed-run accuracy on 20 samples:",
@@ -77,29 +93,26 @@ def main() -> None:
         assert np.isnan(fed.parties[1]._raw_features).all()
 
         deployed_signature = model.model_.structure_signature()
-        deployed_cost = fed.cost_snapshot()["bus"]
+        deployed_cost = window(keygen, fed.cost_snapshot()["bus"])
         deployed_predictions = list(predictions)
 
-    # 4. The single-process in-memory baseline: same data, same config,
-    #    the same distributed keygen (so the kg-* traffic matches too).
-    distributed = replace(config, keygen="distributed")
-    with Federation(make_parties(X, y), config=distributed) as fed:
+    # 4. The single-process in-memory baseline: same data, same config;
+    #    it hosts every party, so its key comes from the dealer.
+    with Federation(make_parties(X, y), config=config) as fed:
+        before = fed.cost_snapshot()["bus"]
         baseline = PivotClassifier(protocol="basic").fit(fed)
         baseline_predictions = list(baseline.predict(fed.slices(X[:20])))
-        baseline_cost = fed.cost_snapshot()["bus"]
+        baseline_cost = window(before, fed.cost_snapshot()["bus"])
         baseline_signature = baseline.model_.structure_signature()
 
-    # 5. Deployment parity: bit-identical model and byte-identical wire.
+    # 5. Deployment parity over the fit/predict window: bit-identical
+    #    model and byte-identical wire.
     assert deployed_signature == baseline_signature
     assert deployed_predictions == baseline_predictions
-    assert deployed_cost["bytes_measured"] == baseline_cost["bytes_measured"]
-    assert deployed_cost["rounds"] == baseline_cost["rounds"]
-    assert deployed_cost["by_tag"] == baseline_cost["by_tag"]
+    assert deployed_cost == baseline_cost
     print("\nparity: model, predictions, "
           f"{deployed_cost['bytes_measured']} measured bytes and "
           f"{deployed_cost['rounds']} rounds identical across deployments")
-    print("deployed transport:", deployed_cost["transport"])
-    print("baseline transport:", baseline_cost["transport"])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """pivotlint: static privacy-flow analysis for the Pivot reproduction.
 
 The repo's runtime guards (``LocalView``/``as_party``/``LocalityError``;
-the dealer scrub) enforce the paper's §3.1/§4 invariants on the code paths
+key bundles that hold only this process's shares) enforce the paper's §3.1/§4 invariants on the code paths
 a test happens to execute.  pivotlint is the static counterpart: an
 AST-based analyzer with a small dataflow/taint engine — backed by a
 project-wide call graph (``callgraph``) and per-function effect summaries
@@ -18,8 +18,6 @@ PL002  secret-escape             key secrets (d_i, dealer key, primes)
                                  sinks, including through helper calls
 PL003  unregistered-payload      bus payloads that are not registered
                                  WireCodec wire types
-PL004  dealer-use-after-scrub    dealer-key-only operations reachable from
-                                 multi-process federation code
 PL005  drain-discipline          bus sends with no round()/assert_drained
                                  barrier on some path (callee barriers
                                  count via summaries)

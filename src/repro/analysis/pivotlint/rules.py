@@ -1,4 +1,4 @@
-"""The pivotlint privacy-rule catalogue: PL001–PL005.
+"""The pivotlint privacy-rule catalogue: PL001–PL003 and PL005.
 
 (The runtime-protocol pack PL006–PL008 lives in
 :mod:`repro.analysis.pivotlint.rules_protocol`; the engine imports both
@@ -16,10 +16,10 @@ The rules encode the paper's two static invariants:
   the bus synchronizes so inboxes drain — PL005.
 * **Key secrecy** (§2.1, §3.4): secret key material (partial keys d_i, the
   dealer's λ/µ and prime factors) never reaches a wire, a log, an
-  exception message, or a public return — PL002; nothing leaves on the bus
-  except registered wire types — PL003; and nothing that only works with
-  a dealer key (which no multi-process row has) is reachable from
-  deployed-federation code — PL004.
+  exception message, or a public return — PL002; and nothing leaves on the
+  bus except registered wire types — PL003.  (No rule polices dealer-key
+  use on the multi-process rows: their federations never hold a dealer
+  key, so every such path raises at run time.)
 """
 
 from __future__ import annotations
@@ -674,136 +674,6 @@ class UnregisteredPayload(Rule):
                         )
 
         Visitor().visit(ctx.tree)
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# PL004 — dealer-use-after-scrub
-# ---------------------------------------------------------------------------
-
-#: Classes whose post-assembly methods must never reach dealer-key
-#: material.  RuntimeFederation (the standalone runtime, distributed
-#: keygen) and DeployedFederation (its subclass that spawns the party
-#: processes) never have one: the operations are *impossible* there.
-_DEPLOYED_ROOTS = frozenset({"DeployedFederation", "RuntimeFederation"})
-
-#: Methods of a deployed-federation class that legitimately touch dealer
-#: key material: assembly, where distributed keygen runs — the only place
-#: key material may move.
-_PRE_SCRUB_METHODS = frozenset(
-    {"__init__", "from_partition", "from_global", "_assemble", "_provision"}
-)
-
-#: Dealer-key-only operations: these can only succeed while the dealer's
-#: withheld key material still exists.
-_DEALER_ONLY_CALLS = frozenset({"raw_decrypt", "raw_decrypt_classic", "decrypt"})
-
-
-@register
-class DealerUseAfterScrub(Rule):
-    """PL004: dealer-key-only operations reachable post-provisioning."""
-
-    rule_id = "PL004"
-    name = "dealer-use-after-scrub"
-    summary = (
-        "Inside DeployedFederation or RuntimeFederation (or a subclass), "
-        "post-provisioning code reaches an operation that only works "
-        "with dealer key material: dealer-key CRT decryption, reading "
-        "threshold .shares / ._private_key / .d_share, or direct "
-        "threshold.joint_decrypt* (bypassing the runtime-routed combine "
-        "flow).  Both run distributed keygen, so no dealer key ever "
-        "exists."
-    )
-    hint = (
-        "only the share-combination flow can decrypt: route through "
-        "the federation's joint_decrypt*/the party runtimes, and keep key-"
-        "material access inside __init__/provisioning"
-    )
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-
-        deployed_classes = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                base_names = {
-                    b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", "")
-                    for b in node.bases
-                }
-                if node.name in _DEPLOYED_ROOTS or (
-                    base_names & (_DEPLOYED_ROOTS | deployed_classes)
-                ):
-                    deployed_classes.add(node.name)
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name not in deployed_classes:
-                continue
-            for method in node.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if method.name in _PRE_SCRUB_METHODS:
-                    continue
-                qualname = f"{node.name}.{method.name}"
-                for sub in ast.walk(method):
-                    if isinstance(sub, ast.Attribute) and sub.attr in (
-                        "_private_key",
-                        "d_share",
-                    ):
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                sub,
-                                f"post-assembly access to dealer key "
-                                f"material `.{sub.attr}`",
-                                qualname,
-                            )
-                        )
-                    elif (
-                        isinstance(sub, ast.Subscript)
-                        and isinstance(sub.value, ast.Attribute)
-                        and sub.value.attr == "shares"
-                        and isinstance(sub.ctx, ast.Load)
-                    ):
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                sub,
-                                "post-assembly read of threshold .shares "
-                                "(remote shares are None in this process)",
-                                qualname,
-                            )
-                        )
-                    elif isinstance(sub, ast.Call) and isinstance(
-                        sub.func, ast.Attribute
-                    ):
-                        attr = sub.func.attr
-                        receiver = sub.func.value
-                        via_threshold = (
-                            isinstance(receiver, ast.Attribute)
-                            and receiver.attr == "threshold"
-                        )
-                        if attr in _DEALER_ONLY_CALLS:
-                            findings.append(
-                                rule.finding(
-                                    ctx,
-                                    sub,
-                                    f"dealer-key-only call `.{attr}(...)` "
-                                    f"reachable where no dealer key exists",
-                                    qualname,
-                                )
-                            )
-                        elif via_threshold and attr.startswith("joint_decrypt"):
-                            findings.append(
-                                rule.finding(
-                                    ctx,
-                                    sub,
-                                    f"direct `threshold.{attr}(...)` bypasses "
-                                    f"the runtime-routed combine flow and "
-                                    f"needs every share in this process",
-                                    qualname,
-                                )
-                            )
         return findings
 
 

@@ -34,6 +34,11 @@ class PivotConfig:
     produces stays within the fixed-point width plus a conversion mask
     (``mpc_k`` + exponent slack + ``kappa`` + a few carry bits), whatever
     the tree level.
+
+    How the key is made is not configuration but follows the topology
+    (§3.4): the in-process ``Federation`` takes a trusted dealer's, a
+    multi-process ``RuntimeFederation`` runs distributed keygen (seeded
+    from ``seed``, as is the MPC engine).
     """
 
     keysize: int = 512
@@ -46,15 +51,6 @@ class PivotConfig:
     dp: DPConfig | None = None
     authenticated_mpc: bool = False  # SPDZ MACs + verified conversions (§9.1)
     seed: int | None = None
-    #: How the threshold-Paillier key material comes into existence.
-    #: ``"dealer"`` is the legacy trusted setup: one process samples p, q
-    #: and deals the d_i shares.  ``DeployedFederation`` does not read this
-    #: field: a multi-process row always runs ``"distributed"``.
-    #: ``"distributed"`` runs the m-party keygen protocol
-    #: (repro.crypto.distkeygen) as bus flows — every party samples her own
-    #: p_i/q_i shares, the RSA modulus is biprimality-tested jointly, and
-    #: no process ever materializes lambda, mu, p or q.
-    keygen: str = "dealer"
 
     def __post_init__(self) -> None:
         if self.gain_mode not in ("paper", "reduced"):
@@ -63,8 +59,4 @@ class PivotConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.keysize < 128:
             raise ValueError("keysize must be at least 128 bits")
-        if self.keygen not in ("dealer", "distributed"):
-            raise ValueError(
-                f"keygen must be 'dealer' or 'distributed', got {self.keygen!r}"
-            )
         self.tree.validate()

@@ -45,10 +45,15 @@ messages, get back messages to send.  The network layer
 (:func:`repro.network.flows.run_distributed_keygen` and the per-party
 runtimes) moves the messages; the machine itself never touches a bus,
 which is what lets the same code run in-process or in a standalone
-party process.  All randomness is drawn from a
-deterministic per-party stream seeded from ``(seed, index)`` so that
-every deployment topology replays the identical transcript — the
-deployment-parity matrix depends on this.  Crypto operations here use
+party process.  Given a ``seed``, all randomness is drawn from a
+deterministic per-party stream seeded from ``(seed, m, keysize, index)``.
+
+**Warning: a seeded key is not secret.**  The standalone runtime seeds
+every machine from the public ``[pivot] seed`` (default 3), so anyone
+holding a party's TOML replays N and every d_i (ROADMAP item 13).  No
+parity test needs the seeding any more; it stays until a test-only seeded
+fixture replaces it, because unseeded keygen has a long runtime tail.
+Crypto operations here use
 the raw helpers (``encrypt_with_r``/``raw_encrypt``) so keygen does not
 perturb the Ce/Cd counters that account for *training*.
 """
@@ -185,7 +190,7 @@ class KeygenParty:
         self._kappa = kappa
         # Deterministic per-party randomness: the whole keygen transcript
         # (candidate count, N, message bytes) is a pure function of
-        # (seed, n_parties, keysize), which pins the parity matrix.
+        # (seed, n_parties, keysize) — replayable by anyone who knows them.
         self._rng = (
             random.Random(f"pivot-keygen:{seed}:{n_parties}:{keysize}:{index}")
             if seed is not None
@@ -648,8 +653,8 @@ class KeygenParty:
     def _aux_encrypt(self, pk: PaillierPublicKey, value: int) -> int:
         """Deterministically-randomized aux encryption (raw ciphertext).
 
-        Uses the machine's seeded stream — not ``secrets`` — so the whole
-        transcript replays identically in every topology, and bypasses
+        Uses the machine's stream — not ``secrets`` — so a seeded
+        transcript replays identically, and bypasses
         ``encrypt``'s Ce counter: auxiliary MtA work is keygen overhead,
         not part of the protocols' Table-2 accounting.
         """

@@ -13,25 +13,27 @@ by libhcs which the paper uses):
   and the plaintext is recovered with the L-function L(x) = (x - 1) / n
   followed by a multiplication by theta^{-1} mod n.
 
-Two key-generation paths produce the (d_i, theta) material:
+Two key-generation paths produce the (d_i, theta) material, and the
+deployment topology picks one; no configuration does:
 
 * **Dealer** — :func:`generate_threshold_keypair` plays a trusted dealer:
   it chooses d with  d = 0 (mod lambda(n))  and  d = 1 (mod n)  (CRT) and
   splits d additively modulo n * lambda(n).  Here theta = 1.  The bundle
   keeps the dealer's CRT private key only as the tests' reference
-  decryption — nothing in the package decrypts with it.  Only
-  single-process federations use the dealer: the multi-process rows run
-  the distributed path, so no process of theirs ever holds a dealer key.
+  decryption — nothing in the package decrypts with it.  The in-process
+  :class:`~repro.federation.federation.Federation`, which hosts every
+  party and so holds every d_i anyway, always uses it.
   The dealer draws the factors from
   :func:`repro.crypto.primes.random_prime_pair`: distinct, equal length,
   p = q = 3 (mod 4) — the key condition of the obfuscator (see
   :mod:`repro.crypto.paillier`) — and retries until gcd(lambda, n) = 1;
-  factors passed in by the caller are used as given.  This
-  was the seed's only path — a stand-in for the paper's §3.4 "the m
-  clients jointly generate the keys", which libhcs (the paper's
-  implementation) also centralizes.
+  factors passed in by the caller are used as given.  libhcs (the
+  paper's implementation) also centralizes the §3.4 "the m clients
+  jointly generate the keys".
 * **Distributed (no dealer)** — :mod:`repro.crypto.distkeygen` runs a
-  Boneh–Franklin style m-party protocol over the message bus: the RSA
+  Boneh–Franklin style m-party protocol over the message bus, and every
+  multi-process federation
+  (:class:`~repro.federation.runtime.RuntimeFederation`) runs it: the RSA
   modulus n = (sum p_i)(sum q_i) is generated from per-party prime-share
   candidates (trial-division sieve on broadcast residues, then a joint
   biprimality test), and the decryption exponent d = phi(n) * beta is
@@ -229,7 +231,8 @@ class ThresholdPaillier:
     In a multi-process deployment the bundle holds only this process's
     own share; every other party's slot is ``None`` (her ``d_share``
     lives in her own process), so decryption only works through the
-    share-combination message flow.
+    share-combination message flow.  Such a bundle never carries a
+    private key: only a dealer has one, and a dealer deals every share.
     """
 
     def __init__(
@@ -238,22 +241,22 @@ class ThresholdPaillier:
         shares: list[ThresholdKeyShare | None],
         private_key: PaillierPrivateKey | None = None,
         theta: int = 1,
-        distributed: bool = False,
     ):
+        if private_key is not None and None in shares:
+            raise ValueError(
+                "a bundle missing a party's share cannot carry a private "
+                "key: only the dealer has one, and it deals every share"
+            )
         self.public_key = public_key
         self.shares = shares
         self.n_parties = len(shares)
         # The dealer's key: the tests' reference decryption, never
-        # decrypted with by the package.  Always None on the
-        # distributed-keygen path: no such key ever exists anywhere.
+        # decrypted with by the package.  None for distributed keygen,
+        # where no such key ever exists anywhere.
         self._private_key = private_key
         #: Public combination element (1 for the dealer path; sum(d_i) mod
         #: n for distributed keygen).
         self.theta = theta
-        #: True when the shares came from the dealer-free protocol.
-        self.distributed = distributed
-        if distributed and private_key is not None:
-            raise ValueError("a distributed-keygen bundle has no private key")
 
     def encrypt(self, plaintext: int) -> Ciphertext:
         return self.public_key.encrypt(plaintext)

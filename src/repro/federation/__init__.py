@@ -12,7 +12,8 @@ data:
   :class:`~repro.federation.party.PartyEndpoint` on the message bus.  The
   super client's party additionally owns the labels.
 * :class:`~repro.federation.federation.Federation` — assembles the
-  parties, runs threshold key generation and MPC setup, and is then the
+  parties, takes the threshold key from the trusted dealer (it hosts every
+  party in this process), sets up the MPC engine, and is then the
   one object a run reads: config, keys, MPC engine, bus, clients, party
   runtimes, labels and accounting.
   ``transport="asyncio"`` routes every protocol payload over real local

@@ -28,10 +28,11 @@ regressors, forests and logistic regression.  The enhanced protocol, GBDT
 and the malicious model are refused with ``NotImplementedError`` before any
 protocol message is sent.  The super client must be party 0.
 
-``config.keygen`` is not read: the deployed row always runs distributed
-keygen, so its bytes, rounds and op counts are pinned bit-identical to an
-in-memory federation built with ``keygen="distributed"`` and the same
-seed (``tests/federation/test_deployment_parity.py``).
+Over a fit/predict window its model, predictions, bytes, rounds and op
+counts are pinned bit-identical to the dealer-keyed in-process
+:class:`~repro.federation.federation.Federation`, and its construction
+traffic to an in-memory replay of distributed keygen
+(``tests/federation/test_deployment_parity.py``).
 
 Usage::
 
@@ -92,7 +93,7 @@ class DeployedFederation(RuntimeFederation):
         task: str = "classification",
         config: PivotConfig | None = None,
     ) -> None:
-        config = replace(config or PivotConfig(), keygen="distributed")
+        config = config or PivotConfig()
         m = (
             parties.n_clients
             if isinstance(parties, VerticalPartition)

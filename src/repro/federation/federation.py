@@ -4,8 +4,9 @@ A :class:`Federation` is the initialization stage of the protocol (§3.4)
 with the party boundary made explicit: it takes the m
 :class:`~repro.federation.party.Party` objects (exactly one holding
 labels — the super client), builds the
-:class:`~repro.data.partition.VerticalPartition`, runs threshold-Paillier
-key generation and MPC setup, binds each party to her runtime identity
+:class:`~repro.data.partition.VerticalPartition`, takes the
+threshold-Paillier key from the trusted dealer (it hosts every party),
+sets up the MPC engine, binds each party to her runtime identity
 (index, global column ids, partial secret key, bus endpoint), and then *is*
 the shared runtime every protocol reads: config, keys, MPC engine, bus,
 clients, party runtimes, labels, and the cost accounting every experiment
@@ -33,7 +34,6 @@ import numpy as np
 
 from repro.core.config import PivotConfig
 from repro.crypto.batch import BatchCryptoEngine
-from repro.crypto.distkeygen import KeygenParty
 from repro.crypto.encoding import EncryptedNumber, PaillierEncoder
 from repro.crypto.packing import slot_layout, whole_layout
 from repro.crypto.threshold import (
@@ -53,8 +53,8 @@ from repro.mpc.conversion import (
 from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 from repro.network.bus import MessageBus
-from repro.network.flows import record_threshold_decrypt, run_distributed_keygen
-from repro.network.transport import make_transport
+from repro.network.flows import record_threshold_decrypt
+from repro.network.transport import Transport, make_transport
 from repro.network.wire import WireCodec
 from repro.tree.splits import candidate_splits
 
@@ -74,9 +74,15 @@ class Federation:
     per-receiver queues in this process; ``"asyncio"`` moves the same
     bytes over real local TCP sockets
     (:class:`~repro.network.transport.SocketTransport`); a prepared
-    :class:`~repro.network.transport.Transport` instance passes through.
-    Protocol behaviour, measured bytes, and round counts are identical
-    across transports — only the physical path of the bytes changes.
+    :class:`~repro.network.transport.Transport` instance passes through
+    if it hosts all m parties.  Protocol behaviour, measured bytes, and
+    round counts are identical across transports — only the physical path
+    of the bytes changes.
+
+    A transport that hosts fewer parties is refused before anything is
+    sent: this process would hold the d_i of a party whose runtime is
+    elsewhere (the multi-process federation is
+    :class:`~repro.federation.runtime.RuntimeFederation`).
     """
 
     def __init__(
@@ -107,6 +113,16 @@ class Federation:
         self.config = config or PivotConfig()
         self.parties = list(parties)
         remote_clients = self._remote_clients(partition)
+        transport = make_transport(transport, partition.n_clients)
+        local = tuple(
+            i for i in range(partition.n_clients) if i not in remote_clients
+        )
+        if transport.hosted != local:
+            raise ValueError(
+                f"{type(self).__name__} holds the key shares of parties "
+                f"{list(local)} in this process, but its transport hosts "
+                + ", ".join(f"party {i}" for i in transport.hosted)
+            )
         partition = self._poison_remote(partition, remote_clients)
         self._assemble(partition, transport, remote_clients)
         self._bind_parties()
@@ -185,19 +201,16 @@ class Federation:
     def _assemble(
         self,
         partition: VerticalPartition,
-        transport: Any,
+        transport: Transport,
         remote_clients: dict[int, Any],
     ) -> None:
         """Joint setup (§3.4): keys, MPC engine, bus, clients, runtimes.
 
-        Which parties' inboxes (and, with distributed keygen, key shares)
-        live in this process is the transport's ``hosted`` — all m parties
-        unless the caller hands over a transport that hosts fewer (a
-        multi-process row's hosts only the super client).
-        ``remote_clients`` maps the other parties' indices to stubs; those
-        indices get no :class:`~repro.federation.locality.LocalView` and
-        no runtime here, because this process holds no columns or key
-        share of theirs.
+        ``transport`` hosts exactly the parties whose inboxes, key shares
+        and runtimes live in this process; ``remote_clients`` maps the
+        other parties' indices to stubs, which get no
+        :class:`~repro.federation.locality.LocalView` and no runtime here,
+        because this process holds no columns or key share of theirs.
         """
         self.partition = partition
         config = self.config
@@ -209,50 +222,15 @@ class Federation:
             seed=config.seed,
         )
         self.fx = FixedPointOps(self.engine, k=config.mpc_k, f=config.frac_bits)
-        if config.keygen == "distributed":
-            # §3.4 without the dealer: the m clients run the distributed
-            # keygen protocol as real bus flows *before* any key exists —
-            # the codec starts key-less (keygen payloads are plain
-            # integers/bytes) and is bound to the public key it produces.
-            # Only this process's parties' machines run here; their d_i
-            # shares are the only key material this process ever holds.
-            codec = WireCodec(None, share_modulus=self.engine.field.q)
-            self.bus = MessageBus(
-                m, codec=codec, transport=make_transport(transport, m)
-            )
-            self.keygen_machines = {
-                i: KeygenParty(
-                    i, m, config.keysize, seed=config.seed, kappa=config.kappa
-                )
-                for i in self.local_parties
-            }
-            results = run_distributed_keygen(self.bus, self.keygen_machines)
-            sample = results[self.local_parties[0]]
-            shares: list[Any] = [None] * m
-            for i, result in results.items():
-                shares[i] = result.share
-            self.threshold = ThresholdPaillier(
-                sample.public_key, shares, theta=sample.theta, distributed=True
-            )
-            self.encoder = PaillierEncoder(
-                sample.public_key, frac_bits=config.frac_bits
-            )
-            codec.bind(sample.public_key, encoder=self.encoder)
-        else:
-            self.keygen_machines = {}
-            self.threshold = generate_threshold_keypair(m, config.keysize)
-            self.encoder = PaillierEncoder(
-                self.threshold.public_key, frac_bits=config.frac_bits
-            )
-            self.bus = MessageBus(
-                m,
-                codec=WireCodec(
-                    self.threshold.public_key,
-                    share_modulus=self.engine.field.q,
-                    encoder=self.encoder,
-                ),
-                transport=make_transport(transport, m),
-            )
+        # The codec starts key-less (keygen payloads are plain integers and
+        # bytes) and is bound to the public key keygen produces.
+        codec = WireCodec(None, share_modulus=self.engine.field.q)
+        self.bus = MessageBus(m, codec=codec, transport=transport)
+        self.threshold = self._generate_keys()
+        self.encoder = PaillierEncoder(
+            self.threshold.public_key, frac_bits=config.frac_bits
+        )
+        codec.bind(self.threshold.public_key, encoder=self.encoder)
         #: Batched crypto engine shared by every hot path.
         self.batch = BatchCryptoEngine(
             self.threshold.public_key,
@@ -294,7 +272,7 @@ class Federation:
                 engine=self.batch,
                 field_q=self.engine.field.q,
             )
-            if i in self.local_parties
+            if i not in remote_clients
             else None
             for i in range(m)
         ]
@@ -305,6 +283,11 @@ class Federation:
         #: Everything any protocol run reveals in plaintext, as (tag, value)
         #: pairs; privacy tests assert nothing else leaks.
         self.revealed: list[tuple[str, object]] = []
+
+    def _generate_keys(self) -> ThresholdPaillier:
+        """The §3.4 trusted dealer: keys follow the topology, and this
+        process hosts every party, so it holds every d_i anyway."""
+        return generate_threshold_keypair(self.n_clients, self.config.keysize)
 
     def _bind_parties(self) -> None:
         for i, party in enumerate(self.parties):
@@ -349,15 +332,6 @@ class Federation:
         return cls.from_partition(partition, config=config, **kwargs)
 
     # -- basic facts --------------------------------------------------------
-
-    @property
-    def local_parties(self) -> tuple[int, ...]:
-        """Parties whose inboxes (and, with distributed keygen, keygen
-        state machines and key shares) live in this process — whoever the
-        bus's transport hosts: all m unless this is a multi-process row's
-        :class:`~repro.federation.runtime.RuntimeFederation`, which hosts
-        just the super client."""
-        return self.bus.local_parties
 
     @property
     def n_parties(self) -> int:

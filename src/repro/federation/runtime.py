@@ -14,7 +14,9 @@ as her own long-lived process.  Each process
 * takes part in **distributed Paillier keygen**
   (:mod:`repro.crypto.distkeygen`): her ``d_i`` share is *generated* inside
   her process; no dealer, no provisioning step, and the full private key
-  (p, q, λ, µ) exists in no process at any time;
+  (p, q, λ, µ) exists in no process at any time.  A multi-process
+  federation always makes its key this way; only the in-process
+  :class:`~repro.federation.federation.Federation` uses the dealer;
 * serves the reactive protocol loop
   (:class:`~repro.federation.party.PartyRuntime`): candidate-split
   statistics, split application, mask contributions, decryption shares and
@@ -36,6 +38,11 @@ the protocol books, so the parity suite can pin the runtime row
 bit-identical to the in-memory one.  Because each party's inbox is FIFO, a
 control request also acts as a barrier: by the time her reply arrives she
 has reacted to every protocol frame sent before it.
+
+**Warning: the keys can be replayed from the TOML.**  Every keygen
+machine is seeded from the public ``[pivot] seed`` (default 3), so anyone
+holding one party's config can rerun keygen and obtain N and every
+party's d_i (ROADMAP item 13).
 
 Restart/resume: with ``[party] key_state`` set, a party persists her own
 ``(n, i, d_i, θ)`` to her own disk after keygen and resumes from it when
@@ -60,7 +67,7 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NoReturn
 
@@ -69,10 +76,10 @@ import numpy as np
 from repro.analysis import opcount
 from repro.core.config import PivotConfig
 from repro.crypto.batch import BatchCryptoEngine
-from repro.crypto.distkeygen import KeygenParty
+from repro.crypto.distkeygen import KeygenParty, KeygenResult
 from repro.crypto.encoding import PaillierEncoder
 from repro.crypto.paillier import PaillierPublicKey
-from repro.crypto.threshold import ThresholdKeyShare
+from repro.crypto.threshold import ThresholdKeyShare, ThresholdPaillier
 from repro.data.partition import VerticalPartition, vertical_partition
 from repro.data.synthetic import make_classification, make_regression
 from repro.federation.federation import Federation
@@ -218,7 +225,6 @@ class RuntimeConfig:
             frac_bits=self.frac_bits,
             kappa=self.kappa,
             seed=self.seed,
-            keygen="distributed",
             protocol=self.protocol,
             tree=TreeParams(max_depth=self.max_depth, max_splits=self.max_splits),
         )
@@ -233,6 +239,29 @@ class RuntimeConfig:
         )
 
 
+#: Where every :class:`RuntimeConfig` field lives in a ``partyN.toml``:
+#: section -> its fields.  A field's key is its name less a ``<section>_``
+#: prefix (``data_seed`` is ``[data] seed``).
+_TOML_SECTIONS = {
+    "party": ("index", "key_state", "max_idle"),
+    "network": ("addresses", "timeout", "connect_timeout"),
+    "data": ("data_kind", "n_samples", "n_features", "n_classes", "data_seed",
+             "super_client"),
+    "pivot": ("keysize", "seed", "kappa", "frac_bits", "max_depth",
+              "max_splits", "protocol"),
+    "run": ("run_fit", "predict_rows"),
+}
+#: field -> (section, key): the one table the reader and the writer walk.
+_TOML_KEYS = {
+    name: (section, name.removeprefix(f"{section}_"))
+    for section, names in _TOML_SECTIONS.items()
+    for name in names
+}
+#: The scalar type a field's annotation names first (``"float | None"``
+#: reads as float); ``addresses`` is the one structured field.
+_SCALARS: dict[str, type] = {"int": int, "float": float, "str": str, "bool": bool}
+
+
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = str(text).rpartition(":")
     if not host or not port.isdigit():
@@ -241,45 +270,31 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def load_runtime_config(path: str | Path) -> RuntimeConfig:
-    """Parse one party's ``partyN.toml`` into a :class:`RuntimeConfig`."""
+    """Parse one party's ``partyN.toml`` into a :class:`RuntimeConfig`.
+
+    An absent key reads as ``None`` where the field admits it (TOML has no
+    null: :func:`write_party_configs` omits ``None``), else as the
+    dataclass default."""
     import tomllib
 
     with open(path, "rb") as handle:
         raw = tomllib.load(handle)
-    party = raw.get("party", {})
-    network = raw.get("network", {})
-    data = raw.get("data", {})
-    pivot = raw.get("pivot", {})
-    run = raw.get("run", {})
-    if "index" not in party:
-        raise ValueError(f"{path}: [party] must set index")
-    if "addresses" not in network:
-        raise ValueError(f"{path}: [network] must set addresses")
-    return RuntimeConfig(
-        index=int(party["index"]),
-        addresses=tuple(_parse_address(a) for a in network["addresses"]),
-        timeout=float(network.get("timeout", 15.0)),
-        connect_timeout=float(network.get("connect_timeout", 30.0)),
-        key_state=party.get("key_state"),
-        max_idle=(
-            float(party["max_idle"]) if "max_idle" in party else None
-        ),
-        data_kind=str(data.get("kind", "classification")),
-        n_samples=int(data.get("n_samples", 24)),
-        n_features=int(data.get("n_features", 6)),
-        n_classes=int(data.get("n_classes", 2)),
-        data_seed=int(data.get("seed", 11)),
-        super_client=int(data.get("super_client", 0)),
-        keysize=int(pivot.get("keysize", 256)),
-        seed=(int(pivot["seed"]) if pivot.get("seed") is not None else None),
-        kappa=int(pivot.get("kappa", 40)),
-        frac_bits=int(pivot.get("frac_bits", 16)),
-        max_depth=int(pivot.get("max_depth", 2)),
-        max_splits=int(pivot.get("max_splits", 2)),
-        protocol=str(pivot.get("protocol", "basic")),
-        run_fit=bool(run.get("fit", True)),
-        predict_rows=int(run.get("predict_rows", 6)),
-    )
+    values: dict[str, Any] = {}
+    for f in fields(RuntimeConfig):
+        section, key = _TOML_KEYS[f.name]
+        if key not in raw.get(section, {}):
+            if str(f.type).endswith("| None"):
+                values[f.name] = None
+            elif f.default is MISSING:
+                raise ValueError(f"{path}: [{section}] must set {key}")
+            continue
+        value = raw[section][key]
+        values[f.name] = (
+            tuple(_parse_address(a) for a in value)
+            if f.name == "addresses"
+            else _SCALARS[str(f.type).split(" |")[0]](value)
+        )
+    return RuntimeConfig(**values)
 
 
 def free_addresses(n_parties: int, host: str = "127.0.0.1") -> list[tuple[str, int]]:
@@ -313,6 +328,7 @@ def write_party_configs(
     deployment tests: every file shares the address book, data spec and
     pivot parameters (``overrides`` feed :class:`RuntimeConfig` fields),
     differing only in ``[party] index`` (and ``key_state`` when enabled).
+    A field left at ``None`` is omitted; it reads back as ``None``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -321,50 +337,47 @@ def write_party_configs(
     template = RuntimeConfig(
         index=0, addresses=tuple(addresses), max_idle=max_idle, **overrides
     )
-    address_list = ", ".join(f'"{h}:{p}"' for h, p in template.addresses)
     paths = []
     for i in range(template.n_parties):
-        lines = ["[party]", f"index = {i}"]
-        if key_state:
-            lines.append(f'key_state = "{directory / f"party{i}.key.json"}"')
-        if template.max_idle is not None:
-            lines.append(f"max_idle = {float(template.max_idle)}")
-        lines += [
-            "",
-            "[network]",
-            f"addresses = [{address_list}]",
-            f"timeout = {float(template.timeout)}",
-            f"connect_timeout = {float(template.connect_timeout)}",
-            "",
-            "[data]",
-            f'kind = "{template.data_kind}"',
-            f"n_samples = {template.n_samples}",
-            f"n_features = {template.n_features}",
-            f"n_classes = {template.n_classes}",
-            f"seed = {template.data_seed}",
-            f"super_client = {template.super_client}",
-            "",
-            "[pivot]",
-            f"keysize = {template.keysize}",
-        ]
-        if template.seed is not None:
-            lines.append(f"seed = {template.seed}")
-        lines += [
-            f"kappa = {template.kappa}",
-            f"frac_bits = {template.frac_bits}",
-            f"max_depth = {template.max_depth}",
-            f"max_splits = {template.max_splits}",
-            f'protocol = "{template.protocol}"',
-            "",
-            "[run]",
-            f"fit = {'true' if template.run_fit else 'false'}",
-            f"predict_rows = {template.predict_rows}",
-            "",
-        ]
+        config = replace(
+            template,
+            index=i,
+            key_state=(
+                str(directory / f"party{i}.key.json") if key_state else None
+            ),
+        )
+        sections: dict[str, list[str]] = {}
+        for f in fields(RuntimeConfig):
+            section, key = _TOML_KEYS[f.name]
+            lines = sections.setdefault(section, [f"[{section}]"])
+            value = getattr(config, f.name)
+            if f.name == "addresses":
+                value = [f"{host}:{port}" for host, port in value]
+            if value is not None:  # JSON scalars and lists are TOML values
+                lines.append(f"{key} = {json.dumps(value)}")
+        text = "\n\n".join("\n".join(lines) for lines in sections.values())
         path = directory / f"party{i}.toml"
-        path.write_text("\n".join(lines))
+        path.write_text(text + "\n")
         paths.append(path)
     return paths
+
+
+def _join_keygen(
+    bus: MessageBus, index: int, config: RuntimeConfig | PivotConfig
+) -> tuple[KeygenParty, KeygenResult]:
+    """Run party ``index``'s distributed-keygen machine over ``bus`` with
+    ``config``'s keysize, seed and kappa; the other parties' waves arrive
+    over her socket from their own processes
+    (:func:`~repro.network.flows.run_distributed_keygen` blocks on them).
+
+    The machine's stream is seeded from the public ``seed``, so anyone who
+    knows (seed, m, keysize) can replay every party's d_i (ROADMAP item 13).
+    """
+    machine = KeygenParty(
+        index, bus.n_parties, config.keysize, seed=config.seed,
+        kappa=config.kappa,
+    )
+    return machine, run_distributed_keygen(bus, {index: machine})[index]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +433,11 @@ class StandalonePartyRuntime:
                 public_key, share, theta = self._load_key_state(state_path)
                 self.resumed = True
             else:
-                public_key, share, theta = self._run_keygen()
+                self.keygen_machine, result = _join_keygen(
+                    self.bus, self.index, config
+                )
+                public_key, share = result.public_key, result.share
+                theta = result.theta
                 if state_path is not None:
                     self._save_key_state(state_path, public_key, share, theta)
             self.public_key = public_key
@@ -450,22 +467,6 @@ class StandalonePartyRuntime:
             raise
 
     # -- key material ------------------------------------------------------
-
-    def _run_keygen(self) -> tuple[PaillierPublicKey, ThresholdKeyShare, int]:
-        """Join distributed keygen with *her* machine only; remote waves
-        arrive over her socket (run_distributed_keygen blocks on them)."""
-        self.keygen_machine = KeygenParty(
-            self.index,
-            self.config.n_parties,
-            self.config.keysize,
-            seed=self.config.seed,
-            kappa=self.config.kappa,
-        )
-        results = run_distributed_keygen(
-            self.bus, {self.index: self.keygen_machine}
-        )
-        result = results[self.index]
-        return result.public_key, result.share, result.theta
 
     def _save_key_state(
         self,
@@ -686,7 +687,7 @@ class RuntimeFederation(Federation):
     malicious model, GBDT's training rows — raises ``NotImplementedError``
     before any protocol message is sent.
 
-    Built from a partition (or party list), a ``keygen="distributed"``
+    Built from a partition (or party list), a
     :class:`~repro.core.config.PivotConfig` and a transport hosting party
     0 alone (the TOML entrypoint derives all three from a
     :class:`RuntimeConfig`), which is closed if construction fails.  The
@@ -703,20 +704,10 @@ class RuntimeFederation(Federation):
         task: str = "classification",
     ) -> None:
         try:
-            if tuple(transport.hosted) != (0,):
-                raise ValueError(
-                    "RuntimeFederation is the super client's process (party "
-                    "0); this transport hosts "
-                    + ", ".join(f"party {i}" for i in transport.hosted)
-                )
-            if config.keygen != "distributed":
-                raise ValueError(
-                    "RuntimeFederation needs keygen='distributed': no "
-                    "process of a multi-process deployment holds a dealer"
-                )
             # Every block but hers lives in its party's own process:
-            # assembly poisons this process's copies, and runs distributed
-            # keygen over the socket mesh before the codec is bound — the
+            # assembly refuses a transport hosting anyone but party 0,
+            # poisons this process's copies, and runs distributed keygen
+            # over the socket mesh before the codec is bound — the
             # constructor returns with pk shared and only d_0 in this
             # process.
             super().__init__(
@@ -743,6 +734,17 @@ class RuntimeFederation(Federation):
         self._shut_down: set[int] = set()
         for i in self._remote:
             self._pull_state(i)
+
+    def _generate_keys(self) -> ThresholdPaillier:
+        """§3.4 without the dealer: party 0's keygen machine runs against
+        the remote parties' over the socket mesh; the bundle holds her
+        d_0 alone and no private key."""
+        self.keygen_machine, result = _join_keygen(
+            self.bus, self.super_client, self.config
+        )
+        shares: list[ThresholdKeyShare | None] = [None] * self.n_clients
+        shares[self.super_client] = result.share
+        return ThresholdPaillier(result.public_key, shares, theta=result.theta)
 
     def _remote_clients(
         self, partition: VerticalPartition
@@ -906,11 +908,7 @@ class RuntimeFederation(Federation):
 
     def key_report(self) -> dict[int, dict[str, bool]]:
         """Every process's key-material audit: no full private key anywhere."""
-        report = {
-            self.super_client: self.keygen_machines[
-                self.super_client
-            ].secret_summary()
-        }
+        report = {self.super_client: self.keygen_machine.secret_summary()}
         for i in self._remote:
             pairs = self._control(i, "ctl-keyreport")
             report[i] = {key.decode(): bool(v) for key, v in pairs}

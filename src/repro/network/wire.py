@@ -445,8 +445,9 @@ class WireCodec:
     ) -> None:
         """Attach key material once keygen has produced it.
 
-        A codec built with ``public_key=None`` (the distributed-keygen
-        bootstrap) only handles key-independent payloads until bound.
+        A codec built with ``public_key=None`` (every federation's, until
+        its keygen finishes) only handles key-independent payloads until
+        bound.
         """
         self.public_key = public_key
         #: Fixed ciphertext width: 2 * ceil(n_bits / 8) bytes holds any

@@ -452,110 +452,6 @@ def test_pl003_reads_wire_types_from_codec_table(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PL004 — dealer-use-after-scrub
-# ---------------------------------------------------------------------------
-
-
-def test_pl004_flags_dealer_key_use_post_provisioning(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Broken(DeployedFederation):
-            def fit(self, ciphertext):
-                return self.threshold._private_key.decrypt(ciphertext)
-        """,
-    )
-    assert "PL004" in rules_found(report)
-
-
-def test_pl004_flags_direct_threshold_joint_decrypt(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Sneaky(DeployedFederation):
-            def speed_up(self, batch):
-                return self.threshold.joint_decrypt_batch(batch)
-        """,
-    )
-    assert rules_found(report) == ["PL004"]
-
-
-def test_pl004_accepts_pre_scrub_provisioning(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Fine(DeployedFederation):
-            def __init__(self, shares):
-                self.stash = shares
-
-            def fit(self, ctx):
-                return ctx.joint_decrypt_vector([1])
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl004_ignores_non_deployed_classes(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Dealer:
-            def simulate(self, ciphertext):
-                return self._private_key.decrypt(ciphertext)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl004_covers_runtime_federation_no_dealer_world(tmp_path):
-    # RuntimeFederation runs distributed keygen: no dealer key ever
-    # exists, so dealer-key decryption and a local joint decryption are
-    # not merely scrubbed — they are impossible.  The rule flags both.
-    report = lint(
-        tmp_path,
-        """
-        class Hasty(RuntimeFederation):
-            def shortcut(self, ciphertext):
-                self.threshold.joint_decrypt(ciphertext)
-                return self.threshold.decrypt(ciphertext)
-        """,
-    )
-    assert rules_found(report) == ["PL004", "PL004"]
-
-
-def test_pl004_runtime_federation_subclass_inherits_the_ban(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Base(RuntimeFederation):
-            pass
-
-        class Derived(Base):
-            def peek(self):
-                return self.threshold.shares[0]
-        """,
-    )
-    # PL004 (deployed-class share read) plus PL002: the same expression
-    # is also a secret-derived public return.
-    assert "PL004" in rules_found(report)
-
-
-def test_pl004_accepts_runtime_federation_combine_flow(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        class Fine(RuntimeFederation):
-            def __init__(self, config):
-                self.config = config
-
-            def score(self, ctx, vec):
-                return ctx.joint_decrypt_vector(vec)
-        """,
-    )
-    assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
 # PL005 — drain-discipline
 # ---------------------------------------------------------------------------
 

@@ -59,7 +59,6 @@ def test_combined_shares_decrypt(keygen_run):
         sample.public_key,
         shares,
         theta=sample.theta,
-        distributed=True,
     )
     for value in (0, 1, -42, 123456789):
         assert threshold.joint_decrypt(threshold.encrypt(value)) == value
@@ -74,7 +73,6 @@ def test_each_share_is_useless_alone(keygen_run):
         sample.public_key,
         crippled,
         theta=sample.theta,
-        distributed=True,
     )
     with pytest.raises(Exception):
         threshold.joint_decrypt(threshold.encrypt(5))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from repro.crypto.threshold import (
     PartialDecryption,
     ShareCombinationError,
+    ThresholdPaillier,
     combine_partial_decryptions,
     combine_partial_vectors,
     generate_threshold_keypair,
@@ -68,6 +69,20 @@ def test_threshold_equals_plain_decryption(threshold3):
     """The dealer's withheld plain key decrypts identically (internal check)."""
     ct = threshold3.encrypt(31337)
     assert threshold3._private_key.decrypt(ct) == 31337
+
+
+def test_bundle_missing_a_share_carries_no_private_key(threshold3):
+    """Only a dealer has a private key, and a dealer deals every share: a
+    bundle with a party's slot empty (a multi-process federation's) and a
+    private key is refused at construction."""
+    shares = [threshold3.shares[0], None, threshold3.shares[2]]
+    with pytest.raises(ValueError, match="cannot carry a private key"):
+        ThresholdPaillier(
+            threshold3.public_key, shares, threshold3._private_key
+        )
+    keyless = ThresholdPaillier(threshold3.public_key, shares)
+    with pytest.raises(RuntimeError, match="owners' processes"):
+        keyless.joint_decrypt(threshold3.encrypt(5))
 
 
 def test_cross_key_partial_decrypt_rejected(threshold3):

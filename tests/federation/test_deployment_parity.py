@@ -1,7 +1,8 @@
 """The deployment acceptance bar: changing the physical deployment changes
 *nothing* observable about the protocol.
 
-Three parity levels, all against single-process in-memory baselines:
+Three parity levels, all against the single-process in-memory baseline
+(which hosts every party and so takes the trusted dealer's key):
 
 1. **Socket transport** — ``Federation(parties, transport="asyncio")``
    routes every protocol payload over real local TCP sockets.
@@ -13,23 +14,21 @@ Three parity levels, all against single-process in-memory baselines:
    party processes from a party list, handing each her own block, and is
    the super client's ``RuntimeFederation``.
 
-Both multi-process rows are pinned bit-identical against an in-memory
-federation built with ``keygen="distributed"`` (same seed, same keygen
-traffic), and their model/predictions/op counts against the dealer
-baseline too.
-
-``PivotClassifier.fit``/``predict`` must produce bit-identical models and
-predictions with identical measured bytes (total and per tag), rounds,
-and Ce/Cd/Cs/Cc operation counts.
+Keys follow the topology, so the rows are compared over the fit/predict
+window (deltas of ``cost_snapshot()``): ``PivotClassifier.fit``/``predict``
+must produce bit-identical models and predictions with identical measured
+and estimated bytes (total and per tag), rounds, conversions, MPC and
+dealer usage, and Ce/Cd/Cs/Cc operation counts.  Each multi-process row's
+construction traffic is pinned separately, against distributed keygen
+replayed on an in-memory bus with the same (m, keysize, seed, kappa).
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import opcount
 from repro.core import PivotConfig
+from repro.crypto.distkeygen import KEYGEN_TAG_PREFIX, KeygenParty
 from repro.data import make_classification, vertical_partition
 from repro.federation import (
     Federation,
@@ -40,9 +39,15 @@ from repro.federation import (
 from repro.federation.deployment import DeployedFederation
 from repro.federation.runtime import (
     RuntimeFederation,
+    free_addresses,
     load_runtime_config,
     write_party_configs,
 )
+from repro.mpc.field import MERSENNE_127
+from repro.network.bus import MessageBus
+from repro.network.flows import run_distributed_keygen
+from repro.network.transport import SocketTransport
+from repro.network.wire import WireCodec
 from repro.tree import TreeParams
 
 from tests.federation.conftest import PartySubprocess
@@ -50,7 +55,9 @@ from tests.federation.conftest import PartySubprocess
 CONFIG = PivotConfig(
     keysize=256, tree=TreeParams(max_depth=2, max_splits=2), seed=3
 )
-DISTRIBUTED = replace(CONFIG, keygen="distributed")
+
+#: The bus counters a fit/predict window is compared on.
+_BUS_KEYS = ("bytes_measured", "bytes_estimated", "rounds", "by_tag")
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +69,58 @@ def _parties(X, y):
     return [Party(X[:, :2], labels=y, name="super"), Party(X[:, 2:])]
 
 
+def _delta(after, before):
+    """``after - before`` on every integer count, dicts recursively (a key
+    new in ``after`` counts from 0); floats and strings are not counts."""
+    out = {}
+    for key, value in after.items():
+        if isinstance(value, dict):
+            out[key] = _delta(value, before.get(key, {}))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            out[key] = value - before.get(key, 0)
+    return out
+
+
+def _window(fed, body):
+    """Run ``body(fed)`` under op counting; returns its result, the op
+    counts, the cost delta over the window and the snapshots around it."""
+    before = fed.cost_snapshot()
+    with opcount.counting() as ops:
+        result = body(fed)
+    fed.assert_drained()
+    after = fed.cost_snapshot()
+    delta = _delta(after, before)
+    bus = {key: delta["bus"][key] for key in _BUS_KEYS}
+    bus["by_tag"] = {tag: n for tag, n in bus["by_tag"].items() if n}
+    window = {
+        "bus": bus,
+        "conversions": delta["conversions"],
+        "mpc": delta["mpc"],
+        "dealer": delta["dealer"],
+    }
+    return result, dict(ops), window, before, after
+
+
 def _run(federation, rows):
-    """fit + predict under op counting; close the federation afterwards."""
-    with federation as fed:
+    """fit + predict as one window; close the federation afterwards."""
+
+    def fit_predict(fed):
         clf = PivotClassifier(protocol="basic")
-        with opcount.counting() as ops:
-            clf.fit(fed)
-            predictions = clf.predict(rows)
-        fed.assert_drained()
+        clf.fit(fed)
+        return clf.model_.structure_signature(), list(clf.predict(rows))
+
+    with federation as fed:
+        (signature, predictions), ops, window, before, after = _window(
+            fed, fit_predict
+        )
         return {
-            "signature": clf.model_.structure_signature(),
-            "predictions": list(predictions),
-            "ops": dict(ops),
-            "cost": fed.cost_snapshot(),
+            "signature": signature,
+            "predictions": predictions,
+            "ops": ops,
+            "window": window,
+            "construction": before["bus"],
+            "transport": after["bus"]["transport"],
+            "pending": after["bus"]["pending"],
         }
 
 
@@ -88,35 +134,25 @@ def _assert_parity(result, baseline):
     assert result["signature"] == baseline["signature"]
     assert result["predictions"] == baseline["predictions"]
     assert result["ops"] == baseline["ops"]
-    ours, theirs = result["cost"]["bus"], baseline["cost"]["bus"]
-    assert ours["bytes_measured"] == theirs["bytes_measured"]
-    assert ours["bytes_estimated"] == theirs["bytes_estimated"]
-    assert ours["rounds"] == theirs["rounds"]
-    assert ours["by_tag"] == theirs["by_tag"]
-    assert (
-        result["cost"]["conversions"] == baseline["cost"]["conversions"]
-    )
+    assert result["window"] == baseline["window"]
 
 
-def _assert_row_parity(run, distributed_baseline):
-    """A multi-process row: bit-identical to the in-memory distributed-keygen
-    run, drained everywhere, every party process exited cleanly on
-    ctl-shutdown."""
+def _assert_row_parity(run, baseline):
+    """A multi-process row: over the fit/predict window bit-identical to
+    the dealer-keyed in-process run, drained everywhere, every party
+    process exited cleanly on ctl-shutdown."""
     result = run["result"]
-    assert result["cost"]["bus"]["transport"]["kind"] == "SocketTransport"
-    _assert_parity(result, distributed_baseline)
-    assert result["cost"]["bus"]["pending"] == 0
+    assert result["transport"]["kind"] == "SocketTransport"
+    _assert_parity(result, baseline)
+    assert result["pending"] == 0
     assert run["party_rc"] == 0
 
 
-def _assert_dealer_model(run, baseline):
-    """Same model, predictions and homomorphic-op counts as the trusted
-    dealer baseline — only the key *provenance* differs (its kg-* traffic
-    keeps total bytes/rounds out of full byte parity with the row)."""
-    result = run["result"]
-    assert result["signature"] == baseline["signature"]
-    assert result["predictions"] == baseline["predictions"]
-    assert result["ops"] == baseline["ops"]
+def test_dealer_baseline_sends_nothing_to_make_its_key(baseline):
+    """The in-process federation's key comes from the dealer: its
+    construction put nothing on the bus."""
+    assert baseline["construction"]["messages"] == 0
+    assert baseline["construction"]["bytes"] == 0
 
 
 def test_asyncio_transport_parity(data, baseline):
@@ -124,9 +160,23 @@ def test_asyncio_transport_parity(data, baseline):
     result = _run(
         Federation(_parties(X, y), config=CONFIG, transport="asyncio"), X[:6]
     )
-    assert result["cost"]["bus"]["transport"]["kind"] == "SocketTransport"
-    assert result["cost"]["bus"]["transport"]["dropped"] == 0
+    assert result["transport"]["kind"] == "SocketTransport"
+    assert result["transport"]["dropped"] == 0
     _assert_parity(result, baseline)
+
+
+def test_federation_refuses_a_transport_hosting_a_subset():
+    """A Federation holds every party's d_i, so a transport that hosts
+    fewer than all m parties — party 1's runtime would live nowhere — is
+    refused before anything is sent."""
+    X, y = make_classification(8, 4, n_classes=2, seed=1)
+    transport = SocketTransport(2, hosted=(0,), addresses=free_addresses(2))
+    try:
+        with pytest.raises(ValueError, match="transport hosts party 0"):
+            Federation(_parties(X, y), config=CONFIG, transport=transport)
+        assert transport.delivered == 0
+    finally:
+        transport.close()
 
 
 # -- the multi-process rows --------------------------------------------------
@@ -139,16 +189,45 @@ def test_asyncio_transport_parity(data, baseline):
 
 
 @pytest.fixture(scope="module")
-def distributed_baseline(data):
-    """In-memory run with dealerless keygen: the byte-level reference for
-    the multi-process rows (keygen traffic rides the same accounted bus)."""
-    X, y = data
-    return _run(Federation(_parties(X, y), config=DISTRIBUTED), X[:6])
+def runtime_configs(tmp_path_factory):
+    """The runtime row's partyN.toml files (2 parties)."""
+    return write_party_configs(
+        tmp_path_factory.mktemp("runtime-parity"),
+        n_parties=2,
+        timeout=60.0,
+        n_samples=24,
+        n_features=4,
+    )
+
+
+def _replay_keygen(m, keysize, seed, kappa):
+    """Distributed keygen with all m machines on one in-memory bus."""
+    bus = MessageBus(m, codec=WireCodec(None, share_modulus=MERSENNE_127.q))
+    machines = {
+        i: KeygenParty(i, m, keysize, seed=seed, kappa=kappa) for i in range(m)
+    }
+    results = run_distributed_keygen(bus, machines)
+    return {"bus": bus.snapshot(), "n": results[0].public_key.n}
+
+
+@pytest.fixture(scope="module")
+def keygen_replay(runtime_configs):
+    """An outsider's replay of the deployment's keygen, from nothing but
+    party 0's TOML.  Both rows key with CONFIG's parameters, which the
+    TOML carries too."""
+    config = load_runtime_config(runtime_configs[0])
+    assert (config.keysize, config.seed, config.kappa) == (
+        CONFIG.keysize, CONFIG.seed, CONFIG.kappa,
+    )
+    return _replay_keygen(
+        config.n_parties, config.keysize, config.seed, config.kappa
+    )
 
 
 def _facts(fed):
     """What the live deployment shows before its fit."""
     facts = {
+        "threshold": fed.threshold,
         "key_report": fed.key_report(),
         "stub": fed.clients[1],
         "remote_poisoned": bool(np.isnan(fed.parties[1]._raw_features).all()),
@@ -162,16 +241,13 @@ def _facts(fed):
 
 
 @pytest.fixture(scope="module")
-def runtime_run(data, tmp_path_factory):
+def runtime_run(data, runtime_configs):
     """One full standalone-runtime deployment: party 1 is a real OS
     process launched from her TOML config; the orchestrator is a
     RuntimeFederation built from party 0's.  Facts are captured while the
     deployment is live; the fit/predict result closes it."""
     X, y = data
-    directory = tmp_path_factory.mktemp("runtime-parity")
-    paths = write_party_configs(
-        directory, n_parties=2, timeout=60.0, n_samples=24, n_features=4
-    )
+    paths = runtime_configs
     party = PartySubprocess(paths[1])
     try:
         config = load_runtime_config(paths[0])
@@ -229,22 +305,56 @@ def row_run(request):
     return request.getfixturevalue(f"{request.param}_run")
 
 
-def test_standalone_runtime_parity(runtime_run, distributed_baseline):
-    _assert_row_parity(runtime_run, distributed_baseline)
+def test_standalone_runtime_parity(runtime_run, baseline):
+    _assert_row_parity(runtime_run, baseline)
 
 
-def test_standalone_runtime_matches_dealer_model(runtime_run, baseline):
-    _assert_dealer_model(runtime_run, baseline)
+def test_per_party_process_parity(deployed_run, baseline):
+    _assert_row_parity(deployed_run, baseline)
 
 
-def test_per_party_process_parity(deployed_run, distributed_baseline, baseline):
-    _assert_row_parity(deployed_run, distributed_baseline)
-    _assert_dealer_model(deployed_run, baseline)
-    # config.keygen is not read: the deployed row always runs dealerless.
-    fed = deployed_run["fed"]
-    assert fed.config.keygen == "distributed"
-    assert fed.threshold._private_key is None
-    assert fed.threshold.shares[1] is None
+def test_construction_traffic_is_distributed_keygen(row_run, keygen_replay):
+    """Everything a multi-process row sent before its first fit is
+    distributed keygen: the same bytes, rounds and per-tag bytes as the
+    in-memory replay with the same (m, keysize, seed, kappa)."""
+    ours = row_run["result"]["construction"]
+    replay = keygen_replay["bus"]
+    for key in ("bytes", "bytes_measured", "rounds", "by_tag"):
+        assert ours[key] == replay[key], key
+    assert ours["by_tag"]
+    assert all(tag.startswith(KEYGEN_TAG_PREFIX) for tag in ours["by_tag"])
+
+
+def test_orchestrator_bundle_cannot_decrypt_alone(row_run):
+    """The orchestrator's key bundle holds d_0 and nothing else: no private
+    key, no remote share, and every local decryption path raises, so only
+    the share-combination flow can produce a plaintext."""
+    tp = row_run["threshold"]
+    assert tp._private_key is None
+    assert tp.shares[0] is not None
+    assert tp.shares[1] is None
+    ct = tp.public_key.encrypt(7)
+    for decrypt in (
+        lambda: tp.joint_decrypt(ct),
+        lambda: tp.joint_decrypt_batch([ct]),
+        lambda: tp.share_vectors([ct]),
+    ):
+        with pytest.raises(RuntimeError, match="owners' processes"):
+            decrypt()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 13: every KeygenParty is seeded from the public "
+        "[pivot] seed, so the runtime's key replays from any party's TOML"
+    ),
+)
+def test_runtime_key_cannot_be_replayed_from_its_toml(
+    runtime_run, keygen_replay
+):
+    assert keygen_replay["n"] != runtime_run["threshold"].public_key.n
 
 
 def test_no_process_materializes_the_full_private_key(row_run):
@@ -326,34 +436,36 @@ def test_from_partition_and_from_global_really_deploy(data):
         assert isinstance(fed, DeployedFederation)
         assert sorted(fed.processes) == [1]
         assert fed.bus.transport.snapshot()["kind"] == "SocketTransport"
-        assert fed.local_parties == (0,)
+        assert fed.bus.local_parties == (0,)
         assert np.isnan(fed.parties[1]._raw_features).all()
 
 
 def test_shuffled_partition_deploys_with_its_columns():
     """A shuffled partition keeps its column assignment when deployed:
     the same ``columns_per_client``, the same per-party slices of global
-    rows, and the same model, predictions, bytes and rounds as in
-    memory."""
+    rows, and over the fit/predict window the same model, predictions,
+    bytes and rounds as in memory."""
     X, y = make_classification(24, 6, n_classes=2, seed=11)
     vp = vertical_partition(X, y, 3, shuffle_columns=True, seed=1)
     assert vp.columns_per_client == ((4, 0), (2, 1), (5, 3))
     rows = X[:8]
+
+    def fit_predict(fed):
+        clf = PivotClassifier().fit(fed)
+        predictions = list(clf.predict(rows))
+        assert predictions == list(clf.model_.predict(rows))
+        return clf.model_.structure_signature(), predictions
+
     runs = []
     for cls in (Federation, DeployedFederation):
-        with cls.from_partition(vp, DISTRIBUTED) as fed:
-            clf = PivotClassifier().fit(fed)
-            predictions = list(clf.predict(rows))
-            assert predictions == list(clf.model_.predict(rows))
-            bus = fed.cost_snapshot()["bus"]
+        with cls.from_partition(vp, CONFIG) as fed:
+            result, ops, window, _, _ = _window(fed, fit_predict)
             runs.append((
                 fed.partition.columns_per_client,
                 [block.tolist() for block in fed.slices(rows)],
-                clf.model_.structure_signature(),
-                predictions,
-                bus["bytes_measured"],
-                bus["rounds"],
-                bus["by_tag"],
+                result,
+                ops,
+                window,
             ))
     assert runs[0][0] == vp.columns_per_client
     assert runs[1] == runs[0]
@@ -363,28 +475,21 @@ def test_logistic_trains_over_process_deployment(data):
     """LogisticTrainer's per-epoch batch sums and gradient folds run as
     reactions in the party's own process (``lr-batch-sums`` /
     ``lr-update``), so logistic training over a process deployment is
-    bit-identical to in-memory — including the homomorphic op counts her
-    process reports back over the control plane."""
+    bit-identical to in-memory over the fit/predict window — including
+    the homomorphic op counts her process reports back over the control
+    plane."""
     from repro.federation import PivotLogisticClassifier
 
     X, y = data
-    cfg = PivotConfig(keysize=256, seed=5, keygen="distributed")
+    cfg = PivotConfig(keysize=256, seed=5)
+
+    def fit_predict(fed):
+        clf = PivotLogisticClassifier(n_epochs=1, batch_size=8).fit(fed)
+        return list(clf.predict_proba(X[:5]))
 
     def run(federation):
         with federation as fed:
-            clf = PivotLogisticClassifier(n_epochs=1, batch_size=8)
-            with opcount.counting() as ops:
-                clf.fit(fed)
-                probs = clf.predict_proba(X[:5])
-            fed.assert_drained()
-            bus = fed.cost_snapshot()["bus"]
-            return (
-                list(probs),
-                dict(ops),
-                bus["bytes_measured"],
-                bus["rounds"],
-                bus["by_tag"],
-            )
+            return _window(fed, fit_predict)[:3]
 
     baseline = run(Federation(_parties(X, y), config=cfg))
     deployed = run(DeployedFederation(_parties(X, y), config=cfg))

@@ -9,7 +9,7 @@ restart-and-resume path through the persisted per-party key state.
 
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +58,34 @@ def test_config_round_trips_through_toml(tmp_path):
     assert np.array_equal(X0, X2) and np.array_equal(y0, y2)
 
 
+def test_every_field_round_trips_through_toml(tmp_path):
+    """write_party_configs -> load_runtime_config is the identity with
+    every field off its default (``seed=None`` is the omitted-key path).
+    Two fields admit only their default: ``super_client`` and
+    ``protocol``."""
+    addresses = (*ADDRESSES, ("10.0.0.3", 9502))
+    off_default = dict(
+        timeout=7.5, connect_timeout=12.5, max_idle=42.0,
+        data_kind="regression", n_samples=30, n_features=5, n_classes=3,
+        data_seed=17, keysize=320, seed=None, kappa=30, frac_bits=12,
+        max_depth=3, max_splits=4, run_fit=False, predict_rows=9,
+    )
+    paths = write_party_configs(
+        tmp_path, addresses=list(addresses), key_state=True, **off_default
+    )
+    for i, path in enumerate(paths):
+        expected = RuntimeConfig(
+            index=i,
+            addresses=addresses,
+            key_state=str(tmp_path / f"party{i}.key.json"),
+            **off_default,
+        )
+        assert load_runtime_config(path) == expected
+    for f in fields(RuntimeConfig):
+        if f.name not in ("index", "super_client", "protocol"):
+            assert getattr(expected, f.name) != f.default, f.name
+
+
 def test_config_rejects_bad_deployments():
     with pytest.raises(ValueError, match="at least 2"):
         RuntimeConfig(index=0, addresses=(("127.0.0.1", 9500),))
@@ -72,8 +100,18 @@ def test_config_rejects_bad_deployments():
 
 
 def test_pivot_config_is_dealerless_and_really_combines():
-    cfg = RuntimeConfig(index=0, addresses=ADDRESSES).pivot_config()
-    assert cfg.keygen == "distributed"
+    """The runtime's PivotConfig carries the TOML's [pivot] values and no
+    way to ask for a dealer: how keys are made follows the topology, and
+    a RuntimeFederation always runs distributed keygen."""
+    runtime = RuntimeConfig(
+        index=0, addresses=ADDRESSES, keysize=320, seed=9, kappa=30,
+        frac_bits=12, max_depth=3, max_splits=4,
+    )
+    cfg = runtime.pivot_config()
+    assert (cfg.keysize, cfg.seed, cfg.kappa, cfg.frac_bits) == (320, 9, 30, 12)
+    assert (cfg.tree.max_depth, cfg.tree.max_splits) == (3, 4)
+    assert cfg.protocol == "basic"
+    assert not hasattr(cfg, "keygen")
 
 
 def test_role_constructors_enforce_the_index():

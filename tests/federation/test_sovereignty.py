@@ -6,9 +6,9 @@ its strongest deployment form:
 
 * a :class:`DeployedFederation` never holds a dealer key or a remote
   party's ``d_share`` (distributed keygen; her share lives in her spawned
-  process), and trains/predicts bit-identically to in memory — every
-  plaintext was reconstructed from the m share vectors the decrypt flow
-  moved;
+  process), and over a fit/predict window trains/predicts bit-identically
+  to the dealer-keyed in-memory federation — every plaintext was
+  reconstructed from the m share vectors the decrypt flow moved;
 * the wire carries *real* share vectors (no placeholder zeros), and an
   in-memory federation never reads the dealer's key either;
 * a missing or duplicated share vector raises;
@@ -17,7 +17,6 @@ its strongest deployment form:
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -37,7 +36,6 @@ from repro.tree import TreeParams
 CONFIG = PivotConfig(
     keysize=256, tree=TreeParams(max_depth=2, max_splits=2), seed=3
 )
-DISTRIBUTED = replace(CONFIG, keygen="distributed")
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +89,9 @@ def deployed(data):
 
 def test_deployed_training_is_bit_identical_without_dealer_key(data, deployed):
     """The acceptance bar: fit/predict over a deployment whose process
-    holds no dealer key and no remote ``d_share`` matches the in-memory
-    distributed-keygen run on model signature, predictions, measured
-    bytes, rounds, and Ce/Cd (plus Cs/Cc) op counts."""
+    holds no dealer key and no remote ``d_share`` matches the dealer-keyed
+    in-memory run on model signature, predictions, measured bytes,
+    rounds, and Ce/Cd (plus Cs/Cc) op counts."""
     X, y = data
     tp = deployed.threshold
     assert tp._private_key is None
@@ -104,7 +102,7 @@ def test_deployed_training_is_bit_identical_without_dealer_key(data, deployed):
     ct = tp.public_key.encrypt(7)
     with pytest.raises(RuntimeError, match="owners' processes"):
         tp.joint_decrypt(ct)
-    baseline = _run(Federation(_parties(X, y), config=DISTRIBUTED), X[:6])
+    baseline = _run(Federation(_parties(X, y), config=CONFIG), X[:6])
     assert _fit(deployed, X[:6]) == baseline
 
 
