@@ -230,6 +230,20 @@ def batch_report(
     t_div = _best_of(lambda: [fx.div(a, b) for _ in range(calls)], repeats)
     div_in_muls = t_div / t_mul
 
+    # -- Cc: 300 sign tests one by one vs one ltz_many (a predict call's
+    # node tests): the batch packs every value's bits into one word, so its
+    # rounds and word-ANDs are one value's.  A ratio inside this run.
+    mpc_engine = fx.engine
+    signs = [fx.share((i - 150) / 4) for i in range(300)]
+    t_ltz_serial = _best_of(
+        lambda: [comparison.ltz(mpc_engine, s, fx.k) for s in signs], repeats
+    )
+    t_ltz_many = _best_of(lambda: comparison.ltz_many(mpc_engine, signs, fx.k), repeats)
+    ltz_many_speedup = t_ltz_serial / t_ltz_many
+    ltz_agree = mpc_engine.open_many(
+        [comparison.ltz(mpc_engine, s, fx.k) for s in signs]
+    ) == mpc_engine.open_many(comparison.ltz_many(mpc_engine, signs, fx.k))
+
     # -- op-count parity: identical Ce tallies in both modes ---------------
     with opcount.counting() as serial_ops:
         serial_cts = [encoder.encrypt(v) for v in values]
@@ -289,6 +303,12 @@ def batch_report(
                 t_div / calls * 1e3,
                 f"{div_in_muls:.1f} muls",
             ],
+            [
+                f"ltz x{len(signs)}, serial vs ltz_many",
+                t_ltz_serial * 1e3,
+                t_ltz_many * 1e3,
+                f"{ltz_many_speedup:.2f}x",
+            ],
         ],
     )
     print(
@@ -334,11 +354,17 @@ def batch_report(
             f"one FixedPointOps.div costs {div_in_muls:.1f} engine.mul of this "
             "run; the ceiling is 70"
         )
+        assert ltz_agree, "ltz_many opens differently from serial ltz calls"
+        assert ltz_many_speedup > 1.0, (
+            f"one ltz_many of {len(signs)} values costs more per value than "
+            f"serial ltz calls ({ltz_many_speedup:.2f}x)"
+        )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
             "pow, negative scalars <= 3x positive, subtract_vectors <= 0.5x "
             "a - b, grouped division >= 2.5x, Norm of 25 <= 5x Norm of 1, "
-            "lt <= 12 mul, div <= 70 mul, tallies equal"
+            "lt <= 12 mul, div <= 70 mul, ltz_many cheaper per value than "
+            f"serial ltz ({ltz_many_speedup:.2f}x), tallies equal"
         )
     return {
         "crt": crt_speedup,
@@ -350,6 +376,7 @@ def batch_report(
         "norm_batch": norm_ratio,
         "lt_in_muls": lt_in_muls,
         "div_in_muls": div_in_muls,
+        "ltz_many": ltz_many_speedup,
     }
 
 

@@ -145,6 +145,8 @@ def table2_prediction_counts(w: Workload, protocol: str) -> dict[str, float]:
     The *measured* enhanced prediction has exactly Table 2's shape: per
     row, t Cc (one comparison per internal node) and 2t + 1 Cs (t marker
     products and the (t + 1)-leaf inner product with the hidden labels).
+    It too runs once per call: its MPC rounds are one row's however many
+    rows the call has.
     """
     if protocol == "basic":
         return {"ce": w.m * w.t, "cd": 1, "cs": 0, "cc": 0}

@@ -23,7 +23,7 @@ from repro.core.leakage import (
 from repro.core.logistic import LogisticTrainer
 from repro.core.malicious import CheatingClient, MaliciousTreeTrainer
 from repro.core.prediction import (
-    enhanced_prediction_share,
+    enhanced_prediction_shares,
     local_slices_for_sample,
     run_predict_basic,
     run_predict_batch,
@@ -42,7 +42,7 @@ __all__ = [
     "MaliciousTreeTrainer",
     "PivotConfig",
     "TreeTrainer",
-    "enhanced_prediction_share",
+    "enhanced_prediction_shares",
     "feature_inference_attack",
     "label_inference_attack",
     "local_slices_for_sample",

@@ -19,8 +19,8 @@ client ever sees.  Each round:
 
 * the clients jointly predict every training sample through the new tree,
   keeping the outputs encrypted (basic: Algorithm 4's [k̄], one round-robin
-  for all n samples; enhanced: the shared §5.2 prediction converted back
-  to a ciphertext),
+  for all n samples; enhanced: one §5.2 walk for all n samples, each
+  shared prediction converted back to a ciphertext),
 * the encrypted running estimate [Ŷ] and residuals are updated
   homomorphically,
 * for the next round's regression-tree statistics the clients compute the
@@ -45,15 +45,15 @@ labels are read as the super client.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.core.prediction import (
-    _slices_per_row,
     encrypted_leaf_sums,
-    enhanced_prediction_share,
+    enhanced_prediction_shares,
     global_rows_to_party_slices,
     local_slices_for_sample,
     predict_basic_encrypted_batch,
@@ -126,10 +126,7 @@ class ForestTrainer:
         if not self.models:
             raise RuntimeError("fit() must be called before predict()")
         if self.enhanced:
-            out = [
-                self._predict_row_enhanced(slices)
-                for slices in _slices_per_row(self.ctx, party_slices)
-            ]
+            out = self._predict_enhanced(party_slices)
         else:
             out = self._predict_basic(party_slices)
         dtype = np.int64 if self.task == "classification" else np.float64
@@ -170,36 +167,44 @@ class ForestTrainer:
         means = [t * (1.0 / self.n_trees) for t in total or []]
         return ctx.joint_decrypt_batch(means, tag="rf-prediction")
 
-    def _predict_row_enhanced(self, slices: list[np.ndarray]) -> float | int:
+    def _predict_enhanced(self, party_slices: list[np.ndarray]) -> list[float | int]:
         """Share-level aggregation: per-tree predictions stay hidden (§5.2).
 
-        Classification: each tree's shared prediction ⟨k̄_w⟩ is compared
-        against every class with a secure equality test; the per-class vote
-        sums stay shared and only the argmax index is opened.  Regression:
-        the shared per-tree means are averaged and opened once.
+        Every tree's walk runs once for all rows; then, per row,
+        classification compares each tree's shared prediction ⟨k̄_w⟩
+        against every class with a secure equality test, keeps the
+        per-class vote sums shared and opens only the argmax index, and
+        regression averages the shared per-tree means and opens them once.
         """
         ctx, fx = self.ctx, self.ctx.fx
         results = [
-            enhanced_prediction_share(model, ctx, slices) for model in self.models
+            enhanced_prediction_shares(model, ctx, party_slices)
+            for model in self.models
         ]
-        shares = [share for share, _ in results]
+        per_row = list(zip(*(shares for shares, _ in results)))
         if self.task == "classification":
-            votes = [
-                ctx.engine.sum_values(
-                    [fx.eqz(share - fx.share(k)) for share in shares]
-                )
-                for k in range(self.n_classes)
-            ]
-            index, _, _ = fx.argmax(votes)
-            return int(ctx.engine.open(index))
+            out: list[float | int] = []
+            for shares in per_row:
+                votes = [
+                    ctx.engine.sum_values(
+                        [fx.eqz(share - fx.share(k)) for share in shares]
+                    )
+                    for k in range(self.n_classes)
+                ]
+                index, _, _ = fx.argmax(votes)
+                out.append(int(ctx.engine.open(index)))
+            return out
         scales = {scale for _, scale in results}
         if len(scales) > 1:
             raise ValueError(
                 f"forest trees disagree on the label scale {sorted(scales)}"
             )
-        mean = fx.mul_public(ctx.engine.sum_values(shares), 1.0 / self.n_trees)
-        value = ctx.open_value(mean, tag="rf-prediction")
-        return float(value * next(iter(scales)))
+        scale = next(iter(scales))
+        out = []
+        for shares in per_row:
+            mean = fx.mul_public(ctx.engine.sum_values(list(shares)), 1.0 / self.n_trees)
+            out.append(float(ctx.open_value(mean, tag="rf-prediction") * scale))
+        return out
 
 
 class GBDTTrainer:
@@ -240,17 +245,17 @@ class GBDTTrainer:
         """One tree's encrypted prediction for every row.
 
         Basic: Algorithm 4's [k̄], one round-robin for all rows.  Enhanced:
-        per row, the §5.2 shared prediction converted back to a ciphertext
-        (§5.2's reverse conversion) so the running estimate [Ŷ] updates
-        homomorphically either way; the ciphertext holds the prediction
-        itself, like the basic one.
+        the §5.2 shared predictions of all rows in one walk, each converted
+        back to a ciphertext (§5.2's reverse conversion) so the running
+        estimate [Ŷ] updates homomorphically either way; the ciphertext
+        holds the prediction itself, like the basic one.
         """
         ctx = self.ctx
         if not self.enhanced:
             return predict_basic_encrypted_batch(model, ctx, party_slices)
+        shares, scale = enhanced_prediction_shares(model, ctx, party_slices)
         out = []
-        for slices in _slices_per_row(ctx, party_slices):
-            share, scale = enhanced_prediction_share(model, ctx, slices)
+        for share in shares:
             if scale != 1.0:
                 # Boosting providers keep residuals in score units (scale
                 # 1); a scaled tree would need a public rescale after
@@ -398,17 +403,15 @@ class GBDTTrainer:
         Basic: every tree predicts all rows in one round-robin and the
         per-row sums of the encrypted tree outputs are what is decrypted
         (regression) or converted to shares (classification).  Enhanced:
-        row by row at the share level.
+        every tree's §5.2 walk runs once for all rows, then the scores are
+        aggregated row by row at the share level.
         """
         ctx = self.ctx
         if self.task == "regression":
             if not self.models:
                 raise RuntimeError("fit() must be called before predict()")
             if self.enhanced:
-                values = [
-                    self._predict_regression_enhanced(slices)
-                    for slices in _slices_per_row(ctx, party_slices)
-                ]
+                values = self._predict_regression_enhanced(party_slices)
             else:
                 values = ctx.joint_decrypt_batch(
                     self._score_sums(self.models, party_slices),
@@ -417,13 +420,10 @@ class GBDTTrainer:
             return np.asarray(values, dtype=np.float64) * self.label_scale
         if not self.class_models:
             raise RuntimeError("fit() must be called before predict()")
-        # Generators: each row's scores are shared, soft-maxed and opened
+        # Generators: each row's scores are summed, soft-maxed and opened
         # before the next row's touch the MPC engine.
         if self.enhanced:
-            rows = (
-                self._class_scores_enhanced(slices)
-                for slices in _slices_per_row(ctx, party_slices)
-            )
+            rows = self._class_scores_enhanced(party_slices)
         else:
             per_class = [
                 self._score_sums(
@@ -451,26 +451,41 @@ class GBDTTrainer:
             total = _add_rows(total, [p * self.learning_rate for p in preds])
         return total or []
 
-    def _predict_regression_enhanced(self, slices: list[np.ndarray]) -> float:
-        """Aggregate at the share level; one opening for the sum.  The
-        per-tree label scale is 1.0 for boosting-trained trees (the
+    def _predict_regression_enhanced(self, party_slices: list[np.ndarray]) -> list[float]:
+        """Aggregate at the share level; one opening per row for the sum.
+        The per-tree label scale is 1.0 for boosting-trained trees (the
         providers keep residuals in score units) but is applied anyway so
         hand-assembled models cannot silently mispredict."""
         ctx = self.ctx
-        terms = []
-        for model in self.models:
-            share, scale = enhanced_prediction_share(model, ctx, slices)
-            terms.append(ctx.fx.mul_public(share, self.learning_rate * scale))
-        return ctx.open_value(ctx.engine.sum_values(terms), tag="gbdt-prediction")
+        trees = [
+            enhanced_prediction_shares(model, ctx, party_slices) for model in self.models
+        ]
+        values = []
+        for row in zip(*(shares for shares, _ in trees)):
+            terms = [
+                ctx.fx.mul_public(share, self.learning_rate * scale)
+                for share, (_, scale) in zip(row, trees)
+            ]
+            values.append(
+                ctx.open_value(ctx.engine.sum_values(terms), tag="gbdt-prediction")
+            )
+        return values
 
-    def _class_scores_enhanced(self, slices: list[np.ndarray]) -> list:
+    def _class_scores_enhanced(self, party_slices: list[np.ndarray]) -> Iterator[list]:
+        """Per row, the shared score of every class, Σ_w learning_rate ·
+        tree_w,k; every tree's walk runs once for all rows first."""
         ctx = self.ctx
-        score_shares = [None] * self.n_classes
-        for round_models in self.class_models:
-            for k, model in enumerate(round_models):
-                share, scale = enhanced_prediction_share(model, ctx, slices)
-                term = ctx.fx.mul_public(share, self.learning_rate * scale)
+        trees = [
+            (k, enhanced_prediction_shares(model, ctx, party_slices))
+            for round_models in self.class_models
+            for k, model in enumerate(round_models)
+        ]
+        n_rows = len(trees[0][1][0])
+        for r in range(n_rows):
+            score_shares = [None] * self.n_classes
+            for k, (shares, scale) in trees:
+                term = ctx.fx.mul_public(shares[r], self.learning_rate * scale)
                 score_shares[k] = (
                     term if score_shares[k] is None else score_shares[k] + term
                 )
-        return [s for s in score_shares if s is not None]
+            yield [s for s in score_shares if s is not None]

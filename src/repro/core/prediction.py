@@ -41,6 +41,16 @@ values are secret-shared by their owners, a marker is propagated from the
 root with one secure comparison per internal node, and the prediction is
 the inner product ⟨z⟩·⟨η⟩, revealed alone.
 
+That walk also runs **once per call, for all R rows**
+(:func:`enhanced_prediction_shares`): each party inputs all her values
+in one batch, one packed comparison (``comparison.ltz_many``) covers the
+R × t node tests, the markers take one multiplication round per tree
+level and the R × L leaf products one more, and the R outputs are opened
+together.  The rounds of a call are those of one row — at most
+(parties + 8 + h + 2) for depth h at k = 40 — however many rows it has;
+material per row is unchanged: t comparisons and 2t + 1 Beaver triples
+(Table 2).
+
 Party locality: every entry point takes the samples as *per-party slices* —
 each client's own columns of the rows, exactly what a real deployment's
 parties would hold.  ``party_slices`` (one ``n × d_i`` block per client)
@@ -60,6 +70,7 @@ import numpy as np
 
 from repro.crypto.encoding import EncryptedNumber
 from repro.mpc import comparison
+from repro.mpc.sharing import SharedValue
 from repro.tree.model import DecisionTreeModel, TreeNode
 
 if TYPE_CHECKING:
@@ -67,7 +78,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "encrypted_leaf_sums",
-    "enhanced_prediction_share",
+    "enhanced_prediction_shares",
     "global_rows_to_party_slices",
     "local_slices_for_sample",
     "predict_basic_encrypted_batch",
@@ -287,44 +298,53 @@ def run_predict_basic(
 # ---------------------------------------------------------------------------
 
 
-def enhanced_prediction_share(
-    model: DecisionTreeModel, context: Federation, slices: list[np.ndarray]
-):
-    """§5.2 prediction kept in shared form: returns (⟨k̄⟩, label_scale).
+def _levels(model: DecisionTreeModel) -> list[list[TreeNode]]:
+    """The internal nodes, one list per depth from the root down."""
+    levels, frontier = [], [model.root]
+    while True:
+        internal = [node for node in frontier if not node.is_leaf]
+        if not internal:
+            return levels
+        levels.append(internal)
+        frontier = [child for node in internal for child in node.children()]
 
-    The building block for both single predictions (open the share) and
-    ensemble aggregation (combine shares of several trees before anything
-    is revealed).  Raises if the hidden leaves carry mixed label scales:
-    the shared inner product sums over the leaves, so only a uniform scale
-    can be applied after opening.
+
+def enhanced_prediction_shares(
+    model: DecisionTreeModel, context: Federation, party_slices: list[np.ndarray]
+) -> tuple[list[SharedValue], float]:
+    """§5.2 prediction kept in shared form for every row of ``party_slices``:
+    returns (⟨k̄_r⟩ per row, label_scale).
+
+    The building block for both predictions (open the shares) and ensemble
+    aggregation (combine shares of several trees before anything is
+    revealed).  One pass for all R rows:
+
+    * every party inputs her R feature values at each node she owns, one
+      ``input_many`` per party;
+    * one ``ltz_many`` compares all R × t of them with the shared
+      thresholds: [x ≤ θ] = 1 − [θ − x < 0];
+    * markers go down one level at a time, one ``mul_many`` per level
+      (left = marker · goes_left, right = marker − left);
+    * one ``mul_many`` for the R × L products ⟨η⟩·⟨z⟩, summed per row.
+
+    Raises if the hidden leaves carry mixed label scales: the shared inner
+    product sums over the leaves, so only a uniform scale can be applied
+    after opening.
     """
     ctx, fx = context, context.fx
     engine = ctx.engine
-
-    def walk(node: TreeNode, marker) -> list:
-        if node.is_leaf:
-            return [(node, marker)]
-        threshold_share = node.hidden.get("threshold_share")
-        if threshold_share is None:
-            raise ValueError("node lacks a shared threshold; not an enhanced model")
-        value = float(slices[node.owner][node.feature])
-        x_share = engine.input_private(fx.encode(value), owner=node.owner)
-        goes_left = comparison.le(engine, x_share, threshold_share, fx.k)
-        left_marker = engine.mul(marker, goes_left)
-        right_marker = marker - left_marker
-        return walk(node.left, left_marker) + walk(node.right, right_marker)
-
-    leaf_markers = walk(model.root, engine.share_public(1))
-    # η in canonical leaf order; z from the hidden leaf labels.
-    eta, z_shares, scales = [], [], []
-    for node, marker in leaf_markers:
-        label_share = node.hidden.get("label_share")
-        if label_share is None:
-            raise ValueError("leaf lacks a shared label; not an enhanced model")
-        eta.append(marker)
-        z_shares.append(label_share)
-        scales.append(node.hidden.get("label_scale", 1.0))
-    scale = scales[0] if scales else 1.0
+    blocks = _party_blocks(ctx, party_slices)
+    n_rows = blocks[0].shape[0]
+    levels = _levels(model)
+    internal = [node for level in levels for node in level]
+    if any(node.hidden.get("threshold_share") is None for node in internal):
+        raise ValueError("node lacks a shared threshold; not an enhanced model")
+    leaves = model.leaves()
+    labels = [leaf.hidden.get("label_share") for leaf in leaves]
+    if any(label is None for label in labels):
+        raise ValueError("leaf lacks a shared label; not an enhanced model")
+    scales = [leaf.hidden.get("label_scale", 1.0) for leaf in leaves]
+    scale = scales[0]
     # A single label scale must apply to all leaves: the inner product sums
     # over them, and mixed per-leaf scales cannot be rescaled after the
     # sum.  Training guarantees uniformity (one provider per tree);
@@ -336,7 +356,58 @@ def enhanced_prediction_share(
             f"enhanced model has mixed per-leaf label scales {sorted(mixed | {scale})}; "
             "the shared inner product admits only a uniform scale"
         )
-    return engine.inner_product(eta, z_shares), scale
+
+    # Each owner's inputs, node by node, R rows each.
+    inputs: dict[int, list[SharedValue]] = {}
+    for owner in sorted({node.owner for node in internal}):
+        owned = [node for node in internal if node.owner == owner]
+        values = [
+            fx.encode(float(value))
+            for node in owned
+            for value in blocks[owner][:, node.feature]
+        ]
+        shares = engine.input_many(values, owner=owner)
+        for j, node in enumerate(owned):
+            inputs[id(node)] = shares[j * n_rows : (j + 1) * n_rows]
+    differences = [
+        node.hidden["threshold_share"] - x for node in internal for x in inputs[id(node)]
+    ]
+    del inputs
+    negative = comparison.ltz_many(engine, differences, fx.k + 1)
+    del differences
+    goes_left = {
+        id(node): [1 - bit for bit in negative[j * n_rows : (j + 1) * n_rows]]
+        for j, node in enumerate(internal)
+    }
+    del negative
+
+    markers = {id(model.root): [engine.share_public(1)] * n_rows}
+    for level in levels:
+        products = engine.mul_many(
+            [
+                pair
+                for node in level
+                for pair in zip(markers[id(node)], goes_left.pop(id(node)))
+            ]
+        )
+        for j, node in enumerate(level):
+            marker = markers.pop(id(node))
+            left = products[j * n_rows : (j + 1) * n_rows]
+            left_child, right_child = node.children()
+            markers[id(left_child)] = left
+            markers[id(right_child)] = [m - l for m, l in zip(marker, left)]
+        del products
+
+    # ⟨η⟩·⟨z⟩ per row: leaf products row-major, summed in leaf order.
+    eta = [markers.pop(id(leaf)) for leaf in leaves]
+    products = engine.mul_many(
+        [(column[r], label) for r in range(n_rows) for column, label in zip(eta, labels)]
+    )
+    del eta
+    width = len(leaves)
+    return [
+        engine.sum_values(products[r * width : (r + 1) * width]) for r in range(n_rows)
+    ], scale
 
 
 def run_predict_enhanced(
@@ -345,16 +416,14 @@ def run_predict_enhanced(
     row: np.ndarray | None = None,
     slices: list[np.ndarray] | None = None,
 ) -> float | int:
-    """§5.2 prediction over the secretly shared model (opens one value)."""
+    """§5.2 prediction over the secretly shared model for one row (a batch
+    of one: opens one value)."""
     if slices is None:
         if row is None:
             raise ValueError("need a global row or per-party slices")
         slices = _local_slices(context, np.asarray(row))
-    prediction_share, scale = enhanced_prediction_share(model, context, slices)
-    value = context.open_value(prediction_share, tag="prediction-output")
-    if model.task == "classification":
-        return int(round(value))
-    return float(value * scale)
+    (value,) = run_predict_batch_slices(model, context, slices, protocol="enhanced")
+    return int(value) if model.task == "classification" else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +460,15 @@ def run_predict_batch_slices(
                 tag="prediction-output",
                 bound_bits=max(abs(label).bit_length() for label in labels),
             )
-        if model.task == "classification":
-            out = [int(round(v)) for v in values]
-        else:
-            out = [float(v) for v in values]
+        scale = 1.0
     elif protocol == "enhanced":
-        out = [
-            run_predict_enhanced(model, context, slices=slices)
-            for slices in _slices_per_row(context, party_slices)
-        ]
+        shares, scale = enhanced_prediction_shares(model, context, party_slices)
+        values = context.open_values(shares, tag="prediction-output")
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     if model.task == "classification":
-        return np.asarray(out, dtype=np.int64)
-    return np.asarray(out, dtype=np.float64)
+        return np.asarray([int(round(v)) for v in values], dtype=np.int64)
+    return np.asarray([float(v * scale) for v in values], dtype=np.float64)
 
 
 def run_predict_batch(

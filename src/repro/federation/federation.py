@@ -558,9 +558,13 @@ class Federation:
         self.revealed.append((tag, value))
         return value
 
-    def open_value(self, value: SharedValue, tag: str, fixed_point: bool = True) -> float:
-        opened = self.fx.open(value) if fixed_point else self.engine.open(value)
-        self.revealed.append((tag, opened))
+    def open_value(self, value: SharedValue, tag: str) -> float:
+        return self.open_values([value], tag)[0]
+
+    def open_values(self, values: list[SharedValue], tag: str) -> list[float]:
+        """Open fixed-point values in one MPC round; each logged as revealed."""
+        opened = [self.fx.decode(v) for v in self.engine.open_many(values)]
+        self.revealed.extend((tag, v) for v in opened)
         return opened
 
     # -- lifecycle / reporting ----------------------------------------------

@@ -68,6 +68,33 @@ def _reverse_lanes(value: int, lanes: int, block: int, lane_bits: int) -> int:
     )
 
 
+def _block_parities(value: int, lanes: int, block: int, lane_bits: int) -> int:
+    """``value`` read as ``lanes`` lanes of ``lane_bits`` bits: lane j of the
+    result is the XOR of the lanes of the j-th ``block``-lane block.
+
+    Halving folds on the whole word (the top lanes of every block onto its
+    bottom ones), then lane 0 of every block gathered side by side.
+    """
+    first_lanes = ((1 << lanes * lane_bits) - 1) // ((1 << block * lane_bits) - 1)
+    span = block
+    while span > 1:
+        keep = (span + 1) // 2
+        value = (value & ((1 << keep * lane_bits) - 1) * first_lanes) ^ (
+            value >> keep * lane_bits & ((1 << (span - keep) * lane_bits) - 1) * first_lanes
+        )
+        span = keep
+    text = format(value, f"0{lanes * lane_bits}b")  # top lane first
+    stride = block * lane_bits
+    end = len(text)
+    return int(
+        "".join(
+            text[end - j * stride - lane_bits : end - j * stride]
+            for j in range(lanes // block - 1, -1, -1)
+        ),
+        2,
+    )
+
+
 def concat(words: list["BinaryWord"]) -> "BinaryWord":
     """One word holding ``words`` side by side, the first at the low lanes."""
     first = words[0]
@@ -99,7 +126,8 @@ class BinaryWord:
     * ``x << s`` — lane i takes lane i − s; the bottom s lanes become 0,
     * ``x & mask`` for a **public** int mask (shared ∧ shared is
       :meth:`MPCEngine.and_words`: one triple, one opening),
-    * ``x.parity()`` — the XOR of all lanes, as a 1-lane word,
+    * ``x.parity()`` — the XOR of all lanes, as a 1-lane word;
+      ``x.parity(b)`` — the XOR of every b-lane block, one lane per block,
     * ``x.narrow(w)`` — the low w lanes, as a w-lane word,
     * ``x.reverse_blocks(b)`` — the lanes of every b-lane block reversed.
     """
@@ -194,7 +222,14 @@ class BinaryWord:
             macs = tuple(m & keep for m in self.macs)
         return BinaryWord(self.engine, self.width, shares, macs)
 
-    def parity(self) -> "BinaryWord":
+    def parity(self, block: int | None = None) -> "BinaryWord":
+        if block is not None and block != self.width:
+            kappa = self.engine.kappa
+            shares = tuple(_block_parities(s, self.width, block, 1) for s in self.shares)
+            macs = None
+            if self.macs is not None:
+                macs = tuple(_block_parities(m, self.width, block, kappa) for m in self.macs)
+            return BinaryWord(self.engine, self.width // block, shares, macs)
         shares = tuple(s.bit_count() & 1 for s in self.shares)
         macs = None
         if self.macs is not None:

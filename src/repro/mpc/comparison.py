@@ -2,11 +2,11 @@
 
 Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 
-* ``bit_lt_public``  — compare a public value against an XOR-shared word
-* ``mod2m``          — ⟨a mod 2^m⟩ (exact)
+* ``mod2m(_many)``   — ⟨a mod 2^m⟩ (exact), of one value or of a batch
 * ``trunc``          — ⟨⌊a / 2^m⌋⟩ (exact, floor for signed a)
 * ``trunc_pr``       — probabilistic truncation (±1 ulp, no bit-compare)
-* ``ltz / lt / gt``  — sign extraction / comparisons, shared 0/1 result
+* ``ltz(_many)``     — sign extraction, shared 0/1 result, one or a batch
+* ``lt / gt / le``   — comparisons, shared 0/1 result
 * ``eqz / eq``       — equality tests
 * ``decompose``      — the bits of many non-negative shared values, as one
                        packed XOR-shared word
@@ -20,17 +20,22 @@ Every bit-level step runs in the binary domain (:mod:`repro.mpc.binary`),
 the way SPDZ implementations do it with edaBits/daBits: the dealer hands
 out the bits of a mask as packed XOR-shared words, a carry chain or
 prefix-OR is ⌈log₂ m⌉ word-wide ANDs however many values share the word,
-and daBits lift result bits back to Z_q.  Cost per call at m bits per
-value — rounds (= openings), field multiplications (Cs), binary material
-from the dealer:
+and daBits lift result bits back to Z_q.  Cost at m bits per value —
+rounds (= openings) per *call*, field multiplications (Cs), binary
+material from the dealer; a ``_many`` call over N values packs their bits
+side by side in one word, so its rounds and AND triples are one value's:
 
     =============  ================  ==  =================================
     primitive      rounds            Cs  binary material
     =============  ================  ==  =================================
     trunc_pr       1                 0   —
     mod2m          2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples, 1 daBit
+    mod2m_many     2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples (N·m
+                                         lanes), N PRandM, N daBits
     trunc          as mod2m          0   as mod2m
     ltz            mod2m at k − 1    0   as mod2m; 1 Cc
+    ltz_many       mod2m_many at     0   as mod2m_many; N Cc
+                   k − 1
     lt/gt/le       ltz at k + 1      0   as ltz; 1 Cc
     eqz / eq       two ltz           0   two ltz; 2 Cc
     decompose      1 + ⌈log₂ m⌉      0   1 edaBit per value,
@@ -42,20 +47,26 @@ from the dealer:
     =============  ================  ==  =================================
 
 so ``ltz`` at k = 40 is 2 openings (the masked value, the daBit-masked
-result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication,
+result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication;
+``ltz_many`` of any number of values is the same 8 rounds and 6 AND
+triples (enhanced prediction compares every row at every node in one);
 and the Norm of any number of 40-bit denominators
 (:meth:`repro.mpc.advanced.FixedPointOps.norm`) is 23 rounds and one field
 multiplication per denominator.
 
 What each opening shows, and under which mask:
 
-* an arithmetic opening (``mod2m``, ``trunc_pr``, ``decompose``) shows
+* an arithmetic opening (``mod2m_many``, ``trunc_pr``, ``decompose``) shows
   a + r for a dealer r with κ bits more than a: statistically hidden,
   distance 2^-κ;
 * a word-AND opens x ⊕ a and y ⊕ b for the AND triple's uniform a, b;
 * ``to_arithmetic`` opens each value plus an edaBit's r mod 2^m, and
-  ``lift`` / ``bit_lt_public`` each bit XOR a daBit's bit: uniform
-  whatever the secret, perfect hiding.
+  ``lift`` (so every compare bit of ``mod2m_many``) each bit XOR a daBit's
+  bit: uniform whatever the secret, perfect hiding.
+
+A batch opens exactly what its values would open one by one, each under
+its own mask: packing changes how many messages carry the openings, not
+what they show.
 
 Every mask is drawn from the dealer's seeded stream and used once.
 All protocols follow the paper's convention: inputs are secretly shared
@@ -71,12 +82,13 @@ from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 
 __all__ = [
-    "bit_lt_public",
     "mod2m",
+    "mod2m_many",
     "trunc",
     "trunc_pr",
     "trunc_pr_many",
     "ltz",
+    "ltz_many",
     "lt",
     "gt",
     "le",
@@ -89,28 +101,6 @@ __all__ = [
     "argmax",
     "select",
 ]
-
-
-def bit_lt_public(
-    engine: MPCEngine, public: int, shared_bits: BinaryWord
-) -> SharedValue:
-    """⟨1⟩ if ``public`` < r else ⟨0⟩, for r's bits XOR-shared in one word.
-
-    Most-significant-difference scan on packed lanes (lane i = bit i; only
-    the low ``width`` bits of ``public`` are compared).  d = r ⊕ public is
-    local; :func:`top_bits` marks its most significant set lane.  There r
-    differs from ``public``, so r's bit is 1 exactly where ``public``'s is
-    0: the answer is the parity of the mark over the lanes where
-    ``public`` has a 0 — local again — lifted into Z_q by one daBit.
-    """
-    width = shared_bits.width
-    if not width:
-        return engine.share_public(0)  # no lane of r can exceed public
-    lanes = (1 << width) - 1
-    public &= lanes
-    first_difference = top_bits(engine, shared_bits ^ public, width)
-    bit = (first_difference & (public ^ lanes)).parity()  # lanes where public is 0
-    return lift(engine, bit)[0]
 
 
 def lift(engine: MPCEngine, word: BinaryWord) -> list[SharedValue]:
@@ -231,17 +221,52 @@ def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[Share
 
 def mod2m(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
     """⟨a mod 2^m⟩ for a in the k-bit signed range, 0 <= m <= k-1."""
+    return mod2m_many(engine, [a], k, m)[0]
+
+
+def mod2m_many(
+    engine: MPCEngine, values: list[SharedValue], k: int, m: int
+) -> list[SharedValue]:
+    """⟨a mod 2^m⟩ for every a in the k-bit signed range, 0 <= m <= k-1.
+
+    One PRandM tuple (r2, r1 < 2^m and r1's bits) per value: open every
+    c = a + 2^m·r2 + r1 + 2^(k-1) in one round; with c' = c mod 2^m,
+    a mod 2^m = c' − r1 + 2^m·[c' < r1].  The bit [c' < r1] is a
+    most-significant-difference scan: r1's bits of every value sit side by
+    side in one word, block j = value j; d = r1 ⊕ c' is local, and
+    :func:`top_bits` marks each block's most significant set lane.  There
+    r1 differs from c', so r1's bit is 1 exactly where c''s is 0: the
+    answer is the parity of the mark over the lanes where c' has a 0 —
+    local again, per block — and one :func:`lift` brings every block's bit
+    into Z_q.  So the rounds are those of one value however many there are.
+    """
     if m == 0:
-        return engine.share_public(0)
+        return [engine.share_public(0) for _ in values]
     if m >= k:
         raise ValueError(f"mod2m requires m < k, got m={m}, k={k}")
-    tup = engine.dealer.prandm(k, m)
-    masked = a + (tup.r2 * (1 << m)) + tup.r1
-    masked = engine.add_public(masked, 1 << (k - 1))
-    c = engine.open(masked)
-    c_prime = c % (1 << m)
-    u = bit_lt_public(engine, c_prime, tup.r1_bits)
-    return engine.add_public(-tup.r1 + u * (1 << m), c_prime)
+    if not values:
+        return []
+    tuples = [engine.dealer.prandm(k, m) for _ in values]
+    opened = engine.open_many(
+        [
+            engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1))
+            for a, tup in zip(values, tuples)
+        ]
+    )
+    low = (1 << m) - 1
+    publics = [c & low for c in opened]
+    if len(tuples) == 1:
+        r1_bits, public = tuples[0].r1_bits, publics[0]
+    else:
+        r1_bits = concat([tup.r1_bits for tup in tuples])
+        public = sum(c << (j * m) for j, c in enumerate(publics))
+    first_difference = top_bits(engine, r1_bits ^ public, m)
+    zeros = public ^ ((1 << r1_bits.width) - 1)  # lanes where c' is 0
+    below = lift(engine, (first_difference & zeros).parity(m))
+    return [
+        engine.add_public(-tup.r1 + u * (1 << m), c)
+        for tup, u, c in zip(tuples, below, publics)
+    ]
 
 
 def trunc(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
@@ -288,8 +313,18 @@ def trunc_pr_many(
 
 def ltz(engine: MPCEngine, a: SharedValue, k: int) -> SharedValue:
     """⟨1⟩ if a < 0 else ⟨0⟩ (a in k-bit signed range)."""
-    opcount.GLOBAL.cc += 1
-    return -trunc(engine, a, k, k - 1)
+    return ltz_many(engine, [a], k)[0]
+
+
+def ltz_many(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
+    """:func:`ltz` of every value: −⌊a / 2^(k−1)⌋, one :func:`mod2m_many`."""
+    opcount.GLOBAL.cc += len(values)
+    m = k - 1
+    inverse = engine.field.pow2_inv(m)
+    return [
+        -((a - remainder) * inverse)
+        for a, remainder in zip(values, mod2m_many(engine, values, k, m))
+    ]
 
 
 def lt(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:

@@ -178,6 +178,8 @@ class MPCEngine:
     def input_many(self, values: list[int], owner: int = 0) -> list[SharedValue]:
         if not 0 <= owner < self.n_parties:
             raise ValueError(f"owner index {owner} out of range")
+        if not values:
+            return []
         self._record_round(messages=self.n_parties - 1, values=len(values))
         return [self._make_shared(v % self.field.q) for v in values]
 

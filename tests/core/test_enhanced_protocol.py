@@ -81,7 +81,8 @@ def test_enhanced_prediction_matches_basic(enhanced_setup):
 def test_enhanced_prediction_costs_table2_per_row(enhanced_setup):
     """Table 2's O(t)·(Cs + Cc), exactly: t comparisons, and 2t + 1 field
     multiplications (t markers, t + 1 leaves) — the comparisons' bit-compare
-    runs on XOR-shared words and is no Cs."""
+    runs on XOR-shared words and is no Cs.  The t compares share one packed
+    word, so a call takes ⌈log₂ 40⌉ AND triples however many nodes."""
     X, _, ctx, model, _, _ = enhanced_setup
     t = model.n_internal
     dealer0 = ctx.cost_snapshot()["dealer"]
@@ -91,7 +92,8 @@ def test_enhanced_prediction_costs_table2_per_row(enhanced_setup):
     dealer = ctx.cost_snapshot()["dealer"]
     assert dealer["triples"] - dealer0["triples"] == ops["cs"]
     assert dealer["dabits"] - dealer0["dabits"] == t
-    assert dealer["and_triples"] - dealer0["and_triples"] == 6 * t  # ⌈log₂ 40⌉ each
+    assert dealer["prandm"] - dealer0["prandm"] == t
+    assert dealer["and_triples"] - dealer0["and_triples"] == 6  # ⌈log₂ 40⌉ per call
 
 
 def test_enhanced_model_rejects_plaintext_prediction(enhanced_setup):

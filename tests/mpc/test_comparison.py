@@ -19,44 +19,77 @@ def shared(engine, x):
     return engine._make_shared(engine.field.from_signed(x))
 
 
-# -- bit_lt_public ------------------------------------------------------------
+# -- BitLT: the compare inside mod2m_many ------------------------------------
+#
+# Mod2m opens c' = (a + r1) mod 2^m and returns c' − r1 + 2^m·[c' < r1]; the
+# bit [c' < r1] is BitLT of the public c' against r1's shared bits.  It
+# wraps exactly when a mod 2^m + r1 >= 2^m, so values whose low m bits are
+# all 0 never take it (c' == r1: equal values are not less) and values whose
+# low bits are all 1 almost always do.
+
+
+def _edge_values(k, m):
+    """0, ±1, ±2^(k−2), and values whose low m bits are all 0 or all 1."""
+    top = 2 ** (k - 2)
+    low = (1 << m) - 1
+    values = {0, 1, -1, top, -top, top - 1, -top + 1}
+    for high in (0, 1, -1, 5, -5):
+        values |= {high << m, (high << m) | low}
+    bound = 2 ** (k - 1)
+    return sorted(v for v in values if -bound < v < bound)
 
 
 @relaxed
-@given(c=st.integers(min_value=0, max_value=255), r=st.integers(min_value=0, max_value=255))
-def test_bit_lt_public(engine, c, r):
-    r_bits = engine._make_binary(r, 8)
-    got = engine.open(cmp.bit_lt_public(engine, c, r_bits))
-    assert got == (1 if c < r else 0)
+@given(
+    m=st.sampled_from([1, 2, 17, K - 1]),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+)
+def test_bit_lt_public(engine, m, picks):
+    """Every value of a batch at a block edge: a mod 2^m, whichever way its
+    compare goes."""
+    edges = _edge_values(K, m)
+    values = [edges[p % len(edges)] for p in picks]
+    got = engine.open_many(cmp.mod2m_many(engine, [shared(engine, a) for a in values], K, m))
+    assert got == [a % (1 << m) for a in values]
 
 
 def test_bit_lt_empty(engine):
-    assert engine.open(cmp.bit_lt_public(engine, 0, engine._make_binary(0, 0))) == 0
+    """m = 0: nothing to compare, no dealer material, no round."""
+    usage, stats = engine.dealer.usage.snapshot(), engine.stats.snapshot()
+    zeros = cmp.mod2m_many(engine, [shared(engine, 5), shared(engine, -3)], K, 0)
+    assert engine.dealer.usage.snapshot() == usage and engine.stats.snapshot() == stats
+    assert engine.open_many(zeros) == [0, 0]
 
 
 def test_bit_lt_equal_values(engine):
-    r_bits = engine._make_binary(0b101, 3)
-    assert engine.open(cmp.bit_lt_public(engine, 0b101, r_bits)) == 0
+    """Low m bits all zero: c' == r1, which is not less, for every value."""
+    values = [0, 1 << 7, -(1 << 7), 3 << 7]
+    got = engine.open_many(cmp.mod2m_many(engine, [shared(engine, a) for a in values], K, 7))
+    assert got == [0, 0, 0, 0]
 
 
 def test_bit_lt_public_cost(engine):
-    """⌈log₂ m⌉ word-ANDs and one daBit: that many + 1 rounds, no field
-    multiplication, openings accounted at their width in bits."""
+    """The compare of a whole batch is ⌈log₂ m⌉ word-ANDs over all its
+    lanes and one daBit per value, in one lift: with the masked opening,
+    2 + ⌈log₂ m⌉ rounds, no field multiplication, openings accounted at
+    their width in bits."""
     from repro.analysis import opcount
 
-    r_bits = engine._make_binary(0x5A5A5A5A5A, 40)
+    values = [shared(engine, a) for a in (0x123456789A, -5, 7)]
     engine.reset_stats()
     with opcount.counting() as ops:
-        cmp.bit_lt_public(engine, 0x123456789A, r_bits)
+        cmp.mod2m_many(engine, values, K + 1, K)
     assert ops["cs"] == 0
     usage = engine.dealer.usage
-    assert (usage.and_triples, usage.dabits, usage.triples) == (6, 1, 0)
+    assert (usage.prandm, usage.and_triples, usage.dabits, usage.triples) == (3, 6, 3, 0)
     messages = 3 * 2
+    field_bytes = engine._element_bytes
     assert engine.stats.snapshot() == {
-        "rounds": 7,
-        "messages": 7 * messages,
-        "bytes": messages * (6 * 10 + 1),  # 2·40 lanes per AND, 1 for the daBit
-        "opened_values": 6 * 2 + 1,
+        "rounds": 8,
+        "messages": 8 * messages,
+        # 3 masked values; 2·120 lanes per AND; 3 daBit-masked lanes.
+        "bytes": messages * (3 * field_bytes + 6 * 30 + 1),
+        "opened_values": 3 + 6 * 2 + 1,
     }
 
 
@@ -144,6 +177,74 @@ def test_sign_and_order_at_edge_operands(any_engine, k):
             sb = shared(engine, b)
             assert engine.open(cmp.lt(engine, sa, sb, k)) == int(a < b), (a, b)
             assert engine.open(cmp.le(engine, sa, sb, k)) == int(a <= b), (a, b)
+
+
+# -- batches: one compare for many values ----------------------------------------
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["semi", "auth"])
+def batch_engine(request):
+    return MPCEngine(3, authenticated=request.param, seed=11)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 300])
+@pytest.mark.parametrize("m", [1, 2, 17, K - 1])
+@settings(
+    deadline=None, max_examples=3, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mod2m_many_and_ltz_many_equal_plaintext(batch_engine, m, count, data):
+    engine = batch_engine
+    edges = _edge_values(K, m)
+    values = data.draw(st.lists(st.sampled_from(edges), min_size=count, max_size=count))
+    shares = [shared(engine, a) for a in values]
+    remainders = engine.open_many(cmp.mod2m_many(engine, shares, K, m))
+    assert remainders == [a % (1 << m) for a in values]
+    assert engine.open_many(cmp.ltz_many(engine, shares, K)) == [int(a < 0) for a in values]
+
+
+@pytest.mark.parametrize("count", [1, 2, 300])
+def test_ltz_many_costs_one_compare_per_call(count):
+    """8 rounds and 6 AND triples at k = 40 for any batch; a PRandM tuple,
+    a daBit and a Cc per value; no field multiplication."""
+    from repro.analysis import opcount
+
+    engine = MPCEngine(3, seed=5)
+    values = [shared(engine, a - count // 2) for a in range(count)]
+    engine.reset_stats()
+    with opcount.counting() as ops:
+        cmp.ltz_many(engine, values, K)
+    assert engine.stats.rounds == 8
+    assert (ops["cs"], ops["cc"]) == (0, count)
+    usage = engine.dealer.usage
+    assert (usage.prandm, usage.and_triples, usage.dabits, usage.triples) == (
+        count, 6, count, 0,
+    )
+
+
+def _one_value_mod2m(engine, a, k, m):
+    """Mod2m of one value step by step, the way it ran before batches: its
+    own PRandM opening, BitLT on the 1-block word, a 1-lane lift."""
+    tup = engine.dealer.prandm(k, m)
+    c = engine.open(engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1)))
+    c_prime = c % (1 << m)
+    first_difference = cmp.top_bits(engine, tup.r1_bits ^ c_prime, m)
+    (u,) = cmp.lift(engine, (first_difference & (c_prime ^ ((1 << m) - 1))).parity())
+    return engine.add_public(-tup.r1 + u * (1 << m), c_prime)
+
+
+@pytest.mark.parametrize("k, m", [(K + 1, K), (K, K - 1), (K, 1), (8, 3)])
+def test_a_batch_of_one_is_the_one_value_protocol(k, m):
+    """The same dealer material in the same order, the same shares and the
+    same CommStats as the one-value protocol."""
+    ours, theirs = MPCEngine(3, seed=21), MPCEngine(3, seed=21)
+    for a in (0, 1, -1, 2 ** (k - 2) - 1, -(2 ** (k - 2))):
+        got = cmp.mod2m(ours, shared(ours, a), k, m)
+        expected = _one_value_mod2m(theirs, shared(theirs, a), k, m)
+        assert got.shares == expected.shares
+    assert ours.stats.snapshot() == theirs.stats.snapshot()
+    assert ours.dealer.usage.snapshot() == theirs.dealer.usage.snapshot()
+    assert ours.dealer.rng.getstate() == theirs.dealer.rng.getstate()
 
 
 # -- sign / comparison --------------------------------------------------------

@@ -192,14 +192,21 @@ def test_binary_word_algebra(request, which, x, y, mask, shift):
     assert (wx.macs is not None) == eng.authenticated
     opened = eng.open_words(
         [wx ^ wy, wx ^ mask, wx >> shift, wx & mask, wx.parity(), eng.and_words(wx, wy),
-         wx << shift, wx.narrow(17), wx.reverse_blocks(8), concat([wx, wy])]
+         wx << shift, wx.narrow(17), wx.reverse_blocks(8), concat([wx, wy]),
+         wx.parity(8), wx.parity(5), wx.parity(1)]
     )
     reversed_blocks = sum(
         int(format(x >> (8 * j) & 0xFF, "08b")[::-1], 2) << (8 * j) for j in range(5)
     )
+
+    def block_parities(block):
+        low = (1 << block) - 1
+        return sum(((x >> block * j & low).bit_count() & 1) << j for j in range(40 // block))
+
     assert opened == [
         x ^ y, x ^ mask, x >> shift, x & mask, x.bit_count() & 1, x & y,
         x << shift & (2**40 - 1), x & (2**17 - 1), reversed_blocks, x | y << 40,
+        block_parities(8), block_parities(5), x,
     ]
 
 
@@ -245,6 +252,8 @@ def test_tampered_binary_share_detected(auth_engine):
     # A tampered lane survives local operations up to the next opening.
     with pytest.raises(MacCheckError):
         auth_engine.open_words([(_flip_lane(word, party=2, lane=3) >> 2).parity()])
+    with pytest.raises(MacCheckError):
+        auth_engine.open_words([_flip_lane(word, party=0, lane=29).parity(8)])
     bad_macs = (word.macs[0] ^ 1,) + word.macs[1:]
     with pytest.raises(MacCheckError):
         auth_engine.open_words([BinaryWord(auth_engine, 40, word.shares, bad_macs)])
@@ -291,6 +300,40 @@ def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
     monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
     with pytest.raises(MacCheckError):
         cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
+
+
+def test_tampered_prandm_word_detected_in_a_batch(auth_engine, monkeypatch):
+    """One value's r1 bits flipped among many: caught through the concat,
+    the per-block parity and the lift of the whole batch."""
+    deal = auth_engine.dealer.prandm
+    calls = []
+
+    def tampered(k, m, with_bits=True):
+        tup = deal(k, m, with_bits)
+        calls.append(tup)
+        if len(calls) == 3:
+            tup.r1_bits = _flip_lane(tup.r1_bits, party=1, lane=m // 2)
+        return tup
+
+    monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
+    values = [auth_engine._make_shared(v) for v in range(5)]
+    with pytest.raises(MacCheckError):
+        cmp.ltz_many(auth_engine, values, 40)
+
+
+@pytest.mark.parametrize("which", ["engine", "auth_engine"])
+def test_empty_batches_cost_nothing(request, which):
+    """No values, no round: an empty input, opening, multiplication or
+    comparison leaves the counters and the dealer as they were."""
+    eng = request.getfixturevalue(which)
+    stats, usage = eng.stats.snapshot(), eng.dealer.usage.snapshot()
+    assert eng.input_many([], owner=1) == []
+    assert eng.open_many([]) == []
+    assert eng.mul_many([]) == []
+    assert cmp.ltz_many(eng, [], 40) == []
+    assert cmp.mod2m_many(eng, [], 40, 39) == []
+    assert eng.stats.snapshot() == stats
+    assert eng.dealer.usage.snapshot() == usage
 
 
 def test_semi_honest_binary_material_carries_no_macs(engine):
