@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "pivotlint: static privacy-flow analyzer for the Pivot "
             "reproduction — proves the locality, key-secrecy, and "
-            "choreography invariants at lint time (rules PL001-PL008, "
-            "PL010-PL013)"
+            "choreography invariants at lint time (rules "
+            f"{', '.join(sorted(REGISTRY))})"
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files/directories to scan")

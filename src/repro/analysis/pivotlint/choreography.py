@@ -28,9 +28,10 @@ of each flow to check against:
   projection` restricts the composed order back to one role;
   :meth:`FlowAutomaton.order_inversions` finds receive-before-send tag
   pairs on the composed order (PL010); the phase walk behind
-  :attr:`FlowAutomaton.pinned` derives each flow's static round count and
-  pins it against the constants charged to ``snapshot()["rounds"]``
-  (PL011).
+  :attr:`FlowAutomaton.pinned` — a transfer on the shared path walker,
+  :func:`~repro.analysis.pivotlint.dataflow.walk_paths` — derives each
+  flow's static round count and pins it against the constants charged to
+  ``snapshot()["rounds"]`` (PL011).
 
 Soundness scope: composition is only meaningful for *complete* flows —
 functions that own their synchronisation barrier (``round`` /
@@ -46,25 +47,15 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.pivotlint.callgraph import ProjectIndex
+from repro.analysis.pivotlint.dataflow import (
+    BARRIER_CALLS,
+    RECEIVE_CALLS,
+    SEND_CALLS,
+    Transfer,
+    walk_paths,
+)
 
-__all__ = [
-    "BARRIER_EVENTS",
-    "FlowAutomaton",
-    "FlowEvent",
-    "RECEIVE_EVENTS",
-    "SEND_EVENTS",
-    "extract_flow",
-]
-
-#: Payload-routing sends (measured, enter an inbox).  The byte-estimate
-#: ``bus.send``/``bus.broadcast`` and the unaccounted control plane are
-#: not part of a protocol choreography.
-SEND_EVENTS = frozenset({"send_payload", "broadcast_payload"})
-#: Blocking protocol receives (consume + decode from an inbox).
-RECEIVE_EVENTS = frozenset({"receive", "receive_any", "receive_tagged"})
-#: Synchronisation barriers: the points where rounds are charged and
-#: inboxes drain.
-BARRIER_EVENTS = frozenset({"round", "assert_drained", "drain"})
+__all__ = ["FlowAutomaton", "FlowEvent", "extract_flow"]
 
 #: Positional index of the tag argument per primitive (keyword ``tag=``
 #: always wins): ``send_payload(sender, receiver, payload, tag)``,
@@ -100,6 +91,7 @@ class FlowEvent:
 #: messages in the open run (``*except:<role>`` marks a broadcast, which
 #: reaches everyone but its sender).
 _State = tuple[int, bool, frozenset[str]]
+_States = frozenset[_State]
 
 
 @dataclass
@@ -217,22 +209,20 @@ def _round_constant(
     return None
 
 
-def _calls_in_order(stmt: ast.stmt) -> list[ast.Call]:
-    return [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
+class _Extractor(Transfer[_States]):
+    """The phase walk over one function body, recording its events.
 
-
-class _Extractor:
-    """One pass over a function body: events + the phase-state walk.
-
-    The walk carries a set of ``(phases, open)`` states — ``phases`` is
-    the number of send-phases completed or begun so far (a maximal run of
-    sends not separated by a receive or barrier counts once), ``open``
-    whether the walk is currently inside such a run.  Branches union
-    their successor states; a barrier records a pin (when its count is
-    constant) and resets the walk.
+    The walk carries a set of ``(phases, open, receivers)`` states —
+    ``phases`` is the number of send-phases completed or begun so far (a
+    maximal run of sends not separated by a receive or barrier counts
+    once), ``open`` whether the walk is currently inside such a run.
+    Branches union their successor states; a barrier records a pin (when
+    its count is constant) and resets the walk.
     """
 
-    def __init__(self, project: ProjectIndex | None, consts: dict[str, int]):
+    bottom: _States = frozenset()
+
+    def __init__(self, project: ProjectIndex, consts: dict[str, int]):
         self.project = project
         self.consts = consts
         self.events: list[FlowEvent] = []
@@ -265,7 +255,7 @@ class _Extractor:
     def _call_events(self, call: ast.Call) -> list[FlowEvent]:
         func = call.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        if attr in SEND_EVENTS:
+        if attr in SEND_CALLS:
             role = _expr_text(call.args[0]) if call.args else "?"
             peer = None
             if attr == "send_payload" and len(call.args) > 1:
@@ -273,15 +263,13 @@ class _Extractor:
             event = self._emit("send", role, _event_tag(call, attr), call)
             event.peer = peer
             return [event]
-        if attr in RECEIVE_EVENTS:
+        if attr in RECEIVE_CALLS:
             role = _expr_text(call.args[0]) if call.args else "?"
             tag = _event_tag(call, attr) if attr == "receive" else None
             return [self._emit("receive", role, tag, call)]
-        if attr in BARRIER_EVENTS:
+        if attr in BARRIER_CALLS:
             rounds = _round_constant(call, attr, self.consts)
             return [self._emit("barrier", "?", None, call, rounds=rounds)]
-        if self.project is None:
-            return []
         # Project calls contribute their summarized effects.  A callee
         # that both receives and sends is the reactive responder shape
         # (receive the request, publish the reply) and contributes the
@@ -328,14 +316,12 @@ class _Extractor:
             receivers |= {f"*except:{event.role}"}
         return (phases, True, receivers)
 
-    def _apply(
-        self, events: list[FlowEvent], states: set[_State]
-    ) -> set[_State]:
-        for event in events:
+    def call(self, call: ast.Call, states: _States) -> _States:
+        for event in self._call_events(call):
             if event.kind == "send":
-                states = {self._send_state(event, s) for s in states}
+                states = frozenset(self._send_state(event, s) for s in states)
             elif event.kind == "receive":
-                states = {(p, False, frozenset()) for p, _, _ in states}
+                states = frozenset((p, False, frozenset()) for p, _, _ in states)
             elif event.kind == "barrier":
                 self.has_barrier = True
                 if event.rounds is not None and event.rounds > 0 and states:
@@ -346,81 +332,30 @@ class _Extractor:
                             frozenset(p for p, _, _ in states),
                         )
                     )
-                states = {(0, False, frozenset())}
-            if len(states) > _MAX_STATES:
-                states = {max(states, key=lambda s: (s[0], s[1]))}
+                states = frozenset({(0, False, frozenset())})
         return states
 
-    def scan(
-        self, body: list[ast.stmt], states: set[_State]
-    ) -> set[_State]:
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue  # nested scopes are their own flows
-            if isinstance(stmt, ast.If):
-                states = self._apply(
-                    self._stmt_events(ast.Expr(stmt.test)), states
-                )
-                then = self.scan(stmt.body, set(states))
-                other = self.scan(stmt.orelse, set(states))
-                states = then | other
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                head = (
-                    stmt.iter
-                    if isinstance(stmt, (ast.For, ast.AsyncFor))
-                    else stmt.test
-                )
-                states = self._apply(self._stmt_events(ast.Expr(head)), states)
-                # The loop body's events are recorded once; the state walk
-                # unions "ran once" with "ran zero times".
-                after = self.scan(stmt.body, set(states))
-                after = self.scan(stmt.orelse, after | states)
-                states = after
-            elif isinstance(stmt, ast.Try):
-                after = self.scan(stmt.body, states)
-                merged = set(after)
-                for handler in stmt.handlers:
-                    merged |= self.scan(handler.body, set(after))
-                merged = self.scan(stmt.orelse, merged)
-                states = self.scan(stmt.finalbody, merged)
-            elif isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    states = self._apply(
-                        self._stmt_events(ast.Expr(item.context_expr)), states
-                    )
-                states = self.scan(stmt.body, states)
-            elif isinstance(stmt, (ast.Return, ast.Raise)):
-                states = self._apply(self._stmt_events(stmt), states)
-                return set()  # path ends; no barrier is reachable from here
-            else:
-                states = self._apply(self._stmt_events(stmt), states)
-            if len(states) > _MAX_STATES:
-                states = {max(states, key=lambda s: (s[0], s[1]))}
+    def join(self, a: _States, b: _States) -> _States:
+        states = a | b
+        if len(states) > _MAX_STATES:
+            states = frozenset({max(states, key=lambda s: (s[0], s[1]))})
         return states
-
-    def _stmt_events(self, stmt: ast.stmt) -> list[FlowEvent]:
-        events: list[FlowEvent] = []
-        for call in _calls_in_order(stmt):
-            events.extend(self._call_events(call))
-        return events
 
 
 def extract_flow(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     qualname: str,
-    project: ProjectIndex | None = None,
-    consts: dict[str, int] | None = None,
+    project: ProjectIndex,
+    consts: dict[str, int],
 ) -> FlowAutomaton:
     """Extract the composed choreography of one function body.
 
     ``consts`` maps module-level integer constant names to values so a
-    ``bus.round(ROUNDS)`` barrier is pinnable; ``project`` (when given)
-    resolves calls to other scanned functions through their summaries.
+    ``bus.round(ROUNDS)`` barrier is pinnable; ``project`` resolves calls
+    to other scanned functions through their summaries.
     """
-    extractor = _Extractor(project, consts or {})
-    extractor.scan(node.body, {(0, False, frozenset())})
+    extractor = _Extractor(project, consts)
+    walk_paths(node.body, extractor, frozenset({(0, False, frozenset())}))
     return FlowAutomaton(
         qualname=qualname,
         events=extractor.events,

@@ -1,27 +1,37 @@
-"""Shared AST machinery: scopes, spans, and a small intraprocedural taint engine.
+"""Shared AST machinery: scopes, the bus-call vocabulary, the path walker, spans.
 
-Three pieces every rule builds on:
+Every rule builds on these pieces:
 
 * :class:`FunctionWalker` — a visitor that tracks the enclosing
   class/function qualname and, *within* the current function, the stack of
   active owner-scope ``with`` items (``as_party(i)`` / ``party.local()``).
   The with-stack resets at function boundaries: a lexically enclosing scope
   in an outer function does not guard a nested function's later execution.
+* The secret vocabulary (:data:`SECRET_ATTRS`, :data:`SECRET_NAMES`, ...)
+  that the one taint engine,
+  :class:`~repro.analysis.pivotlint.summaries.LabelEngine`, reads.
+* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`BARRIER_CALLS`,
+  :data:`RECEIVE_CALLS`) and :func:`bus_classifier`, the one send/barrier
+  classifier.
+* :func:`walk_paths` — the one forward walk over a function body's
+  statement paths.  A rule supplies a :class:`Transfer` (how a call moves
+  its state, how two paths join, what a ``try`` handler starts from, what
+  to do where a path ends); PL005 and the summaries' ``open_send``
+  (:func:`open_send_at_exit`), PL013 and the choreography phase walk are
+  the transfers.
 * :func:`stmt_span` / :func:`enclosing_stmt` — the statement span a
   suppression comment may sit on.
-* :class:`TaintEngine` — forward may-taint propagation over one function
-  body.  Sources are secret-bearing names/attributes (key shares, dealer
-  keys, prime factors); assignments propagate, arithmetic propagates,
-  **modular exponentiation sanitizes** (``pow(c, d_i, n²)`` is the one-way
-  operation whose output — a decryption share — is protocol-public), and
-  constructor/method calls do not propagate (wrapping a secret in a key
-  object is containment; re-access re-taints through the attribute name).
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Generic, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.pivotlint.callgraph import ProjectIndex
 
 #: with-items recognized as "executing at party i".
 SCOPE_CALL_NAMES = frozenset({"as_party"})
@@ -152,7 +162,7 @@ class FunctionWalker(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------------
-# taint engine (PL002)
+# the secret vocabulary (PL002, read through the summaries' LabelEngine)
 # ---------------------------------------------------------------------------
 
 #: Attribute names whose *load* yields secret key material.
@@ -184,115 +194,202 @@ SOURCE_CALLS = frozenset({"random_prime_pair"})
 PROPAGATING_CALLS = frozenset({"sum", "int", "abs", "list", "tuple", "sorted"})
 
 
-class TaintEngine:
-    """May-taint analysis over one function body (two-pass fixpoint).
+# ---------------------------------------------------------------------------
+# the bus-call vocabulary
+# ---------------------------------------------------------------------------
 
-    ``tainted`` holds local names bound to secret-derived values.  Use
-    :meth:`is_tainted` on any expression after :meth:`propagate` ran over
-    the function's statements.
+#: Payload-routing sends: the bytes enter a peer inbox, so a barrier must
+#: follow (PL005, PL013), and each one is a choreography event (PL010/PL011).
+SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
+#: Synchronisation barriers: the points where rounds are charged and
+#: inboxes drain.
+BARRIER_CALLS = frozenset({"round", "assert_drained", "drain"})
+#: Blocking protocol receives: the choreography's receive events.
+RECEIVE_CALLS = frozenset({"receive", "receive_any", "receive_tagged"})
+#: The control plane: its messages are consumed by the runtime's
+#: dispatcher, not by a protocol flow, so they are no choreography events
+#: and need no barrier — but a tag forwarded into them is still produced
+#: or consumed (PL006 reads that through the summaries).
+CONTROL_SEND, CONTROL_RECEIVE = "send_control", "receive_control"
+
+
+def bus_classifier(
+    project: "ProjectIndex | None",
+) -> Callable[[ast.Call], str | None]:
+    """Map a call to ``"send"``, ``"barrier"`` or ``None`` (effect-neutral).
+
+    Primitive calls classify by name.  With a ``project`` index, a call to
+    a scanned function classifies by its summary: one that leaves a send
+    open is a send, one containing a barrier is a barrier.  The summaries
+    themselves are computed with ``project=None``, which keeps effect
+    propagation to exactly one call level.
     """
 
-    def __init__(self, resolver=None) -> None:
-        self.tainted: set[str] = set()
-        #: optional interprocedural hook: ``resolver(call) -> bool`` says
-        #: whether a call expression returns a secret-derived value (wired
-        #: to the project summaries by PL002; ``None`` keeps the PR 6
-        #: intraprocedural behavior).
-        self.resolver = resolver
+    def classify(call: ast.Call) -> str | None:
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            if func.attr in SEND_CALLS:
+                return "send"
+            if func.attr in BARRIER_CALLS:
+                return "barrier"
+        if project is None:
+            return None
+        kind = None
+        for _info, summary in project.summaries_for_call(call):
+            if summary.open_send:
+                return "send"
+            if summary.has_barrier:
+                kind = "barrier"
+        return kind
 
-    # -- expression query --------------------------------------------------
+    return classify
 
-    def is_tainted(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Attribute):
-            if node.attr in SECRET_ATTRS:
-                return True
-            if node.attr in PUBLIC_ATTRS:
-                return False
-            # ``a.b.d_share`` style chains: the chain is tainted if any
-            # attribute link is a secret name.
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted or node.id in SECRET_NAMES
-        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            return any(self.is_tainted(v) for v in ast.iter_child_nodes(node) if isinstance(v, ast.expr))
-        if isinstance(node, ast.BoolOp):
-            return any(self.is_tainted(v) for v in node.values)
-        if isinstance(node, ast.IfExp):
-            return self.is_tainted(node.body) or self.is_tainted(node.orelse)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(self.is_tainted(v) for v in node.elts)
-        if isinstance(node, ast.Starred):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Subscript):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in SOURCE_CALLS:
-                    return True
-                if func.id in PROPAGATING_CALLS:
-                    return any(self.is_tainted(a) for a in node.args)
-                if func.id == "pow":
-                    # pow(c, d_i, n²) sanitizes: a modexp output is a
-                    # decryption share / ciphertext, which is protocol-public.
-                    return False
-            if isinstance(func, ast.Attribute) and func.attr in SOURCE_CALLS:
-                return True
-            if self.resolver is not None:
-                return bool(self.resolver(node))
-            return False
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            # What escapes a comprehension is its *elements*: evaluate the
-            # element expression with targets of tainted iterables bound
-            # tainted.  ``[s for s in shares]`` stays secret;
-            # ``[s.partial_decrypt(c) for s in shares]`` is protocol-public.
-            bound: set[str] = set()
-            for gen in node.generators:
-                if self.is_tainted(gen.iter):
-                    bound.update(
-                        n.id
-                        for n in ast.walk(gen.target)
-                        if isinstance(n, ast.Name)
-                    )
-            added = bound - self.tainted
-            self.tainted.update(added)
-            try:
-                return self.is_tainted(node.elt)
-            finally:
-                self.tainted.difference_update(added)
-        if isinstance(node, ast.Compare):
-            return False  # a boolean reveals at most one bit by design
-        return False
 
-    # -- statement-level propagation --------------------------------------
+# ---------------------------------------------------------------------------
+# the path walker
+# ---------------------------------------------------------------------------
 
-    def _assign(self, target: ast.expr, tainted: bool) -> None:
-        if isinstance(target, ast.Name):
-            if tainted:
-                self.tainted.add(target.id)
+S = TypeVar("S")
+
+
+def calls_in(node: ast.AST) -> Iterator[ast.Call]:
+    """The calls under ``node``, in ``ast.walk`` order."""
+    return (sub for sub in ast.walk(node) if isinstance(sub, ast.Call))
+
+
+class Transfer(Generic[S]):
+    """What one path analysis supplies to :func:`walk_paths`.
+
+    ``bottom`` is the state no path reaches (the identity of :meth:`join`);
+    it is what a ``return`` or ``raise`` leaves behind it.
+    """
+
+    bottom: S
+
+    def call(self, call: ast.Call, state: S) -> S:
+        """The state after ``call`` runs in ``state``."""
+        raise NotImplementedError
+
+    def join(self, a: S, b: S) -> S:
+        """Two paths meet (``a`` is the earlier branch in source order)."""
+        raise NotImplementedError
+
+    def handler_entry(self, stmt: ast.Try, after: S) -> S:
+        """The state an ``except`` handler of ``stmt`` starts from, given
+        the state ``after`` its body; by default the body's end state."""
+        return after
+
+    def exit(
+        self,
+        stmt: ast.Return | ast.Raise,
+        state: S,
+        trys: tuple[ast.Try, ...],
+    ) -> None:
+        """A path ends at ``stmt`` in ``state``; ``trys`` are the enclosing
+        ``try`` statements whose body holds ``stmt``."""
+
+
+def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
+    """Walk ``body`` forward over every static path; return the state at
+    the end of the block (``transfer.bottom`` when no path falls through).
+
+    Calls inside a statement run in ``ast.walk`` order.  ``if`` branches
+    join; loops run zero or one time, then their ``else``; a ``try`` body
+    runs, its handlers start from ``transfer.handler_entry``, its ``else``
+    follows the body, and ``finally`` follows all of them; ``with`` and
+    ``async with`` run their items, then their body.  ``return`` and
+    ``raise`` end their path (``transfer.exit`` sees its state).  Nested
+    defs and classes are skipped: they are their own functions.
+    """
+    trys: list[ast.Try] = []
+
+    def calls(node: ast.AST, state: S) -> S:
+        for call in calls_in(node):
+            state = transfer.call(call, state)
+        return state
+
+    def block(body: list[ast.stmt], state: S) -> S:
+        for stmt in body:
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if isinstance(stmt, ast.If):
+                state = calls(stmt.test, state)
+                state = transfer.join(
+                    block(stmt.body, state), block(stmt.orelse, state)
+                )
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                head = stmt.test if isinstance(stmt, ast.While) else stmt.iter
+                state = calls(head, state)
+                once = block(stmt.body, state)
+                state = block(stmt.orelse, transfer.join(once, state))
+            elif isinstance(stmt, ast.Try):
+                trys.append(stmt)
+                after = block(stmt.body, state)
+                trys.pop()
+                entry = transfer.handler_entry(stmt, after)
+                handled = [block(h.body, entry) for h in stmt.handlers]
+                state = block(stmt.orelse, after)
+                for out in handled:
+                    state = transfer.join(state, out)
+                state = block(stmt.finalbody, state)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    state = calls(item.context_expr, state)
+                state = block(stmt.body, state)
+            elif isinstance(stmt, (ast.Return, ast.Raise)):
+                transfer.exit(stmt, calls(stmt, state), tuple(trys))
+                return transfer.bottom
             else:
-                self.tainted.discard(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._assign(elt, tainted)
+                state = calls(stmt, state)
+        return state
 
-    def propagate(self, body: list[ast.stmt]) -> None:
-        """Two passes over the statements: loops converge for may-taint."""
-        for _ in range(2):
-            for stmt in ast.walk(ast.Module(body=body, type_ignores=[])):
-                if isinstance(stmt, ast.Assign):
-                    tainted = self.is_tainted(stmt.value)
-                    for target in stmt.targets:
-                        self._assign(target, tainted)
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    self._assign(stmt.target, self.is_tainted(stmt.value))
-                elif isinstance(stmt, ast.AugAssign):
-                    if self.is_tainted(stmt.value):
-                        self._assign(stmt.target, True)
-                elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    if self.is_tainted(stmt.iter):
-                        self._assign(stmt.target, True)
+    return block(body, state)
 
+
+class OpenSend(Transfer["ast.Call | None"]):
+    """The drain discipline's state: the latest send no barrier followed
+    (``None``: drained, or no path).  PL005 and the summaries' ``open_send``
+    read it at ``return`` and at the end of the body; PL013 extends it."""
+
+    bottom = None
+
+    def __init__(self, classify: Callable[[ast.Call], str | None]) -> None:
+        self.classify = classify
+        self.returned: list[ast.Call | None] = []
+
+    def call(self, call: ast.Call, state: ast.Call | None) -> ast.Call | None:
+        kind = self.classify(call)
+        if kind == "send":
+            return call
+        if kind == "barrier":
+            return None
+        return state
+
+    def join(
+        self, a: ast.Call | None, b: ast.Call | None
+    ) -> ast.Call | None:
+        return a or b
+
+    def exit(
+        self,
+        stmt: ast.Return | ast.Raise,
+        state: ast.Call | None,
+        trys: tuple[ast.Try, ...],
+    ) -> None:
+        if isinstance(stmt, ast.Return):
+            self.returned.append(state)
+
+
+def open_send_at_exit(
+    body: list[ast.stmt], classify: Callable[[ast.Call], str | None]
+) -> ast.Call | None:
+    """The send left open on some path to the function's exit — falling
+    off the end or a ``return`` — if any.  (A ``raise`` path is PL013's.)"""
+    transfer = OpenSend(classify)
+    end = walk_paths(body, transfer, None)
+    return next((s for s in [end, *transfer.returned] if s is not None), None)
 
 # ---------------------------------------------------------------------------
 # span helpers

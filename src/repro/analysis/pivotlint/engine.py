@@ -37,15 +37,22 @@ from repro.analysis.pivotlint.suppress import Suppression, parse_suppressions
 class FileContext:
     """Everything a rule needs about one source file."""
 
-    def __init__(self, path: Path, relpath: str, source: str, tree: ast.Module):
+    def __init__(
+        self,
+        path: Path,
+        relpath: str,
+        source: str,
+        tree: ast.Module,
+        project: ProjectIndex,
+    ):
         self.path = path
         self.relpath = relpath
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
-        #: the cross-file index of the whole run (set by the analyzer);
-        #: rules consult it for call resolution and function summaries.
-        self.project: ProjectIndex | None = None
+        #: the cross-file index of the whole run: rules consult it for
+        #: call resolution and function summaries.
+        self.project = project
         self._parents: dict[ast.AST, ast.AST] | None = None
 
     def enclosing_stmt(self, node: ast.AST) -> ast.AST:
@@ -111,8 +118,9 @@ def _worker_init(project: ProjectIndex) -> None:
 def _worker_check(task: tuple[str, str, str]) -> list[Finding]:
     path_str, relpath, source = task
     project: ProjectIndex = _WORKER_STATE["project"]
-    ctx = FileContext(Path(path_str), relpath, source, project.files[relpath])
-    ctx.project = project
+    ctx = FileContext(
+        Path(path_str), relpath, source, project.files[relpath], project
+    )
     raw: list[Finding] = []
     for rule in _WORKER_STATE["rules"]:
         raw.extend(rule.check(ctx))
@@ -164,7 +172,7 @@ class Analyzer:
 
     def run(self, paths: list[Path | str], jobs: int = 1) -> Report:
         report = Report()
-        contexts: list[FileContext] = []
+        parsed: list[tuple[Path, str, str, ast.Module]] = []
         suppression_map: dict[str, list[Suppression]] = {}
         for path in self._iter_files([Path(p) for p in paths]):
             relpath = self._relpath(path)
@@ -184,15 +192,14 @@ class Analyzer:
                 )
                 continue
             report.files_scanned += 1
-            contexts.append(FileContext(path, relpath, source, tree))
+            parsed.append((path, relpath, source, tree))
             suppression_map[relpath] = parse_suppressions(source)
 
         project = ProjectIndex.build(
-            [(ctx.relpath, ctx.tree) for ctx in contexts],
+            [(relpath, tree) for _, relpath, _, tree in parsed],
             quench=_make_quench(suppression_map),
         )
-        for ctx in contexts:
-            ctx.project = project
+        contexts = [FileContext(*entry, project) for entry in parsed]
 
         raw_by_file = self._check_files(contexts, project, jobs)
         for ctx in contexts:

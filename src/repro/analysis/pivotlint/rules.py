@@ -25,18 +25,25 @@ The rules encode the paper's two static invariants:
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.analysis.pivotlint.callgraph import map_args
 from repro.analysis.pivotlint.dataflow import (
-    SECRET_ATTRS,
     FunctionWalker,
-    TaintEngine,
+    bus_classifier,
     expr_fingerprint,
+    open_send_at_exit,
     stmt_span,
 )
 from repro.analysis.pivotlint.findings import Finding
+from repro.analysis.pivotlint.summaries import (
+    FSTRING,
+    MATERIALIZERS,
+    RETURN,
+    SECRET,
+    LabelEngine,
+    iter_sinks,
+)
 from repro.network.wire import LAYOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,11 +94,6 @@ GUARDED_ATTRS = frozenset({"features", "labels", "_features_view", "_labels_view
 
 #: Attributes holding *raw* backing arrays that bypass the guard entirely.
 RAW_ATTRS = frozenset({"_raw_features", "_raw_labels", "local_features", "_columns"})
-
-#: Calls that materialize array data from a view/array argument.
-_MATERIALIZERS = frozenset(
-    {"asarray", "array", "ascontiguousarray", "copy", "column_stack", "stack"}
-)
 
 #: Attribute reads that expose only array *metadata*, never element values.
 _METADATA_ATTRS = frozenset({"shape", "ndim", "dtype", "size", "nbytes"})
@@ -276,7 +278,7 @@ class RawReadOutsideScope(Rule):
                 # np.asarray(view) and friends materialize the data.
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in _MATERIALIZERS
+                    and func.attr in MATERIALIZERS
                     and node.args
                 ):
                     guarded = self._guarded_attr(node.args[0])
@@ -286,21 +288,19 @@ class RawReadOutsideScope(Rule):
                 # whose summary reads that parameter's element data is a
                 # read at this call site — the callee needs the owner's
                 # scope, so the caller must hold it.
-                project = getattr(ctx, "project", None)
-                if project is not None:
-                    reported: set[int] = set()
-                    for info, summary in project.summaries_for_call(node):
-                        if not summary.reads_params:
+                reported: set[int] = set()
+                for info, summary in ctx.project.summaries_for_call(node):
+                    if not summary.reads_params:
+                        continue
+                    mapping = map_args(node, info)
+                    for param in summary.reads_params:
+                        arg = mapping.get(param)
+                        if arg is None or id(arg) in reported:
                             continue
-                        mapping = map_args(node, info)
-                        for param in summary.reads_params:
-                            arg = mapping.get(param)
-                            if arg is None or id(arg) in reported:
-                                continue
-                            guarded = self._guarded_attr(arg)
-                            if guarded is not None:
-                                reported.add(id(arg))
-                                self._report(arg, guarded)
+                        guarded = self._guarded_attr(arg)
+                        if guarded is not None:
+                            reported.add(id(arg))
+                            self._report(arg, guarded)
                 self.generic_visit(node)
 
             def visit_For(self, node: ast.For) -> None:
@@ -327,15 +327,6 @@ class RawReadOutsideScope(Rule):
 # ---------------------------------------------------------------------------
 # PL002 — secret-escape
 # ---------------------------------------------------------------------------
-
-#: Call attributes that put their arguments on a wire (bus payloads, the
-#: transport control plane, serialization).
-_WIRE_SINKS = frozenset(
-    {"send_payload", "broadcast_payload", "send", "broadcast", "serialize", "request"}
-)
-_LOG_SINKS = frozenset(
-    {"debug", "info", "warning", "error", "exception", "critical", "log"}
-)
 
 #: Dataclass fields that hold key secrets: an auto-generated __repr__
 #: would print them into logs/tracebacks.  Covers both the legacy dealer
@@ -384,106 +375,56 @@ class SecretEscape(Rule):
     def check(self, ctx: "FileContext") -> list[Finding]:
         rule = self
         findings: list[Finding] = []
-        project = getattr(ctx, "project", None)
+        parents = ctx.parents()
+        engines: dict[ast.AST, LabelEngine] = {}
 
-        def scan_function(node, qualname: str) -> None:
-            taint = TaintEngine()
-            if project is not None:
-                # Interprocedural hook: a call returns secret-derived data
-                # when any resolved callee's summary says so (directly, or
-                # through a tainted argument flowing to its return).
-                def resolve(call: ast.Call) -> bool:
-                    for info, summary in project.summaries_for_call(call):
-                        if summary.returns_secret:
-                            return True
-                        if summary.taint_params:
-                            mapping = map_args(call, info)
-                            for param in summary.taint_params:
-                                arg = mapping.get(param)
-                                if arg is not None and taint.is_tainted(arg):
-                                    return True
-                    return False
-
-                taint.resolver = resolve
+        def seed(
+            node: ast.FunctionDef | ast.AsyncFunctionDef,
+        ) -> dict[str, frozenset[str]]:
+            """Names tainted on entry: the enclosing function's (closure
+            captures) and the secret-named parameters."""
+            outer = parents.get(node)
+            while outer is not None and outer not in engines:
+                outer = parents.get(outer)
+            labels = dict(engines[outer].labels) if outer is not None else {}
             for arg in list(node.args.args) + list(node.args.kwonlyargs):
+                labels.pop(arg.arg, None)
                 if arg.arg in SECRET_FIELDS:
-                    taint.tainted.add(arg.arg)
-            taint.propagate(node.body)
-            public = not node.name.startswith("_")
+                    labels[arg.arg] = frozenset({SECRET})
+            return labels
 
-            for sub in ast.walk(node):
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not node:
-                    continue  # nested defs scan separately
-                if isinstance(sub, ast.Call):
-                    func = sub.func
-                    sink = None
-                    if isinstance(func, ast.Attribute):
-                        if func.attr in _WIRE_SINKS:
-                            sink = f"wire sink `.{func.attr}(...)`"
-                        elif func.attr in _LOG_SINKS:
-                            sink = f"log sink `.{func.attr}(...)`"
-                    elif isinstance(func, ast.Name) and func.id in ("print", "repr"):
-                        sink = f"{func.id}() sink"
-                    if sink:
-                        args = list(sub.args) + [kw.value for kw in sub.keywords]
-                        for arg in args:
-                            if taint.is_tainted(arg):
-                                findings.append(
-                                    rule.finding(
-                                        ctx,
-                                        arg,
-                                        f"secret-derived value reaches {sink}",
-                                        qualname,
-                                    )
-                                )
-                    elif project is not None:
-                        # A tainted argument handed to a function whose
-                        # summary forwards that parameter into a sink.
-                        reported = False
-                        for info, summary in project.summaries_for_call(sub):
-                            if reported or not summary.sink_params:
-                                continue
-                            mapping = map_args(sub, info)
-                            for param, where in summary.sink_params.items():
-                                arg = mapping.get(param)
-                                if arg is not None and taint.is_tainted(arg):
-                                    findings.append(
-                                        rule.finding(
-                                            ctx,
-                                            arg,
-                                            f"secret-derived value passed to "
-                                            f"`{info.name}()`, which forwards "
-                                            f"it to {where}",
-                                            qualname,
-                                        )
-                                    )
-                                    reported = True
-                                    break
-                elif isinstance(sub, ast.JoinedStr):
-                    for value in sub.values:
-                        if isinstance(value, ast.FormattedValue) and taint.is_tainted(
-                            value.value
-                        ):
-                            findings.append(
-                                rule.finding(
-                                    ctx,
-                                    value.value,
-                                    "secret-derived value interpolated into an "
-                                    "f-string (log/exception-message sink)",
-                                    qualname,
-                                )
-                            )
-                elif isinstance(sub, ast.Return) and sub.value is not None and public:
-                    if taint.is_tainted(sub.value):
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                sub.value,
-                                f"secret-derived value returned from public "
-                                f"function `{node.name}`",
-                                qualname,
-                            )
-                        )
+        def scan_function(
+            node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
+        ) -> None:
+            project = ctx.project
+            engine = LabelEngine(project, project.summaries, seed(node))
+            engine.propagate(node.body)
+            engines[node] = engine
+            public = not node.name.startswith("_")
+            forwarded: set[int] = set()
+            for sink in iter_sinks(node, engine):
+                if SECRET not in sink.labels:
+                    continue
+                if sink.where == RETURN:
+                    if not public:
+                        continue
+                    message = (
+                        f"secret-derived value returned from public "
+                        f"function `{node.name}`"
+                    )
+                elif sink.via is not None:
+                    if id(sink.anchor) in forwarded:
+                        continue  # one finding per forwarding call
+                    forwarded.add(id(sink.anchor))
+                    message = (
+                        f"secret-derived value passed to `{sink.via.name}()`"
+                        f", which forwards it to {sink.where}"
+                    )
+                elif sink.where == FSTRING:
+                    message = f"secret-derived value interpolated into {FSTRING}"
+                else:
+                    message = f"secret-derived value reaches {sink.where}"
+                findings.append(rule.finding(ctx, sink.node, message, qualname))
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:
@@ -681,77 +622,6 @@ class UnregisteredPayload(Rule):
 # PL005 — drain-discipline
 # ---------------------------------------------------------------------------
 
-_SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
-_BARRIER_CALLS = frozenset({"round", "assert_drained", "drain"})
-
-
-def scan_open_send(
-    body: list[ast.stmt], classify: "Callable[[ast.Call], str | None]"
-) -> ast.Call | None:
-    """Forward path scan; returns the open (unbarriered) send, if any.
-
-    ``classify`` maps a call to ``"send"``, ``"barrier"``, or ``None``
-    (effect-neutral).  PL005 passes a project-aware classifier (calls to
-    functions whose summary leaves a send open count as sends, calls to
-    functions containing a barrier count as barriers); the summary
-    computation passes the primitive-only classifier, which keeps effect
-    propagation to exactly one call level.
-    """
-
-    def calls_in_order(stmt: ast.stmt) -> list[ast.Call]:
-        return [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
-
-    def scan_block(
-        body: list[ast.stmt], open_send: ast.Call | None
-    ) -> ast.Call | None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.If,)):
-                for call in calls_in_order(ast.Expr(stmt.test)):
-                    kind = classify(call)
-                    if kind == "send":
-                        open_send = call
-                    elif kind == "barrier":
-                        open_send = None
-                then = scan_block(stmt.body, open_send)
-                other = scan_block(stmt.orelse, open_send)
-                open_send = then or other
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                after_body = scan_block(stmt.body, open_send)
-                after_else = scan_block(stmt.orelse, after_body)
-                open_send = after_else or after_body or open_send
-                # A barrier inside the loop body clears sends *of that
-                # iteration*; conservatively, a loop whose body ends
-                # open leaves the function open.
-                if scan_block(stmt.body, None) is None and after_body is None:
-                    open_send = scan_block(stmt.orelse, open_send)
-            elif isinstance(stmt, ast.Try):
-                after_try = scan_block(stmt.body, open_send)
-                for handler in stmt.handlers:
-                    h = scan_block(handler.body, after_try)
-                    after_try = after_try or h
-                after_try = scan_block(stmt.orelse, after_try)
-                open_send = scan_block(stmt.finalbody, after_try)
-            elif isinstance(stmt, ast.With):
-                open_send = scan_block(stmt.body, open_send)
-            else:
-                for call in calls_in_order(stmt):
-                    kind = classify(call)
-                    if kind == "send":
-                        open_send = call
-                    elif kind == "barrier":
-                        open_send = None
-            if isinstance(stmt, (ast.Return, ast.Raise)):
-                # Path terminates here; an open send at a raise is the
-                # error path abandoning in-flight messages — still a
-                # drained-invariant break, reported at the send.
-                continue
-        return open_send
-
-    return scan_block(body, None)
-
-
 @register
 class DrainDiscipline(Rule):
     """PL005: a bus send with no synchronisation barrier on some path."""
@@ -775,24 +645,7 @@ class DrainDiscipline(Rule):
     def check(self, ctx: "FileContext") -> list[Finding]:
         rule = self
         findings: list[Finding] = []
-        project = getattr(ctx, "project", None)
-
-        def classify(call: ast.Call) -> str | None:
-            func = call.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in _SEND_CALLS:
-                    return "send"
-                if func.attr in _BARRIER_CALLS:
-                    return "barrier"
-            if project is not None:
-                kind = None
-                for _info, summary in project.summaries_for_call(call):
-                    if summary.open_send:
-                        return "send"
-                    if summary.has_barrier:
-                        kind = "barrier"
-                return kind
-            return None
+        classify = bus_classifier(ctx.project)
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:
@@ -800,7 +653,7 @@ class DrainDiscipline(Rule):
                     # Reactive dispatch handler: the send is the reply to a
                     # request; the requesting flow owns the round barrier.
                     return
-                open_send = scan_open_send(node.body, classify)
+                open_send = open_send_at_exit(node.body, classify)
                 if open_send is not None:
                     findings.append(
                         rule.finding(

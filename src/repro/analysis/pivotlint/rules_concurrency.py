@@ -33,17 +33,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.pivotlint.choreography import extract_flow
-from repro.analysis.pivotlint.dataflow import FunctionWalker
+from repro.analysis.pivotlint.dataflow import (
+    FunctionWalker,
+    OpenSend,
+    bus_classifier,
+    calls_in,
+    walk_paths,
+)
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
-
     from repro.analysis.pivotlint.engine import FileContext
-
-_SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
-_BARRIER_CALLS = frozenset({"round", "assert_drained", "drain"})
 
 
 def _module_int_constants(tree: ast.Module) -> dict[str, int]:
@@ -61,32 +62,6 @@ def _module_int_constants(tree: ast.Module) -> dict[str, int]:
         ):
             consts[stmt.targets[0].id] = stmt.value.value
     return consts
-
-
-def _make_classifier(
-    ctx: "FileContext",
-) -> "Callable[[ast.Call], str | None]":
-    """PL005's project-aware send/barrier classifier (shared by PL013)."""
-    project = getattr(ctx, "project", None)
-
-    def classify(call: ast.Call) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _SEND_CALLS:
-                return "send"
-            if func.attr in _BARRIER_CALLS:
-                return "barrier"
-        if project is not None:
-            kind = None
-            for _info, summary in project.summaries_for_call(call):
-                if summary.open_send:
-                    return "send"
-                if summary.has_barrier:
-                    kind = "barrier"
-            return kind
-        return None
-
-    return classify
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +96,10 @@ class ChoreographyDeadlock(Rule):
         rule = self
         findings: list[Finding] = []
         consts = _module_int_constants(ctx.tree)
-        project = getattr(ctx, "project", None)
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
-                automaton = extract_flow(node, self.qualname, project, consts)
+                automaton = extract_flow(node, self.qualname, ctx.project, consts)
                 if not automaton.has_barrier:
                     return
                 for receive, send in automaton.order_inversions():
@@ -177,11 +151,10 @@ class RoundParity(Rule):
         rule = self
         findings: list[Finding] = []
         consts = _module_int_constants(ctx.tree)
-        project = getattr(ctx, "project", None)
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
-                automaton = extract_flow(node, self.qualname, project, consts)
+                automaton = extract_flow(node, self.qualname, ctx.project, consts)
                 for barrier, pinned, counts in automaton.pinned:
                     if not counts or max(counts) == 0:
                         # No payload send feeds this barrier (estimate-API
@@ -596,122 +569,79 @@ class ExceptionSafeDrain(Rule):
     def check(self, ctx: "FileContext") -> list[Finding]:
         rule = self
         findings: list[Finding] = []
-        classify = _make_classifier(ctx)
-
-        def calls_in_order(stmt: ast.stmt) -> list[ast.Call]:
-            return [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
-
-        def apply_calls(
-            stmt: ast.stmt, open_send: ast.Call | None
-        ) -> ast.Call | None:
-            for call in calls_in_order(stmt):
-                kind = classify(call)
-                if kind == "send":
-                    open_send = call
-                elif kind == "barrier":
-                    open_send = None
-            return open_send
+        classify = bus_classifier(ctx.project)
 
         def barrier_in(body: list[ast.stmt]) -> bool:
-            for stmt in body:
-                for call in calls_in_order(stmt):
-                    if classify(call) == "barrier":
-                        return True
-            return False
+            return any(
+                classify(call) == "barrier"
+                for stmt in body
+                for call in calls_in(stmt)
+            )
 
-        def first_send(body: list[ast.stmt]) -> ast.Call | None:
-            for stmt in body:
-                if isinstance(
-                    stmt,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    continue
-                for call in calls_in_order(stmt):
-                    if classify(call) == "send":
-                        return call
-            return None
+        class RaiseCheck(OpenSend):
+            """PL005's state, read at each ``raise``."""
 
-        def scan(
-            body: list[ast.stmt],
-            open_send: ast.Call | None,
-            protected: bool,
-            scope: str,
-        ) -> ast.Call | None:
-            for stmt in body:
-                if isinstance(
-                    stmt,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+            def __init__(self, scope: str) -> None:
+                super().__init__(classify)
+                self.scope = scope
+
+            def handler_entry(
+                self, stmt: ast.Try, after: ast.Call | None
+            ) -> ast.Call | None:
+                # An exception can hit a handler from any point of the
+                # body: if the body sends at all, the handler must assume
+                # the send is open.
+                if after is not None:
+                    return after
+                return next(
+                    (
+                        call
+                        for sub in stmt.body
+                        if not isinstance(
+                            sub,
+                            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                        )
+                        for call in calls_in(sub)
+                        if classify(call) == "send"
+                    ),
+                    None,
+                )
+
+            def exit(
+                self,
+                stmt: ast.Return | ast.Raise,
+                state: ast.Call | None,
+                trys: tuple[ast.Try, ...],
+            ) -> None:
+                if not isinstance(stmt, ast.Raise) or state is None:
+                    return
+                # A try whose handler or finally drains protects its body.
+                if any(
+                    barrier_in(t.finalbody)
+                    or any(barrier_in(h.body) for h in t.handlers)
+                    for t in trys
                 ):
-                    continue
-                if isinstance(stmt, ast.Raise):
-                    open_send = apply_calls(stmt, open_send)
-                    if open_send is not None and not protected:
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                stmt,
-                                f"raise reachable after the send at line "
-                                f"{open_send.lineno} but before its "
-                                f"barrier: the error path leaves peer "
-                                f"inboxes undrained",
-                                scope,
-                            )
-                        )
-                    continue
-                if isinstance(stmt, ast.If):
-                    open_send = apply_calls(ast.Expr(stmt.test), open_send)
-                    then = scan(stmt.body, open_send, protected, scope)
-                    other = scan(stmt.orelse, open_send, protected, scope)
-                    open_send = then or other
-                elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                    head = (
-                        stmt.iter
-                        if isinstance(stmt, (ast.For, ast.AsyncFor))
-                        else stmt.test
+                    return
+                findings.append(
+                    rule.finding(
+                        ctx,
+                        stmt,
+                        f"raise reachable after the send at line "
+                        f"{state.lineno} but before its barrier: the error "
+                        f"path leaves peer inboxes undrained",
+                        self.scope,
                     )
-                    open_send = apply_calls(ast.Expr(head), open_send)
-                    after = scan(stmt.body, open_send, protected, scope)
-                    open_send = after or open_send
-                    open_send = (
-                        scan(stmt.orelse, open_send, protected, scope)
-                        or open_send
-                    )
-                elif isinstance(stmt, ast.Try):
-                    restores = barrier_in(stmt.finalbody) or any(
-                        barrier_in(handler.body) for handler in stmt.handlers
-                    )
-                    after = scan(
-                        stmt.body, open_send, protected or restores, scope
-                    )
-                    # An exception can hit a handler from any point of the
-                    # body: if the body sends at all, the handler must
-                    # assume the send is open.
-                    body_send = first_send(stmt.body)
-                    handler_open = after or body_send
-                    for handler in stmt.handlers:
-                        h = scan(handler.body, handler_open, protected, scope)
-                        after = after or h
-                    after = scan(stmt.orelse, after, protected, scope)
-                    open_send = scan(stmt.finalbody, after, protected, scope)
-                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        open_send = apply_calls(
-                            ast.Expr(item.context_expr), open_send
-                        )
-                    open_send = scan(stmt.body, open_send, protected, scope)
-                elif isinstance(stmt, ast.Return):
-                    open_send = apply_calls(stmt, open_send)
-                else:
-                    open_send = apply_calls(stmt, open_send)
-            return open_send
+                )
 
         class Visitor(FunctionWalker):
-            def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
+            def handle_function(
+                self, node: ast.FunctionDef | ast.AsyncFunctionDef
+            ) -> None:
                 if node.name.startswith("_op_"):
                     # Reactive dispatch handler (PL005 convention): the
                     # requesting flow owns the barrier and the drain.
                     return
-                scan(node.body, None, False, self.qualname)
+                walk_paths(node.body, RaiseCheck(self.qualname), None)
 
         Visitor().visit(ctx.tree)
         return findings

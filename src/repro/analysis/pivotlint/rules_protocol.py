@@ -227,9 +227,7 @@ class UnhandledProtocolTag(Rule):
     )
 
     def check(self, ctx: "FileContext") -> list[Finding]:
-        project = getattr(ctx, "project", None)
-        if project is None:
-            return []
+        project = ctx.project
         inventory = project.cache.get("pl006")
         if inventory is None:
             inventory = _build_inventory(project)

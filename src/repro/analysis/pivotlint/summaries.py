@@ -21,10 +21,15 @@ needs without re-analyzing the body:
   primitive?  PL006 uses this to treat ``record_threshold_decrypt(...,
   tag="eq10")`` as both producing and consuming the tag.
 
-Summaries are computed with a *labeled* variant of the PR 6 taint engine
-(each parameter is its own label, ``~secret`` marks intrinsic sources)
-and iterated to a fixpoint, so taint chains through helpers-of-helpers
-across module boundaries.
+This module also holds the analyzer's one taint engine and one sink
+scan.  :class:`LabelEngine` gives every value a label set (each parameter
+is its own label, ``~secret`` marks intrinsic sources); :func:`iter_sinks`
+yields every value that reaches a return, an f-string, a wire/log call or
+a callee's sink parameter, with its labels.  A summary keeps the labels
+that are its parameters; PL002 runs the same engine and scan, seeded with
+``~secret`` on its secret-named parameters, and reports where
+``~secret`` arrives.  Summaries iterate to a fixpoint, so taint chains
+through helpers-of-helpers across module boundaries.
 
 Two propagation policies, deliberately different:
 
@@ -43,8 +48,10 @@ Two propagation policies, deliberately different:
 from __future__ import annotations
 
 import ast
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.pivotlint.callgraph import (
     FunctionInfo,
@@ -52,11 +59,18 @@ from repro.analysis.pivotlint.callgraph import (
     map_args,
 )
 from repro.analysis.pivotlint.dataflow import (
+    BARRIER_CALLS,
+    CONTROL_RECEIVE,
+    CONTROL_SEND,
     PROPAGATING_CALLS,
     PUBLIC_ATTRS,
+    RECEIVE_CALLS,
     SECRET_ATTRS,
     SECRET_NAMES,
+    SEND_CALLS,
     SOURCE_CALLS,
+    bus_classifier,
+    open_send_at_exit,
 )
 
 #: The label marking intrinsically secret values (vs. parameter labels).
@@ -65,15 +79,27 @@ SECRET = "~secret"
 #: relpath, rule id, line -> is there a justified suppression covering it?
 QuenchFn = Callable[[str, str, int], bool]
 
-_RECEIVE_CALLS = frozenset(
-    {"receive", "receive_any", "receive_tagged", "receive_control"}
+#: Call attributes that put their arguments on a wire: the payload sends,
+#: the byte-accounting ``send``/``broadcast``, the transport control plane
+#: (``request``) and the wire encoder.
+WIRE_SINKS = SEND_CALLS | {"send", "broadcast", "serialize", "request"}
+LOG_SINKS = frozenset(
+    {"debug", "info", "warning", "error", "exception", "critical", "log"}
 )
-# The payload-routing primitives only: the byte-accounting ``bus.send`` /
-# ``bus.broadcast`` carry bookkeeping tags that never enter an inbox, so
-# forwarding a tag into them is not producing a consumable message.
-_TAG_SEND_CALLS = frozenset(
-    {"send_payload", "broadcast_payload", "send_control"}
+#: Calls that materialize array data from a view/array argument (PL001).
+MATERIALIZERS = frozenset(
+    {"asarray", "array", "ascontiguousarray", "copy", "column_stack", "stack"}
 )
+#: A control-plane receive still consumes a message and a forwarded tag.
+_RECEIVES = RECEIVE_CALLS | {CONTROL_RECEIVE}
+#: The byte-accounting ``bus.send``/``bus.broadcast`` carry bookkeeping
+#: tags that never enter an inbox, so forwarding a tag into them produces
+#: no consumable message; a control send does.
+_TAG_SENDS = SEND_CALLS | {CONTROL_SEND}
+
+#: :attr:`Sink.where` of a function's return value and of an f-string.
+RETURN = "the return value"
+FSTRING = "an f-string (log/exception-message sink)"
 
 
 @dataclass
@@ -94,44 +120,43 @@ class FunctionSummary:
 
 
 def walk_function(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` pruned at nested function boundaries.
+    """``ast.walk`` (breadth-first) pruned at nested function boundaries.
 
     A nested def's returns/sends belong to the nested function's own
-    summary, not to the enclosing one.
+    scan, not to the enclosing one.
     """
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
+    queue: deque[ast.AST] = deque([node])
+    while queue:
+        current = queue.popleft()
         yield current
         for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                queue.append(child)
 
 
 class LabelEngine:
-    """Labeled may-taint over one function body.
+    """Labeled may-taint over one function body — the analyzer's only
+    taint engine.
 
-    Same propagation rules as :class:`~repro.analysis.pivotlint.dataflow.
-    TaintEngine` (assignments and arithmetic propagate, ``pow()``
-    sanitizes), except values carry *label sets*: :data:`SECRET` for
-    intrinsic sources, a parameter's name for values derived from that
-    parameter — and calls resolve through the project summaries, so taint
-    flows across function and module boundaries.
+    Values carry *label sets*: :data:`SECRET` for intrinsic sources (key
+    secrets by attribute or name, the dealer's prime pair), a parameter's
+    name for values derived from that parameter.  Assignments and
+    arithmetic propagate, ``pow()`` sanitizes, and calls resolve through
+    the project summaries, so taint flows across function and module
+    boundaries.  ``labels`` seeds the names bound on entry: the summaries
+    label each parameter with itself, PL002 labels its secret-named
+    parameters (and an enclosing function's tainted names) :data:`SECRET`.
     """
 
     def __init__(
         self,
         index: ProjectIndex,
         summaries: dict[str, FunctionSummary],
-        params: tuple[str, ...],
+        labels: dict[str, frozenset[str]],
     ) -> None:
         self.index = index
         self.summaries = summaries
-        self.labels: dict[str, frozenset[str]] = {
-            p: frozenset({p}) for p in params
-        }
-
+        self.labels = labels
     # -- expression query --------------------------------------------------
 
     def labels_of(self, node: ast.expr) -> frozenset[str]:
@@ -170,8 +195,10 @@ class LabelEngine:
         if isinstance(node, ast.Call):
             return self._labels_of_call(node)
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            # Mirror TaintEngine: the *elements* escape — evaluate the
+            # What escapes a comprehension is its *elements*: evaluate the
             # element expression with tainted-iterable targets bound.
+            # ``[s for s in shares]`` stays secret;
+            # ``[s.partial_decrypt(c) for s in shares]`` is protocol-public.
             saved: dict[str, frozenset[str] | None] = {}
             for gen in node.generators:
                 iter_labels = self.labels_of(gen.iter)
@@ -238,6 +265,7 @@ class LabelEngine:
                 self._assign(elt, labels)
 
     def propagate(self, body: list[ast.stmt]) -> None:
+        """Two passes over the statements: loops converge for may-taint."""
         module = ast.Module(body=body, type_ignores=[])
         for _ in range(2):
             for stmt in walk_function(module):
@@ -258,6 +286,71 @@ class LabelEngine:
 
 
 # ---------------------------------------------------------------------------
+# the sink scan
+# ---------------------------------------------------------------------------
+
+
+class Sink(NamedTuple):
+    """One value of a function body that reaches an escape sink."""
+
+    node: ast.expr  #: the value
+    where: str  #: what it reaches (``RETURN``, ``FSTRING``, a call sink)
+    labels: frozenset[str]  #: its labels
+    anchor: ast.AST  #: the return/f-string/call a suppression quenches
+    #: the callee that forwards the value to ``where`` (its summary's
+    #: ``sink_params``), or None for a sink in this body.
+    via: FunctionInfo | None = None
+
+
+def _call_sink(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in WIRE_SINKS:
+            return f"wire sink `.{func.attr}(...)`"
+        if func.attr in LOG_SINKS:
+            return f"log sink `.{func.attr}(...)`"
+    elif isinstance(func, ast.Name) and func.id in ("print", "repr"):
+        return f"{func.id}() sink"
+    return None
+
+
+def iter_sinks(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    engine: LabelEngine,
+    skip: str | None = None,
+) -> Iterator[Sink]:
+    """Every value of ``node``'s body (nested defs excluded) that reaches
+    a return, an f-string, a wire/log/``print``/``repr`` call, or a
+    callee parameter whose summary forwards it to one.  ``skip`` names a
+    callee whose forwarded sinks are not followed (a summary does not
+    feed on itself)."""
+    for sub in walk_function(node):
+        if isinstance(sub, ast.Return) and sub.value is not None:
+            yield Sink(sub.value, RETURN, engine.labels_of(sub.value), sub)
+        elif isinstance(sub, ast.JoinedStr):
+            for value in sub.values:
+                if isinstance(value, ast.FormattedValue):
+                    labels = engine.labels_of(value.value)
+                    yield Sink(value.value, FSTRING, labels, sub)
+        elif isinstance(sub, ast.Call):
+            where = _call_sink(sub)
+            if where is not None:
+                for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
+                    yield Sink(arg, where, engine.labels_of(arg), sub)
+                continue
+            for callee in engine.index.resolve_call(sub):
+                summary = engine.summaries.get(callee.qualkey)
+                if callee.qualkey == skip or not (summary and summary.sink_params):
+                    continue
+                mapping = map_args(sub, callee)
+                for param, forwarded in summary.sink_params.items():
+                    arg = mapping.get(param)
+                    if arg is not None:
+                        labels = engine.labels_of(arg)
+                        yield Sink(arg, forwarded, labels, sub, callee)
+
+
+# ---------------------------------------------------------------------------
 # summary computation
 # ---------------------------------------------------------------------------
 
@@ -268,68 +361,37 @@ def _summarize(
     summaries: dict[str, FunctionSummary],
     quench: QuenchFn | None,
 ) -> FunctionSummary:
-    # Imported here, not at module level: rules.py imports callgraph, and
-    # callgraph imports this module lazily from build() — keep the cycle
-    # runtime-only.
-    from repro.analysis.pivotlint.rules import (
-        _BARRIER_CALLS,
-        _LOG_SINKS,
-        _MATERIALIZERS,
-        _SEND_CALLS,
-        _WIRE_SINKS,
-        scan_open_send,
-    )
-
-    def quenched(code: str, node: ast.AST) -> bool:
+    def quenched(node: ast.AST) -> bool:
         if quench is None:
             return False
         line = getattr(node, "lineno", 0)
         end = getattr(node, "end_lineno", None) or line
         return any(
-            quench(info.relpath, code, lineno) for lineno in range(line, end + 1)
+            quench(info.relpath, "PL002", lineno)
+            for lineno in range(line, end + 1)
         )
 
     params = frozenset(info.params)
-    engine = LabelEngine(index, summaries, info.params)
+    engine = LabelEngine(
+        index, summaries, {p: frozenset({p}) for p in info.params}
+    )
     engine.propagate(info.node.body)
 
     summary = FunctionSummary(qualkey=info.qualkey)
     taint_params: set[str] = set()
-    reads: set[str] = set()
+    for sink in iter_sinks(info.node, engine, skip=info.qualkey):
+        if not sink.labels or quenched(sink.anchor):
+            continue
+        if sink.where == RETURN:
+            summary.returns_secret |= SECRET in sink.labels
+            taint_params |= sink.labels & params
+        else:
+            for param in sink.labels & params:
+                summary.sink_params.setdefault(param, sink.where)
 
+    reads: set[str] = set()
     for sub in walk_function(info.node):
-        if isinstance(sub, ast.Return) and sub.value is not None:
-            labels = engine.labels_of(sub.value)
-            if labels and not quenched("PL002", sub):
-                if SECRET in labels:
-                    summary.returns_secret = True
-                taint_params |= labels & params
-        elif isinstance(sub, ast.Call):
-            _scan_call_for_summary(
-                sub,
-                info,
-                index,
-                summaries,
-                engine,
-                summary,
-                params,
-                reads,
-                quenched,
-                _WIRE_SINKS,
-                _LOG_SINKS,
-                _MATERIALIZERS,
-            )
-        elif isinstance(sub, ast.JoinedStr):
-            if quenched("PL002", sub):
-                continue
-            for value in sub.values:
-                if isinstance(value, ast.FormattedValue):
-                    labels = engine.labels_of(value.value)
-                    for param in labels & params:
-                        summary.sink_params.setdefault(
-                            param, "an f-string (log/exception-message sink)"
-                        )
-        elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Load):
             reads |= engine.labels_of(sub.value) & params
         elif isinstance(sub, (ast.For, ast.AsyncFor)):
             reads |= engine.labels_of(sub.iter) & params
@@ -338,27 +400,12 @@ def _summarize(
         ):
             for gen in sub.generators:
                 reads |= engine.labels_of(gen.iter) & params
+        elif isinstance(sub, ast.Call):
+            _scan_call_effects(sub, info, engine, summary, params, reads)
 
-    def classify(call: ast.Call) -> str | None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr in _SEND_CALLS:
-            return "send"
-        if func.attr in _BARRIER_CALLS:
-            return "barrier"
-        return None
-
-    summary.open_send = scan_open_send(info.node.body, classify) is not None
-    for sub in walk_function(info.node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr in _SEND_CALLS:
-                summary.does_send = True
-            elif sub.func.attr in _BARRIER_CALLS:
-                summary.has_barrier = True
-            elif sub.func.attr in _RECEIVE_CALLS:
-                summary.does_receive = True
-
+    summary.open_send = (
+        open_send_at_exit(info.node.body, bus_classifier(None)) is not None
+    )
     summary.taint_params = frozenset(taint_params)
     summary.reads_params = frozenset(reads)
     if "tag" in params:
@@ -366,54 +413,34 @@ def _summarize(
     return summary
 
 
-def _scan_call_for_summary(
+def _scan_call_effects(
     call: ast.Call,
     info: FunctionInfo,
-    index: ProjectIndex,
-    summaries: dict[str, FunctionSummary],
     engine: LabelEngine,
     summary: FunctionSummary,
     params: frozenset[str],
     reads: set[str],
-    quenched: Callable[[str, ast.AST], bool],
-    wire_sinks: frozenset[str],
-    log_sinks: frozenset[str],
-    materializers: frozenset[str],
 ) -> None:
+    """A call's bus effects and element-data reads, into ``summary``."""
     func = call.func
-    sink = None
     if isinstance(func, ast.Attribute):
-        if func.attr in wire_sinks:
-            sink = f"wire sink `.{func.attr}(...)`"
-        elif func.attr in log_sinks:
-            sink = f"log sink `.{func.attr}(...)`"
+        if func.attr in SEND_CALLS:
+            summary.does_send = True
+        elif func.attr in BARRIER_CALLS:
+            summary.has_barrier = True
+        elif func.attr in _RECEIVES:
+            summary.does_receive = True
         if func.attr == "read":
             reads |= engine.labels_of(func.value) & params
-        if func.attr in materializers and call.args:
+        if func.attr in MATERIALIZERS and call.args:
             reads |= engine.labels_of(call.args[0]) & params
-    elif isinstance(func, ast.Name) and func.id in ("print", "repr"):
-        sink = f"{func.id}() sink"
-    if sink is not None and not quenched("PL002", call):
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            for param in engine.labels_of(arg) & params:
-                summary.sink_params.setdefault(param, sink)
-    # transitive: an argument forwarded into a callee's sink or data read.
-    for callee in index.resolve_call(call):
-        callee_summary = summaries.get(callee.qualkey)
+    # transitive: an argument forwarded into a callee's data read.
+    for callee in engine.index.resolve_call(call):
+        callee_summary = engine.summaries.get(callee.qualkey)
         if callee_summary is None or callee.qualkey == info.qualkey:
             continue
-        mapping = None
-        if callee_summary.sink_params and not quenched("PL002", call):
-            mapping = map_args(call, callee)
-            for callee_param, description in callee_summary.sink_params.items():
-                arg = mapping.get(callee_param)
-                if arg is None:
-                    continue
-                for param in engine.labels_of(arg) & params:
-                    summary.sink_params.setdefault(param, description)
         if callee_summary.reads_params:
-            if mapping is None:
-                mapping = map_args(call, callee)
+            mapping = map_args(call, callee)
             for callee_param in callee_summary.reads_params:
                 arg = mapping.get(callee_param)
                 if arg is not None:
@@ -436,9 +463,9 @@ def _scan_tag_forwarding(
         if not carries_tag:
             continue
         if isinstance(func, ast.Attribute):
-            if func.attr in _TAG_SEND_CALLS:
+            if func.attr in _TAG_SENDS:
                 summary.forwards_tag_to_send = True
-            elif func.attr in _RECEIVE_CALLS:
+            elif func.attr in _RECEIVES:
                 summary.forwards_tag_to_receive = True
         for callee in index.resolve_call(sub):
             callee_summary = summaries.get(callee.qualkey)

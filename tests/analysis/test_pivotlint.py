@@ -9,12 +9,14 @@ point of having a static analyzer at all.
 
 from __future__ import annotations
 
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.pivotlint import Analyzer, Baseline, BaselineEntry
+import repro.analysis.pivotlint as pivotlint_pkg
+from repro.analysis.pivotlint import REGISTRY, Analyzer, Baseline, BaselineEntry
 from repro.analysis.pivotlint.__main__ import main as pivotlint_main
 from repro.network.wire import LAYOUT
 
@@ -347,6 +349,37 @@ def test_pl002_interprocedural_sanitized_return_is_clean(tmp_path):
     assert report.findings == []
 
 
+def test_pl002_reports_each_sink_in_a_nested_def_once(tmp_path):
+    # A nested def is scanned once, as its own function, starting from the
+    # enclosing function's labels: the closure capture of a secret is
+    # caught, and no sink is reported under both functions.
+    source = textwrap.dedent(
+        """
+        def outer(key_share):
+            secret = key_share.d_share
+
+            def helper():
+                print(secret)
+
+            helper()
+
+        def outer2(x):
+            d_share = x
+
+            def sink():
+                print(d_share)
+
+            sink()
+        """
+    )
+    report = lint(tmp_path, source)
+    sink_lines = [
+        n for n, line in enumerate(source.splitlines(), 1) if "print(" in line
+    ]
+    assert rules_found(report) == ["PL002", "PL002"]
+    assert [f.line for f in report.findings] == sink_lines
+
+
 # ---------------------------------------------------------------------------
 # PL003 — unregistered-payload
 # ---------------------------------------------------------------------------
@@ -540,6 +573,49 @@ def test_pl005_exempts_op_dispatch_handlers(tmp_path):
         """,
     )
     assert report.findings == []
+
+
+def test_pl005_flags_send_left_open_by_an_early_return(tmp_path):
+    # The `return` path leaves the function with the send unbarriered; the
+    # round() after the branch only covers the other path.
+    report = lint(
+        tmp_path,
+        """
+        def early_return(bus, cond, x):
+            bus.send_payload(0, 1, x, tag="t")
+            if cond:
+                return None
+            bus.round()
+
+        def pump(bus):
+            return bus.receive_tagged(0)
+        """,
+    )
+    assert rules_found(report) == ["PL005"]
+
+
+@pytest.mark.parametrize(
+    ("define", "with_"),
+    [("def", "with"), ("async def", "async with")],
+    ids=["with", "async-with"],
+)
+def test_pl005_flags_branch_that_skips_the_barrier_under_with(
+    tmp_path, define, with_
+):
+    report = lint(
+        tmp_path,
+        f"""
+        {define} scoped(bus, cond, x, ctx):
+            {with_} ctx():
+                bus.send_payload(0, 1, x, tag="t")
+                if cond:
+                    bus.round()
+
+        def pump(bus):
+            return bus.receive_tagged(0)
+        """,
+    )
+    assert rules_found(report) == ["PL005"]
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +997,37 @@ def test_cli_sarif_format(tmp_path, monkeypatch, capsys):
     assert pivotlint_main([str(good), "--format", "sarif"]) == 0
     clean = _json.loads(capsys.readouterr().out)
     assert clean["runs"][0]["results"] == []
+
+
+def test_rule_lists_name_exactly_the_registered_rules(capsys):
+    # --help, --list-rules, the package docstring's table and the README's
+    # catalogue headings are all built from or checked against REGISTRY.
+    def rule_ids(text: str) -> set[str]:
+        return set(re.findall(r"PL\d{3}", text))
+
+    registered = set(REGISTRY)
+    with pytest.raises(SystemExit):
+        pivotlint_main(["--help"])
+    assert rule_ids(capsys.readouterr().out) == registered
+
+    assert pivotlint_main(["--list-rules"]) == 0
+    listed = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line and not line[0].isspace()
+    ]
+    assert sorted(listed) == sorted(registered)
+
+    table = [
+        line.split()[0]
+        for line in pivotlint_pkg.__doc__.splitlines()
+        if re.match(r"PL\d{3}\s", line)
+    ]
+    assert sorted(table) == sorted(registered)
+
+    readme = (Path(pivotlint_pkg.__file__).parent / "README.md").read_text()
+    headings = re.findall(r"^### (PL\d{3})", readme, re.MULTILINE)
+    assert sorted(headings) == sorted(registered | {"PL000"})
 
 
 # ---------------------------------------------------------------------------
