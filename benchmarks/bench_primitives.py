@@ -102,13 +102,13 @@ def test_cd_classic_decryption(benchmark, bundle):
 def test_cs_beaver_multiplication(benchmark, mpc):
     engine, fx = mpc
     a, b = fx.share(1.5), fx.share(2.5)
-    benchmark(lambda: engine.mul(a, b))
+    benchmark(lambda: engine.mul_many([(a, b)]))
 
 
 def test_cc_secure_comparison(benchmark, mpc):
     engine, fx = mpc
     a = fx.share(-3.0)
-    benchmark(lambda: comparison.ltz(engine, a, fx.k))
+    benchmark(lambda: comparison.ltz(engine, [a], fx.k))
 
 
 def test_secure_division(benchmark, mpc):
@@ -219,30 +219,34 @@ def batch_report(
     # -- Cc: one secure comparison in units of this run's Beaver multiply --
     # (Mod2m's bit-compare is six word-ANDs on packed XOR shares and one
     # daBit; as 39 sequential field multiplications it was ~60 multiplies.
-    # A ratio inside this run, so it is not a JSON row either.)
+    # A ratio inside this run, so it is not a JSON row either.)  Each call
+    # is a batch of one: a < b is gt([b], [a]).
     a, b = fx.share(3.25), fx.share(7.5)
     calls = 50
-    t_mul = _best_of(lambda: [fx.engine.mul(a, b) for _ in range(calls)], repeats)
-    t_lt = _best_of(lambda: [fx.lt(a, b) for _ in range(calls)], repeats)
+    t_mul = _best_of(
+        lambda: [fx.engine.mul_many([(a, b)]) for _ in range(calls)], repeats
+    )
+    t_lt = _best_of(lambda: [fx.gt([b], [a]) for _ in range(calls)], repeats)
     lt_in_muls = t_lt / t_mul
     # One division, all K bits of its denominator decomposed in the binary
     # domain (as 2K - 1 sequential field multiplications it was ~143).
     t_div = _best_of(lambda: [fx.div(a, b) for _ in range(calls)], repeats)
     div_in_muls = t_div / t_mul
 
-    # -- Cc: 300 sign tests one by one vs one ltz_many (a predict call's
-    # node tests): the batch packs every value's bits into one word, so its
-    # rounds and word-ANDs are one value's.  A ratio inside this run.
+    # -- Cc: 300 sign tests as 300 batches of one vs one batch of 300 (a
+    # predict call's node tests): the batch packs every value's bits into
+    # one word, so its rounds and word-ANDs are one value's.  A ratio inside
+    # this run.
     mpc_engine = fx.engine
     signs = [fx.share((i - 150) / 4) for i in range(300)]
     t_ltz_serial = _best_of(
-        lambda: [comparison.ltz(mpc_engine, s, fx.k) for s in signs], repeats
+        lambda: [comparison.ltz(mpc_engine, [s], fx.k) for s in signs], repeats
     )
-    t_ltz_many = _best_of(lambda: comparison.ltz_many(mpc_engine, signs, fx.k), repeats)
+    t_ltz_many = _best_of(lambda: comparison.ltz(mpc_engine, signs, fx.k), repeats)
     ltz_many_speedup = t_ltz_serial / t_ltz_many
     ltz_agree = mpc_engine.open_many(
-        [comparison.ltz(mpc_engine, s, fx.k) for s in signs]
-    ) == mpc_engine.open_many(comparison.ltz_many(mpc_engine, signs, fx.k))
+        [bit for s in signs for bit in comparison.ltz(mpc_engine, [s], fx.k)]
+    ) == mpc_engine.open_many(comparison.ltz(mpc_engine, signs, fx.k))
 
     # -- op-count parity: identical Ce tallies in both modes ---------------
     with opcount.counting() as serial_ops:
@@ -292,19 +296,19 @@ def batch_report(
                 f"{norm_ratio:.2f}x the time",
             ],
             [
-                "engine.mul vs FixedPointOps.lt",
+                "engine.mul_many vs FixedPointOps.gt",
                 t_mul / calls * 1e3,
                 t_lt / calls * 1e3,
                 f"{lt_in_muls:.1f} muls",
             ],
             [
-                "engine.mul vs FixedPointOps.div",
+                "engine.mul_many vs FixedPointOps.div",
                 t_mul / calls * 1e3,
                 t_div / calls * 1e3,
                 f"{div_in_muls:.1f} muls",
             ],
             [
-                f"ltz x{len(signs)}, serial vs ltz_many",
+                f"ltz x{len(signs)}, serial vs one batch",
                 t_ltz_serial * 1e3,
                 t_ltz_many * 1e3,
                 f"{ltz_many_speedup:.2f}x",
@@ -347,24 +351,24 @@ def batch_report(
             "single denominator; the ceiling is 5x"
         )
         assert lt_in_muls <= 12.0, (
-            f"one FixedPointOps.lt costs {lt_in_muls:.1f} engine.mul of this "
+            f"one FixedPointOps.gt costs {lt_in_muls:.1f} engine.mul_many of this "
             "run; the ceiling is 12"
         )
         assert div_in_muls <= 70.0, (
-            f"one FixedPointOps.div costs {div_in_muls:.1f} engine.mul of this "
+            f"one FixedPointOps.div costs {div_in_muls:.1f} engine.mul_many of this "
             "run; the ceiling is 70"
         )
-        assert ltz_agree, "ltz_many opens differently from serial ltz calls"
+        assert ltz_agree, "one ltz batch opens differently from batches of one"
         assert ltz_many_speedup > 1.0, (
-            f"one ltz_many of {len(signs)} values costs more per value than "
-            f"serial ltz calls ({ltz_many_speedup:.2f}x)"
+            f"one ltz batch of {len(signs)} values costs more per value than "
+            f"batches of one ({ltz_many_speedup:.2f}x)"
         )
         print(
             "SMOKE OK: CRT >= 2x, batched encryption >= 1.5x, mask >= 4x raw "
             "pow, negative scalars <= 3x positive, subtract_vectors <= 0.5x "
             "a - b, grouped division >= 2.5x, Norm of 25 <= 5x Norm of 1, "
-            "lt <= 12 mul, div <= 70 mul, ltz_many cheaper per value than "
-            f"serial ltz ({ltz_many_speedup:.2f}x), tallies equal"
+            "gt <= 12 mul, div <= 70 mul, one ltz batch cheaper per value than "
+            f"batches of one ({ltz_many_speedup:.2f}x), tallies equal"
         )
     return {
         "crt": crt_speedup,

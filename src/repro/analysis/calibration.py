@@ -56,8 +56,8 @@ def calibrate(
     fx = FixedPointOps(engine)
     a = fx.share(1.5)
     b = fx.share(2.5)
-    cs = _timeit(lambda: engine.mul(a, b), repeats)
-    cc = _timeit(lambda: comparison.ltz(engine, a, fx.k), max(5, repeats // 3))
+    cs = _timeit(lambda: engine.mul_many([(a, b)]), repeats)
+    cc = _timeit(lambda: comparison.ltz(engine, [a], fx.k), max(5, repeats // 3))
     return PrimitiveCosts(
         ce=ce, cd=cd, cs=cs, cc=cc, keysize=keysize, n_parties=n_parties
     )

@@ -95,19 +95,17 @@ class SpdzDecisionTree:
             for j in range(features.shape[1]):
                 thresholds = candidate_splits(features[:, j], self.params.max_splits)
                 # The owner shares her column once (one value per sample)...
-                column = [
-                    engine.input_private(fx.encode(float(v)), owner=client_idx)
-                    for v in features[:, j]
-                ]
+                column = engine.input_many(
+                    [fx.encode(float(v)) for v in features[:, j]], owner=client_idx
+                )
                 for threshold in thresholds:
                     self._splits.append((client_idx, j, float(threshold)))
                     shared_threshold = fx.share(float(threshold))
                     # ... and the indicator of every sample is a secure
-                    # comparison on shares.
-                    bits = [
-                        comparison.le(engine, x, shared_threshold, fx.k)
-                        for x in column
-                    ]
+                    # comparison on shares, all of them in one batch.
+                    bits = comparison.le(
+                        engine, column, [shared_threshold] * len(column), fx.k
+                    )
                     self._indicator_shares.append(bits)
 
         labels = self.partition.labels
@@ -115,13 +113,10 @@ class SpdzDecisionTree:
             labels = np.asarray(labels, dtype=np.int64)
             self.n_classes = max(2, int(labels.max()) + 1)
             self._label_shares = [
-                [
-                    self.engine.input_private(
-                        (1 << fx.f) if int(y) == k else 0,
-                        owner=self.partition.super_client,
-                    )
-                    for y in labels
-                ]
+                self.engine.input_many(
+                    [(1 << fx.f) if int(y) == k else 0 for y in labels],
+                    owner=self.partition.super_client,
+                )
                 for k in range(self.n_classes)
             ]
         else:
@@ -129,18 +124,11 @@ class SpdzDecisionTree:
             self._label_scale = float(np.max(np.abs(labels))) or 1.0
             normalized = labels / self._label_scale
             self._label_shares = [
-                [
-                    self.engine.input_private(
-                        fx.encode(float(y)), owner=self.partition.super_client
-                    )
-                    for y in normalized
-                ],
-                [
-                    self.engine.input_private(
-                        fx.encode(float(y) ** 2), owner=self.partition.super_client
-                    )
-                    for y in normalized
-                ],
+                self.engine.input_many(
+                    [fx.encode(float(y) ** power) for y in normalized],
+                    owner=self.partition.super_client,
+                )
+                for power in (1, 2)
             ]
 
     # ------------------------------------------------------------------
@@ -158,7 +146,8 @@ class SpdzDecisionTree:
     ) -> SharedValue:
         """Σ_t α_t · v_t with fixed-point rescaling (secure inner product)."""
         raw = self.engine.inner_product(alpha, values)
-        return comparison.trunc_pr(self.engine, raw, 2 * self.fx.k, self.fx.f)
+        (total,) = comparison.trunc_pr(self.engine, [raw], 2 * self.fx.k, self.fx.f)
+        return total
 
     def _build(self, alpha: list[SharedValue], depth: int) -> TreeNode:
         fx, engine = self.fx, self.engine
@@ -166,14 +155,12 @@ class SpdzDecisionTree:
 
         if depth >= self.params.max_depth:
             return self._make_leaf(node_stats, depth)
-        too_small = engine.open(
-            fx.lt(node_stats.n, fx.share(self.params.min_samples_split))
-        )
-        if too_small:
+        too_small = fx.gt([fx.share(self.params.min_samples_split)], [node_stats.n])
+        if engine.open_many(too_small) == [1]:
             return self._make_leaf(node_stats, depth)
         if self.task == "classification":
             _, g_max, _ = fx.argmax(node_stats.totals)
-            if engine.open(fx.eqz(node_stats.n - g_max)):
+            if engine.open_many(fx.eqz([node_stats.n - g_max])) == [1]:
                 return self._make_leaf(node_stats, depth)
 
         splits = []
@@ -183,10 +170,9 @@ class SpdzDecisionTree:
             n_right = node_stats.n - n_left
             left, right = [], []
             for labels, total in zip(self._label_shares, node_stats.totals):
-                masked = [
-                    comparison.trunc_pr(engine, p, 2 * fx.k, fx.f)
-                    for p in engine.mul_many(list(zip(alpha, scaled)))
-                ]
+                masked = comparison.trunc_pr(
+                    engine, engine.mul_many(list(zip(alpha, scaled))), 2 * fx.k, fx.f
+                )
                 g_left = self._masked_sum(masked, labels)
                 left.append(g_left)
                 right.append(total - g_left)
@@ -198,22 +184,17 @@ class SpdzDecisionTree:
         from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 
         best_index, best_gain, _ = fx.argmax(gains, slack=SECURE_ARGMAX_SLACK)
-        no_gain = engine.open(
-            engine.add_public(
-                -fx.gt(best_gain, leaf_threshold + fx.share(SECURE_GAIN_EPS)), 1
-            )
-        )
-        if no_gain:
+        gained = fx.gt([best_gain], [leaf_threshold + fx.share(SECURE_GAIN_EPS)])
+        if engine.open_many(gained) == [0]:
             return self._make_leaf(node_stats, depth)
 
-        flat = int(engine.open(best_index))
+        (flat,) = engine.open_many([best_index])
         owner, feature, threshold = self._splits[flat]
         bits = self._indicator_shares[flat]
         scaled = [b * (1 << fx.f) for b in bits]
-        alpha_left = [
-            comparison.trunc_pr(engine, p, 2 * fx.k, fx.f)
-            for p in engine.mul_many(list(zip(alpha, scaled)))
-        ]
+        alpha_left = comparison.trunc_pr(
+            engine, engine.mul_many(list(zip(alpha, scaled))), 2 * fx.k, fx.f
+        )
         alpha_right = [a - l for a, l in zip(alpha, alpha_left)]
 
         node = TreeNode(
@@ -230,10 +211,12 @@ class SpdzDecisionTree:
 
     def _make_leaf(self, node_stats: NodeStats, depth: int) -> TreeNode:
         fx, engine = self.fx, self.engine
+        prediction: float | int
         if self.task == "classification":
             index, _, _ = fx.argmax(node_stats.totals)
-            prediction: float | int = int(engine.open(index))
+            (prediction,) = engine.open_many([index])
         else:
             mean = fx.div(node_stats.totals[0], node_stats.n)
-            prediction = fx.open(mean) * self._label_scale
+            (value,) = fx.open([mean])
+            prediction = value * self._label_scale
         return TreeNode(is_leaf=True, depth=depth, prediction=prediction)

@@ -19,7 +19,6 @@ selection, noisy leaf statistics, budget B = 2ε(h+1)) lives in
 from __future__ import annotations
 
 from repro.core.config import DPConfig
-from repro.mpc import comparison
 from repro.mpc.advanced import FixedPointOps
 from repro.mpc.sharing import SharedValue
 
@@ -51,14 +50,14 @@ class DPMechanisms:
         u = u01 - fx.share(0.5)
         # Lines 2-8: sign and absolute value (branch-free: the paper's
         # three-way case split is sign extraction).
-        negative = fx.ltz(u)  # ⟨1⟩ iff U < 0
+        (negative,) = fx.ltz([u])  # ⟨1⟩ iff U < 0
         sign = engine.add_public(negative * (-2), 1)  # 1 - 2·neg = ±1
-        magnitude = engine.mul(sign, u)  # |U|
+        (magnitude,) = engine.mul_many([(sign, u)])  # |U|
         # Line 9: X = mean - b·sign·ln(1 - 2|U|); the 2^-F nudge keeps the
         # argument strictly positive on the sampling grid.
         inner = fx.share(1.0) - magnitude * 2 + fx.share(2.0**-fx.f)
         log_term = fx.ln(inner)
-        noise = fx.mul_public(engine.mul(sign, log_term), scale)
+        (noise,) = fx.mul_public(engine.mul_many([(sign, log_term)]), scale)
         return fx.share(mean) - noise
 
     def laplace_noise(self, sensitivity: float) -> SharedValue:
@@ -83,7 +82,7 @@ class DPMechanisms:
         engine = fx.engine
         factor = self.config.epsilon / (2.0 * sensitivity)
         # Lines 1-2: ⟨prob_r⟩ = exp(ε·score_r / 2Δ).
-        probs = [fx.exp(fx.mul_public(s, factor)) for s in scores]
+        probs = [fx.exp(s) for s in fx.mul_public(scores, factor)]
         # Lines 3-7: cumulative sums; sampling U uniform on (0, P) instead
         # of normalising each F_r is the same distribution, R fewer
         # divisions.
@@ -93,9 +92,10 @@ class DPMechanisms:
             running = running + p
             cumulative.append(running)
         total = running
-        u = fx.mul(fx.uniform_fraction(), total)  # uniform on (0, P)
-        # Lines 9-14: locate the interval: index = #{r < R-1 : C_r < U}.
-        above = [fx.lt(c, u) for c in cumulative[:-1]]
+        (u,) = fx.mul([(fx.uniform_fraction(), total)])  # uniform on (0, P)
+        # Lines 9-14: locate the interval: index = #{r < R-1 : C_r < U},
+        # every C_r < U in one compare.
+        above = fx.gt([u] * (len(cumulative) - 1), cumulative[:-1])
         index = engine.share_public(0)
         for bit in above:
             index = index + bit

@@ -45,7 +45,7 @@ labels are read as the super client.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,6 +65,7 @@ from repro.tree.model import DecisionTreeModel
 
 if TYPE_CHECKING:
     from repro.federation.federation import Federation
+    from repro.mpc.sharing import SharedValue
 
 __all__ = ["ForestTrainer", "GBDTTrainer"]
 
@@ -154,11 +155,8 @@ class ForestTrainer:
                     votes = sums
                 else:
                     votes = [_add_rows(row, terms) for row, terms in zip(votes, sums)]
-            out: list[float | int] = []
-            for row in votes or []:
-                index, _, _ = ctx.fx.argmax(ctx.to_shares(row))
-                out.append(int(ctx.engine.open(index)))
-            return out
+            indices = [ctx.fx.argmax(ctx.to_shares(row))[0] for row in votes or []]
+            return list(ctx.engine.open_many(indices))
         total: list[EncryptedNumber] | None = None
         for model in self.models:
             total = _add_rows(
@@ -170,11 +168,11 @@ class ForestTrainer:
     def _predict_enhanced(self, party_slices: list[np.ndarray]) -> list[float | int]:
         """Share-level aggregation: per-tree predictions stay hidden (§5.2).
 
-        Every tree's walk runs once for all rows; then, per row,
-        classification compares each tree's shared prediction ⟨k̄_w⟩
-        against every class with a secure equality test, keeps the
-        per-class vote sums shared and opens only the argmax index, and
-        regression averages the shared per-tree means and opens them once.
+        Every tree's walk runs once for all rows; then classification
+        compares each tree's shared prediction ⟨k̄_w⟩ of every row against
+        every class in one secure equality test, keeps the per-class vote
+        sums shared and opens only each row's argmax index, and regression
+        averages the shared per-tree means and opens them once.
         """
         ctx, fx = self.ctx, self.ctx.fx
         results = [
@@ -183,28 +181,29 @@ class ForestTrainer:
         ]
         per_row = list(zip(*(shares for shares, _ in results)))
         if self.task == "classification":
-            out: list[float | int] = []
+            classes = range(self.n_classes)
+            hits = iter(
+                fx.eqz(
+                    [share - fx.share(k) for shares in per_row for k in classes for share in shares]
+                )
+            )
+            indices = []
             for shares in per_row:
                 votes = [
-                    ctx.engine.sum_values(
-                        [fx.eqz(share - fx.share(k)) for share in shares]
-                    )
-                    for k in range(self.n_classes)
+                    ctx.engine.sum_values([next(hits) for _ in shares]) for _ in classes
                 ]
-                index, _, _ = fx.argmax(votes)
-                out.append(int(ctx.engine.open(index)))
-            return out
+                indices.append(fx.argmax(votes)[0])
+            return list(ctx.engine.open_many(indices))
         scales = {scale for _, scale in results}
         if len(scales) > 1:
             raise ValueError(
                 f"forest trees disagree on the label scale {sorted(scales)}"
             )
         scale = next(iter(scales))
-        out = []
-        for shares in per_row:
-            mean = fx.mul_public(ctx.engine.sum_values(list(shares)), 1.0 / self.n_trees)
-            out.append(float(ctx.open_value(mean, tag="rf-prediction") * scale))
-        return out
+        means = fx.mul_public(
+            [ctx.engine.sum_values(list(shares)) for shares in per_row], 1.0 / self.n_trees
+        )
+        return [mean * scale for mean in ctx.open_values(means, tag="rf-prediction")]
 
 
 class GBDTTrainer:
@@ -254,15 +253,11 @@ class GBDTTrainer:
         if not self.enhanced:
             return predict_basic_encrypted_batch(model, ctx, party_slices)
         shares, scale = enhanced_prediction_shares(model, ctx, party_slices)
-        out = []
-        for share in shares:
-            if scale != 1.0:
-                # Boosting providers keep residuals in score units (scale
-                # 1); a scaled tree would need a public rescale after
-                # conversion.
-                share = ctx.fx.mul_public(share, scale)
-            out.append(ctx.to_cipher(share))
-        return out
+        if scale != 1.0:
+            # Boosting providers keep residuals in score units (scale 1); a
+            # scaled tree would need a public rescale after conversion.
+            shares = ctx.fx.mul_public(shares, scale)
+        return [ctx.to_cipher(share) for share in shares]
 
     def _training_slices(self) -> list[np.ndarray]:
         """Per-party blocks of all n training samples, each client's read
@@ -371,7 +366,7 @@ class GBDTTrainer:
         """[y²] per element: shares -> secure square -> ciphertext (§7.2)."""
         ctx = self.ctx
         shares = ctx.to_shares(values)
-        squares = [ctx.fx.mul(s, s) for s in shares]
+        squares = ctx.fx.mul([(s, s) for s in shares])
         return [ctx.to_cipher(sq) for sq in squares]
 
     def _softmax_residuals(
@@ -420,8 +415,10 @@ class GBDTTrainer:
             return np.asarray(values, dtype=np.float64) * self.label_scale
         if not self.class_models:
             raise RuntimeError("fit() must be called before predict()")
-        # Generators: each row's scores are summed, soft-maxed and opened
-        # before the next row's touch the MPC engine.
+        # Basic: a generator, so each row's scores are converted and
+        # soft-maxed before the next row's touch the MPC engine.  The argmax
+        # indices of all rows are opened together.
+        rows: Iterable[list[SharedValue]]
         if self.enhanced:
             rows = self._class_scores_enhanced(party_slices)
         else:
@@ -433,13 +430,12 @@ class GBDTTrainer:
                 for k in range(self.n_classes)
             ]
             rows = (ctx.to_shares(list(scores)) for scores in zip(*per_class))
-        out = []
+        indices = []
         for shares in rows:
             if self.use_softmax:
                 shares = ctx.fx.softmax(shares)
-            index, _, _ = ctx.fx.argmax(shares)
-            out.append(int(ctx.engine.open(index)))
-        return np.asarray(out, dtype=np.int64)
+            indices.append(ctx.fx.argmax(shares)[0])
+        return np.asarray(ctx.engine.open_many(indices), dtype=np.int64)
 
     def _score_sums(
         self, models: list[DecisionTreeModel], party_slices: list[np.ndarray]
@@ -451,41 +447,40 @@ class GBDTTrainer:
             total = _add_rows(total, [p * self.learning_rate for p in preds])
         return total or []
 
-    def _predict_regression_enhanced(self, party_slices: list[np.ndarray]) -> list[float]:
-        """Aggregate at the share level; one opening per row for the sum.
-        The per-tree label scale is 1.0 for boosting-trained trees (the
-        providers keep residuals in score units) but is applied anyway so
-        hand-assembled models cannot silently mispredict."""
+    def _weighted_tree_outputs(
+        self, models: list[DecisionTreeModel], party_slices: list[np.ndarray]
+    ) -> list[list[SharedValue]]:
+        """Per tree, learning_rate · its shared prediction of every row: one
+        walk and one rescale per tree.  The label scale is 1.0 for
+        boosting-trained trees (the providers keep residuals in score
+        units) but is applied anyway so hand-assembled models cannot
+        silently mispredict."""
         ctx = self.ctx
-        trees = [
-            enhanced_prediction_shares(model, ctx, party_slices) for model in self.models
-        ]
-        values = []
-        for row in zip(*(shares for shares, _ in trees)):
-            terms = [
-                ctx.fx.mul_public(share, self.learning_rate * scale)
-                for share, (_, scale) in zip(row, trees)
-            ]
-            values.append(
-                ctx.open_value(ctx.engine.sum_values(terms), tag="gbdt-prediction")
-            )
-        return values
+        outputs = []
+        for model in models:
+            shares, scale = enhanced_prediction_shares(model, ctx, party_slices)
+            outputs.append(ctx.fx.mul_public(shares, self.learning_rate * scale))
+        return outputs
 
-    def _class_scores_enhanced(self, party_slices: list[np.ndarray]) -> Iterator[list]:
-        """Per row, the shared score of every class, Σ_w learning_rate ·
-        tree_w,k; every tree's walk runs once for all rows first."""
+    def _predict_regression_enhanced(self, party_slices: list[np.ndarray]) -> list[float]:
+        """Aggregate at the share level; one opening for every row's sum."""
         ctx = self.ctx
-        trees = [
-            (k, enhanced_prediction_shares(model, ctx, party_slices))
-            for round_models in self.class_models
-            for k, model in enumerate(round_models)
+        terms = self._weighted_tree_outputs(self.models, party_slices)
+        sums = [ctx.engine.sum_values(list(row)) for row in zip(*terms)]
+        return ctx.open_values(sums, tag="gbdt-prediction")
+
+    def _class_scores_enhanced(
+        self, party_slices: list[np.ndarray]
+    ) -> list[list[SharedValue]]:
+        """Per row, the shared score of every class, Σ_w learning_rate ·
+        tree_w,k."""
+        outputs = self._weighted_tree_outputs(
+            [model for round_models in self.class_models for model in round_models],
+            party_slices,
+        )
+        c = self.n_classes
+        sums = [
+            [self.ctx.engine.sum_values(list(row)) for row in zip(*outputs[k::c])]
+            for k in range(c)
         ]
-        n_rows = len(trees[0][1][0])
-        for r in range(n_rows):
-            score_shares = [None] * self.n_classes
-            for k, (shares, scale) in trees:
-                term = ctx.fx.mul_public(shares[r], self.learning_rate * scale)
-                score_shares[k] = (
-                    term if score_shares[k] is None else score_shares[k] + term
-                )
-            yield [s for s in score_shares if s is not None]
+        return [list(scores) for scores in zip(*sums)]

@@ -107,22 +107,24 @@ def _paper_gains(
     (Σy/n)² - Σy²/n, so the same expression is IV(D) - w_l IV(D_l) -
     w_r IV(D_r).
     """
-    purity = _sum_of_squares if task == "classification" else _negated_variance
     n_totals = len(node.totals)
     over_n, *over_children = fx.div(
         [node.totals + [split.n_left for split in splits]]
         + [side for split in splits for side in (split.left, split.right)],
         [node.n] + [n for split in splits for n in (split.n_left, split.n_right)],
     )
-    parent = purity(fx, over_n[:n_totals])
+    # Two multiplication rounds for the whole node: every purity's squares,
+    # then every weight.
+    parent, *purities = _purities(fx, task, [over_n[:n_totals], *over_children])
     one = fx.share(1.0)
-    gains = []
-    for w_left, left_fractions, right_fractions in zip(
-        over_n[n_totals:], over_children[0::2], over_children[1::2]
-    ):
-        left = purity(fx, left_fractions)
-        right = purity(fx, right_fractions)
-        gains.append(fx.mul(w_left, left) + fx.mul(one - w_left, right) - parent)
+    weighted = fx.mul(
+        [
+            pair
+            for w_left, left, right in zip(over_n[n_totals:], purities[0::2], purities[1::2])
+            for pair in ((w_left, left), (one - w_left, right))
+        ]
+    )
+    gains = [left + right - parent for left, right in zip(weighted[0::2], weighted[1::2])]
     return gains, fx.share(min_gain)
 
 
@@ -140,11 +142,11 @@ def _reduced_gains(
     sides = [(split.left, split.n_left) for split in splits]
     sides += [(split.right, split.n_right) for split in splits]
     sides.append((node.totals, node.n))
+    numerators = _sums_of_squares(fx, [values[:used] for values, _ in sides])
     statistics = [
         quotient
         for (quotient,) in fx.div(
-            [[_sum_of_squares(fx, values[:used])] for values, _ in sides],
-            [n for _, n in sides],
+            [[numerator] for numerator in numerators], [n for _, n in sides]
         )
     ]
     count = len(splits)
@@ -154,15 +156,26 @@ def _reduced_gains(
     ]
     threshold = statistics[-1]
     if min_gain:
-        threshold = threshold + fx.mul_public(node.n, min_gain)
+        (scaled,) = fx.mul_public([node.n], min_gain)
+        threshold = threshold + scaled
     return gains, threshold
 
 
-def _sum_of_squares(fx: FixedPointOps, values: list[SharedValue]) -> SharedValue:
-    return fx.engine.sum_values([fx.mul(v, v) for v in values])
+def _sums_of_squares(
+    fx: FixedPointOps, groups: list[list[SharedValue]]
+) -> list[SharedValue]:
+    """Σ v² over each group, every square in one multiplication round."""
+    squares = iter(fx.mul([(v, v) for group in groups for v in group]))
+    return [fx.engine.sum_values([next(squares) for _ in group]) for group in groups]
 
 
-def _negated_variance(fx: FixedPointOps, means: list[SharedValue]) -> SharedValue:
-    """-IV = (Σy/n)² - Σy²/n from the fractions [Σy/n, Σy²/n]  (Eq. 6)."""
-    mean, mean_sq = means
-    return fx.mul(mean, mean) - mean_sq
+def _purities(
+    fx: FixedPointOps, task: str, fractions: list[list[SharedValue]]
+) -> list[SharedValue]:
+    """The purity P of every group of fractions, in one multiplication
+    round.  Classification (Eq. 5): P = Σ_k p_k².  Regression (Eq. 6), from
+    the fractions [Σy/n, Σy²/n]: P = -IV = (Σy/n)² - Σy²/n."""
+    if task == "classification":
+        return _sums_of_squares(fx, fractions)
+    squares = fx.mul([(mean, mean) for mean, _ in fractions])
+    return [square - mean_sq for square, (_, mean_sq) in zip(squares, fractions)]

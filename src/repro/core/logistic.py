@@ -215,11 +215,8 @@ class LogisticTrainer:
                 total = partial if total is None else total + partial
             xi_cts.append(total)
         z_shares = ctx.to_shares(xi_cts)
-        probs = []
-        for z in z_shares:
-            sigma = fx.div(fx.share(1.0), fx.share(1.0) + fx.exp(-z))
-            probs.append(ctx.open_value(sigma, tag="lr-prediction"))
-        return np.asarray(probs)
+        sigmas = [fx.div(fx.share(1.0), fx.share(1.0) + fx.exp(-z)) for z in z_shares]
+        return np.asarray(ctx.open_values(sigmas, tag="lr-prediction"))
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         return (self.predict_proba(rows) >= 0.5).astype(np.int64)

@@ -258,7 +258,7 @@ class MaliciousTreeTrainer(TreeTrainer):
         child is [α] ⊖ [α_l], which every verifier computes herself.  A
         split whose children will not read a mask vector proves nothing."""
         ctx = self.ctx
-        flat = int(ctx.engine.open(best_index))
+        (flat,) = ctx.engine.open_many([best_index])
         left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))

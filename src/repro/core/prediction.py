@@ -43,7 +43,7 @@ the inner product ⟨z⟩·⟨η⟩, revealed alone.
 
 That walk also runs **once per call, for all R rows**
 (:func:`enhanced_prediction_shares`): each party inputs all her values
-in one batch, one packed comparison (``comparison.ltz_many``) covers the
+in one batch, one packed comparison (``comparison.ltz``) covers the
 R × t node tests, the markers take one multiplication round per tree
 level and the R × L leaf products one more, and the R outputs are opened
 together.  The rounds of a call are those of one row — at most
@@ -321,7 +321,7 @@ def enhanced_prediction_shares(
 
     * every party inputs her R feature values at each node she owns, one
       ``input_many`` per party;
-    * one ``ltz_many`` compares all R × t of them with the shared
+    * one ``comparison.ltz`` compares all R × t of them with the shared
       thresholds: [x ≤ θ] = 1 − [θ − x < 0];
     * markers go down one level at a time, one ``mul_many`` per level
       (left = marker · goes_left, right = marker − left);
@@ -373,7 +373,7 @@ def enhanced_prediction_shares(
         node.hidden["threshold_share"] - x for node in internal for x in inputs[id(node)]
     ]
     del inputs
-    negative = comparison.ltz_many(engine, differences, fx.k + 1)
+    negative = comparison.ltz(engine, differences, fx.k + 1)
     del differences
     goes_left = {
         id(node): [1 - bit for bit in negative[j * n_rows : (j + 1) * n_rows]]

@@ -241,18 +241,13 @@ class TreeTrainer:
         check_n = n_node
         if self._dp is not None:
             check_n = check_n + self._dp.laplace_noise(sensitivity=1.0)
-        too_small = ctx.open_bit(
-            fx.lt(check_n, fx.share(self.cfg.tree.min_samples_split)),
-            tag=f"prune-count-d{depth}",
-        )
-        if too_small:
+        (too_small,) = fx.gt([fx.share(self.cfg.tree.min_samples_split)], [check_n])
+        if ctx.open_bit(too_small, tag=f"prune-count-d{depth}"):
             return self._make_leaf(node_stats, depth)
         if self.task == "classification":
             _, g_max, _ = fx.argmax(totals)
-            pure = ctx.open_bit(
-                fx.eqz(n_node - g_max), tag=f"prune-pure-d{depth}"
-            )
-            if pure:
+            (pure,) = fx.eqz([n_node - g_max])
+            if ctx.open_bit(pure, tag=f"prune-pure-d{depth}"):
                 return self._make_leaf(node_stats, depth)
 
         # -- local computation: encrypted split statistics (Eq. 7 / 9) -------
@@ -297,13 +292,8 @@ class TreeTrainer:
                 gains, slack=SECURE_ARGMAX_SLACK
             )
             threshold = leaf_threshold + fx.share(SECURE_GAIN_EPS)
-            no_gain = ctx.open_bit(
-                self.engine.add_public(
-                    -fx.gt(best_gain, threshold), 1
-                ),
-                tag=f"prune-gain-d{depth}",
-            )
-            if no_gain:
+            (gained,) = fx.gt([best_gain], [threshold])
+            if ctx.open_bit(1 - gained, tag=f"prune-gain-d{depth}"):
                 return self._make_leaf(node_stats, depth)
 
         # -- model update ----------------------------------------------------
@@ -408,7 +398,7 @@ class TreeTrainer:
         child's.
         """
         ctx = self.ctx
-        flat = int(ctx.engine.open(best_index))
+        (flat,) = ctx.engine.open_many([best_index])
         left_stats = self._node_stats(rows[flat])
         owner_idx, feature, split = identifiers[flat]
         ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
@@ -724,7 +714,7 @@ class TreeTrainer:
                 leaf.hidden["label_share"] = label_share
                 leaf.hidden["label_cipher"] = ctx.to_cipher(label_share)
             else:
-                leaf.prediction = int(ctx.engine.open(index))
+                (leaf.prediction,) = ctx.engine.open_many([index])
                 ctx.revealed.append((f"leaf-label-d{depth}", leaf.prediction))
         else:
             sum_y = node_stats.totals[0]
@@ -739,7 +729,7 @@ class TreeTrainer:
                 leaf.hidden["label_cipher"] = ctx.to_cipher(mean_share)
                 leaf.hidden["label_scale"] = self.provider.label_scale
             else:
-                mean = ctx.open_value(mean_share, tag=f"leaf-label-d{depth}")
+                (mean,) = ctx.open_values([mean_share], tag=f"leaf-label-d{depth}")
                 leaf.prediction = mean * self.provider.label_scale
         return leaf
 
@@ -759,22 +749,25 @@ class TreeTrainer:
 
     def _mask_invalid_splits(self, splits: list[SplitStats]) -> None:
         """Force gains of splits violating min_samples_leaf to lose."""
-        fx = self.fx
+        fx, engine = self.fx, self.engine
+        counts = [n for split in splits for n in (split.n_left, split.n_right)]
         minimum = fx.share(self.cfg.tree.min_samples_leaf)
+        small = fx.gt([minimum] * len(counts), counts)
+        valid = engine.mul_many(
+            [(1 - left, 1 - right) for left, right in zip(small[0::2], small[1::2])]
+        )
+        # Zero out the child statistics of invalid splits: the gain
+        # formulas then evaluate to the parent score (gain 0).
+        sides = [[split.n_left, split.n_right, *split.left, *split.right] for split in splits]
+        masked = iter(
+            engine.mul_many(
+                [(value, ok) for values, ok in zip(sides, valid) for value in values]
+            )
+        )
         for split in splits:
-            ok_left = 1 - fx.lt(split.n_left, minimum)
-            ok_right = 1 - fx.lt(split.n_right, minimum)
-            valid = self.engine.mul(ok_left, ok_right)
-            # Zero out the child statistics of invalid splits: the gain
-            # formulas then evaluate to the parent score (gain 0).
-            pairs = []
-            for value in [split.n_left, split.n_right, *split.left, *split.right]:
-                pairs.append((value, valid))
-            masked = self.engine.mul_many(pairs)
-            split.n_left, split.n_right = masked[0], masked[1]
-            count = len(split.left)
-            split.left = masked[2 : 2 + count]
-            split.right = masked[2 + count :]
+            split.n_left, split.n_right = next(masked), next(masked)
+            split.left = [next(masked) for _ in split.left]
+            split.right = [next(masked) for _ in split.right]
 
 
 def _root_weights(initial_mask: np.ndarray | None, n_samples: int) -> list[int]:

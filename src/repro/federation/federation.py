@@ -552,18 +552,15 @@ class Federation:
 
     def open_bit(self, bit: SharedValue, tag: str) -> int:
         """Open a shared 0/1 decision (pruning conditions etc.); logged."""
-        value = self.engine.open(bit)
+        (value,) = self.engine.open_many([bit])
         if value not in (0, 1):
             raise ValueError(f"expected a shared bit, opened {value}")
         self.revealed.append((tag, value))
         return value
 
-    def open_value(self, value: SharedValue, tag: str) -> float:
-        return self.open_values([value], tag)[0]
-
     def open_values(self, values: list[SharedValue], tag: str) -> list[float]:
         """Open fixed-point values in one MPC round; each logged as revealed."""
-        opened = [self.fx.decode(v) for v in self.engine.open_many(values)]
+        opened = self.fx.open(values)
         self.revealed.extend((tag, v) for v in opened)
         return opened
 

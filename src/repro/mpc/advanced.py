@@ -103,20 +103,22 @@ class FixedPointOps:
     def share(self, value: float | int) -> SharedValue:
         return self.engine.share_public(self.encode(value))
 
-    def open(self, value: SharedValue) -> float:
-        return self.decode(self.engine.open(value))
+    def open(self, values: list[SharedValue]) -> list[float]:
+        return [self.decode(v) for v in self.engine.open_many(values)]
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
 
-    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        """Fixed-point product: field multiply then rescale by 2^F."""
-        return comparison.trunc_pr(self.engine, self.engine.mul(a, b), 2 * self.k, self.f)
+    def mul(self, pairs: list[tuple[SharedValue, SharedValue]]) -> list[SharedValue]:
+        """Fixed-point products: field multiply then rescale by 2^F."""
+        return self._mul_rescale(pairs, self.f)
 
-    def mul_public(self, a: SharedValue, scalar: float) -> SharedValue:
+    def mul_public(self, values: list[SharedValue], scalar: float) -> list[SharedValue]:
+        """Every value times the public ``scalar``, rescaled by 2^F."""
+        factor = self.encode(scalar)
         return comparison.trunc_pr(
-            self.engine, a * self.encode(scalar), 2 * self.k, self.f
+            self.engine, [a * factor for a in values], 2 * self.k, self.f
         )
 
     # ------------------------------------------------------------------
@@ -157,7 +159,7 @@ class FixedPointOps:
         self, pairs: list[tuple[SharedValue, SharedValue]], shift: int
     ) -> list[SharedValue]:
         """Products of all pairs, each truncated by ``shift`` (two rounds)."""
-        return comparison.trunc_pr_many(
+        return comparison.trunc_pr(
             self.engine, self.engine.mul_many(pairs), 2 * self.k, shift
         )
 
@@ -216,7 +218,7 @@ class FixedPointOps:
         )
         # x = alpha*(1 - b*w/2^2F) per denominator
         xs = [engine.add_public(-bw, alpha) for bw in products[: len(bs)]]
-        ys = comparison.trunc_pr_many(engine, products[len(bs) :], 2 * self.k, self.f)
+        ys = comparison.trunc_pr(engine, products[len(bs) :], 2 * self.k, self.f)
         for _ in range(self.theta):
             factors = [engine.add_public(x, alpha) for x in xs]
             rescaled = self._mul_rescale(
@@ -234,37 +236,44 @@ class FixedPointOps:
     # exponential / softmax
     # ------------------------------------------------------------------
 
-    def clamp(self, a: SharedValue, low: float, high: float) -> SharedValue:
+    def clamp(self, values: list[SharedValue], low: float, high: float) -> list[SharedValue]:
+        """Every value limited to [low, high]: a < low and a > high are one
+        compare, and, for low < high, exclusive, so both selects are one
+        multiplication round."""
         engine = self.engine
         lo = self.share(low)
         hi = self.share(high)
-        below = comparison.lt(engine, a, lo, self.k)
-        a = comparison.select(engine, below, lo, a)
-        above = comparison.gt(engine, a, hi, self.k)
-        return comparison.select(engine, above, hi, a)
+        count = len(values)
+        bits = comparison.lt(
+            engine, values + [hi] * count, [lo] * count + values, self.k
+        )
+        moved = comparison.select(
+            engine, bits, [lo] * count + [hi] * count, values + values
+        )
+        return [to_low + to_high - a for a, to_low, to_high in zip(values, moved, moved[count:])]
 
     def exp(self, a: SharedValue) -> SharedValue:
         """⟨e^a⟩ with a clamped to [-EXP_CLAMP, EXP_CLAMP]."""
         engine = self.engine
-        a = self.clamp(a, -EXP_CLAMP, EXP_CLAMP)
+        (a,) = self.clamp([a], -EXP_CLAMP, EXP_CLAMP)
         # y = a*log2(e) + SHIFT in [0, ~2*SHIFT); exp(a) = 2^(y - SHIFT).
-        y = self.mul_public(a, math.log2(math.e))
+        (y,) = self.mul_public([a], math.log2(math.e))
         y = y + self.share(EXP_SHIFT)
-        integer = comparison.trunc(engine, y, self.k, self.f)
+        (integer,) = comparison.trunc(engine, [y], self.k, self.f)
         fraction = y - integer * (1 << self.f)
         # 2^integer: oblivious product over the 5 bits of the integer part.
         bits = comparison.lift(engine, comparison.decompose(engine, [integer], 5))
         power = engine.share_public(1)
         for j, bit in enumerate(bits):
             factor = engine.add_public(bit * ((1 << (1 << j)) - 1), 1)
-            power = engine.mul(power, factor)
+            (power,) = engine.mul_many([(power, factor)])
         # 2^fraction via the Taylor polynomial (Horner).
         acc = self.share(_EXP2_COEFFS[-1])
         for coeff in reversed(_EXP2_COEFFS[:-1]):
-            acc = self.mul(acc, fraction) + self.share(coeff)
-        # Combine and shift back: (2^int * 2^frac) / 2^SHIFT.
-        combined = engine.mul(power, acc)  # scale F (power is scale 0)
-        return comparison.trunc_pr(engine, combined, 2 * self.k, EXP_SHIFT)
+            acc = self.mul([(acc, fraction)])[0] + self.share(coeff)
+        # Combine and shift back: (2^int * 2^frac) / 2^SHIFT, at scale F
+        # (power is scale 0).
+        return self._mul_rescale([(power, acc)], EXP_SHIFT)[0]
 
     def softmax(self, scores: list[SharedValue]) -> list[SharedValue]:
         """Secure softmax over shared scores (§7.2 GBDT classification)."""
@@ -295,17 +304,17 @@ class FixedPointOps:
         msb = engine.share_public(0)
         for i, bit in enumerate(comparison.lift(engine, position_bits)):
             msb = msb + bit * (1 << i)
-        c = engine.mul(a, v)  # in [2^(K-1), 2^K)
-        c_norm = comparison.trunc_pr(engine, c, self.k + 1, self.k - self.f)
+        c = engine.mul_many([(a, v)])  # in [2^(K-1), 2^K)
+        (c_norm,) = comparison.trunc_pr(engine, c, self.k + 1, self.k - self.f)
         acc = self.share(_LOG2_COEFFS[-1])
         for coeff in reversed(_LOG2_COEFFS[:-1]):
-            acc = self.mul(acc, c_norm) + self.share(coeff)
+            acc = self.mul([(acc, c_norm)])[0] + self.share(coeff)
         shift = msb * (1 << self.f) + self.share(1 - self.f)
         return acc + shift
 
     def ln(self, a: SharedValue) -> SharedValue:
         """⟨ln a⟩ = ln(2) · ⟨log2 a⟩."""
-        return self.mul_public(self.log2(a), math.log(2.0))
+        return self.mul_public([self.log2(a)], math.log(2.0))[0]
 
     def uniform_fraction(self) -> SharedValue:
         """⟨U⟩ uniform on the 2^-F grid of [0, 1) from dealer random bits."""
@@ -320,16 +329,17 @@ class FixedPointOps:
     # ------------------------------------------------------------------
 
     def lt(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return comparison.lt(self.engine, a, b, self.k)
+        # Kept for benchmarks/e2e/probes.py's ``_lt_ms``; src/ calls gt.
+        return comparison.lt(self.engine, [a], [b], self.k)[0]
 
-    def gt(self, a: SharedValue, b: SharedValue) -> SharedValue:
+    def gt(self, a: list[SharedValue], b: list[SharedValue]) -> list[SharedValue]:
         return comparison.gt(self.engine, a, b, self.k)
 
-    def ltz(self, a: SharedValue) -> SharedValue:
-        return comparison.ltz(self.engine, a, self.k)
+    def ltz(self, values: list[SharedValue]) -> list[SharedValue]:
+        return comparison.ltz(self.engine, values, self.k)
 
-    def eqz(self, a: SharedValue) -> SharedValue:
-        return comparison.eqz(self.engine, a, self.k)
+    def eqz(self, values: list[SharedValue]) -> list[SharedValue]:
+        return comparison.eqz(self.engine, values, self.k)
 
     def argmax(
         self, values: list[SharedValue], slack: int = 0

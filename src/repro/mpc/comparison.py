@@ -2,12 +2,13 @@
 
 Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 
-* ``mod2m(_many)``   — ⟨a mod 2^m⟩ (exact), of one value or of a batch
+* ``mod2m``          — ⟨a mod 2^m⟩ (exact)
 * ``trunc``          — ⟨⌊a / 2^m⌋⟩ (exact, floor for signed a)
 * ``trunc_pr``       — probabilistic truncation (±1 ulp, no bit-compare)
-* ``ltz(_many)``     — sign extraction, shared 0/1 result, one or a batch
-* ``lt / gt / le``   — comparisons, shared 0/1 result
-* ``eqz / eq``       — equality tests
+* ``ltz``            — sign extraction, shared 0/1 result
+* ``lt / gt / le``   — pairwise comparisons, shared 0/1 result
+* ``eqz``            — equality with zero
+* ``select``         — oblivious choice by a shared 0/1 condition
 * ``decompose``      — the bits of many non-negative shared values, as one
                        packed XOR-shared word
 * ``top_bits``       — one-hot of each packed value's most significant bit
@@ -16,28 +17,30 @@ Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 * ``argmax``         — secure maximum with one-hot index (used for the best
                        split, paper §4.1 "secure maximum computation")
 
+Each of them but ``argmax`` (a scan of dependent steps) takes a batch — a
+list of N values, or a word of packed lanes — and costs the rounds of one
+value (see :mod:`repro.mpc.engine`).
+
 Every bit-level step runs in the binary domain (:mod:`repro.mpc.binary`),
 the way SPDZ implementations do it with edaBits/daBits: the dealer hands
 out the bits of a mask as packed XOR-shared words, a carry chain or
 prefix-OR is ⌈log₂ m⌉ word-wide ANDs however many values share the word,
-and daBits lift result bits back to Z_q.  Cost at m bits per value —
-rounds (= openings) per *call*, field multiplications (Cs), binary
-material from the dealer; a ``_many`` call over N values packs their bits
-side by side in one word, so its rounds and AND triples are one value's:
+and daBits lift result bits back to Z_q.  Cost of one call over N values
+at m bits per value — rounds (= openings), field multiplications (Cs),
+binary material from the dealer; the N values' bits sit side by side in
+one word, so the rounds and AND triples are one value's:
 
     =============  ================  ==  =================================
     primitive      rounds            Cs  binary material
     =============  ================  ==  =================================
-    trunc_pr       1                 0   —
-    mod2m          2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples, 1 daBit
-    mod2m_many     2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples (N·m
+    trunc_pr       1                 0   N PRandM (no bits)
+    mod2m          2 + ⌈log₂ m⌉      0   ⌈log₂ m⌉ AND triples (N·m
                                          lanes), N PRandM, N daBits
     trunc          as mod2m          0   as mod2m
-    ltz            mod2m at k − 1    0   as mod2m; 1 Cc
-    ltz_many       mod2m_many at     0   as mod2m_many; N Cc
-                   k − 1
-    lt/gt/le       ltz at k + 1      0   as ltz; 1 Cc
-    eqz / eq       two ltz           0   two ltz; 2 Cc
+    ltz            mod2m at k − 1    0   as mod2m; N Cc
+    lt/gt/le       ltz at k + 1      0   as ltz
+    eqz            ltz over 2N       0   as ltz over [a, −a]; 2N Cc
+    select         1                 N   —
     decompose      1 + ⌈log₂ m⌉      0   1 edaBit per value,
                                          ⌈log₂ m⌉ AND triples per word
     top_bits       ⌈log₂ m⌉          0   ⌈log₂ m⌉ AND triples per word
@@ -46,22 +49,22 @@ side by side in one word, so its rounds and AND triples are one value's:
     lift           1                 0   1 daBit per lane
     =============  ================  ==  =================================
 
-so ``ltz`` at k = 40 is 2 openings (the masked value, the daBit-masked
-result bit) + 6 word-ANDs + 1 daBit: 8 rounds and no field multiplication;
-``ltz_many`` of any number of values is the same 8 rounds and 6 AND
-triples (enhanced prediction compares every row at every node in one);
-and the Norm of any number of 40-bit denominators
+so ``ltz`` at k = 40 is 2 openings (the masked values, the daBit-masked
+result bits) + 6 word-ANDs: 8 rounds, 6 AND triples and no field
+multiplication for any number of values (enhanced prediction compares
+every row at every node in one); ``eqz`` is the same 8 rounds; and the
+Norm of any number of 40-bit denominators
 (:meth:`repro.mpc.advanced.FixedPointOps.norm`) is 23 rounds and one field
 multiplication per denominator.
 
 What each opening shows, and under which mask:
 
-* an arithmetic opening (``mod2m_many``, ``trunc_pr``, ``decompose``) shows
+* an arithmetic opening (``mod2m``, ``trunc_pr``, ``decompose``) shows
   a + r for a dealer r with κ bits more than a: statistically hidden,
   distance 2^-κ;
 * a word-AND opens x ⊕ a and y ⊕ b for the AND triple's uniform a, b;
 * ``to_arithmetic`` opens each value plus an edaBit's r mod 2^m, and
-  ``lift`` (so every compare bit of ``mod2m_many``) each bit XOR a daBit's
+  ``lift`` (so every compare bit of ``mod2m``) each bit XOR a daBit's
   bit: uniform whatever the secret, perfect hiding.
 
 A batch opens exactly what its values would open one by one, each under
@@ -83,17 +86,13 @@ from repro.mpc.sharing import SharedValue
 
 __all__ = [
     "mod2m",
-    "mod2m_many",
     "trunc",
     "trunc_pr",
-    "trunc_pr_many",
     "ltz",
-    "ltz_many",
     "lt",
     "gt",
     "le",
     "eqz",
-    "eq",
     "decompose",
     "top_bits",
     "to_arithmetic",
@@ -219,12 +218,7 @@ def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[Share
     ]
 
 
-def mod2m(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
-    """⟨a mod 2^m⟩ for a in the k-bit signed range, 0 <= m <= k-1."""
-    return mod2m_many(engine, [a], k, m)[0]
-
-
-def mod2m_many(
+def mod2m(
     engine: MPCEngine, values: list[SharedValue], k: int, m: int
 ) -> list[SharedValue]:
     """⟨a mod 2^m⟩ for every a in the k-bit signed range, 0 <= m <= k-1.
@@ -269,30 +263,29 @@ def mod2m_many(
     ]
 
 
-def trunc(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
-    """⟨⌊a / 2^m⌋⟩ exactly (arithmetic shift for negative a)."""
-    if m == 0:
-        return a
-    remainder = mod2m(engine, a, k, m)
-    return (a - remainder) * engine.field.pow2_inv(m)
-
-
-def trunc_pr(engine: MPCEngine, a: SharedValue, k: int, m: int) -> SharedValue:
-    """Probabilistic truncation: ⌊a / 2^m⌋ + u with a (data-dependent) bit u.
-
-    One round and no bit-comparison; the ±1-ulp error is the standard SPDZ
-    trade-off for fixed-point multiplication rescaling.
-    """
-    return trunc_pr_many(engine, [a], k, m)[0]
-
-
-def trunc_pr_many(
+def trunc(
     engine: MPCEngine, values: list[SharedValue], k: int, m: int
 ) -> list[SharedValue]:
-    """:func:`trunc_pr` of every value, their masked openings in one round.
+    """⟨⌊a / 2^m⌋⟩ of every value exactly (arithmetic shift for negative a)."""
+    if m == 0:
+        return list(values)
+    inverse = engine.field.pow2_inv(m)
+    return [
+        (a - remainder) * inverse
+        for a, remainder in zip(values, mod2m(engine, values, k, m))
+    ]
 
-    With PRandM's r1 < 2^m and r2: open c = a + r1 + 2^m·r2 + 2^(k-1);
-    then a + r1 − (c mod 2^m) is a multiple of 2^m, divided out exactly.
+
+def trunc_pr(
+    engine: MPCEngine, values: list[SharedValue], k: int, m: int
+) -> list[SharedValue]:
+    """Probabilistic truncation: ⌊a / 2^m⌋ + u with a (data-dependent) bit
+    u, for every value, their masked openings in one round.
+
+    No bit-comparison; the ±1-ulp error is the standard SPDZ trade-off for
+    fixed-point multiplication rescaling.  With PRandM's r1 < 2^m and r2:
+    open c = a + r1 + 2^m·r2 + 2^(k-1); then a + r1 − (c mod 2^m) is a
+    multiple of 2^m, divided out exactly.
     """
     if m == 0:
         return list(values)
@@ -311,51 +304,54 @@ def trunc_pr_many(
     ]
 
 
-def ltz(engine: MPCEngine, a: SharedValue, k: int) -> SharedValue:
-    """⟨1⟩ if a < 0 else ⟨0⟩ (a in k-bit signed range)."""
-    return ltz_many(engine, [a], k)[0]
-
-
-def ltz_many(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
-    """:func:`ltz` of every value: −⌊a / 2^(k−1)⌋, one :func:`mod2m_many`."""
+def ltz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
+    """⟨1⟩ if a < 0 else ⟨0⟩ for every a in the k-bit signed range:
+    −⌊a / 2^(k−1)⌋, one :func:`mod2m`."""
     opcount.GLOBAL.cc += len(values)
-    m = k - 1
-    inverse = engine.field.pow2_inv(m)
-    return [
-        -((a - remainder) * inverse)
-        for a, remainder in zip(values, mod2m_many(engine, values, k, m))
-    ]
+    return [-bit for bit in trunc(engine, values, k, k - 1)]
 
 
-def lt(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:
-    """⟨1⟩ if a < b.  Uses k+1 bits internally so a - b cannot overflow."""
-    return ltz(engine, a - b, k + 1)
+def lt(
+    engine: MPCEngine, a: list[SharedValue], b: list[SharedValue], k: int
+) -> list[SharedValue]:
+    """⟨1⟩ if a_i < b_i, pairwise.  Uses k+1 bits internally so a - b
+    cannot overflow."""
+    if len(a) != len(b):
+        raise ValueError("comparison length mismatch")
+    return ltz(engine, [x - y for x, y in zip(a, b)], k + 1)
 
 
-def gt(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:
+def gt(
+    engine: MPCEngine, a: list[SharedValue], b: list[SharedValue], k: int
+) -> list[SharedValue]:
     return lt(engine, b, a, k)
 
 
-def le(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:
-    return 1 - gt(engine, a, b, k)
+def le(
+    engine: MPCEngine, a: list[SharedValue], b: list[SharedValue], k: int
+) -> list[SharedValue]:
+    return [1 - bit for bit in gt(engine, a, b, k)]
 
 
-def eqz(engine: MPCEngine, a: SharedValue, k: int) -> SharedValue:
-    """⟨1⟩ if a == 0 else ⟨0⟩: neither negative nor positive."""
-    negative = ltz(engine, a, k)
-    positive = ltz(engine, -a, k)
-    return 1 - negative - positive
-
-
-def eq(engine: MPCEngine, a: SharedValue, b: SharedValue, k: int) -> SharedValue:
-    return eqz(engine, a - b, k + 1)
+def eqz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
+    """⟨1⟩ if a == 0 else ⟨0⟩, for every a: neither negative nor positive,
+    one :func:`ltz` over [a..., −a...]."""
+    signs = ltz(engine, list(values) + [-a for a in values], k)
+    count = len(values)
+    return [1 - negative - positive for negative, positive in zip(signs, signs[count:])]
 
 
 def select(
-    engine: MPCEngine, condition: SharedValue, if_true: SharedValue, if_false: SharedValue
-) -> SharedValue:
-    """⟨condition ? if_true : if_false⟩ for a shared 0/1 condition (1 mul)."""
-    return if_false + engine.mul(condition, if_true - if_false)
+    engine: MPCEngine,
+    conditions: list[SharedValue],
+    if_true: list[SharedValue],
+    if_false: list[SharedValue],
+) -> list[SharedValue]:
+    """⟨c_i ? t_i : f_i⟩ for shared 0/1 conditions (one multiplication each)."""
+    products = engine.mul_many(
+        [(c, t - f) for c, t, f in zip(conditions, if_true, if_false)]
+    )
+    return [f + product for f, product in zip(if_false, products)]
 
 
 def argmax(
@@ -378,12 +374,16 @@ def argmax(
         engine.share_public(0) for _ in values[1:]
     ]
     for i in range(1, len(values)):
-        is_greater = gt(engine, values[i] - slack, current_max, k)
-        current_max = select(engine, is_greater, values[i], current_max)
+        (is_greater,) = gt(engine, [values[i] - slack], [current_max], k)
         keep = engine.add_public(-is_greater, 1)  # 1 - b
-        updates = engine.mul_many([(onehot[j], keep) for j in range(i)])
-        for j in range(i):
-            onehot[j] = updates[j]
+        # The running maximum's select and the one-hot update wait on this
+        # compare alone: one multiplication round for both.
+        step, *updates = engine.mul_many(
+            [(is_greater, values[i] - current_max)]
+            + [(onehot[j], keep) for j in range(i)]
+        )
+        current_max = current_max + step
+        onehot[:i] = updates
         onehot[i] = is_greater
     index = engine.share_public(0)
     for t, flag in enumerate(onehot):

@@ -1,10 +1,10 @@
 """Conversions between TPHE ciphertexts and secret shares (Algorithm 2, §5.2).
 
-``cipher_to_share`` implements the paper's Algorithm 2: every client adds an
-encrypted random mask to the ciphertext, the masked value is jointly
-decrypted, and each client keeps (the negation of) her mask as her share —
-client 1 additionally adds the decrypted masked value.  The result is an
-additively shared value in Z_q.
+``ciphers_to_shares`` implements the paper's Algorithm 2 for a batch:
+every client adds an encrypted random mask to each ciphertext, the masked
+values are jointly decrypted, and each client keeps (the negation of) her
+masks as her shares — client 1 additionally adds the decrypted masked
+values.  The results are additively shared values in Z_q.
 
 ``share_to_cipher`` is the reverse conversion used by the enhanced protocol
 (§5.2), built as Algorithm 2 run backwards so that the plaintext of the
@@ -95,7 +95,6 @@ from repro.network.flows import (
 )
 
 __all__ = [
-    "cipher_to_share",
     "ciphers_to_shares",
     "share_to_cipher",
     "check_masked_opening",
@@ -123,20 +122,6 @@ class ConversionCounters:
             "to_cipher": self.to_cipher,
             "threshold_decryptions": self.threshold_decryptions,
         }
-
-
-def cipher_to_share(
-    value: EncryptedNumber,
-    threshold: ThresholdPaillier,
-    fixed: FixedPointOps,
-    counters: ConversionCounters | None = None,
-    bus: MessageBus | None = None,
-    runtimes: list | None = None,
-) -> SharedValue:
-    """Algorithm 2: convert one ciphertext into a secretly shared value."""
-    return ciphers_to_shares(
-        [value], threshold, fixed, counters, bus=bus, runtimes=runtimes
-    )[0]
 
 
 def mask_layout(
@@ -310,10 +295,15 @@ def ciphers_to_shares(
             )
         # Account the mask broadcast + combine as one communication round.
         engine._record_round(messages=2 * (m - 1), values=m)
-        extra = extras[j]
-        if extra:
-            shared = comparison.trunc_pr(engine, shared, fixed.k + extra, extra)
         results.append(shared)
+    # Values at a deeper scale than 2^F are rescaled, one batch per depth.
+    for extra in dict.fromkeys(e for e in extras if e):
+        at = [j for j, e in enumerate(extras) if e == extra]
+        rescaled = comparison.trunc_pr(
+            engine, [results[j] for j in at], fixed.k + extra, extra
+        )
+        for j, value in zip(at, rescaled):
+            results[j] = value
     return results
 
 
@@ -370,10 +360,12 @@ def share_to_cipher(
     mask_bits = fixed.k + engine.kappa
     masks = [secrets.randbits(mask_bits) for _ in range(m)]
     mask_shares = [
-        engine.input_private(r, owner=party) for party, r in enumerate(masks)
+        share
+        for party, r in enumerate(masks)
+        for share in engine.input_many([r], owner=party)
     ]
-    opened = engine.open(
-        engine.add_public(engine.sum_values([value, *mask_shares]), offset)
+    (opened,) = engine.open_many(
+        [engine.add_public(engine.sum_values([value, *mask_shares]), offset)]
     )
     check_masked_opening(opened, mask_bits, m)
     mask_cts = [pk.encrypt(r) for r in masks]

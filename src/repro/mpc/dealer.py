@@ -17,7 +17,6 @@ Supplied material, arithmetic (additive shares over Z_q):
 * Beaver multiplication triples (a, b, ab)           — for `mul`
 * random shared bits                                  — for DP sampling
 * PRandM tuples (r2, r1)                              — for Mod2m / TruncPr
-* random shared field elements                        — for masking
 
 Binary (XOR-shared packed words, :mod:`repro.mpc.binary`):
 
@@ -62,7 +61,6 @@ class DealerUsage:
     bits: int = 0
     prandm: int = 0
     edabits: int = 0
-    randoms: int = 0
     and_triples: int = 0
     dabits: int = 0
 
@@ -145,12 +143,6 @@ class TrustedDealer:
     def random_bit(self) -> "SharedValue":
         self.usage.bits += 1
         return self._deal(self.rng.randrange(2))
-
-    def random_value(self) -> tuple["SharedValue", int]:
-        """A random shared value; the plaintext is returned ONLY for tests."""
-        self.usage.randoms += 1
-        r = self._rand_field()
-        return self._deal(r), r
 
     def prandm(self, k: int, m: int, with_bits: bool = True) -> PRandMTuple:
         """Randomness for Mod2m/TruncPr on k-bit values truncating m bits.

@@ -2,20 +2,27 @@
 
 Provides the secure computation primitives the paper builds on:
 
-* secure addition (local),
-* secure multiplication via Beaver triples (one round),
-* inner products (one round regardless of length),
-* opening (reconstruction) with optional MAC checking,
+* secure addition and public scaling (local),
+* secure multiplication via Beaver triples,
+* inner products,
+* inputs and openings (reconstruction) with optional MAC checking,
 * the same two interactive steps for XOR-shared words
-  (:mod:`repro.mpc.binary`): ``and_words`` (one binary triple, one round)
-  and ``open_words``, MAC-checked under a GF(2) key.
+  (:mod:`repro.mpc.binary`): ``and_words`` (one binary triple) and
+  ``open_words``, MAC-checked under a GF(2) key.
 
 All m parties run in one process; communication is *accounted* rather than
 performed: every opening increments round/byte counters which the cost
-model (repro.analysis) converts into modeled network time.  Batched
-variants (`open_many`, `mul_many`, `inner_product`) count a single round,
-exactly as a real SPDZ implementation would merge parallel openings into
-one message exchange.
+model (repro.analysis) converts into modeled network time.
+
+**One call is one batch.**  Every interactive primitive takes a batch —
+a list of values (``input_many``, ``open_many``, ``mul_many``,
+``inner_product``, ``open_words``, and the protocols of
+:mod:`repro.mpc.comparison` and :class:`~repro.mpc.advanced.FixedPointOps`
+built on them), or a word of packed lanes (``and_words``) — and its rounds
+do not depend on the batch's length, exactly as a real SPDZ implementation
+merges parallel openings into one message exchange.  An empty batch costs
+no round and no dealer material.  Independent work goes into one call;
+only a dependent chain is a sequence of calls.
 """
 
 from __future__ import annotations
@@ -165,26 +172,15 @@ class MPCEngine:
             macs = tuple(value * dk % q for dk in self.mac_key_shares)
         return SharedValue(self, shares, macs)
 
-    def input_private(self, value: int, owner: int = 0) -> SharedValue:
-        """Party ``owner`` secret-shares her private input.
-
-        One round: the owner sends one share to every other party.
-        """
-        if not 0 <= owner < self.n_parties:
-            raise ValueError(f"owner index {owner} out of range")
-        self._record_round(messages=self.n_parties - 1, values=1)
-        return self._make_shared(value % self.field.q)
-
     def input_many(self, values: list[int], owner: int = 0) -> list[SharedValue]:
+        """Party ``owner`` secret-shares her private inputs in one round:
+        she sends every other party one share of each."""
         if not 0 <= owner < self.n_parties:
             raise ValueError(f"owner index {owner} out of range")
         if not values:
             return []
         self._record_round(messages=self.n_parties - 1, values=len(values))
         return [self._make_shared(v % self.field.q) for v in values]
-
-    def open(self, value: SharedValue) -> int:
-        return self.open_many([value])[0]
 
     def open_many(self, values: list[SharedValue]) -> list[int]:
         """Open a batch in a single communication round, with MAC checks."""
@@ -223,9 +219,6 @@ class MPCEngine:
             message_bytes=(lanes + 7) // 8,
         )
         return results
-
-    def open_signed(self, value: SharedValue) -> int:
-        return self.field.to_signed(self.open(value))
 
     def _check_mac(self, sv: SharedValue, opened: int) -> None:
         q = self.field.q
@@ -269,6 +262,7 @@ class MPCEngine:
         return SharedValue(self, tuple(shares), macs)
 
     def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
+        # Kept for benchmarks/e2e/probes.py's ``_mul_us``; src/ calls mul_many.
         return self.mul_many([(a, b)])[0]
 
     def mul_many(self, pairs: list[tuple[SharedValue, SharedValue]]) -> list[SharedValue]:
@@ -368,11 +362,3 @@ class MPCEngine:
 
     def reset_stats(self) -> None:
         self.stats = CommStats()
-
-    # ------------------------------------------------------------------
-    # convenience for protocols and tests
-    # ------------------------------------------------------------------
-
-    def random_mask(self, bits: int) -> int:
-        """A uniformly random mask in [0, 2^bits) (party-local randomness)."""
-        return secrets.randbits(bits)

@@ -34,8 +34,10 @@ class SharedValue:
     * ``a + b``, ``a - b``  — local share-wise combination (SharedValue or
       public int, which must already be a field representative).
     * ``a * k`` for int k  — local public scaling.
-    * ``a * b`` for SharedValue b — **interactive** Beaver multiplication,
-      dispatched to the owning engine (one communication round).
+
+    ``a * b`` for a SharedValue b raises :class:`TypeError`: a product of
+    two shared values is interactive, and goes into a batch with
+    :meth:`~repro.mpc.engine.MPCEngine.mul_many`.
     """
 
     __slots__ = ("engine", "shares", "macs")
@@ -102,7 +104,7 @@ class SharedValue:
 
     def __mul__(self, other: "SharedValue | int") -> "SharedValue":
         if isinstance(other, SharedValue):
-            return self.engine.mul(self, other)
+            raise TypeError("a product of shared values is interactive: use mul_many")
         if isinstance(other, int):
             q = self.engine.field.q
             k = other % q

@@ -50,8 +50,8 @@ def test_counting_tracks_mpc_ops():
     fx = FixedPointOps(engine)
     a, b = fx.share(1.0), fx.share(2.0)
     with opcount.counting() as ops:
-        engine.mul(a, b)
+        engine.mul_many([(a, b)])
     assert ops["cs"] == 1
     with opcount.counting() as ops:
-        comparison.ltz(engine, a, fx.k)
+        comparison.ltz(engine, [a], fx.k)
     assert ops["cc"] == 1

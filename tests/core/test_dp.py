@@ -31,7 +31,7 @@ def test_budget_accounting():
 
 def test_laplace_sample_distribution(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=1.0))
-    samples = [fx.open(dp.laplace_sample(0.0, 1.0)) for _ in range(150)]
+    samples = fx.open([dp.laplace_sample(0.0, 1.0) for _ in range(150)])
     # Lap(0, 1): mean 0, std sqrt(2); wide tolerances for 150 draws with a
     # 2^-16 sampling grid and the ln-range clamp.
     assert abs(statistics.mean(samples)) < 0.35
@@ -40,19 +40,15 @@ def test_laplace_sample_distribution(fx):
 
 def test_laplace_location_shift(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=1.0))
-    samples = [fx.open(dp.laplace_sample(5.0, 0.5)) for _ in range(80)]
+    samples = fx.open([dp.laplace_sample(5.0, 0.5) for _ in range(80)])
     assert abs(statistics.mean(samples) - 5.0) < 0.5
 
 
 def test_laplace_noise_scales_with_epsilon(fx):
     tight = DPMechanisms(fx, DPConfig(epsilon=10.0))
     loose = DPMechanisms(fx, DPConfig(epsilon=0.5))
-    tight_spread = statistics.stdev(
-        fx.open(tight.laplace_noise(1.0)) for _ in range(60)
-    )
-    loose_spread = statistics.stdev(
-        fx.open(loose.laplace_noise(1.0)) for _ in range(60)
-    )
+    tight_spread = statistics.stdev(fx.open([tight.laplace_noise(1.0) for _ in range(60)]))
+    loose_spread = statistics.stdev(fx.open([loose.laplace_noise(1.0) for _ in range(60)]))
     assert loose_spread > 3 * tight_spread
 
 
@@ -60,9 +56,9 @@ def test_exponential_mechanism_interface(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=2.0))
     scores = [fx.share(s) for s in (0.1, 0.9, 0.3)]
     index, onehot = dp.exponential_mechanism(scores)
-    i = fx.engine.open(index)
+    i, *bits = fx.engine.open_many([index, *onehot])
     assert 0 <= i < 3
-    assert [fx.engine.open(o) for o in onehot] == [int(j == i) for j in range(3)]
+    assert bits == [int(j == i) for j in range(3)]
 
 
 def test_exponential_mechanism_prefers_high_scores(fx):
@@ -72,7 +68,8 @@ def test_exponential_mechanism_prefers_high_scores(fx):
         index, _ = dp.exponential_mechanism(
             [fx.share(s) for s in (0.0, 0.0, 3.0)], sensitivity=2.0
         )
-        picks.append(fx.engine.open(index))
+        picks.append(index)
+    picks = fx.engine.open_many(picks)
     assert picks.count(2) > 25
 
 

@@ -60,14 +60,14 @@ def test_hidden_thresholds_decode_to_basic_values(enhanced_setup):
     for enhanced_node, basic_node in zip(
         model.internal_nodes(), basic_model.internal_nodes()
     ):
-        decoded = ctx.fx.open(enhanced_node.hidden["threshold_share"])
+        (decoded,) = ctx.fx.open([enhanced_node.hidden["threshold_share"]])
         assert decoded == pytest.approx(basic_node.threshold, abs=1e-3)
 
 
 def test_hidden_leaf_labels_decode_to_basic_values(enhanced_setup):
     _, _, ctx, model, _, basic_model = enhanced_setup
     for enhanced_leaf, basic_leaf in zip(model.leaves(), basic_model.leaves()):
-        decoded = ctx.fx.open(enhanced_leaf.hidden["label_share"])
+        (decoded,) = ctx.fx.open([enhanced_leaf.hidden["label_share"]])
         assert round(decoded) == basic_leaf.prediction
 
 

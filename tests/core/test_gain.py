@@ -57,7 +57,7 @@ def test_paper_mode_matches_eq5(fx, left, right):
         return  # degenerate split: masked by validity handling
     node, split = make_classification_stats(fx, left, right)
     gains, _ = secure_split_gains(fx, "classification", node, [split], "paper", 0.0)
-    secure = fx.open(gains[0])
+    secure = fx.open(gains)[0]
     expected = metrics.gini_gain(np.array(left), np.array(right))
     assert secure == pytest.approx(expected, abs=5e-3)
 
@@ -80,8 +80,8 @@ def test_reduced_mode_ranks_like_paper_mode(fx):
     reduced_gains, _ = secure_split_gains(
         fx, "classification", node, split_stats, "reduced", 0.0
     )
-    paper_order = np.argsort([fx.open(g) for g in paper_gains])
-    reduced_order = np.argsort([fx.open(g) for g in reduced_gains])
+    paper_order = np.argsort(fx.open(paper_gains))
+    reduced_order = np.argsort(fx.open(reduced_gains))
     assert list(paper_order) == list(reduced_order)
 
 
@@ -104,7 +104,7 @@ def test_regression_paper_mode_matches_eq6(fx):
     )
     gains, _ = secure_split_gains(fx, "regression", node, [split], "paper", 0.0)
     expected = metrics.variance_gain(stats(y_left), stats(y_right))
-    assert fx.open(gains[0]) == pytest.approx(expected, abs=5e-3)
+    assert fx.open(gains)[0] == pytest.approx(expected, abs=5e-3)
 
 
 def test_empty_side_yields_nonpositive_gain(fx):
@@ -113,7 +113,8 @@ def test_empty_side_yields_nonpositive_gain(fx):
     gains, threshold = secure_split_gains(
         fx, "classification", node, [split], "paper", 0.0
     )
-    assert fx.open(gains[0]) <= fx.open(threshold) + 2e-3
+    gain, limit = fx.open([gains[0], threshold])
+    assert gain <= limit + 2e-3
 
 
 def test_min_gain_moves_threshold_reduced_mode(fx):
@@ -124,7 +125,8 @@ def test_min_gain_moves_threshold_reduced_mode(fx):
     _, thr_pos = secure_split_gains(
         fx, "classification", node, [split], "reduced", 0.05
     )
-    assert fx.open(thr_pos) > fx.open(thr_zero)
+    high, low = fx.open([thr_pos, thr_zero])
+    assert high > low
 
 
 # -- generated nodes: every mode and task, grouped by denominator -------------
@@ -177,7 +179,7 @@ def _gain_step_cs(fx, task, gain_mode, n_splits):
     normalisation = 3 + fx.theta
     per_numerator = fx.theta + 2
     classes = 3 if task == "classification" else 2  # statistics per side
-    squares = 3 if task == "classification" else 1  # fx.mul(v, v) per purity
+    squares = 3 if task == "classification" else 1  # squared fractions per purity
     groups = 2 * n_splits + 1
     if gain_mode == "reduced":
         return groups * (normalisation + per_numerator + squares)
@@ -201,15 +203,23 @@ def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_sp
     n, node, splits, plain = _generated_node(
         fx, np.random.default_rng(seed), task, n_splits
     )
+    stats = fx.engine.stats
+    before = stats.rounds
+    fx.div([[fx.share(1.0)]], [fx.share(2.0)])
+    div_rounds, before = stats.rounds - before, stats.rounds
     with opcount.counting() as ops, mock.patch.object(fx, "div", wraps=fx.div) as div:
         gains, threshold = secure_split_gains(fx, task, node, splits, gain_mode, 0.0)
     assert div.call_count == 1  # one Norm for the node's 2S + 1 denominators
     assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits)
-    for gain, (left, right) in zip(gains, plain):
+    # Besides the division, one batch of products (multiply, then truncate)
+    # per dependent step whatever S: the squares, then (paper) the weights.
+    steps = 2 if gain_mode == "paper" else 1
+    assert stats.rounds - before == div_rounds + 2 * steps
+    for gain, (left, right) in zip(fx.open(gains), plain):
         expected = _plaintext_gain(task, gain_mode, left, right)
-        assert fx.open(gain) == pytest.approx(expected, abs=5e-3)
+        assert gain == pytest.approx(expected, abs=5e-3)
     if gain_mode == "reduced":
         # The parent's statistic: an empty side against the whole node.
         totals = [sum(pair) for pair in zip(plain[0][0][1], plain[0][1][1])]
         expected = _plaintext_gain(task, gain_mode, (0.0, [0.0] * len(totals)), (n, totals))
-        assert fx.open(threshold) == pytest.approx(expected, abs=5e-3)
+        assert fx.open([threshold]) == [pytest.approx(expected, abs=5e-3)]

@@ -55,7 +55,7 @@ def test_enhanced_hides_but_matches_skeleton(everything):
     for enhanced_node, basic_node in zip(
         enhanced.internal_nodes(), basic.internal_nodes()
     ):
-        decoded = ectx.fx.open(enhanced_node.hidden["threshold_share"])
+        (decoded,) = ectx.fx.open([enhanced_node.hidden["threshold_share"]])
         assert decoded == pytest.approx(basic_node.threshold, abs=1e-3)
 
 

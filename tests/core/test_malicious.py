@@ -88,7 +88,7 @@ def test_mac_layer_detects_share_tampering(tiny_data):
     bad = list(sv.shares)
     bad[0] = (bad[0] + 1) % ctx.engine.field.q
     with pytest.raises(MacCheckError):
-        ctx.engine.open(SharedValue(ctx.engine, tuple(bad), sv.macs))
+        ctx.engine.open_many([SharedValue(ctx.engine, tuple(bad), sv.macs)])
 
 
 # -- CommittedVector unit behaviour -------------------------------------------

@@ -39,7 +39,7 @@ def test_encode_overflow(fx):
 @relaxed
 @given(x=REALS, y=REALS)
 def test_fixed_mul(fx, x, y):
-    got = fx.open(fx.mul(fx.share(x), fx.share(y)))
+    (got,) = fx.open(fx.mul([(fx.share(x), fx.share(y))]))
     # Compare against the product of the *quantized* inputs: encoding
     # rounds each operand to 2^-f resolution, and that representation
     # error (up to |x| * 2^-(f+1)) can exceed the truncation tolerance.
@@ -50,7 +50,7 @@ def test_fixed_mul(fx, x, y):
 @relaxed
 @given(x=REALS, k=st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_mul_public(fx, x, k):
-    got = fx.open(fx.mul_public(fx.share(x), k))
+    (got,) = fx.open(fx.mul_public([fx.share(x)], k))
     assert math.isclose(got, x * k, rel_tol=1e-3, abs_tol=1e-2)
 
 
@@ -61,7 +61,7 @@ def test_mul_public(fx, x, k):
 @given(b=POSITIVES)
 def test_norm_scales_into_top_interval(fx, b):
     (c,), _ = fx.norm([fx.share(b)])
-    c_open = fx.engine.open(c)
+    (c_open,) = fx.engine.open_many([c])
     assert (1 << (fx.k - 1)) <= c_open < (1 << fx.k)
 
 
@@ -93,12 +93,12 @@ def test_batched_norm_is_the_plaintext_normalisation(fx, auth_fx, data):
     )
     shared = [engine.share_public(b) for b in bs]
     cs, vs = ops.norm(shared)
-    batch = [(engine.open(c), engine.open(v)) for c, v in zip(cs, vs)]
+    batch = list(zip(engine.open_many(cs), engine.open_many(vs)))
     assert batch == [_plain_norm(k, b) for b in bs]
     singles = []
     for b in shared:
         (c,), (v,) = ops.norm([b])
-        singles.append((engine.open(c), engine.open(v)))
+        singles.append(tuple(engine.open_many([c, v])))
     assert singles == batch
 
 
@@ -169,23 +169,23 @@ def test_tampered_packed_share_detected(auth_fx, monkeypatch, call):
 @given(b=st.floats(min_value=0.1, max_value=500, allow_nan=False))
 def test_app_rcr_error_bound(fx, b):
     (w,) = fx.app_rcr([fx.share(b)])
-    assert math.isclose(fx.open(w), 1 / b, rel_tol=0.09, abs_tol=1e-3)
+    assert math.isclose(fx.open([w])[0], 1 / b, rel_tol=0.09, abs_tol=1e-3)
 
 
 @relaxed
 @given(a=REALS, b=st.floats(min_value=0.5, max_value=800, allow_nan=False))
 def test_division(fx, a, b):
-    got = fx.open(fx.div(fx.share(a), fx.share(b)))
+    got = fx.open([fx.div(fx.share(a), fx.share(b))])[0]
     assert math.isclose(got, a / b, rel_tol=2e-3, abs_tol=2e-3)
 
 
 def test_division_small_denominator(fx):
-    got = fx.open(fx.div(fx.share(1.0), fx.share(0.125)))
+    got = fx.open([fx.div(fx.share(1.0), fx.share(0.125))])[0]
     assert math.isclose(got, 8.0, rel_tol=1e-3)
 
 
 def test_division_by_zero_yields_zero(fx):
-    assert fx.open(fx.div(fx.share(5.0), fx.share(0.0))) == 0.0
+    assert fx.open([fx.div(fx.share(5.0), fx.share(0.0))])[0] == 0.0
 
 
 def _division_cs(fx, group_sizes):
@@ -243,7 +243,7 @@ def test_division_of_a_list_over_one_denominator(fx, auth_fx, data):
         listed = ops.div(shared_group, engine.share_public(b))
         singles = [ops.div(a, engine.share_public(b)) for a in shared_group]
         for a, *results in zip(group, group_result, listed, singles):
-            opened = [engine.open_signed(r) for r in results]
+            opened = [engine.field.to_signed(r) for r in engine.open_many(results)]
             if b == 0:
                 assert opened == [0, 0, 0]
                 continue
@@ -257,10 +257,10 @@ def test_division_keeps_the_single_numerator_call(fx):
     and the benchmark's ``mpc.div_ms`` probe pass)."""
     with opcount.counting() as ops:
         quotient = fx.div(fx.share(7.0), fx.share(3.0))
-    assert math.isclose(fx.open(quotient), 7 / 3, abs_tol=1e-4)
+    assert math.isclose(fx.open([quotient])[0], 7 / 3, abs_tol=1e-4)
     assert ops["cs"] == _division_cs(fx, [1]) == 13
     (only,) = fx.div([fx.share(7.0)], fx.share(3.0))
-    assert math.isclose(fx.open(only), 7 / 3, abs_tol=1e-4)
+    assert math.isclose(fx.open([only])[0], 7 / 3, abs_tol=1e-4)
 
 
 def test_denominator_wider_than_a_declared_count_divides(fx, auth_fx):
@@ -270,7 +270,7 @@ def test_denominator_wider_than_a_declared_count_divides(fx, auth_fx):
     and returned a wrong quotient without an error)."""
     for ops in (fx, auth_fx):
         quotient = ops.div(ops.share(1000.0), ops.engine.share_public(1 << 23))
-        assert math.isclose(ops.open(quotient), 1000 / 128, abs_tol=1e-4)
+        assert math.isclose(ops.open([quotient])[0], 1000 / 128, abs_tol=1e-4)
 
 
 def test_division_holds_up_to_the_largest_admitted_count(fx):
@@ -280,7 +280,7 @@ def test_division_holds_up_to_the_largest_admitted_count(fx):
     more samples, see test_trainer_extras)."""
     n = (1 << (fx.f - 1)) - 1
     for _ in range(5):
-        got = fx.open(fx.div(fx.share(0.4 * n), fx.share(float(n))))
+        got = fx.open([fx.div(fx.share(0.4 * n), fx.share(float(n)))])[0]
         assert math.isclose(got, 0.4, abs_tol=1e-3)
 
 
@@ -290,34 +290,34 @@ def test_argmax_slack_keeps_the_earliest_of_near_ties(fx):
     engine = fx.engine
     values = [engine.share_public(v) for v in (1000, 1003, 998, 1004)]
     index, best, onehot = fx.argmax(values, slack=4)
-    assert engine.open(index) == 0 and engine.open(best) == 1000
-    assert [engine.open(bit) for bit in onehot] == [1, 0, 0, 0]
+    assert engine.open_many([index, best, *onehot]) == [0, 1000, 1, 0, 0, 0]
     index, best, _ = fx.argmax(values + [engine.share_public(1005)], slack=4)
-    assert engine.open(index) == 4 and engine.open(best) == 1005
+    assert engine.open_many([index, best]) == [4, 1005]
     index, _, _ = fx.argmax(values)  # no slack: the strict maximum
-    assert engine.open(index) == 3
+    assert engine.open_many([index]) == [3]
 
 
 # -- clamp / exp / softmax ------------------------------------------------------
 
 
 def test_clamp(fx):
-    assert fx.open(fx.clamp(fx.share(10.0), -2.0, 2.0)) == 2.0
-    assert fx.open(fx.clamp(fx.share(-10.0), -2.0, 2.0)) == -2.0
-    assert math.isclose(fx.open(fx.clamp(fx.share(1.5), -2.0, 2.0)), 1.5, abs_tol=1e-4)
+    high, low, inside = fx.open(
+        fx.clamp([fx.share(x) for x in (10.0, -10.0, 1.5)], -2.0, 2.0)
+    )
+    assert (high, low) == (2.0, -2.0)
+    assert math.isclose(inside, 1.5, abs_tol=1e-4)
 
 
 @relaxed
 @given(x=st.floats(min_value=-5.5, max_value=5.5, allow_nan=False))
 def test_exp(fx, x):
-    got = fx.open(fx.exp(fx.share(x)))
+    got = fx.open([fx.exp(fx.share(x))])[0]
     assert math.isclose(got, math.exp(x), rel_tol=0.02, abs_tol=0.02)
 
 
 def test_exp_clamps_extremes(fx):
-    big = fx.open(fx.exp(fx.share(50.0)))
+    big, small = fx.open([fx.exp(fx.share(50.0)), fx.exp(fx.share(-50.0))])
     assert math.isclose(big, math.exp(6.0), rel_tol=0.05)
-    small = fx.open(fx.exp(fx.share(-50.0)))
     assert math.isclose(small, math.exp(-6.0), abs_tol=0.01)
 
 
@@ -328,7 +328,7 @@ def test_exp_clamps_extremes(fx):
     )
 )
 def test_softmax(fx, scores):
-    got = [fx.open(p) for p in fx.softmax([fx.share(s) for s in scores])]
+    got = fx.open(fx.softmax([fx.share(s) for s in scores]))
     exps = [math.exp(s) for s in scores]
     want = [e / sum(exps) for e in exps]
     for g, w in zip(got, want):
@@ -339,14 +339,14 @@ def test_softmax(fx, scores):
 def test_fixed_argmax_and_comparisons(fx):
     values = [fx.share(v) for v in (0.5, -1.25, 2.75, 2.5)]
     idx, mx, onehot = fx.argmax(values)
-    assert fx.engine.open(idx) == 2
-    assert math.isclose(fx.open(mx), 2.75, abs_tol=1e-4)
-    assert fx.engine.open(fx.lt(values[0], values[2])) == 1
-    assert fx.engine.open(fx.gt(values[0], values[1])) == 1
-    assert fx.engine.open(fx.ltz(values[1])) == 1
-    assert fx.engine.open(fx.eqz(values[0] - values[0])) == 1
+    assert fx.engine.open_many([idx]) == [2]
+    assert math.isclose(fx.open([mx])[0], 2.75, abs_tol=1e-4)
+    assert fx.engine.open_many([fx.lt(values[0], values[2])]) == [1]
+    assert fx.engine.open_many(fx.gt(values[:2], values[1:3])) == [1, 0]
+    assert fx.engine.open_many(fx.ltz(values[:2])) == [0, 1]
+    assert fx.engine.open_many(fx.eqz([values[0] - values[0], values[1]])) == [1, 0]
 
 
 def test_authenticated_fixed_point(auth_fx):
-    got = auth_fx.open(auth_fx.div(auth_fx.share(3.0), auth_fx.share(2.0)))
+    got = auth_fx.open([auth_fx.div(auth_fx.share(3.0), auth_fx.share(2.0))])[0]
     assert math.isclose(got, 1.5, rel_tol=1e-3)

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import MPCEngine
+from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc import comparison as cmp
+from repro.mpc.dealer import DealerUsage
 
 K = 40
 SIGNED_K = st.integers(min_value=-(2 ** (K - 1)) + 1, max_value=2 ** (K - 1) - 1)
@@ -19,7 +20,7 @@ def shared(engine, x):
     return engine._make_shared(engine.field.from_signed(x))
 
 
-# -- BitLT: the compare inside mod2m_many ------------------------------------
+# -- BitLT: the compare inside mod2m ------------------------------------------
 #
 # Mod2m opens c' = (a + r1) mod 2^m and returns c' − r1 + 2^m·[c' < r1]; the
 # bit [c' < r1] is BitLT of the public c' against r1's shared bits.  It
@@ -49,14 +50,14 @@ def test_bit_lt_public(engine, m, picks):
     compare goes."""
     edges = _edge_values(K, m)
     values = [edges[p % len(edges)] for p in picks]
-    got = engine.open_many(cmp.mod2m_many(engine, [shared(engine, a) for a in values], K, m))
+    got = engine.open_many(cmp.mod2m(engine, [shared(engine, a) for a in values], K, m))
     assert got == [a % (1 << m) for a in values]
 
 
 def test_bit_lt_empty(engine):
     """m = 0: nothing to compare, no dealer material, no round."""
     usage, stats = engine.dealer.usage.snapshot(), engine.stats.snapshot()
-    zeros = cmp.mod2m_many(engine, [shared(engine, 5), shared(engine, -3)], K, 0)
+    zeros = cmp.mod2m(engine, [shared(engine, 5), shared(engine, -3)], K, 0)
     assert engine.dealer.usage.snapshot() == usage and engine.stats.snapshot() == stats
     assert engine.open_many(zeros) == [0, 0]
 
@@ -64,7 +65,7 @@ def test_bit_lt_empty(engine):
 def test_bit_lt_equal_values(engine):
     """Low m bits all zero: c' == r1, which is not less, for every value."""
     values = [0, 1 << 7, -(1 << 7), 3 << 7]
-    got = engine.open_many(cmp.mod2m_many(engine, [shared(engine, a) for a in values], K, 7))
+    got = engine.open_many(cmp.mod2m(engine, [shared(engine, a) for a in values], K, 7))
     assert got == [0, 0, 0, 0]
 
 
@@ -78,7 +79,7 @@ def test_bit_lt_public_cost(engine):
     values = [shared(engine, a) for a in (0x123456789A, -5, 7)]
     engine.reset_stats()
     with opcount.counting() as ops:
-        cmp.mod2m_many(engine, values, K + 1, K)
+        cmp.mod2m(engine, values, K + 1, K)
     assert ops["cs"] == 0
     usage = engine.dealer.usage
     assert (usage.prandm, usage.and_triples, usage.dabits, usage.triples) == (3, 6, 3, 0)
@@ -99,37 +100,40 @@ def test_bit_lt_public_cost(engine):
 @relaxed
 @given(a=SIGNED_K, m=st.integers(min_value=1, max_value=K - 1))
 def test_mod2m(engine, a, m):
-    got = engine.open(cmp.mod2m(engine, shared(engine, a), K, m))
-    assert got == a % (1 << m)
+    got = engine.open_many(cmp.mod2m(engine, [shared(engine, a)], K, m))
+    assert got == [a % (1 << m)]
 
 
 def test_mod2m_zero_bits(engine):
-    assert engine.open(cmp.mod2m(engine, shared(engine, 99), K, 0)) == 0
+    assert engine.open_many(cmp.mod2m(engine, [shared(engine, 99)], K, 0)) == [0]
 
 
 def test_mod2m_m_too_large(engine):
     with pytest.raises(ValueError):
-        cmp.mod2m(engine, shared(engine, 1), K, K)
+        cmp.mod2m(engine, [shared(engine, 1)], K, K)
+
+
+def signed(engine, values):
+    return [engine.field.to_signed(v) for v in engine.open_many(values)]
 
 
 @relaxed
 @given(a=SIGNED_K, m=st.integers(min_value=1, max_value=K - 1))
 def test_trunc_exact_floor(engine, a, m):
-    got = engine.field.to_signed(engine.open(cmp.trunc(engine, shared(engine, a), K, m)))
-    assert got == a >> m  # arithmetic shift == floor division
+    got = signed(engine, cmp.trunc(engine, [shared(engine, a)], K, m))
+    assert got == [a >> m]  # arithmetic shift == floor division
 
 
 def test_trunc_zero_is_identity(engine):
     sv = shared(engine, 77)
-    assert cmp.trunc(engine, sv, K, 0) is sv
+    (got,) = cmp.trunc(engine, [sv], K, 0)
+    assert got is sv
 
 
 @relaxed
 @given(a=SIGNED_K, m=st.integers(min_value=1, max_value=20))
 def test_trunc_pr_within_one_ulp(engine, a, m):
-    got = engine.field.to_signed(
-        engine.open(cmp.trunc_pr(engine, shared(engine, a), K, m))
-    )
+    (got,) = signed(engine, cmp.trunc_pr(engine, [shared(engine, a)], K, m))
     assert got in (a >> m, (a >> m) + 1)
 
 
@@ -155,28 +159,31 @@ def _edge_operands(k):
 def test_mod2m_trunc_at_edge_widths(any_engine, k):
     engine = any_engine
     widths = sorted({m for m in (1, 2, 3, 31, 32, 33, k - 1) if m < k})
+    operands = _edge_operands(k)
     for m in widths:
-        for a in _edge_operands(k):
-            sa = shared(engine, a)
-            assert engine.open(cmp.mod2m(engine, sa, k, m)) == a % (1 << m), (m, a)
-            got = engine.field.to_signed(engine.open(cmp.trunc(engine, sa, k, m)))
-            assert got == a >> m, (m, a)
+        shares = [shared(engine, a) for a in operands]
+        got = engine.open_many(cmp.mod2m(engine, shares, k, m))
+        assert got == [a % (1 << m) for a in operands], m
+        assert signed(engine, cmp.trunc(engine, shares, k, m)) == [a >> m for a in operands], m
 
 
 @pytest.mark.parametrize("k", [8, 40, 41])
 def test_sign_and_order_at_edge_operands(any_engine, k):
     engine = any_engine
     operands = _edge_operands(k)
-    for a in operands:
-        sa = shared(engine, a)
-        assert engine.open(cmp.ltz(engine, sa, k)) == int(a < 0), a
-        assert engine.open(cmp.eqz(engine, sa, k)) == int(a == 0), a
-        for b in {a, a + 1, a - 1, -a}:
-            if not operands[0] <= b <= operands[-1]:
-                continue
-            sb = shared(engine, b)
-            assert engine.open(cmp.lt(engine, sa, sb, k)) == int(a < b), (a, b)
-            assert engine.open(cmp.le(engine, sa, sb, k)) == int(a <= b), (a, b)
+    shares = [shared(engine, a) for a in operands]
+    assert engine.open_many(cmp.ltz(engine, shares, k)) == [int(a < 0) for a in operands]
+    assert engine.open_many(cmp.eqz(engine, shares, k)) == [int(a == 0) for a in operands]
+    pairs = [
+        (a, b)
+        for a in operands
+        for b in sorted({a, a + 1, a - 1, -a})
+        if operands[0] <= b <= operands[-1]
+    ]
+    left = [shared(engine, a) for a, _ in pairs]
+    right = [shared(engine, b) for _, b in pairs]
+    assert engine.open_many(cmp.lt(engine, left, right, k)) == [int(a < b) for a, b in pairs]
+    assert engine.open_many(cmp.le(engine, left, right, k)) == [int(a <= b) for a, b in pairs]
 
 
 # -- batches: one compare for many values ----------------------------------------
@@ -198,35 +205,78 @@ def test_mod2m_many_and_ltz_many_equal_plaintext(batch_engine, m, count, data):
     edges = _edge_values(K, m)
     values = data.draw(st.lists(st.sampled_from(edges), min_size=count, max_size=count))
     shares = [shared(engine, a) for a in values]
-    remainders = engine.open_many(cmp.mod2m_many(engine, shares, K, m))
+    remainders = engine.open_many(cmp.mod2m(engine, shares, K, m))
     assert remainders == [a % (1 << m) for a in values]
-    assert engine.open_many(cmp.ltz_many(engine, shares, K)) == [int(a < 0) for a in values]
+    assert engine.open_many(cmp.ltz(engine, shares, K)) == [int(a < 0) for a in values]
 
 
-@pytest.mark.parametrize("count", [1, 2, 300])
-def test_ltz_many_costs_one_compare_per_call(count):
-    """8 rounds and 6 AND triples at k = 40 for any batch; a PRandM tuple,
-    a daBit and a Cc per value; no field multiplication."""
+def _pairs(values):
+    return list(zip(values, values[::-1]))
+
+
+# Every interactive primitive as one call on a batch of values: (call, its
+# rounds, its AND triples, and per value its Cs, Cc, PRandM tuples and
+# daBits).  A Beaver triple is a Cs.
+CALLS = {
+    "engine.mul_many": (lambda e, fx, xs: e.mul_many(_pairs(xs)), 1, 0, (1, 0, 0, 0)),
+    "engine.open_many": (lambda e, fx, xs: e.open_many(xs), 1, 0, (0, 0, 0, 0)),
+    "engine.input_many": (
+        lambda e, fx, xs: e.input_many(list(range(len(xs))), owner=1), 1, 0, (0, 0, 0, 0)
+    ),
+    "mod2m": (lambda e, fx, xs: cmp.mod2m(e, xs, K, 17), 7, 5, (0, 0, 1, 1)),
+    "trunc_pr": (lambda e, fx, xs: cmp.trunc_pr(e, xs, K, 17), 1, 0, (0, 0, 1, 0)),
+    "trunc": (lambda e, fx, xs: cmp.trunc(e, xs, K, 17), 7, 5, (0, 0, 1, 1)),
+    "ltz": (lambda e, fx, xs: cmp.ltz(e, xs, K), 8, 6, (0, 1, 1, 1)),
+    "lt": (lambda e, fx, xs: cmp.lt(e, xs, xs[::-1], K), 8, 6, (0, 1, 1, 1)),
+    "gt": (lambda e, fx, xs: cmp.gt(e, xs, xs[::-1], K), 8, 6, (0, 1, 1, 1)),
+    "le": (lambda e, fx, xs: cmp.le(e, xs, xs[::-1], K), 8, 6, (0, 1, 1, 1)),
+    "eqz": (lambda e, fx, xs: cmp.eqz(e, xs, K), 8, 6, (0, 2, 2, 2)),
+    "select": (
+        lambda e, fx, xs: cmp.select(e, [e.share_public(1) for _ in xs], xs, xs[::-1]),
+        1, 0, (1, 0, 0, 0),
+    ),
+    "fx.mul": (lambda e, fx, xs: fx.mul(_pairs(xs)), 2, 0, (1, 0, 1, 0)),
+    "fx.mul_public": (lambda e, fx, xs: fx.mul_public(xs, 0.5), 1, 0, (0, 0, 1, 0)),
+    "fx.gt": (lambda e, fx, xs: fx.gt(xs, xs[::-1]), 8, 6, (0, 1, 1, 1)),
+    "fx.ltz": (lambda e, fx, xs: fx.ltz(xs), 8, 6, (0, 1, 1, 1)),
+    "fx.eqz": (lambda e, fx, xs: fx.eqz(xs), 8, 6, (0, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("primitive", list(CALLS))
+def test_ltz_many_costs_one_compare_per_call(primitive):
+    """One call is one batch: its rounds and AND triples are the same at
+    every length (``ltz`` at k = 40: 8 rounds and 6 AND triples, a PRandM
+    tuple, a daBit and a Cc per value, no field multiplication), and an
+    empty batch costs no round and no dealer material."""
     from repro.analysis import opcount
 
+    call, rounds, and_triples, per_value = CALLS[primitive]
     engine = MPCEngine(3, seed=5)
-    values = [shared(engine, a - count // 2) for a in range(count)]
-    engine.reset_stats()
-    with opcount.counting() as ops:
-        cmp.ltz_many(engine, values, K)
-    assert engine.stats.rounds == 8
-    assert (ops["cs"], ops["cc"]) == (0, count)
-    usage = engine.dealer.usage
-    assert (usage.prandm, usage.and_triples, usage.dabits, usage.triples) == (
-        count, 6, count, 0,
-    )
+    fx = FixedPointOps(engine)
+    stats, usage = engine.stats.snapshot(), engine.dealer.usage.snapshot()
+    assert call(engine, fx, []) == []
+    assert engine.stats.snapshot() == stats and engine.dealer.usage.snapshot() == usage
+    for count in (1, 2, 37, 300):
+        values = [shared(engine, a - count // 2) for a in range(count)]
+        engine.reset_stats()
+        engine.dealer.usage = DealerUsage()
+        with opcount.counting() as ops:
+            call(engine, fx, values)
+        used = engine.dealer.usage
+        assert (engine.stats.rounds, used.and_triples) == (rounds, and_triples), count
+        assert (ops["cs"], ops["cc"], used.prandm, used.dabits) == tuple(
+            count * n for n in per_value
+        ), count
+        assert used.triples == ops["cs"]
 
 
 def _one_value_mod2m(engine, a, k, m):
     """Mod2m of one value step by step, the way it ran before batches: its
     own PRandM opening, BitLT on the 1-block word, a 1-lane lift."""
     tup = engine.dealer.prandm(k, m)
-    c = engine.open(engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1)))
+    masked = engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1))
+    (c,) = engine.open_many([masked])
     c_prime = c % (1 << m)
     first_difference = cmp.top_bits(engine, tup.r1_bits ^ c_prime, m)
     (u,) = cmp.lift(engine, (first_difference & (c_prime ^ ((1 << m) - 1))).parity())
@@ -239,7 +289,7 @@ def test_a_batch_of_one_is_the_one_value_protocol(k, m):
     same CommStats as the one-value protocol."""
     ours, theirs = MPCEngine(3, seed=21), MPCEngine(3, seed=21)
     for a in (0, 1, -1, 2 ** (k - 2) - 1, -(2 ** (k - 2))):
-        got = cmp.mod2m(ours, shared(ours, a), k, m)
+        (got,) = cmp.mod2m(ours, [shared(ours, a)], k, m)
         expected = _one_value_mod2m(theirs, shared(theirs, a), k, m)
         assert got.shares == expected.shares
     assert ours.stats.snapshot() == theirs.stats.snapshot()
@@ -253,36 +303,28 @@ def test_a_batch_of_one_is_the_one_value_protocol(k, m):
 @relaxed
 @given(a=SIGNED_K)
 def test_ltz(engine, a):
-    assert engine.open(cmp.ltz(engine, shared(engine, a), K)) == (1 if a < 0 else 0)
+    assert engine.open_many(cmp.ltz(engine, [shared(engine, a)], K)) == [int(a < 0)]
 
 
 @relaxed
 @given(a=SIGNED_K, b=SIGNED_K)
 def test_lt_gt_le(engine, a, b):
-    sa, sb = shared(engine, a), shared(engine, b)
-    assert engine.open(cmp.lt(engine, sa, sb, K)) == int(a < b)
-    assert engine.open(cmp.gt(engine, sa, sb, K)) == int(a > b)
-    assert engine.open(cmp.le(engine, sa, sb, K)) == int(a <= b)
+    sa, sb = [shared(engine, a)], [shared(engine, b)]
+    bits = cmp.lt(engine, sa, sb, K) + cmp.gt(engine, sa, sb, K) + cmp.le(engine, sa, sb, K)
+    assert engine.open_many(bits) == [int(a < b), int(a > b), int(a <= b)]
 
 
 @relaxed
 @given(a=st.integers(min_value=-100, max_value=100))
 def test_eqz(engine, a):
-    assert engine.open(cmp.eqz(engine, shared(engine, a), K)) == int(a == 0)
-
-
-@relaxed
-@given(a=SIGNED_K, b=SIGNED_K)
-def test_eq(engine, a, b):
-    sa, sb = shared(engine, a), shared(engine, b)
-    assert engine.open(cmp.eq(engine, sa, sb, K)) == int(a == b)
+    assert engine.open_many(cmp.eqz(engine, [shared(engine, a)], K)) == [int(a == 0)]
 
 
 def test_select(engine):
     yes, no = shared(engine, 111), shared(engine, 222)
     one, zero = engine.share_public(1), engine.share_public(0)
-    assert engine.open(cmp.select(engine, one, yes, no)) == 111
-    assert engine.open(cmp.select(engine, zero, yes, no)) == 222
+    chosen = cmp.select(engine, [one, zero], [yes, yes], [no, no])
+    assert engine.open_many(chosen) == [111, 222]
 
 
 # -- bit decomposition, top bits, back to Z_q ----------------------------------
@@ -304,9 +346,7 @@ def test_bit_dec_zero_and_max(engine, auth_engine):
         word = cmp.decompose(eng, [shared(eng, a) for a in values], 10)
         (opened,) = eng.open_words([word])
         assert [opened >> (10 * j) & 0x3FF for j in range(4)] == values
-        assert [eng.open(b) for b in cmp.lift(eng, word)] == [
-            opened >> i & 1 for i in range(40)
-        ]
+        assert eng.open_many(cmp.lift(eng, word)) == [opened >> i & 1 for i in range(40)]
 
 
 def test_top_bits(engine):
@@ -325,7 +365,7 @@ def test_top_bits(engine):
 def test_to_arithmetic(engine, values):
     packed = sum(v << (8 * j) for j, v in enumerate(values))
     word = engine._make_binary(packed, 8 * len(values))
-    assert [engine.open(v) for v in cmp.to_arithmetic(engine, word, 8)] == values
+    assert engine.open_many(cmp.to_arithmetic(engine, word, 8)) == values
 
 
 # -- argmax -----------------------------------------------------------------------
@@ -341,9 +381,9 @@ def test_argmax(engine, values):
     shared_vals = [shared(engine, v) for v in values]
     idx, mx, onehot = cmp.argmax(engine, shared_vals, K)
     expected_idx = values.index(max(values))  # first maximum wins ties
-    assert engine.open(idx) == expected_idx
-    assert engine.field.to_signed(engine.open(mx)) == max(values)
-    opened = [engine.open(o) for o in onehot]
+    opened_idx, opened_max, *opened = engine.open_many([idx, mx, *onehot])
+    assert opened_idx == expected_idx
+    assert engine.field.to_signed(opened_max) == max(values)
     assert opened == [int(i == expected_idx) for i in range(len(values))]
 
 
@@ -355,5 +395,5 @@ def test_argmax_empty_rejected(engine):
 def test_authenticated_comparisons(auth_engine):
     sa = auth_engine._make_shared(auth_engine.field.from_signed(-3))
     sb = auth_engine._make_shared(5)
-    assert auth_engine.open(cmp.lt(auth_engine, sa, sb, K)) == 1
-    assert auth_engine.open(cmp.ltz(auth_engine, sa, K)) == 1
+    bits = cmp.lt(auth_engine, [sa], [sb], K) + cmp.ltz(auth_engine, [sa], K)
+    assert auth_engine.open_many(bits) == [1, 1]

@@ -8,7 +8,6 @@ from repro.crypto import PaillierEncoder
 from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc.conversion import (
     ConversionCounters,
-    cipher_to_share,
     ciphers_to_shares,
     share_to_cipher,
 )
@@ -28,29 +27,29 @@ def encoder(threshold3):
 @relaxed
 @given(v=st.integers(min_value=-(2**20), max_value=2**20))
 def test_integer_roundtrip(threshold3, encoder, fx, v):
-    sv = cipher_to_share(encoder.encrypt(v), threshold3, fx)
-    assert fx.open(sv) == v
+    sv = ciphers_to_shares([encoder.encrypt(v)], threshold3, fx)[0]
+    assert fx.open([sv]) == [v]
 
 
 @relaxed
 @given(v=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 def test_float_roundtrip(threshold3, encoder, fx, v):
-    sv = cipher_to_share(encoder.encrypt(v), threshold3, fx)
-    assert math.isclose(fx.open(sv), v, abs_tol=2e-4)
+    sv = ciphers_to_shares([encoder.encrypt(v)], threshold3, fx)[0]
+    assert math.isclose(fx.open([sv])[0], v, abs_tol=2e-4)
 
 
 def test_double_scale_ciphertext_truncated(threshold3, encoder, fx):
     # exponent -2F after a float*float homomorphic multiplication
     product = encoder.encrypt(1.5) * 2.5
     assert product.exponent == -2 * encoder.frac_bits
-    sv = cipher_to_share(product, threshold3, fx)
-    assert math.isclose(fx.open(sv), 3.75, abs_tol=1e-3)
+    sv = ciphers_to_shares([product], threshold3, fx)[0]
+    assert math.isclose(fx.open([sv])[0], 3.75, abs_tol=1e-3)
 
 
 def test_batch_conversion(threshold3, encoder, fx):
     values = [encoder.encrypt(v) for v in (1, -2, 3)]
     shares = ciphers_to_shares(values, threshold3, fx)
-    assert [fx.open(s) for s in shares] == [1, -2, 3]
+    assert fx.open(shares) == [1, -2, 3]
 
 
 def _decrypt(value, threshold) -> float:
@@ -60,7 +59,7 @@ def _decrypt(value, threshold) -> float:
 
 def test_counters(threshold3, encoder, fx):
     counters = ConversionCounters()
-    cipher_to_share(encoder.encrypt(5), threshold3, fx, counters)
+    ciphers_to_shares([encoder.encrypt(5)], threshold3, fx, counters)
     share_to_cipher(fx.share(1.0), threshold3, fx, counters)
     assert counters.snapshot() == {
         "to_shares": 1,
@@ -78,8 +77,8 @@ def test_share_to_cipher_roundtrip(threshold3, fx, v):
 
 def test_converted_cipher_back_to_share(threshold3, fx):
     ct = share_to_cipher(fx.share(-3.5), threshold3, fx)
-    sv = cipher_to_share(ct, threshold3, fx)
-    assert math.isclose(fx.open(sv), -3.5, abs_tol=1e-4)
+    sv = ciphers_to_shares([ct], threshold3, fx)[0]
+    assert math.isclose(fx.open([sv])[0], -3.5, abs_tol=1e-4)
 
 
 def test_homomorphic_sum_of_converted_ciphers(threshold3, fx):
@@ -94,20 +93,19 @@ def test_converted_cipher_with_deeper_scale(threshold3, fx):
     ct = share_to_cipher(fx.share(2.5), threshold3, fx)
     deeper = ct * 3.0  # exponent -2F
     assert math.isclose(_decrypt(deeper, threshold3), 7.5, abs_tol=1e-3)
-    sv = cipher_to_share(deeper, threshold3, fx)
-    assert math.isclose(fx.open(sv), 7.5, abs_tol=1e-3)
+    sv = ciphers_to_shares([deeper], threshold3, fx)[0]
+    assert math.isclose(fx.open([sv])[0], 7.5, abs_tol=1e-3)
 
 
 def test_authenticated_conversion(threshold3, encoder, auth_fx):
-    sv = cipher_to_share(encoder.encrypt(-9), threshold3, auth_fx)
+    sv = ciphers_to_shares([encoder.encrypt(-9)], threshold3, auth_fx)[0]
     assert sv.macs is not None
-    assert auth_fx.open(sv) == -9
+    assert auth_fx.open([sv]) == [-9]
 
 
 def test_conversion_then_mpc_computation(threshold3, encoder, fx):
     """End-to-end: encrypted statistics -> shares -> secure comparison."""
-    a = cipher_to_share(encoder.encrypt(10), threshold3, fx)
-    b = cipher_to_share(encoder.encrypt(4), threshold3, fx)
+    a, b = ciphers_to_shares([encoder.encrypt(10), encoder.encrypt(4)], threshold3, fx)
     ratio = fx.div(a, b)
-    assert math.isclose(fx.open(ratio), 2.5, rel_tol=1e-3)
-    assert fx.engine.open(fx.gt(a, b)) == 1
+    assert math.isclose(fx.open([ratio])[0], 2.5, rel_tol=1e-3)
+    assert fx.engine.open_many(fx.gt([a], [b])) == [1]

@@ -15,7 +15,6 @@ from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc.conversion import (
     ConversionCounters,
     MaskBoundError,
-    cipher_to_share,
     ciphers_to_shares,
     share_to_cipher,
 )
@@ -38,23 +37,20 @@ def encoder(threshold3):
 @given(x=VALUES, y=VALUES)
 def test_convert_of_sum_equals_sum_of_converts(threshold3, encoder, fx, x, y):
     cx, cy = encoder.encrypt(x), encoder.encrypt(y)
-    combined = cipher_to_share(cx + cy, threshold3, fx)
-    separate = cipher_to_share(cx, threshold3, fx) + cipher_to_share(
-        cy, threshold3, fx
-    )
-    assert math.isclose(fx.open(combined), fx.open(separate), abs_tol=2e-4)
+    combined = ciphers_to_shares([cx + cy], threshold3, fx)[0]
+    sx, sy = ciphers_to_shares([cx, cy], threshold3, fx)
+    separate = sx + sy
+    assert math.isclose(*fx.open([combined, separate]), abs_tol=2e-4)
 
 
 @relaxed
 @given(x=VALUES, k=st.integers(min_value=-20, max_value=20))
 def test_convert_commutes_with_scalar_multiplication(threshold3, encoder, fx, x, k):
     ct = encoder.encrypt(x)
-    scaled_then_converted = cipher_to_share(ct * k, threshold3, fx)
-    converted_then_scaled = cipher_to_share(ct, threshold3, fx) * k
+    scaled_then_converted = ciphers_to_shares([ct * k], threshold3, fx)[0]
+    converted_then_scaled = ciphers_to_shares([ct], threshold3, fx)[0] * k
     assert math.isclose(
-        fx.open(scaled_then_converted),
-        fx.open(converted_then_scaled),
-        abs_tol=2e-4,
+        *fx.open([scaled_then_converted, converted_then_scaled]), abs_tol=2e-4
     )
 
 
@@ -63,10 +59,10 @@ def test_convert_commutes_with_scalar_multiplication(threshold3, encoder, fx, x,
 def test_double_roundtrip_is_stable(threshold3, fx, x):
     sv = fx.share(x)
     ct = share_to_cipher(sv, threshold3, fx)
-    sv2 = cipher_to_share(ct, threshold3, fx)
+    sv2 = ciphers_to_shares([ct], threshold3, fx)[0]
     ct2 = share_to_cipher(sv2, threshold3, fx)
-    sv3 = cipher_to_share(ct2, threshold3, fx)
-    assert math.isclose(fx.open(sv3), fx.open(sv), abs_tol=2e-4)
+    sv3 = ciphers_to_shares([ct2], threshold3, fx)[0]
+    assert math.isclose(*fx.open([sv3, sv]), abs_tol=2e-4)
 
 
 @relaxed
@@ -74,8 +70,8 @@ def test_double_roundtrip_is_stable(threshold3, fx, x):
 def test_batch_matches_individual(threshold3, encoder, fx, xs):
     cts = [encoder.encrypt(v) for v in xs]
     batch = ciphers_to_shares(cts, threshold3, fx)
-    for sv, v in zip(batch, xs):
-        assert math.isclose(fx.open(sv), v, abs_tol=2e-4)
+    for opened, v in zip(fx.open(batch), xs):
+        assert math.isclose(opened, v, abs_tol=2e-4)
 
 
 # -- the wrap-free reverse conversion ------------------------------------------
@@ -105,7 +101,7 @@ def test_share_to_cipher_encrypts_the_value_itself(m, keysize, x, authenticated,
     threshold = _threshold(m, keysize)
     fx = FixedPointOps(MPCEngine(m, authenticated=authenticated, seed=seed))
     assert fx.k == BETA
-    shared = fx.engine.input_private(x)
+    (shared,) = fx.engine.input_many([x])
     counters = ConversionCounters()
     with opcount.counting() as ops:
         ct = share_to_cipher(shared, threshold, fx, counters)
@@ -117,7 +113,7 @@ def test_share_to_cipher_encrypts_the_value_itself(m, keysize, x, authenticated,
         "to_shares": 0, "to_cipher": 1, "threshold_decryptions": 0,
     }
     back = ciphers_to_shares([ct, ct], threshold, fx, counters, bound_bits=fx.k)
-    assert [fx.engine.open_signed(sv) for sv in back] == [x, x]
+    assert [fx.engine.field.to_signed(v) for v in fx.engine.open_many(back)] == [x, x]
     assert (back[0].macs is not None) == authenticated
 
 
@@ -132,11 +128,14 @@ def test_share_to_cipher_of_a_bit_at_exponent_zero(m, keysize, bit, authenticate
     """The selection vector [λ]: a raw shared bit encrypts to that bit."""
     threshold = _threshold(m, keysize)
     fx = FixedPointOps(MPCEngine(m, authenticated=authenticated, seed=bit))
-    ct = share_to_cipher(fx.engine.input_private(bit), threshold, fx, exponent=0)
+    (shared,) = fx.engine.input_many([bit])
+    ct = share_to_cipher(shared, threshold, fx, exponent=0)
     assert ct.exponent == 0
     assert threshold.joint_decrypt(ct.ciphertext) == bit
     (back,) = ciphers_to_shares([ct], threshold, fx, bound_bits=fx.k)
-    assert fx.engine.open_signed(back) == bit << fx.f
+    assert [fx.engine.field.to_signed(v) for v in fx.engine.open_many([back])] == [
+        bit << fx.f
+    ]
 
 
 @pytest.mark.parametrize("authenticated", [False, True])
@@ -147,5 +146,5 @@ def test_share_outside_the_bound_raises_at_the_opening(threshold3, x, authentica
     fx = FixedPointOps(MPCEngine(3, authenticated=authenticated, seed=3))
     counters = ConversionCounters()
     with pytest.raises(MaskBoundError):
-        share_to_cipher(fx.engine.input_private(x), threshold3, fx, counters)
+        share_to_cipher(*fx.engine.input_many([x]), threshold3, fx, counters)
     assert counters.to_cipher == 0

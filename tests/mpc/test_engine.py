@@ -23,12 +23,12 @@ def test_rejects_single_party():
 
 
 def test_share_public_and_open(engine):
-    assert engine.open(engine.share_public(42)) == 42
+    assert engine.open_many([engine.share_public(42)]) == [42]
 
 
 def test_open_signed(engine):
     sv = engine.share_public(engine.field.from_signed(-5))
-    assert engine.open_signed(sv) == -5
+    assert [engine.field.to_signed(v) for v in engine.open_many([sv])] == [-5]
 
 
 @relaxed
@@ -37,9 +37,8 @@ def test_addition(engine, x, y):
     f = engine.field
     a = engine._make_shared(f.from_signed(x))
     b = engine._make_shared(f.from_signed(y))
-    assert f.to_signed(engine.open(a + b)) == x + y
-    assert f.to_signed(engine.open(a - b)) == x - y
-    assert f.to_signed(engine.open(-a)) == -x
+    opened = engine.open_many([a + b, a - b, -a])
+    assert [f.to_signed(v) for v in opened] == [x + y, x - y, -x]
 
 
 @relaxed
@@ -47,9 +46,8 @@ def test_addition(engine, x, y):
 def test_public_scaling_and_addition(engine, x, k):
     f = engine.field
     a = engine._make_shared(f.from_signed(x))
-    assert f.to_signed(engine.open(a * k)) == x * k
-    assert f.to_signed(engine.open(a + f.from_signed(k))) == x + k
-    assert f.to_signed(engine.open(k - a)) == k - x
+    opened = engine.open_many([a * k, a + f.from_signed(k), k - a])
+    assert [f.to_signed(v) for v in opened] == [x * k, x + k, k - x]
 
 
 @relaxed
@@ -58,7 +56,22 @@ def test_beaver_multiplication(engine, x, y):
     f = engine.field
     a = engine._make_shared(f.from_signed(x))
     b = engine._make_shared(f.from_signed(y))
-    assert f.to_signed(engine.open(engine.mul(a, b))) == x * y
+    (product,) = engine.open_many(engine.mul_many([(a, b)]))
+    assert f.to_signed(product) == x * y
+    # The one scalar wrapper left, kept for the e2e probe, is a batch of one.
+    (product,) = engine.open_many([engine.mul(a, b)])
+    assert f.to_signed(product) == x * y
+
+
+def test_shared_times_shared_raises(engine):
+    """A product of two shared values is interactive: it goes into a
+    ``mul_many`` batch, never through a hidden round behind ``*``."""
+    a, b = engine._make_shared(2), engine._make_shared(3)
+    stats, usage = engine.stats.snapshot(), engine.dealer.usage.snapshot()
+    with pytest.raises(TypeError):
+        _ = a * b
+    assert engine.stats.snapshot() == stats
+    assert engine.dealer.usage.snapshot() == usage
 
 
 def test_mul_many_batches_one_round(engine):
@@ -69,17 +82,17 @@ def test_mul_many_batches_one_round(engine):
     rounds_before = engine.stats.rounds
     results = engine.mul_many(pairs)
     assert engine.stats.rounds == rounds_before + 1
-    assert [engine.open(r) for r in results] == [i * (i + 1) for i in range(5)]
+    assert engine.open_many(results) == [i * (i + 1) for i in range(5)]
 
 
 def test_inner_product(engine):
     xs = [engine._make_shared(v) for v in (1, 2, 3)]
     ys = [engine._make_shared(v) for v in (4, 5, 6)]
-    assert engine.open(engine.inner_product(xs, ys)) == 32
+    assert engine.open_many([engine.inner_product(xs, ys)]) == [32]
 
 
 def test_inner_product_empty(engine):
-    assert engine.open(engine.inner_product([], [])) == 0
+    assert engine.open_many([engine.inner_product([], [])]) == [0]
 
 
 def test_inner_product_length_mismatch(engine):
@@ -89,20 +102,18 @@ def test_inner_product_length_mismatch(engine):
 
 def test_sum_values(engine):
     vals = [engine._make_shared(v) for v in (10, 20, 30)]
-    assert engine.open(engine.sum_values(vals)) == 60
-    assert engine.open(engine.sum_values([])) == 0
+    assert engine.open_many([engine.sum_values(vals), engine.sum_values([])]) == [60, 0]
 
 
 def test_input_private_owner_validation(engine):
     with pytest.raises(ValueError):
-        engine.input_private(1, owner=5)
-    sv = engine.input_private(77, owner=2)
-    assert engine.open(sv) == 77
+        engine.input_many([1], owner=5)
+    assert engine.open_many(engine.input_many([77], owner=2)) == [77]
 
 
 def test_input_many(engine):
     values = engine.input_many([1, 2, 3], owner=0)
-    assert [engine.open(v) for v in values] == [1, 2, 3]
+    assert engine.open_many(values) == [1, 2, 3]
 
 
 def test_shares_look_random(engine):
@@ -118,7 +129,7 @@ def test_cross_engine_operations_rejected(engine, engine2):
     with pytest.raises(ValueError):
         _ = a + b
     with pytest.raises(ValueError):
-        engine2.open(a)
+        engine2.open_many([a])
 
 
 # -- authenticated (SPDZ MAC) mode -------------------------------------------
@@ -127,7 +138,7 @@ def test_cross_engine_operations_rejected(engine, engine2):
 def test_authenticated_open(auth_engine):
     sv = auth_engine._make_shared(123)
     assert sv.macs is not None
-    assert auth_engine.open(sv) == 123
+    assert auth_engine.open_many([sv]) == [123]
 
 
 def test_authenticated_arithmetic_preserves_macs(auth_engine):
@@ -135,13 +146,13 @@ def test_authenticated_arithmetic_preserves_macs(auth_engine):
     b = auth_engine._make_shared(20)
     c = (a + b) * 3 - 15
     assert c.macs is not None
-    assert auth_engine.open(c) == 75
+    assert auth_engine.open_many([c]) == [75]
 
 
 def test_authenticated_mul(auth_engine):
     a = auth_engine._make_shared(6)
     b = auth_engine._make_shared(7)
-    assert auth_engine.open(auth_engine.mul(a, b)) == 42
+    assert auth_engine.open_many(auth_engine.mul_many([(a, b)])) == [42]
 
 
 def test_tampered_share_detected(auth_engine):
@@ -149,7 +160,7 @@ def test_tampered_share_detected(auth_engine):
     bad_shares = list(sv.shares)
     bad_shares[1] = (bad_shares[1] + 1) % auth_engine.field.q
     with pytest.raises(MacCheckError):
-        auth_engine.open(SharedValue(auth_engine, tuple(bad_shares), sv.macs))
+        auth_engine.open_many([SharedValue(auth_engine, tuple(bad_shares), sv.macs)])
 
 
 def test_tampered_mac_detected(auth_engine):
@@ -157,20 +168,20 @@ def test_tampered_mac_detected(auth_engine):
     bad_macs = list(sv.macs)
     bad_macs[0] = (bad_macs[0] + 1) % auth_engine.field.q
     with pytest.raises(MacCheckError):
-        auth_engine.open(SharedValue(auth_engine, sv.shares, tuple(bad_macs)))
+        auth_engine.open_many([SharedValue(auth_engine, sv.shares, tuple(bad_macs))])
 
 
 def test_unauthenticated_share_rejected_in_auth_mode(auth_engine):
     sv = SharedValue(auth_engine, auth_engine._make_shared(5).shares, None)
     with pytest.raises(MacCheckError):
-        auth_engine.open(sv)
+        auth_engine.open_many([sv])
 
 
 def test_comm_accounting(engine):
     engine.reset_stats()
     a = engine._make_shared(1)
     b = engine._make_shared(2)
-    engine.mul(a, b)  # one batched open round
+    engine.mul_many([(a, b)])  # one batched open round
     assert engine.stats.rounds == 1
     assert engine.stats.opened_values == 2
     assert engine.stats.bytes > 0
@@ -286,7 +297,7 @@ def test_tampered_dabit_detected(auth_engine, monkeypatch):
 
     monkeypatch.setattr(auth_engine.dealer, "dabits", tampered)
     with pytest.raises(MacCheckError):
-        cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
+        cmp.ltz(auth_engine, [auth_engine._make_shared(5)], 40)
 
 
 def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
@@ -299,7 +310,7 @@ def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
 
     monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
     with pytest.raises(MacCheckError):
-        cmp.ltz(auth_engine, auth_engine._make_shared(5), 40)
+        cmp.ltz(auth_engine, [auth_engine._make_shared(5)], 40)
 
 
 def test_tampered_prandm_word_detected_in_a_batch(auth_engine, monkeypatch):
@@ -318,7 +329,7 @@ def test_tampered_prandm_word_detected_in_a_batch(auth_engine, monkeypatch):
     monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
     values = [auth_engine._make_shared(v) for v in range(5)]
     with pytest.raises(MacCheckError):
-        cmp.ltz_many(auth_engine, values, 40)
+        cmp.ltz(auth_engine, values, 40)
 
 
 @pytest.mark.parametrize("which", ["engine", "auth_engine"])
@@ -330,8 +341,8 @@ def test_empty_batches_cost_nothing(request, which):
     assert eng.input_many([], owner=1) == []
     assert eng.open_many([]) == []
     assert eng.mul_many([]) == []
-    assert cmp.ltz_many(eng, [], 40) == []
-    assert cmp.mod2m_many(eng, [], 40, 39) == []
+    assert cmp.ltz(eng, [], 40) == []
+    assert cmp.mod2m(eng, [], 40, 39) == []
     assert eng.stats.snapshot() == stats
     assert eng.dealer.usage.snapshot() == usage
 
@@ -369,28 +380,29 @@ def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     dealer = engine.dealer
     for_trunc = dealer.prandm(80, 32, with_bits=False)
     assert for_trunc.r1_bits is None
-    assert engine.open(for_trunc.r1) < 1 << 32
+    (r1,) = engine.open_many([for_trunc.r1])
+    assert r1 < 1 << 32
     for_mod2m = dealer.prandm(40, 12)
     assert for_mod2m.r1_bits.width == 12
-    assert engine.open_words([for_mod2m.r1_bits]) == [engine.open(for_mod2m.r1)]
+    assert engine.open_words([for_mod2m.r1_bits]) == engine.open_many([for_mod2m.r1])
     # edaBits: r_j below 2^(24+κ) in Z_q, its low 24 bits in block j.
     masks, packed = dealer.edabits(3, 24, engine.kappa)
     assert packed.width == 3 * 24
     (word,) = engine.open_words([packed])
-    for j, r in enumerate(engine.open(r) for r in masks):
+    for j, r in enumerate(engine.open_many(masks)):
         assert r < 1 << (24 + engine.kappa)
         assert word >> (24 * j) & ((1 << 24) - 1) == r % (1 << 24)
     # One tuple is one tuple, with or without its bits; one edaBit per value.
     assert dealer.usage.snapshot() == {
-        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3, "randoms": 0,
+        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3,
         "and_triples": 0, "dabits": 0,
     }
     dealer.and_triple(40)
     word, arithmetic = dealer.dabits(5)
     (opened,) = engine.open_words([word])
-    assert [opened >> i & 1 for i in range(5)] == [engine.open(a) for a in arithmetic]
+    assert [opened >> i & 1 for i in range(5)] == engine.open_many(arithmetic)
     assert dealer.usage.snapshot() == {
-        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3, "randoms": 0,
+        "triples": 0, "bits": 0, "prandm": 2, "edabits": 3,
         "and_triples": 1, "dabits": 5,
     }
     assert dealer.usage.total() == 11

@@ -107,8 +107,7 @@ def test_to_shares_formula_no_double_fanout(ctx):
         decrypt_bytes = (m - 1) * vec(k, s_ct) + m * (m - 1) * s_pdv(k)
         assert nbytes == mask_bytes + decrypt_bytes
         assert rounds == 3
-        for i, share in enumerate(shares):
-            assert ctx.fx.open(share) == pytest.approx(float(i))
+        assert ctx.fx.open(shares) == [pytest.approx(float(i)) for i in range(k)]
         # The (m−1)² double-count is gone: the mask leg is linear in m−1
         # (one request and one reply per non-requesting party).
         assert mask_bytes % (m - 1) == 0
