@@ -243,11 +243,29 @@ CALLS = {
 }
 
 
+@pytest.mark.parametrize("count", [1, 2, 300])
+def test_ltz_many_costs_one_compare_per_call(count):
+    """8 rounds and 6 AND triples at k = 40 for any batch; a PRandM tuple,
+    a daBit and a Cc per value; no field multiplication."""
+    from repro.analysis import opcount
+
+    engine = MPCEngine(3, seed=5)
+    values = [shared(engine, a - count // 2) for a in range(count)]
+    engine.reset_stats()
+    with opcount.counting() as ops:
+        cmp.ltz(engine, values, K)
+    assert engine.stats.rounds == 8
+    assert (ops["cs"], ops["cc"]) == (0, count)
+    usage = engine.dealer.usage
+    assert (usage.prandm, usage.and_triples, usage.dabits, usage.triples) == (
+        count, 6, count, 0,
+    )
+
+
 @pytest.mark.parametrize("primitive", list(CALLS))
-def test_ltz_many_costs_one_compare_per_call(primitive):
+def test_one_call_costs_the_same_rounds_at_every_length(primitive):
     """One call is one batch: its rounds and AND triples are the same at
-    every length (``ltz`` at k = 40: 8 rounds and 6 AND triples, a PRandM
-    tuple, a daBit and a Cc per value, no field multiplication), and an
+    every length, its Cs, Cc and dealer material grow per value, and an
     empty batch costs no round and no dealer material."""
     from repro.analysis import opcount
 
