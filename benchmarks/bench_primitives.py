@@ -544,6 +544,49 @@ def codec_report(
     return ratios
 
 
+def to_cipher_report(
+    keysize: int = 512, count: int = 37, repeats: int = 5, smoke: bool = False
+) -> dict[str, float]:
+    """The reverse conversion as ``count`` calls of one value against one
+    call of ``count`` values, over a 3-party in-memory federation: the
+    same m·count mask encryptions either way, but one bus flow (two
+    rounds) and one MPC opening instead of ``count``.  A ratio inside this
+    run, and the bus rounds each way."""
+    with build_context(keysize=keysize) as ctx:
+        shares = [ctx.fx.share(0.25 * i - 4.0) for i in range(count)]
+
+        def singly():
+            return [ct for share in shares for ct in ctx.to_cipher([share])]
+
+        def batched():
+            return ctx.to_cipher(shares)
+
+        def plaintexts(cts):
+            return [ctx.threshold.joint_decrypt(ct.ciphertext) for ct in cts]
+
+        rounds_before = ctx.bus.rounds
+        single_cts = singly()
+        single_rounds = ctx.bus.rounds - rounds_before
+        rounds_before = ctx.bus.rounds
+        batch_cts = batched()
+        batch_rounds = ctx.bus.rounds - rounds_before
+        assert plaintexts(single_cts) == plaintexts(batch_cts)
+        t_single = _best_of(singly, repeats)
+        t_batch = _best_of(batched, repeats)
+    ratio = t_batch / t_single
+    print(
+        f"to_cipher x{count}: {t_single * 1e3:.1f} ms as {count} calls "
+        f"({single_rounds} bus rounds), {t_batch * 1e3:.1f} ms as one call "
+        f"({batch_rounds} bus rounds; {ratio:.2f}x)"
+    )
+    if smoke:
+        assert (single_rounds, batch_rounds) == (2 * count, 2), (
+            f"{count} reverse conversions took {single_rounds} bus rounds "
+            f"singly and {batch_rounds} batched; expected {2 * count} and 2"
+        )
+        print(f"SMOKE OK: one to_cipher call of {count} values is 2 bus rounds")
+    return {"to_cipher_batch": ratio}
+
 def mask_count_report(smoke: bool = False) -> dict[str, int]:
     """Pool masks of one basic fit against their formula — a count, not a
     time.  At n = 60, h = 2, c = 2, m = 3 and S candidate splits per node:
@@ -596,6 +639,7 @@ def main() -> None:
         packing_report(repeats=3, smoke=True)
         prediction_report(smoke=True)
         codec_report(smoke=True)
+        to_cipher_report(repeats=3, smoke=True)
         mask_count_report(smoke=True)
         return
 
@@ -618,6 +662,7 @@ def main() -> None:
     packing_report()
     prediction_report()
     codec_report()
+    to_cipher_report()
     mask_count_report()
 
 

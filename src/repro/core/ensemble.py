@@ -244,8 +244,8 @@ class GBDTTrainer:
         """One tree's encrypted prediction for every row.
 
         Basic: Algorithm 4's [k̄], one round-robin for all rows.  Enhanced:
-        the §5.2 shared predictions of all rows in one walk, each converted
-        back to a ciphertext (§5.2's reverse conversion) so the running
+        the §5.2 shared predictions of all rows in one walk, converted back
+        to ciphertexts in one call (§5.2's reverse conversion) so the running
         estimate [Ŷ] updates homomorphically either way; the ciphertext
         holds the prediction itself, like the basic one.
         """
@@ -257,7 +257,7 @@ class GBDTTrainer:
             # Boosting providers keep residuals in score units (scale 1); a
             # scaled tree would need a public rescale after conversion.
             shares = ctx.fx.mul_public(shares, scale)
-        return [ctx.to_cipher(share) for share in shares]
+        return ctx.to_cipher(shares)
 
     def _training_slices(self) -> list[np.ndarray]:
         """Per-party blocks of all n training samples, each client's read
@@ -367,24 +367,26 @@ class GBDTTrainer:
         ctx = self.ctx
         shares = ctx.to_shares(values)
         squares = ctx.fx.mul([(s, s) for s in shares])
-        return [ctx.to_cipher(sq) for sq in squares]
+        return ctx.to_cipher(squares)
 
     def _softmax_residuals(
         self,
         scores: list[list[EncryptedNumber]],
         onehot_cts: list[list[EncryptedNumber]],
     ) -> list[list[EncryptedNumber]]:
-        """[onehot_k - softmax_k(scores)] for every sample (§7.2)."""
+        """[onehot_k - softmax_k(scores)] for every sample (§7.2): one
+        conversion to shares and one back over all n·c scores; the softmax
+        itself runs per sample."""
         ctx = self.ctx
-        n = len(scores[0])
-        residuals: list[list[EncryptedNumber]] = [[] for _ in range(self.n_classes)]
-        for t in range(n):
-            per_class = ctx.to_shares([scores[k][t] for k in range(self.n_classes)])
-            probs = ctx.fx.softmax(per_class)
-            for k in range(self.n_classes):
-                p_ct = ctx.to_cipher(probs[k])
-                residuals[k].append(onehot_cts[k][t] - p_ct)
-        return residuals
+        n, c = len(scores[0]), self.n_classes
+        shares = ctx.to_shares([scores[k][t] for t in range(n) for k in range(c)])
+        probs = [
+            p for t in range(n) for p in ctx.fx.softmax(shares[t * c : (t + 1) * c])
+        ]
+        p_cts = ctx.to_cipher(probs)
+        return [
+            [onehot_cts[k][t] - p_cts[t * c + k] for t in range(n)] for k in range(c)
+        ]
 
     # ------------------------------------------------------------------
 

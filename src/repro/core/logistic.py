@@ -145,7 +145,7 @@ class LogisticTrainer:
         """
         ctx = self.ctx
         sup = ctx.super_client
-        loss_cts = [ctx.to_cipher(loss) for loss in losses]
+        loss_cts = ctx.to_cipher(losses)
         scale = self.learning_rate / len(batch)
         for client, block in zip(ctx.clients, self.weights):
             if client.index == sup:
@@ -175,8 +175,8 @@ class LogisticTrainer:
         flat = [w for block in self.weights for w in block]
         shares = ctx.to_shares(flat)
         refreshed = [
-            ctx.to_cipher(s).decrease_exponent_to(-2 * ctx.encoder.frac_bits)
-            for s in shares
+            ct.decrease_exponent_to(-2 * ctx.encoder.frac_bits)
+            for ct in ctx.to_cipher(shares)
         ]
         index = 0
         for block in self.weights:

@@ -27,14 +27,16 @@ Implements Algorithm 3 with the three steps of §4.1 per tree node:
    selection (Theorem 2) and the encrypted mask update of Eq. (10) for the
    left child — slot-packed, since [α] is an exact 0/1 vector — and the
    right child is again [α] ⊖ [α_l]; the split threshold and leaf labels
-   stay hidden (shared + encrypted forms are attached to the node's
-   ``hidden`` payload).
+   stay hidden as secret shares in the node's ``hidden`` payload
+   (``threshold_share``, ``label_share``), which is what §5.2 prediction
+   and the ensembles read.
    Either way the children's mask vectors are built only when the
    children will read them: below ``max_depth`` and with a candidate split
    left, both public.  In a full tree half of the internal nodes split
    into leaves at the depth limit; their basic ``node-split`` carries the
-   threshold and empty vectors, and their enhanced split stops after [λ]
-   and the hidden threshold (no [v], no Eq. 10).
+   threshold and empty vectors, and their enhanced split stops at the
+   shared threshold: no [λ] (one reverse conversion per built split, for
+   Eq. 10 to read), no [v], no Eq. 10.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own [Σα, Σγ_k].  A child's (n, g_k) *are* the
@@ -70,7 +72,7 @@ import numpy as np
 from repro.core.config import PivotConfig
 from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
-from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.crypto.encoding import EncryptedNumber
 from repro.mpc.conversion import check_masked_opening, mask_layout
 from repro.mpc.sharing import SharedValue
 from repro.network.flows import broadcast_request, collect_replies, react_runtimes
@@ -511,16 +513,11 @@ class TreeTrainer:
         owner = ctx.clients[owner_idx]
         lam_shares = [onehot[i] for i in feature_groups[(owner_idx, feature)]]
 
-        # Encrypted selection vector [λ] (conversion of §5.2); λ is a raw
-        # 0/1 vector, so it is encrypted at exponent 0.
-        lam_cipher = [ctx.to_cipher(lam, exponent=0) for lam in lam_shares]
-
-        # Encrypted (and shared) split threshold.
+        # Shared split threshold: Σ_s λ_s · encode(t_s), local.
         encoded_vals = [
             ctx.encoder.encode(float(t)).encoding
             for t in owner.split_values[feature]
         ]
-        threshold_cipher = encrypted_dot_product(encoded_vals, lam_cipher)
         threshold_share = ctx.engine.sum_values(
             [lam * enc for lam, enc in zip(lam_shares, encoded_vals)]
         )
@@ -535,12 +532,15 @@ class TreeTrainer:
             threshold=None,  # hidden (§5.2)
         )
         node.hidden["threshold_share"] = threshold_share
-        node.hidden["threshold_cipher"] = threshold_cipher
         child_available = _child_available(
             available, owner_idx, feature, self.cfg.tree.remove_used_feature
         )
         left = right = (None, None)
         if self._children_read(depth, child_available):
+            # Encrypted selection vector [λ] (conversion of §5.2), one
+            # batch, only where Eq. 10 reads it; λ is a raw 0/1 vector,
+            # so it is encrypted at exponent 0.
+            lam_cipher = ctx.to_cipher(lam_shares, exponent=0)
             left, right = self._children_masks(
                 alpha, gammas, owner.indicator_matrix(feature), lam_cipher,
                 node_key,
@@ -712,7 +712,6 @@ class TreeTrainer:
             if self.enhanced:
                 leaf.prediction = None
                 leaf.hidden["label_share"] = label_share
-                leaf.hidden["label_cipher"] = ctx.to_cipher(label_share)
             else:
                 (leaf.prediction,) = ctx.engine.open_many([index])
                 ctx.revealed.append((f"leaf-label-d{depth}", leaf.prediction))
@@ -726,7 +725,6 @@ class TreeTrainer:
             if self.enhanced:
                 leaf.prediction = None
                 leaf.hidden["label_share"] = mean_share
-                leaf.hidden["label_cipher"] = ctx.to_cipher(mean_share)
                 leaf.hidden["label_scale"] = self.provider.label_scale
             else:
                 (mean,) = ctx.open_values([mean_share], tag=f"leaf-label-d{depth}")

@@ -543,10 +543,13 @@ class Federation:
             bound_bits=bound_bits,
         )
 
-    def to_cipher(self, value: SharedValue, exponent: int | None = None) -> EncryptedNumber:
-        """Reverse conversion (§5.2); encrypted shares travel on the bus."""
+    def to_cipher(
+        self, values: list[SharedValue], exponent: int | None = None
+    ) -> list[EncryptedNumber]:
+        """Reverse conversion (§5.2) over a batch: one bus flow, two
+        rounds, whatever the length."""
         return share_to_cipher(
-            value, self.threshold, self.fx, self.conversions, exponent=exponent,
+            values, self.threshold, self.fx, self.conversions, exponent=exponent,
             bus=self.bus,
         )
 

@@ -21,6 +21,12 @@ multiplies and every later masked opening exposes.)  For a shared x with
    ``[x] = (e − 2^β) ⊖ Σ_i [r_i]`` — the public constant enters
    unobfuscated, the m mask encryptions randomise the result.
 
+It runs over a batch: one call inputs each client's masks for every value
+in one ``input_many``, opens every ``e`` in one ``open_many``, and moves
+one mask-ciphertext list per client 2..m and one broadcast result list on
+the bus (tag ``to-cipher``, outside the decryption tags) — two bus rounds
+at any length.
+
 *What the opening shows.*  ``e`` is the only value anyone sees.  With one
 honest client, ``r_i`` is uniform on ``[0, 2^{β+κ})`` and independent of
 x, so ``e`` is within statistical distance ``2^{β+1} / 2^{β+κ} = 2^{1−κ}``
@@ -197,6 +203,9 @@ def ciphers_to_shares(
     from the bundle's key shares; the op counts are the same.  Either way
     the masked plaintexts are reconstructed from the m share vectors by
     :func:`~repro.crypto.threshold.combine_partial_vectors`.
+
+    The MPC engine accounts the mask broadcast and combine as one round
+    per call, m field elements per value.
     """
     if not values:
         return []
@@ -293,9 +302,10 @@ def ciphers_to_shares(
             shared = SharedValue(
                 engine, (own_share % q, *(v % q for v in others))
             )
-        # Account the mask broadcast + combine as one communication round.
-        engine._record_round(messages=2 * (m - 1), values=m)
         results.append(shared)
+    # The mask broadcast + combine is one communication round per call,
+    # carrying m field elements per value.
+    engine._record_round(messages=2 * (m - 1), values=m * len(values))
     # Values at a deeper scale than 2^F are rescaled, one batch per depth.
     for extra in dict.fromkeys(e for e in extras if e):
         at = [j for j, e in enumerate(extras) if e == extra]
@@ -326,56 +336,72 @@ def check_masked_opening(opened: int, mask_bits: int, n_parties: int) -> None:
 
 
 def share_to_cipher(
-    value: SharedValue,
+    values: list[SharedValue],
     threshold: ThresholdPaillier,
     fixed: FixedPointOps,
     counters: ConversionCounters | None = None,
     exponent: int | None = None,
     bus: MessageBus | None = None,
-) -> EncryptedNumber:
-    """Reverse conversion (§5.2): the ciphertext of a shared value.
+) -> list[EncryptedNumber]:
+    """Reverse conversion (§5.2) over a batch: the ciphertext of each
+    shared value.
 
-    The plaintext of the returned ciphertext is x itself (signed, no
+    The plaintext of each returned ciphertext is x itself (signed, no
     multiple of q), for any shared x with ``|x| < 2**fixed.k``: the
-    clients open x under m fresh ``fixed.k + κ``-bit masks and subtract
-    the encrypted masks again (see the module docstring for the steps and
-    for what the opening shows).  A value outside the bound raises
-    :class:`MaskBoundError` at the opening.
+    clients open every x under m fresh ``fixed.k + κ``-bit masks and
+    subtract the encrypted masks again (see the module docstring for the
+    steps and for what the opening shows).  A value outside the bound
+    raises :class:`MaskBoundError` at the opening, before anything is
+    encrypted or sent.
 
-    ``exponent`` declares the fixed-point scale of the shared value:
+    ``exponent`` declares the fixed-point scale of the shared values:
     -F (the default) for fixed-point values, 0 for raw integers/bits such
     as the enhanced protocol's selection vector [λ].
 
-    With a ``bus``, clients 2..m send their encrypted masks to client 1,
-    who broadcasts the result — 2(m−1) ciphertext messages over two
-    rounds.  The MPC engine accounts m inputs and one opening.
+    One call costs the same at any length: one ``input_many`` per party
+    (her masks), one ``open_many`` (every e) and one accounted round for
+    the mask-ciphertext exchange.  With a ``bus``, clients 2..m each send
+    client 1 one list of mask ciphertexts and client 1 broadcasts one
+    list of results — two bus rounds, tag ``to-cipher``.  The tag is not a
+    decryption tag: a party runtime consumes a ciphertext list under it
+    without answering with her c^{d_i} shares.
     """
     from repro.crypto.encoding import PaillierEncoder
 
-    engine = value.engine
-    m = value.n_parties
+    if not values:
+        return []
+    engine = fixed.engine
+    m = engine.n_parties
     pk = threshold.public_key
     encoder = PaillierEncoder(pk, frac_bits=fixed.f)
     offset = 1 << fixed.k
     mask_bits = fixed.k + engine.kappa
-    masks = [secrets.randbits(mask_bits) for _ in range(m)]
+    count = len(values)
+    masks = [[secrets.randbits(mask_bits) for _ in range(count)] for _ in range(m)]
     mask_shares = [
-        share
-        for party, r in enumerate(masks)
-        for share in engine.input_many([r], owner=party)
+        engine.input_many(party_masks, owner=party)
+        for party, party_masks in enumerate(masks)
     ]
-    (opened,) = engine.open_many(
-        [engine.add_public(engine.sum_values([value, *mask_shares]), offset)]
+    opened = engine.open_many(
+        [
+            engine.add_public(engine.sum_values([value, *shares]), offset)
+            for value, shares in zip(values, zip(*mask_shares))
+        ]
     )
-    check_masked_opening(opened, mask_bits, m)
-    mask_cts = [pk.encrypt(r) for r in masks]
-    total = (opened - offset) - reduce(operator.add, mask_cts)
+    for e in opened:
+        check_masked_opening(e, mask_bits, m)
+    mask_cts = [[pk.encrypt(r) for r in party_masks] for party_masks in masks]
+    totals = [
+        (e - offset) - reduce(operator.add, cts)
+        for e, cts in zip(opened, zip(*mask_cts))
+    ]
     if bus is not None:
         for party in range(1, m):
-            bus.send_payload(party, 0, mask_cts[party], tag="mpc-convert")
-        bus.broadcast_payload(0, total, tag="mpc-convert")
+            bus.send_payload(party, 0, mask_cts[party], tag="to-cipher")
+        bus.broadcast_payload(0, totals, tag="to-cipher")
         bus.round(2)
     if counters is not None:
-        counters.to_cipher += 1
-    engine._record_round(messages=m * (m - 1), values=m)
-    return EncryptedNumber(encoder, total, -fixed.f if exponent is None else exponent)
+        counters.to_cipher += count
+    engine._record_round(messages=m * (m - 1), values=m * count)
+    scale = -fixed.f if exponent is None else exponent
+    return [EncryptedNumber(encoder, total, scale) for total in totals]

@@ -5,9 +5,9 @@ module gives it a stable JSON representation so a released model can be
 persisted, exchanged, and later fed to the prediction protocols.
 
 Enhanced-protocol models are *not* serialisable here by design: their
-thresholds and leaf labels exist only as live secret shares/ciphertexts
-bound to a protocol context (the whole point of §5.2); attempting to dump
-one raises.
+thresholds and leaf labels exist only as live secret shares bound to a
+protocol context's MPC engine (the whole point of §5.2); attempting to
+dump one raises.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _FORMAT_VERSION = 1
 def _node_to_dict(node: TreeNode) -> dict:
     if node.hidden:
         raise ValueError(
-            "model carries hidden (shared/encrypted) payloads; enhanced "
+            "model carries hidden (secret-shared) payloads; enhanced "
             "models cannot be serialised in plaintext"
         )
     if node.is_leaf:

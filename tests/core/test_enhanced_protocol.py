@@ -13,6 +13,7 @@ from repro.core import (
     run_predict_enhanced,
 )
 from repro.data import vertical_partition
+from repro.mpc.sharing import SharedValue
 from repro.tree import TreeParams
 
 from tests.core.conftest import make_context
@@ -35,15 +36,45 @@ def enhanced_setup(request):
 
 
 def test_thresholds_and_labels_hidden(enhanced_setup):
+    """The hidden payload holds shares only: what §5.2 prediction reads."""
     _, _, _, model, _, _ = enhanced_setup
     for node in model.internal_nodes():
         assert node.threshold is None
-        assert "threshold_share" in node.hidden
-        assert "threshold_cipher" in node.hidden
+        assert set(node.hidden) == {"threshold_share"}
+        assert isinstance(node.hidden["threshold_share"], SharedValue)
     for leaf in model.leaves():
         assert leaf.prediction is None
-        assert "label_share" in leaf.hidden
-        assert "label_cipher" in leaf.hidden
+        assert set(leaf.hidden) == {"label_share"}
+        assert isinstance(leaf.hidden["label_share"], SharedValue)
+
+
+@pytest.mark.parametrize("max_depth", [2, 3])
+def test_selection_vector_is_converted_only_where_eq10_reads_it(
+    monkeypatch, max_depth
+):
+    """One ``share_to_cipher`` call per internal node whose children are
+    built — its whole [λ] in one batch — and none for a leaf."""
+    from repro.data import make_classification
+    from repro.federation import federation as federation_module
+
+    X, y = make_classification(30, 4, n_classes=2, seed=1)
+    params = TreeParams(max_depth=max_depth, max_splits=2)
+    ctx = make_context(X, y, "classification", protocol="enhanced", params=params)
+    calls = []
+    real = federation_module.share_to_cipher
+
+    def counted(values, *args, **kwargs):
+        calls.append((len(values), kwargs.get("exponent")))
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(federation_module, "share_to_cipher", counted)
+    model = TreeTrainer(ctx).fit()
+    # Four features, two used at most: every split below the depth limit
+    # has a candidate left, so its children are built.
+    built = sum(node.depth + 1 < max_depth for node in model.internal_nodes())
+    assert built == {2: 1, 3: 3}[max_depth]
+    assert calls == [(2, 0)] * built  # max_splits thresholds, raw bits
+    assert ctx.conversions.to_cipher == 2 * built
 
 
 def test_split_features_match_basic(enhanced_setup):

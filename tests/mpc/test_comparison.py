@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import PaillierEncoder, generate_threshold_keypair
 from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc import comparison as cmp
+from repro.mpc import conversion as conv
 from repro.mpc.dealer import DealerUsage
 
 K = 40
@@ -214,6 +218,16 @@ def _pairs(values):
     return list(zip(values, values[::-1]))
 
 
+@lru_cache(maxsize=None)
+def _threshold():
+    return generate_threshold_keypair(3, 256)
+
+
+def _ciphertexts(count):
+    encoder = PaillierEncoder(_threshold().public_key)
+    return [encoder.encrypt(a - count // 2) for a in range(count)]
+
+
 # Every interactive primitive as one call on a batch of values: (call, its
 # rounds, its AND triples, and per value its Cs, Cc, PRandM tuples and
 # daBits).  A Beaver triple is a Cs.
@@ -240,6 +254,16 @@ CALLS = {
     "fx.gt": (lambda e, fx, xs: fx.gt(xs, xs[::-1]), 8, 6, (0, 1, 1, 1)),
     "fx.ltz": (lambda e, fx, xs: fx.ltz(xs), 8, 6, (0, 1, 1, 1)),
     "fx.eqz": (lambda e, fx, xs: fx.eqz(xs), 8, 6, (0, 2, 2, 2)),
+    # The conversions: Algorithm 2 charges its mask broadcast and combine
+    # once, the reverse conversion an input per party, one opening and its
+    # mask exchange.
+    "ciphers_to_shares": (
+        lambda e, fx, xs: conv.ciphers_to_shares(_ciphertexts(len(xs)), _threshold(), fx),
+        1, 0, (0, 0, 0, 0),
+    ),
+    "share_to_cipher": (
+        lambda e, fx, xs: conv.share_to_cipher(xs, _threshold(), fx), 5, 0, (0, 0, 0, 0)
+    ),
 }
 
 

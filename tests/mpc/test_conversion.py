@@ -60,7 +60,7 @@ def _decrypt(value, threshold) -> float:
 def test_counters(threshold3, encoder, fx):
     counters = ConversionCounters()
     ciphers_to_shares([encoder.encrypt(5)], threshold3, fx, counters)
-    share_to_cipher(fx.share(1.0), threshold3, fx, counters)
+    share_to_cipher([fx.share(1.0)], threshold3, fx, counters)
     assert counters.snapshot() == {
         "to_shares": 1,
         "to_cipher": 1,
@@ -71,18 +71,18 @@ def test_counters(threshold3, encoder, fx):
 @relaxed
 @given(v=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 def test_share_to_cipher_roundtrip(threshold3, fx, v):
-    ct = share_to_cipher(fx.share(v), threshold3, fx)
+    (ct,) = share_to_cipher([fx.share(v)], threshold3, fx)
     assert math.isclose(_decrypt(ct, threshold3), v, abs_tol=1e-4)
 
 
 def test_converted_cipher_back_to_share(threshold3, fx):
-    ct = share_to_cipher(fx.share(-3.5), threshold3, fx)
+    (ct,) = share_to_cipher([fx.share(-3.5)], threshold3, fx)
     sv = ciphers_to_shares([ct], threshold3, fx)[0]
     assert math.isclose(fx.open([sv])[0], -3.5, abs_tol=1e-4)
 
 
 def test_homomorphic_sum_of_converted_ciphers(threshold3, fx):
-    cts = [share_to_cipher(fx.share(v), threshold3, fx) for v in (1.5, 2.5, -1.0)]
+    cts = share_to_cipher([fx.share(v) for v in (1.5, 2.5, -1.0)], threshold3, fx)
     total = cts[0] + cts[1] + cts[2]
     assert math.isclose(_decrypt(total, threshold3), 3.0, abs_tol=1e-3)
 
@@ -90,7 +90,7 @@ def test_homomorphic_sum_of_converted_ciphers(threshold3, fx):
 def test_converted_cipher_with_deeper_scale(threshold3, fx):
     """A converted ciphertext scaled to exponent -2F converts back through
     the ordinary secure truncation."""
-    ct = share_to_cipher(fx.share(2.5), threshold3, fx)
+    (ct,) = share_to_cipher([fx.share(2.5)], threshold3, fx)
     deeper = ct * 3.0  # exponent -2F
     assert math.isclose(_decrypt(deeper, threshold3), 7.5, abs_tol=1e-3)
     sv = ciphers_to_shares([deeper], threshold3, fx)[0]

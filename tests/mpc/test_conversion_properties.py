@@ -58,10 +58,10 @@ def test_convert_commutes_with_scalar_multiplication(threshold3, encoder, fx, x,
 @given(x=VALUES)
 def test_double_roundtrip_is_stable(threshold3, fx, x):
     sv = fx.share(x)
-    ct = share_to_cipher(sv, threshold3, fx)
-    sv2 = ciphers_to_shares([ct], threshold3, fx)[0]
-    ct2 = share_to_cipher(sv2, threshold3, fx)
-    sv3 = ciphers_to_shares([ct2], threshold3, fx)[0]
+    ct = share_to_cipher([sv], threshold3, fx)
+    sv2 = ciphers_to_shares(ct, threshold3, fx)[0]
+    ct2 = share_to_cipher([sv2], threshold3, fx)
+    sv3 = ciphers_to_shares(ct2, threshold3, fx)[0]
     assert math.isclose(*fx.open([sv3, sv]), abs_tol=2e-4)
 
 
@@ -101,10 +101,10 @@ def test_share_to_cipher_encrypts_the_value_itself(m, keysize, x, authenticated,
     threshold = _threshold(m, keysize)
     fx = FixedPointOps(MPCEngine(m, authenticated=authenticated, seed=seed))
     assert fx.k == BETA
-    (shared,) = fx.engine.input_many([x])
+    shared = fx.engine.input_many([x])
     counters = ConversionCounters()
     with opcount.counting() as ops:
-        ct = share_to_cipher(shared, threshold, fx, counters)
+        (ct,) = share_to_cipher(shared, threshold, fx, counters)
     assert threshold.joint_decrypt(ct.ciphertext) == x
     assert ct.exponent == -fx.f
     # m mask encryptions, m - 1 additions, one subtraction from the opening.
@@ -128,8 +128,8 @@ def test_share_to_cipher_of_a_bit_at_exponent_zero(m, keysize, bit, authenticate
     """The selection vector [λ]: a raw shared bit encrypts to that bit."""
     threshold = _threshold(m, keysize)
     fx = FixedPointOps(MPCEngine(m, authenticated=authenticated, seed=bit))
-    (shared,) = fx.engine.input_many([bit])
-    ct = share_to_cipher(shared, threshold, fx, exponent=0)
+    shared = fx.engine.input_many([bit])
+    (ct,) = share_to_cipher(shared, threshold, fx, exponent=0)
     assert ct.exponent == 0
     assert threshold.joint_decrypt(ct.ciphertext) == bit
     (back,) = ciphers_to_shares([ct], threshold, fx, bound_bits=fx.k)
@@ -146,5 +146,5 @@ def test_share_outside_the_bound_raises_at_the_opening(threshold3, x, authentica
     fx = FixedPointOps(MPCEngine(3, authenticated=authenticated, seed=3))
     counters = ConversionCounters()
     with pytest.raises(MaskBoundError):
-        share_to_cipher(*fx.engine.input_many([x]), threshold3, fx, counters)
+        share_to_cipher(fx.engine.input_many([x]), threshold3, fx, counters)
     assert counters.to_cipher == 0

@@ -113,20 +113,56 @@ def test_to_shares_formula_no_double_fanout(ctx):
         assert mask_bytes % (m - 1) == 0
 
 
-def test_to_cipher_formula(ctx):
-    """Reverse conversion: m−1 encrypted-share sends + the combined
-    broadcast; the seed recorded m·(m−1) ciphertexts."""
+@pytest.mark.parametrize("k", [1, 2, 37])
+def test_to_cipher_formula(ctx, k):
+    """Reverse conversion of k values, one flow: m−1 mask-ciphertext
+    vectors to the requester + the combined vector broadcast, 2 rounds at
+    any k; the seed recorded m·(m−1) ciphertexts per value."""
     m = ctx.n_clients
     s_ct, s_en, s_pdv, vec = _sizes(ctx)
-    share = ctx.fx.share(1.5)
-    _, nbytes, rounds, messages = _delta(
-        ctx.bus, lambda: ctx.to_cipher(share)
+    shares = [ctx.fx.share(0.5 * i) for i in range(k)]
+    cts, nbytes, rounds, messages = _delta(
+        ctx.bus, lambda: ctx.to_cipher(shares)
     )
-    assert nbytes == 2 * (m - 1) * s_ct
+    assert nbytes == 2 * (m - 1) * vec(k, s_ct)
     assert rounds == 2
     assert messages == 2 * (m - 1)
-    seed_bytes = m * (m - 1) * ctx.ciphertext_bytes
+    seed_bytes = k * m * (m - 1) * ctx.ciphertext_bytes
     assert nbytes < seed_bytes
+    assert ctx.joint_decrypt_batch(cts, tag="check") == [
+        pytest.approx(0.5 * i) for i in range(k)
+    ]
+    ctx.bus.assert_drained()
+
+
+def test_to_cipher_lists_are_not_decryption_requests(ctx, monkeypatch):
+    """Both legs of the reverse conversion carry ciphertext lists; a party
+    runtime that pops one (a party in her own process does, from her
+    socket) consumes it without answering with her c^{d_i} shares."""
+    from repro.federation.party import DECRYPT_TAGS
+
+    sent = []
+    for name in ("send_payload", "broadcast_payload"):
+        real = getattr(ctx.bus, name)
+        monkeypatch.setattr(
+            ctx.bus,
+            name,
+            lambda *a, real=real, **kw: sent.append((kw["tag"], a[-1])) or real(*a, **kw),
+        )
+    cts = ctx.to_cipher([ctx.fx.share(1.0), ctx.fx.share(-2.0)])
+    (tag,) = {t for t, _ in sent}
+    assert tag not in DECRYPT_TAGS
+    assert all(len(payload) == 2 for _, payload in sent)
+    sent.clear()
+    for runtime in ctx.runtimes:
+        sender = 1 if runtime.index == 0 else 0
+        for payload in (cts, [ct.ciphertext for ct in cts]):
+            assert runtime.handle(sender, tag, list(payload)) == "sink"
+    assert sent == []
+    # The same list under Algorithm 2's tag is a decryption request.
+    assert ctx.runtimes[1].handle(0, "mpc-convert", list(cts)) == "decrypt"
+    assert [type(payload) for _, payload in sent] == [wire.PartialDecryptionVector]
+    ctx.bus.drain()
 
 
 def test_joint_decrypt_batch_is_one_flow(ctx):
