@@ -10,22 +10,42 @@ Shapes to reproduce:
 * GBDT regression is slower than RF regression (encrypted residual
   bookkeeping between rounds);
 * GBDT classification is the slowest by a clear margin (one-vs-rest: W·c
-  trees, plus the per-sample secure softmax each round).
+  trees, plus one secure softmax over all samples each round).
+
+``--smoke`` instead prints, per estimator × protocol, the MPC rounds, bus
+rounds and dealer material (``DealerUsage``) of one fit and of one predict
+call at R = 1, 10 and 20 rows, and asserts that a predict call's rounds do
+not grow with R: every estimator predicts its rows in one batch.
 
     python benchmarks/bench_fig4_ensembles.py
+    python benchmarks/bench_fig4_ensembles.py --smoke
     pytest benchmarks/bench_fig4_ensembles.py --benchmark-only
 """
 
+import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import numpy as np
+
 from common import build_context, print_table, timed_run
-from repro.core import GBDTTrainer, ForestTrainer
+from repro.core import GBDTTrainer, ForestTrainer, LogisticTrainer
+from repro.mpc.dealer import DealerUsage
 
 W_VALUES = [1, 2, 3]  # paper: 2..32
 SMALL = dict(n=24, d_bar=2, b=2, h=1, m=3)
+PREDICT_ROWS = (1, 10, 20)
+
+#: name -> (task, trainer factory) for the --smoke cost table.
+ESTIMATORS = {
+    "RF-Class": ("classification", lambda ctx: ForestTrainer(ctx, n_trees=2, seed=1)),
+    "RF-Regr": ("regression", lambda ctx: ForestTrainer(ctx, n_trees=2, seed=1)),
+    "GBDT-Class": ("classification", lambda ctx: GBDTTrainer(ctx, n_rounds=2)),
+    "GBDT-Regr": ("regression", lambda ctx: GBDTTrainer(ctx, n_rounds=2)),
+    "Logistic": ("classification", lambda ctx: LogisticTrainer(ctx, n_epochs=1)),
+}
 
 
 def run_rf(task: str, w: int):
@@ -64,7 +84,75 @@ def test_fig4f_linear_in_w(benchmark):
     assert three > 1.8 * one
 
 
+def _costs(context) -> dict[str, int]:
+    return {
+        "mpc_rounds": context.engine.stats.rounds,
+        "bus_rounds": context.bus.rounds,
+        **context.engine.dealer.usage.snapshot(),
+    }
+
+
+def _spent(context, fn) -> dict[str, int]:
+    before = _costs(context)
+    fn()
+    return {key: value - before[key] for key, value in _costs(context).items()}
+
+
+def cost_table() -> list[list]:
+    """One row per estimator × protocol × phase: a fit, then one predict
+    call at each of PREDICT_ROWS rows.  Raises if a predict call's MPC or
+    bus rounds depend on how many rows it has."""
+    rows = []
+    for name, (task, factory) in ESTIMATORS.items():
+        protocols = ("basic",) if name == "Logistic" else ("basic", "enhanced")
+        for protocol in protocols:
+            classes = 2 if name == "Logistic" else 3
+            context = build_context(task=task, protocol=protocol, classes=classes, **SMALL)
+            trainer = factory(context)
+            held_out = np.random.default_rng(5).normal(
+                size=(max(PREDICT_ROWS), SMALL["m"] * SMALL["d_bar"])
+            )
+            phases = {"fit": _spent(context, trainer.fit)}
+            for count in PREDICT_ROWS:
+                phases[f"predict R={count}"] = _spent(
+                    context, lambda: trainer.predict(held_out[:count])
+                )
+            context.assert_drained()
+            context.close()
+            predicts = {
+                (cost["mpc_rounds"], cost["bus_rounds"])
+                for phase, cost in phases.items()
+                if phase.startswith("predict")
+            }
+            assert len(predicts) == 1, (
+                f"{name}/{protocol}: predict rounds depend on R: {phases}"
+            )
+            for phase, cost in phases.items():
+                rows.append([name, protocol, phase, *cost.values()])
+    return rows
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="print fit and predict rounds and dealer material per estimator "
+        "× protocol, and check predict rounds do not grow with the rows",
+    )
+    if parser.parse_args().smoke:
+        rows = cost_table()
+        header = ["estimator", "protocol", "phase", "MPC rounds", "bus rounds",
+                  *DealerUsage().snapshot()]
+        print_table(
+            "Ensemble and logistic costs per fit and per predict call "
+            f"(n={SMALL['n']}, h={SMALL['h']}, m={SMALL['m']}, 2 trees/rounds)",
+            header,
+            rows,
+        )
+        print(f"\nSMOKE OK: predict MPC and bus rounds equal at R = {PREDICT_ROWS} "
+              "for every estimator × protocol")
+        return
     rows = []
     for w in W_VALUES:
         rows.append([

@@ -32,12 +32,7 @@ import numpy as np
 
 from common import DEFAULTS, build_context, print_table
 from repro.baselines import NpdDecisionTree, npd_predict
-from repro.core import (
-    TreeTrainer,
-    run_predict_basic,
-    run_predict_batch,
-    run_predict_enhanced,
-)
+from repro.core import TreeTrainer, run_predict_batch
 
 N_PREDICTIONS = 8
 BATCH = 64
@@ -65,11 +60,11 @@ def run_point(m: int, h: int) -> dict[str, float]:
     basic_batched = (time.perf_counter() - start) / BATCH * 1000  # ms
     return {
         "basic": _time_per_prediction(
-            lambda r: run_predict_basic(basic_model, basic_ctx, r), rows
+            lambda r: run_predict_batch(basic_model, basic_ctx, r), rows
         ),
         "basic_batched": basic_batched,
         "enhanced": _time_per_prediction(
-            lambda r: run_predict_enhanced(enhanced_model, enhanced_ctx, r), rows
+            lambda r: run_predict_batch(enhanced_model, enhanced_ctx, r, "enhanced"), rows
         ),
         "npd": _time_per_prediction(
             lambda r: npd_predict(npd_model, basic_ctx.partition, r, npd.bus), rows

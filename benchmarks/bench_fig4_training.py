@@ -113,8 +113,10 @@ def training_record(json_path: str | None = None) -> dict:
     """End-to-end training record for the perf trajectory (ROADMAP item 2).
 
     One fit per (protocol, transport) point at the DEFAULTS workload,
-    recording wall/modeled seconds, measured bytes, rounds and the
-    Ce/Cd/Cs/Cc tallies.  ``json_path`` persists it (CI writes
+    recording wall/modeled seconds, measured bytes, rounds, the
+    Ce/Cd/Cs/Cc tallies and the MPC engine's own accounting: its rounds,
+    bytes and opened values, and the Beaver triples the dealer handed out
+    (ROADMAP item 12a).  ``json_path`` persists it (CI writes
     ``BENCH_training.json`` and uploads it).  The record also
     double-checks the parity invariants the test suite pins: byte and round counts are
     transport-invariant, and measured bytes reconcile with the codec's
@@ -131,11 +133,18 @@ def training_record(json_path: str | None = None) -> dict:
             protocol=protocol, transport=transport, **params
         )
         costs = calibrated_costs(params["m"], 256)
+        mpc_before = context.engine.stats.snapshot()
+        triples_before = context.engine.dealer.usage.triples
         try:
             result = timed_run(
                 lambda: TreeTrainer(context).fit(), context, costs
             )
             snap = context.bus.snapshot()
+            mpc = {
+                key: value - mpc_before[key]
+                for key, value in context.engine.stats.snapshot().items()
+            }
+            triples = context.engine.dealer.usage.triples - triples_before
         finally:
             context.close()
         assert snap["bytes_measured"] == snap["bytes_estimated"], (
@@ -148,11 +157,15 @@ def training_record(json_path: str | None = None) -> dict:
             "bytes": snap["bytes"],
             "rounds": snap["rounds"],
             "ops": result.ops,
+            "mpc_rounds": mpc["rounds"],
+            "mpc_bytes": mpc["bytes"],
+            "opened_values": mpc["opened_values"],
+            "triples": triples,
         }
     for protocol in ("basic",):
         memory = record[f"{protocol}/inmemory"]
         sockets = record[f"{protocol}/asyncio"]
-        for invariant in ("bytes", "rounds", "ops"):
+        for invariant in ("bytes", "rounds", "ops", "mpc_rounds", "mpc_bytes"):
             assert memory[invariant] == sockets[invariant], (
                 f"{protocol}: {invariant} differ across transports — "
                 "the deployment-parity guarantee regressed"

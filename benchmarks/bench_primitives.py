@@ -24,12 +24,7 @@ import pytest
 
 from common import build_context, calibrated_costs, print_table
 from repro.analysis import opcount
-from repro.core import (
-    PivotConfig,
-    TreeTrainer,
-    run_predict_basic,
-    run_predict_batch,
-)
+from repro.core import PivotConfig, TreeTrainer, run_predict_batch
 from repro.crypto import PaillierEncoder, generate_keypair
 from repro.crypto.batch import BatchCryptoEngine
 from repro.crypto.threshold import generate_threshold_keypair
@@ -120,7 +115,7 @@ def test_secure_division(benchmark, mpc):
 def test_secure_exponential(benchmark, mpc):
     _, fx = mpc
     a = fx.share(1.25)
-    benchmark(lambda: fx.exp(a))
+    benchmark(lambda: fx.exp([a]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +479,7 @@ def prediction_report(
     held_out = rng.normal(size=(rows, n_parties))
     with Federation.from_partition(partition, PivotConfig(keysize=keysize, seed=0)) as ctx:
         t_single = _best_of(
-            lambda: [run_predict_basic(model, ctx, row) for row in held_out], repeats
+            lambda: [run_predict_batch(model, ctx, row) for row in held_out], repeats
         )
         t_batch = _best_of(lambda: run_predict_batch(model, ctx, held_out), repeats)
         assert list(run_predict_batch(model, ctx, held_out)) == list(

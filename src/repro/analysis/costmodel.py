@@ -143,8 +143,9 @@ def table2_prediction_counts(w: Workload, protocol: str) -> dict[str, float]:
     linear in m and t, with Table 2's O(1)·Cd amortised over the batch.
 
     The *measured* enhanced prediction has exactly Table 2's shape: per
-    row, t Cc (one comparison per internal node) and 2t + 1 Cs (t marker
-    products and the (t + 1)-leaf inner product with the hidden labels).
+    row, t Cc (one comparison per internal node) and 2t Cs (t − 1 marker
+    products below the root, whose marker is the public 1, and the
+    (t + 1)-leaf inner product with the hidden labels).
     It too runs once per call: its MPC rounds are one row's however many
     rows the call has.
     """

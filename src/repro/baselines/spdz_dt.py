@@ -159,7 +159,7 @@ class SpdzDecisionTree:
         if engine.open_many(too_small) == [1]:
             return self._make_leaf(node_stats, depth)
         if self.task == "classification":
-            _, g_max, _ = fx.argmax(node_stats.totals)
+            ((_, g_max, _),) = fx.argmax([node_stats.totals])
             if engine.open_many(fx.eqz([node_stats.n - g_max])) == [1]:
                 return self._make_leaf(node_stats, depth)
 
@@ -183,7 +183,7 @@ class SpdzDecisionTree:
         )
         from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 
-        best_index, best_gain, _ = fx.argmax(gains, slack=SECURE_ARGMAX_SLACK)
+        ((best_index, best_gain, _),) = fx.argmax([gains], slack=SECURE_ARGMAX_SLACK)
         gained = fx.gt([best_gain], [leaf_threshold + fx.share(SECURE_GAIN_EPS)])
         if engine.open_many(gained) == [0]:
             return self._make_leaf(node_stats, depth)
@@ -213,7 +213,7 @@ class SpdzDecisionTree:
         fx, engine = self.fx, self.engine
         prediction: float | int
         if self.task == "classification":
-            index, _, _ = fx.argmax(node_stats.totals)
+            ((index, _, _),) = fx.argmax([node_stats.totals])
             (prediction,) = engine.open_many([index])
         else:
             mean = fx.div(node_stats.totals[0], node_stats.n)

@@ -7,7 +7,7 @@ hardening.
 
 The implementation classes (:class:`TreeTrainer`, :class:`ForestTrainer`,
 :class:`GBDTTrainer`, :class:`LogisticTrainer`,
-:class:`MaliciousTreeTrainer`, ``run_predict_*``) run over a
+:class:`MaliciousTreeTrainer`, ``run_predict_batch*``) run over a
 :class:`repro.federation.Federation` — the one object holding a run's
 keys, engine, bus, clients and accounting — and are driven by the
 federation's estimators (:mod:`repro.federation.estimators`).
@@ -24,11 +24,8 @@ from repro.core.logistic import LogisticTrainer
 from repro.core.malicious import CheatingClient, MaliciousTreeTrainer
 from repro.core.prediction import (
     enhanced_prediction_shares,
-    local_slices_for_sample,
-    run_predict_basic,
     run_predict_batch,
     run_predict_batch_slices,
-    run_predict_enhanced,
 )
 from repro.core.trainer import TreeTrainer
 
@@ -45,9 +42,6 @@ __all__ = [
     "enhanced_prediction_shares",
     "feature_inference_attack",
     "label_inference_attack",
-    "local_slices_for_sample",
-    "run_predict_basic",
     "run_predict_batch",
     "run_predict_batch_slices",
-    "run_predict_enhanced",
 ]

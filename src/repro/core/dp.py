@@ -3,7 +3,8 @@
 * :meth:`DPMechanisms.laplace_noise` — Algorithm 5: sample ⟨X⟩ ~ Lap(μ, b)
   by inverse-transform sampling computed entirely on shares:
   X = μ - b·sign(U)·ln(1 - 2|U|) for U uniform on (-1/2, 1/2).  The secure
-  ln comes from :meth:`repro.mpc.advanced.FixedPointOps.ln`.
+  ln comes from :meth:`repro.mpc.advanced.FixedPointOps.ln`; one call
+  draws every noise term a node needs.
 * :meth:`DPMechanisms.exponential_mechanism` — Algorithm 6: select an index
   with probability ∝ exp(ε·score / 2Δ), again fully on shares: secure
   exponentials, shared cumulative sums, a shared uniform draw scaled by the
@@ -41,28 +42,34 @@ class DPMechanisms:
     # Algorithm 5
     # ------------------------------------------------------------------
 
-    def laplace_sample(self, mean: float, scale: float) -> SharedValue:
-        """⟨X⟩ ~ Lap(mean, scale), nobody learns the noise (Algorithm 5)."""
+    def laplace_sample(
+        self, mean: float, scale: float, count: int
+    ) -> list[SharedValue]:
+        """``count`` draws ⟨X⟩ ~ Lap(mean, scale), nobody learns the noise
+        (Algorithm 5), every step one call over all of them."""
         fx = self.fx
         engine = fx.engine
         # Line 1: uniform ⟨U⟩ in (-1/2, 1/2).
-        u01 = fx.uniform_fraction()
-        u = u01 - fx.share(0.5)
+        half = fx.share(0.5)
+        us = [u01 - half for u01 in fx.uniform_fraction(count)]
         # Lines 2-8: sign and absolute value (branch-free: the paper's
         # three-way case split is sign extraction).
-        (negative,) = fx.ltz([u])  # ⟨1⟩ iff U < 0
-        sign = engine.add_public(negative * (-2), 1)  # 1 - 2·neg = ±1
-        (magnitude,) = engine.mul_many([(sign, u)])  # |U|
+        signs = [
+            engine.add_public(negative * (-2), 1)  # 1 - 2·[U < 0] = ±1
+            for negative in fx.ltz(us)
+        ]
+        magnitudes = engine.mul_many(list(zip(signs, us)))  # |U|
         # Line 9: X = mean - b·sign·ln(1 - 2|U|); the 2^-F nudge keeps the
         # argument strictly positive on the sampling grid.
-        inner = fx.share(1.0) - magnitude * 2 + fx.share(2.0**-fx.f)
-        log_term = fx.ln(inner)
-        (noise,) = fx.mul_public(engine.mul_many([(sign, log_term)]), scale)
-        return fx.share(mean) - noise
+        one_and_ulp = fx.share(1.0) + fx.share(2.0**-fx.f)
+        log_terms = fx.ln([one_and_ulp - magnitude * 2 for magnitude in magnitudes])
+        noises = fx.mul_public(engine.mul_many(list(zip(signs, log_terms))), scale)
+        centre = fx.share(mean)
+        return [centre - noise for noise in noises]
 
-    def laplace_noise(self, sensitivity: float) -> SharedValue:
-        """⟨Lap(Δ/ε)⟩ for this budget's per-query ε."""
-        return self.laplace_sample(0.0, sensitivity / self.config.epsilon)
+    def laplace_noise(self, sensitivity: float, count: int) -> list[SharedValue]:
+        """``count`` draws ⟨Lap(Δ/ε)⟩ for this budget's per-query ε."""
+        return self.laplace_sample(0.0, sensitivity / self.config.epsilon, count)
 
     # ------------------------------------------------------------------
     # Algorithm 6
@@ -82,7 +89,7 @@ class DPMechanisms:
         engine = fx.engine
         factor = self.config.epsilon / (2.0 * sensitivity)
         # Lines 1-2: ⟨prob_r⟩ = exp(ε·score_r / 2Δ).
-        probs = [fx.exp(s) for s in fx.mul_public(scores, factor)]
+        probs = fx.exp(fx.mul_public(scores, factor))
         # Lines 3-7: cumulative sums; sampling U uniform on (0, P) instead
         # of normalising each F_r is the same distribution, R fewer
         # divisions.
@@ -92,7 +99,8 @@ class DPMechanisms:
             running = running + p
             cumulative.append(running)
         total = running
-        (u,) = fx.mul([(fx.uniform_fraction(), total)])  # uniform on (0, P)
+        (u01,) = fx.uniform_fraction(1)
+        (u,) = fx.mul([(u01, total)])  # uniform on (0, P)
         # Lines 9-14: locate the interval: index = #{r < R-1 : C_r < U},
         # every C_r < U in one compare.
         above = fx.gt([u] * (len(cumulative) - 1), cumulative[:-1])

@@ -30,12 +30,18 @@ client ever sees.  Each round:
 
 GBDT classification uses one-vs-the-rest: c parallel regression chains
 whose round-w residuals are [onehot_k] - [p_k] with ⟨p⟩ = secure softmax
-over the per-class scores.
+over the per-class scores, one softmax call for all n samples.  A
+prediction is the argmax of the raw class scores, as in the plaintext
+:class:`~repro.tree.gbdt.GBDTClassifier` (softmax is monotone).
+
+Every MPC step of a predict call or a boosting round is one call over all
+rows (or samples): one conversion, one argmax, one softmax.  So its MPC
+and bus rounds do not depend on how many rows it has.
 
 Party locality: training samples are never reassembled into a global
-matrix.  Joint prediction over training rows reads each client's columns
-inside her own party scope (:func:`~repro.core.prediction.local_slices_for_sample`);
-labels are read as the super client.
+matrix.  Joint prediction over training rows reads each client's block
+inside her own party scope (``PivotClient.local_block``); labels are read
+as the super client.
 
 :class:`repro.federation.PivotForestClassifier` /
 :class:`~repro.federation.PivotGBDTClassifier` /
@@ -45,7 +51,6 @@ labels are read as the super client.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +60,6 @@ from repro.core.prediction import (
     encrypted_leaf_sums,
     enhanced_prediction_shares,
     global_rows_to_party_slices,
-    local_slices_for_sample,
     predict_basic_encrypted_batch,
 )
 from repro.core.trainer import TreeTrainer
@@ -77,6 +81,18 @@ def _add_rows(
     if total is None:
         return terms
     return [t + term for t, term in zip(total, terms)]
+
+
+def _chunks(values: list, width: int) -> list[list]:
+    """``values`` cut into consecutive rows of ``width``."""
+    return [values[start : start + width] for start in range(0, len(values), width)]
+
+
+def _open_winners(context: Federation, rows: list[list[SharedValue]]) -> list[int]:
+    """Each row's argmax index: one secure argmax over every row, one
+    opening."""
+    winners = context.fx.argmax(rows)
+    return list(context.engine.open_many([index for index, _, _ in winners]))
 
 
 class ForestTrainer:
@@ -155,8 +171,8 @@ class ForestTrainer:
                     votes = sums
                 else:
                     votes = [_add_rows(row, terms) for row, terms in zip(votes, sums)]
-            indices = [ctx.fx.argmax(ctx.to_shares(row))[0] for row in votes or []]
-            return list(ctx.engine.open_many(indices))
+            shares = ctx.to_shares([vote for row in votes or [] for vote in row])
+            return _open_winners(ctx, _chunks(shares, self.n_classes))
         total: list[EncryptedNumber] | None = None
         for model in self.models:
             total = _add_rows(
@@ -171,7 +187,8 @@ class ForestTrainer:
         Every tree's walk runs once for all rows; then classification
         compares each tree's shared prediction ⟨k̄_w⟩ of every row against
         every class in one secure equality test, keeps the per-class vote
-        sums shared and opens only each row's argmax index, and regression
+        sums shared and opens only each row's argmax index (one argmax
+        over all rows), and regression
         averages the shared per-tree means and opens them once.
         """
         ctx, fx = self.ctx, self.ctx.fx
@@ -187,13 +204,11 @@ class ForestTrainer:
                     [share - fx.share(k) for shares in per_row for k in classes for share in shares]
                 )
             )
-            indices = []
-            for shares in per_row:
-                votes = [
-                    ctx.engine.sum_values([next(hits) for _ in shares]) for _ in classes
-                ]
-                indices.append(fx.argmax(votes)[0])
-            return list(ctx.engine.open_many(indices))
+            votes = [
+                [ctx.engine.sum_values([next(hits) for _ in shares]) for _ in classes]
+                for shares in per_row
+            ]
+            return _open_winners(ctx, votes)
         scales = {scale for _, scale in results}
         if len(scales) > 1:
             raise ValueError(
@@ -214,7 +229,6 @@ class GBDTTrainer:
         context: Federation,
         n_rounds: int = 4,
         learning_rate: float = 0.3,
-        use_softmax: bool = True,
     ):
         if n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
@@ -225,7 +239,6 @@ class GBDTTrainer:
         self.enhanced = context.config.protocol == "enhanced"
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
-        self.use_softmax = use_softmax
         self.label_scale = 1.0
         self.n_classes = 0
         self.models: list[DecisionTreeModel] = []  # regression
@@ -259,13 +272,6 @@ class GBDTTrainer:
             shares = ctx.fx.mul_public(shares, scale)
         return ctx.to_cipher(shares)
 
-    def _training_slices(self) -> list[np.ndarray]:
-        """Per-party blocks of all n training samples, each client's read
-        inside her own scope."""
-        ctx = self.ctx
-        per_sample = [local_slices_for_sample(ctx, t) for t in range(ctx.n_samples)]
-        return [np.stack(rows) for rows in zip(*per_sample)]
-
     def _training_steps(
         self, model: DecisionTreeModel, party_slices: list[np.ndarray]
     ) -> list[EncryptedNumber]:
@@ -288,7 +294,7 @@ class GBDTTrainer:
         labels = np.asarray(ctx.read_labels(), dtype=np.float64)
         self.label_scale = float(np.max(np.abs(labels))) or 1.0
         normalized = labels / self.label_scale
-        train_slices = self._training_slices()
+        train_slices = [client.local_block() for client in ctx.clients]
         # [Y]: the encrypted (normalised) ground-truth labels, batched.
         label_cts = ctx.batch.encrypt_vector([float(y) for y in normalized])
         estimate: list[EncryptedNumber] | None = None
@@ -318,7 +324,7 @@ class GBDTTrainer:
         ctx = self.ctx
         labels = np.asarray(ctx.read_labels(), dtype=np.int64)
         self.n_classes = max(2, int(labels.max()) + 1)
-        train_slices = self._training_slices()
+        train_slices = [client.local_block() for client in ctx.clients]
         onehot = np.eye(self.n_classes)[labels]
         onehot_cts = [
             ctx.batch.encrypt_vector([float(onehot[t, k]) for t in range(len(labels))])
@@ -375,15 +381,13 @@ class GBDTTrainer:
         onehot_cts: list[list[EncryptedNumber]],
     ) -> list[list[EncryptedNumber]]:
         """[onehot_k - softmax_k(scores)] for every sample (§7.2): one
-        conversion to shares and one back over all n·c scores; the softmax
-        itself runs per sample."""
+        conversion to shares, one softmax over the n rows of c scores and
+        one conversion back."""
         ctx = self.ctx
         n, c = len(scores[0]), self.n_classes
         shares = ctx.to_shares([scores[k][t] for t in range(n) for k in range(c)])
-        probs = [
-            p for t in range(n) for p in ctx.fx.softmax(shares[t * c : (t + 1) * c])
-        ]
-        p_cts = ctx.to_cipher(probs)
+        probs = ctx.fx.softmax(_chunks(shares, c))
+        p_cts = ctx.to_cipher([p for row in probs for p in row])
         return [
             [onehot_cts[k][t] - p_cts[t * c + k] for t in range(n)] for k in range(c)
         ]
@@ -399,9 +403,10 @@ class GBDTTrainer:
 
         Basic: every tree predicts all rows in one round-robin and the
         per-row sums of the encrypted tree outputs are what is decrypted
-        (regression) or converted to shares (classification).  Enhanced:
-        every tree's §5.2 walk runs once for all rows, then the scores are
-        aggregated row by row at the share level.
+        (regression) or converted to shares in one call (classification).
+        Enhanced: every tree's §5.2 walk runs once for all rows, then the
+        scores are aggregated at the share level.  A class is the argmax
+        of its row's raw scores, one argmax over every row.
         """
         ctx = self.ctx
         if self.task == "regression":
@@ -417,10 +422,6 @@ class GBDTTrainer:
             return np.asarray(values, dtype=np.float64) * self.label_scale
         if not self.class_models:
             raise RuntimeError("fit() must be called before predict()")
-        # Basic: a generator, so each row's scores are converted and
-        # soft-maxed before the next row's touch the MPC engine.  The argmax
-        # indices of all rows are opened together.
-        rows: Iterable[list[SharedValue]]
         if self.enhanced:
             rows = self._class_scores_enhanced(party_slices)
         else:
@@ -431,13 +432,9 @@ class GBDTTrainer:
                 )
                 for k in range(self.n_classes)
             ]
-            rows = (ctx.to_shares(list(scores)) for scores in zip(*per_class))
-        indices = []
-        for shares in rows:
-            if self.use_softmax:
-                shares = ctx.fx.softmax(shares)
-            indices.append(ctx.fx.argmax(shares)[0])
-        return np.asarray(ctx.engine.open_many(indices), dtype=np.int64)
+            shares = ctx.to_shares([s for scores in zip(*per_class) for s in scores])
+            rows = _chunks(shares, self.n_classes)
+        return np.asarray(_open_winners(ctx, rows), dtype=np.int64)
 
     def _score_sums(
         self, models: list[DecisionTreeModel], party_slices: list[np.ndarray]

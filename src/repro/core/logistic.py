@@ -8,7 +8,8 @@ this module implements that sketch as a working trainer:
 * Per sample, each client locally aggregates the encrypted partial sum
   [ξ_i] = x_i ⊙ [θ_i]; the sums are combined homomorphically and converted
   to shares (Algorithm 2) for the secure logistic function (secure exp +
-  division); the super client supplies the label as a secret share.
+  division, one call of each per batch of samples); the super client
+  supplies the label as a secret share.
 * The shared loss is converted back to a ciphertext (§5.2) and every client
   updates her encrypted weights with homomorphic operations, never learning
   the loss.
@@ -30,6 +31,7 @@ from repro.network.wire import Request
 
 if TYPE_CHECKING:
     from repro.federation.federation import Federation
+    from repro.mpc.sharing import SharedValue
 
 __all__ = ["LogisticTrainer"]
 
@@ -99,7 +101,7 @@ class LogisticTrainer:
         she runs standalone — and replies with the per-sample partial-sum
         ciphertexts.  Only ciphertexts travel in either direction.
         """
-        ctx, fx = self.ctx, self.ctx.fx
+        ctx = self.ctx
         sup = ctx.super_client
         for client, block in zip(ctx.clients, self.weights):
             if client.index == sup:
@@ -126,12 +128,16 @@ class LogisticTrainer:
                 partial = partials[k]
                 total = partial if total is None else total + partial
             xi_cts.append(total)
-        z_shares = ctx.to_shares(xi_cts)
-        losses = []
-        for t, z in zip(batch, z_shares):
-            sigma = fx.div(fx.share(1.0), fx.share(1.0) + fx.exp(-z))
-            losses.append(sigma - label_shares[t])
-        return losses
+        sigmas = self._sigmoid(ctx.to_shares(xi_cts))
+        return [sigma - label_shares[t] for t, sigma in zip(batch, sigmas)]
+
+    def _sigmoid(self, zs: list[SharedValue]) -> list[SharedValue]:
+        """⟨σ(z)⟩ = ⟨1 / (1 + e^-z)⟩ for every z: one ``exp`` and one ``div``
+        over the batch."""
+        fx = self.ctx.fx
+        one = fx.share(1.0)
+        denominators = [one + e for e in fx.exp([-z for z in zs])]
+        return [quotient for (quotient,) in fx.div([[one] for _ in zs], denominators)]
 
     def _apply_updates(self, batch: list[int], losses) -> None:
         """[θ_ij] -= (lr/|B|) Σ_t x_tij ⊗ [loss_t], all homomorphic.
@@ -199,23 +205,20 @@ class LogisticTrainer:
         partial sums -> secure sigmoid (federation-native input)."""
         if self.weights is None:
             raise RuntimeError("fit() must be called before predict()")
-        ctx, fx = self.ctx, self.ctx.fx
+        ctx = self.ctx
         # Validates sample-count agreement and per-party column widths.
-        from repro.core.prediction import _slices_per_row
+        from repro.core.prediction import _party_blocks
 
-        rows = _slices_per_row(ctx, party_slices)
+        blocks = _party_blocks(ctx, party_slices)
         xi_cts = []
-        for slices in rows:
+        for t in range(blocks[0].shape[0]):
             total = None
-            for client, local, block_w in zip(ctx.clients, slices, self.weights):
-                coefficients = [
-                    ctx.encoder.encode(float(v)).encoding for v in local
-                ]
+            for block, block_w in zip(blocks, self.weights):
+                coefficients = [ctx.encoder.encode(float(v)).encoding for v in block[t]]
                 partial = encrypted_dot_product(coefficients, block_w)
                 total = partial if total is None else total + partial
             xi_cts.append(total)
-        z_shares = ctx.to_shares(xi_cts)
-        sigmas = [fx.div(fx.share(1.0), fx.share(1.0) + fx.exp(-z)) for z in z_shares]
+        sigmas = self._sigmoid(ctx.to_shares(xi_cts))
         return np.asarray(ctx.open_values(sigmas, tag="lr-prediction"))
 
     def predict(self, rows: np.ndarray) -> np.ndarray:

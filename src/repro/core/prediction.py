@@ -45,20 +45,19 @@ That walk also runs **once per call, for all R rows**
 (:func:`enhanced_prediction_shares`): each party inputs all her values
 in one batch, one packed comparison (``comparison.ltz``) covers the
 R × t node tests, the markers take one multiplication round per tree
-level and the R × L leaf products one more, and the R outputs are opened
-together.  The rounds of a call are those of one row — at most
-(parties + 8 + h + 2) for depth h at k = 40 — however many rows it has;
-material per row is unchanged: t comparisons and 2t + 1 Beaver triples
-(Table 2).
+level below the root and the R × L leaf products one more, and the R
+outputs are opened together.  The rounds of a call are those of one row
+— at most (parties + 8 + h + 1) for depth h at k = 40 — however many rows
+it has; material per row is t comparisons and 2t Beaver triples (Table
+2's 2t + 1 less the root's marker, the public 1, which is never
+multiplied).
 
 Party locality: every entry point takes the samples as *per-party slices* —
 each client's own columns of the rows, exactly what a real deployment's
 parties would hold.  ``party_slices`` (one ``n × d_i`` block per client)
-is the federation API's native input; the ``row``-based wrappers split a
-caller-supplied global row for single-process convenience (the caller owns
-that row — splitting it reads no party's stored columns).  Training rows
-are sliced with :func:`local_slices_for_sample`, which reads each client's
-columns inside her own party scope.
+is the federation API's native input; :func:`run_predict_batch` splits
+caller-supplied global rows for single-process convenience (the caller
+owns those rows — splitting them reads no party's stored columns).
 """
 
 from __future__ import annotations
@@ -80,26 +79,15 @@ __all__ = [
     "encrypted_leaf_sums",
     "enhanced_prediction_shares",
     "global_rows_to_party_slices",
-    "local_slices_for_sample",
     "predict_basic_encrypted_batch",
-    "run_predict_basic",
     "run_predict_batch",
     "run_predict_batch_slices",
-    "run_predict_enhanced",
 ]
 
 
 # ---------------------------------------------------------------------------
 # sample slicing
 # ---------------------------------------------------------------------------
-
-
-def _local_slices(context: Federation, row: np.ndarray) -> list[np.ndarray]:
-    """Split a caller-supplied global feature row into per-party slices."""
-    return [
-        np.asarray([row[c] for c in cols], dtype=np.float64)
-        for cols in context.partition.columns_per_client
-    ]
 
 
 def global_rows_to_party_slices(
@@ -116,16 +104,6 @@ def global_rows_to_party_slices(
     return [
         rows[:, list(cols)] for cols in context.partition.columns_per_client
     ]
-
-
-def local_slices_for_sample(context: Federation, t: int) -> list[np.ndarray]:
-    """Per-party slices of *training* sample ``t``.
-
-    Each client reads her own columns inside her party scope — the
-    locality-respecting replacement for reassembling a global training
-    matrix in one place.
-    """
-    return [client.local_row(t) for client in context.clients]
 
 
 def _party_blocks(
@@ -148,14 +126,6 @@ def _party_blocks(
                 f"she owns {client.n_features}"
             )
     return blocks
-
-
-def _slices_per_row(
-    context: Federation, party_slices: list[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """Transpose per-party blocks (m arrays of n × d_i) into per-row slices."""
-    blocks = _party_blocks(context, party_slices)
-    return [[block[t] for block in blocks] for t in range(blocks[0].shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +255,6 @@ def predict_basic_encrypted_batch(
     ]
 
 
-def run_predict_basic(
-    model: DecisionTreeModel, context: Federation, row: np.ndarray
-) -> float | int:
-    """Full Algorithm 4 for one caller-held global row (a batch of one)."""
-    value = run_predict_batch(model, context, np.asarray(row))[0]
-    return int(value) if model.task == "classification" else float(value)
-
-
 # ---------------------------------------------------------------------------
 # enhanced protocol (§5.2)
 # ---------------------------------------------------------------------------
@@ -324,7 +286,9 @@ def enhanced_prediction_shares(
     * one ``comparison.ltz`` compares all R × t of them with the shared
       thresholds: [x ≤ θ] = 1 − [θ − x < 0];
     * markers go down one level at a time, one ``mul_many`` per level
-      (left = marker · goes_left, right = marker − left);
+      below the root (left = marker · goes_left, right = marker − left);
+      the root's marker is the public 1, so its children take goes_left
+      and 1 − goes_left as they are;
     * one ``mul_many`` for the R × L products ⟨η⟩·⟨z⟩, summed per row.
 
     Raises if the hidden leaves carry mixed label scales: the shared inner
@@ -382,14 +346,17 @@ def enhanced_prediction_shares(
     del negative
 
     markers = {id(model.root): [engine.share_public(1)] * n_rows}
-    for level in levels:
-        products = engine.mul_many(
-            [
-                pair
-                for node in level
-                for pair in zip(markers[id(node)], goes_left.pop(id(node)))
-            ]
-        )
+    for depth, level in enumerate(levels):
+        if depth == 0:  # the root: 1 · goes_left needs no multiplication
+            products = goes_left.pop(id(model.root))
+        else:
+            products = engine.mul_many(
+                [
+                    pair
+                    for node in level
+                    for pair in zip(markers[id(node)], goes_left.pop(id(node)))
+                ]
+            )
         for j, node in enumerate(level):
             marker = markers.pop(id(node))
             left = products[j * n_rows : (j + 1) * n_rows]
@@ -408,22 +375,6 @@ def enhanced_prediction_shares(
     return [
         engine.sum_values(products[r * width : (r + 1) * width]) for r in range(n_rows)
     ], scale
-
-
-def run_predict_enhanced(
-    model: DecisionTreeModel,
-    context: Federation,
-    row: np.ndarray | None = None,
-    slices: list[np.ndarray] | None = None,
-) -> float | int:
-    """§5.2 prediction over the secretly shared model for one row (a batch
-    of one: opens one value)."""
-    if slices is None:
-        if row is None:
-            raise ValueError("need a global row or per-party slices")
-        slices = _local_slices(context, np.asarray(row))
-    (value,) = run_predict_batch_slices(model, context, slices, protocol="enhanced")
-    return int(value) if model.task == "classification" else float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,13 @@ class TreeTrainer:
             return self._make_leaf(node_stats, depth)
         check_n = n_node
         if self._dp is not None:
-            check_n = check_n + self._dp.laplace_noise(sensitivity=1.0)
+            (noise,) = self._dp.laplace_noise(1.0, 1)
+            check_n = check_n + noise
         (too_small,) = fx.gt([fx.share(self.cfg.tree.min_samples_split)], [check_n])
         if ctx.open_bit(too_small, tag=f"prune-count-d{depth}"):
             return self._make_leaf(node_stats, depth)
         if self.task == "classification":
-            _, g_max, _ = fx.argmax(totals)
+            ((_, g_max, _),) = fx.argmax([totals])
             (pure,) = fx.eqz([n_node - g_max])
             if ctx.open_bit(pure, tag=f"prune-pure-d{depth}"):
                 return self._make_leaf(node_stats, depth)
@@ -290,8 +291,8 @@ class TreeTrainer:
         if self._dp is not None:
             best_index, onehot = self._dp.exponential_mechanism(gains)
         else:
-            best_index, best_gain, onehot = fx.argmax(
-                gains, slack=SECURE_ARGMAX_SLACK
+            ((best_index, best_gain, onehot),) = fx.argmax(
+                [gains], slack=SECURE_ARGMAX_SLACK
             )
             threshold = leaf_threshold + fx.share(SECURE_GAIN_EPS)
             (gained,) = fx.gt([best_gain], [threshold])
@@ -704,10 +705,9 @@ class TreeTrainer:
         if self.task == "classification":
             totals = node_stats.totals
             if self._dp is not None:
-                totals = [
-                    t + self._dp.laplace_noise(sensitivity=1.0) for t in totals
-                ]
-            index, _, _ = fx.argmax(totals)
+                noises = self._dp.laplace_noise(1.0, len(totals))
+                totals = [t + noise for t, noise in zip(totals, noises)]
+            ((index, _, _),) = fx.argmax([totals])
             label_share = index * (1 << fx.f)
             if self.enhanced:
                 leaf.prediction = None
@@ -719,8 +719,8 @@ class TreeTrainer:
             sum_y = node_stats.totals[0]
             count = node_stats.n
             if self._dp is not None:
-                sum_y = sum_y + self._dp.laplace_noise(sensitivity=1.0)
-                count = count + self._dp.laplace_noise(sensitivity=1.0)
+                noise_y, noise_n = self._dp.laplace_noise(1.0, 2)
+                sum_y, count = sum_y + noise_y, count + noise_n
             mean_share = fx.div(sum_y, count)
             if self.enhanced:
                 leaf.prediction = None

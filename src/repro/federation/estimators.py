@@ -339,20 +339,17 @@ class _GBDTEstimator(_FederatedEstimator):
         n_rounds: int = 4,
         *,
         learning_rate: float = 0.3,
-        use_softmax: bool = True,
         **kwargs: Any,
     ) -> None:
         super().__init__(**kwargs)
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
-        self.use_softmax = use_softmax
 
     def _fit(self, ctx: Any) -> None:
         self.trainer_ = GBDTTrainer(
             ctx,
             n_rounds=self.n_rounds,
             learning_rate=self.learning_rate,
-            use_softmax=self.use_softmax,
         ).fit()
         self.models_ = self.trainer_.models or self.trainer_.class_models
 

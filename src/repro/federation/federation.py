@@ -450,21 +450,6 @@ class Federation:
             theta=self.threshold.theta,
         )
 
-    def joint_decrypt(self, value: EncryptedNumber, tag: str) -> float:
-        """All-client decryption of a protocol output; logged as revealed.
-
-        The flow moves the ciphertext broadcast *and* the m
-        partial-decryption share vectors, all as real serialized payloads
-        consumed by their receivers.  The holder multiplies one pool mask
-        of hers into the ciphertext first (see :meth:`joint_decrypt_batch`).
-        """
-        masked = self.batch.mask_vector([value], [1])
-        raws = self.joint_decrypt_raw(masked, tag="threshold-decrypt")
-        self.conversions.threshold_decryptions += 1
-        result = raws[0] * 2.0**value.exponent
-        self.revealed.append((tag, result))
-        return result
-
     def joint_decrypt_batch(
         self,
         values: list[EncryptedNumber],
@@ -473,9 +458,11 @@ class Federation:
     ) -> list[float]:
         """Batched all-client decryption: one fan-out for the whole vector.
 
-        The revealed log of calling :meth:`joint_decrypt` in a loop, but a
-        single threshold-decryption message flow (2 rounds instead of 2 per
-        value) — the deployment shape for n-row basic prediction.
+        Every value is logged as revealed, and one threshold-decryption
+        message flow (2 rounds) carries them all — the deployment shape for
+        n-row basic prediction.  The flow moves the ciphertext broadcast
+        *and* the m partial-decryption share vectors, all as real
+        serialized payloads consumed by their receivers.
 
         *What is packed, at what width.*  ``bound_bits`` declares that
         every value's fixed-point integer has magnitude below
@@ -489,7 +476,7 @@ class Federation:
         values (the ensembles' aggregated outputs) decrypt one ciphertext
         each.
 
-        *Who re-masks.*  These two methods serve prediction outputs only,
+        *Who re-masks.*  This method serves prediction outputs only,
         and a prediction output is a deterministic function of ciphertexts
         the previous party of the round-robin holds
         (:func:`repro.core.prediction.encrypted_leaf_sums`).  So the

@@ -89,15 +89,11 @@ class PivotClient:
             [self.indicator(feature, s) for s in range(self.n_splits(feature))]
         )
 
-    def local_row(self, t: int) -> np.ndarray:
-        """This client's feature slice of training sample ``t``.
-
-        Used by joint prediction over *training* rows (GBDT residual
-        updates): each client contributes her own columns, read inside her
-        scope — the replacement for reassembling a global matrix.
-        """
+    def local_block(self) -> np.ndarray:
+        """A copy of this client's n × d_i training block, read once inside
+        her scope (GBDT's joint prediction over the training rows)."""
         with self.local():
-            return np.asarray(self.features.read()[t], dtype=np.float64)
+            return np.array(self.features.read(), dtype=np.float64)
 
     def batch_sums(
         self, rows: list[int], weights: list[EncryptedNumber]

@@ -660,8 +660,8 @@ class StandalonePartyClient:
     def indicator_matrix(self, feature: int) -> NoReturn:
         self._refuse("indicator_matrix")
 
-    def local_row(self, t: int) -> NoReturn:
-        self._refuse("local_row")
+    def local_block(self) -> NoReturn:
+        self._refuse("local_block")
 
     def batch_sums(self, rows: Any, weights: Any) -> NoReturn:
         self._refuse("batch_sums")

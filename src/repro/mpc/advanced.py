@@ -21,11 +21,18 @@ the way MP-SPDZ does:
 * ``FixedPointOps.exp``  — e^x via 2^(x·log2 e): the integer part is an
   oblivious power-of-two product over its bits, the fractional part a
   Taylor polynomial, the input clamped to a public range.
-* ``FixedPointOps.softmax`` — secure softmax (secure exp + division), used
-  by GBDT classification (§7.2).
-* ``FixedPointOps.log2`` — Norm's normalisation plus the msb itself,
-  whose bits are local parities of the one-hot word, lifted by daBits
-  (the secure Laplace sampler, §9.2).
+* ``FixedPointOps.softmax`` — secure softmax (secure exp + division) of
+  every row, used by GBDT classification training (§7.2).
+* ``FixedPointOps.log2`` / ``ln`` — Norm's normalisation plus the msb
+  itself, whose bits are local parities of the one-hot word, lifted by
+  daBits (the secure Laplace sampler, §9.2).
+* ``FixedPointOps.argmax`` — the secure maximum of every row at this
+  format's width (:func:`repro.mpc.comparison.argmax`).
+
+Like the primitives under them, each takes a batch (``softmax`` and
+``argmax`` a list of rows) and costs one value's rounds at any length, so
+no caller loops over rows.  The scalar shapes left, ``div(a, b)`` and
+``lt``, serve the end-to-end benchmark's probes.
 
 Values are field elements representing v·2^F in two's-complement; K bounds
 the total bit length.  Products (2K bits) stay below the field modulus with
@@ -44,7 +51,7 @@ import math
 from typing import cast, overload
 
 from repro.mpc import comparison
-from repro.mpc.binary import BinaryWord, concat
+from repro.mpc.binary import BinaryWord, block_mask, concat
 from repro.mpc.engine import MPCEngine
 from repro.mpc.sharing import SharedValue
 
@@ -207,6 +214,8 @@ class FixedPointOps:
         self, groups: list[list[SharedValue]], bs: list[SharedValue]
     ) -> list[list[SharedValue]]:
         """Numerator group j over denominator j, for every j at once."""
+        if not bs:
+            return []
         engine = self.engine
         two_f = 2 * self.f
         alpha = 1 << two_f
@@ -252,77 +261,95 @@ class FixedPointOps:
         )
         return [to_low + to_high - a for a, to_low, to_high in zip(values, moved, moved[count:])]
 
-    def exp(self, a: SharedValue) -> SharedValue:
-        """⟨e^a⟩ with a clamped to [-EXP_CLAMP, EXP_CLAMP]."""
+    def exp(self, values: list[SharedValue]) -> list[SharedValue]:
+        """⟨e^a⟩ for every a, each clamped to [-EXP_CLAMP, EXP_CLAMP]."""
+        if not values:
+            return []
         engine = self.engine
-        (a,) = self.clamp([a], -EXP_CLAMP, EXP_CLAMP)
+        values = self.clamp(values, -EXP_CLAMP, EXP_CLAMP)
         # y = a*log2(e) + SHIFT in [0, ~2*SHIFT); exp(a) = 2^(y - SHIFT).
-        (y,) = self.mul_public([a], math.log2(math.e))
-        y = y + self.share(EXP_SHIFT)
-        (integer,) = comparison.trunc(engine, [y], self.k, self.f)
-        fraction = y - integer * (1 << self.f)
-        # 2^integer: oblivious product over the 5 bits of the integer part.
-        bits = comparison.lift(engine, comparison.decompose(engine, [integer], 5))
-        power = engine.share_public(1)
-        for j, bit in enumerate(bits):
-            factor = engine.add_public(bit * ((1 << (1 << j)) - 1), 1)
-            (power,) = engine.mul_many([(power, factor)])
+        shift = self.share(EXP_SHIFT)
+        ys = [y + shift for y in self.mul_public(values, math.log2(math.e))]
+        integers = comparison.trunc(engine, ys, self.k, self.f)
+        fractions = [y - integer * (1 << self.f) for y, integer in zip(ys, integers)]
+        # 2^integer: oblivious product over the 5 bits of each integer part
+        # (value j's bits are lanes 5j .. 5j + 4).
+        bits = comparison.lift(engine, comparison.decompose(engine, integers, 5))
+        powers = [engine.share_public(1) for _ in values]
+        for j in range(5):
+            factors = [
+                engine.add_public(bit * ((1 << (1 << j)) - 1), 1) for bit in bits[j::5]
+            ]
+            powers = engine.mul_many(list(zip(powers, factors)))
         # 2^fraction via the Taylor polynomial (Horner).
-        acc = self.share(_EXP2_COEFFS[-1])
+        accs = [self.share(_EXP2_COEFFS[-1]) for _ in values]
         for coeff in reversed(_EXP2_COEFFS[:-1]):
-            acc = self.mul([(acc, fraction)])[0] + self.share(coeff)
+            term = self.share(coeff)
+            accs = [acc + term for acc in self.mul(list(zip(accs, fractions)))]
         # Combine and shift back: (2^int * 2^frac) / 2^SHIFT, at scale F
         # (power is scale 0).
-        return self._mul_rescale([(power, acc)], EXP_SHIFT)[0]
+        return self._mul_rescale(list(zip(powers, accs)), EXP_SHIFT)
 
-    def softmax(self, scores: list[SharedValue]) -> list[SharedValue]:
-        """Secure softmax over shared scores (§7.2 GBDT classification)."""
-        exps = [self.exp(s) for s in scores]
-        return self.div(exps, self.engine.sum_values(exps))
+    def softmax(self, rows: list[list[SharedValue]]) -> list[list[SharedValue]]:
+        """Secure softmax of every row of shared scores (§7.2 GBDT
+        classification): one ``exp`` over all of them, one ``div`` with a
+        denominator per row."""
+        exps = iter(self.exp([score for row in rows for score in row]))
+        groups = [[next(exps) for _ in row] for row in rows]
+        return self.div(groups, [self.engine.sum_values(group) for group in groups])
 
     # ------------------------------------------------------------------
     # logarithm (needed by the secure Laplace sampler, §9.2 Algorithm 5)
     # ------------------------------------------------------------------
 
-    def log2(self, a: SharedValue) -> SharedValue:
-        """⟨log2 a⟩ for a > 0: normalise to [0.5, 1), polynomial, re-shift.
+    def log2(self, values: list[SharedValue]) -> list[SharedValue]:
+        """⟨log2 a⟩ for every a > 0: normalise to [0.5, 1), polynomial,
+        re-shift.
 
         Norm's machinery: with p = msb(a) (of the raw fixed-point integer),
         a = c_norm · 2^(p+1-F) for c_norm in [0.5, 1), so
-        log2 a = log2(c_norm) + p + 1 - F.  Bit i of p is the parity of the
-        one-hot msb word over the lanes whose index has bit i set — local —
-        and one daBit per bit lifts p into Z_q.
+        log2 a = log2(c_norm) + p + 1 - F.  Bit i of p is the parity of
+        a's block of the one-hot msb word over the lanes whose index has
+        bit i set — local — and one daBit per bit lifts p into Z_q.
         """
+        if not values:
+            return []
         engine, k = self.engine, self.k
-        top, (v,) = self._normalise([a])
-        position_bits = concat(
-            [
-                (top & sum(1 << lane for lane in range(k) if lane >> i & 1)).parity()
-                for i in range((k - 1).bit_length())
-            ]
-        )
-        msb = engine.share_public(0)
-        for i, bit in enumerate(comparison.lift(engine, position_bits)):
-            msb = msb + bit * (1 << i)
-        c = engine.mul_many([(a, v)])  # in [2^(K-1), 2^K)
-        (c_norm,) = comparison.trunc_pr(engine, c, self.k + 1, self.k - self.f)
-        acc = self.share(_LOG2_COEFFS[-1])
+        count = len(values)
+        top, vs = self._normalise(values)
+        # Lanes i·count .. (i + 1)·count - 1: bit i of every value's msb.
+        selects = [
+            block_mask(top.width, k, sum(1 << lane for lane in range(k) if lane >> i & 1))
+            for i in range((k - 1).bit_length())
+        ]
+        position_bits = concat([(top & select).parity(k) for select in selects])
+        lifted = comparison.lift(engine, position_bits)
+        msbs = [
+            engine.sum_values([bit * (1 << i) for i, bit in enumerate(lifted[j::count])])
+            for j in range(count)
+        ]
+        cs = engine.mul_many(list(zip(values, vs)))  # in [2^(K-1), 2^K)
+        c_norms = comparison.trunc_pr(engine, cs, self.k + 1, self.k - self.f)
+        accs = [self.share(_LOG2_COEFFS[-1]) for _ in values]
         for coeff in reversed(_LOG2_COEFFS[:-1]):
-            acc = self.mul([(acc, c_norm)])[0] + self.share(coeff)
-        shift = msb * (1 << self.f) + self.share(1 - self.f)
-        return acc + shift
+            term = self.share(coeff)
+            accs = [acc + term for acc in self.mul(list(zip(accs, c_norms)))]
+        offset = self.share(1 - self.f)
+        return [acc + msb * (1 << self.f) + offset for acc, msb in zip(accs, msbs)]
 
-    def ln(self, a: SharedValue) -> SharedValue:
-        """⟨ln a⟩ = ln(2) · ⟨log2 a⟩."""
-        return self.mul_public([self.log2(a)], math.log(2.0))[0]
+    def ln(self, values: list[SharedValue]) -> list[SharedValue]:
+        """⟨ln a⟩ = ln(2) · ⟨log2 a⟩ for every a."""
+        return self.mul_public(self.log2(values), math.log(2.0))
 
-    def uniform_fraction(self) -> SharedValue:
-        """⟨U⟩ uniform on the 2^-F grid of [0, 1) from dealer random bits."""
-        bits = [self.engine.dealer.random_bit() for _ in range(self.f)]
-        total = self.engine.share_public(0)
-        for i, bit in enumerate(bits):
-            total = total + bit * (1 << i)
-        return total
+    def uniform_fraction(self, count: int) -> list[SharedValue]:
+        """``count`` values ⟨U⟩, each uniform on the 2^-F grid of [0, 1),
+        from F dealer random bits apiece."""
+        f = self.f
+        bits = [self.engine.dealer.random_bit() for _ in range(count * f)]
+        return [
+            self.engine.sum_values([bit * (1 << i) for i, bit in enumerate(bits[j : j + f])])
+            for j in range(0, len(bits), f)
+        ]
 
     # ------------------------------------------------------------------
     # comparisons at this format's bit width
@@ -342,8 +369,8 @@ class FixedPointOps:
         return comparison.eqz(self.engine, values, self.k)
 
     def argmax(
-        self, values: list[SharedValue], slack: int = 0
-    ) -> tuple[SharedValue, SharedValue, list[SharedValue]]:
-        """:func:`comparison.argmax` at this format's width; ``slack`` is
-        in raw units (ulps of 2^-F)."""
-        return comparison.argmax(self.engine, values, self.k, slack)
+        self, rows: list[list[SharedValue]], slack: int = 0
+    ) -> list[tuple[SharedValue, SharedValue, list[SharedValue]]]:
+        """:func:`comparison.argmax` of every row at this format's width;
+        ``slack`` is in raw units (ulps of 2^-F)."""
+        return comparison.argmax(self.engine, rows, self.k, slack)

@@ -14,12 +14,13 @@ Implements the Catrina–de Hoogh suite on top of the engine and dealer:
 * ``top_bits``       — one-hot of each packed value's most significant bit
 * ``to_arithmetic``  — packed values back to Z_q (one edaBit each)
 * ``lift``           — the lanes of a word as shared bits in Z_q (daBits)
-* ``argmax``         — secure maximum with one-hot index (used for the best
-                       split, paper §4.1 "secure maximum computation")
+* ``argmax``         — secure maximum with one-hot index, per row (used for
+                       the best split, paper §4.1 "secure maximum
+                       computation", and the ensembles' votes, §7)
 
-Each of them but ``argmax`` (a scan of dependent steps) takes a batch — a
-list of N values, or a word of packed lanes — and costs the rounds of one
-value (see :mod:`repro.mpc.engine`).
+Each of them takes a batch — a list of N values, a word of packed lanes,
+or (``argmax``) N rows of one length — and costs the rounds of one value
+or one row (see :mod:`repro.mpc.engine`).
 
 Every bit-level step runs in the binary domain (:mod:`repro.mpc.binary`),
 the way SPDZ implementations do it with edaBits/daBits: the dealer hands
@@ -47,7 +48,13 @@ one word, so the rounds and AND triples are one value's:
     to_arithmetic  3 + ⌈log₂ m⌉      0   1 edaBit + 1 daBit per value,
                                          1 + ⌈log₂ m⌉ AND triples per word
     lift           1                 0   1 daBit per lane
+    argmax         (S − 1)·(gt + 1)  ∗   as gt over N values, S − 1 times
     =============  ================  ==  =================================
+
+∗ ``argmax`` over N rows of S values is a scan of S − 1 dependent steps;
+step i is one ``gt`` over the N rows and one multiplication round of
+N·(i + 1) products (the running maximum's select and the one-hot
+update), so N·(S − 1)(S + 2)/2 Cs in all.
 
 so ``ltz`` at k = 40 is 2 openings (the masked values, the daBit-masked
 result bits) + 6 word-ANDs: 8 rounds, 6 AND triples and no field
@@ -355,37 +362,50 @@ def select(
 
 
 def argmax(
-    engine: MPCEngine, values: list[SharedValue], k: int, slack: int = 0
-) -> tuple[SharedValue, SharedValue, list[SharedValue]]:
-    """Secure maximum with secret index (paper §4.1).
+    engine: MPCEngine, rows: list[list[SharedValue]], k: int, slack: int = 0
+) -> list[tuple[SharedValue, SharedValue, list[SharedValue]]]:
+    """Secure maximum with secret index (paper §4.1), for every row.
 
-    Returns (⟨index⟩, ⟨max⟩, one-hot ⟨λ⟩) where λ_t = 1 iff t is the argmax.
-    The one-hot form is what the enhanced protocol's private split selection
-    consumes (§5.2).  A later value replaces the running maximum only if it
-    exceeds it by more than ``slack`` (raw field units), so ties resolve to
-    the earliest index, matching the plaintext CART implementation: exact
-    ties at ``slack = 0``, and values that are equal up to ``slack`` of
+    Returns one (⟨index⟩, ⟨max⟩, one-hot ⟨λ⟩) per row, where λ_t = 1 iff
+    t is the row's argmax.  The one-hot form is what the enhanced
+    protocol's private split selection consumes (§5.2).  A later value
+    replaces the running maximum only if it exceeds it by more than
+    ``slack`` (raw field units), so ties resolve to the earliest index,
+    matching the plaintext CART implementation: exact ties at
+    ``slack = 0``, and values that are equal up to ``slack`` of
     accumulated ``trunc_pr`` noise otherwise.
+
+    The rows have one length S; the scan takes S − 1 steps, each one
+    :func:`gt` and one ``mul_many`` over every row, so a call costs the
+    rounds of one row however many rows it has.
     """
-    if not values:
+    if not rows:
+        return []
+    width = len(rows[0])
+    if not width:
         raise ValueError("argmax of an empty list")
-    current_max = values[0]
-    onehot = [engine.share_public(1)] + [
-        engine.share_public(0) for _ in values[1:]
+    if any(len(row) != width for row in rows):
+        raise ValueError("argmax rows differ in length")
+    maxima = [row[0] for row in rows]
+    onehots = [
+        [engine.share_public(1)] + [engine.share_public(0) for _ in row[1:]]
+        for row in rows
     ]
-    for i in range(1, len(values)):
-        (is_greater,) = gt(engine, [values[i] - slack], [current_max], k)
-        keep = engine.add_public(-is_greater, 1)  # 1 - b
-        # The running maximum's select and the one-hot update wait on this
-        # compare alone: one multiplication round for both.
-        step, *updates = engine.mul_many(
-            [(is_greater, values[i] - current_max)]
-            + [(onehot[j], keep) for j in range(i)]
-        )
-        current_max = current_max + step
-        onehot[:i] = updates
-        onehot[i] = is_greater
-    index = engine.share_public(0)
-    for t, flag in enumerate(onehot):
-        index = index + flag * t
-    return index, current_max, onehot
+    for i in range(1, width):
+        greater = gt(engine, [row[i] - slack for row in rows], maxima, k)
+        # Each row's running maximum select and one-hot update wait on
+        # this compare alone: one multiplication round for all of them.
+        pairs = []
+        for row, bit, current, onehot in zip(rows, greater, maxima, onehots):
+            keep = engine.add_public(-bit, 1)  # 1 - b
+            pairs.append((bit, row[i] - current))
+            pairs.extend((onehot[j], keep) for j in range(i))
+        products = iter(engine.mul_many(pairs))
+        for r, (bit, onehot) in enumerate(zip(greater, onehots)):
+            maxima[r] = maxima[r] + next(products)
+            onehot[:i] = [next(products) for _ in range(i)]
+            onehot[i] = bit
+    return [
+        (engine.sum_values([flag * t for t, flag in enumerate(onehot)]), current, onehot)
+        for current, onehot in zip(maxima, onehots)
+    ]

@@ -94,7 +94,7 @@ def test_joint_decrypt_logs_reveal(small_classification):
     X, y = small_classification
     ctx = make_context(X, y, "classification")
     value = ctx.encoder.encrypt(3.5)
-    assert ctx.joint_decrypt(value, tag="test-value") == pytest.approx(3.5)
+    assert ctx.joint_decrypt_batch([value], tag="test-value") == [pytest.approx(3.5)]
     assert ("test-value", 3.5) in ctx.revealed
 
 

@@ -31,7 +31,7 @@ def test_budget_accounting():
 
 def test_laplace_sample_distribution(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=1.0))
-    samples = fx.open([dp.laplace_sample(0.0, 1.0) for _ in range(150)])
+    samples = fx.open(dp.laplace_sample(0.0, 1.0, 150))
     # Lap(0, 1): mean 0, std sqrt(2); wide tolerances for 150 draws with a
     # 2^-16 sampling grid and the ln-range clamp.
     assert abs(statistics.mean(samples)) < 0.35
@@ -40,15 +40,15 @@ def test_laplace_sample_distribution(fx):
 
 def test_laplace_location_shift(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=1.0))
-    samples = fx.open([dp.laplace_sample(5.0, 0.5) for _ in range(80)])
+    samples = fx.open(dp.laplace_sample(5.0, 0.5, 80))
     assert abs(statistics.mean(samples) - 5.0) < 0.5
 
 
 def test_laplace_noise_scales_with_epsilon(fx):
     tight = DPMechanisms(fx, DPConfig(epsilon=10.0))
     loose = DPMechanisms(fx, DPConfig(epsilon=0.5))
-    tight_spread = statistics.stdev(fx.open([tight.laplace_noise(1.0) for _ in range(60)]))
-    loose_spread = statistics.stdev(fx.open([loose.laplace_noise(1.0) for _ in range(60)]))
+    tight_spread = statistics.stdev(fx.open(tight.laplace_noise(1.0, 60)))
+    loose_spread = statistics.stdev(fx.open(loose.laplace_noise(1.0, 60)))
     assert loose_spread > 3 * tight_spread
 
 

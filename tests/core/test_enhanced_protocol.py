@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import opcount
-from repro.core import (
-    PivotConfig,
-    TreeTrainer,
-    run_predict_batch,
-    run_predict_enhanced,
-)
+from repro.core import TreeTrainer, run_predict_batch
 from repro.data import vertical_partition
 from repro.mpc.sharing import SharedValue
 from repro.tree import TreeParams
@@ -104,22 +99,23 @@ def test_hidden_leaf_labels_decode_to_basic_values(enhanced_setup):
 
 def test_enhanced_prediction_matches_basic(enhanced_setup):
     X, _, ctx, model, basic_ctx, basic_model = enhanced_setup
-    secure = [run_predict_enhanced(model, ctx, row) for row in X[:8]]
+    secure = [run_predict_batch(model, ctx, row, "enhanced")[0] for row in X[:8]]
     plain = list(run_predict_batch(basic_model, basic_ctx, X[:8]))
     assert secure == plain
 
 
 def test_enhanced_prediction_costs_table2_per_row(enhanced_setup):
-    """Table 2's O(t)·(Cs + Cc), exactly: t comparisons, and 2t + 1 field
-    multiplications (t markers, t + 1 leaves) — the comparisons' bit-compare
-    runs on XOR-shared words and is no Cs.  The t compares share one packed
-    word, so a call takes ⌈log₂ 40⌉ AND triples however many nodes."""
+    """Table 2's O(t)·(Cs + Cc), exactly: t comparisons, and 2t field
+    multiplications (t − 1 markers below the root, whose marker is the
+    public 1, and t + 1 leaves) — the comparisons' bit-compare runs on
+    XOR-shared words and is no Cs.  The t compares share one packed word,
+    so a call takes ⌈log₂ 40⌉ AND triples however many nodes."""
     X, _, ctx, model, _, _ = enhanced_setup
     t = model.n_internal
     dealer0 = ctx.cost_snapshot()["dealer"]
     with opcount.counting() as ops:
-        run_predict_enhanced(model, ctx, X[0])
-    assert (ops["cs"], ops["cc"]) == (2 * t + 1, t)
+        run_predict_batch(model, ctx, X[0], "enhanced")
+    assert (ops["cs"], ops["cc"]) == (2 * t, t)
     dealer = ctx.cost_snapshot()["dealer"]
     assert dealer["triples"] - dealer0["triples"] == ops["cs"]
     assert dealer["dabits"] - dealer0["dabits"] == t
@@ -131,10 +127,8 @@ def test_enhanced_model_rejects_plaintext_prediction(enhanced_setup):
     X, _, ctx, model, _, _ = enhanced_setup
     with pytest.raises(ValueError):
         model.predict(X[:1])
-    from repro.core.prediction import run_predict_basic
-
     with pytest.raises(ValueError):
-        run_predict_basic(model, ctx, X[0])
+        run_predict_batch(model, ctx, X[0])
 
 
 def test_transcript_hides_split_values(enhanced_setup):
@@ -158,7 +152,7 @@ def test_enhanced_regression():
     model = TreeTrainer(ctx).fit()
     basic_ctx = make_context(X, y, "regression", params=params)
     basic_model = TreeTrainer(basic_ctx).fit()
-    secure = [run_predict_enhanced(model, ctx, row) for row in X[:5]]
+    secure = list(run_predict_batch(model, ctx, X[:5], "enhanced"))
     plain = [basic_model.predict_row(row) for row in X[:5]]
     for s, p in zip(secure, plain):
         assert s == pytest.approx(p, abs=5e-2 * max(1.0, abs(p)))
@@ -183,7 +177,7 @@ def test_depth_keysize_guard():
     assert [(n.owner, n.feature) for n in model.internal_nodes()] == [
         (n.owner, n.feature) for n in basic_model.internal_nodes()
     ]
-    secure = [run_predict_enhanced(model, ctx, row) for row in X[:12]]
+    secure = list(run_predict_batch(model, ctx, X[:12], "enhanced"))
     assert secure == list(run_predict_batch(basic_model, basic_ctx, X[:12]))
 
 

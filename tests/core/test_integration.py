@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import NpdDecisionTree, SpdzDecisionTree
-from repro.core import TreeTrainer, run_predict_batch, run_predict_enhanced
+from repro.core import TreeTrainer, run_predict_batch
 from repro.tree import DecisionTree, TreeParams
 
 from tests.core.conftest import global_signature, global_split_grid, make_context
@@ -64,7 +64,7 @@ def test_all_prediction_paths_agree(everything):
     rows = X[:6]
     centralized = list(plain.predict(rows))
     secure_basic = list(run_predict_batch(basic, ctx, rows))
-    secure_enhanced = [run_predict_enhanced(enhanced, ectx, r) for r in rows]
+    secure_enhanced = list(run_predict_batch(enhanced, ectx, rows, "enhanced"))
     assert secure_basic == centralized
     assert secure_enhanced == centralized
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TreeTrainer, run_predict_basic, run_predict_batch
+from repro.core import TreeTrainer, run_predict_batch
 from repro.core.prediction import (
     encrypted_leaf_sums,
     global_rows_to_party_slices,
@@ -31,7 +31,7 @@ def test_matches_centralized_prediction(trained):
 
 def test_single_sample(trained):
     X, _, ctx, model = trained
-    assert run_predict_basic(model, ctx, X[0]) == model.predict_row(X[0])
+    assert run_predict_batch(model, ctx, X[0])[0] == model.predict_row(X[0])
 
 
 def test_encrypted_prediction_decrypts_to_plain(trained):
@@ -39,7 +39,7 @@ def test_encrypted_prediction_decrypts_to_plain(trained):
     (encrypted,) = predict_basic_encrypted_batch(
         model, ctx, global_rows_to_party_slices(ctx, X[3])
     )
-    value = ctx.joint_decrypt(encrypted, tag="test")
+    (value,) = ctx.joint_decrypt_batch([encrypted], tag="test")
     assert int(round(value)) == model.predict_row(X[3])
 
 
@@ -143,7 +143,7 @@ def test_predict_batch_single_decryption_fanout(trained):
     assert ctx.conversions.threshold_decryptions - decs_before == packed
     rounds_before, revealed_before = ctx.bus.rounds, len(ctx.revealed)
     with opcount.counting() as serial_ops:
-        serial = [run_predict_basic(model, ctx, row) for row in rows]
+        serial = [run_predict_batch(model, ctx, row)[0] for row in rows]
     serial_rounds = ctx.bus.rounds - rounds_before
     assert list(batched) == serial == list(model.predict(rows))
     assert batch_revealed == ctx.revealed[revealed_before:]
@@ -166,8 +166,6 @@ def test_enhanced_regression_non_unit_scale():
     """Leaf predictions must come back in label units when the provider's
     normalisation scale is far from 1 (regression labels are trained on
     y / max|y|)."""
-    from repro.core.prediction import run_predict_enhanced
-
     rng = np.random.default_rng(2)
     X = rng.normal(size=(16, 3))
     y = (X[:, 0] * 2.0 + rng.normal(scale=0.05, size=16)) * 300.0
@@ -181,7 +179,7 @@ def test_enhanced_regression_non_unit_scale():
     basic_ctx = make_context(X, y, "regression", params=params)
     basic_model = TreeTrainer(basic_ctx).fit()
     for row in X[:4]:
-        secure = run_predict_enhanced(model, ctx, row)
+        (secure,) = run_predict_batch(model, ctx, row, "enhanced")
         plain = basic_model.predict_row(row)
         assert secure == pytest.approx(plain, abs=5e-2 * max(1.0, abs(plain)))
 
@@ -189,8 +187,6 @@ def test_enhanced_regression_non_unit_scale():
 def test_enhanced_mixed_leaf_scales_rejected():
     """The shared inner product sums over leaves, so mixed per-leaf scales
     cannot be applied after the fact — refuse instead of using scales[0]."""
-    from repro.core.prediction import run_predict_enhanced
-
     rng = np.random.default_rng(4)
     X = rng.normal(size=(14, 3))
     y = X[:, 0] * 10.0
@@ -203,7 +199,7 @@ def test_enhanced_mixed_leaf_scales_rejected():
     assert len(leaves) >= 2, "need a split for a meaningful mixed-scale model"
     leaves[0].hidden["label_scale"] = leaves[-1].hidden["label_scale"] * 2.0
     with pytest.raises(ValueError, match="mixed per-leaf label scales"):
-        run_predict_enhanced(model, ctx, X[0])
+        run_predict_batch(model, ctx, X[0], "enhanced")
 
 
 def test_prediction_communication_scales_with_clients(small_classification):
@@ -215,6 +211,6 @@ def test_prediction_communication_scales_with_clients(small_classification):
         ctx = make_context(X, y, "classification", m=m, params=params)
         model = TreeTrainer(ctx).fit()
         ctx.bus.reset()
-        run_predict_basic(model, ctx, X[0])
+        run_predict_batch(model, ctx, X[0])
         costs.append(ctx.bus.bytes)
     assert costs[1] > costs[0]

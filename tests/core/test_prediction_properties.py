@@ -184,18 +184,21 @@ def _check_enhanced_batch(data, ctx, shape: str, row_counts) -> None:
     batch_log = ctx.revealed[logged:]
     assert list(batched) == list(model.predict(rows))
     assert batch_log == [("prediction-output", float(v)) for v in batched]
-    # Table 2 per row: t comparisons, 2t + 1 Beaver triples.
+    # Table 2 per row: t comparisons; 2t Beaver triples (t − 1 markers
+    # below the root, whose marker is the public 1, and t + 1 leaves), or
+    # the one leaf product of a single-leaf tree.
     t = len(internal)
     prandm, _, dabits = _comparison_material(ctx)
     assert (prandm - material[0], dabits - material[2]) == (n_rows * t, n_rows * t)
-    assert ctx.engine.dealer.usage.triples - triples == n_rows * (2 * t + 1)
+    assert ctx.engine.dealer.usage.triples - triples == n_rows * max(2 * t, 1)
     if not n_rows:
         assert batch_rounds == 0
     else:
         owners = len({node.owner for node in internal})
         depth = max((node.depth + 1 for node in internal), default=0)
         compare = 8 if internal else 0
-        assert batch_rounds == owners + compare + depth + 2
+        below_root = max(depth - 1, 0)  # one multiplication round per level
+        assert batch_rounds == owners + compare + below_root + 2
     if not internal:  # nothing compared: no comparison material at all
         assert _comparison_material(ctx) == material
     # A batch of one per row: the same prediction and the same log entry.
@@ -249,5 +252,6 @@ def test_enhanced_rounds_do_not_grow_with_the_rows():
             model.predict(rows)
         )
         rounds[n_rows] = ctx.engine.stats.rounds - before
-    # 3 owners' inputs, one compare, 3 marker levels, the leaves, the opening.
-    assert rounds == {1: 3 + 8 + 3 + 2, 40: 3 + 8 + 3 + 2}
+    # 3 owners' inputs, one compare, 2 marker levels below the root, the
+    # leaves, the opening.
+    assert rounds == {1: 3 + 8 + 2 + 2, 40: 3 + 8 + 2 + 2}

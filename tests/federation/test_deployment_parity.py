@@ -382,7 +382,7 @@ def test_runtime_stub_refuses_local_reads(row_run):
     for refused in (
         lambda: stub.indicator(0, 0),
         lambda: stub.indicator_matrix(0),
-        lambda: stub.local_row(0),
+        lambda: stub.local_block(),
         lambda: stub.split_values,
     ):
         with pytest.raises(NotImplementedError, match="her own process"):

@@ -159,9 +159,9 @@ def test_enhanced_training_succeeds_under_strict_locality(tiny_classification):
     X, y = tiny_classification
     with make_federation(X, y, protocol="enhanced", seed=5) as fed:
         model = TreeTrainer(fed).fit()
-        from repro.core import run_predict_enhanced
+        from repro.core import run_predict_batch
 
-        pred = run_predict_enhanced(model, fed, X[0])
+        (pred,) = run_predict_batch(model, fed, X[0], "enhanced")
         assert pred in set(int(v) for v in y)
         fed.assert_drained()
 

@@ -131,7 +131,7 @@ def test_deployed_decryption_reconstructs_from_worker_shares(deployed):
     """An orchestrator-side joint decryption: the only way the plaintext
     can appear is via the spawned party's share vector."""
     value = deployed.encoder.encrypt(6.25)
-    assert deployed.joint_decrypt(value, tag="test") == pytest.approx(6.25)
+    assert deployed.joint_decrypt_batch([value], tag="test") == [pytest.approx(6.25)]
     deployed.assert_drained()
 
 
@@ -204,7 +204,7 @@ def test_dead_worker_fails_decryption_not_silent_fallback(data):
         value = fed.encoder.encrypt(1.5)
         start = time.monotonic()
         with pytest.raises((LookupError, OSError)):
-            fed.joint_decrypt(value, tag="test")
+            fed.joint_decrypt_batch([value], tag="test")
         assert time.monotonic() - start < 30.0
         # No plaintext was produced by any hidden dealer path.
         assert all(tag != "test" for tag, _ in fed.revealed)

@@ -289,11 +289,11 @@ def test_argmax_slack_keeps_the_earliest_of_near_ties(fx):
     it; a value more than ``slack`` above does."""
     engine = fx.engine
     values = [engine.share_public(v) for v in (1000, 1003, 998, 1004)]
-    index, best, onehot = fx.argmax(values, slack=4)
+    ((index, best, onehot),) = fx.argmax([values], slack=4)
     assert engine.open_many([index, best, *onehot]) == [0, 1000, 1, 0, 0, 0]
-    index, best, _ = fx.argmax(values + [engine.share_public(1005)], slack=4)
+    ((index, best, _),) = fx.argmax([values + [engine.share_public(1005)]], slack=4)
     assert engine.open_many([index, best]) == [4, 1005]
-    index, _, _ = fx.argmax(values)  # no slack: the strict maximum
+    ((index, _, _),) = fx.argmax([values])  # no slack: the strict maximum
     assert engine.open_many([index]) == [3]
 
 
@@ -311,12 +311,12 @@ def test_clamp(fx):
 @relaxed
 @given(x=st.floats(min_value=-5.5, max_value=5.5, allow_nan=False))
 def test_exp(fx, x):
-    got = fx.open([fx.exp(fx.share(x))])[0]
+    got = fx.open(fx.exp([fx.share(x)]))[0]
     assert math.isclose(got, math.exp(x), rel_tol=0.02, abs_tol=0.02)
 
 
 def test_exp_clamps_extremes(fx):
-    big, small = fx.open([fx.exp(fx.share(50.0)), fx.exp(fx.share(-50.0))])
+    big, small = fx.open(fx.exp([fx.share(50.0), fx.share(-50.0)]))
     assert math.isclose(big, math.exp(6.0), rel_tol=0.05)
     assert math.isclose(small, math.exp(-6.0), abs_tol=0.01)
 
@@ -328,17 +328,41 @@ def test_exp_clamps_extremes(fx):
     )
 )
 def test_softmax(fx, scores):
-    got = fx.open(fx.softmax([fx.share(s) for s in scores]))
-    exps = [math.exp(s) for s in scores]
-    want = [e / sum(exps) for e in exps]
-    for g, w in zip(got, want):
-        assert math.isclose(g, w, abs_tol=0.02)
-    assert math.isclose(sum(got), 1.0, abs_tol=0.05)
+    rows = [scores, scores[::-1]]
+    got = fx.softmax([[fx.share(s) for s in row] for row in rows])
+    for row, shares in zip(rows, got):
+        opened = fx.open(shares)
+        exps = [math.exp(s) for s in row]
+        want = [e / sum(exps) for e in exps]
+        for g, w in zip(opened, want):
+            assert math.isclose(g, w, abs_tol=0.02)
+        assert math.isclose(sum(opened), 1.0, abs_tol=0.05)
+
+
+@relaxed
+@given(x=st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
+def test_ln(fx, x):
+    got = fx.open(fx.ln([fx.share(x)]))[0]
+    assert math.isclose(got, math.log(x), abs_tol=0.01)
+
+
+def test_log2_of_a_batch(fx):
+    xs = [0.25, 1.0, 3.0, 1000.0]
+    got = fx.open(fx.log2([fx.share(x) for x in xs]))
+    for g, x in zip(got, xs):
+        assert math.isclose(g, math.log2(x), abs_tol=0.01)
+
+
+def test_uniform_fraction_of_a_batch(fx):
+    values = fx.open(fx.uniform_fraction(5))
+    assert len(values) == 5 and all(0 <= v < 1 for v in values)
+    assert len(set(values)) > 1
+    assert fx.uniform_fraction(0) == []
 
 
 def test_fixed_argmax_and_comparisons(fx):
     values = [fx.share(v) for v in (0.5, -1.25, 2.75, 2.5)]
-    idx, mx, onehot = fx.argmax(values)
+    ((idx, mx, onehot),) = fx.argmax([values])
     assert fx.engine.open_many([idx]) == [2]
     assert math.isclose(fx.open([mx])[0], 2.75, abs_tol=1e-4)
     assert fx.engine.open_many([fx.lt(values[0], values[2])]) == [1]

@@ -218,6 +218,12 @@ def _pairs(values):
     return list(zip(values, values[::-1]))
 
 
+def _rows(values, width):
+    """One row of ``width`` per value: the value and the ones after it."""
+    count = len(values)
+    return [[values[(j + i) % count] for i in range(width)] for j in range(count)]
+
+
 @lru_cache(maxsize=None)
 def _threshold():
     return generate_threshold_keypair(3, 256)
@@ -230,7 +236,8 @@ def _ciphertexts(count):
 
 # Every interactive primitive as one call on a batch of values: (call, its
 # rounds, its AND triples, and per value its Cs, Cc, PRandM tuples and
-# daBits).  A Beaver triple is a Cs.
+# daBits).  A Beaver triple is a Cs.  ``argmax`` and ``fx.softmax`` take
+# one row per value (of 3 and 2 values), and their material is per row.
 CALLS = {
     "engine.mul_many": (lambda e, fx, xs: e.mul_many(_pairs(xs)), 1, 0, (1, 0, 0, 0)),
     "engine.open_many": (lambda e, fx, xs: e.open_many(xs), 1, 0, (0, 0, 0, 0)),
@@ -254,6 +261,14 @@ CALLS = {
     "fx.gt": (lambda e, fx, xs: fx.gt(xs, xs[::-1]), 8, 6, (0, 1, 1, 1)),
     "fx.ltz": (lambda e, fx, xs: fx.ltz(xs), 8, 6, (0, 1, 1, 1)),
     "fx.eqz": (lambda e, fx, xs: fx.eqz(xs), 8, 6, (0, 2, 2, 2)),
+    # Two scan steps, each a gt and one round of 1 + i products per row.
+    "argmax": (lambda e, fx, xs: cmp.argmax(e, _rows(xs, 3), K), 18, 12, (5, 2, 2, 2)),
+    "fx.exp": (lambda e, fx, xs: fx.exp(xs), 40, 13, (14, 2, 11, 8)),
+    "fx.ln": (
+        lambda e, fx, xs: fx.ln([e.add_public(x, 1 << 20) for x in xs]),
+        38, 19, (7, 0, 8, 7),
+    ),
+    "fx.softmax": (lambda e, fx, xs: fx.softmax(_rows(xs, 2)), 77, 32, (47, 4, 39, 17)),
     # The conversions: Algorithm 2 charges its mask broadcast and combine
     # once, the reverse conversion an input per party, one opening and its
     # mask exchange.
@@ -421,7 +436,7 @@ def test_to_arithmetic(engine, values):
 )
 def test_argmax(engine, values):
     shared_vals = [shared(engine, v) for v in values]
-    idx, mx, onehot = cmp.argmax(engine, shared_vals, K)
+    ((idx, mx, onehot),) = cmp.argmax(engine, [shared_vals], K)
     expected_idx = values.index(max(values))  # first maximum wins ties
     opened_idx, opened_max, *opened = engine.open_many([idx, mx, *onehot])
     assert opened_idx == expected_idx
@@ -430,8 +445,30 @@ def test_argmax(engine, values):
 
 
 def test_argmax_empty_rejected(engine):
+    assert cmp.argmax(engine, [], K) == []  # no rows: nothing to do
     with pytest.raises(ValueError):
-        cmp.argmax(engine, [], K)
+        cmp.argmax(engine, [[]], K)
+    with pytest.raises(ValueError, match="differ in length"):
+        cmp.argmax(engine, [[shared(engine, 1)], []], K)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.lists(st.integers(-8, 8), min_size=4, max_size=4), min_size=1, max_size=5
+    )
+)
+def test_argmax_of_rows_is_each_row_alone(engine, rows):
+    """Every row's (index, max, one-hot) in one call equals the row alone;
+    ties go to the earliest index in each row."""
+    shared_rows = [[shared(engine, v) for v in row] for row in rows]
+    batch = cmp.argmax(engine, shared_rows, K)
+    alone = [cmp.argmax(engine, [row], K)[0] for row in shared_rows]
+    for row, got, want in zip(rows, batch, alone):
+        opened = engine.open_many([got[0], got[1], *got[2]])
+        assert opened == engine.open_many([want[0], want[1], *want[2]])
+        best = row.index(max(row))
+        assert opened[0] == best and engine.field.to_signed(opened[1]) == max(row)
 
 
 def test_authenticated_comparisons(auth_engine):

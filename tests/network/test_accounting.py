@@ -76,10 +76,10 @@ def test_joint_decrypt_counts_partial_shares(ctx):
     s_ct, s_en, s_pdv, vec = _sizes(ctx)
     value = ctx.encoder.encrypt(2.5)
     result, nbytes, rounds, _ = _delta(
-        ctx.bus, lambda: ctx.joint_decrypt(value, tag="test")
+        ctx.bus, lambda: ctx.joint_decrypt_batch([value], tag="test")
     )
-    assert result == pytest.approx(2.5)
-    expected = (m - 1) * vec(1, s_en) + m * (m - 1) * s_pdv(1)
+    assert result == [pytest.approx(2.5)]
+    expected = (m - 1) * vec(1, s_ct) + m * (m - 1) * s_pdv(1)
     assert nbytes == expected
     seed_estimate = (m - 1) * ctx.ciphertext_bytes  # what the seed recorded
     assert nbytes > seed_estimate
@@ -175,7 +175,7 @@ def test_joint_decrypt_batch_is_one_flow(ctx):
     )
     serial, serial_bytes, serial_rounds, _ = _delta(
         ctx.bus,
-        lambda: [ctx.joint_decrypt(v, tag="serial") for v in values],
+        lambda: [ctx.joint_decrypt_batch([v], tag="serial")[0] for v in values],
     )
     assert batched == pytest.approx(serial)
     assert batch_rounds == 2 and serial_rounds == 2 * k
