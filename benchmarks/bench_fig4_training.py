@@ -43,6 +43,17 @@ SWEEPS = {
 #: Transport for every sweep point (set by --transport).
 TRANSPORT = "inmemory"
 
+#: The training record's points: (name, protocol, transport, workload
+#: overrides).  The h = 3 row next to the default h = 2 shows training
+#: rounds growing with the depth: one level more, one set of per-level
+#: flows more, however many nodes the level has.
+RECORD_POINTS = (
+    ("basic/inmemory", "basic", "inmemory", {}),
+    ("basic/asyncio", "basic", "asyncio", {}),
+    ("enhanced/inmemory", "enhanced", "inmemory", {}),
+    ("basic/inmemory/h3", "basic", "inmemory", {"h": 3}),
+)
+
 
 def run_point(
     protocol: str,
@@ -123,12 +134,8 @@ def training_record(json_path: str | None = None) -> dict:
     size formulas.
     """
     record: dict[str, dict] = {"workload": dict(DEFAULTS)}
-    for protocol, transport in (
-        ("basic", "inmemory"),
-        ("basic", "asyncio"),
-        ("enhanced", "inmemory"),
-    ):
-        params = dict(DEFAULTS)
+    for point, protocol, transport, overrides in RECORD_POINTS:
+        params = {**DEFAULTS, **overrides}
         context = build_context(
             protocol=protocol, transport=transport, **params
         )
@@ -151,7 +158,8 @@ def training_record(json_path: str | None = None) -> dict:
             f"{protocol}/{transport}: measured bytes diverge from the "
             "codec's size formulas"
         )
-        record[f"{protocol}/{transport}"] = {
+        record[point] = {
+            "h": params["h"],
             "wall_seconds": round(result.wall_seconds, 4),
             "modeled_seconds": round(result.modeled_seconds, 4),
             "bytes": snap["bytes"],

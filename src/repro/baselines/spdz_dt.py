@@ -178,8 +178,8 @@ class SpdzDecisionTree:
                 right.append(total - g_left)
             splits.append(SplitStats(n_left, n_right, left, right))
 
-        gains, leaf_threshold = secure_split_gains(
-            fx, self.task, node_stats, splits, self.gain_mode, self.params.min_gain
+        (gains,), (leaf_threshold,) = secure_split_gains(
+            fx, self.task, [node_stats], [splits], self.gain_mode, self.params.min_gain
         )
         from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 

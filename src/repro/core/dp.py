@@ -76,42 +76,63 @@ class DPMechanisms:
     # ------------------------------------------------------------------
 
     def exponential_mechanism(
-        self, scores: list[SharedValue], sensitivity: float = GAIN_SENSITIVITY
-    ) -> tuple[SharedValue, list[SharedValue]]:
-        """Select ⟨index⟩ with Pr[r] ∝ exp(ε·score_r / 2Δ) (Algorithm 6).
+        self,
+        rows: list[list[SharedValue]],
+        sensitivity: float = GAIN_SENSITIVITY,
+    ) -> list[tuple[SharedValue, list[SharedValue]]]:
+        """Select ⟨index⟩ with Pr[r] ∝ exp(ε·score_r / 2Δ) in every row of
+        scores (Algorithm 6), each step one call over all rows (a tree
+        level's nodes); the rows may differ in length.
 
-        Returns (⟨index⟩, one-hot ⟨λ⟩) — the same interface as the secure
-        argmax, so the trainer can swap mechanisms transparently.
+        Returns (⟨index⟩, one-hot ⟨λ⟩) per row — the interface of the
+        secure argmax, so the trainer can swap mechanisms transparently.
         """
-        if not scores:
-            raise ValueError("exponential mechanism needs at least one score")
+        if any(not row for row in rows):
+            raise ValueError("exponential mechanism needs at least one score per row")
+        if not rows:
+            return []
         fx = self.fx
         engine = fx.engine
         factor = self.config.epsilon / (2.0 * sensitivity)
         # Lines 1-2: ⟨prob_r⟩ = exp(ε·score_r / 2Δ).
-        probs = fx.exp(fx.mul_public(scores, factor))
+        probs = iter(fx.exp(fx.mul_public([s for row in rows for s in row], factor)))
         # Lines 3-7: cumulative sums; sampling U uniform on (0, P) instead
         # of normalising each F_r is the same distribution, R fewer
         # divisions.
-        cumulative: list[SharedValue] = []
-        running = engine.share_public(0)
-        for p in probs:
-            running = running + p
-            cumulative.append(running)
-        total = running
-        (u01,) = fx.uniform_fraction(1)
-        (u,) = fx.mul([(u01, total)])  # uniform on (0, P)
+        cumulatives: list[list[SharedValue]] = []
+        for row in rows:
+            running = engine.share_public(0)
+            cumulative = []
+            for _ in row:
+                running = running + next(probs)
+                cumulative.append(running)
+            cumulatives.append(cumulative)
+        us = fx.mul(  # uniform on (0, P) per row
+            [
+                (u01, cumulative[-1])
+                for u01, cumulative in zip(fx.uniform_fraction(len(rows)), cumulatives)
+            ]
+        )
         # Lines 9-14: locate the interval: index = #{r < R-1 : C_r < U},
-        # every C_r < U in one compare.
-        above = fx.gt([u] * (len(cumulative) - 1), cumulative[:-1])
-        index = engine.share_public(0)
-        for bit in above:
-            index = index + bit
-        # One-hot from consecutive indicator differences.
-        onehot: list[SharedValue] = []
-        previous = engine.share_public(1)
-        for bit in above:
-            onehot.append(previous - bit)
-            previous = bit
-        onehot.append(previous)
-        return index, onehot
+        # every C_r < U of every row in one compare.
+        above = iter(
+            fx.gt(
+                [u for u, cumulative in zip(us, cumulatives) for _ in cumulative[:-1]],
+                [c for cumulative in cumulatives for c in cumulative[:-1]],
+            )
+        )
+        results = []
+        for cumulative in cumulatives:
+            bits = [next(above) for _ in cumulative[:-1]]
+            index = engine.share_public(0)
+            for bit in bits:
+                index = index + bit
+            # One-hot from consecutive indicator differences.
+            onehot: list[SharedValue] = []
+            previous = engine.share_public(1)
+            for bit in bits:
+                onehot.append(previous - bit)
+                previous = bit
+            onehot.append(previous)
+            results.append((index, onehot))
+        return results

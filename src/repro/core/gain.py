@@ -25,15 +25,15 @@ Two modes (DESIGN.md §5):
 Both return values on a common scale such that (gain - leaf_threshold) > 0
 iff the plaintext CART gain exceeds ``min_gain``.
 
-**One division per node.**  Eq. (5)/(8) name 2c + 1 fractions per split
+**One division per level.**  Eq. (5)/(8) name 2c + 1 fractions per split
 (c classes) and c for the parent, but only three distinct denominators per
 split — n, n_l, n_r — and n is the same for the whole node.  Most of a
 secure division depends on the denominator alone
 (:meth:`~repro.mpc.advanced.FixedPointOps.div`), so the fractions are
 grouped by denominator — the parent's fractions *and every split's* w_l
 over ⟨n⟩, the left fractions over each ⟨n_l⟩, the right over each ⟨n_r⟩
-— and the 2S + 1 groups go to ``div`` in one call, which normalises all
-of their denominators together.
+— and the 2S + 1 groups of every node of a tree level go to ``div`` in
+one call, which normalises all of their denominators together.
 """
 
 from __future__ import annotations
@@ -79,86 +79,110 @@ class NodeStats:
 def secure_split_gains(
     fx: FixedPointOps,
     task: str,
-    node: NodeStats,
-    splits: list[SplitStats],
+    nodes: list[NodeStats],
+    splits: list[list[SplitStats]],
     gain_mode: str,
     min_gain: float,
-) -> tuple[list[SharedValue], SharedValue]:
-    """Shared gains for all splits plus the shared leaf threshold.
+) -> tuple[list[list[SharedValue]], list[SharedValue]]:
+    """Shared gains of every node's splits plus each node's shared leaf
+    threshold, for a whole tree level in one call: ``splits[i]`` are the
+    candidate splits of ``nodes[i]``.
 
-    The caller declares the node a leaf iff  max(gains) <= threshold,
-    and otherwise picks argmax(gains); both comparisons happen on shares.
+    The caller declares node i a leaf iff  max(gains[i]) <= threshold[i],
+    and otherwise picks argmax(gains[i]); both comparisons happen on
+    shares.  The level's divisions are one :meth:`FixedPointOps.div` call
+    and its multiplications one round per step, so the MPC rounds are
+    those of one node however many the level has.
     """
     if gain_mode == "paper":
-        return _paper_gains(fx, task, node, splits, min_gain)
-    return _reduced_gains(fx, task, node, splits, min_gain)
+        return _paper_gains(fx, task, nodes, splits, min_gain)
+    return _reduced_gains(fx, task, nodes, splits, min_gain)
 
 
 def _paper_gains(
     fx: FixedPointOps,
     task: str,
-    node: NodeStats,
-    splits: list[SplitStats],
+    nodes: list[NodeStats],
+    splits: list[list[SplitStats]],
     min_gain: float,
-) -> tuple[list[SharedValue], SharedValue]:
+) -> tuple[list[list[SharedValue]], list[SharedValue]]:
     """gain = w_l P(D_l) + w_r P(D_r) - P(D) for the purity P of the task.
 
     Classification (Eq. 5): P = Σ_k p_k².  Regression (Eq. 6): P = -IV =
     (Σy/n)² - Σy²/n, so the same expression is IV(D) - w_l IV(D_l) -
     w_r IV(D_r).
     """
-    n_totals = len(node.totals)
-    over_n, *over_children = fx.div(
-        [node.totals + [split.n_left for split in splits]]
-        + [side for split in splits for side in (split.left, split.right)],
-        [node.n] + [n for split in splits for n in (split.n_left, split.n_right)],
-    )
-    # Two multiplication rounds for the whole node: every purity's squares,
-    # then every weight.
-    parent, *purities = _purities(fx, task, [over_n[:n_totals], *over_children])
+    # Per node: its own fractions and every split's w_l over ⟨n⟩, then
+    # each split's left and right fractions over ⟨n_l⟩ and ⟨n_r⟩.
+    groups: list[list[SharedValue]] = []
+    denominators: list[SharedValue] = []
+    for node, node_splits in zip(nodes, splits):
+        groups.append(node.totals + [split.n_left for split in node_splits])
+        groups += [side for split in node_splits for side in (split.left, split.right)]
+        denominators.append(node.n)
+        denominators += [n for split in node_splits for n in (split.n_left, split.n_right)]
+    quotients = iter(fx.div(groups, denominators))
+    fractions: list[list[SharedValue]] = []
+    weights: list[list[SharedValue]] = []
+    for node, node_splits in zip(nodes, splits):
+        over_n = next(quotients)
+        n_totals = len(node.totals)
+        fractions.append(over_n[:n_totals])
+        fractions += [next(quotients) for _ in range(2 * len(node_splits))]
+        weights.append(over_n[n_totals:])
+    # Two multiplication rounds for the whole level: every purity's
+    # squares, then every weight.
+    purities = iter(_purities(fx, task, fractions))
     one = fx.share(1.0)
-    weighted = fx.mul(
-        [
-            pair
-            for w_left, left, right in zip(over_n[n_totals:], purities[0::2], purities[1::2])
-            for pair in ((w_left, left), (one - w_left, right))
-        ]
-    )
-    gains = [left + right - parent for left, right in zip(weighted[0::2], weighted[1::2])]
-    return gains, fx.share(min_gain)
+    parents: list[SharedValue] = []
+    pairs: list[tuple[SharedValue, SharedValue]] = []
+    for node_weights in weights:
+        parents.append(next(purities))
+        for w_left in node_weights:
+            left, right = next(purities), next(purities)
+            pairs += [(w_left, left), (one - w_left, right)]
+    weighted = iter(fx.mul(pairs))
+    gains = [
+        [next(weighted) + next(weighted) - parent for _ in node_weights]
+        for parent, node_weights in zip(parents, weights)
+    ]
+    return gains, [fx.share(min_gain) for _ in nodes]
 
 
 def _reduced_gains(
     fx: FixedPointOps,
     task: str,
-    node: NodeStats,
-    splits: list[SplitStats],
+    nodes: list[NodeStats],
+    splits: list[list[SplitStats]],
     min_gain: float,
-) -> tuple[list[SharedValue], SharedValue]:
+) -> tuple[list[list[SharedValue]], list[SharedValue]]:
     """Σ_k g_{l,k}²/n_l + Σ_k g_{r,k}²/n_r, compared against the parent's
     Σ_k g_k²/n + n·min_gain (the n-scaled form of Eq. 5); for regression
     the one statistic is Σy: (Σ_l y)²/n_l + (Σ_r y)²/n_r vs (Σy)²/n."""
     used = None if task == "classification" else 1
-    sides = [(split.left, split.n_left) for split in splits]
-    sides += [(split.right, split.n_right) for split in splits]
-    sides.append((node.totals, node.n))
+    sides = []
+    for node, node_splits in zip(nodes, splits):
+        sides += [(split.left, split.n_left) for split in node_splits]
+        sides += [(split.right, split.n_right) for split in node_splits]
+        sides.append((node.totals, node.n))
     numerators = _sums_of_squares(fx, [values[:used] for values, _ in sides])
-    statistics = [
+    statistics = iter(
         quotient
         for (quotient,) in fx.div(
             [[numerator] for numerator in numerators], [n for _, n in sides]
         )
-    ]
-    count = len(splits)
-    gains = [
-        left + right
-        for left, right in zip(statistics[:count], statistics[count : 2 * count])
-    ]
-    threshold = statistics[-1]
+    )
+    gains, thresholds = [], []
+    for node_splits in splits:
+        count = len(node_splits)
+        lefts = [next(statistics) for _ in range(count)]
+        rights = [next(statistics) for _ in range(count)]
+        gains.append([left + right for left, right in zip(lefts, rights)])
+        thresholds.append(next(statistics))
     if min_gain:
-        (scaled,) = fx.mul_public([node.n], min_gain)
-        threshold = threshold + scaled
-    return gains, threshold
+        scaled = fx.mul_public([node.n for node in nodes], min_gain)
+        thresholds = [t + s for t, s in zip(thresholds, scaled)]
+    return gains, thresholds
 
 
 def _sums_of_squares(

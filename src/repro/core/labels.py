@@ -19,7 +19,7 @@ Three regimes, one per way a node's [γ] can reach the parties:
   decryptions per vector) and the malicious model's POPCM-proven
   provider: for every node that passed the pruning checks the super
   client multiplies β into the node's [α] and publishes the products as
-  one ``node-gammas`` request per node (:meth:`PlaintextLabelProvider.gammas`).
+  one ``node-gammas`` request per tree level (:meth:`PlaintextLabelProvider.gammas`).
 
   β ∘ [α] by scalar powers is a deterministic function of the public [α]:
   β = 1 returns [α_j] unchanged, β = 0 the unit ciphertext, and a
@@ -119,41 +119,47 @@ class PlaintextLabelProvider:
         ]
 
     def gammas(
-        self, alpha: list[EncryptedNumber], node_key: int = 1
-    ) -> list[list[EncryptedNumber]]:
-        """[γ] = β ∘ [α], re-randomised element by element, computed by the
-        super client and published to the other parties' event loops as one
-        ``node-gammas`` request — for a node whose vectors do not ride.
+        self, alphas: list[list[EncryptedNumber]], node_keys: list[int]
+    ) -> list[list[list[EncryptedNumber]]]:
+        """[γ] = β ∘ [α] for every node of a tree level, re-randomised
+        element by element, computed by the super client and published to
+        the other parties' event loops as one ``node-gammas`` request with
+        a ``key, gammas`` entry per node — for nodes whose vectors do not
+        ride.  ``alphas[i]`` is the [α] of node ``node_keys[i]``.
 
         Classification goes straight through ``mask_vector`` (a fresh [0]
         where β = 0, a re-masked [α_j] where β = 1); regression re-masks
         every element after the scalar power.  Every receiving runtime
-        attaches the vectors to her stored node state, so the node's
+        attaches the vectors to her stored node state, so the level's
         subsequent split-stats request finds them.
         """
         from repro.network.flows import broadcast_request
 
         ctx = self.context
-        if self.task == "classification":
-            result = [ctx.batch.mask_vector(alpha, beta) for beta in self.betas]
-        else:
-            keep = [1] * len(alpha)
-            result = [
-                ctx.batch.mask_vector(gamma, keep) for gamma in self._scaled(alpha)
-            ]
+        results = []
+        for alpha in alphas:
+            if self.task == "classification":
+                result = [ctx.batch.mask_vector(alpha, beta) for beta in self.betas]
+            else:
+                keep = [1] * len(alpha)
+                result = [
+                    ctx.batch.mask_vector(gamma, keep) for gamma in self._scaled(alpha)
+                ]
+            results.append(result)
         runtime = ctx.runtimes[ctx.super_client]
-        if node_key in runtime.nodes:
-            runtime.nodes[node_key][1] = [list(g) for g in result]
+        for key, result in zip(node_keys, results):
+            if key in runtime.nodes:
+                runtime.nodes[key][1] = [list(g) for g in result]
         broadcast_request(
             ctx.bus,
             ctx.super_client,
             "node-gammas",
-            [node_key, result],
+            [item for key, result in zip(node_keys, results) for item in (key, result)],
             tag="label-vectors",
             runtimes=ctx.runtimes,
         )
         ctx.bus.round()
-        return result
+        return results
 
 
 class EncryptedLabelProvider:

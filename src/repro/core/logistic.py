@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.crypto.encoding import EncryptedNumber, fixed_point_dot
 from repro.network.flows import collect_replies, react_runtimes
 from repro.network.wire import Request
 
@@ -214,8 +214,7 @@ class LogisticTrainer:
         for t in range(blocks[0].shape[0]):
             total = None
             for block, block_w in zip(blocks, self.weights):
-                coefficients = [ctx.encoder.encode(float(v)).encoding for v in block[t]]
-                partial = encrypted_dot_product(coefficients, block_w)
+                partial = fixed_point_dot(ctx.encoder, block[t], block_w)
                 total = partial if total is None else total + partial
             xi_cts.append(total)
         sigmas = self._sigmoid(ctx.to_shares(xi_cts))

@@ -28,14 +28,11 @@ from __future__ import annotations
 import secrets
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.labels import PlaintextLabelProvider
-from repro.core.trainer import TreeTrainer, _child_available
+from repro.core.trainer import TreeTrainer
 from repro.crypto import zkp
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext, dot_product
-from repro.tree.model import TreeNode
 
 if TYPE_CHECKING:
     from repro.federation.federation import Federation
@@ -169,24 +166,27 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
             result.append(ctx.encoder.wrap(out, alpha[0].exponent + self._shift))
         return result
 
-    def gammas(self, alpha, node_key: int = 1):
+    def gammas(self, alphas, node_keys):
         # Central verified flow (the malicious model is a research mode
-        # driven in one process); node_key is accepted for interface
+        # driven in one process); node_keys are accepted for interface
         # parity with the reactive provider but no runtime store is kept.
         ctx = self.context
-        result = []
-        for commitment in self.commitments:
-            outputs, proofs = commitment.prove_elementwise_product(alpha)
-            commitment.verify_elementwise_product(alpha, outputs, proofs)
-            exponent = alpha[0].exponent + self._shift
-            result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
-            ctx.bus.broadcast(
-                ctx.super_client,
-                ctx.ciphertext_bytes * 4 * len(alpha),  # gamma + POPCM
-                tag="label-vectors",
-            )
+        results = []
+        for alpha in alphas:
+            result = []
+            for commitment in self.commitments:
+                outputs, proofs = commitment.prove_elementwise_product(alpha)
+                commitment.verify_elementwise_product(alpha, outputs, proofs)
+                exponent = alpha[0].exponent + self._shift
+                result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
+                ctx.bus.broadcast(
+                    ctx.super_client,
+                    ctx.ciphertext_bytes * 4 * len(alpha),  # gamma + POPCM
+                    tag="label-vectors",
+                )
+            results.append(result)
         ctx.bus.round()
-        return result
+        return results
 
 
 class MaliciousTreeTrainer(TreeTrainer):
@@ -220,87 +220,68 @@ class MaliciousTreeTrainer(TreeTrainer):
                     self.committed_indicators[(client.index, feature, split)] = vector
         context.bus.round()
 
-    def _compute_split_stats(
-        self, identifiers, alpha, gammas, available=None, node_key=1
-    ):
-        """Split statistics with POHDP proofs against the commitments.
+    def _compute_split_stats(self, nodes, identifiers, gammas):
+        """Split statistics of a tree level with POHDP proofs against the
+        commitments.
 
         Stays a centrally driven flow (proof generation and verification
-        both run here); ``available``/``node_key`` mirror the reactive base
-        signature.
+        both run here); one round for the level, like the reactive base.
         """
         ctx = self.ctx
         pk = ctx.threshold.public_key
         stat_cts: list[EncryptedNumber] = []
         first = True
-        for client_idx, feature, split in identifiers:
-            committed = self.committed_indicators[(client_idx, feature, split)]
-            for vec in [alpha, *gammas]:
-                out, proof = committed.prove_dot_product(vec)
-                if self.cheat == "stats" and first:
-                    out = out + pk.encrypt(1)  # lie by +1
-                    first = False
-                committed.verify_dot_product(vec, out, proof)
-                stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
-            ctx.bus.broadcast(
-                client_idx,
-                ctx.ciphertext_bytes * 3 * (1 + len(gammas)),
-                tag="split-stats",
-            )
+        for node, ids, node_gammas in zip(nodes, identifiers, gammas):
+            for client_idx, feature, split in ids:
+                committed = self.committed_indicators[(client_idx, feature, split)]
+                for vec in [node.alpha, *node_gammas]:
+                    out, proof = committed.prove_dot_product(vec)
+                    if self.cheat == "stats" and first:
+                        out = out + pk.encrypt(1)  # lie by +1
+                        first = False
+                    committed.verify_dot_product(vec, out, proof)
+                    stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
+                ctx.bus.broadcast(
+                    client_idx,
+                    ctx.ciphertext_bytes * 3 * (1 + len(node_gammas)),
+                    tag="split-stats",
+                )
         ctx.bus.round()
         return stat_cts
 
-    def _split_basic(
-        self, alpha, gammas, available, depth, identifiers, best_index,
-        node_stats, rows, node_key,
-    ):
-        """Model update with per-element POPCM on [α_l] (§9.1.2); the right
-        child is [α] ⊖ [α_l], which every verifier computes herself.  A
-        split whose children will not read a mask vector proves nothing."""
+    def _apply_splits(self, splits):
+        """Model update of a tree level with per-element POPCM on every
+        [α_l] (§9.1.2); each right child is [α] ⊖ [α_l], which every
+        verifier computes herself.  A split whose children will not read a
+        mask vector proves nothing."""
         ctx = self.ctx
-        (flat,) = ctx.engine.open_many([best_index])
-        left_stats = self._node_stats(rows[flat])
-        owner_idx, feature, split = identifiers[flat]
-        ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
-        owner = ctx.clients[owner_idx]
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
-        )
-        alpha_left = alpha_right = None
-        if self._children_read(depth, child_available):
-            committed = self.committed_indicators[(owner_idx, feature, split)]
-            outputs_l, proofs_l = committed.prove_elementwise_product(alpha)
-            if self.cheat == "update":
-                outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
-            committed.verify_elementwise_product(alpha, outputs_l, proofs_l)
-            alpha_left = [
-                ctx.encoder.wrap(o, a.exponent) for o, a in zip(outputs_l, alpha)
-            ]
-            alpha_right = ctx.batch.subtract_vectors(alpha, alpha_left)
-        ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
-            owner_idx,
-            2 * ctx.ciphertext_bytes * len(alpha_left or ()),
-            tag="mask-vector",
-        )
+        thresholds = []
+        children: dict[int, list] = {}
+        for s in splits:
+            node = s.node
+            thresholds.append(ctx.clients[s.owner].split_values[s.feature][s.split])
+            alpha_left: list[EncryptedNumber] = []
+            if s.build:
+                committed = self.committed_indicators[(s.owner, s.feature, s.split)]
+                outputs_l, proofs_l = committed.prove_elementwise_product(node.alpha)
+                if self.cheat == "update":
+                    outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
+                committed.verify_elementwise_product(node.alpha, outputs_l, proofs_l)
+                alpha_left = [
+                    ctx.encoder.wrap(o, a.exponent)
+                    for o, a in zip(outputs_l, node.alpha)
+                ]
+                children[2 * node.key] = [alpha_left, None]
+                children[2 * node.key + 1] = [
+                    ctx.batch.subtract_vectors(node.alpha, alpha_left), None
+                ]
+            ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
+                s.owner,
+                2 * ctx.ciphertext_bytes * len(alpha_left),
+                tag="mask-vector",
+            )
         ctx.bus.round()
-
-        node = TreeNode(
-            is_leaf=False,
-            depth=depth,
-            owner=owner_idx,
-            feature=feature,
-            global_feature=ctx.partition.global_feature_of(owner_idx, feature),
-            threshold=owner.split_values[feature][split],
-        )
-        node.left = self._build(
-            alpha_left, None, child_available, depth + 1,
-            2 * node_key, left_stats,
-        )
-        node.right = self._build(
-            alpha_right, None, child_available, depth + 1,
-            2 * node_key + 1, node_stats - left_stats,
-        )
-        return node
+        return thresholds, children
 
 
 class CheatingClient:

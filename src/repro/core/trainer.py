@@ -1,42 +1,61 @@
 """Pivot decision-tree training: basic and enhanced protocols (§4, §5).
 
-Implements Algorithm 3 with the three steps of §4.1 per tree node:
+Implements Algorithm 3 one depth at a time: every node of a level runs the
+three steps of §4.1 together, so each step is one flow for the whole level
+and the training rounds grow with the depth h, not with the 2^h nodes.
 
-1. **Local computation** — every party holds the node's encrypted label
+1. **Local computation** — every party holds each node's encrypted label
    vectors [γ] (one fewer than there are classes): under the basic
    protocol they ride with [α] from the root, where the super client
-   encrypts them once; otherwise she publishes the node's re-randomised
-   β ∘ [α] (see :mod:`repro.core.labels`).  Every client computes
-   encrypted *left-child* split statistics for her local splits with
-   homomorphic dot products (Eq. 7 / Eq. 9) and re-masks each before it
-   leaves her.  The root's [α] is public: the deterministic encryption of
-   the root weights, which every party forms herself.
-2. **MPC computation** — the encrypted statistics are converted to secret
-   shares (Algorithm 2); the last class and the right child are completed
-   by local share subtraction; impurity gains are evaluated with secure
-   division and multiplication (Eq. 5/6/8); the best split is found with
-   the secure maximum, yielding the secretly shared identifier (⟨i*⟩,
-   ⟨j*⟩, ⟨s*⟩).
-3. **Model update** — *basic protocol*: the identifier is reconstructed and
-   client i* broadcasts the threshold and the encrypted left-child mask
-   vector [α_l] with its label vectors [γ_l]; every party derives the
-   right child as the homomorphic differences [α] ⊖ [α_l] and
-   [γ] ⊖ [γ_l] from vectors she already holds.
-   *Enhanced protocol* (§5.2): only (i*, j*) is revealed; ⟨s*⟩ is turned
-   into the encrypted selection vector [λ], client i* runs private split
-   selection (Theorem 2) and the encrypted mask update of Eq. (10) for the
-   left child — slot-packed, since [α] is an exact 0/1 vector — and the
-   right child is again [α] ⊖ [α_l]; the split threshold and leaf labels
-   stay hidden as secret shares in the node's ``hidden`` payload
-   (``threshold_share``, ``label_share``), which is what §5.2 prediction
-   and the ensembles read.
+   encrypts them once; otherwise she publishes the level's re-randomised
+   β ∘ [α] in one ``node-gammas`` request (see :mod:`repro.core.labels`).
+   One ``split-stats`` request names every open node of the level; every
+   client answers with one flat broadcast of encrypted *left-child* split
+   statistics for her local splits of every node (homomorphic dot
+   products, Eq. 7 / Eq. 9), each re-masked before it leaves her.  The
+   root's [α] is public: the deterministic encryption of the root
+   weights, which every party forms herself.
+2. **MPC computation** — the level's encrypted statistics are converted to
+   secret shares in one packed Algorithm 2 call; the last class and the
+   right child are completed by local share subtraction; impurity gains of
+   every node are evaluated in one :func:`~repro.core.gain.secure_split_gains`
+   call (Eq. 5/6/8); the best split of every node is found with one secure
+   maximum over the level's gain rows (one per distinct row width when
+   ``remove_used_feature`` leaves nodes different candidate counts),
+   yielding each node's secretly shared identifier (⟨i*⟩, ⟨j*⟩, ⟨s*⟩).
+3. **Model update** — *basic protocol*: the identifiers are reconstructed
+   and each split owner gets one ``split-apply`` request listing her
+   nodes; she broadcasts one ``node-split`` list with each node's
+   threshold and encrypted left-child mask vector [α_l] with its label
+   vectors [γ_l]; every party derives the right children as the
+   homomorphic differences [α] ⊖ [α_l] and [γ] ⊖ [γ_l] from vectors she
+   already holds.
+   *Enhanced protocol* (§5.2): only (i*, j*) is revealed; every ⟨s*⟩ of
+   the level is turned into the encrypted selection vectors [λ] in one
+   reverse conversion, each owner runs private split selection
+   (Theorem 2), and one encrypted mask update of Eq. (10) over the level's
+   concatenated [α] builds every left child — slot-packed, since [α] is an
+   exact 0/1 vector — and the right children are again [α] ⊖ [α_l]; one
+   ``node-state`` broadcast publishes them all.  The split thresholds and
+   leaf labels stay hidden as secret shares in the node's ``hidden``
+   payload (``threshold_share``, ``label_share``), which is what §5.2
+   prediction and the ensembles read.
    Either way the children's mask vectors are built only when the
    children will read them: below ``max_depth`` and with a candidate split
    left, both public.  In a full tree half of the internal nodes split
-   into leaves at the depth limit; their basic ``node-split`` carries the
-   threshold and empty vectors, and their enhanced split stops at the
-   shared threshold: no [λ] (one reverse conversion per built split, for
-   Eq. 10 to read), no [v], no Eq. 10.
+   into leaves at the depth limit; their basic ``node-split`` entries carry
+   the threshold and empty vectors, and their enhanced split stops at the
+   shared threshold: no [λ], no [v], no Eq. 10.
+
+**Costs per level.**  Each flow is paid once per level, whatever the
+number of nodes: bus rounds are ``node-state`` 1 + conversion 3 for the
+root, then per level ``split-stats`` 2 + conversion 3 + ``split-apply`` 1
+under the basic protocol (4 + 6h for a full tree of depth h), and under
+the enhanced one ``node-gammas`` 1 + ``split-stats`` 2 + conversion 3, plus
+reverse conversion 2 + [v] 1 + Eq. 10 5 + ``node-state`` 1 at a level
+whose children are built.  A level whose nodes all become leaves at the
+pruning checks sends nothing.  The MPC rounds of a level are those of one
+node.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own [Σα, Σγ_k].  A child's (n, g_k) *are* the
@@ -44,28 +63,31 @@ winning split's (n_l, g_{l,k}) — or the node's minus those — so each node
 hands its children their :class:`~repro.core.gain.NodeStats`: picked by the
 opened index under the basic protocol, by Σ_i onehot_i · stat_i under the
 enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
-the selection is exact).  Threshold decryptions per node: 1 at the root,
-⌈S·(1 + V) / slots⌉ per internal node for S candidate splits over V
-published label vectors (plus ⌈n / 11⌉ for Eq. 10 under the enhanced
-protocol, at an internal node whose children are built), none at a leaf.
+the selection is exact).  Threshold decryptions: 1 at the root, then per
+level ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, each with S
+candidate splits over V published label vectors (plus ⌈Σ n / 11⌉ for
+Eq. 10 under the enhanced protocol, over the nodes whose children are
+built); none for a leaf.
 
 Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
-bit each, and the "no split with positive gain" check compares the shared
-maximum gain against the shared threshold.  They need only the node's
-shared statistics, so a node that turns out a leaf never has label vectors
-published for it: none at all under the basic protocol, where they ride,
-and no ``node-gammas`` under the others.
+bit per node, and the "no split with positive gain" check compares each
+shared maximum gain against the shared threshold.  They need only the
+nodes' shared statistics, so a node that turns out a leaf never has label
+vectors published for it: none at all under the basic protocol, where
+they ride, and no ``node-gammas`` entry under the others.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
-selection (Algorithm 6) and noisy leaf statistics.
+selection (Algorithm 6) and noisy leaf statistics; each draws a level's
+noise in one call.
 """
 
 from __future__ import annotations
 
 import secrets
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -73,9 +95,10 @@ from repro.core.config import PivotConfig
 from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber
+from repro.federation.party import level_entries
 from repro.mpc.conversion import check_masked_opening, mask_layout
 from repro.mpc.sharing import SharedValue
-from repro.network.flows import broadcast_request, collect_replies, react_runtimes
+from repro.network.flows import broadcast_request, collect_replies
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
@@ -105,6 +128,36 @@ SECURE_GAIN_EPS = 2.0**-9
 #: on the scale of the gain mode, are either equal or more than 2·slack
 #: ulps apart — 2^-11 at F = 16, a quarter of SECURE_GAIN_EPS.
 SECURE_ARGMAX_SLACK = 16
+
+
+@dataclass
+class _Open:
+    """A node of the level being grown: its heap key (root 1, children of
+    k at 2k and 2k + 1), its shared statistics, the features left to it,
+    and its [α] with the riding [γ]s — ``None`` where nobody built them
+    (children of a split at the last level, or without a candidate left)."""
+
+    key: int
+    stats: NodeStats
+    available: list[list[int]]
+    alpha: list[EncryptedNumber] | None = None
+    gammas: list[list[EncryptedNumber]] | None = None
+
+
+@dataclass
+class _Split:
+    """A node of the level that splits: its revealed owner and feature, the
+    split index where it is revealed (basic), the children's feature sets,
+    :meth:`TreeTrainer._children_read`'s verdict and the left child's
+    statistics (the right child's are the node's minus these)."""
+
+    node: _Open
+    owner: int
+    feature: int
+    split: int | None
+    child_available: list[list[int]]
+    build: bool
+    left: NodeStats
 
 
 class TreeTrainer:
@@ -192,7 +245,6 @@ class TreeTrainer:
         )
         ctx.bus.round()
         alpha, gammas = ctx.runtimes[sup].nodes[1]
-        available = [list(range(c.n_features)) for c in ctx.clients]
         # The one node whose own statistics are converted.
         totals = (
             [ctx.batch.sum_ciphertexts(g) for g in gammas]
@@ -205,13 +257,22 @@ class TreeTrainer:
                 bound_bits=self._stat_bound_bits,
             )
         )
-        root = self._build(alpha, gammas, available, 0, 1, root_stats)
+        available = [list(range(c.n_features)) for c in ctx.clients]
+        tree: dict[int, TreeNode] = {}
+        level = [_Open(1, root_stats, available, alpha, gammas)]
+        depth = 0
+        while level:
+            level = self._grow_level(level, depth, tree)
+            depth += 1
+        for key, node in tree.items():
+            if not node.is_leaf:
+                node.left, node.right = tree[2 * key], tree[2 * key + 1]
         n_classes = self.provider.n_classes if self.task == "classification" else 0
-        self.model = DecisionTreeModel(root, self.task, n_classes)
+        self.model = DecisionTreeModel(tree[1], self.task, n_classes)
         return self.model
 
     # ------------------------------------------------------------------
-    # recursive node construction
+    # one level of Algorithm 3
     # ------------------------------------------------------------------
 
     def _node_stats(self, shares: list[SharedValue]) -> NodeStats:
@@ -223,129 +284,186 @@ class TreeTrainer:
             totals.append(n - self.engine.sum_values(totals))
         return NodeStats(n, totals)
 
-    def _build(
-        self,
-        alpha: list[EncryptedNumber] | None,
-        node_gammas: list[list[EncryptedNumber]] | None,
-        available: list[list[int]],
-        depth: int,
-        node_key: int,
-        node_stats: NodeStats,
-    ) -> TreeNode:
-        ctx, fx = self.ctx, self.fx
-        n_node, totals = node_stats.n, node_stats.totals
-
-        # -- pruning conditions (Algorithm 3, lines 1-3) --------------------
+    def _grow_level(
+        self, nodes: list[_Open], depth: int, tree: dict[int, TreeNode]
+    ) -> list[_Open]:
+        """Algorithm 3 for every node at ``depth`` at once: prune, split
+        what is left, label the leaves; returns the next level's nodes.
+        Every finished node goes into ``tree`` under its heap key."""
+        ctx = self.ctx
+        leaves: list[_Open] = []
+        children: list[_Open] = []
         if depth >= self.cfg.tree.max_depth:
-            return self._make_leaf(node_stats, depth)
-        if not any(available[c.index] for c in ctx.clients):
-            return self._make_leaf(node_stats, depth)
-        check_n = n_node
-        if self._dp is not None:
-            (noise,) = self._dp.laplace_noise(1.0, 1)
-            check_n = check_n + noise
-        (too_small,) = fx.gt([fx.share(self.cfg.tree.min_samples_split)], [check_n])
-        if ctx.open_bit(too_small, tag=f"prune-count-d{depth}"):
-            return self._make_leaf(node_stats, depth)
-        if self.task == "classification":
-            ((_, g_max, _),) = fx.argmax([totals])
-            (pure,) = fx.eqz([n_node - g_max])
-            if ctx.open_bit(pure, tag=f"prune-pure-d{depth}"):
-                return self._make_leaf(node_stats, depth)
+            leaves, nodes = nodes, []
+        nodes = _keep(
+            nodes,
+            [not any(node.available[c.index] for c in ctx.clients) for node in nodes],
+            leaves,
+        )
+        nodes = self._prune(nodes, depth, leaves)
+        identifiers = [ctx.split_identifiers(node.available) for node in nodes]
+        nodes = _keep(nodes, [not ids for ids in identifiers], leaves)
+        if nodes:
+            children = self._split_level(
+                nodes, [ids for ids in identifiers if ids], depth, tree, leaves
+            )
+        self._make_leaves(leaves, depth, tree)
+        return children
 
+    def _prune(
+        self, nodes: list[_Open], depth: int, leaves: list[_Open]
+    ) -> list[_Open]:
+        """The secure pruning checks (Algorithm 3, lines 1-3) of a level:
+        one compare and one opening for the sample counts, then one argmax,
+        one equality test and one opening for purity.  Each node's bit is
+        logged as revealed; the pruned nodes join ``leaves``."""
+        if not nodes:
+            return nodes
+        ctx, fx = self.ctx, self.fx
+        counts = [node.stats.n for node in nodes]
+        if self._dp is not None:
+            noises = self._dp.laplace_noise(1.0, len(counts))
+            counts = [count + noise for count, noise in zip(counts, noises)]
+        minimum = fx.share(self.cfg.tree.min_samples_split)
+        too_small = fx.gt([minimum] * len(counts), counts)
+        nodes = _keep(
+            nodes, ctx.open_bits(too_small, tag=f"prune-count-d{depth}"), leaves
+        )
+        if self.task == "classification" and nodes:
+            maxima = fx.argmax([node.stats.totals for node in nodes])
+            pure = fx.eqz(
+                [node.stats.n - g_max for node, (_, g_max, _) in zip(nodes, maxima)]
+            )
+            nodes = _keep(
+                nodes, ctx.open_bits(pure, tag=f"prune-pure-d{depth}"), leaves
+            )
+        return nodes
+
+    def _split_level(
+        self,
+        nodes: list[_Open],
+        identifiers: list[list[tuple[int, int, int]]],
+        depth: int,
+        tree: dict[int, TreeNode],
+        leaves: list[_Open],
+    ) -> list[_Open]:
+        """Local computation, MPC computation and model update (§4.1) for
+        the level's nodes that passed the pruning checks."""
+        ctx, fx = self.ctx, self.fx
         # -- local computation: encrypted split statistics (Eq. 7 / 9) -------
-        identifiers = ctx.split_identifiers(available)
-        if not identifiers:
-            return self._make_leaf(node_stats, depth)
-        gammas = (
-            node_gammas
-            if self.provider.rides_with_alpha
-            else self.provider.gammas(alpha, node_key)
-        )
-        stat_cts = self._compute_split_stats(
-            identifiers, alpha, gammas, available, node_key
-        )
+        if self.provider.rides_with_alpha:
+            gammas = [node.gammas or [] for node in nodes]
+        else:
+            gammas = self.provider.gammas(
+                [node.alpha for node in nodes], [node.key for node in nodes]
+            )
+        stat_cts = self._compute_split_stats(nodes, identifiers, gammas)
 
         # -- MPC computation: convert + secure gains + secure max -----------
-        stat_shares = ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
-        stride = 1 + len(gammas)
+        stat_shares = iter(
+            ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
+        )
+        stride = 1 + len(gammas[0])
         # One row of converted left-child shares per identifier; the
         # winning row is what the children inherit, so it is kept as
         # converted — _mask_invalid_splits only ever rebinds SplitStats.
         rows = [
-            stat_shares[base : base + stride]
-            for base in range(0, len(stat_shares), stride)
+            [[next(stat_shares) for _ in range(stride)] for _ in ids]
+            for ids in identifiers
         ]
         splits = []
-        for row in rows:
-            left = self._node_stats(row)
-            right = node_stats - left
-            splits.append(SplitStats(left.n, right.n, left.totals, right.totals))
+        for node, node_rows in zip(nodes, rows):
+            node_splits = []
+            for row in node_rows:
+                left = self._node_stats(row)
+                right = node.stats - left
+                node_splits.append(
+                    SplitStats(left.n, right.n, left.totals, right.totals)
+                )
+            splits.append(node_splits)
         if self.cfg.tree.min_samples_leaf > 1:
-            self._mask_invalid_splits(splits)
-        gains, leaf_threshold = secure_split_gains(
-            fx, self.task, node_stats, splits, self.cfg.gain_mode,
-            self.cfg.tree.min_gain,
+            self._mask_invalid_splits([s for node_splits in splits for s in node_splits])
+        gains, leaf_thresholds = secure_split_gains(
+            fx, self.task, [node.stats for node in nodes], splits,
+            self.cfg.gain_mode, self.cfg.tree.min_gain,
         )
 
         if self._dp is not None:
-            best_index, onehot = self._dp.exponential_mechanism(gains)
+            picks = self._dp.exponential_mechanism(gains)
         else:
-            ((best_index, best_gain, onehot),) = fx.argmax(
-                [gains], slack=SECURE_ARGMAX_SLACK
+            best = self._argmax_rows(gains)
+            eps = fx.share(SECURE_GAIN_EPS)
+            gained = fx.gt(
+                [best_gain for _, best_gain, _ in best],
+                [threshold + eps for threshold in leaf_thresholds],
             )
-            threshold = leaf_threshold + fx.share(SECURE_GAIN_EPS)
-            (gained,) = fx.gt([best_gain], [threshold])
-            if ctx.open_bit(1 - gained, tag=f"prune-gain-d{depth}"):
-                return self._make_leaf(node_stats, depth)
+            stops = ctx.open_bits(
+                [1 - bit for bit in gained], tag=f"prune-gain-d{depth}"
+            )
+            picks = [(index, onehot) for index, _, onehot in best]
+            split_here = [i for i, stop in enumerate(stops) if not stop]
+            leaves.extend(node for node, stop in zip(nodes, stops) if stop)
+            nodes, identifiers, picks, rows = (
+                [items[i] for i in split_here]
+                for items in (nodes, identifiers, picks, rows)
+            )
+        if not nodes:
+            return []
 
         # -- model update ----------------------------------------------------
-        if self.enhanced:
-            return self._split_enhanced(
-                alpha, gammas, available, depth, identifiers, onehot,
-                node_stats, rows, node_key,
-            )
-        return self._split_basic(
-            alpha, gammas, available, depth, identifiers, best_index,
-            node_stats, rows, node_key,
-        )
+        update = self._update_enhanced if self.enhanced else self._update_basic
+        return update(nodes, identifiers, picks, rows, depth, tree)
+
+    def _argmax_rows(
+        self, rows: list[list[SharedValue]]
+    ) -> list[tuple[SharedValue, SharedValue, list[SharedValue]]]:
+        """The secure argmax of every gain row: one call per distinct row
+        width (``remove_used_feature`` leaves nodes different candidate
+        counts), results in row order."""
+        results: list = [None] * len(rows)
+        for width in dict.fromkeys(len(row) for row in rows):
+            at = [i for i, row in enumerate(rows) if len(row) == width]
+            picked = self.fx.argmax([rows[i] for i in at], slack=SECURE_ARGMAX_SLACK)
+            for i, result in zip(at, picked):
+                results[i] = result
+        return results
 
     def _compute_split_stats(
         self,
-        identifiers: list[tuple[int, int, int]],
-        alpha: list[EncryptedNumber],
-        gammas: list[list[EncryptedNumber]],
-        available: list[list[int]],
-        node_key: int,
+        nodes: list[_Open],
+        identifiers: list[list[tuple[int, int, int]]],
+        gammas: list[list[list[EncryptedNumber]]],
     ) -> list[EncryptedNumber]:
-        """Each client's local homomorphic dot products (Eq. 7 / Eq. 9),
-        as a reactive request/response flow.
+        """Each client's local homomorphic dot products (Eq. 7 / Eq. 9) for
+        every node of the level, as one reactive request/response flow.
 
         The super client broadcasts one ``split-stats`` request naming the
-        node and the available-feature lists; every other party reacts by
-        computing *her* identifiers' statistics on her own event loop —
-        over her own columns, from her own copy of the node state — and
-        broadcasting the flat ciphertext vector.  The super client
-        computes and broadcasts her own the same way, then reassembles
-        global identifier order (clients ascending, the
-        :meth:`~repro.federation.federation.Federation.split_identifiers` order)
-        from the per-party chunks.
+        nodes and their available-feature lists; every other party reacts
+        by computing *her* identifiers' statistics for every node on her
+        own event loop — over her own columns, from her own copy of the
+        node states — and broadcasting one flat ciphertext vector.  The
+        super client computes and broadcasts her own the same way, then
+        reassembles each node's statistics in global identifier order
+        (clients ascending, the
+        :meth:`~repro.federation.federation.Federation.split_identifiers`
+        order) from the per-party vectors, node after node.
 
         The malicious-model extension overrides this to attach and verify
         POHDP proofs (§9.1.2).
         """
         ctx = self.ctx
         sup = ctx.super_client
+        keys = [node.key for node in nodes]
         broadcast_request(
             ctx.bus,
             sup,
             "split-stats",
-            [node_key, available],
+            [item for node in nodes for item in (node.key, node.available)],
             tag="split-stats",
             runtimes=ctx.runtimes,
         )
         own_stats = ctx.runtimes[sup].split_statistics(
-            node_key, list(available[sup])
+            keys, [list(node.available[sup]) for node in nodes]
         )
         ctx.bus.broadcast_payload(sup, own_stats, tag="split-stats")
         others = [c.index for c in ctx.clients if c.index != sup]
@@ -355,260 +473,317 @@ class TreeTrainer:
         # depends on it (a reply cannot share the request's delivery
         # round).
         ctx.bus.round(2)
-        stats: list[EncryptedNumber] = []
-        for client in ctx.clients:
-            chunk = own_stats if client.index == sup else replies[client.index]
-            stats.extend(chunk)
-        expected = len(identifiers) * (1 + len(gammas))
-        if len(stats) != expected:
-            raise ValueError(
-                f"split statistics shape mismatch: expected {expected} "
-                f"ciphertexts over {len(identifiers)} identifiers, "
-                f"got {len(stats)}"
+        stride = 1 + len(gammas[0])
+        chunks = {
+            c.index: list(own_stats if c.index == sup else replies[c.index])
+            for c in ctx.clients
+        }
+        for party, chunk in chunks.items():
+            expected = stride * sum(
+                owner == party for ids in identifiers for owner, _, _ in ids
             )
-        return stats
+            if len(chunk) != expected:
+                raise ValueError(
+                    f"split statistics shape mismatch: expected {expected} "
+                    f"ciphertexts from party {party}, got {len(chunk)}"
+                )
+        # Each party's vector is her identifiers' statistics, node after
+        # node; deal them out in global identifier order.
+        unread = {party: iter(chunk) for party, chunk in chunks.items()}
+        return [
+            next(unread[owner])
+            for ids in identifiers
+            for owner, _, _ in ids
+            for _ in range(stride)
+        ]
 
     # ------------------------------------------------------------------
     # model update: basic protocol (§4.1 "Model update")
     # ------------------------------------------------------------------
 
-    def _split_basic(
+    def _update_basic(
         self,
-        alpha: list[EncryptedNumber],
-        gammas: list[list[EncryptedNumber]],
-        available: list[list[int]],
+        nodes: list[_Open],
+        identifiers: list[list[tuple[int, int, int]]],
+        picks: list[tuple[SharedValue, list[SharedValue]]],
+        rows: list[list[list[SharedValue]]],
         depth: int,
-        identifiers: list[tuple[int, int, int]],
-        best_index: SharedValue,
-        node_stats: NodeStats,
-        rows: list[list[SharedValue]],
-        node_key: int,
-    ) -> TreeNode:
-        """Model update (§4.1): the split *owner* reacts on her own event
-        loop — masks [α] (and the riding [γ]s) by her plaintext left
-        indicator, re-randomised (pooled masks, batched), and broadcasts
-        the left child plus the revealed threshold as a ``node-split``;
-        every party derives the right child as [α] ⊖ [α_l].  The super
-        client either is the owner (she applies the split through her own
-        runtime) or sends the owner a ``split-apply`` request and takes the
-        children from the owner's reply like every other party.  The
-        request carries :meth:`_children_read`'s public bit: for children
-        that will not read a mask vector the ``node-split`` still goes out
-        (the threshold), with empty vectors.
+        tree: dict[int, TreeNode],
+    ) -> list[_Open]:
+        """Model update (§4.1) of a level: every winning identifier is
+        opened in one round and logged, the owners apply the splits
+        (:meth:`_apply_splits`), and the opened index also picks each
+        node's children's statistics: the winning row of ``rows`` is the
+        left child's, the node's minus it the right child's."""
+        ctx = self.ctx
+        flats = ctx.engine.open_many([index for index, _ in picks])
+        splits = []
+        for node, ids, flat, node_rows in zip(nodes, identifiers, flats, rows):
+            owner, feature, split = ids[flat]
+            ctx.revealed.append((f"best-split-d{depth}", (owner, feature, split)))
+            child_available = _child_available(
+                node.available, owner, feature, self.cfg.tree.remove_used_feature
+            )
+            splits.append(
+                _Split(
+                    node, owner, feature, split, child_available,
+                    self._children_read(depth, child_available),
+                    self._node_stats(node_rows[flat]),
+                )
+            )
+        thresholds, store = self._apply_splits(splits)
+        for s, threshold in zip(splits, thresholds):
+            tree[s.node.key] = self._internal_node(s, depth, threshold)
+        return [child for s in splits for child in _children(s, store)]
 
-        The opened index also picks the children's statistics: the winning
-        row of ``rows`` is the left child's, the node's minus it the right
-        child's.
+    def _apply_splits(
+        self, splits: list[_Split]
+    ) -> tuple[list[float], Mapping[int, list]]:
+        """The level's split owners react on their own event loops: each
+        masks [α] (and the riding [γ]s) of her nodes by her plaintext left
+        indicators, re-randomised (pooled masks, batched), and broadcasts
+        one ``node-split`` list with each node's left child and revealed
+        threshold; every party derives the right children as [α] ⊖ [α_l].
+        The super client sends each other owner one ``split-apply``
+        request listing that owner's nodes, applies her own splits through
+        her own runtime, and takes the other owners' children from their
+        replies like every other party.  Each entry carries
+        :meth:`_children_read`'s public bit: for children that will not
+        read a mask vector the ``node-split`` entry still goes out (the
+        threshold), with empty vectors.
+
+        Returns the thresholds in ``splits`` order and the super client's
+        node store, which now holds what the children read: each left
+        child as broadcast, each right one derived, or neither.
         """
         ctx = self.ctx
-        (flat,) = ctx.engine.open_many([best_index])
-        left_stats = self._node_stats(rows[flat])
-        owner_idx, feature, split = identifiers[flat]
-        ctx.revealed.append((f"best-split-d{depth}", (owner_idx, feature, split)))
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
-        )
         sup = ctx.super_client
         ride = 1 if self.provider.rides_with_alpha else 0
-        build = 1 if self._children_read(depth, child_available) else 0
-        if owner_idx == sup:
-            body = ctx.runtimes[sup].apply_split(
-                node_key, feature, split, ride, build
+        by_owner: dict[int, list[list[int]]] = {}
+        for s in splits:
+            by_owner.setdefault(s.owner, []).append(
+                [s.node.key, s.feature, s.split, ride, int(s.build)]
             )
-            react_runtimes(ctx.runtimes, exclude=(sup,))
-        else:
+        others = [owner for owner in by_owner if owner != sup]
+        for owner in others:
+            body = [item for entry in by_owner[owner] for item in entry]
             ctx.bus.send_payload(
-                sup,
-                owner_idx,
-                Request("split-apply", [node_key, feature, split, ride, build]),
-                tag="mask-vector",
+                sup, owner, Request("split-apply", body), tag="mask-vector"
             )
-            try:
-                owner_runtime = ctx.runtimes[owner_idx]
+        try:
+            for owner in others:
+                owner_runtime = ctx.runtimes[owner]
                 if owner_runtime is not None:
                     owner_runtime.react()
-                reply = ctx.bus.receive(sup, tag="mask-vector")
+            bodies = (
+                ctx.runtimes[sup].apply_split(by_owner[sup]) if sup in by_owner else []
+            )
+            replies = collect_replies(ctx.bus, sup, others)
+            for owner, reply in replies.items():
                 if not isinstance(reply, Request) or reply.op != "node-split":
                     raise ValueError(
-                        f"expected a node-split reply from party "
-                        f"{owner_idx}, got {reply!r}"
+                        f"expected a node-split reply from party {owner}, "
+                        f"got {reply!r}"
                     )
-            except Exception:
-                # The owner's node-split broadcast may already sit in peer
-                # inboxes; restore the drained invariant on the error path
-                # without charging a round the update never completed.
-                ctx.bus.drain()
-                raise
-            body = list(reply.body)
-            ctx.runtimes[sup].store_split(body)
-            react_runtimes(ctx.runtimes, exclude=(sup, owner_idx))
+        except Exception:
+            # An owner's node-split broadcast may already sit in peer
+            # inboxes; restore the drained invariant on the error path
+            # without charging a round the update never completed.
+            ctx.bus.drain()
+            raise
+        for owner in others:
+            for body in level_entries(list(replies[owner].body), 4):
+                ctx.runtimes[sup].store_split(body)
+                bodies.append(body)
+        # Every other local party takes the lists of every owner but her.
+        for runtime in ctx.runtimes:
+            if runtime is None or runtime.index == sup:
+                continue
+            for _ in range(len(by_owner) - (runtime.index in by_owner)):
+                runtime.react()
         ctx.bus.round()
-        # The super client's store now holds what the children read: the
-        # left child as broadcast, the right one derived, or neither.
-        store = ctx.runtimes[sup].nodes
-        left, right = (
-            store.get(key, (None, None)) for key in (2 * node_key, 2 * node_key + 1)
-        )
-        node = TreeNode(
-            is_leaf=False,
-            depth=depth,
-            n_samples=None,
-            owner=owner_idx,
-            feature=feature,
-            global_feature=ctx.partition.global_feature_of(owner_idx, feature),
-            threshold=body[1],
-        )
-        node.left = self._build(
-            *left, child_available, depth + 1, 2 * node_key, left_stats,
-        )
-        node.right = self._build(
-            *right, child_available, depth + 1, 2 * node_key + 1,
-            node_stats - left_stats,
-        )
-        return node
+        threshold_of = {body[0]: body[1] for body in bodies}
+        return [threshold_of[s.node.key] for s in splits], ctx.runtimes[sup].nodes
 
     # ------------------------------------------------------------------
     # model update: enhanced protocol (§5.2)
     # ------------------------------------------------------------------
 
-    def _split_enhanced(
+    def _update_enhanced(
         self,
-        alpha: list[EncryptedNumber],
-        gammas: list[list[EncryptedNumber]],
-        available: list[list[int]],
+        nodes: list[_Open],
+        identifiers: list[list[tuple[int, int, int]]],
+        picks: list[tuple[SharedValue, list[SharedValue]]],
+        rows: list[list[list[SharedValue]]],
         depth: int,
-        identifiers: list[tuple[int, int, int]],
-        onehot: list[SharedValue],
-        node_stats: NodeStats,
-        rows: list[list[SharedValue]],
-        node_key: int,
-    ) -> TreeNode:
-        ctx = self.ctx
-        # The winning index stays hidden, so the left child's statistics
-        # are selected obliviously: Σ_i onehot_i · rows[i], one batch of
-        # Beaver multiplications (the one-hot entries are raw 0/1 — the
-        # products are the statistics themselves, no rescale).
-        width = len(rows[0])
-        products = self.engine.mul_many(
-            [(bit, stat) for bit, row in zip(onehot, rows) for stat in row]
-        )
-        left_stats = self._node_stats(
-            [self.engine.sum_values(products[s::width]) for s in range(width)]
-        )
-        # Reveal only (i*, j*): per-feature sums of the one-hot vector open
-        # to a single 1 at the winning feature; s* stays hidden.
-        feature_groups: dict[tuple[int, int], list[int]] = {}
-        for index, (ci, fj, _s) in enumerate(identifiers):
-            feature_groups.setdefault((ci, fj), []).append(index)
-        keys = list(feature_groups)
-        sums = [
-            ctx.engine.sum_values([onehot[i] for i in feature_groups[key]])
-            for key in keys
-        ]
-        opened = ctx.engine.open_many(sums)
-        winners = [key for key, bit in zip(keys, opened) if bit == 1]
-        if len(winners) != 1:
-            raise RuntimeError("one-hot feature reveal is inconsistent")
-        owner_idx, feature = winners[0]
-        ctx.revealed.append((f"best-feature-d{depth}", (owner_idx, feature)))
-        owner = ctx.clients[owner_idx]
-        lam_shares = [onehot[i] for i in feature_groups[(owner_idx, feature)]]
-
-        # Shared split threshold: Σ_s λ_s · encode(t_s), local.
-        encoded_vals = [
-            ctx.encoder.encode(float(t)).encoding
-            for t in owner.split_values[feature]
-        ]
-        threshold_share = ctx.engine.sum_values(
-            [lam * enc for lam, enc in zip(lam_shares, encoded_vals)]
-        )
-
-        node = TreeNode(
-            is_leaf=False,
-            depth=depth,
-            n_samples=None,
-            owner=owner_idx,
-            feature=feature,
-            global_feature=ctx.partition.global_feature_of(owner_idx, feature),
-            threshold=None,  # hidden (§5.2)
-        )
-        node.hidden["threshold_share"] = threshold_share
-        child_available = _child_available(
-            available, owner_idx, feature, self.cfg.tree.remove_used_feature
-        )
-        left = right = (None, None)
-        if self._children_read(depth, child_available):
-            # Encrypted selection vector [λ] (conversion of §5.2), one
-            # batch, only where Eq. 10 reads it; λ is a raw 0/1 vector,
-            # so it is encrypted at exponent 0.
-            lam_cipher = ctx.to_cipher(lam_shares, exponent=0)
-            left, right = self._children_masks(
-                alpha, gammas, owner.indicator_matrix(feature), lam_cipher,
-                node_key,
+        tree: dict[int, TreeNode],
+    ) -> list[_Open]:
+        ctx, engine = self.ctx, self.engine
+        onehots = [onehot for _, onehot in picks]
+        # The winning indices stay hidden, so the left children's
+        # statistics are selected obliviously: Σ_i onehot_i · rows[i], one
+        # batch of Beaver multiplications for the level (the one-hot
+        # entries are raw 0/1 — the products are the statistics
+        # themselves, no rescale).
+        width = len(rows[0][0])
+        products = iter(
+            engine.mul_many(
+                [
+                    (bit, stat)
+                    for onehot, node_rows in zip(onehots, rows)
+                    for bit, row in zip(onehot, node_rows)
+                    for stat in row
+                ]
             )
-        node.left = self._build(
-            *left, child_available, depth + 1, 2 * node_key, left_stats,
         )
-        node.right = self._build(
-            *right, child_available, depth + 1, 2 * node_key + 1,
-            node_stats - left_stats,
-        )
-        return node
+        lefts = []
+        for onehot in onehots:
+            mine = [next(products) for _ in range(len(onehot) * width)]
+            lefts.append(
+                self._node_stats(
+                    [engine.sum_values(mine[s::width]) for s in range(width)]
+                )
+            )
+        # Reveal only (i*, j*) per node: per-feature sums of each one-hot
+        # vector open to a single 1 at the winning feature; s* stays
+        # hidden.  One opening for the level.
+        groups = []
+        sums = []
+        for ids, onehot in zip(identifiers, onehots):
+            feature_groups: dict[tuple[int, int], list[int]] = {}
+            for index, (ci, fj, _s) in enumerate(ids):
+                feature_groups.setdefault((ci, fj), []).append(index)
+            groups.append(feature_groups)
+            sums += [
+                engine.sum_values([onehot[i] for i in members])
+                for members in feature_groups.values()
+            ]
+        opened = iter(engine.open_many(sums))
+        splits = []
+        selections = []
+        for node, feature_groups, onehot, left in zip(nodes, groups, onehots, lefts):
+            winners = []
+            for key in feature_groups:
+                if next(opened) == 1:
+                    winners.append(key)
+            if len(winners) != 1:
+                raise RuntimeError("one-hot feature reveal is inconsistent")
+            owner_idx, feature = winners[0]
+            ctx.revealed.append((f"best-feature-d{depth}", (owner_idx, feature)))
+            lam_shares = [onehot[i] for i in feature_groups[(owner_idx, feature)]]
+            # Shared split threshold: Σ_s λ_s · encode(t_s), local.
+            encoded_vals = [
+                ctx.encoder.encode(float(t)).encoding
+                for t in ctx.clients[owner_idx].split_values[feature]
+            ]
+            child_available = _child_available(
+                node.available, owner_idx, feature, self.cfg.tree.remove_used_feature
+            )
+            split = _Split(
+                node, owner_idx, feature, None, child_available,
+                self._children_read(depth, child_available), left,
+            )
+            tree_node = self._internal_node(split, depth, None)  # hidden (§5.2)
+            tree_node.hidden["threshold_share"] = engine.sum_values(
+                [lam * enc for lam, enc in zip(lam_shares, encoded_vals)]
+            )
+            tree[node.key] = tree_node
+            splits.append(split)
+            selections.append(lam_shares)
+        built = [(s, lam) for s, lam in zip(splits, selections) if s.build]
+        if built:
+            # Encrypted selection vectors [λ] (conversion of §5.2), one
+            # batch for the level, only where Eq. 10 reads them; λ is a raw
+            # 0/1 vector, so it is encrypted at exponent 0.
+            ciphers = iter(
+                ctx.to_cipher([bit for _, lam in built for bit in lam], exponent=0)
+            )
+            self._children_masks(
+                [
+                    (
+                        s.node,
+                        ctx.clients[s.owner].indicator_matrix(s.feature),
+                        [next(ciphers) for _ in lam],
+                    )
+                    for s, lam in built
+                ]
+            )
+        store = ctx.runtimes[ctx.super_client].nodes
+        return [child for s in splits for child in _children(s, store)]
 
     def _children_masks(
         self,
-        alpha: list[EncryptedNumber],
-        gammas: list[list[EncryptedNumber]],
-        matrix: np.ndarray,
-        lam_cipher: list[EncryptedNumber],
-        node_key: int,
-    ) -> tuple[tuple, tuple]:
-        """The enhanced model update's children, ``(alpha, gammas-or-None)``
-        each, published to every party's node store."""
+        parents: list[tuple[_Open, np.ndarray, list[EncryptedNumber]]],
+    ) -> None:
+        """The enhanced model update's children for every built split of a
+        level — ``(node, indicator matrix, [λ])`` each — stored and
+        published to every party's node store in one ``node-state``."""
         ctx = self.ctx
         # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
-        # fan-out over the n rows of the owner's n x n' indicator matrix.
-        v_left_enc = ctx.batch.batch_dot_products(
-            [(list(row.astype(np.int64)), lam_cipher) for row in matrix]
+        # fan-out over the n rows of every owner's n x n' indicator matrix.
+        v_left = ctx.batch.batch_dot_products(
+            [
+                (list(row.astype(np.int64)), lam_cipher)
+                for _, matrix, lam_cipher in parents
+                for row in matrix
+            ]
         )
         ctx.bus.round()
 
-        # Encrypted mask-vector update (Eq. 10) for the left child; the
-        # right child is the sibling by subtraction, [α] ⊖ [α_l] — the
-        # plaintext of α·(1 − v), computed locally from two vectors every
-        # party already holds.
+        # Encrypted mask-vector update (Eq. 10) for the left children, over
+        # the level's concatenated [α]s; each right child is the sibling by
+        # subtraction, [α] ⊖ [α_l] — the plaintext of α·(1 − v), computed
+        # locally from two vectors every party already holds.
         subtract = ctx.batch.subtract_vectors
-        alpha_left = self._masked_elementwise_product(
-            alpha, v_left_enc, bound_bits=self._alpha_bits
+        nodes = [node for node, _, _ in parents]
+        alpha_left = _chunked(
+            self._masked_elementwise_product(
+                [a for node in nodes for a in node.alpha or []],
+                v_left,
+                bound_bits=self._alpha_bits,
+            ),
+            nodes,
         )
-        alpha_right = subtract(alpha, alpha_left)
-        gam_left = gam_right = None
+        gam_left: list[list[list[EncryptedNumber]]] = [[] for _ in nodes]
         if self.provider.rides_with_alpha:
-            gam_left = [
-                self._masked_elementwise_product(g, v_left_enc) for g in gammas
-            ]
-            gam_right = [subtract(g, g_left) for g, g_left in zip(gammas, gam_left)]
+            for k in range(self.provider.n_vectors):
+                products = _chunked(
+                    self._masked_elementwise_product(
+                        [g for node in nodes for g in (node.gammas or [])[k]], v_left
+                    ),
+                    nodes,
+                )
+                for vectors, product in zip(gam_left, products):
+                    vectors.append(product)
 
         # The Eq. 10 flow is driven centrally (it already broadcasts the
         # combined [α'] under the eq10 tag), so the per-party event loops
         # have not stored the children — publish their node state
         # explicitly to keep the runtimes' stores coherent for the next
-        # level's split-stats requests.
+        # level's split-stats request.
         sup = ctx.super_client
-        children = ((alpha_left, gam_left), (alpha_right, gam_right))
-        for key, (child_alpha, child_gammas) in enumerate(children, 2 * node_key):
-            payload_gammas = child_gammas or []
-            ctx.runtimes[sup].store_node(key, child_alpha, payload_gammas)
-            broadcast_request(
-                ctx.bus,
-                sup,
-                "node-state",
-                [key, child_alpha, payload_gammas],
-                tag="mask-vector",
-                runtimes=ctx.runtimes,
+        entries = []
+        for node, a_left, g_left in zip(nodes, alpha_left, gam_left):
+            alpha = node.alpha or []
+            children = (
+                (a_left, g_left),
+                (
+                    subtract(alpha, a_left),
+                    [subtract(g, gl) for g, gl in zip(node.gammas or [], g_left)],
+                ),
             )
+            for key, (child_alpha, child_gammas) in enumerate(children, 2 * node.key):
+                ctx.runtimes[sup].store_node(key, child_alpha, child_gammas)
+                entries += [key, child_alpha, child_gammas]
+        broadcast_request(
+            ctx.bus,
+            sup,
+            "node-state",
+            entries,
+            tag="mask-vector",
+            runtimes=ctx.runtimes,
+        )
         ctx.bus.round()
-        return children
 
     def _masked_elementwise_product(
         self,
@@ -699,48 +874,72 @@ class TreeTrainer:
     # leaves
     # ------------------------------------------------------------------
 
-    def _make_leaf(self, node_stats: NodeStats, depth: int) -> TreeNode:
+    def _make_leaves(
+        self, leaves: list[_Open], depth: int, tree: dict[int, TreeNode]
+    ) -> None:
+        """Label every leaf of a level at once: one argmax over the class
+        counts (classification) or one division over the label sums
+        (regression), and under the basic protocol one opening."""
+        if not leaves:
+            return
         ctx, fx = self.ctx, self.fx
-        leaf = TreeNode(is_leaf=True, depth=depth, n_samples=None)
+        nodes = [TreeNode(is_leaf=True, depth=depth, n_samples=None) for _ in leaves]
+        for leaf, node in zip(leaves, nodes):
+            tree[leaf.key] = node
         if self.task == "classification":
-            totals = node_stats.totals
+            rows = [leaf.stats.totals for leaf in leaves]
             if self._dp is not None:
-                noises = self._dp.laplace_noise(1.0, len(totals))
-                totals = [t + noise for t, noise in zip(totals, noises)]
-            ((index, _, _),) = fx.argmax([totals])
-            label_share = index * (1 << fx.f)
+                noises = iter(self._dp.laplace_noise(1.0, sum(map(len, rows))))
+                rows = [[t + next(noises) for t in row] for row in rows]
+            indices = [index for index, _, _ in fx.argmax(rows)]
             if self.enhanced:
-                leaf.prediction = None
-                leaf.hidden["label_share"] = label_share
-            else:
-                (leaf.prediction,) = ctx.engine.open_many([index])
-                ctx.revealed.append((f"leaf-label-d{depth}", leaf.prediction))
-        else:
-            sum_y = node_stats.totals[0]
-            count = node_stats.n
-            if self._dp is not None:
-                noise_y, noise_n = self._dp.laplace_noise(1.0, 2)
-                sum_y, count = sum_y + noise_y, count + noise_n
-            mean_share = fx.div(sum_y, count)
-            if self.enhanced:
-                leaf.prediction = None
-                leaf.hidden["label_share"] = mean_share
-                leaf.hidden["label_scale"] = self.provider.label_scale
-            else:
-                (mean,) = ctx.open_values([mean_share], tag=f"leaf-label-d{depth}")
-                leaf.prediction = mean * self.provider.label_scale
-        return leaf
+                for node, index in zip(nodes, indices):
+                    node.hidden["label_share"] = index * (1 << fx.f)
+                return
+            for node, label in zip(nodes, ctx.engine.open_many(indices)):
+                node.prediction = label
+                ctx.revealed.append((f"leaf-label-d{depth}", label))
+            return
+        sums = [leaf.stats.totals[0] for leaf in leaves]
+        counts = [leaf.stats.n for leaf in leaves]
+        if self._dp is not None:
+            noises = self._dp.laplace_noise(1.0, 2 * len(leaves))
+            sums = [s + noise for s, noise in zip(sums, noises[0::2])]
+            counts = [c + noise for c, noise in zip(counts, noises[1::2])]
+        means = [mean for (mean,) in fx.div([[s] for s in sums], counts)]
+        if self.enhanced:
+            for node, mean in zip(nodes, means):
+                node.hidden["label_share"] = mean
+                node.hidden["label_scale"] = self.provider.label_scale
+            return
+        opened = ctx.open_values(means, tag=f"leaf-label-d{depth}")
+        for node, mean in zip(nodes, opened):
+            node.prediction = mean * self.provider.label_scale
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+
+    def _internal_node(
+        self, split: _Split, depth: int, threshold: float | None
+    ) -> TreeNode:
+        owner, feature = split.owner, split.feature
+        return TreeNode(
+            is_leaf=False,
+            depth=depth,
+            n_samples=None,
+            owner=owner,
+            feature=feature,
+            global_feature=self.ctx.partition.global_feature_of(owner, feature),
+            threshold=threshold,
+        )
 
     def _children_read(self, depth: int, child_available: list[list[int]]) -> bool:
         """Whether a split's children will read their mask vectors: their
         depth is below ``max_depth`` and they still have a candidate split.
         Both facts are public; without either, each child is a leaf whose
         label comes from the inherited statistics, and its [α] is never
-        built (``_build`` gets ``None``)."""
+        built (its ``_Open`` holds ``None``)."""
         return depth + 1 < self.cfg.tree.max_depth and bool(
             self.ctx.split_identifiers(child_available)
         )
@@ -766,6 +965,36 @@ class TreeTrainer:
             split.n_left, split.n_right = next(masked), next(masked)
             split.left = [next(masked) for _ in split.left]
             split.right = [next(masked) for _ in split.right]
+
+
+def _keep(items: list, stops: list, dropped: list) -> list:
+    """The items whose stop flag is unset; the others go to ``dropped``."""
+    dropped.extend(item for item, stop in zip(items, stops) if stop)
+    return [item for item, stop in zip(items, stops) if not stop]
+
+
+def _children(split: _Split, store: Mapping[int, list]) -> list[_Open]:
+    """A split's two children for the next level, with their mask and label
+    vectors from ``store`` where the split built them (a store may still
+    hold an earlier tree's node under the same heap key)."""
+    key, node = split.node.key, split.node
+    left, right = (
+        (store[2 * key], store[2 * key + 1]) if split.build else ((None, None),) * 2
+    )
+    return [
+        _Open(2 * key, split.left, split.child_available, *left),
+        _Open(2 * key + 1, node.stats - split.left, split.child_available, *right),
+    ]
+
+
+def _chunked(values: list, nodes: list[_Open]) -> list[list]:
+    """``values`` cut into consecutive pieces as long as each node's [α]."""
+    pieces, start = [], 0
+    for node in nodes:
+        end = start + len(node.alpha or [])
+        pieces.append(values[start:end])
+        start = end
+    return pieces
 
 
 def _root_weights(initial_mask: np.ndarray | None, n_samples: int) -> list[int]:

@@ -19,6 +19,7 @@ reads like arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,3 +229,15 @@ def encrypted_dot_product(
         raise ValueError("encrypted vector has mixed exponents; align first")
     ct = dot_product(coefficients, [v.ciphertext for v in values])
     return EncryptedNumber(values[0].encoder, ct, exponent)
+
+
+def fixed_point_dot(
+    encoder: PaillierEncoder, values: Iterable[float], weights: list[EncryptedNumber]
+) -> EncryptedNumber:
+    """[Σ_j x_j · θ_j] for plaintext reals x and encrypted weights [θ] of
+    one exponent.  Each x is encoded at 2^-F, so the sum's plaintext sits
+    F fractional bits deeper than the weights' and is labelled there: the
+    value it decodes to is x·θ itself, not 2^F times it."""
+    coefficients = [encoder.encode(float(v)) for v in values]
+    total = encrypted_dot_product([c.encoding for c in coefficients], weights)
+    return encoder.wrap(total.ciphertext, total.exponent + coefficients[0].exponent)

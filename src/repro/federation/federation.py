@@ -540,13 +540,15 @@ class Federation:
             bus=self.bus,
         )
 
-    def open_bit(self, bit: SharedValue, tag: str) -> int:
-        """Open a shared 0/1 decision (pruning conditions etc.); logged."""
-        (value,) = self.engine.open_many([bit])
-        if value not in (0, 1):
-            raise ValueError(f"expected a shared bit, opened {value}")
-        self.revealed.append((tag, value))
-        return value
+    def open_bits(self, bits: list[SharedValue], tag: str) -> list[int]:
+        """Open shared 0/1 decisions (a tree level's pruning conditions) in
+        one MPC round; each is logged as revealed under ``tag``."""
+        values = self.engine.open_many(bits)
+        for value in values:
+            if value not in (0, 1):
+                raise ValueError(f"expected a shared bit, opened {value}")
+        self.revealed.extend((tag, value) for value in values)
+        return values
 
     def open_values(self, values: list[SharedValue], tag: str) -> list[float]:
         """Open fixed-point values in one MPC round; each logged as revealed."""

@@ -25,7 +25,7 @@ from typing import Any, NoReturn
 
 import numpy as np
 
-from repro.crypto.encoding import EncryptedNumber, encrypted_dot_product
+from repro.crypto.encoding import EncryptedNumber, fixed_point_dot
 from repro.crypto.paillier import Ciphertext
 from repro.federation.locality import LocalView, as_party
 from repro.mpc.conversion import mask_layout
@@ -38,6 +38,7 @@ __all__ = [
     "PartyRuntime",
     "PivotClient",
     "RemoteColumns",
+    "level_entries",
 ]
 
 #: Tags whose ciphertext-batch broadcasts are threshold-decryption requests:
@@ -46,6 +47,16 @@ __all__ = [
 #: statistics, prediction vectors — carries its own tags and is consumed
 #: without a reply.)
 DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert"})
+
+
+def level_entries(body: list, width: int) -> list[list]:
+    """A tree-level request body cut into its nodes' entries: the body is
+    the entries concatenated, ``width`` items each."""
+    if len(body) % width:
+        raise ValueError(
+            f"a level body of {len(body)} items is not {width}-item entries"
+        )
+    return [list(body[start : start + width]) for start in range(0, len(body), width)]
 
 
 @dataclass
@@ -110,11 +121,7 @@ class PivotClient:
         with self.local():
             local = self.features.read()
             row_data = [np.asarray(local[t], dtype=np.float64) for t in rows]
-        out = []
-        for row in row_data:
-            coefficients = [encoder.encode(float(v)).encoding for v in row]
-            out.append(encrypted_dot_product(coefficients, weights))
-        return out
+        return [fixed_point_dot(encoder, row, weights) for row in row_data]
 
     def weight_update(
         self,
@@ -250,14 +257,27 @@ class PartyRuntime:
       transport; the party answers whenever a frame arrives, with no
       orchestrator process involved in her computation.
 
+    The tree flows carry a whole tree level per message, because the
+    trainer grows the tree one depth at a time.  A body is its nodes'
+    entries concatenated, each of a fixed width (:func:`level_entries`),
+    so a level of one node sends exactly a one-node message: a
+    ``split-stats`` request names every open node of the level
+    (``key, available``) and her reply is one flat vector over all of them
+    (:meth:`split_statistics`); a ``split-apply`` request lists every node
+    of the level she owns the split of (``key, feature, split, ride,
+    build``), and her ``node-split`` reply lists them all (``key,
+    threshold, alpha_l, gam_l``; :meth:`apply_split`); a ``node-state``
+    request carries ``key, alpha, gammas`` and a ``node-gammas`` request
+    ``key, gammas`` per node.
+
     State: a store of tree-node payloads keyed by heap position (root = 1,
     children of k at 2k / 2k+1), each ``[alpha, gammas-or-None]``.  Only
-    nodes whose mask vector someone will read are stored: a ``node-split``
-    reaction pops the parent and stores both children — the left as
-    received, the right derived locally — unless they are leaves at the
-    depth limit (or without a candidate split), which store nothing.  A
-    leaf pruned higher up keeps its entry, so the store is bounded by the
-    tree's leaf count.  Cross-sender socket ordering is
+    nodes whose mask vector someone will read are stored: each
+    ``node-split`` entry pops the parent and stores both children — the
+    left as received, the right derived locally — unless they are leaves
+    at the depth limit (or without a candidate split), which store
+    nothing.  A leaf pruned higher up keeps its entry, so the store is
+    bounded by the tree's leaf count.  Cross-sender socket ordering is
     absorbed by :meth:`_await_node`: a handler that needs a node not yet
     stored keeps reacting to queued messages until it arrives (in-process
     delivery is FIFO per inbox, so the loop only ever spins over real
@@ -384,17 +404,20 @@ class PartyRuntime:
 
     # -- local computations (also called directly by the super client) -----
 
-    def split_statistics(self, node_key: int, features: list[int]) -> list:
+    def split_statistics(
+        self, node_keys: list[int], features: list[list[int]]
+    ) -> list:
         """Encrypted split statistics (Eq. 7 / 9) for this party's available
-        features on one node, as a single flat batched fan-out.
+        features on every node of a tree level, as a single flat batched
+        fan-out: ``features[i]`` are her features left at ``node_keys[i]``.
 
-        Layout contract, per (feature asc, split asc) identifier:
-        ``[n_left, g_left per stored gamma vector]`` — stride 1 + V, the
-        *left child only*.  The right child and, for classification, the
-        last class (whose [γ] is never published) are linear in these and
-        in the node's own statistics; the trainer derives them on shares
-        (:mod:`repro.core.gain`), so they are never computed, sent or
-        decrypted.
+        Layout contract, node after node and per (feature asc, split asc)
+        identifier: ``[n_left, g_left per stored gamma vector]`` — stride
+        1 + V, the *left child only*.  The right child and, for
+        classification, the last class (whose [γ] is never published) are
+        linear in these and in the node's own statistics; the trainer
+        derives them on shares (:mod:`repro.core.gain`), so they are never
+        computed, sent or decrypted.
 
         A dot product against a 0/1 indicator is the product of the chosen
         [α_j] — a deterministic function of ciphertexts every receiver
@@ -402,85 +425,97 @@ class PartyRuntime:
         statistic is therefore multiplied by one pool mask before it is
         returned (and broadcast).
         """
-        alpha, gammas = self._await_node(node_key)
-        if gammas is None:
-            raise RuntimeError(
-                f"party {self.index}: node {node_key} has no label vectors "
-                "yet (missing node-gammas request?)"
-            )
         tasks: list[tuple[list[int], list]] = []
-        for feature in features:
-            for split in range(self.client.n_splits(feature)):
-                v_left = list(self.client.indicator(feature, split))
-                tasks.extend((v_left, vector) for vector in (alpha, *gammas))
+        for key, node_features in zip(node_keys, features):
+            alpha, gammas = self._await_node(key)
+            if gammas is None:
+                raise RuntimeError(
+                    f"party {self.index}: node {key} has no label vectors "
+                    "yet (missing node-gammas request?)"
+                )
+            for feature in node_features:
+                for split in range(self.client.n_splits(feature)):
+                    v_left = list(self.client.indicator(feature, split))
+                    tasks.extend((v_left, vector) for vector in (alpha, *gammas))
         stats = self.engine.batch_dot_products(tasks)
         return self.engine.mask_vector(stats, [1] * len(stats))
 
-    def apply_split(
-        self, node_key: int, feature: int, split: int, ride: int, build: int
-    ) -> list:
-        """Model update at the split owner (§4.1): broadcast the revealed
-        threshold and the left child, and store both children locally.
+    def apply_split(self, entries: list[list]) -> list[list]:
+        """Model update at the split owner (§4.1) for her nodes of a tree
+        level: broadcast one ``node-split`` list with each node's revealed
+        threshold and left child, and store every node's children locally.
 
-        With ``build`` set she masks [α] (and, when the label vectors ride
-        with alpha, the [γ]s) by her plaintext left indicator, re-randomised
-        from the pool; every party derives the right child in
-        :meth:`store_split`, so it never goes on the bus.  ``build`` is the
-        trainer's public verdict that the children will read their mask
-        vectors; without it they are leaves at the depth limit (or without
-        a candidate split) and the two lists go empty.
+        ``entries`` holds one ``[key, feature, split, ride, build]`` per
+        node.  With ``build`` set she masks the node's [α] (and, when the
+        label vectors ride with alpha, its [γ]s) by her plaintext left
+        indicator, re-randomised from the pool; every party derives the
+        right child in :meth:`store_split`, so it never goes on the bus.
+        ``build`` is the trainer's public verdict that the children will
+        read their mask vectors; without it they are leaves at the depth
+        limit (or without a candidate split) and the two lists go empty.
 
-        Returns the broadcast body ``[key, threshold, alpha_l, gam_l]`` —
-        the owner-is-super path uses it directly.
+        Returns the node-split entries ``[key, threshold, alpha_l, gam_l]``
+        — the owner-is-super path uses them directly.
         """
-        threshold = float(self.client.split_values[feature][split])
-        alpha_left: list = []
-        gam_left: list = []
-        if build:
-            alpha, gammas = self._await_node(node_key)
-            v_left = self.client.indicator(feature, split)
-            alpha_left = self.engine.mask_vector(alpha, v_left)
-            if ride:
-                gam_left = [self.engine.mask_vector(g, v_left) for g in gammas]
-        body = [node_key, threshold, alpha_left, gam_left]
+        bodies = []
+        for key, feature, split, ride, build in entries:
+            threshold = float(self.client.split_values[feature][split])
+            alpha_left: list = []
+            gam_left: list = []
+            if build:
+                alpha, gammas = self._await_node(key)
+                v_left = self.client.indicator(feature, split)
+                alpha_left = self.engine.mask_vector(alpha, v_left)
+                if ride:
+                    gam_left = [self.engine.mask_vector(g, v_left) for g in gammas]
+            bodies.append([key, threshold, alpha_left, gam_left])
         # pivotlint: disable=PL005 -- reactive reply: the split-apply
         # request came from the trainer's flow, which owns the barrier.
-        self.endpoint.broadcast(Request("node-split", body), tag="mask-vector")
-        self.store_split(body)
-        return body
+        self.endpoint.broadcast(
+            Request("node-split", [item for body in bodies for item in body]),
+            tag="mask-vector",
+        )
+        for body in bodies:
+            self.store_split(body)
+        return bodies
 
     # -- request handlers --------------------------------------------------
 
     def _op_node_state(self, sender: int, body: list) -> None:
-        # The root's body carries the public weights, not ciphertexts.
-        key, alpha, gammas = body
-        gammas = [list(g) for g in gammas]
-        if key == 1:
-            self.store_root(alpha, gammas)
-        else:
-            self.store_node(key, alpha, gammas)
+        # One [key, alpha, gammas] entry per node; the root's carries the
+        # public weights, not ciphertexts.
+        for key, alpha, gammas in level_entries(body, 3):
+            gammas = [list(g) for g in gammas]
+            if key == 1:
+                self.store_root(alpha, gammas)
+            else:
+                self.store_node(key, alpha, gammas)
 
     def _op_node_gammas(self, sender: int, body: list) -> None:
-        # Label vectors that do not ride (enhanced protocol).  The trainer
-        # announces node-state before node-gammas (per-sender FIFO), but a
-        # provider driven directly (label-provider API, tests) may publish
-        # gammas for a node never announced — store them under a
-        # placeholder so the flow stays non-blocking either way.
-        key, gammas = body
-        node = self.nodes.setdefault(key, [None, None])
-        node[1] = [list(g) for g in gammas]
+        # Label vectors that do not ride (enhanced protocol), one
+        # [key, gammas] entry per node of a level.  The trainer announces
+        # node-state before node-gammas (per-sender FIFO), but a provider
+        # driven directly (label-provider API, tests) may publish gammas
+        # for a node never announced — store them under a placeholder so
+        # the flow stays non-blocking either way.
+        for key, gammas in level_entries(body, 2):
+            node = self.nodes.setdefault(key, [None, None])
+            node[1] = [list(g) for g in gammas]
 
     def _op_split_stats(self, sender: int, body: list) -> None:
-        key, available = body
-        stats = self.split_statistics(key, list(available[self.index]))
+        entries = level_entries(body, 2)
+        stats = self.split_statistics(
+            [key for key, _ in entries],
+            [list(available[self.index]) for _, available in entries],
+        )
         self.endpoint.broadcast(stats, tag="split-stats")
 
     def _op_split_apply(self, sender: int, body: list) -> None:
-        key, feature, split, ride, build = body
-        self.apply_split(key, feature, split, ride, build)
+        self.apply_split(level_entries(body, 5))
 
     def _op_node_split(self, sender: int, body: list) -> None:
-        self.store_split(body)
+        for entry in level_entries(body, 4):
+            self.store_split(entry)
 
     def _op_convert_masks(
         self, sender: int, body: list, packed: bool = False

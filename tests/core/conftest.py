@@ -75,6 +75,33 @@ def global_signature(node, vp):
     )
 
 
+def plaintext_logistic_proba(
+    X, y, columns, rows, learning_rate=0.5, n_epochs=3, batch_size=16
+) -> np.ndarray:
+    """The plaintext oracle of :class:`repro.core.LogisticTrainer`: the
+    same mini-batch gradient descent from zero weights, over the columns
+    in the federation's party order, with the secure exponential's clamp
+    of the score; returns σ(x·θ) for ``rows``."""
+    from repro.mpc.advanced import EXP_CLAMP
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -EXP_CLAMP, EXP_CLAMP)))
+
+    features = np.asarray(X, dtype=np.float64)[:, columns]
+    theta = np.zeros(features.shape[1])
+    for _ in range(n_epochs):
+        for start in range(0, len(y), batch_size):
+            batch = slice(start, min(start + batch_size, len(y)))
+            loss = sigmoid(features[batch] @ theta) - np.asarray(y)[batch]
+            theta -= learning_rate / len(loss) * features[batch].T @ loss
+    return sigmoid(np.asarray(rows, dtype=np.float64)[:, columns] @ theta)
+
+
+def party_columns(context) -> list[int]:
+    """Global column ids in the federation's party order."""
+    return [c for cols in context.partition.columns_per_client for c in cols]
+
+
 @pytest.fixture(scope="session")
 def small_classification():
     return make_classification(40, 4, n_classes=2, seed=1)

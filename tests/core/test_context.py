@@ -87,7 +87,11 @@ def test_open_bit_rejects_non_bits(small_classification):
     X, y = small_classification
     ctx = make_context(X, y, "classification")
     with pytest.raises(ValueError):
-        ctx.open_bit(ctx.engine.share_public(7), tag="x")
+        ctx.open_bits(
+            [ctx.engine.share_public(1), ctx.engine.share_public(7)], tag="x"
+        )
+    assert ctx.open_bits([ctx.engine.share_public(1)] * 2, tag="y") == [1, 1]
+    assert ctx.revealed[-2:] == [("y", 1), ("y", 1)]
 
 
 def test_joint_decrypt_logs_reveal(small_classification):
@@ -139,7 +143,9 @@ def test_plaintext_provider_gammas_decrypt_to_masked_labels(small_classification
     provider = PlaintextLabelProvider(ctx, y, "classification")
     assert not provider.rides_with_alpha
     assert provider.root_vectors(weights) == []
-    (gamma0,) = provider.gammas(ctx.encrypt_indicator(np.asarray(weights)))
+    ((gamma0,),) = provider.gammas(
+        [ctx.encrypt_indicator(np.asarray(weights))], [1]
+    )
     assert [ctx.threshold.joint_decrypt(g.ciphertext) for g in gamma0] == expected
     ctx.bus.assert_drained()
 

@@ -39,7 +39,7 @@ from repro.core.ensemble import ForestTrainer, GBDTTrainer
 from repro.core.labels import PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext
-from repro.federation.party import DECRYPT_TAGS
+from repro.federation.party import DECRYPT_TAGS, level_entries
 from repro.network.wire import Request
 from repro.tree import TreeParams
 
@@ -49,14 +49,13 @@ from tests.core.conftest import make_context
 
 
 class _StatisticsAudit:
-    """Checks every NodeStats a ``_build`` receives and every SplitStats the
-    gain step receives against the plaintext recomputation.
+    """Checks every NodeStats a tree level starts from and every SplitStats
+    the gain step receives against the plaintext recomputation.
 
     A child whose [α] was never built (a leaf at the depth limit) is checked
     through its parent: the parent's plaintext terms times the winning
     indicator, or its complement for the right child.  The winning split is
-    the opened identifier under the basic protocol and the opened one-hot
-    under the enhanced one."""
+    read off each node's opened one-hot, under either protocol."""
 
     def __init__(self, monkeypatch, ctx, labels, tolerance=0, check_splits=True):
         self.ctx = ctx
@@ -65,61 +64,56 @@ class _StatisticsAudit:
         self.nodes = 0
         self.inherited = 0  # of them, children checked through their parent
         self.candidates = 0
-        self._frames: list = []  # [terms, available, winning split] per level
-        real_build = TreeTrainer._build
+        self._terms: dict[int, np.ndarray] = {}  # heap key -> plaintext terms
+        self._winners: dict[int, tuple[int, int, int]] = {}  # heap key -> split
+        self._levels: dict[int, tuple] = {}  # id(NodeStats) -> (terms, available)
+        real_grow = TreeTrainer._grow_level
         real_gains = trainer_module.secure_split_gains
-        real_enhanced = TreeTrainer._split_enhanced
 
-        def build(trainer, alpha, node_gammas, available, depth, key, stats):
-            if alpha is None:
-                terms = self._inherited(key)
-            else:
-                terms = self._terms(trainer, alpha, node_gammas)
-            self._check(stats.n, stats.totals, terms)
-            self.nodes += 1
-            self._frames.append([terms, available, None])
-            try:
-                return real_build(
-                    trainer, alpha, node_gammas, available, depth, key, stats
-                )
-            finally:
-                self._frames.pop()
+        def grow_level(trainer, nodes, depth, tree):
+            for node in nodes:
+                if node.alpha is None:
+                    terms = self._inherited(node.key)
+                else:
+                    terms = self._terms_of(trainer, node.alpha, node.gammas)
+                self._check(node.stats.n, node.stats.totals, terms)
+                self.nodes += 1
+                self._terms[node.key] = terms
+                self._levels[id(node.stats)] = (terms, node.available)
+            return real_grow(trainer, nodes, depth, tree)
 
-        def split_enhanced(trainer, alpha, gammas, available, depth, identifiers,
-                           onehot, *rest):
-            bits = ctx.engine.open_many(onehot)
-            self._frames[-1][2] = identifiers[bits.index(1)]
-            return real_enhanced(
-                trainer, alpha, gammas, available, depth, identifiers, onehot, *rest
-            )
+        def update(real):
+            def wrapped(trainer, nodes, identifiers, picks, *rest):
+                for node, ids, (_, onehot) in zip(nodes, identifiers, picks):
+                    bits = ctx.engine.open_many(onehot)
+                    self._winners[node.key] = ids[bits.index(1)]
+                return real(trainer, nodes, identifiers, picks, *rest)
 
-        def gains(fx, task, node, splits, *args, **kwargs):
-            terms, available, _ = self._frames[-1]
-            identifiers = ctx.split_identifiers(available)
-            assert len(identifiers) == len(splits)
-            for (owner, feature, s), split in zip(identifiers, splits):
-                v = ctx.clients[owner].indicator(feature, s)
-                self._check(split.n_left, split.left, terms * v)
-                self._check(split.n_right, split.right, terms * (1 - v))
-                self.candidates += 1
-            return real_gains(fx, task, node, splits, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(TreeTrainer, "_build", build)
-        monkeypatch.setattr(TreeTrainer, "_split_enhanced", split_enhanced)
+        def gains(fx, task, nodes, splits, *args, **kwargs):
+            for node, node_splits in zip(nodes, splits):
+                terms, available = self._levels[id(node)]
+                identifiers = ctx.split_identifiers(available)
+                assert len(identifiers) == len(node_splits)
+                for (owner, feature, s), split in zip(identifiers, node_splits):
+                    v = ctx.clients[owner].indicator(feature, s)
+                    self._check(split.n_left, split.left, terms * v)
+                    self._check(split.n_right, split.right, terms * (1 - v))
+                    self.candidates += 1
+            return real_gains(fx, task, nodes, splits, *args, **kwargs)
+
+        monkeypatch.setattr(TreeTrainer, "_grow_level", grow_level)
+        for name in ("_update_basic", "_update_enhanced"):
+            monkeypatch.setattr(TreeTrainer, name, update(getattr(TreeTrainer, name)))
         if check_splits:
             monkeypatch.setattr(trainer_module, "secure_split_gains", gains)
 
     def _inherited(self, key: int) -> np.ndarray:
-        parent_terms, _, split = self._frames[-1]
-        if split is None:  # basic: the parent's identifier was opened
-            split = next(
-                value for tag, value in reversed(self.ctx.revealed)
-                if tag.startswith("best-split")
-            )
-        owner, feature, s = split
+        owner, feature, s = self._winners[key // 2]
         v = self.ctx.clients[owner].indicator(feature, s)
         self.inherited += 1
-        return parent_terms * (v if key % 2 == 0 else 1 - v)
+        return self._terms[key // 2] * (v if key % 2 == 0 else 1 - v)
 
     def _decrypt(self, vector: list[EncryptedNumber]) -> np.ndarray:
         raws = self.ctx.threshold.joint_decrypt_batch(
@@ -127,7 +121,7 @@ class _StatisticsAudit:
         )
         return np.array([r * 2.0**v.exponent for r, v in zip(raws, vector)])
 
-    def _terms(self, trainer, alpha, node_gammas) -> np.ndarray:
+    def _terms_of(self, trainer, alpha, node_gammas) -> np.ndarray:
         """Row 0: each sample's contribution to the count; row 1 + k: to the
         k-th label sum — *including* the class nobody publishes.  (Exact in
         doubles: small multiples of 2^-F, or of 2^-2F for a riding [γ].)"""
@@ -343,26 +337,29 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
             nodes[1] = (alpha, gammas)
             if gammas:
                 published.append((alpha, body[2]))
-        elif op == "node-state":  # an enhanced child
+        elif op == "node-state":  # enhanced children
             held.update(_raws(body))
-            nodes[body[0]] = (_raws(body[1]), [_raws(g) for g in body[2]])
-        elif op == "node-split" and body[2]:
-            key, _, alpha_left, gam_left = body
-            alpha, gammas = nodes.pop(key)
-            left = (receive(tag, alpha_left), [receive(tag, g) for g in gam_left])
-            right = (
-                minus(alpha, left[0]),
-                [minus(g, g_left) for g, g_left in zip(gammas, left[1])],
-            )
-            held.update(right[0], *right[1])
-            nodes[2 * key], nodes[2 * key + 1] = left, right
-            if gam_left:
-                published.append((left[0], gam_left))
+            for key, alpha, gammas in level_entries(body, 3):
+                nodes[key] = (_raws(alpha), [_raws(g) for g in gammas])
+        elif op == "node-split":
+            for key, _, alpha_left, gam_left in level_entries(body, 4):
+                if not alpha_left:
+                    continue
+                alpha, gammas = nodes.pop(key)
+                left = (receive(tag, alpha_left), [receive(tag, g) for g in gam_left])
+                right = (
+                    minus(alpha, left[0]),
+                    [minus(g, g_left) for g, g_left in zip(gammas, left[1])],
+                )
+                held.update(right[0], *right[1])
+                nodes[2 * key], nodes[2 * key + 1] = left, right
+                if gam_left:
+                    published.append((left[0], gam_left))
         elif op == "node-gammas":
-            key, gammas = body
-            for g in gammas:
-                receive(tag, g)
-            published.append((nodes[key][0], gammas))
+            for key, gammas in level_entries(body, 2):
+                for g in gammas:
+                    receive(tag, g)
+                published.append((nodes[key][0], gammas))
         elif tag == "split-stats":
             receive(tag, payload)  # nothing in the request itself
     return published, carried
@@ -409,7 +406,7 @@ def test_published_vectors_and_statistics_are_unlinkable(
 
 
 @pytest.mark.parametrize(
-    "estimator, pool_masks", [("tree", 195), ("forest", 390), ("gbdt", 327)]
+    "estimator, pool_masks", [("tree", 192), ("forest", 384), ("gbdt", 327)]
 )
 def test_basic_labels_ride_once_per_built_split(
     monkeypatch, small_classification, small_regression, estimator, pool_masks
@@ -422,7 +419,9 @@ def test_basic_labels_ride_once_per_built_split(
     splits per node): (c − 1)·n at each root, S·c split statistics at each
     internal node, m per packed conversion, c·n per built split (c = 3
     for regression: n, y, y²), and for GBDT n more for its encrypted
-    labels.  The tree: 30 + 3·16 + 3·19 + 60 = 195."""
+    labels.  A tree level's statistics are packed together: at 256 bits
+    three to a ciphertext, so the tree's 1 + ⌈16/3⌉ + ⌈32/3⌉ = 18
+    conversions give 30 + 3·16 + 3·18 + 60 = 192."""
     task = "regression" if estimator == "gbdt" else "classification"
     X, y = small_regression if estimator == "gbdt" else small_classification
     X, y = X[:30], y[:30]
@@ -448,7 +447,13 @@ def test_basic_labels_ride_once_per_built_split(
     on_the_wire = {raw for *_, payload in spy for raw in _raws(payload)}
     assert on_the_wire.isdisjoint(public_key.raw_encrypt(w) for w in (0, 1))
     published, carried = _received_by(ctx, spy)
-    splits = [r for r in requests if r.op == "node-split" and r.body[3]]
+    splits = [
+        entry
+        for r in requests
+        if r.op == "node-split"
+        for entry in level_entries(r.body, 4)
+        if entry[3]
+    ]
     assert splits and len(published) == trees + len(splits)
     betas = PlaintextLabelProvider(ctx, y, task).betas
     assert _labels_recovered(ctx, betas, task, published) == 0
@@ -498,11 +503,11 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
     )
     spy = _spy_on_bus(monkeypatch, ctx.bus)
     riding: list[int] = []  # per fitted tree: [γ] vectors riding with [α]
-    starts: list[tuple[int, int, int]] = []  # (tree, key, spy position)
+    starts: list[tuple[int, int, int]] = []  # (tree, depth, spy position)
     masks = [0]  # pool masks drawn inside apply_split
     derived: set[int] = set()  # raws of every right child a party stored
     real_fit = TreeTrainer.fit
-    real_build = TreeTrainer._build
+    real_grow = TreeTrainer._grow_level
     real_apply = PartyRuntime.apply_split
     real_store = PartyRuntime.store_split
 
@@ -511,9 +516,9 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
         riding.append(provider.n_vectors if provider.rides_with_alpha else 0)
         return real_fit(trainer, *args, **kwargs)
 
-    def build(trainer, alpha, node_gammas, available, depth, key, stats):
-        starts.append((len(riding) - 1, key, len(spy)))
-        return real_build(trainer, alpha, node_gammas, available, depth, key, stats)
+    def grow_level(trainer, nodes, depth, tree):
+        starts.append((len(riding) - 1, depth, len(spy)))
+        return real_grow(trainer, nodes, depth, tree)
 
     def apply_split(runtime, *args):
         before = runtime.engine.pool.generated
@@ -529,7 +534,7 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
             derived.update(_raws([right[0], right[1] or []]))
 
     monkeypatch.setattr(TreeTrainer, "fit", fit)
-    monkeypatch.setattr(TreeTrainer, "_build", build)
+    monkeypatch.setattr(TreeTrainer, "_grow_level", grow_level)
     monkeypatch.setattr(PartyRuntime, "apply_split", apply_split)
     monkeypatch.setattr(PartyRuntime, "store_split", store_split)
     if rounds == 1:
@@ -538,36 +543,50 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
         models = GBDTTrainer(ctx, n_rounds=rounds).fit().models
     assert len(models) == len(riding) == rounds
 
-    # A node's own traffic runs from its _build call to the next one (its
-    # left child's, if it splits).
+    # A level's traffic runs from its _grow_level call to the next one.
     ends = [position for _, _, position in starts[1:]] + [len(spy)]
     traffic = {
-        (tree, key): spy[start:end] for (tree, key, start), end in zip(starts, ends)
+        (tree, depth): spy[start:end] for (tree, depth, start), end in zip(starts, ends)
     }
     n = len(y)
     built_vectors = last = 0
     for tree, model in enumerate(models):
+        by_depth: dict[int, list[int]] = {}
         for key, depth in _internal_keys(model).items():
+            by_depth.setdefault(depth, []).append(key)
+        for depth, keys in by_depth.items():
             children_built = depth + 1 < max_depth
-            split = traffic[(tree, key)]
+            level = traffic[(tree, depth)]
             requests = [
-                (payload.op, list(payload.body)) for *_, payload in split
+                (payload.op, list(payload.body)) for *_, payload in level
                 if isinstance(payload, Request)
             ]
             if protocol == "basic":
-                (body,) = [body for op, body in requests if op == "node-split"]
-                assert len(body) == 4 and body[0] == key
-                lengths = [len(body[2])] + [len(g) for g in body[3]]
-                assert lengths == ([n] * (1 + riding[tree]) if children_built else [0])
+                entries = {
+                    entry[0]: entry
+                    for op, body in requests if op == "node-split"
+                    for entry in level_entries(body, 4)
+                }
+                assert sorted(entries) == sorted(keys)
+                for body in entries.values():
+                    lengths = [len(body[2])] + [len(g) for g in body[3]]
+                    assert lengths == (
+                        [n] * (1 + riding[tree]) if children_built else [0]
+                    )
             else:
-                eq10 = [entry for entry in split if entry[2] == "eq10"]
-                states = [body[0] for op, body in requests if op == "node-state"]
+                eq10 = [entry for entry in level if entry[2] == "eq10"]
+                states = [
+                    entry[0]
+                    for op, body in requests if op == "node-state"
+                    for entry in level_entries(body, 3)
+                ]
                 assert bool(eq10) == children_built
-                assert states == ([2 * key, 2 * key + 1] if children_built else [])
+                expected = [c for key in keys for c in (2 * key, 2 * key + 1)]
+                assert sorted(states) == (sorted(expected) if children_built else [])
             if children_built:
-                built_vectors += 1 + riding[tree]
+                built_vectors += len(keys) * (1 + riding[tree])
             else:
-                last += 1
+                last += len(keys)
     assert built_vectors and last
     if protocol == "basic":
         assert masks[0] == n * built_vectors

@@ -53,30 +53,32 @@ def test_laplace_noise_scales_with_epsilon(fx):
 
 
 def test_exponential_mechanism_interface(fx):
+    """One (index, one-hot) per row of scores; rows may differ in length."""
     dp = DPMechanisms(fx, DPConfig(epsilon=2.0))
     scores = [fx.share(s) for s in (0.1, 0.9, 0.3)]
-    index, onehot = dp.exponential_mechanism(scores)
+    (index, onehot), (single, only) = dp.exponential_mechanism(
+        [scores, [fx.share(0.5)]]
+    )
     i, *bits = fx.engine.open_many([index, *onehot])
     assert 0 <= i < 3
     assert bits == [int(j == i) for j in range(3)]
+    assert fx.engine.open_many([single, *only]) == [0, 1]
 
 
 def test_exponential_mechanism_prefers_high_scores(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=8.0))
-    picks = []
-    for _ in range(40):
-        index, _ = dp.exponential_mechanism(
-            [fx.share(s) for s in (0.0, 0.0, 3.0)], sensitivity=2.0
-        )
-        picks.append(index)
-    picks = fx.engine.open_many(picks)
+    row = [fx.share(s) for s in (0.0, 0.0, 3.0)]
+    picks = fx.engine.open_many(
+        [index for index, _ in dp.exponential_mechanism([row] * 40, sensitivity=2.0)]
+    )
     assert picks.count(2) > 25
 
 
 def test_exponential_mechanism_empty_rejected(fx):
     dp = DPMechanisms(fx, DPConfig(epsilon=1.0))
     with pytest.raises(ValueError):
-        dp.exponential_mechanism([])
+        dp.exponential_mechanism([[]])
+    assert dp.exponential_mechanism([]) == []
 
 
 def test_dp_training_produces_valid_tree(small_classification):

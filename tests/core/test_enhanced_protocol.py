@@ -47,8 +47,9 @@ def test_thresholds_and_labels_hidden(enhanced_setup):
 def test_selection_vector_is_converted_only_where_eq10_reads_it(
     monkeypatch, max_depth
 ):
-    """One ``share_to_cipher`` call per internal node whose children are
-    built — its whole [λ] in one batch — and none for a leaf."""
+    """One ``share_to_cipher`` call per tree level with a split whose
+    children are built — every such split's whole [λ] in one batch — and
+    none for a leaf."""
     from repro.data import make_classification
     from repro.federation import federation as federation_module
 
@@ -66,10 +67,11 @@ def test_selection_vector_is_converted_only_where_eq10_reads_it(
     model = TreeTrainer(ctx).fit()
     # Four features, two used at most: every split below the depth limit
     # has a candidate left, so its children are built.
-    built = sum(node.depth + 1 < max_depth for node in model.internal_nodes())
-    assert built == {2: 1, 3: 3}[max_depth]
-    assert calls == [(2, 0)] * built  # max_splits thresholds, raw bits
-    assert ctx.conversions.to_cipher == 2 * built
+    built = [node.depth for node in model.internal_nodes() if node.depth + 1 < max_depth]
+    assert len(built) == {2: 1, 3: 3}[max_depth]
+    # max_splits thresholds per built split, raw bits, one call per level.
+    assert calls == [(2 * built.count(depth), 0) for depth in sorted(set(built))]
+    assert ctx.conversions.to_cipher == 2 * len(built)  # values converted
 
 
 def test_split_features_match_basic(enhanced_setup):

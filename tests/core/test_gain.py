@@ -56,7 +56,7 @@ def test_paper_mode_matches_eq5(fx, left, right):
     if sum(left) == 0 or sum(right) == 0:
         return  # degenerate split: masked by validity handling
     node, split = make_classification_stats(fx, left, right)
-    gains, _ = secure_split_gains(fx, "classification", node, [split], "paper", 0.0)
+    (gains,), _ = secure_split_gains(fx, "classification", [node], [[split]], "paper", 0.0)
     secure = fx.open(gains)[0]
     expected = metrics.gini_gain(np.array(left), np.array(right))
     assert secure == pytest.approx(expected, abs=5e-3)
@@ -74,11 +74,11 @@ def test_reduced_mode_ranks_like_paper_mode(fx):
         n, s = make_classification_stats(fx, left, right)
         node = n  # same parent for all (counts sum equal by construction)
         split_stats.append(s)
-    paper_gains, _ = secure_split_gains(
-        fx, "classification", node, split_stats, "paper", 0.0
+    (paper_gains,), _ = secure_split_gains(
+        fx, "classification", [node], [split_stats], "paper", 0.0
     )
-    reduced_gains, _ = secure_split_gains(
-        fx, "classification", node, split_stats, "reduced", 0.0
+    (reduced_gains,), _ = secure_split_gains(
+        fx, "classification", [node], [split_stats], "reduced", 0.0
     )
     paper_order = np.argsort(fx.open(paper_gains))
     reduced_order = np.argsort(fx.open(reduced_gains))
@@ -102,7 +102,7 @@ def test_regression_paper_mode_matches_eq6(fx):
         left=[fx.share(float(y_left.sum())), fx.share(float((y_left**2).sum()))],
         right=[fx.share(float(y_right.sum())), fx.share(float((y_right**2).sum()))],
     )
-    gains, _ = secure_split_gains(fx, "regression", node, [split], "paper", 0.0)
+    (gains,), _ = secure_split_gains(fx, "regression", [node], [[split]], "paper", 0.0)
     expected = metrics.variance_gain(stats(y_left), stats(y_right))
     assert fx.open(gains)[0] == pytest.approx(expected, abs=5e-3)
 
@@ -110,8 +110,8 @@ def test_regression_paper_mode_matches_eq6(fx):
 def test_empty_side_yields_nonpositive_gain(fx):
     """A split with an empty child must never beat a genuine split."""
     node, split = make_classification_stats(fx, [5, 5], [0, 0])
-    gains, threshold = secure_split_gains(
-        fx, "classification", node, [split], "paper", 0.0
+    (gains,), (threshold,) = secure_split_gains(
+        fx, "classification", [node], [[split]], "paper", 0.0
     )
     gain, limit = fx.open([gains[0], threshold])
     assert gain <= limit + 2e-3
@@ -119,11 +119,11 @@ def test_empty_side_yields_nonpositive_gain(fx):
 
 def test_min_gain_moves_threshold_reduced_mode(fx):
     node, split = make_classification_stats(fx, [8, 1], [2, 9])
-    _, thr_zero = secure_split_gains(
-        fx, "classification", node, [split], "reduced", 0.0
+    _, (thr_zero,) = secure_split_gains(
+        fx, "classification", [node], [[split]], "reduced", 0.0
     )
-    _, thr_pos = secure_split_gains(
-        fx, "classification", node, [split], "reduced", 0.05
+    _, (thr_pos,) = secure_split_gains(
+        fx, "classification", [node], [[split]], "reduced", 0.05
     )
     high, low = fx.open([thr_pos, thr_zero])
     assert high > low
@@ -208,7 +208,7 @@ def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_sp
     fx.div([[fx.share(1.0)]], [fx.share(2.0)])
     div_rounds, before = stats.rounds - before, stats.rounds
     with opcount.counting() as ops, mock.patch.object(fx, "div", wraps=fx.div) as div:
-        gains, threshold = secure_split_gains(fx, task, node, splits, gain_mode, 0.0)
+        (gains,), (threshold,) = secure_split_gains(fx, task, [node], [splits], gain_mode, 0.0)
     assert div.call_count == 1  # one Norm for the node's 2S + 1 denominators
     assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits)
     # Besides the division, one batch of products (multiply, then truncate)

@@ -1,0 +1,229 @@
+"""The tree grows one depth at a time, and still equals plaintext CART.
+
+* **Oracle.**  On generated data — samples, features, candidate splits,
+  classes, partition and seed all drawn — the basic and the enhanced tree
+  have the splits of :class:`repro.tree.DecisionTree` on the federation's
+  candidate grid, and the same leaf labels.  A draw is kept only when
+  fixed point cannot decide otherwise: every internal node's split beats
+  every rival by ``GAIN_MARGIN`` (a rival on the same feature that sends
+  the same samples left is no rival: both trainers take the earlier
+  threshold), and every node CART leaves for want of gain has no positive
+  gain at all.  Class-count ties need no margin: counts are exact on
+  shares and both argmaxes take the first maximum.
+* **Rounds follow depth.**  A full tree's training bus rounds are
+  4 + 6h under the basic protocol and 4 + 6h + 9(h − 1) under the enhanced
+  one: each level pays ``split-stats``, the conversion and the model
+  update once however many nodes it has, so a level of two nodes and one
+  of four cost the same bus and MPC rounds, and a level whose nodes all
+  stop at the pruning checks sends nothing.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core import PivotConfig, TreeTrainer
+from repro.data import make_classification, vertical_partition
+from repro.federation import Federation
+from repro.tree import DecisionTree, TreeParams
+from repro.tree.metrics import gini_gain
+
+from tests.core.conftest import TEST_KEYSIZE, global_signature, global_split_grid
+
+#: Least lead of a chosen split over zero and over every rival.  The
+#: trainer's shared gains are a few ulps of 2^-16 off the true ones, and it
+#: stops under 2^-9.
+GAIN_MARGIN = 0.005
+#: Data seeds tried per drawn example before it is given up.
+ATTEMPTS = 32
+
+
+def _federation(X, y, m, shuffle, seed, params) -> Federation:
+    partition = vertical_partition(X, y, m, shuffle_columns=shuffle, seed=seed)
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=params, seed=seed)
+    return Federation.from_partition(partition, config)
+
+
+def _decisive(model, X, y, grid, params, classes) -> bool:
+    """Whether the plaintext tree is the only one fixed point can grow."""
+
+    def counts(mask):
+        return np.bincount(y[mask], minlength=classes)
+
+    pending = [(model.root, np.ones(len(y), dtype=bool), 0)]
+    while pending:
+        node, here, depth = pending.pop()
+        if (
+            depth >= params.max_depth
+            or here.sum() < params.min_samples_split
+            or len(set(y[here])) <= 1
+        ):
+            continue
+        scored = [
+            (gini_gain(counts(left), counts(here & ~left)), column, left.tobytes())
+            for column, thresholds in enumerate(grid)
+            for left in (here & (X[:, column] <= t) for t in thresholds)
+        ]
+        best = max(gain for gain, _, _ in scored)
+        if node.is_leaf:
+            if best > 1e-12:
+                return False
+            continue
+        chosen = here & (X[:, node.feature] <= node.threshold)
+        rivals = [
+            gain
+            for gain, column, left in scored
+            if (column, left) != (node.feature, chosen.tobytes())
+        ]
+        if best < GAIN_MARGIN or (rivals and best - max(rivals) < GAIN_MARGIN):
+            return False
+        left, right = node.children()
+        pending += [(left, chosen, depth + 1), (right, here & ~chosen, depth + 1)]
+    return True
+
+
+def _opened_signature(ctx, node, vp):
+    """An enhanced tree's global signature, its hidden thresholds and leaf
+    labels opened."""
+    if node.is_leaf:
+        (label,) = ctx.fx.open([node.hidden["label_share"]])
+        return ("leaf", round(label))
+    (threshold,) = ctx.fx.open([node.hidden["threshold_share"]])
+    return (
+        "node",
+        vp.global_feature_of(node.owner, node.feature),
+        threshold,
+        _opened_signature(ctx, node.left, vp),
+        _opened_signature(ctx, node.right, vp),
+    )
+
+
+def _same_tree(opened, plain) -> bool:
+    """Equal signatures, an opened threshold within its 2^-16 encoding of
+    the plaintext one."""
+    if opened[0] == "leaf" or plain[0] == "leaf":
+        return opened == plain
+    _, feature, threshold, *children = opened
+    _, plain_feature, plain_threshold, *plain_children = plain
+    return (
+        feature == plain_feature
+        and abs(threshold - plain_threshold) <= 2.0**-15
+        and all(_same_tree(a, b) for a, b in zip(children, plain_children))
+    )
+
+
+@settings(
+    deadline=None,
+    max_examples=8,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    n=st.integers(min_value=20, max_value=40),
+    d=st.integers(min_value=2, max_value=4),
+    b=st.integers(min_value=1, max_value=3),
+    h=st.integers(min_value=1, max_value=3),
+    classes=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3]),
+    shuffle=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_basic_and_enhanced_trees_equal_plaintext_cart(
+    n, d, b, h, classes, m, shuffle, seed
+):
+    assume(d >= m)
+    params = TreeParams(max_depth=h, max_splits=b)
+    for attempt in range(ATTEMPTS):
+        X, y = make_classification(n, d, n_classes=classes, seed=seed * ATTEMPTS + attempt)
+        fed = _federation(X, y, m, shuffle, seed, params)
+        grid = global_split_grid(fed)
+        plain = DecisionTree("classification", params).fit(
+            X, y, split_candidates=grid, n_classes=classes
+        )
+        if _decisive(plain, X, y, grid, params, classes):
+            break
+    else:
+        assume(False)
+    vp = fed.partition
+    expected = global_signature(plain.root, vp)
+    basic = TreeTrainer(fed).fit()
+    assert global_signature(basic.root, vp) == expected
+    enhanced_fed = fed.context_for(protocol="enhanced")
+    enhanced = TreeTrainer(enhanced_fed).fit()
+    assert _same_tree(_opened_signature(enhanced_fed, enhanced.root, vp), expected)
+    fed.assert_drained()
+
+
+# -- rounds follow depth ------------------------------------------------------
+
+#: 48 samples over three parties whose plaintext CART tree at depth 3 is
+#: full (eight leaves) on the federation's grid.
+FULL_TREE = make_classification(48, 3, n_classes=2, seed=1)
+
+
+def _levels(monkeypatch, fed, params, protocol):
+    """Fit one tree; returns the fit's bus rounds and, per level, its node
+    count and the bus rounds, bus messages and MPC rounds it took."""
+    levels = []
+    real = TreeTrainer._grow_level
+
+    def grow_level(trainer, nodes, depth, tree):
+        before = (fed.bus.rounds, fed.bus.messages, fed.engine.stats.rounds)
+        try:
+            return real(trainer, nodes, depth, tree)
+        finally:
+            after = (fed.bus.rounds, fed.bus.messages, fed.engine.stats.rounds)
+            levels.append(
+                (len(nodes), *(later - early for later, early in zip(after, before)))
+            )
+
+    monkeypatch.setattr(TreeTrainer, "_grow_level", grow_level)
+    ctx = fed.context_for(protocol=protocol)
+    before = fed.bus.rounds
+    model = TreeTrainer(ctx).fit()
+    monkeypatch.undo()
+    return model, fed.bus.rounds - before, levels
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_training_rounds_follow_depth(monkeypatch, protocol):
+    X, y = FULL_TREE
+    expected = {
+        "basic": lambda h: 4 + 6 * h,
+        "enhanced": lambda h: 4 + 6 * h + 9 * (h - 1),
+    }[protocol]
+    per_depth = {}
+    for h in (1, 2, 3):
+        params = TreeParams(max_depth=h, max_splits=2)
+        fed = _federation(X, y, 3, False, 7, params)
+        model, rounds, levels = _levels(monkeypatch, fed, params, protocol)
+        assert len(model.leaves()) == 2**h  # full
+        assert rounds == expected(h)
+        per_depth[h] = levels
+    assert [nodes for nodes, *_ in per_depth[3]] == [1, 2, 4, 8]
+    # The last splitting level of h = 2 has two nodes, of h = 3 four: the
+    # same bus and MPC rounds (more owners may send more messages).  So do
+    # their leaf levels, which send nothing.
+    (_, rounds_2, _, mpc_2), (_, rounds_4, _, mpc_4) = per_depth[2][1], per_depth[3][2]
+    assert (rounds_2, mpc_2) == (rounds_4, mpc_4)
+    assert per_depth[2][2][1:] == per_depth[3][3][1:]
+    assert per_depth[3][3][1:3] == (0, 0)
+
+
+def test_a_level_pruned_at_the_checks_sends_nothing(monkeypatch):
+    """min_samples_split = n: the root splits, both its children stop at
+    the sample-count check, and their level opens bits on shares but puts
+    nothing on the bus."""
+    X, y = FULL_TREE
+    params = TreeParams(max_depth=3, max_splits=2, min_samples_split=len(y))
+    fed = _federation(X, y, 3, False, 7, params)
+    model, rounds, levels = _levels(monkeypatch, fed, params, "basic")
+    assert len(model.leaves()) == 2
+    (_, root_rounds, _, _), (nodes, level_rounds, messages, mpc_rounds) = levels
+    assert nodes == 2 and (level_rounds, messages) == (0, 0) and mpc_rounds > 0
+    assert rounds == 4 + root_rounds == 4 + 6
+    assert {tag for tag, _ in fed.revealed if tag.endswith("-d1")} == {
+        "prune-count-d1", "leaf-label-d1",
+    }

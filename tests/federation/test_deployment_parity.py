@@ -50,6 +50,7 @@ from repro.network.transport import SocketTransport
 from repro.network.wire import WireCodec
 from repro.tree import TreeParams
 
+from tests.core.conftest import plaintext_logistic_proba
 from tests.federation.conftest import PartySubprocess
 
 CONFIG = PivotConfig(
@@ -471,6 +472,40 @@ def test_shuffled_partition_deploys_with_its_columns():
     assert runs[1] == runs[0]
 
 
+def test_a_full_tree_grows_level_by_level_over_process_deployment():
+    """The parity fixture's tree splits one node per level.  This one is
+    full at depth 3 over three parties: its levels carry two and four
+    nodes in one ``split-stats`` request, two remote owners and the super
+    client split at once, and one remote owner applies two splits from
+    one ``split-apply`` list.  The deployed row equals in-memory over the
+    fit/predict window, at 4 + 6·3 fit rounds."""
+    X, y = make_classification(48, 3, n_classes=2, seed=1)
+    cfg = PivotConfig(keysize=256, tree=TreeParams(max_depth=3, max_splits=2), seed=3)
+
+    def parties():
+        return [Party(X[:, :1], labels=y), Party(X[:, 1:2]), Party(X[:, 2:])]
+
+    def fit_predict(fed):
+        clf = PivotClassifier().fit(fed)
+        rounds = fed.bus.rounds
+        owners = [(n.depth, n.owner) for n in clf.model_.internal_nodes()]
+        rows = [X[:8, :1], X[:8, 1:2], X[:8, 2:]]
+        return clf.model_.structure_signature(), owners, rounds, list(clf.predict(rows))
+
+    runs = []
+    for make in (Federation, DeployedFederation):
+        with make(parties(), config=cfg) as fed:
+            start = fed.bus.rounds
+            (signature, owners, rounds, predictions), ops, window, _, _ = _window(
+                fed, fit_predict
+            )
+            runs.append((signature, owners, rounds - start, predictions, ops, window))
+    assert runs[1] == runs[0]
+    _, owners, fit_rounds, *_ = runs[0]
+    assert len(owners) == 7 and fit_rounds == 4 + 6 * 3
+    assert {owner for depth, owner in owners if depth == 2} == {0, 1, 2}
+
+
 def test_logistic_trains_over_process_deployment(data):
     """LogisticTrainer's per-epoch batch sums and gradient folds run as
     reactions in the party's own process (``lr-batch-sums`` /
@@ -494,3 +529,7 @@ def test_logistic_trains_over_process_deployment(data):
     baseline = run(Federation(_parties(X, y), config=cfg))
     deployed = run(DeployedFederation(_parties(X, y), config=cfg))
     assert deployed == baseline
+    # The probabilities themselves are the plaintext model's (party 0 holds
+    # columns 0-1, party 1 columns 2-3).
+    oracle = plaintext_logistic_proba(X, y, [0, 1, 2, 3], X[:5], n_epochs=1, batch_size=8)
+    assert np.abs(np.asarray(baseline[0]) - oracle).max() < 1e-3

@@ -17,6 +17,7 @@ from repro.federation import (
 )
 from repro.tree import TreeParams
 
+from tests.core.conftest import plaintext_logistic_proba
 from tests.federation.conftest import make_federation, split_parties
 
 SHALLOW = TreeParams(max_depth=1, max_splits=2)
@@ -125,6 +126,9 @@ def test_logistic_both_protocols(feds, tiny_classification, protocol):
     ).fit(fed)
     probs = lr.predict_proba(X[:6])
     assert np.all((probs >= 0) & (probs <= 1))
+    columns = [c for cols in fed.partition.columns_per_client for c in cols]
+    oracle = plaintext_logistic_proba(X, y, columns, X[:6], n_epochs=1, batch_size=8)
+    assert np.abs(probs - oracle).max() < 1e-3
     assert set(lr.predict(X[:6])) <= {0, 1}
     fed.assert_drained()
 
