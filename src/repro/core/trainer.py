@@ -79,8 +79,8 @@ they ride, and no ``node-gammas`` entry under the others.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
-selection (Algorithm 6) and noisy leaf statistics; each draws a level's
-noise in one call.
+selection (Algorithm 6) and noisy leaf statistics; a level draws all
+its Laplace noise in one call.
 """
 
 from __future__ import annotations
@@ -300,30 +300,52 @@ class TreeTrainer:
             [not any(node.available[c.index] for c in ctx.clients) for node in nodes],
             leaves,
         )
-        nodes = self._prune(nodes, depth, leaves)
+        noise = self._level_noise(nodes, nodes + leaves)
+        nodes = self._prune(nodes, depth, leaves, noise)
         identifiers = [ctx.split_identifiers(node.available) for node in nodes]
         nodes = _keep(nodes, [not ids for ids in identifiers], leaves)
         if nodes:
             children = self._split_level(
                 nodes, [ids for ids in identifiers if ids], depth, tree, leaves
             )
-        self._make_leaves(leaves, depth, tree)
+        self._make_leaves(leaves, depth, tree, noise)
         return children
 
+    def _level_noise(
+        self, checked: list[_Open], every: list[_Open]
+    ) -> dict[int, list[SharedValue]]:
+        """Under DP (§9.2), a level's Laplace noise in one draw, by node
+        key: a leaf's worth for every node (its totals, or a label sum and
+        a count), since any of them may end a leaf, then one term for the
+        sample count of each node ``checked`` by the pruning conditions.
+        Without DP, nothing."""
+        if self._dp is None or not every:
+            return {}
+        width = len(every[0].stats.totals) if self.task == "classification" else 2
+        sizes = {node.key: width for node in every}
+        for node in checked:
+            sizes[node.key] += 1
+        draws = iter(self._dp.laplace_noise(1.0, sum(sizes.values())))
+        return {key: [next(draws) for _ in range(size)] for key, size in sizes.items()}
+
     def _prune(
-        self, nodes: list[_Open], depth: int, leaves: list[_Open]
+        self,
+        nodes: list[_Open],
+        depth: int,
+        leaves: list[_Open],
+        noise: dict[int, list[SharedValue]],
     ) -> list[_Open]:
         """The secure pruning checks (Algorithm 3, lines 1-3) of a level:
-        one compare and one opening for the sample counts, then one argmax,
-        one equality test and one opening for purity.  Each node's bit is
-        logged as revealed; the pruned nodes join ``leaves``."""
+        one compare and one opening for the sample counts (noisy under
+        DP), then one argmax, one equality test and one opening for
+        purity.  Each node's bit is logged as revealed; the pruned nodes
+        join ``leaves``."""
         if not nodes:
             return nodes
         ctx, fx = self.ctx, self.fx
         counts = [node.stats.n for node in nodes]
-        if self._dp is not None:
-            noises = self._dp.laplace_noise(1.0, len(counts))
-            counts = [count + noise for count, noise in zip(counts, noises)]
+        if noise:
+            counts = [count + noise[node.key][-1] for count, node in zip(counts, nodes)]
         minimum = fx.share(self.cfg.tree.min_samples_split)
         too_small = fx.gt([minimum] * len(counts), counts)
         nodes = _keep(
@@ -875,11 +897,16 @@ class TreeTrainer:
     # ------------------------------------------------------------------
 
     def _make_leaves(
-        self, leaves: list[_Open], depth: int, tree: dict[int, TreeNode]
+        self,
+        leaves: list[_Open],
+        depth: int,
+        tree: dict[int, TreeNode],
+        noise: dict[int, list[SharedValue]],
     ) -> None:
         """Label every leaf of a level at once: one argmax over the class
         counts (classification) or one division over the label sums
-        (regression), and under the basic protocol one opening."""
+        (regression), noisy under DP, and under the basic protocol one
+        opening."""
         if not leaves:
             return
         ctx, fx = self.ctx, self.fx
@@ -888,9 +915,11 @@ class TreeTrainer:
             tree[leaf.key] = node
         if self.task == "classification":
             rows = [leaf.stats.totals for leaf in leaves]
-            if self._dp is not None:
-                noises = iter(self._dp.laplace_noise(1.0, sum(map(len, rows))))
-                rows = [[t + next(noises) for t in row] for row in rows]
+            if noise:
+                rows = [
+                    [t + z for t, z in zip(row, noise[leaf.key])]
+                    for row, leaf in zip(rows, leaves)
+                ]
             indices = [index for index, _, _ in fx.argmax(rows)]
             if self.enhanced:
                 for node, index in zip(nodes, indices):
@@ -902,10 +931,9 @@ class TreeTrainer:
             return
         sums = [leaf.stats.totals[0] for leaf in leaves]
         counts = [leaf.stats.n for leaf in leaves]
-        if self._dp is not None:
-            noises = self._dp.laplace_noise(1.0, 2 * len(leaves))
-            sums = [s + noise for s, noise in zip(sums, noises[0::2])]
-            counts = [c + noise for c, noise in zip(counts, noises[1::2])]
+        if noise:
+            sums = [s + noise[leaf.key][0] for s, leaf in zip(sums, leaves)]
+            counts = [c + noise[leaf.key][1] for c, leaf in zip(counts, leaves)]
         means = [mean for (mean,) in fx.div([[s] for s in sums], counts)]
         if self.enhanced:
             for node, mean in zip(nodes, means):
