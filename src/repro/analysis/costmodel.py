@@ -53,16 +53,20 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     ciphertext→share boundary at most once — per split only the left
     child's n_l and c − 1 class counts (c statistics; the last class and
     the right child are share subtractions, :mod:`repro.core.gain`), per
-    node nothing but the root's own 1 + (c − 1) (a child inherits the
-    winning split's shares).  *Packed*: ⌊(|n| − 1) / (k + κ + bitlen(m))⌋
-    statistics per decrypted ciphertext (:mod:`repro.crypto.packing`; 6 at
-    a 512-bit key); predicted rows pack too, at label width (see
-    :func:`table2_prediction_counts`).  So the *measured* Cd
-    of a fit over S = d·b candidate splits per node is
+    node nothing but the root's own c − 1 class totals (its count is the
+    public root weight sum W; a child inherits the winning split's
+    shares).  *Packed*: ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋ class
+    counts per decrypted ciphertext (:mod:`repro.crypto.packing`; 10 at a
+    512-bit key for W < 64; regression sums at k bits, 6); predicted rows
+    pack too, at label width (see :func:`table2_prediction_counts`).  A
+    tree level's statistics pack together, so the *measured* Cd of a fit
+    over S = d·b candidate splits per node, t_ℓ internal nodes at level ℓ,
+    is
 
-        ⌈c / slots⌉  +  t · ⌈S·c / slots⌉        (leaves: none)
+        ⌈(c − 1) / slots⌉  +  Σ_ℓ ⌈t_ℓ·S·c / slots⌉        (leaves: none)
 
-    under the basic protocol (regression: 3 in place of c), plus
+    under the basic protocol (regression: 2 and 3 in place of c − 1 and
+    c), plus
     t' · ⌈n / slots'⌉ under the enhanced one: its O(n t)·Cd term runs
     Eq. 10 for one child (the sibling is a homomorphic subtraction) and
     packs ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋ elements of the 0/1 mask
@@ -75,9 +79,10 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     labels from inherited statistics — in a full tree t' = (t − 1) / 2.
 
     The *measured* Ce of one internal node is n·c·S (the dot products of
-    Eq. 7, left child only) + c·S (one pool mask per statistic before it
-    leaves its party), plus m·⌈S·c / slots⌉ conversion-mask encryptions
-    and the packing folds.  The root's [α] takes no pool mask under either
+    Eq. 7, left child only) plus the packing folds, one pool mask per
+    packed ciphertext each party sends (she packs her own statistics into
+    the groups of her segment of the level before they leave her), and
+    m·⌈S·c / slots⌉ conversion-mask encryptions.  The root's [α] takes no pool mask under either
     protocol: it is the deterministic encryption of the public root
     weights, n Ce at each of the m parties.  The label vectors depend on
     the protocol.  Under the basic one they ride with [α] (§7.2's
@@ -90,7 +95,11 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     node.  A basic-protocol leaf costs no Ce at all.  Of those Ce, a basic
     fit's *pool masks* — the expensive ones — number
 
-        (c − 1)·n  +  t·S·c  +  m·Cd  +  t'·c·n
+        (c − 1)·n  +  Σ_ℓ G_ℓ  +  m·Cd  +  t'·c·n
+
+    with G_ℓ the packed ciphertexts the parties' segments of level ℓ
+    touch (about ⌈t_ℓ·S·c / slots⌉ plus one per segment boundary inside a
+    ciphertext)
 
     (``bench_primitives.py --smoke`` holds a fit at n = 60, h = 2 to it).
 

@@ -222,10 +222,13 @@ class MaliciousTreeTrainer(TreeTrainer):
 
     def _compute_split_stats(self, nodes, identifiers, gammas):
         """Split statistics of a tree level with POHDP proofs against the
-        commitments.
+        commitments, converted to shares.
 
         Stays a centrally driven flow (proof generation and verification
         both run here); one round for the level, like the reactive base.
+        Each statistic is proven and verified on its own, so the packing
+        comes after: the verified ciphertexts go to Algorithm 2, which
+        packs them at the declared width.
         """
         ctx = self.ctx
         pk = ctx.threshold.public_key
@@ -247,7 +250,7 @@ class MaliciousTreeTrainer(TreeTrainer):
                     tag="split-stats",
                 )
         ctx.bus.round()
-        return stat_cts
+        return ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
 
     def _apply_splits(self, splits):
         """Model update of a tree level with per-element POPCM on every

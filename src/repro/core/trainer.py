@@ -9,14 +9,15 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    protocol they ride with [α] from the root, where the super client
    encrypts them once; otherwise she publishes the level's re-randomised
    β ∘ [α] in one ``node-gammas`` request (see :mod:`repro.core.labels`).
-   One ``split-stats`` request names every open node of the level; every
-   client answers with one flat broadcast of encrypted *left-child* split
-   statistics for her local splits of every node (homomorphic dot
-   products, Eq. 7 / Eq. 9), each re-masked before it leaves her.  The
-   root's [α] is public: the deterministic encryption of the root
-   weights, which every party forms herself.
-2. **MPC computation** — the level's encrypted statistics are converted to
-   secret shares in one packed Algorithm 2 call; the last class and the
+   One ``split-stats`` request names every open node of the level and
+   the level's public layout; every client answers with one flat
+   broadcast of encrypted *left-child* split statistics for her local
+   splits of every node (homomorphic dot products, Eq. 7 / Eq. 9),
+   slot-packed by her into the groups of her segment and re-masked
+   before they leave her.  The root's [α] is public: the deterministic
+   encryption of the root weights, which every party forms herself.
+2. **MPC computation** — the level's packed statistics are converted to
+   secret shares in one Algorithm 2 call; the last class and the
    right child are completed by local share subtraction; impurity gains of
    every node are evaluated in one :func:`~repro.core.gain.secure_split_gains`
    call (Eq. 5/6/8); the best split of every node is found with one secure
@@ -55,19 +56,29 @@ the enhanced one ``node-gammas`` 1 + ``split-stats`` 2 + conversion 3, plus
 reverse conversion 2 + [v] 1 + Eq. 10 5 + ``node-state`` 1 at a level
 whose children are built.  A level whose nodes all become leaves at the
 pruning checks sends nothing.  The MPC rounds of a level are those of one
-node.
+node.  The level's statistics travel and decrypt at their declared width
+(:meth:`TreeTrainer._stat_bound`): each party sends one ciphertext per
+packed group her segment of the level touches, and Algorithm 2 decrypts
+one per group.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
-Only the root converts its own [Σα, Σγ_k].  A child's (n, g_k) *are* the
+Only the root converts its own label totals [Σγ_k]; its count Σα is the
+public sum of the root weights, shared as a constant.  A child's (n, g_k)
+*are* the
 winning split's (n_l, g_{l,k}) — or the node's minus those — so each node
 hands its children their :class:`~repro.core.gain.NodeStats`: picked by the
 opened index under the basic protocol, by Σ_i onehot_i · stat_i under the
 enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
-the selection is exact).  Threshold decryptions: 1 at the root, then per
-level ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, each with S
-candidate splits over V published label vectors (plus ⌈Σ n / 11⌉ for
-Eq. 10 under the enhanced protocol, over the nodes whose children are
-built); none for a leaf.
+the selection is exact).  Threshold decryptions: ⌈V / slots⌉ at the
+root, then per level ⌈Σ S·(1 + V) / slots⌉ over the level's internal
+nodes, each with S candidate splits over V published label vectors (plus
+⌈Σ n / 11⌉ for Eq. 10 under the enhanced protocol, over the nodes whose
+children are built); none for a leaf.  A slot is
+bitlen(W) + κ + bitlen(m) bits for classification (W the root weight
+sum: 48 bits, 10 per 512-bit ciphertext, at W = 48, m = 3) and
+``fx.k`` + κ + bitlen(m) for regression (82 bits, 6 per ciphertext), so
+slots = ⌊(|n| − 1) / width⌋; an undeclared riding [γ] has one value per
+ciphertext.
 
 Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
@@ -96,7 +107,13 @@ from repro.core.gain import NodeStats, SplitStats, secure_split_gains
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber
 from repro.federation.party import level_entries
-from repro.mpc.conversion import check_masked_opening, mask_layout
+from repro.mpc.conversion import (
+    PackedBatch,
+    check_masked_opening,
+    magnitude_bits,
+    mask_layout,
+    segment_header,
+)
 from repro.mpc.sharing import SharedValue
 from repro.network.flows import broadcast_request, collect_replies
 from repro.network.wire import Request
@@ -192,18 +209,10 @@ class TreeTrainer:
         self.provider = label_provider
         self.task = label_provider.task
         self.enhanced = self.cfg.protocol == "enhanced"
-        #: Declared magnitude of the node and split statistics at the MPC
-        #: scale, which lets their conversions slot-pack (see
-        #: repro.mpc.conversion).  True for sums of mask entries times
-        #: plaintext labels under either protocol (the enhanced [α] is as
-        #: exact a 0/1 vector as the basic one); a riding encrypted-label
-        #: [γ] has no written-down width, so it declares nothing and
-        #: converts one ciphertext per value.
-        self._stat_bound_bits = (
-            self.fx.k
-            if isinstance(label_provider, PlaintextLabelProvider)
-            else None
-        )
+        #: Declared magnitude of the node and split statistics, which lets
+        #: their conversions slot-pack (see repro.mpc.conversion), set by
+        #: fit() from the root weights: see _stat_bound.
+        self._stat_bound_bits: int | None = None
         #: Bit length of the largest entry of the initial mask vector, set
         #: by fit(): every node's [α] is that vector times 0/1 indicators,
         #: so it bounds each element Eq. 10 opens under a mask.
@@ -229,6 +238,7 @@ class TreeTrainer:
         ctx = self.ctx
         weights = _root_weights(initial_mask, ctx.n_samples)
         self._alpha_bits = max(1, max(weights).bit_length())
+        self._stat_bound_bits = self._stat_bound(sum(weights))
         # Root node state: the super client *requests*, every party (she
         # included) stores the public weights' [α] plus the riding [γ]s on
         # her own event loop, keyed by heap position (root = 1).
@@ -245,17 +255,18 @@ class TreeTrainer:
         )
         ctx.bus.round()
         alpha, gammas = ctx.runtimes[sup].nodes[1]
-        # The one node whose own statistics are converted.
+        # The one node whose own statistics are converted — its label
+        # totals only: its sample count is the public Σ weights.
         totals = (
             [ctx.batch.sum_ciphertexts(g) for g in gammas]
             if gammas
             else self.provider.totals(alpha)
         )
         root_stats = self._node_stats(
-            ctx.to_shares(
-                [ctx.batch.sum_ciphertexts(alpha), *totals],
-                bound_bits=self._stat_bound_bits,
-            )
+            [
+                self.fx.share(sum(weights)),
+                *ctx.to_shares(totals, bound_bits=self._stat_bound_bits),
+            ]
         )
         available = [list(range(c.n_features)) for c in ctx.clients]
         tree: dict[int, TreeNode] = {}
@@ -274,6 +285,23 @@ class TreeTrainer:
     # ------------------------------------------------------------------
     # one level of Algorithm 3
     # ------------------------------------------------------------------
+
+    def _stat_bound(self, weight_sum: int) -> int | None:
+        """The declared bound of every node and split statistic, at its own
+        scale (:func:`~repro.mpc.conversion.magnitude_bits`).
+
+        A class count is a sum of mask entries, at most the public root
+        weight sum W, so it has bitlen(W) bits; a regression label sum is
+        a fixed-point value and declares ``fx.k``.  Both hold under either
+        protocol (the enhanced [α] is as exact a mask as the basic one).
+        A riding encrypted-label [γ] has no written-down width, so it
+        declares nothing and converts one ciphertext per value.
+        """
+        if not isinstance(self.provider, PlaintextLabelProvider):
+            return None
+        if self.task == "classification":
+            return weight_sum.bit_length()
+        return self.fx.k
 
     def _node_stats(self, shares: list[SharedValue]) -> NodeStats:
         """``[n, one sum per published label vector]`` as converted, plus
@@ -379,12 +407,8 @@ class TreeTrainer:
             gammas = self.provider.gammas(
                 [node.alpha for node in nodes], [node.key for node in nodes]
             )
-        stat_cts = self._compute_split_stats(nodes, identifiers, gammas)
-
         # -- MPC computation: convert + secure gains + secure max -----------
-        stat_shares = iter(
-            ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
-        )
+        stat_shares = iter(self._compute_split_stats(nodes, identifiers, gammas))
         stride = 1 + len(gammas[0])
         # One row of converted left-child shares per identifier; the
         # winning row is what the children inherit, so it is kept as
@@ -455,37 +479,71 @@ class TreeTrainer:
         nodes: list[_Open],
         identifiers: list[list[tuple[int, int, int]]],
         gammas: list[list[list[EncryptedNumber]]],
-    ) -> list[EncryptedNumber]:
+    ) -> list[SharedValue]:
         """Each client's local homomorphic dot products (Eq. 7 / Eq. 9) for
-        every node of the level, as one reactive request/response flow.
+        every node of the level, as one reactive request/response flow,
+        converted to shares in one Algorithm 2 call; the shares come back
+        in global identifier order (clients ascending, the
+        :meth:`~repro.federation.federation.Federation.split_identifiers`
+        order), node after node.
 
         The super client broadcasts one ``split-stats`` request naming the
-        nodes and their available-feature lists; every other party reacts
-        by computing *her* identifiers' statistics for every node on her
+        nodes and their available-feature lists, headed by the level's
+        public layout: the parties' statistics in party order, each party
+        a segment starting at a public slot, every value masked at one
+        width (:func:`~repro.mpc.conversion.segment_header`).  Every other
+        party reacts by computing *her* statistics for every node on her
         own event loop — over her own columns, from her own copy of the
-        node states — and broadcasting one flat ciphertext vector.  The
-        super client computes and broadcasts her own the same way, then
-        reassembles each node's statistics in global identifier order
-        (clients ascending, the
-        :meth:`~repro.federation.federation.Federation.split_identifiers`
-        order) from the per-party vectors, node after node.
+        node states — and broadcasting them slot-packed into her
+        segment's groups (:meth:`PartyRuntime.split_statistics`).  The
+        super client does the same through her own runtime, adds the
+        parties' partial groups and the sign offsets
+        (:meth:`~repro.crypto.packing.SlotLayout.join`) and runs the rest
+        of Algorithm 2 on the packed batch.
 
         The malicious-model extension overrides this to attach and verify
-        POHDP proofs (§9.1.2).
+        POHDP proofs (§9.1.2) on every statistic before packing.
         """
         ctx = self.ctx
         sup = ctx.super_client
-        keys = [node.key for node in nodes]
+        stride = 1 + len(gammas[0])
+        scales = [
+            [node.alpha[0].exponent, *(g[0].exponent for g in node_gammas)]
+            for node, node_gammas in zip(nodes, gammas)
+        ]
+        # Party order: each party's identifiers of every node, node after
+        # node — exactly the order she computes them in.
+        exponents = {
+            c.index: [
+                exponent
+                for ids, node_scales in zip(identifiers, scales)
+                for owner, _, _ in ids
+                if owner == c.index
+                for exponent in node_scales
+            ]
+            for c in ctx.clients
+        }
+        ordered = [exponent for c in ctx.clients for exponent in exponents[c.index]]
+        packed = self._stat_bound_bits is not None
+        magnitudes = magnitude_bits(ordered, self.fx, self._stat_bound_bits)
+        if packed:
+            # One width throughout, the widest (they all agree in practice).
+            magnitudes = [max(magnitudes)] * len(magnitudes)
+        mask_bits = max(magnitudes) + self.engine.kappa
+        counts = [len(exponents[c.index]) for c in ctx.clients]
+        layout = segment_header(mask_bits, counts, packed)
         broadcast_request(
             ctx.bus,
             sup,
             "split-stats",
-            [item for node in nodes for item in (node.key, node.available)],
+            [layout, *(item for node in nodes for item in (node.key, node.available))],
             tag="split-stats",
             runtimes=ctx.runtimes,
         )
         own_stats = ctx.runtimes[sup].split_statistics(
-            keys, [list(node.available[sup]) for node in nodes]
+            [node.key for node in nodes],
+            [list(node.available[sup]) for node in nodes],
+            layout,
         )
         ctx.bus.broadcast_payload(sup, own_stats, tag="split-stats")
         others = [c.index for c in ctx.clients if c.index != sup]
@@ -495,23 +553,32 @@ class TreeTrainer:
         # depends on it (a reply cannot share the request's delivery
         # round).
         ctx.bus.round(2)
-        stride = 1 + len(gammas[0])
-        chunks = {
-            c.index: list(own_stats if c.index == sup else replies[c.index])
-            for c in ctx.clients
-        }
-        for party, chunk in chunks.items():
-            expected = stride * sum(
-                owner == party for ids in identifiers for owner, _, _ in ids
-            )
+        slots = mask_layout(
+            [mask_bits] * len(ordered), ctx.n_clients, ctx.threshold.public_key, packed
+        )
+        starts = layout[3:]
+        segments = []
+        for c, start, count in zip(ctx.clients, starts, counts):
+            chunk = list(own_stats if c.index == sup else replies[c.index])
+            expected = len(slots.touched(start, count))
             if len(chunk) != expected:
                 raise ValueError(
                     f"split statistics shape mismatch: expected {expected} "
-                    f"ciphertexts from party {party}, got {len(chunk)}"
+                    f"packed ciphertexts from party {c.index}, got {len(chunk)}"
                 )
-        # Each party's vector is her identifiers' statistics, node after
-        # node; deal them out in global identifier order.
-        unread = {party: iter(chunk) for party, chunk in chunks.items()}
+            segments.append([stat.ciphertext for stat in chunk])
+        shares = iter(
+            ctx.to_shares(
+                PackedBatch(
+                    slots.join(starts, segments, magnitudes), slots, magnitudes, ordered
+                )
+            )
+        )
+        # Deal each party's shares out in global identifier order.
+        unread = {
+            c.index: iter([next(shares) for _ in exponents[c.index]])
+            for c in ctx.clients
+        }
         return [
             next(unread[owner])
             for ids in identifiers

@@ -22,6 +22,12 @@ of them.
   (:meth:`SlotLayout.pack_ciphertexts`); plaintexts (a party's own masks)
   are packed with shifts (:meth:`SlotLayout.pack_plaintexts`) and
   encrypted once per packed ciphertext.
+* A batch whose values have several holders is packed by each holder
+  over her own consecutive segment: :func:`uniform_layout` gives a
+  segment's slots (one width throughout), :meth:`SlotLayout.horner` packs
+  them into *partial* groups, and :meth:`SlotLayout.join` adds the
+  holders' partials and the offsets — in plaintext exactly
+  :meth:`SlotLayout.pack_ciphertexts` of the concatenated values.
 * A signed value cannot live in a slot in Z_n's upper-half convention, so
   the packer adds the public offset ``2^{β_j}`` to slot j, where
   ``|x_j| < 2^{β_j}`` is the magnitude bound the caller *declares*; the
@@ -45,7 +51,14 @@ from typing import Sequence, TypeVar
 
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 
-__all__ = ["PackingError", "Slot", "SlotLayout", "slot_layout", "whole_layout"]
+__all__ = [
+    "PackingError",
+    "Slot",
+    "SlotLayout",
+    "slot_layout",
+    "uniform_layout",
+    "whole_layout",
+]
 
 
 T = TypeVar("T")
@@ -101,35 +114,104 @@ class SlotLayout:
             packed.append(total)
         return packed
 
-    def pack_ciphertexts(
-        self, ciphertexts: Sequence[Ciphertext], magnitude_bits: Sequence[int]
-    ) -> list[Ciphertext]:
-        """[Σ_j (x_j + 2^{β_j}) · 2^{shift_j}] per group, by Horner's rule.
+    def horner(self, ciphertexts: Sequence[Ciphertext]) -> list[Ciphertext]:
+        """[Σ_j x_j · 2^{shift_j}] per group, by Horner's rule, no offsets.
 
-        ``magnitude_bits[j]`` is the declared β_j (|x_j| < 2^{β_j}).  An
-        unpacked layout returns the ciphertexts as they are (no bounds to
-        read).
+        The layout may be a segment (:func:`uniform_layout` with a
+        ``start``): a group whose lowest slot does not sit at bit 0 is
+        shifted up once, at the end, so a segment's *partial* groups add
+        up with the other segments' to the whole batch's.  An unpacked
+        layout returns the ciphertexts as they are.
         """
-        if not self.packed:
-            return list(ciphertexts)
         packed = []
-        for group in self._by_group(list(zip(ciphertexts, magnitude_bits))):
+        for group in self._by_group(ciphertexts):
+            # Top slot first: every step shifts what is already packed up
+            # by the width of the slot going in underneath it.
+            (_, acc), *lower = reversed(group)
+            for slot, ciphertext in lower:
+                acc = acc * (1 << slot.width) + ciphertext
+            bottom = group[0][0].shift
+            packed.append(acc * (1 << bottom) if bottom else acc)
+        return packed
+
+    def offsets(self, magnitude_bits: Sequence[int]) -> list[int]:
+        """Σ_j 2^{shift_j + β_j} per group: the public sign offsets.
+
+        ``magnitude_bits[j]`` is the declared β_j (|x_j| < 2^{β_j}); a slot
+        too narrow for it raises.
+        """
+        offsets = []
+        for group in self._by_group(magnitude_bits):
             offset = 0
-            for slot, (_, beta) in group:
+            for slot, beta in group:
                 if beta + 1 > slot.width:
                     raise PackingError(
                         f"a {beta}-bit signed value does not fit a "
                         f"{slot.width}-bit slot"
                     )
                 offset |= 1 << (slot.shift + beta)
-            # Top slot first: every step shifts what is already packed up
-            # by the width of the slot going in underneath it (slots are
-            # contiguous from bit 0, so the result sits at the shifts).
-            (_, (acc, _)), *lower = reversed(group)
-            for slot, (ciphertext, _) in lower:
-                acc = acc * (1 << slot.width) + ciphertext
-            packed.append(acc + offset)
-        return packed
+            offsets.append(offset)
+        return offsets
+
+    def pack_ciphertexts(
+        self, ciphertexts: Sequence[Ciphertext], magnitude_bits: Sequence[int]
+    ) -> list[Ciphertext]:
+        """[Σ_j (x_j + 2^{β_j}) · 2^{shift_j}] per group: :meth:`horner`
+        plus :meth:`offsets`.  An unpacked layout returns the ciphertexts
+        as they are (no bounds to read)."""
+        if not self.packed:
+            return list(ciphertexts)
+        return [
+            acc + offset
+            for acc, offset in zip(
+                self.horner(ciphertexts), self.offsets(magnitude_bits)
+            )
+        ]
+
+    def touched(self, start: int, count: int) -> range:
+        """The groups that slots start, ..., start + count - 1 fall in."""
+        if count == 0:
+            return range(0)
+        return range(self.slots[start].group, self.slots[start + count - 1].group + 1)
+
+    def join(
+        self,
+        starts: Sequence[int],
+        segments: Sequence[Sequence[Ciphertext]],
+        magnitude_bits: Sequence[int],
+    ) -> list[Ciphertext]:
+        """The packed ciphertexts of a batch whose values were packed by
+        several holders: segment i holds slots ``starts[i]`` up to the next
+        start (the last one to the end) as :meth:`horner` of its own
+        segment layout returns them — one partial ciphertext per group the
+        segment touches.  The partials of each group are added and the
+        offsets added once; in plaintext this is :meth:`pack_ciphertexts`
+        of the concatenated values.
+        """
+        ends = [*starts[1:], len(self.slots)]
+        if not starts or starts[0] != 0 or any(
+            end < start for start, end in zip(starts, ends)
+        ):
+            raise PackingError(f"segments {list(starts)} do not tile the layout")
+        groups: list[list[Ciphertext]] = [[] for _ in range(self.n_groups)]
+        for start, end, partials in zip(starts, ends, segments):
+            touched = self.touched(start, end - start)
+            if len(partials) != len(touched):
+                raise PackingError(
+                    f"the segment at slot {start} touches {len(touched)} "
+                    f"groups, got {len(partials)} ciphertexts"
+                )
+            for group, partial in zip(touched, partials):
+                groups[group].append(partial)
+        summed = []
+        for partials in groups:
+            first, *rest = partials
+            for partial in rest:
+                first = first + partial
+            summed.append(first)
+        if not self.packed:
+            return summed
+        return [acc + offset for acc, offset in zip(summed, self.offsets(magnitude_bits))]
 
     def unpack(
         self,
@@ -222,3 +304,34 @@ def slot_layout(
         slots.append(Slot(group, shift, width))
         shift += width
     return SlotLayout(tuple(slots), group + 1 if slots else 0, packed=True)
+
+
+def uniform_layout(
+    width: int,
+    count: int,
+    n_bits: int,
+    carry_bits: int = 0,
+    packed: bool = True,
+    start: int = 0,
+) -> SlotLayout:
+    """Slots start, ..., start + count - 1 of
+    ``slot_layout([width] * N, n_bits, carry_bits, packed)`` for any
+    N >= start + count, with groups numbered from the first one they touch.
+
+    One width throughout makes every slot's place arithmetic, so a holder
+    of one segment of a batch (a party's split statistics) derives her
+    slots from the width, her start and her own count; a ``start`` that
+    arrived from a peer sizes nothing.  The width is validated as in
+    :func:`slot_layout`.
+    """
+    slot_layout([width], n_bits, carry_bits, packed)
+    if not packed:
+        return whole_layout(count, n_bits)
+    size = width + carry_bits
+    per_group = _capacity(n_bits) // size
+    first = start // per_group
+    slots = tuple(
+        Slot(j // per_group - first, j % per_group * size, size)
+        for j in range(start, start + count)
+    )
+    return SlotLayout(slots, slots[-1].group + 1 if slots else 0, packed=True)

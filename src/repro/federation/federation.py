@@ -47,6 +47,7 @@ from repro.federation.party import Party, PartyEndpoint, PartyRuntime, PivotClie
 from repro.mpc.advanced import FixedPointOps
 from repro.mpc.conversion import (
     ConversionCounters,
+    PackedBatch,
     ciphers_to_shares,
     share_to_cipher,
 )
@@ -515,13 +516,18 @@ class Federation:
         return results
 
     def to_shares(
-        self, values: list[EncryptedNumber], bound_bits: int | None = None
+        self,
+        values: list[EncryptedNumber] | PackedBatch,
+        bound_bits: int | None = None,
     ) -> list[SharedValue]:
         """Algorithm 2 over a batch; the conversion sends its real payloads
         (mask ciphertexts, masked batch, partial decryptions) on the bus.
 
-        ``bound_bits`` declares every value's magnitude at the MPC scale
-        (``|x| < 2**bound_bits``); only declared values are slot-packed
+        ``bound_bits`` declares every value's magnitude
+        (``|x| < 2**bound_bits`` at the scale
+        :func:`~repro.mpc.conversion.magnitude_bits` reads it at); only
+        declared values are slot-packed, and a
+        :class:`~repro.mpc.conversion.PackedBatch` arrives packed
         (:func:`~repro.mpc.conversion.ciphers_to_shares`).
         """
         return ciphers_to_shares(

@@ -28,7 +28,7 @@ import numpy as np
 from repro.crypto.encoding import EncryptedNumber, fixed_point_dot
 from repro.crypto.paillier import Ciphertext
 from repro.federation.locality import LocalView, as_party
-from repro.mpc.conversion import mask_layout
+from repro.mpc.conversion import mask_layout, segment_layout
 from repro.network.wire import PartialDecryptionVector, Request, ShareVector
 
 __all__ = [
@@ -405,13 +405,14 @@ class PartyRuntime:
     # -- local computations (also called directly by the super client) -----
 
     def split_statistics(
-        self, node_keys: list[int], features: list[list[int]]
+        self, node_keys: list[int], features: list[list[int]], layout: list[int]
     ) -> list:
         """Encrypted split statistics (Eq. 7 / 9) for this party's available
-        features on every node of a tree level, as a single flat batched
-        fan-out: ``features[i]`` are her features left at ``node_keys[i]``.
+        features on every node of a tree level, slot-packed by her before
+        they leave her: ``features[i]`` are her features left at
+        ``node_keys[i]``.
 
-        Layout contract, node after node and per (feature asc, split asc)
+        Value order, node after node and per (feature asc, split asc)
         identifier: ``[n_left, g_left per stored gamma vector]`` — stride
         1 + V, the *left child only*.  The right child and, for
         classification, the last class (whose [γ] is never published) are
@@ -419,11 +420,25 @@ class PartyRuntime:
         derives them on shares (:mod:`repro.core.gain`), so they are never
         computed, sent or decrypted.
 
+        ``layout`` is the level's public header
+        (:func:`~repro.mpc.conversion.segment_header`: ``[packed,
+        mask_bits, total, first slot of each party]``): the level's values
+        are the parties' segments in party order, every value masked with
+        ``mask_bits`` bits.  She packs her own values into the groups her
+        segment touches (:func:`~repro.mpc.conversion.segment_layout`,
+        Horner's rule, no offsets) and returns one ciphertext per such
+        group — one per value when ``packed`` is 0, the undeclared-bound
+        case.  The requester adds the parties' partial groups and the
+        offsets (:meth:`~repro.crypto.packing.SlotLayout.join`).  A
+        header her values overrun, or a width that is not positive or
+        does not fit the plaintext space, raises before any ciphertext is
+        computed, sampled or encrypted.
+
         A dot product against a 0/1 indicator is the product of the chosen
         [α_j] — a deterministic function of ciphertexts every receiver
         holds, so a guessed indicator could be confirmed exactly.  Each
-        statistic is therefore multiplied by one pool mask before it is
-        returned (and broadcast).
+        packed ciphertext is therefore multiplied by one pool mask before
+        it is returned (and broadcast).
         """
         tasks: list[tuple[list[int], list]] = []
         for key, node_features in zip(node_keys, features):
@@ -437,8 +452,19 @@ class PartyRuntime:
                 for split in range(self.client.n_splits(feature)):
                     v_left = list(self.client.indicator(feature, split))
                     tasks.extend((v_left, vector) for vector in (alpha, *gammas))
+        slots = segment_layout(
+            layout,
+            self.index,
+            len(tasks),
+            self.endpoint.bus.n_parties,
+            self.engine.public_key,
+        )
         stats = self.engine.batch_dot_products(tasks)
-        return self.engine.mask_vector(stats, [1] * len(stats))
+        groups = slots.horner([stat.ciphertext for stat in stats])
+        wrap = self.engine.encoder.wrap
+        return self.engine.mask_vector(
+            [wrap(group) for group in groups], [1] * len(groups)
+        )
 
     def apply_split(self, entries: list[list]) -> list[list]:
         """Model update at the split owner (§4.1) for her nodes of a tree
@@ -503,10 +529,12 @@ class PartyRuntime:
             node[1] = [list(g) for g in gammas]
 
     def _op_split_stats(self, sender: int, body: list) -> None:
+        layout, *body = body
         entries = level_entries(body, 2)
         stats = self.split_statistics(
             [key for key, _ in entries],
             [list(available[self.index]) for _, available in entries],
+            list(layout),
         )
         self.endpoint.broadcast(stats, tag="split-stats")
 

@@ -40,14 +40,18 @@ client encrypts to the ``r_i`` she input.
 
 Fixed-point handling: a ciphertext with exponent -S converts to a shared
 value at the MPC scale 2^F.  If S > F the converted value is securely
-truncated by S - F bits (probabilistic truncation); if S < F the ciphertext
-is first losslessly rescaled.
+truncated by S - F bits (probabilistic truncation); if S < F it is
+converted at its own scale and its shares are multiplied by the public
+2^(F-S), which is exact — the ciphertext is never rescaled, so a count at
+exponent 0 masks and packs at a count's width.
 
 **Slot packing** (:mod:`repro.crypto.packing`).  Algorithm 2 pays one
 threshold decryption — one ``c^{d_i} mod n²`` per party — per masked
-ciphertext, and a masked statistic fills a sixth of a 512-bit plaintext.
-When the caller declares a bound (``bound_bits``), value j with
-``|x_j| < 2^{β_j}`` (``β_j = bound_bits + S_j - F``) gets a slot of
+ciphertext, and a masked class count of a 48-sample tree fills under a
+tenth of a 512-bit plaintext.  When the caller declares a bound
+(``bound_bits``), value j with ``|x_j| < 2^{β_j}``
+(:func:`magnitude_bits`: ``β_j = bound_bits`` at exponent -F or above,
+plus ``F - S_j`` below) gets a slot of
 
     width_j = β_j + κ + bitlen(m)   bits.
 
@@ -60,17 +64,24 @@ Into it go the value shifted non-negative by the public offset
 so no carry ever crosses into the next slot, the slot's content minus the
 offset is exactly the ``e_j = x_j + Σ_i r_ij`` every party sees in the
 value-at-a-time protocol, and the mask hides ``x_j`` with the same κ bits
-of statistical slack.  Client 1 packs the statistics homomorphically,
+of statistical slack.  The values are packed homomorphically — by client
+1 (:func:`pack_values`), or, for a tree level's split statistics, by each
+party into her own segment's groups before they leave her, client 1
+adding the partial groups and the offsets (:func:`segment_header`) —
 every party packs her own masks into **one** mask encryption per packed
-ciphertext, and one decryption yields all of a ciphertext's ``e_j`` (6
-per 512-bit ciphertext at the defaults).  The layout is computed by
-:func:`mask_layout` from the mask widths, m and |n| on both sides.
+ciphertext, and one decryption yields all of a ciphertext's ``e_j``
+(⌊511 / width⌋ per 512-bit ciphertext: 10 class counts of a tree over
+up to 63 samples at κ = 40 and m = 3, 6 values declared at ``fixed.k``).
+The layout is computed by :func:`mask_layout` from the mask widths, m
+and |n| on both sides.
 
 *Declare or don't pack.*  The inequality needs a true bound, and only
-the caller knows one.  The trainers' node and split statistics over
-plaintext labels declare ``fixed.k`` under both protocols (the enhanced
-protocol's [α] is an exact 0/1 vector: :func:`share_to_cipher` encrypts
-the selection bits themselves).  A riding encrypted-label [γ] (GBDT rounds >= 2), the
+the caller knows one.  The trainers' class counts over plaintext labels
+declare bitlen(W) for the public root weight sum W, which bounds every
+count at exponent 0, and their regression label sums ``fixed.k``, under
+both protocols (the enhanced protocol's [α] is an exact 0/1 vector:
+:func:`share_to_cipher` encrypts the selection bits themselves).  A
+riding encrypted-label [γ] (GBDT rounds >= 2), the
 forest's vote sums and logistic regression's partial sums are bounded too,
 but at a width nobody has written down, so they declare nothing, and an
 undeclared value keeps a whole ciphertext — the same code with a slot as
@@ -84,11 +95,17 @@ from __future__ import annotations
 import operator
 import secrets
 from functools import reduce
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.crypto.encoding import EncryptedNumber
-from repro.crypto.packing import SlotLayout, slot_layout
-from repro.crypto.paillier import PaillierPublicKey
+from repro.crypto.packing import (
+    PackingError,
+    SlotLayout,
+    slot_layout,
+    uniform_layout,
+)
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.threshold import ThresholdPaillier, combine_partial_vectors
 from repro.mpc import comparison
 from repro.mpc.advanced import FixedPointOps
@@ -101,7 +118,12 @@ from repro.network.flows import (
 )
 
 __all__ = [
+    "PackedBatch",
     "ciphers_to_shares",
+    "magnitude_bits",
+    "pack_values",
+    "segment_header",
+    "segment_layout",
     "share_to_cipher",
     "check_masked_opening",
     "mask_layout",
@@ -156,8 +178,110 @@ def mask_layout(
     )
 
 
+def segment_header(mask_bits: int, counts: Sequence[int], packed: bool) -> list[int]:
+    """The public layout of a batch masked with ``mask_bits`` bits
+    throughout, held in consecutive segments of ``counts[i]`` values,
+    party i's the i-th: ``[packed, mask_bits, total, first slot of each
+    party]``.  A ``split-stats`` request carries it: every party packs
+    her own statistics into the groups of her segment
+    (:meth:`~repro.federation.party.PartyRuntime.split_statistics`,
+    :func:`segment_layout`) and the requester joins the partial groups
+    (:meth:`~repro.crypto.packing.SlotLayout.join`) over
+    ``mask_layout([mask_bits] * total, ...)``."""
+    starts = [sum(counts[:i]) for i in range(len(counts))]
+    return [int(packed), mask_bits, sum(counts), *starts]
+
+
+def segment_layout(
+    header: Sequence[int],
+    party: int,
+    count: int,
+    n_parties: int,
+    public_key: PaillierPublicKey,
+) -> SlotLayout:
+    """Party ``party``'s ``count`` slots of the batch a
+    :func:`segment_header` describes, groups numbered from the first one
+    they touch.
+
+    The header arrives from a peer, so it is checked before anything is
+    sized from it: a flag other than 0 / 1, a start per party missing, a
+    segment that does not fit the total, or a width that is not positive
+    or does not fit the plaintext space raises
+    :class:`~repro.crypto.packing.PackingError`; a start far into the
+    batch sizes nothing (:func:`~repro.crypto.packing.uniform_layout`).
+    """
+    packed, mask_bits, total, *starts = header
+    if (
+        packed not in (0, 1)
+        or len(starts) != n_parties
+        or not all(isinstance(v, int) for v in (total, *starts))
+        or not 0 <= starts[party] <= total - count
+    ):
+        raise PackingError(
+            f"layout {list(header)} has no segment of {count} values for "
+            f"party {party}"
+        )
+    return uniform_layout(
+        mask_bits,
+        count,
+        public_key.n.bit_length(),
+        carry_bits=n_parties.bit_length(),
+        packed=bool(packed),
+        start=starts[party],
+    )
+
+
+def magnitude_bits(
+    exponents: Sequence[int], fixed: FixedPointOps, bound_bits: int | None
+) -> list[int]:
+    """β_j for values at ``exponents``: ``|x_j| < 2^{β_j}`` for each
+    value's plaintext integer.
+
+    The declared bound (``fixed.k`` for an undeclared one) holds at the
+    value's own scale when that is 2^-F or coarser — a count at exponent
+    0 is a count — and at the MPC scale 2^-F otherwise, so a value deeper
+    than -F adds the bits of its extra scale.
+    """
+    bound = fixed.k if bound_bits is None else bound_bits
+    return [bound + max(0, -fixed.f - exponent) for exponent in exponents]
+
+
+@dataclass(frozen=True)
+class PackedBatch:
+    """Values already packed: ``layout``'s ciphertexts with the sign
+    offsets added, and each value's β and exponent in slot order."""
+
+    groups: list[Ciphertext]
+    layout: SlotLayout
+    magnitudes: list[int]
+    exponents: list[int]
+
+
+def pack_values(
+    values: Sequence[EncryptedNumber],
+    fixed: FixedPointOps,
+    n_parties: int,
+    public_key: PaillierPublicKey,
+    bound_bits: int | None = None,
+) -> PackedBatch:
+    """One holder's values packed by :func:`mask_layout`: slot-packed when
+    a bound is declared, one ciphertext each otherwise."""
+    exponents = [value.exponent for value in values]
+    magnitudes = magnitude_bits(exponents, fixed, bound_bits)
+    layout = mask_layout(
+        [beta + fixed.engine.kappa for beta in magnitudes],
+        n_parties,
+        public_key,
+        packed=bound_bits is not None,
+    )
+    groups = layout.pack_ciphertexts(
+        [value.ciphertext for value in values], magnitudes
+    )
+    return PackedBatch(groups, layout, magnitudes, exponents)
+
+
 def ciphers_to_shares(
-    values: list[EncryptedNumber],
+    values: Sequence[EncryptedNumber] | PackedBatch,
     threshold: ThresholdPaillier,
     fixed: FixedPointOps,
     counters: ConversionCounters | None = None,
@@ -168,20 +292,24 @@ def ciphers_to_shares(
 ) -> list[SharedValue]:
     """Batch Algorithm 2 (the m decryption rounds are batched in practice).
 
-    All values are masked first, then the masked ciphertexts go through one
-    batched threshold decryption; a
-    :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so the
-    mask encryptions draw from its obfuscator pool.
+    A pack step, then one core.  Ciphertexts are packed by
+    :func:`pack_values` (``bound_bits`` declares ``|x| < 2**bound_bits``
+    as :func:`magnitude_bits` reads it); a :class:`PackedBatch` arrives
+    packed already — a tree level's split statistics, which every party
+    packs into her segment's groups before they leave her.  Declared
+    values share slots: several statistics, and each party's masks for
+    them, share one ciphertext, one mask encryption per party and one
+    threshold decryption (see the module docstring).  Without a
+    declaration every value keeps a ciphertext of its own and masks of
+    ``fixed.k`` + exponent-slack + κ bits.  Either way each party sees
+    exactly the per-value masked plaintexts e_j of the value-at-a-time
+    loop.  A value at an exponent e above -F is converted at that
+    exponent and its shares multiplied by the public 2^(F+e); one below
+    is truncated after conversion.
 
-    ``bound_bits`` is the caller's declaration that every value, at the
-    MPC scale 2^F, has magnitude below ``2**bound_bits``.  Declared values
-    are slot-packed: several statistics, and each party's masks for them,
-    share one ciphertext, one mask encryption per party and one threshold
-    decryption (see the module docstring).  Without a declaration every
-    value keeps a ciphertext of its own and masks of ``fixed.k`` +
-    exponent-slack + κ bits.  Either way each party sees exactly the
-    per-value masked plaintexts e_j of the value-at-a-time loop, and the
-    shares built from them are the same.
+    All groups are masked first, then go through one batched threshold
+    decryption; a :class:`~repro.crypto.batch.BatchCryptoEngine` may be
+    supplied so the mask encryptions draw from its obfuscator pool.
 
     With a ``bus`` and ``runtimes`` (the per-party
     :class:`~repro.federation.party.PartyRuntime` list) both phases are
@@ -207,31 +335,22 @@ def ciphers_to_shares(
     The MPC engine accounts the mask broadcast and combine as one round
     per call, m field elements per value.
     """
-    if not values:
+    count = len(values.exponents if isinstance(values, PackedBatch) else values)
+    if not count:
         return []
     if bus is not None and runtimes is None:
         raise ValueError("a conversion over a bus needs the party runtimes")
-    engine = fixed.engine
-    q = engine.field.q
     m = threshold.n_parties
     pk = threshold.public_key
-    packed = bound_bits is not None
-    adjusted: list[EncryptedNumber] = []
-    extras: list[int] = []
-    magnitudes: list[int] = []
-    for value in values:
-        target_exponent = -fixed.f
-        if value.exponent > target_exponent:
-            value = value.decrease_exponent_to(target_exponent)
-        adjusted.append(value)
-        extra = target_exponent - value.exponent  # >= 0
-        extras.append(extra)
-        magnitudes.append((bound_bits if packed else fixed.k) + extra)
-    bits_list = [beta + engine.kappa for beta in magnitudes]
-    layout = mask_layout(bits_list, m, pk, packed)
-    masked_cts = layout.pack_ciphertexts(
-        [value.ciphertext for value in adjusted], magnitudes
+    batch = (
+        values
+        if isinstance(values, PackedBatch)
+        else pack_values(values, fixed, m, pk, bound_bits)
     )
+    engine = fixed.engine
+    q = engine.field.q
+    layout, magnitudes = batch.layout, batch.magnitudes
+    bits_list = [beta + engine.kappa for beta in magnitudes]
 
     def encrypt_masks(masks: list[int]) -> list:
         plaintexts = layout.pack_plaintexts(masks)
@@ -248,7 +367,7 @@ def ciphers_to_shares(
         broadcast_request(
             bus,
             0,
-            "convert-masks-packed" if packed else "convert-masks",
+            "convert-masks-packed" if layout.packed else "convert-masks",
             bits_list,
             tag="mpc-convert",
             runtimes=runtimes,
@@ -267,6 +386,7 @@ def ciphers_to_shares(
         ]
         mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
         neg_shares = [[(-r) % q for r in masks] for masks in peer_masks]
+    masked_cts = batch.groups
     for party_cts in mask_cts:
         if len(party_cts) != layout.n_groups:
             raise ValueError(
@@ -290,12 +410,15 @@ def ciphers_to_shares(
     )
     if counters is not None:
         counters.threshold_decryptions += layout.n_groups
-        counters.to_shares += len(values)
+        counters.to_shares += count
     results: list[SharedValue] = []
-    for j, masked_plain in enumerate(layout.unpack(masked_plains, magnitudes, pk)):
-        # Client 1 sets e - r_1, the others -r_i (lines 6-8).
-        own_share = masked_plain - own_masks[j]
-        others = [shares[j] for shares in neg_shares]
+    opened = layout.unpack(masked_plains, magnitudes, pk)
+    for j, (masked_plain, exponent) in enumerate(zip(opened, batch.exponents)):
+        # Client 1 sets e - r_1, the others -r_i (lines 6-8), each times
+        # the public 2^(F+e) that brings a coarser value to the MPC scale.
+        scale = 1 << max(0, fixed.f + exponent)
+        own_share = (masked_plain - own_masks[j]) * scale
+        others = [shares[j] * scale for shares in neg_shares]
         if engine.authenticated:
             shared = engine._make_shared((own_share + sum(others)) % q)
         else:
@@ -305,8 +428,9 @@ def ciphers_to_shares(
         results.append(shared)
     # The mask broadcast + combine is one communication round per call,
     # carrying m field elements per value.
-    engine._record_round(messages=2 * (m - 1), values=m * len(values))
+    engine._record_round(messages=2 * (m - 1), values=m * count)
     # Values at a deeper scale than 2^F are rescaled, one batch per depth.
+    extras = [max(0, -fixed.f - exponent) for exponent in batch.exponents]
     for extra in dict.fromkeys(e for e in extras if e):
         at = [j for j, e in enumerate(extras) if e == extra]
         rescaled = comparison.trunc_pr(

@@ -406,7 +406,7 @@ def test_published_vectors_and_statistics_are_unlinkable(
 
 
 @pytest.mark.parametrize(
-    "estimator, pool_masks", [("tree", 192), ("forest", 384), ("gbdt", 327)]
+    "estimator, pool_masks", [("tree", 141), ("forest", 282), ("gbdt", 279)]
 )
 def test_basic_labels_ride_once_per_built_split(
     monkeypatch, small_classification, small_regression, estimator, pool_masks
@@ -416,12 +416,16 @@ def test_basic_labels_ride_once_per_built_split(
     split owner masks [γ_l] with [α_l].  No ``node-gammas``, no
     ``label-vectors`` bytes, no root ciphertext; every [γ_l] is fresh.
     The pool masks per fit are pinned (n = 30, m = 3, S = 8 candidate
-    splits per node): (c − 1)·n at each root, S·c split statistics at each
-    internal node, m per packed conversion, c·n per built split (c = 3
-    for regression: n, y, y²), and for GBDT n more for its encrypted
-    labels.  A tree level's statistics are packed together: at 256 bits
-    three to a ciphertext, so the tree's 1 + ⌈16/3⌉ + ⌈32/3⌉ = 18
-    conversions give 30 + 3·16 + 3·18 + 60 = 192."""
+    splits per node): (c − 1)·n at each root, one per packed ciphertext
+    each party's segment of a level's split statistics touches, m per
+    packed conversion, c·n per built split (c = 3 for regression: n, y,
+    y²), and for GBDT n more for its encrypted labels.  A tree level's
+    statistics are packed together: at 256 bits a class count of
+    W = 30 has a 5 + 40 + 2 = 47-bit slot, five to a ciphertext, so the
+    tree's 1 + ⌈16/5⌉ + ⌈32/5⌉ = 12 conversions, with the parties'
+    segments touching 2 + 2 + 2 and 2 + 3 + 4 groups, give
+    30 + 15 + 3·12 + 60 = 141.  (Regression declares fx.k: 82-bit
+    slots, three to a ciphertext.)"""
     task = "regression" if estimator == "gbdt" else "classification"
     X, y = small_regression if estimator == "gbdt" else small_classification
     X, y = X[:30], y[:30]

@@ -265,12 +265,14 @@ def test_riding_gammas_partition_with_the_mask():
 
 
 def _check_threshold_decryptions_by_formula(protocol):
-    """Cd of a fit at a 512-bit key, m = 3: six statistics or eleven Eq. 10
-    elements per decrypted ciphertext.  Only the root converts its own
-    statistics; an internal node converts the left child's n_l and c − 1
-    class counts per split (plus, under the enhanced protocol, Eq. 10 for
-    one child where the children are built: not at the last level); a
-    leaf converts nothing."""
+    """Cd of a fit at a 512-bit key, m = 3: per tree level
+    ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, a slot being
+    bitlen(W) + κ + bitlen(m) bits for W = Σ root weights, plus eleven
+    Eq. 10 elements per decrypted ciphertext.  The root converts only its
+    c − 1 class totals (its count is the public W); an internal node
+    converts the left child's n_l and c − 1 class counts per split (plus,
+    under the enhanced protocol, Eq. 10 for one child where the children
+    are built: not at the last level); a leaf converts nothing."""
     from repro.data import make_classification
 
     n, classes = 30, 2
@@ -281,16 +283,22 @@ def _check_threshold_decryptions_by_formula(protocol):
     )
     model = TreeTrainer(ctx).fit()
     splits = len(ctx.split_identifiers([list(range(c.n_features)) for c in ctx.clients]))
-    per_stat, per_alpha = 6, 11
-    root_stats = -(-classes // per_stat)
-    split_stats = -(-splits * classes // per_stat)
+    slot = n.bit_length() + ctx.engine.kappa + ctx.n_clients.bit_length()
+    per_stat, per_alpha = 511 // slot, 11
+    assert per_stat == 10
+    root_stats = -(-(classes - 1) // per_stat)
+    depths = [node.depth for node in model.internal_nodes()]
+    split_stats = sum(
+        -(-depths.count(depth) * splits * classes // per_stat)
+        for depth in set(depths)
+    )
     eq10 = -(-n // per_alpha) if protocol == "enhanced" else 0
     built = sum(
         node.depth + 1 < params.max_depth for node in model.internal_nodes()
     )
     assert model.n_internal == 3 and built == 1
     assert ctx.conversions.threshold_decryptions == (
-        root_stats + model.n_internal * split_stats + built * eq10
+        root_stats + split_stats + built * eq10
     )
 
 

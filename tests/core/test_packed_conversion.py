@@ -116,30 +116,125 @@ def test_hostile_mask_widths_are_refused_before_sampling(
     ctx.bus.assert_drained()
 
 
-def test_trainer_declares_a_bound_only_where_it_is_true(small_regression):
-    """Plaintext labels under either protocol: sums of 0/1 masks times
-    labels, fx.k bits (the enhanced [α] is exact).  A riding
-    encrypted-label [γ] has no written-down width: no declaration, one
-    ciphertext per value."""
+def _party_with_a_root(ctx, party):
+    """Party ``party``'s runtime with a root node stored, and the number
+    of split statistics she holds for it (n_l and one class count per
+    candidate split)."""
+    runtime = ctx.runtimes[party]
+    alpha = runtime.engine.encrypt_vector([1] * ctx.n_samples, exponent=0)
+    runtime.store_node(1, alpha, [alpha])
+    client = ctx.clients[party]
+    count = 2 * sum(client.n_splits(f) for f in range(client.n_features))
+    return runtime, count
+
+
+@pytest.mark.parametrize(
+    "case", ["overrun", "negative-start", "starts-short", "flag", "width-0",
+             "width-negative", "width-over-capacity", "width-huge"],
+)
+def test_hostile_split_stats_layout_is_refused_before_anything_is_computed(
+    small_classification, monkeypatch, case
+):
+    """A peer's ``split-stats`` header must not size, sample or encrypt
+    anything: a segment that overruns the batch, or a width that is not
+    positive or does not fit the plaintext space, raises first."""
+    import secrets
+
+    X, y = small_classification
+    ctx = make_context(X, y, "classification")
+    runtime, count = _party_with_a_root(ctx, 1)
+    starts = [0, 1, 1 + count]
+    layout = {
+        "overrun": [1, 48, count, *starts],
+        "negative-start": [1, 48, 10 * count, 0, -1, count],
+        "starts-short": [1, 48, 10 * count, 0, 1],
+        "flag": [2, 48, 10 * count, *starts],
+        "width-0": [1, 0, 10 * count, *starts],
+        "width-negative": [1, -3, 10 * count, *starts],
+        "width-over-capacity": [1, 254, 10 * count, *starts],
+        "width-huge": [1, 10**9, 10 * count, *starts],
+    }[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed, sampled or encrypted for a refused header")
+
+    monkeypatch.setattr(secrets, "randbits", refuse)
+    for name in ("batch_dot_products", "mask_vector", "encrypt_ciphertexts"):
+        monkeypatch.setattr(runtime.engine, name, refuse)
+    monkeypatch.setattr(runtime.engine.pool, "take_many", refuse)
+    everything = [list(range(c.n_features)) for c in ctx.clients]
+    with pytest.raises(ValueError, match="layout|slot"):
+        runtime.handle(0, "split-stats", Request("split-stats", [layout, 1, everything]))
+    ctx.bus.assert_drained()
+
+
+def test_a_reply_of_the_wrong_length_names_its_sender(
+    small_classification, monkeypatch
+):
+    """The trainer checks every party's reply against the groups her
+    segment touches before joining anything."""
+    from repro.core import TreeTrainer
+
+    X, y = small_classification
+    ctx = make_context(X, y, "classification")
+    honest = ctx.runtimes[2].split_statistics
+
+    def one_too_many(*args):
+        stats = honest(*args)
+        return stats + stats[:1]
+
+    monkeypatch.setattr(ctx.runtimes[2], "split_statistics", one_too_many)
+    with pytest.raises(ValueError, match="from party 2"):
+        TreeTrainer(ctx).fit()
+
+
+def test_trainer_declares_a_bound_only_where_it_is_true(
+    small_classification, small_regression
+):
+    """Plaintext labels under either protocol: a class count is a sum of
+    mask entries, at most the root weight sum W, so it declares bitlen(W)
+    at exponent 0; a regression label sum declares fx.k (the enhanced [α]
+    is exact).  A riding encrypted-label [γ] has no written-down width: no
+    declaration, one ciphertext per value.  A basic classification fit
+    decrypts ⌈(c − 1) / slots⌉ ciphertexts at the root and, per level,
+    ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, with
+    slots = ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋."""
     from repro.core import TreeTrainer
     from repro.core.labels import EncryptedLabelProvider
     from repro.tree import TreeParams
 
     X, y = small_regression
     basic = make_context(X, y, "regression")
-    assert TreeTrainer(basic)._stat_bound_bits == basic.fx.k
+    weight_sum = len(y)
+    assert TreeTrainer(basic)._stat_bound(weight_sum) == basic.fx.k
     gamma = basic.batch.encrypt_vector([0.0] * len(y))
     riding = EncryptedLabelProvider(basic, gamma, gamma)
-    assert TreeTrainer(basic, riding)._stat_bound_bits is None
+    assert TreeTrainer(basic, riding)._stat_bound(weight_sum) is None
     enhanced = make_context(
         X, y, "regression", protocol="enhanced",
         params=TreeParams(max_depth=1, max_splits=2),
     )
-    assert TreeTrainer(enhanced)._stat_bound_bits == enhanced.fx.k
-    assert TreeTrainer(enhanced, riding)._stat_bound_bits is None
-    before = basic.conversions.snapshot()
-    TreeTrainer(basic).fit()
-    after = basic.conversions.snapshot()
-    converted = after["to_shares"] - before["to_shares"]
-    decrypted = after["threshold_decryptions"] - before["threshold_decryptions"]
-    assert decrypted < converted / 2
+    assert TreeTrainer(enhanced)._stat_bound(weight_sum) == enhanced.fx.k
+    assert TreeTrainer(enhanced, riding)._stat_bound(weight_sum) is None
+
+    X, y = small_classification
+    ctx = make_context(X, y, "classification")
+    trainer = TreeTrainer(ctx)
+    before = ctx.conversions.snapshot()["threshold_decryptions"]
+    model = trainer.fit()
+    decrypted = ctx.conversions.snapshot()["threshold_decryptions"] - before
+    assert trainer._stat_bound_bits == len(y).bit_length() == 6
+    bagged = TreeTrainer(ctx)
+    bagged.fit(initial_mask=[2] * len(y))
+    assert bagged._stat_bound_bits == (2 * len(y)).bit_length()
+    slot = len(y).bit_length() + ctx.engine.kappa + ctx.n_clients.bit_length()
+    slots = (ctx.threshold.public_key.n.bit_length() - 1) // slot
+    assert slots == 5  # 48-bit slots, 256-bit test key
+    splits = len(ctx.split_identifiers([list(range(c.n_features)) for c in ctx.clients]))
+    depths = [node.depth for node in model.internal_nodes()]
+    stride = model.n_classes  # n_l and c − 1 class counts
+    per_level = sum(
+        -(-depths.count(depth) * splits * stride // slots) for depth in set(depths)
+    )
+    root = -(-(model.n_classes - 1) // slots)
+    assert decrypted == root + per_level

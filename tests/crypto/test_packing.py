@@ -12,10 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.packing import PackingError, slot_layout, whole_layout
+from repro.crypto.packing import (
+    PackingError,
+    slot_layout,
+    uniform_layout,
+    whole_layout,
+)
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.primes import random_prime
-from repro.mpc.conversion import mask_layout
+from repro.mpc.conversion import mask_layout, segment_header, segment_layout
 
 K, KAPPA = 40, 40  # PivotConfig's mpc_k / kappa defaults
 
@@ -76,6 +81,61 @@ def test_every_slot_unpacks_to_its_own_value(m, bits, values, seed):
     assert layout.unpack(plains, betas, pk) == [
         x + m * mask for x, mask in zip(xs, masks)
     ]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    m=st.integers(min_value=2, max_value=4),
+    counts=st.lists(st.integers(min_value=0, max_value=12), min_size=4, max_size=4),
+    beta=st.sampled_from([1, 6, 17, 40, 56]),
+    packed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_parties_packing_their_own_segments_add_up_to_the_batch(
+    m, counts, beta, packed, seed
+):
+    """A tree level's split statistics are packed by their holders: each
+    party Horner-packs her segment into the groups it touches, and the
+    requester adds the partial groups and the offsets.  In plaintext that
+    is exactly the batch packed in one place."""
+    pk, sk = _keypair_of_length(256)
+    rng = random.Random(seed)
+    counts = counts[:m]
+    mask_bits = beta + KAPPA
+    total = sum(counts)
+    starts = [sum(counts[:i]) for i in range(m)]
+    top = (1 << beta) - 1
+    xs = [rng.randint(-top, top) for _ in range(total)]
+    cts = [pk.encrypt(x) for x in xs]
+    header = segment_header(mask_bits, counts, packed)
+    assert header == [int(packed), mask_bits, total, *starts]
+    batch = mask_layout([mask_bits] * total, m, pk, packed)
+    # One width throughout: the arithmetic layout is the greedy one.
+    assert batch == uniform_layout(
+        mask_bits, total, 256, carry_bits=m.bit_length(), packed=packed
+    )
+    partials = []
+    for party, (start, count) in enumerate(zip(starts, counts)):
+        segment = segment_layout(header, party, count, m, pk)
+        partial = segment.horner(cts[start : start + count])
+        assert len(partial) == segment.n_groups == len(batch.touched(start, count))
+        partials.append(partial)
+    joined = batch.join(starts, partials, [beta] * total)
+    expected = batch.pack_ciphertexts(cts, [beta] * total)
+    assert len(joined) == len(expected) == batch.n_groups
+    assert [sk.raw_decrypt(c.raw) for c in joined] == [
+        sk.raw_decrypt(c.raw) for c in expected
+    ]
+    plains = [sk.raw_decrypt(c.raw) for c in joined]
+    assert batch.unpack(plains, [beta] * total, pk) == xs
+
+
+def test_a_segment_layout_sizes_nothing_from_its_start():
+    far = uniform_layout(80, 2, 512, carry_bits=2, start=10**15)
+    assert far.n_groups == 1 and [s.group for s in far.slots] == [0, 0]
+    assert uniform_layout(80, 2, 512, carry_bits=2, start=5).n_groups == 2
+    with pytest.raises(PackingError):
+        uniform_layout(0, 2, 512, start=10**15)
 
 
 def test_default_parameters_pack_six_statistics_or_twelve_rows():
