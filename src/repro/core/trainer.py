@@ -113,6 +113,7 @@ from repro.mpc.conversion import (
     magnitude_bits,
     mask_layout,
     segment_header,
+    segment_layout,
 )
 from repro.mpc.sharing import SharedValue
 from repro.network.flows import broadcast_request, collect_replies
@@ -553,24 +554,24 @@ class TreeTrainer:
         # depends on it (a reply cannot share the request's delivery
         # round).
         ctx.bus.round(2)
-        slots = mask_layout(
-            [mask_bits] * len(ordered), ctx.n_clients, ctx.threshold.public_key, packed
-        )
-        starts = layout[3:]
+        public_key = ctx.threshold.public_key
         segments = []
-        for c, start, count in zip(ctx.clients, starts, counts):
+        for c, count in zip(ctx.clients, counts):
             chunk = list(own_stats if c.index == sup else replies[c.index])
-            expected = len(slots.touched(start, count))
+            expected = segment_layout(
+                layout, c.index, count, ctx.n_clients, public_key
+            ).n_groups
             if len(chunk) != expected:
                 raise ValueError(
                     f"split statistics shape mismatch: expected {expected} "
                     f"packed ciphertexts from party {c.index}, got {len(chunk)}"
                 )
             segments.append([stat.ciphertext for stat in chunk])
+        slots = mask_layout([mask_bits] * len(ordered), ctx.n_clients, public_key, packed)
         shares = iter(
             ctx.to_shares(
                 PackedBatch(
-                    slots.join(starts, segments, magnitudes), slots, magnitudes, ordered
+                    slots.join(counts, segments, magnitudes), slots, magnitudes, ordered
                 )
             )
         )

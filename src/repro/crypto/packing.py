@@ -168,34 +168,33 @@ class SlotLayout:
             )
         ]
 
-    def touched(self, start: int, count: int) -> range:
-        """The groups that slots start, ..., start + count - 1 fall in."""
-        if count == 0:
-            return range(0)
-        return range(self.slots[start].group, self.slots[start + count - 1].group + 1)
-
     def join(
         self,
-        starts: Sequence[int],
+        counts: Sequence[int],
         segments: Sequence[Sequence[Ciphertext]],
         magnitude_bits: Sequence[int],
     ) -> list[Ciphertext]:
         """The packed ciphertexts of a batch whose values were packed by
-        several holders: segment i holds slots ``starts[i]`` up to the next
-        start (the last one to the end) as :meth:`horner` of its own
-        segment layout returns them — one partial ciphertext per group the
-        segment touches.  The partials of each group are added and the
-        offsets added once; in plaintext this is :meth:`pack_ciphertexts`
-        of the concatenated values.
+        several holders, each over a consecutive segment of ``counts[i]``
+        slots as :meth:`horner` of its own segment layout returns them —
+        one partial ciphertext per group the segment touches.  The
+        partials of each group are added and the offsets added once; in
+        plaintext this is :meth:`pack_ciphertexts` of the concatenated
+        values.
         """
-        ends = [*starts[1:], len(self.slots)]
-        if not starts or starts[0] != 0 or any(
-            end < start for start, end in zip(starts, ends)
-        ):
-            raise PackingError(f"segments {list(starts)} do not tile the layout")
+        if sum(counts) != len(self.slots) or any(count < 0 for count in counts):
+            raise PackingError(
+                f"segments of {list(counts)} values do not tile "
+                f"{len(self.slots)} slots"
+            )
         groups: list[list[Ciphertext]] = [[] for _ in range(self.n_groups)]
-        for start, end, partials in zip(starts, ends, segments):
-            touched = self.touched(start, end - start)
+        start = 0
+        for count, partials in zip(counts, segments):
+            touched = (
+                range(self.slots[start].group, self.slots[start + count - 1].group + 1)
+                if count
+                else range(0)
+            )
             if len(partials) != len(touched):
                 raise PackingError(
                     f"the segment at slot {start} touches {len(touched)} "
@@ -203,6 +202,7 @@ class SlotLayout:
                 )
             for group, partial in zip(touched, partials):
                 groups[group].append(partial)
+            start += count
         summed = []
         for partials in groups:
             first, *rest = partials
