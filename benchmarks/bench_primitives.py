@@ -31,7 +31,7 @@ from repro.crypto.threshold import generate_threshold_keypair
 from repro.data import vertical_partition
 from repro.federation import Federation
 from repro.mpc import FixedPointOps, MPCEngine, comparison
-from repro.mpc.conversion import ciphers_to_shares, segment_header, segment_layout
+from repro.mpc.conversion import ciphers_to_shares
 from repro.network.wire import WireCodec
 from repro.tree import DecisionTreeModel
 from repro.tree.model import TreeNode
@@ -582,44 +582,22 @@ def to_cipher_report(
         print(f"SMOKE OK: one to_cipher call of {count} values is 2 bus rounds")
     return {"to_cipher_batch": ratio}
 
-def _segment_groups(ctx, level_nodes: int, candidates: list[int], stride: int) -> int:
-    """Packed ciphertexts the parties send for one tree level's split
-    statistics: each party's segment (``level_nodes`` nodes × her
-    candidates × ``stride`` values, in party order) counts the groups it
-    touches at the level's width, bitlen(n) + κ mask bits."""
-    counts = [level_nodes * party_candidates * stride for party_candidates in candidates]
-    header = segment_header(
-        ctx.n_samples.bit_length() + ctx.engine.kappa, counts, packed=True
-    )
-    return sum(
-        segment_layout(
-            header, party, count, ctx.n_clients, ctx.threshold.public_key
-        ).n_groups
-        for party, count in enumerate(counts)
-    )
-
-
 def mask_count_report(smoke: bool = False) -> dict[str, int]:
     """Pool masks of one basic fit against their formula — a count, not a
     time.  At n = 60, h = 2, c = 2, m = 3:
 
-        (c − 1)·n  +  Σ_levels G  +  m·Cd  +  built·c·n
+        (c − 1)·n  +  m·Cd  +  built·c·n
 
     the root's [γ] (encrypted once; the labels ride with [α] from there),
-    the G packed ciphertexts the parties send for a level's split
-    statistics (each re-masks one per group her segment touches, at
-    bitlen(n) + κ + bitlen(m) bits a slot), every party's mask ciphertext
-    per packed conversion, and the owner's [α_l] and [γ_l] at each split
-    whose children are built.  The root's [α] is the public encryption of
-    the root weights and takes no mask."""
+    every party's mask ciphertext per packed conversion (in a level's
+    ``split-stats`` reply it also re-randomises her statistics), and the
+    owner's [α_l] and [γ_l] at each split whose children are built.  The
+    root's [α] is the public encryption of the root weights and takes no
+    mask."""
     h = 2
     with build_context(keysize=512, h=h) as ctx:
         everything = [list(range(client.n_features)) for client in ctx.clients]
-        identifiers = ctx.split_identifiers(everything)
-        candidates = [
-            sum(owner == client.index for owner, _, _ in identifiers)
-            for client in ctx.clients
-        ]
+        candidates = len(ctx.split_identifiers(everything))
         masks_before = ctx.batch.pool.generated
         cd_before = ctx.conversions.threshold_decryptions
         model = TreeTrainer(ctx).fit()
@@ -627,23 +605,18 @@ def mask_count_report(smoke: bool = False) -> dict[str, int]:
         cd = ctx.conversions.threshold_decryptions - cd_before
         n, m, c = ctx.n_samples, ctx.n_clients, model.n_classes
         internal = model.internal_nodes()
-        depths = [node.depth for node in internal]
-        stats = sum(
-            _segment_groups(ctx, depths.count(depth), candidates, c)
-            for depth in set(depths)
-        )
     built = sum(node.depth + 1 < h for node in internal)
-    expected = (c - 1) * n + stats + m * cd + built * c * n
+    expected = (c - 1) * n + m * cd + built * c * n
     print(
         f"basic fit, n={n} h={h} c={c} m={m}: {masks} pool masks "
-        f"(formula {expected}: t={len(internal)}, S={sum(candidates)}, "
-        f"G={stats}, Cd={cd}, built={built})"
+        f"(formula {expected}: t={len(internal)}, S={candidates}, "
+        f"Cd={cd}, built={built})"
     )
     if smoke:
         assert masks == expected, (
             f"a basic fit took {masks} pool masks; the formula gives {expected}"
         )
-        print("SMOKE OK: pool masks per basic fit == (c-1)n + ΣG + m·Cd + built·cn")
+        print("SMOKE OK: pool masks per basic fit == (c-1)n + m·Cd + built·cn")
     return {"masks": masks, "expected": expected}
 
 

@@ -79,10 +79,10 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     labels from inherited statistics — in a full tree t' = (t − 1) / 2.
 
     The *measured* Ce of one internal node is n·c·S (the dot products of
-    Eq. 7, left child only) plus the packing folds, one pool mask per
-    packed ciphertext each party sends (she packs her own statistics into
-    the groups of her segment of the level before they leave her), and
-    m·⌈S·c / slots⌉ conversion-mask encryptions.  The root's [α] takes no pool mask under either
+    Eq. 7, left child only) plus the packing folds and m·⌈S·c / slots⌉
+    conversion-mask encryptions (each party packs her own statistics into
+    her mask encryptions of the level's groups before they leave her).
+    The root's [α] takes no pool mask under either
     protocol: it is the deterministic encryption of the public root
     weights, n Ce at each of the m parties.  The label vectors depend on
     the protocol.  Under the basic one they ride with [α] (§7.2's
@@ -95,11 +95,7 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     node.  A basic-protocol leaf costs no Ce at all.  Of those Ce, a basic
     fit's *pool masks* — the expensive ones — number
 
-        (c − 1)·n  +  Σ_ℓ G_ℓ  +  m·Cd  +  t'·c·n
-
-    with G_ℓ the packed ciphertexts the parties' segments of level ℓ
-    touch (about ⌈t_ℓ·S·c / slots⌉ plus one per segment boundary inside a
-    ciphertext)
+        (c − 1)·n  +  m·Cd  +  t'·c·n
 
     (``bench_primitives.py --smoke`` holds a fit at n = 60, h = 2 to it).
 

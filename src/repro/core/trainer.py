@@ -10,16 +10,18 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    encrypts them once; otherwise she publishes the level's re-randomised
    β ∘ [α] in one ``node-gammas`` request (see :mod:`repro.core.labels`).
    One ``split-stats`` request names every open node of the level and
-   the level's public layout; every client answers with one flat
-   broadcast of encrypted *left-child* split statistics for her local
+   the level's public layout; every client answers the super client
+   alone with encrypted *left-child* split statistics for her local
    splits of every node (homomorphic dot products, Eq. 7 / Eq. 9),
-   slot-packed by her into the groups of her segment and re-masked
-   before they leave her.  The root's [α] is public: the deterministic
-   encryption of the root weights, which every party forms herself.
-2. **MPC computation** — the level's packed statistics are converted to
-   secret shares in one Algorithm 2 call; the last class and the
-   right child are completed by local share subtraction; impurity gains of
-   every node are evaluated in one :func:`~repro.core.gain.secure_split_gains`
+   slot-packed by her into the groups of her segment, with her Algorithm
+   2 masks (lines 1-3) already in them: her mask encryption of every
+   group of the level, and her ``(−r mod q)`` shares beside.  The root's
+   [α] is public: the deterministic encryption of the root weights, which
+   every party forms herself.
+2. **MPC computation** — the level's masked statistics are decrypted and
+   turned into secret shares by the rest of one Algorithm 2; the last
+   class and the right child are completed by local share subtraction;
+   impurity gains of every node are evaluated in one :func:`~repro.core.gain.secure_split_gains`
    call (Eq. 5/6/8); the best split of every node is found with one secure
    maximum over the level's gain rows (one per distinct row width when
    ``remove_used_feature`` leaves nodes different candidate counts),
@@ -50,16 +52,17 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
 
 **Costs per level.**  Each flow is paid once per level, whatever the
 number of nodes: bus rounds are ``node-state`` 1 + conversion 3 for the
-root, then per level ``split-stats`` 2 + conversion 3 + ``split-apply`` 1
-under the basic protocol (4 + 6h for a full tree of depth h), and under
-the enhanced one ``node-gammas`` 1 + ``split-stats`` 2 + conversion 3, plus
-reverse conversion 2 + [v] 1 + Eq. 10 5 + ``node-state`` 1 at a level
-whose children are built.  A level whose nodes all become leaves at the
-pruning checks sends nothing.  The MPC rounds of a level are those of one
-node.  The level's statistics travel and decrypt at their declared width
-(:meth:`TreeTrainer._stat_bound`): each party sends one ciphertext per
-packed group her segment of the level touches, and Algorithm 2 decrypts
-one per group.
+root, then per level ``split-stats`` 1 (the request and its replies,
+which carry the masks) + decryption 2 + ``split-apply`` 1 under the basic
+protocol (4 + 4h for a full tree of depth h), and under the enhanced one
+``node-gammas`` 1 + ``split-stats`` 1 + decryption 2, plus reverse
+conversion 2 + [v] 1 + Eq. 10 5 + ``node-state`` 1 at a level whose
+children are built (4 + 4h + 9(h − 1)).  A level whose nodes all become
+leaves at the pruning checks sends nothing.  The MPC rounds of a level are
+those of one node.  The level's statistics travel and decrypt at their
+declared width (:meth:`TreeTrainer._stat_bound`): each non-super party
+sends the super client one ciphertext per packed group of the level and
+one share per value, and Algorithm 2 decrypts one ciphertext per group.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own label totals [Σγ_k]; its count Σα is the
@@ -96,8 +99,10 @@ its Laplace noise in one call.
 
 from __future__ import annotations
 
+import operator
 import secrets
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -113,7 +118,6 @@ from repro.mpc.conversion import (
     magnitude_bits,
     mask_layout,
     segment_header,
-    segment_layout,
 )
 from repro.mpc.sharing import SharedValue
 from repro.network.flows import broadcast_request, collect_replies
@@ -482,9 +486,9 @@ class TreeTrainer:
         gammas: list[list[list[EncryptedNumber]]],
     ) -> list[SharedValue]:
         """Each client's local homomorphic dot products (Eq. 7 / Eq. 9) for
-        every node of the level, as one reactive request/response flow,
-        converted to shares in one Algorithm 2 call; the shares come back
-        in global identifier order (clients ascending, the
+        every node of the level, masked and converted to shares by one
+        Algorithm 2 whose lines 1-3 ride the statistics' reply; the shares
+        come back in global identifier order (clients ascending, the
         :meth:`~repro.federation.federation.Federation.split_identifiers`
         order), node after node.
 
@@ -492,15 +496,14 @@ class TreeTrainer:
         nodes and their available-feature lists, headed by the level's
         public layout: the parties' statistics in party order, each party
         a segment starting at a public slot, every value masked at one
-        width (:func:`~repro.mpc.conversion.segment_header`).  Every other
-        party reacts by computing *her* statistics for every node on her
-        own event loop — over her own columns, from her own copy of the
-        node states — and broadcasting them slot-packed into her
-        segment's groups (:meth:`PartyRuntime.split_statistics`).  The
-        super client does the same through her own runtime, adds the
-        parties' partial groups and the sign offsets
-        (:meth:`~repro.crypto.packing.SlotLayout.join`) and runs the rest
-        of Algorithm 2 on the packed batch.
+        width, the widest any value needs
+        (:func:`~repro.mpc.conversion.segment_header`).  Every other
+        party reacts on her own event loop, over her own columns and node
+        states, and sends the super client alone her masked groups and
+        ``(−r mod q)`` shares (:meth:`PartyRuntime.split_statistics`); the
+        super client computes hers through her own runtime.  The m
+        replies' product plus the offsets goes to Algorithm 2's
+        decryption with the shares beside it.
 
         The malicious-model extension overrides this to attach and verify
         POHDP proofs (§9.1.2) on every statistic before packing.
@@ -525,55 +528,51 @@ class TreeTrainer:
             for c in ctx.clients
         }
         ordered = [exponent for c in ctx.clients for exponent in exponents[c.index]]
-        packed = self._stat_bound_bits is not None
-        magnitudes = magnitude_bits(ordered, self.fx, self._stat_bound_bits)
-        if packed:
-            # One width throughout, the widest (they all agree in practice).
-            magnitudes = [max(magnitudes)] * len(magnitudes)
-        mask_bits = max(magnitudes) + self.engine.kappa
-        counts = [len(exponents[c.index]) for c in ctx.clients]
-        layout = segment_header(mask_bits, counts, packed)
+        # Every party masks at the header's one width: the widest value's.
+        beta = max(magnitude_bits(ordered, self.fx, self._stat_bound_bits))
+        magnitudes = [beta] * len(ordered)
+        mask_bits, packed = beta + self.engine.kappa, self._stat_bound_bits is not None
+        header = segment_header(
+            mask_bits, [len(exponents[c.index]) for c in ctx.clients], packed
+        )
+        level = mask_layout(
+            [mask_bits] * len(ordered), ctx.n_clients, ctx.threshold.public_key, packed
+        )
         broadcast_request(
             ctx.bus,
             sup,
             "split-stats",
-            [layout, *(item for node in nodes for item in (node.key, node.available))],
+            [header, *(item for node in nodes for item in (node.key, node.available))],
             tag="split-stats",
             runtimes=ctx.runtimes,
         )
-        own_stats = ctx.runtimes[sup].split_statistics(
+        own = ctx.runtimes[sup].split_statistics(
             [node.key for node in nodes],
             [list(node.available[sup]) for node in nodes],
-            layout,
+            header,
         )
-        ctx.bus.broadcast_payload(sup, own_stats, tag="split-stats")
-        others = [c.index for c in ctx.clients if c.index != sup]
-        replies = collect_replies(ctx.bus, sup, others)
-        # Two synchronisation rounds, same shape as the threshold-decrypt
-        # flow: the request broadcast, then the reply wave that causally
-        # depends on it (a reply cannot share the request's delivery
-        # round).
-        ctx.bus.round(2)
-        public_key = ctx.threshold.public_key
-        segments = []
-        for c, count in zip(ctx.clients, counts):
-            chunk = list(own_stats if c.index == sup else replies[c.index])
-            expected = segment_layout(
-                layout, c.index, count, ctx.n_clients, public_key
-            ).n_groups
-            if len(chunk) != expected:
+        replies = collect_replies(
+            ctx.bus, sup, [c.index for c in ctx.clients if c.index != sup]
+        )
+        ctx.bus.round()
+        replies[sup] = own
+        masked, negated = [], []
+        for c in ctx.clients:
+            party_groups, party_shares = replies[c.index]
+            shape = (len(party_groups), len(party_shares.values))
+            if shape != (level.n_groups, len(ordered)):
                 raise ValueError(
-                    f"split statistics shape mismatch: expected {expected} "
-                    f"packed ciphertexts from party {c.index}, got {len(chunk)}"
+                    f"split statistics shape mismatch: expected {level.n_groups} "
+                    f"packed ciphertexts and {len(ordered)} shares from party "
+                    f"{c.index}, got {shape[0]} and {shape[1]}"
                 )
-            segments.append([stat.ciphertext for stat in chunk])
-        slots = mask_layout([mask_bits] * len(ordered), ctx.n_clients, public_key, packed)
+            masked.append(party_groups)
+            negated.append([int(v) for v in party_shares.values])
+        groups = [reduce(operator.add, column) for column in zip(*masked)]
+        if level.packed:
+            groups = [g + offset for g, offset in zip(groups, level.offsets(magnitudes))]
         shares = iter(
-            ctx.to_shares(
-                PackedBatch(
-                    slots.join(counts, segments, magnitudes), slots, magnitudes, ordered
-                )
-            )
+            ctx.to_shares(PackedBatch(groups, level, magnitudes, ordered, negated))
         )
         # Deal each party's shares out in global identifier order.
         unread = {

@@ -32,7 +32,8 @@ single place where the reproduction batches them:
   one operator whose output may leave a party as it is.  The callers that
   publish: the label provider encrypts the root's riding [γ] afresh and
   re-masks every per-node [γ] element (:mod:`repro.core.labels`), each
-  party re-masks her split statistics
+  party multiplies her packed split statistics into her fresh Algorithm 2
+  mask encryptions
   (:meth:`~repro.federation.party.PartyRuntime.split_statistics`), the
   model update masks [α_l] and [γ_l] through ``mask_vector``, and so
   does every hop of Algorithm 4's round-robin after u_m's fresh encryption

@@ -24,10 +24,10 @@ of them.
   encrypted once per packed ciphertext.
 * A batch whose values have several holders is packed by each holder
   over her own consecutive segment: :func:`uniform_layout` gives a
-  segment's slots (one width throughout), :meth:`SlotLayout.horner` packs
-  them into *partial* groups, and :meth:`SlotLayout.join` adds the
-  holders' partials and the offsets — in plaintext exactly
-  :meth:`SlotLayout.pack_ciphertexts` of the concatenated values.
+  segment's slots (one width throughout) and :meth:`SlotLayout.horner`
+  packs them into *partial* groups.  The holders' partials of each group
+  multiplied together, plus :meth:`SlotLayout.offsets`, are in plaintext
+  exactly :meth:`SlotLayout.pack_ciphertexts` of the concatenated values.
 * A signed value cannot live in a slot in Z_n's upper-half convention, so
   the packer adds the public offset ``2^{β_j}`` to slot j, where
   ``|x_j| < 2^{β_j}`` is the magnitude bound the caller *declares*; the
@@ -167,51 +167,6 @@ class SlotLayout:
                 self.horner(ciphertexts), self.offsets(magnitude_bits)
             )
         ]
-
-    def join(
-        self,
-        counts: Sequence[int],
-        segments: Sequence[Sequence[Ciphertext]],
-        magnitude_bits: Sequence[int],
-    ) -> list[Ciphertext]:
-        """The packed ciphertexts of a batch whose values were packed by
-        several holders, each over a consecutive segment of ``counts[i]``
-        slots as :meth:`horner` of its own segment layout returns them —
-        one partial ciphertext per group the segment touches.  The
-        partials of each group are added and the offsets added once; in
-        plaintext this is :meth:`pack_ciphertexts` of the concatenated
-        values.
-        """
-        if sum(counts) != len(self.slots) or any(count < 0 for count in counts):
-            raise PackingError(
-                f"segments of {list(counts)} values do not tile "
-                f"{len(self.slots)} slots"
-            )
-        groups: list[list[Ciphertext]] = [[] for _ in range(self.n_groups)]
-        start = 0
-        for count, partials in zip(counts, segments):
-            touched = (
-                range(self.slots[start].group, self.slots[start + count - 1].group + 1)
-                if count
-                else range(0)
-            )
-            if len(partials) != len(touched):
-                raise PackingError(
-                    f"the segment at slot {start} touches {len(touched)} "
-                    f"groups, got {len(partials)} ciphertexts"
-                )
-            for group, partial in zip(touched, partials):
-                groups[group].append(partial)
-            start += count
-        summed = []
-        for partials in groups:
-            first, *rest = partials
-            for partial in rest:
-                first = first + partial
-            summed.append(first)
-        if not self.packed:
-            return summed
-        return [acc + offset for acc, offset in zip(summed, self.offsets(magnitude_bits))]
 
     def unpack(
         self,

@@ -233,9 +233,10 @@ class PartyRuntime:
     """A party's full reactive event loop: every protocol flow she takes
     part in is a reaction to a message on her own endpoint.
 
-    The super client *requests* — candidate-split statistics, split
-    application, MPC mask contributions, logistic batch sums and weight
-    updates, threshold-decryption shares — and each party *reacts* with
+    The super client *requests* — candidate-split statistics (with their
+    Algorithm 2 masks), split application, MPC mask contributions,
+    logistic batch sums and weight updates, threshold-decryption shares —
+    and each party *reacts* with
     her own local computation over her own columns and key material.  The
     orchestrator is not the protocol's scheduler; it is one party (the
     super client) driving her side of request/response flows that the
@@ -262,7 +263,8 @@ class PartyRuntime:
     entries concatenated, each of a fixed width (:func:`level_entries`),
     so a level of one node sends exactly a one-node message: a
     ``split-stats`` request names every open node of the level
-    (``key, available``) and her reply is one flat vector over all of them
+    (``key, available``) and her reply to the super client alone is one
+    masked group vector over all of them and her shares of the masks
     (:meth:`split_statistics`); a ``split-apply`` request lists every node
     of the level she owns the split of (``key, feature, split, ride,
     build``), and her ``node-split`` reply lists them all (``key,
@@ -405,11 +407,11 @@ class PartyRuntime:
     # -- local computations (also called directly by the super client) -----
 
     def split_statistics(
-        self, node_keys: list[int], features: list[list[int]], layout: list[int]
+        self, node_keys: list[int], features: list[list[int]], header: list[int]
     ) -> list:
         """Encrypted split statistics (Eq. 7 / 9) for this party's available
-        features on every node of a tree level, slot-packed by her before
-        they leave her: ``features[i]`` are her features left at
+        features on every node of a tree level, with her Algorithm 2 masks
+        in them (lines 1-3): ``features[i]`` are her features left at
         ``node_keys[i]``.
 
         Value order, node after node and per (feature asc, split asc)
@@ -420,25 +422,19 @@ class PartyRuntime:
         derives them on shares (:mod:`repro.core.gain`), so they are never
         computed, sent or decrypted.
 
-        ``layout`` is the level's public header
+        ``header`` is the level's public layout
         (:func:`~repro.mpc.conversion.segment_header`: ``[packed,
-        mask_bits, total, first slot of each party]``): the level's values
-        are the parties' segments in party order, every value masked with
-        ``mask_bits`` bits.  She packs her own values into the groups her
-        segment touches (:func:`~repro.mpc.conversion.segment_layout`,
-        Horner's rule, no offsets) and returns one ciphertext per such
-        group — one per value when ``packed`` is 0, the undeclared-bound
-        case.  The requester adds the parties' partial groups and the
-        offsets (:meth:`~repro.crypto.packing.SlotLayout.join`).  A
-        header her values overrun, or a width that is not positive or
-        does not fit the plaintext space, raises before any ciphertext is
-        computed, sampled or encrypted.
-
-        A dot product against a 0/1 indicator is the product of the chosen
-        [α_j] — a deterministic function of ciphertexts every receiver
-        holds, so a guessed indicator could be confirmed exactly.  Each
-        packed ciphertext is therefore multiplied by one pool mask before
-        it is returned (and broadcast).
+        mask_bits, total, first slot of each party]``): the parties'
+        segments in party order, every value masked with ``mask_bits``
+        bits.  She returns ``[groups, ShareVector]``: her packed mask
+        encryption of every group of the level, multiplied in the groups
+        her segment touches by her values packed by Horner's rule
+        (:meth:`~repro.mpc.conversion.Segment.reply`), and her
+        ``(−r mod q)`` per value.  A header her values overrun, a bad
+        width or a total whose reply would not fit one frame raises before
+        anything is computed, sampled or encrypted.  The fresh mask
+        encryption also re-randomises the dot products, a deterministic
+        function of ciphertexts every party holds.
         """
         tasks: list[tuple[list[int], list]] = []
         for key, node_features in zip(node_keys, features):
@@ -452,19 +448,17 @@ class PartyRuntime:
                 for split in range(self.client.n_splits(feature)):
                     v_left = list(self.client.indicator(feature, split))
                     tasks.extend((v_left, vector) for vector in (alpha, *gammas))
-        slots = segment_layout(
-            layout,
-            self.index,
-            len(tasks),
-            self.endpoint.bus.n_parties,
-            self.engine.public_key,
+        q = self._field_q()
+        segment = segment_layout(
+            header, self.index, len(tasks), self.endpoint.bus.n_parties,
+            self.engine.public_key, q,
         )
-        stats = self.engine.batch_dot_products(tasks)
-        groups = slots.horner([stat.ciphertext for stat in stats])
-        wrap = self.engine.encoder.wrap
-        return self.engine.mask_vector(
-            [wrap(group) for group in groups], [1] * len(groups)
+        masks = [secrets.randbits(header[1]) for _ in segment.level.slots]
+        groups = segment.reply(
+            [stat.ciphertext for stat in self.engine.batch_dot_products(tasks)],
+            self.engine.encrypt_ciphertexts(segment.level.pack_plaintexts(masks)),
         )
+        return [groups, ShareVector(tuple((-r) % q for r in masks))]
 
     def apply_split(self, entries: list[list]) -> list[list]:
         """Model update at the split owner (§4.1) for her nodes of a tree
@@ -529,14 +523,14 @@ class PartyRuntime:
             node[1] = [list(g) for g in gammas]
 
     def _op_split_stats(self, sender: int, body: list) -> None:
-        layout, *body = body
+        header, *body = body
         entries = level_entries(body, 2)
-        stats = self.split_statistics(
+        reply = self.split_statistics(
             [key for key, _ in entries],
             [list(available[self.index]) for _, available in entries],
-            list(layout),
+            list(header),
         )
-        self.endpoint.broadcast(stats, tag="split-stats")
+        self.endpoint.send(sender, reply, tag="split-stats")
 
     def _op_split_apply(self, sender: int, body: list) -> None:
         self.apply_split(level_entries(body, 5))
@@ -559,22 +553,26 @@ class PartyRuntime:
         The widths come off the wire: the layout rejects a non-positive
         or over-capacity one before ``randbits`` sizes anything from it.
         """
-        if self.field_q is None:
-            raise RuntimeError(
-                f"party {self.index}: runtime has no MPC field modulus"
-            )
+        q = self._field_q()
         layout = mask_layout(
             body, self.endpoint.bus.n_parties, self.engine.public_key, packed
         )
         masks = [secrets.randbits(bits) for bits in body]
         mask_cts = self.engine.encrypt_ciphertexts(layout.pack_plaintexts(masks))
-        negated = ShareVector(tuple((-r) % self.field_q for r in masks))
+        negated = ShareVector(tuple((-r) % q for r in masks))
         self.endpoint.send(sender, [mask_cts, negated], tag="mpc-convert")
 
     def _op_convert_masks_packed(self, sender: int, body: list) -> None:
         """``convert-masks`` for values of declared bound: the masks share
         slots, one mask ciphertext per *packed* ciphertext."""
         self._op_convert_masks(sender, body, packed=True)
+
+    def _field_q(self) -> int:
+        if self.field_q is None:
+            raise RuntimeError(
+                f"party {self.index}: runtime has no MPC field modulus"
+            )
+        return self.field_q
 
     def _op_lr_batch_sums(self, sender: int, body: list) -> None:
         rows, weights = body

@@ -64,16 +64,20 @@ Into it go the value shifted non-negative by the public offset
 so no carry ever crosses into the next slot, the slot's content minus the
 offset is exactly the ``e_j = x_j + Σ_i r_ij`` every party sees in the
 value-at-a-time protocol, and the mask hides ``x_j`` with the same κ bits
-of statistical slack.  The values are packed homomorphically — by client
-1 (:func:`pack_values`), or, for a tree level's split statistics, by each
-party into her own segment's groups before they leave her, client 1
-adding the partial groups and the offsets (:func:`segment_header`) —
-every party packs her own masks into **one** mask encryption per packed
-ciphertext, and one decryption yields all of a ciphertext's ``e_j``
-(⌊511 / width⌋ per 512-bit ciphertext: 10 class counts of a tree over
-up to 63 samples at κ = 40 and m = 3, 6 values declared at ``fixed.k``).
-The layout is computed by :func:`mask_layout` from the mask widths, m
-and |n| on both sides.
+of statistical slack.  The values are packed homomorphically by client
+1 (:func:`pack_values`); every party packs her own masks into **one**
+mask encryption per packed ciphertext, and one decryption yields all of a
+ciphertext's ``e_j`` (⌊511 / width⌋ per 512-bit ciphertext: 10 class
+counts of a tree over up to 63 samples at κ = 40 and m = 3, 6 values
+declared at ``fixed.k``).  The layout is computed by :func:`mask_layout`
+from the mask widths, m and |n| on both sides.
+
+*A tree level's split statistics* have m holders and one width, so lines
+1-3 ride their ``split-stats`` reply: each party's mask encryption of
+every group of the level with her Horner-packed segment multiplied in
+(:class:`Segment`), and her ``(−r mod q)`` per value.  The m replies'
+product plus the offsets is a :class:`PackedBatch` carrying its
+``negated`` shares, for which :func:`ciphers_to_shares` runs no mask step.
 
 *Declare or don't pack.*  The inequality needs a true bound, and only
 the caller knows one.  The trainers' class counts over plaintext labels
@@ -116,9 +120,11 @@ from repro.network.flows import (
     collect_replies,
     record_threshold_decrypt,
 )
+from repro.network.transport import MAX_FRAME
 
 __all__ = [
     "PackedBatch",
+    "Segment",
     "ciphers_to_shares",
     "magnitude_bits",
     "pack_values",
@@ -182,14 +188,32 @@ def segment_header(mask_bits: int, counts: Sequence[int], packed: bool) -> list[
     """The public layout of a batch masked with ``mask_bits`` bits
     throughout, held in consecutive segments of ``counts[i]`` values,
     party i's the i-th: ``[packed, mask_bits, total, first slot of each
-    party]``.  A ``split-stats`` request carries it: every party packs
-    her own statistics into the groups of her segment
-    (:meth:`~repro.federation.party.PartyRuntime.split_statistics`,
-    :func:`segment_layout`) and the requester joins the partial groups
-    (:meth:`~repro.crypto.packing.SlotLayout.join`) over
-    ``mask_layout([mask_bits] * total, ...)``."""
+    party]``.  A ``split-stats`` request carries it: every party derives
+    her :func:`segment_layout` of the level from it."""
     starts = [sum(counts[:i]) for i in range(len(counts))]
     return [int(packed), mask_bits, sum(counts), *starts]
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One party's part of a tree level's batch: the ``level`` layout, her
+    own ``slots`` of it (groups numbered from the first one they touch)
+    and the level group ``first`` that is."""
+
+    level: SlotLayout
+    slots: SlotLayout
+    first: int
+
+    def reply(
+        self, ciphertexts: Sequence[Ciphertext], mask_groups: Sequence[Ciphertext]
+    ) -> list[Ciphertext]:
+        """Her mask encryption of every level group, multiplied in the
+        groups her segment touches by her ``ciphertexts`` packed by
+        Horner's rule (no offsets)."""
+        groups = list(mask_groups)
+        for at, partial in enumerate(self.slots.horner(ciphertexts), self.first):
+            groups[at] = groups[at] + partial
+        return groups
 
 
 def segment_layout(
@@ -198,17 +222,19 @@ def segment_layout(
     count: int,
     n_parties: int,
     public_key: PaillierPublicKey,
-) -> SlotLayout:
+    field_q: int,
+) -> Segment:
     """Party ``party``'s ``count`` slots of the batch a
-    :func:`segment_header` describes, groups numbered from the first one
-    they touch.
+    :func:`segment_header` describes, in the level's layout
+    ``mask_layout([mask_bits] * total, ...)``.
 
     The header arrives from a peer, so it is checked before anything is
     sized from it: a flag other than 0 / 1, a start per party missing, a
-    segment that does not fit the total, or a width that is not positive
-    or does not fit the plaintext space raises
-    :class:`~repro.crypto.packing.PackingError`; a start far into the
-    batch sizes nothing (:func:`~repro.crypto.packing.uniform_layout`).
+    segment that does not fit the total, a width that is not positive or
+    does not fit the plaintext space, or a total whose reply (a ciphertext
+    per group, a share per value) would not fit one
+    :data:`~repro.network.transport.MAX_FRAME` frame raises
+    :class:`~repro.crypto.packing.PackingError`.
     """
     packed, mask_bits, total, *starts = header
     if (
@@ -221,14 +247,21 @@ def segment_layout(
             f"layout {list(header)} has no segment of {count} values for "
             f"party {party}"
         )
-    return uniform_layout(
-        mask_bits,
-        count,
-        public_key.n.bit_length(),
-        carry_bits=n_parties.bit_length(),
-        packed=bool(packed),
-        start=starts[party],
+    n_bits, carry = public_key.n.bit_length(), n_parties.bit_length()
+    slots = uniform_layout(
+        mask_bits, count, n_bits, carry, bool(packed), start=starts[party]
     )
+    # Slots of one width: a slot's group is arithmetic.
+    per_group = (n_bits - 1) // (mask_bits + carry) if packed else 1
+    groups = -(-total // per_group)
+    reply = groups * 2 * ((n_bits + 7) // 8) + total * ((field_q.bit_length() + 7) // 8)
+    if reply > MAX_FRAME:
+        raise PackingError(
+            f"layout {list(header[:3])}: a reply of {groups} ciphertexts and "
+            f"{total} shares ({reply} bytes) exceeds one {MAX_FRAME}-byte frame"
+        )
+    level = uniform_layout(mask_bits, total, n_bits, carry, bool(packed))
+    return Segment(level, slots, starts[party] // per_group)
 
 
 def magnitude_bits(
@@ -249,12 +282,15 @@ def magnitude_bits(
 @dataclass(frozen=True)
 class PackedBatch:
     """Values already packed: ``layout``'s ciphertexts with the sign
-    offsets added, and each value's β and exponent in slot order."""
+    offsets added, and each value's β and exponent in slot order; once
+    the groups carry all m parties' masks, ``negated`` holds each party's
+    ``(−r_ij mod q)`` per value, in party order."""
 
     groups: list[Ciphertext]
     layout: SlotLayout
     magnitudes: list[int]
     exponents: list[int]
+    negated: list[list[int]] | None = None
 
 
 def pack_values(
@@ -292,24 +328,25 @@ def ciphers_to_shares(
 ) -> list[SharedValue]:
     """Batch Algorithm 2 (the m decryption rounds are batched in practice).
 
-    A pack step, then one core.  Ciphertexts are packed by
+    A pack step, a mask step, then one core.  Ciphertexts are packed by
     :func:`pack_values` (``bound_bits`` declares ``|x| < 2**bound_bits``
     as :func:`magnitude_bits` reads it); a :class:`PackedBatch` arrives
-    packed already — a tree level's split statistics, which every party
-    packs into her segment's groups before they leave her.  Declared
-    values share slots: several statistics, and each party's masks for
-    them, share one ciphertext, one mask encryption per party and one
-    threshold decryption (see the module docstring).  Without a
-    declaration every value keeps a ciphertext of its own and masks of
-    ``fixed.k`` + exponent-slack + κ bits.  Either way each party sees
-    exactly the per-value masked plaintexts e_j of the value-at-a-time
-    loop.  A value at an exponent e above -F is converted at that
-    exponent and its shares multiplied by the public 2^(F+e); one below
-    is truncated after conversion.
+    packed already.  Declared values share slots: several values, and
+    each party's masks for them, share one ciphertext, one mask
+    encryption per party and one threshold decryption (see the module
+    docstring).  Without a declaration every value keeps a ciphertext of
+    its own and masks of ``fixed.k`` + exponent-slack + κ bits.  Either
+    way each party sees exactly the per-value masked plaintexts e_j of the
+    value-at-a-time loop.  A value at an exponent e above -F is converted
+    at that exponent and its shares multiplied by the public 2^(F+e); one
+    below is truncated after conversion.
 
-    All groups are masked first, then go through one batched threshold
-    decryption; a :class:`~repro.crypto.batch.BatchCryptoEngine` may be
-    supplied so the mask encryptions draw from its obfuscator pool.
+    The mask step runs for a batch whose ``negated`` is ``None`` (a tree
+    level's split statistics arrive masked, from their ``split-stats``
+    replies): every party's masks are added to the groups before one
+    batched threshold decryption; a
+    :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so
+    client 1's mask encryptions draw from its obfuscator pool.
 
     With a ``bus`` and ``runtimes`` (the per-party
     :class:`~repro.federation.party.PartyRuntime` list) both phases are
@@ -330,7 +367,8 @@ def ciphers_to_shares(
     m parties' masks are sampled here and the share vectors come straight
     from the bundle's key shares; the op counts are the same.  Either way
     the masked plaintexts are reconstructed from the m share vectors by
-    :func:`~repro.crypto.threshold.combine_partial_vectors`.
+    :func:`~repro.crypto.threshold.combine_partial_vectors`; client 1's
+    share of value j is ``e_j + neg_1j``, every other party's ``neg_ij``.
 
     The MPC engine accounts the mask broadcast and combine as one round
     per call, m field elements per value.
@@ -350,52 +388,54 @@ def ciphers_to_shares(
     engine = fixed.engine
     q = engine.field.q
     layout, magnitudes = batch.layout, batch.magnitudes
-    bits_list = [beta + engine.kappa for beta in magnitudes]
+    masked_cts, negated = batch.groups, batch.negated
+    if negated is None:
+        bits_list = [beta + engine.kappa for beta in magnitudes]
 
-    def encrypt_masks(masks: list[int]) -> list:
-        plaintexts = layout.pack_plaintexts(masks)
-        if batch_engine is not None:
-            return batch_engine.encrypt_ciphertexts(plaintexts)
-        return [pk.encrypt(r) for r in plaintexts]
+        def encrypt_masks(masks: list[int]) -> list:
+            plaintexts = layout.pack_plaintexts(masks)
+            if batch_engine is not None:
+                return batch_engine.encrypt_ciphertexts(plaintexts)
+            return [pk.encrypt(r) for r in plaintexts]
 
-    # Algorithm 2 lines 1-3: every client picks a mask per value, encrypts
-    # them (one ciphertext per packed group) and sends them to client 1.
-    own_masks = [secrets.randbits(bits) for bits in bits_list]
-    if bus is not None:
-        # Client 1 requests mask contributions; every other party reacts
-        # with [her mask ciphertexts, her (-r mod q) share vector].
-        broadcast_request(
-            bus,
-            0,
-            "convert-masks-packed" if layout.packed else "convert-masks",
-            bits_list,
-            tag="mpc-convert",
-            runtimes=runtimes,
-        )
-        mask_cts = [encrypt_masks(own_masks)]
-        replies = collect_replies(bus, 0, range(1, m))
-        neg_shares = []
-        for party in range(1, m):
-            party_cts, party_shares = replies[party]
-            mask_cts.append(party_cts)
-            neg_shares.append([int(v) for v in party_shares.values])
-        bus.round()
-    else:
-        peer_masks = [
-            [secrets.randbits(bits) for bits in bits_list] for _ in range(1, m)
-        ]
-        mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
-        neg_shares = [[(-r) % q for r in masks] for masks in peer_masks]
-    masked_cts = batch.groups
-    for party_cts in mask_cts:
-        if len(party_cts) != layout.n_groups:
-            raise ValueError(
-                f"expected {layout.n_groups} mask ciphertexts per party, "
-                f"got {len(party_cts)}"
+        # Algorithm 2 lines 1-3: every client picks a mask per value,
+        # encrypts them (one ciphertext per packed group) and sends them
+        # to client 1.
+        own_masks = [secrets.randbits(bits) for bits in bits_list]
+        negated = [[(-r) % q for r in own_masks]]
+        if bus is not None:
+            # Client 1 requests mask contributions; every other party
+            # reacts with [her mask ciphertexts, her (-r mod q) shares].
+            broadcast_request(
+                bus,
+                0,
+                "convert-masks-packed" if layout.packed else "convert-masks",
+                bits_list,
+                tag="mpc-convert",
+                runtimes=runtimes,
             )
-        masked_cts = [
-            masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
-        ]
+            mask_cts = [encrypt_masks(own_masks)]
+            replies = collect_replies(bus, 0, range(1, m))
+            for party in range(1, m):
+                party_cts, party_shares = replies[party]
+                mask_cts.append(party_cts)
+                negated.append([int(v) for v in party_shares.values])
+            bus.round()
+        else:
+            peer_masks = [
+                [secrets.randbits(bits) for bits in bits_list] for _ in range(1, m)
+            ]
+            mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
+            negated += [[(-r) % q for r in masks] for masks in peer_masks]
+        for party_cts in mask_cts:
+            if len(party_cts) != layout.n_groups:
+                raise ValueError(
+                    f"expected {layout.n_groups} mask ciphertexts per party, "
+                    f"got {len(party_cts)}"
+                )
+            masked_cts = [
+                masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
+            ]
     # Joint decryption of the masked (packed) values (line 5), unsigned:
     # every party's c^{d_i} vector, combined.  The layout restores each
     # value's sign.
@@ -417,8 +457,9 @@ def ciphers_to_shares(
         # Client 1 sets e - r_1, the others -r_i (lines 6-8), each times
         # the public 2^(F+e) that brings a coarser value to the MPC scale.
         scale = 1 << max(0, fixed.f + exponent)
-        own_share = (masked_plain - own_masks[j]) * scale
-        others = [shares[j] * scale for shares in neg_shares]
+        first, *others = (shares[j] for shares in negated)
+        own_share = (masked_plain + first) * scale
+        others = [v * scale for v in others]
         if engine.authenticated:
             shared = engine._make_shared((own_share + sum(others)) % q)
         else:

@@ -293,9 +293,10 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
 
     Every ciphertext she receives as a published vector — a riding or
     ``node-gammas`` [γ], a ``node-split``'s [α_l], a split statistic — is
-    checked: not the unit (c mod n² == 1, no mask at all) and not
-    raw-equal to anything she already holds (sent, received or derived:
-    [α_r] = [α] ⊖ [α_l] and [γ_r] likewise).  The root's ``node-state``
+    checked: not the unit (c mod n² == 1, no mask at all), not repeated
+    within its message and not raw-equal to anything she already holds
+    (sent, received or derived: [α_r] = [α] ⊖ [α_l] and [γ_r] likewise).
+    What she publishes herself she only holds.  The root's ``node-state``
     must carry its weights as plain ints; she forms [α] herself.  An
     enhanced child's ``node-state`` repeats the ``eq10`` broadcast of
     [α_l] by design and is only held.
@@ -311,20 +312,21 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
 
     def receive(tag, payload) -> list[int]:
         raws = _raws(payload)
-        assert 1 not in raws
-        assert held.isdisjoint(raws)
+        if not own:
+            assert 1 not in raws and len(set(raws)) == len(raws)
+            assert held.isdisjoint(raws)
+            carried[tag] += len(raws)
         held.update(raws)
-        carried[tag] += len(raws)
         return raws
 
     def minus(a, b):
         return [x * pow(y, -1, n_squared) % n_squared for x, y in zip(a, b)]
 
     for sender, receiver, tag, payload in spy:
-        if sender == index:
+        own = sender == index
+        if own:
             held.update(_raws(payload))
-            continue
-        if receiver not in (index, None):
+        elif receiver not in (index, None):
             continue
         op = payload.op if isinstance(payload, Request) else None
         body = list(payload.body) if op else []
@@ -335,7 +337,7 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
             held.update(alpha)
             gammas = [receive(tag, g) for g in body[2]]
             nodes[1] = (alpha, gammas)
-            if gammas:
+            if gammas and not own:
                 published.append((alpha, body[2]))
         elif op == "node-state":  # enhanced children
             held.update(_raws(body))
@@ -353,13 +355,14 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
                 )
                 held.update(right[0], *right[1])
                 nodes[2 * key], nodes[2 * key + 1] = left, right
-                if gam_left:
+                if gam_left and not own:
                     published.append((left[0], gam_left))
         elif op == "node-gammas":
             for key, gammas in level_entries(body, 2):
                 for g in gammas:
                     receive(tag, g)
-                published.append((nodes[key][0], gammas))
+                if not own:
+                    published.append((nodes[key][0], gammas))
         elif tag == "split-stats":
             receive(tag, payload)  # nothing in the request itself
     return published, carried
@@ -398,15 +401,25 @@ def test_published_vectors_and_statistics_are_unlinkable(
     trainer = TreeTrainer(ctx)
     model = trainer.fit()
     assert model.n_internal >= 1
-    published, carried = _received_by(ctx, spy)
-    assert published and carried["split-stats"]
-    # Basic labels ride with [α]; the enhanced ones are published per node.
-    assert bool(carried["label-vectors"]) == (protocol == "enhanced")
+    # Every party, the super client included: she is the one receiver of
+    # the split statistics (with the masks in them); peers receive none.
+    published = []
+    for index in range(ctx.n_clients):
+        seen, carried = _received_by(ctx, spy, index)
+        published += seen
+        if index == ctx.super_client:
+            assert carried["split-stats"]
+        else:
+            assert carried["split-stats"] == 0
+            # Basic labels ride with [α]; the enhanced ones are published
+            # per node.
+            assert bool(carried["label-vectors"]) == (protocol == "enhanced")
+    assert published
     assert _labels_recovered(ctx, trainer.provider.betas, task, published) == 0
 
 
 @pytest.mark.parametrize(
-    "estimator, pool_masks", [("tree", 141), ("forest", 282), ("gbdt", 279)]
+    "estimator, pool_masks", [("tree", 126), ("forest", 252), ("gbdt", 255)]
 )
 def test_basic_labels_ride_once_per_built_split(
     monkeypatch, small_classification, small_regression, estimator, pool_masks
@@ -416,16 +429,15 @@ def test_basic_labels_ride_once_per_built_split(
     split owner masks [γ_l] with [α_l].  No ``node-gammas``, no
     ``label-vectors`` bytes, no root ciphertext; every [γ_l] is fresh.
     The pool masks per fit are pinned (n = 30, m = 3, S = 8 candidate
-    splits per node): (c − 1)·n at each root, one per packed ciphertext
-    each party's segment of a level's split statistics touches, m per
-    packed conversion, c·n per built split (c = 3 for regression: n, y,
-    y²), and for GBDT n more for its encrypted labels.  A tree level's
-    statistics are packed together: at 256 bits a class count of
-    W = 30 has a 5 + 40 + 2 = 47-bit slot, five to a ciphertext, so the
-    tree's 1 + ⌈16/5⌉ + ⌈32/5⌉ = 12 conversions, with the parties'
-    segments touching 2 + 2 + 2 and 2 + 3 + 4 groups, give
-    30 + 15 + 3·12 + 60 = 141.  (Regression declares fx.k: 82-bit
-    slots, three to a ciphertext.)"""
+    splits per node): (c − 1)·n at each root, m per packed conversion
+    (every party's mask encryption of each group, which in a level's
+    ``split-stats`` reply also re-randomises her statistics), c·n per
+    built split (c = 3 for regression: n, y, y²), and for GBDT n more for
+    its encrypted labels.  A tree level's statistics are packed together:
+    at 256 bits a class count of W = 30 has a 5 + 40 + 2 = 47-bit slot,
+    five to a ciphertext, so the tree's 1 + ⌈16/5⌉ + ⌈32/5⌉ = 12
+    conversions give 30 + 3·12 + 60 = 126.  (Regression declares fx.k:
+    82-bit slots, three to a ciphertext.)"""
     task = "regression" if estimator == "gbdt" else "classification"
     X, y = small_regression if estimator == "gbdt" else small_classification
     X, y = X[:30], y[:30]

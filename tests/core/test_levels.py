@@ -11,9 +11,9 @@
   gain at all.  Class-count ties need no margin: counts are exact on
   shares and both argmaxes take the first maximum.
 * **Rounds follow depth.**  A full tree's training bus rounds are
-  4 + 6h under the basic protocol and 4 + 6h + 9(h − 1) under the enhanced
-  one: each level pays ``split-stats``, the conversion and the model
-  update once however many nodes it has, so a level of two nodes and one
+  4 + 4h under the basic protocol and 4 + 4h + 9(h − 1) under the enhanced
+  one: each level pays ``split-stats`` (which carries Algorithm 2's masks),
+  the decryption and the model update once however many nodes it has, so a level of two nodes and one
   of four cost the same bus and MPC rounds, and a level whose nodes all
   stop at the pruning checks sends nothing.
 """
@@ -191,8 +191,8 @@ def _levels(monkeypatch, fed, params, protocol):
 def test_training_rounds_follow_depth(monkeypatch, protocol):
     X, y = FULL_TREE
     expected = {
-        "basic": lambda h: 4 + 6 * h,
-        "enhanced": lambda h: 4 + 6 * h + 9 * (h - 1),
+        "basic": lambda h: 4 + 4 * h,
+        "enhanced": lambda h: 4 + 4 * h + 9 * (h - 1),
     }[protocol]
     per_depth = {}
     for h in (1, 2, 3):
@@ -223,7 +223,7 @@ def test_a_level_pruned_at_the_checks_sends_nothing(monkeypatch):
     assert len(model.leaves()) == 2
     (_, root_rounds, _, _), (nodes, level_rounds, messages, mpc_rounds) = levels
     assert nodes == 2 and (level_rounds, messages) == (0, 0) and mpc_rounds > 0
-    assert rounds == 4 + root_rounds == 4 + 6
+    assert rounds == 4 + root_rounds == 4 + 4
     assert {tag for tag, _ in fed.revealed if tag.endswith("-d1")} == {
         "prune-count-d1", "leaf-label-d1",
     }

@@ -130,14 +130,17 @@ def _party_with_a_root(ctx, party):
 
 @pytest.mark.parametrize(
     "case", ["overrun", "negative-start", "starts-short", "flag", "width-0",
-             "width-negative", "width-over-capacity", "width-huge"],
+             "width-negative", "width-over-capacity", "width-huge",
+             "total-huge"],
 )
 def test_hostile_split_stats_layout_is_refused_before_anything_is_computed(
     small_classification, monkeypatch, case
 ):
     """A peer's ``split-stats`` header must not size, sample or encrypt
-    anything: a segment that overruns the batch, or a width that is not
-    positive or does not fit the plaintext space, raises first."""
+    anything: a segment that overruns the batch, a width that is not
+    positive or does not fit the plaintext space, or a total whose reply
+    (a mask ciphertext per group, a share per value) would not fit one
+    frame, raises first."""
     import secrets
 
     X, y = small_classification
@@ -153,6 +156,7 @@ def test_hostile_split_stats_layout_is_refused_before_anything_is_computed(
         "width-negative": [1, -3, 10 * count, *starts],
         "width-over-capacity": [1, 254, 10 * count, *starts],
         "width-huge": [1, 10**9, 10 * count, *starts],
+        "total-huge": [1, 48, 10**9, *starts],
     }[case]
 
     def refuse(*args, **kwargs):
@@ -171,21 +175,26 @@ def test_hostile_split_stats_layout_is_refused_before_anything_is_computed(
 def test_a_reply_of_the_wrong_length_names_its_sender(
     small_classification, monkeypatch
 ):
-    """The trainer checks every party's reply against the groups her
-    segment touches before joining anything."""
+    """The trainer checks every party's reply — one ciphertext per group
+    of the level, one share per value — before multiplying anything: one
+    group too many, or one share too many, is refused by name."""
     from repro.core import TreeTrainer
+    from repro.network.wire import ShareVector
 
     X, y = small_classification
-    ctx = make_context(X, y, "classification")
-    honest = ctx.runtimes[2].split_statistics
+    for part in ("groups", "shares"):
+        ctx = make_context(X, y, "classification")
+        honest = ctx.runtimes[2].split_statistics
 
-    def one_too_many(*args):
-        stats = honest(*args)
-        return stats + stats[:1]
+        def one_too_many(*args, part=part, honest=honest):
+            groups, shares = honest(*args)
+            if part == "groups":
+                return [groups + groups[:1], shares]
+            return [groups, ShareVector(shares.values + shares.values[:1])]
 
-    monkeypatch.setattr(ctx.runtimes[2], "split_statistics", one_too_many)
-    with pytest.raises(ValueError, match="from party 2"):
-        TreeTrainer(ctx).fit()
+        monkeypatch.setattr(ctx.runtimes[2], "split_statistics", one_too_many)
+        with pytest.raises(ValueError, match="from party 2"):
+            TreeTrainer(ctx).fit()
 
 
 def test_trainer_declares_a_bound_only_where_it_is_true(

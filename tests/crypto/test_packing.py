@@ -21,8 +21,10 @@ from repro.crypto.packing import (
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.primes import random_prime
 from repro.mpc.conversion import mask_layout, segment_header, segment_layout
+from repro.mpc.field import MERSENNE_127
 
 K, KAPPA = 40, 40  # PivotConfig's mpc_k / kappa defaults
+Q = MERSENNE_127.q
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +96,12 @@ def test_every_slot_unpacks_to_its_own_value(m, bits, values, seed):
 def test_parties_packing_their_own_segments_add_up_to_the_batch(
     m, counts, beta, packed, seed
 ):
-    """A tree level's split statistics are packed by their holders: each
-    party Horner-packs her segment into the groups it touches, and the
-    requester adds the partial groups and the offsets.  In plaintext that
-    is exactly the batch packed in one place."""
+    """A tree level's split statistics are packed by their holders, with
+    Algorithm 2's masks in the same reply: each party encrypts her packed
+    masks for every group of the level and multiplies her Horner-packed
+    segment into the groups it touches.  The product of the m replies plus
+    the offsets decrypts to the batch packed in one place plus every
+    party's packed masks."""
     pk, sk = _keypair_of_length(256)
     rng = random.Random(seed)
     counts = counts[:m]
@@ -110,26 +114,40 @@ def test_parties_packing_their_own_segments_add_up_to_the_batch(
     header = segment_header(mask_bits, counts, packed)
     assert header == [int(packed), mask_bits, total, *starts]
     batch = mask_layout([mask_bits] * total, m, pk, packed)
-    # One width throughout: the arithmetic layout is the greedy one.
-    assert batch == uniform_layout(
-        mask_bits, total, 256, carry_bits=m.bit_length(), packed=packed
-    )
-    partials = []
+    product = None
+    masks = []
     for party, (start, count) in enumerate(zip(starts, counts)):
-        segment = segment_layout(header, party, count, m, pk)
-        partial = segment.horner(cts[start : start + count])
-        first = batch.slots[start].group if count else 0
-        last = batch.slots[start + count - 1].group if count else -1
-        assert len(partial) == segment.n_groups == last - first + 1
-        partials.append(partial)
-    joined = batch.join(counts, partials, [beta] * total)
+        segment = segment_layout(header, party, count, m, pk, Q)
+        # One width throughout: the arithmetic layout is the greedy one.
+        assert segment.level == batch
+        if count:
+            first = batch.slots[start].group
+            last = batch.slots[start + count - 1].group
+            assert segment.first == first
+            assert segment.slots.n_groups == last - first + 1
+        else:
+            assert segment.slots.n_groups == 0
+        party_masks = [rng.getrandbits(mask_bits) for _ in range(total)]
+        reply = segment.reply(
+            cts[start : start + count],
+            [pk.encrypt(p) for p in batch.pack_plaintexts(party_masks)],
+        )
+        negated = [(-r) % Q for r in party_masks]
+        assert (len(reply), len(negated)) == (batch.n_groups, total)
+        product = reply if product is None else [a + b for a, b in zip(product, reply)]
+        masks.append(party_masks)
+    if packed:
+        product = [c + o for c, o in zip(product, batch.offsets([beta] * total))]
+    plains = [sk.raw_decrypt(c.raw) for c in product]
     expected = batch.pack_ciphertexts(cts, [beta] * total)
-    assert len(joined) == len(expected) == batch.n_groups
-    assert [sk.raw_decrypt(c.raw) for c in joined] == [
-        sk.raw_decrypt(c.raw) for c in expected
+    for party_masks in masks:
+        expected = [
+            c + p for c, p in zip(expected, batch.pack_plaintexts(party_masks))
+        ]
+    assert plains == [sk.raw_decrypt(c.raw) for c in expected]
+    assert batch.unpack(plains, [beta] * total, pk) == [
+        x + sum(column) for x, column in zip(xs, zip(*masks))
     ]
-    plains = [sk.raw_decrypt(c.raw) for c in joined]
-    assert batch.unpack(plains, [beta] * total, pk) == xs
 
 
 def test_a_segment_layout_sizes_nothing_from_its_start():
