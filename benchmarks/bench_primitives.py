@@ -416,12 +416,15 @@ def packing_report(
         trainer = TreeTrainer(ctx)
         alpha = ctx.encrypt_indicator(np.ones(rows, dtype=np.int64))
         indicator = ctx.encrypt_indicator(np.arange(rows) % 3 == 0)
+        # No node keys: the flow ends in an empty node-split list, so
+        # nothing is stored and the same Eq. 10 can run again.
         t_eq10_singly = _best_of(
-            lambda: trainer._masked_elementwise_product(alpha, indicator), repeats
+            lambda: trainer._masked_elementwise_product([], indicator, [alpha]),
+            repeats,
         )
         t_eq10_packed = _best_of(
             lambda: trainer._masked_elementwise_product(
-                alpha, indicator, bound_bits=1
+                [], indicator, [alpha], bound_bits=1
             ),
             repeats,
         )
@@ -589,11 +592,11 @@ def mask_count_report(smoke: bool = False) -> dict[str, int]:
         (c − 1)·n  +  m·Cd  +  built·c·n
 
     the root's [γ] (encrypted once; the labels ride with [α] from there),
-    every party's mask ciphertext per packed conversion (in a level's
-    ``split-stats`` reply it also re-randomises her statistics), and the
-    owner's [α_l] and [γ_l] at each split whose children are built.  The
-    root's [α] is the public encryption of the root weights and takes no
-    mask."""
+    every party's mask ciphertext per packed group converted (in a level's
+    ``split-stats`` reply it also re-randomises her statistics; level 0's
+    groups hold the root's label totals too), and the owner's [α_l] and
+    [γ_l] at each split whose children are built: 204.  The root's [α] is
+    the public encryption of the root weights and takes no mask."""
     h = 2
     with build_context(keysize=512, h=h) as ctx:
         everything = [list(range(client.n_features)) for client in ctx.clients]

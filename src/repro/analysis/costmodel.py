@@ -63,10 +63,10 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     over S = d·b candidate splits per node, t_ℓ internal nodes at level ℓ,
     is
 
-        ⌈(c − 1) / slots⌉  +  Σ_ℓ ⌈t_ℓ·S·c / slots⌉        (leaves: none)
+        Σ_ℓ ⌈(c₀ + t_ℓ·S·c) / slots⌉        (leaves: none)
 
-    under the basic protocol (regression: 2 and 3 in place of c − 1 and
-    c), plus
+    under the basic protocol, c₀ = c − 1 (the root's totals) at level 0
+    (regression: 2 and 3 in place of c − 1 and c), plus
     t' · ⌈n / slots'⌉ under the enhanced one: its O(n t)·Cd term runs
     Eq. 10 for one child (the sibling is a homomorphic subtraction) and
     packs ⌊(|n| − 1) / (1 + κ + bitlen(m))⌋ elements of the 0/1 mask
@@ -90,10 +90,11 @@ def table2_training_counts(w: Workload, protocol: str) -> dict[str, float]:
     (c − 1)·n once at the root, and a split whose children are built adds
     c·n (the owner's pool-masked [α_l] and [γ_l]) + m·c·n (each party's
     own [α] ⊖ [α_l] and [γ] ⊖ [γ_l], one Ce per element).  The enhanced
-    owner cannot mask [γ_l] in plaintext, so that
-    protocol still re-randomises (c − 1)·n label elements per internal
-    node.  A basic-protocol leaf costs no Ce at all.  Of those Ce, a basic
-    fit's *pool masks* — the expensive ones — number
+    owner cannot mask [γ_l] in plaintext, so that protocol still
+    re-randomises (c − 1)·n label elements per internal node, and Eq. 10
+    re-masks each built split's n [α_l] products.  A basic-protocol leaf
+    costs no Ce at all.  Of those Ce, a basic fit's *pool masks* — the
+    expensive ones — number
 
         (c − 1)·n  +  m·Cd  +  t'·c·n
 

@@ -119,13 +119,14 @@ class PlaintextLabelProvider:
         ]
 
     def gammas(
-        self, alphas: list[list[EncryptedNumber]], node_keys: list[int]
+        self, alphas: list[list[EncryptedNumber]], node_keys: list[int], head: list = ()
     ) -> list[list[list[EncryptedNumber]]]:
         """[γ] = β ∘ [α] for every node of a tree level, re-randomised
         element by element, computed by the super client and published to
         the other parties' event loops as one ``node-gammas`` request with
         a ``key, gammas`` entry per node — for nodes whose vectors do not
-        ride.  ``alphas[i]`` is the [α] of node ``node_keys[i]``.
+        ride.  ``alphas[i]`` is the [α] of node ``node_keys[i]``; ``head``
+        opens the body (the root's entry, at level 0).
 
         Classification goes straight through ``mask_vector`` (a fresh [0]
         where β = 0, a re-masked [α_j] where β = 1); regression re-masks
@@ -154,7 +155,7 @@ class PlaintextLabelProvider:
             ctx.bus,
             ctx.super_client,
             "node-gammas",
-            [item for key, result in zip(node_keys, results) for item in (key, result)],
+            [*head, *(x for key, result in zip(node_keys, results) for x in (key, result))],
             tag="label-vectors",
             runtimes=ctx.runtimes,
         )

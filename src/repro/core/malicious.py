@@ -166,10 +166,10 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
             result.append(ctx.encoder.wrap(out, alpha[0].exponent + self._shift))
         return result
 
-    def gammas(self, alphas, node_keys):
+    def gammas(self, alphas, node_keys, head=()):
         # Central verified flow (the malicious model is a research mode
-        # driven in one process); node_keys are accepted for interface
-        # parity with the reactive provider but no runtime store is kept.
+        # driven in one process): node_keys and head only match the
+        # reactive provider's signature; no runtime store is kept.
         ctx = self.context
         results = []
         for alpha in alphas:
@@ -220,9 +220,10 @@ class MaliciousTreeTrainer(TreeTrainer):
                     self.committed_indicators[(client.index, feature, split)] = vector
         context.bus.round()
 
-    def _compute_split_stats(self, nodes, identifiers, gammas):
+    def _compute_split_stats(self, nodes, identifiers, gammas, root=None):
         """Split statistics of a tree level with POHDP proofs against the
-        commitments, converted to shares.
+        commitments, converted to shares — at level 0 after the root's
+        label totals, which :meth:`VerifiedLabelProvider.totals` proves.
 
         Stays a centrally driven flow (proof generation and verification
         both run here); one round for the level, like the reactive base.
@@ -232,7 +233,7 @@ class MaliciousTreeTrainer(TreeTrainer):
         """
         ctx = self.ctx
         pk = ctx.threshold.public_key
-        stat_cts: list[EncryptedNumber] = []
+        stat_cts: list[EncryptedNumber] = [] if root is None else self._root_totals(root)
         first = True
         for node, ids, node_gammas in zip(nodes, identifiers, gammas):
             for client_idx, feature, split in ids:

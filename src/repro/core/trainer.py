@@ -17,7 +17,8 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    2 masks (lines 1-3) already in them: her mask encryption of every
    group of the level, and her ``(−r mod q)`` shares beside.  The root's
    [α] is public: the deterministic encryption of the root weights, which
-   every party forms herself.
+   every party forms herself from the root's entry at the head of level
+   0's first request (:meth:`TreeTrainer.fit`).
 2. **MPC computation** — the level's masked statistics are decrypted and
    turned into secret shares by the rest of one Algorithm 2; the last
    class and the right child are completed by local share subtraction;
@@ -38,8 +39,8 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    reverse conversion, each owner runs private split selection
    (Theorem 2), and one encrypted mask update of Eq. (10) over the level's
    concatenated [α] builds every left child — slot-packed, since [α] is an
-   exact 0/1 vector — and the right children are again [α] ⊖ [α_l]; one
-   ``node-state`` broadcast publishes them all.  The split thresholds and
+   exact 0/1 vector — and its last broadcast is a ``node-split`` list
+   stored as the basic one.  The split thresholds and
    leaf labels stay hidden as secret shares in the node's ``hidden``
    payload (``threshold_share``, ``label_share``), which is what §5.2
    prediction and the ensembles read.
@@ -51,32 +52,35 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    shared threshold: no [λ], no [v], no Eq. 10.
 
 **Costs per level.**  Each flow is paid once per level, whatever the
-number of nodes: bus rounds are ``node-state`` 1 + conversion 3 for the
-root, then per level ``split-stats`` 1 (the request and its replies,
-which carry the masks) + decryption 2 + ``split-apply`` 1 under the basic
-protocol (4 + 4h for a full tree of depth h), and under the enhanced one
-``node-gammas`` 1 + ``split-stats`` 1 + decryption 2, plus reverse
-conversion 2 + [v] 1 + Eq. 10 5 + ``node-state`` 1 at a level whose
-children are built (4 + 4h + 9(h − 1)).  A level whose nodes all become
-leaves at the pruning checks sends nothing.  The MPC rounds of a level are
-those of one node.  The level's statistics travel and decrypt at their
-declared width (:meth:`TreeTrainer._stat_bound`): each non-super party
-sends the super client one ciphertext per packed group of the level and
-one share per value, and Algorithm 2 decrypts one ciphertext per group.
+number of nodes: bus rounds are ``split-stats`` 1 (the request and its
+replies, which carry the masks) + decryption 2 + ``split-apply`` 1 under
+the basic protocol (4h for a full tree of depth h), and under the
+enhanced one ``node-gammas`` 1 + ``split-stats`` 1 + decryption 2, plus
+reverse conversion 2 + [v] 1 + Eq. 10 5 at a level whose children are
+built (4h + 8(h − 1)).  Below the root, a level whose nodes all become
+leaves at the pruning checks sends nothing; the root converts first, so a
+root that cannot split converts its totals alone (3 rounds), and a root
+pruned later has had its candidates converted and its [γ] published.
+The MPC rounds of a level are those of one node.  The level's statistics
+travel and decrypt at their declared width (:meth:`TreeTrainer._stat_bound`):
+each non-super party sends the super client one ciphertext per packed
+group of the level and one share per value, and Algorithm 2 decrypts one
+ciphertext per group.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
-Only the root converts its own label totals [Σγ_k]; its count Σα is the
+Only the root converts its own label totals [Σγ_k], in level 0's batch;
+its count Σα is the
 public sum of the root weights, shared as a constant.  A child's (n, g_k)
 *are* the
 winning split's (n_l, g_{l,k}) — or the node's minus those — so each node
 hands its children their :class:`~repro.core.gain.NodeStats`: picked by the
 opened index under the basic protocol, by Σ_i onehot_i · stat_i under the
 enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
-the selection is exact).  Threshold decryptions: ⌈V / slots⌉ at the
-root, then per level ⌈Σ S·(1 + V) / slots⌉ over the level's internal
-nodes, each with S candidate splits over V published label vectors (plus
+the selection is exact).  Threshold decryptions: per level
+⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's internal nodes, each with S
+candidate splits over V published label vectors, V₀ = V at level 0 (plus
 ⌈Σ n / 11⌉ for Eq. 10 under the enhanced protocol, over the nodes whose
-children are built); none for a leaf.  A slot is
+children are built).  A slot is
 bitlen(W) + κ + bitlen(m) bits for classification (W the root weight
 sum: 48 bits, 10 per 512-bit ciphertext, at W = 48, m = 3) and
 ``fx.k`` + κ + bitlen(m) for regression (82 bits, 6 per ciphertext), so
@@ -87,9 +91,9 @@ Pruning conditions (§2.3, Algorithm 3 lines 1-3) are evaluated securely:
 maximum depth is public, the sample-count and purity checks open a single
 bit per node, and the "no split with positive gain" check compares each
 shared maximum gain against the shared threshold.  They need only the
-nodes' shared statistics, so a node that turns out a leaf never has label
-vectors published for it: none at all under the basic protocol, where
-they ride, and no ``node-gammas`` entry under the others.
+nodes' shared statistics, so below the root a node that turns out a leaf
+never has label vectors published for it: none at all under the basic
+protocol, where they ride, and no ``node-gammas`` entry under the others.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
@@ -120,7 +124,7 @@ from repro.mpc.conversion import (
     segment_header,
 )
 from repro.mpc.sharing import SharedValue
-from repro.network.flows import broadcast_request, collect_replies
+from repro.network.flows import broadcast_request, collect_replies, react_runtimes
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
@@ -155,12 +159,13 @@ SECURE_ARGMAX_SLACK = 16
 @dataclass
 class _Open:
     """A node of the level being grown: its heap key (root 1, children of
-    k at 2k and 2k + 1), its shared statistics, the features left to it,
-    and its [α] with the riding [γ]s — ``None`` where nobody built them
-    (children of a split at the last level, or without a candidate left)."""
+    k at 2k and 2k + 1), its shared statistics (``None`` for the root
+    until level 0's conversion), the features left to it, and its [α]
+    with the riding [γ]s — ``None`` where nobody built them (children of
+    a split at the last level, or without a candidate left)."""
 
     key: int
-    stats: NodeStats
+    stats: NodeStats | None
     available: list[list[int]]
     alpha: list[EncryptedNumber] | None = None
     gammas: list[list[EncryptedNumber]] | None = None
@@ -222,6 +227,10 @@ class TreeTrainer:
         #: by fit(): every node's [α] is that vector times 0/1 indicators,
         #: so it bounds each element Eq. 10 opens under a mask.
         self._alpha_bits = 1
+        #: Set by fit(): the root's public count W, and its entry until
+        #: level 0's first request carries it (:meth:`_take_root_entry`).
+        self._weight_sum = 0
+        self._root_entry: list | None = None
         self._dp = None
         if self.cfg.dp is not None:
             from repro.core.dp import DPMechanisms
@@ -236,46 +245,25 @@ class TreeTrainer:
 
         The root weights — all ones, or the bagging mask — are public
         (:func:`~repro.tree.forest.forest_subsets`) and travel in
-        plaintext: every party encrypts them deterministically herself, so
-        the root's [α] takes no pool mask and never goes on the wire.  They
-        must be non-negative integers; anything else raises ``ValueError``.
+        plaintext in the root's entry ``[weights, riding [γ]s]``, which
+        heads level 0's first request (``node-gammas`` or ``split-stats``):
+        every party encrypts them deterministically herself, so the root's
+        [α] takes no pool mask and never goes on the wire.  They must be
+        non-negative integers; anything else raises ``ValueError``.
         """
         ctx = self.ctx
         weights = _root_weights(initial_mask, ctx.n_samples)
         self._alpha_bits = max(1, max(weights).bit_length())
-        self._stat_bound_bits = self._stat_bound(sum(weights))
-        # Root node state: the super client *requests*, every party (she
-        # included) stores the public weights' [α] plus the riding [γ]s on
-        # her own event loop, keyed by heap position (root = 1).
+        self._weight_sum = sum(weights)
+        self._stat_bound_bits = self._stat_bound(self._weight_sum)
         root_gammas = [list(g) for g in self.provider.root_vectors(weights)]
-        sup = ctx.super_client
-        ctx.runtimes[sup].store_root(weights, root_gammas)
-        broadcast_request(
-            ctx.bus,
-            sup,
-            "node-state",
-            [1, weights, root_gammas],
-            tag="mask-vector",
-            runtimes=ctx.runtimes,
-        )
-        ctx.bus.round()
-        alpha, gammas = ctx.runtimes[sup].nodes[1]
-        # The one node whose own statistics are converted — its label
-        # totals only: its sample count is the public Σ weights.
-        totals = (
-            [ctx.batch.sum_ciphertexts(g) for g in gammas]
-            if gammas
-            else self.provider.totals(alpha)
-        )
-        root_stats = self._node_stats(
-            [
-                self.fx.share(sum(weights)),
-                *ctx.to_shares(totals, bound_bits=self._stat_bound_bits),
-            ]
-        )
+        self._root_entry = [weights, root_gammas]
+        runtime = ctx.runtimes[ctx.super_client]
+        runtime.store_root(weights, root_gammas)
+        alpha, gammas = runtime.nodes[1]
         available = [list(range(c.n_features)) for c in ctx.clients]
         tree: dict[int, TreeNode] = {}
-        level = [_Open(1, root_stats, available, alpha, gammas)]
+        level = [_Open(1, None, available, alpha, gammas)]
         depth = 0
         while level:
             level = self._grow_level(level, depth, tree)
@@ -322,25 +310,23 @@ class TreeTrainer:
     ) -> list[_Open]:
         """Algorithm 3 for every node at ``depth`` at once: prune, split
         what is left, label the leaves; returns the next level's nodes.
-        Every finished node goes into ``tree`` under its heap key."""
+        Every finished node goes into ``tree`` under its heap key.  A node
+        without a candidate split is a leaf at once.  The root has no
+        statistics before level 0's conversion, so its pruning checks come
+        after it; below, a node is pruned before anything is sent for it."""
         ctx = self.ctx
         leaves: list[_Open] = []
         children: list[_Open] = []
         if depth >= self.cfg.tree.max_depth:
             leaves, nodes = nodes, []
-        nodes = _keep(
-            nodes,
-            [not any(node.available[c.index] for c in ctx.clients) for node in nodes],
-            leaves,
-        )
+        split_ids = ctx.split_identifiers
+        nodes = _keep(nodes, [not split_ids(node.available) for node in nodes], leaves)
+        rows = self._level_statistics(nodes, root=(nodes + leaves)[0]) if depth == 0 else {}
         noise = self._level_noise(nodes, nodes + leaves)
         nodes = self._prune(nodes, depth, leaves, noise)
-        identifiers = [ctx.split_identifiers(node.available) for node in nodes]
-        nodes = _keep(nodes, [not ids for ids in identifiers], leaves)
         if nodes:
-            children = self._split_level(
-                nodes, [ids for ids in identifiers if ids], depth, tree, leaves
-            )
+            rows = rows or self._level_statistics(nodes)
+            children = self._split_level(nodes, rows, depth, tree, leaves)
         self._make_leaves(leaves, depth, tree, noise)
         return children
 
@@ -394,34 +380,53 @@ class TreeTrainer:
             )
         return nodes
 
+    def _level_statistics(
+        self, nodes: list[_Open], root: _Open | None = None
+    ) -> dict[int, list[list[SharedValue]]]:
+        """Local computation (§4.1) and the conversion of its statistics
+        for the level's ``nodes``: by node key, one row of converted
+        left-child shares per candidate, ``[n_l, g_l per label vector]``.
+        With ``root`` (level 0; ``nodes`` is then empty if it cannot
+        split) its label totals join the batch and set its statistics."""
+        ctx = self.ctx
+        identifiers = [ctx.split_identifiers(node.available) for node in nodes]
+        if self.provider.rides_with_alpha or not nodes:
+            gammas = [node.gammas or [] for node in nodes]
+        else:
+            gammas = self.provider.gammas(
+                [node.alpha for node in nodes],
+                [node.key for node in nodes],
+                self._take_root_entry(),
+            )
+        shares = iter(self._compute_split_stats(nodes, identifiers, gammas, root))
+        if root is not None:
+            totals = [next(shares) for _ in range(self.provider.n_vectors)]
+            root.stats = self._node_stats([self.fx.share(self._weight_sum), *totals])
+        # The winning row is what the children inherit, so it is kept as
+        # converted — _mask_invalid_splits only ever rebinds SplitStats.
+        return {
+            node.key: [[next(shares) for _ in range(1 + len(g))] for _ in ids]
+            for node, ids, g in zip(nodes, identifiers, gammas)
+        }
+
+    def _take_root_entry(self) -> list:
+        """``[root entry]`` for level 0's first request, then ``[]``."""
+        entry, self._root_entry = self._root_entry, None
+        return [] if entry is None else [entry]
+
     def _split_level(
         self,
         nodes: list[_Open],
-        identifiers: list[list[tuple[int, int, int]]],
+        converted: Mapping[int, list[list[SharedValue]]],
         depth: int,
         tree: dict[int, TreeNode],
         leaves: list[_Open],
     ) -> list[_Open]:
-        """Local computation, MPC computation and model update (§4.1) for
-        the level's nodes that passed the pruning checks."""
+        """MPC computation and model update (§4.1) for the level's nodes
+        that passed the pruning checks, from their ``converted`` rows."""
         ctx, fx = self.ctx, self.fx
-        # -- local computation: encrypted split statistics (Eq. 7 / 9) -------
-        if self.provider.rides_with_alpha:
-            gammas = [node.gammas or [] for node in nodes]
-        else:
-            gammas = self.provider.gammas(
-                [node.alpha for node in nodes], [node.key for node in nodes]
-            )
-        # -- MPC computation: convert + secure gains + secure max -----------
-        stat_shares = iter(self._compute_split_stats(nodes, identifiers, gammas))
-        stride = 1 + len(gammas[0])
-        # One row of converted left-child shares per identifier; the
-        # winning row is what the children inherit, so it is kept as
-        # converted — _mask_invalid_splits only ever rebinds SplitStats.
-        rows = [
-            [[next(stat_shares) for _ in range(stride)] for _ in ids]
-            for ids in identifiers
-        ]
+        identifiers = [ctx.split_identifiers(node.available) for node in nodes]
+        rows = [converted[node.key] for node in nodes]
         splits = []
         for node, node_rows in zip(nodes, rows):
             node_splits = []
@@ -484,20 +489,23 @@ class TreeTrainer:
         nodes: list[_Open],
         identifiers: list[list[tuple[int, int, int]]],
         gammas: list[list[list[EncryptedNumber]]],
+        root: _Open | None = None,
     ) -> list[SharedValue]:
         """Each client's local homomorphic dot products (Eq. 7 / Eq. 9) for
         every node of the level, masked and converted to shares by one
         Algorithm 2 whose lines 1-3 ride the statistics' reply; the shares
         come back in global identifier order (clients ascending, the
         :meth:`~repro.federation.federation.Federation.split_identifiers`
-        order), node after node.
+        order), node after node, after ``root``'s label totals if given.
 
         The super client broadcasts one ``split-stats`` request naming the
         nodes and their available-feature lists, headed by the level's
         public layout: the parties' statistics in party order, each party
         a segment starting at a public slot, every value masked at one
         width, the widest any value needs
-        (:func:`~repro.mpc.conversion.segment_header`).  Every other
+        (:func:`~repro.mpc.conversion.segment_header`), then by the root's
+        entry if ``node-gammas`` did not carry it; the root's totals head
+        the super client's segment.  Every other
         party reacts on her own event loop, over her own columns and node
         states, and sends the super client alone her masked groups and
         ``(−r mod q)`` shares (:meth:`PartyRuntime.split_statistics`); the
@@ -510,7 +518,7 @@ class TreeTrainer:
         """
         ctx = self.ctx
         sup = ctx.super_client
-        stride = 1 + len(gammas[0])
+        totals = [] if root is None else self._root_totals(root)
         scales = [
             [node.alpha[0].exponent, *(g[0].exponent for g in node_gammas)]
             for node, node_gammas in zip(nodes, gammas)
@@ -527,6 +535,7 @@ class TreeTrainer:
             ]
             for c in ctx.clients
         }
+        exponents[sup][:0] = [total.exponent for total in totals]
         ordered = [exponent for c in ctx.clients for exponent in exponents[c.index]]
         # Every party masks at the header's one width: the widest value's.
         beta = max(magnitude_bits(ordered, self.fx, self._stat_bound_bits))
@@ -542,7 +551,11 @@ class TreeTrainer:
             ctx.bus,
             sup,
             "split-stats",
-            [header, *(item for node in nodes for item in (node.key, node.available))],
+            [
+                header,
+                *self._take_root_entry(),
+                *(item for node in nodes for item in (node.key, node.available)),
+            ],
             tag="split-stats",
             runtimes=ctx.runtimes,
         )
@@ -550,6 +563,7 @@ class TreeTrainer:
             [node.key for node in nodes],
             [list(node.available[sup]) for node in nodes],
             header,
+            totals,
         )
         replies = collect_replies(
             ctx.bus, sup, [c.index for c in ctx.clients if c.index != sup]
@@ -579,12 +593,18 @@ class TreeTrainer:
             c.index: iter([next(shares) for _ in exponents[c.index]])
             for c in ctx.clients
         }
-        return [
+        return [next(unread[sup]) for _ in totals] + [
             next(unread[owner])
-            for ids in identifiers
+            for ids, node_gammas in zip(identifiers, gammas)
             for owner, _, _ in ids
-            for _ in range(stride)
+            for _ in range(1 + len(node_gammas))
         ]
+
+    def _root_totals(self, root: _Open) -> list[EncryptedNumber]:
+        """The root's label totals [Σγ_k], folded by the super client."""
+        if root.gammas:
+            return [self.ctx.batch.sum_ciphertexts(g) for g in root.gammas]
+        return self.provider.totals(root.alpha)
 
     # ------------------------------------------------------------------
     # model update: basic protocol (§4.1 "Model update")
@@ -787,177 +807,146 @@ class TreeTrainer:
             ciphers = iter(
                 ctx.to_cipher([bit for _, lam in built for bit in lam], exponent=0)
             )
-            self._children_masks(
+            lams = [[next(ciphers) for _ in lam] for _, lam in built]
+            # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
+            # fan-out over the n rows of every owner's n x n' indicator matrix.
+            v_left = ctx.batch.batch_dot_products(
                 [
-                    (
-                        s.node,
-                        ctx.clients[s.owner].indicator_matrix(s.feature),
-                        [next(ciphers) for _ in lam],
-                    )
-                    for s, lam in built
+                    (list(row.astype(np.int64)), lam_cts)
+                    for (s, _), lam_cts in zip(built, lams)
+                    for row in ctx.clients[s.owner].indicator_matrix(s.feature)
                 ]
+            )
+            ctx.bus.round()
+            # Eq. 10 over the level's concatenated [α]s (and riding [γ]s)
+            # builds the left children; every party derives each right
+            # child, [α] ⊖ [α_l] — the plaintext of α·(1 − v).
+            nodes = [s.node for s, _ in built]
+            vectors = [[a for node in nodes for a in node.alpha or []]]
+            if self.provider.rides_with_alpha:
+                vectors += [
+                    [g for node in nodes for g in (node.gammas or [])[k]]
+                    for k in range(self.provider.n_vectors)
+                ]
+            self._masked_elementwise_product(
+                [node.key for node in nodes], v_left, vectors, bound_bits=self._alpha_bits
             )
         store = ctx.runtimes[ctx.super_client].nodes
         return [child for s in splits for child in _children(s, store)]
 
-    def _children_masks(
-        self,
-        parents: list[tuple[_Open, np.ndarray, list[EncryptedNumber]]],
-    ) -> None:
-        """The enhanced model update's children for every built split of a
-        level — ``(node, indicator matrix, [λ])`` each — stored and
-        published to every party's node store in one ``node-state``."""
-        ctx = self.ctx
-        # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
-        # fan-out over the n rows of every owner's n x n' indicator matrix.
-        v_left = ctx.batch.batch_dot_products(
-            [
-                (list(row.astype(np.int64)), lam_cipher)
-                for _, matrix, lam_cipher in parents
-                for row in matrix
-            ]
-        )
-        ctx.bus.round()
-
-        # Encrypted mask-vector update (Eq. 10) for the left children, over
-        # the level's concatenated [α]s; each right child is the sibling by
-        # subtraction, [α] ⊖ [α_l] — the plaintext of α·(1 − v), computed
-        # locally from two vectors every party already holds.
-        subtract = ctx.batch.subtract_vectors
-        nodes = [node for node, _, _ in parents]
-        alpha_left = _chunked(
-            self._masked_elementwise_product(
-                [a for node in nodes for a in node.alpha or []],
-                v_left,
-                bound_bits=self._alpha_bits,
-            ),
-            nodes,
-        )
-        gam_left: list[list[list[EncryptedNumber]]] = [[] for _ in nodes]
-        if self.provider.rides_with_alpha:
-            for k in range(self.provider.n_vectors):
-                products = _chunked(
-                    self._masked_elementwise_product(
-                        [g for node in nodes for g in (node.gammas or [])[k]], v_left
-                    ),
-                    nodes,
-                )
-                for vectors, product in zip(gam_left, products):
-                    vectors.append(product)
-
-        # The Eq. 10 flow is driven centrally (it already broadcasts the
-        # combined [α'] under the eq10 tag), so the per-party event loops
-        # have not stored the children — publish their node state
-        # explicitly to keep the runtimes' stores coherent for the next
-        # level's split-stats request.
-        sup = ctx.super_client
-        entries = []
-        for node, a_left, g_left in zip(nodes, alpha_left, gam_left):
-            alpha = node.alpha or []
-            children = (
-                (a_left, g_left),
-                (
-                    subtract(alpha, a_left),
-                    [subtract(g, gl) for g, gl in zip(node.gammas or [], g_left)],
-                ),
-            )
-            for key, (child_alpha, child_gammas) in enumerate(children, 2 * node.key):
-                ctx.runtimes[sup].store_node(key, child_alpha, child_gammas)
-                entries += [key, child_alpha, child_gammas]
-        broadcast_request(
-            ctx.bus,
-            sup,
-            "node-state",
-            entries,
-            tag="mask-vector",
-            runtimes=ctx.runtimes,
-        )
-        ctx.bus.round()
-
     def _masked_elementwise_product(
         self,
-        alpha: list[EncryptedNumber],
+        keys: list[int],
         v_enc: list[EncryptedNumber],
+        vectors: list[list[EncryptedNumber]],
         bound_bits: int | None = None,
-    ) -> list[EncryptedNumber]:
-        """Eq. (10): [α'_j] = [α_j · v_j] via MPC conversion.
+    ) -> None:
+        """Eq. (10): [α'_j] = [α_j · v_j] via MPC conversion, in one flow for
+        ``vectors`` — the nodes ``keys``' concatenated [α], then each riding
+        [γ_k] — published as those nodes' left children.
 
         Each [α_j] is converted with Algorithm 2 kept over the integers
-        (client 1 holds e - r_1, the others -r_i); every client multiplies
-        her integer share into [v_j] homomorphically and the owner sums the
-        results.  This is the O(n)·Cd term of the enhanced protocol (§6,
-        §8.3.1).
+        (the super client holds e - r_sup, the others -r_i); every client
+        multiplies her integer share into [v_j] homomorphically and the
+        super client sums the results.  This is the O(n)·Cd term of the
+        enhanced protocol (§6, §8.3.1).
 
-        ``bound_bits`` declares ``|α_j| < 2**bound_bits`` for every
-        element.  Declared elements are slot-packed exactly as in
-        :func:`~repro.mpc.conversion.ciphers_to_shares` — masks of
-        ``bound_bits + κ`` bits, one mask encryption per party and one
-        threshold decryption per *packed* ciphertext (11 elements of a 0/1
-        [α] at 512 bits).  An undeclared vector (a riding [γ]) keeps one
-        ciphertext per element and masks of ``fx.k`` + exponent slack + κ
-        bits, the width its fixed-point scale admits.  Either way an
+        ``bound_bits`` declares ``|α_j| < 2**bound_bits`` on
+        ``vectors[0]``, which is slot-packed as in
+        :func:`~repro.mpc.conversion.ciphers_to_shares` (11 elements of a
+        0/1 [α] per 512-bit ciphertext); an undeclared riding [γ] keeps one
+        ciphertext per element, masked at the width its scale admits
+        (:func:`~repro.mpc.conversion.magnitude_bits`).  Either way an
         opened e_j wider than its masks raises
         :class:`~repro.mpc.conversion.MaskBoundError`.
 
-        Bus flow (all real payloads, tag ``eq10``): clients 2..m send their
-        mask-ciphertext vectors to client 1; the masked batch goes through
-        the canonical threshold-decryption flow; every client sends her
-        share-multiplied term vector to client 1, who broadcasts the
-        combined [α'] (the children's mask vector every client needs for
-        the next node's local statistics).
+        Bus flow (all real payloads, tag ``eq10``): the other clients send
+        their mask-ciphertext vectors to the super client; the masked
+        batch goes through the canonical threshold-decryption flow; every
+        other client sends her share-multiplied term vector to the super
+        client, who re-masks the combined products from her pool and
+        broadcasts them as one ``node-split`` request, ``[key, [], [α_l],
+        [γ_l]]`` per key (no threshold: it stays hidden), which every party
+        stores (:meth:`~repro.federation.party.PartyRuntime.store_split`).
         """
         ctx, fx = self.ctx, self.fx
-        m = ctx.n_clients
+        m, sup = ctx.n_clients, ctx.super_client
+        others = [party for party in range(m) if party != sup]
         pk = ctx.threshold.public_key
-        packed = bound_bits is not None
-        magnitudes = [
-            bound_bits if packed else fx.k + max(0, -fx.f - a_ct.exponent)
-            for a_ct in alpha
-        ]
-        bits_list = [beta + ctx.engine.kappa for beta in magnitudes]
-        layout = mask_layout(bits_list, m, pk, packed)
+        parts = []  # (vector, magnitudes, mask bits, layout), one per vector
+        for index, vector in enumerate(vectors):
+            declared = bound_bits if index == 0 else None
+            magnitudes = magnitude_bits([a.exponent for a in vector], fx, declared)
+            bits_list = [beta + ctx.engine.kappa for beta in magnitudes]
+            layout = mask_layout(bits_list, m, pk, declared is not None)
+            parts.append((vector, magnitudes, bits_list, layout))
         masks_by_party = [
-            [secrets.randbits(bits) for bits in bits_list] for _ in range(m)
+            [[secrets.randbits(bits) for bits in bits_list] for _, _, bits_list, _ in parts]
+            for _ in range(m)
         ]
         mask_cts = [
-            ctx.batch.encrypt_ciphertexts(layout.pack_plaintexts(masks))
-            for masks in masks_by_party
+            [
+                ct
+                for (*_, layout), masks in zip(parts, party_masks)
+                for ct in ctx.batch.encrypt_ciphertexts(layout.pack_plaintexts(masks))
+            ]
+            for party_masks in masks_by_party
         ]
-        masked_cts = layout.pack_ciphertexts(
-            [a_ct.ciphertext for a_ct in alpha], magnitudes
-        )
+        masked_cts = [
+            ct
+            for vector, magnitudes, _, layout in parts
+            for ct in layout.pack_ciphertexts(
+                [a_ct.ciphertext for a_ct in vector], magnitudes
+            )
+        ]
         for party_cts in mask_cts:
             masked_cts = [
                 masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
             ]
-        for party in range(1, m):
-            ctx.bus.send_payload(party, 0, mask_cts[party], tag="eq10")
+        for party in others:
+            ctx.bus.send_payload(party, sup, mask_cts[party], tag="eq10")
         ctx.bus.round()
-        plains = ctx.joint_decrypt_raw(masked_cts, tag="eq10", signed=False)
-        ctx.conversions.threshold_decryptions += layout.n_groups
-        opened = layout.unpack(plains, magnitudes, pk)
-        result = []
-        terms_by_party: list[list] = [[] for _ in range(m)]
-        for e, beta, bits, masks, a_ct, v_ct in zip(
-            opened, magnitudes, bits_list, zip(*masks_by_party), alpha, v_enc
-        ):
-            check_masked_opening(e + (1 << beta), bits, m)
-            # Client 1's share is e - r_1, the others' -r_i: they raise
-            # [-v_j] (one modular inverse) to r_i rather than [v_j] to the
-            # full-size exponent n - r_i.
-            combined = v_ct.ciphertext * (e - masks[0])
-            terms_by_party[0].append(combined)
-            negated = -v_ct.ciphertext
-            for party in range(1, m):
-                term = negated * masks[party]
-                terms_by_party[party].append(term)
-                combined = combined + term
-            result.append(ctx.encoder.wrap(combined, a_ct.exponent + v_ct.exponent))
-        for party in range(1, m):
-            ctx.bus.send_payload(party, 0, terms_by_party[party], tag="eq10")
-        ctx.bus.broadcast_payload(0, result, tag="eq10")
+        plains = iter(ctx.joint_decrypt_raw(masked_cts, tag="eq10", signed=False))
+        terms_by_party: dict[int, list] = {party: [] for party in others}
+        products = []
+        for index, (vector, magnitudes, bits_list, layout) in enumerate(parts):
+            ctx.conversions.threshold_decryptions += layout.n_groups
+            opened = layout.unpack(
+                [next(plains) for _ in range(layout.n_groups)], magnitudes, pk
+            )
+            product = []
+            for j, (e, beta, bits, a_ct, v_ct) in enumerate(
+                zip(opened, magnitudes, bits_list, vector, v_enc)
+            ):
+                check_masked_opening(e + (1 << beta), bits, m)
+                # The super client's share is e - r_sup, the others' -r_i:
+                # they raise [-v_j] (one modular inverse) to r_i rather than
+                # [v_j] to the full-size exponent n - r_i.
+                combined = v_ct.ciphertext * (e - masks_by_party[sup][index][j])
+                negated = -v_ct.ciphertext
+                for party in others:
+                    term = negated * masks_by_party[party][index][j]
+                    terms_by_party[party].append(term)
+                    combined = combined + term
+                product.append(ctx.encoder.wrap(combined, a_ct.exponent + v_ct.exponent))
+            # The sum is [v_j]^{α_j}, the unit wherever α_j = 0: re-masked,
+            # or it would show every party the parent's samples.
+            products.append(ctx.batch.mask_vector(product, [1] * len(product)))
+        # Every node's [α] has one element per sample.
+        size = len(products[0]) // max(1, len(keys))
+        cut = [[p[i * size : (i + 1) * size] for p in products] for i in range(len(keys))]
+        entries = [[key, [], alpha_l, gam_l] for key, (alpha_l, *gam_l) in zip(keys, cut)]
+        for party in others:
+            ctx.bus.send_payload(party, sup, terms_by_party[party], tag="eq10")
+        # She combines what she gathered, then publishes: a second round.
+        ctx.bus.broadcast_payload(
+            sup, Request("node-split", [item for entry in entries for item in entry]),
+            tag="eq10",
+        )
+        react_runtimes(ctx.runtimes, exclude=(sup,))
+        for entry in entries:
+            ctx.runtimes[sup].store_split(entry)
         ctx.bus.round(2)
-        return result
 
     # ------------------------------------------------------------------
     # leaves
@@ -1080,16 +1069,6 @@ def _children(split: _Split, store: Mapping[int, list]) -> list[_Open]:
         _Open(2 * key, split.left, split.child_available, *left),
         _Open(2 * key + 1, node.stats - split.left, split.child_available, *right),
     ]
-
-
-def _chunked(values: list, nodes: list[_Open]) -> list[list]:
-    """``values`` cut into consecutive pieces as long as each node's [α]."""
-    pieces, start = [], 0
-    for node in nodes:
-        end = start + len(node.alpha or [])
-        pieces.append(values[start:end])
-        start = end
-    return pieces
 
 
 def _root_weights(initial_mask: np.ndarray | None, n_samples: int) -> list[int]:

@@ -428,20 +428,21 @@ class Federation:
         return self.batch.encrypt_vector([int(b) for b in bits], exponent=0)
 
     def joint_decrypt_raw(
-        self, payload: list, tag: str, signed: bool = True
+        self, payload: list, tag: str, signed: bool = True, holder: int | None = None
     ) -> list[int]:
         """One batched threshold decryption: canonical flow + plaintexts.
 
-        ``payload`` is the batch as held by the caller (``EncryptedNumber``
-        or raw ``Ciphertext`` values — what travels on the wire).  The
-        per-party runtimes answer the flow with their c^{d_i} share vectors
-        and the plaintexts are reconstructed *only* from the m received
-        vectors.
+        ``payload`` is the batch as held by ``holder`` (the super client
+        unless given; ``EncryptedNumber`` or raw ``Ciphertext`` values —
+        what travels on the wire), who broadcasts it.  The per-party
+        runtimes answer the flow with their c^{d_i} share vectors and the
+        plaintexts are reconstructed *only* from the m received vectors.
         """
         if not payload:
             return []
+        holder = self.super_client if holder is None else holder
         vectors = record_threshold_decrypt(
-            self.bus, payload, tag=tag, runtimes=self.runtimes
+            self.bus, payload, tag=tag, runtimes=self.runtimes, holder=holder
         )
         return combine_partial_vectors(
             self.threshold.public_key,
@@ -481,9 +482,10 @@ class Federation:
         and a prediction output is a deterministic function of ciphertexts
         the previous party of the round-robin holds
         (:func:`repro.core.prediction.encrypted_leaf_sums`).  So the
-        holder multiplies one pool mask of her own into every ciphertext
-        *after* packing — one mask per packed ciphertext, not per value —
-        and only then broadcasts.
+        holder, u_1 (party 0, where the round-robin ends), multiplies one
+        pool mask of her own into every ciphertext *after* packing — one
+        mask per packed ciphertext, not per value — and only then
+        broadcasts.
         """
         if not values:
             return []
@@ -506,7 +508,7 @@ class Federation:
             v.ciphertext for v in self.batch.mask_vector(packed, [1] * len(packed))
         ]
         plains = self.joint_decrypt_raw(
-            payload, tag="threshold-decrypt", signed=False
+            payload, tag="threshold-decrypt", signed=False, holder=0
         )
         self.conversions.threshold_decryptions += layout.n_groups
         raws = layout.unpack(plains, magnitudes, pk)
@@ -528,22 +530,23 @@ class Federation:
         :func:`~repro.mpc.conversion.magnitude_bits` reads it at); only
         declared values are slot-packed, and a
         :class:`~repro.mpc.conversion.PackedBatch` arrives packed
-        (:func:`~repro.mpc.conversion.ciphers_to_shares`).
+        (:func:`~repro.mpc.conversion.ciphers_to_shares`), held by the
+        super client.
         """
         return ciphers_to_shares(
             values, self.threshold, self.fx, self.conversions,
             batch_engine=self.batch, bus=self.bus, runtimes=self.runtimes,
-            bound_bits=bound_bits,
+            bound_bits=bound_bits, holder=self.super_client,
         )
 
     def to_cipher(
         self, values: list[SharedValue], exponent: int | None = None
     ) -> list[EncryptedNumber]:
-        """Reverse conversion (§5.2) over a batch: one bus flow, two
-        rounds, whatever the length."""
+        """Reverse conversion (§5.2) over a batch: one bus flow from the
+        super client, two rounds, whatever the length."""
         return share_to_cipher(
             values, self.threshold, self.fx, self.conversions, exponent=exponent,
-            bus=self.bus,
+            bus=self.bus, holder=self.super_client,
         )
 
     def open_bits(self, bits: list[SharedValue], tag: str) -> list[int]:

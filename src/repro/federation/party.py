@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Any, NoReturn
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "PivotClient",
     "RemoteColumns",
     "level_entries",
+    "split_root_entry",
 ]
 
 #: Tags whose ciphertext-batch broadcasts are threshold-decryption requests:
@@ -47,6 +48,15 @@ __all__ = [
 #: statistics, prediction vectors — carries its own tags and is consumed
 #: without a reply.)
 DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert"})
+
+
+def split_root_entry(body: list) -> tuple[list | None, list]:
+    """A body of two-item node entries split into the root's entry
+    ``[weights, riding gammas]`` that opens level 0's first request (so
+    its body is odd), or ``None``, and the rest."""
+    if len(body) % 2:
+        return body[0], body[1:]
+    return None, body
 
 
 def level_entries(body: list, width: int) -> list[list]:
@@ -268,9 +278,10 @@ class PartyRuntime:
     (:meth:`split_statistics`); a ``split-apply`` request lists every node
     of the level she owns the split of (``key, feature, split, ride,
     build``), and her ``node-split`` reply lists them all (``key,
-    threshold, alpha_l, gam_l``; :meth:`apply_split`); a ``node-state``
-    request carries ``key, alpha, gammas`` and a ``node-gammas`` request
-    ``key, gammas`` per node.
+    threshold, alpha_l, gam_l``; :meth:`apply_split`; enhanced Eq. 10
+    sends the same list, thresholds empty); a ``node-gammas`` request
+    carries ``key, gammas`` per node.  Level 0's first request also
+    carries the root's entry (:func:`split_root_entry`).
 
     State: a store of tree-node payloads keyed by heap position (root = 1,
     children of k at 2k / 2k+1), each ``[alpha, gammas-or-None]``.  Only
@@ -407,12 +418,13 @@ class PartyRuntime:
     # -- local computations (also called directly by the super client) -----
 
     def split_statistics(
-        self, node_keys: list[int], features: list[list[int]], header: list[int]
+        self, node_keys: list[int], features: list[list[int]], header: list[int],
+        head: Sequence[EncryptedNumber] = (),
     ) -> list:
         """Encrypted split statistics (Eq. 7 / 9) for this party's available
         features on every node of a tree level, with her Algorithm 2 masks
         in them (lines 1-3): ``features[i]`` are her features left at
-        ``node_keys[i]``.
+        ``node_keys[i]``; ``head`` (the root's totals, at level 0) leads.
 
         Value order, node after node and per (feature asc, split asc)
         identifier: ``[n_left, g_left per stored gamma vector]`` — stride
@@ -450,12 +462,13 @@ class PartyRuntime:
                     tasks.extend((v_left, vector) for vector in (alpha, *gammas))
         q = self._field_q()
         segment = segment_layout(
-            header, self.index, len(tasks), self.endpoint.bus.n_parties,
+            header, self.index, len(head) + len(tasks), self.endpoint.bus.n_parties,
             self.engine.public_key, q,
         )
         masks = [secrets.randbits(header[1]) for _ in segment.level.slots]
+        stats = [*head, *self.engine.batch_dot_products(tasks)]
         groups = segment.reply(
-            [stat.ciphertext for stat in self.engine.batch_dot_products(tasks)],
+            [stat.ciphertext for stat in stats],
             self.engine.encrypt_ciphertexts(segment.level.pack_plaintexts(masks)),
         )
         return [groups, ShareVector(tuple((-r) % q for r in masks))]
@@ -501,30 +514,26 @@ class PartyRuntime:
 
     # -- request handlers --------------------------------------------------
 
-    def _op_node_state(self, sender: int, body: list) -> None:
-        # One [key, alpha, gammas] entry per node; the root's carries the
-        # public weights, not ciphertexts.
-        for key, alpha, gammas in level_entries(body, 3):
-            gammas = [list(g) for g in gammas]
-            if key == 1:
-                self.store_root(alpha, gammas)
-            else:
-                self.store_node(key, alpha, gammas)
+    def _store_root_entry(self, body: list) -> list:
+        """Store the root from a body's root entry, if any; the rest."""
+        root, body = split_root_entry(body)
+        if root is not None:
+            self.store_root(root[0], [list(g) for g in root[1]])
+        return body
 
     def _op_node_gammas(self, sender: int, body: list) -> None:
         # Label vectors that do not ride (enhanced protocol), one
-        # [key, gammas] entry per node of a level.  The trainer announces
-        # node-state before node-gammas (per-sender FIFO), but a provider
-        # driven directly (label-provider API, tests) may publish gammas
-        # for a node never announced — store them under a placeholder so
-        # the flow stays non-blocking either way.
-        for key, gammas in level_entries(body, 2):
+        # [key, gammas] entry per node of a level.  A provider driven
+        # directly (label-provider API, tests) may publish gammas for a
+        # node never stored — store them under a placeholder so the flow
+        # stays non-blocking either way.
+        for key, gammas in level_entries(self._store_root_entry(body), 2):
             node = self.nodes.setdefault(key, [None, None])
             node[1] = [list(g) for g in gammas]
 
     def _op_split_stats(self, sender: int, body: list) -> None:
         header, *body = body
-        entries = level_entries(body, 2)
+        entries = level_entries(self._store_root_entry(body), 2)
         reply = self.split_statistics(
             [key for key, _ in entries],
             [list(available[self.index]) for _, available in entries],

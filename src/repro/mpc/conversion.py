@@ -325,6 +325,7 @@ def ciphers_to_shares(
     bus: MessageBus | None = None,
     runtimes: list | None = None,
     bound_bits: int | None = None,
+    holder: int = 0,
 ) -> list[SharedValue]:
     """Batch Algorithm 2 (the m decryption rounds are batched in practice).
 
@@ -346,11 +347,12 @@ def ciphers_to_shares(
     replies): every party's masks are added to the groups before one
     batched threshold decryption; a
     :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so
-    client 1's mask encryptions draw from its obfuscator pool.
+    the holder's mask encryptions draw from its obfuscator pool.
 
     With a ``bus`` and ``runtimes`` (the per-party
     :class:`~repro.federation.party.PartyRuntime` list) both phases are
-    *reactive*.  Client 1 broadcasts a ``convert-masks`` request (op
+    *reactive*.  ``holder`` (Algorithm 2's client 1: a federation's super
+    client) broadcasts a ``convert-masks`` request (op
     ``convert-masks-packed`` for declared bounds) with the per-value mask
     widths, and every other party samples her own masks, packs and
     encrypts them with *her* engine, and replies with the mask
@@ -367,8 +369,8 @@ def ciphers_to_shares(
     m parties' masks are sampled here and the share vectors come straight
     from the bundle's key shares; the op counts are the same.  Either way
     the masked plaintexts are reconstructed from the m share vectors by
-    :func:`~repro.crypto.threshold.combine_partial_vectors`; client 1's
-    share of value j is ``e_j + neg_1j``, every other party's ``neg_ij``.
+    :func:`~repro.crypto.threshold.combine_partial_vectors`; party 0's
+    share of value j is ``e_j + neg_0j``, every other party's ``neg_ij``.
 
     The MPC engine accounts the mask broadcast and combine as one round
     per call, m field elements per value.
@@ -400,33 +402,34 @@ def ciphers_to_shares(
 
         # Algorithm 2 lines 1-3: every client picks a mask per value,
         # encrypts them (one ciphertext per packed group) and sends them
-        # to client 1.
+        # to the holder.
         own_masks = [secrets.randbits(bits) for bits in bits_list]
-        negated = [[(-r) % q for r in own_masks]]
+        peers = [party for party in range(m) if party != holder]
+        mask_cts = [encrypt_masks(own_masks)]
+        by_party = {holder: [(-r) % q for r in own_masks]}
         if bus is not None:
-            # Client 1 requests mask contributions; every other party
+            # The holder requests mask contributions; every other party
             # reacts with [her mask ciphertexts, her (-r mod q) shares].
             broadcast_request(
                 bus,
-                0,
+                holder,
                 "convert-masks-packed" if layout.packed else "convert-masks",
                 bits_list,
                 tag="mpc-convert",
                 runtimes=runtimes,
             )
-            mask_cts = [encrypt_masks(own_masks)]
-            replies = collect_replies(bus, 0, range(1, m))
-            for party in range(1, m):
+            replies = collect_replies(bus, holder, peers)
+            for party in peers:
                 party_cts, party_shares = replies[party]
                 mask_cts.append(party_cts)
-                negated.append([int(v) for v in party_shares.values])
+                by_party[party] = [int(v) for v in party_shares.values]
             bus.round()
         else:
-            peer_masks = [
-                [secrets.randbits(bits) for bits in bits_list] for _ in range(1, m)
-            ]
-            mask_cts = [encrypt_masks(masks) for masks in [own_masks] + peer_masks]
-            negated += [[(-r) % q for r in masks] for masks in peer_masks]
+            for party in peers:
+                masks = [secrets.randbits(bits) for bits in bits_list]
+                mask_cts.append(encrypt_masks(masks))
+                by_party[party] = [(-r) % q for r in masks]
+        negated = [by_party[party] for party in range(m)]
         for party_cts in mask_cts:
             if len(party_cts) != layout.n_groups:
                 raise ValueError(
@@ -441,7 +444,7 @@ def ciphers_to_shares(
     # value's sign.
     if bus is not None:
         vectors = record_threshold_decrypt(
-            bus, masked_cts, tag="mpc-convert", runtimes=runtimes
+            bus, masked_cts, tag="mpc-convert", runtimes=runtimes, holder=holder
         )
     else:
         vectors = threshold.share_vectors(masked_cts)
@@ -454,7 +457,7 @@ def ciphers_to_shares(
     results: list[SharedValue] = []
     opened = layout.unpack(masked_plains, magnitudes, pk)
     for j, (masked_plain, exponent) in enumerate(zip(opened, batch.exponents)):
-        # Client 1 sets e - r_1, the others -r_i (lines 6-8), each times
+        # Party 0 sets e - r_0, the others -r_i (lines 6-8), each times
         # the public 2^(F+e) that brings a coarser value to the MPC scale.
         scale = 1 << max(0, fixed.f + exponent)
         first, *others = (shares[j] for shares in negated)
@@ -507,6 +510,7 @@ def share_to_cipher(
     counters: ConversionCounters | None = None,
     exponent: int | None = None,
     bus: MessageBus | None = None,
+    holder: int = 0,
 ) -> list[EncryptedNumber]:
     """Reverse conversion (§5.2) over a batch: the ciphertext of each
     shared value.
@@ -525,11 +529,11 @@ def share_to_cipher(
 
     One call costs the same at any length: one ``input_many`` per party
     (her masks), one ``open_many`` (every e) and one accounted round for
-    the mask-ciphertext exchange.  With a ``bus``, clients 2..m each send
-    client 1 one list of mask ciphertexts and client 1 broadcasts one
-    list of results — two bus rounds, tag ``to-cipher``.  The tag is not a
-    decryption tag: a party runtime consumes a ciphertext list under it
-    without answering with her c^{d_i} shares.
+    the mask-ciphertext exchange.  With a ``bus``, every other client
+    sends ``holder`` one list of mask ciphertexts and ``holder`` broadcasts
+    one list of results — two bus rounds, tag ``to-cipher``.  The tag is
+    not a decryption tag: a party runtime consumes a ciphertext list under
+    it without answering with her c^{d_i} shares.
     """
     from repro.crypto.encoding import PaillierEncoder
 
@@ -561,9 +565,10 @@ def share_to_cipher(
         for e, cts in zip(opened, zip(*mask_cts))
     ]
     if bus is not None:
-        for party in range(1, m):
-            bus.send_payload(party, 0, mask_cts[party], tag="to-cipher")
-        bus.broadcast_payload(0, totals, tag="to-cipher")
+        for party in range(m):
+            if party != holder:
+                bus.send_payload(party, holder, mask_cts[party], tag="to-cipher")
+        bus.broadcast_payload(holder, totals, tag="to-cipher")
         bus.round(2)
     if counters is not None:
         counters.to_cipher += count

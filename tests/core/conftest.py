@@ -75,6 +75,55 @@ def global_signature(node, vp):
     )
 
 
+def opened_signature(ctx, node, vp):
+    """An enhanced tree's global signature, its hidden thresholds and leaf
+    labels opened."""
+    if node.is_leaf:
+        (label,) = ctx.fx.open([node.hidden["label_share"]])
+        return ("leaf", round(label))
+    (threshold,) = ctx.fx.open([node.hidden["threshold_share"]])
+    return (
+        "node",
+        vp.global_feature_of(node.owner, node.feature),
+        threshold,
+        opened_signature(ctx, node.left, vp),
+        opened_signature(ctx, node.right, vp),
+    )
+
+
+def same_tree(opened, plain) -> bool:
+    """Equal signatures, an opened threshold within its 2^-16 encoding of
+    the plaintext one."""
+    if opened[0] == "leaf" or plain[0] == "leaf":
+        return opened == plain
+    _, feature, threshold, *children = opened
+    _, plain_feature, plain_threshold, *plain_children = plain
+    return (
+        feature == plain_feature
+        and abs(threshold - plain_threshold) <= 2.0**-15
+        and all(same_tree(a, b) for a, b in zip(children, plain_children))
+    )
+
+
+def spy_on_bus(monkeypatch, bus) -> list[tuple[int, int | None, str, object]]:
+    """Every (sender, receiver, tag, payload) the bus carries, in order;
+    a broadcast has receiver ``None``."""
+    seen: list[tuple[int, int | None, str, object]] = []
+    real_send, real_broadcast = bus.send_payload, bus.broadcast_payload
+
+    def send_payload(sender, receiver, payload, tag=""):
+        seen.append((sender, receiver, tag, payload))
+        return real_send(sender, receiver, payload, tag=tag)
+
+    def broadcast_payload(sender, payload, tag=""):
+        seen.append((sender, None, tag, payload))
+        return real_broadcast(sender, payload, tag=tag)
+
+    monkeypatch.setattr(bus, "send_payload", send_payload)
+    monkeypatch.setattr(bus, "broadcast_payload", broadcast_payload)
+    return seen
+
+
 def plaintext_logistic_proba(
     X, y, columns, rows, learning_rate=0.5, n_epochs=3, batch_size=16
 ) -> np.ndarray:

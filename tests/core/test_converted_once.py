@@ -14,13 +14,13 @@ Three families:
 * **Children are built only where they are read.**  The basic model
   update sends one child's mask vector, never the derived sibling's, and
   neither protocol builds one for a leaf at the depth limit.
-* **Leak regression.**  No published label vector — riding in a
-  ``node-state`` or ``node-split``, or a ``node-gammas`` under the
-  enhanced protocol — and no ``split-stats`` payload carries a ciphertext
-  that is the unit, or bit-equal to one its receiver already holds; the
-  raw-equality attack that once read every label off ``node-gammas``
-  matches nothing.  The root's [α] never goes on the wire: its weights
-  are public.  Likewise prediction:
+* **Leak regression.**  No published label vector — riding in the
+  root's entry or a ``node-split``, or a ``node-gammas`` under the
+  enhanced protocol — no enhanced [α_l] and no ``split-stats`` payload
+  carries a ciphertext that is the unit, or bit-equal to one its receiver
+  already holds; the raw-equality attack that once read every label off
+  ``node-gammas`` matches nothing.  The root's [α] never goes on the
+  wire: its weights are public.  Likewise prediction:
   no ``prediction-vector`` element is the unit or one its sender received,
   and nothing a prediction sends out for decryption is a deterministic
   function of the vector u_1 received — the attack that read every
@@ -39,11 +39,11 @@ from repro.core.ensemble import ForestTrainer, GBDTTrainer
 from repro.core.labels import PlaintextLabelProvider
 from repro.crypto.encoding import EncryptedNumber
 from repro.crypto.paillier import Ciphertext
-from repro.federation.party import DECRYPT_TAGS, level_entries
+from repro.federation.party import DECRYPT_TAGS, level_entries, split_root_entry
 from repro.network.wire import Request
 from repro.tree import TreeParams
 
-from tests.core.conftest import make_context
+from tests.core.conftest import make_context, spy_on_bus
 
 # -- derived statistics -------------------------------------------------------
 
@@ -55,7 +55,9 @@ class _StatisticsAudit:
     A child whose [α] was never built (a leaf at the depth limit) is checked
     through its parent: the parent's plaintext terms times the winning
     indicator, or its complement for the right child.  The winning split is
-    read off each node's opened one-hot, under either protocol."""
+    read off each node's opened one-hot, under either protocol.  The root
+    enters level 0 without statistics (they come out of the level's
+    conversion), so it is checked once they are set."""
 
     def __init__(self, monkeypatch, ctx, labels, tolerance=0, check_splits=True):
         self.ctx = ctx
@@ -67,6 +69,7 @@ class _StatisticsAudit:
         self._terms: dict[int, np.ndarray] = {}  # heap key -> plaintext terms
         self._winners: dict[int, tuple[int, int, int]] = {}  # heap key -> split
         self._levels: dict[int, tuple] = {}  # id(NodeStats) -> (terms, available)
+        self._root = None  # the root, until its statistics are converted
         real_grow = TreeTrainer._grow_level
         real_gains = trainer_module.secure_split_gains
 
@@ -76,11 +79,15 @@ class _StatisticsAudit:
                     terms = self._inherited(node.key)
                 else:
                     terms = self._terms_of(trainer, node.alpha, node.gammas)
-                self._check(node.stats.n, node.stats.totals, terms)
-                self.nodes += 1
                 self._terms[node.key] = terms
-                self._levels[id(node.stats)] = (terms, node.available)
-            return real_grow(trainer, nodes, depth, tree)
+                if node.stats is None:
+                    self._root = node
+                else:
+                    self._register(node)
+            try:
+                return real_grow(trainer, nodes, depth, tree)
+            finally:
+                self._register_root()
 
         def update(real):
             def wrapped(trainer, nodes, identifiers, picks, *rest):
@@ -92,6 +99,7 @@ class _StatisticsAudit:
             return wrapped
 
         def gains(fx, task, nodes, splits, *args, **kwargs):
+            self._register_root()
             for node, node_splits in zip(nodes, splits):
                 terms, available = self._levels[id(node)]
                 identifiers = ctx.split_identifiers(available)
@@ -108,6 +116,17 @@ class _StatisticsAudit:
             monkeypatch.setattr(TreeTrainer, name, update(getattr(TreeTrainer, name)))
         if check_splits:
             monkeypatch.setattr(trainer_module, "secure_split_gains", gains)
+
+    def _register(self, node) -> None:
+        terms = self._terms[node.key]
+        self._check(node.stats.n, node.stats.totals, terms)
+        self.nodes += 1
+        self._levels[id(node.stats)] = (terms, node.available)
+
+    def _register_root(self) -> None:
+        if self._root is not None and self._root.stats is not None:
+            self._register(self._root)
+            self._root = None
 
     def _inherited(self, key: int) -> np.ndarray:
         owner, feature, s = self._winners[key // 2]
@@ -268,47 +287,31 @@ def _raws(payload) -> list[int]:
     return []
 
 
-def _spy_on_bus(monkeypatch, bus) -> list[tuple[int, int | None, str, object]]:
-    """Every (sender, receiver, tag, payload) the bus carries, in order;
-    a broadcast has receiver ``None``."""
-    seen: list[tuple[int, int | None, str, object]] = []
-    real_send, real_broadcast = bus.send_payload, bus.broadcast_payload
-
-    def send_payload(sender, receiver, payload, tag=""):
-        seen.append((sender, receiver, tag, payload))
-        return real_send(sender, receiver, payload, tag=tag)
-
-    def broadcast_payload(sender, payload, tag=""):
-        seen.append((sender, None, tag, payload))
-        return real_broadcast(sender, payload, tag=tag)
-
-    monkeypatch.setattr(bus, "send_payload", send_payload)
-    monkeypatch.setattr(bus, "broadcast_payload", broadcast_payload)
-    return seen
-
-
-def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
+def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
     """Replay what party ``index`` sent and received, in order, holding
     what she would hold.
 
     Every ciphertext she receives as a published vector — a riding or
-    ``node-gammas`` [γ], a ``node-split``'s [α_l], a split statistic — is
+    ``node-gammas`` [γ], a ``node-split``'s [α_l] (a basic owner's, or the
+    enhanced Eq. 10's from the super client), a split statistic — is
     checked: not the unit (c mod n² == 1, no mask at all), not repeated
     within its message and not raw-equal to anything she already holds
     (sent, received or derived: [α_r] = [α] ⊖ [α_l] and [γ_r] likewise).
-    What she publishes herself she only holds.  The root's ``node-state``
-    must carry its weights as plain ints; she forms [α] herself.  An
-    enhanced child's ``node-state`` repeats the ``eq10`` broadcast of
-    [α_l] by design and is only held.
+    What she publishes herself she only holds.  The root's entry, at the
+    head of level 0's first request, must carry its weights as plain ints;
+    she forms [α] herself.
 
     Returns every published label-vector set as ``([α] raws of its node,
-    [γ_k] vectors)``, and the published ciphertexts per tag."""
+    [γ_k] vectors)``, the published ciphertexts per tag (the root entry's
+    riding [γ]s under ``root``, not under the tag of the request they
+    ride) and the set of every checked ciphertext."""
     public_key = ctx.threshold.public_key
     n_squared = public_key.n_squared
     held: set[int] = set()
     nodes: dict[int, tuple[list[int], list[list[int]]]] = {}  # key -> ([α], [γ]s)
     published = []
     carried: Counter = Counter()
+    checked: set[int] = set()
 
     def receive(tag, payload) -> list[int]:
         raws = _raws(payload)
@@ -316,6 +319,7 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
             assert 1 not in raws and len(set(raws)) == len(raws)
             assert held.isdisjoint(raws)
             carried[tag] += len(raws)
+            checked.update(raws)
         held.update(raws)
         return raws
 
@@ -330,20 +334,17 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
             continue
         op = payload.op if isinstance(payload, Request) else None
         body = list(payload.body) if op else []
-        if op == "node-state" and body[0] == 1:
-            weights = body[1]
-            assert all(type(w) is int for w in weights)  # no root ciphertext
-            alpha = [public_key.raw_encrypt(w) for w in weights]
-            held.update(alpha)
-            gammas = [receive(tag, g) for g in body[2]]
-            nodes[1] = (alpha, gammas)
-            if gammas and not own:
-                published.append((alpha, body[2]))
-        elif op == "node-state":  # enhanced children
-            held.update(_raws(body))
-            for key, alpha, gammas in level_entries(body, 3):
-                nodes[key] = (_raws(alpha), [_raws(g) for g in gammas])
-        elif op == "node-split":
+        if op in ("split-stats", "node-gammas"):
+            root, body = split_root_entry(body[1:] if op == "split-stats" else body)
+            if root is not None:
+                weights, root_gammas = root
+                assert all(type(w) is int for w in weights)  # no root ciphertext
+                alpha = [public_key.raw_encrypt(w) for w in weights]
+                held.update(alpha)
+                nodes[1] = (alpha, [receive("root", g) for g in root_gammas])
+                if root_gammas and not own:
+                    published.append((alpha, root_gammas))
+        if op == "node-split":
             for key, _, alpha_left, gam_left in level_entries(body, 4):
                 if not alpha_left:
                     continue
@@ -363,9 +364,9 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter]:
                     receive(tag, g)
                 if not own:
                     published.append((nodes[key][0], gammas))
-        elif tag == "split-stats":
-            receive(tag, payload)  # nothing in the request itself
-    return published, carried
+        elif tag == "split-stats" and op is None:
+            receive(tag, payload)  # a reply
+    return published, carried, checked
 
 
 def _labels_recovered(ctx, betas, task, published) -> int:
@@ -397,15 +398,26 @@ def test_published_vectors_and_statistics_are_unlinkable(
     X, y = small_classification if task == "classification" else small_regression
     X, y = X[:30], y[:30]
     ctx = make_context(X, y, task, protocol=protocol)
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     trainer = TreeTrainer(ctx)
     model = trainer.fit()
     assert model.n_internal >= 1
+    # The enhanced left children: Eq. 10's node-split list, from the super
+    # client.  Every other party receives each [α_l] exactly once (the
+    # replay refuses a second copy of anything she holds).
+    enhanced_lefts = {
+        raw
+        for _, _, tag, payload in spy
+        if tag == "eq10" and isinstance(payload, Request)
+        for entry in level_entries(list(payload.body), 4)
+        for raw in _raws(entry[2])
+    }
+    assert bool(enhanced_lefts) == (protocol == "enhanced")
     # Every party, the super client included: she is the one receiver of
     # the split statistics (with the masks in them); peers receive none.
     published = []
     for index in range(ctx.n_clients):
-        seen, carried = _received_by(ctx, spy, index)
+        seen, carried, checked = _received_by(ctx, spy, index)
         published += seen
         if index == ctx.super_client:
             assert carried["split-stats"]
@@ -414,35 +426,41 @@ def test_published_vectors_and_statistics_are_unlinkable(
             # Basic labels ride with [α]; the enhanced ones are published
             # per node.
             assert bool(carried["label-vectors"]) == (protocol == "enhanced")
+            assert bool(carried["root"]) == (protocol == "basic")
+            assert enhanced_lefts <= checked
     assert published
     assert _labels_recovered(ctx, trainer.provider.betas, task, published) == 0
 
 
 @pytest.mark.parametrize(
-    "estimator, pool_masks", [("tree", 126), ("forest", 252), ("gbdt", 255)]
+    "estimator, pool_masks", [("tree", 123), ("forest", 246), ("gbdt", 255)]
 )
 def test_basic_labels_ride_once_per_built_split(
     monkeypatch, small_classification, small_regression, estimator, pool_masks
 ):
     """Basic protocol: the super client encrypts the root's [γ] once, in
-    the root ``node-state`` next to the public weights; from there each
-    split owner masks [γ_l] with [α_l].  No ``node-gammas``, no
-    ``label-vectors`` bytes, no root ciphertext; every [γ_l] is fresh.
-    The pool masks per fit are pinned (n = 30, m = 3, S = 8 candidate
-    splits per node): (c − 1)·n at each root, m per packed conversion
-    (every party's mask encryption of each group, which in a level's
-    ``split-stats`` reply also re-randomises her statistics), c·n per
-    built split (c = 3 for regression: n, y, y²), and for GBDT n more for
-    its encrypted labels.  A tree level's statistics are packed together:
-    at 256 bits a class count of W = 30 has a 5 + 40 + 2 = 47-bit slot,
-    five to a ciphertext, so the tree's 1 + ⌈16/5⌉ + ⌈32/5⌉ = 12
-    conversions give 30 + 3·12 + 60 = 126.  (Regression declares fx.k:
-    82-bit slots, three to a ciphertext.)"""
+    the root's entry next to the public weights, at the head of level 0's
+    ``split-stats`` request; from there each split owner masks [γ_l] with
+    [α_l].  No ``node-gammas``, no ``label-vectors`` bytes, no root
+    ciphertext; every [γ_l] is fresh.  The pool masks per fit are pinned
+    (n = 30, m = 3, S = 8 candidate splits per node): (c − 1)·n at each
+    root, m per packed group converted (every party's mask encryption of
+    each group, which in a level's ``split-stats`` reply also
+    re-randomises her statistics), c·n per built split (c = 3 for
+    regression: n, y, y²), and for GBDT n more for its encrypted labels.
+    A tree level's statistics are packed together, level 0's after the
+    root's c − 1 label totals: at 256 bits a class count of W = 30 has a
+    5 + 40 + 2 = 47-bit slot, five to a ciphertext, so the tree's
+    ⌈(1 + 16)/5⌉ + ⌈32/5⌉ = 11 groups give 30 + 3·11 + 60 = 123 — the
+    root's total takes a free slot of level 0's last group, where it once
+    had a group of its own.  (Regression declares fx.k: 82-bit slots,
+    three to a ciphertext, so GBDT's level 0 of 2 + 24 values fills
+    ⌈26/3⌉ = 9 groups, as ⌈2/3⌉ + ⌈24/3⌉ did: 255 either way.)"""
     task = "regression" if estimator == "gbdt" else "classification"
     X, y = small_regression if estimator == "gbdt" else small_classification
     X, y = X[:30], y[:30]
     ctx = make_context(X, y, task, seed=3)
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     before = ctx.batch.pool.generated
     if estimator == "tree":
         trees = 1
@@ -457,12 +475,16 @@ def test_basic_labels_ride_once_per_built_split(
     requests = [p for *_, p in spy if isinstance(p, Request)]
     assert not any(r.op == "node-gammas" for r in requests)
     assert "label-vectors" not in ctx.bus.snapshot()["by_tag"]
-    roots = [r.body for r in requests if r.op == "node-state"]
-    assert [body[0] for body in roots] == [1] * trees
+    roots = [
+        split_root_entry(list(r.body)[1:])[0]
+        for r in requests
+        if r.op == "split-stats"
+    ]
+    assert len([root for root in roots if root is not None]) == trees
     public_key = ctx.threshold.public_key
     on_the_wire = {raw for *_, payload in spy for raw in _raws(payload)}
     assert on_the_wire.isdisjoint(public_key.raw_encrypt(w) for w in (0, 1))
-    published, carried = _received_by(ctx, spy)
+    published, _, _ = _received_by(ctx, spy)
     splits = [
         entry
         for r in requests
@@ -501,8 +523,10 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
     else — n pool masks per vector per split whose children are built —
     and no ciphertext of [α_r] or [γ_r] is ever sent, because every party
     derives them.  A last-level ``node-split`` carries the threshold and
-    empty vectors; a last-level enhanced split sends no ``eq10`` traffic
-    and no ``node-state``.  ``rounds`` 2 is a GBDT fit whose second tree
+    empty vectors; an enhanced level whose children are built ends its
+    Eq. 10 in one ``node-split`` list from the super client, an [α_l] per
+    split and no threshold, and a last-level enhanced split sends no
+    ``eq10`` traffic.  ``rounds`` 2 is a GBDT fit whose second tree
     carries riding [γ]s."""
     from repro.federation.party import PartyRuntime
 
@@ -517,7 +541,7 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
         X, y, task, protocol=protocol,
         params=TreeParams(max_depth=max_depth, max_splits=2),
     )
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     riding: list[int] = []  # per fitted tree: [γ] vectors riding with [α]
     starts: list[tuple[int, int, int]] = []  # (tree, depth, spy position)
     masks = [0]  # pool masks drawn inside apply_split
@@ -591,14 +615,16 @@ def test_children_get_a_mask_vector_only_where_it_is_read(
                     )
             else:
                 eq10 = [entry for entry in level if entry[2] == "eq10"]
-                states = [
-                    entry[0]
-                    for op, body in requests if op == "node-state"
-                    for entry in level_entries(body, 3)
+                lefts = [
+                    entry
+                    for op, body in requests if op == "node-split"
+                    for entry in level_entries(body, 4)
                 ]
                 assert bool(eq10) == children_built
-                expected = [c for key in keys for c in (2 * key, 2 * key + 1)]
-                assert sorted(states) == (sorted(expected) if children_built else [])
+                assert sorted(entry[0] for entry in lefts) == (
+                    sorted(keys) if children_built else []
+                )
+                assert all(entry[1] == [] and len(entry[2]) == n for entry in lefts)
             if children_built:
                 built_vectors += len(keys) * (1 + riding[tree])
             else:
@@ -688,7 +714,7 @@ def test_single_tree_prediction_shows_nobody_the_comparisons(
     assert 0 < width < len(model.leaves())
     rows = X[:12]
     assert len(set(model.predict(rows))) == 2  # rows on different paths
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     run_predict_batch(model, ctx, rows)
     (call,) = _round_robins(spy, ctx.n_clients)
     _assert_hops_carry_fresh_masks(call, len(rows), width)
@@ -709,7 +735,7 @@ def test_forest_prediction_shows_nobody_the_comparisons(
     X, y = small_classification
     ctx = make_context(X, y, "classification", params=TreeParams(max_depth=1, max_splits=2))
     forest = ForestTrainer(ctx, n_trees=2, seed=3).fit()
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     forest.predict(X[:3])
     calls = _round_robins(spy, ctx.n_clients)
     assert len(calls) == len(forest.models)
@@ -734,23 +760,21 @@ def test_gbdt_round_shows_nobody_the_comparisons(monkeypatch, small_regression):
     X, y = small_regression
     X, y = X[:12], y[:12]
     ctx = make_context(X, y, "regression", params=TreeParams(max_depth=1, max_splits=2))
-    spy = _spy_on_bus(monkeypatch, ctx.bus)
+    spy = spy_on_bus(monkeypatch, ctx.bus)
     trainer = GBDTTrainer(ctx, n_rounds=3).fit()
     calls = _round_robins(spy, ctx.n_clients)
     assert len(calls) == 2  # the last round's tree predicts nothing
     for model, call in zip(trainer.models, calls):
         _assert_hops_carry_fresh_masks(call, len(y), _travelling(model))
     assert 1 not in _decryption_broadcasts(spy)
-    # Every round's root announces its riding [γ_1]; rounds 2 and 3's are
-    # the residuals.
-    residuals = [
-        _raws(payload.body[2][0])
-        for _, _, tag, payload in spy
-        if tag == "mask-vector"
-        and isinstance(payload, Request)
-        and payload.op == "node-state"
-        and payload.body[0] == 1
-    ][1:]
+    # Every round's root entry carries its riding [γ_1] in level 0's
+    # split-stats request; rounds 2 and 3's are the residuals.
+    roots = [
+        split_root_entry(list(payload.body)[1:])[0]
+        for *_, payload in spy
+        if isinstance(payload, Request) and payload.op == "split-stats"
+    ]
+    residuals = [_raws(root[1][0]) for root in roots if root is not None][1:]
     assert len(residuals) == 2 and len(residuals[0]) == len(y)
     public_key = ctx.threshold.public_key
     n = public_key.n

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import opcount
 from repro.core import TreeTrainer, run_predict_batch
-from repro.data import vertical_partition
 from repro.mpc.sharing import SharedValue
 from repro.tree import TreeParams
 
@@ -202,29 +201,52 @@ def _raw(ctx, vector):
     return ctx.threshold.joint_decrypt_batch([v.ciphertext for v in vector])
 
 
-def _split_by_children(model, store, max_depth):
+def _record_splits(runtime) -> dict:
+    """Every split ``runtime`` stores from a ``node-split`` entry, by the
+    parent's heap key: the parent's, the left and the right child's
+    ``[alpha, gammas]`` as stored (the store pops the parent)."""
+    stored = {}
+    real = runtime.store_split
+
+    def store_split(body):
+        key = body[0]
+        parent = runtime.nodes.get(key)
+        real(body)
+        if body[2]:
+            stored[key] = (parent, runtime.nodes[2 * key], runtime.nodes[2 * key + 1])
+
+    runtime.store_split = store_split
+    return stored
+
+
+def _split_by_children(model, stored, max_depth):
     """Internal nodes' heap keys: those whose children got mask vectors,
-    after checking that the others' children (leaves at the depth limit)
-    store none."""
+    after checking that they are exactly the splits the store recorded
+    (leaves at the depth limit store none)."""
     keyed = _node_keys(model)
     built = [key for key, node in keyed if node.depth + 1 < max_depth]
-    last = [key for key, _ in keyed if key not in built]
-    assert built and last, "the fixture splits above and at the last level"
-    for key in last:
-        assert 2 * key not in store and 2 * key + 1 not in store
+    assert built and len(built) < len(keyed), (
+        "the fit splits above and at the last level"
+    )
+    assert sorted(stored) == built
     return built
 
 
-def test_children_masks_partition_the_parent(enhanced_setup):
+def test_children_masks_partition_the_parent():
     """Eq. 10 builds [α_l]; [α_r] = [α] ⊖ [α_l].  Both children are exact
     0/1 vectors that add up to the parent's, element by element — where
     the children read them; leaves at the depth limit get none."""
-    _, _, ctx, model, _, _ = enhanced_setup
-    store = ctx.runtimes[ctx.super_client].nodes
-    for key in _split_by_children(model, store, max_depth=2):
-        parent, left, right = (
-            _raw(ctx, store[k][0]) for k in (key, 2 * key, 2 * key + 1)
-        )
+    from repro.data import make_classification
+
+    X, y = make_classification(30, 4, n_classes=2, seed=1)
+    ctx = make_context(
+        X, y, "classification", protocol="enhanced",
+        params=TreeParams(max_depth=2, max_splits=2),
+    )
+    stored = _record_splits(ctx.runtimes[ctx.super_client])
+    model = TreeTrainer(ctx).fit()
+    for key in _split_by_children(model, stored, max_depth=2):
+        parent, left, right = (_raw(ctx, node[0]) for node in stored[key])
         assert set(parent) | set(left) | set(right) <= {0, 1}
         assert [a + b for a, b in zip(left, right)] == parent
         assert 0 < sum(left) < sum(parent)
@@ -241,16 +263,23 @@ def test_riding_gammas_partition_with_the_mask():
     ctx = make_context(
         X, y, "regression", protocol="enhanced", params=params, seed=5
     )
-    gbdt = GBDTTrainer(ctx, n_rounds=2, learning_rate=0.8).fit()
-    store = ctx.runtimes[ctx.super_client].nodes
-    for key in _split_by_children(gbdt.models[-1], store, max_depth=2):
-        alphas = [_raw(ctx, store[k][0]) for k in (key, 2 * key, 2 * key + 1)]
+    stored = _record_splits(ctx.runtimes[ctx.super_client])
+    gbdt = GBDTTrainer(ctx, n_rounds=2, learning_rate=0.8)
+    real_fit = TreeTrainer.fit
+
+    def fit(trainer, *args, **kwargs):
+        stored.clear()  # keep the last tree's splits
+        return real_fit(trainer, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TreeTrainer, "fit", fit)
+        gbdt.fit()
+    for key in _split_by_children(gbdt.models[-1], stored, max_depth=2):
+        alphas = [_raw(ctx, node[0]) for node in stored[key]]
         assert set().union(*alphas) <= {0, 1}
         assert [a + b for a, b in zip(alphas[1], alphas[2])] == alphas[0]
         for which in range(2):
-            parent, left, right = (
-                store[k][1][which] for k in (key, 2 * key, 2 * key + 1)
-            )
+            parent, left, right = (node[1][which] for node in stored[key])
             assert {v.exponent for v in parent + left + right} == {
                 parent[0].exponent
             }
@@ -266,13 +295,14 @@ def test_riding_gammas_partition_with_the_mask():
 
 def _check_threshold_decryptions_by_formula(protocol):
     """Cd of a fit at a 512-bit key, m = 3: per tree level
-    ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, a slot being
-    bitlen(W) + κ + bitlen(m) bits for W = Σ root weights, plus eleven
-    Eq. 10 elements per decrypted ciphertext.  The root converts only its
-    c − 1 class totals (its count is the public W); an internal node
-    converts the left child's n_l and c − 1 class counts per split (plus,
-    under the enhanced protocol, Eq. 10 for one child where the children
-    are built: not at the last level); a leaf converts nothing."""
+    ⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's internal nodes, a slot
+    being bitlen(W) + κ + bitlen(m) bits for W = Σ root weights, plus
+    eleven Eq. 10 elements per decrypted ciphertext.  The root's own
+    statistics are its V₀ = c − 1 class totals (its count is the public
+    W), in level 0's batch; an internal node converts the left child's n_l
+    and c − 1 class counts per split (plus, under the enhanced protocol,
+    Eq. 10 for one child where the children are built: not at the last
+    level); a leaf converts nothing."""
     from repro.data import make_classification
 
     n, classes = 30, 2
@@ -286,10 +316,10 @@ def _check_threshold_decryptions_by_formula(protocol):
     slot = n.bit_length() + ctx.engine.kappa + ctx.n_clients.bit_length()
     per_stat, per_alpha = 511 // slot, 11
     assert per_stat == 10
-    root_stats = -(-(classes - 1) // per_stat)
     depths = [node.depth for node in model.internal_nodes()]
     split_stats = sum(
-        -(-depths.count(depth) * splits * classes // per_stat)
+        -(-((classes - 1) * (depth == 0) + depths.count(depth) * splits * classes)
+          // per_stat)
         for depth in set(depths)
     )
     eq10 = -(-n // per_alpha) if protocol == "enhanced" else 0
@@ -297,9 +327,7 @@ def _check_threshold_decryptions_by_formula(protocol):
         node.depth + 1 < params.max_depth for node in model.internal_nodes()
     )
     assert model.n_internal == 3 and built == 1
-    assert ctx.conversions.threshold_decryptions == (
-        root_stats + split_stats + built * eq10
-    )
+    assert ctx.conversions.threshold_decryptions == split_stats + built * eq10
 
 
 def test_threshold_decryptions_per_node_by_formula():
@@ -409,9 +437,9 @@ def test_an_out_of_bound_element_raises_at_the_eq10_opening():
     ones = ctx.encrypt_indicator(np.ones(6, dtype=np.int64))
     wide = ctx.batch.encrypt_vector([1 << 60] * 6, exponent=0)
     with pytest.raises((MaskBoundError, PackingError)):
-        trainer._masked_elementwise_product(wide, ones, bound_bits=1)
+        trainer._masked_elementwise_product([], ones, [wide], bound_bits=1)
     ctx.bus.assert_drained()
     gamma = ctx.batch.encrypt_vector([1 << 100] * 6, exponent=-ctx.fx.f)
     with pytest.raises(MaskBoundError):
-        trainer._masked_elementwise_product(gamma, ones)
+        trainer._masked_elementwise_product([], ones, [gamma])
     ctx.bus.assert_drained()

@@ -11,11 +11,13 @@
   gain at all.  Class-count ties need no margin: counts are exact on
   shares and both argmaxes take the first maximum.
 * **Rounds follow depth.**  A full tree's training bus rounds are
-  4 + 4h under the basic protocol and 4 + 4h + 9(h − 1) under the enhanced
-  one: each level pays ``split-stats`` (which carries Algorithm 2's masks),
-  the decryption and the model update once however many nodes it has, so a level of two nodes and one
-  of four cost the same bus and MPC rounds, and a level whose nodes all
-  stop at the pruning checks sends nothing.
+  4h under the basic protocol and 4h + 8(h − 1) under the enhanced
+  one: each level pays ``split-stats`` (which carries Algorithm 2's masks,
+  and at level 0 the root's entry and label totals), the decryption and
+  the model update once however many nodes it has, so a level of two
+  nodes and one of four cost the same bus and MPC rounds, and a level
+  below the root whose nodes all stop at the pruning checks sends
+  nothing.
 """
 
 from __future__ import annotations
@@ -28,10 +30,19 @@ from hypothesis import strategies as st
 from repro.core import PivotConfig, TreeTrainer
 from repro.data import make_classification, vertical_partition
 from repro.federation import Federation
+from repro.federation.party import split_root_entry
+from repro.network.wire import Request
 from repro.tree import DecisionTree, TreeParams
 from repro.tree.metrics import gini_gain
 
-from tests.core.conftest import TEST_KEYSIZE, global_signature, global_split_grid
+from tests.core.conftest import (
+    TEST_KEYSIZE,
+    global_signature,
+    global_split_grid,
+    opened_signature,
+    same_tree,
+    spy_on_bus,
+)
 
 #: Least lead of a chosen split over zero and over every rival.  The
 #: trainer's shared gains are a few ulps of 2^-16 off the true ones, and it
@@ -85,36 +96,6 @@ def _decisive(model, X, y, grid, params, classes) -> bool:
     return True
 
 
-def _opened_signature(ctx, node, vp):
-    """An enhanced tree's global signature, its hidden thresholds and leaf
-    labels opened."""
-    if node.is_leaf:
-        (label,) = ctx.fx.open([node.hidden["label_share"]])
-        return ("leaf", round(label))
-    (threshold,) = ctx.fx.open([node.hidden["threshold_share"]])
-    return (
-        "node",
-        vp.global_feature_of(node.owner, node.feature),
-        threshold,
-        _opened_signature(ctx, node.left, vp),
-        _opened_signature(ctx, node.right, vp),
-    )
-
-
-def _same_tree(opened, plain) -> bool:
-    """Equal signatures, an opened threshold within its 2^-16 encoding of
-    the plaintext one."""
-    if opened[0] == "leaf" or plain[0] == "leaf":
-        return opened == plain
-    _, feature, threshold, *children = opened
-    _, plain_feature, plain_threshold, *plain_children = plain
-    return (
-        feature == plain_feature
-        and abs(threshold - plain_threshold) <= 2.0**-15
-        and all(_same_tree(a, b) for a, b in zip(children, plain_children))
-    )
-
-
 @settings(
     deadline=None,
     max_examples=8,
@@ -152,7 +133,7 @@ def test_basic_and_enhanced_trees_equal_plaintext_cart(
     assert global_signature(basic.root, vp) == expected
     enhanced_fed = fed.context_for(protocol="enhanced")
     enhanced = TreeTrainer(enhanced_fed).fit()
-    assert _same_tree(_opened_signature(enhanced_fed, enhanced.root, vp), expected)
+    assert same_tree(opened_signature(enhanced_fed, enhanced.root, vp), expected)
     fed.assert_drained()
 
 
@@ -191,8 +172,8 @@ def _levels(monkeypatch, fed, params, protocol):
 def test_training_rounds_follow_depth(monkeypatch, protocol):
     X, y = FULL_TREE
     expected = {
-        "basic": lambda h: 4 + 4 * h,
-        "enhanced": lambda h: 4 + 4 * h + 9 * (h - 1),
+        "basic": lambda h: 4 * h,
+        "enhanced": lambda h: 4 * h + 8 * (h - 1),
     }[protocol]
     per_depth = {}
     for h in (1, 2, 3):
@@ -223,7 +204,104 @@ def test_a_level_pruned_at_the_checks_sends_nothing(monkeypatch):
     assert len(model.leaves()) == 2
     (_, root_rounds, _, _), (nodes, level_rounds, messages, mpc_rounds) = levels
     assert nodes == 2 and (level_rounds, messages) == (0, 0) and mpc_rounds > 0
-    assert rounds == 4 + root_rounds == 4 + 4
+    assert rounds == root_rounds == 4
     assert {tag for tag, _ in fed.revealed if tag.endswith("-d1")} == {
         "prune-count-d1", "leaf-label-d1",
     }
+
+
+# -- no flow of its own for node state ------------------------------------------
+
+
+def _spied_fit(monkeypatch, ctx):
+    """Fit one tree with the bus spied; returns the model, the fit's bus
+    rounds and every request it sent as ``(depth, request)``, the depth
+    being that of the level whose growth sent it."""
+    spy = spy_on_bus(monkeypatch, ctx.bus)
+    starts: list[tuple[int, int]] = []  # (depth, spy position)
+    real = TreeTrainer._grow_level
+
+    def grow_level(trainer, nodes, depth, tree):
+        starts.append((depth, len(spy)))
+        return real(trainer, nodes, depth, tree)
+
+    monkeypatch.setattr(TreeTrainer, "_grow_level", grow_level)
+    before = ctx.bus.rounds
+    model = TreeTrainer(ctx).fit()
+    rounds = ctx.bus.rounds - before
+    monkeypatch.undo()
+    requests = [
+        (max(depth for depth, start in starts if start <= position), payload)
+        for position, (*_, payload) in enumerate(spy)
+        if isinstance(payload, Request)
+    ]
+    return model, rounds, requests
+
+
+def _carries_root(request) -> bool:
+    body = list(request.body)
+    if request.op == "split-stats":
+        return split_root_entry(body[1:])[0] is not None
+    return request.op == "node-gammas" and split_root_entry(body)[0] is not None
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_node_state_rides_the_level_requests(monkeypatch, protocol):
+    """No flow of a fit is the root's or a node state's own: the root's
+    entry heads level 0's first request (``split-stats``, or
+    ``node-gammas`` under the enhanced protocol) and its label totals
+    convert with level 0's statistics; the enhanced children ride Eq. 10's
+    ``node-split``.  A full tree of depth h takes 4h bus rounds (basic),
+    4h + 8(h − 1) (enhanced), one ``split-stats`` request per level that
+    splits, and no ``node-state`` or ``convert-masks`` request."""
+    X, y = FULL_TREE
+    expected = {
+        "basic": lambda h: 4 * h,
+        "enhanced": lambda h: 4 * h + 8 * (h - 1),
+    }[protocol]
+    for h in (1, 2, 3):
+        params = TreeParams(max_depth=h, max_splits=2)
+        fed = _federation(X, y, 3, False, 7, params)
+        model, rounds, requests = _spied_fit(
+            monkeypatch, fed.context_for(protocol=protocol)
+        )
+        assert len(model.leaves()) == 2**h
+        assert rounds == expected(h)
+        ops = {request.op for _, request in requests}
+        assert not ops & {"node-state", "convert-masks", "convert-masks-packed"}
+        assert sorted(
+            depth for depth, request in requests if request.op == "split-stats"
+        ) == list(range(h))
+        rooted = [i for i, (_, request) in enumerate(requests) if _carries_root(request)]
+        assert rooted == [0] and requests[0][0] == 0
+        fed.assert_drained()
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+@pytest.mark.parametrize("case", ["max-depth-0", "no-candidate"])
+def test_a_root_that_cannot_split_converts_its_totals_alone(
+    monkeypatch, protocol, case
+):
+    """A root at the depth limit, or without a candidate split (constant
+    columns), still needs its statistics for its label: one ``split-stats``
+    request carrying the root's entry and no node, and the decryption of
+    its totals — 3 bus rounds.  ``TreeParams`` refuses ``max_depth`` 0, so
+    that case sets it past the check to drive the trainer's depth limit at
+    the root."""
+    X, y = FULL_TREE
+    if case == "no-candidate":
+        X = np.ones_like(X)
+    params = TreeParams(max_depth=2, max_splits=2)
+    ctx = _federation(X, y, 3, False, 7, params).context_for(protocol=protocol)
+    if case == "max-depth-0":
+        object.__setattr__(ctx.config.tree, "max_depth", 0)
+    model, rounds, requests = _spied_fit(monkeypatch, ctx)
+    assert model.root.is_leaf and rounds == 3
+    ((depth, request),) = requests
+    assert (depth, request.op) == (0, "split-stats") and _carries_root(request)
+    majority = int(np.bincount(y).argmax())
+    if protocol == "basic":
+        assert model.root.prediction == majority
+    else:
+        assert ctx.fx.open([model.root.hidden["label_share"]]) == [majority]
+    ctx.assert_drained()

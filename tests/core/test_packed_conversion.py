@@ -205,9 +205,9 @@ def test_trainer_declares_a_bound_only_where_it_is_true(
     at exponent 0; a regression label sum declares fx.k (the enhanced [α]
     is exact).  A riding encrypted-label [γ] has no written-down width: no
     declaration, one ciphertext per value.  A basic classification fit
-    decrypts ⌈(c − 1) / slots⌉ ciphertexts at the root and, per level,
-    ⌈Σ S·(1 + V) / slots⌉ over the level's internal nodes, with
-    slots = ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋."""
+    decrypts, per level, ⌈(V₀ + Σ S·(1 + V)) / slots⌉ ciphertexts over the
+    level's internal nodes, V₀ = c − 1 (the root's label totals) at level
+    0 and 0 below, with slots = ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋."""
     from repro.core import TreeTrainer
     from repro.core.labels import EncryptedLabelProvider
     from repro.tree import TreeParams
@@ -243,7 +243,10 @@ def test_trainer_declares_a_bound_only_where_it_is_true(
     depths = [node.depth for node in model.internal_nodes()]
     stride = model.n_classes  # n_l and c − 1 class counts
     per_level = sum(
-        -(-depths.count(depth) * splits * stride // slots) for depth in set(depths)
+        -(
+            -((model.n_classes - 1) * (depth == 0) + depths.count(depth) * splits * stride)
+            // slots
+        )
+        for depth in set(depths)
     )
-    root = -(-(model.n_classes - 1) // slots)
-    assert decrypted == root + per_level
+    assert decrypted == per_level

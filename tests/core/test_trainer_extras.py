@@ -7,21 +7,64 @@ import pytest
 from repro.core import PivotConfig, TreeTrainer, run_predict_batch
 from repro.data import make_classification, vertical_partition
 from repro.federation import Federation
+from repro.network.wire import PartialDecryptionVector, Request
 from repro.tree import DecisionTree, TreeParams
 
-from tests.core.conftest import global_signature, global_split_grid
+from tests.core.conftest import (
+    global_signature,
+    global_split_grid,
+    opened_signature,
+    same_tree,
+    spy_on_bus,
+)
 
 
-def test_super_client_need_not_be_client_zero():
+def test_super_client_need_not_be_client_zero(monkeypatch):
+    """Party 2 holds the labels, and every conversion and decryption of a
+    fit runs from her: she broadcasts every ``mpc-convert`` / ``eq10``
+    ciphertext batch (and the Eq. 10 ``node-split``) and receives every
+    ``split-stats`` reply and every ``eq10`` send.  Both protocols still
+    grow plaintext CART's tree."""
     X, y = make_classification(30, 4, n_classes=2, seed=30)
     vp = vertical_partition(X, y, 3, task="classification", super_client=2)
     params = TreeParams(max_depth=2, max_splits=2)
-    ctx = Federation.from_partition(vp, PivotConfig(keysize=256, tree=params, seed=1))
-    model = TreeTrainer(ctx).fit()
-    plain = DecisionTree("classification", params).fit(
-        X, y, split_candidates=global_split_grid(ctx)
-    )
-    assert global_signature(model.root, vp) == global_signature(plain.root, vp)
+    for protocol in ("basic", "enhanced"):
+        ctx = Federation.from_partition(
+            vp, PivotConfig(keysize=256, tree=params, seed=1, protocol=protocol)
+        )
+        spy = spy_on_bus(monkeypatch, ctx.bus)
+        model = TreeTrainer(ctx).fit()
+        plain = DecisionTree("classification", params).fit(
+            X, y, split_candidates=global_split_grid(ctx)
+        )
+        expected = global_signature(plain.root, vp)
+        if protocol == "basic":
+            assert global_signature(model.root, vp) == expected
+        else:
+            assert same_tree(opened_signature(ctx, model.root, vp), expected)
+        flows = [
+            (sender, receiver, payload)
+            for sender, receiver, tag, payload in spy
+            if tag in ("mpc-convert", "eq10")
+        ]
+        batches = [
+            sender
+            for sender, receiver, payload in flows
+            if receiver is None and not isinstance(payload, PartialDecryptionVector)
+        ]
+        assert batches and set(batches) == {2}
+        assert {receiver for _, receiver, _ in flows} <= {2, None}
+        stats = [
+            (receiver, payload)
+            for _, receiver, tag, payload in spy
+            if tag == "split-stats"
+        ]
+        replies = [
+            receiver for receiver, payload in stats if not isinstance(payload, Request)
+        ]
+        # Two replies (the other parties') per request, all to party 2.
+        assert set(replies) == {2}
+        assert len(replies) == 2 * (len(stats) - len(replies)) > 0
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
