@@ -623,6 +623,51 @@ def mask_count_report(smoke: bool = False) -> dict[str, int]:
     return {"masks": masks, "expected": expected}
 
 
+def mpc_kernel_report(count: int = 1000, repeats: int = 5, seed: int = 3) -> dict[str, float]:
+    """Microseconds per value of the MPC layer's batch kernels at N = ``count``:
+    ``mul_many`` of N pairs, ``trunc_pr`` of N products, ``ltz`` of N values
+    and ``div`` of N numerators over N denominators, each the median of
+    ``repeats`` calls on a 3-party semi-honest engine.
+
+    No time is gated (a wall figure follows the machine); what is asserted
+    is that two runs at one seed open identical outputs, so the figures
+    belong to one deterministic computation.
+    """
+
+    def run() -> tuple[dict[str, float], list[int]]:
+        fx = FixedPointOps(MPCEngine(3, seed=seed))
+        engine = fx.engine
+        xs = engine.input_many([fx.encode((i - count // 2) / 8) for i in range(count)])
+        ys = engine.input_many([fx.encode(1 + i % 97 / 4) for i in range(count)])
+        kernels = {
+            "mul_many": lambda: engine.mul_many(list(zip(xs, ys))),
+            "trunc_pr": lambda: comparison.trunc_pr(engine, xs, 2 * fx.k, fx.f),
+            "ltz": lambda: comparison.ltz(engine, xs, fx.k),
+            "div": lambda: [q for (q,) in fx.div([[x] for x in xs], ys)],
+        }
+        per_value, opened = {}, []
+        for name, kernel in kernels.items():
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                out = kernel()
+                times.append(time.perf_counter() - start)
+                opened.extend(engine.open_many(out))
+            per_value[name] = float(np.median(times)) / count * 1e6
+        return per_value, opened
+
+    per_value, first = run()
+    _, second = run()
+    print_table(
+        f"MPC kernels, N = {count} (median of {repeats})",
+        ["kernel", "us per value"],
+        [[name, f"{us:.2f}"] for name, us in per_value.items()],
+    )
+    assert first == second, "two runs at one seed opened different outputs"
+    print("MPC kernels: two runs at one seed open identical outputs")
+    return per_value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -640,6 +685,7 @@ def main() -> None:
         codec_report(smoke=True)
         to_cipher_report(repeats=3, smoke=True)
         mask_count_report(smoke=True)
+        mpc_kernel_report()
         return
 
     rows = []
@@ -663,6 +709,7 @@ def main() -> None:
     codec_report()
     to_cipher_report()
     mask_count_report()
+    mpc_kernel_report()
 
 
 if __name__ == "__main__":

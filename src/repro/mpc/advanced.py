@@ -344,12 +344,18 @@ class FixedPointOps:
     def uniform_fraction(self, count: int) -> list[SharedValue]:
         """``count`` values ⟨U⟩, each uniform on the 2^-F grid of [0, 1),
         from F dealer random bits apiece."""
-        f = self.f
-        bits = [self.engine.dealer.random_bit() for _ in range(count * f)]
-        return [
-            self.engine.sum_values([bit * (1 << i) for i, bit in enumerate(bits[j : j + f])])
-            for j in range(0, len(bits), f)
-        ]
+        engine, f = self.engine, self.f
+        q = engine.field.q
+        rows = engine.dealer.random_bits(count * f)
+        return engine._values(
+            [
+                [
+                    sum(bit << i for i, bit in enumerate(row[j : j + f])) % q
+                    for j in range(0, len(row), f)
+                ]
+                for row in rows
+            ]
+        )
 
     # ------------------------------------------------------------------
     # comparisons at this format's bit width

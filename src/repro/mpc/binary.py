@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mpc.engine import MPCEngine
 
-__all__ = ["BinaryWord", "spread", "concat", "block_mask"]
+__all__ = ["BinaryWord", "spread", "concat", "block_mask", "pack", "unpack"]
 
 
 def spread(word: int, stride: int) -> int:
@@ -47,6 +47,25 @@ def spread(word: int, stride: int) -> int:
     """
     # stride - 1 zeros between consecutive bits of the binary text.
     return int(("0" * (stride - 1)).join(format(word, "b")), 2)
+
+
+def pack(values: list[int], bits: int) -> int:
+    """``bits``-bit values side by side, the first at the low bits, in one
+    pass (no growing ORs); every value must fit its bits."""
+    if len(values) == 1:
+        return values[0]
+    spec = f"0{bits}b"
+    text = "".join([format(value, spec) for value in reversed(values)])
+    return int(text, 2) if text and bits else 0
+
+
+def unpack(word: int, count: int, bits: int) -> list[int]:
+    """The ``count`` ``bits``-bit chunks of ``word``, the lowest first."""
+    if not bits:
+        return [0] * count
+    text = format(word, f"0{count * bits}b")
+    end = len(text)
+    return [int(text[end - (j + 1) * bits : end - j * bits], 2) for j in range(count)]
 
 
 def block_mask(width: int, block: int, lanes: int) -> int:
@@ -96,24 +115,27 @@ def _block_parities(value: int, lanes: int, block: int, lane_bits: int) -> int:
 
 
 def concat(words: list["BinaryWord"]) -> "BinaryWord":
-    """One word holding ``words`` side by side, the first at the low lanes."""
+    """One word holding ``words`` side by side, the first at the low lanes:
+    one pass over the parties' words (and lane MACs)."""
     first = words[0]
-    kappa = first.engine.kappa
-    shares = [0] * len(first.shares)
-    # As under ^: one word without MACs leaves the result without them,
-    # which an authenticated opening then refuses.
-    macs = None if any(w.macs is None for w in words) else [0] * len(first.shares)
-    offset = 0
     for word in words:
         if word.engine is not first.engine:
             raise ValueError("binary words belong to different MPC engines")
-        shares = [acc | s << offset for acc, s in zip(shares, word.shares)]
-        if macs is not None and word.macs is not None:
-            macs = [acc | m << offset * kappa for acc, m in zip(macs, word.macs)]
-        offset += word.width
-    return BinaryWord(
-        first.engine, offset, tuple(shares), None if macs is None else tuple(macs)
-    )
+    kappa = first.engine.kappa
+
+    def join(parts: tuple[int, ...], scale: int) -> int:
+        text = "".join(
+            [format(part, f"0{w.width * scale}b") for part, w in zip(parts, words) if w.width][::-1]
+        )
+        return int(text, 2) if text else 0
+
+    shares = tuple(join(parts, 1) for parts in zip(*(w.shares for w in words)))
+    # As under ^: one word without MACs leaves the result without them,
+    # which an authenticated opening then refuses.
+    macs = None
+    if all(w.macs is not None for w in words):
+        macs = tuple(join(parts, kappa) for parts in zip(*(w.macs for w in words)))  # type: ignore[misc]
+    return BinaryWord(first.engine, sum(w.width for w in words), shares, macs)
 
 
 class BinaryWord:

@@ -79,6 +79,13 @@ its own mask: packing changes how many messages carry the openings, not
 what they show.
 
 Every mask is drawn from the dealer's seeded stream and used once.
+
+Inside a call the values travel as rows — party i's shares of every value
+in row i, MAC rows beside them (:mod:`repro.mpc.engine`): ``mod2m`` masks
+and opens whole rows, its compare runs on one packed word, and only the
+values a primitive returns become ``SharedValue`` objects.  A primitive
+built on another (``ltz`` on ``trunc`` on ``mod2m``, ``eqz`` and ``lt`` on
+``ltz``, ``to_arithmetic`` on ``lift``) hands rows down, not values.
 All protocols follow the paper's convention: inputs are secretly shared
 values in a k-bit signed range, outputs are secretly shared values; nothing
 is revealed except these masked openings.
@@ -87,8 +94,8 @@ is revealed except these masked openings.
 from __future__ import annotations
 
 from repro.analysis import opcount
-from repro.mpc.binary import BinaryWord, block_mask, concat
-from repro.mpc.engine import MPCEngine
+from repro.mpc.binary import BinaryWord, block_mask, concat, pack, unpack
+from repro.mpc.engine import MPCEngine, Rows
 from repro.mpc.sharing import SharedValue
 
 __all__ = [
@@ -109,15 +116,26 @@ __all__ = [
 ]
 
 
+
+def _lift(engine: MPCEngine, word: BinaryWord) -> Rows:
+    """:func:`lift`, as rows."""
+    mask_word, masks = engine.dealer.dabits(word.width)
+    (opened,) = engine.open_words([word ^ mask_word])
+    q = engine.field.q
+    flipped = [opened >> i & 1 for i in range(word.width)]
+    return [
+        [(unit - r) % q if bit else r for r, bit in zip(row, flipped)]
+        for row, unit in zip(masks, engine.unit)
+    ]
+
+
 def lift(engine: MPCEngine, word: BinaryWord) -> list[SharedValue]:
     """Every lane of ``word`` as a shared bit in Z_q, lane 0 first.
 
     One daBit per lane: open e = x ⊕ ρ (uniform), then
     ⟨x⟩ = e + ⟨ρ⟩ − 2e⟨ρ⟩ — ⟨ρ⟩ or 1 − ⟨ρ⟩, local for public e.
     """
-    mask_word, masks = engine.dealer.dabits(word.width)
-    (opened,) = engine.open_words([word ^ mask_word])
-    return [1 - mask if opened >> i & 1 else mask for i, mask in enumerate(masks)]
+    return engine._values(_lift(engine, word))
 
 
 def _carries(
@@ -163,16 +181,18 @@ def decompose(engine: MPCEngine, values: list[SharedValue], width: int) -> Binar
     round (r_j has κ bits of slack above a_j), then add the public c_j to
     r_j's shared low bits; the low ``width`` sum bits are a_j's.
     """
-    kappa = engine.kappa
+    kappa, q = engine.kappa, engine.field.q
+    rows = engine._rows(values)
     masks, mask_bits = engine.dealer.edabits(len(values), width, kappa)
     offset = 1 << (width + kappa)
-    opened = engine.open_many(
-        [engine.add_public(a - r, offset) for a, r in zip(values, masks)]
+    opened = engine._open(
+        [
+            [(a - r + shift) % q for a, r in zip(row, mask_row)]
+            for row, mask_row, shift in zip(rows, masks, (offset * u for u in engine.unit))
+        ]
     )
     low = (1 << width) - 1
-    public = 0
-    for j, c in enumerate(opened):
-        public |= (c & low) << (j * width)
+    public = pack([c & low for c in opened], width)
     total, _ = _add(engine, mask_bits & public, mask_bits ^ public, width)
     return total
 
@@ -214,14 +234,48 @@ def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[Share
     masks, mask_bits = engine.dealer.edabits(count, block)
     total, carries = _add(engine, engine.and_words(word, mask_bits), word ^ mask_bits, block)
     (opened,) = engine.open_words([total])
-    lifted = lift(
-        engine,
-        concat([(carries >> (j * block + block - 1)).narrow(1) for j in range(count)]),
+    # Each block's top carry moved to its lane 0, alone in its block: the
+    # blockwise parity gathers them, block j's into lane j.
+    tops = (carries >> (block - 1)) & block_mask(carries.width, block, 1)
+    lifted = _lift(engine, tops.parity(block))
+    q, scale = engine.field.q, 1 << block
+    sums = unpack(opened, count, block)
+    return engine._values(
+        [
+            [(carry * scale - r + s * unit) % q for r, carry, s in zip(mask_row, row, sums)]
+            for mask_row, row, unit in zip(masks, lifted, engine.unit)
+        ]
     )
-    low = (1 << block) - 1
+
+
+def _mod2m(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
+    """:func:`mod2m` of the columns of ``rows``, as rows."""
+    count = len(rows[0])
+    if m == 0:
+        return [[0] * count for _ in rows]
+    if m >= k:
+        raise ValueError(f"mod2m requires m < k, got m={m}, k={k}")
+    if not count:
+        return rows
+    q, unit = engine.field.q, engine.unit
+    r2s, r1s, r1_bits = engine.dealer.prandms(count, k, m)
+    assert r1_bits is not None
+    scale, offset = 1 << m, 1 << (k - 1)
+    opened = engine._open(
+        [
+            [(a + r2 * scale + r1 + shift) % q for a, r2, r1 in zip(row, r2_row, r1_row)]
+            for row, r2_row, r1_row, shift in zip(rows, r2s, r1s, (offset * u for u in unit))
+        ]
+    )
+    low = scale - 1
+    publics = [c & low for c in opened]
+    public = pack(publics, m)
+    first_difference = top_bits(engine, r1_bits ^ public, m)
+    zeros = public ^ ((1 << r1_bits.width) - 1)  # lanes where c' is 0
+    below = _lift(engine, (first_difference & zeros).parity(m))
     return [
-        engine.add_public(carry * (1 << block) - r, opened >> (j * block) & low)
-        for j, (r, carry) in enumerate(zip(masks, lifted))
+        [(u * scale - r1 + c * one) % q for r1, u, c in zip(r1_row, row, publics)]
+        for r1_row, row, one in zip(r1s, below, unit)
     ]
 
 
@@ -241,32 +295,16 @@ def mod2m(
     local again, per block — and one :func:`lift` brings every block's bit
     into Z_q.  So the rounds are those of one value however many there are.
     """
-    if m == 0:
-        return [engine.share_public(0) for _ in values]
-    if m >= k:
-        raise ValueError(f"mod2m requires m < k, got m={m}, k={k}")
-    if not values:
-        return []
-    tuples = [engine.dealer.prandm(k, m) for _ in values]
-    opened = engine.open_many(
-        [
-            engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1))
-            for a, tup in zip(values, tuples)
-        ]
-    )
-    low = (1 << m) - 1
-    publics = [c & low for c in opened]
-    if len(tuples) == 1:
-        r1_bits, public = tuples[0].r1_bits, publics[0]
-    else:
-        r1_bits = concat([tup.r1_bits for tup in tuples])
-        public = sum(c << (j * m) for j, c in enumerate(publics))
-    first_difference = top_bits(engine, r1_bits ^ public, m)
-    zeros = public ^ ((1 << r1_bits.width) - 1)  # lanes where c' is 0
-    below = lift(engine, (first_difference & zeros).parity(m))
+    return engine._values(_mod2m(engine, engine._rows(values), k, m))
+
+
+def _trunc(engine: MPCEngine, rows: Rows, k: int, m: int, sign: int = 1) -> Rows:
+    """``sign``·⌊a / 2^m⌋ of the columns of ``rows``, as rows."""
+    q = engine.field.q
+    factor = sign * engine.field.pow2_inv(m)
     return [
-        engine.add_public(-tup.r1 + u * (1 << m), c)
-        for tup, u, c in zip(tuples, below, publics)
+        [(a - r) * factor % q for a, r in zip(row, rem)]
+        for row, rem in zip(rows, _mod2m(engine, rows, k, m))
     ]
 
 
@@ -276,11 +314,7 @@ def trunc(
     """⟨⌊a / 2^m⌋⟩ of every value exactly (arithmetic shift for negative a)."""
     if m == 0:
         return list(values)
-    inverse = engine.field.pow2_inv(m)
-    return [
-        (a - remainder) * inverse
-        for a, remainder in zip(values, mod2m(engine, values, k, m))
-    ]
+    return engine._values(_trunc(engine, engine._rows(values), k, m))
 
 
 def trunc_pr(
@@ -294,28 +328,47 @@ def trunc_pr(
     open c = a + r1 + 2^m·r2 + 2^(k-1); then a + r1 − (c mod 2^m) is a
     multiple of 2^m, divided out exactly.
     """
-    if m == 0:
+    if m == 0 or not values:
         return list(values)
-    tuples = [engine.dealer.prandm(k, m, with_bits=False) for _ in values]
-    low = [a + tup.r1 for a, tup in zip(values, tuples)]
-    opened = engine.open_many(
+    q, unit = engine.field.q, engine.unit
+    rows = engine._rows(values)
+    r2s, r1s, _ = engine.dealer.prandms(len(values), k, m, with_bits=False)
+    low = [[(a + r1) % q for a, r1 in zip(row, r1_row)] for row, r1_row in zip(rows, r1s)]
+    scale, offset = 1 << m, 1 << (k - 1)
+    opened = engine._open(
         [
-            engine.add_public(shifted + tup.r2 * (1 << m), 1 << (k - 1))
-            for shifted, tup in zip(low, tuples)
+            [(s + r2 * scale + shift) % q for s, r2 in zip(row, r2_row)]
+            for row, r2_row, shift in zip(low, r2s, (offset * u for u in unit))
         ]
     )
     inverse = engine.field.pow2_inv(m)
-    return [
-        engine.add_public(shifted, -(c % (1 << m))) * inverse
-        for shifted, c in zip(low, opened)
-    ]
+    cuts = [c % scale for c in opened]
+    return engine._values(
+        [
+            [(s - c * one) * inverse % q for s, c in zip(row, cuts)]
+            for row, one in zip(low, unit)
+        ]
+    )
+
+
+def _ltz(engine: MPCEngine, rows: Rows, k: int) -> Rows:
+    """:func:`ltz` of the columns of ``rows``, as rows: −⌊a / 2^(k−1)⌋."""
+    opcount.GLOBAL.cc += len(rows[0])
+    return _trunc(engine, rows, k, k - 1, sign=-1)
 
 
 def ltz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
     """⟨1⟩ if a < 0 else ⟨0⟩ for every a in the k-bit signed range:
     −⌊a / 2^(k−1)⌋, one :func:`mod2m`."""
-    opcount.GLOBAL.cc += len(values)
-    return [-bit for bit in trunc(engine, values, k, k - 1)]
+    return engine._values(_ltz(engine, engine._rows(values), k))
+
+
+def _lt(engine: MPCEngine, a: Rows, b: Rows, k: int) -> Rows:
+    """:func:`lt` of the columns of two row batches, as rows."""
+    q = engine.field.q
+    return _ltz(
+        engine, [[(x - y) % q for x, y in zip(x_row, y_row)] for x_row, y_row in zip(a, b)], k + 1
+    )
 
 
 def lt(
@@ -325,7 +378,7 @@ def lt(
     cannot overflow."""
     if len(a) != len(b):
         raise ValueError("comparison length mismatch")
-    return ltz(engine, [x - y for x, y in zip(a, b)], k + 1)
+    return engine._values(_lt(engine, engine._rows(a), engine._rows(b), k))
 
 
 def gt(
@@ -337,15 +390,28 @@ def gt(
 def le(
     engine: MPCEngine, a: list[SharedValue], b: list[SharedValue], k: int
 ) -> list[SharedValue]:
-    return [1 - bit for bit in gt(engine, a, b, k)]
+    q = engine.field.q
+    return engine._values(
+        [
+            [(one - bit) % q for bit in row]
+            for row, one in zip(engine._rows(gt(engine, a, b, k)), engine.unit)
+        ]
+    )
 
 
 def eqz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:
     """⟨1⟩ if a == 0 else ⟨0⟩, for every a: neither negative nor positive,
     one :func:`ltz` over [a..., −a...]."""
-    signs = ltz(engine, list(values) + [-a for a in values], k)
+    q = engine.field.q
+    rows = engine._rows(values)
+    signs = _ltz(engine, [[*row, *((-a) % q for a in row)] for row in rows], k)
     count = len(values)
-    return [1 - negative - positive for negative, positive in zip(signs, signs[count:])]
+    return engine._values(
+        [
+            [(one - negative - positive) % q for negative, positive in zip(row, row[count:])]
+            for row, one in zip(signs, engine.unit)
+        ]
+    )
 
 
 def select(
@@ -355,10 +421,18 @@ def select(
     if_false: list[SharedValue],
 ) -> list[SharedValue]:
     """⟨c_i ? t_i : f_i⟩ for shared 0/1 conditions (one multiplication each)."""
-    products = engine.mul_many(
-        [(c, t - f) for c, t, f in zip(conditions, if_true, if_false)]
+    if not conditions:
+        return []
+    q = engine.field.q
+    falses = engine._rows(if_false)
+    differences = [
+        [(t - f) % q for t, f in zip(t_row, f_row)]
+        for t_row, f_row in zip(engine._rows(if_true), falses)
+    ]
+    products = engine._mul(engine._rows(conditions), differences)
+    return engine._values(
+        [[(f + p) % q for f, p in zip(f_row, p_row)] for f_row, p_row in zip(falses, products)]
     )
-    return [f + product for f, product in zip(if_false, products)]
 
 
 def argmax(
@@ -377,7 +451,8 @@ def argmax(
 
     The rows have one length S; the scan takes S − 1 steps, each one
     :func:`gt` and one ``mul_many`` over every row, so a call costs the
-    rounds of one row however many rows it has.
+    rounds of one row however many rows it has.  The running maxima and
+    one-hots stay rows (:mod:`repro.mpc.engine`) from step to step.
     """
     if not rows:
         return []
@@ -386,26 +461,41 @@ def argmax(
         raise ValueError("argmax of an empty list")
     if any(len(row) != width for row in rows):
         raise ValueError("argmax rows differ in length")
-    maxima = [row[0] for row in rows]
-    onehots = [
-        [engine.share_public(1)] + [engine.share_public(0) for _ in row[1:]]
-        for row in rows
-    ]
+    q, unit, count = engine.field.q, engine.unit, len(rows)
+    columns = [engine._rows([row[i] for row in rows]) for i in range(width)]
+    maxima = columns[0]
+    onehots: list[Rows] = [[[one] * count for one in unit]]  # position 0: the public 1
     for i in range(1, width):
-        greater = gt(engine, [row[i] - slack for row in rows], maxima, k)
+        shifted = [[(x - slack * one) % q for x in row] for row, one in zip(columns[i], unit)]
+        greater = _lt(engine, maxima, shifted, k)
         # Each row's running maximum select and one-hot update wait on
-        # this compare alone: one multiplication round for all of them.
-        pairs = []
-        for row, bit, current, onehot in zip(rows, greater, maxima, onehots):
-            keep = engine.add_public(-bit, 1)  # 1 - b
-            pairs.append((bit, row[i] - current))
-            pairs.extend((onehot[j], keep) for j in range(i))
-        products = iter(engine.mul_many(pairs))
-        for r, (bit, onehot) in enumerate(zip(greater, onehots)):
-            maxima[r] = maxima[r] + next(products)
-            onehot[:i] = [next(products) for _ in range(i)]
-            onehot[i] = bit
+        # this compare alone: one multiplication round for all of them,
+        # row after row [bit·(x_i − max), λ_0·(1 − bit), …, λ_(i−1)·(1 − bit)].
+        xs = [
+            [v for group in zip(bits, *(onehot[p] for onehot in onehots)) for v in group]
+            for p, bits in enumerate(greater)
+        ]
+        ys = [
+            [
+                v
+                for x, m, bit in zip(x_row, m_row, bits)
+                for v in ((x - m) % q, *([(one - bit) % q] * i))
+            ]
+            for x_row, m_row, bits, one in zip(columns[i], maxima, greater, unit)
+        ]
+        products = engine._mul(xs, ys)
+        step = i + 1
+        maxima = [[(m + p) % q for m, p in zip(m_row, row[0::step])] for m_row, row in zip(maxima, products)]
+        onehots = [[row[t::step] for row in products] for t in range(1, step)] + [greater]
+    index = [
+        [sum(t * flag for t, flag in enumerate(flags)) % q for flags in zip(*(o[p] for o in onehots))]
+        for p in range(len(unit))
+    ]
     return [
-        (engine.sum_values([flag * t for t, flag in enumerate(onehot)]), current, onehot)
-        for current, onehot in zip(maxima, onehots)
+        (position, current, list(onehot))
+        for position, current, onehot in zip(
+            engine._values(index),
+            engine._values(maxima),
+            zip(*(engine._values(onehot) for onehot in onehots)),
+        )
     ]

@@ -37,6 +37,18 @@ the two words an ``and_words`` opens; a daBit's bit hides a result bit
 before it is lifted to Z_q, and a slack-free edaBit's low bits hide the
 word added to it before the sum is opened (Norm's v back in Z_q) — both
 uniform, so those openings hide perfectly.
+
+Every kind of material is dealt as a batch (``triples(count)``,
+``prandms(count, k, m)``, ``random_bits(count)``, ``dabits(count)``,
+``edabits(count, ...)``; ``and_triple(width)`` is already one word of
+``width`` triples) and handed over as *rows*: row i is party i's share of
+every item, and in an authenticated engine row n + i her MAC shares
+(see :mod:`repro.mpc.engine`).  A batch draws exactly what the items
+would draw one at a time, in the same order — per item its secrets, then
+for each secret its n − 1 random shares followed by its n − 1 random MAC
+shares — so a seed deals the same share to every party however the calls
+are batched.  Binary material of many items (the r1 bits of a PRandM
+batch) comes as one packed word, item j in block j.
 """
 
 from __future__ import annotations
@@ -45,13 +57,13 @@ import random
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
+from repro.mpc.binary import pack
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpc.binary import BinaryWord
-    from repro.mpc.engine import MPCEngine
-    from repro.mpc.sharing import SharedValue
+    from repro.mpc.engine import MPCEngine, Rows
 
 __all__ = ["TrustedDealer", "DealerUsage"]
-
 
 @dataclass
 class DealerUsage:
@@ -69,15 +81,6 @@ class DealerUsage:
 
     def snapshot(self) -> dict[str, int]:
         return asdict(self)
-
-
-@dataclass
-class PRandMTuple:
-    """⟨r2⟩, ⟨r1⟩ and the bits of r1 XOR-shared (Catrina–de Hoogh PRandM)."""
-
-    r2: "SharedValue"
-    r1: "SharedValue"
-    r1_bits: "BinaryWord | None"  # lane i = bit i of r1; None if not asked for
 
 
 class TrustedDealer:
@@ -103,81 +106,104 @@ class TrustedDealer:
             r = getrandbits(bits)
         return r
 
-    def _deal(self, value: int) -> "SharedValue":
-        return self.engine._make_shared(value, rng=self.rng)
-
-    def _deal_word(self, word: int, width: int) -> "BinaryWord":
-        return self.engine._make_binary(word, width, rng=self.rng)
-
     # -- products ------------------------------------------------------------
 
-    def triple(self) -> tuple["SharedValue", "SharedValue", "SharedValue"]:
-        a = self._rand_field()
-        b = self._rand_field()
-        self.usage.triples += 1
-        q = self.engine.field.q
-        return self._deal(a), self._deal(b), self._deal(a * b % q)
+    def triples(self, count: int) -> tuple["Rows", "Rows", "Rows"]:
+        """``count`` Beaver triples (a, b, ab): the rows of every a, b, ab."""
+        engine = self.engine
+        q, share, d = engine.field.q, engine._share, engine.share_draws
+        stride = 2 + 3 * d  # a, b, then the sharings of a, b and ab
+        draws = engine._field_draws(self.rng, count * stride)
+        columns = [draws[t::stride] for t in range(stride)]
+        a, b = columns[0], columns[1]
+        self.usage.triples += count
+        return (
+            share(a, columns[2 : 2 + d]),
+            share(b, columns[2 + d : 2 + 2 * d]),
+            share([x * y % q for x, y in zip(a, b)], columns[2 + 2 * d :]),
+        )
 
     def and_triple(
         self, width: int
     ) -> tuple["BinaryWord", "BinaryWord", "BinaryWord"]:
         """``width`` binary Beaver triples at once: words a, b and a ∧ b."""
-        a = self.rng.getrandbits(width)
-        b = self.rng.getrandbits(width)
+        engine, getrandbits = self.engine, self.rng.getrandbits
+        split = engine._binary_widths(width)
+        draws = [getrandbits(w) for w in (width, width) + split * 3]
+        a, b = draws[0], draws[1]
         self.usage.and_triples += 1
-        return (
-            self._deal_word(a, width),
-            self._deal_word(b, width),
-            self._deal_word(a & b, width),
+        step = len(split)
+        return tuple(  # type: ignore[return-value]
+            engine._xor_word(secret, width, draws[start : start + step])
+            for secret, start in zip((a, b, a & b), range(2, 2 + 3 * step, step))
         )
 
-    def dabits(self, count: int) -> tuple["BinaryWord", list["SharedValue"]]:
+    def dabits(self, count: int) -> tuple["BinaryWord", "Rows"]:
         """``count`` uniform bits, XOR-shared as one word (bit i in lane i)
-        and each shared in Z_q."""
+        and each shared in Z_q (column i)."""
         bits = self.rng.getrandbits(count)
         self.usage.dabits += count
-        return self._deal_word(bits, count), [
-            self._deal((bits >> i) & 1) for i in range(count)
-        ]
+        word = self.engine._make_binary(bits, count, rng=self.rng)
+        return word, self.engine._share_values([bits >> i & 1 for i in range(count)], self.rng)
 
-    def random_bit(self) -> "SharedValue":
-        self.usage.bits += 1
-        return self._deal(self.rng.randrange(2))
+    def random_bits(self, count: int) -> "Rows":
+        """``count`` uniform bits, each shared in Z_q (column j)."""
+        engine, rng = self.engine, self.rng
+        sharings = [engine._share_values([rng.randrange(2)], rng) for _ in range(count)]
+        self.usage.bits += count
+        return [[rows[i][0] for rows in sharings] for i in range(engine.row_count)]
 
-    def prandm(self, k: int, m: int, with_bits: bool = True) -> PRandMTuple:
-        """Randomness for Mod2m/TruncPr on k-bit values truncating m bits.
+    def prandms(
+        self, count: int, k: int, m: int, with_bits: bool = True
+    ) -> tuple["Rows", "Rows", "BinaryWord | None"]:
+        """``count`` tuples of randomness for Mod2m/TruncPr on k-bit values
+        truncating m bits: the rows of every r2 and every r1, and (if
+        ``with_bits``) r1's bits, value j in lanes [j·m, (j + 1)·m) of one
+        XOR-shared word.
 
-        r1 is a uniform m-bit value, whose bits are also dealt as one
-        XOR-shared word when ``with_bits`` (Mod2m compares against them;
+        r1 is a uniform m-bit value (Mod2m compares against its bits;
         TruncPr never reads them); r2 is a uniform (k + κ - m)-bit value
-        providing the statistical mask.
+        providing the statistical mask.  Per tuple the stream yields r1,
+        r2, r2's sharing, r1's sharing, then r1's XOR sharing.
         """
-        kappa = self.engine.kappa
-        if k + kappa + 1 >= self.engine.field.q.bit_length():
+        engine, rng = self.engine, self.rng
+        if k + engine.kappa + 1 >= engine.field.q.bit_length():
             raise ValueError(
                 f"k={k} too large for field (needs k + kappa + 1 < "
-                f"{self.engine.field.q.bit_length()})"
+                f"{engine.field.q.bit_length()})"
             )
-        r1 = self.rng.getrandbits(m)
-        r2 = self.rng.getrandbits(k + kappa - m) if k + kappa > m else 0
-        self.usage.prandm += 1
-        return PRandMTuple(
-            r2=self._deal(r2),
-            r1=self._deal(r1),
-            r1_bits=self._deal_word(r1, m) if with_bits else None,
-        )
+        getrandbits, field_draws = rng.getrandbits, engine._field_draws
+        high, d = k + engine.kappa - m, engine.share_draws
+        split = engine._binary_widths(m) if with_bits else ()
+        r1s, r2s, fields, binary = [], [], [], []
+        for _ in range(count):
+            r1s.append(getrandbits(m))
+            r2s.append(getrandbits(high) if high > 0 else 0)
+            fields += field_draws(rng, 2 * d)
+            binary += [getrandbits(w) for w in split]
+        self.usage.prandm += count
+        columns = [fields[t :: 2 * d] for t in range(2 * d)]
+        word = None
+        if with_bits:
+            step = len(split)
+            word = engine._xor_word(
+                pack(r1s, m),
+                count * m,
+                [pack(binary[t::step], w) for t, w in enumerate(split)],
+            )
+        return engine._share(r2s, columns[:d]), engine._share(r1s, columns[d:]), word
 
     def edabits(
         self, count: int, lanes: int, mask_bits: int = 0
-    ) -> tuple[list["SharedValue"], "BinaryWord"]:
+    ) -> tuple["Rows", "BinaryWord"]:
         """``count`` uniform (lanes + mask_bits)-bit values r_j, each shared
-        in Z_q, with their low ``lanes`` bits XOR-shared as one word: r_j's
-        bit i in lane j·lanes + i.  The ``mask_bits`` above the word are
-        the statistical slack of an arithmetic opening masked by r_j."""
+        in Z_q (column j), with their low ``lanes`` bits XOR-shared as one
+        word: r_j's bit i in lane j·lanes + i.  The ``mask_bits`` above the
+        word are the statistical slack of an arithmetic opening masked by
+        r_j."""
         values = [self.rng.getrandbits(lanes + mask_bits) for _ in range(count)]
         self.usage.edabits += count
         low = (1 << lanes) - 1
-        packed = 0
-        for j, r in enumerate(values):
-            packed |= (r & low) << (j * lanes)
-        return [self._deal(r) for r in values], self._deal_word(packed, count * lanes)
+        rows = self.engine._share_values(values, self.rng)
+        packed = pack([r & low for r in values], lanes)
+        return rows, self.engine._make_binary(packed, count * lanes, rng=self.rng)

@@ -23,23 +23,41 @@ do not depend on the batch's length, exactly as a real SPDZ implementation
 merges parallel openings into one message exchange.  An empty batch costs
 no round and no dealer material.  Independent work goes into one call;
 only a dependent chain is a sequence of calls.
+
+**Kernels run on rows.**  Inside a batch the engine holds no
+:class:`SharedValue` per value: a batch is a list of *rows*, row i being
+party i's share of every value — exactly what she would hold — and, in an
+authenticated engine, row n + i her MAC shares beside them.  Authenticated
+and semi-honest engines run the same kernels; a public constant c enters
+row i as c·u_i for the engine's unit vector u = (1, 0, …, 0 | Δ_1, …, Δ_n),
+so party 0 adds it to her share and every party Δ_i·c to her MAC.  The
+dealer hands its material over as rows too (:mod:`repro.mpc.dealer`).
+``SharedValue`` / ``BinaryWord`` objects are built only where a primitive
+returns them.  Every opening — ``open_many``, ``open_words`` and each
+kernel's masked values — goes through one routine, :meth:`MPCEngine._open`,
+which checks the MACs of an authenticated engine and charges one round.
 """
 
 from __future__ import annotations
 
 import random
 import secrets
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
 from repro.analysis import opcount
-from repro.mpc.binary import BinaryWord, spread
+from repro.mpc.binary import BinaryWord, pack, spread
 from repro.mpc.dealer import TrustedDealer
 from repro.mpc.field import MERSENNE_127, PrimeField
 from repro.mpc.sharing import MacCheckError, SharedValue
 
 __all__ = ["MPCEngine", "CommStats"]
+
+#: A batch as rows: row i holds party i's share of every value, and in an
+#: authenticated engine row n + i her MAC shares.
+Rows = Sequence[Sequence[int]]
 
 #: Statistical security parameter κ (bits) used by masking and truncation.
 DEFAULT_KAPPA = 40
@@ -102,51 +120,80 @@ class MPCEngine:
         # Its GF(2) counterpart Delta_2 (kappa bits, XOR-shared) for binary words.
         self.binary_key_shares = tuple(secrets.randbits(kappa) for _ in range(n_parties))
         self.binary_key = reduce(xor, self.binary_key_shares)
+        #: Rows of a batch: the n share rows, then (authenticated) n MAC rows.
+        self.row_count = 2 * n_parties if authenticated else n_parties
+        #: Random draws per fresh sharing: n − 1 shares (and n − 1 MAC shares).
+        self.share_draws = self.row_count - self.row_count // n_parties
+        #: The public 1 as rows: party 0's share, every party's MAC key share.
+        self.unit = ((1,) + (0,) * (n_parties - 1)) + (
+            self.mac_key_shares if authenticated else ()
+        )
         self.dealer = TrustedDealer(self, seed=None if seed is None else seed + 1)
         self.stats = CommStats()
         self._q_bits = field.q.bit_length()
         self._element_bytes = (self._q_bits + 7) // 8
 
     # ------------------------------------------------------------------
-    # sharing / opening
+    # sharing: values <-> rows
     # ------------------------------------------------------------------
 
-    def _split(self, value: int, rng: random.Random) -> tuple[int, ...]:
-        """``value`` as n_parties uniformly random summands mod q.
+    def _field_draws(self, rng: random.Random, count: int) -> list[int]:
+        """``count`` draws of ``rng.randrange(q)``'s stream: q-bit draws,
+        each one at or above q left out and drawn past (``randrange``'s
+        rejection loop, for a whole batch at once)."""
+        getrandbits, bits, q = rng.getrandbits, self._q_bits, self.field.q
+        draws = [getrandbits(bits) for _ in range(count)]
+        while draws and max(draws) >= q:
+            draws = [r for r in draws if r < q]
+            draws += [getrandbits(bits) for _ in range(count - len(draws))]
+        return draws
 
-        The summands are ``rng.randrange(q)``'s seeded stream: its
-        rejection loop over ``getrandbits``, inlined here because this is
-        the innermost loop of every MPC primitive.
-        """
-        q, bits, getrandbits = self.field.q, self._q_bits, rng.getrandbits
-        shares = []
-        for _ in range(self.n_parties - 1):
-            r = getrandbits(bits)
-            while r >= q:
-                r = getrandbits(bits)
-            shares.append(r)
-        shares.append((value - sum(shares)) % q)
-        return tuple(shares)
+    def _share(self, values: list[int], columns: list[list[int]]) -> list[list[int]]:
+        """The rows of a sharing of every value (field representatives)
+        whose random summands are ``columns``: n − 1 columns of shares,
+        then (authenticated) n − 1 of MAC shares of value·Δ; the last
+        party's share of each is the remainder."""
+        q, last = self.field.q, self.n_parties - 1
+        rows = columns[:last]
+        rows.append([(v - sum(parts)) % q for v, parts in zip(values, zip(*rows))])
+        if self.authenticated:
+            key, macs = self.mac_key, columns[last:]
+            macs.append([(v * key - sum(parts)) % q for v, parts in zip(values, zip(*macs))])
+            rows += macs
+        return rows
+
+    def _share_values(self, values: list[int], rng: random.Random) -> list[list[int]]:
+        """The rows of a fresh sharing of every value: for each in turn,
+        its n − 1 random shares, then its n − 1 random MAC shares, from
+        ``rng.randrange(q)``'s stream."""
+        stride = self.share_draws
+        draws = self._field_draws(rng, len(values) * stride)
+        return self._share(values, [draws[t::stride] for t in range(stride)])
 
     def _make_shared(self, value: int, rng: random.Random | None = None) -> SharedValue:
         """Split ``value`` (field representative) into authenticated shares."""
-        q = self.field.q
-        value %= q
-        rand = rng or self.rng
-        shares = self._split(value, rand)
-        macs = self._split(value * self.mac_key % q, rand) if self.authenticated else None
-        return SharedValue(self, shares, macs)
+        return self._values(self._share_values([value % self.field.q], rng or self.rng))[0]
 
-    def _split_binary(self, word: int, bits: int, rng: random.Random) -> tuple[int, ...]:
-        """``word`` as n_parties uniformly random ``bits``-bit XOR summands."""
-        getrandbits = rng.getrandbits
-        shares = []
-        for _ in range(self.n_parties - 1):
-            r = getrandbits(bits)
-            word ^= r
-            shares.append(r)
-        shares.append(word)
-        return tuple(shares)
+    def _binary_widths(self, width: int) -> tuple[int, ...]:
+        """Bit widths of the random draws that XOR-share a ``width``-lane
+        word: n − 1 party words, then (authenticated) n − 1 lane-MAC words."""
+        n = self.n_parties
+        return (width,) * (n - 1) + (width * self.kappa,) * (self.share_draws - n + 1)
+
+    def _xor_word(self, secret: int, width: int, draws: Sequence[int]) -> BinaryWord:
+        """The XOR sharing of the ``width``-lane ``secret`` whose random
+        summands are ``draws`` (:meth:`_binary_widths`); the last party's
+        word and lane MACs are the remainders."""
+        last = self.n_parties - 1
+        shares, macs = draws[:last], draws[last:]
+        return BinaryWord(
+            self,
+            width,
+            (*shares, reduce(xor, shares, secret)),
+            (*macs, reduce(xor, macs, spread(secret, self.kappa) * self.binary_key))
+            if self.authenticated
+            else None,
+        )
 
     def _make_binary(
         self, word: int, width: int, rng: random.Random | None = None
@@ -154,23 +201,53 @@ class MPCEngine:
         """XOR-share the ``width``-bit ``word`` (with lane MACs if authenticated)."""
         if word >> width:
             raise ValueError(f"word does not fit {width} lanes")
-        rand = rng or self.rng
-        shares = self._split_binary(word, width, rand)
-        macs = None
-        if self.authenticated:
-            lane_macs = spread(word, self.kappa) * self.binary_key
-            macs = self._split_binary(lane_macs, width * self.kappa, rand)
-        return BinaryWord(self, width, shares, macs)
+        getrandbits = (rng or self.rng).getrandbits
+        return self._xor_word(word, width, [getrandbits(w) for w in self._binary_widths(width)])
+
+    def _rows(self, values: list[SharedValue]) -> Rows:
+        """The rows of a batch of shared values (shares, then MAC shares)."""
+        authenticated = self.authenticated
+        for sv in values:
+            if sv.engine is not self:
+                raise ValueError("shared value belongs to a different engine")
+            if authenticated and sv.macs is None:
+                raise MacCheckError("authenticated engine received unauthenticated share")
+        if not values:
+            return [()] * self.row_count
+        if authenticated:
+            return list(zip(*[sv.shares + sv.macs for sv in values]))  # type: ignore[operator]
+        return list(zip(*[sv.shares for sv in values]))
+
+    def _values(self, rows: Rows) -> list[SharedValue]:
+        """One :class:`SharedValue` per column of ``rows``."""
+        if not self.authenticated:
+            return [SharedValue(self, column) for column in zip(*rows)]
+        n = self.n_parties
+        return [SharedValue(self, column[:n], column[n:]) for column in zip(*rows)]
+
+    def _word_rows(self, words: list[BinaryWord]) -> Rows:
+        """The rows of a list of words: column j holds word j's party
+        words, then (authenticated) its lane MACs."""
+        if any(word.engine is not self for word in words):
+            raise ValueError("binary word belongs to a different engine")
+        if not self.authenticated:
+            return list(zip(*(word.shares for word in words)))
+        if any(word.macs is None for word in words):
+            raise MacCheckError("authenticated engine received unauthenticated word")
+        return list(zip(*(word.shares + word.macs for word in words)))  # type: ignore[operator]
+
+    def _word(self, width: int, rows) -> BinaryWord:
+        """The word whose party words and lane MACs are ``rows``."""
+        n = self.n_parties
+        return BinaryWord(
+            self, width, tuple(rows[:n]), tuple(rows[n:]) if self.authenticated else None
+        )
 
     def share_public(self, value: int) -> SharedValue:
         """⟨value⟩ for a publicly known value (no communication needed)."""
         q = self.field.q
         value %= q
-        shares = tuple([value] + [0] * (self.n_parties - 1))
-        macs = None
-        if self.authenticated:
-            macs = tuple(value * dk % q for dk in self.mac_key_shares)
-        return SharedValue(self, shares, macs)
+        return self._values([[value * u % q] for u in self.unit])[0]
 
     def input_many(self, values: list[int], owner: int = 0) -> list[SharedValue]:
         """Party ``owner`` secret-shares her private inputs in one round:
@@ -180,69 +257,57 @@ class MPCEngine:
         if not values:
             return []
         self._record_round(messages=self.n_parties - 1, values=len(values))
-        return [self._make_shared(v % self.field.q) for v in values]
+        q = self.field.q
+        return self._values(self._share_values([v % q for v in values], self.rng))
+
+    # ------------------------------------------------------------------
+    # opening
+    # ------------------------------------------------------------------
+
+    def _open(self, rows: Rows, widths: list[int] | None = None) -> list[int]:
+        """Open every column of ``rows`` in one round: the one opening
+        routine.  Field values (the default) are the share sum mod q, and in
+        an authenticated engine the MAC rows must sum to Δ times it; with
+        ``widths`` (one per column) the columns are XOR-shared words,
+        MAC-checked under Δ₂ and accounted at their real size, ⌈lanes / 8⌉
+        bytes a message.
+        """
+        if not rows or not rows[0]:
+            return []
+        n = self.n_parties
+        if widths is None:
+            q = self.field.q
+            opened = [total % q for total in map(sum, zip(*rows[:n]))]
+            if self.authenticated:
+                key = self.mac_key
+                macs = map(sum, zip(*rows[n:]))
+                if any((mac - key * value) % q for mac, value in zip(macs, opened)):
+                    raise MacCheckError("MAC check failed: shares were tampered with")
+            message_bytes = None
+        else:
+            opened = [reduce(xor, column) for column in zip(*rows[:n])]
+            if self.authenticated:
+                key, kappa = self.binary_key, self.kappa
+                for column, value in zip(zip(*rows[n:]), opened):
+                    if reduce(xor, column) != spread(value, kappa) * key:
+                        raise MacCheckError(
+                            "MAC check failed: binary shares were tampered with"
+                        )
+            message_bytes = (sum(widths) + 7) // 8
+        self._record_round(
+            messages=n * (n - 1), values=len(opened), message_bytes=message_bytes
+        )
+        return opened
 
     def open_many(self, values: list[SharedValue]) -> list[int]:
         """Open a batch in a single communication round, with MAC checks."""
-        if not values:
-            return []
-        q = self.field.q
-        results = []
-        for sv in values:
-            if sv.engine is not self:
-                raise ValueError("shared value belongs to a different engine")
-            opened = sum(sv.shares) % q
-            if self.authenticated:
-                self._check_mac(sv, opened)
-            results.append(opened)
-        self._record_round(
-            messages=self.n_parties * (self.n_parties - 1), values=len(values)
-        )
-        return results
+        return self._open(self._rows(values))
 
     def open_words(self, words: list[BinaryWord]) -> list[int]:
         """Open XOR-shared words in one round, at their real size in bits."""
         if not words:
             return []
-        results = []
-        for word in words:
-            if word.engine is not self:
-                raise ValueError("binary word belongs to a different engine")
-            opened = reduce(xor, word.shares)
-            if self.authenticated:
-                self._check_word_mac(word, opened)
-            results.append(opened)
-        lanes = sum(word.width for word in words)
-        self._record_round(
-            messages=self.n_parties * (self.n_parties - 1),
-            values=len(words),
-            message_bytes=(lanes + 7) // 8,
-        )
-        return results
-
-    def _check_mac(self, sv: SharedValue, opened: int) -> None:
-        q = self.field.q
-        if sv.macs is None:
-            raise MacCheckError("authenticated engine received unauthenticated share")
-        # Each party i commits sigma_i = mac_i - Delta_i * opened; the sums
-        # must vanish.  (We compute it directly; a real run adds a commit
-        # round, counted in _record_round for openings.)
-        total = sum(
-            (m - dk * opened) % q for m, dk in zip(sv.macs, self.mac_key_shares)
-        )
-        if total % q != 0:
-            raise MacCheckError("MAC check failed: shares were tampered with")
-
-    def _check_word_mac(self, word: BinaryWord, opened: int) -> None:
-        """:meth:`_check_mac` over GF(2): per lane, ⊕ᵢ (macᵢ ⊕ bit·Δ₂ᵢ) = 0."""
-        if word.macs is None:
-            raise MacCheckError("authenticated engine received unauthenticated word")
-        lanes = spread(opened, self.kappa)
-        total = 0
-        for mac, key in zip(word.macs, self.binary_key_shares):
-            total ^= mac ^ lanes * key
-        if total:
-            raise MacCheckError("MAC check failed: binary shares were tampered with")
+        return self._open(self._word_rows(words), [word.width for word in words])
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -265,38 +330,41 @@ class MPCEngine:
         # Kept for benchmarks/e2e/probes.py's ``_mul_us``; src/ calls mul_many.
         return self.mul_many([(a, b)])[0]
 
+    def _mul(self, xs: Rows, ys: Rows) -> Rows:
+        """Beaver products of the columns of two row batches, in one round.
+
+        Opens d = x − a and e = y − b (the triple's uniform masks), then
+        z = c + d·b + e·a + d·e, the public d·e entering through the unit.
+        """
+        count = len(xs[0])
+        if not count:
+            return xs
+        opcount.GLOBAL.cs += count
+        q = self.field.q
+        a_rows, b_rows, c_rows = self.dealer.triples(count)
+        opened = self._open(
+            [
+                [(u - v) % q for u, v in zip((*x, *y), (*a, *b))]
+                for x, y, a, b in zip(xs, ys, a_rows, b_rows)
+            ]
+        )
+        ds, es = opened[:count], opened[count:]
+        des = [d * e for d, e in zip(ds, es)]
+        return [
+            [
+                (c + d * b + e * a + one * de) % q
+                for a, b, c, d, e, de in zip(a_row, b_row, c_row, ds, es, des)
+            ]
+            for a_row, b_row, c_row, one in zip(a_rows, b_rows, c_rows, self.unit)
+        ]
+
     def mul_many(self, pairs: list[tuple[SharedValue, SharedValue]]) -> list[SharedValue]:
         """Beaver multiplication of many pairs in one communication round."""
         if not pairs:
             return []
-        opcount.GLOBAL.cs += len(pairs)
-        triples = [self.dealer.triple() for _ in pairs]
-        masked = []
-        for (x, y), (ta, tb, _) in zip(pairs, triples):
-            masked.append(x - ta)
-            masked.append(y - tb)
-        opened = self.open_many(masked)
-        q = self.field.q
-        results = []
-        for idx, (ta, tb, tc) in enumerate(triples):
-            e = opened[2 * idx]
-            f = opened[2 * idx + 1]
-            # z = c + e·b + f·a + e·f, the public e·f added by party 0 (and
-            # by every party into her MAC share, times her key share).
-            shares = [
-                (c + e * b + f * a) % q
-                for a, b, c in zip(ta.shares, tb.shares, tc.shares)
-            ]
-            shares[0] = (shares[0] + e * f) % q
-            macs = None
-            if ta.macs is not None and tb.macs is not None and tc.macs is not None:
-                ef = e * f % q
-                macs = tuple(
-                    (c + e * b + f * a + ef * dk) % q
-                    for a, b, c, dk in zip(ta.macs, tb.macs, tc.macs, self.mac_key_shares)
-                )
-            results.append(SharedValue(self, tuple(shares), macs))
-        return results
+        return self._values(
+            self._mul(self._rows([x for x, _ in pairs]), self._rows([y for _, y in pairs]))
+        )
 
     def and_words(self, x: BinaryWord, y: BinaryWord) -> BinaryWord:
         """Lane-wise AND of two shared words: one binary triple, one round.
@@ -305,22 +373,23 @@ class MPCEngine:
         the triple's a, b are), then x∧y = c ⊕ e∧y ⊕ f∧a.  Not a field
         multiplication: it does not count towards Cs.
         """
-        a, b, c = self.dealer.and_triple(x.width)
-        # Masking with this engine's triple also rejects a foreign or
-        # differently wide x or y.
-        e, f = self.open_words([x ^ a, y ^ b])
-        shares = tuple(
-            sc ^ (sy & e) ^ (sa & f) for sa, sy, sc in zip(a.shares, y.shares, c.shares)
-        )
-        macs = None
-        if a.macs is not None and y.macs is not None and c.macs is not None:
+        width = x.width
+        if y.width != width:
+            raise ValueError(f"binary words of different widths: {width} and {y.width}")
+        rows = self._word_rows([x, y, *self.dealer.and_triple(width)])
+        e, f = self._open([(xi ^ a, yi ^ b) for xi, yi, a, b, _ in rows], [width, width])
+        keep = [(e, f)] * self.n_parties
+        if self.authenticated:  # the MAC rows keep whole κ-bit lanes
             lane = (1 << self.kappa) - 1
-            keep_e, keep_f = spread(e, self.kappa) * lane, spread(f, self.kappa) * lane
-            macs = tuple(
-                mc ^ (my & keep_e) ^ (ma & keep_f)
-                for ma, my, mc in zip(a.macs, y.macs, c.macs)
-            )
-        return BinaryWord(self, x.width, shares, macs)
+            keep += [(spread(e, self.kappa) * lane, spread(f, self.kappa) * lane)] * len(keep)
+        return self._word(
+            width, [c ^ (yi & ke) ^ (a & kf) for (_, yi, a, _, c), (ke, kf) in zip(rows, keep)]
+        )
+
+    def _sum(self, rows: Rows) -> SharedValue:
+        """The sum of a batch's columns: one sum per row."""
+        q = self.field.q
+        return self._values([[sum(row) % q] for row in rows])[0]
 
     def inner_product(
         self, xs: list[SharedValue], ys: list[SharedValue]
@@ -330,19 +399,12 @@ class MPCEngine:
             raise ValueError("inner product length mismatch")
         if not xs:
             return self.share_public(0)
-        products = self.mul_many(list(zip(xs, ys)))
-        total = products[0]
-        for p in products[1:]:
-            total = total + p
-        return total
+        return self._sum(self._mul(self._rows(xs), self._rows(ys)))
 
     def sum_values(self, values: list[SharedValue]) -> SharedValue:
         if not values:
             return self.share_public(0)
-        total = values[0]
-        for v in values[1:]:
-            total = total + v
-        return total
+        return self._sum(self._rows(values))
 
     # ------------------------------------------------------------------
     # accounting

@@ -113,19 +113,17 @@ def test_norm_openings_are_uniform_lane_by_lane(b):
         engine = MPCEngine(3, seed=seed)
         ops = FixedPointOps(engine)
         opened: list[tuple[int, int]] = []
-        real_open_words, real_open_many = engine.open_words, engine.open_many
 
-        def words(values, real=real_open_words, log=opened):
-            result = real(values)
-            log.extend((w.width, v) for w, v in zip(values, result))
+        def spy(rows, widths=None, real=engine._open, log=opened, k=ops.k):
+            # Every opening goes through the engine's one opening routine.
+            result = real(rows, widths)
+            if widths is None:
+                log.extend((k, v & ((1 << k) - 1)) for v in result)
+            else:
+                log.extend(zip(widths, result))
             return result
 
-        def elements(values, real=real_open_many, log=opened, k=ops.k):
-            result = real(values)
-            log.extend((k, v & ((1 << k) - 1)) for v in result)
-            return result
-
-        engine.open_words, engine.open_many = words, elements
+        engine._open = spy
         ops.norm([engine.share_public(b)])
         lanes = [[value >> i & 1 for i in range(width)] for width, value in opened]
         if counts is None:

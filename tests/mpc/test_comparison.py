@@ -331,13 +331,14 @@ def test_one_call_costs_the_same_rounds_at_every_length(primitive):
 def _one_value_mod2m(engine, a, k, m):
     """Mod2m of one value step by step, the way it ran before batches: its
     own PRandM opening, BitLT on the 1-block word, a 1-lane lift."""
-    tup = engine.dealer.prandm(k, m)
-    masked = engine.add_public(a + (tup.r2 * (1 << m)) + tup.r1, 1 << (k - 1))
+    r2s, r1s, r1_bits = engine.dealer.prandms(1, k, m)
+    (r2,), (r1,) = engine._values(r2s), engine._values(r1s)
+    masked = engine.add_public(a + (r2 * (1 << m)) + r1, 1 << (k - 1))
     (c,) = engine.open_many([masked])
     c_prime = c % (1 << m)
-    first_difference = cmp.top_bits(engine, tup.r1_bits ^ c_prime, m)
+    first_difference = cmp.top_bits(engine, r1_bits ^ c_prime, m)
     (u,) = cmp.lift(engine, (first_difference & (c_prime ^ ((1 << m) - 1))).parity())
-    return engine.add_public(-tup.r1 + u * (1 << m), c_prime)
+    return engine.add_public(-r1 + u * (1 << m), c_prime)
 
 
 @pytest.mark.parametrize("k, m", [(K + 1, K), (K, K - 1), (K, 1), (8, 3)])

@@ -301,14 +301,13 @@ def test_tampered_dabit_detected(auth_engine, monkeypatch):
 
 
 def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
-    deal = auth_engine.dealer.prandm
+    deal = auth_engine.dealer.prandms
 
-    def tampered(k, m, with_bits=True):
-        tup = deal(k, m, with_bits)
-        tup.r1_bits = _flip_lane(tup.r1_bits, party=0, lane=m - 1)
-        return tup
+    def tampered(count, k, m, with_bits=True):
+        r2s, r1s, r1_bits = deal(count, k, m, with_bits)
+        return r2s, r1s, _flip_lane(r1_bits, party=0, lane=m - 1)
 
-    monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
+    monkeypatch.setattr(auth_engine.dealer, "prandms", tampered)
     with pytest.raises(MacCheckError):
         cmp.ltz(auth_engine, [auth_engine._make_shared(5)], 40)
 
@@ -316,17 +315,14 @@ def test_tampered_prandm_word_detected(auth_engine, monkeypatch):
 def test_tampered_prandm_word_detected_in_a_batch(auth_engine, monkeypatch):
     """One value's r1 bits flipped among many: caught through the concat,
     the per-block parity and the lift of the whole batch."""
-    deal = auth_engine.dealer.prandm
-    calls = []
+    deal = auth_engine.dealer.prandms
 
-    def tampered(k, m, with_bits=True):
-        tup = deal(k, m, with_bits)
-        calls.append(tup)
-        if len(calls) == 3:
-            tup.r1_bits = _flip_lane(tup.r1_bits, party=1, lane=m // 2)
-        return tup
+    def tampered(count, k, m, with_bits=True):
+        r2s, r1s, r1_bits = deal(count, k, m, with_bits)
+        # The third value's block of the batch's r1 word.
+        return r2s, r1s, _flip_lane(r1_bits, party=1, lane=2 * m + m // 2)
 
-    monkeypatch.setattr(auth_engine.dealer, "prandm", tampered)
+    monkeypatch.setattr(auth_engine.dealer, "prandms", tampered)
     values = [auth_engine._make_shared(v) for v in range(5)]
     with pytest.raises(MacCheckError):
         cmp.ltz(auth_engine, values, 40)
@@ -352,7 +348,7 @@ def test_semi_honest_binary_material_carries_no_macs(engine):
     words = [
         *dealer.and_triple(40),
         dealer.dabits(3)[0],
-        dealer.prandm(40, 12).r1_bits,
+        dealer.prandms(1, 40, 12)[2],
         dealer.edabits(2, 24, engine.kappa)[1],
     ]
     assert all(word.macs is None for word in words)
@@ -378,18 +374,18 @@ def test_sharing_randomness_is_the_randrange_stream():
 def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     engine = MPCEngine(3, authenticated=authenticated, seed=5)
     dealer = engine.dealer
-    for_trunc = dealer.prandm(80, 32, with_bits=False)
-    assert for_trunc.r1_bits is None
-    (r1,) = engine.open_many([for_trunc.r1])
+    _, r1s, r1_bits = dealer.prandms(1, 80, 32, with_bits=False)
+    assert r1_bits is None
+    (r1,) = engine.open_many(engine._values(r1s))
     assert r1 < 1 << 32
-    for_mod2m = dealer.prandm(40, 12)
-    assert for_mod2m.r1_bits.width == 12
-    assert engine.open_words([for_mod2m.r1_bits]) == engine.open_many([for_mod2m.r1])
+    _, r1s, r1_bits = dealer.prandms(1, 40, 12)
+    assert r1_bits.width == 12
+    assert engine.open_words([r1_bits]) == engine.open_many(engine._values(r1s))
     # edaBits: r_j below 2^(24+κ) in Z_q, its low 24 bits in block j.
     masks, packed = dealer.edabits(3, 24, engine.kappa)
     assert packed.width == 3 * 24
     (word,) = engine.open_words([packed])
-    for j, r in enumerate(engine.open_many(masks)):
+    for j, r in enumerate(engine.open_many(engine._values(masks))):
         assert r < 1 << (24 + engine.kappa)
         assert word >> (24 * j) & ((1 << 24) - 1) == r % (1 << 24)
     # One tuple is one tuple, with or without its bits; one edaBit per value.
@@ -400,7 +396,7 @@ def test_dealer_shares_only_the_bits_its_caller_reads(authenticated):
     dealer.and_triple(40)
     word, arithmetic = dealer.dabits(5)
     (opened,) = engine.open_words([word])
-    assert [opened >> i & 1 for i in range(5)] == engine.open_many(arithmetic)
+    assert [opened >> i & 1 for i in range(5)] == engine.open_many(engine._values(arithmetic))
     assert dealer.usage.snapshot() == {
         "triples": 0, "bits": 0, "prandm": 2, "edabits": 3,
         "and_triples": 1, "dabits": 5,
