@@ -171,7 +171,8 @@ class ForestTrainer:
                     votes = sums
                 else:
                     votes = [_add_rows(row, terms) for row, terms in zip(votes, sums)]
-            shares = ctx.to_shares([vote for row in votes or [] for vote in row])
+            # encrypted_leaf_sums leaves the votes with u_1, party 0.
+            shares = ctx.to_shares([vote for row in votes or [] for vote in row], holder=0)
             return _open_winners(ctx, _chunks(shares, self.n_classes))
         total: list[EncryptedNumber] | None = None
         for model in self.models:
@@ -432,7 +433,10 @@ class GBDTTrainer:
                 )
                 for k in range(self.n_classes)
             ]
-            shares = ctx.to_shares([s for scores in zip(*per_class) for s in scores])
+            # The score sums come from encrypted_leaf_sums: u_1, party 0, holds them.
+            shares = ctx.to_shares(
+                [s for scores in zip(*per_class) for s in scores], holder=0
+            )
             rows = _chunks(shares, self.n_classes)
         return np.asarray(_open_winners(ctx, rows), dtype=np.int64)
 

@@ -521,9 +521,14 @@ class Federation:
         self,
         values: list[EncryptedNumber] | PackedBatch,
         bound_bits: int | None = None,
+        holder: int | None = None,
     ) -> list[SharedValue]:
         """Algorithm 2 over a batch; the conversion sends its real payloads
         (mask ciphertexts, masked batch, partial decryptions) on the bus.
+
+        ``holder`` is the party that holds ``values`` and runs the
+        conversion from them: the super client unless given (Algorithm 4's
+        leaf sums stay with u_1, party 0).
 
         ``bound_bits`` declares every value's magnitude
         (``|x| < 2**bound_bits`` at the scale
@@ -536,7 +541,8 @@ class Federation:
         return ciphers_to_shares(
             values, self.threshold, self.fx, self.conversions,
             batch_engine=self.batch, bus=self.bus, runtimes=self.runtimes,
-            bound_bits=bound_bits, holder=self.super_client,
+            bound_bits=bound_bits,
+            holder=self.super_client if holder is None else holder,
         )
 
     def to_cipher(

@@ -134,3 +134,40 @@ def test_gbdt_validation():
         GBDTTrainer(ctx, learning_rate=0.0)
     with pytest.raises(RuntimeError):
         GBDTTrainer(ctx, n_rounds=1).predict(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("kind", ["forest", "gbdt"])
+def test_basic_ensembles_convert_from_the_party_holding_the_leaf_sums(monkeypatch, kind):
+    """Algorithm 4's round-robin leaves the forest's votes and the GBDT's
+    class-score sums with u_1, party 0: whichever party is the super
+    client, party 0 broadcasts the predict call's ``mpc-convert`` batch, and
+    the predictions are those of the run whose super client is party 0."""
+    from repro.core import PivotConfig
+    from repro.data import make_classification, vertical_partition
+    from repro.federation import Federation
+    from repro.network.wire import PartialDecryptionVector
+
+    from tests.core.conftest import TEST_KEYSIZE, spy_on_bus
+
+    X, y = make_classification(24, 4, n_classes=2, seed=11)
+    predictions = {}
+    for super_client in (0, 2):
+        vp = vertical_partition(X, y, 3, task="classification", super_client=super_client)
+        ctx = Federation.from_partition(
+            vp, PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=8)
+        )
+        if kind == "forest":
+            trainer = ForestTrainer(ctx, n_trees=2, seed=2).fit()
+        else:
+            trainer = GBDTTrainer(ctx, n_rounds=1, learning_rate=0.5).fit()
+        spy = spy_on_bus(monkeypatch, ctx.bus)
+        predictions[super_client] = trainer.predict(X[:6])
+        batches = {
+            sender
+            for sender, receiver, tag, payload in spy
+            if tag == "mpc-convert"
+            and receiver is None
+            and not isinstance(payload, PartialDecryptionVector)
+        }
+        assert batches == {0}
+    assert np.array_equal(predictions[0], predictions[2])
