@@ -52,7 +52,7 @@ from typing import cast, overload
 
 from repro.mpc import comparison
 from repro.mpc.binary import BinaryWord, block_mask, concat
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, Rows
 from repro.mpc.sharing import SharedValue
 
 __all__ = ["FixedPointOps", "DEFAULT_K", "DEFAULT_F"]
@@ -170,6 +170,10 @@ class FixedPointOps:
             self.engine, self.engine.mul_many(pairs), 2 * self.k, shift
         )
 
+    def _mul_rescale_rows(self, xs: Rows, ys: Rows, shift: int) -> Rows:
+        """:meth:`_mul_rescale` of the columns of two row batches, as rows."""
+        return comparison._trunc_pr(self.engine, self.engine._mul(xs, ys), 2 * self.k, shift)
+
     @overload
     def div(self, a: SharedValue, b: SharedValue) -> SharedValue: ...
 
@@ -213,32 +217,43 @@ class FixedPointOps:
     def _divide(
         self, groups: list[list[SharedValue]], bs: list[SharedValue]
     ) -> list[list[SharedValue]]:
-        """Numerator group j over denominator j, for every j at once."""
+        """Numerator group j over denominator j, for every j at once, on
+        rows (:mod:`repro.mpc.engine`) from AppRcr to the quotients."""
         if not bs:
             return []
         engine = self.engine
+        q, unit = engine.field.q, engine.unit
         two_f = 2 * self.f
         alpha = 1 << two_f
-        ws = self.app_rcr(bs)
+        denominators = engine._rows(bs)
+        ws = engine._rows(self.app_rcr(bs))
         owner = [j for j, group in enumerate(groups) for _ in group]
-        numerators = [num for group in groups for num in group]
-        products = engine.mul_many(
-            list(zip(bs, ws)) + [(num, ws[j]) for num, j in zip(numerators, owner)]
+        numerators = engine._rows([num for group in groups for num in group])
+
+        def per_numerator(rows: Rows) -> list[list[int]]:
+            return [[row[j] for j in owner] for row in rows]
+
+        count = len(bs)
+        products = engine._mul(
+            [(*b, *a) for b, a in zip(denominators, numerators)],
+            [(*w, *wn) for w, wn in zip(ws, per_numerator(ws))],
         )
         # x = alpha*(1 - b*w/2^2F) per denominator
-        xs = [engine.add_public(-bw, alpha) for bw in products[: len(bs)]]
-        ys = comparison.trunc_pr(engine, products[len(bs) :], 2 * self.k, self.f)
+        xs = [[(one * alpha - bw) % q for bw in row[:count]] for row, one in zip(products, unit)]
+        ys = comparison._trunc_pr(engine, [row[count:] for row in products], 2 * self.k, self.f)
         for _ in range(self.theta):
-            factors = [engine.add_public(x, alpha) for x in xs]
-            rescaled = self._mul_rescale(
-                [(y, factors[j]) for y, j in zip(ys, owner)] + [(x, x) for x in xs],
+            factors = per_numerator(
+                [[(x + one * alpha) % q for x in row] for row, one in zip(xs, unit)]
+            )
+            rescaled = self._mul_rescale_rows(
+                [(*y, *x) for y, x in zip(ys, xs)],
+                [(*f, *x) for f, x in zip(factors, xs)],
                 two_f,
             )
-            ys, xs = rescaled[: len(ys)], rescaled[len(ys) :]
-        factors = [engine.add_public(x, alpha) for x in xs]
-        quotients = iter(
-            self._mul_rescale([(y, factors[j]) for y, j in zip(ys, owner)], two_f)
-        )
+            split = len(owner)
+            ys, xs = [row[:split] for row in rescaled], [row[split:] for row in rescaled]
+        factors = per_numerator([[(x + one * alpha) % q for x in row] for row, one in zip(xs, unit)])
+        quotients = iter(engine._values(self._mul_rescale_rows(ys, factors, two_f)))
         return [[next(quotients) for _ in group] for group in groups]
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mpc.engine import MPCEngine
 
-__all__ = ["BinaryWord", "spread", "concat", "block_mask", "pack", "unpack"]
+__all__ = ["BinaryWord", "spread", "concat", "block_mask", "pack"]
 
 
 def spread(word: int, stride: int) -> int:
@@ -57,15 +57,6 @@ def pack(values: list[int], bits: int) -> int:
     spec = f"0{bits}b"
     text = "".join([format(value, spec) for value in reversed(values)])
     return int(text, 2) if text and bits else 0
-
-
-def unpack(word: int, count: int, bits: int) -> list[int]:
-    """The ``count`` ``bits``-bit chunks of ``word``, the lowest first."""
-    if not bits:
-        return [0] * count
-    text = format(word, f"0{count * bits}b")
-    end = len(text)
-    return [int(text[end - (j + 1) * bits : end - j * bits], 2) for j in range(count)]
 
 
 def block_mask(width: int, block: int, lanes: int) -> int:

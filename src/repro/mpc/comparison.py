@@ -93,8 +93,10 @@ is revealed except these masked openings.
 
 from __future__ import annotations
 
+from operator import add
+
 from repro.analysis import opcount
-from repro.mpc.binary import BinaryWord, block_mask, concat, pack, unpack
+from repro.mpc.binary import BinaryWord, block_mask, concat, pack
 from repro.mpc.engine import MPCEngine, Rows
 from repro.mpc.sharing import SharedValue
 
@@ -187,7 +189,7 @@ def decompose(engine: MPCEngine, values: list[SharedValue], width: int) -> Binar
     offset = 1 << (width + kappa)
     opened = engine._open(
         [
-            [(a - r + shift) % q for a, r in zip(row, mask_row)]
+            [a - r + shift for a, r in zip(row, mask_row)]
             for row, mask_row, shift in zip(rows, masks, (offset * u for u in engine.unit))
         ]
     )
@@ -239,7 +241,7 @@ def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[Share
     tops = (carries >> (block - 1)) & block_mask(carries.width, block, 1)
     lifted = _lift(engine, tops.parity(block))
     q, scale = engine.field.q, 1 << block
-    sums = unpack(opened, count, block)
+    sums = [opened >> (j * block) & (scale - 1) for j in range(count)]
     return engine._values(
         [
             [(carry * scale - r + s * unit) % q for r, carry, s in zip(mask_row, row, sums)]
@@ -263,7 +265,7 @@ def _mod2m(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
     scale, offset = 1 << m, 1 << (k - 1)
     opened = engine._open(
         [
-            [(a + r2 * scale + r1 + shift) % q for a, r2, r1 in zip(row, r2_row, r1_row)]
+            [a + r2 * scale + r1 + shift for a, r2, r1 in zip(row, r2_row, r1_row)]
             for row, r2_row, r1_row, shift in zip(rows, r2s, r1s, (offset * u for u in unit))
         ]
     )
@@ -317,6 +319,26 @@ def trunc(
     return engine._values(_trunc(engine, engine._rows(values), k, m))
 
 
+def _trunc_pr(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
+    """:func:`trunc_pr` of the columns of ``rows``, as rows."""
+    count = len(rows[0])
+    if m == 0 or not count:
+        return rows
+    q, unit = engine.field.q, engine.unit
+    r2s, r1s, _ = engine.dealer.prandms(count, k, m, with_bits=False)
+    low = [list(map(add, row, r1_row)) for row, r1_row in zip(rows, r1s)]
+    scale, offset = 1 << m, 1 << (k - 1)
+    opened = engine._open(
+        [
+            [s + r2 * scale + shift for s, r2 in zip(row, r2_row)]
+            for row, r2_row, shift in zip(low, r2s, (offset * u for u in unit))
+        ]
+    )
+    inverse = engine.field.pow2_inv(m)
+    cuts = [c % scale for c in opened]
+    return [[(s - c * one) * inverse % q for s, c in zip(row, cuts)] for row, one in zip(low, unit)]
+
+
 def trunc_pr(
     engine: MPCEngine, values: list[SharedValue], k: int, m: int
 ) -> list[SharedValue]:
@@ -328,27 +350,9 @@ def trunc_pr(
     open c = a + r1 + 2^m·r2 + 2^(k-1); then a + r1 − (c mod 2^m) is a
     multiple of 2^m, divided out exactly.
     """
-    if m == 0 or not values:
+    if m == 0:
         return list(values)
-    q, unit = engine.field.q, engine.unit
-    rows = engine._rows(values)
-    r2s, r1s, _ = engine.dealer.prandms(len(values), k, m, with_bits=False)
-    low = [[(a + r1) % q for a, r1 in zip(row, r1_row)] for row, r1_row in zip(rows, r1s)]
-    scale, offset = 1 << m, 1 << (k - 1)
-    opened = engine._open(
-        [
-            [(s + r2 * scale + shift) % q for s, r2 in zip(row, r2_row)]
-            for row, r2_row, shift in zip(low, r2s, (offset * u for u in unit))
-        ]
-    )
-    inverse = engine.field.pow2_inv(m)
-    cuts = [c % scale for c in opened]
-    return engine._values(
-        [
-            [(s - c * one) * inverse % q for s, c in zip(row, cuts)]
-            for row, one in zip(low, unit)
-        ]
-    )
+    return engine._values(_trunc_pr(engine, engine._rows(values), k, m))
 
 
 def _ltz(engine: MPCEngine, rows: Rows, k: int) -> Rows:
@@ -464,7 +468,8 @@ def argmax(
     q, unit, count = engine.field.q, engine.unit, len(rows)
     columns = [engine._rows([row[i] for row in rows]) for i in range(width)]
     maxima = columns[0]
-    onehots: list[Rows] = [[[one] * count for one in unit]]  # position 0: the public 1
+    # Each party's one-hot entries, row after row: i of them per row at step i.
+    onehots: Rows = [[one] * count for one in unit]  # position 0: the public 1
     for i in range(1, width):
         shifted = [[(x - slack * one) % q for x in row] for row, one in zip(columns[i], unit)]
         greater = _lt(engine, maxima, shifted, k)
@@ -472,30 +477,36 @@ def argmax(
         # this compare alone: one multiplication round for all of them,
         # row after row [bit·(x_i − max), λ_0·(1 − bit), …, λ_(i−1)·(1 − bit)].
         xs = [
-            [v for group in zip(bits, *(onehot[p] for onehot in onehots)) for v in group]
-            for p, bits in enumerate(greater)
+            [v for r, bit in enumerate(bits) for v in (bit, *onehot[r * i : r * i + i])]
+            for bits, onehot in zip(greater, onehots)
         ]
         ys = [
             [
                 v
                 for x, m, bit in zip(x_row, m_row, bits)
-                for v in ((x - m) % q, *([(one - bit) % q] * i))
+                for v in ((x - m) % q, *[(one - bit) % q] * i)
             ]
             for x_row, m_row, bits, one in zip(columns[i], maxima, greater, unit)
         ]
         products = engine._mul(xs, ys)
         step = i + 1
-        maxima = [[(m + p) % q for m, p in zip(m_row, row[0::step])] for m_row, row in zip(maxima, products)]
-        onehots = [[row[t::step] for row in products] for t in range(1, step)] + [greater]
+        maxima = [
+            [(m + p) % q for m, p in zip(m_row, row[0::step])]
+            for m_row, row in zip(maxima, products)
+        ]
+        onehots = [
+            [v for r, bit in enumerate(bits) for v in (*row[r * step + 1 : r * step + step], bit)]
+            for row, bits in zip(products, greater)
+        ]
     index = [
-        [sum(t * flag for t, flag in enumerate(flags)) % q for flags in zip(*(o[p] for o in onehots))]
-        for p in range(len(unit))
+        [
+            sum(t * flag for t, flag in enumerate(row[r * width : r * width + width])) % q
+            for r in range(count)
+        ]
+        for row in onehots
     ]
+    flags = iter(engine._values(onehots))
     return [
-        (position, current, list(onehot))
-        for position, current, onehot in zip(
-            engine._values(index),
-            engine._values(maxima),
-            zip(*(engine._values(onehot) for onehot in onehots)),
-        )
+        (position, current, [next(flags) for _ in range(width)])
+        for position, current in zip(engine._values(index), engine._values(maxima))
     ]

@@ -95,17 +95,6 @@ class TrustedDealer:
         self.rng = random.Random(seed)
         self.usage = DealerUsage()
 
-    # -- helpers -----------------------------------------------------------
-
-    def _rand_field(self) -> int:
-        # rng.randrange(q)'s stream without its Python-level wrappers.
-        q, bits = self.engine.field.q, self.engine._q_bits
-        getrandbits = self.rng.getrandbits
-        r = getrandbits(bits)
-        while r >= q:
-            r = getrandbits(bits)
-        return r
-
     # -- products ------------------------------------------------------------
 
     def triples(self, count: int) -> tuple["Rows", "Rows", "Rows"]:
@@ -132,10 +121,11 @@ class TrustedDealer:
         draws = [getrandbits(w) for w in (width, width) + split * 3]
         a, b = draws[0], draws[1]
         self.usage.and_triples += 1
-        step = len(split)
-        return tuple(  # type: ignore[return-value]
-            engine._xor_word(secret, width, draws[start : start + step])
-            for secret, start in zip((a, b, a & b), range(2, 2 + 3 * step, step))
+        step, word = len(split), engine._xor_word
+        return (
+            word(a, width, draws[2 : 2 + step]),
+            word(b, width, draws[2 + step : 2 + 2 * step]),
+            word(a & b, width, draws[2 + 2 * step :]),
         )
 
     def dabits(self, count: int) -> tuple["BinaryWord", "Rows"]:

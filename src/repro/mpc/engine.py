@@ -45,7 +45,7 @@ import secrets
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
+from operator import sub, xor
 
 from repro.analysis import opcount
 from repro.mpc.binary import BinaryWord, pack, spread
@@ -204,7 +204,7 @@ class MPCEngine:
         getrandbits = (rng or self.rng).getrandbits
         return self._xor_word(word, width, [getrandbits(w) for w in self._binary_widths(width)])
 
-    def _rows(self, values: list[SharedValue]) -> Rows:
+    def _rows(self, values: Sequence[SharedValue]) -> Rows:
         """The rows of a batch of shared values (shares, then MAC shares)."""
         authenticated = self.authenticated
         for sv in values:
@@ -228,20 +228,12 @@ class MPCEngine:
     def _word_rows(self, words: list[BinaryWord]) -> Rows:
         """The rows of a list of words: column j holds word j's party
         words, then (authenticated) its lane MACs."""
-        if any(word.engine is not self for word in words):
-            raise ValueError("binary word belongs to a different engine")
-        if not self.authenticated:
-            return list(zip(*(word.shares for word in words)))
-        if any(word.macs is None for word in words):
-            raise MacCheckError("authenticated engine received unauthenticated word")
-        return list(zip(*(word.shares + word.macs for word in words)))  # type: ignore[operator]
-
-    def _word(self, width: int, rows) -> BinaryWord:
-        """The word whose party words and lane MACs are ``rows``."""
-        n = self.n_parties
-        return BinaryWord(
-            self, width, tuple(rows[:n]), tuple(rows[n:]) if self.authenticated else None
-        )
+        for word in words:
+            if word.engine is not self:
+                raise ValueError("binary word belongs to a different engine")
+            if self.authenticated and word.macs is None:
+                raise MacCheckError("authenticated engine received unauthenticated word")
+        return list(zip(*[word.shares + (word.macs or ()) for word in words]))
 
     def share_public(self, value: int) -> SharedValue:
         """⟨value⟩ for a publicly known value (no communication needed)."""
@@ -342,11 +334,9 @@ class MPCEngine:
         opcount.GLOBAL.cs += count
         q = self.field.q
         a_rows, b_rows, c_rows = self.dealer.triples(count)
+        # Opened values need no reduction: the opening sums mod q.
         opened = self._open(
-            [
-                [(u - v) % q for u, v in zip((*x, *y), (*a, *b))]
-                for x, y, a, b in zip(xs, ys, a_rows, b_rows)
-            ]
+            [list(map(sub, (*x, *y), (*a, *b))) for x, y, a, b in zip(xs, ys, a_rows, b_rows)]
         )
         ds, es = opened[:count], opened[count:]
         des = [d * e for d, e in zip(ds, es)]
@@ -362,9 +352,8 @@ class MPCEngine:
         """Beaver multiplication of many pairs in one communication round."""
         if not pairs:
             return []
-        return self._values(
-            self._mul(self._rows([x for x, _ in pairs]), self._rows([y for _, y in pairs]))
-        )
+        xs, ys = zip(*pairs)
+        return self._values(self._mul(self._rows(xs), self._rows(ys)))
 
     def and_words(self, x: BinaryWord, y: BinaryWord) -> BinaryWord:
         """Lane-wise AND of two shared words: one binary triple, one round.
@@ -382,9 +371,9 @@ class MPCEngine:
         if self.authenticated:  # the MAC rows keep whole κ-bit lanes
             lane = (1 << self.kappa) - 1
             keep += [(spread(e, self.kappa) * lane, spread(f, self.kappa) * lane)] * len(keep)
-        return self._word(
-            width, [c ^ (yi & ke) ^ (a & kf) for (_, yi, a, _, c), (ke, kf) in zip(rows, keep)]
-        )
+        z = [c ^ (yi & ke) ^ (a & kf) for (_, yi, a, _, c), (ke, kf) in zip(rows, keep)]
+        n = self.n_parties
+        return BinaryWord(self, width, tuple(z[:n]), tuple(z[n:]) or None)
 
     def _sum(self, rows: Rows) -> SharedValue:
         """The sum of a batch's columns: one sum per row."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import MacCheckError, MPCEngine, SharedValue
+from repro.mpc import MacCheckError, MPCEngine, PrimeField, SharedValue
 from repro.mpc import comparison as cmp
 from repro.mpc.binary import BinaryWord, concat
 
@@ -367,7 +367,15 @@ def test_sharing_randomness_is_the_randrange_stream():
         expected = [reference.randrange(q) for _ in range(2)]
         assert list(engine._make_shared(value).shares[:2]) == expected
     dealer_reference = random.Random(12)  # the dealer is seeded seed + 1
-    assert engine.dealer._rand_field() == dealer_reference.randrange(q)
+    assert engine._field_draws(engine.dealer.rng, 3) == [
+        dealer_reference.randrange(q) for _ in range(3)
+    ]
+    # A batch drops a draw at or above q and draws on, exactly as randrange
+    # does: in a field of 251 elements one 8-bit draw in 51 is refused.
+    small = MPCEngine(3, field=PrimeField(251))
+    batch, reference = random.Random(3), random.Random(3)
+    assert small._field_draws(batch, 2000) == [reference.randrange(251) for _ in range(2000)]
+    assert batch.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("authenticated", [False, True])
