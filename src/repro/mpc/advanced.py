@@ -230,8 +230,9 @@ class FixedPointOps:
         owner = [j for j, group in enumerate(groups) for _ in group]
         numerators = engine._rows([num for group in groups for num in group])
 
-        def per_numerator(rows: Rows) -> list[list[int]]:
-            return [[row[j] for j in owner] for row in rows]
+        def per_numerator(rows: Rows, shift: int = 0) -> list[list[int]]:
+            # Denominator j's row entry (+ the public shift) for each of its numerators.
+            return [[(row[j] + one * shift) % q for j in owner] for row, one in zip(rows, unit)]
 
         count = len(bs)
         products = engine._mul(
@@ -239,21 +240,21 @@ class FixedPointOps:
             [(*w, *wn) for w, wn in zip(ws, per_numerator(ws))],
         )
         # x = alpha*(1 - b*w/2^2F) per denominator
-        xs = [[(one * alpha - bw) % q for bw in row[:count]] for row, one in zip(products, unit)]
+        xs: Rows = [
+            [(one * alpha - bw) % q for bw in row[:count]] for row, one in zip(products, unit)
+        ]
         ys = comparison._trunc_pr(engine, [row[count:] for row in products], 2 * self.k, self.f)
         for _ in range(self.theta):
-            factors = per_numerator(
-                [[(x + one * alpha) % q for x in row] for row, one in zip(xs, unit)]
-            )
             rescaled = self._mul_rescale_rows(
                 [(*y, *x) for y, x in zip(ys, xs)],
-                [(*f, *x) for f, x in zip(factors, xs)],
+                [(*f, *x) for f, x in zip(per_numerator(xs, alpha), xs)],
                 two_f,
             )
-            split = len(owner)
-            ys, xs = [row[:split] for row in rescaled], [row[split:] for row in rescaled]
-        factors = per_numerator([[(x + one * alpha) % q for x in row] for row, one in zip(xs, unit)])
-        quotients = iter(engine._values(self._mul_rescale_rows(ys, factors, two_f)))
+            ys = [row[: len(owner)] for row in rescaled]
+            xs = [row[len(owner) :] for row in rescaled]
+        quotients = iter(
+            engine._values(self._mul_rescale_rows(ys, per_numerator(xs, alpha), two_f))
+        )
         return [[next(quotients) for _ in group] for group in groups]
 
     # ------------------------------------------------------------------

@@ -56,7 +56,7 @@ def pack(values: list[int], bits: int) -> int:
         return values[0]
     spec = f"0{bits}b"
     text = "".join([format(value, spec) for value in reversed(values)])
-    return int(text, 2) if text and bits else 0
+    return int(text, 2) if text else 0
 
 
 def block_mask(width: int, block: int, lanes: int) -> int:
@@ -125,7 +125,7 @@ def concat(words: list["BinaryWord"]) -> "BinaryWord":
     # which an authenticated opening then refuses.
     macs = None
     if all(w.macs is not None for w in words):
-        macs = tuple(join(parts, kappa) for parts in zip(*(w.macs for w in words)))  # type: ignore[misc]
+        macs = tuple(join(parts, kappa) for parts in zip(*(w.macs or () for w in words)))
     return BinaryWord(first.engine, sum(w.width for w in words), shares, macs)
 
 

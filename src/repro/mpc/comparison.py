@@ -82,8 +82,9 @@ Every mask is drawn from the dealer's seeded stream and used once.
 
 Inside a call the values travel as rows — party i's shares of every value
 in row i, MAC rows beside them (:mod:`repro.mpc.engine`): ``mod2m`` masks
-and opens whole rows, its compare runs on one packed word, and only the
-values a primitive returns become ``SharedValue`` objects.  A primitive
+whole rows and opens them through the engine's one opening routine, its
+compare runs on one packed word, and only the values a primitive returns
+become ``SharedValue`` objects.  A primitive
 built on another (``ltz`` on ``trunc`` on ``mod2m``, ``eqz`` and ``lt`` on
 ``ltz``, ``to_arithmetic`` on ``lift``) hands rows down, not values.
 All protocols follow the paper's convention: inputs are secretly shared
@@ -92,8 +93,6 @@ is revealed except these masked openings.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 from repro.analysis import opcount
 from repro.mpc.binary import BinaryWord, block_mask, concat, pack
@@ -183,7 +182,7 @@ def decompose(engine: MPCEngine, values: list[SharedValue], width: int) -> Binar
     round (r_j has κ bits of slack above a_j), then add the public c_j to
     r_j's shared low bits; the low ``width`` sum bits are a_j's.
     """
-    kappa, q = engine.kappa, engine.field.q
+    kappa = engine.kappa
     rows = engine._rows(values)
     masks, mask_bits = engine.dealer.edabits(len(values), width, kappa)
     offset = 1 << (width + kappa)
@@ -250,6 +249,22 @@ def to_arithmetic(engine: MPCEngine, word: BinaryWord, block: int) -> list[Share
     )
 
 
+def _open_masked(
+    engine: MPCEngine, rows: Rows, k: int, m: int, with_bits: bool
+) -> tuple[Rows, BinaryWord | None, list[int]]:
+    """One PRandM tuple per column: open c = a + 2^m·r2 + r1 + 2^(k-1) in
+    one round; returns (r1's rows, r1's bits if asked for, c mod 2^m)."""
+    r2s, r1s, r1_bits = engine.dealer.prandms(len(rows[0]), k, m, with_bits)
+    scale, offset = 1 << m, 1 << (k - 1)
+    opened = engine._open(
+        [
+            [a + r2 * scale + r1 + shift for a, r2, r1 in zip(row, r2_row, r1_row)]
+            for row, r2_row, r1_row, shift in zip(rows, r2s, r1s, (offset * u for u in engine.unit))
+        ]
+    )
+    return r1s, r1_bits, [c & (scale - 1) for c in opened]
+
+
 def _mod2m(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
     """:func:`mod2m` of the columns of ``rows``, as rows."""
     count = len(rows[0])
@@ -259,25 +274,16 @@ def _mod2m(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
         raise ValueError(f"mod2m requires m < k, got m={m}, k={k}")
     if not count:
         return rows
-    q, unit = engine.field.q, engine.unit
-    r2s, r1s, r1_bits = engine.dealer.prandms(count, k, m)
+    r1s, r1_bits, publics = _open_masked(engine, rows, k, m, with_bits=True)
     assert r1_bits is not None
-    scale, offset = 1 << m, 1 << (k - 1)
-    opened = engine._open(
-        [
-            [a + r2 * scale + r1 + shift for a, r2, r1 in zip(row, r2_row, r1_row)]
-            for row, r2_row, r1_row, shift in zip(rows, r2s, r1s, (offset * u for u in unit))
-        ]
-    )
-    low = scale - 1
-    publics = [c & low for c in opened]
     public = pack(publics, m)
     first_difference = top_bits(engine, r1_bits ^ public, m)
     zeros = public ^ ((1 << r1_bits.width) - 1)  # lanes where c' is 0
     below = _lift(engine, (first_difference & zeros).parity(m))
+    q, scale = engine.field.q, 1 << m
     return [
         [(u * scale - r1 + c * one) % q for r1, u, c in zip(r1_row, row, publics)]
-        for r1_row, row, one in zip(r1s, below, unit)
+        for r1_row, row, one in zip(r1s, below, engine.unit)
     ]
 
 
@@ -321,22 +327,14 @@ def trunc(
 
 def _trunc_pr(engine: MPCEngine, rows: Rows, k: int, m: int) -> Rows:
     """:func:`trunc_pr` of the columns of ``rows``, as rows."""
-    count = len(rows[0])
-    if m == 0 or not count:
+    if m == 0 or not rows[0]:
         return rows
-    q, unit = engine.field.q, engine.unit
-    r2s, r1s, _ = engine.dealer.prandms(count, k, m, with_bits=False)
-    low = [list(map(add, row, r1_row)) for row, r1_row in zip(rows, r1s)]
-    scale, offset = 1 << m, 1 << (k - 1)
-    opened = engine._open(
-        [
-            [s + r2 * scale + shift for s, r2 in zip(row, r2_row)]
-            for row, r2_row, shift in zip(low, r2s, (offset * u for u in unit))
-        ]
-    )
-    inverse = engine.field.pow2_inv(m)
-    cuts = [c % scale for c in opened]
-    return [[(s - c * one) * inverse % q for s, c in zip(row, cuts)] for row, one in zip(low, unit)]
+    r1s, _, cuts = _open_masked(engine, rows, k, m, with_bits=False)
+    q, inverse = engine.field.q, engine.field.pow2_inv(m)
+    return [
+        [(a + r1 - c * one) * inverse % q for a, r1, c in zip(row, r1_row, cuts)]
+        for row, r1_row, one in zip(rows, r1s, engine.unit)
+    ]
 
 
 def trunc_pr(
@@ -394,13 +392,7 @@ def gt(
 def le(
     engine: MPCEngine, a: list[SharedValue], b: list[SharedValue], k: int
 ) -> list[SharedValue]:
-    q = engine.field.q
-    return engine._values(
-        [
-            [(one - bit) % q for bit in row]
-            for row, one in zip(engine._rows(gt(engine, a, b, k)), engine.unit)
-        ]
-    )
+    return [1 - bit for bit in gt(engine, a, b, k)]
 
 
 def eqz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValue]:

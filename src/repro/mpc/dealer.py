@@ -165,7 +165,10 @@ class TrustedDealer:
         getrandbits, field_draws = rng.getrandbits, engine._field_draws
         high, d = k + engine.kappa - m, engine.share_draws
         split = engine._binary_widths(m) if with_bits else ()
-        r1s, r2s, fields, binary = [], [], [], []
+        r1s: list[int] = []
+        r2s: list[int] = []
+        fields: list[int] = []
+        binary: list[int] = []
         for _ in range(count):
             r1s.append(getrandbits(m))
             r2s.append(getrandbits(high) if high > 0 else 0)

@@ -48,7 +48,7 @@ from functools import reduce
 from operator import sub, xor
 
 from repro.analysis import opcount
-from repro.mpc.binary import BinaryWord, pack, spread
+from repro.mpc.binary import BinaryWord, spread
 from repro.mpc.dealer import TrustedDealer
 from repro.mpc.field import MERSENNE_127, PrimeField
 from repro.mpc.sharing import MacCheckError, SharedValue
@@ -214,9 +214,7 @@ class MPCEngine:
                 raise MacCheckError("authenticated engine received unauthenticated share")
         if not values:
             return [()] * self.row_count
-        if authenticated:
-            return list(zip(*[sv.shares + sv.macs for sv in values]))  # type: ignore[operator]
-        return list(zip(*[sv.shares for sv in values]))
+        return list(zip(*[sv.shares + (sv.macs or ()) for sv in values]))
 
     def _values(self, rows: Rows) -> list[SharedValue]:
         """One :class:`SharedValue` per column of ``rows``."""
@@ -271,6 +269,9 @@ class MPCEngine:
             q = self.field.q
             opened = [total % q for total in map(sum, zip(*rows[:n]))]
             if self.authenticated:
+                # Each party i commits σ_i = mac_i − Δ_i·x; the sums must
+                # vanish.  (Computed directly; a real run adds a commit
+                # round, counted in _record_round for openings.)
                 key = self.mac_key
                 macs = map(sum, zip(*rows[n:]))
                 if any((mac - key * value) % q for mac, value in zip(macs, opened)):
