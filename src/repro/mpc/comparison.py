@@ -94,6 +94,8 @@ is revealed except these masked openings.
 
 from __future__ import annotations
 
+from operator import sub
+
 from repro.analysis import opcount
 from repro.mpc.binary import BinaryWord, block_mask, concat, pack
 from repro.mpc.engine import MPCEngine, Rows
@@ -367,10 +369,8 @@ def ltz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValu
 
 def _lt(engine: MPCEngine, a: Rows, b: Rows, k: int) -> Rows:
     """:func:`lt` of the columns of two row batches, as rows."""
-    q = engine.field.q
-    return _ltz(
-        engine, [[(x - y) % q for x, y in zip(x_row, y_row)] for x_row, y_row in zip(a, b)], k + 1
-    )
+    # Unreduced: the masked opening sums mod q, the result is reduced.
+    return _ltz(engine, [list(map(sub, x_row, y_row)) for x_row, y_row in zip(a, b)], k + 1)
 
 
 def lt(
@@ -400,7 +400,7 @@ def eqz(engine: MPCEngine, values: list[SharedValue], k: int) -> list[SharedValu
     one :func:`ltz` over [a..., −a...]."""
     q = engine.field.q
     rows = engine._rows(values)
-    signs = _ltz(engine, [[*row, *((-a) % q for a in row)] for row in rows], k)
+    signs = _ltz(engine, [[*row, *(-a for a in row)] for row in rows], k)
     count = len(values)
     return engine._values(
         [
@@ -421,10 +421,8 @@ def select(
         return []
     q = engine.field.q
     falses = engine._rows(if_false)
-    differences = [
-        [(t - f) % q for t, f in zip(t_row, f_row)]
-        for t_row, f_row in zip(engine._rows(if_true), falses)
-    ]
+    trues = engine._rows(if_true)
+    differences = [list(map(sub, t_row, f_row)) for t_row, f_row in zip(trues, falses)]
     products = engine._mul(engine._rows(conditions), differences)
     return engine._values(
         [[(f + p) % q for f, p in zip(f_row, p_row)] for f_row, p_row in zip(falses, products)]
