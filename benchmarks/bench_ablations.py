@@ -1,13 +1,8 @@
-"""Ablations over the design choices DESIGN.md §6 calls out.
+"""Ablation: parallel threshold decryption (the paper's -PP variants, §8.3).
 
-1. **gain_mode**: the paper computes Eq. (5)/(6) verbatim ("paper": 2c+1
-   secure divisions per split); the ranking-equivalent "reduced" statistic
-   needs 2.  Both must select the same splits; the bench quantifies the
-   saved divisions and wall time.
-2. **Parallel threshold decryption** (the paper's -PP variants, §8.3): the
-   paper parallelises decryption over 6 cores for up to 2.7x total-time
-   reduction.  We model it: modeled time with the Cd term divided by the
-   worker count, reproducing the shape of Fig. 4a's Pivot-*-PP curves.
+The paper parallelises decryption over 6 cores for up to 2.7x total-time
+reduction.  We model it: modeled time with the Cd term divided by the
+worker count, reproducing the shape of Fig. 4a's Pivot-*-PP curves.
 
     python benchmarks/bench_ablations.py
     pytest benchmarks/bench_ablations.py --benchmark-only
@@ -25,16 +20,6 @@ from repro.core import TreeTrainer
 DECRYPT_WORKERS = 6  # the paper's parallel setting
 
 
-def run_gain_mode(mode: str):
-    # Seed chosen without gain near-ties so both modes provably pick the
-    # same tree (ranking equivalence; see DESIGN.md §7 on ties).
-    context = build_context(gain_mode=mode, seed=1)
-    costs = calibrated_costs(DEFAULTS["m"], 256)
-    result = timed_run(lambda: TreeTrainer(context).fit(), context, costs)
-    result.extra["model"] = result.extra.pop("returned")
-    return result
-
-
 def pp_costs(costs: PrimitiveCosts) -> PrimitiveCosts:
     return PrimitiveCosts(
         ce=costs.ce,
@@ -44,18 +29,6 @@ def pp_costs(costs: PrimitiveCosts) -> PrimitiveCosts:
         keysize=costs.keysize,
         n_parties=costs.n_parties,
     )
-
-
-def test_gain_modes_pick_identical_trees(benchmark):
-    def run():
-        return run_gain_mode("paper"), run_gain_mode("reduced")
-
-    paper, reduced = benchmark.pedantic(run, rounds=1, iterations=1)
-    a = paper.extra["model"].structure_signature()
-    b = reduced.extra["model"].structure_signature()
-    assert a == b
-    # The reduced mode must save secure multiplications/divisions (Cs ops).
-    assert reduced.ops["cs"] < paper.ops["cs"]
 
 
 def test_parallel_decryption_model(benchmark):
@@ -77,24 +50,6 @@ def test_parallel_decryption_model(benchmark):
 
 
 def main() -> None:
-    paper = run_gain_mode("paper")
-    reduced = run_gain_mode("reduced")
-    same = (
-        paper.extra["model"].structure_signature()
-        == reduced.extra["model"].structure_signature()
-    )
-    print_table(
-        "Ablation 1 — gain computation mode (same data, same tree: "
-        f"{same})",
-        ["mode", "wall(s)", "Cs ops", "Cc ops", "Cd ops"],
-        [
-            ["paper (Eq. 5 verbatim)", paper.wall_seconds,
-             paper.ops["cs"], paper.ops["cc"], paper.ops["cd"]],
-            ["reduced (ranking-equiv.)", reduced.wall_seconds,
-             reduced.ops["cs"], reduced.ops["cc"], reduced.ops["cd"]],
-        ],
-    )
-
     from repro.analysis.costmodel import predicted_time
 
     rows = []
@@ -106,7 +61,7 @@ def main() -> None:
         parallel = predicted_time(result.ops, pp_costs(costs))
         rows.append([protocol, serial, parallel, f"{serial / parallel:.2f}x"])
     print_table(
-        f"Ablation 2 — parallel threshold decryption ({DECRYPT_WORKERS} "
+        f"Ablation — parallel threshold decryption ({DECRYPT_WORKERS} "
         "workers), modeled COMPUTE time (the paper's -PP variants, §8.3: "
         "up to 2.7x total reduction on its decryption-bound wall times)",
         ["protocol", "serial compute(s)", "parallel compute(s)", "speedup"],

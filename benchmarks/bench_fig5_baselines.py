@@ -13,7 +13,7 @@ Shapes to reproduce from the paper:
 Wall time in this single-process simulation under-weights SPDZ-DT (its cost
 is communication rounds, which cost ~0 in-process), so the headline series
 is *modeled time* = op costs + LAN round/byte model — the same cost
-structure as the paper's testbed (DESIGN.md §4.1).
+structure as the paper's testbed (:mod:`repro.analysis.costmodel`).
 
     python benchmarks/bench_fig5_baselines.py
     pytest benchmarks/bench_fig5_baselines.py --benchmark-only

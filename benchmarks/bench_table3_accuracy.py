@@ -1,7 +1,7 @@
 """Table 3: model accuracy, Pivot vs non-private baselines (§8.2).
 
 Reproduces the paper's accuracy comparison on the three (simulated — see
-DESIGN.md §4.3) datasets: bank marketing and credit card (classification
+:mod:`repro.data.datasets`) datasets: bank marketing and credit card (classification
 accuracy), appliances energy (regression MSE), each for DT, RF and GBDT.
 
 Paper's claim to reproduce: "the Pivot algorithms achieve accuracy
@@ -139,7 +139,7 @@ def main() -> None:
         rows,
     )
     print(f"\n({TRIALS} trials, {TRAIN_N} train / {TEST_N} test samples per "
-          "trial, simulated datasets — see DESIGN.md §4.3. The claim under "
+          "trial, simulated datasets — see repro.data.datasets. The claim under "
           "reproduction is the small Pivot-vs-NP gap, matching the paper's "
           "Table 3.)")
 

@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md §3)
-at a laptop-friendly scale: the paper's cluster ran hours-long C++/GMP
+Every bench regenerates one table or figure of the paper (its module
+docstring names which) at a laptop-friendly scale: the paper's cluster ran hours-long C++/GMP
 workloads; this reproduction keeps every sweep point to seconds and reports
 *wall time*, *modeled time* (op counts x calibrated costs + LAN model), and
 the raw operation counts, so the paper's shapes can be checked at both the
-measured and the modeled level (DESIGN.md §4.1-4.2).
+measured and the modeled level (:mod:`repro.analysis.costmodel`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ def build_context(
     keysize: int = 256,
     seed: int = 7,
     classes: int = DEFAULTS["classes"],
-    gain_mode: str = "paper",
     transport=None,
 ) -> Federation:
     d = m * d_bar
@@ -78,7 +77,6 @@ def build_context(
         keysize=keysize,
         tree=TreeParams(max_depth=h, max_splits=b),
         protocol=protocol,
-        gain_mode=gain_mode,
         seed=seed,
     )
     return Federation.from_partition(partition, config, transport=transport)

@@ -33,7 +33,7 @@ def main() -> None:
 
     # 2. Federation setup: threshold-Paillier keys (every party receives a
     #    partial secret key), MPC engine, candidate splits.  Small key size
-    #    keeps the demo fast; see DESIGN.md.  The with-block closes the
+    #    keeps the demo fast.  The with-block closes the
     #    message bus's transport on exit.
     config = PivotConfig(
         keysize=256,

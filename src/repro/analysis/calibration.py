@@ -3,7 +3,7 @@
 The paper's Table 2 expresses protocol cost as counts of four primitive
 operation classes.  This module measures each class's unit cost on the
 current machine/key size, yielding the constants that turn op counts into
-modeled time (DESIGN.md §4.1).
+modeled time (:mod:`repro.analysis.costmodel`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Predicts training/prediction cost from the workload parameters
 operation counts into modeled time.  Benchmarks use both directions:
 predicted-vs-measured op counts validate the Table 2 formulas, and modeled
 time (op costs + LAN round/byte model) reconstructs the paper's timing
-shapes on hardware-independent footing (DESIGN.md §4.1).
+shapes on hardware-independent footing (ROADMAP item 19 weighs what that
+model does and does not explain).
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ class SpdzDecisionTree:
         self,
         partition: VerticalPartition,
         params: TreeParams | None = None,
-        gain_mode: str = "paper",
         mpc_k: int = 40,
         frac_bits: int = 16,
         seed: int | None = None,
@@ -54,7 +53,6 @@ class SpdzDecisionTree:
         self.partition = partition
         self.params = params or TreeParams()
         self.params.validate()
-        self.gain_mode = gain_mode
         self.task = partition.task
         self.engine = MPCEngine(partition.n_clients, seed=seed)
         self.fx = FixedPointOps(self.engine, k=mpc_k, f=frac_bits)
@@ -179,7 +177,7 @@ class SpdzDecisionTree:
             splits.append(SplitStats(n_left, n_right, left, right))
 
         (gains,), (leaf_threshold,) = secure_split_gains(
-            fx, self.task, [node_stats], [splits], self.gain_mode, self.params.min_gain
+            fx, self.task, [node_stats], [splits], self.params.min_gain
         )
         from repro.core.trainer import SECURE_ARGMAX_SLACK, SECURE_GAIN_EPS
 

@@ -46,15 +46,12 @@ class PivotConfig:
     mpc_k: int = 40
     kappa: int = 40
     tree: TreeParams = field(default_factory=TreeParams)
-    gain_mode: str = "paper"  # "paper" (Eq. 5/6 verbatim) | "reduced"
     protocol: str = "basic"  # "basic" | "enhanced"
     dp: DPConfig | None = None
     authenticated_mpc: bool = False  # SPDZ MACs + verified conversions (§9.1)
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.gain_mode not in ("paper", "reduced"):
-            raise ValueError(f"unknown gain_mode {self.gain_mode!r}")
         if self.protocol not in ("basic", "enhanced"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.keysize < 128:

@@ -15,15 +15,9 @@ converts ⟨n_l⟩, ⟨Σ_l y⟩, ⟨Σ_l y²⟩ and derives the right side the 
 way.  A node's own statistics are converted once, at the root; every
 other node inherits the winning split's child statistics from its parent.
 
-Two modes (DESIGN.md §5):
-
-* ``paper`` — Eq. (5)/(6) verbatim: fractions via secure division (Eq. 8),
-  weights w_l, w_r, squared fractions, weighted sums.
-* ``reduced`` — the ranking-equivalent statistic Σ_k g²/n per side, two
-  divisions per split; gains are then relative to the parent's statistic.
-
-Both return values on a common scale such that (gain - leaf_threshold) > 0
-iff the plaintext CART gain exceeds ``min_gain``.
+The gain is Eq. (5)/(6) verbatim: fractions via secure division (Eq. 8),
+weights w_l, w_r, squared fractions, weighted sums.  A split is worth
+taking iff (gain - leaf_threshold) > 0, the threshold being ``min_gain``.
 
 **One division per level.**  Eq. (5)/(8) name 2c + 1 fractions per split
 (c classes) and c for the parent, but only three distinct denominators per
@@ -81,7 +75,6 @@ def secure_split_gains(
     task: str,
     nodes: list[NodeStats],
     splits: list[list[SplitStats]],
-    gain_mode: str,
     min_gain: float,
 ) -> tuple[list[list[SharedValue]], list[SharedValue]]:
     """Shared gains of every node's splits plus each node's shared leaf
@@ -93,21 +86,8 @@ def secure_split_gains(
     shares.  The level's divisions are one :meth:`FixedPointOps.div` call
     and its multiplications one round per step, so the MPC rounds are
     those of one node however many the level has.
-    """
-    if gain_mode == "paper":
-        return _paper_gains(fx, task, nodes, splits, min_gain)
-    return _reduced_gains(fx, task, nodes, splits, min_gain)
 
-
-def _paper_gains(
-    fx: FixedPointOps,
-    task: str,
-    nodes: list[NodeStats],
-    splits: list[list[SplitStats]],
-    min_gain: float,
-) -> tuple[list[list[SharedValue]], list[SharedValue]]:
-    """gain = w_l P(D_l) + w_r P(D_r) - P(D) for the purity P of the task.
-
+    gain = w_l P(D_l) + w_r P(D_r) - P(D) for the purity P of the task.
     Classification (Eq. 5): P = Σ_k p_k².  Regression (Eq. 6): P = -IV =
     (Σy/n)² - Σy²/n, so the same expression is IV(D) - w_l IV(D_l) -
     w_r IV(D_r).
@@ -147,42 +127,6 @@ def _paper_gains(
         for parent, node_weights in zip(parents, weights)
     ]
     return gains, [fx.share(min_gain) for _ in nodes]
-
-
-def _reduced_gains(
-    fx: FixedPointOps,
-    task: str,
-    nodes: list[NodeStats],
-    splits: list[list[SplitStats]],
-    min_gain: float,
-) -> tuple[list[list[SharedValue]], list[SharedValue]]:
-    """Σ_k g_{l,k}²/n_l + Σ_k g_{r,k}²/n_r, compared against the parent's
-    Σ_k g_k²/n + n·min_gain (the n-scaled form of Eq. 5); for regression
-    the one statistic is Σy: (Σ_l y)²/n_l + (Σ_r y)²/n_r vs (Σy)²/n."""
-    used = None if task == "classification" else 1
-    sides = []
-    for node, node_splits in zip(nodes, splits):
-        sides += [(split.left, split.n_left) for split in node_splits]
-        sides += [(split.right, split.n_right) for split in node_splits]
-        sides.append((node.totals, node.n))
-    numerators = _sums_of_squares(fx, [values[:used] for values, _ in sides])
-    statistics = iter(
-        quotient
-        for (quotient,) in fx.div(
-            [[numerator] for numerator in numerators], [n for _, n in sides]
-        )
-    )
-    gains, thresholds = [], []
-    for node_splits in splits:
-        count = len(node_splits)
-        lefts = [next(statistics) for _ in range(count)]
-        rights = [next(statistics) for _ in range(count)]
-        gains.append([left + right for left, right in zip(lefts, rights)])
-        thresholds.append(next(statistics))
-    if min_gain:
-        scaled = fx.mul_public([node.n for node in nodes], min_gain)
-        thresholds = [t + s for t, s in zip(thresholds, scaled)]
-    return gains, thresholds
 
 
 def _sums_of_squares(

@@ -157,7 +157,6 @@ class PlaintextLabelProvider:
             "node-gammas",
             [*head, *(x for key, result in zip(node_keys, results) for x in (key, result))],
             tag="label-vectors",
-            runtimes=ctx.runtimes,
         )
         ctx.bus.round()
         return results

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.crypto.encoding import EncryptedNumber, fixed_point_dot
-from repro.network.flows import collect_replies, react_runtimes
+from repro.network.flows import collect_replies
 from repro.network.wire import Request
 
 if TYPE_CHECKING:
@@ -112,7 +112,6 @@ class LogisticTrainer:
                 Request("lr-batch-sums", [batch, block]),
                 tag="lr-partial-sum",
             )
-        react_runtimes(ctx.runtimes, exclude=(sup,))
         own_partials = ctx.clients[sup].batch_sums(batch, self.weights[sup])
         others = [c.index for c in ctx.clients if c.index != sup]
         replies = collect_replies(ctx.bus, sup, others)
@@ -162,7 +161,6 @@ class LogisticTrainer:
                 Request("lr-update", [batch, block, loss_cts, scale]),
                 tag="lr-weights",
             )
-        react_runtimes(ctx.runtimes, exclude=(sup,))
         own_updated = ctx.clients[sup].weight_update(
             batch, self.weights[sup], loss_cts, scale
         )

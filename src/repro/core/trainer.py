@@ -124,7 +124,7 @@ from repro.mpc.conversion import (
     segment_header,
 )
 from repro.mpc.sharing import SharedValue
-from repro.network.flows import broadcast_request, collect_replies, react_runtimes
+from repro.network.flows import broadcast_request, collect_replies
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
@@ -440,8 +440,7 @@ class TreeTrainer:
         if self.cfg.tree.min_samples_leaf > 1:
             self._mask_invalid_splits([s for node_splits in splits for s in node_splits])
         gains, leaf_thresholds = secure_split_gains(
-            fx, self.task, [node.stats for node in nodes], splits,
-            self.cfg.gain_mode, self.cfg.tree.min_gain,
+            fx, self.task, [node.stats for node in nodes], splits, self.cfg.tree.min_gain
         )
 
         if self._dp is not None:
@@ -557,7 +556,6 @@ class TreeTrainer:
                 *(item for node in nodes for item in (node.key, node.available)),
             ],
             tag="split-stats",
-            runtimes=ctx.runtimes,
         )
         own = ctx.runtimes[sup].split_statistics(
             [node.key for node in nodes],
@@ -680,10 +678,6 @@ class TreeTrainer:
                 sup, owner, Request("split-apply", body), tag="mask-vector"
             )
         try:
-            for owner in others:
-                owner_runtime = ctx.runtimes[owner]
-                if owner_runtime is not None:
-                    owner_runtime.react()
             bodies = (
                 ctx.runtimes[sup].apply_split(by_owner[sup]) if sup in by_owner else []
             )
@@ -704,12 +698,6 @@ class TreeTrainer:
             for body in level_entries(list(replies[owner].body), 4):
                 ctx.runtimes[sup].store_split(body)
                 bodies.append(body)
-        # Every other local party takes the lists of every owner but her.
-        for runtime in ctx.runtimes:
-            if runtime is None or runtime.index == sup:
-                continue
-            for _ in range(len(by_owner) - (runtime.index in by_owner)):
-                runtime.react()
         ctx.bus.round()
         threshold_of = {body[0]: body[1] for body in bodies}
         return [threshold_of[s.node.key] for s in splits], ctx.runtimes[sup].nodes
@@ -943,7 +931,6 @@ class TreeTrainer:
             sup, Request("node-split", [item for entry in entries for item in entry]),
             tag="eq10",
         )
-        react_runtimes(ctx.runtimes, exclude=(sup,))
         for entry in entries:
             ctx.runtimes[sup].store_split(entry)
         ctx.bus.round(2)

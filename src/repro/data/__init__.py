@@ -1,5 +1,5 @@
 """Dataset substrates: synthetic generators, simulated paper datasets, and
-vertical partitioning (paper §8.1, DESIGN.md §4.3-4.4)."""
+vertical partitioning (paper §8.1)."""
 
 from repro.data.datasets import (
     PAPER_DATASETS,

@@ -9,7 +9,7 @@ The paper evaluates accuracy on three UCI datasets:
 No network access is available in this environment, so each loader
 *simulates* its dataset: same shape, same feature-type mix, comparable
 class balance, and a latent-factor label process that gives tree models a
-realistic amount of signal (DESIGN.md §4.3).  The reproduction claim for
+realistic amount of signal.  The reproduction claim for
 Table 3 is about the *gap* between Pivot and the non-private baselines on
 identical data, which the simulation preserves: both sides consume exactly
 the same arrays.

@@ -2,7 +2,7 @@
 
 The paper generates its efficiency-evaluation datasets with sklearn's
 ``make_classification``; sklearn is not available offline, so this module
-implements equivalent generators from scratch (DESIGN.md §4.4):
+implements equivalent generators from scratch:
 
 * :func:`make_classification` — Gaussian class clusters on informative
   dimensions plus noise dimensions, with controllable separation; for

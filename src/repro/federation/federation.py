@@ -262,9 +262,9 @@ class Federation:
         #: she takes part in — threshold-decryption shares, candidate-split
         #: statistics, split application, MPC mask contributions, logistic
         #: batch flows — runs as a reaction on her own endpoint
-        #: (:class:`~repro.federation.party.PartyRuntime`).  A party hosted
-        #: elsewhere gets ``None``: her event loop runs in her own process
-        #: against the same bytes.
+        #: (:class:`~repro.federation.party.PartyRuntime`), which the bus
+        #: serves.  A party hosted elsewhere gets ``None``: her event loop
+        #: runs in her own process against the same bytes.
         self.runtimes: list[PartyRuntime | None] = [
             PartyRuntime(
                 PartyEndpoint(self.bus, i),
@@ -277,6 +277,7 @@ class Federation:
             else None
             for i in range(m)
         ]
+        self.bus.host(self.runtimes, partition.super_client)
         #: The labels, owned by the super client alone (§3.1).
         self.labels = LocalView(
             partition.labels, partition.super_client, name="labels"
@@ -434,16 +435,15 @@ class Federation:
 
         ``payload`` is the batch as held by ``holder`` (the super client
         unless given; ``EncryptedNumber`` or raw ``Ciphertext`` values —
-        what travels on the wire), who broadcasts it.  The per-party
-        runtimes answer the flow with their c^{d_i} share vectors and the
-        plaintexts are reconstructed *only* from the m received vectors.
+        what travels on the wire), who broadcasts it under ``tag``, one of
+        ``DECRYPT_TAGS``.  The other parties' runtimes answer with their
+        c^{d_i} share vectors and the plaintexts are reconstructed *only*
+        from the m vectors.
         """
         if not payload:
             return []
         holder = self.super_client if holder is None else holder
-        vectors = record_threshold_decrypt(
-            self.bus, payload, tag=tag, runtimes=self.runtimes, holder=holder
-        )
+        vectors = record_threshold_decrypt(self.bus, payload, tag=tag, holder=holder)
         return combine_partial_vectors(
             self.threshold.public_key,
             vectors,
@@ -540,8 +540,7 @@ class Federation:
         """
         return ciphers_to_shares(
             values, self.threshold, self.fx, self.conversions,
-            batch_engine=self.batch, bus=self.bus, runtimes=self.runtimes,
-            bound_bits=bound_bits,
+            batch_engine=self.batch, bus=self.bus, bound_bits=bound_bits,
             holder=self.super_client if holder is None else holder,
         )
 

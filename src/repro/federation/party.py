@@ -8,13 +8,18 @@ party is constructed with raw local data and *bound* by the
 :class:`~repro.federation.federation.Federation` during assembly, which
 assigns the index, the global column ids, the key share, and the endpoint.
 
-:class:`PartyRuntime` is the party's *reactive* protocol half: a loop over
-her endpoint that answers every request flow she takes part in — among
-them threshold-decryption share requests (paper §2.1: every one of the m
-clients must exponentiate with her own ``d_i`` for any plaintext to
-exist).  A party's runtime lives in the process that hosts her inbox and
-holds her key share: the share exponentiations run under the key owner's
-authority, wherever she is hosted.
+:class:`PartyRuntime` is the party's *reactive* protocol half: it
+answers every frame that reaches her inbox through
+:meth:`PartyRuntime.handle` — requests for her split statistics, split
+application, mask contributions and logistic batch work, and
+threshold-decryption batches (paper §2.1: every one of the m clients must
+exponentiate with her own ``d_i`` for any plaintext to exist).  A party's
+runtime lives in the process that hosts her inbox and holds her key
+share, and that process's message bus serves it
+(:meth:`~repro.network.bus.MessageBus.host`); in her own process
+:class:`~repro.federation.runtime.StandalonePartyRuntime` runs the same
+``handle`` in a serve loop.  Either way no flow schedules her: she
+answers when a frame arrives.
 """
 
 from __future__ import annotations
@@ -46,8 +51,10 @@ __all__ = [
 #: a runtime that pops a list of ciphertexts under one of these tags answers
 #: with her c^{d_i} share vector.  (Other ciphertext-list traffic — split
 #: statistics, prediction vectors — carries its own tags and is consumed
-#: without a reply.)
-DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert"})
+#: without a reply.  Eq. 10 also sends the super client ciphertext lists
+#: under ``eq10``, for accounting only: the bus drains her mail at a
+#: barrier rather than have her answer it.)
+DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert", "eq10"})
 
 
 def split_root_entry(body: list) -> tuple[list | None, list]:
@@ -256,18 +263,6 @@ class PartyRuntime:
     exists only in the process that hosts the party's inbox, so that
     share is always local.
 
-    The same object serves two deployment shapes:
-
-    * **in-memory / asyncio rows** — the flows *pump* each local runtime
-      (:meth:`react` once per pending request) between a request
-      broadcast and the round barrier;
-    * **multi-process rows** (``python -m repro.federation.runtime``, and
-      the processes :class:`~repro.federation.deployment.DeployedFederation`
-      spawns) — a :class:`~repro.federation.runtime.StandalonePartyRuntime`
-      runs :meth:`handle` in a blocking serve loop against a socket
-      transport; the party answers whenever a frame arrives, with no
-      orchestrator process involved in her computation.
-
     The tree flows carry a whole tree level per message, because the
     trainer grows the tree one depth at a time.  A body is its nodes'
     entries concatenated, each of a fixed width (:func:`level_entries`),
@@ -294,7 +289,7 @@ class PartyRuntime:
     absorbed by :meth:`_await_node`: a handler that needs a node not yet
     stored keeps reacting to queued messages until it arrives (in-process
     delivery is FIFO per inbox, so the loop only ever spins over real
-    transports).
+    transports; while she waits the bus skips her and serves the others).
     """
 
     def __init__(

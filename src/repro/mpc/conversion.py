@@ -323,7 +323,6 @@ def ciphers_to_shares(
     counters: ConversionCounters | None = None,
     batch_engine=None,
     bus: MessageBus | None = None,
-    runtimes: list | None = None,
     bound_bits: int | None = None,
     holder: int = 0,
 ) -> list[SharedValue]:
@@ -349,18 +348,14 @@ def ciphers_to_shares(
     :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so
     the holder's mask encryptions draw from its obfuscator pool.
 
-    With a ``bus`` and ``runtimes`` (the per-party
-    :class:`~repro.federation.party.PartyRuntime` list) both phases are
-    *reactive*.  ``holder`` (Algorithm 2's client 1: a federation's super
-    client) broadcasts a ``convert-masks`` request (op
-    ``convert-masks-packed`` for declared bounds) with the per-value mask
-    widths, and every other party samples her own masks, packs and
-    encrypts them with *her* engine, and replies with the mask
-    ciphertexts plus her (-r mod q) share vector.  Her sampling and
-    encryption run wherever her runtime lives — in this process when she
-    is local, in her own standalone process otherwise.  (The share
-    vectors travel to the engine host because the MPC layer itself is
-    centrally simulated — the same boundary as
+    With a ``bus`` both phases are *reactive*.  ``holder`` (Algorithm 2's
+    client 1: a federation's super client) broadcasts a ``convert-masks``
+    request (op ``convert-masks-packed`` for declared bounds) with the
+    per-value mask widths, and every other party's runtime samples her
+    own masks, packs and encrypts them with *her* engine, and replies
+    with the mask ciphertexts plus her (-r mod q) share vector.  (The
+    share vectors travel to the engine host because the MPC layer itself
+    is centrally simulated — the same boundary as
     :meth:`MPCEngine.input_many` everywhere else.)  The masked batch then
     goes through the threshold-decryption flow, each party's c^{d_i}
     exponentiations running under her own authority.
@@ -378,8 +373,6 @@ def ciphers_to_shares(
     count = len(values.exponents if isinstance(values, PackedBatch) else values)
     if not count:
         return []
-    if bus is not None and runtimes is None:
-        raise ValueError("a conversion over a bus needs the party runtimes")
     m = threshold.n_parties
     pk = threshold.public_key
     batch = (
@@ -416,7 +409,6 @@ def ciphers_to_shares(
                 "convert-masks-packed" if layout.packed else "convert-masks",
                 bits_list,
                 tag="mpc-convert",
-                runtimes=runtimes,
             )
             replies = collect_replies(bus, holder, peers)
             for party in peers:
@@ -444,7 +436,7 @@ def ciphers_to_shares(
     # value's sign.
     if bus is not None:
         vectors = record_threshold_decrypt(
-            bus, masked_cts, tag="mpc-convert", runtimes=runtimes, holder=holder
+            bus, masked_cts, tag="mpc-convert", holder=holder
         )
     else:
         vectors = threshold.share_vectors(masked_cts)
@@ -454,22 +446,22 @@ def ciphers_to_shares(
     if counters is not None:
         counters.threshold_decryptions += layout.n_groups
         counters.to_shares += count
-    results: list[SharedValue] = []
+    # Party 0 sets e - r_0, the others -r_i (lines 6-8), each times the
+    # public 2^(F+e) that brings a coarser value to the MPC scale.
     opened = layout.unpack(masked_plains, magnitudes, pk)
-    for j, (masked_plain, exponent) in enumerate(zip(opened, batch.exponents)):
-        # Party 0 sets e - r_0, the others -r_i (lines 6-8), each times
-        # the public 2^(F+e) that brings a coarser value to the MPC scale.
-        scale = 1 << max(0, fixed.f + exponent)
-        first, *others = (shares[j] for shares in negated)
-        own_share = (masked_plain + first) * scale
-        others = [v * scale for v in others]
-        if engine.authenticated:
-            shared = engine._make_shared((own_share + sum(others)) % q)
-        else:
-            shared = SharedValue(
-                engine, (own_share % q, *(v % q for v in others))
-            )
-        results.append(shared)
+    scales = [1 << max(0, fixed.f + exponent) for exponent in batch.exponents]
+    columns = [
+        [(e + r) * scale % q for e, r, scale in zip(opened, negated[0], scales)],
+        *([r * scale % q for r, scale in zip(rs, scales)] for rs in negated[1:]),
+    ]
+    if engine.authenticated:
+        # Every party inputs her own share, in one input round for the
+        # batch; the converted value is the sum of the m authenticated
+        # inputs, so nobody forms it in the clear.
+        engine._record_round(messages=m * (m - 1), values=count)
+        inputs = [engine._share_values(column, engine.rng) for column in columns]
+        columns = [[sum(v) % q for v in zip(*rows)] for rows in zip(*inputs)]
+    results = engine._values(columns)
     # The mask broadcast + combine is one communication round per call,
     # carrying m field elements per value.
     engine._record_round(messages=2 * (m - 1), values=m * count)

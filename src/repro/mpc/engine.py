@@ -95,8 +95,11 @@ class MPCEngine:
         verifies them (malicious model, §9.1.1); if False, plain additive
         shares (semi-honest model, §2.2).
     seed:
-        Seeds the dealer and the engine's own sharing randomness, making
-        protocol runs reproducible.
+        Seeds the dealer and the engine's own sharing randomness: at one
+        seed the shares and the dealer's material repeat.  The MAC keys Δ
+        and Δ₂ do not: they come from ``secrets`` at any seed, so an
+        authenticated engine's MAC shares differ between runs.  (ROADMAP
+        item 13a moves the shares and the dealer to ``secrets`` too.)
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Serialization-backed multi-party LAN simulation (DESIGN.md §4.1).
+"""Serialization-backed multi-party LAN simulation (paper §8.1).
 
 Protocol messages are serialized through :mod:`repro.network.wire`, routed
 via a pluggable :mod:`repro.network.transport`, and byte-accounted at

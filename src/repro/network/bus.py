@@ -1,58 +1,61 @@
 """Serialization-backed message bus between the m clients (paper §8.1).
 
 The paper runs each client on its own machine in a LAN and measures wall
-time.  In this reproduction all clients live in one process, so network
-*time* cannot be observed — but network *bytes* can be, exactly: every
-protocol message is serialized through the :mod:`repro.network.wire`
-format, routed to the receivers' inboxes by a pluggable
+time.  Network *bytes* are measured here exactly: every protocol message
+is serialized through the :mod:`repro.network.wire` format, routed to the
+receivers' inboxes by a pluggable
 :class:`~repro.network.transport.Transport`, and accounted at its
-**measured** size (``len(serialize(payload))``).
+**measured** size (``len(serialize(payload))``).  For every payload send
+the bus also records the codec's arithmetic size formula
+(``bytes_estimated``); ``snapshot()`` reports both, and the
+reconciliation tests assert ``bytes_measured == bytes_estimated``.
 
-Delivery is **drain-based**: receivers actually consume their inboxes.
+**Delivery is drain-based**: receivers consume their inboxes.
 :meth:`MessageBus.receive` pops a party's oldest message and decodes it
-back into protocol objects through the codec (the threshold-decryption
-flow does this for every receiver), and :meth:`MessageBus.round` — the
-synchronisation barrier — drains whatever a flow did not decode
-explicitly.  End of training therefore implies empty inboxes
-(:meth:`MessageBus.assert_drained`), which the federation API and the
-network tests check after every run.
+through the codec; :meth:`MessageBus.round`, the synchronisation
+barrier, consumes whatever is left.  End of a protocol phase therefore
+implies empty inboxes (:meth:`MessageBus.assert_drained`).
 
-Received payloads are *used*, not just discarded: each party's
-:class:`~repro.federation.party.PartyRuntime` reacts to the decrypt
-flow's ciphertext broadcast by receiving it here, exponentiating with
-her own key share, and broadcasting her real
-:class:`~repro.network.wire.PartialDecryptionVector` back — the
-plaintexts are then reconstructed from the m received vectors and from
-nothing else.
+**The bus serves the party runtimes it hosts.**  A process that hosts a
+party's inbox also hosts her :class:`~repro.federation.party.PartyRuntime`
+and hands it to the bus (:meth:`MessageBus.host`): every runtime on the
+in-memory and ``asyncio`` rows, party 0's alone in a multi-process
+deployment's orchestrator.  A hosted party answers a frame the way a
+standalone party process does, through ``PartyRuntime.handle``; no flow
+schedules her.  Two rules say when:
 
-This replaces the seed's accounting-only bus, whose hand-maintained
-``n_bytes`` formulas had drifted from the protocol (an (m−1) double-count
-on Algorithm 2 conversions; threshold decryptions missing their m
-partial-decryption shares).  With ``send_payload`` / ``broadcast_payload``
-the byte counts are correct by construction: the message must exist as
-bytes before it can be counted.  For every payload send the bus also
-records the codec's arithmetic size formula (``bytes_estimated``);
-``snapshot()`` reports both so benchmarks and the reconciliation test can
-assert ``bytes_measured == bytes_estimated`` — any drift between formula
-and wire format fails the build.
+* *on a wait*: a flow receives for party p and p's inbox is empty after
+  a flush.  Each hosted runtime with pending mail handles one message
+  (``react()``), lowest index first, and the passes repeat until p has
+  mail or no runtime can progress.  Parties already blocked in a receive
+  are skipped (a handler waiting for a node, the flow's own party).
+  Then the bus waits for the transport, or raises :class:`LookupError`,
+  so an in-memory stall fails at once;
+* *at a barrier*: every hosted runtime except the super client's handles
+  her pending mail, then the rest is drained.  The super client's unread
+  mail is Eq. 10's accounting-only traffic to her: it is drained, not
+  answered.
 
-:class:`NetworkModel` still converts tallies into a modeled LAN time
+A handler that raises drains every local inbox before the error reaches
+the flow, so a failed flow strands no frame.
+
+:class:`NetworkModel` converts tallies into a modeled LAN time
 
     time = rounds * latency + bytes / bandwidth,
 
 which together with the operation-cost calibration in
 :mod:`repro.analysis` reconstructs the paper's Table-2 cost structure
-(DESIGN.md §4.1 documents this substitution).  The legacy ``send`` /
-``broadcast(n_bytes)`` estimate API remains for messages without a wire
-type yet (the malicious model's ZKP proofs, the plaintext baselines); the
-Pivot core protocols use payload sends exclusively.
+(ROADMAP item 19 weighs what that model does and does not explain).  The
+estimate API ``send`` / ``broadcast(n_bytes)`` remains for messages
+without a wire type (the malicious model's ZKP proofs, the plaintext
+baselines); the Pivot core protocols use payload sends exclusively.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.network.transport import Envelope, InMemoryTransport, Transport
 from repro.network.wire import WireCodec
@@ -118,6 +121,11 @@ class MessageBus:
         self.bytes_estimated = 0
         self.rounds = 0
         self.by_tag: dict[str, int] = defaultdict(int)
+        #: The party runtimes this process hosts, by index (:meth:`host`).
+        self._runtimes: dict[int, Any] = {}
+        self._super_client: int | None = None
+        #: Parties blocked in a receive right now: serving skips them.
+        self._waiting: set[int] = set()
 
     @property
     def local_parties(self) -> tuple[int, ...]:
@@ -125,14 +133,67 @@ class MessageBus:
 
         All of them when one process hosts every inbox; exactly one for a
         standalone party runtime, whose transport only binds her own port.
-        Flows that loop over receivers must loop over these, not
-        ``range(n_parties)``.
+        The bus drains and checks these; flows never loop over them.
         """
         return self.transport.hosted
 
     def _check_party(self, index: int) -> None:
         if not 0 <= index < self.n_parties:
             raise ValueError(f"party index {index} out of range")
+
+    # -- hosted party runtimes -----------------------------------------------
+
+    def host(self, runtimes: Iterable[Any], super_client: int) -> None:
+        """Serve these party runtimes from now on (see the module docstring).
+
+        ``runtimes`` are the :class:`~repro.federation.party.PartyRuntime`
+        objects of parties whose inboxes this bus hosts; ``None`` entries
+        (parties hosted in another process) are skipped.  The super
+        client's runtime answers on a wait but not at a barrier.
+        """
+        self._check_party(super_client)
+        hosted = {r.index: r for r in runtimes if r is not None}
+        for index in hosted:
+            if index not in self.local_parties:
+                raise ValueError(f"party {index}'s inbox is not hosted on this bus")
+        self._runtimes = dict(sorted(hosted.items()))
+        self._super_client = super_client
+
+    def runtime(self, party: int) -> Any:
+        """The hosted runtime of ``party``: a flow acting as her calls it."""
+        try:
+            return self._runtimes[party]
+        except KeyError:
+            raise ValueError(f"party {party} has no runtime on this bus") from None
+
+    def _serve(self, party: int | None) -> None:
+        """Let the hosted runtimes answer their mail, lowest index first.
+
+        On a wait for ``party``: passes of one message per runtime with
+        mail, until ``party`` has mail or no runtime can progress.  At a
+        barrier (``None``): passes until no runtime but the super
+        client's has mail.  Parties blocked in a receive are skipped.
+        """
+        progressed = True
+        while progressed:
+            self.transport.flush()
+            if party is not None and self.transport.pending(party):
+                return
+            progressed = False
+            for index, runtime in self._runtimes.items():
+                if (
+                    index in self._waiting
+                    or (party is None and index == self._super_client)
+                    or not self.transport.pending(index)
+                ):
+                    continue
+                try:
+                    runtime.react()
+                except Exception:
+                    # A failed handler ends the flow: strand no frame.
+                    self.drain()
+                    raise
+                progressed = True
 
     # -- payload API (measured sizes) ----------------------------------------
 
@@ -230,6 +291,16 @@ class MessageBus:
             raise ValueError(
                 "bus was built without a WireCodec; cannot decode payloads"
             )
+        if (
+            self._runtimes
+            and party not in self._waiting
+            and not self.transport.pending(party)
+        ):
+            self._waiting.add(party)
+            try:
+                self._serve(party)
+            finally:
+                self._waiting.discard(party)
         self.transport.wait_pending(party, 1)
         envelope = self.transport.peek(party)
         if envelope is None:
@@ -371,14 +442,18 @@ class MessageBus:
 
         A round is a barrier: every party has received the messages sent
         before it.  Flows that need the decoded payload call
-        :meth:`receive` *before* the round; everything still pending at the
-        barrier is consumed here, which keeps inboxes empty at the end of
-        every protocol phase (asserted by :meth:`assert_drained`).
+        :meth:`receive` *before* the round.  At the barrier every hosted
+        runtime but the super client's handles her pending mail, and
+        everything still pending is consumed, which keeps inboxes empty at
+        the end of every protocol phase (asserted by
+        :meth:`assert_drained`).
         """
         if count < 0:
             raise ValueError("round count must be non-negative")
         self.rounds += count
         if count:
+            if self._runtimes:
+                self._serve(None)
             self.drain()
 
     # -- reporting -----------------------------------------------------------
@@ -425,5 +500,7 @@ class MessageBus:
         self.by_tag = defaultdict(int)
 
     def close(self) -> None:
-        """Release the transport's sockets/threads (no-op when in-memory)."""
+        """Release the transport's sockets/threads (no-op when in-memory)
+        and the hosted runtimes, which refer back to this bus."""
+        self._runtimes = {}
         self.transport.close()

@@ -1,9 +1,11 @@
 """Canonical message flows for recurring protocol patterns.
 
-The seed's accounting bugs came from every call site re-deriving the same
-message pattern by hand.  This module defines each recurring flow exactly
-once, as real payload sends on the bus, so the byte counts cannot drift
-between call sites.
+Each recurring flow is defined once, as real payload sends on the bus,
+so the byte counts cannot drift between call sites.  A flow acts as one
+party and knows nothing of where the others are hosted: it sends, and it
+receives for that party.  The other parties answer through their own
+``PartyRuntime.handle`` — served by the bus when they are hosted in this
+process (:mod:`repro.network.bus`), by their serve loops otherwise.
 
 **Threshold decryption** (the paper's TPHE, §2.1): to jointly decrypt a
 batch of k ciphertexts,
@@ -11,19 +13,13 @@ batch of k ciphertexts,
 1. the holder broadcasts the k ciphertexts to the other m−1 clients
    (one round), and
 2. every one of the m clients broadcasts her vector of k partial
-   decryptions c^{d_i} mod n² so all clients can combine locally
-   (one round).
+   decryptions c^{d_i} mod n² (one round): the holder from the batch in
+   hand, every other client as her runtime's answer to the broadcast
+   (its tag is one of ``DECRYPT_TAGS``).
 
 Per batch that moves (m−1) ciphertext-vector messages plus m·(m−1)
-partial-vector messages — the m partial-decryption shares the seed's
-``joint_decrypt`` omitted entirely.
-
-Partial-decryption *values* are always real: each party's
-:class:`~repro.federation.party.PartyRuntime` *reacts* to the broadcast —
-she receives the batch from her inbox, computes her c^{d_i} share vector
-with her own key share (in whichever process hosts her), and broadcasts
-it; the flow returns the m vectors so the caller reconstructs the
-plaintexts from them — and from nothing else.
+partial-vector messages.  The holder reconstructs the plaintexts from
+the m vectors and from nothing else.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from repro.network.wire import PartialDecryptionVector, Request
 __all__ = [
     "broadcast_request",
     "collect_replies",
-    "react_runtimes",
     "record_threshold_decrypt",
     "run_distributed_keygen",
 ]
@@ -49,39 +44,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def react_runtimes(runtimes, exclude=()) -> None:
-    """Pump each local runtime through exactly one reaction.
-
-    The in-process half of a request flow: after the requesting party
-    broadcasts, every *local* runtime has exactly one pending message (the
-    request — per-inbox delivery is FIFO, so earlier-pumped parties' reply
-    broadcasts queue behind it) and one :meth:`PartyRuntime.react` handles
-    it.  ``None`` entries are parties living in their own standalone
-    process — their serve loops react to the same bytes on their own
-    clock, so there is nothing to pump here.
-    """
-    for runtime in runtimes:
-        if runtime is None or runtime.index in exclude:
-            continue
-        runtime.react()
-
-
 def broadcast_request(
-    bus: MessageBus, sender: int, op: str, body, tag: str, runtimes=None
+    bus: MessageBus, sender: int, op: str, body: Any, tag: str
 ) -> None:
-    """Broadcast ``Request(op, body)`` and pump the local responders."""
+    """Broadcast ``Request(op, body)``; the receivers answer on their own."""
     # pivotlint: disable=PL005 -- request/collect primitive: the calling flow owns the round barrier after replies land
     bus.broadcast_payload(sender, Request(op, body), tag=tag)
-    if runtimes is not None:
-        react_runtimes(runtimes, exclude=(sender,))
 
 
-def collect_replies(bus: MessageBus, receiver: int, senders) -> dict:
+def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
     """Receive one reply per expected sender, keyed by actual sender.
 
-    Arrival order is deterministic in-process (pump order) but not over
-    sockets — replies are keyed by the envelope's sender, never by
-    position.
+    Arrival order is deterministic in-process (the bus serves hosted
+    runtimes by index) but not over sockets — replies are keyed by the
+    envelope's sender, never by position.
     """
     replies: dict[int, object] = {}
     expected = set(senders)
@@ -212,87 +188,49 @@ def record_threshold_decrypt(
     bus: MessageBus,
     ciphertexts: list,
     tag: str,
-    runtimes: list,
     holder: int = 0,
 ) -> list[PartialDecryptionVector]:
     """Run one batched threshold decryption as real payload sends/receives.
 
-    ``ciphertexts`` is the batch being decrypted (``Ciphertext`` or
-    ``EncryptedNumber`` payloads, as held by the caller); ``runtimes`` the
-    m per-party :class:`~repro.federation.party.PartyRuntime` objects.
-    The holder computes her share vector from the batch in hand; every
-    other local party computes hers from the ciphertexts she *received*,
-    and each broadcasts her vector.  Parties living in their own
-    standalone process have no runtime here (``None``) — their serve loops
-    react to the same ciphertext broadcast on their own clock and their
-    vectors arrive like everyone else's.  Returns the m vectors, ordered
-    by party index.
+    ``ciphertexts`` is the batch as held by ``holder`` (``Ciphertext`` or
+    ``EncryptedNumber`` payloads) and ``tag`` one of ``DECRYPT_TAGS``, so
+    that every other party's runtime answers the broadcast with her
+    c^{d_i} vector.  Four steps:
 
-    Marks the flow's two rounds (ciphertext broadcast, share broadcast).
-    Every receiver drains and decodes her copy of each message
-    (``MessageBus.receive``), so the flow leaves all inboxes empty and any
-    wire-format drift surfaces here.
+    1. the holder broadcasts the batch and computes her own vector with
+       her hosted runtime;
+    2. she collects and checks the m − 1 other vectors (keyed by their
+       embedded party index: over sockets their arrival order is not
+       deterministic); while she waits, the bus serves the hosted
+       parties;
+    3. she broadcasts her own vector, in the round the others' travel in
+       (nobody's vector depends on another's);
+    4. she charges the flow's two rounds.  The other parties consume
+       each other's vectors as their runtimes' sinks.
 
-    The flow never assumes same-process synchrony: each ``receive`` awaits
-    delivery through the transport's ``wait_pending`` seam, and the final
-    ``round`` flushes in-flight frames before draining — over an
-    :class:`~repro.network.transport.SocketTransport` the broadcast bytes
-    genuinely cross a socket before the receivers decode them.
+    Returns the m vectors, ordered by party index.  A mid-flow failure
+    drains every local inbox before it propagates, and charges no round.
     """
     count = len(ciphertexts)
     if count == 0:
         return []
     m = bus.n_parties
-    local = bus.local_parties
-    if holder not in local:
-        raise ValueError(
-            f"decryption holder {holder} is not a local party of this bus"
-        )
-    if len(runtimes) != m:
-        raise ValueError(f"expected {m} party runtimes, got {len(runtimes)}")
+    runtime = bus.runtime(holder)
     bus.broadcast_payload(holder, list(ciphertexts), tag=tag)
-    shares: dict[int, PartialDecryptionVector] = {}
     try:
-        for party in local:
-            if runtimes[party] is None:
-                continue
-            if party == holder:
-                received = ciphertexts
-            else:
-                received = bus.receive(party, tag=tag)
-                if len(received) != count:
-                    raise ValueError(
-                        f"party {party} received {len(received)} "
-                        f"ciphertexts, expected {count}"
-                    )
-            shares[party] = runtimes[party].decryption_shares(received)
-        for party, vector in shares.items():
-            bus.broadcast_payload(party, vector, tag=tag)
-        collected = {holder: shares[holder]}
-        # Every local client receives the other m-1 partial-share vectors
-        # and checks the batch shape before combining locally; the
-        # holder's received set (plus her own vector) is what the caller
-        # combines from.  Vectors are keyed by their embedded party index
-        # — over sockets the m-1 senders' arrival order is not
-        # deterministic.
-        for party in local:
-            for _ in range(m - 1):
-                vector = bus.receive(party, tag=tag)
-                if not isinstance(vector, PartialDecryptionVector) or len(
-                    vector.values
-                ) != count:
-                    raise ValueError(
-                        f"party {party} received a malformed "
-                        f"partial-share vector"
-                    )
-                if party == holder:
-                    collected[vector.party_index] = vector
+        own = runtime.decryption_shares(ciphertexts)
+        collected = {holder: own}
+        for _ in range(m - 1):
+            vector = bus.receive(holder, tag=tag)
+            if not isinstance(vector, PartialDecryptionVector) or len(
+                vector.values
+            ) != count:
+                raise ValueError(
+                    f"party {holder} received a malformed partial-share vector"
+                )
+            collected[vector.party_index] = vector
+        bus.broadcast_payload(holder, own, tag=tag)
     except Exception:
-        # A mid-flow failure (shape mismatch, malformed vector, a compute
-        # hook blowing up) must not strand the frames already broadcast
-        # into peer inboxes: restore the drained invariant before
-        # propagating, without charging rounds the protocol never
-        # completed.
         bus.drain()
         raise
     bus.round(2)

@@ -3,7 +3,7 @@
 This is the non-private baseline NP-DT of the evaluation (§8.1) and the
 ground truth for the protocol-equivalence tests: given the same candidate
 splits and pruning parameters, Pivot's secure training must grow the same
-tree (DESIGN.md §5).
+tree (``tests/core/test_levels.py`` checks it on generated data).
 
 Enumeration order and tie-breaking are deliberately pinned down: features
 are scanned in column order, split values in ascending order, and a split

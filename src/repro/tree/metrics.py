@@ -1,10 +1,7 @@
 """Split-quality metrics: Gini impurity and label variance (paper §2.3).
 
-Implements Eq. (4)-(6) exactly as written, plus the ranking-equivalent
-"reduced" statistics the secure protocols can optionally use (DESIGN.md §5):
-dropping the per-node constant Σ_k p_k² and the common factor 1/n from
-Eq. (5) leaves Σ_k g_{l,k}²/n_l + Σ_k g_{r,k}²/n_r, which orders splits
-identically while needing only two divisions.
+Implements Eq. (4)-(6) exactly as written: the plaintext reference the
+secure gain step (:mod:`repro.core.gain`) is tested against.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ __all__ = [
     "label_variance",
     "gini_gain",
     "variance_gain",
-    "reduced_gini_score",
-    "reduced_variance_score",
     "accuracy",
     "mean_squared_error",
 ]
@@ -83,37 +78,6 @@ def variance_gain(
         n_r, s1_r, s2_r
     )
     return parent - weighted
-
-
-def reduced_gini_score(left_counts: np.ndarray, right_counts: np.ndarray) -> float:
-    """Ranking-equivalent form of Eq. (5): Σ g_{l,k}²/n_l + Σ g_{r,k}²/n_r."""
-    left = np.asarray(left_counts, dtype=np.float64)
-    right = np.asarray(right_counts, dtype=np.float64)
-    n_l, n_r = left.sum(), right.sum()
-    score = 0.0
-    if n_l > 0:
-        score += float(np.sum(left**2)) / n_l
-    if n_r > 0:
-        score += float(np.sum(right**2)) / n_r
-    return score
-
-
-def reduced_variance_score(
-    left_stats: tuple[float, float, float], right_stats: tuple[float, float, float]
-) -> float:
-    """Ranking-equivalent form of Eq. (6): g_{l,1}²/n_l + g_{r,1}²/n_r.
-
-    Derivation: n·gain = const + (Σ_l y)²/n_l + (Σ_r y)²/n_r because the
-    Σy² terms cancel between parent and children.
-    """
-    n_l, s1_l, _ = left_stats
-    n_r, s1_r, _ = right_stats
-    score = 0.0
-    if n_l > 0:
-        score += s1_l**2 / n_l
-    if n_r > 0:
-        score += s1_r**2 / n_r
-    return score
 
 
 def accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:

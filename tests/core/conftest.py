@@ -26,7 +26,6 @@ def make_context(
     m=3,
     keysize=TEST_KEYSIZE,
     protocol="basic",
-    gain_mode="paper",
     seed=7,
     params=None,
     **config_kwargs,
@@ -38,7 +37,6 @@ def make_context(
         tree=params,
         seed=seed,
         protocol=protocol,
-        gain_mode=gain_mode,
         **config_kwargs,
     )
     return Federation.from_partition(vp, cfg)

@@ -69,20 +69,6 @@ def test_regression_equals_plaintext_cart(small_regression):
     assert mapped == plain_splits
 
 
-def test_reduced_gain_mode_selects_same_tree(small_classification):
-    X, y = small_classification
-    params = TreeParams(max_depth=2, max_splits=2)
-    paper_ctx = make_context(X, y, "classification", params=params)
-    reduced_ctx = make_context(
-        X, y, "classification", params=params, gain_mode="reduced"
-    )
-    a = TreeTrainer(paper_ctx).fit()
-    b = TreeTrainer(reduced_ctx).fit()
-    assert global_signature(a.root, paper_ctx.partition) == global_signature(
-        b.root, reduced_ctx.partition
-    )
-
-
 def test_two_clients(small_classification):
     X, y = small_classification
     params = TreeParams(max_depth=2, max_splits=2)

@@ -56,33 +56,10 @@ def test_paper_mode_matches_eq5(fx, left, right):
     if sum(left) == 0 or sum(right) == 0:
         return  # degenerate split: masked by validity handling
     node, split = make_classification_stats(fx, left, right)
-    (gains,), _ = secure_split_gains(fx, "classification", [node], [[split]], "paper", 0.0)
+    (gains,), _ = secure_split_gains(fx, "classification", [node], [[split]], 0.0)
     secure = fx.open(gains)[0]
     expected = metrics.gini_gain(np.array(left), np.array(right))
     assert secure == pytest.approx(expected, abs=5e-3)
-
-
-def test_reduced_mode_ranks_like_paper_mode(fx):
-    splits_counts = [
-        ([10, 2], [3, 9]),
-        ([6, 6], [7, 5]),
-        ([12, 0], [1, 11]),
-    ]
-    node = None
-    split_stats = []
-    for left, right in splits_counts:
-        n, s = make_classification_stats(fx, left, right)
-        node = n  # same parent for all (counts sum equal by construction)
-        split_stats.append(s)
-    (paper_gains,), _ = secure_split_gains(
-        fx, "classification", [node], [split_stats], "paper", 0.0
-    )
-    (reduced_gains,), _ = secure_split_gains(
-        fx, "classification", [node], [split_stats], "reduced", 0.0
-    )
-    paper_order = np.argsort(fx.open(paper_gains))
-    reduced_order = np.argsort(fx.open(reduced_gains))
-    assert list(paper_order) == list(reduced_order)
 
 
 def test_regression_paper_mode_matches_eq6(fx):
@@ -102,7 +79,7 @@ def test_regression_paper_mode_matches_eq6(fx):
         left=[fx.share(float(y_left.sum())), fx.share(float((y_left**2).sum()))],
         right=[fx.share(float(y_right.sum())), fx.share(float((y_right**2).sum()))],
     )
-    (gains,), _ = secure_split_gains(fx, "regression", [node], [[split]], "paper", 0.0)
+    (gains,), _ = secure_split_gains(fx, "regression", [node], [[split]], 0.0)
     expected = metrics.variance_gain(stats(y_left), stats(y_right))
     assert fx.open(gains)[0] == pytest.approx(expected, abs=5e-3)
 
@@ -111,25 +88,13 @@ def test_empty_side_yields_nonpositive_gain(fx):
     """A split with an empty child must never beat a genuine split."""
     node, split = make_classification_stats(fx, [5, 5], [0, 0])
     (gains,), (threshold,) = secure_split_gains(
-        fx, "classification", [node], [[split]], "paper", 0.0
+        fx, "classification", [node], [[split]], 0.0
     )
     gain, limit = fx.open([gains[0], threshold])
     assert gain <= limit + 2e-3
 
 
-def test_min_gain_moves_threshold_reduced_mode(fx):
-    node, split = make_classification_stats(fx, [8, 1], [2, 9])
-    _, (thr_zero,) = secure_split_gains(
-        fx, "classification", [node], [[split]], "reduced", 0.0
-    )
-    _, (thr_pos,) = secure_split_gains(
-        fx, "classification", [node], [[split]], "reduced", 0.05
-    )
-    high, low = fx.open([thr_pos, thr_zero])
-    assert high > low
-
-
-# -- generated nodes: every mode and task, grouped by denominator -------------
+# -- generated nodes: both tasks, grouped by denominator -------------
 
 
 def _generated_node(fx, rng, task, n_splits):
@@ -161,18 +126,14 @@ def _generated_node(fx, rng, task, n_splits):
     return n, node, splits, plain
 
 
-def _plaintext_gain(task, gain_mode, left, right):
+def _plaintext_gain(task, left, right):
     (n_l, stats_l), (n_r, stats_r) = left, right
     if task == "classification":
-        metric = metrics.gini_gain if gain_mode == "paper" else metrics.reduced_gini_score
-        return metric(np.array(stats_l), np.array(stats_r))
-    metric = (
-        metrics.variance_gain if gain_mode == "paper" else metrics.reduced_variance_score
-    )
-    return metric((n_l, *stats_l), (n_r, *stats_r))
+        return metrics.gini_gain(np.array(stats_l), np.array(stats_r))
+    return metrics.variance_gain((n_l, *stats_l), (n_r, *stats_r))
 
 
-def _gain_step_cs(fx, task, gain_mode, n_splits):
+def _gain_step_cs(fx, task, n_splits):
     """Beaver multiplications of one node's gain step: per distinct
     denominator (2S + 1 of them, one ``div`` call) Norm's c = b·v, AppRcr,
     x and its squarings, plus the per-fraction work."""
@@ -181,8 +142,6 @@ def _gain_step_cs(fx, task, gain_mode, n_splits):
     classes = 3 if task == "classification" else 2  # statistics per side
     squares = 3 if task == "classification" else 1  # squared fractions per purity
     groups = 2 * n_splits + 1
-    if gain_mode == "reduced":
-        return groups * (normalisation + per_numerator + squares)
     numerators = classes + n_splits + 2 * classes * n_splits
     products = squares + n_splits * (2 * squares + 2)  # purities, w_l·P_l, w_r·P_r
     return groups * normalisation + numerators * per_numerator + products
@@ -196,10 +155,9 @@ def _gain_step_cs(fx, task, gain_mode, n_splits):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     task=st.sampled_from(["classification", "regression"]),
-    gain_mode=st.sampled_from(["paper", "reduced"]),
     n_splits=st.integers(min_value=1, max_value=4),
 )
-def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_splits):
+def test_generated_nodes_match_plaintext_metrics(fx, seed, task, n_splits):
     n, node, splits, plain = _generated_node(
         fx, np.random.default_rng(seed), task, n_splits
     )
@@ -208,18 +166,12 @@ def test_generated_nodes_match_plaintext_metrics(fx, seed, task, gain_mode, n_sp
     fx.div([[fx.share(1.0)]], [fx.share(2.0)])
     div_rounds, before = stats.rounds - before, stats.rounds
     with opcount.counting() as ops, mock.patch.object(fx, "div", wraps=fx.div) as div:
-        (gains,), (threshold,) = secure_split_gains(fx, task, [node], [splits], gain_mode, 0.0)
+        (gains,), (threshold,) = secure_split_gains(fx, task, [node], [splits], 0.0)
     assert div.call_count == 1  # one Norm for the node's 2S + 1 denominators
-    assert ops["cs"] == _gain_step_cs(fx, task, gain_mode, n_splits)
+    assert ops["cs"] == _gain_step_cs(fx, task, n_splits)
     # Besides the division, one batch of products (multiply, then truncate)
-    # per dependent step whatever S: the squares, then (paper) the weights.
-    steps = 2 if gain_mode == "paper" else 1
-    assert stats.rounds - before == div_rounds + 2 * steps
+    # per dependent step whatever S: the squares, then the weights.
+    assert stats.rounds - before == div_rounds + 2 * 2
     for gain, (left, right) in zip(fx.open(gains), plain):
-        expected = _plaintext_gain(task, gain_mode, left, right)
+        expected = _plaintext_gain(task, left, right)
         assert gain == pytest.approx(expected, abs=5e-3)
-    if gain_mode == "reduced":
-        # The parent's statistic: an empty side against the whole node.
-        totals = [sum(pair) for pair in zip(plain[0][0][1], plain[0][1][1])]
-        expected = _plaintext_gain(task, gain_mode, (0.0, [0.0] * len(totals)), (n, totals))
-        assert fx.open([threshold]) == [pytest.approx(expected, abs=5e-3)]

@@ -28,10 +28,13 @@ def fresh_bus(codec) -> MessageBus:
 
 
 def party_runtimes(bus, threshold) -> list[PartyRuntime]:
-    return [
+    """One runtime per party, hosted on ``bus`` (party 0 the super client)."""
+    runtimes = [
         PartyRuntime(PartyEndpoint(bus, share.party_index), key_share=share)
         for share in threshold.shares
     ]
+    bus.host(runtimes, super_client=0)
+    return runtimes
 
 
 # -- receive() ----------------------------------------------------------------
@@ -95,9 +98,8 @@ def test_threshold_decrypt_flow_consumes_all_messages(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
     cts = [threshold.public_key.encrypt(v) for v in (1, 2, 3)]
-    record_threshold_decrypt(
-        bus, cts, tag="threshold-decrypt", runtimes=party_runtimes(bus, threshold)
-    )
+    party_runtimes(bus, threshold)
+    record_threshold_decrypt(bus, cts, tag="threshold-decrypt")
     # (m-1) ciphertext broadcasts + m*(m-1) partial vectors, all consumed.
     assert bus.messages == 2 + 3 * 2
     assert bus.consumed == bus.messages
@@ -121,8 +123,9 @@ def test_threshold_decrypt_flow_validates_batch_shape(payload_bus):
     runtimes[1] = ShortRuntime(
         PartyEndpoint(bus, 1), key_share=threshold.shares[1]
     )
+    bus.host(runtimes, super_client=0)
     with pytest.raises(ValueError, match="malformed partial-share vector"):
-        record_threshold_decrypt(bus, cts, tag="t", runtimes=runtimes)
+        record_threshold_decrypt(bus, cts, tag="threshold-decrypt")
     bus.assert_drained()
     assert bus.rounds == 0
 

@@ -1,0 +1,83 @@
+"""Hosted parties answer on their own: the bus serves every in-process
+party runtime, and every non-holder's decryption share is her runtime's
+answer through ``PartyRuntime.handle``."""
+
+import pytest
+
+from repro.core import PivotConfig, TreeTrainer, run_predict_batch
+from repro.federation import Federation
+from repro.federation.party import PartyRuntime
+
+from tests.federation.conftest import PARAMS, TEST_KEYSIZE, make_federation, split_parties
+
+
+def _spy_on_shares(monkeypatch) -> list[tuple[int, str | None]]:
+    """Record every ``decryption_shares`` call as (party, tag): the tag of
+    the frame her ``handle`` is answering, ``None`` outside ``handle``."""
+    calls: list[tuple[int, str | None]] = []
+    answering: dict[int, str] = {}
+    handle, shares = PartyRuntime.handle, PartyRuntime.decryption_shares
+
+    def spy_handle(self, sender, tag, payload):
+        answering[self.index] = tag
+        try:
+            return handle(self, sender, tag, payload)
+        finally:
+            del answering[self.index]
+
+    def spy_shares(self, batch):
+        calls.append((self.index, answering.get(self.index)))
+        return shares(self, batch)
+
+    monkeypatch.setattr(PartyRuntime, "handle", spy_handle)
+    monkeypatch.setattr(PartyRuntime, "decryption_shares", spy_shares)
+    return calls
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_every_peer_share_comes_through_handle(
+    monkeypatch, tiny_classification, protocol
+):
+    X, y = tiny_classification
+    with make_federation(X, y, protocol=protocol, blocks=(2, 1, 1)) as fed:
+        calls = _spy_on_shares(monkeypatch)
+        model = TreeTrainer(fed).fit()
+        run_predict_batch(model, fed, X[:4], protocol)
+        fed.assert_drained()
+    # Every flow here decrypts from party 0 (the super client, and u_1 for
+    # prediction), who computes her own vector from the batch in hand.
+    holder = [tag for party, tag in calls if party == 0]
+    peers = [(party, tag) for party, tag in calls if party != 0]
+    assert holder and set(holder) == {None}
+    assert len(peers) == 2 * len(holder)
+    assert sorted(party for party, _ in peers) == [1] * len(holder) + [2] * len(holder)
+    # Basic prediction decrypts; enhanced prediction is MPC only, and
+    # Eq. 10's decryption is answered like any other.
+    last = "threshold-decrypt" if protocol == "basic" else "eq10"
+    assert {tag for _, tag in peers} == {"mpc-convert", last}
+
+
+def _failing(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@pytest.mark.parametrize("hook", ["_op_split_stats", "decryption_shares"])
+def test_a_failing_handler_fails_the_flow_and_strands_nothing(
+    tiny_classification, transport, hook
+):
+    """A hosted party whose handler raises mid-flow: the flow raises her
+    error, at once, and every inbox is empty afterwards."""
+    X, y = tiny_classification
+    error = RuntimeError(f"party 2 failed in {hook}")
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
+    parties = split_parties(X, y, (2, 1, 1))
+    with Federation(parties, config=config, transport=transport) as fed:
+        setattr(fed.runtimes[2], hook, _failing(error))
+        with pytest.raises(RuntimeError) as raised:
+            TreeTrainer(fed).fit()
+        assert raised.value is error
+        fed.assert_drained()

@@ -116,9 +116,7 @@ def test_combine_flow_carries_real_share_vectors(data):
     partition = vertical_partition(X, y, 2)
     with Federation.from_partition(partition, CONFIG) as ctx:
         ct = ctx.threshold.public_key.encrypt(41)
-        vectors = record_threshold_decrypt(
-            ctx.bus, [ct], tag="threshold-decrypt", runtimes=ctx.runtimes
-        )
+        vectors = record_threshold_decrypt(ctx.bus, [ct], tag="threshold-decrypt")
         ctx.bus.assert_drained()
     assert [v.party_index for v in vectors] == [0, 1]
     assert all(value != 0 for v in vectors for value in v.values)

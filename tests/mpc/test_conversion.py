@@ -97,10 +97,26 @@ def test_converted_cipher_with_deeper_scale(threshold3, fx):
     assert math.isclose(fx.open([sv])[0], 7.5, abs_tol=1e-3)
 
 
-def test_authenticated_conversion(threshold3, encoder, auth_fx):
+def test_authenticated_conversion(threshold3, encoder, auth_fx, monkeypatch):
     sv = ciphers_to_shares([encoder.encrypt(-9)], threshold3, auth_fx)[0]
     assert sv.macs is not None
     assert auth_fx.open([sv]) == [-9]
+
+    # No party re-shares the converted value from its plaintext: each
+    # inputs her own Algorithm 2 share, in one input round for the batch.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the converted value was formed in the clear")
+
+    monkeypatch.setattr(MPCEngine, "_make_shared", refuse)
+    engine = auth_fx.engine
+    rounds = engine.stats.rounds
+    values = [-9, 0, 2.5, 1234.75]
+    shared = ciphers_to_shares(
+        [encoder.encrypt(v) for v in values], threshold3, auth_fx
+    )
+    assert engine.stats.rounds == rounds + 2  # input round + mask round
+    assert all(sv.macs is not None for sv in shared)
+    assert auth_fx.open(shared) == pytest.approx(values)
 
 
 def test_conversion_then_mpc_computation(threshold3, encoder, fx):

@@ -60,9 +60,7 @@ def test_threshold_decrypt_flow_formula(ctx):
         cts = [ctx.encoder.encrypt(float(i)) for i in range(k)]
         _, nbytes, rounds, messages = _delta(
             ctx.bus,
-            lambda: record_threshold_decrypt(
-                ctx.bus, cts, tag="t", runtimes=ctx.runtimes
-            ),
+            lambda: record_threshold_decrypt(ctx.bus, cts, tag="threshold-decrypt"),
         )
         assert nbytes == (m - 1) * vec(k, s_en) + m * (m - 1) * s_pdv(k)
         assert rounds == 2

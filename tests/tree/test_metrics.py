@@ -76,48 +76,6 @@ def test_variance_gain_never_negative(labels, cut):
     assert metrics.variance_gain(stats(left), stats(right)) >= -1e-9
 
 
-@given(
-    l1=COUNTS, r1=COUNTS, l2=COUNTS, r2=COUNTS
-)
-def test_reduced_gini_orders_like_full_gain(l1, r1, l2, r2):
-    """The reduced statistic must rank any two splits of the SAME parent set
-    identically to Eq. (5)."""
-    size = max(map(len, (l1, r1, l2, r2)))
-    pad = lambda c: np.array(c + [0] * (size - len(c)), dtype=float)  # noqa: E731
-    l1, r1, l2, r2 = map(pad, (l1, r1, l2, r2))
-    # Force the same parent distribution: second split must repartition the
-    # same totals.  Build it by moving one sample between children.
-    parent = l1 + r1
-    if parent.sum() < 2 or l1.sum() == 0 or r1.sum() == 0:
-        return
-    donor = int(np.argmax(l1))
-    if l1[donor] == 0:
-        return
-    l2 = l1.copy()
-    r2 = r1.copy()
-    l2[donor] -= 1
-    r2[donor] += 1
-    if l2.sum() == 0:
-        return
-    full_1 = metrics.gini_gain(l1, r1)
-    full_2 = metrics.gini_gain(l2, r2)
-    red_1 = metrics.reduced_gini_score(l1, r1)
-    red_2 = metrics.reduced_gini_score(l2, r2)
-    if abs(full_1 - full_2) > 1e-9:
-        assert (full_1 > full_2) == (red_1 > red_2)
-
-
-def test_reduced_variance_orders_like_full_gain():
-    y = np.array([0.5, 1.0, -0.25, 2.0, 1.5, -1.0])
-    stats = lambda v: (len(v), float(v.sum()), float((v**2).sum()))  # noqa: E731
-    gains, reduced = [], []
-    for cut in range(1, len(y)):
-        left, right = y[:cut], y[cut:]
-        gains.append(metrics.variance_gain(stats(left), stats(right)))
-        reduced.append(metrics.reduced_variance_score(stats(left), stats(right)))
-    assert int(np.argmax(gains)) == int(np.argmax(reduced))
-
-
 def test_accuracy_and_mse():
     assert metrics.accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
     assert metrics.mean_squared_error(np.array([1.0, 2.0]), np.array([0.0, 4.0])) == pytest.approx(2.5)
