@@ -19,7 +19,10 @@ of each flow to check against:
   :class:`~repro.analysis.pivotlint.callgraph.ProjectIndex` summaries: a
   callee that both receives and sends contributes a receive-then-send
   pair (the reactive responder shape), a sender contributes a send, a
-  callee containing a barrier contributes an (unpinned) barrier.
+  callee containing a barrier contributes an (unpinned) barrier.  A
+  callee's receive carries the tag the call passes it when its summary
+  forwards ``tag`` to a receive (a shared collector such as
+  ``collect_partial_vectors``), and no tag otherwise.
 
 * The composed event order *is* the global flow automaton: the
   orchestrator-style flows in ``repro/network/flows.py`` execute every
@@ -46,7 +49,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.pivotlint.callgraph import ProjectIndex
+from repro.analysis.pivotlint.callgraph import ProjectIndex, map_args
 from repro.analysis.pivotlint.dataflow import (
     BARRIER_CALLS,
     RECEIVE_CALLS,
@@ -175,8 +178,11 @@ def _event_tag(call: ast.Call, attr: str) -> str | None:
         pos = _TAG_POSITIONS.get(attr)
         if pos is not None and len(call.args) > pos:
             expr = call.args[pos]
-    if expr is None:
-        return None
+    return _tag_text(expr)
+
+
+def _tag_text(expr: ast.expr | None) -> str | None:
+    """A tag expression's constant value, ``$name`` symbolic, or None."""
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
         return expr.value
     if isinstance(expr, ast.Name):
@@ -275,13 +281,16 @@ class _Extractor(Transfer[_States]):
         # (receive the request, publish the reply) and contributes the
         # pair in that order.
         does_send = does_receive = has_barrier = False
-        for _info, summary in self.project.summaries_for_call(call):
+        received: str | None = None
+        for info, summary in self.project.summaries_for_call(call):
             does_send |= summary.does_send or summary.open_send
             does_receive |= summary.does_receive
             has_barrier |= summary.has_barrier
+            if summary.forwards_tag_to_receive:
+                received = _tag_text(map_args(call, info).get("tag")) or received
         emitted: list[FlowEvent] = []
         if does_receive:
-            emitted.append(self._emit("receive", "?", None, call))
+            emitted.append(self._emit("receive", "?", received, call))
         if does_send:
             emitted.append(self._emit("send", "?", None, call))
         if has_barrier:

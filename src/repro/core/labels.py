@@ -18,8 +18,8 @@ Three regimes, one per way a node's [γ] can reach the parties:
   (§5.2: the split stays hidden, so masking [γ] would cost Eq. 10's
   decryptions per vector) and the malicious model's POPCM-proven
   provider: for every node that passed the pruning checks the super
-  client multiplies β into the node's [α] and publishes the products as
-  one ``node-gammas`` request per tree level (:meth:`PlaintextLabelProvider.gammas`).
+  client multiplies β into the node's [α] and publishes the products in
+  the tree level's ``split-stats`` request (:meth:`PlaintextLabelProvider.gammas`).
 
   β ∘ [α] by scalar powers is a deterministic function of the public [α]:
   β = 1 returns [α_j] unchanged, β = 0 the unit ciphertext, and a
@@ -119,23 +119,20 @@ class PlaintextLabelProvider:
         ]
 
     def gammas(
-        self, alphas: list[list[EncryptedNumber]], node_keys: list[int], head: list = ()
-    ) -> list[list[list[EncryptedNumber]]]:
+        self, alphas: list[list[EncryptedNumber]], node_keys: list[int]
+    ) -> list:
         """[γ] = β ∘ [α] for every node of a tree level, re-randomised
-        element by element, computed by the super client and published to
-        the other parties' event loops as one ``node-gammas`` request with
-        a ``key, gammas`` entry per node — for nodes whose vectors do not
-        ride.  ``alphas[i]`` is the [α] of node ``node_keys[i]``; ``head``
-        opens the body (the root's entry, at level 0).
+        element by element and computed by the super client, for nodes
+        whose vectors do not ride: the level's ``key, gammas`` entries,
+        concatenated, which her ``split-stats`` request carries.
+        ``alphas[i]`` is the [α] of node ``node_keys[i]``.
 
         Classification goes straight through ``mask_vector`` (a fresh [0]
         where β = 0, a re-masked [α_j] where β = 1); regression re-masks
-        every element after the scalar power.  Every receiving runtime
-        attaches the vectors to her stored node state, so the level's
-        subsequent split-stats request finds them.
+        every element after the scalar power.  The super client's runtime
+        stores the vectors now; every other runtime attaches them to her
+        node state when the request arrives, before she computes.
         """
-        from repro.network.flows import broadcast_request
-
         ctx = self.context
         results = []
         for alpha in alphas:
@@ -151,15 +148,7 @@ class PlaintextLabelProvider:
         for key, result in zip(node_keys, results):
             if key in runtime.nodes:
                 runtime.nodes[key][1] = [list(g) for g in result]
-        broadcast_request(
-            ctx.bus,
-            ctx.super_client,
-            "node-gammas",
-            [*head, *(x for key, result in zip(node_keys, results) for x in (key, result))],
-            tag="label-vectors",
-        )
-        ctx.bus.round()
-        return results
+        return [x for key, result in zip(node_keys, results) for x in (key, result)]
 
 
 class EncryptedLabelProvider:

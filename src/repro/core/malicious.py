@@ -166,10 +166,11 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
             result.append(ctx.encoder.wrap(out, alpha[0].exponent + self._shift))
         return result
 
-    def gammas(self, alphas, node_keys, head=()):
+    def gammas(self, alphas, node_keys):
         # Central verified flow (the malicious model is a research mode
-        # driven in one process): node_keys and head only match the
-        # reactive provider's signature; no runtime store is kept.
+        # driven in one process): the proven vectors are charged here, on
+        # the estimate API, and returned as the level's [key, gammas]
+        # entries like the reactive provider's; no runtime store is kept.
         ctx = self.context
         results = []
         for alpha in alphas:
@@ -186,7 +187,7 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
                 )
             results.append(result)
         ctx.bus.round()
-        return results
+        return [x for key, result in zip(node_keys, results) for x in (key, result)]
 
 
 class MaliciousTreeTrainer(TreeTrainer):
@@ -220,7 +221,7 @@ class MaliciousTreeTrainer(TreeTrainer):
                     self.committed_indicators[(client.index, feature, split)] = vector
         context.bus.round()
 
-    def _compute_split_stats(self, nodes, identifiers, gammas, root=None):
+    def _compute_split_stats(self, nodes, identifiers, gammas, root=None, entries=()):
         """Split statistics of a tree level with POHDP proofs against the
         commitments, converted to shares — at level 0 after the root's
         label totals, which :meth:`VerifiedLabelProvider.totals` proves.

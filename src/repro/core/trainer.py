@@ -8,19 +8,22 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    vectors [γ] (one fewer than there are classes): under the basic
    protocol they ride with [α] from the root, where the super client
    encrypts them once; otherwise she publishes the level's re-randomised
-   β ∘ [α] in one ``node-gammas`` request (see :mod:`repro.core.labels`).
-   One ``split-stats`` request names every open node of the level and
-   the level's public layout; every client answers the super client
-   alone with encrypted *left-child* split statistics for her local
+   β ∘ [α] in the level's ``split-stats`` request (see
+   :mod:`repro.core.labels`).  That one request names every open node of
+   the level and the level's public layout, and carries the super
+   client's own masked groups; every other client answers the super
+   client with encrypted *left-child* split statistics for her local
    splits of every node (homomorphic dot products, Eq. 7 / Eq. 9),
    slot-packed by her into the groups of her segment, with her Algorithm
    2 masks (lines 1-3) already in them: her mask encryption of every
-   group of the level, and her ``(−r mod q)`` shares beside.  The root's
+   group of the level, and her ``(−r mod q)`` shares beside; her groups
+   also go to every other non-super client.  The root's
    [α] is public: the deterministic encryption of the root weights, which
    every party forms herself from the root's entry at the head of level
    0's first request (:meth:`TreeTrainer.fit`).
-2. **MPC computation** — the level's masked statistics are decrypted and
-   turned into secret shares by the rest of one Algorithm 2; the last
+2. **MPC computation** — every client multiplies the m parties' groups
+   into the level's masked batch and sends the super client her partial
+   decryption of it, which ends Algorithm 2 in the same exchange; the last
    class and the right child are completed by local share subtraction;
    impurity gains of every node are evaluated in one :func:`~repro.core.gain.secure_split_gains`
    call (Eq. 5/6/8); the best split of every node is found with one secure
@@ -52,20 +55,22 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    shared threshold: no [λ], no [v], no Eq. 10.
 
 **Costs per level.**  Each flow is paid once per level, whatever the
-number of nodes: bus rounds are ``split-stats`` 1 (the request and its
-replies, which carry the masks) + decryption 2 + ``split-apply`` 1 under
-the basic protocol (4h for a full tree of depth h), and under the
-enhanced one ``node-gammas`` 1 + ``split-stats`` 1 + decryption 2, plus
-reverse conversion 2 + [v] 1 + Eq. 10 5 at a level whose children are
-built (4h + 8(h − 1)).  Below the root, a level whose nodes all become
-leaves at the pruning checks sends nothing; the root converts first, so a
-root that cannot split converts its totals alone (3 rounds), and a root
-pruned later has had its candidates converted and its [γ] published.
-The MPC rounds of a level are those of one node.  The level's statistics
-travel and decrypt at their declared width (:meth:`TreeTrainer._stat_bound`):
-each non-super party sends the super client one ciphertext per packed
-group of the level and one share per value, and Algorithm 2 decrypts one
-ciphertext per group.
+number of nodes: bus rounds are ``split-stats`` 2 (the request and the
+replies and groups, which carry the masks; then the partial decryptions)
++ ``split-apply`` 1 under the basic protocol (3h for a full tree of depth
+h), and under the enhanced one ``split-stats`` 2 (its request carries the
+label vectors), plus reverse conversion 2 + [v] 1 + Eq. 10 5 at a level
+whose children are built (2h + 8(h − 1)).  Below the root, a level whose
+nodes all become leaves at the pruning checks sends nothing; the root
+converts first, so a root that cannot split converts its totals alone (2
+rounds), and a root pruned later has had its candidates converted and
+its [γ] published.  The MPC rounds of a level are those of one node.
+The level's statistics travel and decrypt at their declared width
+(:meth:`TreeTrainer._stat_bound`): every party sends every other party
+one ciphertext per packed group of the level (the super client in her
+request, the others to her with one share per value, and to each other),
+every non-super party sends the super client one partial decryption per
+group, and Algorithm 2 decrypts one ciphertext per group.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own label totals [Σγ_k], in level 0's batch;
@@ -93,7 +98,7 @@ bit per node, and the "no split with positive gain" check compares each
 shared maximum gain against the shared threshold.  They need only the
 nodes' shared statistics, so below the root a node that turns out a leaf
 never has label vectors published for it: none at all under the basic
-protocol, where they ride, and no ``node-gammas`` entry under the others.
+protocol, where they ride, and no gammas entry under the others.
 
 With a :class:`~repro.core.config.DPConfig`, training follows §9.2: noisy
 pruning counts (secure Laplace, Algorithm 5), exponential-mechanism split
@@ -107,7 +112,7 @@ import operator
 import secrets
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -124,7 +129,11 @@ from repro.mpc.conversion import (
     segment_header,
 )
 from repro.mpc.sharing import SharedValue
-from repro.network.flows import broadcast_request, collect_replies
+from repro.network.flows import (
+    broadcast_request,
+    collect_partial_vectors,
+    collect_replies,
+)
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
@@ -246,7 +255,7 @@ class TreeTrainer:
         The root weights — all ones, or the bagging mask — are public
         (:func:`~repro.tree.forest.forest_subsets`) and travel in
         plaintext in the root's entry ``[weights, riding [γ]s]``, which
-        heads level 0's first request (``node-gammas`` or ``split-stats``):
+        rides level 0's ``split-stats`` request:
         every party encrypts them deterministically herself, so the root's
         [α] takes no pool mask and never goes on the wire.  They must be
         non-negative integers; anything else raises ``ValueError``.
@@ -390,15 +399,17 @@ class TreeTrainer:
         split) its label totals join the batch and set its statistics."""
         ctx = self.ctx
         identifiers = [ctx.split_identifiers(node.available) for node in nodes]
+        entries: list = []
         if self.provider.rides_with_alpha or not nodes:
             gammas = [node.gammas or [] for node in nodes]
         else:
-            gammas = self.provider.gammas(
-                [node.alpha for node in nodes],
-                [node.key for node in nodes],
-                self._take_root_entry(),
+            entries = self.provider.gammas(
+                [node.alpha for node in nodes], [node.key for node in nodes]
             )
-        shares = iter(self._compute_split_stats(nodes, identifiers, gammas, root))
+            gammas = [node_gammas for _, node_gammas in level_entries(entries, 2)]
+        shares = iter(
+            self._compute_split_stats(nodes, identifiers, gammas, root, entries)
+        )
         if root is not None:
             totals = [next(shares) for _ in range(self.provider.n_vectors)]
             root.stats = self._node_stats([self.fx.share(self._weight_sum), *totals])
@@ -489,28 +500,34 @@ class TreeTrainer:
         identifiers: list[list[tuple[int, int, int]]],
         gammas: list[list[list[EncryptedNumber]]],
         root: _Open | None = None,
+        entries: Sequence = (),
     ) -> list[SharedValue]:
         """Each client's local homomorphic dot products (Eq. 7 / Eq. 9) for
         every node of the level, masked and converted to shares by one
-        Algorithm 2 whose lines 1-3 ride the statistics' reply; the shares
-        come back in global identifier order (clients ascending, the
-        :meth:`~repro.federation.federation.Federation.split_identifiers`
+        Algorithm 2 whose lines 1-5 ride the statistics' exchange; the
+        shares come back in global identifier order (clients ascending,
+        the :meth:`~repro.federation.federation.Federation.split_identifiers`
         order), node after node, after ``root``'s label totals if given.
 
-        The super client broadcasts one ``split-stats`` request naming the
-        nodes and their available-feature lists, headed by the level's
-        public layout: the parties' statistics in party order, each party
-        a segment starting at a public slot, every value masked at one
-        width, the widest any value needs
-        (:func:`~repro.mpc.conversion.segment_header`), then by the root's
-        entry if ``node-gammas`` did not carry it; the root's totals head
-        the super client's segment.  Every other
-        party reacts on her own event loop, over her own columns and node
-        states, and sends the super client alone her masked groups and
-        ``(−r mod q)`` shares (:meth:`PartyRuntime.split_statistics`); the
-        super client computes hers through her own runtime.  The m
-        replies' product plus the offsets goes to Algorithm 2's
-        decryption with the shares beside it.
+        The super client computes her masked groups first, through her own
+        runtime, and folds the level's public offsets into them.  Then she
+        broadcasts one ``split-stats`` request: the level's public layout
+        (the parties' statistics in party order, each party a segment
+        starting at a public slot, every value masked at one width, the
+        widest any value needs: :func:`~repro.mpc.conversion.segment_header`),
+        her groups, the label-vector ``entries`` of nodes whose [γ] do not
+        ride (:meth:`PlaintextLabelProvider.gammas`), the root's entry at
+        level 0, and the nodes with their available-feature lists; the
+        root's totals head her segment.  Every other party reacts on her
+        own event loop, over her own columns and node states: she sends
+        the super client her masked groups and ``(−r mod q)`` shares, and
+        every other non-super party her groups; once she holds all m
+        parties' groups she multiplies them into the level's masked batch
+        and sends the super client alone her partial decryption of it
+        (:meth:`PartyRuntime._op_split_stats`).  The super client forms
+        the same batch from the replies, adds her own partial decryption,
+        and Algorithm 2 ends on the m vectors with the shares beside
+        them: two rounds, the exchange and the vectors.
 
         The malicious-model extension overrides this to attach and verify
         POHDP proofs (§9.1.2) on every statistic before packing.
@@ -546,45 +563,61 @@ class TreeTrainer:
         level = mask_layout(
             [mask_bits] * len(ordered), ctx.n_clients, ctx.threshold.public_key, packed
         )
+        runtime = ctx.runtimes[sup]
+        own_groups, own_shares = runtime.split_statistics(
+            [node.key for node in nodes],
+            [list(node.available[sup]) for node in nodes],
+            header,
+            totals,
+        )
+        if level.packed:
+            own_groups = [
+                g + offset for g, offset in zip(own_groups, level.offsets(magnitudes))
+            ]
         broadcast_request(
             ctx.bus,
             sup,
             "split-stats",
             [
                 header,
+                own_groups,
+                list(entries),
                 *self._take_root_entry(),
                 *(item for node in nodes for item in (node.key, node.available)),
             ],
             tag="split-stats",
         )
-        own = ctx.runtimes[sup].split_statistics(
-            [node.key for node in nodes],
-            [list(node.available[sup]) for node in nodes],
-            header,
-            totals,
-        )
-        replies = collect_replies(
-            ctx.bus, sup, [c.index for c in ctx.clients if c.index != sup]
-        )
-        ctx.bus.round()
-        replies[sup] = own
-        masked, negated = [], []
-        for c in ctx.clients:
-            party_groups, party_shares = replies[c.index]
-            shape = (len(party_groups), len(party_shares.values))
-            if shape != (level.n_groups, len(ordered)):
-                raise ValueError(
-                    f"split statistics shape mismatch: expected {level.n_groups} "
-                    f"packed ciphertexts and {len(ordered)} shares from party "
-                    f"{c.index}, got {shape[0]} and {shape[1]}"
-                )
-            masked.append(party_groups)
-            negated.append([int(v) for v in party_shares.values])
-        groups = [reduce(operator.add, column) for column in zip(*masked)]
-        if level.packed:
-            groups = [g + offset for g, offset in zip(groups, level.offsets(magnitudes))]
+        try:
+            vectors, replies = collect_partial_vectors(
+                ctx.bus, sup, level.n_groups, "split-stats", replies=True
+            )
+            replies[sup] = [own_groups, own_shares]
+            masked, negated = [], []
+            for c in ctx.clients:
+                party_groups, party_shares = replies[c.index]
+                shape = (len(party_groups), len(party_shares.values))
+                if shape != (level.n_groups, len(ordered)):
+                    raise ValueError(
+                        f"split statistics shape mismatch: expected "
+                        f"{level.n_groups} packed ciphertexts and {len(ordered)} "
+                        f"shares from party {c.index}, got {shape[0]} and {shape[1]}"
+                    )
+                masked.append(party_groups)
+                negated.append([int(v) for v in party_shares.values])
+            groups = [reduce(operator.add, column) for column in zip(*masked)]
+            vectors[sup] = runtime.decryption_shares(groups)
+        except Exception:
+            ctx.bus.drain()
+            raise
+        # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' partial decryptions to her
+        ctx.bus.round(2)
         shares = iter(
-            ctx.to_shares(PackedBatch(groups, level, magnitudes, ordered, negated))
+            ctx.to_shares(
+                PackedBatch(
+                    groups, level, magnitudes, ordered, negated,
+                    [vectors[c.index] for c in ctx.clients],
+                )
+            )
         )
         # Deal each party's shares out in global identifier order.
         unread = {

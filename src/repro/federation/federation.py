@@ -463,8 +463,9 @@ class Federation:
         Every value is logged as revealed, and one threshold-decryption
         message flow (2 rounds) carries them all — the deployment shape for
         n-row basic prediction.  The flow moves the ciphertext broadcast
-        *and* the m partial-decryption share vectors, all as real
-        serialized payloads consumed by their receivers.
+        *and* the other m − 1 parties' partial-decryption share vectors to
+        the holder, all as real serialized payloads consumed by their
+        receivers.
 
         *What is packed, at what width.*  ``bound_bits`` declares that
         every value's fixed-point integer has magnitude below

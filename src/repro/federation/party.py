@@ -10,10 +10,11 @@ assigns the index, the global column ids, the key share, and the endpoint.
 
 :class:`PartyRuntime` is the party's *reactive* protocol half: it
 answers every frame that reaches her inbox through
-:meth:`PartyRuntime.handle` — requests for her split statistics, split
-application, mask contributions and logistic batch work, and
-threshold-decryption batches (paper §2.1: every one of the m clients must
-exponentiate with her own ``d_i`` for any plaintext to exist).  A party's
+:meth:`PartyRuntime.handle` — requests for her split statistics (and the
+other parties' groups of a tree level), split application, mask
+contributions and logistic batch work, and threshold-decryption batches
+(paper §2.1: every one of the m clients must exponentiate with her own
+``d_i`` for any plaintext to exist).  A party's
 runtime lives in the process that hosts her inbox and holds her key
 share, and that process's message bus serves it
 (:meth:`~repro.network.bus.MessageBus.host`); in her own process
@@ -24,8 +25,10 @@ answers when a frame arrives.
 
 from __future__ import annotations
 
+import operator
 import secrets
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, NoReturn, Sequence
 
 import numpy as np
@@ -49,10 +52,11 @@ __all__ = [
 
 #: Tags whose ciphertext-batch broadcasts are threshold-decryption requests:
 #: a runtime that pops a list of ciphertexts under one of these tags answers
-#: with her c^{d_i} share vector.  (Other ciphertext-list traffic — split
-#: statistics, prediction vectors — carries its own tags and is consumed
-#: without a reply.  Eq. 10 also sends the super client ciphertext lists
-#: under ``eq10``, for accounting only: the bus drains her mail at a
+#: its sender with her c^{d_i} share vector.  (Other ciphertext-list traffic
+#: — split statistics, prediction vectors — carries its own tags and is
+#: consumed without a reply; a tree level's partial decryptions ride its
+#: ``split-stats`` exchange.  Eq. 10 also sends the super client ciphertext
+#: lists under ``eq10``, for accounting only: the bus drains her mail at a
 #: barrier rather than have her answer it.)
 DECRYPT_TAGS = frozenset({"threshold-decrypt", "mpc-convert", "eq10"})
 
@@ -268,14 +272,19 @@ class PartyRuntime:
     entries concatenated, each of a fixed width (:func:`level_entries`),
     so a level of one node sends exactly a one-node message: a
     ``split-stats`` request names every open node of the level
-    (``key, available``) and her reply to the super client alone is one
+    (``key, available``) after the level's layout, the super client's
+    masked groups and, where the label vectors do not ride, a ``key,
+    gammas`` entry per node; her reply to the super client alone is one
     masked group vector over all of them and her shares of the masks
-    (:meth:`split_statistics`); a ``split-apply`` request lists every node
+    (:meth:`split_statistics`), and the same groups go to every other
+    non-super party (``level-groups``).  Once she holds all m parties'
+    groups of the level she multiplies them into the level's masked
+    batch and sends the super client alone her partial decryption of it
+    (:meth:`_join_level`).  A ``split-apply`` request lists every node
     of the level she owns the split of (``key, feature, split, ride,
     build``), and her ``node-split`` reply lists them all (``key,
     threshold, alpha_l, gam_l``; :meth:`apply_split`; enhanced Eq. 10
-    sends the same list, thresholds empty); a ``node-gammas`` request
-    carries ``key, gammas`` per node.  Level 0's first request also
+    sends the same list, thresholds empty).  Level 0's request also
     carries the root's entry (:func:`split_root_entry`).
 
     State: a store of tree-node payloads keyed by heap position (root = 1,
@@ -312,6 +321,11 @@ class PartyRuntime:
         self.field_q = field_q
         #: node key -> [alpha, gammas-or-None] (decoded ciphertext vectors).
         self.nodes: dict[int, list] = {}
+        #: The tree level in formation: the super client whose
+        #: ``split-stats`` request started it (None before it arrives), and
+        #: the masked groups received so far, by party.
+        self._level_holder: int | None = None
+        self._level_groups: dict[int, list] = {}
 
     # -- threshold-decryption shares ---------------------------------------
 
@@ -338,11 +352,13 @@ class PartyRuntime:
 
         * a :class:`~repro.network.wire.Request` → the matching ``_op_*``
           handler (unknown ops raise — a protocol error, not data);
-        * a ciphertext batch under a decryption tag → broadcast this
-          party's c^{d_i} share vector;
+        * a ciphertext batch under a decryption tag → this party's
+          c^{d_i} share vector, sent to the batch's holder alone: she is
+          the one party that combines the vectors and learns the
+          plaintexts;
         * anything else → consumed without a reply ("sink"): other
-          parties' reply broadcasts, partial-share vectors this party does
-          not combine, prediction traffic.
+          parties' reply broadcasts, prediction traffic, Eq. 10's
+          accounting-only frames to the super client.
         """
         if isinstance(payload, Request):
             handler = getattr(
@@ -363,7 +379,7 @@ class PartyRuntime:
             vector = self.decryption_shares(list(payload))
             # pivotlint: disable=PL005 -- reactive reply: the decrypt
             # requester's flow owns the round barrier.
-            self.endpoint.broadcast(vector, tag=tag)
+            self.endpoint.send(sender, vector, tag=tag)
             return "decrypt"
         return "sink"
 
@@ -449,7 +465,7 @@ class PartyRuntime:
             if gammas is None:
                 raise RuntimeError(
                     f"party {self.index}: node {key} has no label vectors "
-                    "yet (missing node-gammas request?)"
+                    "yet (no gammas entry in the level's request?)"
                 )
             for feature in node_features:
                 for split in range(self.client.n_splits(feature)):
@@ -516,25 +532,74 @@ class PartyRuntime:
             self.store_root(root[0], [list(g) for g in root[1]])
         return body
 
-    def _op_node_gammas(self, sender: int, body: list) -> None:
-        # Label vectors that do not ride (enhanced protocol), one
-        # [key, gammas] entry per node of a level.  A provider driven
-        # directly (label-provider API, tests) may publish gammas for a
-        # node never stored — store them under a placeholder so the flow
-        # stays non-blocking either way.
-        for key, gammas in level_entries(self._store_root_entry(body), 2):
-            node = self.nodes.setdefault(key, [None, None])
-            node[1] = [list(g) for g in gammas]
-
     def _op_split_stats(self, sender: int, body: list) -> None:
-        header, *body = body
+        """A tree level's request from the super client ``sender``:
+        ``[header, her masked groups, gammas entries, (root entry), key,
+        available, ...]``.  She stores the root and the label vectors,
+        answers the super client with her masked groups and shares
+        (:meth:`split_statistics`), sends every other non-super party her
+        groups, and joins the level's batch."""
+        header, groups, gammas, *body = body
+        if self._level_holder is not None:
+            # The previous level never completed: this request resets it.
+            self._level_holder, self._level_groups = None, {}
         entries = level_entries(self._store_root_entry(body), 2)
+        for key, node_gammas in level_entries(list(gammas), 2):
+            self._await_node(key)[1] = [list(g) for g in node_gammas]
         reply = self.split_statistics(
             [key for key, _ in entries],
             [list(available[self.index]) for _, available in entries],
             list(header),
         )
         self.endpoint.send(sender, reply, tag="split-stats")
+        mine = Request("level-groups", reply[0])
+        for party in range(self.endpoint.bus.n_parties):
+            if party not in (sender, self.index):
+                self.endpoint.send(party, mine, tag="split-stats")
+        self._level_holder = sender
+        self._join_level(sender, list(groups))
+        self._op_level_groups(self.index, reply[0])
+
+    def _op_level_groups(self, sender: int, body: list) -> None:
+        """A non-super party's masked groups of the level (her own, or
+        another's).  Sockets do not order frames across connections, so
+        another's may arrive before the super client's request: they wait
+        for it."""
+        level = self._join_level(sender, body)
+        if level is not None:
+            holder, batch = level
+            vector = self.decryption_shares(batch)
+            self.endpoint.send(holder, vector, tag="split-stats")
+
+    def _join_level(self, party: int, groups: list) -> tuple[int, list] | None:
+        """Add ``party``'s masked groups to the level in formation.  Once
+        the request has arrived and all m parties' groups are in, the
+        level is done: returns its super client and its masked batch, the
+        product of the m parties' groups (hers carry the public offsets),
+        of which this party sends the super client alone her partial
+        decryption."""
+        if party in self._level_groups:
+            raise ValueError(
+                f"party {self.index} received two masked group vectors of "
+                f"one level from party {party}"
+            )
+        self._level_groups[party] = groups
+        m = self.endpoint.bus.n_parties
+        if self._level_holder is None or len(self._level_groups) < m:
+            return None
+        holder, by_party = self._level_holder, self._level_groups
+        self._level_holder, self._level_groups = None, {}
+        width = len(by_party[self.index])
+        for sender, sent in by_party.items():
+            if len(sent) != width:
+                raise ValueError(
+                    f"party {self.index} received {len(sent)} masked groups "
+                    f"of a level of {width} from party {sender}"
+                )
+        return holder, [
+            reduce(operator.add, column)
+            for column in zip(*(by_party[p] for p in range(m)))
+        ]
 
     def _op_split_apply(self, sender: int, body: list) -> None:
         self.apply_split(level_entries(body, 5))

@@ -19,9 +19,9 @@ as her own long-lived process.  Each process
   :class:`~repro.federation.federation.Federation` uses the dealer;
 * serves the reactive protocol loop
   (:class:`~repro.federation.party.PartyRuntime`): candidate-split
-  statistics, split application, mask contributions, decryption shares and
-  logistic batch ops all run as reactions to frames arriving on her own
-  socket.
+  statistics and a tree level's masked batch, split application, mask
+  contributions, decryption shares and logistic batch ops all run as
+  reactions to frames arriving on her own socket.
 
 The super client's process is the :class:`RuntimeFederation` — an ordinary
 :class:`~repro.federation.federation.Federation` that hosts *only* her
@@ -46,11 +46,13 @@ party's d_i (ROADMAP item 13).
 
 Restart/resume: with ``[party] key_state`` set, a party persists her own
 ``(n, i, d_i, θ)`` to her own disk after keygen and resumes from it when
-relaunched — basic-protocol prediction needs nothing else from her
-(decryption shares + prediction-vector sinks: one R·L-ciphertext frame per
-hop of a predict call, which her loop consumes without a reply), so a
-party killed after training can be restarted and serve predictions
-without rerunning keygen.
+relaunched — basic-protocol prediction needs nothing else from her (her
+partial decryption of a predict call's batch, sent to its holder alone,
+and one R·L-ciphertext prediction-vector frame per hop, which her loop
+consumes without a reply: the only frames it sinks, since no partial
+decryption reaches a party that does not combine it), so a party killed
+after training can be restarted and serve predictions without rerunning
+keygen.
 
 Data: a :class:`StandalonePartyRuntime` is handed her own column block.
 The TOML entrypoint derives it deterministically from the shared

@@ -75,9 +75,13 @@ from the mask widths, m and |n| on both sides.
 *A tree level's split statistics* have m holders and one width, so lines
 1-3 ride their ``split-stats`` reply: each party's mask encryption of
 every group of the level with her Horner-packed segment multiplied in
-(:class:`Segment`), and her ``(−r mod q)`` per value.  The m replies'
-product plus the offsets is a :class:`PackedBatch` carrying its
-``negated`` shares, for which :func:`ciphers_to_shares` runs no mask step.
+(:class:`Segment`), and her ``(−r mod q)`` per value.  Every party sees
+every party's groups (the super client's, with the offsets folded in,
+ride her request; the others' go peer to peer), multiplies them into the
+level's masked batch herself and sends the super client her partial
+decryption of it.  The batch with its ``negated`` shares and the m
+vectors is a :class:`PackedBatch` for which :func:`ciphers_to_shares`
+runs neither a mask step nor a decryption flow.
 
 *Declare or don't pack.*  The inequality needs a true bound, and only
 the caller knows one.  The trainers' class counts over plaintext labels
@@ -121,6 +125,7 @@ from repro.network.flows import (
     record_threshold_decrypt,
 )
 from repro.network.transport import MAX_FRAME
+from repro.network.wire import PartialDecryptionVector
 
 __all__ = [
     "PackedBatch",
@@ -284,13 +289,16 @@ class PackedBatch:
     """Values already packed: ``layout``'s ciphertexts with the sign
     offsets added, and each value's β and exponent in slot order; once
     the groups carry all m parties' masks, ``negated`` holds each party's
-    ``(−r_ij mod q)`` per value, in party order."""
+    ``(−r_ij mod q)`` per value, in party order, and once the groups are
+    decrypted, ``vectors`` holds the m parties' partial decryptions of
+    them, in party order."""
 
     groups: list[Ciphertext]
     layout: SlotLayout
     magnitudes: list[int]
     exponents: list[int]
     negated: list[list[int]] | None = None
+    vectors: list[PartialDecryptionVector] | None = None
 
 
 def pack_values(
@@ -341,9 +349,10 @@ def ciphers_to_shares(
     at that exponent and its shares multiplied by the public 2^(F+e); one
     below is truncated after conversion.
 
-    The mask step runs for a batch whose ``negated`` is ``None`` (a tree
-    level's split statistics arrive masked, from their ``split-stats``
-    replies): every party's masks are added to the groups before one
+    The mask step runs for a batch whose ``negated`` is ``None``, and the
+    decryption for one whose ``vectors`` is ``None`` (a tree level's split
+    statistics arrive masked and decrypted, from their ``split-stats``
+    exchange): every party's masks are added to the groups before one
     batched threshold decryption; a
     :class:`~repro.crypto.batch.BatchCryptoEngine` may be supplied so
     the holder's mask encryptions draw from its obfuscator pool.
@@ -434,7 +443,9 @@ def ciphers_to_shares(
     # Joint decryption of the masked (packed) values (line 5), unsigned:
     # every party's c^{d_i} vector, combined.  The layout restores each
     # value's sign.
-    if bus is not None:
+    if batch.vectors is not None:
+        vectors = batch.vectors
+    elif bus is not None:
         vectors = record_threshold_decrypt(
             bus, masked_cts, tag="mpc-convert", holder=holder
         )

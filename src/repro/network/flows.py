@@ -12,14 +12,18 @@ batch of k ciphertexts,
 
 1. the holder broadcasts the k ciphertexts to the other m−1 clients
    (one round), and
-2. every one of the m clients broadcasts her vector of k partial
-   decryptions c^{d_i} mod n² (one round): the holder from the batch in
-   hand, every other client as her runtime's answer to the broadcast
-   (its tag is one of ``DECRYPT_TAGS``).
+2. every other client sends the holder alone her vector of k partial
+   decryptions c^{d_i} mod n² (one round), as her runtime's answer to
+   the broadcast (its tag is one of ``DECRYPT_TAGS``); the holder
+   computes her own from the batch in hand.
 
-Per batch that moves (m−1) ciphertext-vector messages plus m·(m−1)
+Per batch that moves (m−1) ciphertext-vector messages plus (m−1)
 partial-vector messages.  The holder reconstructs the plaintexts from
-the m vectors and from nothing else.
+the m vectors and from nothing else; she is the only party that learns
+them, so nobody else is sent a vector.  A tree level's conversion folds
+step 1 into its ``split-stats`` exchange (every party forms the masked
+batch herself from the m parties' groups, ``PartyRuntime._join_level``)
+and keeps step 2: :func:`collect_partial_vectors` serves both.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.network.wire import PartialDecryptionVector, Request
 
 __all__ = [
     "broadcast_request",
+    "collect_partial_vectors",
     "collect_replies",
     "record_threshold_decrypt",
     "run_distributed_keygen",
@@ -184,6 +189,46 @@ def run_distributed_keygen(bus: MessageBus, machines: dict) -> dict:
     return results
 
 
+def collect_partial_vectors(
+    bus: MessageBus, holder: int, count: int, tag: str, replies: bool = False
+) -> tuple[dict[int, PartialDecryptionVector], dict[int, Any]]:
+    """Receive, at ``holder``, the m − 1 other parties' c^{d_i} vectors of
+    a ``count``-ciphertext batch under ``tag``, keyed by sender.
+
+    With ``replies``, every other party also sends the holder one reply
+    under ``tag`` ahead of her vector (a tree level's ``split-stats``
+    exchange), and the replies come back keyed by sender as well.  Frames
+    from different senders are not ordered over sockets, so another
+    party's vector may arrive before a reply: each frame is placed by its
+    type.  A second frame of one kind from one sender, or a vector of the
+    wrong length or party, raises ``ValueError``.
+    """
+    peers = bus.n_parties - 1
+    vectors: dict[int, PartialDecryptionVector] = {}
+    answers: dict[int, Any] = {}
+    for _ in range(peers * (2 if replies else 1)):
+        sender, payload = bus.receive_any(holder, tag=tag)
+        if isinstance(payload, PartialDecryptionVector):
+            if (
+                sender in vectors
+                or payload.party_index != sender
+                or len(payload.values) != count
+            ):
+                raise ValueError(
+                    f"party {holder} received a malformed partial-share "
+                    f"vector from party {sender}"
+                )
+            vectors[sender] = payload
+        elif replies and sender not in answers:
+            answers[sender] = payload
+        else:
+            raise ValueError(
+                f"party {holder} received an unexpected {tag!r} frame from "
+                f"party {sender}"
+            )
+    return vectors, answers
+
+
 def record_threshold_decrypt(
     bus: MessageBus,
     ciphertexts: list,
@@ -195,18 +240,14 @@ def record_threshold_decrypt(
     ``ciphertexts`` is the batch as held by ``holder`` (``Ciphertext`` or
     ``EncryptedNumber`` payloads) and ``tag`` one of ``DECRYPT_TAGS``, so
     that every other party's runtime answers the broadcast with her
-    c^{d_i} vector.  Four steps:
+    c^{d_i} vector, sent to the holder alone.  Three steps:
 
     1. the holder broadcasts the batch and computes her own vector with
        her hosted runtime;
-    2. she collects and checks the m − 1 other vectors (keyed by their
-       embedded party index: over sockets their arrival order is not
-       deterministic); while she waits, the bus serves the hosted
-       parties;
-    3. she broadcasts her own vector, in the round the others' travel in
-       (nobody's vector depends on another's);
-    4. she charges the flow's two rounds.  The other parties consume
-       each other's vectors as their runtimes' sinks.
+    2. she collects and checks the m − 1 other vectors
+       (:func:`collect_partial_vectors`); while she waits, the bus serves
+       the hosted parties;
+    3. she charges the flow's two rounds: the batch, then the vectors.
 
     Returns the m vectors, ordered by party index.  A mid-flow failure
     drains every local inbox before it propagates, and charges no round.
@@ -214,29 +255,15 @@ def record_threshold_decrypt(
     count = len(ciphertexts)
     if count == 0:
         return []
-    m = bus.n_parties
     runtime = bus.runtime(holder)
     bus.broadcast_payload(holder, list(ciphertexts), tag=tag)
     try:
         own = runtime.decryption_shares(ciphertexts)
-        collected = {holder: own}
-        for _ in range(m - 1):
-            vector = bus.receive(holder, tag=tag)
-            if not isinstance(vector, PartialDecryptionVector) or len(
-                vector.values
-            ) != count:
-                raise ValueError(
-                    f"party {holder} received a malformed partial-share vector"
-                )
-            collected[vector.party_index] = vector
-        bus.broadcast_payload(holder, own, tag=tag)
+        collected, _ = collect_partial_vectors(bus, holder, count, tag)
+        collected[holder] = own
     except Exception:
         bus.drain()
         raise
+    # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' vectors to the holder
     bus.round(2)
-    if sorted(collected) != list(range(m)):
-        raise ValueError(
-            f"threshold decryption needs all {m} share vectors, got parties "
-            f"{sorted(collected)}"
-        )
-    return [collected[party] for party in range(m)]
+    return [collected[party] for party in range(bus.n_parties)]

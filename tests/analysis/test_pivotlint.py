@@ -1372,11 +1372,17 @@ def test_mutation_swapped_send_receive_trips_pl010(_mkdirs):
 
 
 def test_mutation_drifted_round_constant_trips_pl011(_mkdirs):
+    # The reverse conversion's two phases (the peers' mask ciphertexts to
+    # the holder, her result broadcast) are both sent inside the flow, so
+    # PL011 checks its constant.  (record_threshold_decrypt's barrier is
+    # suppressed: its second phase is sent by the peers' handlers, which
+    # the phase walk does not see.)
     def mutate(source: str) -> str:
+        assert source.count("bus.round(2)") == 1
         return source.replace("bus.round(2)", "bus.round(5)")
 
     pristine, mutant = _lint_real_copy(
-        _mkdirs, "src/repro/network/flows.py", mutate
+        _mkdirs, "src/repro/mpc/conversion.py", mutate
     )
     assert "PL011" not in pristine
     assert "PL011" in mutant

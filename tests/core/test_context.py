@@ -142,9 +142,10 @@ def test_plaintext_provider_gammas_decrypt_to_masked_labels(small_classification
     provider = PlaintextLabelProvider(ctx, y, "classification")
     assert not provider.rides_with_alpha
     assert provider.root_vectors(weights) == []
-    ((gamma0,),) = provider.gammas(
+    key, (gamma0,) = provider.gammas(
         [ctx.encrypt_indicator(np.asarray(weights))], [1]
     )
+    assert key == 1
     assert [ctx.threshold.joint_decrypt(g.ciphertext) for g in gamma0] == expected
     ctx.bus.assert_drained()
 

@@ -291,9 +291,10 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
     """Replay what party ``index`` sent and received, in order, holding
     what she would hold.
 
-    Every ciphertext she receives as a published vector — a riding or
-    ``node-gammas`` [γ], a ``node-split``'s [α_l] (a basic owner's, or the
-    enhanced Eq. 10's from the super client), a split statistic — is
+    Every ciphertext she receives as a published vector — a riding [γ]
+    or one in a ``split-stats`` request's gammas entries, a
+    ``node-split``'s [α_l] (a basic owner's, or the enhanced Eq. 10's from
+    the super client), a party's masked groups of split statistics — is
     checked: not the unit (c mod n² == 1, no mask at all), not repeated
     within its message and not raw-equal to anything she already holds
     (sent, received or derived: [α_r] = [α] ⊖ [α_l] and [γ_r] likewise).
@@ -303,8 +304,9 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
 
     Returns every published label-vector set as ``([α] raws of its node,
     [γ_k] vectors)``, the published ciphertexts per tag (the root entry's
-    riding [γ]s under ``root``, not under the tag of the request they
-    ride) and the set of every checked ciphertext."""
+    riding [γ]s under ``root`` and the gammas entries under ``gammas``, not
+    under the tag of the request they ride) and the set of every checked
+    ciphertext."""
     public_key = ctx.threshold.public_key
     n_squared = public_key.n_squared
     held: set[int] = set()
@@ -334,8 +336,11 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
             continue
         op = payload.op if isinstance(payload, Request) else None
         body = list(payload.body) if op else []
-        if op in ("split-stats", "node-gammas"):
-            root, body = split_root_entry(body[1:] if op == "split-stats" else body)
+        if op == "split-stats":
+            # [header, the super client's masked groups, gammas entries,
+            # (root entry), nodes...]
+            _, groups, gamma_entries, *body = body
+            root, body = split_root_entry(body)
             if root is not None:
                 weights, root_gammas = root
                 assert all(type(w) is int for w in weights)  # no root ciphertext
@@ -344,6 +349,12 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
                 nodes[1] = (alpha, [receive("root", g) for g in root_gammas])
                 if root_gammas and not own:
                     published.append((alpha, root_gammas))
+            receive(tag, groups)
+            for key, gammas in level_entries(list(gamma_entries), 2):
+                for g in gammas:
+                    receive("gammas", g)
+                if not own:
+                    published.append((nodes[key][0], gammas))
         if op == "node-split":
             for key, _, alpha_left, gam_left in level_entries(body, 4):
                 if not alpha_left:
@@ -358,12 +369,8 @@ def _received_by(ctx, spy, index: int = 1) -> tuple[list, Counter, set]:
                 nodes[2 * key], nodes[2 * key + 1] = left, right
                 if gam_left and not own:
                     published.append((left[0], gam_left))
-        elif op == "node-gammas":
-            for key, gammas in level_entries(body, 2):
-                for g in gammas:
-                    receive(tag, g)
-                if not own:
-                    published.append((nodes[key][0], gammas))
+        elif op == "level-groups":
+            receive(tag, body)  # another non-super party's masked groups
         elif tag == "split-stats" and op is None:
             receive(tag, payload)  # a reply
     return published, carried, checked
@@ -413,19 +420,19 @@ def test_published_vectors_and_statistics_are_unlinkable(
         for raw in _raws(entry[2])
     }
     assert bool(enhanced_lefts) == (protocol == "enhanced")
-    # Every party, the super client included: she is the one receiver of
-    # the split statistics (with the masks in them); peers receive none.
+    # Every party, the super client included.  Every party forms each
+    # level's masked batch, so each receives the other parties' masked
+    # groups of split statistics (the super client's in her request, the
+    # replies, the peers' level-groups), each checked above.
     published = []
     for index in range(ctx.n_clients):
         seen, carried, checked = _received_by(ctx, spy, index)
         published += seen
-        if index == ctx.super_client:
-            assert carried["split-stats"]
-        else:
-            assert carried["split-stats"] == 0
+        assert carried["split-stats"]
+        if index != ctx.super_client:
             # Basic labels ride with [α]; the enhanced ones are published
-            # per node.
-            assert bool(carried["label-vectors"]) == (protocol == "enhanced")
+            # per node, in the level's split-stats request.
+            assert bool(carried["gammas"]) == (protocol == "enhanced")
             assert bool(carried["root"]) == (protocol == "basic")
             assert enhanced_lefts <= checked
     assert published
@@ -476,7 +483,7 @@ def test_basic_labels_ride_once_per_built_split(
     assert not any(r.op == "node-gammas" for r in requests)
     assert "label-vectors" not in ctx.bus.snapshot()["by_tag"]
     roots = [
-        split_root_entry(list(r.body)[1:])[0]
+        split_root_entry(list(r.body)[3:])[0]
         for r in requests
         if r.op == "split-stats"
     ]
@@ -770,7 +777,7 @@ def test_gbdt_round_shows_nobody_the_comparisons(monkeypatch, small_regression):
     # Every round's root entry carries its riding [γ_1] in level 0's
     # split-stats request; rounds 2 and 3's are the residuals.
     roots = [
-        split_root_entry(list(payload.body)[1:])[0]
+        split_root_entry(list(payload.body)[3:])[0]
         for *_, payload in spy
         if isinstance(payload, Request) and payload.op == "split-stats"
     ]

@@ -11,10 +11,11 @@
   gain at all.  Class-count ties need no margin: counts are exact on
   shares and both argmaxes take the first maximum.
 * **Rounds follow depth.**  A full tree's training bus rounds are
-  4h under the basic protocol and 4h + 8(h − 1) under the enhanced
-  one: each level pays ``split-stats`` (which carries Algorithm 2's masks,
-  and at level 0 the root's entry and label totals), the decryption and
-  the model update once however many nodes it has, so a level of two
+  3h under the basic protocol and 2h + 8(h − 1) under the enhanced
+  one: each level pays ``split-stats`` (which carries Algorithm 2's masks
+  and the partial decryptions, under the enhanced protocol the label
+  vectors, and at level 0 the root's entry and label totals) and the
+  model update once however many nodes it has, so a level of two
   nodes and one of four cost the same bus and MPC rounds, and a level
   below the root whose nodes all stop at the pruning checks sends
   nothing.
@@ -172,8 +173,8 @@ def _levels(monkeypatch, fed, params, protocol):
 def test_training_rounds_follow_depth(monkeypatch, protocol):
     X, y = FULL_TREE
     expected = {
-        "basic": lambda h: 4 * h,
-        "enhanced": lambda h: 4 * h + 8 * (h - 1),
+        "basic": lambda h: 3 * h,
+        "enhanced": lambda h: 2 * h + 8 * (h - 1),
     }[protocol]
     per_depth = {}
     for h in (1, 2, 3):
@@ -204,7 +205,7 @@ def test_a_level_pruned_at_the_checks_sends_nothing(monkeypatch):
     assert len(model.leaves()) == 2
     (_, root_rounds, _, _), (nodes, level_rounds, messages, mpc_rounds) = levels
     assert nodes == 2 and (level_rounds, messages) == (0, 0) and mpc_rounds > 0
-    assert rounds == root_rounds == 4
+    assert rounds == root_rounds == 3
     assert {tag for tag, _ in fed.revealed if tag.endswith("-d1")} == {
         "prune-count-d1", "leaf-label-d1",
     }
@@ -239,25 +240,25 @@ def _spied_fit(monkeypatch, ctx):
 
 
 def _carries_root(request) -> bool:
+    # [header, the super client's groups, gammas entries, (root), nodes...]
     body = list(request.body)
-    if request.op == "split-stats":
-        return split_root_entry(body[1:])[0] is not None
-    return request.op == "node-gammas" and split_root_entry(body)[0] is not None
+    return request.op == "split-stats" and split_root_entry(body[3:])[0] is not None
 
 
 @pytest.mark.parametrize("protocol", ["basic", "enhanced"])
 def test_node_state_rides_the_level_requests(monkeypatch, protocol):
     """No flow of a fit is the root's or a node state's own: the root's
-    entry heads level 0's first request (``split-stats``, or
-    ``node-gammas`` under the enhanced protocol) and its label totals
-    convert with level 0's statistics; the enhanced children ride Eq. 10's
-    ``node-split``.  A full tree of depth h takes 4h bus rounds (basic),
-    4h + 8(h − 1) (enhanced), one ``split-stats`` request per level that
-    splits, and no ``node-state`` or ``convert-masks`` request."""
+    entry heads level 0's ``split-stats`` request and its label totals
+    convert with level 0's statistics; the enhanced label vectors ride
+    each level's ``split-stats`` request and the enhanced children Eq. 10's
+    ``node-split``.  A full tree of depth h takes 3h bus rounds (basic),
+    2h + 8(h − 1) (enhanced), one ``split-stats`` request per level that
+    splits, and no ``node-state``, ``node-gammas`` or ``convert-masks``
+    request."""
     X, y = FULL_TREE
     expected = {
-        "basic": lambda h: 4 * h,
-        "enhanced": lambda h: 4 * h + 8 * (h - 1),
+        "basic": lambda h: 3 * h,
+        "enhanced": lambda h: 2 * h + 8 * (h - 1),
     }[protocol]
     for h in (1, 2, 3):
         params = TreeParams(max_depth=h, max_splits=2)
@@ -268,7 +269,9 @@ def test_node_state_rides_the_level_requests(monkeypatch, protocol):
         assert len(model.leaves()) == 2**h
         assert rounds == expected(h)
         ops = {request.op for _, request in requests}
-        assert not ops & {"node-state", "convert-masks", "convert-masks-packed"}
+        assert not ops & {
+            "node-state", "node-gammas", "convert-masks", "convert-masks-packed"
+        }
         assert sorted(
             depth for depth, request in requests if request.op == "split-stats"
         ) == list(range(h))
@@ -284,8 +287,9 @@ def test_a_root_that_cannot_split_converts_its_totals_alone(
 ):
     """A root at the depth limit, or without a candidate split (constant
     columns), still needs its statistics for its label: one ``split-stats``
-    request carrying the root's entry and no node, and the decryption of
-    its totals — 3 bus rounds.  ``TreeParams`` refuses ``max_depth`` 0, so
+    request carrying the root's entry and no node, the peers' groups of
+    its totals' batch and their partial decryptions — 2 bus rounds.
+    ``TreeParams`` refuses ``max_depth`` 0, so
     that case sets it past the check to drive the trainer's depth limit at
     the root."""
     X, y = FULL_TREE
@@ -296,8 +300,8 @@ def test_a_root_that_cannot_split_converts_its_totals_alone(
     if case == "max-depth-0":
         object.__setattr__(ctx.config.tree, "max_depth", 0)
     model, rounds, requests = _spied_fit(monkeypatch, ctx)
-    assert model.root.is_leaf and rounds == 3
-    ((depth, request),) = requests
+    assert model.root.is_leaf and rounds == 2
+    ((depth, request),) = [r for r in requests if r[1].op != "level-groups"]
     assert (depth, request.op) == (0, "split-stats") and _carries_root(request)
     majority = int(np.bincount(y).argmax())
     if protocol == "basic":

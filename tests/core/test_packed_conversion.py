@@ -168,16 +168,19 @@ def test_hostile_split_stats_layout_is_refused_before_anything_is_computed(
     monkeypatch.setattr(runtime.engine.pool, "take_many", refuse)
     everything = [list(range(c.n_features)) for c in ctx.clients]
     with pytest.raises(ValueError, match="layout|slot"):
-        runtime.handle(0, "split-stats", Request("split-stats", [layout, 1, everything]))
+        runtime.handle(
+            0, "split-stats", Request("split-stats", [layout, [], [], 1, everything])
+        )
     ctx.bus.assert_drained()
 
 
 def test_a_reply_of_the_wrong_length_names_its_sender(
     small_classification, monkeypatch
 ):
-    """The trainer checks every party's reply — one ciphertext per group
-    of the level, one share per value — before multiplying anything: one
-    group too many, or one share too many, is refused by name."""
+    """Every party's reply — one ciphertext per group of the level, one
+    share per value — is checked before anything is multiplied, by the
+    trainer and, for the groups, by every party they reach: one group too
+    many, or one share too many, is refused by name."""
     from repro.core import TreeTrainer
     from repro.network.wire import ShareVector
 

@@ -21,10 +21,11 @@ from tests.core.conftest import (
 
 def test_super_client_need_not_be_client_zero(monkeypatch):
     """Party 2 holds the labels, and every conversion and decryption of a
-    fit runs from her: she broadcasts every ``mpc-convert`` / ``eq10``
-    ciphertext batch (and the Eq. 10 ``node-split``) and receives every
-    ``split-stats`` reply and every ``eq10`` send.  Both protocols still
-    grow plaintext CART's tree."""
+    fit runs from her: she sends every ``split-stats`` request and every
+    ``eq10`` ciphertext batch (and the Eq. 10 ``node-split``), and
+    receives every ``split-stats`` reply, every partial decryption and
+    every ``eq10`` send; the other parties' level groups pass between
+    them alone.  Both protocols still grow plaintext CART's tree."""
     X, y = make_classification(30, 4, n_classes=2, seed=30)
     vp = vertical_partition(X, y, 3, task="classification", super_client=2)
     params = TreeParams(max_depth=2, max_splits=2)
@@ -52,19 +53,41 @@ def test_super_client_need_not_be_client_zero(monkeypatch):
             for sender, receiver, payload in flows
             if receiver is None and not isinstance(payload, PartialDecryptionVector)
         ]
-        assert batches and set(batches) == {2}
+        # A tree level's batch is formed by every party from its
+        # split-stats exchange; only Eq. 10 broadcasts one.
+        assert set(batches) == ({2} if protocol == "enhanced" else set())
         assert {receiver for _, receiver, _ in flows} <= {2, None}
+        vectors = [
+            receiver
+            for _, receiver, _, payload in spy
+            if isinstance(payload, PartialDecryptionVector)
+        ]
+        assert vectors and set(vectors) == {2}
         stats = [
-            (receiver, payload)
-            for _, receiver, tag, payload in spy
+            (sender, receiver, payload)
+            for sender, receiver, tag, payload in spy
             if tag == "split-stats"
         ]
-        replies = [
-            receiver for receiver, payload in stats if not isinstance(payload, Request)
+        requests = [
+            sender
+            for sender, _, payload in stats
+            if isinstance(payload, Request) and payload.op == "split-stats"
         ]
-        # Two replies (the other parties') per request, all to party 2.
-        assert set(replies) == {2}
-        assert len(replies) == 2 * (len(stats) - len(replies)) > 0
+        replies = [
+            receiver
+            for _, receiver, payload in stats
+            if not isinstance(payload, (Request, PartialDecryptionVector))
+        ]
+        groups = [
+            (sender, receiver)
+            for sender, receiver, payload in stats
+            if isinstance(payload, Request) and payload.op == "level-groups"
+        ]
+        # Two replies (the other parties') per request, all to party 2, and
+        # one level-groups frame each way between parties 0 and 1.
+        assert set(requests) == {2} and set(replies) == {2}
+        assert len(replies) == 2 * len(requests) > 0
+        assert sorted(groups) == sorted([(0, 1), (1, 0)] * len(requests))
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

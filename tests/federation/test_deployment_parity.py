@@ -478,7 +478,7 @@ def test_a_full_tree_grows_level_by_level_over_process_deployment():
     nodes in one ``split-stats`` request, two remote owners and the super
     client split at once, and one remote owner applies two splits from
     one ``split-apply`` list.  The deployed row equals in-memory over the
-    fit/predict window, at 4·3 fit rounds."""
+    fit/predict window, at 3·3 fit rounds."""
     X, y = make_classification(48, 3, n_classes=2, seed=1)
     cfg = PivotConfig(keysize=256, tree=TreeParams(max_depth=3, max_splits=2), seed=3)
 
@@ -502,7 +502,7 @@ def test_a_full_tree_grows_level_by_level_over_process_deployment():
             runs.append((signature, owners, rounds - start, predictions, ops, window))
     assert runs[1] == runs[0]
     _, owners, fit_rounds, *_ = runs[0]
-    assert len(owners) == 7 and fit_rounds == 4 * 3
+    assert len(owners) == 7 and fit_rounds == 3 * 3
     assert {owner for depth, owner in owners if depth == 2} == {0, 1, 2}
 
 

@@ -100,8 +100,9 @@ def test_threshold_decrypt_flow_consumes_all_messages(payload_bus):
     cts = [threshold.public_key.encrypt(v) for v in (1, 2, 3)]
     party_runtimes(bus, threshold)
     record_threshold_decrypt(bus, cts, tag="threshold-decrypt")
-    # (m-1) ciphertext broadcasts + m*(m-1) partial vectors, all consumed.
-    assert bus.messages == 2 + 3 * 2
+    # (m-1) ciphertext broadcasts + (m-1) partial vectors to the holder,
+    # all consumed.
+    assert bus.messages == 2 + 2
     assert bus.consumed == bus.messages
     assert bus.rounds == 2
     bus.assert_drained()

@@ -51,10 +51,12 @@ def test_every_peer_share_comes_through_handle(
     assert holder and set(holder) == {None}
     assert len(peers) == 2 * len(holder)
     assert sorted(party for party, _ in peers) == [1] * len(holder) + [2] * len(holder)
-    # Basic prediction decrypts; enhanced prediction is MPC only, and
-    # Eq. 10's decryption is answered like any other.
+    # A tree level's decryption is answered inside its split-stats
+    # exchange (the request, or another peer's groups, completes the
+    # batch); basic prediction decrypts; enhanced prediction is MPC only,
+    # and Eq. 10's decryption is answered like any other.
     last = "threshold-decrypt" if protocol == "basic" else "eq10"
-    assert {tag for _, tag in peers} == {"mpc-convert", last}
+    assert {tag for _, tag in peers} == {"split-stats", last}
 
 
 def _failing(error):

@@ -5,8 +5,9 @@ estimates had drifted from:
 
 * ``to_shares`` (Algorithm 2) double-applied the (m−1) broadcast fan-out —
   the call site pre-multiplied by (m−1) and ``broadcast`` multiplied again;
-* ``joint_decrypt`` accounted one ciphertext broadcast and ignored the m
-  partial-decryption share vectors every threshold decryption moves.
+* ``joint_decrypt`` accounted one ciphertext broadcast and ignored the
+  m − 1 partial-decryption share vectors every threshold decryption moves
+  (each to the holder alone, who combines them with her own).
 
 Each test derives the expected byte count from the wire-format framing
 constants and the flow's message pattern, and asserts the bus measured
@@ -52,8 +53,8 @@ def _delta(bus, fn):
 
 
 def test_threshold_decrypt_flow_formula(ctx):
-    """k-ciphertext decryption: (m−1) ciphertext-vector messages + m·(m−1)
-    partial-share vectors, 2 rounds."""
+    """k-ciphertext decryption: (m−1) ciphertext-vector messages + (m−1)
+    partial-share vectors to the holder, 2 rounds."""
     m = ctx.n_clients
     s_ct, s_en, s_pdv, vec = _sizes(ctx)
     for k in (1, 5):
@@ -62,14 +63,14 @@ def test_threshold_decrypt_flow_formula(ctx):
             ctx.bus,
             lambda: record_threshold_decrypt(ctx.bus, cts, tag="threshold-decrypt"),
         )
-        assert nbytes == (m - 1) * vec(k, s_en) + m * (m - 1) * s_pdv(k)
+        assert nbytes == (m - 1) * vec(k, s_en) + (m - 1) * s_pdv(k)
         assert rounds == 2
-        assert messages == (m - 1) + m * (m - 1)
+        assert messages == (m - 1) + (m - 1)
 
 
 def test_joint_decrypt_counts_partial_shares(ctx):
-    """The seed counted (m−1)·|ct| total; the flow moves the m partial
-    share vectors too."""
+    """The seed counted (m−1)·|ct| total; the flow moves the other m − 1
+    parties' partial share vectors to the holder too."""
     m = ctx.n_clients
     s_ct, s_en, s_pdv, vec = _sizes(ctx)
     value = ctx.encoder.encrypt(2.5)
@@ -77,7 +78,7 @@ def test_joint_decrypt_counts_partial_shares(ctx):
         ctx.bus, lambda: ctx.joint_decrypt_batch([value], tag="test")
     )
     assert result == [pytest.approx(2.5)]
-    expected = (m - 1) * vec(1, s_ct) + m * (m - 1) * s_pdv(1)
+    expected = (m - 1) * vec(1, s_ct) + (m - 1) * s_pdv(1)
     assert nbytes == expected
     seed_estimate = (m - 1) * ctx.ciphertext_bytes  # what the seed recorded
     assert nbytes > seed_estimate
@@ -102,7 +103,7 @@ def test_to_shares_formula_no_double_fanout(ctx):
             [[values[0].ciphertext] * k, wire.ShareVector((0,) * k)]
         )
         mask_bytes = (m - 1) * (request + reply)
-        decrypt_bytes = (m - 1) * vec(k, s_ct) + m * (m - 1) * s_pdv(k)
+        decrypt_bytes = (m - 1) * vec(k, s_ct) + (m - 1) * s_pdv(k)
         assert nbytes == mask_bytes + decrypt_bytes
         assert rounds == 3
         assert ctx.fx.open(shares) == [pytest.approx(float(i)) for i in range(k)]

@@ -43,12 +43,12 @@ def test_basic_training_and_prediction_reconcile(data):
     run_predict_batch(model, ctx, X[:3])
     snap = _assert_reconciled(ctx.bus)
     expected_tags = {
-        "mask-vector", "split-stats",
-        "mpc-convert", "threshold-decrypt", "prediction-vector",
+        "mask-vector", "split-stats", "threshold-decrypt", "prediction-vector",
     }
     assert expected_tags <= set(snap["by_tag"])
-    # The label vectors ride with the mask vectors.
-    assert "label-vectors" not in snap["by_tag"]
+    # The label vectors ride with the mask vectors, and a tree level's
+    # decryption rides its split-stats exchange.
+    assert not {"label-vectors", "mpc-convert"} & set(snap["by_tag"])
 
 
 def test_enhanced_training_and_prediction_reconcile(data):
@@ -58,8 +58,10 @@ def test_enhanced_training_and_prediction_reconcile(data):
     run_predict_batch(model, ctx, X[:2], protocol="enhanced")
     snap = _assert_reconciled(ctx.bus)
     # Eq. 10's per-sample conversions dominate the enhanced protocol (§6);
-    # its label vectors are published per node.
-    assert {"eq10", "label-vectors"} <= set(snap["by_tag"])
+    # its label vectors are published per node, in the level's split-stats
+    # request.
+    assert {"eq10", "split-stats"} <= set(snap["by_tag"])
+    assert "label-vectors" not in snap["by_tag"]
 
 
 def test_regression_training_reconciles():
