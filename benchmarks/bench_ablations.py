@@ -34,7 +34,7 @@ def pp_costs(costs: PrimitiveCosts) -> PrimitiveCosts:
 def test_parallel_decryption_model(benchmark):
     def run():
         context = build_context(protocol="enhanced")
-        costs = calibrated_costs(DEFAULTS["m"], 256)
+        costs = calibrated_costs(DEFAULTS["m"], context.config.keysize)
         result = timed_run(lambda: TreeTrainer(context).fit(), context, costs)
         # The paper's -PP variants parallelise decryption *compute*; compare
         # the compute share of the model (network latency is orthogonal).
@@ -55,7 +55,7 @@ def main() -> None:
     rows = []
     for protocol in ("basic", "enhanced"):
         context = build_context(protocol=protocol)
-        costs = calibrated_costs(DEFAULTS["m"], 256)
+        costs = calibrated_costs(DEFAULTS["m"], context.config.keysize)
         result = timed_run(lambda: TreeTrainer(context).fit(), context, costs)
         serial = predicted_time(result.ops, costs)
         parallel = predicted_time(result.ops, pp_costs(costs))

@@ -67,7 +67,7 @@ def run_point(
         transport=transport if transport is not None else TRANSPORT,
         **params,
     )
-    costs = calibrated_costs(params["m"], 256)
+    costs = calibrated_costs(params["m"], context.config.keysize)
     try:
         return timed_run(lambda: TreeTrainer(context).fit(), context, costs)
     finally:
@@ -139,7 +139,7 @@ def training_record(json_path: str | None = None) -> dict:
         context = build_context(
             protocol=protocol, transport=transport, **params
         )
-        costs = calibrated_costs(params["m"], 256)
+        costs = calibrated_costs(params["m"], context.config.keysize)
         mpc_before = context.engine.stats.snapshot()
         triples_before = context.engine.dealer.usage.triples
         try:

@@ -33,7 +33,7 @@ from repro.core import TreeTrainer
 
 def run_pivot(protocol: str, m: int, n: int):
     context = build_context(protocol=protocol, m=m, n=n)
-    costs = calibrated_costs(m, 256)
+    costs = calibrated_costs(m, context.config.keysize)
     return timed_run(lambda: TreeTrainer(context).fit(), context, costs)
 
 

@@ -18,9 +18,9 @@ PL002  secret-escape             key secrets (d_i, dealer key, primes)
                                  sinks, including through helper calls
 PL003  unregistered-payload      bus payloads that are not registered
                                  WireCodec wire types
-PL005  drain-discipline          bus sends with no round()/assert_drained
-                                 barrier on some path (callee barriers
-                                 count via summaries)
+PL005  drain-discipline          an accounted bus send outside a
+                                 ``with bus.flow(...)`` scope, a handler,
+                                 or a function only they call
 PL006  unhandled-protocol-tag    a constant tag sent or requested with no
                                  matching consumer/handler in the project
 PL007  unbounded-wait            while-True receive loops with no timeout,
@@ -30,16 +30,13 @@ PL008  blocking-in-event-loop    synchronous sleep/socket/bigint-pow calls
 PL010  choreography-deadlock     a role's blocking receive whose matching
                                  send is ordered after that role's own
                                  pending sends on a composed flow path
-PL011  round-parity              a flow's ``bus.round(K)`` constant that
-                                 disagrees with the round count derived
-                                 from the flow's choreography automaton
+PL011  round-parity              a flow scope's ``bus.flow(K)`` constant
+                                 that disagrees with the round count
+                                 derived from the choreography automaton
 PL012  cross-thread-shared-state transport attributes mutated from both
                                  the daemon loop thread and the caller
                                  thread with an unlocked access on some
                                  path; also ``await`` under a held lock
-PL013  exception-safe-drain      a ``raise`` reachable between a bus send
-                                 and its barrier with no try/finally or
-                                 handler restoring the drain
 ====== ========================= ==========================================
 
 Run: ``python -m repro.analysis.pivotlint src/ --strict`` (add

@@ -1,7 +1,7 @@
 """Project-wide call graph: who calls whom, resolved by name.
 
 PR 6's rules were strictly intraprocedural — a secret laundered through one
-helper function, or a ``round()`` barrier living inside a callee, was
+helper function, or a bus send hidden inside a callee, was
 invisible.  The :class:`ProjectIndex` built here is the missing global
 view: every function/method defined anywhere in the scanned tree, indexed
 by simple name, so rules can resolve a call site to its possible callees

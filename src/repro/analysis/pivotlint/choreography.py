@@ -10,7 +10,8 @@ of each flow to check against:
 
 * :func:`extract_flow` walks one function body in execution order and
   records every bus event — payload sends/broadcasts, blocking receives,
-  and barriers — as :class:`FlowEvent` entries.  Each event carries its
+  and the barrier at the end of each ``with bus.flow(rounds):`` scope —
+  as :class:`FlowEvent` entries.  Each event carries its
   *role* (the textual actor expression: the first addressing argument of
   the primitive) and its *tag* (a constant string, or the symbolic
   ``$name`` of the parameter that carries it, so ``tag=tag`` send/receive
@@ -18,8 +19,7 @@ of each flow to check against:
   project functions are resolved through the
   :class:`~repro.analysis.pivotlint.callgraph.ProjectIndex` summaries: a
   callee that both receives and sends contributes a receive-then-send
-  pair (the reactive responder shape), a sender contributes a send, a
-  callee containing a barrier contributes an (unpinned) barrier.  A
+  pair (the reactive responder shape), a sender contributes a send.  A
   callee's receive carries the tag the call passes it when its summary
   forwards ``tag`` to a receive (a shared collector such as
   ``collect_partial_vectors``), and no tag otherwise.
@@ -33,15 +33,15 @@ of each flow to check against:
   pairs on the composed order (PL010); the phase walk behind
   :attr:`FlowAutomaton.pinned` — a transfer on the shared path walker,
   :func:`~repro.analysis.pivotlint.dataflow.walk_paths` — derives each
-  flow's static round count and pins it against the constants charged to
-  ``snapshot()["rounds"]`` (PL011).
+  flow's static round count and pins it against the ``rounds`` constant
+  each scope charges to ``snapshot()["rounds"]`` (PL011).
 
 Soundness scope: composition is only meaningful for *complete* flows —
-functions that own their synchronisation barrier (``round`` /
-``assert_drained`` / ``drain``).  A barrier-less helper (a reactive
-handler, a request primitive whose caller owns the round) sees only its
-own role's half of the choreography, where receive-before-send is the
-normal responder shape; the rules therefore skip it.
+functions that open a flow scope, whose exit is the synchronisation
+barrier.  A scope-less helper (a reactive handler, a collector the flow
+calls) sees only its own role's half of the choreography, where
+receive-before-send is the normal responder shape; the rules therefore
+skip it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.pivotlint.callgraph import ProjectIndex, map_args
 from repro.analysis.pivotlint.dataflow import (
-    BARRIER_CALLS,
     RECEIVE_CALLS,
     SEND_CALLS,
     Transfer,
@@ -102,9 +101,10 @@ class FlowAutomaton:
     """The composed choreography of one flow function.
 
     ``events`` is the composed global order (the orchestrator body *is*
-    the composition — see the module docstring); ``pinned`` holds every
-    barrier whose round count is a static constant, together with the set
-    of send-phase counts reachable at that barrier (one count per
+    the composition — see the module docstring); ``has_barrier`` says
+    whether the function opens a flow scope; ``pinned`` holds every
+    scope's barrier whose round count is a static constant, together with
+    the set of send-phase counts reachable at that barrier (one count per
     branch-path through the body).
     """
 
@@ -190,23 +190,16 @@ def _tag_text(expr: ast.expr | None) -> str | None:
     return None
 
 
-def _round_constant(
-    call: ast.Call, attr: str, consts: dict[str, int]
-) -> int | None:
-    """The barrier's static round count, if it is pinnable.
+def _round_constant(call: ast.Call, consts: dict[str, int]) -> int | None:
+    """A flow scope's static round count, if it is pinnable.
 
-    ``round()`` defaults to one round; ``round(K)`` with a literal or a
-    module-level integer constant pins K.  ``assert_drained``/``drain``
-    charge nothing.  A dynamic count (``round(result.rounds)``) returns
-    None — the barrier still resets the phase walk but cannot be pinned.
+    ``flow(K)`` with a literal or a module-level integer constant pins K.
+    A dynamic count returns None — the barrier still resets the phase walk
+    but cannot be pinned.
     """
-    if attr != "round":
-        return 0
-    if not call.args and not call.keywords:
-        return 1
     expr: ast.expr | None = call.args[0] if call.args else None
     for kw in call.keywords:
-        if kw.arg == "count":
+        if kw.arg == "rounds":
             expr = kw.value
     if isinstance(expr, ast.Constant) and isinstance(expr.value, int):
         return expr.value
@@ -222,8 +215,8 @@ class _Extractor(Transfer[_States]):
     ``phases`` is the number of send-phases completed or begun so far (a
     maximal run of sends not separated by a receive or barrier counts
     once), ``open`` whether the walk is currently inside such a run.
-    Branches union their successor states; a barrier records a pin (when
-    its count is constant) and resets the walk.
+    Branches union their successor states; the end of a flow scope records
+    a pin (when its count is constant) and resets the walk.
     """
 
     bottom: _States = frozenset()
@@ -273,19 +266,15 @@ class _Extractor(Transfer[_States]):
             role = _expr_text(call.args[0]) if call.args else "?"
             tag = _event_tag(call, attr) if attr == "receive" else None
             return [self._emit("receive", role, tag, call)]
-        if attr in BARRIER_CALLS:
-            rounds = _round_constant(call, attr, self.consts)
-            return [self._emit("barrier", "?", None, call, rounds=rounds)]
         # Project calls contribute their summarized effects.  A callee
         # that both receives and sends is the reactive responder shape
         # (receive the request, publish the reply) and contributes the
         # pair in that order.
-        does_send = does_receive = has_barrier = False
+        does_send = does_receive = False
         received: str | None = None
         for info, summary in self.project.summaries_for_call(call):
-            does_send |= summary.does_send or summary.open_send
+            does_send |= summary.does_send
             does_receive |= summary.does_receive
-            has_barrier |= summary.has_barrier
             if summary.forwards_tag_to_receive:
                 received = _tag_text(map_args(call, info).get("tag")) or received
         emitted: list[FlowEvent] = []
@@ -293,10 +282,6 @@ class _Extractor(Transfer[_States]):
             emitted.append(self._emit("receive", "?", received, call))
         if does_send:
             emitted.append(self._emit("send", "?", None, call))
-        if has_barrier:
-            # An unpinned barrier: resets the phase walk, never pinned
-            # here (the callee pins its own constants).
-            emitted.append(self._emit("barrier", "?", None, call, rounds=None))
         return emitted
 
     # -- phase-state walk ----------------------------------------------------
@@ -331,18 +316,15 @@ class _Extractor(Transfer[_States]):
                 states = frozenset(self._send_state(event, s) for s in states)
             elif event.kind == "receive":
                 states = frozenset((p, False, frozenset()) for p, _, _ in states)
-            elif event.kind == "barrier":
-                self.has_barrier = True
-                if event.rounds is not None and event.rounds > 0 and states:
-                    self.pinned.append(
-                        (
-                            event,
-                            event.rounds,
-                            frozenset(p for p, _, _ in states),
-                        )
-                    )
-                states = frozenset({(0, False, frozenset())})
         return states
+
+    def leave_flow(self, flow: ast.Call, states: _States) -> _States:
+        rounds = _round_constant(flow, self.consts)
+        event = self._emit("barrier", "?", None, flow, rounds=rounds)
+        self.has_barrier = True
+        if rounds is not None and rounds > 0 and states:
+            self.pinned.append((event, rounds, frozenset(p for p, _, _ in states)))
+        return frozenset({(0, False, frozenset())})
 
     def join(self, a: _States, b: _States) -> _States:
         states = a | b
@@ -360,7 +342,7 @@ def extract_flow(
     """Extract the composed choreography of one function body.
 
     ``consts`` maps module-level integer constant names to values so a
-    ``bus.round(ROUNDS)`` barrier is pinnable; ``project`` resolves calls
+    ``bus.flow(ROUNDS)`` scope is pinnable; ``project`` resolves calls
     to other scanned functions through their summaries.
     """
     extractor = _Extractor(project, consts)

@@ -10,15 +10,14 @@ Every rule builds on these pieces:
 * The secret vocabulary (:data:`SECRET_ATTRS`, :data:`SECRET_NAMES`, ...)
   that the one taint engine,
   :class:`~repro.analysis.pivotlint.summaries.LabelEngine`, reads.
-* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`BARRIER_CALLS`,
-  :data:`RECEIVE_CALLS`) and :func:`bus_classifier`, the one send/barrier
-  classifier.
-* :func:`walk_paths` — the one forward walk over a function body's
-  statement paths.  A rule supplies a :class:`Transfer` (how a call moves
-  its state, how two paths join, what a ``try`` handler starts from, what
-  to do where a path ends); PL005 and the summaries' ``open_send``
-  (:func:`open_send_at_exit`), PL013 and the choreography phase walk are
-  the transfers.
+* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`ESTIMATE_CALLS`,
+  :data:`RECEIVE_CALLS`), the flow scope (:func:`flow_item`,
+  :func:`flow_calls`: which calls run inside a ``with …flow(…)`` block)
+  and :func:`send_classifier`, the one accounted-send classifier.
+* :func:`walk_paths` — a forward walk over a function body's statement
+  paths.  A :class:`Transfer` says how a call moves its state, how two
+  paths join and what the end of a flow scope (its barrier) does; the
+  choreography phase walk is the transfer.
 * :func:`stmt_span` / :func:`enclosing_stmt` — the statement span a
   suppression comment may sit on.
 """
@@ -198,51 +197,81 @@ PROPAGATING_CALLS = frozenset({"sum", "int", "abs", "list", "tuple", "sorted"})
 # the bus-call vocabulary
 # ---------------------------------------------------------------------------
 
-#: Payload-routing sends: the bytes enter a peer inbox, so a barrier must
-#: follow (PL005, PL013), and each one is a choreography event (PL010/PL011).
+#: Payload-routing sends: the bytes enter a peer inbox, so they belong to a
+#: flow scope (PL005), and each one is a choreography event (PL010/PL011).
 SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
-#: Synchronisation barriers: the points where rounds are charged and
-#: inboxes drain.
-BARRIER_CALLS = frozenset({"round", "assert_drained", "drain"})
+#: The estimate API: accounted like a payload send, recognised on a base
+#: named ``bus`` (``bus.send``, ``ctx.bus.broadcast``) alone.
+ESTIMATE_CALLS = frozenset({"send", "broadcast"})
+#: The flow scope, ``with bus.flow(rounds):`` — its exit is the barrier.
+FLOW_CALL = "flow"
 #: Blocking protocol receives: the choreography's receive events.
 RECEIVE_CALLS = frozenset({"receive", "receive_any", "receive_tagged"})
 #: The control plane: its messages are consumed by the runtime's
 #: dispatcher, not by a protocol flow, so they are no choreography events
-#: and need no barrier — but a tag forwarded into them is still produced
+#: and need no flow — but a tag forwarded into them is still produced
 #: or consumed (PL006 reads that through the summaries).
 CONTROL_SEND, CONTROL_RECEIVE = "send_control", "receive_control"
 
 
-def bus_classifier(
-    project: "ProjectIndex | None",
-) -> Callable[[ast.Call], str | None]:
-    """Map a call to ``"send"``, ``"barrier"`` or ``None`` (effect-neutral).
+def _names_bus(expr: ast.expr) -> bool:
+    name = expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", "")
+    return name == "bus"
 
-    Primitive calls classify by name.  With a ``project`` index, a call to
-    a scanned function classifies by its summary: one that leaves a send
-    open is a send, one containing a barrier is a barrier.  The summaries
-    themselves are computed with ``project=None``, which keeps effect
-    propagation to exactly one call level.
+
+def send_classifier(project: "ProjectIndex | None") -> Callable[[ast.Call], bool]:
+    """Is a call an accounted send?
+
+    Payload sends and the bus's estimate API classify by name.  With a
+    ``project`` index, a call to a scanned function whose summary sends
+    outside any flow scope is a send too.  The summaries themselves are
+    computed with ``project=None``, which keeps effect propagation to
+    exactly one call level.
     """
 
-    def classify(call: ast.Call) -> str | None:
+    def sends(call: ast.Call) -> bool:
         func = call.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in SEND_CALLS:
-                return "send"
-            if func.attr in BARRIER_CALLS:
-                return "barrier"
-        if project is None:
-            return None
-        kind = None
-        for _info, summary in project.summaries_for_call(call):
-            if summary.open_send:
-                return "send"
-            if summary.has_barrier:
-                kind = "barrier"
-        return kind
+        if isinstance(func, ast.Attribute) and (
+            func.attr in SEND_CALLS
+            or (func.attr in ESTIMATE_CALLS and _names_bus(func.value))
+        ):
+            return True
+        return project is not None and any(
+            summary.unscoped_send for _, summary in project.summaries_for_call(call)
+        )
 
-    return classify
+    return sends
+
+
+def flow_item(stmt: ast.AST) -> ast.Call | None:
+    """The ``….flow(rounds)`` call a ``with`` statement opens, if any."""
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        for item in stmt.items:
+            call = item.context_expr
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == FLOW_CALL
+            ):
+                return call
+    return None
+
+
+def flow_calls(node: ast.AST) -> Iterator[tuple[ast.Call, bool]]:
+    """Every call under ``node`` (nested defs and classes skipped: they are
+    their own functions), and whether it runs inside a flow scope."""
+
+    def visit(parent: ast.AST, inside: bool) -> Iterator[tuple[ast.Call, bool]]:
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if isinstance(child, ast.Call):
+                yield child, inside
+            yield from visit(child, inside or flow_item(child) is not None)
+
+    return visit(node, False)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +303,9 @@ class Transfer(Generic[S]):
         """Two paths meet (``a`` is the earlier branch in source order)."""
         raise NotImplementedError
 
-    def handler_entry(self, stmt: ast.Try, after: S) -> S:
-        """The state an ``except`` handler of ``stmt`` starts from, given
-        the state ``after`` its body; by default the body's end state."""
-        return after
-
-    def exit(
-        self,
-        stmt: ast.Return | ast.Raise,
-        state: S,
-        trys: tuple[ast.Try, ...],
-    ) -> None:
-        """A path ends at ``stmt`` in ``state``; ``trys`` are the enclosing
-        ``try`` statements whose body holds ``stmt``."""
+    def leave_flow(self, flow: ast.Call, state: S) -> S:
+        """The state after the barrier that ends the scope ``flow`` opened."""
+        return state
 
 
 def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
@@ -295,13 +314,13 @@ def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
 
     Calls inside a statement run in ``ast.walk`` order.  ``if`` branches
     join; loops run zero or one time, then their ``else``; a ``try`` body
-    runs, its handlers start from ``transfer.handler_entry``, its ``else``
+    runs, its handlers start from the body's end state, its ``else``
     follows the body, and ``finally`` follows all of them; ``with`` and
-    ``async with`` run their items, then their body.  ``return`` and
-    ``raise`` end their path (``transfer.exit`` sees its state).  Nested
-    defs and classes are skipped: they are their own functions.
+    ``async with`` run their items, then their body, then — for a flow
+    scope — ``transfer.leave_flow``.  ``return`` and ``raise`` end their
+    path.  Nested defs and classes are skipped: they are their own
+    functions.
     """
-    trys: list[ast.Try] = []
 
     def calls(node: ast.AST, state: S) -> S:
         for call in calls_in(node):
@@ -325,11 +344,8 @@ def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
                 once = block(stmt.body, state)
                 state = block(stmt.orelse, transfer.join(once, state))
             elif isinstance(stmt, ast.Try):
-                trys.append(stmt)
                 after = block(stmt.body, state)
-                trys.pop()
-                entry = transfer.handler_entry(stmt, after)
-                handled = [block(h.body, entry) for h in stmt.handlers]
+                handled = [block(h.body, after) for h in stmt.handlers]
                 state = block(stmt.orelse, after)
                 for out in handled:
                     state = transfer.join(state, out)
@@ -338,8 +354,11 @@ def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
                 for item in stmt.items:
                     state = calls(item.context_expr, state)
                 state = block(stmt.body, state)
+                flow = flow_item(stmt)
+                if flow is not None:
+                    state = transfer.leave_flow(flow, state)
             elif isinstance(stmt, (ast.Return, ast.Raise)):
-                transfer.exit(stmt, calls(stmt, state), tuple(trys))
+                calls(stmt, state)  # a returned receive is still an event
                 return transfer.bottom
             else:
                 state = calls(stmt, state)
@@ -347,49 +366,6 @@ def walk_paths(body: list[ast.stmt], transfer: Transfer[S], state: S) -> S:
 
     return block(body, state)
 
-
-class OpenSend(Transfer["ast.Call | None"]):
-    """The drain discipline's state: the latest send no barrier followed
-    (``None``: drained, or no path).  PL005 and the summaries' ``open_send``
-    read it at ``return`` and at the end of the body; PL013 extends it."""
-
-    bottom = None
-
-    def __init__(self, classify: Callable[[ast.Call], str | None]) -> None:
-        self.classify = classify
-        self.returned: list[ast.Call | None] = []
-
-    def call(self, call: ast.Call, state: ast.Call | None) -> ast.Call | None:
-        kind = self.classify(call)
-        if kind == "send":
-            return call
-        if kind == "barrier":
-            return None
-        return state
-
-    def join(
-        self, a: ast.Call | None, b: ast.Call | None
-    ) -> ast.Call | None:
-        return a or b
-
-    def exit(
-        self,
-        stmt: ast.Return | ast.Raise,
-        state: ast.Call | None,
-        trys: tuple[ast.Try, ...],
-    ) -> None:
-        if isinstance(stmt, ast.Return):
-            self.returned.append(state)
-
-
-def open_send_at_exit(
-    body: list[ast.stmt], classify: Callable[[ast.Call], str | None]
-) -> ast.Call | None:
-    """The send left open on some path to the function's exit — falling
-    off the end or a ``return`` — if any.  (A ``raise`` path is PL013's.)"""
-    transfer = OpenSend(classify)
-    end = walk_paths(body, transfer, None)
-    return next((s for s in [end, *transfer.returned] if s is not None), None)
 
 # ---------------------------------------------------------------------------
 # span helpers

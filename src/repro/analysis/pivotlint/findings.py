@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 class Finding:
     """One reported privacy-flow violation."""
 
-    rule: str  # "PL001" .. "PL013" (or "PL000" for engine diagnostics)
+    rule: str  # "PL001" .. "PL012" (or "PL000" for engine diagnostics)
     path: str  # path as scanned (posix, relative to the scan root)
     line: int  # 1-based line of the offending node
     col: int  # 0-based column of the offending node

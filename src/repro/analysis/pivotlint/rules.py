@@ -12,8 +12,8 @@ writing one class in this shape (see the README's "adding a rule").
 The rules encode the paper's two static invariants:
 
 * **Locality** (§3.1): raw feature/label data is read only inside the
-  owning party's scope — PL001; and every protocol flow that puts bytes on
-  the bus synchronizes so inboxes drain — PL005.
+  owning party's scope — PL001; and every byte put on the bus is sent
+  inside a flow scope, whose exit drains the inboxes — PL005.
 * **Key secrecy** (§2.1, §3.4): secret key material (partial keys d_i, the
   dealer's λ/µ and prime factors) never reaches a wire, a log, an
   exception message, or a public return — PL002; and nothing leaves on the
@@ -30,9 +30,9 @@ from typing import TYPE_CHECKING
 from repro.analysis.pivotlint.callgraph import map_args
 from repro.analysis.pivotlint.dataflow import (
     FunctionWalker,
-    bus_classifier,
     expr_fingerprint,
-    open_send_at_exit,
+    flow_calls,
+    send_classifier,
     stmt_span,
 )
 from repro.analysis.pivotlint.findings import Finding
@@ -47,6 +47,7 @@ from repro.analysis.pivotlint.summaries import (
 from repro.network.wire import LAYOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.pivotlint.callgraph import ProjectIndex
     from repro.analysis.pivotlint.engine import FileContext
 
 REGISTRY: dict[str, type["Rule"]] = {}
@@ -622,48 +623,86 @@ class UnregisteredPayload(Rule):
 # PL005 — drain-discipline
 # ---------------------------------------------------------------------------
 
+
+def _is_handler(name: str) -> bool:
+    """``PartyRuntime.handle`` and its ``_op_*`` dispatch targets: a send
+    there is a reply, which belongs to the flow that requested it."""
+    return name == "handle" or name.startswith("_op_")
+
+
+def _covered(project: "ProjectIndex") -> set[str]:
+    """Functions that run only inside a flow scope or a handler: every
+    resolved call to them sits in a ``with …flow(…)`` block, in a handler,
+    or in another covered function (a greatest fixpoint; a function nobody
+    calls is an entry point, never covered)."""
+    cached = project.cache.get("PL005")
+    if cached is None:
+        callers: dict[str, list[tuple[str, bool]]] = {}
+        for info in project.functions:
+            safe = _is_handler(info.name)
+            for call, inside in flow_calls(info.node):
+                for callee in project.resolve_call(call):
+                    callers.setdefault(callee.qualkey, []).append(
+                        (info.qualkey, inside or safe)
+                    )
+        cached = set(callers)
+        changed = True
+        while changed:
+            changed = False
+            for key in list(cached):
+                if not all(
+                    safe or caller in cached for caller, safe in callers[key]
+                ):
+                    cached.discard(key)
+                    changed = True
+        project.cache["PL005"] = cached
+    return cached
+
+
 @register
 class DrainDiscipline(Rule):
-    """PL005: a bus send with no synchronisation barrier on some path."""
+    """PL005: an accounted send outside a flow scope or a handler."""
 
     rule_id = "PL005"
     name = "drain-discipline"
     summary = (
-        "A function that sends on the bus (send_payload/broadcast_payload, "
-        "or a call to any function whose summary leaves a send open) has "
-        "an execution path ending with no subsequent round()/"
-        "assert_drained()/drain() — over a real transport those bytes sit "
-        "undelivered and the end-of-training drained invariant breaks.  "
-        "`_op_*` dispatch handlers are exempt by convention: their send is "
-        "the *reply*, and the requesting flow owns the round barrier."
+        "An accounted send (send_payload/broadcast_payload, the bus's "
+        "estimate send/broadcast, or a call to a function whose summary "
+        "sends outside a flow scope) runs outside any `with bus.flow(...)` "
+        "block, in a function that is neither a handler (`handle`, "
+        "`_op_*`: a reply belongs to the flow that requested it) nor "
+        "called only from flow scopes and handlers.  The scope's exit is "
+        "the barrier that drains inboxes and charges the flow's rounds, "
+        "and its failure path drains too; at run time such a send raises."
     )
     hint = (
-        "finish the flow with bus.round(k) (the sync barrier drains "
-        "inboxes) or delegate to a canonical flow in repro/network/flows.py"
+        "send inside the flow's `with bus.flow(rounds):` block, or "
+        "delegate to a canonical flow in repro/network/flows.py"
     )
 
     def check(self, ctx: "FileContext") -> list[Finding]:
         rule = self
         findings: list[Finding] = []
-        classify = bus_classifier(ctx.project)
+        sends = send_classifier(ctx.project)
+        covered = _covered(ctx.project)
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:
-                if node.name.startswith("_op_"):
-                    # Reactive dispatch handler: the send is the reply to a
-                    # request; the requesting flow owns the round barrier.
+                if (
+                    _is_handler(node.name)
+                    or f"{ctx.relpath}::{self.qualname}" in covered
+                ):
                     return
-                open_send = open_send_at_exit(node.body, classify)
-                if open_send is not None:
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            open_send,
-                            "bus send with no round()/assert_drained()/"
-                            "drain() on some path to function exit",
-                            self.qualname,
+                for call, inside in flow_calls(node):
+                    if not inside and sends(call):
+                        findings.append(
+                            rule.finding(
+                                ctx,
+                                call,
+                                "accounted send outside a flow scope",
+                                self.qualname,
+                            )
                         )
-                    )
 
         Visitor().visit(ctx.tree)
         return findings

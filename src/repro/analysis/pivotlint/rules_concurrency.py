@@ -1,4 +1,4 @@
-"""The concurrency/choreography rule pack: PL010–PL013.
+"""The concurrency/choreography rule pack: PL010–PL012.
 
 PL006/PL007 catch orphan tags and unbounded waits; since the runtime went
 multi-process (PR 7/8) those are not the dangerous bugs anymore — a
@@ -7,23 +7,21 @@ heisenbug across OS processes.  This pack checks the remaining static
 story:
 
 * **PL010 choreography-deadlock** — on the composed order of a complete
-  flow (one that owns its round barrier), a blocking receive whose
+  flow (one that opens a flow scope), a blocking receive whose
   matching send is ordered after it can never be satisfied: every role is
   parked at the receive and the unblocking send is unreachable.
 * **PL011 round-parity** — the round constants charged to
-  ``snapshot()["rounds"]`` (``bus.round(K)``) must equal the send-phase
-  count the flow automaton derives for the path reaching the barrier.
+  ``snapshot()["rounds"]`` (``with bus.flow(K):``) must equal the
+  send-phase count the flow automaton derives for the paths reaching the
+  end of the scope, its barrier.
 * **PL012 cross-thread-shared-state** — in classes that run an event loop
   on a background thread (the socket transport), attributes mutated on
   one thread and touched on the other must be accessed under the class's
   lock/condition on every path; ``await`` while holding such a lock is
   flagged too (it parks the event loop with the caller thread locked
   out).
-* **PL013 exception-safe-drain** — PL005 with exceptional edges: a
-  ``raise`` reachable between a bus send and its barrier abandons
-  in-flight messages in peer inboxes unless an enclosing ``try`` restores
-  the drained invariant (a handler or ``finally`` containing a
-  ``drain``/``round``/``assert_drained``).
+
+A flow that raises needs no rule: the scope drains on its failure path.
 """
 
 from __future__ import annotations
@@ -33,13 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.pivotlint.choreography import extract_flow
-from repro.analysis.pivotlint.dataflow import (
-    FunctionWalker,
-    OpenSend,
-    bus_classifier,
-    calls_in,
-    walk_paths,
-)
+from repro.analysis.pivotlint.dataflow import FunctionWalker
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import Rule, register
 
@@ -49,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _module_int_constants(tree: ast.Module) -> dict[str, int]:
     """Module-level ``NAME = <int>`` constants (round counts such as
-    ``bus.round(ROUNDS)`` resolve through them)."""
+    ``bus.flow(ROUNDS)`` resolve through them)."""
     consts: dict[str, int] = {}
     for stmt in tree.body:
         if (
@@ -76,13 +68,13 @@ class ChoreographyDeadlock(Rule):
     rule_id = "PL010"
     name = "choreography-deadlock"
     summary = (
-        "In a complete flow (a function owning its round()/assert_drained()"
-        "/drain() barrier), the first blocking receive of a tag precedes "
+        "In a complete flow (a function opening a `with bus.flow(...)` "
+        "scope), the first blocking receive of a tag precedes "
         "every send of that tag on the composed event order.  Every role "
         "is parked at the receive and the send that would satisfy it is "
         "unreachable — over the multi-process runtime this is a "
-        "distributed hang, not a stack trace.  Barrier-less helpers "
-        "(reactive handlers, request primitives) see only their own "
+        "distributed hang, not a stack trace.  Scope-less helpers "
+        "(reactive handlers, reply collectors) see only their own "
         "role's projection, where receive-before-send is the normal "
         "responder shape; they are out of scope by construction."
     )
@@ -133,14 +125,14 @@ class RoundParity(Rule):
     rule_id = "PL011"
     name = "round-parity"
     summary = (
-        "A flow charges bus.round(K) with a static constant K, but the "
-        "flow automaton derives a different send-phase count for every "
-        "path reaching that barrier (a send-phase is a maximal run of "
-        "payload sends not separated by a receive or barrier — exactly "
-        "what one synchronisation round delivers).  The runtime's "
-        "snapshot()[\"rounds\"] accounting would then disagree with the "
-        "choreography that actually ran.  Dynamic counts "
-        "(bus.round(result.rounds)) are not pinnable and are skipped."
+        "A flow scope charges `with bus.flow(K):` with a static constant "
+        "K, but the flow automaton derives a different send-phase count "
+        "for every path reaching the end of the scope, its barrier (a "
+        "send-phase is a maximal run of payload sends not separated by a "
+        "receive or barrier — exactly what one synchronisation round "
+        "delivers).  The runtime's snapshot()[\"rounds\"] accounting would "
+        "then disagree with the choreography that actually ran.  Dynamic "
+        "counts are not pinnable and are skipped."
     )
     hint = (
         "recount the flow's phases: one round per send-phase between "
@@ -167,8 +159,8 @@ class RoundParity(Rule):
                         rule.finding(
                             ctx,
                             barrier.node,
-                            f"bus.round({pinned}) disagrees with the flow "
-                            f"automaton: the paths reaching this barrier "
+                            f"flow({pinned}) disagrees with the flow "
+                            f"automaton: the paths reaching its barrier "
                             f"complete {derived} send-phase(s), so the "
                             f"rounds accounting drifts from the "
                             f"choreography",
@@ -534,114 +526,4 @@ class CrossThreadSharedState(Rule):
                         f"{classdef.name}.{name}",
                     )
                 )
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# PL013 — exception-safe-drain
-# ---------------------------------------------------------------------------
-
-
-@register
-class ExceptionSafeDrain(Rule):
-    """PL013: a raise between a bus send and its barrier."""
-
-    rule_id = "PL013"
-    name = "exception-safe-drain"
-    summary = (
-        "PL005 with exceptional edges: a `raise` reachable after a bus "
-        "send but before the flow's barrier propagates with the sent "
-        "frames still queued in peer inboxes — the drained invariant "
-        "breaks on the error path even though the happy path ends with "
-        "round()/assert_drained().  An enclosing try whose handler or "
-        "finally restores the drain (calls drain()/round()/"
-        "assert_drained()) makes the edge safe.  `_op_*` dispatch "
-        "handlers are exempt like PL005: their send is the reply and the "
-        "requesting flow owns the barrier."
-    )
-    hint = (
-        "wrap the receive/validate section in `try: ... except Exception: "
-        "bus.drain(); raise` (restore the drained invariant without "
-        "charging a round the protocol never completed), or move the "
-        "raise before the send"
-    )
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-        classify = bus_classifier(ctx.project)
-
-        def barrier_in(body: list[ast.stmt]) -> bool:
-            return any(
-                classify(call) == "barrier"
-                for stmt in body
-                for call in calls_in(stmt)
-            )
-
-        class RaiseCheck(OpenSend):
-            """PL005's state, read at each ``raise``."""
-
-            def __init__(self, scope: str) -> None:
-                super().__init__(classify)
-                self.scope = scope
-
-            def handler_entry(
-                self, stmt: ast.Try, after: ast.Call | None
-            ) -> ast.Call | None:
-                # An exception can hit a handler from any point of the
-                # body: if the body sends at all, the handler must assume
-                # the send is open.
-                if after is not None:
-                    return after
-                return next(
-                    (
-                        call
-                        for sub in stmt.body
-                        if not isinstance(
-                            sub,
-                            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                        )
-                        for call in calls_in(sub)
-                        if classify(call) == "send"
-                    ),
-                    None,
-                )
-
-            def exit(
-                self,
-                stmt: ast.Return | ast.Raise,
-                state: ast.Call | None,
-                trys: tuple[ast.Try, ...],
-            ) -> None:
-                if not isinstance(stmt, ast.Raise) or state is None:
-                    return
-                # A try whose handler or finally drains protects its body.
-                if any(
-                    barrier_in(t.finalbody)
-                    or any(barrier_in(h.body) for h in t.handlers)
-                    for t in trys
-                ):
-                    return
-                findings.append(
-                    rule.finding(
-                        ctx,
-                        stmt,
-                        f"raise reachable after the send at line "
-                        f"{state.lineno} but before its barrier: the error "
-                        f"path leaves peer inboxes undrained",
-                        self.scope,
-                    )
-                )
-
-        class Visitor(FunctionWalker):
-            def handle_function(
-                self, node: ast.FunctionDef | ast.AsyncFunctionDef
-            ) -> None:
-                if node.name.startswith("_op_"):
-                    # Reactive dispatch handler (PL005 convention): the
-                    # requesting flow owns the barrier and the drain.
-                    return
-                walk_paths(node.body, RaiseCheck(self.qualname), None)
-
-        Visitor().visit(ctx.tree)
         return findings

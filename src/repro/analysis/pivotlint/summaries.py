@@ -12,11 +12,9 @@ needs without re-analyzing the body:
 * **reads** — which parameters have their *element data* read
   (``reads_params``)?  Passing a guarded feature/label array into such a
   function outside the owner's scope is a PL001 read at the call site.
-* **send/barrier effects** — does the body put bytes on the bus and leave
-  them unbarriered on some exit path (``open_send``), or does it contain
-  a ``round()``/``assert_drained()``/``drain()`` barrier
-  (``has_barrier``)?  PL005 classifies a *call* to the function
-  accordingly.
+* **send effects** — does the body put bytes on the bus outside any
+  flow scope (``unscoped_send``)?  PL005 classifies a *call* to the
+  function accordingly.
 * **tag forwarding** — does a ``tag`` parameter reach a send or a receive
   primitive?  PL006 uses this to treat ``record_threshold_decrypt(...,
   tag="eq10")`` as both producing and consuming the tag.
@@ -37,12 +35,11 @@ Two propagation policies, deliberately different:
   disable=PL002`` on a return or sink statement certifies the value as
   protocol-public (e.g. ``L(c^λ)·µ mod n`` *is* the plaintext), so the
   summary does not export it and callers are not flagged.
-* **Send effects do not quench.**  The suppression on
-  ``PartyEndpoint.send`` says "the caller owns the round barrier" — the
-  whole point is that callers still see the send and must close the
-  flow.  Effects also propagate exactly one call level (the callee's own
-  primitive sends): deeper chains are enforced level by level, each
-  function either barriers, or justifies, or is flagged.
+* **Send effects do not quench.**  A suppressed send is still a send:
+  callers see it and must run it inside a flow scope.  Effects also
+  propagate exactly one call level (the callee's own primitive sends):
+  deeper chains are enforced level by level, each function either runs
+  its sends in a flow or a handler, or justifies them, or is flagged.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from repro.analysis.pivotlint.callgraph import (
     map_args,
 )
 from repro.analysis.pivotlint.dataflow import (
-    BARRIER_CALLS,
     CONTROL_RECEIVE,
     CONTROL_SEND,
     PROPAGATING_CALLS,
@@ -69,8 +65,8 @@ from repro.analysis.pivotlint.dataflow import (
     SECRET_NAMES,
     SEND_CALLS,
     SOURCE_CALLS,
-    bus_classifier,
-    open_send_at_exit,
+    flow_calls,
+    send_classifier,
 )
 
 #: The label marking intrinsically secret values (vs. parameter labels).
@@ -111,8 +107,7 @@ class FunctionSummary:
     taint_params: frozenset[str] = frozenset()
     sink_params: dict[str, str] = field(default_factory=dict)
     reads_params: frozenset[str] = frozenset()
-    open_send: bool = False
-    has_barrier: bool = False
+    unscoped_send: bool = False
     does_send: bool = False
     does_receive: bool = False
     forwards_tag_to_send: bool = False
@@ -403,8 +398,9 @@ def _summarize(
         elif isinstance(sub, ast.Call):
             _scan_call_effects(sub, info, engine, summary, params, reads)
 
-    summary.open_send = (
-        open_send_at_exit(info.node.body, bus_classifier(None)) is not None
+    sends = send_classifier(None)
+    summary.unscoped_send = any(
+        not inside and sends(call) for call, inside in flow_calls(info.node)
     )
     summary.taint_params = frozenset(taint_params)
     summary.reads_params = frozenset(reads)
@@ -426,8 +422,6 @@ def _scan_call_effects(
     if isinstance(func, ast.Attribute):
         if func.attr in SEND_CALLS:
             summary.does_send = True
-        elif func.attr in BARRIER_CALLS:
-            summary.has_barrier = True
         elif func.attr in _RECEIVES:
             summary.does_receive = True
         if func.attr == "read":

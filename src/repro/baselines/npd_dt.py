@@ -52,10 +52,10 @@ class NpdDecisionTree:
             labels = np.asarray(labels, dtype=np.float64)
         # The super client broadcasts the plaintext labels (the privacy
         # give-away that defines this baseline).
-        self.bus.broadcast(
-            self.partition.super_client, 8 * len(labels), tag="plaintext-labels"
-        )
-        self.bus.round()
+        with self.bus.flow(1):
+            self.bus.broadcast(
+                self.partition.super_client, 8 * len(labels), tag="plaintext-labels"
+            )
         mask = np.ones(self.partition.n_samples, dtype=bool)
         root = self._build(labels, mask, depth=0)
         self.model = DecisionTreeModel(root, self.task, self.n_classes)
@@ -87,17 +87,17 @@ class NpdDecisionTree:
 
         best = None
         best_gain = -np.inf
-        for client_idx, features in enumerate(self.partition.local_features):
-            # Each client evaluates her local splits and broadcasts the
-            # statistics in plaintext (8 bytes per number).
-            local_best, local_gain, n_stats = self._client_best_split(
-                client_idx, features, labels, mask
-            )
-            self.bus.broadcast(client_idx, 8 * n_stats, tag="plaintext-stats")
-            if local_best is not None and local_gain > best_gain:
-                best_gain = local_gain
-                best = (client_idx,) + local_best
-        self.bus.round()
+        with self.bus.flow(1):
+            for client_idx, features in enumerate(self.partition.local_features):
+                # Each client evaluates her local splits and broadcasts the
+                # statistics in plaintext (8 bytes per number).
+                local_best, local_gain, n_stats = self._client_best_split(
+                    client_idx, features, labels, mask
+                )
+                self.bus.broadcast(client_idx, 8 * n_stats, tag="plaintext-stats")
+                if local_best is not None and local_gain > best_gain:
+                    best_gain = local_gain
+                    best = (client_idx,) + local_best
         if best is None or best_gain <= self.params.min_gain:
             return self._leaf(labels, mask, depth)
 
@@ -106,8 +106,8 @@ class NpdDecisionTree:
         goes_left = mask & (column <= threshold)
         goes_right = mask & ~(column <= threshold)
         # The owner broadcasts the chosen partition (1 byte per sample).
-        self.bus.broadcast(owner, self.partition.n_samples, tag="partition")
-        self.bus.round()
+        with self.bus.flow(1):
+            self.bus.broadcast(owner, self.partition.n_samples, tag="partition")
         node = TreeNode(
             is_leaf=False,
             depth=depth,
@@ -171,8 +171,8 @@ def npd_predict(
     while not node.is_leaf:
         cols = partition.columns_per_client[node.owner]
         value = row[cols[node.feature]]
-        if node.owner != partition.super_client:
-            bus.send(node.owner, partition.super_client, 1, tag="branch-bit")
-        bus.round()
+        with bus.flow(1):
+            if node.owner != partition.super_client:
+                bus.send(node.owner, partition.super_client, 1, tag="branch-bit")
         node = node.left if value <= node.threshold else node.right
     return node.prediction

@@ -103,19 +103,19 @@ class LogisticTrainer:
         """
         ctx = self.ctx
         sup = ctx.super_client
-        for client, block in zip(ctx.clients, self.weights):
-            if client.index == sup:
-                continue
-            ctx.bus.send_payload(
-                sup,
-                client.index,
-                Request("lr-batch-sums", [batch, block]),
-                tag="lr-partial-sum",
-            )
-        own_partials = ctx.clients[sup].batch_sums(batch, self.weights[sup])
-        others = [c.index for c in ctx.clients if c.index != sup]
-        replies = collect_replies(ctx.bus, sup, others)
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            for client, block in zip(ctx.clients, self.weights):
+                if client.index == sup:
+                    continue
+                ctx.bus.send_payload(
+                    sup,
+                    client.index,
+                    Request("lr-batch-sums", [batch, block]),
+                    tag="lr-partial-sum",
+                )
+            own_partials = ctx.clients[sup].batch_sums(batch, self.weights[sup])
+            others = [c.index for c in ctx.clients if c.index != sup]
+            replies = collect_replies(ctx.bus, sup, others)
         partials_per_client = [
             own_partials if client.index == sup else list(replies[client.index])
             for client in ctx.clients
@@ -152,21 +152,21 @@ class LogisticTrainer:
         sup = ctx.super_client
         loss_cts = ctx.to_cipher(losses)
         scale = self.learning_rate / len(batch)
-        for client, block in zip(ctx.clients, self.weights):
-            if client.index == sup:
-                continue
-            ctx.bus.send_payload(
-                sup,
-                client.index,
-                Request("lr-update", [batch, block, loss_cts, scale]),
-                tag="lr-weights",
+        with ctx.bus.flow(1):
+            for client, block in zip(ctx.clients, self.weights):
+                if client.index == sup:
+                    continue
+                ctx.bus.send_payload(
+                    sup,
+                    client.index,
+                    Request("lr-update", [batch, block, loss_cts, scale]),
+                    tag="lr-weights",
+                )
+            own_updated = ctx.clients[sup].weight_update(
+                batch, self.weights[sup], loss_cts, scale
             )
-        own_updated = ctx.clients[sup].weight_update(
-            batch, self.weights[sup], loss_cts, scale
-        )
-        others = [c.index for c in ctx.clients if c.index != sup]
-        replies = collect_replies(ctx.bus, sup, others)
-        ctx.bus.round()
+            others = [c.index for c in ctx.clients if c.index != sup]
+            replies = collect_replies(ctx.bus, sup, others)
         self.weights = [
             own_updated if client.index == sup else list(replies[client.index])
             for client in ctx.clients

@@ -173,20 +173,20 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
         # entries like the reactive provider's; no runtime store is kept.
         ctx = self.context
         results = []
-        for alpha in alphas:
-            result = []
-            for commitment in self.commitments:
-                outputs, proofs = commitment.prove_elementwise_product(alpha)
-                commitment.verify_elementwise_product(alpha, outputs, proofs)
-                exponent = alpha[0].exponent + self._shift
-                result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
-                ctx.bus.broadcast(
-                    ctx.super_client,
-                    ctx.ciphertext_bytes * 4 * len(alpha),  # gamma + POPCM
-                    tag="label-vectors",
-                )
-            results.append(result)
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            for alpha in alphas:
+                result = []
+                for commitment in self.commitments:
+                    outputs, proofs = commitment.prove_elementwise_product(alpha)
+                    commitment.verify_elementwise_product(alpha, outputs, proofs)
+                    exponent = alpha[0].exponent + self._shift
+                    result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
+                    ctx.bus.broadcast(
+                        ctx.super_client,
+                        ctx.ciphertext_bytes * 4 * len(alpha),  # gamma + POPCM
+                        tag="label-vectors",
+                    )
+                results.append(result)
         return [x for key, result in zip(node_keys, results) for x in (key, result)]
 
 
@@ -209,17 +209,18 @@ class MaliciousTreeTrainer(TreeTrainer):
         super().__init__(context, label_provider)
         self.cheat = cheat
         # Commitment phase: every client commits all her split indicators.
+        # It is charged one round, though nothing is sent.
         pk = context.threshold.public_key
         self.committed_indicators: dict[tuple[int, int, int], CommittedVector] = {}
-        for client in context.clients:
-            for feature in range(client.n_features):
-                for split in range(client.n_splits(feature)):
-                    vector = CommittedVector(
-                        pk, list(client.indicator(feature, split))
-                    )
-                    vector.verify_commitment()
-                    self.committed_indicators[(client.index, feature, split)] = vector
-        context.bus.round()
+        with context.bus.flow(1):
+            for client in context.clients:
+                for feature in range(client.n_features):
+                    for split in range(client.n_splits(feature)):
+                        vector = CommittedVector(
+                            pk, list(client.indicator(feature, split))
+                        )
+                        vector.verify_commitment()
+                        self.committed_indicators[(client.index, feature, split)] = vector
 
     def _compute_split_stats(self, nodes, identifiers, gammas, root=None, entries=()):
         """Split statistics of a tree level with POHDP proofs against the
@@ -236,22 +237,22 @@ class MaliciousTreeTrainer(TreeTrainer):
         pk = ctx.threshold.public_key
         stat_cts: list[EncryptedNumber] = [] if root is None else self._root_totals(root)
         first = True
-        for node, ids, node_gammas in zip(nodes, identifiers, gammas):
-            for client_idx, feature, split in ids:
-                committed = self.committed_indicators[(client_idx, feature, split)]
-                for vec in [node.alpha, *node_gammas]:
-                    out, proof = committed.prove_dot_product(vec)
-                    if self.cheat == "stats" and first:
-                        out = out + pk.encrypt(1)  # lie by +1
-                        first = False
-                    committed.verify_dot_product(vec, out, proof)
-                    stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
-                ctx.bus.broadcast(
-                    client_idx,
-                    ctx.ciphertext_bytes * 3 * (1 + len(node_gammas)),
-                    tag="split-stats",
-                )
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            for node, ids, node_gammas in zip(nodes, identifiers, gammas):
+                for client_idx, feature, split in ids:
+                    committed = self.committed_indicators[(client_idx, feature, split)]
+                    for vec in [node.alpha, *node_gammas]:
+                        out, proof = committed.prove_dot_product(vec)
+                        if self.cheat == "stats" and first:
+                            out = out + pk.encrypt(1)  # lie by +1
+                            first = False
+                        committed.verify_dot_product(vec, out, proof)
+                        stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
+                    ctx.bus.broadcast(
+                        client_idx,
+                        ctx.ciphertext_bytes * 3 * (1 + len(node_gammas)),
+                        tag="split-stats",
+                    )
         return ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
 
     def _apply_splits(self, splits):
@@ -262,30 +263,30 @@ class MaliciousTreeTrainer(TreeTrainer):
         ctx = self.ctx
         thresholds = []
         children: dict[int, list] = {}
-        for s in splits:
-            node = s.node
-            thresholds.append(ctx.clients[s.owner].split_values[s.feature][s.split])
-            alpha_left: list[EncryptedNumber] = []
-            if s.build:
-                committed = self.committed_indicators[(s.owner, s.feature, s.split)]
-                outputs_l, proofs_l = committed.prove_elementwise_product(node.alpha)
-                if self.cheat == "update":
-                    outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
-                committed.verify_elementwise_product(node.alpha, outputs_l, proofs_l)
-                alpha_left = [
-                    ctx.encoder.wrap(o, a.exponent)
-                    for o, a in zip(outputs_l, node.alpha)
-                ]
-                children[2 * node.key] = [alpha_left, None]
-                children[2 * node.key + 1] = [
-                    ctx.batch.subtract_vectors(node.alpha, alpha_left), None
-                ]
-            ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
-                s.owner,
-                2 * ctx.ciphertext_bytes * len(alpha_left),
-                tag="mask-vector",
-            )
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            for s in splits:
+                node = s.node
+                thresholds.append(ctx.clients[s.owner].split_values[s.feature][s.split])
+                alpha_left: list[EncryptedNumber] = []
+                if s.build:
+                    committed = self.committed_indicators[(s.owner, s.feature, s.split)]
+                    outputs_l, proofs_l = committed.prove_elementwise_product(node.alpha)
+                    if self.cheat == "update":
+                        outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
+                    committed.verify_elementwise_product(node.alpha, outputs_l, proofs_l)
+                    alpha_left = [
+                        ctx.encoder.wrap(o, a.exponent)
+                        for o, a in zip(outputs_l, node.alpha)
+                    ]
+                    children[2 * node.key] = [alpha_left, None]
+                    children[2 * node.key + 1] = [
+                        ctx.batch.subtract_vectors(node.alpha, alpha_left), None
+                    ]
+                ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
+                    s.owner,
+                    2 * ctx.ciphertext_bytes * len(alpha_left),
+                    tag="mask-vector",
+                )
         return thresholds, children
 
 

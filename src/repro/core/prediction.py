@@ -198,8 +198,8 @@ def encrypted_leaf_sums(
     for sender in range(last, 0, -1):
         if sender < last:
             vector = ctx.batch.mask_vector(vector, bits[sender].ravel())
-        ctx.bus.send_payload(sender, sender - 1, vector, tag="prediction-vector")
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            ctx.bus.send_payload(sender, sender - 1, vector, tag="prediction-vector")
     tasks = [
         (
             [c * b for c, b in zip(vector_k, own)],

@@ -129,11 +129,7 @@ from repro.mpc.conversion import (
     segment_header,
 )
 from repro.mpc.sharing import SharedValue
-from repro.network.flows import (
-    broadcast_request,
-    collect_partial_vectors,
-    collect_replies,
-)
+from repro.network.flows import collect_partial_vectors, collect_replies
 from repro.network.wire import Request
 from repro.tree.model import DecisionTreeModel, TreeNode
 
@@ -574,9 +570,7 @@ class TreeTrainer:
             own_groups = [
                 g + offset for g, offset in zip(own_groups, level.offsets(magnitudes))
             ]
-        broadcast_request(
-            ctx.bus,
-            sup,
+        request = Request(
             "split-stats",
             [
                 header,
@@ -585,9 +579,10 @@ class TreeTrainer:
                 *self._take_root_entry(),
                 *(item for node in nodes for item in (node.key, node.available)),
             ],
-            tag="split-stats",
         )
-        try:
+        # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' partial decryptions to her
+        with ctx.bus.flow(2):
+            ctx.bus.broadcast_payload(sup, request, tag="split-stats")
             vectors, replies = collect_partial_vectors(
                 ctx.bus, sup, level.n_groups, "split-stats", replies=True
             )
@@ -606,11 +601,6 @@ class TreeTrainer:
                 negated.append([int(v) for v in party_shares.values])
             groups = [reduce(operator.add, column) for column in zip(*masked)]
             vectors[sup] = runtime.decryption_shares(groups)
-        except Exception:
-            ctx.bus.drain()
-            raise
-        # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' partial decryptions to her
-        ctx.bus.round(2)
         shares = iter(
             ctx.to_shares(
                 PackedBatch(
@@ -705,12 +695,12 @@ class TreeTrainer:
                 [s.node.key, s.feature, s.split, ride, int(s.build)]
             )
         others = [owner for owner in by_owner if owner != sup]
-        for owner in others:
-            body = [item for entry in by_owner[owner] for item in entry]
-            ctx.bus.send_payload(
-                sup, owner, Request("split-apply", body), tag="mask-vector"
-            )
-        try:
+        with ctx.bus.flow(1):
+            for owner in others:
+                body = [item for entry in by_owner[owner] for item in entry]
+                ctx.bus.send_payload(
+                    sup, owner, Request("split-apply", body), tag="mask-vector"
+                )
             bodies = (
                 ctx.runtimes[sup].apply_split(by_owner[sup]) if sup in by_owner else []
             )
@@ -721,17 +711,10 @@ class TreeTrainer:
                         f"expected a node-split reply from party {owner}, "
                         f"got {reply!r}"
                     )
-        except Exception:
-            # An owner's node-split broadcast may already sit in peer
-            # inboxes; restore the drained invariant on the error path
-            # without charging a round the update never completed.
-            ctx.bus.drain()
-            raise
-        for owner in others:
-            for body in level_entries(list(replies[owner].body), 4):
-                ctx.runtimes[sup].store_split(body)
-                bodies.append(body)
-        ctx.bus.round()
+            for owner in others:
+                for body in level_entries(list(replies[owner].body), 4):
+                    ctx.runtimes[sup].store_split(body)
+                    bodies.append(body)
         threshold_of = {body[0]: body[1] for body in bodies}
         return [threshold_of[s.node.key] for s in splits], ctx.runtimes[sup].nodes
 
@@ -831,14 +814,16 @@ class TreeTrainer:
             lams = [[next(ciphers) for _ in lam] for _, lam in built]
             # Private split selection (Theorem 2): [v] = V (x) [λ], one batched
             # fan-out over the n rows of every owner's n x n' indicator matrix.
-            v_left = ctx.batch.batch_dot_products(
-                [
-                    (list(row.astype(np.int64)), lam_cts)
-                    for (s, _), lam_cts in zip(built, lams)
-                    for row in ctx.clients[s.owner].indicator_matrix(s.feature)
-                ]
-            )
-            ctx.bus.round()
+            # It is charged one round, though nothing is sent (a CHANGES.md
+            # FOUND line).
+            with ctx.bus.flow(1):
+                v_left = ctx.batch.batch_dot_products(
+                    [
+                        (list(row.astype(np.int64)), lam_cts)
+                        for (s, _), lam_cts in zip(built, lams)
+                        for row in ctx.clients[s.owner].indicator_matrix(s.feature)
+                    ]
+                )
             # Eq. 10 over the level's concatenated [α]s (and riding [γ]s)
             # builds the left children; every party derives each right
             # child, [α] ⊖ [α_l] — the plaintext of α·(1 − v).
@@ -924,9 +909,9 @@ class TreeTrainer:
             masked_cts = [
                 masked + mask_ct for masked, mask_ct in zip(masked_cts, party_cts)
             ]
-        for party in others:
-            ctx.bus.send_payload(party, sup, mask_cts[party], tag="eq10")
-        ctx.bus.round()
+        with ctx.bus.flow(1):
+            for party in others:
+                ctx.bus.send_payload(party, sup, mask_cts[party], tag="eq10")
         plains = iter(ctx.joint_decrypt_raw(masked_cts, tag="eq10", signed=False))
         terms_by_party: dict[int, list] = {party: [] for party in others}
         products = []
@@ -957,16 +942,16 @@ class TreeTrainer:
         size = len(products[0]) // max(1, len(keys))
         cut = [[p[i * size : (i + 1) * size] for p in products] for i in range(len(keys))]
         entries = [[key, [], alpha_l, gam_l] for key, (alpha_l, *gam_l) in zip(keys, cut)]
-        for party in others:
-            ctx.bus.send_payload(party, sup, terms_by_party[party], tag="eq10")
-        # She combines what she gathered, then publishes: a second round.
-        ctx.bus.broadcast_payload(
-            sup, Request("node-split", [item for entry in entries for item in entry]),
-            tag="eq10",
-        )
-        for entry in entries:
-            ctx.runtimes[sup].store_split(entry)
-        ctx.bus.round(2)
+        with ctx.bus.flow(2):
+            for party in others:
+                ctx.bus.send_payload(party, sup, terms_by_party[party], tag="eq10")
+            # She combines what she gathered, then publishes: a second round.
+            ctx.bus.broadcast_payload(
+                sup, Request("node-split", [item for entry in entries for item in entry]),
+                tag="eq10",
+            )
+            for entry in entries:
+                ctx.runtimes[sup].store_split(entry)
 
     # ------------------------------------------------------------------
     # leaves

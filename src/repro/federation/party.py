@@ -225,15 +225,10 @@ class PartyEndpoint:
 
     def send(self, receiver: int, payload: Any, tag: str = "") -> int:
         """Serialize and route ``payload`` to ``receiver``; returns bytes."""
-        # pivotlint: disable=PL005 -- single-party transport primitive: the
-        # round barrier belongs to the protocol flow driving all m parties
-        # (flows.py / the reactive runtimes), not to one party's send.
         return self.bus.send_payload(self.index, receiver, payload, tag=tag)
 
     def broadcast(self, payload: Any, tag: str = "") -> int:
         """Send ``payload`` to every other party; returns per-receiver bytes."""
-        # pivotlint: disable=PL005 -- single-party transport primitive: the
-        # caller's protocol flow owns the round barrier (see send above).
         return self.bus.broadcast_payload(self.index, payload, tag=tag)
 
     def receive(self, tag: str | None = None) -> Any:
@@ -359,29 +354,32 @@ class PartyRuntime:
         * anything else → consumed without a reply ("sink"): other
           parties' reply broadcasts, prediction traffic, Eq. 10's
           accounting-only frames to the super client.
+
+        Her replies go out while this runs (``MessageBus.handling``): a
+        reply belongs to the flow that requested it, not to a flow of her
+        own.
         """
-        if isinstance(payload, Request):
-            handler = getattr(
-                self, "_op_" + payload.op.replace("-", "_"), None
-            )
-            if handler is None:
-                raise ValueError(
-                    f"party {self.index}: unknown request op {payload.op!r}"
+        with self.endpoint.bus.handling():
+            if isinstance(payload, Request):
+                handler = getattr(
+                    self, "_op_" + payload.op.replace("-", "_"), None
                 )
-            handler(sender, list(payload.body))
-            return "request"
-        if (
-            tag in DECRYPT_TAGS
-            and isinstance(payload, (list, tuple))
-            and payload
-            and isinstance(payload[0], (Ciphertext, EncryptedNumber))
-        ):
-            vector = self.decryption_shares(list(payload))
-            # pivotlint: disable=PL005 -- reactive reply: the decrypt
-            # requester's flow owns the round barrier.
-            self.endpoint.send(sender, vector, tag=tag)
-            return "decrypt"
-        return "sink"
+                if handler is None:
+                    raise ValueError(
+                        f"party {self.index}: unknown request op {payload.op!r}"
+                    )
+                handler(sender, list(payload.body))
+                return "request"
+            if (
+                tag in DECRYPT_TAGS
+                and isinstance(payload, (list, tuple))
+                and payload
+                and isinstance(payload[0], (Ciphertext, EncryptedNumber))
+            ):
+                vector = self.decryption_shares(list(payload))
+                self.endpoint.send(sender, vector, tag=tag)
+                return "decrypt"
+            return "sink"
 
     # -- node store --------------------------------------------------------
 
@@ -513,8 +511,6 @@ class PartyRuntime:
                 if ride:
                     gam_left = [self.engine.mask_vector(g, v_left) for g in gammas]
             bodies.append([key, threshold, alpha_left, gam_left])
-        # pivotlint: disable=PL005 -- reactive reply: the split-apply
-        # request came from the trainer's flow, which owns the barrier.
         self.endpoint.broadcast(
             Request("node-split", [item for body in bodies for item in body]),
             tag="mask-vector",

@@ -119,13 +119,9 @@ from repro.mpc import comparison
 from repro.mpc.advanced import FixedPointOps
 from repro.mpc.sharing import SharedValue
 from repro.network.bus import MessageBus
-from repro.network.flows import (
-    broadcast_request,
-    collect_replies,
-    record_threshold_decrypt,
-)
+from repro.network.flows import collect_replies, record_threshold_decrypt
 from repro.network.transport import MAX_FRAME
-from repro.network.wire import PartialDecryptionVector
+from repro.network.wire import PartialDecryptionVector, Request
 
 __all__ = [
     "PackedBatch",
@@ -412,19 +408,14 @@ def ciphers_to_shares(
         if bus is not None:
             # The holder requests mask contributions; every other party
             # reacts with [her mask ciphertexts, her (-r mod q) shares].
-            broadcast_request(
-                bus,
-                holder,
-                "convert-masks-packed" if layout.packed else "convert-masks",
-                bits_list,
-                tag="mpc-convert",
-            )
-            replies = collect_replies(bus, holder, peers)
-            for party in peers:
-                party_cts, party_shares = replies[party]
-                mask_cts.append(party_cts)
-                by_party[party] = [int(v) for v in party_shares.values]
-            bus.round()
+            op = "convert-masks-packed" if layout.packed else "convert-masks"
+            with bus.flow(1):
+                bus.broadcast_payload(holder, Request(op, bits_list), tag="mpc-convert")
+                replies = collect_replies(bus, holder, peers)
+                for party in peers:
+                    party_cts, party_shares = replies[party]
+                    mask_cts.append(party_cts)
+                    by_party[party] = [int(v) for v in party_shares.values]
         else:
             for party in peers:
                 masks = [secrets.randbits(bits) for bits in bits_list]
@@ -568,11 +559,11 @@ def share_to_cipher(
         for e, cts in zip(opened, zip(*mask_cts))
     ]
     if bus is not None:
-        for party in range(m):
-            if party != holder:
-                bus.send_payload(party, holder, mask_cts[party], tag="to-cipher")
-        bus.broadcast_payload(holder, totals, tag="to-cipher")
-        bus.round(2)
+        with bus.flow(2):
+            for party in range(m):
+                if party != holder:
+                    bus.send_payload(party, holder, mask_cts[party], tag="to-cipher")
+            bus.broadcast_payload(holder, totals, tag="to-cipher")
     if counters is not None:
         counters.to_cipher += count
     engine._record_round(messages=m * (m - 1), values=m * count)

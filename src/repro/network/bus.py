@@ -10,11 +10,19 @@ the bus also records the codec's arithmetic size formula
 (``bytes_estimated``); ``snapshot()`` reports both, and the
 reconciliation tests assert ``bytes_measured == bytes_estimated``.
 
-**Delivery is drain-based**: receivers consume their inboxes.
-:meth:`MessageBus.receive` pops a party's oldest message and decodes it
-through the codec; :meth:`MessageBus.round`, the synchronisation
-barrier, consumes whatever is left.  End of a protocol phase therefore
-implies empty inboxes (:meth:`MessageBus.assert_drained`).
+**Every flow runs in one scope**, ``with bus.flow(rounds):``
+(:meth:`MessageBus.flow`).  Delivery is drain-based: receivers consume
+their inboxes (:meth:`MessageBus.receive` pops a party's oldest message
+and decodes it through the codec), and the scope's exit is the flow's
+synchronisation barrier (:meth:`MessageBus.round`): it charges
+``rounds`` and consumes whatever is left, so the end of a flow implies
+empty inboxes (:meth:`MessageBus.assert_drained`).  A flow that raises
+drains every local inbox instead, charges no round, and re-raises: a
+failed flow strands no frame.  An accounted send (the payload API and the
+estimate API alike) raises unless a flow is open or a party runtime is
+handling a message (:meth:`MessageBus.handling`: her reply belongs to
+the flow that requested it), and a flow opened inside an open flow
+raises.
 
 **The bus serves the party runtimes it hosts.**  A process that hosts a
 party's inbox also hosts her :class:`~repro.federation.party.PartyRuntime`
@@ -36,8 +44,7 @@ schedules her.  Two rules say when:
   mail is Eq. 10's accounting-only traffic to her: it is drained, not
   answered.
 
-A handler that raises drains every local inbox before the error reaches
-the flow, so a failed flow strands no frame.
+A handler that raises fails the flow it serves, whose scope drains.
 
 :class:`NetworkModel` converts tallies into a modeled LAN time
 
@@ -48,19 +55,22 @@ which together with the operation-cost calibration in
 (ROADMAP item 19 weighs what that model does and does not explain).  The
 estimate API ``send`` / ``broadcast(n_bytes)`` remains for messages
 without a wire type (the malicious model's ZKP proofs, the plaintext
-baselines); the Pivot core protocols use payload sends exclusively.
+baselines); its charges happen inside a flow scope too.  The Pivot core
+protocols use payload sends exclusively.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.network.transport import Envelope, InMemoryTransport, Transport
 from repro.network.wire import WireCodec
 
-__all__ = ["CONTROL_TAG_PREFIX", "NetworkModel", "MessageBus"]
+__all__ = ["CONTROL_TAG_PREFIX", "Flow", "NetworkModel", "MessageBus"]
 
 #: Wire tags starting with this prefix are control-plane administration
 #: (:meth:`MessageBus.send_control` traffic: snapshots, key audits,
@@ -80,6 +90,14 @@ class NetworkModel:
 
     def time(self, rounds: int, n_bytes: int) -> float:
         return rounds * self.latency_seconds + n_bytes / self.bandwidth_bytes_per_second
+
+
+@dataclass
+class Flow:
+    """One open protocol flow (:meth:`MessageBus.flow`): ``rounds`` is
+    what its barrier charges."""
+
+    rounds: int
 
 
 class MessageBus:
@@ -126,6 +144,9 @@ class MessageBus:
         self._super_client: int | None = None
         #: Parties blocked in a receive right now: serving skips them.
         self._waiting: set[int] = set()
+        #: The open flow, if any, and how many handlers are running.
+        self._flow: Flow | None = None
+        self._handlers = 0
 
     @property
     def local_parties(self) -> tuple[int, ...]:
@@ -187,13 +208,48 @@ class MessageBus:
                     or not self.transport.pending(index)
                 ):
                     continue
-                try:
-                    runtime.react()
-                except Exception:
-                    # A failed handler ends the flow: strand no frame.
-                    self.drain()
-                    raise
+                runtime.react()
                 progressed = True
+
+    # -- flows ---------------------------------------------------------------
+
+    @contextmanager
+    def flow(self, rounds: int) -> Iterator[Flow]:
+        """The scope of one protocol flow (see the module docstring).
+
+        On exit the barrier charges ``rounds`` (the yielded
+        :class:`Flow`'s, which a flow whose count is known only at its end
+        sets before exit); on an exception every local inbox is drained,
+        no round is charged, and the exception propagates.
+        """
+        if self._flow is not None:
+            raise RuntimeError("a flow is already open on this bus")
+        self._flow = scope = Flow(rounds)
+        try:
+            yield scope
+            self.round(scope.rounds)
+        except BaseException:
+            self.drain()
+            raise
+        finally:
+            self._flow = None
+
+    @contextmanager
+    def handling(self) -> Iterator[None]:
+        """A party runtime handles one message: her replies may be sent."""
+        self._handlers += 1
+        try:
+            yield
+        finally:
+            self._handlers -= 1
+
+    def _check_accounted(self, sender: int) -> None:
+        self._check_party(sender)
+        if self._flow is None and not self._handlers:
+            raise RuntimeError(
+                "an accounted send needs an open flow (MessageBus.flow) or a "
+                "running handler"
+            )
 
     # -- payload API (measured sizes) ----------------------------------------
 
@@ -211,7 +267,7 @@ class MessageBus:
 
         Returns the measured byte size of the serialized message.
         """
-        self._check_party(sender)
+        self._check_accounted(sender)
         self._check_party(receiver)
         if sender == receiver:
             raise ValueError("a party does not message itself")
@@ -233,7 +289,7 @@ class MessageBus:
         once (the seed's double-count applied it both here and at the call
         site).  Returns the per-receiver measured size.
         """
-        self._check_party(sender)
+        self._check_accounted(sender)
         data, estimated = self._serialize(payload)
         count = self.n_parties - 1
         for receiver in range(self.n_parties):
@@ -364,11 +420,11 @@ class MessageBus:
     def drain(self, party: int | None = None) -> int:
         """Pop all pending *protocol* messages (one party, or everyone).
 
-        Returns the number of messages consumed.  ``round`` drains
-        implicitly: a synchronisation barrier is exactly the point where
-        every party picks up her mail.  The transport is flushed first so
-        frames still in flight on a socket transport are drained too, not
-        mistaken for empty inboxes.
+        Returns the number of messages consumed.  A flow scope drains on
+        exit: its barrier is exactly the point where every party picks up
+        her mail, and a failed flow drains instead.  The transport is
+        flushed first so frames still in flight on a socket transport are
+        drained too, not mistaken for empty inboxes.
 
         ``ctl-*`` frames are exempt: control-plane administration is
         unaccounted (:meth:`send_control`) and addressed to a serve loop,
@@ -419,7 +475,7 @@ class MessageBus:
 
     def send(self, sender: int, receiver: int, n_bytes: int, tag: str = "") -> None:
         """Record an estimated send (no wire type yet; prefer send_payload)."""
-        self._check_party(sender)
+        self._check_accounted(sender)
         self._check_party(receiver)
         if sender == receiver:
             raise ValueError("a party does not message itself")
@@ -430,7 +486,7 @@ class MessageBus:
 
     def broadcast(self, sender: int, n_bytes: int, tag: str = "") -> None:
         """Record an estimated broadcast of ``n_bytes`` to every other party."""
-        self._check_party(sender)
+        self._check_accounted(sender)
         count = self.n_parties - 1
         self.messages += count
         self.bytes += n_bytes * count
@@ -440,21 +496,21 @@ class MessageBus:
     def round(self, count: int = 1) -> None:
         """Mark ``count`` synchronisation rounds and deliver pending mail.
 
-        A round is a barrier: every party has received the messages sent
-        before it.  Flows that need the decoded payload call
-        :meth:`receive` *before* the round.  At the barrier every hosted
-        runtime but the super client's handles her pending mail, and
-        everything still pending is consumed, which keeps inboxes empty at
-        the end of every protocol phase (asserted by
-        :meth:`assert_drained`).
+        The barrier at a flow scope's exit (:meth:`flow`, its only
+        caller): every party has received the messages sent before it.
+        Flows that need the decoded payload call :meth:`receive` *before*
+        it.  At the barrier every hosted runtime but the super client's
+        handles her pending mail, and everything still pending is
+        consumed, which keeps inboxes empty at the end of every protocol
+        phase (asserted by :meth:`assert_drained`).
         """
         if count < 0:
             raise ValueError("round count must be non-negative")
-        self.rounds += count
         if count:
             if self._runtimes:
                 self._serve(None)
             self.drain()
+        self.rounds += count
 
     # -- reporting -----------------------------------------------------------
 

@@ -6,6 +6,8 @@ party and knows nothing of where the others are hosted: it sends, and it
 receives for that party.  The other parties answer through their own
 ``PartyRuntime.handle`` — served by the bus when they are hosted in this
 process (:mod:`repro.network.bus`), by their serve loops otherwise.
+Every flow runs inside one ``with bus.flow(rounds):`` scope, whose exit
+is its barrier and which drains every local inbox if the flow fails.
 
 **Threshold decryption** (the paper's TPHE, §2.1): to jointly decrypt a
 batch of k ciphertexts,
@@ -33,10 +35,9 @@ from typing import Any
 
 from repro.crypto.distkeygen import KEYGEN_TAG_PREFIX
 from repro.network.bus import MessageBus
-from repro.network.wire import PartialDecryptionVector, Request
+from repro.network.wire import PartialDecryptionVector
 
 __all__ = [
-    "broadcast_request",
     "collect_partial_vectors",
     "collect_replies",
     "record_threshold_decrypt",
@@ -47,14 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # reactive request/response flows
 # ---------------------------------------------------------------------------
-
-
-def broadcast_request(
-    bus: MessageBus, sender: int, op: str, body: Any, tag: str
-) -> None:
-    """Broadcast ``Request(op, body)``; the receivers answer on their own."""
-    # pivotlint: disable=PL005 -- request/collect primitive: the calling flow owns the round barrier after replies land
-    bus.broadcast_payload(sender, Request(op, body), tag=tag)
 
 
 def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
@@ -118,18 +111,6 @@ def run_distributed_keygen(bus: MessageBus, machines: dict) -> dict:
         raise ValueError("no local keygen machines to run")
     outbox: deque = deque()
     deferred: list[tuple[int, int, str, Any]] = []
-
-    def flush() -> None:
-        while outbox:
-            sender, message = outbox.popleft()
-            if message.receiver < 0:
-                # pivotlint: disable=PL005 -- inner pump of the keygen loop; run_distributed_keygen ends with bus.round(rounds)
-                bus.broadcast_payload(sender, message.payload, tag=message.tag)
-            else:
-                bus.send_payload(
-                    sender, message.receiver, message.payload, tag=message.tag
-                )
-
     order = sorted(machines)
 
     def accept(index: int) -> bool:
@@ -156,31 +137,40 @@ def run_distributed_keygen(bus: MessageBus, machines: dict) -> dict:
     for index in order:
         for message in machines[index].start():
             outbox.append((index, message))
-    while True:
-        flush()
-        if all(machines[index].done for index in order):
-            break
-        progressed = False
-        for index in order:
-            machine = machines[index]
-            while not machine.done and bus.pending(index):
-                progressed |= accept(index)
-        if progressed or outbox:
-            continue
-        # Every local machine is waiting on remote input: block on the
-        # first unfinished party's inbox (socket transports raise their
-        # flush timeout if a peer stalls; in-process runs never get here).
-        index = next(i for i in order if not machines[i].done)
-        accept(index)
-    # Defensive drain: the waves are strictly synchronous, so a finished
-    # machine should have an empty inbox — feed any keygen straggler back
-    # anyway (done machines consume and emit nothing) so the protocol
-    # phase ends with clean inboxes.
-    for index in order:
-        while bus.pending(index):
+    # The count is the protocol's, known once it ends: set before exit.
+    with bus.flow(0) as flow:
+        while True:
+            while outbox:
+                sender, message = outbox.popleft()
+                if message.receiver < 0:
+                    bus.broadcast_payload(sender, message.payload, tag=message.tag)
+                else:
+                    bus.send_payload(
+                        sender, message.receiver, message.payload, tag=message.tag
+                    )
+            if all(machines[index].done for index in order):
+                break
+            progressed = False
+            for index in order:
+                machine = machines[index]
+                while not machine.done and bus.pending(index):
+                    progressed |= accept(index)
+            if progressed or outbox:
+                continue
+            # Every local machine is waiting on remote input: block on the
+            # first unfinished party's inbox (socket transports raise their
+            # flush timeout if a peer stalls; in-process runs never get here).
+            index = next(i for i in order if not machines[i].done)
             accept(index)
-    results = {index: machines[index].result for index in order}
-    bus.round(results[order[0]].rounds)
+        # Defensive drain: the waves are strictly synchronous, so a finished
+        # machine should have an empty inbox — feed any keygen straggler back
+        # anyway (done machines consume and emit nothing) so the protocol
+        # phase ends with clean inboxes.
+        for index in order:
+            while bus.pending(index):
+                accept(index)
+        results = {index: machines[index].result for index in order}
+        flow.rounds = results[order[0]].rounds
     # Re-deliver what raced in mid-keygen: unaccounted like the original
     # control send, sender and tag intact, so the party's serve loop finds
     # the request exactly where its sender believes it to be.
@@ -247,7 +237,8 @@ def record_threshold_decrypt(
     2. she collects and checks the m − 1 other vectors
        (:func:`collect_partial_vectors`); while she waits, the bus serves
        the hosted parties;
-    3. she charges the flow's two rounds: the batch, then the vectors.
+    3. the scope's barrier charges the flow's two rounds: the batch, then
+       the vectors.
 
     Returns the m vectors, ordered by party index.  A mid-flow failure
     drains every local inbox before it propagates, and charges no round.
@@ -256,14 +247,10 @@ def record_threshold_decrypt(
     if count == 0:
         return []
     runtime = bus.runtime(holder)
-    bus.broadcast_payload(holder, list(ciphertexts), tag=tag)
-    try:
+    # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' vectors to the holder
+    with bus.flow(2):
+        bus.broadcast_payload(holder, list(ciphertexts), tag=tag)
         own = runtime.decryption_shares(ciphertexts)
         collected, _ = collect_partial_vectors(bus, holder, count, tag)
-        collected[holder] = own
-    except Exception:
-        bus.drain()
-        raise
-    # pivotlint: disable=PL011 -- PL011 sees only the acting party's sends (a CHANGES.md FOUND line): the second phase is the peers' vectors to the holder
-    bus.round(2)
+    collected[holder] = own
     return [collected[party] for party in range(bus.n_parties)]

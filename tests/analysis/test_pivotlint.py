@@ -140,8 +140,8 @@ def test_pl002_flags_secret_on_the_wire(tmp_path):
         tmp_path,
         """
         def leak_share(bus, key_share):
-            bus.send_payload(0, 1, key_share.d_share, tag="oops")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, key_share.d_share, tag="oops")
 
         def pump(bus):
             # Tag-agnostic consumer: keeps the fixture focused on PL002
@@ -193,8 +193,8 @@ def test_pl002_accepts_repr_false_and_modexp(tmp_path):
             d_share: int = field(repr=False)
 
             def answer(self, bus, raw, n_squared):
-                bus.send_payload(0, 1, pow(raw, self.d_share, n_squared))
-                bus.round(1)
+                with bus.flow(1):
+                    bus.send_payload(0, 1, pow(raw, self.d_share, n_squared))
         """,
     )
     assert report.findings == []
@@ -221,9 +221,9 @@ def test_pl002_flags_keygen_shares_on_the_wire(tmp_path):
         tmp_path,
         """
         def broken_keygen_round(bus, p_share, q_share):
-            bus.broadcast_payload(0, p_share, tag="kg-p")
-            bus.send_payload(0, 1, q_share + 2, tag="kg-q")
-            bus.round(1)
+            with bus.flow(1):
+                bus.broadcast_payload(0, p_share, tag="kg-p")
+                bus.send_payload(0, 1, q_share + 2, tag="kg-q")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -267,8 +267,8 @@ def test_pl002_accepts_derived_keygen_traffic(tmp_path):
 
             def commit_round(self, bus, g, modulus):
                 commitment = pow(g, self.p_share + self.q_share, modulus)
-                bus.broadcast_payload(self.party_index, commitment, tag="kg-c")
-                bus.round(1)
+                with bus.flow(1):
+                    bus.broadcast_payload(self.party_index, commitment, tag="kg-c")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -314,8 +314,8 @@ def test_pl002_interprocedural_sink_param_cross_module(tmp_path):
         {
             "shipper.py": """
                 def ship(bus, value):
-                    bus.send_payload(0, 1, value, tag="s")
-                    bus.round(1)
+                    with bus.flow(1):
+                        bus.send_payload(0, 1, value, tag="s")
 
                 def pump(bus):
                     return bus.receive_tagged(0)
@@ -390,9 +390,9 @@ def test_pl003_flags_adhoc_payloads(tmp_path):
         tmp_path,
         """
         def chatter(bus, n):
-            bus.send_payload(0, 1, {"stats": 3}, tag="a")
-            bus.broadcast_payload(0, f"round {n}", tag="b")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, {"stats": 3}, tag="a")
+                bus.broadcast_payload(0, f"round {n}", tag="b")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -407,8 +407,8 @@ def test_pl003_tracks_assigned_payloads(tmp_path):
         """
         def indirect(bus):
             payload = {"k": 1}
-            bus.send_payload(0, 1, payload, tag="t")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, payload, tag="t")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -422,10 +422,10 @@ def test_pl003_accepts_registered_wire_types(tmp_path):
         tmp_path,
         """
         def fine(bus, pk, raw, shares):
-            bus.send_payload(0, 1, Ciphertext(pk, raw), tag="ct")
-            bus.broadcast_payload(0, [Ciphertext(pk, r) for r in raw], tag="v")
-            bus.send_payload(0, 1, ShareVector(shares), tag="sv")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, Ciphertext(pk, raw), tag="ct")
+                bus.broadcast_payload(0, [Ciphertext(pk, r) for r in raw], tag="v")
+                bus.send_payload(0, 1, ShareVector(shares), tag="sv")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -441,16 +441,16 @@ def test_pl003_accepts_key_independent_scalars(tmp_path):
         tmp_path,
         """
         def scalars(bus, x):
-            bus.send_payload(0, 1, 7, tag="i")
-            bus.send_payload(0, 1, 2.5, tag="f")
-            bus.send_payload(0, 1, int(x), tag="ci")
-            bus.broadcast_payload(0, float(x), tag="cf")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, 7, tag="i")
+                bus.send_payload(0, 1, 2.5, tag="f")
+                bus.send_payload(0, 1, int(x), tag="ci")
+                bus.broadcast_payload(0, float(x), tag="cf")
 
         def flags(bus, x):
-            bus.send_payload(0, 1, True, tag="b")
-            bus.send_payload(0, 1, bool(x), tag="cb")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, True, tag="b")
+                bus.send_payload(0, 1, bool(x), tag="cb")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -469,14 +469,14 @@ def test_pl003_reads_wire_types_from_codec_table(tmp_path):
     )
     assert "PartialDecryptionVector" in classes and "PartialDecryption" not in classes
     sends = "".join(
-        f"    bus.send_payload(0, 1, {name}(x), tag='t')\n" for name in classes
+        f"        bus.send_payload(0, 1, {name}(x), tag='t')\n" for name in classes
     )
     report = lint(
         tmp_path,
-        "def fine(bus, x):\n" + sends + "    bus.round(1)\n\n"
+        "def fine(bus, x):\n    with bus.flow(1):\n" + sends + "\n"
         "def retired(bus, x):\n"
-        "    bus.send_payload(0, 1, PartialDecryption(0, x), tag='t')\n"
-        "    bus.round(1)\n\n"
+        "    with bus.flow(1):\n"
+        "        bus.send_payload(0, 1, PartialDecryption(0, x), tag='t')\n\n"
         "def pump(bus):\n"
         "    return bus.receive_tagged(0)\n",
     )
@@ -490,6 +490,7 @@ def test_pl003_reads_wire_types_from_codec_table(tmp_path):
 
 
 def test_pl005_flags_send_without_barrier(tmp_path):
+    # No flow scope, so no barrier: the frame would sit in the inbox.
     report = lint(
         tmp_path,
         """
@@ -508,27 +509,48 @@ def test_pl005_flags_branch_that_skips_the_barrier(tmp_path):
         tmp_path,
         """
         def leaky_branch(bus, ct, fast):
-            bus.broadcast_payload(0, ct, tag="x")
-            if not fast:
-                bus.round(1)
+            if fast:
+                bus.broadcast_payload(0, ct, tag="x")
+            else:
+                with bus.flow(1):
+                    bus.broadcast_payload(0, ct, tag="x")
 
         def pump(bus):
             return bus.receive_tagged(0)
         """,
     )
-    assert rules_found(report) == ["PL005"]
+    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 4)]
+
+
+def test_pl005_flags_send_after_the_scope(tmp_path):
+    report = lint(
+        tmp_path,
+        """
+        def late(bus, ct):
+            with bus.flow(1):
+                bus.broadcast_payload(0, ct, tag="x")
+            bus.send_payload(0, 1, ct, tag="x")
+
+        def pump(bus):
+            return bus.receive_tagged(0)
+        """,
+    )
+    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 5)]
 
 
 def test_pl005_accepts_send_then_round(tmp_path):
+    # The scope's exit is the round: every send inside it is barriered,
+    # on every branch and on a return from inside the block.
     report = lint(
         tmp_path,
         """
         def disciplined(bus, ct, fast):
-            bus.send_payload(0, 1, ct, tag="x")
-            if fast:
-                bus.round(1)
-            else:
-                bus.assert_drained()
+            with bus.flow(1):
+                if fast:
+                    bus.send_payload(0, 1, ct, tag="x")
+                else:
+                    bus.broadcast_payload(0, ct, tag="x")
+                    return bus.receive(1, tag="x")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -537,36 +559,72 @@ def test_pl005_accepts_send_then_round(tmp_path):
     assert report.findings == []
 
 
-def test_pl005_accepts_barrier_inside_callee(tmp_path):
-    # The PR 6 engine only saw barriers in the same function body; the
-    # summary-driven engine credits a callee whose summary has the
-    # barrier effect.
+def test_pl005_accepts_a_helper_called_only_inside_flows(tmp_path):
+    # The helper's send runs under its callers' scopes: every call to it
+    # sits in a flow block or in a function that is itself only called
+    # from one.
     report = lint(
         tmp_path,
         """
-        def finish(bus):
-            bus.round(1)
-
-        def send_then_delegate(bus, ct):
+        def post(bus, ct):
             bus.send_payload(0, 1, ct, tag="x")
-            finish(bus)
+
+        def relay(bus, ct):
+            post(bus, ct)
+
+        def exchange(bus, ct):
+            with bus.flow(1):
+                post(bus, ct)
+                relay(bus, ct)
 
         def pump(bus):
             return bus.receive_tagged(0)
         """,
     )
     assert report.findings == []
+
+
+def test_pl005_flags_a_helper_called_outside_flows(tmp_path):
+    # One unscoped caller uncovers the helper: both the caller's call and
+    # the helper's own send are reported.
+    report = lint(
+        tmp_path,
+        """
+        def post(bus, ct):
+            bus.send_payload(0, 1, ct, tag="x")
+
+        def exchange(bus, ct):
+            with bus.flow(1):
+                post(bus, ct)
+
+        def stray(bus, ct):
+            post(bus, ct)
+
+        def pump(bus):
+            return bus.receive_tagged(0)
+        """,
+    )
+    assert sorted((f.rule, f.scope) for f in report.findings) == [
+        ("PL005", "post"),
+        ("PL005", "stray"),
+    ]
 
 
 def test_pl005_exempts_op_dispatch_handlers(tmp_path):
-    # `_op_*` methods are reactive reply handlers: the *requesting* flow
-    # owns the round barrier, so the reply send is exempt by convention.
+    # `handle` and its `_op_*` targets reply to a request: the reply
+    # belongs to the requesting flow, and so do the helpers they call.
     report = lint(
         tmp_path,
         """
-        class Handler:
-            def _op_apply_split(self, bus, ct):
+        class Runtime:
+            def handle(self, bus, ct):
                 bus.send_payload(0, 1, ct, tag="x")
+
+            def _op_apply_split(self, bus, ct):
+                self.publish(bus, ct)
+
+            def publish(self, bus, ct):
+                bus.broadcast_payload(0, ct, tag="x")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -576,22 +634,36 @@ def test_pl005_exempts_op_dispatch_handlers(tmp_path):
 
 
 def test_pl005_flags_send_left_open_by_an_early_return(tmp_path):
-    # The `return` path leaves the function with the send unbarriered; the
-    # round() after the branch only covers the other path.
+    # The `return` path sends before the scope it skips.
     report = lint(
         tmp_path,
         """
         def early_return(bus, cond, x):
-            bus.send_payload(0, 1, x, tag="t")
             if cond:
+                bus.send_payload(0, 1, x, tag="t")
                 return None
-            bus.round()
+            with bus.flow(1):
+                bus.send_payload(0, 1, x, tag="t")
 
         def pump(bus):
             return bus.receive_tagged(0)
         """,
     )
-    assert rules_found(report) == ["PL005"]
+    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 4)]
+
+
+def test_pl005_flags_the_estimate_api_on_a_bus_alone(tmp_path):
+    report = lint(
+        tmp_path,
+        """
+        def charged(ctx, pipe):
+            ctx.bus.broadcast(0, 64, tag="proofs")
+            pipe.send(b"not a bus")
+            with ctx.bus.flow(1):
+                ctx.bus.send(0, 1, 64, tag="proofs")
+        """,
+    )
+    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 3)]
 
 
 @pytest.mark.parametrize(
@@ -602,20 +674,23 @@ def test_pl005_flags_send_left_open_by_an_early_return(tmp_path):
 def test_pl005_flags_branch_that_skips_the_barrier_under_with(
     tmp_path, define, with_
 ):
+    # Only a `….flow(...)` item opens a scope; another `with` does not.
     report = lint(
         tmp_path,
         f"""
         {define} scoped(bus, cond, x, ctx):
             {with_} ctx():
-                bus.send_payload(0, 1, x, tag="t")
                 if cond:
-                    bus.round()
+                    bus.send_payload(0, 1, x, tag="t")
+                else:
+                    {with_} bus.flow(1):
+                        bus.send_payload(0, 1, x, tag="t")
 
         def pump(bus):
             return bus.receive_tagged(0)
         """,
     )
-    assert rules_found(report) == ["PL005"]
+    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +705,8 @@ def test_pl006_flags_typoed_tag_pair(tmp_path):
         tmp_path,
         """
         def produce(bus, ct):
-            bus.send_payload(0, 1, ct, tag="histogrm")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, ct, tag="histogrm")
 
         def consume(bus):
             return bus.receive(0, tag="histogram")
@@ -646,8 +721,8 @@ def test_pl006_matched_tags_cross_module_are_clean(tmp_path):
         {
             "producer.py": """
                 def produce(bus, ct):
-                    bus.send_payload(0, 1, ct, tag="histogram")
-                    bus.round(1)
+                    with bus.flow(1):
+                        bus.send_payload(0, 1, ct, tag="histogram")
             """,
             "consumer.py": """
                 def consume(bus):
@@ -666,8 +741,8 @@ def test_pl006_pump_suppresses_producer_orphans_only(tmp_path):
         tmp_path,
         """
         def produce(bus, ct):
-            bus.send_payload(0, 1, ct, tag="anything")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, ct, tag="anything")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -986,7 +1061,7 @@ def test_cli_sarif_format(tmp_path, monkeypatch, capsys):
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "pivotlint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert "PL001" in rule_ids and "PL013" in rule_ids
+    assert "PL001" in rule_ids and "PL012" in rule_ids
     (result,) = [r for r in run["results"] if r["ruleId"] == "PL001"]
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"].endswith("bad.py")
@@ -1096,9 +1171,9 @@ def test_pl010_flags_receive_before_matching_send(tmp_path):
         tmp_path,
         """
         def inverted(bus, payload):
-            reply = bus.receive(0, tag="x")
-            bus.send_payload(0, 1, payload, tag="x")
-            bus.round(1)
+            with bus.flow(1):
+                reply = bus.receive(0, tag="x")
+                bus.send_payload(0, 1, payload, tag="x")
             return reply
         """,
     )
@@ -1112,9 +1187,9 @@ def test_pl010_accepts_send_before_receive(tmp_path):
         tmp_path,
         """
         def ordered(bus, payload):
-            bus.send_payload(0, 1, payload, tag="x")
-            reply = bus.receive(0, tag="x")
-            bus.round(1)
+            with bus.flow(1):
+                bus.send_payload(0, 1, payload, tag="x")
+                reply = bus.receive(0, tag="x")
             return reply
         """,
     )
@@ -1123,8 +1198,8 @@ def test_pl010_accepts_send_before_receive(tmp_path):
 
 def test_pl010_skips_barrierless_responders(tmp_path):
     # A reactive responder sees only its own projection, where
-    # receive-before-send is the normal shape; without a barrier it is
-    # not a complete choreography and PL010 stays silent.
+    # receive-before-send is the normal shape; without a flow scope, its
+    # barrier, it is not a complete choreography and PL010 stays silent.
     report = lint(
         tmp_path,
         """
@@ -1146,8 +1221,8 @@ def test_pl011_flags_overcharged_round_constant(tmp_path):
         tmp_path,
         """
         def overcharged(bus, payload):
-            bus.broadcast_payload(0, payload, tag="x")
-            bus.round(2)
+            with bus.flow(2):
+                bus.broadcast_payload(0, payload, tag="x")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -1159,15 +1234,15 @@ def test_pl011_flags_overcharged_round_constant(tmp_path):
 def test_pl011_accepts_gather_then_scatter_as_two_rounds(tmp_path):
     # The scatter broadcast causally depends on the gathered sends (its
     # sender was the gather's receiver), so the flow really is two
-    # delivery rounds and round(2) is the correct charge.
+    # delivery rounds and flow(2) is the correct charge.
     report = lint(
         tmp_path,
         """
         def gather_scatter(bus, shares, combined):
-            for party in range(1, 3):
-                bus.send_payload(party, 0, shares[party], tag="x")
-            bus.broadcast_payload(0, combined, tag="x")
-            bus.round(2)
+            with bus.flow(2):
+                for party in range(1, 3):
+                    bus.send_payload(party, 0, shares[party], tag="x")
+                bus.broadcast_payload(0, combined, tag="x")
 
         def pump(bus):
             return bus.receive_tagged(0)
@@ -1264,68 +1339,6 @@ def test_pl012_flags_await_under_lock(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PL013 — exception-safe-drain
-# ---------------------------------------------------------------------------
-
-
-def test_pl013_flags_raise_between_send_and_barrier(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def fragile(bus, payload, ok):
-            bus.broadcast_payload(0, payload, tag="x")
-            if not ok:
-                raise ValueError("bad")
-            bus.round(1)
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL013"]
-
-
-def test_pl013_accepts_handler_that_restores_the_drain(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def sturdy(bus, payload, ok):
-            bus.broadcast_payload(0, payload, tag="x")
-            try:
-                if not ok:
-                    raise ValueError("bad")
-            except Exception:
-                bus.drain()
-                raise
-            bus.round(1)
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl013_accepts_finally_barrier(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def finalized(bus, payload, ok):
-            bus.broadcast_payload(0, payload, tag="x")
-            try:
-                if not ok:
-                    raise ValueError("bad")
-            finally:
-                bus.round(1)
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert "PL013" not in rules_found(report)
-
-
-# ---------------------------------------------------------------------------
 # mutation checks: each concurrency rule must catch its seeded defect in
 # a copy of the real runtime module it guards
 # ---------------------------------------------------------------------------
@@ -1355,14 +1368,13 @@ def _mkdirs(tmp_path):
 
 def test_mutation_swapped_send_receive_trips_pl010(_mkdirs):
     # Move the threshold-decrypt ciphertext broadcast AFTER the receive
-    # loops that consume it: every receiver now blocks on a send its own
+    # loop that consumes it: every receiver now blocks on a send its own
     # role has not issued yet.
     def mutate(source: str) -> str:
-        send = "    bus.broadcast_payload(holder, list(ciphertexts), tag=tag)\n"
-        assert source.count(send) == 1
-        return source.replace(send, "", 1).replace(
-            "    bus.round(2)", send + "    bus.round(2)", 1
-        )
+        send = "        bus.broadcast_payload(holder, list(ciphertexts), tag=tag)\n"
+        collect = "        collected, _ = collect_partial_vectors(bus, holder, count, tag)\n"
+        assert source.count(send) == 1 and source.count(collect) == 1
+        return source.replace(send, "", 1).replace(collect, collect + send, 1)
 
     pristine, mutant = _lint_real_copy(
         _mkdirs, "src/repro/network/flows.py", mutate
@@ -1374,18 +1386,34 @@ def test_mutation_swapped_send_receive_trips_pl010(_mkdirs):
 def test_mutation_drifted_round_constant_trips_pl011(_mkdirs):
     # The reverse conversion's two phases (the peers' mask ciphertexts to
     # the holder, her result broadcast) are both sent inside the flow, so
-    # PL011 checks its constant.  (record_threshold_decrypt's barrier is
+    # PL011 checks its constant.  (record_threshold_decrypt's scope is
     # suppressed: its second phase is sent by the peers' handlers, which
     # the phase walk does not see.)
     def mutate(source: str) -> str:
-        assert source.count("bus.round(2)") == 1
-        return source.replace("bus.round(2)", "bus.round(5)")
+        assert source.count("bus.flow(2)") == 1
+        return source.replace("bus.flow(2)", "bus.flow(5)")
 
     pristine, mutant = _lint_real_copy(
         _mkdirs, "src/repro/mpc/conversion.py", mutate
     )
     assert "PL011" not in pristine
     assert "PL011" in mutant
+
+
+def test_mutation_send_moved_out_of_its_scope_trips_pl005(_mkdirs):
+    # Hoist the threshold-decrypt batch broadcast in front of its flow
+    # scope: the send now runs with no flow open.
+    def mutate(source: str) -> str:
+        send = "        bus.broadcast_payload(holder, list(ciphertexts), tag=tag)\n"
+        anchor = "    runtime = bus.runtime(holder)\n"
+        assert source.count(send) == 1 and source.count(anchor) == 1
+        return source.replace(send, "", 1).replace(anchor, anchor + send[4:], 1)
+
+    pristine, mutant = _lint_real_copy(
+        _mkdirs, "src/repro/network/flows.py", mutate
+    )
+    assert "PL005" not in pristine
+    assert "PL005" in mutant
 
 
 def test_mutation_dropped_lock_trips_pl012(_mkdirs):
@@ -1412,19 +1440,3 @@ def test_mutation_dropped_lock_trips_pl012(_mkdirs):
     )
     assert "PL012" not in pristine
     assert "PL012" in mutant
-
-
-def test_mutation_swallowed_exception_edge_trips_pl013(_mkdirs):
-    # Drop the drain from the threshold-decrypt error handler: the raise
-    # then propagates with the ciphertext broadcast still undrained in
-    # peer inboxes.
-    def mutate(source: str) -> str:
-        restore = "        bus.drain()\n        raise\n"
-        assert source.count(restore) == 1
-        return source.replace(restore, "        raise\n", 1)
-
-    pristine, mutant = _lint_real_copy(
-        _mkdirs, "src/repro/network/flows.py", mutate
-    )
-    assert "PL013" not in pristine
-    assert "PL013" in mutant

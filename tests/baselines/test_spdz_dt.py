@@ -1,6 +1,5 @@
 """SPDZ-DT baseline (§8.1): correctness and cost shape."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import SpdzDecisionTree

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import opcount
-from repro.core import PivotConfig, TreeTrainer
-from repro.data import vertical_partition
+from repro.core import TreeTrainer
 from repro.tree import DecisionTree, TreeParams
 
 from tests.core.conftest import global_signature, global_split_grid, make_context

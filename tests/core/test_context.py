@@ -8,7 +8,6 @@ import pytest
 from repro.core import PivotConfig
 from repro.core.config import DPConfig
 from repro.core.labels import EncryptedLabelProvider, PlaintextLabelProvider
-from repro.data import make_classification, vertical_partition
 from repro.tree import TreeParams
 
 from tests.core.conftest import make_context

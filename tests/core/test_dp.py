@@ -1,9 +1,7 @@
 """Differential privacy (§9.2, Algorithms 5-6)."""
 
-import math
 import statistics
 
-import numpy as np
 import pytest
 
 from repro.core import DPConfig, TreeTrainer

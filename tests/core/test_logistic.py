@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import LogisticTrainer
-from repro.tree import TreeParams
 
 from tests.core.conftest import make_context, party_columns, plaintext_logistic_proba
 

@@ -1,7 +1,6 @@
 """Malicious-model extension (§9.1): honest runs succeed and match the
 semi-honest protocol; deviations are detected and abort."""
 
-import numpy as np
 import pytest
 
 from repro.core import CheatingClient, MaliciousTreeTrainer, TreeTrainer

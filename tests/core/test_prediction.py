@@ -9,9 +9,9 @@ from repro.core.prediction import (
     global_rows_to_party_slices,
     predict_basic_encrypted_batch,
 )
-from repro.tree import DecisionTree, TreeParams
+from repro.tree import TreeParams
 
-from tests.core.conftest import global_split_grid, make_context
+from tests.core.conftest import make_context
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from repro.data import (
     PAPER_DATASETS,

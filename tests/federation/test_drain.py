@@ -1,7 +1,6 @@
 """Drain-based delivery: payload sends are consumed, decoded, and leave
 every inbox empty at the end of training."""
 
-import numpy as np
 import pytest
 
 from repro.core import PivotConfig, TreeTrainer, run_predict_batch
@@ -44,7 +43,8 @@ def test_receive_decodes_payload_roundtrip(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
     ct = threshold.public_key.encrypt(41)
-    bus.send_payload(0, 2, [ct, ct], tag="stats")
+    with bus.flow(0):
+        bus.send_payload(0, 2, [ct, ct], tag="stats")
     received = bus.receive(2, tag="stats")
     assert [c.raw for c in received] == [ct.raw, ct.raw]
     assert bus.consumed == 1
@@ -61,7 +61,8 @@ def test_receive_empty_inbox_raises(payload_bus):
 def test_receive_tag_mismatch_raises_and_keeps_message(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
-    bus.send_payload(0, 1, threshold.public_key.encrypt(1), tag="alpha")
+    with bus.flow(0):
+        bus.send_payload(0, 1, threshold.public_key.encrypt(1), tag="alpha")
     with pytest.raises(ValueError, match="alpha"):
         bus.receive(1, tag="beta")
     # Validation happens before the pop: the rejected message stays
@@ -75,9 +76,9 @@ def test_receive_tag_mismatch_raises_and_keeps_message(payload_bus):
 def test_round_drains_pending(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
-    bus.broadcast_payload(0, threshold.public_key.encrypt(7), tag="mask")
-    assert bus.pending_total() == 2
-    bus.round()
+    with bus.flow(1):
+        bus.broadcast_payload(0, threshold.public_key.encrypt(7), tag="mask")
+        assert bus.pending_total() == 2
     assert bus.pending_total() == 0
     assert bus.consumed == 2
     bus.assert_drained()
@@ -86,7 +87,8 @@ def test_round_drains_pending(payload_bus):
 def test_assert_drained_reports_leftovers(payload_bus):
     threshold, codec = payload_bus
     bus = fresh_bus(codec)
-    bus.send_payload(1, 0, threshold.public_key.encrypt(3), tag="x")
+    with bus.flow(0):
+        bus.send_payload(1, 0, threshold.public_key.encrypt(3), tag="x")
     with pytest.raises(AssertionError, match="inboxes"):
         bus.assert_drained()
 

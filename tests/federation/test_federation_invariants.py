@@ -6,7 +6,6 @@ exactly-one-super-client invariant.  Both constructors now run one shared
 validation/assembly path.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import PivotConfig
@@ -92,7 +91,8 @@ def test_endpoint_pending_goes_through_bus_api(data):
     try:
         a, b = (p.endpoint for p in fed.parties)
         assert a.pending() == b.pending() == 0
-        a.send(1, fed.threshold.public_key.encrypt(1), tag="stats")
+        with fed.bus.flow(0):
+            a.send(1, fed.threshold.public_key.encrypt(1), tag="stats")
         assert b.pending() == 1
         assert a.pending() == 0
         b.receive(tag="stats")

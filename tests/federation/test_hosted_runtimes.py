@@ -4,7 +4,7 @@ answer through ``PartyRuntime.handle``."""
 
 import pytest
 
-from repro.core import PivotConfig, TreeTrainer, run_predict_batch
+from repro.core import LogisticTrainer, PivotConfig, TreeTrainer, run_predict_batch
 from repro.federation import Federation
 from repro.federation.party import PartyRuntime
 
@@ -82,4 +82,44 @@ def test_a_failing_handler_fails_the_flow_and_strands_nothing(
         with pytest.raises(RuntimeError) as raised:
             TreeTrainer(fed).fit()
         assert raised.value is error
+        fed.assert_drained()
+
+
+def _answers_twice(runtime, op):
+    """``runtime``'s party answers every ``op`` request twice."""
+    answer = getattr(runtime, op)
+
+    def twice(sender, body):
+        answer(sender, body)
+        answer(sender, body)
+
+    setattr(runtime, op, twice)
+
+
+def _convert(fed):
+    fed.to_shares(fed.batch.encrypt_vector([1, 2, 3], exponent=0))
+
+
+def _fit_logistic(fed):
+    LogisticTrainer(fed, n_epochs=1, batch_size=8).fit()
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@pytest.mark.parametrize(
+    ("op", "run"),
+    [("_op_convert_masks", _convert), ("_op_lr_batch_sums", _fit_logistic)],
+    ids=["convert-masks", "lr-batch-sums"],
+)
+def test_a_peer_that_answers_twice_fails_the_flow_and_strands_nothing(
+    tiny_classification, transport, op, run
+):
+    """Party 1 answers her request twice: the holder's reply collector
+    raises, and the flow's scope drains party 2's reply with the rest."""
+    X, y = tiny_classification
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
+    parties = split_parties(X, y, (2, 1, 1))
+    with Federation(parties, config=config, transport=transport) as fed:
+        _answers_twice(fed.runtimes[1], op)
+        with pytest.raises(ValueError, match="two replies from party 1"):
+            run(fed)
         fed.assert_drained()

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.data import make_classification
 from repro.federation import PivotClassifier
 from repro.federation.runtime import (
     RuntimeConfig,

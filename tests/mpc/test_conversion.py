@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import PaillierEncoder
-from repro.mpc import FixedPointOps, MPCEngine
+from repro.mpc import MPCEngine
 from repro.mpc.conversion import (
     ConversionCounters,
     ciphers_to_shares,

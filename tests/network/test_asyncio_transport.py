@@ -462,7 +462,8 @@ def socket_bus(threshold3):
 def test_bus_receive_awaits_socket_delivery(socket_bus):
     bus, threshold = socket_bus
     ct = threshold.public_key.encrypt(41)
-    bus.send_payload(0, 2, [ct, ct], tag="stats")
+    with bus.flow(0):
+        bus.send_payload(0, 2, [ct, ct], tag="stats")
     # The frame may still be in flight when receive is called; the
     # await-delivery seam blocks until it arrives instead of raising.
     received = bus.receive(2, tag="stats")
@@ -472,9 +473,9 @@ def test_bus_receive_awaits_socket_delivery(socket_bus):
 
 def test_bus_round_drains_in_flight_frames(socket_bus):
     bus, threshold = socket_bus
-    for receiver in (1, 2):
-        bus.send_payload(0, receiver, threshold.public_key.encrypt(7), tag="m")
-    bus.round()
+    with bus.flow(1):
+        for receiver in (1, 2):
+            bus.send_payload(0, receiver, threshold.public_key.encrypt(7), tag="m")
     assert bus.pending_total() == 0
     assert bus.consumed == 2
     bus.assert_drained()
@@ -482,7 +483,8 @@ def test_bus_round_drains_in_flight_frames(socket_bus):
 
 def test_bus_snapshot_reports_socket_transport(socket_bus):
     bus, threshold = socket_bus
-    bus.broadcast_payload(0, threshold.public_key.encrypt(1), tag="b")
+    with bus.flow(0):
+        bus.broadcast_payload(0, threshold.public_key.encrypt(1), tag="b")
     bus.drain()
     snap = bus.snapshot()
     assert snap["transport"]["kind"] == "SocketTransport"
