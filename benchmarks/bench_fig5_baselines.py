@@ -17,15 +17,30 @@ structure as the paper's testbed (:mod:`repro.analysis.costmodel`).
 
     python benchmarks/bench_fig5_baselines.py
     pytest benchmarks/bench_fig5_baselines.py --benchmark-only
+
+``--smoke`` runs one point, m = 3 and n = 30, and exits non-zero unless
+every NP-DT byte is a measured payload (``bytes == bytes_measured ==
+bytes_estimated``) and SPDZ-DT's modeled time is above Pivot-Basic's:
+
+    python benchmarks/bench_fig5_baselines.py --smoke
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import DEFAULTS, LAN, build_context, calibrated_costs, print_table, timed_run
+from common import (
+    DEFAULTS,
+    LAN,
+    RunResult,
+    build_context,
+    calibrated_costs,
+    print_table,
+    timed_run,
+)
 from repro.analysis.costmodel import modeled_time
 from repro.baselines import NpdDecisionTree, SpdzDecisionTree
 from repro.core import TreeTrainer
@@ -70,12 +85,7 @@ def run_npd(m: int, n: int):
     tree.fit()
     wall = time.perf_counter() - start
     modeled = wall + LAN.time(tree.bus.rounds, tree.bus.bytes)
-
-    class R:  # tiny local record
-        wall_seconds = wall
-        modeled_seconds = modeled
-
-    return R
+    return RunResult(wall, modeled, {}, {"bus": tree.bus.snapshot()})
 
 
 def sweep(parameter: str, values: list[int]) -> list[list]:
@@ -123,7 +133,36 @@ def test_fig5b_speedup_widens_with_n(benchmark):
     assert large > small
 
 
+def smoke() -> int:
+    """One sweep point with two checks; returns the exit status."""
+    basic = run_pivot("basic", 3, 30)
+    spdz = run_spdz(3, 30)
+    npd = run_npd(3, 30)
+    bus = npd.extra["bus"]
+    print_table(
+        "Figure 5 smoke — m=3, n=30",
+        ["Pivot-Basic(s)", "SPDZ-DT(s)", "NPD-DT(s)", "NPD-DT bytes",
+         "measured", "estimated"],
+        [[basic.modeled_seconds, spdz.modeled_seconds, npd.modeled_seconds,
+          bus["bytes"], bus["bytes_measured"], bus["bytes_estimated"]]],
+    )
+    failures = []
+    if not 0 < bus["bytes"] == bus["bytes_measured"] == bus["bytes_estimated"]:
+        failures.append("NP-DT charges bytes that are not measured payloads")
+    if not spdz.modeled_seconds > basic.modeled_seconds:
+        failures.append("SPDZ-DT is not slower than Pivot-Basic in modeled time")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true", help="one point, m=3 n=30, with checks"
+    )
+    if parser.parse_args().smoke:
+        sys.exit(smoke())
     header = ["sweep", "Pivot-Basic(s)", "Pivot-Enh(s)", "SPDZ-DT(s)",
               "NPD-DT(s)", "SPDZ/basic", "SPDZ/enh"]
     print_table(

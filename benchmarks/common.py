@@ -17,11 +17,10 @@ import numpy as np
 
 from repro.analysis import opcount
 from repro.analysis.calibration import PrimitiveCosts, calibrate
-from repro.analysis.costmodel import modeled_time
+from repro.analysis.costmodel import NetworkModel, modeled_time
 from repro.core import PivotConfig
 from repro.data import make_classification, make_regression, vertical_partition
 from repro.federation import Federation
-from repro.network.bus import NetworkModel
 from repro.tree import TreeParams
 
 #: Scaled-down defaults mirroring Table 4's structure (paper defaults in

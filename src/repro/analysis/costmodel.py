@@ -14,10 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.calibration import PrimitiveCosts
-from repro.network.bus import NetworkModel
 
-__all__ = ["Workload", "table2_training_counts", "table2_prediction_counts",
-           "predicted_time", "modeled_time"]
+__all__ = ["NetworkModel", "Workload", "table2_training_counts",
+           "table2_prediction_counts", "predicted_time", "modeled_time"]
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """A simple LAN cost model (defaults match a 1 GbE cluster): the bus
+    counts rounds and bytes, and this prices them."""
+
+    latency_seconds: float = 0.5e-3
+    bandwidth_bytes_per_second: float = 125e6  # 1 Gbit/s
+
+    def time(self, rounds: int, n_bytes: int) -> float:
+        return rounds * self.latency_seconds + n_bytes / self.bandwidth_bytes_per_second
 
 
 @dataclass(frozen=True)

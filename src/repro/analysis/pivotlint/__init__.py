@@ -18,9 +18,10 @@ PL002  secret-escape             key secrets (d_i, dealer key, primes)
                                  sinks, including through helper calls
 PL003  unregistered-payload      bus payloads that are not registered
                                  WireCodec wire types
-PL005  drain-discipline          an accounted bus send outside a
-                                 ``with bus.flow(...)`` scope, a handler,
-                                 or a function only they call
+PL005  drain-discipline          a payload send (or a call that makes
+                                 one) outside a ``with bus.flow(...)``
+                                 scope, a handler, or a function only
+                                 they call
 PL006  unhandled-protocol-tag    a constant tag sent or requested with no
                                  matching consumer/handler in the project
 PL007  unbounded-wait            while-True receive loops with no timeout,

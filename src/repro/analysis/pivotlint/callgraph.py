@@ -217,8 +217,8 @@ def _binds(call: ast.Call, info: FunctionInfo) -> bool:
     """Could this call site plausibly bind the candidate's signature?
 
     Name-based resolution over-approximates wildly without this:
-    ``conn.send(x)`` (a pipe) must not resolve to ``bus.send(sender,
-    receiver, n_bytes, tag)``.  Star-args at the call site bind anything.
+    ``conn.send(x)`` (a pipe) must not resolve to ``endpoint.send(receiver,
+    payload, tag)``.  Star-args at the call site bind anything.
     """
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True

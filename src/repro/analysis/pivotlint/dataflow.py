@@ -10,10 +10,10 @@ Every rule builds on these pieces:
 * The secret vocabulary (:data:`SECRET_ATTRS`, :data:`SECRET_NAMES`, ...)
   that the one taint engine,
   :class:`~repro.analysis.pivotlint.summaries.LabelEngine`, reads.
-* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`ESTIMATE_CALLS`,
-  :data:`RECEIVE_CALLS`), the flow scope (:func:`flow_item`,
-  :func:`flow_calls`: which calls run inside a ``with …flow(…)`` block)
-  and :func:`send_classifier`, the one accounted-send classifier.
+* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`RECEIVE_CALLS`),
+  the flow scope (:func:`flow_item`, :func:`flow_calls`: which calls run
+  inside a ``with …flow(…)`` block) and :func:`send_classifier`, the one
+  accounted-send classifier.
 * :func:`walk_paths` — a forward walk over a function body's statement
   paths.  A :class:`Transfer` says how a call moves its state, how two
   paths join and what the end of a flow scope (its barrier) does; the
@@ -200,9 +200,6 @@ PROPAGATING_CALLS = frozenset({"sum", "int", "abs", "list", "tuple", "sorted"})
 #: Payload-routing sends: the bytes enter a peer inbox, so they belong to a
 #: flow scope (PL005), and each one is a choreography event (PL010/PL011).
 SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
-#: The estimate API: accounted like a payload send, recognised on a base
-#: named ``bus`` (``bus.send``, ``ctx.bus.broadcast``) alone.
-ESTIMATE_CALLS = frozenset({"send", "broadcast"})
 #: The flow scope, ``with bus.flow(rounds):`` — its exit is the barrier.
 FLOW_CALL = "flow"
 #: Blocking protocol receives: the choreography's receive events.
@@ -214,27 +211,18 @@ RECEIVE_CALLS = frozenset({"receive", "receive_any", "receive_tagged"})
 CONTROL_SEND, CONTROL_RECEIVE = "send_control", "receive_control"
 
 
-def _names_bus(expr: ast.expr) -> bool:
-    name = expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", "")
-    return name == "bus"
-
-
 def send_classifier(project: "ProjectIndex | None") -> Callable[[ast.Call], bool]:
     """Is a call an accounted send?
 
-    Payload sends and the bus's estimate API classify by name.  With a
-    ``project`` index, a call to a scanned function whose summary sends
-    outside any flow scope is a send too.  The summaries themselves are
-    computed with ``project=None``, which keeps effect propagation to
-    exactly one call level.
+    Payload sends classify by name.  With a ``project`` index, a call to a
+    scanned function whose summary sends outside any flow scope is a send
+    too.  The summaries themselves are computed with ``project=None``,
+    which keeps effect propagation to exactly one call level.
     """
 
     def sends(call: ast.Call) -> bool:
         func = call.func
-        if isinstance(func, ast.Attribute) and (
-            func.attr in SEND_CALLS
-            or (func.attr in ESTIMATE_CALLS and _names_bus(func.value))
-        ):
+        if isinstance(func, ast.Attribute) and func.attr in SEND_CALLS:
             return True
         return project is not None and any(
             summary.unscoped_send for _, summary in project.summaries_for_call(call)

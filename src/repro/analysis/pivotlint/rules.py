@@ -666,10 +666,9 @@ class DrainDiscipline(Rule):
     rule_id = "PL005"
     name = "drain-discipline"
     summary = (
-        "An accounted send (send_payload/broadcast_payload, the bus's "
-        "estimate send/broadcast, or a call to a function whose summary "
-        "sends outside a flow scope) runs outside any `with bus.flow(...)` "
-        "block, in a function that is neither a handler (`handle`, "
+        "An accounted send (send_payload/broadcast_payload, or a call to "
+        "a function whose summary sends outside a flow scope) runs outside "
+        "any `with bus.flow(...)` block, in a function that is neither a handler (`handle`, "
         "`_op_*`: a reply belongs to the flow that requested it) nor "
         "called only from flow scopes and handlers.  The scope's exit is "
         "the barrier that drains inboxes and charges the flow's rounds, "

@@ -148,12 +148,8 @@ class RoundParity(Rule):
             def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
                 automaton = extract_flow(node, self.qualname, ctx.project, consts)
                 for barrier, pinned, counts in automaton.pinned:
-                    if not counts or max(counts) == 0:
-                        # No payload send feeds this barrier (estimate-API
-                        # accounting, bare sync points): nothing to pin.
-                        continue
-                    if pinned in counts:
-                        continue
+                    if not counts or max(counts) == 0 or pinned in counts:
+                        continue  # pinned right, or a barrier no send feeds
                     derived = "/".join(str(c) for c in sorted(counts))
                     findings.append(
                         rule.finding(

@@ -43,11 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # PL006 — unhandled-protocol-tag
 # ---------------------------------------------------------------------------
 
-#: candidate tag argument positions of the *payload-routing* send
-#: primitives.  The byte-accounting primitives (``bus.send`` /
-#: ``bus.broadcast``) are deliberately absent: their tag is a bandwidth
-#: bookkeeping label on a message that never enters an inbox, so it has
-#: no consumer to demand.
+#: candidate tag argument positions of the send primitives.
 _SEND_TAG_POS: dict[str, tuple[int, ...]] = {
     "send_payload": (3,),
     "broadcast_payload": (2,),

@@ -76,7 +76,7 @@ SECRET = "~secret"
 QuenchFn = Callable[[str, str, int], bool]
 
 #: Call attributes that put their arguments on a wire: the payload sends,
-#: the byte-accounting ``send``/``broadcast``, the transport control plane
+#: a party endpoint's ``send``/``broadcast``, the transport control plane
 #: (``request``) and the wire encoder.
 WIRE_SINKS = SEND_CALLS | {"send", "broadcast", "serialize", "request"}
 LOG_SINKS = frozenset(
@@ -88,9 +88,7 @@ MATERIALIZERS = frozenset(
 )
 #: A control-plane receive still consumes a message and a forwarded tag.
 _RECEIVES = RECEIVE_CALLS | {CONTROL_RECEIVE}
-#: The byte-accounting ``bus.send``/``bus.broadcast`` carry bookkeeping
-#: tags that never enter an inbox, so forwarding a tag into them produces
-#: no consumable message; a control send does.
+#: Sends that forward a tag into a consumable message.
 _TAG_SENDS = SEND_CALLS | {CONTROL_SEND}
 
 #: :attr:`Sink.where` of a function's return value and of an f-string.

@@ -6,8 +6,12 @@ them in plaintext with others to decide the best split."  No cryptography
 at all — it prices the cost of distribution alone, and its gap to Pivot is
 "the overhead of protecting the data privacy".
 
-Communication is tracked on a :class:`~repro.network.bus.MessageBus` so
-Fig. 4g/4h and Fig. 5 can report it next to the secure protocols.
+Every message is a real payload on a :class:`~repro.network.bus.MessageBus`
+with a key-less codec, so Fig. 4g/4h and Fig. 5 report its measured bytes
+next to the secure protocols': the labels, each client's statistics and
+the chosen split's partition travel as ``bytes`` blobs of the arrays (8
+bytes per label or statistic, 1 per sample of a partition), and a branch
+bit as one byte, each behind the codec's 5-byte blob header.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from repro.data.partition import VerticalPartition
 from repro.network.bus import MessageBus
+from repro.network.wire import WireCodec
 from repro.tree import metrics
 from repro.tree.cart import TreeParams
 from repro.tree.model import DecisionTreeModel, TreeNode
@@ -32,7 +37,7 @@ class NpdDecisionTree:
         self.params = params or TreeParams()
         self.params.validate()
         self.task = partition.task
-        self.bus = MessageBus(partition.n_clients)
+        self.bus = MessageBus(partition.n_clients, codec=WireCodec(None))
         self.n_classes = 0
         self.model: DecisionTreeModel | None = None
         self._splits_per_client = [
@@ -53,8 +58,8 @@ class NpdDecisionTree:
         # The super client broadcasts the plaintext labels (the privacy
         # give-away that defines this baseline).
         with self.bus.flow(1):
-            self.bus.broadcast(
-                self.partition.super_client, 8 * len(labels), tag="plaintext-labels"
+            self.bus.broadcast_payload(
+                self.partition.super_client, labels.tobytes(), tag="plaintext-labels"
             )
         mask = np.ones(self.partition.n_samples, dtype=bool)
         root = self._build(labels, mask, depth=0)
@@ -90,11 +95,15 @@ class NpdDecisionTree:
         with self.bus.flow(1):
             for client_idx, features in enumerate(self.partition.local_features):
                 # Each client evaluates her local splits and broadcasts the
-                # statistics in plaintext (8 bytes per number).
-                local_best, local_gain, n_stats = self._client_best_split(
+                # statistics in plaintext.
+                local_best, local_gain, stats = self._client_best_split(
                     client_idx, features, labels, mask
                 )
-                self.bus.broadcast(client_idx, 8 * n_stats, tag="plaintext-stats")
+                self.bus.broadcast_payload(
+                    client_idx,
+                    np.asarray(stats, dtype=np.float64).tobytes(),
+                    tag="plaintext-stats",
+                )
                 if local_best is not None and local_gain > best_gain:
                     best_gain = local_gain
                     best = (client_idx,) + local_best
@@ -105,9 +114,9 @@ class NpdDecisionTree:
         column = self.partition.local_features[owner][:, feature]
         goes_left = mask & (column <= threshold)
         goes_right = mask & ~(column <= threshold)
-        # The owner broadcasts the chosen partition (1 byte per sample).
+        # The owner broadcasts the chosen partition.
         with self.bus.flow(1):
-            self.bus.broadcast(owner, self.partition.n_samples, tag="partition")
+            self.bus.broadcast_payload(owner, goes_left.tobytes(), tag="partition")
         node = TreeNode(
             is_leaf=False,
             depth=depth,
@@ -127,10 +136,10 @@ class NpdDecisionTree:
         features: np.ndarray,
         labels: np.ndarray,
         mask: np.ndarray,
-    ) -> tuple[tuple[int, float] | None, float, int]:
+    ) -> tuple[tuple[int, float] | None, float, list[float]]:
         best: tuple[int, float] | None = None
         best_gain = -np.inf
-        n_stats = 0
+        stats: list[float] = []
         node_labels = labels[mask]
         for feature in range(features.shape[1]):
             column = features[mask, feature]
@@ -144,18 +153,17 @@ class NpdDecisionTree:
                     left_counts = np.bincount(node_labels[left], minlength=self.n_classes)
                     right_counts = np.bincount(node_labels[~left], minlength=self.n_classes)
                     gain = metrics.gini_gain(left_counts, right_counts)
-                    n_stats += 2 * self.n_classes + 2
+                    stats += [n_l, n_r, *left_counts, *right_counts]
                 else:
                     y_l, y_r = node_labels[left], node_labels[~left]
-                    gain = metrics.variance_gain(
-                        (n_l, float(y_l.sum()), float((y_l**2).sum())),
-                        (n_r, float(y_r.sum()), float((y_r**2).sum())),
-                    )
-                    n_stats += 6
+                    left_stats = (n_l, float(y_l.sum()), float((y_l**2).sum()))
+                    right_stats = (n_r, float(y_r.sum()), float((y_r**2).sum()))
+                    gain = metrics.variance_gain(left_stats, right_stats)
+                    stats += [*left_stats, *right_stats]
                 if gain > best_gain:
                     best_gain = gain
                     best = (feature, threshold)
-        return best, best_gain, n_stats
+        return best, best_gain, stats
 
 
 def npd_predict(
@@ -168,11 +176,13 @@ def npd_predict(
     the prediction path (the leakage Pivot's Algorithm 4 removes).
     """
     node = model.root
+    super_client = partition.super_client
     while not node.is_leaf:
         cols = partition.columns_per_client[node.owner]
-        value = row[cols[node.feature]]
+        bit = bytes([bool(row[cols[node.feature]] <= node.threshold)])
         with bus.flow(1):
-            if node.owner != partition.super_client:
-                bus.send(node.owner, partition.super_client, 1, tag="branch-bit")
-        node = node.left if value <= node.threshold else node.right
+            if node.owner != super_client:
+                bus.send_payload(node.owner, super_client, bit, tag="branch-bit")
+                bit = bus.receive(super_client, tag="branch-bit")
+        node = node.left if bit[0] else node.right
     return node.prediction

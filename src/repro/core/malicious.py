@@ -21,6 +21,12 @@ data she committed to before training:
 A :class:`CheatingClient` adversary deviates at a chosen step; the honest
 verifiers detect it and abort with :class:`~repro.crypto.zkp.ProofError`
 (or :class:`~repro.mpc.sharing.MacCheckError` for share tampering).
+
+This is a central simulation: prover and verifier share one process, and
+no commitment or proof is serialized.  It charges the bus nothing it does
+not send: a fit's bytes and rounds are those of the flows it shares with
+the basic protocol (the conversion of its statistics to shares), every
+one a measured payload, and the proofs are not priced.
 """
 
 from __future__ import annotations
@@ -167,26 +173,19 @@ class VerifiedLabelProvider(PlaintextLabelProvider):
         return result
 
     def gammas(self, alphas, node_keys):
-        # Central verified flow (the malicious model is a research mode
-        # driven in one process): the proven vectors are charged here, on
-        # the estimate API, and returned as the level's [key, gammas]
-        # entries like the reactive provider's; no runtime store is kept.
+        # Proven and verified in this process, and returned as the level's
+        # [key, gammas] entries like the reactive provider's; no runtime
+        # store is kept.
         ctx = self.context
         results = []
-        with ctx.bus.flow(1):
-            for alpha in alphas:
-                result = []
-                for commitment in self.commitments:
-                    outputs, proofs = commitment.prove_elementwise_product(alpha)
-                    commitment.verify_elementwise_product(alpha, outputs, proofs)
-                    exponent = alpha[0].exponent + self._shift
-                    result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
-                    ctx.bus.broadcast(
-                        ctx.super_client,
-                        ctx.ciphertext_bytes * 4 * len(alpha),  # gamma + POPCM
-                        tag="label-vectors",
-                    )
-                results.append(result)
+        for alpha in alphas:
+            result = []
+            for commitment in self.commitments:
+                outputs, proofs = commitment.prove_elementwise_product(alpha)
+                commitment.verify_elementwise_product(alpha, outputs, proofs)
+                exponent = alpha[0].exponent + self._shift
+                result.append([ctx.encoder.wrap(o, exponent) for o in outputs])
+            results.append(result)
         return [x for key, result in zip(node_keys, results) for x in (key, result)]
 
 
@@ -194,7 +193,9 @@ class MaliciousTreeTrainer(TreeTrainer):
     """Basic-protocol training hardened per §9.1.2.
 
     Requires ``PivotConfig(authenticated_mpc=True)`` so the SPDZ layer
-    carries MACs; conversions verify POPK on every mask ciphertext.
+    carries MACs; conversions verify POPK on every mask ciphertext.  A
+    central simulation (see the module docstring): every prover and
+    verifier runs here, and only the conversions' payloads reach the bus.
     """
 
     def __init__(self, context: Federation, label_provider=None, cheat: str | None = None):
@@ -209,50 +210,39 @@ class MaliciousTreeTrainer(TreeTrainer):
         super().__init__(context, label_provider)
         self.cheat = cheat
         # Commitment phase: every client commits all her split indicators.
-        # It is charged one round, though nothing is sent.
         pk = context.threshold.public_key
         self.committed_indicators: dict[tuple[int, int, int], CommittedVector] = {}
-        with context.bus.flow(1):
-            for client in context.clients:
-                for feature in range(client.n_features):
-                    for split in range(client.n_splits(feature)):
-                        vector = CommittedVector(
-                            pk, list(client.indicator(feature, split))
-                        )
-                        vector.verify_commitment()
-                        self.committed_indicators[(client.index, feature, split)] = vector
+        for client in context.clients:
+            for feature in range(client.n_features):
+                for split in range(client.n_splits(feature)):
+                    vector = CommittedVector(pk, list(client.indicator(feature, split)))
+                    vector.verify_commitment()
+                    self.committed_indicators[(client.index, feature, split)] = vector
 
     def _compute_split_stats(self, nodes, identifiers, gammas, root=None, entries=()):
         """Split statistics of a tree level with POHDP proofs against the
         commitments, converted to shares — at level 0 after the root's
         label totals, which :meth:`VerifiedLabelProvider.totals` proves.
 
-        Stays a centrally driven flow (proof generation and verification
-        both run here); one round for the level, like the reactive base.
-        Each statistic is proven and verified on its own, so the packing
-        comes after: the verified ciphertexts go to Algorithm 2, which
-        packs them at the declared width.
+        Proof generation and verification both run here; only the
+        conversion reaches the bus.  Each statistic is proven and verified
+        on its own, so the packing comes after: the verified ciphertexts go
+        to Algorithm 2, which packs them at the declared width.
         """
         ctx = self.ctx
         pk = ctx.threshold.public_key
         stat_cts: list[EncryptedNumber] = [] if root is None else self._root_totals(root)
         first = True
-        with ctx.bus.flow(1):
-            for node, ids, node_gammas in zip(nodes, identifiers, gammas):
-                for client_idx, feature, split in ids:
-                    committed = self.committed_indicators[(client_idx, feature, split)]
-                    for vec in [node.alpha, *node_gammas]:
-                        out, proof = committed.prove_dot_product(vec)
-                        if self.cheat == "stats" and first:
-                            out = out + pk.encrypt(1)  # lie by +1
-                            first = False
-                        committed.verify_dot_product(vec, out, proof)
-                        stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
-                    ctx.bus.broadcast(
-                        client_idx,
-                        ctx.ciphertext_bytes * 3 * (1 + len(node_gammas)),
-                        tag="split-stats",
-                    )
+        for node, ids, node_gammas in zip(nodes, identifiers, gammas):
+            for client_idx, feature, split in ids:
+                committed = self.committed_indicators[(client_idx, feature, split)]
+                for vec in [node.alpha, *node_gammas]:
+                    out, proof = committed.prove_dot_product(vec)
+                    if self.cheat == "stats" and first:
+                        out = out + pk.encrypt(1)  # lie by +1
+                        first = False
+                    committed.verify_dot_product(vec, out, proof)
+                    stat_cts.append(ctx.encoder.wrap(out, vec[0].exponent))
         return ctx.to_shares(stat_cts, bound_bits=self._stat_bound_bits)
 
     def _apply_splits(self, splits):
@@ -263,30 +253,23 @@ class MaliciousTreeTrainer(TreeTrainer):
         ctx = self.ctx
         thresholds = []
         children: dict[int, list] = {}
-        with ctx.bus.flow(1):
-            for s in splits:
-                node = s.node
-                thresholds.append(ctx.clients[s.owner].split_values[s.feature][s.split])
-                alpha_left: list[EncryptedNumber] = []
-                if s.build:
-                    committed = self.committed_indicators[(s.owner, s.feature, s.split)]
-                    outputs_l, proofs_l = committed.prove_elementwise_product(node.alpha)
-                    if self.cheat == "update":
-                        outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
-                    committed.verify_elementwise_product(node.alpha, outputs_l, proofs_l)
-                    alpha_left = [
-                        ctx.encoder.wrap(o, a.exponent)
-                        for o, a in zip(outputs_l, node.alpha)
-                    ]
-                    children[2 * node.key] = [alpha_left, None]
-                    children[2 * node.key + 1] = [
-                        ctx.batch.subtract_vectors(node.alpha, alpha_left), None
-                    ]
-                ctx.bus.broadcast(  # [α_l] + POPCM, or only the threshold
-                    s.owner,
-                    2 * ctx.ciphertext_bytes * len(alpha_left),
-                    tag="mask-vector",
-                )
+        for s in splits:
+            node = s.node
+            thresholds.append(ctx.clients[s.owner].split_values[s.feature][s.split])
+            if not s.build:
+                continue
+            committed = self.committed_indicators[(s.owner, s.feature, s.split)]
+            outputs_l, proofs_l = committed.prove_elementwise_product(node.alpha)
+            if self.cheat == "update":
+                outputs_l[0] = outputs_l[0] + ctx.threshold.public_key.encrypt(1)
+            committed.verify_elementwise_product(node.alpha, outputs_l, proofs_l)
+            alpha_left = [
+                ctx.encoder.wrap(o, a.exponent) for o, a in zip(outputs_l, node.alpha)
+            ]
+            children[2 * node.key] = [alpha_left, None]
+            children[2 * node.key + 1] = [
+                ctx.batch.subtract_vectors(node.alpha, alpha_left), None
+            ]
         return thresholds, children
 
 

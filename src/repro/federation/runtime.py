@@ -117,7 +117,7 @@ __all__ = [
 CONTROL_OPS = ("ctl-info", "ctl-snapshot", "ctl-keyreport", "ctl-shutdown")
 
 #: Per-party bus counters that sum across processes.
-_SUMMED = ("messages", "consumed", "bytes", "bytes_measured", "bytes_estimated")
+_SUMMED = ("messages", "consumed", "bytes", "bytes_estimated")
 
 #: secret_summary key order on the wire (dicts are not a wire type).
 _KEYREPORT_FIELDS = (
@@ -902,9 +902,7 @@ class RuntimeFederation(Federation):
             for tag, n in state["by_tag"].items():
                 by_tag[tag] = by_tag.get(tag, 0) + n
         bus["by_tag"] = by_tag
-        bus["simulated_seconds"] = self.bus.model.time(
-            bus["rounds"], bus["bytes"]
-        )
+        bus["bytes_measured"] = bus["bytes"]
         snap["bus"] = bus
         return snap
 

@@ -6,7 +6,7 @@ their measured size by the :class:`~repro.network.bus.MessageBus`;
 :mod:`repro.network.flows` defines the recurring message patterns once.
 """
 
-from repro.network.bus import MessageBus, NetworkModel
+from repro.network.bus import MessageBus
 from repro.network.flows import record_threshold_decrypt
 from repro.network.transport import Envelope, InMemoryTransport, Transport
 from repro.network.wire import (
@@ -18,7 +18,6 @@ from repro.network.wire import (
 
 __all__ = [
     "MessageBus",
-    "NetworkModel",
     "WireCodec",
     "WireFormatError",
     "ShareVector",

@@ -5,7 +5,9 @@ time.  Network *bytes* are measured here exactly: every protocol message
 is serialized through the :mod:`repro.network.wire` format, routed to the
 receivers' inboxes by a pluggable
 :class:`~repro.network.transport.Transport`, and accounted at its
-**measured** size (``len(serialize(payload))``).  For every payload send
+**measured** size (``len(serialize(payload))``), the only way the bus
+charges a byte; it counts bytes and rounds and prices neither (the LAN
+model is :class:`repro.analysis.costmodel.NetworkModel`).  For every send
 the bus also records the codec's arithmetic size formula
 (``bytes_estimated``); ``snapshot()`` reports both, and the
 reconciliation tests assert ``bytes_measured == bytes_estimated``.
@@ -18,11 +20,10 @@ synchronisation barrier (:meth:`MessageBus.round`): it charges
 ``rounds`` and consumes whatever is left, so the end of a flow implies
 empty inboxes (:meth:`MessageBus.assert_drained`).  A flow that raises
 drains every local inbox instead, charges no round, and re-raises: a
-failed flow strands no frame.  An accounted send (the payload API and the
-estimate API alike) raises unless a flow is open or a party runtime is
-handling a message (:meth:`MessageBus.handling`: her reply belongs to
-the flow that requested it), and a flow opened inside an open flow
-raises.
+failed flow strands no frame, and so does a scope that charges no round.
+An accounted send raises unless a flow is open or a party runtime is
+handling a message (:meth:`MessageBus.handling`: her reply belongs to the
+flow that requested it), and a flow opened inside an open flow raises.
 
 **The bus serves the party runtimes it hosts.**  A process that hosts a
 party's inbox also hosts her :class:`~repro.federation.party.PartyRuntime`
@@ -45,18 +46,6 @@ schedules her.  Two rules say when:
   answered.
 
 A handler that raises fails the flow it serves, whose scope drains.
-
-:class:`NetworkModel` converts tallies into a modeled LAN time
-
-    time = rounds * latency + bytes / bandwidth,
-
-which together with the operation-cost calibration in
-:mod:`repro.analysis` reconstructs the paper's Table-2 cost structure
-(ROADMAP item 19 weighs what that model does and does not explain).  The
-estimate API ``send`` / ``broadcast(n_bytes)`` remains for messages
-without a wire type (the malicious model's ZKP proofs, the plaintext
-baselines); its charges happen inside a flow scope too.  The Pivot core
-protocols use payload sends exclusively.
 """
 
 from __future__ import annotations
@@ -70,7 +59,7 @@ from typing import Any
 from repro.network.transport import Envelope, InMemoryTransport, Transport
 from repro.network.wire import WireCodec
 
-__all__ = ["CONTROL_TAG_PREFIX", "Flow", "NetworkModel", "MessageBus"]
+__all__ = ["CONTROL_TAG_PREFIX", "Flow", "MessageBus"]
 
 #: Wire tags starting with this prefix are control-plane administration
 #: (:meth:`MessageBus.send_control` traffic: snapshots, key audits,
@@ -79,17 +68,6 @@ __all__ = ["CONTROL_TAG_PREFIX", "Flow", "NetworkModel", "MessageBus"]
 #: them either: :meth:`MessageBus.drain` leaves them queued for whichever
 #: serve loop the sender is actually addressing.
 CONTROL_TAG_PREFIX = "ctl-"
-
-
-@dataclass(frozen=True)
-class NetworkModel:
-    """A simple LAN cost model (defaults match a 1 GbE cluster)."""
-
-    latency_seconds: float = 0.5e-3
-    bandwidth_bytes_per_second: float = 125e6  # 1 Gbit/s
-
-    def time(self, rounds: int, n_bytes: int) -> float:
-        return rounds * self.latency_seconds + n_bytes / self.bandwidth_bytes_per_second
 
 
 @dataclass
@@ -109,24 +87,21 @@ class MessageBus:
     masks, partial decryptions, prediction vectors, and so on.  Tags allow
     per-phase breakdowns in benchmarks.
 
-    A bus built with a :class:`~repro.network.wire.WireCodec` supports the
-    payload API (:meth:`send_payload` / :meth:`broadcast_payload`), which
-    serializes the object, routes the bytes through the transport and
-    records the measured size.  A codec-less bus only supports the legacy
-    estimate API.
+    Every send (:meth:`send_payload` / :meth:`broadcast_payload`)
+    serializes the object through ``codec``, routes the bytes through the
+    transport and records the measured size; a bus with no Paillier key
+    takes a key-less ``WireCodec(None)``.
     """
 
     def __init__(
         self,
         n_parties: int,
-        model: NetworkModel | None = None,
-        codec: WireCodec | None = None,
+        codec: WireCodec,
         transport: Transport | None = None,
     ):
         if n_parties < 1:
             raise ValueError("bus needs at least one party")
         self.n_parties = n_parties
-        self.model = model or NetworkModel()
         self.codec = codec
         # Delivery is drain-based: receivers consume their inboxes — either
         # explicitly (receive) or at the next synchronisation round — so the
@@ -135,7 +110,6 @@ class MessageBus:
         self.messages = 0
         self.consumed = 0
         self.bytes = 0
-        self.bytes_measured = 0
         self.bytes_estimated = 0
         self.rounds = 0
         self.by_tag: dict[str, int] = defaultdict(int)
@@ -253,13 +227,6 @@ class MessageBus:
 
     # -- payload API (measured sizes) ----------------------------------------
 
-    def _serialize(self, payload: object) -> tuple[bytes, int]:
-        if self.codec is None:
-            raise ValueError(
-                "bus was built without a WireCodec; payload sends need one"
-            )
-        return self.codec.serialize(payload), self.codec.estimate(payload)
-
     def send_payload(
         self, sender: int, receiver: int, payload: object, tag: str = ""
     ) -> int:
@@ -271,12 +238,11 @@ class MessageBus:
         self._check_party(receiver)
         if sender == receiver:
             raise ValueError("a party does not message itself")
-        data, estimated = self._serialize(payload)
+        data = self.codec.serialize(payload)
         self.transport.deliver(Envelope(sender, receiver, tag, data))
         self.messages += 1
         self.bytes += len(data)
-        self.bytes_measured += len(data)
-        self.bytes_estimated += estimated
+        self.bytes_estimated += self.codec.estimate(payload)
         if tag:
             self.by_tag[tag] += len(data)
         return len(data)
@@ -290,15 +256,14 @@ class MessageBus:
         site).  Returns the per-receiver measured size.
         """
         self._check_accounted(sender)
-        data, estimated = self._serialize(payload)
+        data = self.codec.serialize(payload)
         count = self.n_parties - 1
         for receiver in range(self.n_parties):
             if receiver != sender:
                 self.transport.deliver(Envelope(sender, receiver, tag, data))
         self.messages += count
         self.bytes += len(data) * count
-        self.bytes_measured += len(data) * count
-        self.bytes_estimated += estimated * count
+        self.bytes_estimated += self.codec.estimate(payload) * count
         if tag:
             self.by_tag[tag] += len(data) * count
         return len(data)
@@ -321,7 +286,7 @@ class MessageBus:
         """
         self._check_party(sender)
         self._check_party(receiver)
-        data, _ = self._serialize(payload)
+        data = self.codec.serialize(payload)
         self.transport.deliver(Envelope(sender, receiver, tag, data))
 
     def receive_control(self, party: int) -> tuple[int, str, Any]:
@@ -343,10 +308,6 @@ class MessageBus:
         Validation comes before the pop so a rejected message stays queued
         (and visible to :meth:`assert_drained`) instead of being lost.
         """
-        if self.codec is None:
-            raise ValueError(
-                "bus was built without a WireCodec; cannot decode payloads"
-            )
         if (
             self._runtimes
             and party not in self._waiting
@@ -471,28 +432,6 @@ class MessageBus:
                 f"undelivered protocol messages left in inboxes: {pending}"
             )
 
-    # -- legacy estimate API -------------------------------------------------
-
-    def send(self, sender: int, receiver: int, n_bytes: int, tag: str = "") -> None:
-        """Record an estimated send (no wire type yet; prefer send_payload)."""
-        self._check_accounted(sender)
-        self._check_party(receiver)
-        if sender == receiver:
-            raise ValueError("a party does not message itself")
-        self.messages += 1
-        self.bytes += n_bytes
-        if tag:
-            self.by_tag[tag] += n_bytes
-
-    def broadcast(self, sender: int, n_bytes: int, tag: str = "") -> None:
-        """Record an estimated broadcast of ``n_bytes`` to every other party."""
-        self._check_accounted(sender)
-        count = self.n_parties - 1
-        self.messages += count
-        self.bytes += n_bytes * count
-        if tag:
-            self.by_tag[tag] += n_bytes * count
-
     def round(self, count: int = 1) -> None:
         """Mark ``count`` synchronisation rounds and deliver pending mail.
 
@@ -506,16 +445,12 @@ class MessageBus:
         """
         if count < 0:
             raise ValueError("round count must be non-negative")
-        if count:
-            if self._runtimes:
-                self._serve(None)
-            self.drain()
+        if self._runtimes:
+            self._serve(None)
+        self.drain()
         self.rounds += count
 
     # -- reporting -----------------------------------------------------------
-
-    def simulated_time(self, extra_rounds: int = 0, extra_bytes: int = 0) -> float:
-        return self.model.time(self.rounds + extra_rounds, self.bytes + extra_bytes)
 
     def snapshot(self) -> dict[str, object]:
         return {
@@ -523,10 +458,9 @@ class MessageBus:
             "consumed": self.consumed,
             "pending": self.pending_total(),
             "bytes": self.bytes,
-            "bytes_measured": self.bytes_measured,
+            "bytes_measured": self.bytes,
             "bytes_estimated": self.bytes_estimated,
             "rounds": self.rounds,
-            "simulated_seconds": self.simulated_time(),
             "by_tag": dict(self.by_tag),
             "transport": self.transport.snapshot(),
         }
@@ -550,7 +484,6 @@ class MessageBus:
         self.messages = 0
         self.consumed = 0
         self.bytes = 0
-        self.bytes_measured = 0
         self.bytes_estimated = 0
         self.rounds = 0
         self.by_tag = defaultdict(int)

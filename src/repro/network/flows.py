@@ -55,11 +55,13 @@ def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
 
     Arrival order is deterministic in-process (the bus serves hosted
     runtimes by index) but not over sockets — replies are keyed by the
-    envelope's sender, never by position.
+    envelope's sender, never by position.  Once every reply is in, mail
+    still pending for ``receiver`` is read too, so a second reply raises
+    ``ValueError`` even from the peer whose first one came last.
     """
     replies: dict[int, object] = {}
     expected = set(senders)
-    for _ in range(len(expected)):
+    while len(replies) < len(expected) or bus.pending(receiver):
         sender, payload = bus.receive_any(receiver)
         if sender not in expected:
             raise ValueError(

@@ -2,13 +2,13 @@ import pytest
 
 from repro.analysis.calibration import PrimitiveCosts, calibrate
 from repro.analysis.costmodel import (
+    NetworkModel,
     Workload,
     modeled_time,
     predicted_time,
     table2_prediction_counts,
     table2_training_counts,
 )
-from repro.network.bus import NetworkModel
 
 COSTS = PrimitiveCosts(ce=1e-5, cd=1e-3, cs=2e-5, cc=5e-4, keysize=512, n_parties=3)
 

@@ -652,20 +652,6 @@ def test_pl005_flags_send_left_open_by_an_early_return(tmp_path):
     assert [(f.rule, f.line) for f in report.findings] == [("PL005", 4)]
 
 
-def test_pl005_flags_the_estimate_api_on_a_bus_alone(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def charged(ctx, pipe):
-            ctx.bus.broadcast(0, 64, tag="proofs")
-            pipe.send(b"not a bus")
-            with ctx.bus.flow(1):
-                ctx.bus.send(0, 1, 64, tag="proofs")
-        """,
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 3)]
-
-
 @pytest.mark.parametrize(
     ("define", "with_"),
     [("def", "with"), ("async def", "async with")],

@@ -77,13 +77,24 @@ def test_prediction_leaks_path_bits(trained):
 
 def test_communication_is_orders_below_pivot(trained):
     """Fig. 5: NPD-DT is essentially free next to any secure protocol —
-    about an order of magnitude fewer bytes than Pivot (8.8x here).  Both
+    about an order of magnitude fewer bytes than Pivot (8.5x here).  Both
     byte counts are pinned: Pivot's split statistics, with Algorithm 2's
     masks riding in them, every party's masked groups reaching every
     other party and each partial decryption the super client alone, and
     the root's entry and label totals in level 0's; one child's mask
-    vector per split, none for leaves at the depth limit.  The NPD-DT fit is a fresh one: the
-    fixture's bus also carries the other tests' predictions."""
+    vector per split, none for leaves at the depth limit.
+
+    NP-DT's are measured payloads, each a ``bytes`` blob behind the
+    codec's 5-byte header (tag + length), broadcast to the m − 1 others:
+
+        (m − 1) · [(5 + 8n) + Σ_nodes Σ_clients (5 + 8 s) + Σ_splits (5 + n)]
+
+    over the n labels, each evaluated node's per-client statistics (s
+    values: 2c + 2 per candidate split) and each chosen split's partition.
+    Here m = 3, n = 40, three nodes evaluated and split, 126 statistics:
+    2 · (325 + (9 · 5 + 8 · 126) + 3 · 45) = 3 026.  The NPD-DT fit is a
+    fresh one: the fixture's bus also carries the other tests'
+    predictions."""
     from repro.core import TreeTrainer
     from tests.core.conftest import make_context
 
@@ -92,4 +103,9 @@ def test_communication_is_orders_below_pivot(trained):
     npd.fit()
     ctx = make_context(X, y, "classification", params=PARAMS, seed=9)
     TreeTrainer(ctx).fit()
-    assert (ctx.bus.bytes, npd.bus.bytes) == (25_594, 2_896)
+    assert (ctx.bus.bytes, npd.bus.bytes) == (25_594, 3_026)
+    assert npd.bus.by_tag == {
+        "plaintext-labels": 2 * (5 + 8 * 40),
+        "plaintext-stats": 2 * (3 * 3 * 5 + 8 * 126),
+        "partition": 2 * 3 * (5 + 40),
+    }

@@ -115,7 +115,7 @@ def _check_batch_against_batch_of_one_and_plaintext_walk(shape, data):
         assert single == batched[r]
         assert ctx.revealed[logged:] == [batch_log[r]]
     ctx.bus.assert_drained()
-    assert ctx.bus.bytes_measured == ctx.bus.bytes_estimated
+    assert ctx.bus.bytes == ctx.bus.bytes_estimated
 
 
 @settings(deadline=None, max_examples=60)

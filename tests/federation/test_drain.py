@@ -45,7 +45,7 @@ def test_receive_decodes_payload_roundtrip(payload_bus):
     ct = threshold.public_key.encrypt(41)
     with bus.flow(0):
         bus.send_payload(0, 2, [ct, ct], tag="stats")
-    received = bus.receive(2, tag="stats")
+        received = bus.receive(2, tag="stats")
     assert [c.raw for c in received] == [ct.raw, ct.raw]
     assert bus.consumed == 1
     bus.assert_drained()
@@ -63,13 +63,13 @@ def test_receive_tag_mismatch_raises_and_keeps_message(payload_bus):
     bus = fresh_bus(codec)
     with bus.flow(0):
         bus.send_payload(0, 1, threshold.public_key.encrypt(1), tag="alpha")
-    with pytest.raises(ValueError, match="alpha"):
-        bus.receive(1, tag="beta")
-    # Validation happens before the pop: the rejected message stays
-    # queued (visible to assert_drained) instead of being lost.
-    assert bus.pending_total() == 1
-    assert bus.consumed == 0
-    received = bus.receive(1, tag="alpha")
+        with pytest.raises(ValueError, match="alpha"):
+            bus.receive(1, tag="beta")
+        # Validation happens before the pop: the rejected message stays
+        # queued (visible to assert_drained) instead of being lost.
+        assert bus.pending_total() == 1
+        assert bus.consumed == 0
+        received = bus.receive(1, tag="alpha")
     assert received.raw is not None
 
 
@@ -89,8 +89,8 @@ def test_assert_drained_reports_leftovers(payload_bus):
     bus = fresh_bus(codec)
     with bus.flow(0):
         bus.send_payload(1, 0, threshold.public_key.encrypt(3), tag="x")
-    with pytest.raises(AssertionError, match="inboxes"):
-        bus.assert_drained()
+        with pytest.raises(AssertionError, match="inboxes"):
+            bus.assert_drained()
 
 
 # -- the threshold-decryption flow --------------------------------------------

@@ -93,10 +93,10 @@ def test_endpoint_pending_goes_through_bus_api(data):
         assert a.pending() == b.pending() == 0
         with fed.bus.flow(0):
             a.send(1, fed.threshold.public_key.encrypt(1), tag="stats")
-        assert b.pending() == 1
-        assert a.pending() == 0
-        b.receive(tag="stats")
-        assert b.pending() == 0
+            assert b.pending() == 1
+            assert a.pending() == 0
+            b.receive(tag="stats")
+            assert b.pending() == 0
         fed.assert_drained()
     finally:
         fed.close()

@@ -110,16 +110,19 @@ def _fit_logistic(fed):
     [("_op_convert_masks", _convert), ("_op_lr_batch_sums", _fit_logistic)],
     ids=["convert-masks", "lr-batch-sums"],
 )
+@pytest.mark.parametrize("party", [1, 2])
 def test_a_peer_that_answers_twice_fails_the_flow_and_strands_nothing(
-    tiny_classification, transport, op, run
+    tiny_classification, transport, op, run, party
 ):
-    """Party 1 answers her request twice: the holder's reply collector
-    raises, and the flow's scope drains party 2's reply with the rest."""
+    """A peer answers her request twice: the holder's reply collector
+    raises, and the flow's scope drains what is left.  Party 2's replies
+    land last in the holder's inbox, so her second one comes after every
+    expected reply is in."""
     X, y = tiny_classification
     config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
     parties = split_parties(X, y, (2, 1, 1))
     with Federation(parties, config=config, transport=transport) as fed:
-        _answers_twice(fed.runtimes[1], op)
-        with pytest.raises(ValueError, match="two replies from party 1"):
+        _answers_twice(fed.runtimes[party], op)
+        with pytest.raises(ValueError, match=f"two replies from party {party}"):
             run(fed)
         fed.assert_drained()

@@ -464,9 +464,9 @@ def test_bus_receive_awaits_socket_delivery(socket_bus):
     ct = threshold.public_key.encrypt(41)
     with bus.flow(0):
         bus.send_payload(0, 2, [ct, ct], tag="stats")
-    # The frame may still be in flight when receive is called; the
-    # await-delivery seam blocks until it arrives instead of raising.
-    received = bus.receive(2, tag="stats")
+        # The frame may still be in flight when receive is called; the
+        # await-delivery seam blocks until it arrives instead of raising.
+        received = bus.receive(2, tag="stats")
     assert [c.raw for c in received] == [ct.raw, ct.raw]
     bus.assert_drained()
 
@@ -485,7 +485,6 @@ def test_bus_snapshot_reports_socket_transport(socket_bus):
     bus, threshold = socket_bus
     with bus.flow(0):
         bus.broadcast_payload(0, threshold.public_key.encrypt(1), tag="b")
-    bus.drain()
     snap = bus.snapshot()
     assert snap["transport"]["kind"] == "SocketTransport"
     assert snap["transport"]["delivered"] == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.network import MessageBus, NetworkModel, WireCodec
+from repro.network import MessageBus, WireCodec
 from repro.network.transport import InMemoryTransport
 from repro.network.wire import Request
 
@@ -14,52 +14,28 @@ def payload_bus(threshold3):
     )
 
 
-def test_send_accounting():
-    bus = MessageBus(3)
-    with bus.flow(1):
-        bus.send(0, 1, 100, tag="stats")
-        bus.send(1, 2, 50, tag="stats")
-    assert bus.messages == 2
-    assert bus.bytes == 150
-    assert bus.by_tag["stats"] == 150
-
-
-def test_broadcast_counts_fanout():
-    bus = MessageBus(4)
-    with bus.flow(1):
-        bus.broadcast(0, 10, tag="label-vectors")
-    assert bus.messages == 3
-    assert bus.bytes == 30
-
-
-def test_round_counting_and_model():
-    model = NetworkModel(latency_seconds=1e-3, bandwidth_bytes_per_second=1e6)
-    bus = MessageBus(2, model)
+def test_round_counting():
+    bus = MessageBus(2, codec=WireCodec(None))
     with bus.flow(5):
-        bus.broadcast(0, 1000)
+        bus.broadcast_payload(0, b"x" * 1000)
     assert bus.rounds == 5
-    assert bus.simulated_time() == pytest.approx(5e-3 + 1e-3)
+    assert bus.bytes == bus.bytes_estimated == 1005
 
 
 def test_validation():
-    bus = MessageBus(2)
-    with bus.flow(0):
-        with pytest.raises(ValueError):
-            bus.send(0, 0, 1)
-        with pytest.raises(ValueError):
-            bus.send(0, 5, 1)
+    bus = MessageBus(2, codec=WireCodec(None))
     with pytest.raises(ValueError):
         bus.round(-1)
     with pytest.raises(ValueError):
-        MessageBus(0)
+        MessageBus(0, codec=WireCodec(None))
 
 
 def test_reset_and_snapshot():
-    bus = MessageBus(2)
+    bus = MessageBus(2, codec=WireCodec(None))
     with bus.flow(1):
-        bus.broadcast(0, 10)
+        bus.broadcast_payload(0, b"12345")
     snap = bus.snapshot()
-    assert snap["bytes"] == 10 and snap["rounds"] == 1
+    assert snap["bytes"] == snap["bytes_measured"] == 10 and snap["rounds"] == 1
     assert snap["transport"]["kind"] == "InMemoryTransport"
     bus.reset()
     assert bus.snapshot()["bytes"] == 0
@@ -71,22 +47,22 @@ def test_reset_refuses_with_pending_messages(payload_bus, threshold3):
     inboxes populated — every later consumed/pending figure was wrong."""
     with payload_bus.flow(0):
         payload_bus.send_payload(0, 1, threshold3.encrypt(5), tag="stats")
-    with pytest.raises(RuntimeError, match="still\\s+pending"):
+        with pytest.raises(RuntimeError, match="still\\s+pending"):
+            payload_bus.reset()
+        # The refusal changed nothing.
+        assert payload_bus.messages == 1
+        assert payload_bus.pending_total() == 1
+        # Consuming the message (or asking reset to drain) makes it legal.
+        payload_bus.receive(1, tag="stats")
         payload_bus.reset()
-    # The refusal changed nothing.
-    assert payload_bus.messages == 1
-    assert payload_bus.pending_total() == 1
-    # Consuming the message (or asking reset to drain) makes it legal.
-    payload_bus.receive(1, tag="stats")
-    payload_bus.reset()
-    assert payload_bus.messages == 0
-    assert payload_bus.pending_total() == 0
+        assert payload_bus.messages == 0
+        assert payload_bus.pending_total() == 0
 
 
 def test_reset_drain_true_consumes_then_zeroes(payload_bus, threshold3):
     with payload_bus.flow(0):
         payload_bus.broadcast_payload(0, threshold3.encrypt(5), tag="stats")
-    payload_bus.reset(drain=True)
+        payload_bus.reset(drain=True)
     assert payload_bus.pending_total() == 0
     assert payload_bus.messages == 0
     assert payload_bus.consumed == 0
@@ -101,7 +77,7 @@ def test_drain_preserves_control_frames(payload_bus, threshold3):
         payload_bus.send_payload(0, 1, threshold3.encrypt(1), tag="stats")
         payload_bus.send_control(2, 1, Request("ctl-snapshot", []), tag="ctl-snapshot")
         payload_bus.send_payload(2, 1, threshold3.encrypt(2), tag="stats")
-    assert payload_bus.drain() == 2  # the two protocol frames, not the ctl
+        assert payload_bus.drain() == 2  # the two protocol frames, not the ctl
     assert payload_bus.pending(1) == 1
     sender, tag, payload = payload_bus.receive_control(1)
     assert (sender, tag) == (2, "ctl-snapshot")
@@ -117,17 +93,16 @@ def test_send_payload_measures_and_delivers(payload_bus, threshold3):
     ct = threshold3.encrypt(42)
     with payload_bus.flow(0):
         size = payload_bus.send_payload(0, 1, ct, tag="stats")
-    assert size == len(payload_bus.codec.serialize(ct))
-    assert payload_bus.messages == 1
-    assert payload_bus.bytes == size
-    assert payload_bus.bytes_measured == size
-    assert payload_bus.bytes_estimated == size
-    assert payload_bus.by_tag["stats"] == size
-    # The message exists as bytes in the receiver's inbox and round-trips.
-    envelope = payload_bus.transport.poll(1)
+        # The message exists as bytes in the receiver's inbox and round-trips.
+        envelope = payload_bus.transport.poll(1)
     assert envelope.sender == 0 and envelope.tag == "stats"
     assert payload_bus.codec.deserialize(envelope.data).raw == ct.raw
     assert payload_bus.transport.poll(2) is None
+    assert size == len(payload_bus.codec.serialize(ct))
+    assert payload_bus.messages == 1
+    assert payload_bus.bytes == size
+    assert payload_bus.bytes_estimated == size
+    assert payload_bus.by_tag["stats"] == size
 
 
 def test_broadcast_payload_fans_out_once(payload_bus, threshold3):
@@ -136,13 +111,12 @@ def test_broadcast_payload_fans_out_once(payload_bus, threshold3):
     ct = threshold3.encrypt(7)
     with payload_bus.flow(0):
         size = payload_bus.broadcast_payload(1, ct, tag="mask-vector")
+        assert payload_bus.transport.pending(0) == 1
+        assert payload_bus.transport.pending(2) == 1
+        assert payload_bus.transport.pending(1) == 0  # sender keeps nothing
     assert payload_bus.messages == 2  # m - 1 receivers
     assert payload_bus.bytes == 2 * size
-    assert payload_bus.bytes_measured == 2 * size
     assert payload_bus.by_tag["mask-vector"] == 2 * size
-    assert payload_bus.transport.pending(0) == 1
-    assert payload_bus.transport.pending(2) == 1
-    assert payload_bus.transport.pending(1) == 0  # sender keeps nothing
 
 
 def test_payload_snapshot_and_by_tag(payload_bus, threshold3):
@@ -164,16 +138,10 @@ def test_bus_pending_is_the_endpoint_api(payload_bus, threshold3):
     a remote transport must get to flush in-flight frames first."""
     with payload_bus.flow(0):
         payload_bus.send_payload(0, 2, threshold3.encrypt(3), tag="stats")
-    assert payload_bus.pending(2) == 1
-    assert payload_bus.pending(1) == 0
+        assert payload_bus.pending(2) == 1
+        assert payload_bus.pending(1) == 0
     with pytest.raises(ValueError):
         payload_bus.pending(9)
-
-
-def test_payload_requires_codec():
-    bus = MessageBus(2)  # codec-less: legacy estimate API only
-    with bus.flow(0), pytest.raises(ValueError):
-        bus.send_payload(0, 1, b"raw")
 
 
 def test_payload_validation(payload_bus):
@@ -191,18 +159,18 @@ def test_four_receives_one_pop(payload_bus, threshold3):
     with payload_bus.flow(0):
         for _ in range(3):
             payload_bus.send_payload(1, 0, Request("op", 7), tag="stats")
-    payload_bus.send_control(2, 0, Request("ctl-info", []), tag="ctl-info")
-    with pytest.raises(ValueError, match="expected a 'other' message"):
-        payload_bus.receive(0, tag="other")  # rejected before the pop
-    assert payload_bus.pending(0) == 4
-    assert payload_bus.receive(0, tag="stats") == Request("op", 7)
-    assert payload_bus.receive_any(0, tag="stats") == (1, Request("op", 7))
-    assert payload_bus.receive_tagged(0) == (1, "stats", Request("op", 7))
-    assert payload_bus.consumed == 3
-    assert payload_bus.receive_control(0) == (2, "ctl-info", Request("ctl-info", []))
-    assert payload_bus.consumed == 3  # control plane is not counted
-    with pytest.raises(LookupError, match="party 0 expected a 'stats' message"):
-        payload_bus.receive(0, tag="stats")
+        payload_bus.send_control(2, 0, Request("ctl-info", []), tag="ctl-info")
+        with pytest.raises(ValueError, match="expected a 'other' message"):
+            payload_bus.receive(0, tag="other")  # rejected before the pop
+        assert payload_bus.pending(0) == 4
+        assert payload_bus.receive(0, tag="stats") == Request("op", 7)
+        assert payload_bus.receive_any(0, tag="stats") == (1, Request("op", 7))
+        assert payload_bus.receive_tagged(0) == (1, "stats", Request("op", 7))
+        assert payload_bus.consumed == 3
+        assert payload_bus.receive_control(0) == (2, "ctl-info", Request("ctl-info", []))
+        assert payload_bus.consumed == 3  # control plane is not counted
+        with pytest.raises(LookupError, match="party 0 expected a 'stats' message"):
+            payload_bus.receive(0, tag="stats")
 
 
 def test_local_parties_is_the_transports_fact(payload_bus):
@@ -214,14 +182,12 @@ def test_local_parties_is_the_transports_fact(payload_bus):
 
 
 def test_an_accounted_send_outside_a_flow_raises(payload_bus, threshold3):
-    """Payload and estimate sends alike need an open flow or a running
-    handler; a refused send puts nothing on the books."""
+    """A send needs an open flow or a running handler; a refused send puts
+    nothing on the books."""
     ct = threshold3.encrypt(1)
     refused = [
         lambda: payload_bus.send_payload(0, 1, ct, tag="stats"),
         lambda: payload_bus.broadcast_payload(0, ct, tag="stats"),
-        lambda: payload_bus.send(0, 1, 64, tag="proofs"),
-        lambda: payload_bus.broadcast(0, 64, tag="proofs"),
     ]
     for send in refused:
         with pytest.raises(RuntimeError, match="needs an open flow"):
@@ -255,3 +221,13 @@ def test_a_failing_flow_drains_and_charges_no_round(payload_bus, threshold3):
     with payload_bus.flow(1):  # the scope closed on the way out
         pass
     assert payload_bus.rounds == 1
+
+
+def test_a_flow_that_charges_no_round_strands_nothing(payload_bus, threshold3):
+    """The scope's exit serves and drains at any count: ``flow(0)`` too."""
+    with payload_bus.flow(0):
+        payload_bus.broadcast_payload(0, threshold3.encrypt(1), tag="stats")
+        assert payload_bus.pending_total() == 2
+    assert payload_bus.pending_total() == 0
+    assert payload_bus.rounds == 0 and payload_bus.consumed == 2
+    payload_bus.assert_drained()

@@ -1,17 +1,20 @@
 """End-to-end reconciliation: measured bytes == formula bytes on real runs.
 
-The tentpole guarantee: every byte the Pivot core protocols account comes
-from a serialized payload (``bytes_measured``), and the codec's arithmetic
-size formulas (``bytes_estimated``) agree exactly.  Training and
-prediction runs of both protocols are the integration surface — if any
-call site regresses to a hand-maintained estimate, or the wire format and
-its size formula drift apart, these tests fail.
+Every byte the bus accounts comes from a serialized payload
+(``bytes_measured``), and the codec's arithmetic size formulas
+(``bytes_estimated``) agree exactly.  Training and prediction runs of both
+protocols, a malicious-model fit and the NP-DT baseline are the
+integration surface — if the wire format and its size formula drift
+apart, these tests fail.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import TreeTrainer, run_predict_batch
+from repro.baselines import NpdDecisionTree
+from repro.core import MaliciousTreeTrainer, TreeTrainer, run_predict_batch
+from repro.data import vertical_partition
+from repro.tree import TreeParams
 
 from tests.core.conftest import make_context
 
@@ -27,8 +30,6 @@ def data():
 def _assert_reconciled(bus):
     snap = bus.snapshot()
     assert snap["bytes_measured"] > 0
-    # measured == corrected-formula bytes, and nothing on this bus came
-    # from the legacy estimate API.
     assert snap["bytes_measured"] == snap["bytes_estimated"]
     assert snap["bytes"] == snap["bytes_measured"]
     # Every byte is attributed to a protocol phase.
@@ -72,3 +73,21 @@ def test_regression_training_reconciles():
     model = TreeTrainer(ctx).fit()
     run_predict_batch(model, ctx, X[:2])
     _assert_reconciled(ctx.bus)
+
+
+def test_malicious_training_reconciles(data):
+    """The malicious model charges only what it sends: its conversions."""
+    X, y = data
+    ctx = make_context(
+        X, y, "classification", params=TreeParams(max_depth=2, max_splits=2),
+        authenticated_mpc=True,
+    )
+    MaliciousTreeTrainer(ctx).fit()
+    _assert_reconciled(ctx.bus)
+
+
+def test_npd_dt_training_reconciles(data):
+    X, y = data
+    npd = NpdDecisionTree(vertical_partition(X, y, 3, task="classification"))
+    npd.fit()
+    _assert_reconciled(npd.bus)
