@@ -73,3 +73,22 @@ def test_calibration_returns_sane_costs():
     # cs vs cc is not ordered here: a comparison is only a few
     # multiplications' worth, within one scheduler hiccup of a 30 us mul.
     assert costs.cs > 0 and costs.cc > 0
+
+
+def test_network_model_defaults_are_a_gigabit_lan():
+    model = NetworkModel()
+    assert model.time(0, 0) == 0
+    assert model.time(2, 125_000_000) == pytest.approx(2 * 0.5e-3 + 1.0)
+
+
+def test_network_model_prices_a_bus_snapshot():
+    """The bus counts; the model prices what it counted."""
+    from repro.network import MessageBus, WireCodec
+
+    bus = MessageBus(3, codec=WireCodec(None))
+    with bus.flow(3):
+        bus.broadcast_payload(0, b"x" * 995)  # 5-byte header, 2 receivers
+    snap = bus.snapshot()
+    model = NetworkModel(latency_seconds=1e-3, bandwidth_bytes_per_second=1e6)
+    assert (snap["rounds"], snap["bytes"]) == (3, 2_000)
+    assert model.time(snap["rounds"], snap["bytes"]) == pytest.approx(3e-3 + 2e-3)

@@ -1,5 +1,6 @@
 """NPD-DT baseline (§8.1): plaintext-equivalent output, honest accounting."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import NpdDecisionTree, npd_predict
@@ -109,3 +110,117 @@ def test_communication_is_orders_below_pivot(trained):
         "plaintext-stats": 2 * (3 * 3 * 5 + 8 * 126),
         "partition": 2 * 3 * (5 + 40),
     }
+
+
+def _recorded_fit(partition, monkeypatch):
+    """Fit NP-DT and keep every broadcast payload, by tag."""
+    npd = NpdDecisionTree(partition, PARAMS)
+    sent: dict[str, list[bytes]] = {}
+    broadcast = npd.bus.broadcast_payload
+
+    def record(sender, payload, tag="untagged"):
+        sent.setdefault(tag, []).append(payload)
+        return broadcast(sender, payload, tag=tag)
+
+    monkeypatch.setattr(npd.bus, "broadcast_payload", record)
+    return npd, npd.fit(), sent
+
+
+def test_the_label_payload_is_the_label_vector(trained, monkeypatch):
+    _, y, vp, _, _ = trained
+    _, _, sent = _recorded_fit(vp, monkeypatch)
+    (labels,) = sent["plaintext-labels"]
+    np.testing.assert_array_equal(np.frombuffer(labels, dtype=np.int64), y)
+
+
+def test_classification_statistics_are_each_candidates_counts(trained, monkeypatch):
+    """2c + 2 values per candidate split: n_l, n_r, the left and right
+    class counts; one message per client per evaluated node."""
+    _, _, vp, _, _ = trained
+    npd, _, sent = _recorded_fit(vp, monkeypatch)
+    c = npd.n_classes
+    stats = sent["plaintext-stats"]
+    assert len(stats) % vp.n_clients == 0
+    for blob in stats:
+        rows = np.frombuffer(blob, dtype=np.float64).reshape(-1, 2 * c + 2)
+        np.testing.assert_array_equal(rows[:, 0], rows[:, 2 : 2 + c].sum(axis=1))
+        np.testing.assert_array_equal(rows[:, 1], rows[:, 2 + c :].sum(axis=1))
+        assert len(set(rows[:, 0] + rows[:, 1])) <= 1  # one node per message
+    # The root's messages: every sample, on every client's candidates.
+    for blob in stats[: vp.n_clients]:
+        rows = np.frombuffer(blob, dtype=np.float64).reshape(-1, 2 * c + 2)
+        assert len(rows) and set(rows[:, 0] + rows[:, 1]) == {vp.n_samples}
+
+
+def test_regression_statistics_are_each_candidates_sums(monkeypatch):
+    """Six values per candidate split: n, Σy and Σy² of each side."""
+    X, y = make_regression(30, 4, seed=2)
+    vp = vertical_partition(X, y, 3, task="regression")
+    _, _, sent = _recorded_fit(vp, monkeypatch)
+    # The root's messages, one per client: each candidate splits all 30.
+    for blob in sent["plaintext-stats"][: vp.n_clients]:
+        rows = np.frombuffer(blob, dtype=np.float64).reshape(-1, 6)
+        assert len(rows)
+        np.testing.assert_array_equal(rows[:, 0] + rows[:, 3], 30)
+        np.testing.assert_allclose(rows[:, 1] + rows[:, 4], y.sum())
+        np.testing.assert_allclose(rows[:, 2] + rows[:, 5], (y**2).sum())
+
+
+def test_the_partition_payload_is_the_roots_left_mask(trained, monkeypatch):
+    X, _, vp, _, _ = trained
+    _, model, sent = _recorded_fit(vp, monkeypatch)
+    root = model.root
+    column = X[:, vp.global_feature_of(root.owner, root.feature)]
+    left = np.frombuffer(sent["partition"][0], dtype=bool)
+    np.testing.assert_array_equal(left, column <= root.threshold)
+
+
+def test_a_fit_and_its_predictions_strand_no_message(trained):
+    X, _, vp, _, _ = trained
+    npd = NpdDecisionTree(vp, PARAMS)
+    model = npd.fit()
+    for row in X[:5]:
+        npd_predict(model, vp, row, npd.bus)
+    assert npd.bus.pending_total() == 0
+    assert npd.bus.consumed == npd.bus.messages > 0
+    npd.bus.assert_drained()
+
+
+def test_a_branch_bit_per_node_another_client_owns(trained):
+    """Each node on the path that the super client does not own costs one
+    1-byte payload behind the 5-byte header, sent to her alone."""
+    X, _, vp, _, model = trained
+    bus = NpdDecisionTree(vp, PARAMS).bus
+    for row in X[:8]:
+        before = bus.by_tag.get("branch-bit", 0)
+        npd_predict(model, vp, row, bus)
+        node, foreign = model.root, 0
+        while not node.is_leaf:
+            foreign += node.owner != vp.super_client
+            cols = vp.columns_per_client[node.owner]
+            node = node.left if row[cols[node.feature]] <= node.threshold else node.right
+        assert bus.by_tag.get("branch-bit", 0) - before == 6 * foreign
+
+
+def test_the_super_client_walks_on_the_bit_she_receives(trained, monkeypatch):
+    """She does not compare the owner's feature herself: flip every bit she
+    receives and the walk takes the other branch at every foreign node."""
+    X, _, vp, npd, model = trained
+    assert model.root.owner != vp.super_client  # the root's bit is sent
+    receive = npd.bus.receive
+
+    def flipped(party, tag=None):
+        return bytes([1 - receive(party, tag=tag)[0]])
+
+    monkeypatch.setattr(npd.bus, "receive", flipped)
+    outcomes = []
+    for row in X:
+        node = model.root
+        while not node.is_leaf:
+            cols = vp.columns_per_client[node.owner]
+            goes_left = row[cols[node.feature]] <= node.threshold
+            if node.owner != vp.super_client:
+                goes_left = not goes_left
+            node = node.left if goes_left else node.right
+        outcomes.append(npd_predict(model, vp, row, npd.bus) == node.prediction)
+    assert all(outcomes)

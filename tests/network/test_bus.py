@@ -2,7 +2,7 @@ import pytest
 
 from repro.network import MessageBus, WireCodec
 from repro.network.transport import InMemoryTransport
-from repro.network.wire import Request
+from repro.network.wire import Request, WireFormatError
 
 
 @pytest.fixture()
@@ -142,6 +142,38 @@ def test_bus_pending_is_the_endpoint_api(payload_bus, threshold3):
         assert payload_bus.pending(1) == 0
     with pytest.raises(ValueError):
         payload_bus.pending(9)
+
+
+def test_payload_requires_codec():
+    """A payload's serialized size is the only byte the bus charges, so
+    there is no bus without a codec; a key-less one takes WireCodec(None)."""
+    with pytest.raises(TypeError):
+        MessageBus(2)
+    with pytest.raises(TypeError, match=r"WireCodec\(None\)"):
+        MessageBus(2, codec=None)
+
+
+def test_a_keyless_bus_refuses_a_ciphertext_before_charging_it(threshold3):
+    bus = MessageBus(3, codec=WireCodec(None))
+    with bus.flow(1):
+        size = bus.send_payload(0, 2, Request("op", [7, [1, 2], b"ab"]), tag="x")
+        assert bus.receive(2, tag="x") == Request("op", [7, [1, 2], b"ab"])
+        with pytest.raises(WireFormatError, match="not bound"):
+            bus.send_payload(0, 1, threshold3.encrypt(3), tag="x")
+        assert bus.pending_total() == 0
+    assert (bus.messages, bus.bytes, dict(bus.by_tag)) == (1, size, {"x": size})
+
+
+def test_the_bus_counts_and_prices_nothing():
+    """Pricing rounds and bytes is ``analysis.costmodel.NetworkModel``'s."""
+    with pytest.raises(TypeError):
+        MessageBus(2, codec=WireCodec(None), model=object())
+    bus = MessageBus(2, codec=WireCodec(None))
+    for gone in ("send", "broadcast", "simulated_time", "model"):
+        assert not hasattr(bus, gone)
+    with bus.flow(1):
+        bus.broadcast_payload(0, b"x")
+    assert "simulated_seconds" not in bus.snapshot()
 
 
 def test_payload_validation(payload_bus):

@@ -86,6 +86,19 @@ def test_malicious_training_reconciles(data):
     _assert_reconciled(ctx.bus)
 
 
+def test_a_malicious_fit_sends_no_proof_traffic(data):
+    """Commitments and proofs are checked centrally and never sent, so the
+    bus carries the fit's conversions and nothing else."""
+    X, y = data
+    ctx = make_context(
+        X, y, "classification", params=TreeParams(max_depth=2, max_splits=2),
+        authenticated_mpc=True,
+    )
+    MaliciousTreeTrainer(ctx).fit()
+    assert set(ctx.bus.by_tag) == {"mpc-convert"}
+    assert ctx.conversions.threshold_decryptions > 0
+
+
 def test_npd_dt_training_reconciles(data):
     X, y = data
     npd = NpdDecisionTree(vertical_partition(X, y, 3, task="classification"))
