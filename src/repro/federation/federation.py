@@ -360,11 +360,6 @@ class Federation:
         with as_party(self.super_client):
             return self.labels.read()
 
-    @property
-    def ciphertext_bytes(self) -> int:
-        """Width of one serialized ciphertext (single-sourced in the codec)."""
-        return self.bus.codec.ciphertext_width
-
     def split_identifiers(self, available: list[list[int]]) -> list[tuple[int, int, int]]:
         """Flat enumeration (i, j, s) of all splits of the available features.
 

@@ -101,11 +101,6 @@ class MessageBus:
     ):
         if n_parties < 1:
             raise ValueError("bus needs at least one party")
-        if not isinstance(codec, WireCodec):
-            raise TypeError(
-                "a bus charges only serialized payloads and needs a "
-                "WireCodec (WireCodec(None) when there is no key)"
-            )
         self.n_parties = n_parties
         self.codec = codec
         # Delivery is drain-based: receivers consume their inboxes — either

@@ -57,7 +57,11 @@ def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
     runtimes by index) but not over sockets — replies are keyed by the
     envelope's sender, never by position.  Once every reply is in, mail
     still pending for ``receiver`` is read too, so a second reply raises
-    ``ValueError`` even from the peer whose first one came last.
+    ``ValueError`` even from the peer whose first one came last — when
+    every peer is hosted in this process, over memory or sockets, since
+    :meth:`MessageBus.pending` flushes only this process's sends.  A peer
+    in another process can land a late duplicate after that check; the
+    flow's barrier then drains it unread.
     """
     replies: dict[int, object] = {}
     expected = set(senders)

@@ -11,8 +11,8 @@ The format is :data:`LAYOUT`, one :class:`Row` per wire type; ``estimate``,
 ``serialize`` and ``deserialize`` interpret that table and nothing else, so
 ``estimate(p) == len(serialize(p))`` holds by construction and a new wire
 type is a new row.  Ciphertexts and decryption shares (elements of Z_{n²})
-take exactly ``2 * ceil(n_bits / 8)`` bytes — the protocol-spec formula
-``Federation.ciphertext_bytes`` — and secret shares ``ceil(q_bits / 8)``.
+take exactly ``2 * ceil(n_bits / 8)`` bytes — the protocol-spec formula,
+:attr:`WireCodec.ciphertext_width` — and secret shares ``ceil(q_bits / 8)``.
 
 The decoder reads bytes from a possibly corrupted peer: every count or
 length is checked against the bytes left before anything is read, nesting

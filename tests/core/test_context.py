@@ -40,7 +40,7 @@ def test_context_setup(small_classification):
     assert ctx.n_samples == len(y)
     assert ctx.super_client == 0
     assert len(ctx.clients) == 3
-    assert ctx.ciphertext_bytes == 2 * (256 // 8)
+    assert ctx.bus.codec.ciphertext_width == 2 * (256 // 8)
 
 
 def test_clients_have_candidate_splits(small_classification):

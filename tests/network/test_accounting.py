@@ -79,7 +79,7 @@ def test_joint_decrypt_counts_partial_shares(ctx):
     assert result == [pytest.approx(2.5)]
     expected = (m - 1) * vec(1, s_ct) + (m - 1) * s_pdv(1)
     assert nbytes == expected
-    seed_estimate = (m - 1) * ctx.ciphertext_bytes  # what the seed recorded
+    seed_estimate = (m - 1) * ctx.bus.codec.ciphertext_width  # what the seed recorded
     assert nbytes > seed_estimate
 
 
@@ -125,7 +125,7 @@ def test_to_cipher_formula(ctx, k):
     assert nbytes == 2 * (m - 1) * vec(k, s_ct)
     assert rounds == 2
     assert messages == 2 * (m - 1)
-    seed_bytes = k * m * (m - 1) * ctx.ciphertext_bytes
+    seed_bytes = k * m * (m - 1) * ctx.bus.codec.ciphertext_width
     assert nbytes < seed_bytes
     assert ctx.joint_decrypt_batch(cts, tag="check") == [
         pytest.approx(0.5 * i) for i in range(k)

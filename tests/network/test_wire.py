@@ -43,7 +43,7 @@ def test_ciphertext_roundtrip(codec, threshold3):
 
 
 def test_ciphertext_width_matches_protocol_formula(codec, threshold3):
-    # The spec formula the seed kept in Federation.ciphertext_bytes.
+    # The protocol-spec width of one ciphertext.
     n = threshold3.public_key.n
     assert codec.ciphertext_width == 2 * ((n.bit_length() + 7) // 8)
 
