@@ -47,15 +47,12 @@ one per core; the merged report is byte-identical to a serial run).  See
 interprocedural semantics, the suppression policy, and how to add a rule.
 """
 
-from repro.analysis.pivotlint.baseline import Baseline, BaselineEntry
 from repro.analysis.pivotlint.engine import Analyzer, FileContext, Report
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import REGISTRY, Rule, register
 
 __all__ = [
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
     "FileContext",
     "Finding",
     "REGISTRY",

@@ -1,9 +1,8 @@
 """CLI: ``python -m repro.analysis.pivotlint src/ [--strict]``.
 
-Exit status: 0 when the tree is clean (every finding fixed, suppressed
-with a justification, or baselined with a justification); 1 when findings
-remain; 2 on usage errors.  ``--strict`` additionally fails on suppression
-and baseline hygiene (missing justifications, stale entries).
+Exit status: 0 when the tree is clean (every finding fixed or suppressed
+with a justification); 1 when findings remain; 2 on usage errors.
+``--strict`` additionally fails on suppressions that silence nothing.
 """
 
 from __future__ import annotations
@@ -14,11 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from repro.analysis.pivotlint.baseline import Baseline, BaselineEntry
 from repro.analysis.pivotlint.engine import Analyzer, Report
 from repro.analysis.pivotlint.rules import REGISTRY
-
-DEFAULT_BASELINE = "pivotlint.baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,25 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="also fail on unjustified suppressions and baseline rot",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"accepted-findings file (default: ./{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "write every remaining finding into the baseline file with an "
-            "empty justification (which --strict then rejects until each "
-            "entry says why it is accepted)"
-        ),
+        help="also fail on suppressions that silence nothing",
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "github", "sarif"),
         default="text",
         help=(
             "output format (github emits workflow annotations, sarif emits "
@@ -92,22 +74,9 @@ def _render_text(report: Report) -> str:
     lines.append(
         f"pivotlint: {report.files_scanned} files scanned, "
         f"{len(report.findings)} finding(s) [{tally}], "
-        f"{len(report.suppressed)} suppressed, {len(report.baselined)} baselined"
+        f"{len(report.suppressed)} suppressed"
     )
     return "\n".join(lines)
-
-
-def _render_json(report: Report) -> str:
-    return json.dumps(
-        {
-            "files_scanned": report.files_scanned,
-            "findings": [vars(f) for f in report.parse_errors + report.findings],
-            "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
-        },
-        indent=2,
-        default=list,
-    )
 
 
 def _render_sarif(report: Report) -> str:
@@ -115,8 +84,8 @@ def _render_sarif(report: Report) -> str:
 
     One run, one tool driver, the full rule catalogue in the driver's
     ``rules`` array, and one result per surviving finding (parse errors
-    included; suppressed/baselined findings are already accepted and do
-    not appear).  Deterministic: findings keep report order and the rule
+    included; suppressed findings are already accepted and do not
+    appear).  Deterministic: findings keep report order and the rule
     catalogue is sorted, so identical trees produce identical logs.
     """
     rule_ids = sorted(REGISTRY)
@@ -185,7 +154,6 @@ def _render_summary(report: Report) -> str:
         f"* files scanned: **{report.files_scanned}**",
         f"* findings: **{len(report.findings)}**",
         f"* suppressed (justified inline): {len(report.suppressed)}",
-        f"* baselined (justified in baseline file): {len(report.baselined)}",
         "",
     ]
     if report.findings or report.parse_errors:
@@ -212,38 +180,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"    fix: {cls.hint}")
         return 0
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    baseline = Baseline.load(baseline_path)
-    analyzer = Analyzer(baseline=baseline, strict=args.strict)
+    analyzer = Analyzer(strict=args.strict)
     if args.jobs < 0:
         print("pivotlint: --jobs must be >= 0 (0 means auto)", file=sys.stderr)
         return 2
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     report = analyzer.run(args.paths, jobs=jobs)
 
-    if args.update_baseline:
-        for finding in report.findings:
-            if finding.rule == "PL000":
-                continue
-            baseline.entries.append(
-                BaselineEntry(
-                    rule=finding.rule,
-                    path=finding.path,
-                    scope=finding.scope,
-                    justification="",
-                )
-            )
-        baseline.save(baseline_path)
-        print(
-            f"pivotlint: wrote {baseline_path} with "
-            f"{len(baseline.entries)} entries — add a justification to "
-            f"each new entry (--strict rejects empty ones)"
-        )
-        return 0
-
-    if args.format == "json":
-        print(_render_json(report))
-    elif args.format == "sarif":
+    if args.format == "sarif":
         print(_render_sarif(report))
     elif args.format == "github":
         for finding in report.parse_errors + report.findings:

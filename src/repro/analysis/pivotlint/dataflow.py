@@ -104,9 +104,6 @@ class FunctionWalker(ast.NodeVisitor):
     def scopes(self) -> list[PartyScope]:
         return self._scope_stacks[-1]
 
-    def in_party_scope(self) -> bool:
-        return bool(self.scopes)
-
     # -- structure ---------------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:

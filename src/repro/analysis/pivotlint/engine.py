@@ -2,18 +2,17 @@
 
 One :class:`Analyzer` run parses every ``.py`` file under the given paths,
 hands each :class:`FileContext` to every registered rule, then filters the
-raw findings through the two acceptance layers:
+raw findings through the inline suppressions (``# pivotlint:
+disable=PLxxx -- reason``, or ``disable-file=`` for a whole module): a
+matching suppression on any line of the offending statement silences the
+finding.  A suppression without a justification yields a PL000 finding
+instead of silence.
 
-1. **Inline suppressions** (``# pivotlint: disable=PLxxx -- reason``): a
-   matching suppression on any line of the offending statement silences
-   the finding.  A suppression without a justification yields a PL000
-   finding instead of silence.
-2. **The baseline file**: accepted findings recorded with a justification
-   (see :mod:`repro.analysis.pivotlint.baseline`).
-
-What survives is the report.  ``--strict`` additionally fails on hygiene
-problems (unjustified suppressions, unjustified or stale baseline
-entries), so the accepted-findings surface cannot rot.
+What survives is the report.  ``--strict`` additionally reports every
+suppression that silenced no finding and quenched no summary as a PL000
+finding, so the accepted-findings surface cannot rot.  It is opt-in
+because a scan of part of the tree can leave a suppression idle whose
+finding needs a file outside the scan.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.pivotlint.baseline import Baseline
 from repro.analysis.pivotlint.callgraph import ProjectIndex
 from repro.analysis.pivotlint.dataflow import build_parent_map, enclosing_stmt
 from repro.analysis.pivotlint.findings import Finding
@@ -70,7 +68,6 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     parse_errors: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
@@ -93,12 +90,14 @@ def _make_quench(
     The summary computation uses this to stop exporting taint that a
     human already certified as protocol-public at its origin (see
     :mod:`repro.analysis.pivotlint.summaries`).  Unjustified suppressions
-    count too — PL000 hygiene separately forces a reason onto them.
+    count too — PL000 hygiene separately forces a reason onto them.  A
+    suppression that quenches is marked used.
     """
 
     def quench(relpath: str, rule: str, line: int) -> bool:
         for sup in suppression_map.get(relpath, ()):
             if rule in sup.codes and (sup.file_level or line in sup.covers):
+                sup.used = True
                 return True
         return False
 
@@ -133,13 +132,11 @@ class Analyzer:
     def __init__(
         self,
         rules: list[Rule] | None = None,
-        baseline: Baseline | None = None,
         strict: bool = False,
         root: Path | None = None,
     ):
         self._default_rules = rules is None
         self.rules = rules if rules is not None else [cls() for cls in REGISTRY.values()]
-        self.baseline = baseline or Baseline()
         self.strict = strict
         self.root = (root or Path.cwd()).resolve()
 
@@ -209,7 +206,6 @@ class Analyzer:
                 raw_by_file[ctx.relpath],
                 suppression_map[ctx.relpath],
             )
-        self._baseline_hygiene(report)
         report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return report
 
@@ -303,42 +299,23 @@ class Analyzer:
                     break
             if handled:
                 continue
-            entry = self.baseline.accept(finding.rule, finding.path, finding.scope)
-            if entry is not None and entry.justification.strip():
-                report.baselined.append(finding)
-                continue
             report.findings.append(finding)
 
-    def _baseline_hygiene(self, report: Report) -> None:
         if not self.strict:
             return
-        for entry in self.baseline.unjustified_entries():
+        for sup in suppressions:
+            if sup.used or not sup.reason or not set(sup.codes) <= known:
+                continue  # used, or already reported above
             report.findings.append(
                 Finding(
                     rule="PL000",
-                    path=entry.path,
-                    line=1,
+                    path=relpath,
+                    line=sup.line,
                     col=0,
                     message=(
-                        f"baseline entry for {entry.rule} (scope "
-                        f"{entry.scope!r}) has no justification"
+                        f"unused suppression: it silences no "
+                        f"{', '.join(sup.codes)} finding and quenches no summary"
                     ),
-                    hint="every accepted finding must say why",
-                )
-            )
-        for entry in self.baseline.stale_entries():
-            if not entry.justification.strip():
-                continue  # already reported above
-            report.findings.append(
-                Finding(
-                    rule="PL000",
-                    path=entry.path,
-                    line=1,
-                    col=0,
-                    message=(
-                        f"stale baseline entry: no {entry.rule} finding in "
-                        f"{entry.path} (scope {entry.scope!r}) matches it"
-                    ),
-                    hint="delete the entry — the accepted finding is gone",
+                    hint="delete the suppression — the accepted finding is gone",
                 )
             )

@@ -1,14 +1,14 @@
-"""Finding and rule metadata: what pivotlint reports and how.
+"""Findings: what pivotlint reports and how.
 
 A :class:`Finding` is one privacy-flow violation: a rule id, a precise
 span (file, line, column, end line), the violation message, and a one-line
 fix hint.  Findings are value objects — the engine produces them, the
-suppression/baseline layers filter them, and the CLI renders them.
+suppression layer filters them, and the CLI renders them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,3 @@ class Finding:
             f"col={self.col + 1}::{message}"
         )
 
-
-@dataclass
-class RuleInfo:
-    """Catalogue entry for one rule (rendered by ``--list-rules``)."""
-
-    rule_id: str
-    name: str
-    summary: str
-    hint: str
-    example: str = field(default="")

@@ -19,7 +19,9 @@ Two comment forms:
       # pivotlint: disable-file=PL001 -- NP-DT is the paper's non-private baseline
 
 Unknown rule ids in a suppression are PL000 findings too, so a typo cannot
-silently disable nothing.
+silently disable nothing; under ``--strict`` so is a suppression that
+silences no finding and quenches no summary (``Suppression.used``), so an
+accepted finding that went away takes its suppression with it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class Suppression:
     #: Lines this suppression covers (the comment's own line, plus the next
     #: code line for standalone comments).  File-level suppressions ignore it.
     covers: tuple[int, ...] = ()
+    #: Set by the engine when the suppression silences a finding or
+    #: quenches a summary; ``--strict`` reports one that stays unset.
     used: bool = False
 
 

@@ -14,6 +14,8 @@ bytes per label or statistic, 1 per sample of a partition), and a branch
 bit as one byte, each behind the codec's 5-byte blob header.
 """
 
+# pivotlint: disable-file=PL001 -- NPD-DT is the paper's deliberately non-private distributed baseline (Table 3 comparison): it trains on plaintext cross-party columns by definition. It shares no code with the protected protocol and exists to quantify what Pivot's protection buys; SPDZ-DT, by contrast, operates on secret shares and scans clean.
+
 from __future__ import annotations
 
 import numpy as np

@@ -48,9 +48,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in prime field")

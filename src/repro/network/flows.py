@@ -127,10 +127,6 @@ def run_distributed_keygen(bus: MessageBus, machines: dict) -> dict:
         ``receive_tagged`` books a consumption the protocol never made —
         and is parked in ``deferred`` for re-delivery after the run.
         """
-        # pivotlint: disable=PL007 -- bounded by the transport: the pump
-        # calls this under a pending() guard, and the blocking branch's
-        # socket bus raises its flush/read timeout if a peer stalls (the
-        # in-process bus never reaches that branch).
         sender, tag, payload = bus.receive_tagged(index)
         if not tag.startswith(KEYGEN_TAG_PREFIX):
             bus.consumed -= 1
@@ -197,12 +193,15 @@ def collect_partial_vectors(
     from different senders are not ordered over sockets, so another
     party's vector may arrive before a reply: each frame is placed by its
     type.  A second frame of one kind from one sender, or a vector of the
-    wrong length or party, raises ``ValueError``.
+    wrong length or party, raises ``ValueError``.  Once every expected
+    frame is in, mail still pending for ``holder`` is read too, so a late
+    second frame raises as well — from peers hosted in this process, as in
+    :func:`collect_replies`.
     """
-    peers = bus.n_parties - 1
+    expected = (bus.n_parties - 1) * (2 if replies else 1)
     vectors: dict[int, PartialDecryptionVector] = {}
     answers: dict[int, Any] = {}
-    for _ in range(peers * (2 if replies else 1)):
+    while len(vectors) + len(answers) < expected or bus.pending(holder):
         sender, payload = bus.receive_any(holder, tag=tag)
         if isinstance(payload, PartialDecryptionVector):
             if (

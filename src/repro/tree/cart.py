@@ -13,7 +13,7 @@ maximum wins" rule the secure argmax implements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,8 +210,3 @@ class DecisionTree:
         if best is None or best_gain <= self.params.min_gain:
             return None
         return best
-
-
-def with_params(tree: DecisionTree, **overrides) -> DecisionTree:
-    """A copy of ``tree`` with some hyper-parameters replaced."""
-    return DecisionTree(tree.task, replace(tree.params, **overrides))

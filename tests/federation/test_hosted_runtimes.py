@@ -5,8 +5,9 @@ answer through ``PartyRuntime.handle``."""
 import pytest
 
 from repro.core import LogisticTrainer, PivotConfig, TreeTrainer, run_predict_batch
-from repro.federation import Federation
+from repro.federation import Federation, PivotClassifier
 from repro.federation.party import PartyRuntime
+from repro.network.wire import PartialDecryptionVector
 
 from tests.federation.conftest import PARAMS, TEST_KEYSIZE, make_federation, split_parties
 
@@ -124,5 +125,50 @@ def test_a_peer_that_answers_twice_fails_the_flow_and_strands_nothing(
     with Federation(parties, config=config, transport=transport) as fed:
         _answers_twice(fed.runtimes[party], op)
         with pytest.raises(ValueError, match=f"two replies from party {party}"):
+            run(fed)
+        fed.assert_drained()
+
+
+def _sends_vectors_twice(runtime):
+    """``runtime``'s party sends every partial-decryption vector twice."""
+    endpoint = runtime.endpoint
+    send = endpoint.send
+
+    def twice(receiver, payload, tag=""):
+        sent = send(receiver, payload, tag=tag)
+        if isinstance(payload, PartialDecryptionVector):
+            send(receiver, payload, tag=tag)
+        return sent
+
+    endpoint.send = twice
+
+
+def _joint_decrypt(fed):
+    fed.joint_decrypt_batch(fed.batch.encrypt_vector([1, 2, 3], exponent=0), tag="test")
+
+
+def _fit_tree(fed):
+    PivotClassifier().fit(fed)
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@pytest.mark.parametrize(
+    "run", [_joint_decrypt, _fit_tree], ids=["joint-decrypt", "fit"]
+)
+@pytest.mark.parametrize("party", [1, 2])
+def test_a_peer_that_sends_her_vector_twice_fails_the_flow_and_strands_nothing(
+    tiny_classification, transport, run, party
+):
+    """A peer sends her partial-decryption vector twice: the holder's
+    vector collector raises, and the flow's scope drains what is left.
+    Party 2's vector lands last in the holder's inbox, so her second one
+    comes after every expected frame is in.  The fit's vectors are those
+    of its fused ``split-stats`` levels."""
+    X, y = tiny_classification
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
+    parties = split_parties(X, y, (2, 1, 1))
+    with Federation(parties, config=config, transport=transport) as fed:
+        _sends_vectors_twice(fed.runtimes[party])
+        with pytest.raises(ValueError, match=f"from party {party}$"):
             run(fed)
         fed.assert_drained()
