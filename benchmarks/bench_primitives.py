@@ -600,8 +600,11 @@ def mask_count_report(smoke: bool = False) -> dict[str, int]:
     every party's mask ciphertext per packed group converted (in a level's
     ``split-stats`` reply it also re-randomises her statistics; level 0's
     groups hold the root's label totals too), and the owner's [α_l] and
-    [γ_l] at each split whose children are built: 204.  The root's [α] is
-    the public encryption of the root weights and takes no mask."""
+    [γ_l] at each split whose children are built: 60 + 3·6 + 120 = 198,
+    Cd = ⌈25/10⌉ + ⌈24/10⌉ since only the left of the root's two open
+    children converts (the right one's rows are the root's minus the
+    left's).  The root's [α] is the public encryption of the root weights
+    and takes no mask."""
     h = 2
     with build_context(keysize=512, h=h) as ctx:
         everything = [list(range(client.n_features)) for client in ctx.clients]

@@ -17,9 +17,11 @@ Three regimes, one per way a node's [γ] can reach the parties:
 * **Plaintext labels the owner cannot mask** — the enhanced protocol
   (§5.2: the split stays hidden, so masking [γ] would cost Eq. 10's
   decryptions per vector) and the malicious model's POPCM-proven
-  provider: for every node that passed the pruning checks the super
-  client multiplies β into the node's [α] and publishes the products in
-  the tree level's ``split-stats`` request (:meth:`PlaintextLabelProvider.gammas`).
+  provider: for every node whose statistics are computed (it passed the
+  pruning checks and is not a right child derived from its parent and
+  open sibling) the super client multiplies β into the node's [α] and
+  publishes the products in the tree level's ``split-stats`` request
+  (:meth:`PlaintextLabelProvider.gammas`).
 
   β ∘ [α] by scalar powers is a deterministic function of the public [α]:
   β = 1 returns [α_j] unchanged, β = 0 the unit ciphertext, and a

@@ -9,8 +9,10 @@ and the training rounds grow with the depth h, not with the 2^h nodes.
    protocol they ride with [α] from the root, where the super client
    encrypts them once; otherwise she publishes the level's re-randomised
    β ∘ [α] in the level's ``split-stats`` request (see
-   :mod:`repro.core.labels`).  That one request names every open node of
-   the level and the level's public layout, and carries the super
+   :mod:`repro.core.labels`).  That one request names every node of the
+   level whose statistics are computed (below the root, every open node
+   but a right child whose left sibling is open: see *Sibling
+   subtraction* below) and the level's public layout, and carries the super
    client's own masked groups; every other client answers the super
    client with encrypted *left-child* split statistics for her local
    splits of every node (homomorphic dot products, Eq. 7 / Eq. 9),
@@ -66,11 +68,33 @@ converts first, so a root that cannot split converts its totals alone (2
 rounds), and a root pruned later has had its candidates converted and
 its [γ] published.  The MPC rounds of a level are those of one node.
 The level's statistics travel and decrypt at their declared width
-(:meth:`TreeTrainer._stat_bound`): every party sends every other party
-one ciphertext per packed group of the level (the super client in her
-request, the others to her with one share per value, and to each other),
-every non-super party sends the super client one partial decryption per
-group, and Algorithm 2 decrypts one ciphertext per group.
+(:meth:`TreeTrainer._stat_bound`), for its *converted* nodes only (see
+*Sibling subtraction*): with T = V₀ + Σ S·(1 + V) values over them in
+G = ⌈T / slots⌉ packed groups, every party sends every other party one
+ciphertext per group (the super client in her request, the others to her
+with one share per value of the level, and to each other), every
+non-super party sends the super client one partial decryption per group,
+and the request names each converted node (``key, available``: e bytes)
+and, under the enhanced protocol, carries its [γ] (V·n ciphertexts).  So
+``split-stats`` moves (m − 1)·[(m·(1 + |c|) + |c|)·G + |s|·T + Σ e] bytes
+plus the enhanced [γ] and a fixed framing, with |c| = 2⌈|n|/8⌉ bytes a
+ciphertext and |s| = ⌈|q|/8⌉ a share; Algorithm 2 decrypts G
+ciphertexts (Cd); and the level takes m·G pool masks (every party's mask
+encryption of each group), plus V·n per converted node under the
+enhanced protocol (the re-randomised [γ]).
+
+**Sibling subtraction.**  Eq. 7-9 are linear in a node's [α], so for
+every candidate the left child's converted row plus the right child's is
+the parent's, which the parent's level converted and still holds as
+shares.  Below the root, where both children of a split pass the pruning
+checks, only the left one (key 2k) is computed and converted; the right
+one's rows are the parent's minus the left's, per candidate identifier
+(``remove_used_feature`` leaves the children a subset of the parent's
+candidates), and it gets no gammas entry.  The left is always the one
+computed, a public rule, so which nodes convert tells nobody anything the
+pruning bits did not.  A lone open child converts as any node.  A full
+tree of depth h converts 2^(h−1) nodes where converting both siblings
+took 2^h − 1.
 
 **Every statistic crosses the ciphertext→share boundary at most once.**
 Only the root converts its own label totals [Σγ_k], in level 0's batch;
@@ -82,7 +106,7 @@ hands its children their :class:`~repro.core.gain.NodeStats`: picked by the
 opened index under the basic protocol, by Σ_i onehot_i · stat_i under the
 enhanced one (the index stays hidden; the one-hot entries are raw 0/1, so
 the selection is exact).  Threshold decryptions: per level
-⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's internal nodes, each with S
+⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's converted nodes, each with S
 candidate splits over V published label vectors, V₀ = V at level 0 (plus
 ⌈Σ n / 11⌉ for Eq. 10 under the enhanced protocol, over the nodes whose
 children are built).  A slot is
@@ -110,7 +134,7 @@ from __future__ import annotations
 
 import operator
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -161,27 +185,32 @@ SECURE_GAIN_EPS = 2.0**-9
 SECURE_ARGMAX_SLACK = 16
 
 
-@dataclass
+@dataclass(eq=False)
 class _Open:
     """A node of the level being grown: its heap key (root 1, children of
     k at 2k and 2k + 1), its shared statistics (``None`` for the root
     until level 0's conversion), the features left to it, and its [α]
     with the riding [γ]s — ``None`` where nobody built them (children of
-    a split at the last level, or without a candidate left)."""
+    a split at the last level, or without a candidate left) — and, on a
+    right child, its parent's converted rows by identifier."""
 
     key: int
     stats: NodeStats | None
     available: list[list[int]]
     alpha: list[EncryptedNumber] | None = None
     gammas: list[list[EncryptedNumber]] | None = None
+    parent_rows: Mapping[tuple[int, int, int], list[SharedValue]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
 class _Split:
     """A node of the level that splits: its revealed owner and feature, the
     split index where it is revealed (basic), the children's feature sets,
-    :meth:`TreeTrainer._children_read`'s verdict and the left child's
-    statistics (the right child's are the node's minus these)."""
+    :meth:`TreeTrainer._children_read`'s verdict, the left child's
+    statistics (the right child's are the node's minus these) and the
+    node's converted rows by identifier."""
 
     node: _Open
     owner: int
@@ -190,6 +219,7 @@ class _Split:
     child_available: list[list[int]]
     build: bool
     left: NodeStats
+    rows: Mapping[tuple[int, int, int], list[SharedValue]]
 
 
 class TreeTrainer:
@@ -330,7 +360,7 @@ class TreeTrainer:
         noise = self._level_noise(nodes, nodes + leaves)
         nodes = self._prune(nodes, depth, leaves, noise)
         if nodes:
-            rows = rows or self._level_statistics(nodes)
+            rows = rows or self._level_rows(nodes)
             children = self._split_level(nodes, rows, depth, tree, leaves)
         self._make_leaves(leaves, depth, tree, noise)
         return children
@@ -415,6 +445,21 @@ class TreeTrainer:
             node.key: [[next(shares) for _ in range(1 + len(g))] for _ in ids]
             for node, ids, g in zip(nodes, identifiers, gammas)
         }
+
+    def _level_rows(self, nodes: list[_Open]) -> dict[int, list[list[SharedValue]]]:
+        """The rows of a level below the root: a right child whose left
+        sibling is open takes its parent's minus the sibling's, per
+        candidate (module docstring, *Sibling subtraction*)."""
+        keys = {node.key for node in nodes}
+        derived = [n for n in nodes if n.parent_rows and n.key - 1 in keys]
+        rows = self._level_statistics([n for n in nodes if n not in derived])
+        for node in derived:
+            ids = self.ctx.split_identifiers(node.available)
+            rows[node.key] = [
+                [p - left for p, left in zip(node.parent_rows[i], row)]
+                for i, row in zip(ids, rows[node.key - 1])
+            ]
+        return rows
 
     def _take_root_entry(self) -> list:
         """``[root entry]`` for level 0's first request, then ``[]``."""
@@ -658,7 +703,7 @@ class TreeTrainer:
                 _Split(
                     node, owner, feature, split, child_available,
                     self._children_read(depth, child_available),
-                    self._node_stats(node_rows[flat]),
+                    self._node_stats(node_rows[flat]), dict(zip(ids, node_rows)),
                 )
             )
         thresholds, store = self._apply_splits(splits)
@@ -774,7 +819,9 @@ class TreeTrainer:
         opened = iter(engine.open_many(sums))
         splits = []
         selections = []
-        for node, feature_groups, onehot, left in zip(nodes, groups, onehots, lefts):
+        for node, ids, feature_groups, onehot, left, node_rows in zip(
+            nodes, identifiers, groups, onehots, lefts, rows
+        ):
             winners = []
             for key in feature_groups:
                 if next(opened) == 1:
@@ -795,6 +842,7 @@ class TreeTrainer:
             split = _Split(
                 node, owner_idx, feature, None, child_available,
                 self._children_read(depth, child_available), left,
+                dict(zip(ids, node_rows)),
             )
             tree_node = self._internal_node(split, depth, None)  # hidden (§5.2)
             tree_node.hidden["threshold_share"] = engine.sum_values(
@@ -1072,7 +1120,7 @@ def _children(split: _Split, store: Mapping[int, list]) -> list[_Open]:
     )
     return [
         _Open(2 * key, split.left, split.child_available, *left),
-        _Open(2 * key + 1, node.stats - split.left, split.child_available, *right),
+        _Open(2 * key + 1, node.stats - split.left, split.child_available, *right, split.rows),
     ]
 
 

@@ -266,8 +266,10 @@ class PartyRuntime:
     trainer grows the tree one depth at a time.  A body is its nodes'
     entries concatenated, each of a fixed width (:func:`level_entries`),
     so a level of one node sends exactly a one-node message: a
-    ``split-stats`` request names every open node of the level
-    (``key, available``) after the level's layout, the super client's
+    ``split-stats`` request names every node of the level whose
+    statistics are computed (``key, available``; the trainer derives an
+    open right child's from its parent's and its sibling's) after the
+    level's layout, the super client's
     masked groups and, where the label vectors do not ride, a ``key,
     gammas`` entry per node; her reply to the super client alone is one
     masked group vector over all of them and her shares of the masks
@@ -409,7 +411,9 @@ class PartyRuntime:
         The right child is derived here, by every party from vectors she
         already holds: [α_r] = [α] ⊖ [α_l], and [γ_r] = [γ] ⊖ [γ_l] for
         each riding vector.  Empty vectors mean the children are leaves
-        nobody reads a mask vector of: nothing is stored for them.
+        nobody reads a mask vector of: nothing is stored for them.  A node
+        whose [γ] was never published (an enhanced right child derived by
+        sibling subtraction) stores none for its children either.
         """
         key, _threshold, alpha_left, gam_left = body
         if alpha_left:
@@ -420,7 +424,7 @@ class PartyRuntime:
             self.store_node(
                 2 * key + 1,
                 subtract(alpha, list(alpha_left)),
-                [subtract(g, g_left) for g, g_left in zip(gammas, gam_left)],
+                [subtract(g, g_left) for g, g_left in zip(gammas or [], gam_left)],
             )
         self.nodes.pop(key, None)
 

@@ -204,11 +204,12 @@ def collect_partial_vectors(
     while len(vectors) + len(answers) < expected or bus.pending(holder):
         sender, payload = bus.receive_any(holder, tag=tag)
         if isinstance(payload, PartialDecryptionVector):
-            if (
-                sender in vectors
-                or payload.party_index != sender
-                or len(payload.values) != count
-            ):
+            if sender in vectors:
+                raise ValueError(
+                    f"party {holder} received two partial-decryption vectors "
+                    f"of one {tag!r} batch from party {sender}"
+                )
+            if payload.party_index != sender or len(payload.values) != count:
                 raise ValueError(
                     f"party {holder} received a malformed partial-share "
                     f"vector from party {sender}"

@@ -83,7 +83,15 @@ def test_communication_is_orders_below_pivot(trained):
     masks riding in them, every party's masked groups reaching every
     other party and each partial decryption the super client alone, and
     the root's entry and label totals in level 0's; one child's mask
-    vector per split, none for leaves at the depth limit.
+    vector per split, none for leaves at the depth limit.  Of the root's
+    two open children only the left one's statistics are computed and
+    converted (the right one's are the root's minus the left's), which
+    takes (m − 1)·[(m·(1 + |c|) + |c|)·ΔG + |s|·ΔT + e] bytes off
+    ``split-stats`` against converting both: ΔG = ⌈32/5⌉ − ⌈16/5⌉ = 3
+    packed groups and ΔT = 16 values (S = 8 candidates × n_l and one class
+    count) at |c| = 64-byte ciphertexts and |s| = 16-byte shares, and the
+    right child's 55-byte ``key, available`` entry:
+    2 · (259 · 3 + 16 · 16 + 55) = 2 176, so 25 594 → 23 418.
 
     NP-DT's are measured payloads, each a ``bytes`` blob behind the
     codec's 5-byte header (tag + length), broadcast to the m − 1 others:
@@ -104,7 +112,7 @@ def test_communication_is_orders_below_pivot(trained):
     npd.fit()
     ctx = make_context(X, y, "classification", params=PARAMS, seed=9)
     TreeTrainer(ctx).fit()
-    assert (ctx.bus.bytes, npd.bus.bytes) == (25_594, 3_026)
+    assert (ctx.bus.bytes, npd.bus.bytes) == (23_418, 3_026)
     assert npd.bus.by_tag == {
         "plaintext-labels": 2 * (5 + 8 * 40),
         "plaintext-stats": 2 * (3 * 3 * 5 + 8 * 126),

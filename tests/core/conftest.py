@@ -103,6 +103,19 @@ def same_tree(opened, plain) -> bool:
     )
 
 
+def converted_per_depth(model) -> dict[int, int]:
+    """The nodes whose statistics each level converts, by depth, for a
+    tree whose every internal node passed the pruning checks and whose
+    leaves all stopped there: the root at depth 0, then one child per
+    split with an internal child — where both children are open the
+    right one's rows are its parent's minus the left's."""
+    converted = {0: 1}
+    for node in model.internal_nodes():
+        if not (node.left.is_leaf and node.right.is_leaf):
+            converted[node.depth + 1] = converted.get(node.depth + 1, 0) + 1
+    return converted
+
+
 def spy_on_bus(monkeypatch, bus) -> list[tuple[int, int | None, str, object]]:
     """Every (sender, receiver, tag, payload) the bus carries, in order;
     a broadcast has receiver ``None``."""

@@ -57,7 +57,13 @@ class _StatisticsAudit:
     indicator, or its complement for the right child.  The winning split is
     read off each node's opened one-hot, under either protocol.  The root
     enters level 0 without statistics (they come out of the level's
-    conversion), so it is checked once they are set."""
+    conversion), so it is checked once they are set.
+
+    Every row a level's split step starts from is checked too, as
+    converted or derived, before ``min_samples_leaf`` masks the SplitStats:
+    a right child whose left sibling is open never converts, so its rows
+    are its parent's minus the sibling's and must still open to its own
+    left-split statistics."""
 
     def __init__(self, monkeypatch, ctx, labels, tolerance=0, check_splits=True):
         self.ctx = ctx
@@ -66,11 +72,15 @@ class _StatisticsAudit:
         self.nodes = 0
         self.inherited = 0  # of them, children checked through their parent
         self.candidates = 0
+        self.rows = 0
+        #: Of them, by depth: rows of a right child whose sibling is open.
+        self.derived_rows: Counter = Counter()
         self._terms: dict[int, np.ndarray] = {}  # heap key -> plaintext terms
         self._winners: dict[int, tuple[int, int, int]] = {}  # heap key -> split
         self._levels: dict[int, tuple] = {}  # id(NodeStats) -> (terms, available)
         self._root = None  # the root, until its statistics are converted
         real_grow = TreeTrainer._grow_level
+        real_split_level = TreeTrainer._split_level
         real_gains = trainer_module.secure_split_gains
 
         def grow_level(trainer, nodes, depth, tree):
@@ -88,6 +98,23 @@ class _StatisticsAudit:
                 return real_grow(trainer, nodes, depth, tree)
             finally:
                 self._register_root()
+
+        def split_level(trainer, nodes, converted, depth, *rest):
+            self._register_root()
+            keys = {node.key for node in nodes}
+            for node in nodes:
+                terms, available = self._levels[id(node.stats)]
+                identifiers = ctx.split_identifiers(available)
+                assert len(identifiers) == len(converted[node.key])
+                derived = node.key % 2 == 1 and node.key - 1 in keys
+                for (owner, feature, s), row in zip(identifiers, converted[node.key]):
+                    v = ctx.clients[owner].indicator(feature, s)
+                    # [n_l, g_l per published vector]: the unpublished
+                    # last class is the one term row it lacks.
+                    self._check(row[0], row[1:], (terms * v)[: len(row)])
+                    self.rows += 1
+                    self.derived_rows[depth] += derived
+            return real_split_level(trainer, nodes, converted, depth, *rest)
 
         def update(real):
             def wrapped(trainer, nodes, identifiers, picks, *rest):
@@ -112,6 +139,7 @@ class _StatisticsAudit:
             return real_gains(fx, task, nodes, splits, *args, **kwargs)
 
         monkeypatch.setattr(TreeTrainer, "_grow_level", grow_level)
+        monkeypatch.setattr(TreeTrainer, "_split_level", split_level)
         for name in ("_update_basic", "_update_enhanced"):
             monkeypatch.setattr(TreeTrainer, name, update(getattr(TreeTrainer, name)))
         if check_splits:
@@ -250,6 +278,44 @@ def test_dp_children_inherit_the_unmasked_statistics(
     )
     assert not model.root.is_leaf
     assert audit.nodes == 3 and audit.inherited == 2
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_derived_rows_over_a_subset_of_the_parents_candidates(
+    monkeypatch, small_classification, protocol
+):
+    """``remove_used_feature``: the children of a split lose its feature,
+    so a right child's rows are its parent's, looked up by identifier,
+    minus its left sibling's — at depth 1 from the root's rows, at depth 2
+    from rows that may themselves be derived.  Every row opens to its
+    plaintext statistic."""
+    X, y = small_classification
+    params = TreeParams(max_depth=3, max_splits=2, remove_used_feature=True)
+    _, model, audit = _fit_audited(
+        monkeypatch, X, y, "classification", params=params, protocol=protocol
+    )
+    assert audit.derived_rows[1] and audit.derived_rows[2]
+    assert audit.rows == audit.candidates > sum(audit.derived_rows.values())
+    assert audit.nodes == model.n_internal + len(model.leaves())
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_derived_rows_under_min_samples_leaf(
+    monkeypatch, small_classification, protocol
+):
+    """``min_samples_leaf`` > 1 zeroes the SplitStats of invalid splits
+    before the gain step, so the rows are checked as the split step gets
+    them, converted or derived, with ``remove_used_feature`` at depth 3."""
+    X, y = small_classification
+    params = TreeParams(
+        max_depth=3, max_splits=2, min_samples_leaf=3, remove_used_feature=True
+    )
+    _, model, audit = _fit_audited(
+        monkeypatch, X, y, "classification", params=params, protocol=protocol
+    )
+    assert audit.candidates == 0  # the SplitStats are masked: not checked
+    assert audit.derived_rows[1] and sum(audit.derived_rows.values()) < audit.rows
+    assert audit.nodes == model.n_internal + len(model.leaves()) > 3
 
 
 def test_riding_gammas_of_a_gbdt_round(monkeypatch, small_regression):
@@ -440,7 +506,7 @@ def test_published_vectors_and_statistics_are_unlinkable(
 
 
 @pytest.mark.parametrize(
-    "estimator, pool_masks", [("tree", 123), ("forest", 246), ("gbdt", 255)]
+    "estimator, pool_masks", [("tree", 114), ("forest", 228), ("gbdt", 231)]
 )
 def test_basic_labels_ride_once_per_built_split(
     monkeypatch, small_classification, small_regression, estimator, pool_masks
@@ -456,13 +522,16 @@ def test_basic_labels_ride_once_per_built_split(
     re-randomises her statistics), c·n per built split (c = 3 for
     regression: n, y, y²), and for GBDT n more for its encrypted labels.
     A tree level's statistics are packed together, level 0's after the
-    root's c − 1 label totals: at 256 bits a class count of W = 30 has a
+    root's c − 1 label totals, and of the two open children at depth 1
+    only the left one converts (the right one's rows are the root's minus
+    the left's): at 256 bits a class count of W = 30 has a
     5 + 40 + 2 = 47-bit slot, five to a ciphertext, so the tree's
-    ⌈(1 + 16)/5⌉ + ⌈32/5⌉ = 11 groups give 30 + 3·11 + 60 = 123 — the
-    root's total takes a free slot of level 0's last group, where it once
-    had a group of its own.  (Regression declares fx.k: 82-bit slots,
-    three to a ciphertext, so GBDT's level 0 of 2 + 24 values fills
-    ⌈26/3⌉ = 9 groups, as ⌈2/3⌉ + ⌈24/3⌉ did: 255 either way.)"""
+    ⌈(1 + 16)/5⌉ + ⌈16/5⌉ = 8 groups give 30 + 3·8 + 60 = 114 (with both
+    children converting, ⌈32/5⌉ = 7 groups at depth 1 gave 123), and the
+    forest's two trees 228 (was 246).  (Regression declares fx.k: 82-bit
+    slots, three to a ciphertext, so GBDT's level 0 of 2 + 24 values
+    fills ⌈26/3⌉ = 9 groups and depth 1's 24 values ⌈24/3⌉ = 8 (was
+    ⌈48/3⌉ = 16): 60 + 3·17 + 90 + 30 = 231, was 255.)"""
     task = "regression" if estimator == "gbdt" else "classification"
     X, y = small_regression if estimator == "gbdt" else small_classification
     X, y = X[:30], y[:30]

@@ -10,7 +10,7 @@ from repro.core import TreeTrainer, run_predict_batch
 from repro.mpc.sharing import SharedValue
 from repro.tree import TreeParams
 
-from tests.core.conftest import make_context
+from tests.core.conftest import converted_per_depth, make_context
 
 
 
@@ -295,14 +295,18 @@ def test_riding_gammas_partition_with_the_mask():
 
 def _check_threshold_decryptions_by_formula(protocol):
     """Cd of a fit at a 512-bit key, m = 3: per tree level
-    ⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's internal nodes, a slot
+    ⌈(V₀ + Σ S·(1 + V)) / slots⌉ over the level's converted nodes, a slot
     being bitlen(W) + κ + bitlen(m) bits for W = Σ root weights, plus
     eleven Eq. 10 elements per decrypted ciphertext.  The root's own
     statistics are its V₀ = c − 1 class totals (its count is the public
-    W), in level 0's batch; an internal node converts the left child's n_l
+    W), in level 0's batch; a converted node converts the left child's n_l
     and c − 1 class counts per split (plus, under the enhanced protocol,
     Eq. 10 for one child where the children are built: not at the last
-    level); a leaf converts nothing."""
+    level); a leaf converts nothing, and of two open siblings only the
+    left one converts (the right one's rows are the parent's minus the
+    left's).  Here the root and one of its two internal children convert:
+    ⌈(1 + 16)/10⌉ + ⌈16/10⌉ = 4, plus ⌈30/11⌉ = 3 for Eq. 10 under the
+    enhanced protocol (was ⌈32/10⌉ = 4 at depth 1, with both children)."""
     from repro.data import make_classification
 
     n, classes = 30, 2
@@ -316,11 +320,11 @@ def _check_threshold_decryptions_by_formula(protocol):
     slot = n.bit_length() + ctx.engine.kappa + ctx.n_clients.bit_length()
     per_stat, per_alpha = 511 // slot, 11
     assert per_stat == 10
-    depths = [node.depth for node in model.internal_nodes()]
+    converted = converted_per_depth(model)
+    assert converted == {0: 1, 1: 1} and splits == 8
     split_stats = sum(
-        -(-((classes - 1) * (depth == 0) + depths.count(depth) * splits * classes)
-          // per_stat)
-        for depth in set(depths)
+        -(-((classes - 1) * (depth == 0) + count * splits * classes) // per_stat)
+        for depth, count in converted.items()
     )
     eq10 = -(-n // per_alpha) if protocol == "enhanced" else 0
     built = sum(

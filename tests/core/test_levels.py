@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core import PivotConfig, TreeTrainer
 from repro.data import make_classification, vertical_partition
 from repro.federation import Federation
-from repro.federation.party import split_root_entry
+from repro.federation.party import level_entries, split_root_entry
 from repro.network.wire import Request
 from repro.tree import DecisionTree, TreeParams
 from repro.tree.metrics import gini_gain
@@ -309,3 +309,50 @@ def test_a_root_that_cannot_split_converts_its_totals_alone(
     else:
         assert ctx.fx.open([model.root.hidden["label_share"]]) == [majority]
     ctx.assert_drained()
+
+
+# -- sibling subtraction ---------------------------------------------------------
+
+#: 64 samples over three parties, labels drawn at random so that no node
+#: goes pure early: the plaintext CART tree at depth 4 with four candidate
+#: splits per feature is full (sixteen leaves) on the federation's grid.
+FULL_TREE_4 = (
+    make_classification(64, 3, n_classes=2, seed=10)[0],
+    np.random.default_rng(10).integers(0, 2, 64),
+)
+
+
+@pytest.mark.parametrize("protocol", ["basic", "enhanced"])
+def test_one_child_of_each_open_sibling_pair_converts(monkeypatch, protocol):
+    """In a full tree both children of every split are open, so each
+    ``split-stats`` request below the root names the left children alone
+    (keys 2k); the right one's rows are its parent's minus its sibling's.
+    An enhanced request carries a gammas entry for exactly the nodes it
+    names (a basic one none: the labels ride).  A full tree of depth h
+    converts 1 + 1 + 2 + … + 2^(h−2) = 2^(h−1) nodes, not 2^h − 1, and its
+    bus rounds are unchanged."""
+    X, y = FULL_TREE_4
+    expected = {
+        "basic": lambda h: 3 * h,
+        "enhanced": lambda h: 2 * h + 8 * (h - 1),
+    }[protocol]
+    for h in (1, 2, 3, 4):
+        params = TreeParams(max_depth=h, max_splits=4)
+        fed = _federation(X, y, 3, False, 7, params)
+        model, rounds, requests = _spied_fit(
+            monkeypatch, fed.context_for(protocol=protocol)
+        )
+        assert len(model.leaves()) == 2**h and rounds == expected(h)
+        converted = 0
+        for depth, request in requests:
+            if request.op != "split-stats":
+                continue
+            _, _, gammas, *body = request.body
+            keys = [key for key, _ in level_entries(split_root_entry(body)[1], 2)]
+            # The root at depth 0; below it, every left child (even keys).
+            assert keys == list(range(2**depth, 2 ** (depth + 1), 2))
+            named = [key for key, _ in level_entries(list(gammas), 2)]
+            assert named == (keys if protocol == "enhanced" else [])
+            converted += len(keys)
+        assert converted == 2 ** (h - 1)
+        fed.assert_drained()

@@ -14,7 +14,7 @@ from repro.mpc import FixedPointOps, MPCEngine
 from repro.mpc.conversion import ConversionCounters, ciphers_to_shares
 from repro.network.wire import Request
 
-from tests.core.conftest import make_context
+from tests.core.conftest import converted_per_depth, make_context
 
 #: Statistics as the trainer produces them: counts at exponent 0, label
 #: sums at -F, a product at -2F (truncated after conversion), both signs.
@@ -209,8 +209,12 @@ def test_trainer_declares_a_bound_only_where_it_is_true(
     is exact).  A riding encrypted-label [γ] has no written-down width: no
     declaration, one ciphertext per value.  A basic classification fit
     decrypts, per level, ⌈(V₀ + Σ S·(1 + V)) / slots⌉ ciphertexts over the
-    level's internal nodes, V₀ = c − 1 (the root's label totals) at level
-    0 and 0 below, with slots = ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋."""
+    level's converted nodes (the root, then one of each pair of open
+    siblings: the right one's rows are the parent's minus the left's),
+    V₀ = c − 1 (the root's label totals) at level 0 and 0 below, with
+    slots = ⌊(|n| − 1) / (bitlen(W) + κ + bitlen(m))⌋: here
+    ⌈(1 + 2·S)/5⌉ + ⌈2·S/5⌉ = 4 + 4 = 8 at S = 8 (was 4 + ⌈4·S/5⌉ = 11,
+    both depth-1 nodes converting)."""
     from repro.core import TreeTrainer
     from repro.core.labels import EncryptedLabelProvider
     from repro.tree import TreeParams
@@ -243,13 +247,10 @@ def test_trainer_declares_a_bound_only_where_it_is_true(
     slots = (ctx.threshold.public_key.n.bit_length() - 1) // slot
     assert slots == 5  # 48-bit slots, 256-bit test key
     splits = len(ctx.split_identifiers([list(range(c.n_features)) for c in ctx.clients]))
-    depths = [node.depth for node in model.internal_nodes()]
     stride = model.n_classes  # n_l and c − 1 class counts
     per_level = sum(
-        -(
-            -((model.n_classes - 1) * (depth == 0) + depths.count(depth) * splits * stride)
-            // slots
-        )
-        for depth in set(depths)
+        -(-((model.n_classes - 1) * (depth == 0) + count * splits * stride) // slots)
+        for depth, count in converted_per_depth(model).items()
     )
-    assert decrypted == per_level
+    assert splits == 8 and converted_per_depth(model) == {0: 1, 1: 1}
+    assert decrypted == per_level == 8

@@ -160,7 +160,8 @@ def test_a_peer_that_sends_her_vector_twice_fails_the_flow_and_strands_nothing(
     tiny_classification, transport, run, party
 ):
     """A peer sends her partial-decryption vector twice: the holder's
-    vector collector raises, and the flow's scope drains what is left.
+    vector collector raises, naming the duplicate as such (not as a
+    malformed vector), and the flow's scope drains what is left.
     Party 2's vector lands last in the holder's inbox, so her second one
     comes after every expected frame is in.  The fit's vectors are those
     of its fused ``split-stats`` levels."""
@@ -169,6 +170,9 @@ def test_a_peer_that_sends_her_vector_twice_fails_the_flow_and_strands_nothing(
     parties = split_parties(X, y, (2, 1, 1))
     with Federation(parties, config=config, transport=transport) as fed:
         _sends_vectors_twice(fed.runtimes[party])
-        with pytest.raises(ValueError, match=f"from party {party}$"):
+        with pytest.raises(
+            ValueError,
+            match=f"received two partial-decryption vectors .* from party {party}$",
+        ):
             run(fed)
         fed.assert_drained()
