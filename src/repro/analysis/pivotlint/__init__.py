@@ -1,12 +1,12 @@
 """pivotlint: static privacy-flow analysis for the Pivot reproduction.
 
-The repo's runtime guards (``LocalView``/``as_party``/``LocalityError``;
-key bundles that hold only this process's shares) enforce the paper's §3.1/§4 invariants on the code paths
-a test happens to execute.  pivotlint is the static counterpart: an
-AST-based analyzer with a small dataflow/taint engine — backed by a
+An AST-based analyzer with a small dataflow/taint engine — backed by a
 project-wide call graph (``callgraph``) and per-function effect summaries
-(``summaries``) — that checks *every* path, executed or not, across
-function and module boundaries.
+(``summaries``) — that checks every path, executed or not, across
+function and module boundaries.  It keeps only the invariants no runtime
+check enforces: the runtime already refuses an unregistered payload type,
+a send outside a flow, an unknown tag or op and a receive that waits on a
+send not yet made, on every path a test executes.
 
 Rules:
 
@@ -16,24 +16,13 @@ PL001  raw-read-outside-scope    raw feature/label data read outside the
 PL002  secret-escape             key secrets (d_i, dealer key, primes)
                                  reaching wire/log/repr/public-return
                                  sinks, including through helper calls
-PL003  unregistered-payload      bus payloads that are not registered
-                                 WireCodec wire types
-PL005  drain-discipline          a payload send (or a call that makes
-                                 one) outside a ``with bus.flow(...)``
-                                 scope, a handler, or a function only
-                                 they call
-PL006  unhandled-protocol-tag    a constant tag sent or requested with no
-                                 matching consumer/handler in the project
 PL007  unbounded-wait            while-True receive loops with no timeout,
                                  deadline, or EOF-class exception handling
 PL008  blocking-in-event-loop    synchronous sleep/socket/bigint-pow calls
                                  inside ``async def`` bodies
-PL010  choreography-deadlock     a role's blocking receive whose matching
-                                 send is ordered after that role's own
-                                 pending sends on a composed flow path
 PL011  round-parity              a flow scope's ``bus.flow(K)`` constant
                                  that disagrees with the round count
-                                 derived from the choreography automaton
+                                 derived from the choreography
 PL012  cross-thread-shared-state transport attributes mutated from both
                                  the daemon loop thread and the caller
                                  thread with an unlocked access on some

@@ -145,9 +145,7 @@ class ProjectIndex:
 
     Built once per analyzer run over *all* parsed files, then handed to
     each rule through ``FileContext.project``.  ``summaries`` is filled by
-    :func:`repro.analysis.pivotlint.summaries.compute_summaries`;
-    ``cache`` lets rule packs memoize their own cross-file inventories
-    (the protocol-tag tables of PL006 live there).
+    :func:`repro.analysis.pivotlint.summaries.compute_summaries`.
     """
 
     def __init__(self) -> None:
@@ -155,11 +153,6 @@ class ProjectIndex:
         self.functions: list[FunctionInfo] = []
         self.by_name: dict[str, list[FunctionInfo]] = {}
         self.summaries: dict[str, "FunctionSummary"] = {}
-        #: module-level ``NAME = ("a", "b", ...)`` string-collection
-        #: constants, by name — PL006 resolves tag-set membership through
-        #: these (``DECRYPT_TAGS``, ``CONTROL_OPS``).
-        self.string_constants: dict[str, tuple[str, ...]] = {}
-        self.cache: dict[str, Any] = {}
 
     @classmethod
     def build(
@@ -171,17 +164,6 @@ class ProjectIndex:
             for info in _collect_functions(relpath, tree):
                 index.functions.append(info)
                 index.by_name.setdefault(info.name, []).append(info)
-            for stmt in tree.body:
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                ):
-                    values = _string_collection(stmt.value)
-                    if values is not None:
-                        index.string_constants.setdefault(
-                            stmt.targets[0].id, values
-                        )
         from repro.analysis.pivotlint.summaries import compute_summaries
 
         compute_summaries(index, quench=quench)
@@ -233,21 +215,3 @@ def _binds(call: ast.Call, info: FunctionInfo) -> bool:
     if n_pos + len(named) < info.required:
         return False
     return True
-
-
-def _string_collection(node: ast.expr) -> tuple[str, ...] | None:
-    """``("a", "b")`` / ``frozenset({"a"})``-shaped constant, if that."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-        if name in ("frozenset", "set", "tuple", "list") and len(node.args) == 1:
-            return _string_collection(node.args[0])
-        return None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        values = []
-        for elt in node.elts:
-            if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-                return None
-            values.append(elt.value)
-        return tuple(values)
-    return None

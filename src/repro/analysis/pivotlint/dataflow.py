@@ -10,10 +10,8 @@ Every rule builds on these pieces:
 * The secret vocabulary (:data:`SECRET_ATTRS`, :data:`SECRET_NAMES`, ...)
   that the one taint engine,
   :class:`~repro.analysis.pivotlint.summaries.LabelEngine`, reads.
-* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`RECEIVE_CALLS`),
-  the flow scope (:func:`flow_item`, :func:`flow_calls`: which calls run
-  inside a ``with …flow(…)`` block) and :func:`send_classifier`, the one
-  accounted-send classifier.
+* The bus-call vocabulary (:data:`SEND_CALLS`, :data:`RECEIVE_CALLS`)
+  and the flow scope (:func:`flow_item`: the ``with …flow(…)`` block).
 * :func:`walk_paths` — a forward walk over a function body's statement
   paths.  A :class:`Transfer` says how a call moves its state, how two
   paths join and what the end of a flow scope (its barrier) does; the
@@ -25,12 +23,9 @@ Every rule builds on these pieces:
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generic, TypeVar
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.pivotlint.callgraph import ProjectIndex
+from typing import Generic, TypeVar
 
 #: with-items recognized as "executing at party i".
 SCOPE_CALL_NAMES = frozenset({"as_party"})
@@ -82,17 +77,15 @@ def expr_fingerprint(node: ast.expr) -> str:
 class FunctionWalker(ast.NodeVisitor):
     """Visitor with qualname + per-function owner-scope tracking.
 
-    Subclasses read :attr:`qualname`, :attr:`scopes` (active
-    :class:`PartyScope` items of the *current* function) and
-    :attr:`current_function`, and override ``visit_*`` normally — they must
-    call the ``generic_visit``/super hooks to keep the stacks correct.
+    Subclasses read :attr:`qualname` and :attr:`scopes` (active
+    :class:`PartyScope` items of the *current* function), and override
+    ``visit_*`` normally — they must call the ``generic_visit``/super
+    hooks to keep the stacks correct.
     """
 
     def __init__(self) -> None:
         self._name_stack: list[str] = []
         self._scope_stacks: list[list[PartyScope]] = [[]]
-        self.current_function: ast.FunctionDef | ast.AsyncFunctionDef | None = None
-        self._function_stack: list[ast.AST] = []
 
     # -- context -----------------------------------------------------------
 
@@ -115,13 +108,8 @@ class FunctionWalker(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         self._name_stack.append(node.name)
         self._scope_stacks.append([])
-        self._function_stack.append(node)
-        previous = self.current_function
-        self.current_function = node
         self.handle_function(node)
         self.generic_visit(node)
-        self.current_function = previous
-        self._function_stack.pop()
         self._scope_stacks.pop()
         self._name_stack.pop()
 
@@ -194,38 +182,16 @@ PROPAGATING_CALLS = frozenset({"sum", "int", "abs", "list", "tuple", "sorted"})
 # the bus-call vocabulary
 # ---------------------------------------------------------------------------
 
-#: Payload-routing sends: the bytes enter a peer inbox, so they belong to a
-#: flow scope (PL005), and each one is a choreography event (PL010/PL011).
+#: Payload-routing sends: the bytes enter a peer inbox, and each one is a
+#: choreography event (PL011).
 SEND_CALLS = frozenset({"send_payload", "broadcast_payload"})
 #: The flow scope, ``with bus.flow(rounds):`` — its exit is the barrier.
 FLOW_CALL = "flow"
 #: Blocking protocol receives: the choreography's receive events.
 RECEIVE_CALLS = frozenset({"receive", "receive_any", "receive_tagged"})
-#: The control plane: its messages are consumed by the runtime's
-#: dispatcher, not by a protocol flow, so they are no choreography events
-#: and need no flow — but a tag forwarded into them is still produced
-#: or consumed (PL006 reads that through the summaries).
-CONTROL_SEND, CONTROL_RECEIVE = "send_control", "receive_control"
-
-
-def send_classifier(project: "ProjectIndex | None") -> Callable[[ast.Call], bool]:
-    """Is a call an accounted send?
-
-    Payload sends classify by name.  With a ``project`` index, a call to a
-    scanned function whose summary sends outside any flow scope is a send
-    too.  The summaries themselves are computed with ``project=None``,
-    which keeps effect propagation to exactly one call level.
-    """
-
-    def sends(call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in SEND_CALLS:
-            return True
-        return project is not None and any(
-            summary.unscoped_send for _, summary in project.summaries_for_call(call)
-        )
-
-    return sends
+#: The control plane's receive: it consumes a message too, so a function
+#: that makes one receives (its summary's ``does_receive``).
+CONTROL_RECEIVE = "receive_control"
 
 
 def flow_item(stmt: ast.AST) -> ast.Call | None:
@@ -240,23 +206,6 @@ def flow_item(stmt: ast.AST) -> ast.Call | None:
             ):
                 return call
     return None
-
-
-def flow_calls(node: ast.AST) -> Iterator[tuple[ast.Call, bool]]:
-    """Every call under ``node`` (nested defs and classes skipped: they are
-    their own functions), and whether it runs inside a flow scope."""
-
-    def visit(parent: ast.AST, inside: bool) -> Iterator[tuple[ast.Call, bool]]:
-        for child in ast.iter_child_nodes(parent):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(child, ast.Call):
-                yield child, inside
-            yield from visit(child, inside or flow_item(child) is not None)
-
-    return visit(node, False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from repro.analysis.pivotlint.callgraph import ProjectIndex
 from repro.analysis.pivotlint.dataflow import build_parent_map, enclosing_stmt
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import REGISTRY, Rule
-from repro.analysis.pivotlint import rules_protocol  # noqa: F401  (registers PL006-PL008)
-from repro.analysis.pivotlint import rules_concurrency  # noqa: F401  (registers PL010-PL012)
+from repro.analysis.pivotlint import rules_protocol  # noqa: F401  (registers PL007-PL008)
+from repro.analysis.pivotlint import rules_concurrency  # noqa: F401  (registers PL011-PL012)
 from repro.analysis.pivotlint.suppress import Suppression, parse_suppressions
 
 

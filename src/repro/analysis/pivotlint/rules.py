@@ -1,8 +1,9 @@
-"""The pivotlint privacy-rule catalogue: PL001–PL003 and PL005.
+"""The pivotlint privacy-rule catalogue: PL001 and PL002.
 
-(The runtime-protocol pack PL006–PL008 lives in
-:mod:`repro.analysis.pivotlint.rules_protocol`; the engine imports both
-modules so :data:`REGISTRY` always holds the full catalogue.)
+(PL007 and PL008 live in :mod:`repro.analysis.pivotlint.rules_protocol`,
+PL011 and PL012 in :mod:`repro.analysis.pivotlint.rules_concurrency`; the
+engine imports both modules so :data:`REGISTRY` always holds the full
+catalogue.)
 
 Each rule is a class with a ``rule_id``, a one-line ``summary``, a fix
 ``hint``, and a ``check(file_ctx) -> list[Finding]``.  Rules register
@@ -12,14 +13,14 @@ writing one class in this shape (see the README's "adding a rule").
 The rules encode the paper's two static invariants:
 
 * **Locality** (§3.1): raw feature/label data is read only inside the
-  owning party's scope — PL001; and every byte put on the bus is sent
-  inside a flow scope, whose exit drains the inboxes — PL005.
+  owning party's scope — PL001.  ``LocalView`` enforces it at run time on
+  the guarded views; the raw arrays a ``VerticalPartition`` or a
+  ``Dataset`` holds have no such guard, and PL001 is the only check there.
 * **Key secrecy** (§2.1, §3.4): secret key material (partial keys d_i, the
   dealer's λ/µ and prime factors) never reaches a wire, a log, an
-  exception message, or a public return — PL002; and nothing leaves on the
-  bus except registered wire types — PL003.  (No rule polices dealer-key
-  use on the multi-process rows: their federations never hold a dealer
-  key, so every such path raises at run time.)
+  exception message, or a public return — PL002.  (No rule polices
+  dealer-key use on the multi-process rows: their federations never hold
+  a dealer key, so every such path raises at run time.)
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import ast
 from typing import TYPE_CHECKING
 
 from repro.analysis.pivotlint.callgraph import map_args
-from repro.analysis.pivotlint.dataflow import (
-    FunctionWalker,
-    expr_fingerprint,
-    flow_calls,
-    send_classifier,
-    stmt_span,
-)
+from repro.analysis.pivotlint.dataflow import FunctionWalker, expr_fingerprint, stmt_span
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.summaries import (
     FSTRING,
@@ -44,10 +39,8 @@ from repro.analysis.pivotlint.summaries import (
     LabelEngine,
     iter_sinks,
 )
-from repro.network.wire import LAYOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.pivotlint.callgraph import ProjectIndex
     from repro.analysis.pivotlint.engine import FileContext
 
 REGISTRY: dict[str, type["Rule"]] = {}
@@ -493,215 +486,3 @@ def _field_repr_disabled(value: ast.expr | None) -> bool:
         ):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# PL003 — unregistered-payload
-# ---------------------------------------------------------------------------
-
-#: Names of the classes the WireCodec serializes: its layout table's rows.
-_WIRE_TYPE_NAMES = frozenset(cls.__name__ for row in LAYOUT for cls in row.types)
-
-
-@register
-class UnregisteredPayload(Rule):
-    """PL003: a bus payload whose static type is not a registered wire type."""
-
-    rule_id = "PL003"
-    name = "unregistered-payload"
-    summary = (
-        "An argument of send_payload/broadcast_payload whose type is "
-        "statically known and is not a registered WireCodec wire type "
-        "(str/dict/set/bool literals, f-strings, numpy arrays, ...)."
-    )
-    hint = (
-        "add a row for the type to the layout table in "
-        "repro/network/wire.py (LAYOUT) and send that; ad-hoc objects "
-        "cannot travel the bus"
-    )
-
-    #: payload argument position per sink (positional calling convention).
-    _PAYLOAD_POS = {"send_payload": 2, "broadcast_payload": 1}
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-
-        def literal_type(node: ast.expr, assigns: dict[str, ast.expr]) -> str | None:
-            """The provable non-wire type of an expression, if any."""
-            if isinstance(node, ast.Constant):
-                if node.value is None:
-                    return "None"
-                # bytes, int and float travel; bool does not (the codec
-                # refuses it as ambiguous), nor does str.
-                name = type(node.value).__name__
-                return None if name in _WIRE_TYPE_NAMES else name
-            if isinstance(node, ast.Dict):
-                return "dict"
-            if isinstance(node, ast.Set) or isinstance(node, ast.SetComp):
-                return "set"
-            if isinstance(node, ast.DictComp):
-                return "dict"
-            if isinstance(node, ast.JoinedStr):
-                return "str"
-            if isinstance(node, (ast.List, ast.ListComp, ast.Tuple, ast.GeneratorExp)):
-                return None  # vectors of wire items are fine
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = (
-                    func.attr
-                    if isinstance(func, ast.Attribute)
-                    else getattr(func, "id", "")
-                )
-                if name in ("array", "asarray", "ascontiguousarray", "zeros", "ones", "full"):
-                    return "numpy.ndarray"
-                if name in ("str", "dict", "set", "bool"):
-                    return name
-                if name and name[0].isupper() and name not in _WIRE_TYPE_NAMES:
-                    # A constructor call of a known-named class that is not
-                    # a registered wire type.
-                    return name
-                return None
-            if isinstance(node, ast.Name) and node.id in assigns:
-                return literal_type(assigns[node.id], {})
-            return None
-
-        class Visitor(FunctionWalker):
-            def __init__(self) -> None:
-                super().__init__()
-                self._assigns_stack: list[dict[str, ast.expr]] = [{}]
-
-            def handle_function(self, node) -> None:
-                assigns: dict[str, ast.expr] = {}
-                for stmt in ast.walk(node):
-                    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                        target = stmt.targets[0]
-                        if isinstance(target, ast.Name):
-                            assigns[target.id] = stmt.value
-                self._assigns_stack.append(assigns)
-                try:
-                    self._scan(node, assigns)
-                finally:
-                    self._assigns_stack.pop()
-
-            def _scan(self, node, assigns: dict[str, ast.expr]) -> None:
-                for sub in ast.walk(node):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    func = sub.func
-                    if not isinstance(func, ast.Attribute):
-                        continue
-                    pos = rule._PAYLOAD_POS.get(func.attr)
-                    if pos is None:
-                        continue
-                    payload = None
-                    if len(sub.args) > pos:
-                        payload = sub.args[pos]
-                    else:
-                        for kw in sub.keywords:
-                            if kw.arg == "payload":
-                                payload = kw.value
-                    if payload is None:
-                        continue
-                    bad = literal_type(payload, assigns)
-                    if bad is not None:
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                payload,
-                                f"bus payload of statically-known type "
-                                f"`{bad}` is not a registered wire type",
-                                self.qualname,
-                            )
-                        )
-
-        Visitor().visit(ctx.tree)
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# PL005 — drain-discipline
-# ---------------------------------------------------------------------------
-
-
-def _is_handler(name: str) -> bool:
-    """``PartyRuntime.handle`` and its ``_op_*`` dispatch targets: a send
-    there is a reply, which belongs to the flow that requested it."""
-    return name == "handle" or name.startswith("_op_")
-
-
-def _covered(project: "ProjectIndex") -> set[str]:
-    """Functions that run only inside a flow scope or a handler: every
-    resolved call to them sits in a ``with …flow(…)`` block, in a handler,
-    or in another covered function (a greatest fixpoint; a function nobody
-    calls is an entry point, never covered)."""
-    cached = project.cache.get("PL005")
-    if cached is None:
-        callers: dict[str, list[tuple[str, bool]]] = {}
-        for info in project.functions:
-            safe = _is_handler(info.name)
-            for call, inside in flow_calls(info.node):
-                for callee in project.resolve_call(call):
-                    callers.setdefault(callee.qualkey, []).append(
-                        (info.qualkey, inside or safe)
-                    )
-        cached = set(callers)
-        changed = True
-        while changed:
-            changed = False
-            for key in list(cached):
-                if not all(
-                    safe or caller in cached for caller, safe in callers[key]
-                ):
-                    cached.discard(key)
-                    changed = True
-        project.cache["PL005"] = cached
-    return cached
-
-
-@register
-class DrainDiscipline(Rule):
-    """PL005: an accounted send outside a flow scope or a handler."""
-
-    rule_id = "PL005"
-    name = "drain-discipline"
-    summary = (
-        "An accounted send (send_payload/broadcast_payload, or a call to "
-        "a function whose summary sends outside a flow scope) runs outside "
-        "any `with bus.flow(...)` block, in a function that is neither a handler (`handle`, "
-        "`_op_*`: a reply belongs to the flow that requested it) nor "
-        "called only from flow scopes and handlers.  The scope's exit is "
-        "the barrier that drains inboxes and charges the flow's rounds, "
-        "and its failure path drains too; at run time such a send raises."
-    )
-    hint = (
-        "send inside the flow's `with bus.flow(rounds):` block, or "
-        "delegate to a canonical flow in repro/network/flows.py"
-    )
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-        sends = send_classifier(ctx.project)
-        covered = _covered(ctx.project)
-
-        class Visitor(FunctionWalker):
-            def handle_function(self, node) -> None:
-                if (
-                    _is_handler(node.name)
-                    or f"{ctx.relpath}::{self.qualname}" in covered
-                ):
-                    return
-                for call, inside in flow_calls(node):
-                    if not inside and sends(call):
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                call,
-                                "accounted send outside a flow scope",
-                                self.qualname,
-                            )
-                        )
-
-        Visitor().visit(ctx.tree)
-        return findings

@@ -1,15 +1,9 @@
-"""The concurrency/choreography rule pack: PL010–PL012.
+"""The concurrency/choreography rule pack: PL011 and PL012.
 
-PL006/PL007 catch orphan tags and unbounded waits; since the runtime went
-multi-process (PR 7/8) those are not the dangerous bugs anymore — a
-re-ordered flow or a racy transport attribute is a distributed hang or a
-heisenbug across OS processes.  This pack checks the remaining static
-story:
+Since the runtime went multi-process (PR 7/8) a racy transport attribute
+is a heisenbug across OS processes, and a miscounted flow makes the
+rounds accounting fiction.  This pack checks both statically:
 
-* **PL010 choreography-deadlock** — on the composed order of a complete
-  flow (one that opens a flow scope), a blocking receive whose
-  matching send is ordered after it can never be satisfied: every role is
-  parked at the receive and the unblocking send is unreachable.
 * **PL011 round-parity** — the round constants charged to
   ``snapshot()["rounds"]`` (``with bus.flow(K):``) must equal the
   send-phase count the flow automaton derives for the paths reaching the
@@ -21,7 +15,9 @@ story:
   flagged too (it parks the event loop with the caller thread locked
   out).
 
-A flow that raises needs no rule: the scope drains on its failure path.
+A flow that raises, a send outside a flow and a receive that precedes
+its send need no rule: the bus drains a failed flow, refuses the send
+and raises on the stall.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.pivotlint.choreography import extract_flow
+from repro.analysis.pivotlint.choreography import derive_rounds
 from repro.analysis.pivotlint.dataflow import FunctionWalker
 from repro.analysis.pivotlint.findings import Finding
 from repro.analysis.pivotlint.rules import Rule, register
@@ -54,63 +50,6 @@ def _module_int_constants(tree: ast.Module) -> dict[str, int]:
         ):
             consts[stmt.targets[0].id] = stmt.value.value
     return consts
-
-
-# ---------------------------------------------------------------------------
-# PL010 — choreography-deadlock
-# ---------------------------------------------------------------------------
-
-
-@register
-class ChoreographyDeadlock(Rule):
-    """PL010: a blocking receive ordered before its matching send."""
-
-    rule_id = "PL010"
-    name = "choreography-deadlock"
-    summary = (
-        "In a complete flow (a function opening a `with bus.flow(...)` "
-        "scope), the first blocking receive of a tag precedes "
-        "every send of that tag on the composed event order.  Every role "
-        "is parked at the receive and the send that would satisfy it is "
-        "unreachable — over the multi-process runtime this is a "
-        "distributed hang, not a stack trace.  Scope-less helpers "
-        "(reactive handlers, reply collectors) see only their own "
-        "role's projection, where receive-before-send is the normal "
-        "responder shape; they are out of scope by construction."
-    )
-    hint = (
-        "send before you receive: the composed flow must order every "
-        "tag's producing send ahead of its first blocking receive "
-        "(compare repro/network/flows.py record_threshold_decrypt)"
-    )
-
-    def check(self, ctx: "FileContext") -> list[Finding]:
-        rule = self
-        findings: list[Finding] = []
-        consts = _module_int_constants(ctx.tree)
-
-        class Visitor(FunctionWalker):
-            def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
-                automaton = extract_flow(node, self.qualname, ctx.project, consts)
-                if not automaton.has_barrier:
-                    return
-                for receive, send in automaton.order_inversions():
-                    tag = receive.tag or "?"
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            receive.node,
-                            f"role {receive.role!r} blocks receiving tag "
-                            f"{tag!r} before any send of that tag: the "
-                            f"matching send (role {send.role!r}, line "
-                            f"{send.node.lineno}) is ordered after the "
-                            f"receive on every composed path",
-                            self.qualname,
-                        )
-                    )
-
-        Visitor().visit(ctx.tree)
-        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +85,14 @@ class RoundParity(Rule):
 
         class Visitor(FunctionWalker):
             def handle_function(self, node) -> None:  # type: ignore[no-untyped-def]
-                automaton = extract_flow(node, self.qualname, ctx.project, consts)
-                for barrier, pinned, counts in automaton.pinned:
+                for flow, pinned, counts in derive_rounds(node, ctx.project, consts):
                     if not counts or max(counts) == 0 or pinned in counts:
                         continue  # pinned right, or a barrier no send feeds
                     derived = "/".join(str(c) for c in sorted(counts))
                     findings.append(
                         rule.finding(
                             ctx,
-                            barrier.node,
+                            flow,
                             f"flow({pinned}) disagrees with the flow "
                             f"automaton: the paths reaching its barrier "
                             f"complete {derived} send-phase(s), so the "

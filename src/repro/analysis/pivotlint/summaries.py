@@ -12,12 +12,9 @@ needs without re-analyzing the body:
 * **reads** — which parameters have their *element data* read
   (``reads_params``)?  Passing a guarded feature/label array into such a
   function outside the owner's scope is a PL001 read at the call site.
-* **send effects** — does the body put bytes on the bus outside any
-  flow scope (``unscoped_send``)?  PL005 classifies a *call* to the
-  function accordingly.
-* **tag forwarding** — does a ``tag`` parameter reach a send or a receive
-  primitive?  PL006 uses this to treat ``record_threshold_decrypt(...,
-  tag="eq10")`` as both producing and consuming the tag.
+* **bus effects** — does the body send (``does_send``) or receive
+  (``does_receive``)?  PL011's phase walk counts a call to the function
+  as those events.
 
 This module also holds the analyzer's one taint engine and one sink
 scan.  :class:`LabelEngine` gives every value a label set (each parameter
@@ -29,17 +26,11 @@ that are its parameters; PL002 runs the same engine and scan, seeded with
 ``~secret`` arrives.  Summaries iterate to a fixpoint, so taint chains
 through helpers-of-helpers across module boundaries.
 
-Two propagation policies, deliberately different:
-
-* **Taint quenches on suppression.**  An inline ``# pivotlint:
-  disable=PL002`` on a return or sink statement certifies the value as
-  protocol-public (e.g. ``L(c^λ)·µ mod n`` *is* the plaintext), so the
-  summary does not export it and callers are not flagged.
-* **Send effects do not quench.**  A suppressed send is still a send:
-  callers see it and must run it inside a flow scope.  Effects also
-  propagate exactly one call level (the callee's own primitive sends):
-  deeper chains are enforced level by level, each function either runs
-  its sends in a flow or a handler, or justifies them, or is flagged.
+Taint quenches on suppression: an inline ``# pivotlint: disable=PL002``
+on a return or sink statement certifies the value as protocol-public
+(e.g. ``L(c^λ)·µ mod n`` *is* the plaintext), so the summary does not
+export it and callers are not flagged.  Bus effects do not quench, and
+they are the callee's own primitive calls: one call level.
 """
 
 from __future__ import annotations
@@ -57,7 +48,6 @@ from repro.analysis.pivotlint.callgraph import (
 )
 from repro.analysis.pivotlint.dataflow import (
     CONTROL_RECEIVE,
-    CONTROL_SEND,
     PROPAGATING_CALLS,
     PUBLIC_ATTRS,
     RECEIVE_CALLS,
@@ -65,8 +55,6 @@ from repro.analysis.pivotlint.dataflow import (
     SECRET_NAMES,
     SEND_CALLS,
     SOURCE_CALLS,
-    flow_calls,
-    send_classifier,
 )
 
 #: The label marking intrinsically secret values (vs. parameter labels).
@@ -86,10 +74,8 @@ LOG_SINKS = frozenset(
 MATERIALIZERS = frozenset(
     {"asarray", "array", "ascontiguousarray", "copy", "column_stack", "stack"}
 )
-#: A control-plane receive still consumes a message and a forwarded tag.
+#: A control-plane receive still consumes a message.
 _RECEIVES = RECEIVE_CALLS | {CONTROL_RECEIVE}
-#: Sends that forward a tag into a consumable message.
-_TAG_SENDS = SEND_CALLS | {CONTROL_SEND}
 
 #: :attr:`Sink.where` of a function's return value and of an f-string.
 RETURN = "the return value"
@@ -105,11 +91,8 @@ class FunctionSummary:
     taint_params: frozenset[str] = frozenset()
     sink_params: dict[str, str] = field(default_factory=dict)
     reads_params: frozenset[str] = frozenset()
-    unscoped_send: bool = False
     does_send: bool = False
     does_receive: bool = False
-    forwards_tag_to_send: bool = False
-    forwards_tag_to_receive: bool = False
 
 
 def walk_function(node: ast.AST) -> Iterator[ast.AST]:
@@ -396,14 +379,8 @@ def _summarize(
         elif isinstance(sub, ast.Call):
             _scan_call_effects(sub, info, engine, summary, params, reads)
 
-    sends = send_classifier(None)
-    summary.unscoped_send = any(
-        not inside and sends(call) for call, inside in flow_calls(info.node)
-    )
     summary.taint_params = frozenset(taint_params)
     summary.reads_params = frozenset(reads)
-    if "tag" in params:
-        _scan_tag_forwarding(info, index, summaries, engine, summary)
     return summary
 
 
@@ -437,41 +414,6 @@ def _scan_call_effects(
                 arg = mapping.get(callee_param)
                 if arg is not None:
                     reads |= engine.labels_of(arg) & params
-
-
-def _scan_tag_forwarding(
-    info: FunctionInfo,
-    index: ProjectIndex,
-    summaries: dict[str, FunctionSummary],
-    engine: LabelEngine,
-    summary: FunctionSummary,
-) -> None:
-    for sub in walk_function(info.node):
-        if not isinstance(sub, ast.Call):
-            continue
-        func = sub.func
-        args = list(sub.args) + [kw.value for kw in sub.keywords]
-        carries_tag = any("tag" in engine.labels_of(arg) for arg in args)
-        if not carries_tag:
-            continue
-        if isinstance(func, ast.Attribute):
-            if func.attr in _TAG_SENDS:
-                summary.forwards_tag_to_send = True
-            elif func.attr in _RECEIVES:
-                summary.forwards_tag_to_receive = True
-        for callee in index.resolve_call(sub):
-            callee_summary = summaries.get(callee.qualkey)
-            if callee_summary is None or callee.qualkey == info.qualkey:
-                continue
-            mapping = map_args(sub, callee)
-            arg = mapping.get("tag")
-            if arg is not None and "tag" in engine.labels_of(arg):
-                summary.forwards_tag_to_send |= (
-                    callee_summary.forwards_tag_to_send
-                )
-                summary.forwards_tag_to_receive |= (
-                    callee_summary.forwards_tag_to_receive
-                )
 
 
 def compute_summaries(

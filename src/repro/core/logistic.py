@@ -115,7 +115,7 @@ class LogisticTrainer:
                 )
             own_partials = ctx.clients[sup].batch_sums(batch, self.weights[sup])
             others = [c.index for c in ctx.clients if c.index != sup]
-            replies = collect_replies(ctx.bus, sup, others)
+            replies = collect_replies(ctx.bus, sup, others, "lr-partial-sum")
         partials_per_client = [
             own_partials if client.index == sup else list(replies[client.index])
             for client in ctx.clients
@@ -166,7 +166,7 @@ class LogisticTrainer:
                 batch, self.weights[sup], loss_cts, scale
             )
             others = [c.index for c in ctx.clients if c.index != sup]
-            replies = collect_replies(ctx.bus, sup, others)
+            replies = collect_replies(ctx.bus, sup, others, "lr-weights")
         self.weights = [
             own_updated if client.index == sup else list(replies[client.index])
             for client in ctx.clients

@@ -749,7 +749,7 @@ class TreeTrainer:
             bodies = (
                 ctx.runtimes[sup].apply_split(by_owner[sup]) if sup in by_owner else []
             )
-            replies = collect_replies(ctx.bus, sup, others)
+            replies = collect_replies(ctx.bus, sup, others, "mask-vector")
             for owner, reply in replies.items():
                 if not isinstance(reply, Request) or reply.op != "node-split":
                     raise ValueError(

@@ -411,7 +411,7 @@ def ciphers_to_shares(
             op = "convert-masks-packed" if layout.packed else "convert-masks"
             with bus.flow(1):
                 bus.broadcast_payload(holder, Request(op, bits_list), tag="mpc-convert")
-                replies = collect_replies(bus, holder, peers)
+                replies = collect_replies(bus, holder, peers, "mpc-convert")
                 for party in peers:
                     party_cts, party_shares = replies[party]
                     mask_cts.append(party_cts)

@@ -50,10 +50,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
+def collect_replies(bus: MessageBus, receiver: int, senders: Any, tag: str) -> dict:
     """Receive one reply per expected sender, keyed by actual sender.
 
-    Arrival order is deterministic in-process (the bus serves hosted
+    Every reply carries ``tag``, its request's: one under another tag
+    raises ``ValueError`` before it is read, and the flow's scope drains
+    it.  Arrival order is deterministic in-process (the bus serves hosted
     runtimes by index) but not over sockets — replies are keyed by the
     envelope's sender, never by position.  Once every reply is in, mail
     still pending for ``receiver`` is read too, so a second reply raises
@@ -66,7 +68,7 @@ def collect_replies(bus: MessageBus, receiver: int, senders: Any) -> dict:
     replies: dict[int, object] = {}
     expected = set(senders)
     while len(replies) < len(expected) or bus.pending(receiver):
-        sender, payload = bus.receive_any(receiver)
+        sender, payload = bus.receive_any(receiver, tag)
         if sender not in expected:
             raise ValueError(
                 f"party {receiver} received a reply from unexpected "

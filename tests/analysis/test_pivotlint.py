@@ -18,7 +18,6 @@ import pytest
 import repro.analysis.pivotlint as pivotlint_pkg
 from repro.analysis.pivotlint import REGISTRY, Analyzer
 from repro.analysis.pivotlint.__main__ import main as pivotlint_main
-from repro.network.wire import LAYOUT
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -141,11 +140,6 @@ def test_pl002_flags_secret_on_the_wire(tmp_path):
         def leak_share(bus, key_share):
             with bus.flow(1):
                 bus.send_payload(0, 1, key_share.d_share, tag="oops")
-
-        def pump(bus):
-            # Tag-agnostic consumer: keeps the fixture focused on PL002
-            # (without it, the orphan tag would also raise PL006).
-            return bus.receive_tagged(0)
         """,
     )
     assert rules_found(report) == ["PL002"]
@@ -223,9 +217,6 @@ def test_pl002_flags_keygen_shares_on_the_wire(tmp_path):
             with bus.flow(1):
                 bus.broadcast_payload(0, p_share, tag="kg-p")
                 bus.send_payload(0, 1, q_share + 2, tag="kg-q")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
         """,
     )
     assert rules_found(report) == ["PL002", "PL002"]
@@ -268,9 +259,6 @@ def test_pl002_accepts_derived_keygen_traffic(tmp_path):
                 commitment = pow(g, self.p_share + self.q_share, modulus)
                 with bus.flow(1):
                     bus.broadcast_payload(self.party_index, commitment, tag="kg-c")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
         """,
     )
     assert report.findings == []
@@ -315,9 +303,6 @@ def test_pl002_interprocedural_sink_param_cross_module(tmp_path):
                 def ship(bus, value):
                     with bus.flow(1):
                         bus.send_payload(0, 1, value, tag="s")
-
-                def pump(bus):
-                    return bus.receive_tagged(0)
             """,
             "caller.py": """
                 def leak(bus, key_share):
@@ -377,402 +362,6 @@ def test_pl002_reports_each_sink_in_a_nested_def_once(tmp_path):
     ]
     assert rules_found(report) == ["PL002", "PL002"]
     assert [f.line for f in report.findings] == sink_lines
-
-
-# ---------------------------------------------------------------------------
-# PL003 — unregistered-payload
-# ---------------------------------------------------------------------------
-
-
-def test_pl003_flags_adhoc_payloads(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def chatter(bus, n):
-            with bus.flow(1):
-                bus.send_payload(0, 1, {"stats": 3}, tag="a")
-                bus.broadcast_payload(0, f"round {n}", tag="b")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL003", "PL003"]
-
-
-def test_pl003_tracks_assigned_payloads(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def indirect(bus):
-            payload = {"k": 1}
-            with bus.flow(1):
-                bus.send_payload(0, 1, payload, tag="t")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL003"]
-
-
-def test_pl003_accepts_registered_wire_types(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def fine(bus, pk, raw, shares):
-            with bus.flow(1):
-                bus.send_payload(0, 1, Ciphertext(pk, raw), tag="ct")
-                bus.broadcast_payload(0, [Ciphertext(pk, r) for r in raw], tag="v")
-                bus.send_payload(0, 1, ShareVector(shares), tag="sv")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl003_accepts_key_independent_scalars(tmp_path):
-    """int (0x08) and float (0x0A) are wire types; bool is refused by the
-    codec and so by the rule."""
-    report = lint(
-        tmp_path,
-        """
-        def scalars(bus, x):
-            with bus.flow(1):
-                bus.send_payload(0, 1, 7, tag="i")
-                bus.send_payload(0, 1, 2.5, tag="f")
-                bus.send_payload(0, 1, int(x), tag="ci")
-                bus.broadcast_payload(0, float(x), tag="cf")
-
-        def flags(bus, x):
-            with bus.flow(1):
-                bus.send_payload(0, 1, True, tag="b")
-                bus.send_payload(0, 1, bool(x), tag="cb")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL003", "PL003"]
-    assert all(f.scope.endswith("flags") for f in report.findings)
-
-
-def test_pl003_reads_wire_types_from_codec_table(tmp_path):
-    """The registry is the codec's layout table: every row's class is
-    accepted, and a class with no row — a single PartialDecryption, whose
-    row was retired for the vector — is flagged."""
-    classes = sorted(
-        cls.__name__ for row in LAYOUT for cls in row.types if cls.__name__[0].isupper()
-    )
-    assert "PartialDecryptionVector" in classes and "PartialDecryption" not in classes
-    sends = "".join(
-        f"        bus.send_payload(0, 1, {name}(x), tag='t')\n" for name in classes
-    )
-    report = lint(
-        tmp_path,
-        "def fine(bus, x):\n    with bus.flow(1):\n" + sends + "\n"
-        "def retired(bus, x):\n"
-        "    with bus.flow(1):\n"
-        "        bus.send_payload(0, 1, PartialDecryption(0, x), tag='t')\n\n"
-        "def pump(bus):\n"
-        "    return bus.receive_tagged(0)\n",
-    )
-    assert rules_found(report) == ["PL003"]
-    assert report.findings[0].scope.endswith("retired")
-
-
-# ---------------------------------------------------------------------------
-# PL005 — drain-discipline
-# ---------------------------------------------------------------------------
-
-
-def test_pl005_flags_send_without_barrier(tmp_path):
-    # No flow scope, so no barrier: the frame would sit in the inbox.
-    report = lint(
-        tmp_path,
-        """
-        def fire_and_forget(bus, ct):
-            bus.send_payload(0, 1, ct, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL005"]
-
-
-def test_pl005_flags_branch_that_skips_the_barrier(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def leaky_branch(bus, ct, fast):
-            if fast:
-                bus.broadcast_payload(0, ct, tag="x")
-            else:
-                with bus.flow(1):
-                    bus.broadcast_payload(0, ct, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 4)]
-
-
-def test_pl005_flags_send_after_the_scope(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def late(bus, ct):
-            with bus.flow(1):
-                bus.broadcast_payload(0, ct, tag="x")
-            bus.send_payload(0, 1, ct, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 5)]
-
-
-def test_pl005_accepts_send_then_round(tmp_path):
-    # The scope's exit is the round: every send inside it is barriered,
-    # on every branch and on a return from inside the block.
-    report = lint(
-        tmp_path,
-        """
-        def disciplined(bus, ct, fast):
-            with bus.flow(1):
-                if fast:
-                    bus.send_payload(0, 1, ct, tag="x")
-                else:
-                    bus.broadcast_payload(0, ct, tag="x")
-                    return bus.receive(1, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl005_accepts_a_helper_called_only_inside_flows(tmp_path):
-    # The helper's send runs under its callers' scopes: every call to it
-    # sits in a flow block or in a function that is itself only called
-    # from one.
-    report = lint(
-        tmp_path,
-        """
-        def post(bus, ct):
-            bus.send_payload(0, 1, ct, tag="x")
-
-        def relay(bus, ct):
-            post(bus, ct)
-
-        def exchange(bus, ct):
-            with bus.flow(1):
-                post(bus, ct)
-                relay(bus, ct)
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl005_flags_a_helper_called_outside_flows(tmp_path):
-    # One unscoped caller uncovers the helper: both the caller's call and
-    # the helper's own send are reported.
-    report = lint(
-        tmp_path,
-        """
-        def post(bus, ct):
-            bus.send_payload(0, 1, ct, tag="x")
-
-        def exchange(bus, ct):
-            with bus.flow(1):
-                post(bus, ct)
-
-        def stray(bus, ct):
-            post(bus, ct)
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert sorted((f.rule, f.scope) for f in report.findings) == [
-        ("PL005", "post"),
-        ("PL005", "stray"),
-    ]
-
-
-def test_pl005_exempts_op_dispatch_handlers(tmp_path):
-    # `handle` and its `_op_*` targets reply to a request: the reply
-    # belongs to the requesting flow, and so do the helpers they call.
-    report = lint(
-        tmp_path,
-        """
-        class Runtime:
-            def handle(self, bus, ct):
-                bus.send_payload(0, 1, ct, tag="x")
-
-            def _op_apply_split(self, bus, ct):
-                self.publish(bus, ct)
-
-            def publish(self, bus, ct):
-                bus.broadcast_payload(0, ct, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_pl005_flags_send_left_open_by_an_early_return(tmp_path):
-    # The `return` path sends before the scope it skips.
-    report = lint(
-        tmp_path,
-        """
-        def early_return(bus, cond, x):
-            if cond:
-                bus.send_payload(0, 1, x, tag="t")
-                return None
-            with bus.flow(1):
-                bus.send_payload(0, 1, x, tag="t")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 4)]
-
-
-@pytest.mark.parametrize(
-    ("define", "with_"),
-    [("def", "with"), ("async def", "async with")],
-    ids=["with", "async-with"],
-)
-def test_pl005_flags_branch_that_skips_the_barrier_under_with(
-    tmp_path, define, with_
-):
-    # Only a `….flow(...)` item opens a scope; another `with` does not.
-    report = lint(
-        tmp_path,
-        f"""
-        {define} scoped(bus, cond, x, ctx):
-            {with_} ctx():
-                if cond:
-                    bus.send_payload(0, 1, x, tag="t")
-                else:
-                    {with_} bus.flow(1):
-                        bus.send_payload(0, 1, x, tag="t")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [("PL005", 5)]
-
-
-# ---------------------------------------------------------------------------
-# PL006 — unhandled-protocol-tag
-# ---------------------------------------------------------------------------
-
-
-def test_pl006_flags_typoed_tag_pair(tmp_path):
-    # Producer and consumer disagree by one letter: the send can never be
-    # received, the receive can never be satisfied.  Both ends flag.
-    report = lint(
-        tmp_path,
-        """
-        def produce(bus, ct):
-            with bus.flow(1):
-                bus.send_payload(0, 1, ct, tag="histogrm")
-
-        def consume(bus):
-            return bus.receive(0, tag="histogram")
-        """,
-    )
-    assert rules_found(report) == ["PL006", "PL006"]
-
-
-def test_pl006_matched_tags_cross_module_are_clean(tmp_path):
-    report = lint_files(
-        tmp_path,
-        {
-            "producer.py": """
-                def produce(bus, ct):
-                    with bus.flow(1):
-                        bus.send_payload(0, 1, ct, tag="histogram")
-            """,
-            "consumer.py": """
-                def consume(bus):
-                    return bus.receive(0, tag="histogram")
-            """,
-        },
-    )
-    assert report.findings == []
-
-
-def test_pl006_pump_suppresses_producer_orphans_only(tmp_path):
-    # A tag-agnostic pump (receive_tagged/receive_control) consumes every
-    # envelope tag, so producer orphans are fine — but a receive for a tag
-    # nobody produces still deadlocks and still flags.
-    report = lint(
-        tmp_path,
-        """
-        def produce(bus, ct):
-            with bus.flow(1):
-                bus.send_payload(0, 1, ct, tag="anything")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-
-        def stuck(bus):
-            return bus.receive(0, tag="never-sent")
-        """,
-    )
-    assert rules_found(report) == ["PL006"]
-    assert "never-sent" in report.findings[0].message
-
-
-def test_pl006_flags_request_op_without_handler(tmp_path):
-    # Request ops are dispatch keys, not envelope tags: a pump does not
-    # excuse an op no `_op_*` method or comparison ever handles.
-    report = lint(
-        tmp_path,
-        """
-        def ask(endpoint):
-            return endpoint.request(Request("frobnicate", ()))
-
-        def pump(bus):
-            return bus.receive_tagged(0)
-        """,
-    )
-    assert rules_found(report) == ["PL006"]
-    assert "frobnicate" in report.findings[0].message
-
-
-def test_pl006_request_op_with_handler_is_clean(tmp_path):
-    report = lint_files(
-        tmp_path,
-        {
-            "client.py": """
-                def ask(endpoint):
-                    return endpoint.request(Request("frobnicate", ()))
-            """,
-            "server.py": """
-                class Server:
-                    def _op_frobnicate(self, body):
-                        return body
-            """,
-        },
-    )
-    assert report.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -1166,56 +755,6 @@ def test_repo_tree_is_clean_under_strict():
 
 
 # ---------------------------------------------------------------------------
-# PL010 — choreography-deadlock
-# ---------------------------------------------------------------------------
-
-
-def test_pl010_flags_receive_before_matching_send(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def inverted(bus, payload):
-            with bus.flow(1):
-                reply = bus.receive(0, tag="x")
-                bus.send_payload(0, 1, payload, tag="x")
-            return reply
-        """,
-    )
-    assert "PL010" in rules_found(report)
-    finding = next(f for f in report.findings if f.rule == "PL010")
-    assert finding.scope == "inverted"
-
-
-def test_pl010_accepts_send_before_receive(tmp_path):
-    report = lint(
-        tmp_path,
-        """
-        def ordered(bus, payload):
-            with bus.flow(1):
-                bus.send_payload(0, 1, payload, tag="x")
-                reply = bus.receive(0, tag="x")
-            return reply
-        """,
-    )
-    assert "PL010" not in rules_found(report)
-
-
-def test_pl010_skips_barrierless_responders(tmp_path):
-    # A reactive responder sees only its own projection, where
-    # receive-before-send is the normal shape; without a flow scope, its
-    # barrier, it is not a complete choreography and PL010 stays silent.
-    report = lint(
-        tmp_path,
-        """
-        def respond(bus, party):
-            request = bus.receive(party, tag="x")
-            bus.send_payload(party, 0, request, tag="x")
-        """,
-    )
-    assert "PL010" not in rules_found(report)
-
-
-# ---------------------------------------------------------------------------
 # PL011 — round-parity
 # ---------------------------------------------------------------------------
 
@@ -1227,9 +766,6 @@ def test_pl011_flags_overcharged_round_constant(tmp_path):
         def overcharged(bus, payload):
             with bus.flow(2):
                 bus.broadcast_payload(0, payload, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
         """,
     )
     assert rules_found(report) == ["PL011"]
@@ -1247,9 +783,6 @@ def test_pl011_accepts_gather_then_scatter_as_two_rounds(tmp_path):
                 for party in range(1, 3):
                     bus.send_payload(party, 0, shares[party], tag="x")
                 bus.broadcast_payload(0, combined, tag="x")
-
-        def pump(bus):
-            return bus.receive_tagged(0)
         """,
     )
     assert report.findings == []
@@ -1370,23 +903,6 @@ def _mkdirs(tmp_path):
     return tmp_path
 
 
-def test_mutation_swapped_send_receive_trips_pl010(_mkdirs):
-    # Move the threshold-decrypt ciphertext broadcast AFTER the receive
-    # loop that consumes it: every receiver now blocks on a send its own
-    # role has not issued yet.
-    def mutate(source: str) -> str:
-        send = "        bus.broadcast_payload(holder, list(ciphertexts), tag=tag)\n"
-        collect = "        collected, _ = collect_partial_vectors(bus, holder, count, tag)\n"
-        assert source.count(send) == 1 and source.count(collect) == 1
-        return source.replace(send, "", 1).replace(collect, collect + send, 1)
-
-    pristine, mutant = _lint_real_copy(
-        _mkdirs, "src/repro/network/flows.py", mutate
-    )
-    assert "PL010" not in pristine
-    assert "PL010" in mutant
-
-
 def test_mutation_drifted_round_constant_trips_pl011(_mkdirs):
     # The reverse conversion's two phases (the peers' mask ciphertexts to
     # the holder, her result broadcast) are both sent inside the flow, so
@@ -1402,22 +918,6 @@ def test_mutation_drifted_round_constant_trips_pl011(_mkdirs):
     )
     assert "PL011" not in pristine
     assert "PL011" in mutant
-
-
-def test_mutation_send_moved_out_of_its_scope_trips_pl005(_mkdirs):
-    # Hoist the threshold-decrypt batch broadcast in front of its flow
-    # scope: the send now runs with no flow open.
-    def mutate(source: str) -> str:
-        send = "        bus.broadcast_payload(holder, list(ciphertexts), tag=tag)\n"
-        anchor = "    runtime = bus.runtime(holder)\n"
-        assert source.count(send) == 1 and source.count(anchor) == 1
-        return source.replace(send, "", 1).replace(anchor, anchor + send[4:], 1)
-
-    pristine, mutant = _lint_real_copy(
-        _mkdirs, "src/repro/network/flows.py", mutate
-    )
-    assert "PL005" not in pristine
-    assert "PL005" in mutant
 
 
 def test_mutation_dropped_lock_trips_pl012(_mkdirs):

@@ -7,7 +7,8 @@ import pytest
 from repro.core import LogisticTrainer, PivotConfig, TreeTrainer, run_predict_batch
 from repro.federation import Federation, PivotClassifier
 from repro.federation.party import PartyRuntime
-from repro.network.wire import PartialDecryptionVector
+from repro.network.flows import collect_replies
+from repro.network.wire import PartialDecryptionVector, Request
 
 from tests.federation.conftest import PARAMS, TEST_KEYSIZE, make_federation, split_parties
 
@@ -105,12 +106,17 @@ def _fit_logistic(fed):
     LogisticTrainer(fed, n_epochs=1, batch_size=8).fit()
 
 
-@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
-@pytest.mark.parametrize(
+#: Each request whose replies ``collect_replies`` gathers, and a run that
+#: makes it.
+_EACH_REQUEST = pytest.mark.parametrize(
     ("op", "run"),
     [("_op_convert_masks", _convert), ("_op_lr_batch_sums", _fit_logistic)],
     ids=["convert-masks", "lr-batch-sums"],
 )
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@_EACH_REQUEST
 @pytest.mark.parametrize("party", [1, 2])
 def test_a_peer_that_answers_twice_fails_the_flow_and_strands_nothing(
     tiny_classification, transport, op, run, party
@@ -126,6 +132,66 @@ def test_a_peer_that_answers_twice_fails_the_flow_and_strands_nothing(
         _answers_twice(fed.runtimes[party], op)
         with pytest.raises(ValueError, match=f"two replies from party {party}"):
             run(fed)
+        fed.assert_drained()
+
+
+def _answers_under_another_tag(runtime, op):
+    """``runtime``'s party answers every ``op`` request under a misspelt
+    tag."""
+    answer = getattr(runtime, op)
+    endpoint = runtime.endpoint
+    send = endpoint.send
+
+    def misspelt(sender, body):
+        endpoint.send = lambda receiver, payload, tag="": send(
+            receiver, payload, tag=tag + "-typo"
+        )
+        try:
+            answer(sender, body)
+        finally:
+            endpoint.send = send
+
+    setattr(runtime, op, misspelt)
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@_EACH_REQUEST
+@pytest.mark.parametrize("party", [1, 2])
+def test_a_peer_that_answers_under_another_tag_fails_the_flow_and_strands_nothing(
+    tiny_classification, transport, op, run, party
+):
+    """A peer's reply carries a tag other than its request's: the holder's
+    reply collector raises instead of reading it as the reply, and the
+    flow's scope drains what is left."""
+    X, y = tiny_classification
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
+    parties = split_parties(X, y, (2, 1, 1))
+    with Federation(parties, config=config, transport=transport) as fed:
+        _answers_under_another_tag(fed.runtimes[party], op)
+        with pytest.raises(ValueError, match=r"pending one is tagged '[a-z-]+-typo'"):
+            run(fed)
+        fed.assert_drained()
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "asyncio"])
+@pytest.mark.parametrize("party", [1, 2])
+def test_a_request_for_an_op_no_runtime_handles_fails_the_flow_and_strands_nothing(
+    tiny_classification, transport, party
+):
+    """A request whose op has no ``_op_*`` handler: the peer's ``handle``
+    raises instead of leaving the request unanswered, the flow waiting on
+    its reply fails, and the scope drains what is left."""
+    X, y = tiny_classification
+    config = PivotConfig(keysize=TEST_KEYSIZE, tree=PARAMS, seed=7)
+    parties = split_parties(X, y, (2, 1, 1))
+    with Federation(parties, config=config, transport=transport) as fed:
+        bus = fed.bus
+        with pytest.raises(
+            ValueError, match=f"party {party}: unknown request op 'convert-maks'"
+        ):
+            with bus.flow(1):
+                bus.send_payload(0, party, Request("convert-maks", [8]), tag="mpc-convert")
+                collect_replies(bus, 0, [party], "mpc-convert")
         fed.assert_drained()
 
 

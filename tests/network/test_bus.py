@@ -1,7 +1,8 @@
 import pytest
 
+from repro.crypto.threshold import PartialDecryption
 from repro.network import MessageBus, WireCodec
-from repro.network.transport import InMemoryTransport
+from repro.network.transport import InMemoryTransport, SocketTransport
 from repro.network.wire import Request, WireFormatError
 
 
@@ -12,6 +13,20 @@ def payload_bus(threshold3):
     return MessageBus(
         3, codec=codec, transport=InMemoryTransport(3, capacity=None)
     )
+
+
+@pytest.fixture(params=["inmemory", "asyncio"])
+def either_bus(request, threshold3):
+    """``payload_bus`` over either transport; a socket receive that finds
+    nothing gives up after 0.2 s."""
+    codec = WireCodec(threshold3.public_key, share_modulus=2**127 - 1)
+    if request.param == "inmemory":
+        transport = InMemoryTransport(3, capacity=None)
+    else:
+        transport = SocketTransport(3, timeout=0.2)
+    bus = MessageBus(3, codec=codec, transport=transport)
+    yield bus
+    bus.close()
 
 
 def test_round_counting():
@@ -158,8 +173,37 @@ def test_a_keyless_bus_refuses_a_ciphertext_before_charging_it(threshold3):
         assert bus.receive(2, tag="x") == Request("op", [7, [1, 2], b"ab"])
         with pytest.raises(WireFormatError, match="not bound"):
             bus.send_payload(0, 1, threshold3.encrypt(3), tag="x")
+        # A type with no row in the codec's layout table travels on no bus.
+        with pytest.raises(WireFormatError, match="unsupported payload type dict"):
+            bus.send_payload(0, 1, {"stats": 3}, tag="x")
+        with pytest.raises(WireFormatError, match="unsupported payload type dict"):
+            bus.broadcast_payload(0, {"stats": 3}, tag="x")
         assert bus.pending_total() == 0
     assert (bus.messages, bus.bytes, dict(bus.by_tag)) == (1, size, {"x": size})
+
+
+@pytest.mark.parametrize("send", ["send", "broadcast"])
+@pytest.mark.parametrize(
+    "payload",
+    [{"stats": 3}, "round 3", True, PartialDecryption(1, 5), [7, {"stats": 3}]],
+    ids=["dict", "str", "bool", "single-partial-decryption", "nested-dict"],
+)
+def test_a_payload_with_no_layout_row_is_refused_before_any_byte_is_charged(
+    payload_bus, payload, send
+):
+    """A payload, or an item nested in one, of a type with no row in the
+    codec's layout table raises inside its flow: no frame is queued and no
+    byte or message is charged.  A single decryption share's row was
+    retired for the vector's."""
+    with payload_bus.flow(1):
+        with pytest.raises(WireFormatError):
+            if send == "send":
+                payload_bus.send_payload(0, 1, payload, tag="x")
+            else:
+                payload_bus.broadcast_payload(0, payload, tag="x")
+        assert payload_bus.pending_total() == 0
+    assert (payload_bus.messages, payload_bus.bytes) == (0, 0)
+    assert dict(payload_bus.by_tag) == {}
 
 
 def test_the_bus_counts_and_prices_nothing():
@@ -231,6 +275,31 @@ def test_an_accounted_send_outside_a_flow_raises(payload_bus, threshold3):
     payload_bus.assert_drained()
 
 
+@pytest.mark.parametrize("send", ["send", "broadcast"])
+@pytest.mark.parametrize("ended", ["closed", "failed"])
+def test_a_send_after_its_flow_ended_raises(payload_bus, threshold3, ended, send):
+    """The flow's exit closes the scope whether it charged its rounds or
+    raised: a send after it, say on a path that returned early from the
+    block, is refused and puts nothing on the books."""
+    ct = threshold3.encrypt(1)
+    try:
+        with payload_bus.flow(1):
+            payload_bus.send_payload(0, 1, ct, tag="stats")
+            if ended == "failed":
+                raise KeyError("mid-flow")
+    except KeyError:
+        pass
+    books = (payload_bus.messages, payload_bus.bytes, payload_bus.rounds)
+    with pytest.raises(RuntimeError, match="needs an open flow"):
+        if send == "send":
+            payload_bus.send_payload(0, 1, ct, tag="stats")
+        else:
+            payload_bus.broadcast_payload(0, ct, tag="stats")
+    assert (payload_bus.messages, payload_bus.bytes, payload_bus.rounds) == books
+    assert payload_bus.pending_total() == 0
+    payload_bus.assert_drained()
+
+
 def test_a_nested_flow_raises(payload_bus, threshold3):
     with payload_bus.flow(1):
         payload_bus.send_payload(0, 1, threshold3.encrypt(1), tag="stats")
@@ -251,6 +320,34 @@ def test_a_failing_flow_drains_and_charges_no_round(payload_bus, threshold3):
     with payload_bus.flow(1):  # the scope closed on the way out
         pass
     assert payload_bus.rounds == 1
+
+
+def test_a_receive_before_its_send_raises_and_strands_nothing(either_bus, threshold3):
+    """A flow that waits on a frame it has not sent yet: the stall raises,
+    at once in memory and at the timeout over sockets, and the scope
+    drains what was already sent."""
+    ct = threshold3.encrypt(1)
+    with pytest.raises(LookupError, match="expected a 'stats' message"):
+        with either_bus.flow(1):
+            either_bus.broadcast_payload(0, ct, tag="batch")
+            either_bus.receive(0, tag="stats")
+            either_bus.send_payload(1, 0, ct, tag="stats")
+    assert either_bus.rounds == 0 and either_bus.consumed == 2
+    either_bus.assert_drained()
+
+
+@pytest.mark.parametrize("receive", ["receive", "receive_any"])
+def test_a_receive_under_another_tag_raises_and_strands_nothing(
+    either_bus, threshold3, receive
+):
+    """Producer and consumer disagree on a tag: the receive raises before
+    it reads the frame, and the scope drains it."""
+    with pytest.raises(ValueError, match="pending one is tagged 'histogrm'"):
+        with either_bus.flow(1):
+            either_bus.send_payload(1, 0, threshold3.encrypt(1), tag="histogrm")
+            getattr(either_bus, receive)(0, tag="histogram")
+    assert either_bus.rounds == 0 and either_bus.consumed == 1
+    either_bus.assert_drained()
 
 
 def test_a_flow_that_charges_no_round_strands_nothing(payload_bus, threshold3):
